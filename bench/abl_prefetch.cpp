@@ -37,7 +37,6 @@ int Main() {
                             Mode{"overlap depth 0", kNone, 0, true},
                             Mode{"overlap depth 1", kSequential, 1, true},
                             Mode{"overlap depth 2", kSequential, 2, true},
-                            Mode{"stride depth 2", kStride, 2, true},
                             Mode{"adaptive depth 2", kAdaptive, 2, true}}) {
       os::KernelConfig config = runtime::Epxa1Config();
       config.vim.prefetch = mode.kind;
@@ -68,8 +67,8 @@ int Main() {
       "loads AND eager write-backs of cold\ndirty pages run while the "
       "coprocessor computes, collapsing the serial\nDP-management "
       "column.\n\nBoth apps walk their objects strictly sequentially, so "
-      "the stride and\nadaptive detectors (DESIGN.md §10) converge on the "
-      "same +1 stride after a\nshort learning window — they trade a few "
+      "the adaptive\ndetector (DESIGN.md §10) converges on the same +1 "
+      "stride after a short\nlearning window — it trades a few "
       "prefetches at the start for\nimmunity to the irregular access "
       "patterns where blind sequential\nprefetching thrashes (see "
       "bench_prefetch's conv2d sweep).\n");

@@ -1,12 +1,11 @@
 // Ablation E22 — reconfiguration-aware serving (DESIGN.md §15):
-// configuration-cache slot count x design-affinity scheduling x lazy
-// context write-back, over a design-alternating three-tenant fleet.
+// configuration-cache slot count x design-affinity scheduling, over a
+// design-alternating three-tenant fleet.
 //
 // The interesting regime is slots < distinct designs: the cache then
 // behaves like a real cache (hits, misses, LRU evictions) instead of
 // pinning every design. Affinity reorders the DRR ring toward resident
-// designs; lazy write-back removes the save-time dirty sweep from
-// every preemption.
+// designs.
 #include <cstdio>
 #include <vector>
 
@@ -35,14 +34,12 @@ struct Point {
   u64 reconfigurations = 0;
   u64 slot_activations = 0;
   Picoseconds config_time = 0;
-  u64 deferred = 0;
   bool exact = true;
 };
 
-Point Run(u32 config_slots, bool affinity, bool lazy) {
+Point Run(u32 config_slots, bool affinity) {
   os::KernelConfig kernel_config = runtime::Epxa1Config();
   kernel_config.config_slots = config_slots;
-  kernel_config.vim.lazy_writeback = lazy;
   FpgaSystem sys(kernel_config);
 
   os::VcopdConfig config;
@@ -120,43 +117,34 @@ Point Run(u32 config_slots, bool affinity, bool lazy) {
   point.reconfigurations = stats.reconfigurations;
   point.slot_activations = stats.slot_activations;
   point.config_time = stats.total_config_time + stats.total_activation_time;
-  point.deferred = sys.kernel().vim().service_stats().deferred_writebacks;
   return point;
 }
 
 int Main() {
-  std::printf(
-      "== Ablation: configuration slots x design affinity x lazy "
-      "write-back ==\n\n");
+  std::printf("== Ablation: configuration slots x design affinity ==\n\n");
 
-  Table table({"slots", "affinity", "lazy", "makespan us", "reconf", "activ",
-               "cfg us", "defer wb", "exact"});
+  Table table({"slots", "affinity", "makespan us", "reconf", "activ",
+               "cfg us", "exact"});
   table.set_title(
       "3 tenants x 3 designs x 4 jobs, fair share, 100 us slice");
   for (const u32 slots : {1u, 2u, 3u}) {
     for (const bool affinity : {false, true}) {
-      for (const bool lazy : {false, true}) {
-        const Point p = Run(slots, affinity, lazy);
-        table.AddRow({StrFormat("%u", slots), affinity ? "on" : "off",
-                      lazy ? "on" : "off",
-                      StrFormat("%.1f", ToMicroseconds(p.makespan)),
-                      StrFormat("%llu", static_cast<unsigned long long>(
-                                            p.reconfigurations)),
-                      StrFormat("%llu", static_cast<unsigned long long>(
-                                            p.slot_activations)),
-                      StrFormat("%.1f", ToMicroseconds(p.config_time)),
-                      StrFormat("%llu",
-                                static_cast<unsigned long long>(p.deferred)),
-                      p.exact ? "yes" : "NO"});
-      }
+      const Point p = Run(slots, affinity);
+      table.AddRow({StrFormat("%u", slots), affinity ? "on" : "off",
+                    StrFormat("%.1f", ToMicroseconds(p.makespan)),
+                    StrFormat("%llu", static_cast<unsigned long long>(
+                                          p.reconfigurations)),
+                    StrFormat("%llu", static_cast<unsigned long long>(
+                                          p.slot_activations)),
+                    StrFormat("%.1f", ToMicroseconds(p.config_time)),
+                    p.exact ? "yes" : "NO"});
     }
   }
   table.Print();
   std::printf(
       "\nslots=1 is the seed fabric: every design switch is a full "
       "reconfiguration.\nslots=3 pins all three designs after their first "
-      "load; affinity then mostly\nrides the active design and lazy "
-      "write-back settles dirty pages on demand.\n");
+      "load; affinity then mostly\nrides the active design.\n");
   return 0;
 }
 

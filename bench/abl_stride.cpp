@@ -9,7 +9,7 @@
 //
 // The per-strategy fault columns show the same sweep through the
 // DESIGN.md §10 prefetchers: demand paging (none), blind next-page
-// prefetch (seq), and the confidence-gated detectors (stride, adapt).
+// prefetch (seq), and the confidence-gated adaptive detector (adapt).
 #include <cstdio>
 
 #include "apps/conv2d.h"
@@ -47,7 +47,7 @@ int Main() {
       "~48 K pixels, EPXA1) ==\n\n");
 
   Table table({"image", "row bytes", "3-row window", "faults",
-               "compulsory", "seq", "stride", "adapt", "SW(DP) ms",
+               "compulsory", "seq", "adapt", "SW(DP) ms",
                "total ms"});
   table.set_title(
       "constant pixel count, varying stride (fault columns by prefetch "
@@ -71,8 +71,6 @@ int Main() {
                                    shape.width, shape.height, expect, &r);
     const u64 seq = FaultsUnder(os::PrefetchKind::kSequential, image,
                                 shape.width, shape.height, expect);
-    const u64 stride = FaultsUnder(os::PrefetchKind::kStride, image,
-                                   shape.width, shape.height, expect);
     const u64 adapt = FaultsUnder(os::PrefetchKind::kAdaptive, image,
                                   shape.width, shape.height, expect);
     const u32 compulsory =
@@ -84,7 +82,6 @@ int Main() {
          StrFormat("%llu", static_cast<unsigned long long>(demand)),
          StrFormat("%u", compulsory),
          StrFormat("%llu", static_cast<unsigned long long>(seq)),
-         StrFormat("%llu", static_cast<unsigned long long>(stride)),
          StrFormat("%llu", static_cast<unsigned long long>(adapt)),
          runtime::Ms(r.t_dp), runtime::Ms(r.total)});
   }
@@ -104,8 +101,8 @@ int Main() {
       "columns add the cautionary tale: blind sequential prefetch\ncan "
       "*explode* the fault count when rows span multiple pages (its "
       "guesses\nevict the still-live window), while the confidence-gated "
-      "detectors track\neach row's stream separately and stay near the "
-      "demand-paging figure or\nbelow it.\n");
+      "adaptive detector\ntracks each row's stream separately and stays "
+      "near the demand-paging figure.\n");
   return 0;
 }
 

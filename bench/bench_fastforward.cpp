@@ -117,8 +117,6 @@ void MixReport(Digest& d, const os::ExecutionReport& r) {
   d.Mix(v.prefetch_useful);
   d.Mix(v.prefetch_wasted);
   d.Mix(v.prefetch_suggestions_dropped);
-  d.Mix(v.victim_tlb_hits);
-  d.Mix(v.victim_tlb_misses);
   d.Mix(v.coalesced_bursts);
   d.Mix(v.coalesced_pages);
   d.Mix(v.fault_service_us.count());
@@ -210,9 +208,9 @@ RunResult TortureRunPoint(u64 seed, bool fastforward) {
 
 // ----- sweep B: the conv2d prefetch grid -----
 
-constexpr os::PrefetchKind kKinds[] = {
-    os::PrefetchKind::kNone, os::PrefetchKind::kSequential,
-    os::PrefetchKind::kStride, os::PrefetchKind::kAdaptive};
+constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kNone,
+                                       os::PrefetchKind::kSequential,
+                                       os::PrefetchKind::kAdaptive};
 constexpr struct {
   u32 width;
   u32 height;

@@ -1,5 +1,5 @@
 // Gates the §10 speculation/batching machinery (DESIGN.md §10,
-// EXPERIMENTS.md E17) and writes BENCH_prefetch.json for CI. Four
+// EXPERIMENTS.md E17) and writes BENCH_prefetch.json for CI. Three
 // deterministic scenarios:
 //
 //   conv2d     the interleaved-stream workload (three live image rows
@@ -8,11 +8,8 @@
 //              table must strictly beat the sequential prefetcher on
 //              both fault count and fault-service time.
 //   streaming  adpcm + IDEA walk their objects purely sequentially, so
-//              the stride/adaptive detectors must degrade gracefully:
-//              within 1% of the sequential prefetcher end to end.
-//   victim     two vcopd tenants on an untagged (flush-on-switch) TLB:
-//              switch-out evicts every frame, and faults at resume must
-//              be answered from the software victim TLB without a load.
+//              the adaptive detector must degrade gracefully: within
+//              1% of the sequential prefetcher end to end.
 //   coalesce   end-of-operation dirty flush as one scatter-gather
 //              burst: byte- and cycle-identical to the per-page sweep
 //              in the CPU copy modes (2 KB pages tile INCR16 exactly),
@@ -23,26 +20,20 @@
 #include <cstdio>
 #include <vector>
 
-#include "apps/adpcm.h"
 #include "apps/conv2d.h"
 #include "bench/common.h"
-#include "cp/adpcm_cp.h"
-#include "cp/registry.h"
-#include "os/vcopd.h"
 #include "os/vim.h"
 #include "sim/fleet.h"
 
 namespace vcop {
 namespace {
 
-using bench::kWorkloadSeed;
 using runtime::FpgaSystem;
-using runtime::HostBuffer;
-using runtime::VcopdClient;
 
-constexpr os::PrefetchKind kKinds[] = {
-    os::PrefetchKind::kNone, os::PrefetchKind::kSequential,
-    os::PrefetchKind::kStride, os::PrefetchKind::kAdaptive};
+constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kNone,
+                                       os::PrefetchKind::kSequential,
+                                       os::PrefetchKind::kAdaptive};
+constexpr usize kNumKinds = std::size(kKinds);
 
 /// Per-kind aggregate over the conv2d shape sweep.
 struct KindTotals {
@@ -85,90 +76,7 @@ os::KernelConfig KindConfig(os::PrefetchKind kind) {
   return config;
 }
 
-// ----- scenario 3: victim TLB under vcopd flush-on-switch -----
-
-/// One adpcm streaming tenant: staged input, mapped buffers, reference.
-struct StreamTenant {
-  os::TenantId id = 0;
-  HostBuffer<u8> in;
-  HostBuffer<i16> out;
-  std::vector<i16> expect;
-  u32 completed = 0;
-  bool exact = true;
-};
-
-struct FleetOutcome {
-  Picoseconds makespan = 0;
-  os::VimServiceStats service;
-  bool exact = true;
-};
-
-FleetOutcome RunVictimFleet(u32 victim_entries) {
-  os::KernelConfig kcfg = runtime::Epxa1Config();
-  kcfg.vim.victim_tlb_entries = victim_entries;
-  FpgaSystem sys(kcfg);
-
-  os::VcopdConfig vcfg;
-  vcfg.policy = os::ServicePolicy::kFairShare;
-  vcfg.time_slice = 50ull * 1000 * 1000;  // many switches
-  // Flush-on-switch: switch-out evicts every frame, so a resumed
-  // tenant's first faults are exactly the victim TLB's target.
-  vcfg.asid_tagging = false;
-  os::Vcopd daemon(sys.kernel(), vcfg);
-  sys.kernel().vim().ResetServiceStats();
-
-  constexpr u32 kBytes = 12 * 1024;
-  constexpr u32 kJobs = 2;
-  std::vector<std::unique_ptr<StreamTenant>> tenants;
-  for (u32 t = 0; t < 2; ++t) {
-    auto tenant = std::make_unique<StreamTenant>();
-    tenant->id =
-        daemon.RegisterTenant(StrFormat("stream-%u", t), 1).value();
-    const std::vector<u8> input =
-        apps::MakeAdpcmStream(kBytes, kWorkloadSeed + t);
-    tenant->in = sys.Allocate<u8>(kBytes).value();
-    tenant->in.Fill(input);
-    tenant->out = sys.Allocate<i16>(kBytes * 2).value();
-    tenant->expect.resize(kBytes * 2);
-    apps::AdpcmState state;
-    apps::AdpcmDecode(input, tenant->expect, state);
-    VcopdClient client(daemon, tenant->id);
-    VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjIn, tenant->in,
-                          os::Direction::kIn).ok());
-    VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjOut, tenant->out,
-                          os::Direction::kOut).ok());
-    tenants.push_back(std::move(tenant));
-  }
-  for (u32 round = 0; round < kJobs; ++round) {
-    for (auto& tenant : tenants) {
-      StreamTenant* t = tenant.get();
-      VcopdClient client(daemon, t->id);
-      const auto ticket = client.Submit(
-          cp::AdpcmDecodeBitstream(), {kBytes, 0u, 0u},
-          [t](const os::JobResult& r) {
-            ++t->completed;
-            if (!r.status.ok()) {
-              t->exact = false;
-              return;
-            }
-            t->exact &= t->out.ToVector() == t->expect;
-          });
-      VCOP_CHECK_MSG(ticket.ok(), ticket.status().ToString());
-    }
-  }
-  const Status status = daemon.RunUntilIdle();
-  VCOP_CHECK_MSG(status.ok(), status.ToString());
-
-  FleetOutcome out;
-  out.makespan = daemon.BuildScheduleReport().makespan;
-  out.service = sys.kernel().vim().service_stats();
-  for (const auto& tenant : tenants) {
-    out.exact &= tenant->exact && tenant->completed == kJobs;
-  }
-  return out;
-}
-
-// ----- scenario 4: coalesced write-back -----
+// ----- scenario 3: coalesced write-back -----
 
 bench::Point RunCoalescePoint(mem::CopyMode mode, bool coalesce) {
   os::KernelConfig config = runtime::Epxa1Config();
@@ -179,8 +87,8 @@ bench::Point RunCoalescePoint(mem::CopyMode mode, bool coalesce) {
 
 int Main() {
   std::printf(
-      "== speculation and batching: adaptive prefetch, victim TLB, "
-      "coalesced write-back ==\n\n");
+      "== speculation and batching: adaptive prefetch, coalesced "
+      "write-back ==\n\n");
   int rc = 0;
 
   // ----- scenario 1: conv2d prefetch-kind sweep -----
@@ -193,19 +101,19 @@ int Main() {
                     "service ms", "total ms"});
   conv_table.set_title(
       "conv2d 3x3 (sharpen), overlap prefetch depth 2, by strategy");
-  KindTotals totals[4];
-  // All 16 (shape, strategy) points are independent simulations: fan
-  // them out over the fleet, then aggregate in the original loop order.
+  KindTotals totals[kNumKinds];
+  // All (shape, strategy) points are independent simulations: fan them
+  // out over the fleet, then aggregate in the original loop order.
   const std::vector<ConvOutcome> conv_runs = sim::FleetMap<ConvOutcome>(
-      std::size(shapes) * 4, [&shapes](usize i) {
-        const Shape& shape = shapes[i / 4];
-        return RunConvPoint(KindConfig(kKinds[i % 4]), shape.width,
+      std::size(shapes) * kNumKinds, [&shapes](usize i) {
+        const Shape& shape = shapes[i / kNumKinds];
+        return RunConvPoint(KindConfig(kKinds[i % kNumKinds]), shape.width,
                             shape.height);
       });
   for (usize s = 0; s < std::size(shapes); ++s) {
     const Shape& shape = shapes[s];
-    for (usize k = 0; k < 4; ++k) {
-      const ConvOutcome& out = conv_runs[s * 4 + k];
+    for (usize k = 0; k < kNumKinds; ++k) {
+      const ConvOutcome& out = conv_runs[s * kNumKinds + k];
       const os::VimAccounting& vim = out.report.vim;
       totals[k].faults += vim.faults;
       totals[k].issued += vim.prefetched_pages;
@@ -230,18 +138,16 @@ int Main() {
   }
   conv_table.Print();
   const KindTotals& seq = totals[1];
-  const KindTotals& adp = totals[3];
+  const KindTotals& adp = totals[2];
   std::printf(
-      "\n  aggregate faults: none %llu, sequential %llu, stride %llu, "
-      "adaptive %llu\n  aggregate service: %.3f ms sequential vs %.3f ms "
-      "adaptive\n\n",
+      "\n  aggregate faults: none %llu, sequential %llu, adaptive %llu\n"
+      "  aggregate service: %.3f ms sequential vs %.3f ms adaptive\n\n",
       static_cast<unsigned long long>(totals[0].faults),
       static_cast<unsigned long long>(seq.faults),
-      static_cast<unsigned long long>(totals[2].faults),
       static_cast<unsigned long long>(adp.faults),
       static_cast<double>(seq.service) / 1e9,
       static_cast<double>(adp.service) / 1e9);
-  for (usize k = 0; k < 4; ++k) {
+  for (usize k = 0; k < kNumKinds; ++k) {
     if (!totals[k].exact) {
       std::printf("FAIL: conv2d outputs diverged under %s prefetch\n",
                   std::string(ToString(kKinds[k])).c_str());
@@ -267,23 +173,23 @@ int Main() {
   Table stream_table({"app", "mode", "faults", "issued", "total ms",
                       "vs sequential"});
   stream_table.set_title(
-      "sequential workloads: stride/adaptive must match the sequential "
+      "sequential workloads: adaptive must match the sequential "
       "prefetcher");
   struct StreamPoint {
     Picoseconds total = 0;
   };
-  StreamPoint stream[2][4];
+  StreamPoint stream[2][kNumKinds];
   const char* stream_names[2] = {"adpcmdecode", "IDEA"};
   struct StreamRun {
     bench::Point adpcm;
     bench::Point idea;
   };
   const std::vector<StreamRun> stream_runs =
-      sim::FleetMap<StreamRun>(4, [](usize k) {
+      sim::FleetMap<StreamRun>(kNumKinds, [](usize k) {
         return StreamRun{bench::RunAdpcmPoint(KindConfig(kKinds[k]), 8192),
                          bench::RunIdeaPoint(KindConfig(kKinds[k]), 32768)};
       });
-  for (usize k = 0; k < 4; ++k) {
+  for (usize k = 0; k < kNumKinds; ++k) {
     stream[0][k].total = stream_runs[k].adpcm.vim.total;
     stream[1][k].total = stream_runs[k].idea.vim.total;
     const bench::Point* points[2] = {&stream_runs[k].adpcm,
@@ -307,55 +213,18 @@ int Main() {
   stream_table.Print();
   std::printf("\n");
   for (usize w = 0; w < 2; ++w) {
-    for (usize k = 2; k < 4; ++k) {
-      const double ratio = static_cast<double>(stream[w][k].total) /
-                           static_cast<double>(stream[w][1].total);
-      if (ratio > 1.01) {
-        std::printf(
-            "FAIL: %s under %s prefetch is %.4fx the sequential time "
-            "(> 1.01 tolerance)\n",
-            stream_names[w], std::string(ToString(kKinds[k])).c_str(),
-            ratio);
-        rc = 1;
-      }
+    const double ratio = static_cast<double>(stream[w][2].total) /
+                         static_cast<double>(stream[w][1].total);
+    if (ratio > 1.01) {
+      std::printf(
+          "FAIL: %s under adaptive prefetch is %.4fx the sequential time "
+          "(> 1.01 tolerance)\n",
+          stream_names[w], ratio);
+      rc = 1;
     }
   }
 
-  // ----- scenario 3: victim TLB -----
-  const std::vector<FleetOutcome> victim_runs = sim::FleetMap<FleetOutcome>(
-      2, [](usize i) { return RunVictimFleet(i == 0 ? 16 : 0); });
-  const FleetOutcome& with_victims = victim_runs[0];
-  const FleetOutcome& no_victims = victim_runs[1];
-  std::printf(
-      "victim TLB (vcopd, untagged flush-on-switch, 2 adpcm tenants):\n"
-      "  16 entries: %llu hits / %llu misses, makespan %.1f us\n"
-      "   0 entries: %llu hits / %llu misses, makespan %.1f us\n\n",
-      static_cast<unsigned long long>(with_victims.service.victim_tlb_hits),
-      static_cast<unsigned long long>(
-          with_victims.service.victim_tlb_misses),
-      ToMicroseconds(with_victims.makespan),
-      static_cast<unsigned long long>(no_victims.service.victim_tlb_hits),
-      static_cast<unsigned long long>(no_victims.service.victim_tlb_misses),
-      ToMicroseconds(no_victims.makespan));
-  if (!with_victims.exact || !no_victims.exact) {
-    std::printf("FAIL: victim-TLB fleet outputs diverged\n");
-    rc = 1;
-  }
-  if (with_victims.service.victim_tlb_hits == 0) {
-    std::printf("FAIL: the victim TLB never hit across the switches\n");
-    rc = 1;
-  }
-  if (no_victims.service.victim_tlb_hits != 0 ||
-      no_victims.service.victim_tlb_misses != 0) {
-    std::printf("FAIL: disabled victim TLB still counted lookups\n");
-    rc = 1;
-  }
-  if (with_victims.makespan > no_victims.makespan) {
-    std::printf("FAIL: victim TLB made the fleet slower end to end\n");
-    rc = 1;
-  }
-
-  // ----- scenario 4: coalesced write-back -----
+  // ----- scenario 3: coalesced write-back -----
   const std::vector<bench::Point> coalesce_runs =
       sim::FleetMap<bench::Point>(4, [](usize i) {
         const mem::CopyMode mode =
@@ -413,7 +282,7 @@ int Main() {
   VCOP_CHECK_MSG(f != nullptr,
                  "cannot open BENCH_prefetch.json for writing");
   std::fprintf(f, "{\n  \"bench\": \"prefetch\",\n  \"conv2d\": [");
-  for (usize k = 0; k < 4; ++k) {
+  for (usize k = 0; k < kNumKinds; ++k) {
     std::fprintf(
         f,
         "%s\n    {\"mode\": \"%s\", \"faults\": %llu, \"issued\": %llu, "
@@ -431,7 +300,7 @@ int Main() {
   for (usize w = 0; w < 2; ++w) {
     std::fprintf(f, "%s\n    \"%s\": {", w == 0 ? "" : ",",
                  stream_names[w]);
-    for (usize k = 0; k < 4; ++k) {
+    for (usize k = 0; k < kNumKinds; ++k) {
       std::fprintf(f, "%s\"%s_us\": %.3f", k == 0 ? "" : ", ",
                    std::string(ToString(kKinds[k])).c_str(),
                    ToMicroseconds(stream[w][k].total));
@@ -440,16 +309,7 @@ int Main() {
   }
   std::fprintf(
       f,
-      "\n  },\n  \"victim_tlb\": {\"hits\": %llu, \"misses\": %llu, "
-      "\"makespan_us\": %.3f, \"baseline_makespan_us\": %.3f},\n",
-      static_cast<unsigned long long>(with_victims.service.victim_tlb_hits),
-      static_cast<unsigned long long>(
-          with_victims.service.victim_tlb_misses),
-      ToMicroseconds(with_victims.makespan),
-      ToMicroseconds(no_victims.makespan));
-  std::fprintf(
-      f,
-      "  \"coalesce\": {\"double_copy_us\": %.3f, "
+      "\n  },\n  \"coalesce\": {\"double_copy_us\": %.3f, "
       "\"double_copy_coalesced_us\": %.3f, \"dma_us\": %.3f, "
       "\"dma_coalesced_us\": %.3f, \"pages\": %llu, \"bursts\": %llu}\n",
       ToMicroseconds(cpu_off.vim.total), ToMicroseconds(cpu_on.vim.total),

@@ -1,27 +1,23 @@
 // Benchmarks reconfiguration-aware serving (DESIGN.md §15): the
-// multi-slot configuration cache, design-affinity fair share, and lazy
-// context write-back, alone and combined, against the single-slot
-// eager seed baseline. One design-alternating fleet (adpcm / IDEA /
-// conv2d — three distinct bit-streams) is driven through six modes:
+// multi-slot configuration cache and design-affinity fair share against
+// the single-slot seed baseline. One design-alternating fleet (adpcm /
+// IDEA / conv2d — three distinct bit-streams) is driven through four
+// modes:
 //
-//   baseline  config_slots=1, affinity off, lazy off (seed behaviour)
+//   baseline  config_slots=1, affinity off (seed behaviour)
 //   explicit  same values set explicitly (defaults-inertness digest)
 //   slots     config_slots=3: misses become slot activations
 //   affinity  slots=3 + design-affinity DRR (bounded skip budget)
-//   lazy      slots=1 + lazy context write-back (deferred dirty sweep)
-//   combined  slots=3 + affinity + lazy
 //
 // Gates (rc=1 on failure), written to BENCH_reconfig.json for CI:
 //   * every mode's outputs byte-identical to the software reference;
 //   * the explicit run is bit-identical to the baseline (defaults are
 //     inert);
-//   * slots / combined pay strictly fewer full reconfigurations than
+//   * slots / affinity pay strictly fewer full reconfigurations than
 //     the baseline, and slot activations actually happen;
-//   * affinity / combined hold fairness: Jain index over per-tenant
-//     fabric time within kJainSlack of the baseline;
-//   * lazy defers its save-time dirty sweep (zero eager write-backs on
-//     save) and still settles every page (outputs stay exact);
-//   * combined improves makespan over the baseline.
+//   * affinity holds fairness: Jain index over per-tenant fabric time
+//     within kJainSlack of the slots run;
+//   * affinity improves makespan over the baseline.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -181,7 +177,6 @@ struct Mode {
   const char* name;
   u32 slots = 1;
   bool affinity = false;
-  bool lazy = false;
   /// Defaults-inertness probe: route the seed values through the new
   /// platform keys instead of leaving the fields untouched.
   bool explicit_defaults = false;
@@ -223,9 +218,6 @@ FleetResult RunFleet(const std::vector<TenantSpec>& specs, const Mode& mode) {
   if (mode.slots != 1 || mode.explicit_defaults) {
     kernel_config.config_slots = mode.slots;
   }
-  if (mode.lazy || mode.explicit_defaults) {
-    kernel_config.vim.lazy_writeback = mode.lazy;
-  }
   if (mode.explicit_defaults) kernel_config.design_affinity = mode.affinity;
   FpgaSystem sys(kernel_config);
 
@@ -266,7 +258,6 @@ FleetResult RunFleet(const std::vector<TenantSpec>& specs, const Mode& mode) {
 void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
   table.AddRow(
       {mode.name, StrFormat("%u", mode.slots), mode.affinity ? "on" : "off",
-       mode.lazy ? "on" : "off",
        StrFormat("%.1f", ToMicroseconds(r.report.makespan)),
        StrFormat("%llu", static_cast<unsigned long long>(
                              r.stats.reconfigurations)),
@@ -275,8 +266,6 @@ void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
        StrFormat("%.1f", ToMicroseconds(r.stats.total_config_time)),
        StrFormat("%llu", static_cast<unsigned long long>(
                              r.service.pages_written_back_on_save)),
-       StrFormat("%llu", static_cast<unsigned long long>(
-                             r.service.deferred_writebacks)),
        StrFormat("%.3f", r.jain()), r.outputs_exact ? "yes" : "NO"});
 }
 
@@ -285,18 +274,15 @@ void JsonMode(std::FILE* f, const char* key, const Mode& mode,
   const double makespan = static_cast<double>(r.report.makespan);
   std::fprintf(
       f,
-      "  \"%s\": {\"config_slots\": %u, \"design_affinity\": %s, "
-      "\"lazy_writeback\": %s,\n"
+      "  \"%s\": {\"config_slots\": %u, \"design_affinity\": %s,\n"
       "    \"makespan_us\": %.3f, \"jobs\": %llu, "
       "\"reconfigurations\": %llu, \"slot_activations\": %llu,\n"
       "    \"config_time_us\": %.3f, \"activation_time_us\": %.3f, "
       "\"config_share\": %.4f,\n"
-      "    \"pages_written_back_on_save\": %llu, "
-      "\"lazy_context_saves\": %llu, \"pages_writeback_deferred\": %llu, "
-      "\"deferred_writebacks\": %llu,\n"
+      "    \"pages_written_back_on_save\": %llu,\n"
       "    \"jain\": %.4f, \"outputs_exact\": %s}%s\n",
       key, mode.slots, mode.affinity ? "true" : "false",
-      mode.lazy ? "true" : "false", ToMicroseconds(r.report.makespan),
+      ToMicroseconds(r.report.makespan),
       static_cast<unsigned long long>(r.jobs()),
       static_cast<unsigned long long>(r.stats.reconfigurations),
       static_cast<unsigned long long>(r.stats.slot_activations),
@@ -308,16 +294,13 @@ void JsonMode(std::FILE* f, const char* key, const Mode& mode,
                 makespan
           : 0.0,
       static_cast<unsigned long long>(r.service.pages_written_back_on_save),
-      static_cast<unsigned long long>(r.service.lazy_context_saves),
-      static_cast<unsigned long long>(r.service.pages_writeback_deferred),
-      static_cast<unsigned long long>(r.service.deferred_writebacks),
       r.jain(), r.outputs_exact ? "true" : "false", last ? "" : ",");
 }
 
 int Main() {
   std::printf(
-      "== reconfiguration-aware serving: slot cache, design affinity, "
-      "lazy write-back ==\n\n");
+      "== reconfiguration-aware serving: slot cache, design affinity "
+      "==\n\n");
   int rc = 0;
 
   // Design-alternating fleet: interleaved submission means consecutive
@@ -335,14 +318,12 @@ int Main() {
     specs.push_back({App::kConv, StrFormat("conv-%u", i), 1, 8 * 1024, 3});
   }
 
-  const Mode kBaseline{"baseline", 1, false, false, false};
-  const Mode kExplicit{"explicit", 1, false, false, true};
-  const Mode kSlots{"slots", 3, false, false, false};
-  const Mode kAffinity{"affinity", 3, true, false, false};
-  const Mode kLazy{"lazy", 1, false, true, false};
-  const Mode kCombined{"combined", 3, true, true, false};
+  const Mode kBaseline{"baseline", 1, false, false};
+  const Mode kExplicit{"explicit", 1, false, true};
+  const Mode kSlots{"slots", 3, false, false};
+  const Mode kAffinity{"affinity", 3, true, false};
   const std::vector<const Mode*> modes = {&kBaseline, &kExplicit, &kSlots,
-                                          &kAffinity, &kLazy, &kCombined};
+                                          &kAffinity};
 
   // The modes are independent simulations of the same tenant spec —
   // run them side by side on the fleet runner.
@@ -352,11 +333,9 @@ int Main() {
   const FleetResult& explicit_run = runs[1];
   const FleetResult& slots = runs[2];
   const FleetResult& affinity = runs[3];
-  const FleetResult& lazy = runs[4];
-  const FleetResult& combined = runs[5];
 
-  Table table({"mode", "slots", "affin", "lazy", "makespan us", "reconf",
-               "activ", "cfg us", "eager wb", "defer wb", "jain", "exact"});
+  Table table({"mode", "slots", "affin", "makespan us", "reconf", "activ",
+               "cfg us", "eager wb", "jain", "exact"});
   table.set_title("8 tenants x 3 designs x 3 jobs, fair share, 100 us slice");
   for (usize i = 0; i < modes.size(); ++i) PrintModeRow(table, *modes[i], runs[i]);
   table.Print();
@@ -373,8 +352,8 @@ int Main() {
 
   // ----- gate: defaults are inert -----
   // Routing the seed values through the new platform keys (slots=1,
-  // affinity off, lazy off, set explicitly) must be bit-identical to
-  // not touching them at all.
+  // affinity off, set explicitly) must be bit-identical to not touching
+  // them at all.
   if (explicit_run.report.makespan != baseline.report.makespan ||
       explicit_run.stats.reconfigurations != baseline.stats.reconfigurations ||
       explicit_run.stats.slot_activations != baseline.stats.slot_activations ||
@@ -388,7 +367,7 @@ int Main() {
 
   // ----- gate: the slot cache converts reconfigurations -----
   const std::pair<const char*, const FleetResult*> cached[] = {
-      {"slots", &slots}, {"affinity", &affinity}, {"combined", &combined}};
+      {"slots", &slots}, {"affinity", &affinity}};
   for (const auto& [name, rp] : cached) {
     const FleetResult& r = *rp;
     if (r.stats.reconfigurations >= baseline.stats.reconfigurations) {
@@ -407,15 +386,11 @@ int Main() {
 
   // ----- gate: affinity holds fairness -----
   const double jain_ref = slots.jain();
-  const std::pair<const char*, const FleetResult*> affine[] = {
-      {"affinity", &affinity}, {"combined", &combined}};
-  for (const auto& [name, rp] : affine) {
-    if (rp->jain() + kJainSlack < jain_ref) {
-      std::printf("FAIL: %s Jain %.3f fell below the slots run's %.3f - "
-                  "%.2f\n",
-                  name, rp->jain(), jain_ref, kJainSlack);
-      rc = 1;
-    }
+  if (affinity.jain() + kJainSlack < jain_ref) {
+    std::printf("FAIL: affinity Jain %.3f fell below the slots run's %.3f - "
+                "%.2f\n",
+                affinity.jain(), jain_ref, kJainSlack);
+    rc = 1;
   }
   for (usize i = 0; i < modes.size(); ++i) {
     if (runs[i].jain() < kJainFloor) {
@@ -425,55 +400,31 @@ int Main() {
     }
   }
 
-  // ----- gate: lazy write-back defers the save-time sweep -----
-  if (baseline.service.pages_written_back_on_save == 0) {
-    std::printf("FAIL: baseline never wrote back on save (no preemption "
-                "pressure?)\n");
-    rc = 1;
-  }
-  const std::pair<const char*, const FleetResult*> lazies[] = {
-      {"lazy", &lazy}, {"combined", &combined}};
-  for (const auto& [name, rp] : lazies) {
-    const FleetResult& r = *rp;
-    if (r.service.lazy_context_saves == 0 ||
-        r.service.pages_writeback_deferred == 0) {
-      std::printf("FAIL: %s never deferred a context write-back\n", name);
-      rc = 1;
-    }
-    if (r.service.pages_written_back_on_save != 0) {
-      std::printf("FAIL: %s still wrote %llu pages back eagerly on save\n",
-                  name,
-                  static_cast<unsigned long long>(
-                      r.service.pages_written_back_on_save));
-      rc = 1;
-    }
-  }
-
-  // ----- gate: combined improves makespan -----
-  if (combined.report.makespan >= baseline.report.makespan) {
-    std::printf("FAIL: combined makespan %.1f us not below baseline %.1f us\n",
-                ToMicroseconds(combined.report.makespan),
+  // ----- gate: affinity improves makespan -----
+  if (affinity.report.makespan >= baseline.report.makespan) {
+    std::printf("FAIL: affinity makespan %.1f us not below baseline %.1f us\n",
+                ToMicroseconds(affinity.report.makespan),
                 ToMicroseconds(baseline.report.makespan));
     rc = 1;
   }
 
   std::printf(
-      "  reconfigurations: %u baseline -> %u combined (%llu activations, "
+      "  reconfigurations: %u baseline -> %u affinity (%llu activations, "
       "%.1f us saved)\n"
-      "  makespan: %.1f us baseline -> %.1f us combined (%.2fx)\n"
-      "  jain: %.3f baseline, %.3f affinity, %.3f combined\n\n",
-      baseline.report.reconfigurations, combined.report.reconfigurations,
-      static_cast<unsigned long long>(combined.stats.slot_activations),
+      "  makespan: %.1f us baseline -> %.1f us affinity (%.2fx)\n"
+      "  jain: %.3f baseline, %.3f slots, %.3f affinity\n\n",
+      baseline.report.reconfigurations, affinity.report.reconfigurations,
+      static_cast<unsigned long long>(affinity.stats.slot_activations),
       ToMicroseconds(baseline.stats.total_config_time -
-                     combined.stats.total_config_time -
-                     combined.stats.total_activation_time),
+                     affinity.stats.total_config_time -
+                     affinity.stats.total_activation_time),
       ToMicroseconds(baseline.report.makespan),
-      ToMicroseconds(combined.report.makespan),
-      combined.report.makespan > 0
+      ToMicroseconds(affinity.report.makespan),
+      affinity.report.makespan > 0
           ? static_cast<double>(baseline.report.makespan) /
-                static_cast<double>(combined.report.makespan)
+                static_cast<double>(affinity.report.makespan)
           : 0.0,
-      baseline.jain(), affinity.jain(), combined.jain());
+      baseline.jain(), slots.jain(), affinity.jain());
 
   // ----- JSON -----
   std::FILE* f = std::fopen("BENCH_reconfig.json", "w");
@@ -486,16 +437,15 @@ int Main() {
       f,
       "  \"gates\": {\"outputs_exact\": %s, \"defaults_inert\": %s, "
       "\"reconfigs_below_baseline\": %s, \"fairness_held\": %s, "
-      "\"lazy_deferred\": %s, \"makespan_improved\": %s, \"pass\": %s}\n}\n",
-      combined.outputs_exact && baseline.outputs_exact ? "true" : "false",
+      "\"makespan_improved\": %s, \"pass\": %s}\n}\n",
+      affinity.outputs_exact && baseline.outputs_exact ? "true" : "false",
       explicit_run.report.makespan == baseline.report.makespan ? "true"
                                                                : "false",
-      combined.stats.reconfigurations < baseline.stats.reconfigurations
+      affinity.stats.reconfigurations < baseline.stats.reconfigurations
           ? "true"
           : "false",
-      combined.jain() + kJainSlack >= jain_ref ? "true" : "false",
-      combined.service.pages_written_back_on_save == 0 ? "true" : "false",
-      combined.report.makespan < baseline.report.makespan ? "true" : "false",
+      affinity.jain() + kJainSlack >= jain_ref ? "true" : "false",
+      affinity.report.makespan < baseline.report.makespan ? "true" : "false",
       rc == 0 ? "true" : "false");
   std::fclose(f);
   std::printf("wrote BENCH_reconfig.json\n");

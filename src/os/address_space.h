@@ -91,10 +91,6 @@ struct VimAccounting {
   /// (wrong object, out of range, the faulting page itself) and were
   /// dropped by the Vim's central clamp. Nonzero means a strategy bug.
   u64 prefetch_suggestions_dropped = 0;
-  /// Faults answered from the software victim TLB: the evicted frame's
-  /// contents were still intact, so the load was skipped.
-  u64 victim_tlb_hits = 0;
-  u64 victim_tlb_misses = 0;
   /// Scatter-gather write-back batching: bursts issued and pages they
   /// carried (pages/bursts = mean batch size).
   u64 coalesced_bursts = 0;

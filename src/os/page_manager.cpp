@@ -4,8 +4,7 @@ namespace vcop::os {
 
 PageManager::PageManager(mem::PageGeometry geometry)
     : geometry_(geometry),
-      frames_(geometry.num_frames()),
-      generations_(geometry.num_frames(), 0) {}
+      frames_(geometry.num_frames()) {}
 
 void PageManager::Reset() {
   frames_.assign(frames_.size(), FrameState{});
@@ -63,7 +62,6 @@ void PageManager::Install(mem::FrameId frame, hw::ObjectId object,
   next.vpage = vpage;
   next.span = span;
   frames_[frame] = next;
-  ++generations_[frame];
   for (u32 i = 1; i < span; ++i) {
     FrameState tail = next;
     tail.pins = 0;
@@ -71,7 +69,6 @@ void PageManager::Install(mem::FrameId frame, hw::ObjectId object,
     tail.continuation = true;
     tail.head = frame;
     frames_[frame + i] = tail;
-    ++generations_[frame + i];
   }
   in_use_ += span;
 }
@@ -110,11 +107,6 @@ void PageManager::ClearSpeculative(mem::FrameId frame) {
   VCOP_CHECK_MSG(s.in_use && !s.continuation,
                  "ClearSpeculative on a free frame");
   s.speculative = false;
-}
-
-u64 PageManager::generation(mem::FrameId frame) const {
-  VCOP_CHECK_MSG(frame < generations_.size(), "frame id out of range");
-  return generations_[frame];
 }
 
 void PageManager::Pin(mem::FrameId frame) {

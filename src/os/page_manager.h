@@ -101,11 +101,6 @@ class PageManager {
   void MarkSpeculative(mem::FrameId frame);
   void ClearSpeculative(mem::FrameId frame);
 
-  /// Monotonic per-frame install counter. Bumped every time new content
-  /// is installed into the frame, so the victim TLB can tell whether a
-  /// freed frame's contents survived untouched since an eviction.
-  u64 generation(mem::FrameId frame) const;
-
   const FrameState& frame(mem::FrameId frame) const;
 
   /// Eviction candidates: in use and not pinned.
@@ -123,9 +118,6 @@ class PageManager {
 
   mem::PageGeometry geometry_;
   std::vector<FrameState> frames_;
-  /// Install counters survive Reset(): a generation must never repeat
-  /// within a run or stale victim-TLB entries could false-hit.
-  std::vector<u64> generations_;
   u32 in_use_ = 0;
 };
 

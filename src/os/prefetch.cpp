@@ -11,7 +11,6 @@ std::string_view ToString(PrefetchKind kind) {
   switch (kind) {
     case PrefetchKind::kNone: return "none";
     case PrefetchKind::kSequential: return "sequential";
-    case PrefetchKind::kStride: return "stride";
     case PrefetchKind::kAdaptive: return "adaptive";
   }
   return "?";
@@ -62,64 +61,6 @@ class SequentialPrefetcher final : public Prefetcher {
 
  private:
   u32 depth_;
-};
-
-/// One dominant stride per object, learned from the inter-fault page
-/// deltas with a saturating confidence counter: a confirmed delta
-/// strengthens the stride, a miss weakens it, and the stride is only
-/// replaced once confidence drains to zero. Suggestions are issued at
-/// confidence >= 2, so a couple of matching deltas arm the prefetcher
-/// and a noisy object disarms it instead of polluting the frame pool.
-class StridePrefetcher final : public Prefetcher {
- public:
-  explicit StridePrefetcher(u32 depth) : depth_(depth) {
-    VCOP_CHECK_MSG(depth >= 1, "prefetch depth must be >= 1");
-  }
-
-  std::string_view name() const override { return "stride"; }
-
-  std::vector<PrefetchSuggestion> Suggest(hw::ObjectId object,
-                                          mem::VirtPage vpage,
-                                          u32 num_pages) override {
-    VCOP_CHECK_MSG(object < hw::kMaxObjects, "object id out of range");
-    Entry& e = entries_[object];
-    std::vector<PrefetchSuggestion> out;
-    if (!e.seen) {
-      e.seen = true;
-      e.last = vpage;
-      return out;
-    }
-    const i64 delta = static_cast<i64>(vpage) - static_cast<i64>(e.last);
-    e.last = vpage;
-    if (delta == 0) return out;
-    if (delta == e.stride) {
-      if (e.confidence < kMaxConfidence) ++e.confidence;
-    } else if (e.confidence > 0) {
-      --e.confidence;
-    } else {
-      e.stride = delta;
-      e.confidence = 1;
-    }
-    if (e.confidence >= kConfident && e.stride != 0) {
-      SuggestAlong(out, object, vpage, e.stride, depth_, num_pages);
-    }
-    return out;
-  }
-
-  void Reset() override { entries_ = {}; }
-
- private:
-  static constexpr u32 kConfident = 2;
-  static constexpr u32 kMaxConfidence = 3;
-
-  struct Entry {
-    bool seen = false;
-    mem::VirtPage last = 0;
-    i64 stride = 0;
-    u32 confidence = 0;
-  };
-  u32 depth_;
-  std::array<Entry, hw::kMaxObjects> entries_{};
 };
 
 /// Reference-prediction table (Chen & Baer): each object owns a few
@@ -257,8 +198,6 @@ std::unique_ptr<Prefetcher> MakePrefetcher(PrefetchKind kind, u32 depth) {
     case PrefetchKind::kNone: return std::make_unique<NonePrefetcher>();
     case PrefetchKind::kSequential:
       return std::make_unique<SequentialPrefetcher>(depth);
-    case PrefetchKind::kStride:
-      return std::make_unique<StridePrefetcher>(depth);
     case PrefetchKind::kAdaptive:
       return std::make_unique<AdaptivePrefetcher>(depth);
   }

@@ -5,15 +5,11 @@
 // work; we implement it as a pluggable strategy consulted during fault
 // service, and evaluate it in bench/abl_prefetch and bench_prefetch.
 //
-// Four strategies form a taxonomy:
+// Three strategies form a taxonomy:
 //
 //   kNone        — demand paging only.
 //   kSequential  — after a fault on page p, suggest p+1..p+depth
 //                  (streaming apps: adpcm, IDEA).
-//   kStride      — per-object stride detector with a confidence
-//                  counter: learns a single dominant inter-fault
-//                  stride per object and suggests along it once
-//                  confident (regular strided sweeps).
 //   kAdaptive    — per-object reference-prediction table in the
 //                  Chen/Baer style: a handful of stream slots per
 //                  object, each with its own stride and a two-bit
@@ -33,7 +29,7 @@
 
 namespace vcop::os {
 
-enum class PrefetchKind : u8 { kNone, kSequential, kStride, kAdaptive };
+enum class PrefetchKind : u8 { kNone, kSequential, kAdaptive };
 
 std::string_view ToString(PrefetchKind kind);
 
@@ -57,14 +53,14 @@ class Prefetcher {
                                                   mem::VirtPage vpage,
                                                   u32 num_pages) = 0;
 
-  /// Clears learned history (stride tables, stream slots). Called by
+  /// Clears learned history (stream slots). Called by
   /// the VIM at the start of each full-reset execution so one run's
   /// access pattern cannot pollute the next run's predictions.
   virtual void Reset() {}
 };
 
 /// Factory. `depth` is the look-ahead (pages suggested per fault and
-/// stream) of the sequential, stride and adaptive prefetchers.
+/// stream) of the sequential and adaptive prefetchers.
 std::unique_ptr<Prefetcher> MakePrefetcher(PrefetchKind kind, u32 depth = 1);
 
 }  // namespace vcop::os

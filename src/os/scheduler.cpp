@@ -156,7 +156,6 @@ ScheduleReport FpgaScheduler::RunAll(std::vector<FpgaJob> jobs,
   schedule.prefetch_issued = svc.prefetch_issued;
   schedule.prefetch_useful = svc.prefetch_useful;
   schedule.prefetch_wasted = svc.prefetch_wasted;
-  schedule.victim_tlb_hits = svc.victim_tlb_hits;
   schedule.coalesced_bursts = svc.coalesced_bursts;
   schedule.coalesced_pages = svc.coalesced_pages;
   return schedule;

@@ -108,7 +108,6 @@ struct ScheduleReport {
   u64 prefetch_issued = 0;
   u64 prefetch_useful = 0;
   u64 prefetch_wasted = 0;
-  u64 victim_tlb_hits = 0;
   u64 coalesced_bursts = 0;
   u64 coalesced_pages = 0;
   // Ring-transport rollup (VcopService::BuildScheduleReport only;

@@ -278,7 +278,6 @@ ScheduleReport Vcopd::BuildScheduleReport() const {
   report.prefetch_issued = svc.prefetch_issued;
   report.prefetch_useful = svc.prefetch_useful;
   report.prefetch_wasted = svc.prefetch_wasted;
-  report.victim_tlb_hits = svc.victim_tlb_hits;
   report.coalesced_bursts = svc.coalesced_bursts;
   report.coalesced_pages = svc.coalesced_pages;
   return report;

@@ -33,8 +33,6 @@ void Vim::Configure(const VimConfig& config) {
   transfers_.set_mode(config.copy_mode);
   iommu_.Configure(config.iommu, config.iotlb_entries,
                    costs_.iommu_walk_cycles);
-  victim_tlb_.assign(config.victim_tlb_entries, VictimEntry{});
-  victim_cursor_ = 0;
 }
 
 bool Vim::IommuWalk(mem::IommuAsid asid, mem::UserAddr page_base) {
@@ -197,10 +195,6 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     tlb_recycle_cursor_ = 0;
     l2_recycle_cursor_ = 0;
     hot_frames_.assign(geometry_.num_frames(), false);
-    // A new execution may run over fresh user-space data; every victim
-    // record describes frames of the previous run.
-    victim_tlb_.assign(victim_tlb_.size(), VictimEntry{});
-    victim_cursor_ = 0;
     if (config_.iommu) iommu_.InvalidateAll();
   } else {
     // Shared fabric: clear only this space's residue (defensive — a
@@ -236,7 +230,7 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
   Picoseconds setup = costs_.Cycles(setup_cycles);
 
   if (!params.empty()) {
-    std::optional<mem::FrameId> frame = AllocFrame();
+    std::optional<mem::FrameId> frame = pages_.FindFree();
     if (!frame.has_value() && scope == ResetScope::kAsidScoped) {
       // Other tenants hold every frame: evict a victim for the
       // parameter page (charged to this tenant's setup).
@@ -483,7 +477,7 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
     frame = pages_.FindFreeRun(span);
     if (!frame.has_value()) return;
   } else {
-    frame = AllocFrame();
+    frame = pages_.FindFree();
   }
   if (!frame.has_value()) {
     std::vector<bool> evictable = pages_.EvictableMask();
@@ -576,30 +570,6 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
   }
 
   const u32 span = ObjectPageSpan(object);
-  // The victim TLB records single frames; superpage runs skip it (a
-  // tail frame's reuse would not bump the head's generation, so a
-  // record could false-hit on a clobbered run).
-  if (!prefetch && !victim_tlb_.empty() && span == 1) {
-    if (const std::optional<mem::FrameId> vf =
-            VictimLookup(object.id, vpage, space_->asid())) {
-      // The evicted copy survived untouched in a still-free frame:
-      // re-adopt it and skip the whole load path.
-      ++acct().faults;
-      ++acct().victim_tlb_hits;
-      ++service_stats_.victim_tlb_hits;
-      pages_.Install(*vf, object.id, vpage, /*pinned=*/false,
-                     space_->asid());
-      policy_->OnInstalled(*vf);
-      policy_->OnInstalledAt(*vf, object.id, vpage);
-      InstallTlbEntry(object.id, vpage, *vf);
-      imu_cost +=
-          costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
-      return MapOutcome::kMapped;
-    }
-    ++acct().victim_tlb_misses;
-    ++service_stats_.victim_tlb_misses;
-  }
-
   std::optional<mem::FrameId> frame;
   if (span > 1) {
     frame = pages_.FindFreeRun(span);
@@ -663,7 +633,7 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
       frame = best_start;
     }
   } else {
-    frame = AllocFrame();
+    frame = pages_.FindFree();
   }
   if (!frame.has_value()) {
     std::vector<bool> evictable = pages_.EvictableMask();
@@ -742,16 +712,6 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
       if (old.accessed || old.dirty) NoteSpeculativeTouch(frame);
     }
   }
-  if (config_.lazy_writeback && config_.coalesce_writeback &&
-      DeferredMarked(frame)) {
-    // The victim carries a deferred write-back: flush the owner's whole
-    // deferred set in one scatter-gather burst while the bus is ours —
-    // its other lazy pages would fault in here one by one otherwise.
-    // The per-page path below then finds this frame clean (a failed or
-    // single-page burst leaves it for the per-page retried store).
-    CoalescedWriteback(pages_.InUseFramesOf(pages_.frame(frame).asid),
-                       dp_cost);
-  }
   const FrameState state = pages_.frame(frame);
   AddressSpace* owner = ResolveSpace(state.asid);
   VCOP_CHECK_MSG(owner != nullptr, "evicting a frame of an unknown space");
@@ -784,15 +744,7 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
       ++owner->accounting.writebacks;
       owner->accounting.bytes_written_back += len;
       owner->written_back.insert({state.object, state.vpage});
-      SettleDeferredFlush(frame);
-      // The write-back just synchronised the frame with user memory, so
-      // the evicted copy is a valid victim.
-      RecordVictim(pages_.frame(frame), frame);
     }
-  } else {
-    // Clean page: the frame already matches what a reload would produce
-    // (or, for a never-written OUT page, is as undefined as a reload).
-    RecordVictim(state, frame);
   }
   SettleSpeculativeRelease(pages_.frame(frame));
   pages_.Release(frame);
@@ -1225,66 +1177,46 @@ Picoseconds Vim::SaveContext() {
         }
       }
     }
-    if (config_.lazy_writeback) {
-      // Lazy mode: defer the dirty sweep entirely. The frames stay
-      // resident-and-dirty under the deferred ledger; a foreign
-      // eviction, a coalesced burst, or FlushAsid flushes them on
-      // demand (EvictFrame already charges the write-back bookkeeping
-      // to the owner), and a warm resume pays zero write-back.
-      for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-        const FrameState state = pages_.frame(f);
-        if (!state.dirty || DeferredMarked(f)) continue;
-        const MappedObject* object = space_->objects().Find(state.object);
-        VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-        // kIn pages are never written back anywhere; no ledger mark.
-        if (object->direction == Direction::kIn) continue;
-        MarkDeferred(f);
-        ++service_stats_.pages_writeback_deferred;
+    if (config_.coalesce_writeback) {
+      const u32 cleaned =
+          CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
+      service_stats_.pages_written_back_on_save += cleaned;
+      if (space_->aborted) {
+        acct().t_dp += dp_cost;
+        acct().t_imu += imu_cost;
+        return dp_cost + imu_cost;
       }
-      ++service_stats_.lazy_context_saves;
-    } else {
-      if (config_.coalesce_writeback) {
-        const u32 cleaned =
-            CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-        service_stats_.pages_written_back_on_save += cleaned;
-        if (space_->aborted) {
-          acct().t_dp += dp_cost;
-          acct().t_imu += imu_cost;
-          return dp_cost + imu_cost;
-        }
+    }
+    for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
+      const FrameState state = pages_.frame(f);
+      if (!state.dirty) continue;
+      const MappedObject* object = space_->objects().Find(state.object);
+      VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
+      // kIn pages never reach user space; if a foreign eviction drops
+      // one later it is counted there, not here.
+      if (object->direction == Direction::kIn) continue;
+      const u32 len = PageLength(*object, state.vpage);
+      const mem::TransferResult r = StorePageRetried(
+          state.asid, geometry_.FrameBase(f),
+          PageUserAddr(*object, state.vpage), len);
+      dp_cost += r.time;
+      if (r.bus_error) {
+        if (!space_->aborted) Abort(last_transfer_failure_);
+        acct().t_dp += dp_cost;
+        acct().t_imu += imu_cost;
+        return dp_cost + imu_cost;
       }
-      for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-        const FrameState state = pages_.frame(f);
-        if (!state.dirty) continue;
-        const MappedObject* object = space_->objects().Find(state.object);
-        VCOP_CHECK_MSG(object != nullptr,
-                       "resident page of unknown object");
-        // kIn pages never reach user space; if a foreign eviction drops
-        // one later it is counted there, not here.
-        if (object->direction == Direction::kIn) continue;
-        const u32 len = PageLength(*object, state.vpage);
-        const mem::TransferResult r = StorePageRetried(
-            state.asid, geometry_.FrameBase(f),
-            PageUserAddr(*object, state.vpage), len);
-        dp_cost += r.time;
-        if (r.bus_error) {
-          if (!space_->aborted) Abort(last_transfer_failure_);
-          acct().t_dp += dp_cost;
-          acct().t_imu += imu_cost;
-          return dp_cost + imu_cost;
-        }
-        ++acct().writebacks;
-        acct().bytes_written_back += len;
-        space_->written_back.insert({state.object, state.vpage});
-        ++service_stats_.pages_written_back_on_save;
-        pages_.ClearDirty(f);
-        if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
-          tlb.ClearDirty(*entry);
-        }
-        if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-          if (const std::optional<u32> e2 = l2->FindByFrame(f)) {
-            l2->ClearDirty(*e2);
-          }
+      ++acct().writebacks;
+      acct().bytes_written_back += len;
+      space_->written_back.insert({state.object, state.vpage});
+      ++service_stats_.pages_written_back_on_save;
+      pages_.ClearDirty(f);
+      if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
+        tlb.ClearDirty(*entry);
+      }
+      if (hw::Tlb* l2 = L2(); l2 != nullptr) {
+        if (const std::optional<u32> e2 = l2->FindByFrame(f)) {
+          l2->ClearDirty(*e2);
         }
       }
     }
@@ -1347,7 +1279,7 @@ Picoseconds Vim::RestoreContext() {
 
   // Re-materialise the parameter page released at save time.
   if (space_->params_live && !space_->param_frame.has_value()) {
-    std::optional<mem::FrameId> frame = AllocFrame();
+    std::optional<mem::FrameId> frame = pages_.FindFree();
     if (!frame.has_value()) {
       const std::vector<bool> evictable = pages_.EvictableMask();
       bool any = false;
@@ -1405,9 +1337,6 @@ Picoseconds Vim::FlushAsid(hw::Asid asid, bool write_back) {
     }
     l2->InvalidateAsid(asid);
   }
-  // The flush means "this ASID's interface state is gone": any cached
-  // eviction record for it must die with the frames.
-  InvalidateVictims(asid);
 
   AddressSpace* owner = ResolveSpace(asid);
   if (write_back && config_.coalesce_writeback) {
@@ -1435,7 +1364,6 @@ Picoseconds Vim::FlushAsid(hw::Asid asid, bool write_back) {
         ++owner->accounting.writebacks;
         owner->accounting.bytes_written_back += len;
         owner->written_back.insert({state.object, state.vpage});
-        SettleDeferredFlush(f);
       }
     }
     SettleSpeculativeRelease(pages_.frame(f));
@@ -1511,103 +1439,6 @@ void Vim::SettleSpeculativeRelease(const FrameState& state) {
   ++service_stats_.prefetch_wasted;
 }
 
-void Vim::RecordVictim(const FrameState& state, mem::FrameId frame) {
-  if (victim_tlb_.empty()) return;
-  if (state.object == hw::kParamObject) return;
-  // Superpage runs are not recorded: a tail frame's reuse would not
-  // bump the head's generation, so a hit could redeem a clobbered run.
-  if (state.span > 1) return;
-  VictimEntry& e = victim_tlb_[victim_cursor_++ % victim_tlb_.size()];
-  e.valid = true;
-  e.asid = state.asid;
-  e.object = state.object;
-  e.vpage = state.vpage;
-  e.frame = frame;
-  e.generation = pages_.generation(frame);
-}
-
-std::optional<mem::FrameId> Vim::VictimLookup(hw::ObjectId object,
-                                              mem::VirtPage vpage,
-                                              hw::Asid asid) {
-  for (VictimEntry& e : victim_tlb_) {
-    if (!e.valid || e.asid != asid || e.object != object ||
-        e.vpage != vpage) {
-      continue;
-    }
-    // Stale if the frame was reused since the eviction (any reinstall
-    // bumps the frame's generation) or is occupied right now. A later
-    // record for the same page may still be good, so keep scanning.
-    if (pages_.frame(e.frame).in_use ||
-        pages_.generation(e.frame) != e.generation) {
-      e.valid = false;
-      continue;
-    }
-    e.valid = false;  // consumed
-    return e.frame;
-  }
-  return std::nullopt;
-}
-
-void Vim::InvalidateVictims(hw::Asid asid) {
-  for (VictimEntry& e : victim_tlb_) {
-    if (e.asid == asid) e.valid = false;
-  }
-}
-
-u32 Vim::victim_tlb_live_entries() const {
-  u32 live = 0;
-  for (const VictimEntry& e : victim_tlb_) live += e.valid ? 1 : 0;
-  return live;
-}
-
-std::optional<mem::FrameId> Vim::AllocFrame() const {
-  const std::optional<mem::FrameId> first = pages_.FindFree();
-  if (!first.has_value() || victim_tlb_.empty()) return first;
-  // A free frame is "protected" while a live victim record could still
-  // be redeemed from it; handing it out would make every record stale
-  // the moment the next tenant allocates (FindFree always picks the
-  // lowest frame, so all traffic would funnel through exactly the
-  // frames just vacated). Prefer unprotected free frames; when every
-  // free frame is protected, fall back to the lowest (allocation must
-  // never fail on account of speculation).
-  std::vector<bool> protected_frames(geometry_.num_frames(), false);
-  for (const VictimEntry& e : victim_tlb_) {
-    if (!e.valid || e.frame >= protected_frames.size()) continue;
-    if (pages_.frame(e.frame).in_use ||
-        pages_.generation(e.frame) != e.generation) {
-      continue;  // already stale: no reason to protect
-    }
-    protected_frames[e.frame] = true;
-  }
-  for (mem::FrameId f = *first; f < geometry_.num_frames(); ++f) {
-    if (!pages_.frame(f).in_use && !protected_frames[f]) return f;
-  }
-  return first;
-}
-
-bool Vim::DeferredMarked(mem::FrameId frame) const {
-  if (frame >= deferred_marks_.size()) return false;
-  const DeferredMark& mark = deferred_marks_[frame];
-  if (mark.asid == 0) return false;
-  const FrameState& state = pages_.frame(frame);
-  return state.in_use && state.dirty && state.asid == mark.asid &&
-         pages_.generation(frame) == mark.generation;
-}
-
-void Vim::MarkDeferred(mem::FrameId frame) {
-  if (deferred_marks_.size() < geometry_.num_frames()) {
-    deferred_marks_.resize(geometry_.num_frames());
-  }
-  deferred_marks_[frame] =
-      DeferredMark{pages_.frame(frame).asid, pages_.generation(frame)};
-}
-
-void Vim::SettleDeferredFlush(mem::FrameId frame) {
-  if (!DeferredMarked(frame)) return;
-  deferred_marks_[frame].asid = 0;
-  ++service_stats_.deferred_writebacks;
-}
-
 u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
                             Picoseconds& dp_cost) {
   // Gather the dirty, write-backable pages. InUseFrames enumerates in
@@ -1645,7 +1476,6 @@ u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
     ++owner->accounting.writebacks;
     owner->accounting.bytes_written_back += segments[i].seg.len;
     owner->written_back.insert({state.object, state.vpage});
-    SettleDeferredFlush(f);
     pages_.ClearDirty(f);
     if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
       imu_->tlb().ClearDirty(*entry);

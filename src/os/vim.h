@@ -65,26 +65,11 @@ struct VimConfig {
   /// translation pre-installed, so the coprocessor never faults on it;
   /// a fault racing an in-flight load waits only for the remainder.
   bool overlap_prefetch = false;
-  /// Entries in the software victim TLB: a VIM-side cache of recently
-  /// evicted (asid, object, vpage) -> frame records. A fault whose page
-  /// still sits intact in a free frame (the frame was never reused
-  /// since the eviction, checked via the frame's install generation)
-  /// skips the load and just re-installs the translation. 0 disables.
-  u32 victim_tlb_entries = 0;
   /// Batch the write-back sweeps (end-of-operation, FlushAsid, context
   /// save / untagged switch-out) into scatter-gather bursts: one bus
   /// transaction covering every adjacent dirty page instead of one
   /// transfer per page. Off keeps the per-page path bit-identical.
   bool coalesce_writeback = false;
-  /// Lazy context write-back (tagged saves only): SaveContext snapshots
-  /// the TLB but defers the dirty sweep, leaving the tenant's frames
-  /// resident-and-dirty under a per-asid ledger. A page is flushed on
-  /// demand when another tenant's allocation evicts its frame (with
-  /// coalesce_writeback on, the whole deferred set goes in one
-  /// scatter-gather burst) or when FlushAsid tears the space down — so
-  /// a tenant resumed onto a warm fabric pays zero write-back. Off
-  /// keeps the eager clean-on-save path bit-identical.
-  bool lazy_writeback = false;
   /// Zero-copy virtual-address DMA (DESIGN.md §13): page transfers
   /// stream directly between the user pages and the dual-port RAM
   /// through an IOMMU that translates the tenant's virtual addresses,
@@ -148,18 +133,6 @@ struct VimServiceStats {
   /// Parameter pages re-materialised at resume.
   u64 param_page_restores = 0;
 
-  // ----- lazy context write-back (DESIGN.md §15) -----
-
-  /// Tagged context saves that deferred their dirty sweep.
-  u64 lazy_context_saves = 0;
-  /// Dirty pages left resident-and-dirty at a lazy save (ledger marks).
-  u64 pages_writeback_deferred = 0;
-  /// Deferred pages later flushed on demand — by a foreign eviction,
-  /// a coalesced burst, or FlushAsid. Deferred pages that were instead
-  /// redirtied, dropped, or swept at end-of-operation never flush on
-  /// the lazy path and are not counted here.
-  u64 deferred_writebacks = 0;
-
   // ----- fault recovery (see DESIGN.md §9) -----
 
   /// AHB transfers re-run after a bus error.
@@ -192,10 +165,6 @@ struct VimServiceStats {
   u64 prefetch_wasted = 0;
   /// Contract-violating suggestions dropped by the central clamp.
   u64 prefetch_suggestions_dropped = 0;
-  /// Faults answered from the software victim TLB (load skipped) and
-  /// faults that probed it without a usable entry.
-  u64 victim_tlb_hits = 0;
-  u64 victim_tlb_misses = 0;
   /// Scatter-gather write-back transactions and the pages they carried.
   u64 coalesced_bursts = 0;
   u64 coalesced_pages = 0;
@@ -302,11 +271,6 @@ class Vim {
 
   const VimServiceStats& service_stats() const { return service_stats_; }
   void ResetServiceStats() { service_stats_ = VimServiceStats{}; }
-
-  /// Victim-TLB entries currently holding a (possibly stale) record;
-  /// test observability — hits additionally require the frame to be
-  /// free with an unchanged generation.
-  u32 victim_tlb_live_entries() const;
 
   /// Called when the end-of-operation service (including write-backs)
   /// completes; the kernel uses it to wake the sleeping process.
@@ -440,30 +404,6 @@ class Vim {
   /// flagged speculative was a wasted guess.
   void SettleSpeculativeRelease(const FrameState& state);
 
-  // ----- software victim TLB -----
-
-  /// Remembers that `frame` (about to be released) holds an intact copy
-  /// of (state.asid, state.object, state.vpage).
-  void RecordVictim(const FrameState& state, mem::FrameId frame);
-
-  /// A usable victim entry for (object, vpage, asid): its frame is
-  /// still free and was not reinstalled since the eviction. Consumes
-  /// the entry on a hit.
-  std::optional<mem::FrameId> VictimLookup(hw::ObjectId object,
-                                           mem::VirtPage vpage,
-                                           hw::Asid asid);
-
-  /// Drops every victim entry tagged `asid` (FlushAsid, new execution).
-  void InvalidateVictims(hw::Asid asid);
-
-  /// Frame allocation, victim-aware: with the victim TLB enabled,
-  /// prefers a free frame no live victim record points at, so a
-  /// switched-out tenant's still-warm evictions survive the next
-  /// tenant's allocations (a victim cache steers refills away from the
-  /// frames it protects). With the TLB disabled this is exactly
-  /// PageManager::FindFree, keeping frame choice byte-identical.
-  std::optional<mem::FrameId> AllocFrame() const;
-
   // ----- coalesced write-back -----
 
   /// Writes every dirty, write-backable page among `frames` back to
@@ -481,20 +421,6 @@ class Vim {
   /// path can translate a mixed-tenant scatter-gather list.
   mem::BurstResult StoreBurstRetried(
       std::span<const mem::Iommu::BurstSegment> segments);
-
-  // ----- lazy context write-back -----
-
-  /// Whether `frame` carries a live deferred-dirty mark: the owning
-  /// space lazily skipped its write-back at SaveContext and the frame
-  /// was neither reused (generation check) nor cleaned since.
-  bool DeferredMarked(mem::FrameId frame) const;
-
-  /// Marks `frame` deferred-dirty for its current owner/generation.
-  void MarkDeferred(mem::FrameId frame);
-
-  /// Consumes a live mark on `frame` after an on-demand flush (counted
-  /// as a deferred write-back); no-op without a live mark.
-  void SettleDeferredFlush(mem::FrameId frame);
 
   /// Pulls the TLB accessed bits into the replacement policy.
   void HarvestRecency();
@@ -563,19 +489,6 @@ class Vim {
   PageManager pages_;
   u32 tlb_recycle_cursor_ = 0;
   u32 l2_recycle_cursor_ = 0;
-  /// Victim-TLB ring (size = config_.victim_tlb_entries; empty when
-  /// disabled). `generation` is the frame's install generation at
-  /// eviction time; any reinstall bumps it and kills the entry.
-  struct VictimEntry {
-    bool valid = false;
-    hw::Asid asid = 0;
-    hw::ObjectId object = 0;
-    mem::VirtPage vpage = 0;
-    mem::FrameId frame = 0;
-    u64 generation = 0;
-  };
-  std::vector<VictimEntry> victim_tlb_;
-  u32 victim_cursor_ = 0;
   ResetScope current_scope_ = ResetScope::kFullReset;
   bool tlb_tagging_ = true;
 
@@ -615,15 +528,6 @@ class Vim {
   /// Frames the coprocessor touched since the previous fault
   /// (refreshed by HarvestRecency); speculation never evicts them.
   std::vector<bool> hot_frames_;
-
-  /// Per-frame deferred-dirty ledger (lazy_writeback). A mark is live
-  /// only while the frame still holds the same install generation for
-  /// the same ASID — any reuse of the frame invalidates it implicitly.
-  struct DeferredMark {
-    hw::Asid asid = 0;  // 0 = no mark
-    u64 generation = 0;
-  };
-  std::vector<DeferredMark> deferred_marks_;
 
   /// Shorthand for the attached space's accounting.
   VimAccounting& acct() { return space_->accounting; }

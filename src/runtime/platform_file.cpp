@@ -1,6 +1,7 @@
 #include "runtime/platform_file.h"
 
 #include <cctype>
+#include <limits>
 #include <optional>
 
 #include "base/table.h"
@@ -36,7 +37,12 @@ std::optional<u64> ParseU64(const std::string& value) {
   u64 out = 0;
   for (const char c : value) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    out = out * 10 + static_cast<u64>(c - '0');
+    const u64 digit = static_cast<u64>(c - '0');
+    // Refuse values past u64 instead of letting them wrap into range.
+    if (out > (std::numeric_limits<u64>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    out = out * 10 + digit;
   }
   return out;
 }
@@ -193,13 +199,11 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
         config.vim.prefetch = os::PrefetchKind::kNone;
       } else if (v == "sequential") {
         config.vim.prefetch = os::PrefetchKind::kSequential;
-      } else if (v == "stride") {
-        config.vim.prefetch = os::PrefetchKind::kStride;
       } else if (v == "adaptive") {
         config.vim.prefetch = os::PrefetchKind::kAdaptive;
       } else {
         return LineError(line_number,
-                         "prefetch must be none|sequential|stride|adaptive");
+                         "prefetch must be none|sequential|adaptive");
       }
     } else if (key == "prefetch_depth") {
       Result<u64> v = number(1, 16);
@@ -209,10 +213,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
       config.vim.overlap_prefetch = v.value();
-    } else if (key == "victim_tlb_entries") {
-      Result<u64> v = number(0, 1024);
-      if (!v.ok()) return v.status();
-      config.vim.victim_tlb_entries = static_cast<u32>(v.value());
     } else if (key == "coalesce_writeback") {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
@@ -257,10 +257,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
       config.design_affinity = v.value();
-    } else if (key == "lazy_writeback") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.vim.lazy_writeback = v.value();
     } else if (key.rfind("page_size_obj", 0) == 0) {
       const std::optional<u64> id = ParseU64(key.substr(13));
       if (!id.has_value() || *id >= hw::kMaxObjects) {
@@ -333,8 +329,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
   out += StrFormat("prefetch_depth = %u\n", config.vim.prefetch_depth);
   out += StrFormat("overlap = %s\n",
                    config.vim.overlap_prefetch ? "true" : "false");
-  out += StrFormat("victim_tlb_entries = %u\n",
-                   config.vim.victim_tlb_entries);
   out += StrFormat("coalesce_writeback = %s\n",
                    config.vim.coalesce_writeback ? "true" : "false");
   out += StrFormat("iommu = %s\n", config.vim.iommu ? "true" : "false");
@@ -348,8 +342,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
   out += StrFormat("config_slots = %u\n", config.config_slots);
   out += StrFormat("design_affinity = %s\n",
                    config.design_affinity ? "true" : "false");
-  out += StrFormat("lazy_writeback = %s\n",
-                   config.vim.lazy_writeback ? "true" : "false");
   return out;
 }
 

@@ -127,7 +127,6 @@ copy_mode = dma
 prefetch = sequential
 prefetch_depth = 2
 overlap = true
-victim_tlb_entries = 16
 coalesce_writeback = yes
 iommu = on
 iotlb_entries = 64
@@ -154,7 +153,6 @@ service_burst = 32
   EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kSequential);
   EXPECT_EQ(c.vim.prefetch_depth, 2u);
   EXPECT_TRUE(c.vim.overlap_prefetch);
-  EXPECT_EQ(c.vim.victim_tlb_entries, 16u);
   EXPECT_TRUE(c.vim.coalesce_writeback);
   EXPECT_TRUE(c.vim.iommu);
   EXPECT_EQ(c.vim.iotlb_entries, 64u);
@@ -211,30 +209,26 @@ TEST(PlatformFileTest, IommuIsOffByDefaultAndBadValuesNameTheKey) {
 }
 
 TEST(PlatformFileTest, ReconfigKeysDefaultOffAndRoundTrip) {
-  // Strictly opt-in (DESIGN.md §15): with none of the three keys the
-  // seed artifacts must be untouched.
+  // Strictly opt-in (DESIGN.md §15): with neither key the seed
+  // artifacts must be untouched.
   auto defaults = runtime::ParsePlatformFile("");
   ASSERT_TRUE(defaults.ok());
   EXPECT_EQ(defaults.value().config_slots, 1u);
   EXPECT_FALSE(defaults.value().design_affinity);
-  EXPECT_FALSE(defaults.value().vim.lazy_writeback);
 
   auto config = runtime::ParsePlatformFile(
-      "config_slots = 4\ndesign_affinity = on\nlazy_writeback = yes\n");
+      "config_slots = 4\ndesign_affinity = on\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config.value().config_slots, 4u);
   EXPECT_TRUE(config.value().design_affinity);
-  EXPECT_TRUE(config.value().vim.lazy_writeback);
 
   os::KernelConfig original = runtime::Epxa1Config();
   original.config_slots = 3;
   original.design_affinity = true;
-  original.vim.lazy_writeback = true;
   auto parsed = runtime::ParsePlatformFile(runtime::WritePlatformFile(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().config_slots, original.config_slots);
   EXPECT_EQ(parsed.value().design_affinity, original.design_affinity);
-  EXPECT_EQ(parsed.value().vim.lazy_writeback, original.vim.lazy_writeback);
 }
 
 TEST(PlatformFileTest, BadReconfigValuesAreRejectedByName) {
@@ -256,11 +250,6 @@ TEST(PlatformFileTest, BadReconfigValuesAreRejectedByName) {
   EXPECT_NE(bad_affinity.status().message().find("design_affinity"),
             std::string::npos)
       << bad_affinity.status().message();
-  auto bad_lazy = runtime::ParsePlatformFile("lazy_writeback = 2h\n");
-  ASSERT_FALSE(bad_lazy.ok());
-  EXPECT_NE(bad_lazy.status().message().find("lazy_writeback"),
-            std::string::npos)
-      << bad_lazy.status().message();
 }
 
 TEST(PlatformFileTest, ParsesFastforwardSpellings) {
@@ -303,7 +292,6 @@ TEST(PlatformFileTest, ParsesEveryPrefetchKind) {
   };
   for (const Case c : {Case{"none", os::PrefetchKind::kNone},
                        Case{"sequential", os::PrefetchKind::kSequential},
-                       Case{"stride", os::PrefetchKind::kStride},
                        Case{"adaptive", os::PrefetchKind::kAdaptive}}) {
     auto config = runtime::ParsePlatformFile(
         std::string("prefetch = ") + c.value + "\n");
@@ -313,20 +301,30 @@ TEST(PlatformFileTest, ParsesEveryPrefetchKind) {
 }
 
 TEST(PlatformFileTest, UnknownPrefetchKindRejectedClearly) {
-  auto config = runtime::ParsePlatformFile("prefetch = psychic\n");
-  ASSERT_FALSE(config.ok());
-  EXPECT_NE(config.status().message().find(
-                "prefetch must be none|sequential|stride|adaptive"),
-            std::string::npos)
-      << config.status().message();
+  for (const char* value : {"psychic", "stride"}) {
+    auto config = runtime::ParsePlatformFile(std::string("prefetch = ") +
+                                             value + "\n");
+    ASSERT_FALSE(config.ok()) << value;
+    EXPECT_NE(config.status().message().find(
+                  "prefetch must be none|sequential|adaptive"),
+              std::string::npos)
+        << config.status().message();
+  }
 }
 
 TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
-  auto config = runtime::ParsePlatformFile("name = X\ndp_ram_mb = 4\n");
-  ASSERT_FALSE(config.ok());
-  EXPECT_NE(config.status().message().find("line 2"), std::string::npos);
-  EXPECT_NE(config.status().message().find("dp_ram_mb"),
-            std::string::npos);
+  for (const char* line : {"dp_ram_mb = 4", "victim_tlb_entries = 4",
+                           "lazy_writeback = on"}) {
+    const std::string key(line, std::string_view(line).find(' '));
+    auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
+                                             line + "\n");
+    ASSERT_FALSE(config.ok()) << line;
+    EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+        << config.status().message();
+    EXPECT_NE(config.status().message().find("unknown key '" + key + "'"),
+              std::string::npos)
+        << config.status().message();
+  }
 }
 
 TEST(PlatformFileTest, BadValuesRejected) {
@@ -338,6 +336,22 @@ TEST(PlatformFileTest, BadValuesRejected) {
   // Non-integral page count.
   EXPECT_FALSE(
       runtime::ParsePlatformFile("dp_ram_kb = 3\npage_kb = 2\n").ok());
+  // Integers past u64 must not wrap into range: these read as 4 TLB
+  // entries and a 16 KB DP-RAM if the parser ignores overflow.
+  struct Overflow {
+    const char* text;
+    const char* key;
+  };
+  for (const Overflow o :
+       {Overflow{"tlb_entries = 18446744073709551620\n", "tlb_entries"},
+        Overflow{"dp_ram_kb = 18446744073709551632\n", "dp_ram_kb"}}) {
+    auto config = runtime::ParsePlatformFile(o.text);
+    ASSERT_FALSE(config.ok()) << o.text;
+    EXPECT_NE(config.status().message().find(std::string("'") + o.key +
+                                             "' must be an integer in"),
+              std::string::npos)
+        << config.status().message();
+  }
 }
 
 TEST(PlatformFileTest, ParsesFlexibleMemoryKeys) {
@@ -422,7 +436,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   original.imu_pipelined = true;
   original.vim.prefetch = os::PrefetchKind::kAdaptive;
   original.vim.prefetch_depth = 3;
-  original.vim.victim_tlb_entries = 8;
   original.vim.coalesce_writeback = true;
   original.vim.iommu = true;
   original.vim.iotlb_entries = 32;
@@ -441,8 +454,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   EXPECT_EQ(parsed.value().imu_pipelined, original.imu_pipelined);
   EXPECT_EQ(parsed.value().vim.prefetch, original.vim.prefetch);
   EXPECT_EQ(parsed.value().vim.prefetch_depth, original.vim.prefetch_depth);
-  EXPECT_EQ(parsed.value().vim.victim_tlb_entries,
-            original.vim.victim_tlb_entries);
   EXPECT_EQ(parsed.value().vim.coalesce_writeback,
             original.vim.coalesce_writeback);
   EXPECT_EQ(parsed.value().vim.iommu, original.vim.iommu);

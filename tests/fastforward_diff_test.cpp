@@ -6,9 +6,9 @@
 //
 // The sweep runs 200 seeded (workload × config) points through both
 // engines via the parallel fleet runner; the configs deliberately
-// include victim-TLB + adaptive-prefetch and overlapped-prefetch
-// variants whose fault-time machinery forces the tier onto its
-// fallback edges, and posted-write variants whose writes are never
+// include adaptive-prefetch and overlapped-prefetch variants (both with
+// coalesced write-back) whose fault-time machinery forces the tier onto
+// its fallback edges, and posted-write variants whose writes are never
 // eligible at all.
 #include <gtest/gtest.h>
 
@@ -40,9 +40,10 @@ os::KernelConfig VariantConfig(u64 seed, bool fastforward) {
   switch (seed % 4) {
     case 0:  // plain EPXA1: long hit streaks, maximal fast-forwarding
       break;
-    case 1:  // victim TLB + adaptive prefetch: fault-heavy fallback edges
-      config.vim.victim_tlb_entries = 4;
+    case 1:  // adaptive prefetch + coalesced write-back: fault-heavy
+             // fallback edges
       config.vim.prefetch = os::PrefetchKind::kAdaptive;
+      config.vim.coalesce_writeback = true;
       config.vim.prefetch_depth = 2;
       break;
     case 2:  // overlapped prefetch + coalesced write-back: the VIM's
@@ -179,8 +180,6 @@ void ExpectBitIdentical(const DiffOutcome& ff, const DiffOutcome& cyc,
   EXPECT_EQ(a.vim.prefetch_wasted, b.vim.prefetch_wasted);
   EXPECT_EQ(a.vim.prefetch_suggestions_dropped,
             b.vim.prefetch_suggestions_dropped);
-  EXPECT_EQ(a.vim.victim_tlb_hits, b.vim.victim_tlb_hits);
-  EXPECT_EQ(a.vim.victim_tlb_misses, b.vim.victim_tlb_misses);
   EXPECT_EQ(a.vim.coalesced_bursts, b.vim.coalesced_bursts);
   EXPECT_EQ(a.vim.coalesced_pages, b.vim.coalesced_pages);
   EXPECT_EQ(a.vim.fault_service_us.count(), b.vim.fault_service_us.count());

@@ -1,8 +1,7 @@
 // Tests for the DESIGN.md §10 speculation-and-batching features: the
-// stride and adaptive prefetch detectors, the VIM's central suggestion
-// clamp, the software victim TLB, and the coalesced scatter-gather
-// write-back (cost parity, DMA amortisation, mid-burst fault
-// recovery).
+// adaptive prefetch detector, the VIM's central suggestion clamp, and
+// the coalesced scatter-gather write-back (cost parity, DMA
+// amortisation, mid-burst fault recovery).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,14 +10,11 @@
 #include "apps/adpcm.h"
 #include "apps/workloads.h"
 #include "base/fault.h"
-#include "cp/adpcm_cp.h"
-#include "cp/registry.h"
 #include "mem/ahb.h"
 #include "mem/dp_ram.h"
 #include "mem/transfer.h"
 #include "mem/user_memory.h"
 #include "os/prefetch.h"
-#include "os/vcopd.h"
 #include "os/vim.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
@@ -28,10 +24,8 @@ namespace vcop::os {
 namespace {
 
 using runtime::FpgaSystem;
-using runtime::HostBuffer;
-using runtime::VcopdClient;
 
-// ----- stride detector (unit level) -----
+// ----- adaptive (reference-prediction table) detector -----
 
 std::vector<mem::VirtPage> Pages(
     const std::vector<PrefetchSuggestion>& suggestions) {
@@ -39,68 +33,6 @@ std::vector<mem::VirtPage> Pages(
   for (const PrefetchSuggestion& s : suggestions) pages.push_back(s.vpage);
   return pages;
 }
-
-TEST(StridePrefetcherTest, LearnsForwardStrideAfterTwoConfirmations) {
-  auto p = MakePrefetcher(PrefetchKind::kStride, /*depth=*/2);
-  EXPECT_TRUE(p->Suggest(0, 0, 100).empty());   // first touch: no delta
-  EXPECT_TRUE(p->Suggest(0, 3, 100).empty());   // stride 3 seen once
-  EXPECT_EQ(Pages(p->Suggest(0, 6, 100)),       // confirmed: follow it
-            (std::vector<mem::VirtPage>{9, 12}));
-  EXPECT_EQ(Pages(p->Suggest(0, 9, 100)),
-            (std::vector<mem::VirtPage>{12, 15}));
-}
-
-TEST(StridePrefetcherTest, LearnsBackwardStride) {
-  auto p = MakePrefetcher(PrefetchKind::kStride, /*depth=*/2);
-  EXPECT_TRUE(p->Suggest(0, 90, 100).empty());
-  EXPECT_TRUE(p->Suggest(0, 87, 100).empty());
-  EXPECT_EQ(Pages(p->Suggest(0, 84, 100)),
-            (std::vector<mem::VirtPage>{81, 78}));
-}
-
-TEST(StridePrefetcherTest, NoisyTraceNeverReachesConfidence) {
-  auto p = MakePrefetcher(PrefetchKind::kStride, /*depth=*/2);
-  // Every inter-fault delta is distinct, so the confidence counter
-  // oscillates between 0 and 1 and never reaches the threshold.
-  for (const mem::VirtPage page : {0u, 2u, 5u, 9u, 14u, 20u, 27u, 35u}) {
-    EXPECT_TRUE(p->Suggest(0, page, 100).empty()) << "page " << page;
-  }
-}
-
-TEST(StridePrefetcherTest, ResetForgetsLearnedStride) {
-  auto p = MakePrefetcher(PrefetchKind::kStride, /*depth=*/2);
-  p->Suggest(0, 0, 100);
-  p->Suggest(0, 3, 100);
-  EXPECT_FALSE(p->Suggest(0, 6, 100).empty());
-  p->Reset();
-  EXPECT_TRUE(p->Suggest(0, 9, 100).empty());   // history gone
-  EXPECT_TRUE(p->Suggest(0, 12, 100).empty());  // stride 3 seen once
-  EXPECT_FALSE(p->Suggest(0, 15, 100).empty()); // re-learned
-}
-
-TEST(StridePrefetcherTest, TracksObjectsIndependently) {
-  auto p = MakePrefetcher(PrefetchKind::kStride, /*depth=*/1);
-  // Object 0 walks +2, object 1 walks +5; interleaved faults must not
-  // bleed one object's stride into the other.
-  p->Suggest(0, 0, 100);
-  p->Suggest(1, 0, 100);
-  p->Suggest(0, 2, 100);
-  p->Suggest(1, 5, 100);
-  EXPECT_EQ(Pages(p->Suggest(0, 4, 100)), (std::vector<mem::VirtPage>{6}));
-  EXPECT_EQ(Pages(p->Suggest(1, 10, 100)),
-            (std::vector<mem::VirtPage>{15}));
-}
-
-TEST(StridePrefetcherTest, SuggestionsStopAtObjectEnd) {
-  auto p = MakePrefetcher(PrefetchKind::kStride, /*depth=*/4);
-  p->Suggest(0, 0, 8);
-  p->Suggest(0, 2, 8);
-  // Steady +2 from page 4: depth 4 would reach pages 6, 8, 10, 12, but
-  // only 6 is inside the 8-page object.
-  EXPECT_EQ(Pages(p->Suggest(0, 4, 8)), (std::vector<mem::VirtPage>{6}));
-}
-
-// ----- adaptive (reference-prediction table) detector -----
 
 TEST(AdaptivePrefetcherTest, TracksInterleavedStreamsIndependently) {
   auto p = MakePrefetcher(PrefetchKind::kAdaptive, /*depth=*/2);
@@ -145,6 +77,40 @@ TEST(AdaptivePrefetcherTest, ReFaultOnCurrentPositionIsNotNoise) {
   EXPECT_EQ(Pages(p->Suggest(0, 3, 100)), (std::vector<mem::VirtPage>{4}));
 }
 
+TEST(AdaptivePrefetcherTest, ResetForgetsLearnedStride) {
+  auto p = MakePrefetcher(PrefetchKind::kAdaptive, /*depth=*/2);
+  p->Suggest(0, 0, 100);
+  p->Suggest(0, 3, 100);
+  EXPECT_FALSE(p->Suggest(0, 6, 100).empty());
+  p->Reset();
+  // Without the reset the stream would have predicted page 9.
+  EXPECT_TRUE(p->Suggest(0, 9, 100).empty());   // history gone
+  EXPECT_TRUE(p->Suggest(0, 12, 100).empty());  // stride 3 seen once
+  EXPECT_FALSE(p->Suggest(0, 15, 100).empty()); // re-learned
+}
+
+TEST(AdaptivePrefetcherTest, TracksObjectsIndependently) {
+  auto p = MakePrefetcher(PrefetchKind::kAdaptive, /*depth=*/1);
+  // Object 0 walks +2, object 1 walks +5; interleaved faults must not
+  // bleed one object's stride into the other.
+  p->Suggest(0, 0, 100);
+  p->Suggest(1, 0, 100);
+  p->Suggest(0, 2, 100);
+  p->Suggest(1, 5, 100);
+  EXPECT_EQ(Pages(p->Suggest(0, 4, 100)), (std::vector<mem::VirtPage>{6}));
+  EXPECT_EQ(Pages(p->Suggest(1, 10, 100)),
+            (std::vector<mem::VirtPage>{15}));
+}
+
+TEST(AdaptivePrefetcherTest, SuggestionsStopAtObjectEnd) {
+  auto p = MakePrefetcher(PrefetchKind::kAdaptive, /*depth=*/4);
+  p->Suggest(0, 0, 8);
+  p->Suggest(0, 2, 8);
+  // Steady +2 from page 4: depth 4 would reach pages 6, 8, 10, 12, but
+  // only 6 is inside the 8-page object.
+  EXPECT_EQ(Pages(p->Suggest(0, 4, 8)), (std::vector<mem::VirtPage>{6}));
+}
+
 // ----- the VIM's central Suggest-contract clamp -----
 
 /// Violates every clause of the Prefetcher contract on purpose, plus
@@ -182,103 +148,6 @@ TEST(VimPrefetchContractTest, HostileSuggestionsAreDroppedCentrally) {
   EXPECT_GT(run.value().report.vim.prefetch_suggestions_dropped, 0u);
   // ...while the legitimate suggestions still get prefetched.
   EXPECT_GT(run.value().report.vim.prefetched_pages, 0u);
-}
-
-// ----- software victim TLB -----
-
-struct VictimRun {
-  VimServiceStats service;
-  u32 live_entries = 0;
-  bool correct = false;
-};
-
-/// Two ADPCM tenants under untagged fair-share with a short slice: every
-/// switch fully flushes the interface, so the switched-out tenant's
-/// mid-page in/out pages re-fault at resume — the victim TLB's case.
-VictimRun RunContendedAdpcm(u32 victim_entries) {
-  KernelConfig kernel_config;  // EPXA1 defaults
-  kernel_config.vim.victim_tlb_entries = victim_entries;
-  FpgaSystem sys(kernel_config);
-  VcopdConfig config;
-  config.policy = ServicePolicy::kFairShare;
-  config.time_slice = 50ull * 1000 * 1000;  // 50 us: far below runtime
-  config.quantum = 100ull * 1000 * 1000;
-  config.asid_tagging = false;
-  Vcopd daemon(sys.kernel(), config);
-  sys.kernel().vim().ResetServiceStats();
-
-  struct Tenant {
-    TenantId id = 0;
-    HostBuffer<u8> in;
-    HostBuffer<i16> out;
-    std::vector<i16> expect;
-    u32 bytes = 0;
-  };
-  std::vector<Tenant> tenants(2);
-  std::vector<Ticket> tickets;
-  for (u32 t = 0; t < 2; ++t) {
-    Tenant& tenant = tenants[t];
-    tenant.bytes = 12 * 1024;
-    tenant.id = daemon.RegisterTenant(t == 0 ? "alpha" : "beta").value();
-    const std::vector<u8> input =
-        apps::MakeAdpcmStream(tenant.bytes, /*seed=*/t + 1);
-    tenant.in = sys.Allocate<u8>(tenant.bytes).value();
-    tenant.in.Fill(input);
-    tenant.out = sys.Allocate<i16>(tenant.bytes * 2).value();
-    tenant.expect.resize(tenant.bytes * 2);
-    apps::AdpcmState state;
-    apps::AdpcmDecode(input, tenant.expect, state);
-    VcopdClient client(daemon, tenant.id);
-    VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjIn, tenant.in,
-                          Direction::kIn).ok());
-    VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjOut, tenant.out,
-                          Direction::kOut).ok());
-    tickets.push_back(client.Submit(cp::AdpcmDecodeBitstream(),
-                                    {tenant.bytes, 0u, 0u}).value());
-  }
-  VCOP_CHECK(daemon.RunUntilIdle().ok());
-
-  VictimRun run;
-  run.service = sys.kernel().vim().service_stats();
-  run.live_entries = sys.kernel().vim().victim_tlb_live_entries();
-  run.correct = true;
-  for (u32 t = 0; t < 2; ++t) {
-    run.correct = run.correct && daemon.Poll(tickets[t])->status.ok() &&
-                  tenants[t].out.ToVector() == tenants[t].expect;
-  }
-  return run;
-}
-
-TEST(VictimTlbTest, HitsUnderUntaggedContention) {
-  const VictimRun run = RunContendedAdpcm(/*victim_entries=*/16);
-  ASSERT_TRUE(run.correct);  // the cache changes timing, never bytes
-  EXPECT_GT(run.service.victim_tlb_hits, 0u);
-  EXPECT_GT(run.service.victim_tlb_misses, 0u);
-}
-
-TEST(VictimTlbTest, DisabledCountsNothing) {
-  const VictimRun run = RunContendedAdpcm(/*victim_entries=*/0);
-  ASSERT_TRUE(run.correct);
-  EXPECT_EQ(run.service.victim_tlb_hits, 0u);
-  EXPECT_EQ(run.service.victim_tlb_misses, 0u);
-  EXPECT_EQ(run.live_entries, 0u);
-}
-
-TEST(VictimTlbTest, FlushAsidInvalidatesRecords) {
-  KernelConfig config = runtime::Epxa1Config();
-  config.vim.victim_tlb_entries = 16;
-  FpgaSystem sys(config);
-  const std::vector<u8> input = apps::MakeAdpcmStream(8192, 3);
-  auto run = runtime::RunAdpcmVim(sys, input);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-
-  Vim& vim = sys.kernel().vim();
-  ASSERT_GT(vim.victim_tlb_live_entries(), 0u);
-  // "This ASID's interface state is gone" must extend to the cached
-  // eviction records: a flush that left them live could later redeem a
-  // frame for a mapping that no longer exists.
-  vim.FlushAsid(sys.kernel().default_space().asid(), /*write_back=*/false);
-  EXPECT_EQ(vim.victim_tlb_live_entries(), 0u);
 }
 
 // ----- coalesced scatter-gather write-back (mem level) -----

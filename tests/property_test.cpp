@@ -41,10 +41,18 @@ void CheckReportInvariants(const os::ExecutionReport& r) {
 // ----- Gather under randomised permutations and policies -----
 
 struct GatherParam {
+  GatherParam(u32 elements_, os::PolicyKind policy_, u64 seed_)
+      : elements(elements_), policy(policy_), seed(seed_) {}
+
   u32 elements;
   os::PolicyKind policy;
+  // gtest names each case after the raw bytes of its parameter, so the
+  // padding after `policy` is spelled out and zeroed; left implicit it
+  // holds stack garbage and the test names change from run to run.
+  u8 padding[3] = {};
   u64 seed;
 };
+static_assert(sizeof(GatherParam) == 16, "test names encode 16 bytes");
 
 class GatherPropertyTest
     : public ::testing::TestWithParam<GatherParam> {};

@@ -55,9 +55,9 @@ os::KernelConfig VariantConfig(u64 seed) {
   switch (seed % 4) {
     case 0:  // plain EPXA1
       break;
-    case 1:  // victim TLB + adaptive prefetch
-      config.vim.victim_tlb_entries = 4;
+    case 1:  // adaptive prefetch + coalesced write-back
       config.vim.prefetch = os::PrefetchKind::kAdaptive;
+      config.vim.coalesce_writeback = true;
       config.vim.prefetch_depth = 2;
       break;
     case 2:  // overlapped prefetch + coalesced write-back
@@ -219,8 +219,6 @@ void ExpectBitIdentical(const DiffOutcome& got, const DiffOutcome& ref,
   EXPECT_EQ(a.vim.prefetch_wasted, b.vim.prefetch_wasted);
   EXPECT_EQ(a.vim.prefetch_suggestions_dropped,
             b.vim.prefetch_suggestions_dropped);
-  EXPECT_EQ(a.vim.victim_tlb_hits, b.vim.victim_tlb_hits);
-  EXPECT_EQ(a.vim.victim_tlb_misses, b.vim.victim_tlb_misses);
   EXPECT_EQ(a.vim.coalesced_bursts, b.vim.coalesced_bursts);
   EXPECT_EQ(a.vim.coalesced_pages, b.vim.coalesced_pages);
   EXPECT_EQ(a.vim.fault_service_us.count(), b.vim.fault_service_us.count());

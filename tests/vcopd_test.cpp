@@ -208,11 +208,8 @@ struct PreemptionRun {
   bool correct = false;
 };
 
-PreemptionRun RunContendedAdpcm(bool asid_tagging,
-                                bool lazy_writeback = false) {
-  KernelConfig kernel_config = TestConfig();
-  kernel_config.vim.lazy_writeback = lazy_writeback;
-  FpgaSystem sys(kernel_config);
+PreemptionRun RunContendedAdpcm(bool asid_tagging) {
+  FpgaSystem sys(TestConfig());
   VcopdConfig config;
   config.policy = ServicePolicy::kFairShare;
   config.time_slice = 50ull * 1000 * 1000;  // 50 us: well below runtime
@@ -727,38 +724,6 @@ TEST(VcopdReconfigTest, AffinityPlatformKeyMatchesExplicitConfig) {
   EXPECT_EQ(by_key.reconfigurations, by_config.reconfigurations);
   EXPECT_EQ(by_key.preemptions, by_config.preemptions);
   EXPECT_EQ(by_key.dispatches, by_config.dispatches);
-}
-
-// ----- lazy context write-back (DESIGN.md §15) -----
-
-TEST(VcopdLazyWritebackTest, DefersSaveTimeSweepAndStaysExact) {
-  const PreemptionRun lazy =
-      RunContendedAdpcm(/*asid_tagging=*/true, /*lazy_writeback=*/true);
-  EXPECT_TRUE(lazy.correct);
-  EXPECT_GT(lazy.preemptions, 0u);
-  // Every context save deferred its dirty sweep...
-  EXPECT_GT(lazy.service.lazy_context_saves, 0u);
-  EXPECT_GT(lazy.service.pages_writeback_deferred, 0u);
-  EXPECT_EQ(lazy.service.pages_written_back_on_save, 0u);
-  // ...and the deferred pages settled on demand (eviction by the other
-  // tenant or the end-of-job flush), which is where the bytes reached
-  // user memory — `correct` above proves none were lost.
-  EXPECT_GT(lazy.service.deferred_writebacks, 0u);
-}
-
-TEST(VcopdLazyWritebackTest, MatchesEagerResultsWithFewerSaveWrites) {
-  const PreemptionRun eager =
-      RunContendedAdpcm(/*asid_tagging=*/true, /*lazy_writeback=*/false);
-  const PreemptionRun lazy =
-      RunContendedAdpcm(/*asid_tagging=*/true, /*lazy_writeback=*/true);
-  ASSERT_TRUE(eager.correct);
-  ASSERT_TRUE(lazy.correct);
-  // The eager baseline pays its write-backs inside SaveContext; lazy
-  // pays none there.
-  EXPECT_GT(eager.service.pages_written_back_on_save, 0u);
-  EXPECT_EQ(lazy.service.pages_written_back_on_save, 0u);
-  EXPECT_EQ(eager.service.lazy_context_saves, 0u);
-  EXPECT_EQ(eager.service.deferred_writebacks, 0u);
 }
 
 }  // namespace
