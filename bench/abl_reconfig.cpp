@@ -1,11 +1,11 @@
 // Ablation E22 — reconfiguration-aware serving (DESIGN.md §15):
-// configuration-cache slot count x design-affinity scheduling, over a
+// configuration-cache slot count x affinity skip budget, over a
 // design-alternating three-tenant fleet.
 //
 // The interesting regime is slots < distinct designs: the cache then
 // behaves like a real cache (hits, misses, LRU evictions) instead of
 // pinning every design. Affinity reorders the DRR ring toward resident
-// designs.
+// designs; a skip budget of 0 keeps strict ring order.
 #include <cstdio>
 #include <vector>
 
@@ -37,7 +37,7 @@ struct Point {
   bool exact = true;
 };
 
-Point Run(u32 config_slots, bool affinity) {
+Point Run(u32 config_slots, u32 skip_budget) {
   os::KernelConfig kernel_config = runtime::Epxa1Config();
   kernel_config.config_slots = config_slots;
   FpgaSystem sys(kernel_config);
@@ -45,7 +45,7 @@ Point Run(u32 config_slots, bool affinity) {
   os::VcopdConfig config;
   config.policy = os::ServicePolicy::kFairShare;
   config.time_slice = 100ull * 1000 * 1000;
-  config.design_affinity = affinity;
+  config.affinity_skip_budget = skip_budget;
   os::Vcopd daemon(sys.kernel(), config);
   sys.kernel().vim().ResetServiceStats();
 
@@ -121,16 +121,17 @@ Point Run(u32 config_slots, bool affinity) {
 }
 
 int Main() {
-  std::printf("== Ablation: configuration slots x design affinity ==\n\n");
+  std::printf("== Ablation: configuration slots x affinity skip budget "
+              "==\n\n");
 
-  Table table({"slots", "affinity", "makespan us", "reconf", "activ",
+  Table table({"slots", "skips", "makespan us", "reconf", "activ",
                "cfg us", "exact"});
   table.set_title(
       "3 tenants x 3 designs x 4 jobs, fair share, 100 us slice");
   for (const u32 slots : {1u, 2u, 3u}) {
-    for (const bool affinity : {false, true}) {
-      const Point p = Run(slots, affinity);
-      table.AddRow({StrFormat("%u", slots), affinity ? "on" : "off",
+    for (const u32 budget : {0u, os::VcopdConfig{}.affinity_skip_budget}) {
+      const Point p = Run(slots, budget);
+      table.AddRow({StrFormat("%u", slots), StrFormat("%u", budget),
                     StrFormat("%.1f", ToMicroseconds(p.makespan)),
                     StrFormat("%llu", static_cast<unsigned long long>(
                                           p.reconfigurations)),
@@ -143,8 +144,9 @@ int Main() {
   table.Print();
   std::printf(
       "\nslots=1 is the seed fabric: every design switch is a full "
-      "reconfiguration.\nslots=3 pins all three designs after their first "
-      "load; affinity then mostly\nrides the active design.\n");
+      "reconfiguration.\nskips=0 is strict ring order; the default budget lets "
+      "the ring chase\nresident designs. slots=3 pins all three designs after "
+      "their first load.\n");
   return 0;
 }
 

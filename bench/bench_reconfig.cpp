@@ -1,23 +1,20 @@
 // Benchmarks reconfiguration-aware serving (DESIGN.md §15): the
-// multi-slot configuration cache and design-affinity fair share against
-// the single-slot seed baseline. One design-alternating fleet (adpcm /
-// IDEA / conv2d — three distinct bit-streams) is driven through four
+// multi-slot configuration cache and design-affine fair share against
+// the seed's strict ring order. One design-alternating fleet (adpcm /
+// IDEA / conv2d — three distinct bit-streams) is driven through three
 // modes:
 //
-//   baseline  config_slots=1, affinity off (seed behaviour)
-//   explicit  same values set explicitly (defaults-inertness digest)
+//   strict    config_slots=1, affinity_skip_budget=0 (seed schedule)
+//   baseline  config_slots=1, default skip budget (design-affine DRR)
 //   slots     config_slots=3: misses become slot activations
-//   affinity  slots=3 + design-affinity DRR (bounded skip budget)
 //
 // Gates (rc=1 on failure), written to BENCH_reconfig.json for CI:
 //   * every mode's outputs byte-identical to the software reference;
-//   * the explicit run is bit-identical to the baseline (defaults are
-//     inert);
-//   * slots / affinity pay strictly fewer full reconfigurations than
-//     the baseline, and slot activations actually happen;
-//   * affinity holds fairness: Jain index over per-tenant fabric time
-//     within kJainSlack of the slots run;
-//   * affinity improves makespan over the baseline.
+//   * baseline / slots pay strictly fewer full reconfigurations than
+//     strict ring order, and slots actually activates cached slots;
+//   * affinity holds fairness: the baseline's Jain index over
+//     per-tenant fabric time within kJainSlack of strict ring order;
+//   * baseline and slots improve makespan over strict ring order.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -40,11 +37,11 @@ using runtime::FpgaSystem;
 using runtime::HostBuffer;
 using runtime::VcopdClient;
 
-/// Fairness slack: toggling design affinity may not drop the Jain
-/// index over per-tenant fabric time more than this below the
-/// same-slot-count no-affinity run. (The slot cache itself shifts the
-/// busy-time distribution — config time stops padding every slice — so
-/// the affinity gate compares like for like, not against slots=1.)
+/// Fairness slack: design affinity may not drop the Jain index over
+/// per-tenant fabric time more than this below strict ring order at
+/// the same slot count. (The slot cache itself shifts the busy-time
+/// distribution — config time stops padding every slice — so the gate
+/// compares like for like, not against slots=3.)
 constexpr double kJainSlack = 0.02;
 /// Absolute fairness floor for every mode.
 constexpr double kJainFloor = 0.85;
@@ -176,10 +173,7 @@ TenantRun Stage(FpgaSystem& sys, os::Vcopd& daemon, const TenantSpec& spec,
 struct Mode {
   const char* name;
   u32 slots = 1;
-  bool affinity = false;
-  /// Defaults-inertness probe: route the seed values through the new
-  /// platform keys instead of leaving the fields untouched.
-  bool explicit_defaults = false;
+  u32 skip_budget = os::VcopdConfig{}.affinity_skip_budget;
 };
 
 struct FleetResult {
@@ -215,16 +209,13 @@ struct FleetResult {
 /// consecutive jobs alternate designs), and drives the daemon to idle.
 FleetResult RunFleet(const std::vector<TenantSpec>& specs, const Mode& mode) {
   os::KernelConfig kernel_config = runtime::Epxa1Config();
-  if (mode.slots != 1 || mode.explicit_defaults) {
-    kernel_config.config_slots = mode.slots;
-  }
-  if (mode.explicit_defaults) kernel_config.design_affinity = mode.affinity;
+  kernel_config.config_slots = mode.slots;
   FpgaSystem sys(kernel_config);
 
   os::VcopdConfig config;
   config.policy = os::ServicePolicy::kFairShare;
   config.time_slice = 100ull * 1000 * 1000;  // 100 us: forces preemption
-  config.design_affinity = mode.affinity;
+  config.affinity_skip_budget = mode.skip_budget;
   os::Vcopd daemon(sys.kernel(), config);
   sys.kernel().vim().ResetServiceStats();
 
@@ -257,7 +248,8 @@ FleetResult RunFleet(const std::vector<TenantSpec>& specs, const Mode& mode) {
 
 void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
   table.AddRow(
-      {mode.name, StrFormat("%u", mode.slots), mode.affinity ? "on" : "off",
+      {mode.name, StrFormat("%u", mode.slots),
+       StrFormat("%u", mode.skip_budget),
        StrFormat("%.1f", ToMicroseconds(r.report.makespan)),
        StrFormat("%llu", static_cast<unsigned long long>(
                              r.stats.reconfigurations)),
@@ -269,19 +261,18 @@ void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
        StrFormat("%.3f", r.jain()), r.outputs_exact ? "yes" : "NO"});
 }
 
-void JsonMode(std::FILE* f, const char* key, const Mode& mode,
-              const FleetResult& r, bool last) {
+void JsonMode(std::FILE* f, const Mode& mode, const FleetResult& r) {
   const double makespan = static_cast<double>(r.report.makespan);
   std::fprintf(
       f,
-      "  \"%s\": {\"config_slots\": %u, \"design_affinity\": %s,\n"
+      "  \"%s\": {\"config_slots\": %u, \"affinity_skip_budget\": %u,\n"
       "    \"makespan_us\": %.3f, \"jobs\": %llu, "
       "\"reconfigurations\": %llu, \"slot_activations\": %llu,\n"
       "    \"config_time_us\": %.3f, \"activation_time_us\": %.3f, "
       "\"config_share\": %.4f,\n"
       "    \"pages_written_back_on_save\": %llu,\n"
-      "    \"jain\": %.4f, \"outputs_exact\": %s}%s\n",
-      key, mode.slots, mode.affinity ? "true" : "false",
+      "    \"jain\": %.4f, \"outputs_exact\": %s},\n",
+      mode.name, mode.slots, mode.skip_budget,
       ToMicroseconds(r.report.makespan),
       static_cast<unsigned long long>(r.jobs()),
       static_cast<unsigned long long>(r.stats.reconfigurations),
@@ -294,15 +285,13 @@ void JsonMode(std::FILE* f, const char* key, const Mode& mode,
                 makespan
           : 0.0,
       static_cast<unsigned long long>(r.service.pages_written_back_on_save),
-      r.jain(), r.outputs_exact ? "true" : "false", last ? "" : ",");
+      r.jain(), r.outputs_exact ? "true" : "false");
 }
 
 int Main() {
   std::printf(
       "== reconfiguration-aware serving: slot cache, design affinity "
       "==\n\n");
-  int rc = 0;
-
   // Design-alternating fleet: interleaved submission means consecutive
   // tickets nearly always want a different bit-stream, the worst case
   // for a single-slot fabric. Equal per-tenant footprints keep the
@@ -318,23 +307,20 @@ int Main() {
     specs.push_back({App::kConv, StrFormat("conv-%u", i), 1, 8 * 1024, 3});
   }
 
-  const Mode kBaseline{"baseline", 1, false, false};
-  const Mode kExplicit{"explicit", 1, false, true};
-  const Mode kSlots{"slots", 3, false, false};
-  const Mode kAffinity{"affinity", 3, true, false};
-  const std::vector<const Mode*> modes = {&kBaseline, &kExplicit, &kSlots,
-                                          &kAffinity};
+  const Mode kStrict{"strict", 1, 0};
+  const Mode kBaseline{"baseline", 1};
+  const Mode kSlots{"slots", 3};
+  const std::vector<const Mode*> modes = {&kStrict, &kBaseline, &kSlots};
 
   // The modes are independent simulations of the same tenant spec —
   // run them side by side on the fleet runner.
   const std::vector<FleetResult> runs = sim::FleetMap<FleetResult>(
       modes.size(), [&](usize i) { return RunFleet(specs, *modes[i]); });
-  const FleetResult& baseline = runs[0];
-  const FleetResult& explicit_run = runs[1];
+  const FleetResult& strict = runs[0];
+  const FleetResult& baseline = runs[1];
   const FleetResult& slots = runs[2];
-  const FleetResult& affinity = runs[3];
 
-  Table table({"mode", "slots", "affin", "makespan us", "reconf", "activ",
+  Table table({"mode", "slots", "skips", "makespan us", "reconf", "activ",
                "cfg us", "eager wb", "jain", "exact"});
   table.set_title("8 tenants x 3 designs x 3 jobs, fair share, 100 us slice");
   for (usize i = 0; i < modes.size(); ++i) PrintModeRow(table, *modes[i], runs[i]);
@@ -342,111 +328,100 @@ int Main() {
   std::printf("\n");
 
   // ----- gate: byte-exact outputs in every mode -----
+  bool outputs_exact = true;
   for (usize i = 0; i < modes.size(); ++i) {
     if (!runs[i].outputs_exact) {
       std::printf("FAIL: %s outputs diverged from software reference\n",
                   modes[i]->name);
-      rc = 1;
+      outputs_exact = false;
     }
   }
 
-  // ----- gate: defaults are inert -----
-  // Routing the seed values through the new platform keys (slots=1,
-  // affinity off, set explicitly) must be bit-identical to not touching
-  // them at all.
-  if (explicit_run.report.makespan != baseline.report.makespan ||
-      explicit_run.stats.reconfigurations != baseline.stats.reconfigurations ||
-      explicit_run.stats.slot_activations != baseline.stats.slot_activations ||
-      explicit_run.stats.preemptions != baseline.stats.preemptions ||
-      explicit_run.stats.dispatches != baseline.stats.dispatches ||
-      explicit_run.service.pages_written_back_on_save !=
-          baseline.service.pages_written_back_on_save) {
-    std::printf("FAIL: explicit default keys changed the schedule\n");
-    rc = 1;
-  }
-
-  // ----- gate: the slot cache converts reconfigurations -----
-  const std::pair<const char*, const FleetResult*> cached[] = {
-      {"slots", &slots}, {"affinity", &affinity}};
-  for (const auto& [name, rp] : cached) {
-    const FleetResult& r = *rp;
-    if (r.stats.reconfigurations >= baseline.stats.reconfigurations) {
+  // Every mode after the first is measured against strict ring order.
+  // ----- gate: affinity and the slot cache convert reconfigurations ---
+  bool reconfigs_below_strict = true;
+  for (usize i = 1; i < modes.size(); ++i) {
+    if (runs[i].stats.reconfigurations >= strict.stats.reconfigurations) {
       std::printf(
           "FAIL: %s paid %llu full reconfigurations, not strictly below "
-          "the baseline's %llu\n",
-          name, static_cast<unsigned long long>(r.stats.reconfigurations),
-          static_cast<unsigned long long>(baseline.stats.reconfigurations));
-      rc = 1;
+          "strict ring order's %llu\n",
+          modes[i]->name,
+          static_cast<unsigned long long>(runs[i].stats.reconfigurations),
+          static_cast<unsigned long long>(strict.stats.reconfigurations));
+      reconfigs_below_strict = false;
     }
-    if (r.stats.slot_activations == 0) {
-      std::printf("FAIL: %s never activated a cached slot\n", name);
-      rc = 1;
-    }
+  }
+  if (slots.stats.slot_activations == 0) {
+    std::printf("FAIL: slots never activated a cached slot\n");
+    reconfigs_below_strict = false;
   }
 
   // ----- gate: affinity holds fairness -----
-  const double jain_ref = slots.jain();
-  if (affinity.jain() + kJainSlack < jain_ref) {
-    std::printf("FAIL: affinity Jain %.3f fell below the slots run's %.3f - "
-                "%.2f\n",
-                affinity.jain(), jain_ref, kJainSlack);
-    rc = 1;
+  bool fairness_held = baseline.jain() + kJainSlack >= strict.jain();
+  if (!fairness_held) {
+    std::printf("FAIL: baseline Jain %.3f fell below strict ring order's "
+                "%.3f - %.2f\n",
+                baseline.jain(), strict.jain(), kJainSlack);
   }
   for (usize i = 0; i < modes.size(); ++i) {
     if (runs[i].jain() < kJainFloor) {
       std::printf("FAIL: %s Jain %.3f below the %.2f floor\n",
                   modes[i]->name, runs[i].jain(), kJainFloor);
-      rc = 1;
+      fairness_held = false;
     }
   }
 
-  // ----- gate: affinity improves makespan -----
-  if (affinity.report.makespan >= baseline.report.makespan) {
-    std::printf("FAIL: affinity makespan %.1f us not below baseline %.1f us\n",
-                ToMicroseconds(affinity.report.makespan),
-                ToMicroseconds(baseline.report.makespan));
-    rc = 1;
+  // ----- gate: affinity and the slot cache improve makespan -----
+  bool makespan_improved = true;
+  for (usize i = 1; i < modes.size(); ++i) {
+    if (runs[i].report.makespan >= strict.report.makespan) {
+      std::printf("FAIL: %s makespan %.1f us not below strict ring order's "
+                  "%.1f us\n",
+                  modes[i]->name, ToMicroseconds(runs[i].report.makespan),
+                  ToMicroseconds(strict.report.makespan));
+      makespan_improved = false;
+    }
   }
+  const int rc = outputs_exact && reconfigs_below_strict && fairness_held &&
+                         makespan_improved
+                     ? 0
+                     : 1;
 
+  auto speedup = [&strict](const FleetResult& r) {
+    return r.report.makespan > 0
+               ? static_cast<double>(strict.report.makespan) /
+                     static_cast<double>(r.report.makespan)
+               : 0.0;
+  };
   std::printf(
-      "  reconfigurations: %u baseline -> %u affinity (%llu activations, "
-      "%.1f us saved)\n"
-      "  makespan: %.1f us baseline -> %.1f us affinity (%.2fx)\n"
-      "  jain: %.3f baseline, %.3f slots, %.3f affinity\n\n",
-      baseline.report.reconfigurations, affinity.report.reconfigurations,
-      static_cast<unsigned long long>(affinity.stats.slot_activations),
-      ToMicroseconds(baseline.stats.total_config_time -
-                     affinity.stats.total_config_time -
-                     affinity.stats.total_activation_time),
-      ToMicroseconds(baseline.report.makespan),
-      ToMicroseconds(affinity.report.makespan),
-      affinity.report.makespan > 0
-          ? static_cast<double>(baseline.report.makespan) /
-                static_cast<double>(affinity.report.makespan)
-          : 0.0,
-      baseline.jain(), slots.jain(), affinity.jain());
+      "  reconfigurations: %u strict -> %u baseline -> %u slots (%llu "
+      "activations)\n"
+      "  makespan: %.1f us strict -> %.1f us baseline (%.2fx) -> %.1f us "
+      "slots (%.2fx)\n"
+      "  jain: %.3f strict, %.3f baseline, %.3f slots\n\n",
+      strict.report.reconfigurations, baseline.report.reconfigurations,
+      slots.report.reconfigurations,
+      static_cast<unsigned long long>(slots.stats.slot_activations),
+      ToMicroseconds(strict.report.makespan),
+      ToMicroseconds(baseline.report.makespan), speedup(baseline),
+      ToMicroseconds(slots.report.makespan), speedup(slots), strict.jain(),
+      baseline.jain(), slots.jain());
 
   // ----- JSON -----
   std::FILE* f = std::fopen("BENCH_reconfig.json", "w");
   VCOP_CHECK_MSG(f != nullptr, "cannot open BENCH_reconfig.json for writing");
   std::fprintf(f, "{\n  \"bench\": \"reconfig\",\n");
   for (usize i = 0; i < modes.size(); ++i) {
-    JsonMode(f, modes[i]->name, *modes[i], runs[i], false);
+    JsonMode(f, *modes[i], runs[i]);
   }
+  auto flag = [](bool b) { return b ? "true" : "false"; };
   std::fprintf(
       f,
-      "  \"gates\": {\"outputs_exact\": %s, \"defaults_inert\": %s, "
-      "\"reconfigs_below_baseline\": %s, \"fairness_held\": %s, "
+      "  \"gates\": {\"outputs_exact\": %s, "
+      "\"reconfigs_below_strict\": %s, \"fairness_held\": %s, "
       "\"makespan_improved\": %s, \"pass\": %s}\n}\n",
-      affinity.outputs_exact && baseline.outputs_exact ? "true" : "false",
-      explicit_run.report.makespan == baseline.report.makespan ? "true"
-                                                               : "false",
-      affinity.stats.reconfigurations < baseline.stats.reconfigurations
-          ? "true"
-          : "false",
-      affinity.jain() + kJainSlack >= jain_ref ? "true" : "false",
-      affinity.report.makespan < baseline.report.makespan ? "true" : "false",
-      rc == 0 ? "true" : "false");
+      flag(outputs_exact), flag(reconfigs_below_strict), flag(fairness_held),
+      flag(makespan_improved), flag(rc == 0));
   std::fclose(f);
   std::printf("wrote BENCH_reconfig.json\n");
   return rc;

@@ -95,10 +95,6 @@ struct KernelConfig {
   /// (hw::FpgaFabric::AcquireDesign). 1 = the classic model: every
   /// design alternation pays the full configuration-port transfer.
   u32 config_slots = 1;
-  /// vcopd fair share: prefer runnable tenants whose design is already
-  /// resident in a configuration slot (bounded by the affinity-skip
-  /// budget so DRR fairness holds). Off = strict ring order.
-  bool design_affinity = false;
   CostModel costs{};
   VimConfig vim{};
   /// Host-side event-kernel tuning. Every combination produces

@@ -18,7 +18,7 @@
 //           ─Submit───▶ vcopd tenant queue     (full → descriptor stays in
 //                                               the ring; re-drained when a
 //                                               completion frees a slot)
-//           ─DRR──────▶ the fabric             (existing fair share)
+//           ─DRR──────▶ the fabric             (design-affine fair share)
 //   service ─complete─▶ completion ring  ──▶  notify, unless suppressed
 //
 // Doorbell coalescing: a kick while a drain is already scheduled (or an

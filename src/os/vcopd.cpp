@@ -20,7 +20,6 @@ Vcopd::Vcopd(Kernel& kernel, VcopdConfig config)
       config_(config),
       asids_(std::max<u32>(
           2, std::min<u32>(config.max_asids, 65536))) {
-  if (kernel.config().design_affinity) config_.design_affinity = true;
   Vim& vim = kernel_.vim();
   vim.set_tlb_tagging(config_.asid_tagging);
   vim.set_space_resolver([this](hw::Asid asid) { return FindSpace(asid); });
@@ -342,9 +341,9 @@ Vcopd::Tenant* Vcopd::PickNext() {
     return best;
   }
 
-  // Deficit round-robin: stay with the current tenant while it has both
-  // work and deficit, otherwise advance the ring, topping up the next
-  // runnable tenant's deficit by quantum x weight.
+  // Design-affine deficit round-robin: stay with the current tenant
+  // while it has both work and deficit, otherwise advance the ring,
+  // topping up the picked tenant's deficit by quantum x weight.
   if (current_ != nullptr && current_->active && Runnable(*current_) &&
       current_->deficit > 0) {
     return current_;
@@ -370,36 +369,34 @@ Vcopd::Tenant* Vcopd::PickNext() {
   }
   if (fair == nullptr) return nullptr;
 
+  // Design affinity: when the strict choice would pay a full
+  // reconfiguration, look further round the ring for a tenant whose
+  // design is resident in a configuration slot — but never bypass a
+  // tenant that has already been skipped `affinity_skip_budget` times
+  // in a row (the DRR no-starvation bound).
   Tenant* pick = fair;
-  if (config_.design_affinity) {
-    // Design affinity: when the strict choice would pay a full
-    // reconfiguration, look further round the ring for a tenant whose
-    // design is resident in a configuration slot — but never bypass a
-    // tenant that has already been skipped `affinity_skip_budget`
-    // times in a row (the DRR no-starvation bound).
-    const hw::FpgaFabric& fabric = kernel_.fabric();
-    if (!fabric.DesignResident(HeadDesign(*fair)) &&
-        fair->affinity_skips < config_.affinity_skip_budget) {
-      for (usize k = fair_k + 1; k < tenants_.size(); ++k) {
-        Tenant* t = tenants_[(start + k) % tenants_.size()].get();
-        if (!t->active || !Runnable(*t)) continue;
-        if (t->affinity_skips >= config_.affinity_skip_budget) break;
-        if (fabric.DesignResident(HeadDesign(*t))) {
-          pick = t;
-          break;
-        }
+  const hw::FpgaFabric& fabric = kernel_.fabric();
+  if (fair->affinity_skips < config_.affinity_skip_budget &&
+      !fabric.DesignResident(HeadDesign(*fair))) {
+    for (usize k = fair_k + 1; k < tenants_.size(); ++k) {
+      Tenant* t = tenants_[(start + k) % tenants_.size()].get();
+      if (!t->active || !Runnable(*t)) continue;
+      if (t->affinity_skips >= config_.affinity_skip_budget) break;
+      if (fabric.DesignResident(HeadDesign(*t))) {
+        pick = t;
+        break;
       }
     }
-    if (pick != fair) {
-      // Every runnable tenant the bypass jumped over accrues a skip.
-      for (usize k = fair_k; k < tenants_.size(); ++k) {
-        Tenant* t = tenants_[(start + k) % tenants_.size()].get();
-        if (t == pick) break;
-        if (t->active && Runnable(*t)) ++t->affinity_skips;
-      }
-    }
-    pick->affinity_skips = 0;
   }
+  if (pick != fair) {
+    // Every runnable tenant the bypass jumped over accrues a skip.
+    for (usize k = fair_k; k < tenants_.size(); ++k) {
+      Tenant* t = tenants_[(start + k) % tenants_.size()].get();
+      if (t == pick) break;
+      if (t->active && Runnable(*t)) ++t->affinity_skips;
+    }
+  }
+  pick->affinity_skips = 0;
 
   pick->deficit = std::min<i64>(pick->deficit, 0) +
                   static_cast<i64>(config_.quantum) *

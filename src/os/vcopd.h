@@ -16,12 +16,12 @@
 //     switch does not force a full flush — entries of switched-out
 //     tenants survive until capacity evicts them, and the VIM restores
 //     whatever was recycled at resume (Vim::SaveContext/RestoreContext).
-//   * Under the fair-share policy (deficit round-robin over tenant
-//     weights) a job whose time slice has expired is preempted at its
-//     next page-fault boundary: the fault stays latched in the IMU, the
-//     interface context is saved, and the fabric is handed to the next
-//     tenant. The FIFO policy instead runs jobs to completion, batching
-//     by bit-stream to amortise reconfiguration.
+//   * Under the fair-share policy (design-affine deficit round-robin
+//     over tenant weights) a job whose time slice has expired is
+//     preempted at its next page-fault boundary: the fault stays latched
+//     in the IMU, the interface context is saved, and the fabric is
+//     handed to the next tenant. The FIFO policy instead runs jobs to
+//     completion, batching by bit-stream to amortise reconfiguration.
 //
 // Hardware model: vcopd treats the PLD as partially reconfigurable —
 // per-job cores and IMU instances front the same physical dual-port RAM
@@ -54,9 +54,10 @@ using TenantId = u32;
 using Ticket = u64;
 
 enum class ServicePolicy : u8 {
-  /// Deficit round-robin over tenant weights; running jobs are preempted
-  /// at fault boundaries when their slice expires and another tenant is
-  /// runnable.
+  /// Deficit round-robin over tenant weights, preferring tenants whose
+  /// design is resident (bounded by VcopdConfig::affinity_skip_budget);
+  /// running jobs are preempted at fault boundaries when their slice
+  /// expires and another tenant is runnable.
   kFairShare,
   /// Strict arrival order, refined by greedy bit-stream batching (a
   /// queued job matching the loaded design goes first). No preemption.
@@ -79,15 +80,12 @@ struct VcopdConfig {
   bool asid_tagging = true;
   /// ASID tag space (including the reserved kernel tag 0).
   u32 max_asids = 64;
-  /// Fair share: when advancing the DRR ring, prefer a runnable tenant
-  /// whose design is resident in a configuration slot (it activates
-  /// instead of paying a full reconfiguration). Bounded by the skip
-  /// budget below so DRR fairness holds. Defaults to the kernel's
-  /// `design_affinity` platform key when left off here.
-  bool design_affinity = false;
-  /// How many consecutive times the strict ring-order choice may be
-  /// bypassed in favour of a resident-design tenant before it becomes
-  /// mandatory (starvation bound).
+  /// Fair share is design-affine: when advancing the DRR ring, a
+  /// runnable tenant whose design is resident in a configuration slot
+  /// (it activates instead of paying a full reconfiguration) may go
+  /// ahead of the strict ring-order choice. The budget is how many
+  /// consecutive times one tenant may be bypassed before it becomes
+  /// mandatory (starvation bound); 0 keeps strict ring order.
   u32 affinity_skip_budget = 4;
 };
 

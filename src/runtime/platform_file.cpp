@@ -253,10 +253,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<u64> v = number(1, 64);
       if (!v.ok()) return v.status();
       config.config_slots = static_cast<u32>(v.value());
-    } else if (key == "design_affinity") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.design_affinity = v.value();
     } else if (key.rfind("page_size_obj", 0) == 0) {
       const std::optional<u64> id = ParseU64(key.substr(13));
       if (!id.has_value() || *id >= hw::kMaxObjects) {
@@ -340,8 +336,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
                    static_cast<unsigned long long>(config.service.admit_rate));
   out += StrFormat("service_burst = %u\n", config.service.admit_burst);
   out += StrFormat("config_slots = %u\n", config.config_slots);
-  out += StrFormat("design_affinity = %s\n",
-                   config.design_affinity ? "true" : "false");
   return out;
 }
 

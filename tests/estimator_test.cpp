@@ -209,26 +209,21 @@ TEST(PlatformFileTest, IommuIsOffByDefaultAndBadValuesNameTheKey) {
 }
 
 TEST(PlatformFileTest, ReconfigKeysDefaultOffAndRoundTrip) {
-  // Strictly opt-in (DESIGN.md §15): with neither key the seed
+  // Strictly opt-in (DESIGN.md §15): without the key the seed
   // artifacts must be untouched.
   auto defaults = runtime::ParsePlatformFile("");
   ASSERT_TRUE(defaults.ok());
   EXPECT_EQ(defaults.value().config_slots, 1u);
-  EXPECT_FALSE(defaults.value().design_affinity);
 
-  auto config = runtime::ParsePlatformFile(
-      "config_slots = 4\ndesign_affinity = on\n");
+  auto config = runtime::ParsePlatformFile("config_slots = 4\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config.value().config_slots, 4u);
-  EXPECT_TRUE(config.value().design_affinity);
 
   os::KernelConfig original = runtime::Epxa1Config();
   original.config_slots = 3;
-  original.design_affinity = true;
   auto parsed = runtime::ParsePlatformFile(runtime::WritePlatformFile(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().config_slots, original.config_slots);
-  EXPECT_EQ(parsed.value().design_affinity, original.design_affinity);
 }
 
 TEST(PlatformFileTest, BadReconfigValuesAreRejectedByName) {
@@ -241,15 +236,6 @@ TEST(PlatformFileTest, BadReconfigValuesAreRejectedByName) {
     EXPECT_NE(bad.status().message().find("config_slots"), std::string::npos)
         << bad.status().message();
   }
-  auto bad_affinity =
-      runtime::ParsePlatformFile("name = X\ndesign_affinity = maybe\n");
-  ASSERT_FALSE(bad_affinity.ok());
-  EXPECT_NE(bad_affinity.status().message().find("line 2"),
-            std::string::npos)
-      << bad_affinity.status().message();
-  EXPECT_NE(bad_affinity.status().message().find("design_affinity"),
-            std::string::npos)
-      << bad_affinity.status().message();
 }
 
 TEST(PlatformFileTest, ParsesFastforwardSpellings) {
@@ -314,7 +300,7 @@ TEST(PlatformFileTest, UnknownPrefetchKindRejectedClearly) {
 
 TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
   for (const char* line : {"dp_ram_mb = 4", "victim_tlb_entries = 4",
-                           "lazy_writeback = on"}) {
+                           "lazy_writeback = on", "design_affinity = on"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");

@@ -442,10 +442,10 @@ TEST(TortureTest, ConfigurationFaultFailsTheLoadCleanly) {
 // ----- configuration-cache fault sites (hw/fabric.h, DESIGN.md §15) --
 
 /// Two designs alternating on a two-slot fabric under vcopd. With a
-/// giant time slice the dispatch order is the DRR ring verbatim —
-/// adpcm, vecadd, adpcm, vecadd — so kConfigError opportunities are
-/// deterministic: 1 = configure adpcm, 2 = configure vecadd,
-/// 3 = activate adpcm (resident hit), 4 = activate vecadd.
+/// giant time slice and no affinity skips the dispatch order is the DRR
+/// ring verbatim — adpcm, vecadd, adpcm, vecadd — so kConfigError
+/// opportunities are deterministic: 1 = configure adpcm, 2 = configure
+/// vecadd, 3 = activate adpcm (resident hit), 4 = activate vecadd.
 struct SlotRig {
   FpgaSystem sys;
   os::Vcopd daemon;
@@ -467,6 +467,9 @@ struct SlotRig {
     os::VcopdConfig config;
     config.policy = os::ServicePolicy::kFairShare;
     config.time_slice = 1ull * 1000 * 1000 * 1000 * 1000;  // never preempt
+    // Strict ring order: affinity would batch adpcm behind its resident
+    // slot and skip the activation sites this rig strikes.
+    config.affinity_skip_budget = 0;
     return config;
   }
 
