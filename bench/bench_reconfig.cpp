@@ -394,13 +394,14 @@ int Main() {
                : 0.0;
   };
   std::printf(
-      "  reconfigurations: %u strict -> %u baseline -> %u slots (%llu "
+      "  reconfigurations: %llu strict -> %llu baseline -> %llu slots (%llu "
       "activations)\n"
       "  makespan: %.1f us strict -> %.1f us baseline (%.2fx) -> %.1f us "
       "slots (%.2fx)\n"
       "  jain: %.3f strict, %.3f baseline, %.3f slots\n\n",
-      strict.report.reconfigurations, baseline.report.reconfigurations,
-      slots.report.reconfigurations,
+      static_cast<unsigned long long>(strict.stats.reconfigurations),
+      static_cast<unsigned long long>(baseline.stats.reconfigurations),
+      static_cast<unsigned long long>(slots.stats.reconfigurations),
       static_cast<unsigned long long>(slots.stats.slot_activations),
       ToMicroseconds(strict.report.makespan),
       ToMicroseconds(baseline.report.makespan), speedup(baseline),

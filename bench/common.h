@@ -99,7 +99,7 @@ inline Point RunAdpcmPoint(const os::KernelConfig& config,
                  "adpcm coprocessor output mismatch");
   point.vim = run.value().report;
   // End-of-run audit: anything still queued must drain without ticking
-  // another clock edge (Debug builds abort otherwise).
+  // another clock edge (the run aborts otherwise).
   sys.kernel().simulator().DrainAssertQuiescent();
   return point;
 }
@@ -141,9 +141,9 @@ inline Point RunIdeaPoint(const os::KernelConfig& config,
   return point;
 }
 
-// ----- shared multi-tenant staging (bench_vcopd, bench_service) -----
+// ----- shared multi-tenant staging (vcopd benches) -----
 //
-// Both fleet benches register tenants that run adpcm or IDEA against a
+// The vcopd benches register tenants that run adpcm or IDEA against a
 // software reference; the buffer allocation, input synthesis, expected
 // output, and object mapping are identical and live here once.
 

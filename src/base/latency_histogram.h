@@ -1,11 +1,11 @@
-// Latency statistics shared by the scheduler's fairness digests and the
-// bench reporting.
+// Latency statistics shared by vcopd's fairness digests and the bench
+// reporting.
 //
 // Two tools, for two sample-count regimes:
 //
 //   * PercentileNearestRank — the exact nearest-rank percentile over a
 //     materialised sample vector. Right for per-tenant digests of tens
-//     to thousands of samples (ScheduleReport::TenantFairness, the
+//     to thousands of samples (ScheduleReport::per_pid(), the
 //     bench_vcopd tables), where exactness matters because the values
 //     are gated byte-for-byte.
 //   * LatencyHistogram — a log-bucketed histogram for service-scale

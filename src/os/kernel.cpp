@@ -4,6 +4,23 @@
 
 namespace vcop::os {
 
+hw::ImuConfig ImuConfigFor(const KernelConfig& config) {
+  hw::ImuConfig imu;
+  imu.access_latency_cycles = config.imu_access_latency;
+  imu.pipelined = config.imu_pipelined;
+  if (config.l2_tlb_entries > 0) {
+    imu.tlb_entries = config.l1_tlb_entries > 0 ? config.l1_tlb_entries
+                                                : config.tlb_entries;
+    imu.shared_tlb_is_l2 = true;
+  } else {
+    imu.tlb_entries = config.tlb_entries;
+  }
+  imu.bounds_check = config.imu_bounds_check;
+  imu.posted_writes = config.imu_posted_writes;
+  imu.translation_cache = config.imu_translation_cache;
+  return imu;
+}
+
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
       user_memory_(config.user_memory_bytes),
@@ -64,24 +81,10 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
   // created before the coprocessor's so that, on coincident edges, the
   // translation pipeline advances before the core samples CP_TLBHIT.
   ++load_count_;
-  hw::ImuConfig imu_config;
-  imu_config.access_latency_cycles = config_.imu_access_latency;
-  imu_config.pipelined = config_.imu_pipelined;
-  if (config_.l2_tlb_entries > 0) {
-    imu_config.tlb_entries = config_.l1_tlb_entries > 0
-                                 ? config_.l1_tlb_entries
-                                 : config_.tlb_entries;
-    imu_config.shared_tlb_is_l2 = true;
-  } else {
-    imu_config.tlb_entries = config_.tlb_entries;
-  }
-  imu_config.bounds_check = config_.imu_bounds_check;
-  imu_config.posted_writes = config_.imu_posted_writes;
-  imu_config.translation_cache = config_.imu_translation_cache;
   shared_tlb_.InvalidateAll();
   shared_tlb_.ResetStats();
   imu_ = std::make_unique<hw::Imu>(
-      imu_config,
+      ImuConfigFor(config_),
       mem::PageGeometry(config_.page_bytes,
                         config_.dp_ram_bytes / config_.page_bytes),
       dp_ram_, irq_, sim_, &shared_tlb_);

@@ -108,6 +108,10 @@ struct KernelConfig {
   ServiceTuning service{};
 };
 
+/// The IMU configuration `config` gives every design instantiated on
+/// the platform, by FPGA_LOAD and by vcopd alike.
+hw::ImuConfig ImuConfigFor(const KernelConfig& config);
+
 /// What FPGA_EXECUTE measures, in the paper's decomposition.
 struct ExecutionReport {
   Picoseconds total = 0;     // wall time of the blocking call

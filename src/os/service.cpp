@@ -389,13 +389,4 @@ const RingStats* VcopService::completion_stats(TenantId tenant) const {
   return port == nullptr ? nullptr : &port->cq.stats();
 }
 
-ScheduleReport VcopService::BuildScheduleReport() const {
-  ScheduleReport report = daemon_.BuildScheduleReport();
-  report.doorbell_kicks = stats_.doorbell_kicks;
-  report.doorbells_coalesced = stats_.doorbells_coalesced;
-  report.admission_deferrals = stats_.admission_deferrals;
-  report.completions_suppressed = stats_.completions_suppressed;
-  return report;
-}
-
 }  // namespace vcop::os

@@ -50,7 +50,6 @@
 #include "base/units.h"
 #include "hw/fabric.h"
 #include "os/ring.h"
-#include "os/scheduler.h"
 #include "os/vcopd.h"
 
 namespace vcop::os {
@@ -193,9 +192,10 @@ class VcopService {
   const RingStats* submission_stats(TenantId tenant) const;
   const RingStats* completion_stats(TenantId tenant) const;
 
-  /// The daemon's schedule report plus the transport rollup
-  /// (doorbells, admission, suppression) for bench/JSON reporting.
-  ScheduleReport BuildScheduleReport() const;
+  /// The daemon's schedule report.
+  ScheduleReport BuildScheduleReport() const {
+    return daemon_.BuildScheduleReport();
+  }
 
  private:
   struct Port {

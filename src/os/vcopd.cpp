@@ -1,7 +1,9 @@
 #include "os/vcopd.h"
 
 #include <algorithm>
+#include <map>
 
+#include "base/latency_histogram.h"
 #include "base/log.h"
 #include "base/table.h"
 
@@ -13,6 +15,35 @@ std::string_view ToString(ServicePolicy policy) {
     case ServicePolicy::kFifoBatch: return "fifo-batch";
   }
   return "?";
+}
+
+std::vector<TenantFairness> ScheduleReport::per_pid() const {
+  std::map<u32, std::vector<const JobOutcome*>> by_pid;
+  for (const JobOutcome& o : outcomes) by_pid[o.pid].push_back(&o);
+
+  std::vector<TenantFairness> result;
+  result.reserve(by_pid.size());
+  for (const auto& [pid, jobs] : by_pid) {
+    TenantFairness f;
+    f.pid = pid;
+    f.jobs = jobs.size();
+    std::vector<Picoseconds> turnarounds;
+    turnarounds.reserve(jobs.size());
+    for (const JobOutcome* o : jobs) {
+      f.busy += o->finished_at - o->started_at;
+      f.max_wait = std::max(f.max_wait, o->wait());
+      f.max_turnaround = std::max(f.max_turnaround, o->turnaround());
+      turnarounds.push_back(o->turnaround());
+    }
+    f.p50_turnaround = PercentileNearestRank(turnarounds, 0.50);
+    f.p99_turnaround = PercentileNearestRank(std::move(turnarounds), 0.99);
+    f.makespan_share =
+        makespan == 0 ? 0.0
+                      : static_cast<double>(f.busy) /
+                            static_cast<double>(makespan);
+    result.push_back(f);
+  }
+  return result;
 }
 
 Vcopd::Vcopd(Kernel& kernel, VcopdConfig config)
@@ -256,9 +287,6 @@ ScheduleReport Vcopd::BuildScheduleReport() const {
     outcome.started_at = r.started_at;
     outcome.finished_at = r.finished_at;
     outcome.reconfigurations = r.reconfigurations;
-    outcome.slot_activations = r.slot_activations;
-    outcome.config_time = r.config_time;
-    outcome.preemptions = r.preemptions;
     outcome.report = r.report;
     if (!any || r.submitted_at < first_submit) first_submit = r.submitted_at;
     last_finish = std::max(last_finish, r.finished_at);
@@ -266,19 +294,6 @@ ScheduleReport Vcopd::BuildScheduleReport() const {
     report.outcomes.push_back(std::move(outcome));
   }
   if (any) report.makespan = last_finish - first_submit;
-  report.reconfigurations = static_cast<u32>(stats_.reconfigurations);
-  report.slot_activations = static_cast<u32>(stats_.slot_activations);
-  report.total_config_time = stats_.total_config_time;
-  report.total_activation_time = stats_.total_activation_time;
-  const VimServiceStats& svc = kernel_.vim().service_stats();
-  report.transfer_retries = svc.transfer_retries;
-  report.watchdog_recoveries = svc.watchdog_recoveries;
-  report.quarantines = stats_.quarantined;
-  report.prefetch_issued = svc.prefetch_issued;
-  report.prefetch_useful = svc.prefetch_useful;
-  report.prefetch_wasted = svc.prefetch_wasted;
-  report.coalesced_bursts = svc.coalesced_bursts;
-  report.coalesced_pages = svc.coalesced_pages;
   return report;
 }
 
@@ -436,23 +451,9 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
 
 void Vcopd::InstantiateHardware(Tenant& tenant, Job& job) {
   const KernelConfig& kc = kernel_.config();
-  hw::ImuConfig imu_config;
-  imu_config.access_latency_cycles = kc.imu_access_latency;
-  imu_config.pipelined = kc.imu_pipelined;
-  if (kc.l2_tlb_entries > 0) {
-    imu_config.tlb_entries =
-        kc.l1_tlb_entries > 0 ? kc.l1_tlb_entries : kc.tlb_entries;
-    imu_config.shared_tlb_is_l2 = true;
-  } else {
-    imu_config.tlb_entries = kc.tlb_entries;
-  }
-  imu_config.bounds_check = kc.imu_bounds_check;
-  imu_config.posted_writes = kc.imu_posted_writes;
-  imu_config.translation_cache = kc.imu_translation_cache;
-
   ++hardware_count_;
   job.imu = std::make_unique<hw::Imu>(
-      imu_config,
+      ImuConfigFor(kc),
       mem::PageGeometry(kc.page_bytes, kc.dp_ram_bytes / kc.page_bytes),
       kernel_.dp_ram(), kernel_.irq(), kernel_.simulator(),
       &kernel_.shared_tlb());

@@ -45,7 +45,6 @@
 #include "hw/tlb.h"
 #include "os/address_space.h"
 #include "os/kernel.h"
-#include "os/scheduler.h"
 #include "sim/clock.h"
 
 namespace vcop::os {
@@ -125,6 +124,48 @@ struct JobResult {
 
   Picoseconds turnaround() const { return finished_at - submitted_at; }
   Picoseconds wait() const { return started_at - submitted_at; }
+};
+
+/// A finished job as the schedule report sees it: who submitted it,
+/// when it ran, and what it produced.
+struct JobOutcome {
+  u32 pid = 0;
+  std::string bitstream;
+  Status status;
+  Picoseconds submitted_at = 0;
+  Picoseconds started_at = 0;
+  Picoseconds finished_at = 0;
+  /// Full configurations this job paid, across every slice.
+  u32 reconfigurations = 0;
+  ExecutionReport report;  // valid when status.ok()
+
+  Picoseconds turnaround() const { return finished_at - submitted_at; }
+  Picoseconds wait() const { return started_at - submitted_at; }
+};
+
+/// Per-submitter fairness digest of a schedule, for starvation and
+/// tail-latency analysis across competing tenants.
+struct TenantFairness {
+  u32 pid = 0;
+  usize jobs = 0;
+  Picoseconds busy = 0;  // sum of started->finished spans
+  Picoseconds max_wait = 0;
+  Picoseconds max_turnaround = 0;
+  Picoseconds p50_turnaround = 0;
+  Picoseconds p99_turnaround = 0;
+  /// busy / makespan: the fraction of the batch this pid held the PLD.
+  double makespan_share = 0.0;
+};
+
+/// Every finished job in ticket order. Service-wide counters live in
+/// VcopdStats, VimServiceStats and VcopServiceStats.
+struct ScheduleReport {
+  std::vector<JobOutcome> outcomes;
+  /// First submission to last completion.
+  Picoseconds makespan = 0;
+
+  /// Fairness digest per submitting pid, ordered by pid.
+  std::vector<TenantFairness> per_pid() const;
 };
 
 struct VcopdStats {
@@ -221,8 +262,8 @@ class Vcopd {
   const VcopdConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   AddressSpace* FindSpace(hw::Asid asid);
-  /// Completed work bridged into the scheduler's fairness report
-  /// (JobOutcome per finished job, per-pid digests via per_pid()).
+  /// Completed work as a schedule report (JobOutcome per finished
+  /// job, per-pid digests via per_pid()).
   ScheduleReport BuildScheduleReport() const;
 
  private:

@@ -47,13 +47,9 @@ u64 Simulator::DrainAssertQuiescent() {
   const bool drained = RunToIdle();
   u64 edges_after = 0;
   for (const auto& d : domains_) edges_after += d->edges_ticked();
-  (void)drained;
-  (void)edges_after;
-#ifndef NDEBUG
   VCOP_CHECK_MSG(drained, "event queue failed to drain at end of run");
   VCOP_CHECK_MSG(edges_after == edges_before,
                  "trailing events still ticked clock edges at end of run");
-#endif
   return queue_.dispatched() - dispatched_before;
 }
 

@@ -122,9 +122,9 @@ class Simulator {
     return true;
   }
 
-  /// End-of-run debug check: drains whatever is still pending (stale
-  /// clock-domain tokens, superseded wake events) and asserts — in
-  /// Debug builds — that the residue was quiescent: the queue drains
+  /// End-of-run check: drains whatever is still pending (stale
+  /// clock-domain tokens, superseded wake events) and asserts, in
+  /// every build, that the residue was quiescent: the queue drains
   /// and no clock domain ticks another edge while doing so. A domain
   /// that still ticks means a trailing event carrying real work was
   /// silently dropped by the caller's stop condition. Returns the

@@ -102,14 +102,29 @@ INSTANTIATE_TEST_SUITE_P(
 // ----- ADPCM across randomised platform configurations -----
 
 struct PlatformParam {
+  PlatformParam(u32 page_bytes_, u32 num_frames_, u32 tlb_entries_,
+                bool pipelined_, os::PolicyKind policy_,
+                mem::CopyMode copy_mode_, os::PrefetchKind prefetch_)
+      : page_bytes(page_bytes_),
+        num_frames(num_frames_),
+        tlb_entries(tlb_entries_),
+        pipelined(pipelined_),
+        policy(policy_),
+        copy_mode(copy_mode_),
+        prefetch(prefetch_) {}
+
   u32 page_bytes;
   u32 num_frames;
   u32 tlb_entries;
   bool pipelined;
   os::PolicyKind policy;
+  // Zeroed padding, as in GatherParam: the bytes are in the test names.
+  u8 padding[2] = {};
   mem::CopyMode copy_mode;
   os::PrefetchKind prefetch;
+  u8 tail_padding[3] = {};
 };
+static_assert(sizeof(PlatformParam) == 24, "test names encode 24 bytes");
 
 class AdpcmPlatformPropertyTest
     : public ::testing::TestWithParam<PlatformParam> {};

@@ -1,8 +1,8 @@
 // Tests for the vcopd service daemon: asynchronous submission,
 // admission control, preemptive context switching (dirty pages pending
 // at the fault boundary, TLB restore after intervening eviction),
-// ASID allocation/wrap, tenant teardown, and the tagged-vs-untagged
-// TLB switch policies.
+// ASID allocation/wrap, tenant teardown, the tagged-vs-untagged TLB
+// switch policies, and the FIFO policy's batching by bit-stream.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -12,6 +12,7 @@
 #include "apps/idea.h"
 #include "base/fault.h"
 #include "cp/adpcm_cp.h"
+#include "cp/gather_cp.h"
 #include "cp/idea_cp.h"
 #include "cp/registry.h"
 #include "cp/vecadd_cp.h"
@@ -88,6 +89,38 @@ VecAddJob StageVecAdd(FpgaSystem& sys, Vcopd& daemon, const char* name,
                         Direction::kIn).ok());
   VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjC, job.c,
                         Direction::kOut).ok());
+  return job;
+}
+
+struct GatherJob {
+  TenantId tenant = 0;
+  HostBuffer<u32> in, out, perm;
+  std::vector<u32> expect;
+};
+
+/// A gather tenant reversing `n` elements: out[i] = in[perm[i]].
+GatherJob StageGather(FpgaSystem& sys, Vcopd& daemon, const char* name,
+                      u32 n) {
+  GatherJob job;
+  job.tenant = daemon.RegisterTenant(name).value();
+  job.in = sys.Allocate<u32>(n).value();
+  job.out = sys.Allocate<u32>(n).value();
+  job.perm = sys.Allocate<u32>(n).value();
+  std::vector<u32> in(n), perm(n);
+  for (u32 i = 0; i < n; ++i) {
+    in[i] = i * 5;
+    perm[i] = n - 1 - i;
+  }
+  for (const u32 index : perm) job.expect.push_back(in[index]);
+  job.in.Fill(in);
+  job.perm.Fill(perm);
+  VcopdClient client(daemon, job.tenant);
+  VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjIn, job.in,
+                        Direction::kIn).ok());
+  VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjOut, job.out,
+                        Direction::kOut).ok());
+  VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjPerm, job.perm,
+                        Direction::kIn).ok());
   return job;
 }
 
@@ -339,7 +372,6 @@ TEST(VcopdTest, MixedTenantsMatchSoloByteForByte) {
     EXPECT_LE(f.p50_turnaround, f.p99_turnaround);
     EXPECT_LE(f.makespan_share, 1.0);
   }
-  EXPECT_GE(report.max_wait(), 0u);
 }
 
 // ----- tenant lifecycle -----
@@ -449,7 +481,7 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   const Result<Ticket> refused = cv.Submit(cp::VecAddBitstream(), {256u});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(daemon.BuildScheduleReport().quarantines, 1u);
+  EXPECT_EQ(daemon.stats().quarantined, 1u);
 
   // The healthy tenant keeps full service after the abort.
   const Ticket tb2 = cb.Submit(cp::VecAddBitstream(), {256u}).value();
@@ -488,6 +520,190 @@ TEST(VcopdTest, KernelBlockingPathStillWorksAfterDaemonIdles) {
   const Result<ExecutionReport> report = sys.Execute({128u});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(c.ToVector(), std::vector<u32>(128, 7));
+}
+
+// ----- FIFO policy: run to completion, batched by bit-stream -----
+
+VcopdConfig FifoConfig() {
+  VcopdConfig config;
+  config.policy = ServicePolicy::kFifoBatch;
+  return config;
+}
+
+/// Same-design jobs from three tenants run one after another in ticket
+/// order, all under the one configuration the first job paid for.
+TEST(VcopdFifoTest, SameDesignJobsRunInTicketOrderUnderOneConfiguration) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel(), FifoConfig());
+  std::vector<VecAddJob> jobs;
+  for (const char* name : {"first", "second", "third"}) {
+    jobs.push_back(StageVecAdd(sys, daemon, name, 256,
+                               40 + static_cast<u32>(jobs.size())));
+  }
+  std::vector<Ticket> tickets;
+  for (const VecAddJob& job : jobs) {
+    VcopdClient client(daemon, job.tenant);
+    tickets.push_back(client.Submit(cp::VecAddBitstream(), {256u}).value());
+  }
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  EXPECT_EQ(daemon.stats().reconfigurations, 1u);
+  for (usize i = 0; i < jobs.size(); ++i) {
+    const JobResult* r = daemon.Poll(tickets[i]);
+    ASSERT_NE(r, nullptr);
+    EXPECT_TRUE(r->status.ok()) << r->status.ToString();
+    EXPECT_LT(r->started_at, r->finished_at);
+    if (i > 0) {
+      EXPECT_GE(r->started_at, daemon.Poll(tickets[i - 1])->finished_at);
+    }
+    EXPECT_EQ(jobs[i].c.ToVector(), jobs[i].expect);
+  }
+}
+
+/// Strict ring order: skip budget 0 and a 1 s slice, so no job is
+/// preempted. With one job per tenant it serves jobs in submission
+/// order, the FIFO reference the batching order is measured against.
+VcopdConfig StrictRingConfig() {
+  VcopdConfig config;
+  config.affinity_skip_budget = 0;
+  config.time_slice = kPicosecondsPerSecond;
+  return config;
+}
+
+struct AlternatingRun {
+  VcopdStats stats;
+  Picoseconds makespan = 0;
+  bool ticket_order_within_design = true;
+};
+
+/// Six jobs alternating vecadd / gather, one per tenant, every output
+/// checked byte-exact.
+AlternatingRun RunAlternatingDesigns(const VcopdConfig& config) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel(), config);
+  std::vector<VecAddJob> vecadds;
+  std::vector<GatherJob> gathers;
+  for (u32 i = 0; i < 3; ++i) {
+    vecadds.push_back(StageVecAdd(sys, daemon, "vecadd", 128, 50 + i));
+    gathers.push_back(StageGather(sys, daemon, "gather", 128));
+  }
+  std::vector<Ticket> vecadd_tickets, gather_tickets;
+  for (u32 i = 0; i < 3; ++i) {
+    VcopdClient cv(daemon, vecadds[i].tenant);
+    VcopdClient cg(daemon, gathers[i].tenant);
+    vecadd_tickets.push_back(cv.Submit(cp::VecAddBitstream(), {128u}).value());
+    gather_tickets.push_back(cg.Submit(cp::GatherBitstream(), {128u}).value());
+  }
+  VCOP_CHECK(daemon.RunUntilIdle().ok());
+  EXPECT_EQ(daemon.stats().completed, 6u);
+  for (const VecAddJob& job : vecadds) {
+    EXPECT_EQ(job.c.ToVector(), job.expect);
+  }
+  for (const GatherJob& job : gathers) {
+    EXPECT_EQ(job.out.ToVector(), job.expect);
+  }
+
+  AlternatingRun r;
+  r.stats = daemon.stats();
+  r.makespan = daemon.BuildScheduleReport().makespan;
+  for (const std::vector<Ticket>* tickets :
+       {&vecadd_tickets, &gather_tickets}) {
+    for (usize i = 1; i < tickets->size(); ++i) {
+      r.ticket_order_within_design &=
+          daemon.Poll((*tickets)[i])->started_at >=
+          daemon.Poll((*tickets)[i - 1])->finished_at;
+    }
+  }
+  return r;
+}
+
+TEST(SchedulerTest, AlternatingDesignsReconfigureEveryJobUnderFifo) {
+  EXPECT_EQ(RunAlternatingDesigns(StrictRingConfig()).stats.reconfigurations,
+            6u);
+}
+
+/// kFifoBatch configures each design once, spends less time configuring
+/// and finishes sooner than strict ring order.
+TEST(SchedulerTest, BatchingAmortisesReconfiguration) {
+  const AlternatingRun ring = RunAlternatingDesigns(StrictRingConfig());
+  const AlternatingRun fifo = RunAlternatingDesigns(FifoConfig());
+  EXPECT_EQ(fifo.stats.reconfigurations, 2u);
+  EXPECT_LT(fifo.stats.total_config_time, ring.stats.total_config_time);
+  EXPECT_LT(fifo.makespan, ring.makespan);
+}
+
+TEST(SchedulerTest, BatchPreservesSubmissionOrderWithinDesign) {
+  EXPECT_TRUE(RunAlternatingDesigns(FifoConfig()).ticket_order_within_design);
+}
+
+/// A job whose tenant mapped no objects aborts on its first access: it
+/// fails on its own, and the next tenant's job is still byte-exact.
+TEST(VcopdFifoTest, UnmappedTenantsJobFailsAlone) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel(), FifoConfig());
+  const TenantId unmapped = daemon.RegisterTenant("unmapped").value();
+  VecAddJob mapped = StageVecAdd(sys, daemon, "mapped", 256, 60);
+  VcopdClient cu(daemon, unmapped);
+  VcopdClient cm(daemon, mapped.tenant);
+  const Ticket broken = cu.Submit(cp::VecAddBitstream(), {8u}).value();
+  const Ticket healthy = cm.Submit(cp::VecAddBitstream(), {256u}).value();
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  ASSERT_NE(daemon.Poll(broken), nullptr);
+  EXPECT_FALSE(daemon.Poll(broken)->status.ok());
+  ASSERT_NE(daemon.Poll(healthy), nullptr);
+  EXPECT_TRUE(daemon.Poll(healthy)->status.ok())
+      << daemon.Poll(healthy)->status.ToString();
+  EXPECT_EQ(mapped.c.ToVector(), mapped.expect);
+}
+
+/// A design larger than the PLD is refused at Submit, before it can
+/// queue; the tenant's other jobs still complete.
+TEST(VcopdFifoTest, OversizedDesignRejectedAtSubmit) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel(), FifoConfig());
+  VecAddJob job = StageVecAdd(sys, daemon, "tenant", 256, 61);
+  VcopdClient client(daemon, job.tenant);
+  hw::Bitstream oversized = cp::VecAddBitstream();
+  oversized.logic_elements = sys.kernel().config().pld_capacity_les + 1;
+
+  const Ticket before = client.Submit(cp::VecAddBitstream(), {256u}).value();
+  const Result<Ticket> rejected = client.Submit(oversized, {256u});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), ErrorCode::kResourceExhausted);
+  const Ticket after = client.Submit(cp::VecAddBitstream(), {256u}).value();
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  EXPECT_EQ(daemon.stats().submitted, 2u);
+  EXPECT_EQ(daemon.stats().completed, 2u);
+  EXPECT_TRUE(daemon.Poll(before)->status.ok());
+  EXPECT_TRUE(daemon.Poll(after)->status.ok());
+  EXPECT_EQ(job.c.ToVector(), job.expect);
+}
+
+/// Of two queued jobs the second waits for the first: it starts after
+/// its submission and its turnaround is the longer one.
+TEST(VcopdFifoTest, TurnaroundAccountsWaiting) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel(), FifoConfig());
+  VecAddJob first = StageVecAdd(sys, daemon, "first", 2048, 62);
+  VecAddJob second = StageVecAdd(sys, daemon, "second", 2048, 63);
+  VcopdClient c1(daemon, first.tenant);
+  VcopdClient c2(daemon, second.tenant);
+  const Ticket t1 = c1.Submit(cp::VecAddBitstream(), {2048u}).value();
+  const Ticket t2 = c2.Submit(cp::VecAddBitstream(), {2048u}).value();
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  const JobResult* r1 = daemon.Poll(t1);
+  const JobResult* r2 = daemon.Poll(t2);
+  ASSERT_NE(r1, nullptr);
+  ASSERT_NE(r2, nullptr);
+  ASSERT_TRUE(r1->status.ok());
+  ASSERT_TRUE(r2->status.ok());
+  EXPECT_GT(r2->wait(), 0u);
+  EXPECT_GT(r2->turnaround(), r1->turnaround());
+  EXPECT_EQ(first.c.ToVector(), first.expect);
+  EXPECT_EQ(second.c.ToVector(), second.expect);
 }
 
 // ----- reconfiguration-aware serving (DESIGN.md §15) -----
@@ -534,11 +750,6 @@ TEST(VcopdReconfigTest, SlotCacheActivatesInsteadOfReconfiguring) {
   // configuring it: the whole activation budget stays below a single
   // full configuration.
   EXPECT_LT(slots.activation_time, slots.configure_time / 2);
-
-  const ScheduleReport report = daemon.BuildScheduleReport();
-  EXPECT_EQ(report.slot_activations, daemon.stats().slot_activations);
-  EXPECT_EQ(report.total_activation_time,
-            daemon.stats().total_activation_time);
 }
 
 /// A preempted tenant whose design is still resident on resume pays an
