@@ -1,28 +1,29 @@
-// Headline bench for the fast-forward execution tier (DESIGN.md §11)
-// and the parallel fleet runner. Writes BENCH_fastforward.json.
+// Headline bench for the fast engine, fast-forward included (DESIGN.md
+// §11), and the parallel fleet runner. Writes BENCH_fastforward.json.
 //
-// Two sweeps, each run three ways — cycle engine on one thread,
-// fast-forward on one thread, fast-forward over the fleet:
+// Two sweeps, each run three ways — the event-per-edge reference engine
+// on one thread, the fast engine on one thread, the fast engine over the
+// fleet:
 //
 //   torture  N randomized FaultPlans (FF_PLANS, default 1000) over the
 //            four reference workloads, exactly the torture harness's
-//            grid. Fault injection exercises the tier's fallback edges
-//            on roughly every other seed.
+//            grid. Fault injection exercises fast-forward's fallback
+//            edges on roughly every other seed.
 //   conv2d   the prefetch bench's shape × strategy grid (sharpen
-//            kernel, overlapped transfers): long TLB-hit streaks, the
-//            tier's best case.
+//            kernel, overlapped transfers): long TLB-hit streaks,
+//            fast-forward's best case.
 //
 // Exit-code gates cover only *deterministic* properties:
 //   - bit-identity: an order-independent digest of every run's status,
 //     output bytes, final simulated time and full ExecutionReport must
 //     match across all three modes;
-//   - event reduction: the fast-forward engine must dispatch at most
-//     1/2 (torture) resp. 1/4 (conv2d) of the cycle engine's events;
+//   - event reduction: the fast engine must dispatch at most 1/2
+//     (torture) resp. 1/4 (conv2d) of the reference engine's events;
 //   - artifact identity: the Figure-7 VCD and the conv2d Chrome-trace
-//     timeline must be byte-identical with fastforward on and off.
+//     timeline must be byte-identical under both engines.
 // Wall-clock speedups are printed and recorded in the JSON with the
-// thread count and hardware concurrency, but — like bench_kernel —
-// they depend on the host and are reported, not gated.
+// thread count and hardware concurrency, but they depend on the host
+// and are reported, not gated.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +51,7 @@ using bench::MeasureWall;
 using bench::WallMeasurement;
 using runtime::Epxa1Config;
 using runtime::FpgaSystem;
+using sim::Engine;
 
 u32 EnvCount(const char* name, u32 fallback) {
   if (const char* env = std::getenv(name)) {
@@ -65,7 +67,7 @@ u32 EnvCount(const char* name, u32 fallback) {
 /// what the host *spends*): status, output bytes, simulated end time,
 /// the full ExecutionReport, and the fault plan's per-site counters.
 /// Host-side event counts are deliberately excluded — reducing them is
-/// the tier's whole point.
+/// the fast engine's whole point.
 class Digest {
  public:
   void Mix(u64 v) {
@@ -149,9 +151,9 @@ struct RunResult {
 
 // ----- sweep A: the torture grid -----
 
-RunResult TortureRunPoint(u64 seed, bool fastforward) {
+RunResult TortureRunPoint(u64 seed, Engine engine) {
   os::KernelConfig config = Epxa1Config();
-  config.sim_tuning.fastforward = fastforward;
+  config.engine = engine;
   FpgaSystem sys(config);
   FaultPlan plan = FaultPlan::Random(seed);
   sys.kernel().InstallFaultPlan(&plan);
@@ -217,13 +219,13 @@ constexpr struct {
 } kShapes[] = {{256, 24}, {512, 24}, {1024, 24}, {2048, 24}};
 constexpr usize kConvPoints = std::size(kShapes) * std::size(kKinds);
 
-RunResult ConvRunPoint(usize index, bool fastforward) {
+RunResult ConvRunPoint(usize index, Engine engine) {
   const auto shape = kShapes[index / std::size(kKinds)];
   os::KernelConfig config = Epxa1Config();
   config.vim.prefetch = kKinds[index % std::size(kKinds)];
   config.vim.prefetch_depth = 2;
   config.vim.overlap_prefetch = true;
-  config.sim_tuning.fastforward = fastforward;
+  config.engine = engine;
   FpgaSystem sys(config);
 
   const std::vector<u8> image =
@@ -256,14 +258,14 @@ struct ModeRow {
 };
 
 template <typename PointFn>
-ModeRow RunMode(const char* name, usize count, bool fastforward, u32 threads,
+ModeRow RunMode(const char* name, usize count, Engine engine, u32 threads,
                 int repeats, PointFn&& point) {
   ModeRow row;
   row.name = name;
   row.threads = sim::FleetThreadCount(threads);
   auto pass = [&] {
     const std::vector<RunResult> results = sim::FleetMap<RunResult>(
-        count, [&](usize i) { return point(i, fastforward); }, threads);
+        count, [&](usize i) { return point(i, engine); }, threads);
     // Order-independent only across *identical orderings*: results land
     // by index, so this fold is deterministic for any thread count.
     Digest d;
@@ -286,7 +288,7 @@ ModeRow RunMode(const char* name, usize count, bool fastforward, u32 threads,
 struct Sweep {
   std::string name;
   usize runs = 0;
-  std::vector<ModeRow> modes;  // [0]=cycle 1t, [1]=ff 1t, [2]=ff fleet
+  std::vector<ModeRow> modes;  // [0]=reference 1t, [1]=fast 1t, [2]=fast fleet
   bool bit_identical() const {
     return modes[0].digest == modes[1].digest &&
            modes[0].digest == modes[2].digest;
@@ -302,12 +304,12 @@ struct Sweep {
 // ----- artifact identity -----
 
 /// The Figure-7 waveform: a one-element vecadd with the tracer
-/// attached. An attached tracer vetoes the fast-forward tier by
+/// attached. An attached tracer vetoes the IMU's fast-forward by
 /// construction (DESIGN.md §11) — this check pins that contract: the
-/// VCD text must come out byte-identical either way.
-std::string VecAddVcd(bool fastforward) {
+/// VCD text must come out byte-identical under both engines.
+std::string VecAddVcd(Engine engine) {
   os::KernelConfig config = Epxa1Config();
-  config.sim_tuning.fastforward = fastforward;
+  config.engine = engine;
   FpgaSystem sys(config);
   sim::Tracer tracer;
   VCOP_CHECK(sys.Load(cp::VecAddBitstream()).ok());
@@ -328,14 +330,14 @@ std::string VecAddVcd(bool fastforward) {
 }
 
 /// The edge-detect-style Chrome trace: conv2d with the timeline
-/// recorder. Unlike the VCD, the timeline does NOT veto the tier, so
-/// every recorded fault-service and transfer span must carry the exact
-/// same simulated timestamps under analytic jumps.
-std::string ConvChromeTrace(bool fastforward) {
+/// recorder. Unlike the VCD, the timeline does NOT veto fast-forward,
+/// so every recorded fault-service and transfer span must carry the
+/// exact same simulated timestamps under analytic jumps.
+std::string ConvChromeTrace(Engine engine) {
   os::KernelConfig config = Epxa1Config();
   config.vim.prefetch = os::PrefetchKind::kSequential;
   config.vim.overlap_prefetch = true;
-  config.sim_tuning.fastforward = fastforward;
+  config.engine = engine;
   FpgaSystem sys(config);
   const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
   const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,
@@ -419,15 +421,15 @@ int Main() {
     Sweep sw;
     sw.name = "torture";
     sw.runs = plans;
-    auto point = [](usize i, bool ff) {
-      return TortureRunPoint(static_cast<u64>(i) + 1, ff);
+    auto point = [](usize i, Engine engine) {
+      return TortureRunPoint(static_cast<u64>(i) + 1, engine);
     };
+    sw.modes.push_back(RunMode("reference 1-thread", plans,
+                               Engine::kReference, 1, repeats, point));
     sw.modes.push_back(
-        RunMode("cycle 1-thread", plans, false, 1, repeats, point));
+        RunMode("fast 1-thread", plans, Engine::kFast, 1, repeats, point));
     sw.modes.push_back(
-        RunMode("fastforward 1-thread", plans, true, 1, repeats, point));
-    sw.modes.push_back(
-        RunMode("fastforward fleet", plans, true, 0, repeats, point));
+        RunMode("fast fleet", plans, Engine::kFast, 0, repeats, point));
     sweeps.push_back(std::move(sw));
   }
   {
@@ -435,18 +437,22 @@ int Main() {
     Sweep sw;
     sw.name = "conv2d";
     sw.runs = kConvPoints;
-    auto point = [](usize i, bool ff) { return ConvRunPoint(i, ff); };
+    auto point = [](usize i, Engine engine) {
+      return ConvRunPoint(i, engine);
+    };
+    sw.modes.push_back(RunMode("reference 1-thread", kConvPoints,
+                               Engine::kReference, 1, repeats, point));
+    sw.modes.push_back(RunMode("fast 1-thread", kConvPoints, Engine::kFast, 1,
+                               repeats, point));
     sw.modes.push_back(
-        RunMode("cycle 1-thread", kConvPoints, false, 1, repeats, point));
-    sw.modes.push_back(
-        RunMode("fastforward 1-thread", kConvPoints, true, 1, repeats, point));
-    sw.modes.push_back(
-        RunMode("fastforward fleet", kConvPoints, true, 0, repeats, point));
+        RunMode("fast fleet", kConvPoints, Engine::kFast, 0, repeats, point));
     sweeps.push_back(std::move(sw));
   }
 
-  const bool vcd_identical = VecAddVcd(true) == VecAddVcd(false);
-  const bool trace_identical = ConvChromeTrace(true) == ConvChromeTrace(false);
+  const bool vcd_identical =
+      VecAddVcd(Engine::kFast) == VecAddVcd(Engine::kReference);
+  const bool trace_identical =
+      ConvChromeTrace(Engine::kFast) == ConvChromeTrace(Engine::kReference);
 
   std::printf("\nsummary:\n");
   bool pass = true;

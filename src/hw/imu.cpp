@@ -289,7 +289,7 @@ Picoseconds Imu::OwnEdgeStrictlyAfter(Picoseconds t) const {
 }
 
 bool Imu::TryFastForward() {
-  if (!sim_.tuning().fastforward) return false;
+  if (sim_.engine() == sim::Engine::kReference) return false;
   if (own_domain_ == nullptr || cp_domain_ == nullptr) return false;
   // Uncertain edges the analytic path cannot model: a posted write's
   // independent ack/retire lifecycle, waveform tracing of the
@@ -316,8 +316,8 @@ bool Imu::TryFastForward() {
   const mem::VirtPage vpage = static_cast<mem::VirtPage>(
       offset >> ObjectPageShift(current_.object));
   const TcEntry& tc = tc_[current_.object];
-  if (!(config_.translation_cache && tc.valid &&
-        tc.generation == tlb_->generation() && tc.vpage == vpage)) {
+  if (!(tc.valid && tc.generation == tlb_->generation() &&
+        tc.vpage == vpage)) {
     // Probes L1 only: an access that would be served by an L2 fill
     // mutates the L1 and charges the fill penalty, so it declines the
     // jump and goes through the cycle engine.
@@ -359,7 +359,7 @@ void Imu::TranslateAt(Picoseconds when) {
     const mem::VirtPage vpage = static_cast<mem::VirtPage>(
         offset >> ObjectPageShift(current_.object));
     TcEntry& tc = tc_[current_.object];
-    if (config_.translation_cache && tc.valid &&
+    if (sim_.engine() == sim::Engine::kFast && tc.valid &&
         tc.generation == tlb_->generation() && tc.vpage == vpage) {
       // Same page as this object's last hit and the TLB has not changed
       // since: skip the CAM scan. NoteHit leaves statistics and the

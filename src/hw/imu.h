@@ -58,11 +58,6 @@ struct ImuConfig {
   /// cost from access_latency_cycles to 2 core cycles when the IMU
   /// shares the core clock.
   bool posted_writes = false;
-  /// Host-side optimisation (no simulated-hardware meaning): remember
-  /// the last successful translation and skip the CAM scan while the
-  /// TLB generation, object and page all still match. Statistics and
-  /// timing are bit-identical either way.
-  bool translation_cache = true;
   /// Two-level mode: treat the shared TLB passed at construction as a
   /// backing L2 behind a private L1 micro-TLB of `tlb_entries` entries,
   /// instead of using it directly as the (only) CAM. Requires a shared
@@ -313,7 +308,10 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   u32 cr_ = kCrEnable;
   u32 ar_ = 0;
 
-  // Last-translation cache (see ImuConfig::translation_cache): one
+  // Last-translation cache, used under sim::Engine::kFast only: a
+  // host-side optimisation with no simulated-hardware meaning that skips
+  // the CAM scan while the TLB generation, object and page all still
+  // match. Statistics and timing are bit-identical either way. One
   // entry per object, valid while the TLB generation matches, i.e. no
   // entry was installed or invalidated since the hit was recorded. Per
   // object because coprocessor FSMs interleave streams (IDEA alternates

@@ -17,7 +17,6 @@ hw::ImuConfig ImuConfigFor(const KernelConfig& config) {
   }
   imu.bounds_check = config.imu_bounds_check;
   imu.posted_writes = config.imu_posted_writes;
-  imu.translation_cache = config.imu_translation_cache;
   return imu;
 }
 
@@ -35,7 +34,7 @@ Kernel::Kernel(const KernelConfig& config)
       default_space_(/*pid=*/1, /*asid=*/0) {
   VCOP_CHECK_MSG(config.dp_ram_bytes % config.page_bytes == 0,
                  "dual-port RAM size must be a whole number of pages");
-  sim_.set_tuning(config.sim_tuning);
+  sim_.set_engine(config.engine);
   if (config.config_slots != 1) fabric_.SetConfigSlots(config.config_slots);
   vim_.Configure(config.vim);
   vim_.AttachSpace(&default_space_);

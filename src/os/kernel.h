@@ -97,13 +97,10 @@ struct KernelConfig {
   u32 config_slots = 1;
   CostModel costs{};
   VimConfig vim{};
-  /// Host-side event-kernel tuning. Every combination produces
-  /// bit-identical ExecutionReports; the defaults are the fast engine,
-  /// all-false is the event-per-edge reference engine.
-  sim::SimTuning sim_tuning{};
-  /// Host-side optimisation: the IMU remembers its last translation and
-  /// skips the CAM scan while the TLB is unchanged (same reports).
-  bool imu_translation_cache = true;
+  /// Host-side event-kernel engine (sim/simulator.h). Both produce
+  /// bit-identical ExecutionReports; kReference is the event-per-edge
+  /// oracle that tests and bench_fastforward compare kFast against.
+  sim::Engine engine = sim::Engine::kFast;
   /// Ring-transport service defaults (os/service.h).
   ServiceTuning service{};
 };

@@ -31,8 +31,6 @@ std::vector<TenantFairness> ScheduleReport::per_pid() const {
     turnarounds.reserve(jobs.size());
     for (const JobOutcome* o : jobs) {
       f.busy += o->finished_at - o->started_at;
-      f.max_wait = std::max(f.max_wait, o->wait());
-      f.max_turnaround = std::max(f.max_turnaround, o->turnaround());
       turnarounds.push_back(o->turnaround());
     }
     f.p50_turnaround = PercentileNearestRank(turnarounds, 0.50);

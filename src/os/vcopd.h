@@ -140,7 +140,6 @@ struct JobOutcome {
   ExecutionReport report;  // valid when status.ok()
 
   Picoseconds turnaround() const { return finished_at - submitted_at; }
-  Picoseconds wait() const { return started_at - submitted_at; }
 };
 
 /// Per-submitter fairness digest of a schedule, for starvation and
@@ -149,8 +148,6 @@ struct TenantFairness {
   u32 pid = 0;
   usize jobs = 0;
   Picoseconds busy = 0;  // sum of started->finished spans
-  Picoseconds max_wait = 0;
-  Picoseconds max_turnaround = 0;
   Picoseconds p50_turnaround = 0;
   Picoseconds p99_turnaround = 0;
   /// busy / makespan: the fraction of the batch this pid held the PLD.

@@ -229,10 +229,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
                          "iotlb_entries must be a power of two");
       }
       config.vim.iotlb_entries = static_cast<u32>(v.value());
-    } else if (key == "fastforward") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.sim_tuning.fastforward = v.value();
     } else if (key == "service_ring") {
       Result<u64> v = number(2, 32768);
       if (!v.ok()) return v.status();
@@ -289,7 +285,7 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
 
 std::string WritePlatformFile(const os::KernelConfig& config) {
   std::string out;
-  out += StrFormat("name = %s\n", config.platform_name.c_str());
+  out += "name = " + config.platform_name + "\n";
   out += StrFormat("dp_ram_kb = %u\n", config.dp_ram_bytes / 1024);
   out += StrFormat("page_size = %u\n", config.page_bytes);
   for (u32 id = 0; id < hw::kMaxObjects; ++id) {
@@ -329,8 +325,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
                    config.vim.coalesce_writeback ? "true" : "false");
   out += StrFormat("iommu = %s\n", config.vim.iommu ? "true" : "false");
   out += StrFormat("iotlb_entries = %u\n", config.vim.iotlb_entries);
-  out += StrFormat("fastforward = %s\n",
-                   config.sim_tuning.fastforward ? "true" : "false");
   out += StrFormat("service_ring = %u\n", config.service.ring_entries);
   out += StrFormat("service_rate = %llu\n",
                    static_cast<unsigned long long>(config.service.admit_rate));

@@ -5,6 +5,14 @@
 #include "sim/simulator.h"
 
 namespace vcop::sim {
+namespace {
+
+/// Cap on edges one dispatched event may coalesce under Engine::kFast;
+/// bounds how long one event runs and keeps a perpetually-active domain
+/// preemptible by the dispatch budget.
+constexpr u32 kMaxInlineTicks = 64;
+
+}  // namespace
 
 ClockDomain::ClockDomain(Simulator& sim, std::string name, Frequency freq,
                          u32 priority)
@@ -30,7 +38,7 @@ void ClockDomain::KickAt(Picoseconds t) {
   if (scheduled_ && !in_tick_ && t == sim_.now() && pending_time_ <= t) {
     return;
   }
-  if (!sim_.tuning().batch_edges && t > sim_.now()) {
+  if (sim_.engine() == Engine::kReference && t > sim_.now()) {
     // Reference engine: a future wake goes through a trampoline event
     // that kicks at its deadline, exactly like the seed kernel did.
     sim_.queue().ScheduleAt(t, EventQueue::kDefaultPriority,
@@ -105,7 +113,7 @@ u64 ClockDomain::FirstEdgeAtOrAfter(Picoseconds t) const {
 }
 
 u64 ClockDomain::ApplyHints(u64 candidate, Picoseconds candidate_time) const {
-  if (!sim_.tuning().batch_edges) return candidate;
+  if (sim_.engine() == Engine::kReference) return candidate;
   u64 hint = ClockedModule::kNeverInteresting;
   for (ClockedModule* m : modules_) {
     hint = std::min(hint, m->NextInterestingEdge(candidate_time));
@@ -154,7 +162,7 @@ void ClockDomain::TickEvent(u64 token) {
     next_edge_ = pending_edge_;
     pending_is_resume_ = false;
   }
-  u32 inline_left = sim_.tuning().max_inline_ticks;
+  u32 inline_left = kMaxInlineTicks;
   while (true) {
     // Credit edges batched over since the last tick, then tick the
     // interesting edge itself at its exact timestamp.
@@ -181,8 +189,7 @@ void ClockDomain::TickEvent(u64 token) {
         // semantics — the edges slept through until then never happen.
         const u64 d = *std::min_element(demands_.begin(), demands_.end());
         const Picoseconds d_time = freq_.EdgeTime(d);
-        if (sim_.tuning().fastforward && inline_left > 0 &&
-            sim_.InlineTickAllowed(d_time, priority_)) {
+        if (inline_left > 0 && sim_.InlineTickAllowed(d_time, priority_)) {
           // Fast-forward: resume from dormancy inside this same
           // dispatched event. Identical to scheduling the wake and
           // dispatching it next — which InlineTickAllowed guarantees

@@ -79,7 +79,8 @@ class EventQueue {
 
   /// Total number of events dispatched so far. Edges a clock domain
   /// skips or coalesces never appear here — this is the host-side work
-  /// metric BENCH_kernel.json reports.
+  /// metric the engine comparisons (bench_fastforward, perfbench's
+  /// sim.events) report.
   u64 dispatched() const { return dispatched_; }
 
  private:

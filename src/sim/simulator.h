@@ -3,6 +3,11 @@
 // Modelled hardware (IMU, coprocessors) lives on ClockDomains that tick
 // their modules on rising edges; modelled software (the OS cost model)
 // schedules plain timed events. Both share one timeline.
+//
+// One switch, Engine, picks how the host walks that timeline: kFast
+// (the default) skips, coalesces and fast-forwards uneventful edges;
+// kReference dispatches one event per edge. Simulated results are the
+// same under both.
 #pragma once
 
 #include <functional>
@@ -16,34 +21,31 @@
 
 namespace vcop::sim {
 
-/// Host-side performance knobs for the event kernel. All of them are
-/// pure optimisations: simulated timestamps, tick counts, statistics
-/// and results are bit-identical in every combination (enforced by
-/// tests/kernel_fastpath_test). Turning everything off reproduces the
-/// seed engine event-for-event — that is the reference the fast path
-/// is benchmarked against in bench/bench_kernel.
-struct SimTuning {
-  /// Honour ClockedModule::NextInterestingEdge hints: schedule one
-  /// event at the next interesting edge instead of one per edge.
-  bool batch_edges = true;
-  /// Let a clock domain run several of its own (interesting) edges in
-  /// one dispatched event while no other pending event would interleave.
-  bool coalesce_ticks = true;
-  /// Cap on coalesced edges per dispatched event; bounds how long one
-  /// event runs and keeps a perpetually-active domain preemptible by
-  /// the dispatch budget.
-  u32 max_inline_ticks = 64;
-  /// Fast-forward tier (opt-in, platform key `fastforward`): models may
-  /// complete a provably uneventful stretch analytically — the IMU
-  /// resolves a guaranteed TLB-hit access at issue time with the
-  /// completion timestamps computed from the clock grid, and a dormant
-  /// clock domain resumes at a demanded future edge inside the current
-  /// dispatched event instead of scheduling a wake. Both jumps are
-  /// admitted per-instance by AnalyticJumpAllowed / InlineTickAllowed,
-  /// which decline at every uncertain edge (pending event, horizon,
-  /// fired stop predicate); reports stay bit-identical
-  /// (tests/fastforward_diff_test).
-  bool fastforward = false;
+/// Which host-side engine dispatches the simulation. Both produce
+/// bit-identical simulated timestamps, tick counts, statistics and
+/// results (tests/fastforward_diff_test); they differ only in how many
+/// events the host dispatches to get there.
+enum class Engine : u8 {
+  /// The default. Four optimisations, all on together:
+  ///   - edge batching: honour ClockedModule::NextInterestingEdge hints
+  ///     and schedule one event at the next interesting edge instead of
+  ///     one per edge;
+  ///   - tick coalescing: a clock domain runs up to a fixed number of
+  ///     its own interesting edges in one dispatched event while no
+  ///     other pending event would interleave;
+  ///   - the IMU's last-translation cache, which skips the CAM scan
+  ///     while the TLB is unchanged;
+  ///   - fast-forward: models complete a provably uneventful stretch
+  ///     analytically. The IMU resolves a guaranteed TLB-hit access at
+  ///     issue time from the clock grid, and a dormant clock domain
+  ///     resumes at a demanded future edge inside the current event.
+  ///     Both jumps are admitted per instance by AnalyticJumpAllowed /
+  ///     InlineTickAllowed, which decline at every uncertain edge
+  ///     (pending event, horizon, fired stop predicate).
+  kFast,
+  /// The original event-per-edge engine, all four off: the oracle the
+  /// differential tests and bench_fastforward compare kFast against.
+  kReference,
 };
 
 class Simulator {
@@ -86,8 +88,8 @@ class Simulator {
   u64 events_dispatched() const { return queue_.dispatched(); }
   EventQueue& queue() { return queue_; }
 
-  const SimTuning& tuning() const { return tuning_; }
-  void set_tuning(const SimTuning& tuning) { tuning_ = tuning; }
+  Engine engine() const { return engine_; }
+  void set_engine(Engine engine) { engine_ = engine; }
 
   /// Whether a clock domain may run an edge at time `t` (with the
   /// domain's coincident-edge `priority`) inline in the event it is
@@ -96,7 +98,7 @@ class Simulator {
   /// event may sort before (t, priority), the active RunUntil predicate
   /// must not have fired, and `t` must not pass a RunUntilTime horizon.
   bool InlineTickAllowed(Picoseconds t, u32 priority) const {
-    if (!tuning_.coalesce_ticks) return false;
+    if (engine_ == Engine::kReference) return false;
     if (t > horizon_) return false;
     if (!queue_.empty()) {
       const Picoseconds head = queue_.NextTime();
@@ -109,13 +111,13 @@ class Simulator {
 
   /// Whether a model may complete work scheduled to finish at time `t`
   /// analytically, right now, without dispatching the events in
-  /// between. Allowed only under SimTuning::fastforward and only while
+  /// between. Allowed only under Engine::kFast and only while
   /// nothing could interleave before `t`: no pending event at or before
   /// `t` (which could change the state the analytic result depends on —
   /// TLB content, fault-plan opportunity order), `t` within any
   /// RunUntilTime horizon, and the active RunUntil predicate not fired.
   bool AnalyticJumpAllowed(Picoseconds t) const {
-    if (!tuning_.fastforward) return false;
+    if (engine_ == Engine::kReference) return false;
     if (t > horizon_) return false;
     if (!queue_.empty() && queue_.NextTime() <= t) return false;
     if (run_predicate_ != nullptr && (*run_predicate_)()) return false;
@@ -142,7 +144,7 @@ class Simulator {
 
   EventQueue queue_;
   std::vector<std::unique_ptr<ClockDomain>> domains_;
-  SimTuning tuning_{};
+  Engine engine_ = Engine::kFast;
   Picoseconds horizon_ = kNoHorizon;
   const std::function<bool()>* run_predicate_ = nullptr;
 };

@@ -1,6 +1,10 @@
 // Tests for the synthesis estimator and the platform board files.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "base/rng.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
@@ -130,7 +134,6 @@ overlap = true
 coalesce_writeback = yes
 iommu = on
 iotlb_entries = 64
-fastforward = on
 service_ring = 128
 service_rate = 5000
 service_burst = 32
@@ -156,7 +159,6 @@ service_burst = 32
   EXPECT_TRUE(c.vim.coalesce_writeback);
   EXPECT_TRUE(c.vim.iommu);
   EXPECT_EQ(c.vim.iotlb_entries, 64u);
-  EXPECT_TRUE(c.sim_tuning.fastforward);
   EXPECT_EQ(c.service.ring_entries, 128u);
   EXPECT_EQ(c.service.admit_rate, 5000u);
   EXPECT_EQ(c.service.admit_burst, 32u);
@@ -238,39 +240,6 @@ TEST(PlatformFileTest, BadReconfigValuesAreRejectedByName) {
   }
 }
 
-TEST(PlatformFileTest, ParsesFastforwardSpellings) {
-  // Off by default: the tier is strictly opt-in.
-  auto defaults = runtime::ParsePlatformFile("");
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_FALSE(defaults.value().sim_tuning.fastforward);
-
-  struct Case {
-    const char* value;
-    bool expect;
-  };
-  for (const Case c : {Case{"on", true}, Case{"true", true},
-                       Case{"yes", true}, Case{"1", true},
-                       Case{"off", false}, Case{"false", false},
-                       Case{"no", false}, Case{"0", false}}) {
-    auto config = runtime::ParsePlatformFile(
-        std::string("fastforward = ") + c.value + "\n");
-    ASSERT_TRUE(config.ok()) << c.value << ": "
-                             << config.status().ToString();
-    EXPECT_EQ(config.value().sim_tuning.fastforward, c.expect) << c.value;
-  }
-}
-
-TEST(PlatformFileTest, BadFastforwardValueRejectedWithLine) {
-  auto config =
-      runtime::ParsePlatformFile("name = X\nfastforward = turbo\n");
-  ASSERT_FALSE(config.ok());
-  EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
-      << config.status().message();
-  EXPECT_NE(config.status().message().find("fastforward"),
-            std::string::npos)
-      << config.status().message();
-}
-
 TEST(PlatformFileTest, ParsesEveryPrefetchKind) {
   struct Case {
     const char* value;
@@ -299,8 +268,9 @@ TEST(PlatformFileTest, UnknownPrefetchKindRejectedClearly) {
 }
 
 TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
-  for (const char* line : {"dp_ram_mb = 4", "victim_tlb_entries = 4",
-                           "lazy_writeback = on", "design_affinity = on"}) {
+  for (const char* line :
+       {"dp_ram_mb = 4", "victim_tlb_entries = 4", "lazy_writeback = on",
+        "design_affinity = on", "fastforward = on"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");
@@ -417,6 +387,9 @@ TEST(PlatformFileTest, FlexibleMemoryKeysRoundTripThroughWriter) {
 
 TEST(PlatformFileTest, RoundTripsThroughWriter) {
   os::KernelConfig original = runtime::Epxa4Config();
+  // The parser takes any name bytes but newline and comment markers; a
+  // leading NUL must not make the writer emit an empty name.
+  original.platform_name = std::string("\0EPXA4", 6);
   original.vim.policy = os::PolicyKind::kRandom;
   original.vim.copy_mode = mem::CopyMode::kSingleCopy;
   original.imu_pipelined = true;
@@ -425,7 +398,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   original.vim.coalesce_writeback = true;
   original.vim.iommu = true;
   original.vim.iotlb_entries = 32;
-  original.sim_tuning.fastforward = true;
   original.service.ring_entries = 256;
   original.service.admit_rate = 1234;
   original.service.admit_burst = 7;
@@ -444,13 +416,175 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
             original.vim.coalesce_writeback);
   EXPECT_EQ(parsed.value().vim.iommu, original.vim.iommu);
   EXPECT_EQ(parsed.value().vim.iotlb_entries, original.vim.iotlb_entries);
-  EXPECT_EQ(parsed.value().sim_tuning.fastforward,
-            original.sim_tuning.fastforward);
   EXPECT_EQ(parsed.value().service.ring_entries,
             original.service.ring_entries);
   EXPECT_EQ(parsed.value().service.admit_rate, original.service.admit_rate);
   EXPECT_EQ(parsed.value().service.admit_burst,
             original.service.admit_burst);
+}
+
+// ----- platform-file properties (seeded, like ucode_fuzz_test) -----
+
+u32 RandomPowerOfTwo(Rng& rng, u32 lo_log2, u32 hi_log2) {
+  return 1u << rng.NextInRange(lo_log2, hi_log2);
+}
+
+bool RandomBool(Rng& rng) { return rng.NextBelow(2) == 1; }
+
+/// A config drawn from within every key's accepted range, so the writer's
+/// text for it must parse.
+os::KernelConfig RandomPlatform(Rng& rng) {
+  static constexpr char kNameChars[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
+  os::KernelConfig c = runtime::Epxa1Config();
+  c.platform_name.clear();
+  const u64 name_len = rng.NextInRange(1, 12);
+  for (u64 i = 0; i < name_len; ++i) {
+    c.platform_name += kNameChars[rng.NextBelow(sizeof(kNameChars) - 1)];
+  }
+  c.page_bytes = RandomPowerOfTwo(rng, 9, 16);
+  // dp_ram_kb is written in whole KB and must hold whole pages.
+  const u32 unit_kb = c.page_bytes < 1024 ? 1 : c.page_bytes / 1024;
+  c.dp_ram_bytes =
+      static_cast<u32>(rng.NextInRange(1, 65536 / unit_kb)) * unit_kb * 1024;
+  for (u32 id = 0; id < hw::kMaxObjects; ++id) {
+    if (id != hw::kParamObject && rng.NextBelow(4) == 0) {
+      // [mem::kMinObjectPageBytes, mem::kMaxObjectPageBytes]
+      c.object_page_bytes[id] = RandomPowerOfTwo(rng, 9, 13);
+    }
+  }
+  c.tlb_entries = static_cast<u32>(rng.NextInRange(1, 1024));
+  c.l1_tlb_entries = static_cast<u32>(rng.NextInRange(0, 1024));
+  c.l2_tlb_entries = static_cast<u32>(rng.NextInRange(0, 1024));
+  c.costs.cpu_clock = Frequency::MHz(rng.NextInRange(1, 10'000));
+  c.imu_access_latency = static_cast<u32>(rng.NextInRange(2, 64));
+  c.imu_pipelined = RandomBool(rng);
+  c.imu_posted_writes = RandomBool(rng);
+  c.imu_bounds_check = RandomBool(rng);
+  c.pld_capacity_les = static_cast<u32>(rng.NextInRange(100, 1 << 24));
+  constexpr os::PolicyKind kPolicies[] = {
+      os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom};
+  c.vim.policy = kPolicies[rng.NextBelow(3)];
+  constexpr mem::CopyMode kCopyModes[] = {mem::CopyMode::kDoubleCopy,
+                                          mem::CopyMode::kSingleCopy,
+                                          mem::CopyMode::kDma};
+  c.vim.copy_mode = kCopyModes[rng.NextBelow(3)];
+  constexpr os::PrefetchKind kPrefetch[] = {os::PrefetchKind::kNone,
+                                            os::PrefetchKind::kSequential,
+                                            os::PrefetchKind::kAdaptive};
+  c.vim.prefetch = kPrefetch[rng.NextBelow(3)];
+  c.vim.prefetch_depth = static_cast<u32>(rng.NextInRange(1, 16));
+  c.vim.overlap_prefetch = RandomBool(rng);
+  c.vim.coalesce_writeback = RandomBool(rng);
+  c.vim.iommu = RandomBool(rng);
+  c.vim.iotlb_entries = RandomPowerOfTwo(rng, 0, 10);
+  c.service.ring_entries = RandomPowerOfTwo(rng, 1, 15);
+  c.service.admit_rate = rng.NextInRange(0, 1'000'000'000);
+  c.service.admit_burst = static_cast<u32>(rng.NextInRange(1, 1 << 20));
+  c.config_slots = static_cast<u32>(rng.NextInRange(1, 64));
+  return c;
+}
+
+TEST(PlatformFileTest, RandomConfigsRoundTripByteForByte) {
+  for (u64 seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const std::string text = runtime::WritePlatformFile(RandomPlatform(rng));
+    const Result<os::KernelConfig> parsed = runtime::ParsePlatformFile(text);
+    ASSERT_TRUE(parsed.ok())
+        << "seed " << seed << ": " << parsed.status().ToString() << "\n"
+        << text;
+    EXPECT_EQ(runtime::WritePlatformFile(parsed.value()), text)
+        << "seed " << seed;
+  }
+}
+
+/// A `key = value` line that is often almost right: a real key (or a
+/// near miss) with a value of the wrong kind, out of range, or valid.
+std::string RandomKeyValueLine(Rng& rng) {
+  static constexpr const char* kKeys[] = {
+      "name", "dp_ram_kb", "page_kb", "page_size", "tlb_entries",
+      "l1_tlb_entries", "l2_tlb_entries", "cpu_mhz", "imu_latency",
+      "pipelined", "posted_writes", "bounds_check", "pld_les", "policy",
+      "copy_mode", "prefetch", "prefetch_depth", "overlap",
+      "coalesce_writeback", "iommu", "iotlb_entries", "service_ring",
+      "service_rate", "service_burst", "config_slots", "page_size_obj3",
+      // Near misses: the parameter object, no id, an id out of range, a
+      // removed key, upper case, an inner space.
+      "page_size_obj15", "page_size_obj", "page_size_obj99", "fastforward",
+      "NAME", "tlb entries"};
+  static constexpr const char* kValues[] = {
+      "0", "1", "2", "3", "512", "1024", "4096", "65536", "65537", "-1",
+      "on", "off", "maybe", "lru", "dma", "adaptive", "",
+      "18446744073709551616", "4294967296", "1e3", " 7 ", "x=y"};
+  std::string line = kKeys[rng.NextBelow(std::size(kKeys))];
+  line += rng.NextBelow(8) == 0 ? " " : " = ";
+  line += kValues[rng.NextBelow(std::size(kValues))];
+  return line;
+}
+
+/// Byte flips, truncations, duplicated lines and random `key = value`
+/// lines never abort the parser. A rejection is a clean InvalidArgument
+/// that names its line, or the one file-level check (dp_ram_kb must
+/// hold whole pages); an accepted file still round-trips through the
+/// writer.
+TEST(PlatformFileTest, MutatedFilesFailCleanlyOrRoundTrip) {
+  u32 rejected = 0;
+  u32 accepted = 0;
+  for (u64 seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    std::string text = runtime::WritePlatformFile(RandomPlatform(rng));
+    const u64 mutations = rng.NextInRange(1, 4);
+    for (u64 m = 0; m < mutations; ++m) {
+      const usize pos = text.empty() ? 0 : rng.NextBelow(text.size());
+      switch (rng.NextBelow(4)) {
+        case 0:  // flip a byte to anything, newline and NUL included
+          if (!text.empty()) text[pos] = static_cast<char>(rng.NextBelow(256));
+          break;
+        case 1:  // truncate
+          text.resize(pos);
+          break;
+        case 2: {  // duplicate the line containing pos
+          const usize begin = text.rfind('\n', pos);
+          const usize line_begin = begin == std::string::npos ? 0 : begin + 1;
+          const usize end = text.find('\n', pos);
+          const usize line_end = end == std::string::npos ? text.size() : end;
+          text.insert(line_begin, text.substr(line_begin,
+                                              line_end - line_begin) + "\n");
+          break;
+        }
+        default:  // insert a random key = value line at a line start
+          const usize begin = text.rfind('\n', pos);
+          text.insert(begin == std::string::npos ? 0 : begin + 1,
+                      RandomKeyValueLine(rng) + "\n");
+          break;
+      }
+    }
+    const Result<os::KernelConfig> parsed = runtime::ParsePlatformFile(text);
+    if (!parsed.ok()) {
+      ++rejected;
+      const std::string& message = parsed.status().message();
+      EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument)
+          << "seed " << seed << ": " << message;
+      EXPECT_TRUE(message.rfind("platform file line ", 0) == 0 ||
+                  message.find("dp_ram_kb") != std::string::npos)
+          << "seed " << seed << ": " << message;
+      continue;
+    }
+    ++accepted;
+    const std::string written = runtime::WritePlatformFile(parsed.value());
+    const Result<os::KernelConfig> reparsed =
+        runtime::ParsePlatformFile(written);
+    ASSERT_TRUE(reparsed.ok())
+        << "seed " << seed << ": " << reparsed.status().ToString();
+    EXPECT_EQ(runtime::WritePlatformFile(reparsed.value()), written)
+        << "seed " << seed;
+  }
+  // Both outcomes must be common, or the mutator is not exercising the
+  // parser.
+  EXPECT_GT(rejected, 200u);
+  EXPECT_GT(accepted, 100u);
+  RecordProperty("rejected", static_cast<int>(rejected));
+  RecordProperty("accepted", static_cast<int>(accepted));
 }
 
 TEST(PlatformFileTest, ParsedPlatformRunsApplications) {

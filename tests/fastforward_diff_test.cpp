@@ -1,15 +1,17 @@
-// Differential test for the fast-forward execution tier: with
-// `fastforward=on` the simulation must be bit-identical — outputs,
-// the full ExecutionReport (ScheduleReport decomposition, VimAccounting,
-// ImuStats, TlbStats) and the final simulated timestamp — to the
-// cycle-stepped engine, across every workload and platform ablation.
+// Differential tests for the host-side engines: under sim::Engine::kFast
+// (edge batching, tick coalescing, the IMU translation cache and
+// fast-forward) the simulation must be bit-identical — outputs, the
+// full ExecutionReport (VimAccounting, ImuStats, TlbStats) and the
+// final simulated timestamp — to the event-per-edge kReference engine,
+// across every workload and platform ablation.
 //
 // The sweep runs 200 seeded (workload × config) points through both
 // engines via the parallel fleet runner; the configs deliberately
 // include adaptive-prefetch and overlapped-prefetch variants (both with
-// coalesced write-back) whose fault-time machinery forces the tier onto
-// its fallback edges, and posted-write variants whose writes are never
-// eligible at all.
+// coalesced write-back) whose fault-time machinery forces fast-forward
+// onto its fallback edges, and posted-write variants whose writes are
+// never eligible at all. The paper's Figure 8 / Figure 9 points also
+// pin how much work kFast skips.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,9 +36,16 @@ namespace {
 
 using runtime::Epxa1Config;
 using runtime::FpgaSystem;
+using sim::Engine;
 
-os::KernelConfig VariantConfig(u64 seed, bool fastforward) {
+os::KernelConfig EngineConfig(Engine engine) {
   os::KernelConfig config = Epxa1Config();
+  config.engine = engine;
+  return config;
+}
+
+os::KernelConfig VariantConfig(u64 seed, Engine engine) {
+  os::KernelConfig config = EngineConfig(engine);
   switch (seed % 4) {
     case 0:  // plain EPXA1: long hit streaks, maximal fast-forwarding
       break;
@@ -57,7 +66,6 @@ os::KernelConfig VariantConfig(u64 seed, bool fastforward) {
       config.imu_bounds_check = true;
       break;
   }
-  config.sim_tuning.fastforward = fastforward;
   return config;
 }
 
@@ -66,7 +74,6 @@ struct DiffOutcome {
   os::ExecutionReport report;
   Picoseconds sim_now = 0;
   u64 events = 0;
-  u64 residual_events = 0;
 };
 
 template <typename T>
@@ -76,39 +83,50 @@ std::vector<u8> AsBytes(const std::vector<T>& v) {
   return bytes;
 }
 
+/// Records a driver run's output and report; every run compared here
+/// must succeed under both engines.
+template <typename Run>
+void RecordRun(const Run& run, DiffOutcome& out) {
+  if (!run.ok()) throw std::runtime_error(run.status().ToString());
+  out.output = AsBytes(run.value().output);
+  out.report = run.value().report;
+}
+
+/// Records the final simulated time and the dispatched events, then
+/// runs the end-of-run quiescence audit: whatever is still queued must
+/// drain as no-ops — no clock domain may tick another edge.
+void Finish(FpgaSystem& sys, DiffOutcome& out) {
+  sim::Simulator& sim = sys.kernel().simulator();
+  out.sim_now = sim.now();
+  out.events = sim.events_dispatched();
+  sim.DrainAssertQuiescent();
+}
+
 /// Runs workload `seed % 4` (adpcm / IDEA / conv2d / gather) on a fresh
-/// system configured by VariantConfig(seed / 4, fastforward).
-DiffOutcome RunPoint(u64 seed, bool fastforward) {
-  FpgaSystem sys(VariantConfig(seed / 4, fastforward));
+/// system configured by VariantConfig(seed / 4, engine).
+DiffOutcome RunPoint(u64 seed, Engine engine) {
+  FpgaSystem sys(VariantConfig(seed / 4, engine));
   DiffOutcome out;
   switch (seed % 4) {
-    case 0: {
-      const std::vector<u8> input =
-          apps::MakeAdpcmStream(512 + (seed % 3) * 512, seed);
-      auto run = runtime::RunAdpcmVim(sys, input);
-      if (!run.ok()) throw std::runtime_error(run.status().ToString());
-      out.output = AsBytes(run.value().output);
-      out.report = run.value().report;
+    case 0:
+      RecordRun(runtime::RunAdpcmVim(
+                    sys, apps::MakeAdpcmStream(512 + (seed % 3) * 512, seed)),
+                out);
       break;
-    }
     case 1: {
-      const std::vector<u8> plain = apps::MakeRandomBytes(1024, seed);
       const apps::IdeaSubkeys subkeys =
           apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
-      auto run = runtime::RunIdeaVim(sys, subkeys, plain);
-      if (!run.ok()) throw std::runtime_error(run.status().ToString());
-      out.output = AsBytes(run.value().output);
-      out.report = run.value().report;
+      RecordRun(
+          runtime::RunIdeaVim(sys, subkeys, apps::MakeRandomBytes(1024, seed)),
+          out);
       break;
     }
     case 2: {
       const u32 width = 32, height = 16;
       const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
-      auto run = runtime::RunConv3x3Vim(sys, image, width, height,
-                                        apps::BoxBlurKernel(), /*shift=*/3);
-      if (!run.ok()) throw std::runtime_error(run.status().ToString());
-      out.output = AsBytes(run.value().output);
-      out.report = run.value().report;
+      RecordRun(runtime::RunConv3x3Vim(sys, image, width, height,
+                                       apps::BoxBlurKernel(), /*shift=*/3),
+                out);
       break;
     }
     default: {
@@ -120,28 +138,21 @@ DiffOutcome RunPoint(u64 seed, bool fastforward) {
         in[i] = static_cast<u32>(seed) * 2654435761u + i;
         perm[i] = static_cast<u32>(rng.NextInRange(0, 511));
       }
-      auto run = runtime::RunGatherVim(sys, in, perm);
-      if (!run.ok()) throw std::runtime_error(run.status().ToString());
-      out.output = AsBytes(run.value().output);
-      out.report = run.value().report;
+      RecordRun(runtime::RunGatherVim(sys, in, perm), out);
       break;
     }
   }
-  out.sim_now = sys.kernel().simulator().now();
-  out.events = sys.kernel().simulator().events_dispatched();
-  // End-of-run quiescence audit (satellite): whatever is still queued
-  // must drain as no-ops — no clock domain may tick another edge.
-  out.residual_events = sys.kernel().simulator().DrainAssertQuiescent();
+  Finish(sys, out);
   return out;
 }
 
-void ExpectBitIdentical(const DiffOutcome& ff, const DiffOutcome& cyc,
+void ExpectBitIdentical(const DiffOutcome& fast, const DiffOutcome& ref,
                         u64 seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
-  EXPECT_EQ(ff.output, cyc.output);
-  EXPECT_EQ(ff.sim_now, cyc.sim_now);
-  const os::ExecutionReport& a = ff.report;
-  const os::ExecutionReport& b = cyc.report;
+  EXPECT_EQ(fast.output, ref.output);
+  EXPECT_EQ(fast.sim_now, ref.sim_now);
+  const os::ExecutionReport& a = fast.report;
+  const os::ExecutionReport& b = ref.report;
   EXPECT_EQ(a.total, b.total);
   EXPECT_EQ(a.t_hw, b.t_hw);
   EXPECT_EQ(a.t_dp, b.t_dp);
@@ -192,8 +203,8 @@ constexpr u64 kDiffSeeds = 200;
 
 TEST(FastForwardDiffTest, TwoHundredSeedsAreBitIdenticalAcrossEngines) {
   struct Pair {
-    DiffOutcome ff;
-    DiffOutcome cyc;
+    DiffOutcome fast;
+    DiffOutcome ref;
   };
   // Both engines for each seed run in one fleet task, fanned out over
   // all cores; results land by index, so the comparison order (and any
@@ -201,21 +212,21 @@ TEST(FastForwardDiffTest, TwoHundredSeedsAreBitIdenticalAcrossEngines) {
   const std::vector<Pair> pairs = sim::FleetMap<Pair>(
       kDiffSeeds, [](usize i) -> Pair {
         const u64 seed = static_cast<u64>(i) + 1;
-        return Pair{RunPoint(seed, /*fastforward=*/true),
-                    RunPoint(seed, /*fastforward=*/false)};
+        return Pair{RunPoint(seed, Engine::kFast),
+                    RunPoint(seed, Engine::kReference)};
       });
-  u64 ff_events = 0, cyc_events = 0;
+  u64 fast_events = 0, ref_events = 0;
   for (usize i = 0; i < pairs.size(); ++i) {
-    ExpectBitIdentical(pairs[i].ff, pairs[i].cyc, static_cast<u64>(i) + 1);
-    ff_events += pairs[i].ff.events;
-    cyc_events += pairs[i].cyc.events;
+    ExpectBitIdentical(pairs[i].fast, pairs[i].ref, static_cast<u64>(i) + 1);
+    fast_events += pairs[i].fast.events;
+    ref_events += pairs[i].ref.events;
   }
-  // The tier must actually engage: across the sweep the analytic path
+  // The fast engine must actually engage: across the sweep it
   // eliminates a large share of the dispatched events.
-  EXPECT_LT(2 * ff_events, cyc_events)
-      << "ff=" << ff_events << " cycle=" << cyc_events;
-  RecordProperty("ff_events", static_cast<int>(ff_events));
-  RecordProperty("cycle_events", static_cast<int>(cyc_events));
+  EXPECT_LT(2 * fast_events, ref_events)
+      << "fast=" << fast_events << " reference=" << ref_events;
+  RecordProperty("fast_events", static_cast<int>(fast_events));
+  RecordProperty("reference_events", static_cast<int>(ref_events));
 }
 
 TEST(FastForwardDiffTest, FaultPlansStayReplayableUnderFastForward) {
@@ -224,41 +235,33 @@ TEST(FastForwardDiffTest, FaultPlansStayReplayableUnderFastForward) {
   // ordered identically), and the CP-port sites veto the tier outright.
   for (const u64 seed : {3ull, 7ull, 11ull}) {
     for (u64 workload = 0; workload < 4; ++workload) {
-      FaultPlan plan_ff;
-      plan_ff.At(FaultSite::kTlbParity, 1);
-      plan_ff.At(FaultSite::kAhbRetry, 2);
+      FaultPlan plan_fast;
+      plan_fast.At(FaultSite::kTlbParity, 1);
+      plan_fast.At(FaultSite::kAhbRetry, 2);
       // CP-port sites do not veto the tier: TranslateAt replays their
       // draws at the analytic time, so a stall must land identically.
-      plan_ff.WithProbability(FaultSite::kCpStall, 0.02);
-      FaultPlan plan_cyc = plan_ff;
+      plan_fast.WithProbability(FaultSite::kCpStall, 0.02);
+      FaultPlan plan_ref = plan_fast;
 
-      os::KernelConfig ff_config = Epxa1Config();
-      ff_config.sim_tuning.fastforward = true;
-      os::KernelConfig cyc_config = Epxa1Config();
-
-      auto run = [&](const os::KernelConfig& config,
-                     FaultPlan* plan) -> DiffOutcome {
-        FpgaSystem sys(config);
+      auto run = [&](Engine engine, FaultPlan* plan) -> DiffOutcome {
+        FpgaSystem sys(EngineConfig(engine));
         sys.kernel().InstallFaultPlan(plan);
         DiffOutcome out;
-        const std::vector<u8> input =
-            apps::MakeAdpcmStream(512, seed + workload);
-        auto r = runtime::RunAdpcmVim(sys, input);
-        if (!r.ok()) throw std::runtime_error(r.status().ToString());
-        out.output = AsBytes(r.value().output);
-        out.report = r.value().report;
+        RecordRun(runtime::RunAdpcmVim(
+                      sys, apps::MakeAdpcmStream(512, seed + workload)),
+                  out);
         out.sim_now = sys.kernel().simulator().now();
         return out;
       };
-      const DiffOutcome ff = run(ff_config, &plan_ff);
-      const DiffOutcome cyc = run(cyc_config, &plan_cyc);
-      ExpectBitIdentical(ff, cyc, seed * 10 + workload);
+      const DiffOutcome fast = run(Engine::kFast, &plan_fast);
+      const DiffOutcome ref = run(Engine::kReference, &plan_ref);
+      ExpectBitIdentical(fast, ref, seed * 10 + workload);
       for (usize s = 0; s < kNumFaultSites; ++s) {
         const FaultSite site = static_cast<FaultSite>(s);
-        EXPECT_EQ(plan_ff.stats(site).opportunities,
-                  plan_cyc.stats(site).opportunities)
+        EXPECT_EQ(plan_fast.stats(site).opportunities,
+                  plan_ref.stats(site).opportunities)
             << FaultSiteName(site);
-        EXPECT_EQ(plan_ff.stats(site).injected, plan_cyc.stats(site).injected)
+        EXPECT_EQ(plan_fast.stats(site).injected, plan_ref.stats(site).injected)
             << FaultSiteName(site);
       }
     }
@@ -278,10 +281,8 @@ TEST(FastForwardDiffTest, RandomFaultPlansAreBitIdenticalAcrossEngines) {
     u64 injected = 0;
     std::array<u64, 2 * kNumFaultSites> site_counts{};
   };
-  auto run_one = [](u64 seed, bool fastforward) -> FaultRun {
-    os::KernelConfig config = Epxa1Config();
-    config.sim_tuning.fastforward = fastforward;
-    FpgaSystem sys(config);
+  auto run_one = [](u64 seed, Engine engine) -> FaultRun {
+    FpgaSystem sys(EngineConfig(engine));
     FaultPlan plan = FaultPlan::Random(seed);
     sys.kernel().InstallFaultPlan(&plan);
     FaultRun out;
@@ -298,23 +299,77 @@ TEST(FastForwardDiffTest, RandomFaultPlansAreBitIdenticalAcrossEngines) {
     return out;
   };
   struct FaultPair {
-    FaultRun ff;
-    FaultRun cyc;
+    FaultRun fast;
+    FaultRun ref;
   };
   const std::vector<FaultPair> pairs = sim::FleetMap<FaultPair>(
       64, [&](usize i) -> FaultPair {
         const u64 seed = static_cast<u64>(i) + 1;
-        return FaultPair{run_one(seed, true), run_one(seed, false)};
+        return FaultPair{run_one(seed, Engine::kFast),
+                         run_one(seed, Engine::kReference)};
       });
   for (usize i = 0; i < pairs.size(); ++i) {
     SCOPED_TRACE("seed " + std::to_string(i + 1));
-    EXPECT_EQ(pairs[i].ff.code, pairs[i].cyc.code);
-    EXPECT_EQ(pairs[i].ff.output, pairs[i].cyc.output);
-    EXPECT_EQ(pairs[i].ff.sim_now, pairs[i].cyc.sim_now);
-    EXPECT_EQ(pairs[i].ff.injected, pairs[i].cyc.injected);
-    EXPECT_EQ(pairs[i].ff.site_counts, pairs[i].cyc.site_counts);
+    EXPECT_EQ(pairs[i].fast.code, pairs[i].ref.code);
+    EXPECT_EQ(pairs[i].fast.output, pairs[i].ref.output);
+    EXPECT_EQ(pairs[i].fast.sim_now, pairs[i].ref.sim_now);
+    EXPECT_EQ(pairs[i].fast.injected, pairs[i].ref.injected);
+    EXPECT_EQ(pairs[i].fast.site_counts, pairs[i].ref.site_counts);
   }
 }
+
+// ----- the paper's Figure 8 / Figure 9 points -----
+
+constexpr u64 kPaperInputSeed = 20040216;
+
+/// Runs one paper workload point on a fresh system under `engine`.
+template <typename RunFn>
+DiffOutcome RunPaperPoint(Engine engine, const RunFn& run) {
+  FpgaSystem sys(EngineConfig(engine));
+  DiffOutcome out;
+  RecordRun(run(sys), out);
+  Finish(sys, out);
+  return out;
+}
+
+/// Bit-identical results from at least 50x fewer events. Batching and
+/// coalescing alone reach only 4-7x on these points, so the floor also
+/// pins that kFast includes fast-forward.
+void ExpectPaperPointEquivalent(const DiffOutcome& fast,
+                                const DiffOutcome& ref) {
+  ExpectBitIdentical(fast, ref, kPaperInputSeed);
+  EXPECT_GE(ref.events, 50 * fast.events)
+      << "reference=" << ref.events << " fast=" << fast.events;
+}
+
+class AdpcmEquivalenceTest : public ::testing::TestWithParam<usize> {};
+
+TEST_P(AdpcmEquivalenceTest, FastEngineMatchesReferenceBitForBit) {
+  const std::vector<u8> input =
+      apps::MakeRandomBytes(GetParam(), kPaperInputSeed);
+  auto run = [&](FpgaSystem& sys) { return runtime::RunAdpcmVim(sys, input); };
+  ExpectPaperPointEquivalent(RunPaperPoint(Engine::kFast, run),
+                             RunPaperPoint(Engine::kReference, run));
+}
+
+INSTANTIATE_TEST_SUITE_P(Figure8Sizes, AdpcmEquivalenceTest,
+                         ::testing::Values(2048, 4096, 8192));
+
+class IdeaEquivalenceTest : public ::testing::TestWithParam<usize> {};
+
+TEST_P(IdeaEquivalenceTest, FastEngineMatchesReferenceBitForBit) {
+  const apps::IdeaSubkeys keys = apps::IdeaExpandKey(apps::MakeIdeaKey(16));
+  const std::vector<u8> input =
+      apps::MakeRandomBytes(GetParam(), kPaperInputSeed);
+  auto run = [&](FpgaSystem& sys) {
+    return runtime::RunIdeaVim(sys, keys, input);
+  };
+  ExpectPaperPointEquivalent(RunPaperPoint(Engine::kFast, run),
+                             RunPaperPoint(Engine::kReference, run));
+}
+
+INSTANTIATE_TEST_SUITE_P(Figure9Sizes, IdeaEquivalenceTest,
+                         ::testing::Values(4096, 8192, 16384, 32768));
 
 // ----- the fleet runner itself -----
 

@@ -1,8 +1,7 @@
 // Simulation-kernel fast-path tests: the inline-callback event queue,
-// edge batching (NextInterestingEdge / OnEdgesSkipped), demand wakes
-// (KickAt), and the end-to-end guarantee that the fast engine produces
-// bit-identical ExecutionReports to the event-per-edge reference
-// engine on the Figure 8 / Figure 9 workload points.
+// edge batching (NextInterestingEdge / OnEdgesSkipped) and demand wakes
+// (KickAt). The end-to-end engine equivalence on the Figure 8 / Figure 9
+// workload points lives in fastforward_diff_test.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,11 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/idea.h"
-#include "apps/workloads.h"
-#include "runtime/config.h"
-#include "runtime/drivers.h"
-#include "runtime/fpga_api.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
 #include "sim/inline_function.h"
@@ -239,10 +233,7 @@ TEST(EdgeBatchingTest, DelayHintSkipsToTheInterestingEdgeInOneEvent) {
 
 TEST(EdgeBatchingTest, ReferenceTuningTicksEveryEdge) {
   Simulator sim;
-  sim::SimTuning ref;
-  ref.batch_edges = false;
-  ref.coalesce_ticks = false;
-  sim.set_tuning(ref);
+  sim.set_engine(sim::Engine::kReference);
   ClockDomain& dom = sim.AddClockDomain("d", Frequency::MHz(40));
   ScriptedModule m(sim, /*delay=*/5);
   dom.Attach(m);
@@ -399,112 +390,6 @@ TEST(EdgeBatchingTest, CoincidentEdgesKeepCreationOrderUnderBatching) {
   }
   EXPECT_GE(shared, 4u);
 }
-
-// ----- Engine equivalence on the paper's workload points -----
-
-os::KernelConfig FastConfig() { return runtime::Epxa1Config(); }
-
-os::KernelConfig ReferenceConfig() {
-  os::KernelConfig c = runtime::Epxa1Config();
-  c.sim_tuning.batch_edges = false;
-  c.sim_tuning.coalesce_ticks = false;
-  c.imu_translation_cache = false;
-  return c;
-}
-
-void ExpectReportsIdentical(const os::ExecutionReport& a,
-                            const os::ExecutionReport& b) {
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.t_hw, b.t_hw);
-  EXPECT_EQ(a.t_dp, b.t_dp);
-  EXPECT_EQ(a.t_imu, b.t_imu);
-  EXPECT_EQ(a.t_invoke, b.t_invoke);
-  EXPECT_EQ(a.cp_cycles, b.cp_cycles);
-  EXPECT_EQ(a.tlb.lookups, b.tlb.lookups);
-  EXPECT_EQ(a.tlb.hits, b.tlb.hits);
-  EXPECT_EQ(a.tlb.misses, b.tlb.misses);
-  EXPECT_EQ(a.imu.accesses, b.imu.accesses);
-  EXPECT_EQ(a.imu.reads, b.imu.reads);
-  EXPECT_EQ(a.imu.writes, b.imu.writes);
-  EXPECT_EQ(a.imu.faults, b.imu.faults);
-  EXPECT_EQ(a.imu.fault_stall_time, b.imu.fault_stall_time);
-  EXPECT_EQ(a.imu.access_latency_time, b.imu.access_latency_time);
-  EXPECT_EQ(a.vim.t_dp, b.vim.t_dp);
-  EXPECT_EQ(a.vim.t_imu, b.vim.t_imu);
-  EXPECT_EQ(a.vim.t_wakeup, b.vim.t_wakeup);
-  EXPECT_EQ(a.vim.faults, b.vim.faults);
-  EXPECT_EQ(a.vim.tlb_refills, b.vim.tlb_refills);
-  EXPECT_EQ(a.vim.evictions, b.vim.evictions);
-  EXPECT_EQ(a.vim.writebacks, b.vim.writebacks);
-  EXPECT_EQ(a.vim.loads, b.vim.loads);
-  EXPECT_EQ(a.vim.prefetched_pages, b.vim.prefetched_pages);
-  EXPECT_EQ(a.vim.cleaned_pages, b.vim.cleaned_pages);
-  EXPECT_EQ(a.vim.bytes_loaded, b.vim.bytes_loaded);
-  EXPECT_EQ(a.vim.bytes_written_back, b.vim.bytes_written_back);
-  EXPECT_EQ(a.vim.t_dp_overlapped, b.vim.t_dp_overlapped);
-  EXPECT_EQ(a.vim.t_dp_wait, b.vim.t_dp_wait);
-  EXPECT_EQ(a.vim.dirty_in_pages_dropped, b.vim.dirty_in_pages_dropped);
-  EXPECT_EQ(a.vim.fault_service_us.count(), b.vim.fault_service_us.count());
-  EXPECT_EQ(a.vim.fault_service_us.sum(), b.vim.fault_service_us.sum());
-  EXPECT_EQ(a.vim.fault_service_us.min(), b.vim.fault_service_us.min());
-  EXPECT_EQ(a.vim.fault_service_us.max(), b.vim.fault_service_us.max());
-}
-
-class AdpcmEquivalenceTest : public ::testing::TestWithParam<usize> {};
-
-TEST_P(AdpcmEquivalenceTest, FastEngineMatchesReferenceBitForBit) {
-  const usize bytes = GetParam();
-  const std::vector<u8> input =
-      apps::MakeRandomBytes(bytes, /*seed=*/20040216);
-
-  runtime::FpgaSystem fast(FastConfig());
-  auto fast_run = runtime::RunAdpcmVim(fast, input);
-  ASSERT_TRUE(fast_run.ok()) << fast_run.status().ToString();
-  const u64 fast_events = fast.kernel().simulator().events_dispatched();
-
-  runtime::FpgaSystem ref(ReferenceConfig());
-  auto ref_run = runtime::RunAdpcmVim(ref, input);
-  ASSERT_TRUE(ref_run.ok()) << ref_run.status().ToString();
-  const u64 ref_events = ref.kernel().simulator().events_dispatched();
-
-  EXPECT_EQ(fast_run.value().output, ref_run.value().output);
-  ExpectReportsIdentical(fast_run.value().report, ref_run.value().report);
-  // The whole point: identical results from far fewer events.
-  EXPECT_GE(static_cast<double>(ref_events),
-            3.0 * static_cast<double>(fast_events))
-      << "ref=" << ref_events << " fast=" << fast_events;
-}
-
-INSTANTIATE_TEST_SUITE_P(Figure8Sizes, AdpcmEquivalenceTest,
-                         ::testing::Values(2048, 4096, 8192));
-
-class IdeaEquivalenceTest : public ::testing::TestWithParam<usize> {};
-
-TEST_P(IdeaEquivalenceTest, FastEngineMatchesReferenceBitForBit) {
-  const usize bytes = GetParam();
-  const apps::IdeaSubkeys keys = apps::IdeaExpandKey(apps::MakeIdeaKey(16));
-  const std::vector<u8> input =
-      apps::MakeRandomBytes(bytes, /*seed=*/20040216);
-
-  runtime::FpgaSystem fast(FastConfig());
-  auto fast_run = runtime::RunIdeaVim(fast, keys, input);
-  ASSERT_TRUE(fast_run.ok()) << fast_run.status().ToString();
-  const u64 fast_events = fast.kernel().simulator().events_dispatched();
-
-  runtime::FpgaSystem ref(ReferenceConfig());
-  auto ref_run = runtime::RunIdeaVim(ref, keys, input);
-  ASSERT_TRUE(ref_run.ok()) << ref_run.status().ToString();
-  const u64 ref_events = ref.kernel().simulator().events_dispatched();
-
-  EXPECT_EQ(fast_run.value().output, ref_run.value().output);
-  ExpectReportsIdentical(fast_run.value().report, ref_run.value().report);
-  EXPECT_GE(static_cast<double>(ref_events),
-            3.0 * static_cast<double>(fast_events))
-      << "ref=" << ref_events << " fast=" << fast_events;
-}
-
-INSTANTIATE_TEST_SUITE_P(Figure9Sizes, IdeaEquivalenceTest,
-                         ::testing::Values(4096, 8192, 16384, 32768));
 
 }  // namespace
 }  // namespace vcop
