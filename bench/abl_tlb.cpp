@@ -61,32 +61,23 @@ int Main() {
 
   std::printf("\n");
   {
-    // Flexible memory (DESIGN.md §14): the page size becomes per-object
-    // and the CAM splits into a 2-entry micro-TLB over a shared L2 at
-    // the same 8-entry budget. Only the streaming in/out objects (ids
-    // 0 and 1) take the override; the key object keeps the granule.
-    Table table({"object pages", "TLB layout", "faults", "TLB refills",
-                 "total ms"});
-    table.set_title(
-        "IDEA 32 KB, per-object page size x TLB hierarchy, 8-entry budget");
+    // Flexible memory (DESIGN.md §14): the page size becomes per-object.
+    // Only the streaming in/out objects (ids 0 and 1) take the
+    // override; the key object keeps the granule.
+    Table table({"object pages", "faults", "TLB refills", "total ms"});
+    table.set_title("IDEA 32 KB, per-object page size, 8-entry CAM");
     for (const u32 page : {2048u, 4096u, 8192u}) {
-      for (const bool hierarchy : {false, true}) {
-        os::KernelConfig config = runtime::Epxa1Config();
-        config.object_page_bytes[0] = page;
-        config.object_page_bytes[1] = page;
-        if (hierarchy) {
-          config.l1_tlb_entries = 2;
-          config.l2_tlb_entries = 6;
-        }
-        const bench::Point p = bench::RunIdeaPoint(config, 32768);
-        table.AddRow(
-            {StrFormat("%u B", page), hierarchy ? "L1(2)+L2(6)" : "CAM(8)",
-             StrFormat("%llu",
-                       static_cast<unsigned long long>(p.vim.vim.faults)),
-             StrFormat("%llu", static_cast<unsigned long long>(
-                                   p.vim.vim.tlb_refills)),
-             runtime::Ms(p.vim.total)});
-      }
+      os::KernelConfig config = runtime::Epxa1Config();
+      config.object_page_bytes[0] = page;
+      config.object_page_bytes[1] = page;
+      const bench::Point p = bench::RunIdeaPoint(config, 32768);
+      table.AddRow(
+          {StrFormat("%u B", page),
+           StrFormat("%llu",
+                     static_cast<unsigned long long>(p.vim.vim.faults)),
+           StrFormat("%llu", static_cast<unsigned long long>(
+                                 p.vim.vim.tlb_refills)),
+           runtime::Ms(p.vim.total)});
     }
     table.Print();
   }
@@ -100,13 +91,11 @@ int Main() {
       "per-fault\n   fixed costs (interrupt, decode, burst setup) favour "
       "the 2 KB point\n   for these streaming kernels.\n"
       " * per-object 4 KB superpages on the streaming buffers halve the "
-      "fault\n   count without shrinking the small objects' residency, and "
-      "the L1/L2\n   split holds the fault count at the single-CAM level "
-      "while its\n   micro-TLB misses are absorbed by hardware L2 fills "
-      "instead of\n   interrupts. 8 KB pages overshoot: two 4-frame spans "
-      "plus the key and\n   parameter pages exceed the eight frames and the "
-      "working set thrashes\n   — the right page size is a per-object, "
-      "per-working-set choice.\n");
+      "fault\n   count without shrinking the small objects' residency. "
+      "8 KB pages\n   overshoot: two 4-frame spans plus the key and "
+      "parameter pages exceed\n   the eight frames and the working set "
+      "thrashes — the right page size\n   is a per-object, per-working-set "
+      "choice.\n");
   return 0;
 }
 

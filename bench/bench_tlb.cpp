@@ -1,30 +1,25 @@
-// E21 — flexible memory: per-object page sizes + the two-level TLB
-// hierarchy (DESIGN.md §14). Writes BENCH_tlb.json.
+// E21 — flexible memory: per-object page sizes (DESIGN.md §14).
+// Writes BENCH_tlb.json.
 //
-// Runs conv2d, IDEA, and adpcm under four interface-memory
-// configurations at an equal total TLB-entry budget (8 entries):
+// Runs conv2d, IDEA, and adpcm on the single 8-entry CAM under two
+// interface-memory configurations:
 //
-//   cam8      single 8-entry CAM, 2 KB pages       (the seed platform)
-//   cam8+sp   single 8-entry CAM, 4 KB superpages on the streaming
-//             objects
-//   l1l2      2-entry per-coprocessor micro-TLB backed by a 6-entry
-//             shared L2, 2 KB pages
-//   l1l2+sp   the hierarchy plus the superpages  (the gated config)
+//   cam8      2 KB pages                             (the seed platform)
+//   cam8+sp   4 KB superpages on the streaming objects (the gated config)
 //
 // Exit-code gates:
 //
 //   1. byte-exact outputs: every configuration must reproduce the
-//      software reference bit-for-bit — page geometry and TLB layering
-//      change *when* translations are serviced, never *which* bytes
-//      the applications produce;
-//   2. conv2d faults under l1l2+sp strictly below the cam8 baseline;
-//   3. IDEA faults under l1l2+sp strictly below the cam8 baseline;
+//      software reference bit-for-bit — page geometry changes *when*
+//      translations are serviced, never *which* bytes the applications
+//      produce;
+//   2. conv2d faults under cam8+sp strictly below the cam8 baseline;
+//   3. IDEA faults under cam8+sp strictly below the cam8 baseline;
 //   4. defaults are inert: the Figure-7 VCD and the conv2d Chrome
-//      trace must come out byte-identical whether the flexible-memory
-//      knobs are at their defaults or explicitly spelled in their
-//      inert forms (granule-sized overrides, l1 sizing with no L2).
-//      (Byte-identity against the *seed* artifacts is pinned
-//      separately in CI via tests/golden/trace_artifacts.sha256.)
+//      trace must come out byte-identical whether the per-object page
+//      sizes are at their defaults or spelled as granule-sized
+//      overrides. (Byte-identity against the *seed* artifacts is pinned
+//      separately by tests/golden/trace_artifacts.sha256.)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -50,15 +45,12 @@ using runtime::FpgaSystem;
 
 struct Mode {
   const char* label;
-  bool hierarchy;   // 2-entry L1 + 6-entry shared L2 (else one 8-CAM)
   bool superpages;  // 4 KB pages on the streaming objects (ids 0, 1)
 };
 
 constexpr Mode kModes[] = {
-    {"cam8", false, false},
-    {"cam8+sp", false, true},
-    {"l1l2", true, false},
-    {"l1l2+sp", true, true},
+    {"cam8", false},
+    {"cam8+sp", true},
 };
 
 constexpr u32 kSuperPageBytes = 4096;
@@ -67,11 +59,8 @@ struct Row {
   std::string app;
   usize bytes = 0;
   std::string mode;
-  bool gated = false;  // the l1l2+sp row the fault gates compare
   bool output_exact = false;
   os::ExecutionReport report;
-  hw::TlbHierarchyStats hier;
-  u64 l2_hits = 0;  // shared-CAM hits (the L2 in hierarchy modes)
 };
 
 /// `sp_ids` selects which objects take the 4 KB superpage in 'sp'
@@ -83,10 +72,6 @@ struct Row {
 os::KernelConfig ModeConfig(const Mode& m,
                             std::initializer_list<u32> sp_ids) {
   os::KernelConfig config = Epxa1Config();
-  if (m.hierarchy) {
-    config.l1_tlb_entries = 2;
-    config.l2_tlb_entries = 6;
-  }
   if (m.superpages) {
     for (const u32 id : sp_ids) config.object_page_bytes[id] = kSuperPageBytes;
   }
@@ -95,9 +80,6 @@ os::KernelConfig ModeConfig(const Mode& m,
 
 void FinishRow(Row& row, const Mode& m, FpgaSystem& sys) {
   row.mode = m.label;
-  row.gated = m.hierarchy && m.superpages;
-  row.hier = sys.kernel().imu()->xlat().stats();
-  row.l2_hits = sys.kernel().shared_tlb().stats().hits;
   sys.kernel().simulator().DrainAssertQuiescent();
 }
 
@@ -167,14 +149,10 @@ Row RunAdpcm(const Mode& m, usize bytes) {
 os::KernelConfig OffConfig(bool touch_knobs) {
   os::KernelConfig config = Epxa1Config();
   if (touch_knobs) {
-    // Every flexible-memory knob, spelled in its inert form: granule-
-    // sized per-object overrides (identical geometry to the default)
-    // and an L1 size with no L2 (l2_tlb_entries == 0 keeps the single-
-    // level CAM, so l1_tlb_entries must not be read at all).
+    // Granule-sized per-object overrides: identical geometry to the
+    // default, spelled out.
     for (u32 id = 0; id < hw::kMaxObjects - 1; ++id)
       config.object_page_bytes[id] = config.page_bytes;
-    config.l1_tlb_entries = 4;
-    config.l2_tlb_entries = 0;
   }
   return config;
 }
@@ -233,20 +211,13 @@ void WriteJson(const std::vector<Row>& rows, bool exact, u64 conv_base,
         f,
         "    {\"app\": \"%s\", \"bytes\": %zu, \"mode\": \"%s\", "
         "\"output_exact\": %s, \"faults\": %llu, \"tlb_refills\": %llu, "
-        "\"evictions\": %llu, \"total_ps\": %llu, \"l1_fills\": %llu, "
-        "\"l1_fill_evictions\": %llu, \"dirty_merges\": %llu, "
-        "\"orphan_evictions\": %llu, \"l2_hits\": %llu}%s\n",
+        "\"evictions\": %llu, \"total_ps\": %llu}%s\n",
         r.app.c_str(), r.bytes, r.mode.c_str(),
         r.output_exact ? "true" : "false",
         static_cast<unsigned long long>(r.report.vim.faults),
         static_cast<unsigned long long>(r.report.vim.tlb_refills),
         static_cast<unsigned long long>(r.report.vim.evictions),
         static_cast<unsigned long long>(r.report.total),
-        static_cast<unsigned long long>(r.hier.l1_fills),
-        static_cast<unsigned long long>(r.hier.l1_fill_evictions),
-        static_cast<unsigned long long>(r.hier.dirty_merges),
-        static_cast<unsigned long long>(r.hier.orphan_evictions),
-        static_cast<unsigned long long>(r.l2_hits),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -273,7 +244,7 @@ void WriteJson(const std::vector<Row>& rows, bool exact, u64 conv_base,
 }
 
 int Main() {
-  std::printf("== flexible memory: page sizes + TLB hierarchy "
+  std::printf("== flexible memory: per-object page sizes "
               "(DESIGN.md §14, E21) ==\n\n");
 
   constexpr u32 kConvWidth = 96;
@@ -281,11 +252,10 @@ int Main() {
   constexpr usize kIdeaBytes = 32768;
   constexpr usize kAdpcmBytes = 32768;
 
-  Table table({"app", "input", "mode", "faults", "refills", "L1 fills",
-               "L2 hits", "total ms"});
+  Table table({"app", "input", "mode", "faults", "refills", "total ms"});
   table.set_title(
-      "equal 8-entry TLB budget; 'sp' = 4 KB superpages on the streaming "
-      "objects, 'l1l2' = 2-entry micro-TLB + 6-entry shared L2");
+      "single 8-entry CAM; 'sp' = 4 KB superpages on the streaming "
+      "objects");
 
   std::vector<Row> rows;
   auto add = [&](const Row& row) {
@@ -294,10 +264,6 @@ int Main() {
                                         row.report.vim.faults)),
                   StrFormat("%llu", static_cast<unsigned long long>(
                                         row.report.vim.tlb_refills)),
-                  StrFormat("%llu", static_cast<unsigned long long>(
-                                        row.hier.l1_fills)),
-                  StrFormat("%llu",
-                            static_cast<unsigned long long>(row.l2_hits)),
                   runtime::Ms(row.report.total)});
     rows.push_back(row);
   };
@@ -316,9 +282,9 @@ int Main() {
     if (!r.output_exact) exact = false;
     const bool baseline = r.mode == "cam8";
     if (r.app == "conv2d" && baseline) conv_base = r.report.vim.faults;
-    if (r.app == "conv2d" && r.gated) conv_flex = r.report.vim.faults;
+    if (r.app == "conv2d" && !baseline) conv_flex = r.report.vim.faults;
     if (r.app == "IDEA" && baseline) idea_base = r.report.vim.faults;
-    if (r.app == "IDEA" && r.gated) idea_flex = r.report.vim.faults;
+    if (r.app == "IDEA" && !baseline) idea_flex = r.report.vim.faults;
   }
 
   std::printf("\nsummary:\n");
@@ -328,13 +294,13 @@ int Main() {
     if (!ok) pass = false;
   };
   gate("outputs byte-exact across all configurations", exact);
-  std::printf("  conv2d faults, cam8 -> l1l2+sp:                  "
+  std::printf("  conv2d faults, cam8 -> cam8+sp:                   "
               "%llu -> %llu\n",
               static_cast<unsigned long long>(conv_base),
               static_cast<unsigned long long>(conv_flex));
   gate("conv2d faults strictly below the cam8 baseline",
        conv_flex < conv_base);
-  std::printf("  IDEA faults, cam8 -> l1l2+sp:                    "
+  std::printf("  IDEA faults, cam8 -> cam8+sp:                     "
               "%llu -> %llu\n",
               static_cast<unsigned long long>(idea_base),
               static_cast<unsigned long long>(idea_flex));

@@ -13,13 +13,10 @@ Imu::Imu(const ImuConfig& config, mem::PageGeometry geometry,
       dp_ram_(dp_ram),
       irq_(irq),
       sim_(sim),
-      owned_tlb_(shared_tlb == nullptr || config.shared_tlb_is_l2
+      owned_tlb_(shared_tlb == nullptr
                      ? std::make_unique<Tlb>(config.tlb_entries)
                      : nullptr),
-      tlb_(owned_tlb_ != nullptr ? owned_tlb_.get() : shared_tlb),
-      xlat_(tlb_, config.shared_tlb_is_l2 ? shared_tlb : nullptr) {
-  VCOP_CHECK_MSG(!config.shared_tlb_is_l2 || shared_tlb != nullptr,
-                 "two-level mode needs a shared TLB to use as L2");
+      tlb_(owned_tlb_ != nullptr ? owned_tlb_.get() : shared_tlb) {
   VCOP_CHECK_MSG(config.access_latency_cycles >= 2,
                  "IMU access latency must be at least 2 cycles");
   VCOP_CHECK_MSG(geometry.total_bytes() <= dp_ram.size(),
@@ -212,10 +209,6 @@ u32 Imu::ConsumeResponse() {
 void Imu::ReleaseParamPage() {
   const std::optional<u32> idx = tlb_->Probe(kParamObject, 0, asid_);
   if (idx.has_value()) tlb_->Invalidate(*idx);
-  if (Tlb* l2 = xlat_.l2(); l2 != nullptr) {
-    const std::optional<u32> l2_idx = l2->Probe(kParamObject, 0, asid_);
-    if (l2_idx.has_value()) l2->Invalidate(*l2_idx);
-  }
   sr_ |= kSrParamReleased;
   if (param_release_hook_) param_release_hook_();
 }
@@ -318,9 +311,6 @@ bool Imu::TryFastForward() {
   const TcEntry& tc = tc_[current_.object];
   if (!(tc.valid && tc.generation == tlb_->generation() &&
         tc.vpage == vpage)) {
-    // Probes L1 only: an access that would be served by an L2 fill
-    // mutates the L1 and charges the fill penalty, so it declines the
-    // jump and goes through the cycle engine.
     const std::optional<u32> idx = tlb_->Probe(current_.object, vpage, asid_);
     // Probe does not screen parity like Lookup does: a corrupt match
     // would be a miss on the real path, so it declines the jump here.
@@ -353,7 +343,6 @@ void Imu::TranslateAt(Picoseconds when) {
       current_.index >= elem_limit_[current_.object];
   std::optional<u32> entry;
   u64 offset = 0;
-  bool filled_from_l2 = false;
   if (width != 0 && !limit_violation) {
     offset = static_cast<u64>(current_.index) * width;
     const mem::VirtPage vpage = static_cast<mem::VirtPage>(
@@ -367,8 +356,7 @@ void Imu::TranslateAt(Picoseconds when) {
       tlb_->NoteHit(tc.index);
       entry = tc.index;
     } else {
-      entry = xlat_.Lookup(current_.object, vpage, asid_);
-      filled_from_l2 = xlat_.last_fill_from_l2();
+      entry = tlb_->Lookup(current_.object, vpage, asid_);
       tc.valid = entry.has_value();
       if (tc.valid) {
         tc.generation = tlb_->generation();
@@ -417,12 +405,6 @@ void Imu::TranslateAt(Picoseconds when) {
   ar_ = PackAr(current_.object, current_.index);
 
   ready_at_ = when == sim_.now() ? NextOwnEdgeTime() : OwnEdgeStrictlyAfter(when);
-  if (filled_from_l2) {
-    // Micro-TLB refill handshake: the data arrives later by the L2 hit
-    // penalty. Only possible in two-level mode.
-    ready_at_ +=
-        own_domain_->frequency().Duration(config_.l2_hit_penalty_cycles);
-  }
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kCpStall)) {
     // The port holds CP_TLBHIT low for extra cycles (e.g. DP-RAM
     // arbitration loss); the access completes late but correctly.

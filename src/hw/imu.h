@@ -58,15 +58,6 @@ struct ImuConfig {
   /// cost from access_latency_cycles to 2 core cycles when the IMU
   /// shares the core clock.
   bool posted_writes = false;
-  /// Two-level mode: treat the shared TLB passed at construction as a
-  /// backing L2 behind a private L1 micro-TLB of `tlb_entries` entries,
-  /// instead of using it directly as the (only) CAM. Requires a shared
-  /// TLB. Off by default — single-level behaviour is bit-identical to
-  /// the seed.
-  bool shared_tlb_is_l2 = false;
-  /// Extra IMU cycles charged when a translation is served by an L2
-  /// fill rather than an L1 hit (the micro-TLB refill handshake).
-  u32 l2_hit_penalty_cycles = 2;
 };
 
 struct ImuStats {
@@ -116,15 +107,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   /// Direct access to the TLB (the OS installs/invalidates entries
   /// during fault handling, like an MMU with a software-managed TLB).
-  /// In two-level mode this is the L1 micro-TLB; the backing L2 is
-  /// reached through xlat().l2().
   Tlb& tlb() { return *tlb_; }
   const Tlb& tlb() const { return *tlb_; }
-
-  /// The translation front-end (L1 + optional L2). Single-level IMUs
-  /// get a pass-through hierarchy whose lookups delegate 1:1 to tlb().
-  TlbHierarchy& xlat() { return xlat_; }
-  const TlbHierarchy& xlat() const { return xlat_; }
 
   /// Programs object `object`'s page size in bytes (a power of two, at
   /// least the platform frame granule; superpages span several
@@ -276,7 +260,6 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   std::unique_ptr<Tlb> owned_tlb_;  // null when fronting a shared TLB
   Tlb* tlb_;
-  TlbHierarchy xlat_;  // fronts tlb_, plus the shared L2 when configured
   Asid asid_ = 0;
   std::array<u32, kMaxObjects> elem_width_{};  // bytes; 0 = unprogrammed
   std::array<u32, kMaxObjects> elem_limit_{};  // elements; 0 = unlimited

@@ -136,67 +136,4 @@ const TlbEntry& Tlb::entry(u32 index) const {
   return entries_[index];
 }
 
-std::optional<u32> TlbHierarchy::Lookup(ObjectId object,
-                                        mem::VirtPage vpage, Asid asid) {
-  last_fill_from_l2_ = false;
-  const std::optional<u32> l1_idx = l1_->Lookup(object, vpage, asid);
-  if (l1_idx.has_value() || l2_ == nullptr) return l1_idx;
-
-  // L1 missed; probe the shared L2 (its parity screening applies — a
-  // corrupt L2 entry is dropped there and the access faults).
-  const std::optional<u32> l2_idx = l2_->Lookup(object, vpage, asid);
-  if (!l2_idx.has_value()) return std::nullopt;
-  const TlbEntry l2e = l2_->entry(*l2_idx);
-
-  // Hardware fill into L1: a free slot if one exists, else round-robin.
-  u32 slot;
-  if (const std::optional<u32> free = l1_->FindFree(); free.has_value()) {
-    slot = *free;
-  } else {
-    slot = fill_cursor_++ % l1_->num_entries();
-  }
-  const TlbEntry victim = l1_->entry(slot);
-  if (victim.valid) {
-    ++stats_.l1_fill_evictions;
-    if (victim.dirty) {
-      // The victim usually still lives in L2 (fills copy, they don't
-      // move); merge the dirty bit there. Only if the OS has since
-      // recycled the L2 twin does the dirtiness need to escape to the
-      // OS via the evict hook.
-      const std::optional<u32> twin =
-          l2_->Probe(victim.object, victim.vpage, victim.asid);
-      if (twin.has_value() && l2_->entry(*twin).frame == victim.frame) {
-        l2_->MarkDirty(*twin);
-        ++stats_.dirty_merges;
-      } else {
-        ++stats_.orphan_evictions;
-        if (evict_hook_) evict_hook_(victim);
-      }
-    }
-  }
-  // The L2 entry's dirty bit stays in L2; the L1 copy starts clean, so
-  // no write-back information is lost or duplicated.
-  l1_->Install(slot, object, vpage, l2e.frame, asid);
-  ++stats_.l1_fills;
-  if (!l1_->entry(slot).parity_ok) {
-    // The fill itself was corrupted on the way into the CAM. Treat the
-    // access as a miss: the OS fault path re-installs a good entry (the
-    // corrupt one is dropped by its own parity check on the next match).
-    return std::nullopt;
-  }
-  last_fill_from_l2_ = true;
-  return slot;
-}
-
-u32 TlbHierarchy::InvalidateAsid(Asid asid) {
-  u32 dropped = l1_->InvalidateAsid(asid);
-  if (l2_ != nullptr) dropped += l2_->InvalidateAsid(asid);
-  return dropped;
-}
-
-void TlbHierarchy::InvalidateAll() {
-  l1_->InvalidateAll();
-  if (l2_ != nullptr) l2_->InvalidateAll();
-}
-
 }  // namespace vcop::hw

@@ -155,78 +155,4 @@ class Tlb {
   std::function<void(const TlbEntry&)> parity_drop_hook_;
 };
 
-/// Counters of the L1<-L2 fill machinery (per-level lookup traffic lives
-/// in each level's own TlbStats).
-struct TlbHierarchyStats {
-  /// L1 entries written from an L2 hit.
-  u64 l1_fills = 0;
-  /// Fills that displaced a valid L1 entry.
-  u64 l1_fill_evictions = 0;
-  /// Displaced dirty L1 entries whose dirtiness was merged into the
-  /// matching L2 entry (still mapped there, nothing escapes the TLBs).
-  u64 dirty_merges = 0;
-  /// Displaced entries with no L2 twin — handed to the evict hook so the
-  /// OS can fold their dirty bit into its page state.
-  u64 orphan_evictions = 0;
-};
-
-/// Two-level translation front-end: a small per-coprocessor L1 micro-TLB
-/// backed by a (typically shared, larger) L2. With no L2 configured the
-/// hierarchy is a transparent pass-through to the single CAM — lookups
-/// delegate 1:1 and every statistic lands exactly where it always did.
-///
-/// The hierarchy owns only the datapath (lookup + hardware fill). The OS
-/// keeps installing, sweeping and invalidating the individual levels
-/// through l1()/l2() — mirroring how the VIM already drives the CAM.
-class TlbHierarchy {
- public:
-  /// `l1` must be non-null; `l2` may be null (single-level mode).
-  TlbHierarchy(Tlb* l1, Tlb* l2) : l1_(l1), l2_(l2) {
-    VCOP_CHECK_MSG(l1 != nullptr, "hierarchy needs an L1");
-  }
-
-  bool two_level() const { return l2_ != nullptr; }
-  Tlb& l1() { return *l1_; }
-  const Tlb& l1() const { return *l1_; }
-  /// Null when single-level.
-  Tlb* l2() { return l2_; }
-  const Tlb* l2() const { return l2_; }
-
-  /// Datapath lookup. Probes L1; on an L1 miss with an L2 configured,
-  /// probes L2 and — on an L2 hit — fills the mapping into L1 and
-  /// returns the L1 index. Returns nullopt when both levels miss (or the
-  /// L1 fill itself was parity-corrupted: the fill is left in place for
-  /// the OS to repair via the fault path, and the access faults).
-  std::optional<u32> Lookup(ObjectId object, mem::VirtPage vpage,
-                            Asid asid = 0);
-
-  /// Whether the last successful Lookup was served by an L2 fill (the
-  /// IMU charges the L2 penalty for those).
-  bool last_fill_from_l2() const { return last_fill_from_l2_; }
-
-  /// Invalidates `asid` in both levels; returns the total dropped.
-  u32 InvalidateAsid(Asid asid);
-
-  /// Invalidates every entry in both levels.
-  void InvalidateAll();
-
-  /// Called with a displaced L1 victim (as it was) when a fill evicts an
-  /// entry that has no matching L2 twin, so the OS can fold its dirty
-  /// bit into the page state before the mapping disappears.
-  void set_evict_hook(std::function<void(const TlbEntry&)> hook) {
-    evict_hook_ = std::move(hook);
-  }
-
-  const TlbHierarchyStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = TlbHierarchyStats{}; }
-
- private:
-  Tlb* l1_;
-  Tlb* l2_;
-  TlbHierarchyStats stats_;
-  u32 fill_cursor_ = 0;
-  bool last_fill_from_l2_ = false;
-  std::function<void(const TlbEntry&)> evict_hook_;
-};
-
 }  // namespace vcop::hw

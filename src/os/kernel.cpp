@@ -8,13 +8,7 @@ hw::ImuConfig ImuConfigFor(const KernelConfig& config) {
   hw::ImuConfig imu;
   imu.access_latency_cycles = config.imu_access_latency;
   imu.pipelined = config.imu_pipelined;
-  if (config.l2_tlb_entries > 0) {
-    imu.tlb_entries = config.l1_tlb_entries > 0 ? config.l1_tlb_entries
-                                                : config.tlb_entries;
-    imu.shared_tlb_is_l2 = true;
-  } else {
-    imu.tlb_entries = config.tlb_entries;
-  }
+  imu.tlb_entries = config.tlb_entries;
   imu.bounds_check = config.imu_bounds_check;
   imu.posted_writes = config.imu_posted_writes;
   return imu;
@@ -25,8 +19,7 @@ Kernel::Kernel(const KernelConfig& config)
       user_memory_(config.user_memory_bytes),
       dp_ram_(config.dp_ram_bytes),
       fabric_(config.pld_capacity_les, config.config_bytes_per_second),
-      shared_tlb_(config.l2_tlb_entries > 0 ? config.l2_tlb_entries
-                                            : config.tlb_entries),
+      shared_tlb_(config.tlb_entries),
       vim_(config.costs,
            mem::PageGeometry(config.page_bytes,
                              config.dp_ram_bytes / config.page_bytes),
@@ -65,10 +58,7 @@ void Kernel::InstallFaultPlan(FaultPlan* plan) {
   fabric_.set_fault_plan(plan);
   shared_tlb_.set_fault_plan(plan);
   vim_.InstallFaultPlan(plan);
-  if (imu_) {
-    imu_->set_fault_plan(plan);
-    imu_->tlb().set_fault_plan(plan);
-  }
+  if (imu_) imu_->set_fault_plan(plan);
 }
 
 Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
@@ -97,12 +87,6 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
                 bitstream.cp_clock.ToString().c_str()),
       bitstream.cp_clock);
   imu_->set_fault_plan(fault_plan_);
-  // The IMU's first-level TLB takes the same fault plan and parity
-  // recovery as the shared one. In single-level mode tlb() IS
-  // shared_tlb_, so this re-installs identical wiring.
-  imu_->tlb().set_fault_plan(fault_plan_);
-  imu_->tlb().set_parity_drop_hook(
-      [this](const hw::TlbEntry& dropped) { vim_.OnTlbParityDrop(dropped); });
   imu_->BindClocks(*imu_domain_, *cp_domain_);
   imu_domain_->Attach(*imu_);
   cp_domain_->Attach(*fabric_.coprocessor());

@@ -70,13 +70,6 @@ struct KernelConfig {
   std::array<u32, hw::kMaxObjects> object_page_bytes{};
   /// IMU parameters (§3.2/§4).
   u32 tlb_entries = 8;
-  /// Two-level TLB hierarchy (DESIGN.md §14). 0 = classic single
-  /// shared CAM of `tlb_entries`. When l2_tlb_entries > 0 the shared
-  /// TLB becomes a second-level cache of that many entries and every
-  /// IMU owns a small first-level micro-TLB of l1_tlb_entries (falling
-  /// back to tlb_entries when l1_tlb_entries is 0).
-  u32 l1_tlb_entries = 0;
-  u32 l2_tlb_entries = 0;
   u32 imu_access_latency = 4;
   bool imu_pipelined = false;
   /// Enable the IMU's per-object limit registers (extension; catches

@@ -457,12 +457,6 @@ void Vcopd::InstantiateHardware(Tenant& tenant, Job& job) {
       &kernel_.shared_tlb());
   job.imu->SetAsid(tenant.space->asid());
   job.imu->set_fault_plan(kernel_.fault_plan());
-  // First-level TLB recovery wiring (identical re-install when tlb()
-  // IS the shared TLB in single-level mode).
-  job.imu->tlb().set_fault_plan(kernel_.fault_plan());
-  job.imu->tlb().set_parity_drop_hook([this](const hw::TlbEntry& dropped) {
-    kernel_.vim().OnTlbParityDrop(dropped);
-  });
 
   // IMU domain first: on coincident edges the translation pipeline must
   // advance before the core samples CP_TLBHIT (same as Kernel::FpgaLoad).

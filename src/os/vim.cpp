@@ -68,16 +68,6 @@ void Vim::BindImu(hw::Imu* imu) {
   imu_ = imu;
   if (imu_ == nullptr) return;
   imu_->set_fastforward_gate([this] { return FastForwardSafe(); });
-  imu_->xlat().set_evict_hook([this](const hw::TlbEntry& victim) {
-    // A hardware L2->L1 fill displaced a dirty L1 entry whose L2 twin
-    // is gone: fold the dirtiness into the page state so the eventual
-    // write-back still happens.
-    if (victim.frame < pages_.num_frames() &&
-        pages_.frame(victim.frame).in_use) {
-      pages_.MarkDirty(victim.frame);
-    }
-    ++service_stats_.hw_tlb_evict_merges;
-  });
   imu_->set_param_release_hook([this] {
     if (space_->param_frame.has_value()) {
       pages_.Unpin(*space_->param_frame);
@@ -136,10 +126,6 @@ mem::UserAddr Vim::PageUserAddr(const MappedObject& object,
                                     ObjectPageBytes(object));
 }
 
-hw::Tlb* Vim::L2() const {
-  return imu_ != nullptr ? imu_->xlat().l2() : nullptr;
-}
-
 Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
                                           ResetScope scope) {
   if (imu_ == nullptr) {
@@ -186,14 +172,8 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     prefetcher_->Reset();
     imu_->tlb().InvalidateAll();
     imu_->tlb().ResetStats();
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      l2->InvalidateAll();
-      l2->ResetStats();
-      imu_->xlat().ResetStats();
-    }
     imu_->ResetStats();
     tlb_recycle_cursor_ = 0;
-    l2_recycle_cursor_ = 0;
     hot_frames_.assign(geometry_.num_frames(), false);
     if (config_.iommu) iommu_.InvalidateAll();
   } else {
@@ -496,7 +476,7 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
     VCOP_CHECK_MSG(evict_dp == 0, "clean eviction must not write back");
     frame = victim;
   }
-  pages_.Install(*frame, object.id, vpage, /*pinned=*/true, /*asid=*/0,
+  pages_.Install(*frame, object.id, vpage, /*pinned=*/true, space_->asid(),
                  span);
   pages_.MarkSpeculative(*frame);
   policy_->OnInstalled(*frame);
@@ -705,13 +685,6 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
     if (old.dirty) pages_.MarkDirty(frame);
     if (old.accessed || old.dirty) NoteSpeculativeTouch(frame);
   }
-  if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    if (const std::optional<u32> e2 = l2->FindByFrame(frame)) {
-      const hw::TlbEntry old = l2->Invalidate(*e2);
-      if (old.dirty) pages_.MarkDirty(frame);
-      if (old.accessed || old.dirty) NoteSpeculativeTouch(frame);
-    }
-  }
   const FrameState state = pages_.frame(frame);
   AddressSpace* owner = ResolveSpace(state.asid);
   VCOP_CHECK_MSG(owner != nullptr, "evicting a frame of an unknown space");
@@ -769,30 +742,6 @@ void Vim::InstallTlbEntry(hw::ObjectId object, mem::VirtPage vpage,
     slot = victim;
   }
   tlb.Install(*slot, object, vpage, frame, space_->asid());
-
-  // Two-level mode: OS installs fill both levels, so a later L1
-  // recycling can be repaired by a hardware L2->L1 fill instead of a
-  // full fault service.
-  hw::Tlb* l2 = L2();
-  if (l2 == nullptr) return;
-  const hw::Asid asid = space_->asid();
-  if (const std::optional<u32> existing = l2->Probe(object, vpage, asid)) {
-    if (l2->entry(*existing).frame == frame) return;  // already current
-    const hw::TlbEntry old = l2->Invalidate(*existing);
-    if (old.dirty && pages_.frame(old.frame).in_use) {
-      pages_.MarkDirty(old.frame);
-    }
-  }
-  std::optional<u32> l2_slot = l2->FindFree();
-  if (!l2_slot.has_value()) {
-    const u32 victim = l2_recycle_cursor_++ % l2->num_entries();
-    const hw::TlbEntry old = l2->Invalidate(victim);
-    if (old.valid && old.dirty && pages_.frame(old.frame).in_use) {
-      pages_.MarkDirty(old.frame);
-    }
-    l2_slot = victim;
-  }
-  l2->Install(*l2_slot, object, vpage, frame, asid);
 }
 
 void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
@@ -851,11 +800,6 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
       if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
         imu_->tlb().ClearDirty(*entry);
       }
-      if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-        if (const std::optional<u32> entry = l2->FindByFrame(f)) {
-          l2->ClearDirty(*entry);
-        }
-      }
       ++acct().cleaned_pages;
       acct().bytes_written_back += len;
     });
@@ -869,28 +813,12 @@ void Vim::HarvestRecency() {
     NoteSpeculativeTouch(f);
     if (f < hot_frames_.size()) hot_frames_[f] = true;
   }
-  // Two-level mode: translations recycled out of the micro-TLB keep
-  // being accessed through hardware L2 fills, so the L2's accessed
-  // bits are part of the recency picture (in single-level mode L2() is
-  // null and this is a no-op).
-  if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    for (const mem::FrameId f : l2->HarvestAccessed()) {
-      policy_->OnTouched(f);
-      NoteSpeculativeTouch(f);
-      if (f < hot_frames_.size()) hot_frames_[f] = true;
-    }
-  }
 }
 
 bool Vim::FrameDirty(mem::FrameId frame) const {
   if (pages_.frame(frame).dirty) return true;
   const std::optional<u32> entry = imu_->tlb().FindByFrame(frame);
-  if (entry.has_value() && imu_->tlb().entry(*entry).dirty) return true;
-  if (const hw::Tlb* l2 = L2(); l2 != nullptr) {
-    const std::optional<u32> e2 = l2->FindByFrame(frame);
-    if (e2.has_value() && l2->entry(*e2).dirty) return true;
-  }
-  return false;
+  return entry.has_value() && imu_->tlb().entry(*entry).dirty;
 }
 
 void Vim::OnEndOfOperation() {
@@ -934,17 +862,6 @@ void Vim::OnEndOfOperation() {
       if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
     }
     tlb.InvalidateAll();
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      for (u32 i = 0; i < l2->num_entries(); ++i) {
-        const hw::TlbEntry e = l2->entry(i);
-        if (!e.valid) continue;
-        if (e.dirty && pages_.frame(e.frame).in_use) {
-          pages_.MarkDirty(e.frame);
-        }
-        if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-      }
-      l2->InvalidateAll();
-    }
 
     if (config_.coalesce_writeback) {
       // One scatter-gather burst cleans every dirty page first; the
@@ -1003,21 +920,6 @@ void Vim::OnEndOfOperation() {
         pages_.MarkDirty(e.frame);
       }
       if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      for (u32 i = 0; i < l2->num_entries(); ++i) {
-        const hw::TlbEntry e = l2->entry(i);
-        if (!e.valid || e.asid != asid) continue;
-        if (e.dirty && pages_.frame(e.frame).in_use) {
-          pages_.MarkDirty(e.frame);
-        }
-        if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-      }
-      if (tlb_tagging_) {
-        l2->InvalidateAsid(asid);
-      } else {
-        l2->InvalidateAll();
-      }
     }
     if (tlb_tagging_) {
       tlb.InvalidateAsid(asid);
@@ -1122,12 +1024,6 @@ Picoseconds Vim::SaveContext() {
             tlb.Probe(hw::kParamObject, 0, asid)) {
       tlb.Invalidate(*entry);
     }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      if (const std::optional<u32> e2 =
-              l2->Probe(hw::kParamObject, 0, asid)) {
-        l2->Invalidate(*e2);
-      }
-    }
     pages_.Unpin(*space_->param_frame);
     pages_.Release(*space_->param_frame);
     policy_->OnFreed(*space_->param_frame);
@@ -1152,30 +1048,6 @@ Picoseconds Vim::SaveContext() {
       }
       space_->tlb_snapshot.push_back(
           TlbSnapshotEntry{e.object, e.vpage, e.frame});
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      // L2 holds translations an L1 recycle pushed out; snapshot the
-      // ones L1 no longer has so a resume restores the full set.
-      for (u32 i = 0; i < l2->num_entries(); ++i) {
-        const hw::TlbEntry e = l2->entry(i);
-        if (!e.valid || e.asid != asid || e.object == hw::kParamObject) {
-          continue;
-        }
-        if (e.dirty && pages_.frame(e.frame).in_use) {
-          pages_.MarkDirty(e.frame);
-        }
-        bool already = false;
-        for (const TlbSnapshotEntry& snap : space_->tlb_snapshot) {
-          if (snap.object == e.object && snap.vpage == e.vpage) {
-            already = true;
-            break;
-          }
-        }
-        if (!already) {
-          space_->tlb_snapshot.push_back(
-              TlbSnapshotEntry{e.object, e.vpage, e.frame});
-        }
-      }
     }
     if (config_.coalesce_writeback) {
       const u32 cleaned =
@@ -1214,11 +1086,6 @@ Picoseconds Vim::SaveContext() {
       if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
         tlb.ClearDirty(*entry);
       }
-      if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-        if (const std::optional<u32> e2 = l2->FindByFrame(f)) {
-          l2->ClearDirty(*e2);
-        }
-      }
     }
     ++service_stats_.tlb_flushes_avoided;
   } else {
@@ -1238,7 +1105,6 @@ Picoseconds Vim::SaveContext() {
       EvictFrame(f, dp_cost, imu_cost);
     }
     tlb.InvalidateAll();
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) l2->InvalidateAll();
     ++service_stats_.full_tlb_flushes;
   }
 
@@ -1327,16 +1193,6 @@ Picoseconds Vim::FlushAsid(hw::Asid asid, bool write_back) {
     }
   }
   tlb.InvalidateAsid(asid);
-  if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    for (u32 i = 0; i < l2->num_entries(); ++i) {
-      const hw::TlbEntry e = l2->entry(i);
-      if (e.valid && e.asid == asid && e.dirty &&
-          pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-    }
-    l2->InvalidateAsid(asid);
-  }
 
   AddressSpace* owner = ResolveSpace(asid);
   if (write_back && config_.coalesce_writeback) {
@@ -1479,11 +1335,6 @@ u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
     pages_.ClearDirty(f);
     if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
       imu_->tlb().ClearDirty(*entry);
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      if (const std::optional<u32> e2 = l2->FindByFrame(f)) {
-        l2->ClearDirty(*e2);
-      }
     }
   }
   ++service_stats_.coalesced_bursts;

@@ -168,13 +168,6 @@ struct VimServiceStats {
   /// Scatter-gather write-back transactions and the pages they carried.
   u64 coalesced_bursts = 0;
   u64 coalesced_pages = 0;
-
-  // ----- two-level TLB hierarchy (DESIGN.md §14) -----
-
-  /// Dirty L1 victims of hardware L2->L1 fills whose L2 twin had
-  /// already been recycled: their dirtiness was folded into the page
-  /// state through the hierarchy's evict hook.
-  u64 hw_tlb_evict_merges = 0;
 };
 
 class Vim {
@@ -384,10 +377,6 @@ class Vim {
   mem::UserAddr PageUserAddr(const MappedObject& object,
                              mem::VirtPage vpage) const;
 
-  /// Whether the bound IMU fronts a two-level hierarchy; the shared L2
-  /// (null otherwise).
-  hw::Tlb* L2() const;
-
   /// Central enforcement of the Suggest contract: strategies are
   /// advisory, so anything pointing at another object, past the
   /// object's end, or at the faulting page itself is dropped (and
@@ -488,7 +477,6 @@ class Vim {
   AddressSpace* space_ = nullptr;
   PageManager pages_;
   u32 tlb_recycle_cursor_ = 0;
-  u32 l2_recycle_cursor_ = 0;
   ResetScope current_scope_ = ResetScope::kFullReset;
   bool tlb_tagging_ = true;
 

@@ -118,16 +118,8 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<u64> v = number(1, 1 << 16);
       if (!v.ok()) return v.status();
       config.dp_ram_bytes = static_cast<u32>(v.value() * 1024);
-    } else if (key == "page_kb") {
-      Result<u64> v = number(1, 64);
-      if (!v.ok()) return v.status();
-      if (!IsPowerOfTwo(v.value())) {
-        return LineError(line_number, "page_kb must be a power of two");
-      }
-      config.page_bytes = static_cast<u32>(v.value() * 1024);
     } else if (key == "page_size") {
-      // Byte-granular successor of page_kb (which stays accepted for
-      // old files): the frame granule may go below 1 KB.
+      // Byte-granular: the frame granule may go below 1 KB.
       Result<u64> v = number(512, 65536);
       if (!v.ok()) return v.status();
       if (!IsPowerOfTwo(v.value())) {
@@ -138,14 +130,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<u64> v = number(1, 1024);
       if (!v.ok()) return v.status();
       config.tlb_entries = static_cast<u32>(v.value());
-    } else if (key == "l1_tlb_entries") {
-      Result<u64> v = number(0, 1024);
-      if (!v.ok()) return v.status();
-      config.l1_tlb_entries = static_cast<u32>(v.value());
-    } else if (key == "l2_tlb_entries") {
-      Result<u64> v = number(0, 1024);
-      if (!v.ok()) return v.status();
-      config.l2_tlb_entries = static_cast<u32>(v.value());
     } else if (key == "cpu_mhz") {
       Result<u64> v = number(1, 10'000);
       if (!v.ok()) return v.status();
@@ -295,8 +279,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
     }
   }
   out += StrFormat("tlb_entries = %u\n", config.tlb_entries);
-  out += StrFormat("l1_tlb_entries = %u\n", config.l1_tlb_entries);
-  out += StrFormat("l2_tlb_entries = %u\n", config.l2_tlb_entries);
   out += StrFormat("cpu_mhz = %llu\n",
                    static_cast<unsigned long long>(
                        config.costs.cpu_clock.hertz() / 1'000'000));

@@ -8,7 +8,7 @@
 //
 //     name         = MYBOARD
 //     dp_ram_kb    = 64
-//     page_kb      = 2
+//     page_size    = 2048
 //     tlb_entries  = 16
 //     cpu_mhz      = 200
 //     imu_latency  = 4

@@ -118,7 +118,7 @@ TEST(PlatformFileTest, ParsesFullDescription) {
 ; my custom board
 name = MYBOARD
 dp_ram_kb = 64
-page_kb = 4
+page_size = 4096
 tlb_entries = 16
 cpu_mhz = 200        # faster ARM
 imu_latency = 3
@@ -270,7 +270,8 @@ TEST(PlatformFileTest, UnknownPrefetchKindRejectedClearly) {
 TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
   for (const char* line :
        {"dp_ram_mb = 4", "victim_tlb_entries = 4", "lazy_writeback = on",
-        "design_affinity = on", "fastforward = on"}) {
+        "design_affinity = on", "fastforward = on", "l1_tlb_entries = 2",
+        "l2_tlb_entries = 6", "page_kb = 2"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");
@@ -284,14 +285,14 @@ TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
 }
 
 TEST(PlatformFileTest, BadValuesRejected) {
-  EXPECT_FALSE(runtime::ParsePlatformFile("page_kb = 3\n").ok());
+  EXPECT_FALSE(runtime::ParsePlatformFile("page_size = 3072\n").ok());
   EXPECT_FALSE(runtime::ParsePlatformFile("pipelined = maybe\n").ok());
   EXPECT_FALSE(runtime::ParsePlatformFile("policy = mru\n").ok());
   EXPECT_FALSE(runtime::ParsePlatformFile("cpu_mhz = fast\n").ok());
   EXPECT_FALSE(runtime::ParsePlatformFile("imu_latency = 1\n").ok());
   // Non-integral page count.
   EXPECT_FALSE(
-      runtime::ParsePlatformFile("dp_ram_kb = 3\npage_kb = 2\n").ok());
+      runtime::ParsePlatformFile("dp_ram_kb = 3\npage_size = 2048\n").ok());
   // Integers past u64 must not wrap into range: these read as 4 TLB
   // entries and a 16 KB DP-RAM if the parser ignores overflow.
   struct Overflow {
@@ -313,27 +314,21 @@ TEST(PlatformFileTest, BadValuesRejected) {
 TEST(PlatformFileTest, ParsesFlexibleMemoryKeys) {
   auto config = runtime::ParsePlatformFile(
       "page_size = 1024\n"
-      "l1_tlb_entries = 2\n"
-      "l2_tlb_entries = 6\n"
       "page_size_obj0 = 4096\n"
       "page_size_obj14 = 512\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   const os::KernelConfig& c = config.value();
   EXPECT_EQ(c.page_bytes, 1024u);
-  EXPECT_EQ(c.l1_tlb_entries, 2u);
-  EXPECT_EQ(c.l2_tlb_entries, 6u);
   EXPECT_EQ(c.object_page_bytes[0], 4096u);
   EXPECT_EQ(c.object_page_bytes[14], 512u);
   EXPECT_EQ(c.object_page_bytes[1], 0u);  // untouched = platform default
 }
 
 TEST(PlatformFileTest, FlexibleMemoryDefaultsAreOff) {
-  // With no new keys the seed configuration must be untouched: single
-  // CAM, platform pages, no per-object overrides.
+  // With no new keys the seed configuration must be untouched: platform
+  // pages, no per-object overrides.
   auto config = runtime::ParsePlatformFile("");
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config.value().l1_tlb_entries, 0u);
-  EXPECT_EQ(config.value().l2_tlb_entries, 0u);
   for (u32 id = 0; id < hw::kMaxObjects; ++id) {
     EXPECT_EQ(config.value().object_page_bytes[id], 0u);
   }
@@ -347,11 +342,6 @@ TEST(PlatformFileTest, BadFlexibleMemoryValuesRejectedByName) {
             std::string::npos);
   EXPECT_FALSE(runtime::ParsePlatformFile("page_size = 256\n").ok());
   EXPECT_FALSE(runtime::ParsePlatformFile("page_size = 131072\n").ok());
-  EXPECT_FALSE(runtime::ParsePlatformFile("l1_tlb_entries = 2048\n").ok());
-  auto bad_l2 = runtime::ParsePlatformFile("l2_tlb_entries = big\n");
-  ASSERT_FALSE(bad_l2.ok());
-  EXPECT_NE(bad_l2.status().ToString().find("l2_tlb_entries"),
-            std::string::npos);
   // Per-object overrides: power of two in [512, 8192], real object ids
   // only (15 is the parameter page; 16+ is out of range).
   auto bad_obj = runtime::ParsePlatformFile("page_size_obj3 = 3000\n");
@@ -370,18 +360,12 @@ TEST(PlatformFileTest, BadFlexibleMemoryValuesRejectedByName) {
 TEST(PlatformFileTest, FlexibleMemoryKeysRoundTripThroughWriter) {
   os::KernelConfig original = runtime::Epxa1Config();
   original.page_bytes = 1024;
-  original.l1_tlb_entries = 2;
-  original.l2_tlb_entries = 6;
   original.object_page_bytes[0] = 4096;
   original.object_page_bytes[7] = 512;
   const std::string text = runtime::WritePlatformFile(original);
-  // The writer emits the byte-granular key, not the legacy page_kb.
-  EXPECT_EQ(text.find("page_kb"), std::string::npos);
   auto parsed = runtime::ParsePlatformFile(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().page_bytes, original.page_bytes);
-  EXPECT_EQ(parsed.value().l1_tlb_entries, original.l1_tlb_entries);
-  EXPECT_EQ(parsed.value().l2_tlb_entries, original.l2_tlb_entries);
   EXPECT_EQ(parsed.value().object_page_bytes, original.object_page_bytes);
 }
 
@@ -454,8 +438,6 @@ os::KernelConfig RandomPlatform(Rng& rng) {
     }
   }
   c.tlb_entries = static_cast<u32>(rng.NextInRange(1, 1024));
-  c.l1_tlb_entries = static_cast<u32>(rng.NextInRange(0, 1024));
-  c.l2_tlb_entries = static_cast<u32>(rng.NextInRange(0, 1024));
   c.costs.cpu_clock = Frequency::MHz(rng.NextInRange(1, 10'000));
   c.imu_access_latency = static_cast<u32>(rng.NextInRange(2, 64));
   c.imu_pipelined = RandomBool(rng);
@@ -502,9 +484,8 @@ TEST(PlatformFileTest, RandomConfigsRoundTripByteForByte) {
 /// near miss) with a value of the wrong kind, out of range, or valid.
 std::string RandomKeyValueLine(Rng& rng) {
   static constexpr const char* kKeys[] = {
-      "name", "dp_ram_kb", "page_kb", "page_size", "tlb_entries",
-      "l1_tlb_entries", "l2_tlb_entries", "cpu_mhz", "imu_latency",
-      "pipelined", "posted_writes", "bounds_check", "pld_les", "policy",
+      "name", "dp_ram_kb", "page_size", "tlb_entries", "cpu_mhz",
+      "imu_latency", "pipelined", "posted_writes", "bounds_check", "pld_les", "policy",
       "copy_mode", "prefetch", "prefetch_depth", "overlap",
       "coalesce_writeback", "iommu", "iotlb_entries", "service_ring",
       "service_rate", "service_burst", "config_slots", "page_size_obj3",

@@ -12,6 +12,10 @@
 // onto its fallback edges, and posted-write variants whose writes are
 // never eligible at all. The paper's Figure 8 / Figure 9 points also
 // pin how much work kFast skips.
+//
+// The same harness has a memory-mode axis for per-object page sizes:
+// granule-sized overrides must be bit-identical to the default, and
+// 4 KB superpages on every object may change only timing and counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,6 +29,7 @@
 #include "apps/idea.h"
 #include "apps/workloads.h"
 #include "base/rng.h"
+#include "hw/tlb.h"
 #include "os/kernel.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
@@ -44,8 +49,23 @@ os::KernelConfig EngineConfig(Engine engine) {
   return config;
 }
 
-os::KernelConfig VariantConfig(u64 seed, Engine engine) {
+/// How the per-object page sizes are set for a run.
+enum class MemMode {
+  kDefault,     // platform page size on every object
+  kGranule,     // per-object overrides equal to the frame granule
+  kSuperpages,  // 4 KB superpages on every object
+};
+
+os::KernelConfig VariantConfig(u64 seed, Engine engine, MemMode mode) {
   os::KernelConfig config = EngineConfig(engine);
+  if (mode != MemMode::kDefault) {
+    // Granule-sized overrides are span-1 pages: the allocator,
+    // prefetcher and RNG draws must be untouched.
+    const u32 bytes = mode == MemMode::kGranule ? config.page_bytes : 4096;
+    for (u32 id = 0; id + 1 < hw::kMaxObjects; ++id) {
+      config.object_page_bytes[id] = bytes;
+    }
+  }
   switch (seed % 4) {
     case 0:  // plain EPXA1: long hit streaks, maximal fast-forwarding
       break;
@@ -103,9 +123,10 @@ void Finish(FpgaSystem& sys, DiffOutcome& out) {
 }
 
 /// Runs workload `seed % 4` (adpcm / IDEA / conv2d / gather) on a fresh
-/// system configured by VariantConfig(seed / 4, engine).
-DiffOutcome RunPoint(u64 seed, Engine engine) {
-  FpgaSystem sys(VariantConfig(seed / 4, engine));
+/// system configured by VariantConfig(seed / 4, engine, mode).
+DiffOutcome RunPoint(u64 seed, Engine engine,
+                     MemMode mode = MemMode::kDefault) {
+  FpgaSystem sys(VariantConfig(seed / 4, engine, mode));
   DiffOutcome out;
   switch (seed % 4) {
     case 0:
@@ -146,12 +167,12 @@ DiffOutcome RunPoint(u64 seed, Engine engine) {
   return out;
 }
 
-void ExpectBitIdentical(const DiffOutcome& fast, const DiffOutcome& ref,
+void ExpectBitIdentical(const DiffOutcome& got, const DiffOutcome& ref,
                         u64 seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
-  EXPECT_EQ(fast.output, ref.output);
-  EXPECT_EQ(fast.sim_now, ref.sim_now);
-  const os::ExecutionReport& a = fast.report;
+  EXPECT_EQ(got.output, ref.output);
+  EXPECT_EQ(got.sim_now, ref.sim_now);
+  const os::ExecutionReport& a = got.report;
   const os::ExecutionReport& b = ref.report;
   EXPECT_EQ(a.total, b.total);
   EXPECT_EQ(a.t_hw, b.t_hw);
@@ -227,6 +248,36 @@ TEST(FastForwardDiffTest, TwoHundredSeedsAreBitIdenticalAcrossEngines) {
       << "fast=" << fast_events << " reference=" << ref_events;
   RecordProperty("fast_events", static_cast<int>(fast_events));
   RecordProperty("reference_events", static_cast<int>(ref_events));
+}
+
+TEST(TlbDiffTest, FlexibleMemoryOffIsBitIdenticalAndOnIsOutputIdentical) {
+  struct ModeRuns {
+    DiffOutcome base;
+    DiffOutcome granule;
+    DiffOutcome superpages;
+  };
+  const std::vector<ModeRuns> runs = sim::FleetMap<ModeRuns>(
+      128, [](usize i) -> ModeRuns {
+        const u64 seed = static_cast<u64>(i) + 1;
+        return ModeRuns{RunPoint(seed, Engine::kFast),
+                        RunPoint(seed, Engine::kFast, MemMode::kGranule),
+                        RunPoint(seed, Engine::kFast, MemMode::kSuperpages)};
+      });
+  u64 base_faults = 0, superpage_faults = 0;
+  for (usize i = 0; i < runs.size(); ++i) {
+    const u64 seed = static_cast<u64>(i) + 1;
+    // The granule spelling is the default down to every timestamp and
+    // counter; superpages may move only timing and counters.
+    ExpectBitIdentical(runs[i].granule, runs[i].base, seed);
+    EXPECT_EQ(runs[i].superpages.output, runs[i].base.output)
+        << "seed " << seed;
+    base_faults += runs[i].base.report.vim.faults;
+    superpage_faults += runs[i].superpages.report.vim.faults;
+  }
+  // Superpages must actually engage: each fault maps twice the bytes.
+  EXPECT_LT(superpage_faults, base_faults);
+  RecordProperty("base_faults", static_cast<int>(base_faults));
+  RecordProperty("superpage_faults", static_cast<int>(superpage_faults));
 }
 
 TEST(FastForwardDiffTest, FaultPlansStayReplayableUnderFastForward) {

@@ -75,16 +75,9 @@ struct TortureOutcome {
 /// same seed, so reference and coprocessor always agree on the dataset.
 /// With `iommu` the zero-copy DMA path (DESIGN.md §13) replaces the CPU
 /// page copies — the deterministic IOMMU-site tests below run on it.
-TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false,
-                          bool two_level = false) {
+TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
   os::KernelConfig config = Epxa1Config();
   config.vim.iommu = iommu;
-  if (two_level) {
-    // Tiny L1 backed by a shared L2 at the same total entry budget:
-    // every fault plan now exercises installs and parity on two CAMs.
-    config.l1_tlb_entries = 2;
-    config.l2_tlb_entries = 6;
-  }
   FpgaSystem sys(config);
   if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
 
@@ -317,48 +310,16 @@ TEST(TortureTest, TlbParityCorruptionIsDetectedAndRefilled) {
   EXPECT_GE(out.service.tlb_parity_drops, 1u);
 }
 
-TEST(TortureTest, TlbParityOnL1InstallRecoversViaL2Refill) {
-  // Two-level mode, first TLB write corrupted. OS installs write L1
-  // first, so the damaged entry sits in the micro-TLB while its L2 twin
-  // is intact: the lookup drops the corrupt L1 entry and the hardware
-  // refills it from L2 without a full fault service.
-  FaultPlan plan;
-  plan.At(FaultSite::kTlbParity, 1);
-  const TortureOutcome out =
-      TortureRun(2, &plan, /*iommu=*/false, /*two_level=*/true);
-  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
-  EXPECT_TRUE(out.exact);
-  EXPECT_EQ(plan.stats(FaultSite::kTlbParity).injected, 1u);
-  EXPECT_GE(out.service.tlb_parity_drops, 1u);
-}
-
-TEST(TortureTest, TlbParityOnL2InstallRecoversViaFaultService) {
-  // The second TLB write of a run is the L2 half of the first OS
-  // install: L1 keeps translating until it recycles the entry, after
-  // which the corrupt L2 twin is dropped on match and the access takes
-  // the ordinary OS fault path. Either way the run must complete
-  // exactly.
-  FaultPlan plan;
-  plan.At(FaultSite::kTlbParity, 2);
-  const TortureOutcome out =
-      TortureRun(2, &plan, /*iommu=*/false, /*two_level=*/true);
-  ASSERT_TRUE(out.status.ok()) << out.status.ToString();
-  EXPECT_TRUE(out.exact);
-  EXPECT_EQ(plan.stats(FaultSite::kTlbParity).injected, 1u);
-}
-
 TEST(TortureTest, SeededTlbWritePlansAreDeterministicUnderHierarchy) {
-  // Seeded fault plans against both levels replay bit-identically:
-  // same outputs, same final timestamp, same injection counts.
+  // Seeded parity plans against the CAM replay bit-identically: same
+  // outputs, same final timestamp, same injection counts.
   for (const u64 seed : {1ull, 2ull, 3ull, 5ull, 8ull}) {
     FaultPlan plan_a;
     plan_a.WithProbability(FaultSite::kTlbParity, 0.25);
     FaultPlan plan_b;
     plan_b.WithProbability(FaultSite::kTlbParity, 0.25);
-    const TortureOutcome a =
-        TortureRun(seed, &plan_a, /*iommu=*/false, /*two_level=*/true);
-    const TortureOutcome b =
-        TortureRun(seed, &plan_b, /*iommu=*/false, /*two_level=*/true);
+    const TortureOutcome a = TortureRun(seed, &plan_a);
+    const TortureOutcome b = TortureRun(seed, &plan_b);
     SCOPED_TRACE("seed " + std::to_string(seed));
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
     EXPECT_TRUE(a.exact);

@@ -304,6 +304,36 @@ TEST(VcopdTest, UntaggedBaselineFlushesOnEverySwitch) {
   EXPECT_EQ(untagged.service.tlb_entries_restored, 0u);
 }
 
+TEST(VcopdTest, OverlappedPrefetchFramesBelongToTheTenant) {
+  // A speculative frame is filed under the tenant that issued it, so
+  // its end-of-operation sweep releases it and a later eviction finds
+  // its owner.
+  KernelConfig kc = TestConfig();
+  kc.vim.prefetch = PrefetchKind::kSequential;
+  kc.vim.overlap_prefetch = true;
+  FpgaSystem sys(kc);
+  Vcopd daemon(sys.kernel());
+
+  AdpcmJob first = StageAdpcm(sys, daemon, "alpha", 8 * 1024, 1);
+  AdpcmJob second = StageAdpcm(sys, daemon, "beta", 8 * 1024, 2);
+  VcopdClient c1(daemon, first.tenant);
+  VcopdClient c2(daemon, second.tenant);
+  const Ticket t1 =
+      c1.Submit(cp::AdpcmDecodeBitstream(),
+                {first.input_bytes, 0u, 0u}).value();
+  const Ticket t2 =
+      c2.Submit(cp::AdpcmDecodeBitstream(),
+                {second.input_bytes, 0u, 0u}).value();
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  EXPECT_TRUE(daemon.Poll(t1)->status.ok());
+  EXPECT_TRUE(daemon.Poll(t2)->status.ok());
+  EXPECT_EQ(first.out.ToVector(), first.expect);
+  EXPECT_EQ(second.out.ToVector(), second.expect);
+  EXPECT_GT(daemon.stats().preemptions, 0u);
+  EXPECT_TRUE(sys.kernel().vim().page_manager().InUseFrames().empty());
+}
+
 // ----- mixed multi-tenant correctness -----
 
 TEST(VcopdTest, MixedTenantsMatchSoloByteForByte) {
