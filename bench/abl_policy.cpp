@@ -47,7 +47,8 @@ int Main() {
   std::printf("== Ablation: page replacement policies (Section 3.3) ==\n\n");
 
   constexpr os::PolicyKind kPolicies[] = {
-      os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom};
+      os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
+      os::PolicyKind::kWsFifo};
 
   {
     Table table({"workload", "policy", "faults", "evictions", "total ms"});

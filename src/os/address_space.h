@@ -17,6 +17,7 @@
 // code path bit-identical.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <set>
@@ -143,6 +144,17 @@ class AddressSpace {
   bool aborted = false;
   /// Own TLB entries at the last SaveContext (restored if still valid).
   std::vector<TlbSnapshotEntry> tlb_snapshot;
+  /// Page of each object's latest demand fault in this execution: the
+  /// sequential-run state a replacement policy may weigh (DemandFault).
+  std::array<std::optional<mem::VirtPage>, hw::kMaxObjects> last_fault_page{};
+
+  /// Records a demand fault on (object, vpage) and returns the page of
+  /// the object's previous one in this execution, if any.
+  std::optional<mem::VirtPage> NoteDemandFault(hw::ObjectId object,
+                                               mem::VirtPage vpage) {
+    VCOP_CHECK_MSG(object < hw::kMaxObjects, "object id out of range");
+    return std::exchange(last_fault_page[object], vpage);
+  }
 
  private:
   hw::Asid asid_;

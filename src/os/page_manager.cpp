@@ -144,6 +144,14 @@ std::vector<bool> PageManager::EvictableMask() const {
   return mask;
 }
 
+std::vector<bool> PageManager::SpeculativeMask() const {
+  std::vector<bool> mask(frames_.size());
+  for (mem::FrameId f = 0; f < frames_.size(); ++f) {
+    mask[f] = frames_[f].in_use && frames_[f].speculative;
+  }
+  return mask;
+}
+
 std::vector<mem::FrameId> PageManager::InUseFrames() const {
   std::vector<mem::FrameId> out;
   for (mem::FrameId f = 0; f < frames_.size(); ++f) {

@@ -106,6 +106,9 @@ class PageManager {
   /// Eviction candidates: in use and not pinned.
   std::vector<bool> EvictableMask() const;
 
+  /// Frames flagged speculative (prefetched, not yet referenced).
+  std::vector<bool> SpeculativeMask() const;
+
   /// All in-use frames (for end-of-operation write-back sweeps).
   std::vector<mem::FrameId> InUseFrames() const;
 

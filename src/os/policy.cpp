@@ -10,6 +10,7 @@ std::string_view ToString(PolicyKind kind) {
     case PolicyKind::kFifo: return "fifo";
     case PolicyKind::kLru: return "lru";
     case PolicyKind::kRandom: return "random";
+    case PolicyKind::kWsFifo: return "wsfifo";
   }
   return "?";
 }
@@ -17,7 +18,7 @@ std::string_view ToString(PolicyKind kind) {
 namespace {
 
 /// FIFO: evict the page installed the longest ago, regardless of use.
-class FifoPolicy final : public ReplacementPolicy {
+class FifoPolicy : public ReplacementPolicy {
  public:
   std::string_view name() const override { return "fifo"; }
 
@@ -34,24 +35,62 @@ class FifoPolicy final : public ReplacementPolicy {
   void OnFreed(mem::FrameId frame) override { install_seq_[frame] = 0; }
 
   mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
-    mem::FrameId best = 0;
-    u64 best_seq = ~u64{0};
-    bool found = false;
-    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-      if (!evictable[f]) continue;
-      if (!found || install_seq_[f] < best_seq) {
-        best = f;
-        best_seq = install_seq_[f];
-        found = true;
-      }
+    const std::optional<mem::FrameId> oldest = Oldest(evictable);
+    VCOP_CHECK_MSG(oldest.has_value(), "PickVictim with nothing evictable");
+    return *oldest;
+  }
+
+ protected:
+  /// The earliest-installed frame with `candidates[frame]` true.
+  std::optional<mem::FrameId> Oldest(
+      const std::vector<bool>& candidates) const {
+    std::optional<mem::FrameId> best;
+    for (mem::FrameId f = 0; f < candidates.size(); ++f) {
+      if (!candidates[f]) continue;
+      if (!best.has_value() || install_seq_[f] < install_seq_[*best]) best = f;
     }
-    VCOP_CHECK_MSG(found, "PickVictim with nothing evictable");
     return best;
   }
 
  private:
   std::vector<u64> install_seq_;
   u64 clock_ = 0;
+};
+
+/// FIFO with a working-set guard. A demand fault that breaks its
+/// object's sequential run (neither the object's first fault nor on the
+/// same or next page as its previous one) is a random access: it evicts
+/// the oldest frame that was not referenced since the previous fault and
+/// holds no unreferenced prefetched page, so the pages every access
+/// touches stay resident. Sequential faults, and non-sequential ones
+/// that find every candidate guarded, evict exactly as FIFO does.
+class WsFifoPolicy final : public FifoPolicy {
+ public:
+  std::string_view name() const override { return "wsfifo"; }
+
+  mem::FrameId PickDemandVictim(const std::vector<bool>& evictable,
+                                const DemandFault& fault) override {
+    const bool sequential = !fault.previous.has_value() ||
+                            fault.vpage == *fault.previous ||
+                            fault.vpage == *fault.previous + 1;
+    if (!sequential) {
+      std::vector<bool> cold = evictable;
+      for (mem::FrameId f = 0; f < cold.size(); ++f) {
+        if (Flagged(fault.referenced, f) || Flagged(fault.speculative, f)) {
+          cold[f] = false;
+        }
+      }
+      if (const std::optional<mem::FrameId> victim = Oldest(cold)) {
+        return *victim;
+      }
+    }
+    return PickVictim(evictable);
+  }
+
+ private:
+  static bool Flagged(const std::vector<bool>& mask, mem::FrameId f) {
+    return f < mask.size() && mask[f];
+  }
 };
 
 /// LRU over the recency the OS can actually observe: TLB accessed bits
@@ -121,6 +160,7 @@ std::unique_ptr<ReplacementPolicy> MakePolicy(PolicyKind kind, u64 seed) {
     case PolicyKind::kFifo: return std::make_unique<FifoPolicy>();
     case PolicyKind::kLru: return std::make_unique<LruPolicy>();
     case PolicyKind::kRandom: return std::make_unique<RandomPolicy>(seed);
+    case PolicyKind::kWsFifo: return std::make_unique<WsFifoPolicy>();
   }
   VCOP_CHECK(false);
   return nullptr;

@@ -4,12 +4,15 @@
 // policies are possible (e.g., first-in first-out, least recently used,
 // random)." (§3.3) All three are implemented, driven by the information
 // a real VIM would have: installation order, the TLB's accessed bits
-// (harvested at every fault), and nothing else.
+// (harvested at every fault), and nothing else. The default, wsfifo,
+// is FIFO with a working-set guard on demand faults that leave their
+// object's sequential run (DESIGN.md S6).
 #pragma once
 
 #include <memory>
-#include <vector>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/status.h"
@@ -19,9 +22,25 @@
 
 namespace vcop::os {
 
-enum class PolicyKind : u8 { kFifo, kLru, kRandom };
+enum class PolicyKind : u8 { kFifo, kLru, kRandom, kWsFifo };
 
 std::string_view ToString(PolicyKind kind);
+
+/// The demand fault a victim is chosen for, and what the VIM knows about
+/// every frame at that moment. The masks are borrowed for the duration
+/// of one PickDemandVictim call.
+struct DemandFault {
+  hw::ObjectId object = 0;
+  mem::VirtPage vpage = 0;
+  /// Page of the object's previous demand fault in this execution of its
+  /// address space; empty on the object's first.
+  std::optional<mem::VirtPage> previous;
+  /// Per frame: referenced since the previous fault (the TLB accessed
+  /// bits harvested at this one).
+  const std::vector<bool>& referenced;
+  /// Per frame: holds a prefetched page nobody has referenced yet.
+  const std::vector<bool>& speculative;
+};
 
 class ReplacementPolicy {
  public:
@@ -54,6 +73,14 @@ class ReplacementPolicy {
   /// Chooses a victim among frames with `evictable[frame]` true.
   /// Precondition: at least one frame is evictable.
   virtual mem::FrameId PickVictim(const std::vector<bool>& evictable) = 0;
+
+  /// Same, for a demand fault (prefetch and parameter-page victims use
+  /// PickVictim). Only policies that weigh the fault override it.
+  virtual mem::FrameId PickDemandVictim(const std::vector<bool>& evictable,
+                                        const DemandFault& fault) {
+    (void)fault;
+    return PickVictim(evictable);
+  }
 };
 
 /// Factory. `seed` is used by the random policy only.

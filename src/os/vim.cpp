@@ -184,6 +184,7 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
   space_->param_frame.reset();
   space_->written_back.clear();
   space_->tlb_snapshot.clear();
+  space_->last_fault_page = {};
   space_->saved_params.assign(params.begin(), params.end());
   space_->params_live = false;
   ++epoch_;
@@ -549,6 +550,10 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
     return MapOutcome::kMapped;
   }
 
+  // A hard demand fault extends or breaks its object's sequential run;
+  // the replacement policy may weigh which (DemandFault).
+  const std::optional<mem::VirtPage> previous =
+      prefetch ? std::nullopt : space_->NoteDemandFault(object.id, vpage);
   const u32 span = ObjectPageSpan(object);
   std::optional<mem::FrameId> frame;
   if (span > 1) {
@@ -637,7 +642,12 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
           "no evictable interface page (all frames pinned)"));
       return MapOutcome::kAborted;
     }
-    const mem::FrameId victim = policy_->PickVictim(evictable);
+    const mem::FrameId victim =
+        prefetch ? policy_->PickVictim(evictable)
+                 : policy_->PickDemandVictim(
+                       evictable,
+                       DemandFault{object.id, vpage, previous, hot_frames_,
+                                   pages_.SpeculativeMask()});
     EvictFrame(victim, dp_cost, imu_cost);
     if (space_->aborted) return MapOutcome::kAborted;
     frame = victim;

@@ -55,7 +55,9 @@
 namespace vcop::os {
 
 struct VimConfig {
-  PolicyKind policy = PolicyKind::kFifo;
+  /// Page replacement (§3.3). The default, working-set-guarded FIFO,
+  /// decides exactly like FIFO on sequential faults.
+  PolicyKind policy = PolicyKind::kWsFifo;
   PrefetchKind prefetch = PrefetchKind::kNone;
   u32 prefetch_depth = 1;
   /// Overlapped prefetching (§3.3: "prefetching [...] allowing
@@ -514,7 +516,8 @@ class Vim {
   bool FrameDirty(mem::FrameId frame) const;
 
   /// Frames the coprocessor touched since the previous fault
-  /// (refreshed by HarvestRecency); speculation never evicts them.
+  /// (refreshed by HarvestRecency); speculation never evicts them, and
+  /// demand faults hand them to the policy as DemandFault::referenced.
   std::vector<bool> hot_frames_;
 
   /// Shorthand for the attached space's accounting.

@@ -162,8 +162,10 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
         config.vim.policy = os::PolicyKind::kLru;
       } else if (v == "random") {
         config.vim.policy = os::PolicyKind::kRandom;
+      } else if (v == "wsfifo") {
+        config.vim.policy = os::PolicyKind::kWsFifo;
       } else {
-        return LineError(line_number, "policy must be fifo|lru|random");
+        return LineError(line_number, "policy must be fifo|lru|random|wsfifo");
       }
     } else if (key == "copy_mode") {
       const std::string v = Lower(value);

@@ -16,7 +16,7 @@
 //     posted_writes= false
 //     bounds_check = false
 //     pld_les      = 16640
-//     policy       = lru          ; fifo | lru | random
+//     policy       = lru          ; wsfifo (default) | fifo | lru | random
 //     copy_mode    = single       ; double | single | dma
 //     prefetch     = sequential   ; none | sequential
 //     prefetch_depth = 2

@@ -21,6 +21,7 @@
 // slightly wider sift-down comparisons for fewer entry moves.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "base/status.h"
@@ -40,9 +41,10 @@ class EventQueue {
  public:
   using Action = InlineFunction;
 
-  /// Priority of events scheduled without an explicit one (after all
-  /// clock edges of that timestamp).
-  static constexpr u32 kDefaultPriority = 1000;
+  /// Priority of events scheduled without an explicit one: after all
+  /// clock edges of that timestamp, however many domains exist
+  /// (Simulator::AddClockDomain keeps every domain index below it).
+  static constexpr u32 kDefaultPriority = std::numeric_limits<u32>::max();
 
   /// Schedules `action` at absolute time `t`. `t` must not be earlier
   /// than the timestamp of the event currently being dispatched.

@@ -3,6 +3,8 @@
 namespace vcop::sim {
 
 ClockDomain& Simulator::AddClockDomain(std::string name, Frequency freq) {
+  VCOP_CHECK_MSG(domains_.size() < EventQueue::kDefaultPriority,
+                 "clock domain index would sort after plain events");
   const u32 priority = static_cast<u32>(domains_.size());
   domains_.push_back(
       std::make_unique<ClockDomain>(*this, std::move(name), freq, priority));

@@ -7,12 +7,53 @@
 #         -P check_paper_tables.cmake
 #
 # To re-pin after an intended change, copy WORK_DIR/<binary>.txt over
-# the golden file.
+# the golden file. A mismatch also prints the first differing lines
+# (line number, golden, actual), since WORK_DIR may not outlive the run.
 foreach(var BENCH_DIR TABLES GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "${var} is not set")
   endif()
 endforeach()
+
+# Moves the first line of the variable named `text` into `line`.
+macro(pop_line text line)
+  string(FIND "${${text}}" "\n" newline)
+  if(newline EQUAL -1)
+    set(${line} "${${text}}")
+    set(${text} "")
+  else()
+    string(SUBSTRING "${${text}}" 0 ${newline} ${line})
+    math(EXPR rest "${newline} + 1")
+    string(SUBSTRING "${${text}}" ${rest} -1 ${text})
+  endif()
+endmacro()
+
+# Prints up to `limit` line-by-line differences between two files.
+function(print_differing_lines golden actual limit)
+  file(READ "${golden}" want)
+  file(READ "${actual}" got)
+  set(number 0)
+  set(shown 0)
+  while(NOT (want STREQUAL "" AND got STREQUAL ""))
+    math(EXPR number "${number} + 1")
+    foreach(side want got)
+      if(${side} STREQUAL "")
+        set(${side}_line "(end of file)")
+      else()
+        pop_line(${side} ${side}_line)
+      endif()
+    endforeach()
+    if(NOT want_line STREQUAL got_line)
+      if(shown EQUAL limit)
+        message(STATUS "  ... more differing lines not shown")
+        break()
+      endif()
+      message(STATUS "  line ${number} golden: ${want_line}")
+      message(STATUS "  line ${number} actual: ${got_line}")
+      math(EXPR shown "${shown} + 1")
+    endif()
+  endwhile()
+endfunction()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -35,6 +76,9 @@ foreach(name IN LISTS tables)
     message(STATUS "${name}: OK")
   else()
     message(STATUS "${name}: FAILED (diff -u ${golden} ${actual})")
+    if(EXISTS "${golden}")
+      print_differing_lines("${golden}" "${actual}" 20)
+    endif()
     math(EXPR mismatches "${mismatches} + 1")
   endif()
 endforeach()

@@ -111,6 +111,7 @@ TEST(PlatformFileTest, DefaultsAreEpxa1) {
   ASSERT_TRUE(config.ok());
   EXPECT_EQ(config.value().dp_ram_bytes, 16u * 1024);
   EXPECT_EQ(config.value().platform_name, "EPXA1");
+  EXPECT_EQ(config.value().vim.policy, os::PolicyKind::kWsFifo);
 }
 
 TEST(PlatformFileTest, ParsesFullDescription) {
@@ -445,8 +446,9 @@ os::KernelConfig RandomPlatform(Rng& rng) {
   c.imu_bounds_check = RandomBool(rng);
   c.pld_capacity_les = static_cast<u32>(rng.NextInRange(100, 1 << 24));
   constexpr os::PolicyKind kPolicies[] = {
-      os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom};
-  c.vim.policy = kPolicies[rng.NextBelow(3)];
+      os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
+      os::PolicyKind::kWsFifo};
+  c.vim.policy = kPolicies[rng.NextBelow(std::size(kPolicies))];
   constexpr mem::CopyMode kCopyModes[] = {mem::CopyMode::kDoubleCopy,
                                           mem::CopyMode::kSingleCopy,
                                           mem::CopyMode::kDma};
@@ -495,7 +497,7 @@ std::string RandomKeyValueLine(Rng& rng) {
       "NAME", "tlb entries"};
   static constexpr const char* kValues[] = {
       "0", "1", "2", "3", "512", "1024", "4096", "65536", "65537", "-1",
-      "on", "off", "maybe", "lru", "dma", "adaptive", "",
+      "on", "off", "maybe", "lru", "wsfifo", "dma", "adaptive", "",
       "18446744073709551616", "4294967296", "1e3", " 7 ", "x=y"};
   std::string line = kKeys[rng.NextBelow(std::size(kKeys))];
   line += rng.NextBelow(8) == 0 ? " " : " = ";

@@ -96,7 +96,8 @@ TEST_P(HistogramStressTest, RmwSurvivesEvictionUnderEveryPolicy) {
 INSTANTIATE_TEST_SUITE_P(Policies, HistogramStressTest,
                          ::testing::Values(os::PolicyKind::kFifo,
                                            os::PolicyKind::kLru,
-                                           os::PolicyKind::kRandom));
+                                           os::PolicyKind::kRandom,
+                                           os::PolicyKind::kWsFifo));
 
 TEST(HistogramTest, OverlappedSpeculationDoesNotLoseIncrements) {
   // Background cleaning writes bins pages back *while the core keeps

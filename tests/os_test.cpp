@@ -2,6 +2,7 @@
 // policies, prefetchers, page manager, process lifecycle and cost model.
 #include <gtest/gtest.h>
 
+#include "os/address_space.h"
 #include "os/calibration.h"
 #include "os/object_table.h"
 #include "os/page_manager.h"
@@ -112,8 +113,8 @@ TEST(PolicyTest, LruHonoursTouches) {
 }
 
 TEST(PolicyTest, VictimRespectsEvictableMask) {
-  for (const PolicyKind kind :
-       {PolicyKind::kFifo, PolicyKind::kLru, PolicyKind::kRandom}) {
+  for (const PolicyKind kind : {PolicyKind::kFifo, PolicyKind::kLru,
+                                PolicyKind::kRandom, PolicyKind::kWsFifo}) {
     auto policy = MakePolicy(kind, 42);
     policy->Reset(4);
     for (mem::FrameId f = 0; f < 4; ++f) policy->OnInstalled(f);
@@ -144,6 +145,90 @@ TEST(PolicyTest, NamesMatchKinds) {
   EXPECT_EQ(MakePolicy(PolicyKind::kFifo, 0)->name(), "fifo");
   EXPECT_EQ(MakePolicy(PolicyKind::kLru, 0)->name(), "lru");
   EXPECT_EQ(MakePolicy(PolicyKind::kRandom, 0)->name(), "random");
+  EXPECT_EQ(MakePolicy(PolicyKind::kWsFifo, 0)->name(), "wsfifo");
+}
+
+// ----- Working-set-guarded FIFO -----
+
+/// A wsfifo policy over four frames installed in index order, so frame 0
+/// is the FIFO-oldest and frame 3 the youngest.
+std::unique_ptr<ReplacementPolicy> WsFifoOverFourFrames() {
+  auto policy = MakePolicy(PolicyKind::kWsFifo, 0);
+  policy->Reset(4);
+  for (mem::FrameId f = 0; f < 4; ++f) policy->OnInstalled(f);
+  return policy;
+}
+
+const std::vector<bool> kNone(4, false);
+
+TEST(WsFifoPolicyTest, SequentialFaultTakesFifoOldestEvenWhenReferenced) {
+  auto policy = WsFifoOverFourFrames();
+  const std::vector<bool> referenced = {true, true, false, false};
+  // The next page, the same page again, and the object's first fault
+  // all continue a sequential run.
+  for (const std::optional<mem::VirtPage> previous :
+       {std::optional<mem::VirtPage>(6), std::optional<mem::VirtPage>(7),
+        std::optional<mem::VirtPage>()}) {
+    EXPECT_EQ(policy->PickDemandVictim(
+                  AllEvictable(4), DemandFault{1, 7, previous, referenced,
+                                               kNone}),
+              0u);
+  }
+}
+
+TEST(WsFifoPolicyTest, NonSequentialFaultSparesReferencedAndPrefetchedFrames) {
+  auto policy = WsFifoOverFourFrames();
+  const std::vector<bool> referenced = {true, false, false, false};
+  const std::vector<bool> speculative = {false, true, false, false};
+  // Backwards and forward jumps both break the run.
+  for (const mem::VirtPage previous : {9u, 1u}) {
+    EXPECT_EQ(policy->PickDemandVictim(
+                  AllEvictable(4),
+                  DemandFault{1, 3, previous, referenced, speculative}),
+              2u);
+  }
+  // The guard narrows the evictable set; it never widens it.
+  EXPECT_EQ(policy->PickDemandVictim(
+                {true, true, false, true},
+                DemandFault{1, 3, 9, referenced, speculative}),
+            3u);
+  // Prefetch and parameter-page victims stay plain FIFO.
+  EXPECT_EQ(policy->PickVictim(AllEvictable(4)), 0u);
+}
+
+TEST(WsFifoPolicyTest, FallsBackToFifoWhenEveryFrameIsGuarded) {
+  auto policy = WsFifoOverFourFrames();
+  const std::vector<bool> all(4, true);
+  EXPECT_EQ(policy->PickDemandVictim(AllEvictable(4),
+                                     DemandFault{1, 3, 9, all, kNone}),
+            0u);
+  // Referenced and prefetched frames together can guard every candidate.
+  EXPECT_EQ(policy->PickDemandVictim(
+                {false, true, true, false},
+                DemandFault{1, 3, 9, {false, true, false, false},
+                            {false, false, true, false}}),
+            1u);
+}
+
+TEST(WsFifoPolicyTest, RunStateIsPerAddressSpace) {
+  // Two tenants map the same object id; each space keeps its own run.
+  AddressSpace a(/*pid=*/1, /*asid=*/1);
+  AddressSpace b(/*pid=*/2, /*asid=*/2);
+  EXPECT_EQ(a.NoteDemandFault(1, 4), std::nullopt);
+  EXPECT_EQ(b.NoteDemandFault(1, 20), std::nullopt);  // b's first fault
+  const std::optional<mem::VirtPage> a_prev = a.NoteDemandFault(1, 5);
+  EXPECT_EQ(a_prev, 4u);  // b's fault on page 20 did not break a's run
+  const std::optional<mem::VirtPage> b_prev = b.NoteDemandFault(1, 3);
+  EXPECT_EQ(b_prev, 20u);
+
+  auto policy = WsFifoOverFourFrames();
+  const std::vector<bool> referenced = {true, false, false, false};
+  EXPECT_EQ(policy->PickDemandVictim(
+                AllEvictable(4), DemandFault{1, 5, a_prev, referenced, kNone}),
+            0u);
+  EXPECT_EQ(policy->PickDemandVictim(
+                AllEvictable(4), DemandFault{1, 3, b_prev, referenced, kNone}),
+            1u);
 }
 
 // ----- Prefetchers -----

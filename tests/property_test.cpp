@@ -97,7 +97,10 @@ INSTANTIATE_TEST_SUITE_P(
         GatherParam{3000, os::PolicyKind::kRandom, 6},
         GatherParam{8192, os::PolicyKind::kFifo, 7},
         GatherParam{8192, os::PolicyKind::kLru, 8},
-        GatherParam{8192, os::PolicyKind::kRandom, 9}));
+        GatherParam{8192, os::PolicyKind::kRandom, 9},
+        GatherParam{256, os::PolicyKind::kWsFifo, 10},
+        GatherParam{3000, os::PolicyKind::kWsFifo, 11},
+        GatherParam{8192, os::PolicyKind::kWsFifo, 12}));
 
 // ----- ADPCM across randomised platform configurations -----
 

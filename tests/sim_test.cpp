@@ -173,6 +173,35 @@ TEST(ClockDomainTest, CoincidentEdgesOrderedByCreation) {
   EXPECT_EQ(log[6], "cp");
 }
 
+TEST(ClockDomainTest, EdgesOfLateDomainsPrecedeCoincidentPlainEvents) {
+  // A long-running vcopd creates two domains per job and keeps them, so
+  // domain indices pass any small constant. A plain event must still run
+  // after every domain's edge at its timestamp, under both engines (the
+  // fast one ticks an edge inline when nothing queued sorts before it).
+  for (const Engine engine : {Engine::kFast, Engine::kReference}) {
+    Simulator sim;
+    sim.set_engine(engine);
+    for (u32 i = 0; i < 1001; ++i) {
+      sim.AddClockDomain("idle" + std::to_string(i), Frequency::MHz(1));
+    }
+    ClockDomain& late = sim.AddClockDomain("late", Frequency::MHz(1));
+    ASSERT_GT(late.priority(), 1000u);
+    CountingModule mod(2);  // edges at 0 and 1 us
+    std::vector<Picoseconds> plain;
+    for (const Picoseconds t : {Picoseconds{0}, Picoseconds{1'000'000}}) {
+      sim.ScheduleAt(t, [&, t] {
+        plain.push_back(t);
+        EXPECT_EQ(mod.ticks(), t == 0 ? 1u : 2u)
+            << "plain event at " << t << " ran before the coincident edge";
+      });
+    }
+    late.Attach(mod);
+    ASSERT_TRUE(sim.RunToIdle());
+    EXPECT_EQ(mod.ticks(), 2u);
+    EXPECT_EQ(plain.size(), 2u);
+  }
+}
+
 TEST(SimulatorTest, RunUntilPredicate) {
   Simulator sim;
   int count = 0;

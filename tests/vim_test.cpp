@@ -41,8 +41,8 @@ os::ExecutionReport RunLargeVecAdd(const os::KernelConfig& config,
 
 TEST(VimPolicyTest, AllPoliciesProduceCorrectResults) {
   for (const os::PolicyKind kind :
-       {os::PolicyKind::kFifo, os::PolicyKind::kLru,
-        os::PolicyKind::kRandom}) {
+       {os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
+        os::PolicyKind::kWsFifo}) {
     os::KernelConfig config = Epxa1Config();
     config.vim.policy = kind;
     const os::ExecutionReport r = RunLargeVecAdd(config);
@@ -55,8 +55,8 @@ TEST(VimPolicyTest, PoliciesDifferInFaultCounts) {
   // behave identically.
   std::set<u64> fault_counts;
   for (const os::PolicyKind kind :
-       {os::PolicyKind::kFifo, os::PolicyKind::kLru,
-        os::PolicyKind::kRandom}) {
+       {os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
+        os::PolicyKind::kWsFifo}) {
     os::KernelConfig config = Epxa1Config();
     config.vim.policy = kind;
     fault_counts.insert(RunLargeVecAdd(config).vim.faults);
