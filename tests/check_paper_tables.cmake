@@ -15,45 +15,7 @@ foreach(var BENCH_DIR TABLES GOLDEN_DIR WORK_DIR)
   endif()
 endforeach()
 
-# Moves the first line of the variable named `text` into `line`.
-macro(pop_line text line)
-  string(FIND "${${text}}" "\n" newline)
-  if(newline EQUAL -1)
-    set(${line} "${${text}}")
-    set(${text} "")
-  else()
-    string(SUBSTRING "${${text}}" 0 ${newline} ${line})
-    math(EXPR rest "${newline} + 1")
-    string(SUBSTRING "${${text}}" ${rest} -1 ${text})
-  endif()
-endmacro()
-
-# Prints up to `limit` line-by-line differences between two files.
-function(print_differing_lines golden actual limit)
-  file(READ "${golden}" want)
-  file(READ "${actual}" got)
-  set(number 0)
-  set(shown 0)
-  while(NOT (want STREQUAL "" AND got STREQUAL ""))
-    math(EXPR number "${number} + 1")
-    foreach(side want got)
-      if(${side} STREQUAL "")
-        set(${side}_line "(end of file)")
-      else()
-        pop_line(${side} ${side}_line)
-      endif()
-    endforeach()
-    if(NOT want_line STREQUAL got_line)
-      if(shown EQUAL limit)
-        message(STATUS "  ... more differing lines not shown")
-        break()
-      endif()
-      message(STATUS "  line ${number} golden: ${want_line}")
-      message(STATUS "  line ${number} actual: ${got_line}")
-      math(EXPR shown "${shown} + 1")
-    endif()
-  endwhile()
-endfunction()
+include("${CMAKE_CURRENT_LIST_DIR}/golden_diff.cmake")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
