@@ -6,10 +6,8 @@
 // gather stressor (random permutation: data-dependent page reuse, where
 // the policies actually separate).
 #include <cstdio>
-#include <numeric>
 
 #include "bench/common.h"
-#include "base/rng.h"
 
 namespace vcop {
 namespace {
@@ -21,26 +19,11 @@ struct PolicyNumbers {
 };
 
 PolicyNumbers RunGather(os::PolicyKind policy, u32 elements, u64 seed) {
-  Rng rng(seed);
-  std::vector<u32> in(elements);
-  for (u32& v : in) v = static_cast<u32>(rng.Next());
-  std::vector<u32> perm(elements);
-  std::iota(perm.begin(), perm.end(), 0u);
-  for (u32 i = elements - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
-  }
   os::KernelConfig config = runtime::Epxa1Config();
   config.vim.policy = policy;
   config.vim.seed = seed;
-  runtime::FpgaSystem sys(config);
-  auto run = runtime::RunGatherVim(sys, in, perm);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  for (u32 i = 0; i < elements; ++i) {
-    VCOP_CHECK(run.value().output[i] == in[perm[i]]);
-  }
-  return PolicyNumbers{run.value().report.vim.faults,
-                       run.value().report.vim.evictions,
-                       run.value().report.total};
+  const os::ExecutionReport r = bench::RunGatherReport(config, elements, seed);
+  return PolicyNumbers{r.vim.faults, r.vim.evictions, r.total};
 }
 
 int Main() {

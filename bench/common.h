@@ -5,11 +5,13 @@
 #pragma once
 
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "apps/sw_model.h"
 #include "apps/workloads.h"
+#include "base/rng.h"
 #include "base/status.h"
 #include "base/table.h"
 #include "cp/adpcm_cp.h"
@@ -139,6 +141,29 @@ inline Point RunIdeaPoint(const os::KernelConfig& config,
   }
   sys.kernel().simulator().DrainAssertQuiescent();
   return point;
+}
+
+/// Runs the gather stressor at `elements` words on a fresh system with
+/// `config`: a random input gathered through a seeded random
+/// permutation, so the in, perm and out objects are elements * 4 bytes
+/// each. Verifies every output word.
+inline os::ExecutionReport RunGatherReport(const os::KernelConfig& config,
+                                           u32 elements, u64 seed) {
+  Rng rng(seed);
+  std::vector<u32> in(elements);
+  for (u32& v : in) v = static_cast<u32>(rng.Next());
+  std::vector<u32> perm(elements);
+  std::iota(perm.begin(), perm.end(), 0u);
+  for (u32 i = elements - 1; i > 0; --i) {
+    std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
+  }
+  runtime::FpgaSystem sys(config);
+  auto run = runtime::RunGatherVim(sys, in, perm);
+  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
+  for (u32 i = 0; i < elements; ++i) {
+    VCOP_CHECK(run.value().output[i] == in[perm[i]]);
+  }
+  return run.value().report;
 }
 
 // ----- shared multi-tenant staging (vcopd benches) -----

@@ -22,23 +22,24 @@ TransferEngine::TransferEngine(AhbModel ahb, Frequency cpu_clock,
   VCOP_CHECK_MSG(cpu_clock.valid(), "CPU clock must be nonzero");
 }
 
+Picoseconds TransferEngine::PriceOnePass(u32 len) const {
+  // The loop pays both ends at once; the slower of the two dominates
+  // but the CPU executes both accesses serially, so the costs add.
+  return ahb_.TimeFor(len) +
+         cpu_clock_.Duration(DivCeil(len, 4) * sdram_cycles_per_word_);
+}
+
 Picoseconds TransferEngine::PriceTransfer(u32 len) const {
-  // One pass touching the DP-RAM (AHB side) ...
-  const Picoseconds ahb_pass = ahb_.TimeFor(len);
-  // ... and one pass touching user SDRAM on the CPU.
   const u64 words = DivCeil(len, 4);
-  const Picoseconds sdram_pass =
-      cpu_clock_.Duration(words * sdram_cycles_per_word_);
   switch (mode_) {
     case CopyMode::kSingleCopy:
-      // Direct copy: the single loop pays both ends at once; the slower
-      // of the two dominates but the CPU executes both accesses
-      // serially, so the costs add.
-      return ahb_pass + sdram_pass;
+      // Direct copy: one pass touching user SDRAM and the DP-RAM.
+      return PriceOnePass(len);
     case CopyMode::kDoubleCopy:
       // user<->bounce (SDRAM both ends), then bounce<->DP (SDRAM+AHB):
       // the data is touched twice.
-      return 2 * sdram_pass + ahb_pass + sdram_pass;
+      return 2 * cpu_clock_.Duration(words * sdram_cycles_per_word_) +
+             PriceOnePass(len);
     case CopyMode::kDma: {
       // Channel programming on the CPU, then bus-limited streaming:
       // each word pays the AHB beat plus two cycles of SDRAM access,
@@ -54,6 +55,13 @@ Picoseconds TransferEngine::PriceTransfer(u32 len) const {
   }
   VCOP_CHECK(false);
   return 0;
+}
+
+Picoseconds TransferEngine::PriceReload(u32 len) const {
+  // The user -> bounce pass ran when the copy was made; only the
+  // bounce -> DP-RAM pass is left.
+  return mode_ == CopyMode::kDoubleCopy ? PriceOnePass(len)
+                                        : PriceTransfer(len);
 }
 
 Picoseconds TransferEngine::PriceDirect(u32 len) const {
@@ -153,12 +161,26 @@ BurstResult TransferEngine::StoreBurstDirect(
 
 TransferResult TransferEngine::LoadPage(const UserMemory& user, UserAddr src,
                                         DualPortRam& dp, u32 dst, u32 len) {
+  return Load(user, src, dp, dst, len, PriceTransfer(len));
+}
+
+TransferResult TransferEngine::ReloadPage(const UserMemory& user,
+                                          UserAddr src, DualPortRam& dp,
+                                          u32 dst, u32 len) {
+  // The bounce copy equals user memory (every write-back refreshes it
+  // on its way out), so the data is read from user memory either way.
+  return Load(user, src, dp, dst, len, PriceReload(len));
+}
+
+TransferResult TransferEngine::Load(const UserMemory& user, UserAddr src,
+                                    DualPortRam& dp, u32 dst, u32 len,
+                                    Picoseconds price) {
   if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
     // The transfer errors mid-pass: no data reaches the DP-RAM, but the
     // bus time was wasted. The VIM decides whether to retry.
     TransferResult r;
-    r.time = PriceTransfer(len);
+    r.time = price;
     r.bus_error = true;
     total_time_ += r.time;
     return r;
@@ -167,7 +189,7 @@ TransferResult TransferEngine::LoadPage(const UserMemory& user, UserAddr src,
   dp.Write(DualPortRam::Port::kProcessor, dst, view);
   TransferResult r;
   r.bytes = len;
-  r.time = PriceTransfer(len);
+  r.time = price;
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbRetry)) {
     // The slave RETRYed one beat; the transfer still succeeds but the
     // beat was run twice.

@@ -84,6 +84,12 @@ class TransferEngine {
   TransferResult LoadPage(const UserMemory& user, UserAddr src,
                           DualPortRam& dp, u32 dst, u32 len);
 
+  /// LoadPage for a page whose kernel bounce copy is still held from an
+  /// earlier transfer: the same copy and fault-injection opportunities,
+  /// priced at PriceReload. Counts as a bounce pass in kDoubleCopy.
+  TransferResult ReloadPage(const UserMemory& user, UserAddr src,
+                            DualPortRam& dp, u32 dst, u32 len);
+
   /// Copies `len` bytes from the DP-RAM back to user memory.
   /// (`dp` is non-const because reads update its traffic counters.)
   TransferResult StorePage(DualPortRam& dp, u32 src, UserMemory& user,
@@ -121,6 +127,11 @@ class TransferEngine {
   /// without performing it (used by planners/prefetchers).
   Picoseconds PriceTransfer(u32 len) const;
 
+  /// Time of a re-load (ReloadPage). In kDoubleCopy only the bounce ->
+  /// DP-RAM pass runs, which costs what one single-copy transfer does;
+  /// the other modes keep no bounce copy, so it equals PriceTransfer.
+  Picoseconds PriceReload(u32 len) const;
+
   /// Raw AHB/DMA streaming bound for `len` bytes: burst setup plus
   /// beat+SDRAM cycles per word on the bus clock — no per-word CPU work,
   /// no bounce passes, no channel-programming cost (under the IOMMU the
@@ -151,6 +162,12 @@ class TransferEngine {
   u64 bounce_copies() const { return bounce_copies_; }
 
  private:
+  /// One CPU copy loop touching user SDRAM on one end and the DP-RAM on
+  /// the other: the whole of a single-copy transfer.
+  Picoseconds PriceOnePass(u32 len) const;
+  TransferResult Load(const UserMemory& user, UserAddr src, DualPortRam& dp,
+                      u32 dst, u32 len, Picoseconds price);
+
   AhbModel ahb_;
   Frequency cpu_clock_;
   CopyMode mode_;

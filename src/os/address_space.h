@@ -57,6 +57,10 @@ struct VimAccounting {
   u64 evictions = 0;
   u64 writebacks = 0;
   u64 loads = 0;
+  /// Loads served from the kernel's bounce copy of a page transferred
+  /// earlier in this execution: only the bounce -> DP-RAM pass ran
+  /// (double copy only; included in `loads`).
+  u64 kernel_copy_loads = 0;
   u64 prefetched_pages = 0;
   /// Pages written back in place by background cleaning (overlap mode).
   u64 cleaned_pages = 0;
@@ -128,9 +132,19 @@ class AddressSpace {
   // ----- VIM execution context (driven by the Vim while attached) -----
 
   VimAccounting accounting{};
-  /// Pages of OUT objects that have been written back at least once;
-  /// their next fault must reload them (see Vim::EnsureMapped).
-  std::set<std::pair<hw::ObjectId, mem::VirtPage>> written_back;
+  /// Pages transferred in this execution: loaded by a fault service
+  /// (demand or synchronous prefetch) or written back. In double-copy
+  /// mode the kernel keeps each one's bounce copy, so a later load runs
+  /// only the bounce -> DP-RAM pass. An overlapped prefetch unit is a
+  /// background guess: it re-loads from a kept copy but keeps none of
+  /// its own, so a wasted guess never cheapens a later load. An OUT
+  /// page is never loaded before its first write-back, so for OUT
+  /// objects this is also the set of pages whose next fault must reload
+  /// them (see Vim::EnsureMapped).
+  std::set<std::pair<hw::ObjectId, mem::VirtPage>> transferred;
+  /// objects().version() when this execution began: once the table
+  /// moves, the bounce copies no longer name the pages they mirrored.
+  u64 transferred_objects_version = 0;
   /// Frame pinned under the parameter page, while established.
   std::optional<mem::FrameId> param_frame;
   /// The scalar parameters of the current execution, kept so a

@@ -72,8 +72,10 @@ struct CostModel {
   /// SDRAM-side cost of one 32-bit word within an OS copy loop
   /// (uncached user-page access on ARM9): feeds the TransferEngine.
   /// With the AHB timing below this yields an effective page-move rate
-  /// of ~11.8 MB/s double-copy (~173 us per 2 KB page), which matches
-  /// the overhead decomposition of Figures 8/9 (see EXPERIMENTS.md).
+  /// of ~11.8 MB/s double-copy (173.71 us per 2 KB page), which matches
+  /// the overhead decomposition of Figures 8/9 (see EXPERIMENTS.md). A
+  /// re-load from the kernel's bounce copy runs only the bounce -> DP-RAM
+  /// pass: 81.32 us per 2 KB page, the single-copy price.
   u32 sdram_cycles_per_word = 12;
 
   /// AHB timing of the dual-port-RAM slave (single-cycle data phase,

@@ -49,6 +49,7 @@ Status ObjectTable::Map(const MappedObject& object) {
   }
   slots_[object.id] = object;
   ++count_;
+  ++version_;
   return Status::Ok();
 }
 
@@ -58,6 +59,7 @@ Status ObjectTable::Unmap(hw::ObjectId id) {
   }
   slots_[id].reset();
   --count_;
+  ++version_;
   return Status::Ok();
 }
 
@@ -66,12 +68,14 @@ Status ObjectTable::Repoint(hw::ObjectId id, mem::UserAddr addr) {
     return NotFoundError(StrFormat("object %u is not mapped", id));
   }
   slots_[id]->user_addr = addr;
+  ++version_;
   return Status::Ok();
 }
 
 void ObjectTable::Clear() {
   for (auto& slot : slots_) slot.reset();
   count_ = 0;
+  ++version_;
 }
 
 const MappedObject* ObjectTable::Find(hw::ObjectId id) const {

@@ -75,9 +75,14 @@ class ObjectTable {
 
   usize size() const { return count_; }
 
+  /// Bumped by every successful Map, Unmap, Repoint and Clear, so a
+  /// holder of per-object state can tell that the table moved under it.
+  u64 version() const { return version_; }
+
  private:
   std::array<std::optional<MappedObject>, hw::kMaxObjects> slots_{};
   usize count_ = 0;
+  u64 version_ = 0;
 };
 
 }  // namespace vcop::os

@@ -53,6 +53,13 @@ Picoseconds Vim::PricePage(u32 len) const {
                        : transfers_.PriceTransfer(len);
 }
 
+bool Vim::KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const {
+  return !config_.iommu &&
+         transfers_.mode() == mem::CopyMode::kDoubleCopy &&
+         space_->objects().version() == space_->transferred_objects_version &&
+         space_->transferred.count({object, vpage}) != 0;
+}
+
 void Vim::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
   VCOP_CHECK_MSG(policy != nullptr, "null policy");
   policy_ = std::move(policy);
@@ -182,7 +189,8 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     FlushAsid(space_->asid(), /*write_back=*/false);
   }
   space_->param_frame.reset();
-  space_->written_back.clear();
+  space_->transferred.clear();
+  space_->transferred_objects_version = objects().version();
   space_->tlb_snapshot.clear();
   space_->last_fault_page = {};
   space_->saved_params.assign(params.begin(), params.end());
@@ -486,10 +494,15 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
   const u32 len = PageLength(object, vpage);
   const bool needs_load =
       object.direction != Direction::kOut ||
-      space_->written_back.count({object.id, vpage}) != 0;
+      space_->transferred.count({object.id, vpage}) != 0;
+  // A unit re-loads from a bounce copy the kernel kept, but keeps none
+  // of its own (see AddressSpace::transferred).
+  const bool reload = needs_load && KernelCopyHeld(object.id, vpage);
   unit_cost +=
       costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
-  if (needs_load) unit_cost += PricePage(len);
+  if (needs_load) {
+    unit_cost += reload ? transfers_.PriceReload(len) : PricePage(len);
+  }
 
   const mem::UserAddr user_src = PageUserAddr(object, vpage);
   // Under the IOMMU the transfer references the user pages directly
@@ -515,12 +528,13 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
   const hw::ObjectId oid = object.id;
   const mem::UserAddr src = user_src;
   sim_.ScheduleAt(tail, [this, epoch, f, oid, vpage, src, len, needs_load,
-                         pin] {
+                         reload, pin] {
     if (epoch != epoch_) return;  // run ended or aborted meanwhile
     if (needs_load) {
       dp_ram_.Write(mem::DualPortRam::Port::kProcessor,
                     geometry_.FrameBase(f), user_memory_.View(src, len));
       ++acct().loads;
+      if (reload) ++acct().kernel_copy_loads;
       acct().bytes_loaded += len;
     }
     if (pin) iommu_.UnpinRange(user_memory_, src, len);
@@ -660,18 +674,21 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
   // final write-back would clobber earlier results with stale bytes.
   const bool needs_load =
       object.direction != Direction::kOut ||
-      space_->written_back.count({object.id, vpage}) != 0;
+      space_->transferred.count({object.id, vpage}) != 0;
   if (needs_load) {
+    const bool reload = KernelCopyHeld(object.id, vpage);
     const mem::TransferResult r = LoadPageRetried(
         space_->asid(), PageUserAddr(object, vpage),
-        geometry_.FrameBase(*frame), len);
+        geometry_.FrameBase(*frame), len, reload);
     dp_cost += r.time;
     if (r.bus_error) {
       if (!space_->aborted) Abort(last_transfer_failure_);
       return MapOutcome::kAborted;
     }
     ++acct().loads;
+    if (reload) ++acct().kernel_copy_loads;
     acct().bytes_loaded += len;
+    space_->transferred.insert({object.id, vpage});
   }
   pages_.Install(*frame, object.id, vpage, /*pinned=*/false,
                  space_->asid(), span);
@@ -726,7 +743,7 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
       }
       ++owner->accounting.writebacks;
       owner->accounting.bytes_written_back += len;
-      owner->written_back.insert({state.object, state.vpage});
+      owner->transferred.insert({state.object, state.vpage});
     }
   }
   SettleSpeculativeRelease(pages_.frame(frame));
@@ -805,7 +822,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
       dp_ram_.Read(mem::DualPortRam::Port::kProcessor,
                    geometry_.FrameBase(f), buf);
       user_memory_.WriteBytes(dst, buf);
-      space_->written_back.insert({oid, vpage});
+      space_->transferred.insert({oid, vpage});
       pages_.ClearDirty(f);
       if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
         imu_->tlb().ClearDirty(*entry);
@@ -1090,7 +1107,7 @@ Picoseconds Vim::SaveContext() {
       }
       ++acct().writebacks;
       acct().bytes_written_back += len;
-      space_->written_back.insert({state.object, state.vpage});
+      space_->transferred.insert({state.object, state.vpage});
       ++service_stats_.pages_written_back_on_save;
       pages_.ClearDirty(f);
       if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
@@ -1229,7 +1246,7 @@ Picoseconds Vim::FlushAsid(hw::Asid asid, bool write_back) {
         }
         ++owner->accounting.writebacks;
         owner->accounting.bytes_written_back += len;
-        owner->written_back.insert({state.object, state.vpage});
+        owner->transferred.insert({state.object, state.vpage});
       }
     }
     SettleSpeculativeRelease(pages_.frame(f));
@@ -1341,7 +1358,7 @@ u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
     VCOP_CHECK_MSG(owner != nullptr, "burst page lost its owner");
     ++owner->accounting.writebacks;
     owner->accounting.bytes_written_back += segments[i].seg.len;
-    owner->written_back.insert({state.object, state.vpage});
+    owner->transferred.insert({state.object, state.vpage});
     pages_.ClearDirty(f);
     if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
       imu_->tlb().ClearDirty(*entry);
@@ -1433,12 +1450,14 @@ void Vim::OnTlbParityDrop(const hw::TlbEntry& dropped) {
 }
 
 mem::TransferResult Vim::LoadPageRetried(hw::Asid asid, mem::UserAddr src,
-                                         u32 dst, u32 len) {
+                                         u32 dst, u32 len, bool reload) {
   mem::TransferResult total;
   for (u32 attempt = 0;; ++attempt) {
     const mem::TransferResult r =
         config_.iommu
             ? iommu_.LoadToDp(asid, user_memory_, src, dp_ram_, dst, len)
+        : reload
+            ? transfers_.ReloadPage(user_memory_, src, dp_ram_, dst, len)
             : transfers_.LoadPage(user_memory_, src, dp_ram_, dst, len);
     total.time += r.time;
     total.retried_beats += r.retried_beats;

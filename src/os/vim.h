@@ -427,8 +427,9 @@ class Vim {
   /// address space the IOMMU translates against (unused off the
   /// zero-copy path). An IOMMU translation fault re-enters the same
   /// bounded retry loop after a fault-decode charge.
+  /// With `reload` each attempt is a TransferEngine::ReloadPage.
   mem::TransferResult LoadPageRetried(hw::Asid asid, mem::UserAddr src,
-                                      u32 dst, u32 len);
+                                      u32 dst, u32 len, bool reload);
   mem::TransferResult StorePageRetried(hw::Asid asid, u32 src,
                                        mem::UserAddr dst, u32 len);
 
@@ -438,6 +439,13 @@ class Vim {
   /// VIM prices background copies it performs inline (overlapped
   /// prefetch, background cleaning).
   Picoseconds PricePage(u32 len) const;
+
+  /// True when a load of the attached space's (object, vpage) is a
+  /// re-load: double copy with the IOMMU off, the page already
+  /// transferred in this execution, and the object table unchanged
+  /// since it began. The kernel then still holds the page's bounce
+  /// copy, and only the bounce -> DP-RAM pass runs.
+  bool KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const;
 
   /// The IOMMU's page-table walker: true iff `page_base`'s user page
   /// overlaps an object mapped in `asid`'s address space (or the
@@ -475,7 +483,7 @@ class Vim {
   hw::Imu* imu_ = nullptr;
   /// The space whose execution context the VIM is operating on. The
   /// per-execution state that used to live here (object table,
-  /// accounting, write-back history, parameter frame) moved into it.
+  /// accounting, transfer history, parameter frame) moved into it.
   AddressSpace* space_ = nullptr;
   PageManager pages_;
   u32 tlb_recycle_cursor_ = 0;

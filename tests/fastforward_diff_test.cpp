@@ -202,6 +202,7 @@ void ExpectBitIdentical(const DiffOutcome& got, const DiffOutcome& ref,
   EXPECT_EQ(a.vim.evictions, b.vim.evictions);
   EXPECT_EQ(a.vim.writebacks, b.vim.writebacks);
   EXPECT_EQ(a.vim.loads, b.vim.loads);
+  EXPECT_EQ(a.vim.kernel_copy_loads, b.vim.kernel_copy_loads);
   EXPECT_EQ(a.vim.prefetched_pages, b.vim.prefetched_pages);
   EXPECT_EQ(a.vim.cleaned_pages, b.vim.cleaned_pages);
   EXPECT_EQ(a.vim.bytes_loaded, b.vim.bytes_loaded);

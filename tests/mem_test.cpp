@@ -2,6 +2,7 @@
 // user memory, the AHB cost model and the transfer engine.
 #include <gtest/gtest.h>
 
+#include "base/fault.h"
 #include "mem/ahb.h"
 #include "mem/dp_ram.h"
 #include "mem/page.h"
@@ -238,6 +239,65 @@ TEST_F(TransferEngineTest, PriceIsMonotonicInLength) {
     EXPECT_GT(t, prev);
     prev = t;
   }
+}
+
+TEST_F(TransferEngineTest, ReloadPaysOnlyTheBouncePassInDoubleCopy) {
+  // The fixture is the EPXA1 path: a 2 KB first load runs both passes,
+  // a re-load only the bounce -> DP-RAM one, which is exactly what a
+  // single-copy transfer costs.
+  const Picoseconds first = engine_.PriceTransfer(2048);
+  const Picoseconds reload = engine_.PriceReload(2048);
+  EXPECT_NEAR(ToMicroseconds(first), 173.71, 0.005);
+  EXPECT_NEAR(ToMicroseconds(reload), 81.32, 0.005);
+  engine_.set_mode(CopyMode::kSingleCopy);
+  EXPECT_EQ(reload, engine_.PriceTransfer(2048));
+  // The other modes keep no bounce copy: a re-load is priced as a
+  // first load.
+  for (const CopyMode mode : {CopyMode::kSingleCopy, CopyMode::kDma}) {
+    engine_.set_mode(mode);
+    for (const u32 len : {512u, 2048u, 2050u}) {
+      EXPECT_EQ(engine_.PriceReload(len), engine_.PriceTransfer(len))
+          << ToString(mode) << " " << len;
+    }
+  }
+}
+
+TEST_F(TransferEngineTest, ReloadMovesDataAndCountsABouncePass) {
+  auto addr = user_.Allocate(2048);
+  ASSERT_TRUE(addr.ok());
+  auto span = user_.View(addr.value(), 2048);
+  for (u32 i = 0; i < 2048; ++i) span[i] = static_cast<u8>(i * 5 + 1);
+
+  const TransferResult r =
+      engine_.ReloadPage(user_, addr.value(), dp_, 2048, 2048);
+  EXPECT_EQ(r.bytes, 2048u);
+  EXPECT_EQ(r.time, engine_.PriceReload(2048));
+  std::vector<u8> back(2048);
+  dp_.Read(DualPortRam::Port::kProcessor, 2048, back);
+  for (u32 i = 0; i < 2048; ++i) {
+    ASSERT_EQ(back[i], static_cast<u8>(i * 5 + 1));
+  }
+  EXPECT_EQ(engine_.bounce_copies(), 1u);
+  EXPECT_EQ(engine_.total_bytes_loaded(), 2048u);
+  EXPECT_EQ(engine_.total_time(), r.time);
+}
+
+TEST_F(TransferEngineTest, ReloadBusErrorWastesTheReloadPrice) {
+  auto addr = user_.Allocate(2048);
+  ASSERT_TRUE(addr.ok());
+  FaultPlan plan;
+  plan.At(FaultSite::kAhbError, 1);
+  engine_.set_fault_plan(&plan);
+  const TransferResult failed =
+      engine_.ReloadPage(user_, addr.value(), dp_, 0, 2048);
+  EXPECT_TRUE(failed.bus_error);
+  EXPECT_EQ(failed.bytes, 0u);
+  EXPECT_EQ(failed.time, engine_.PriceReload(2048));
+  EXPECT_EQ(engine_.total_bytes_loaded(), 0u);
+  const TransferResult retried =
+      engine_.ReloadPage(user_, addr.value(), dp_, 0, 2048);
+  EXPECT_FALSE(retried.bus_error);
+  EXPECT_EQ(engine_.total_time(), 2 * engine_.PriceReload(2048));
 }
 
 TEST_F(TransferEngineTest, AccumulatesTotalTime) {

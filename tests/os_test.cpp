@@ -75,6 +75,32 @@ TEST(ObjectTableTest, AllReturnsInIdOrder) {
   EXPECT_EQ(all[2].id, 7u);
 }
 
+TEST(ObjectTableTest, VersionMovesOnEverySuccessfulChange) {
+  ObjectTable table;
+  u64 version = table.version();
+  const auto moved = [&] {
+    const bool changed = table.version() != version;
+    version = table.version();
+    return changed;
+  };
+  EXPECT_TRUE(table.Map(MakeObject(1)).ok());
+  EXPECT_TRUE(moved());
+  EXPECT_TRUE(table.Repoint(1, 0x4000).ok());
+  EXPECT_TRUE(moved());
+  EXPECT_TRUE(table.Unmap(1).ok());
+  EXPECT_TRUE(moved());
+  EXPECT_TRUE(table.Map(MakeObject(2)).ok());
+  table.Clear();
+  EXPECT_TRUE(moved());
+  // Failed changes and lookups leave it alone.
+  EXPECT_FALSE(table.Unmap(3).ok());
+  EXPECT_FALSE(table.Repoint(3, 0x4000).ok());
+  EXPECT_FALSE(table.Map(MakeObject(0, /*size=*/0)).ok());
+  (void)table.Find(1);
+  (void)table.All();
+  EXPECT_FALSE(moved());
+}
+
 // ----- Replacement policies -----
 
 std::vector<bool> AllEvictable(u32 n) { return std::vector<bool>(n, true); }

@@ -2,7 +2,8 @@
 // fault substrate (DESIGN.md §9).
 //
 // Thousands of seeded FaultPlans run the four reference workloads
-// (adpcmdecode, IDEA, vecadd, conv3x3) against the software model. The
+// (adpcmdecode, IDEA, vecadd, conv3x3), and on every 16th seed a random
+// gather that thrashes the dual-port RAM, against the software model. The
 // invariant under torture is absolute: every run either completes with
 // output byte-identical to the software reference, or fails with a
 // clean non-OK Status — no hangs, no unbounded simulated time, no
@@ -16,6 +17,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "apps/workloads.h"
 #include "cp/adpcm_cp.h"
 #include "base/fault.h"
+#include "base/rng.h"
 #include "cp/registry.h"
 #include "cp/vecadd_cp.h"
 #include "os/service.h"
@@ -70,20 +73,25 @@ struct TortureOutcome {
   Picoseconds sim_now = 0;
 };
 
-/// Runs workload `seed % 4` on a fresh EPXA1 platform under `plan`
-/// (nullptr = no plan installed at all). Input data derives from the
-/// same seed, so reference and coprocessor always agree on the dataset.
-/// With `iommu` the zero-copy DMA path (DESIGN.md §13) replaces the CPU
-/// page copies — the deterministic IOMMU-site tests below run on it.
-TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
+/// The four streaming workloads fit the 16 KB dual-port RAM; only the
+/// gather evicts, writes back mid-run and re-loads pages.
+enum class Workload : u8 { kAdpcm, kIdea, kVecAdd, kConv, kGather };
+
+/// Runs `workload` on a fresh EPXA1 platform under `plan` (nullptr = no
+/// plan installed at all). Input data derives from `seed`, so reference
+/// and coprocessor always agree on the dataset. With `iommu` the
+/// zero-copy DMA path (DESIGN.md §13) replaces the CPU page copies —
+/// the deterministic IOMMU-site tests below run on it.
+TortureOutcome RunWorkload(Workload workload, u64 seed, FaultPlan* plan,
+                           bool iommu = false) {
   os::KernelConfig config = Epxa1Config();
   config.vim.iommu = iommu;
   FpgaSystem sys(config);
   if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
 
   TortureOutcome out;
-  switch (seed % 4) {
-    case 0: {  // ADPCM decode, sequential byte stream
+  switch (workload) {
+    case Workload::kAdpcm: {  // ADPCM decode, sequential byte stream
       const std::vector<u8> input = apps::MakeAdpcmStream(2048, seed);
       std::vector<i16> expect(input.size() * 2);
       apps::AdpcmState state;
@@ -97,7 +105,7 @@ TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
       }
       break;
     }
-    case 1: {  // IDEA ECB, random payload
+    case Workload::kIdea: {  // IDEA ECB, random payload
       const std::vector<u8> plain = apps::MakeRandomBytes(1024, seed);
       const apps::IdeaSubkeys subkeys =
           apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
@@ -112,7 +120,7 @@ TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
       }
       break;
     }
-    case 2: {  // vecadd, streaming three objects
+    case Workload::kVecAdd: {  // vecadd, streaming three objects
       std::vector<u32> a(512), b(512), expect(512);
       for (u32 i = 0; i < 512; ++i) {
         a[i] = static_cast<u32>(seed) * 1000003u + i;
@@ -128,7 +136,7 @@ TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
       }
       break;
     }
-    default: {  // 3x3 convolution, strided three-row window
+    case Workload::kConv: {  // 3x3 convolution, strided three-row window
       const u32 width = 48, height = 24;
       const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
       const apps::Conv3x3Kernel kernel = apps::BoxBlurKernel();
@@ -145,11 +153,44 @@ TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
       }
       break;
     }
+    case Workload::kGather: {  // random gather, objects 1.5x the DP-RAM
+      constexpr u32 kElements = 6144;  // 24 KB per object
+      Rng rng(seed);
+      std::vector<u32> in(kElements);
+      for (u32& v : in) v = static_cast<u32>(rng.Next());
+      std::vector<u32> perm(kElements);
+      for (u32 i = 0; i < kElements; ++i) perm[i] = i;
+      for (u32 i = kElements - 1; i > 0; --i) {
+        std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
+      }
+      std::vector<u32> expect(kElements);
+      for (u32 i = 0; i < kElements; ++i) expect[i] = in[perm[i]];
+      auto run = runtime::RunGatherVim(sys, in, perm);
+      out.status = run.status();
+      if (run.ok()) {
+        out.exact = run.value().output == expect;
+        out.output = AsBytes(run.value().output);
+        out.report = run.value().report;
+      }
+      break;
+    }
   }
   out.service = sys.kernel().vim().service_stats();
   out.sim_now = sys.kernel().simulator().now();
   return out;
 }
+
+/// Runs streaming workload `seed % 4` (adpcm, IDEA, vecadd, conv).
+TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
+  return RunWorkload(static_cast<Workload>(seed % 4), seed, plan, iommu);
+}
+
+/// Every kGatherEvery-th seed of the sweep also runs the thrashing
+/// gather, under a plan of the same shape scaled by kGatherIntensity: its
+/// thousands of transfers and faults would otherwise draw dozens of
+/// faults per run and exhaust nearly every fault budget.
+constexpr u64 kGatherEvery = 16;
+constexpr double kGatherIntensity = 0.05;
 
 // ----- the randomized harness -----
 
@@ -158,26 +199,44 @@ TEST(TortureTest, SeededFaultPlansCompleteExactlyOrFailCleanly) {
   // Every seed is an isolated simulation, so the sweep fans out over
   // the fleet runner; results land by seed index and the verdicts below
   // are evaluated in seed order, identical to the old sequential loop.
-  struct SeedVerdict {
+  struct RunVerdict {
     bool ok = false;
     bool exact = false;
     u64 injected = 0;
     Picoseconds sim_now = 0;
+    os::VimAccounting vim;  // valid when ok
+  };
+  struct SeedVerdict {
+    RunVerdict streaming;
+    std::optional<RunVerdict> gather;
+  };
+  const auto run = [](Workload workload, u64 seed, double intensity) {
+    FaultPlan plan = FaultPlan::Random(seed, intensity);
+    const TortureOutcome out = RunWorkload(workload, seed, &plan);
+    return RunVerdict{out.status.ok(), out.exact, plan.total_injected(),
+                      out.sim_now, out.report.vim};
   };
   const std::vector<SeedVerdict> verdicts = sim::FleetMap<SeedVerdict>(
-      seeds, [](usize i) -> SeedVerdict {
+      seeds, [&run](usize i) -> SeedVerdict {
         const u64 seed = static_cast<u64>(i) + 1;
-        FaultPlan plan = FaultPlan::Random(seed);
-        const TortureOutcome out = TortureRun(seed, &plan);
-        return SeedVerdict{out.status.ok(), out.exact, plan.total_injected(),
-                           out.sim_now};
+        SeedVerdict v;
+        v.streaming = run(static_cast<Workload>(seed % 4), seed, 1.0);
+        if (seed % kGatherEvery == 0) {
+          v.gather = run(Workload::kGather, seed, kGatherIntensity);
+        }
+        return v;
       });
   u32 completed = 0;
   u32 failed = 0;
   u64 injected_total = 0;
+  u32 gathers = 0;
+  u32 gathers_completed = 0;
+  u64 gather_evictions = 0;
+  u64 gather_writebacks = 0;
+  u64 gather_reloads = 0;
   for (usize i = 0; i < verdicts.size(); ++i) {
     const u64 seed = static_cast<u64>(i) + 1;
-    const SeedVerdict& v = verdicts[i];
+    const RunVerdict& v = verdicts[i].streaming;
     injected_total += v.injected;
     ASSERT_LT(v.sim_now, kSimTimeBound) << "seed " << seed << " hung";
     if (v.ok) {
@@ -189,6 +248,19 @@ TEST(TortureTest, SeededFaultPlansCompleteExactlyOrFailCleanly) {
     } else {
       ++failed;  // a clean, replayable failure is an accepted outcome
     }
+    if (!verdicts[i].gather.has_value()) continue;
+    const RunVerdict& g = *verdicts[i].gather;
+    ++gathers;
+    ASSERT_LT(g.sim_now, kSimTimeBound) << "seed " << seed << " gather hung";
+    if (!g.ok) continue;
+    ASSERT_TRUE(g.exact)
+        << "seed " << seed << ": gather reported success with output "
+        << "differing from the software reference (" << g.injected
+        << " faults injected)";
+    ++gathers_completed;
+    gather_evictions += g.vim.evictions;
+    gather_writebacks += g.vim.writebacks;
+    gather_reloads += g.vim.kernel_copy_loads;
   }
   EXPECT_EQ(completed + failed, seeds);
   // The mix must actually exercise both paths: most plans are
@@ -198,8 +270,21 @@ TEST(TortureTest, SeededFaultPlansCompleteExactlyOrFailCleanly) {
     EXPECT_GT(failed, 0u);
     EXPECT_GT(injected_total, 0u);
   }
+  // The gathers must really thrash under their plans: evict, write
+  // back mid-run (more than the 12 OUT pages' final write-backs) and
+  // re-load from the kernel's bounce copies.
+  if (gathers_completed > 0) {
+    EXPECT_GT(gather_evictions, 0u);
+    EXPECT_GT(gather_writebacks, 12u * gathers_completed);
+    EXPECT_GT(gather_reloads, 0u);
+  }
+  if (seeds >= 200) {
+    EXPECT_GT(gathers_completed, gathers / 2);
+  }
   RecordProperty("completed", static_cast<int>(completed));
   RecordProperty("failed", static_cast<int>(failed));
+  RecordProperty("gathers", static_cast<int>(gathers));
+  RecordProperty("gathers_completed", static_cast<int>(gathers_completed));
 }
 
 TEST(TortureTest, FailuresAreReplayableFromSeedAlone) {
@@ -310,7 +395,7 @@ TEST(TortureTest, TlbParityCorruptionIsDetectedAndRefilled) {
   EXPECT_GE(out.service.tlb_parity_drops, 1u);
 }
 
-TEST(TortureTest, SeededTlbWritePlansAreDeterministicUnderHierarchy) {
+TEST(TortureTest, SeededTlbWritePlansAreDeterministicOnTheCam) {
   // Seeded parity plans against the CAM replay bit-identically: same
   // outputs, same final timestamp, same injection counts.
   for (const u64 seed : {1ull, 2ull, 3ull, 5ull, 8ull}) {

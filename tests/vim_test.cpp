@@ -8,6 +8,9 @@
 #include <set>
 
 #include "apps/workloads.h"
+#include "base/fault.h"
+#include "base/rng.h"
+#include "cp/gather_cp.h"
 #include "cp/registry.h"
 #include "cp/vecadd_cp.h"
 #include "runtime/config.h"
@@ -194,6 +197,255 @@ TEST(VimAccountingTest, TransferVolumesScaleWithFaults) {
   EXPECT_GT(large.vim.faults, small.vim.faults);
   EXPECT_GT(large.t_dp, small.t_dp);
   EXPECT_GT(large.vim.bytes_loaded, small.vim.bytes_loaded);
+}
+
+// ----- re-loads from the kernel's bounce copy -----
+
+struct GatherInput {
+  std::vector<u32> in;
+  std::vector<u32> perm;
+};
+
+/// 24 KB objects: 1.5x the 16 KB dual-port RAM, 12 pages each.
+constexpr u32 kGatherElements = 6144;
+constexpr u64 kGatherPages = kGatherElements * 4 / 2048;
+/// First loads of a gather: every page of its two IN objects (in and
+/// perm) once. The OUT object's pages load only after a write-back, so
+/// each of its loads is already a re-load.
+constexpr u64 kGatherFirstLoads = 2 * kGatherPages;
+
+GatherInput MakeGather(u64 seed) {
+  Rng rng(seed);
+  GatherInput g;
+  g.in.resize(kGatherElements);
+  for (u32& v : g.in) v = static_cast<u32>(rng.Next());
+  g.perm = Iota(kGatherElements, 0);
+  for (u32 i = kGatherElements - 1; i > 0; --i) {
+    std::swap(g.perm[i], g.perm[rng.NextBelow(i + 1)]);
+  }
+  return g;
+}
+
+/// Runs the gather on `sys` and checks its output against the input.
+os::ExecutionReport RunGather(FpgaSystem& sys, const GatherInput& g) {
+  auto run = runtime::RunGatherVim(sys, g.in, g.perm);
+  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
+  for (u32 i = 0; i < kGatherElements; ++i) {
+    VCOP_CHECK(run.value().output[i] == g.in[g.perm[i]]);
+  }
+  return run.value().report;
+}
+
+/// t_dp of a fault-free run without overlap: each first load and each
+/// write-back pays PriceTransfer, each re-load PriceReload (2 KB pages).
+Picoseconds ExpectedDpTime(FpgaSystem& sys, const os::ExecutionReport& r) {
+  const mem::TransferEngine& engine = sys.kernel().vim().transfer_engine();
+  const u64 full = r.vim.loads - r.vim.kernel_copy_loads + r.vim.writebacks;
+  return full * engine.PriceTransfer(2048) +
+         r.vim.kernel_copy_loads * engine.PriceReload(2048);
+}
+
+TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
+  const GatherInput g = MakeGather(11);
+  struct Mode {
+    const char* name;
+    mem::CopyMode copy;
+    bool iommu;
+  };
+  const Mode modes[] = {{"double-copy", mem::CopyMode::kDoubleCopy, false},
+                        {"single-copy", mem::CopyMode::kSingleCopy, false},
+                        {"dma", mem::CopyMode::kDma, false},
+                        {"iommu", mem::CopyMode::kDoubleCopy, true}};
+  std::optional<os::ExecutionReport> base;
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    os::KernelConfig config = Epxa1Config();
+    config.vim.copy_mode = mode.copy;
+    config.vim.iommu = mode.iommu;
+    FpgaSystem sys(config);
+    const os::ExecutionReport r = RunGather(sys, g);
+    // The transfer path never changes paging.
+    if (!base.has_value()) base = r;
+    EXPECT_EQ(r.vim.faults, base->vim.faults);
+    EXPECT_EQ(r.vim.evictions, base->vim.evictions);
+    EXPECT_EQ(r.vim.loads, base->vim.loads);
+    EXPECT_EQ(r.vim.writebacks, base->vim.writebacks);
+    EXPECT_GT(r.vim.loads, 2 * kGatherFirstLoads) << "the gather must thrash";
+    // More write-backs than the OUT object's pages: OUT pages went back
+    // to user memory mid-run and faulted again. Their reloads found the
+    // copy the write-back left, so they count among the re-loads below.
+    EXPECT_GT(r.vim.writebacks, kGatherPages);
+    if (mode.iommu) {
+      // Zero-copy DMA keeps no bounce copy to re-load from.
+      EXPECT_EQ(r.vim.kernel_copy_loads, 0u);
+      EXPECT_EQ(sys.kernel().vim().transfer_engine().bounce_copies(), 0u);
+      continue;
+    }
+    const bool double_copy = mode.copy == mem::CopyMode::kDoubleCopy;
+    EXPECT_EQ(r.vim.kernel_copy_loads,
+              double_copy ? r.vim.loads - kGatherFirstLoads : 0u);
+    EXPECT_EQ(r.t_dp, ExpectedDpTime(sys, r));
+  }
+}
+
+TEST(VimReloadTest, SecondExecutionReadsARewrittenInBufferAtFullPrice) {
+  FpgaSystem sys(Epxa1Config());
+  ASSERT_TRUE(sys.Load(cp::GatherBitstream()).ok());
+  const GatherInput g = MakeGather(13);
+  auto in = sys.Allocate<u32>(kGatherElements);
+  auto out = sys.Allocate<u32>(kGatherElements);
+  auto perm = sys.Allocate<u32>(kGatherElements);
+  ASSERT_TRUE(in.ok() && out.ok() && perm.ok());
+  in.value().Fill(g.in);
+  perm.value().Fill(g.perm);
+  ASSERT_TRUE(sys.Map(cp::GatherCoprocessor::kObjIn, in.value(),
+                      os::Direction::kIn).ok());
+  ASSERT_TRUE(sys.Map(cp::GatherCoprocessor::kObjOut, out.value(),
+                      os::Direction::kOut).ok());
+  ASSERT_TRUE(sys.Map(cp::GatherCoprocessor::kObjPerm, perm.value(),
+                      os::Direction::kIn).ok());
+  auto first = sys.Execute({kGatherElements});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  // The caller rewrites the IN buffer between the two calls.
+  std::vector<u32> rewritten(kGatherElements);
+  for (u32 i = 0; i < kGatherElements; ++i) rewritten[i] = ~g.in[i] ^ i;
+  in.value().Fill(rewritten);
+  auto second = sys.Execute({kGatherElements});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const std::vector<u32> got = out.value().ToVector();
+  for (u32 i = 0; i < kGatherElements; ++i) {
+    ASSERT_EQ(got[i], rewritten[g.perm[i]]) << "element " << i;
+  }
+  // The bounce copies died with the first execution, so the second
+  // pays the full price on every first load again, exactly like the
+  // first.
+  const os::ExecutionReport& a = first.value();
+  const os::ExecutionReport& b = second.value();
+  EXPECT_EQ(b.vim.loads, a.vim.loads);
+  EXPECT_EQ(a.vim.kernel_copy_loads, a.vim.loads - kGatherFirstLoads);
+  EXPECT_EQ(b.vim.kernel_copy_loads, a.vim.kernel_copy_loads);
+  EXPECT_EQ(b.t_dp, a.t_dp);
+}
+
+TEST(VimReloadTest, ObjectTableChangeMidRunDropsTheBounceCopies) {
+  const GatherInput g = MakeGather(14);
+  FpgaSystem clean_sys(Epxa1Config());
+  const os::ExecutionReport clean = RunGather(clean_sys, g);
+
+  // Half-way through the run, re-point the IN object at the address it
+  // already has: the data is unchanged, but the table moved, so the
+  // copies no longer count and later loads pay the full price.
+  FpgaSystem sys(Epxa1Config());
+  ASSERT_TRUE(sys.Load(cp::GatherBitstream()).ok());
+  os::Kernel& kernel = sys.kernel();
+  kernel.simulator().ScheduleAfter(clean.total / 2, [&kernel] {
+    const os::MappedObject* in =
+        kernel.vim().objects().Find(cp::GatherCoprocessor::kObjIn);
+    VCOP_CHECK(in != nullptr);
+    VCOP_CHECK(kernel.vim()
+                   .objects()
+                   .Repoint(cp::GatherCoprocessor::kObjIn, in->user_addr)
+                   .ok());
+  });
+  const os::ExecutionReport r = RunGather(sys, g);  // exact
+  EXPECT_EQ(r.vim.faults, clean.vim.faults);
+  EXPECT_EQ(r.vim.loads, clean.vim.loads);
+  EXPECT_GT(r.vim.kernel_copy_loads, 0u);
+  EXPECT_LT(r.vim.kernel_copy_loads, clean.vim.kernel_copy_loads);
+  EXPECT_EQ(r.t_dp, ExpectedDpTime(sys, r));
+}
+
+TEST(VimReloadTest, OverlappedUnitsReadKeptCopiesButKeepNone) {
+  os::KernelConfig config = Epxa1Config();
+  config.vim.prefetch = os::PrefetchKind::kSequential;
+  config.vim.prefetch_depth = 2;
+  config.vim.overlap_prefetch = true;
+  FpgaSystem sys(config);
+  const os::ExecutionReport r = RunGather(sys, MakeGather(16));  // exact
+  // Each overlapped unit's timeline span is its bookkeeping (plus one
+  // page-table edit when it evicted a clean victim) and its load: some
+  // units re-load from a copy a fault service kept, others pay the full
+  // double copy.
+  const os::CostModel& costs = sys.kernel().vim().costs();
+  const mem::TransferEngine& engine = sys.kernel().vim().transfer_engine();
+  const Picoseconds bookkeeping =
+      costs.Cycles(costs.tlb_update_cycles + costs.page_table_cycles);
+  const Picoseconds evict = costs.Cycles(costs.page_table_cycles);
+  u64 reload_units = 0;
+  u64 full_units = 0;
+  for (const os::TimelineEvent& e : sys.kernel().timeline().events()) {
+    if (e.name.rfind("prefetch ", 0) != 0) continue;
+    for (const Picoseconds extra : {Picoseconds{0}, evict}) {
+      const Picoseconds load = e.duration - bookkeeping - extra;
+      if (load == engine.PriceReload(2048)) ++reload_units;
+      if (load == engine.PriceTransfer(2048)) ++full_units;
+    }
+  }
+  EXPECT_GT(reload_units, 0u);
+  EXPECT_GT(full_units, 0u);
+  // A page only an overlapped unit brought in has no kept copy, so its
+  // next load pays the full price: fewer loads re-load than loads of
+  // pages transferred before.
+  EXPECT_GT(r.vim.kernel_copy_loads, 0u);
+  EXPECT_LT(r.vim.kernel_copy_loads, r.vim.loads - kGatherFirstLoads);
+}
+
+/// The AHB-error opportunity (the transfer attempt, counted from 1)
+/// that the bus-error tests fail: deep in the thrash, a re-load.
+constexpr u64 kReloadAttempt = 200;
+
+TEST(VimReloadTest, BusErrorOnAReloadRetriesAtTheReloadPrice) {
+  const GatherInput g = MakeGather(15);
+  FpgaSystem clean_sys(Epxa1Config());
+  const os::ExecutionReport clean = RunGather(clean_sys, g);
+
+  FaultPlan plan;
+  plan.At(FaultSite::kAhbError, kReloadAttempt);
+  FpgaSystem sys(Epxa1Config());
+  sys.kernel().InstallFaultPlan(&plan);
+  const os::ExecutionReport r = RunGather(sys, g);  // exact
+  EXPECT_EQ(plan.total_injected(), 1u);
+  EXPECT_EQ(r.vim.fault_recoveries, 1u);
+  EXPECT_EQ(r.vim.loads, clean.vim.loads);
+  EXPECT_EQ(r.vim.kernel_copy_loads, clean.vim.kernel_copy_loads);
+  // The wasted attempt ran only the bounce -> DP-RAM pass, then the
+  // first backoff, then the retry at the same re-load price.
+  const os::CostModel& costs = sys.kernel().vim().costs();
+  EXPECT_EQ(r.t_dp - clean.t_dp,
+            sys.kernel().vim().transfer_engine().PriceReload(2048) +
+                costs.Cycles(costs.transfer_retry_backoff_cycles));
+}
+
+TEST(VimReloadTest, ExhaustedLoadRetriesRecordNothingAndFailCleanly) {
+  const GatherInput g = MakeGather(15);
+  // The very first transfer is a first load; attempt kReloadAttempt is
+  // a re-load. Fail every attempt the retry limit allows on each.
+  for (const u64 attempt : {u64{1}, kReloadAttempt}) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    FaultPlan plan;
+    for (u64 k = 0; k < os::VimConfig{}.transfer_retry_limit; ++k) {
+      plan.At(FaultSite::kAhbError, attempt + k);
+    }
+    FpgaSystem sys(Epxa1Config());
+    sys.kernel().InstallFaultPlan(&plan);
+    auto run = runtime::RunGatherVim(sys, g.in, g.perm);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), ErrorCode::kUnavailable);
+    const os::Vim& vim = sys.kernel().vim();
+    EXPECT_EQ(vim.service_stats().transfer_retry_failures, 1u);
+    // Every transfer before the failing one landed and was counted;
+    // the failing one counted nothing.
+    const os::VimAccounting& acct = vim.accounting();
+    EXPECT_EQ(acct.loads + acct.writebacks, attempt - 1);
+    // Each IN page in the transfer set was first-loaded exactly once;
+    // every other load was a re-load. A failed first load adds no page.
+    u64 in_pages = 0;
+    for (const auto& [object, vpage] : sys.kernel().vim().space()->transferred) {
+      if (object != cp::GatherCoprocessor::kObjOut) ++in_pages;
+    }
+    EXPECT_EQ(acct.loads - acct.kernel_copy_loads, in_pages);
+  }
 }
 
 }  // namespace
