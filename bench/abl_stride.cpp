@@ -73,8 +73,9 @@ int Main() {
                                 shape.width, shape.height, expect);
     const u64 adapt = FaultsUnder(os::PrefetchKind::kAdaptive, image,
                                   shape.width, shape.height, expect);
+    // Every source and destination page once, plus the coefficients.
     const u32 compulsory =
-        2 * (static_cast<u32>(image.size()) + 2047) / 2048 + 1;
+        2 * ((static_cast<u32>(image.size()) + 2047) / 2048) + 1;
     table.AddRow(
         {StrFormat("%ux%u", shape.width, shape.height),
          StrFormat("%u", shape.width),
@@ -91,13 +92,15 @@ int Main() {
       "\nThe striking result is what does NOT change: across a 128x "
       "swing in row\nstride — including shapes whose three-row window "
       "(24 KB) exceeds the whole\ninterface memory — the fault count "
-      "stays a small constant multiple of the\ncompulsory minimum (the "
-      "border pass sweeps the image frame once before the\ninterior "
-      "does). The window's *column* locality means only one page per "
-      "live\nrow is hot at a time, and the VIM discovers that working "
-      "set by itself. A\nmanual port would need a different tiling for "
-      "every row in this table; here\nthe application and the core are "
-      "byte-identical (§2.2's argument,\nquantified).\n\nThe strategy "
+      "stays at or near the compulsory minimum.\nThe core makes one "
+      "raster pass, so only one page per live row is hot at a\ntime. "
+      "While the pages of three source rows and one destination row "
+      "fit\nthe DP-RAM, each page faults exactly once; wider rows "
+      "re-fault a source\npage only when a later row pass returns to "
+      "it after eviction. The VIM\ndiscovers that working set by "
+      "itself. A manual port would need a different\ntiling for every "
+      "row in this table; here the application and the core are\n"
+      "byte-identical (§2.2's argument, quantified).\n\nThe strategy "
       "columns add the cautionary tale: blind sequential prefetch\ncan "
       "*explode* the fault count when rows span multiple pages (its "
       "guesses\nevict the still-live window), while the confidence-gated "

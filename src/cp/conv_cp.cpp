@@ -7,35 +7,41 @@ void Conv3x3Coprocessor::OnStart() {
   height_ = param(1);
   shift_ = param(2);
   kernel_loaded_ = 0;
-  border_pos_ = 0;
-  x_ = 1;
-  y_ = 1;
-  tap_ = 0;
-  acc_ = 0;
+  y_ = 0;
   state_ = State::kLoadKernel;
 }
 
-u32 Conv3x3Coprocessor::NumBorderPixels() const {
-  // Top + bottom rows, plus left + right columns of the middle rows.
-  return 2 * width_ + 2 * (height_ - 2);
+void Conv3x3Coprocessor::BeginRow() {
+  x_ = 0;
+  tap_ = 0;
+  if (y_ >= height_ || width_ == 0) {
+    state_ = State::kDone;
+  } else {
+    state_ = CopyRow() ? State::kCopyRead : State::kPrime;
+  }
 }
 
-u32 Conv3x3Coprocessor::BorderIndex() const {
-  const u32 p = border_pos_;
-  if (p < width_) return p;                         // top row
-  const u32 q = p - width_;
-  if (q < width_) return (height_ - 1) * width_ + q;  // bottom row
-  const u32 r = q - width_;
-  const u32 row = 1 + r / 2;
-  const u32 col = (r % 2 == 0) ? 0 : width_ - 1;
-  return row * width_ + col;
-}
-
-void Conv3x3Coprocessor::AdvanceInner() {
+void Conv3x3Coprocessor::Advance() {
   ++x_;
-  if (x_ + 1 >= width_) {
-    x_ = 1;
+  if (x_ == width_) {
     ++y_;
+    BeginRow();
+    return;
+  }
+  if (CopyRow()) {
+    state_ = State::kCopyRead;
+    return;
+  }
+  for (auto& row : window_) {
+    row[0] = row[1];
+    row[1] = row[2];
+  }
+  if (x_ + 1 < width_) {
+    tap_ = 0;
+    state_ = State::kReadColumn;
+  } else {
+    out_value_ = window_[1][1];  // right-hand frame pixel
+    state_ = State::kWritePixel;
   }
 }
 
@@ -46,48 +52,46 @@ void Conv3x3Coprocessor::Step() {
       if (TryRead(kObjKernel, kernel_loaded_, word)) {
         kernel_[kernel_loaded_] = static_cast<i32>(word);
         ++kernel_loaded_;
-        if (kernel_loaded_ == 9) {
-          state_ = State::kBorderRead;
+        if (kernel_loaded_ == 9) BeginRow();
+      }
+      break;
+    }
+
+    case State::kCopyRead:
+      if (TryRead(kObjSrc, y_ * width_ + x_, out_value_)) {
+        state_ = State::kWritePixel;
+      }
+      break;
+
+    case State::kPrime: {
+      // Column by column into window columns 1 and 2, so the window sits
+      // on pixel 0 with its centre holding the left-hand frame pixel.
+      const u32 row = tap_ % 3;
+      const u32 col = tap_ / 3;
+      if (TryRead(kObjSrc, (y_ + row - 1) * width_ + col,
+                  window_[row][col + 1])) {
+        ++tap_;
+        if (tap_ == 6) {
+          out_value_ = window_[1][1];
+          state_ = State::kWritePixel;
         }
       }
       break;
     }
 
-    case State::kBorderRead:
-      if (border_pos_ >= NumBorderPixels()) {
-        state_ = (width_ > 2 && height_ > 2) ? State::kReadTap
-                                             : State::kDone;
-        break;
-      }
-      if (TryRead(kObjSrc, BorderIndex(), border_value_)) {
-        state_ = State::kBorderWrite;
-      }
-      break;
-
-    case State::kBorderWrite:
-      if (TryWrite(kObjDst, BorderIndex(), border_value_)) {
-        ++border_pos_;
-        state_ = State::kBorderRead;
-      }
-      break;
-
-    case State::kReadTap: {
-      if (y_ + 1 >= height_) {
-        state_ = State::kDone;
-        break;
-      }
-      const u32 ky = tap_ / 3;
-      const u32 kx = tap_ % 3;
-      const u32 index = (y_ + ky - 1) * width_ + (x_ + kx - 1);
-      u32 pixel = 0;
-      if (TryRead(kObjSrc, index, pixel)) {
-        acc_ += static_cast<i64>(kernel_[tap_]) *
-                static_cast<i64>(pixel & 0xFF);
+    case State::kReadColumn:
+      if (TryRead(kObjSrc, (y_ + tap_ - 1) * width_ + x_ + 1,
+                  window_[tap_][2])) {
         ++tap_;
-        if (tap_ == 9) {
+        if (tap_ == 3) {
+          i64 acc = 0;
+          for (u32 k = 0; k < 9; ++k) {
+            acc += static_cast<i64>(kernel_[k]) *
+                   static_cast<i64>(window_[k / 3][k % 3] & 0xFF);
+          }
           // MAC-array settling: the clamped result becomes observable
           // kComputeCycles edges after the last tap is latched.
-          i64 v = acc_ >> shift_;
+          i64 v = acc >> shift_;
           if (v < 0) v = 0;
           if (v > 255) v = 255;
           out_value_ = static_cast<u32>(v);
@@ -96,15 +100,9 @@ void Conv3x3Coprocessor::Step() {
         }
       }
       break;
-    }
 
     case State::kWritePixel:
-      if (TryWrite(kObjDst, y_ * width_ + x_, out_value_)) {
-        tap_ = 0;
-        acc_ = 0;
-        AdvanceInner();
-        state_ = State::kReadTap;
-      }
+      if (TryWrite(kObjDst, y_ * width_ + x_, out_value_)) Advance();
       break;
 
     case State::kDone:

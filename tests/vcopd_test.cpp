@@ -1,6 +1,7 @@
 // Tests for the vcopd service daemon: asynchronous submission,
 // admission control, preemptive context switching (dirty pages pending
-// at the fault boundary, TLB restore after intervening eviction),
+// at the fault boundary, TLB restore after intervening eviction, a conv
+// job resuming mid-row on its register window),
 // ASID allocation/wrap, tenant teardown, the tagged-vs-untagged TLB
 // switch policies, and the FIFO policy's batching by bit-stream.
 #include <gtest/gtest.h>
@@ -9,9 +10,11 @@
 #include <vector>
 
 #include "apps/adpcm.h"
+#include "apps/conv2d.h"
 #include "apps/idea.h"
 #include "base/fault.h"
 #include "cp/adpcm_cp.h"
+#include "cp/conv_cp.h"
 #include "cp/gather_cp.h"
 #include "cp/idea_cp.h"
 #include "cp/registry.h"
@@ -155,6 +158,38 @@ AdpcmJob StageAdpcm(FpgaSystem& sys, Vcopd& daemon, const char* name,
   return job;
 }
 
+struct ConvJob {
+  TenantId tenant = 0;
+  HostBuffer<u8> src, dst;
+  HostBuffer<u32> coeffs;
+  std::vector<u8> expect;
+};
+
+/// A conv3x3 tenant sharpening a `width` x `height` test image.
+ConvJob StageConv(FpgaSystem& sys, Vcopd& daemon, const char* name,
+                  u32 width, u32 height, u64 seed) {
+  ConvJob job;
+  job.tenant = daemon.RegisterTenant(name).value();
+  const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
+  const apps::Conv3x3Kernel kernel = apps::SharpenKernel();
+  job.expect.resize(image.size());
+  apps::Convolve3x3(image, width, height, kernel, 0, job.expect);
+  job.src = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
+  job.src.Fill(image);
+  job.dst = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
+  job.coeffs = sys.Allocate<u32>(9).value();
+  auto view = job.coeffs.view();
+  for (usize i = 0; i < 9; ++i) view[i] = static_cast<u32>(kernel[i]);
+  VcopdClient client(daemon, job.tenant);
+  VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjSrc, job.src,
+                        Direction::kIn).ok());
+  VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjDst, job.dst,
+                        Direction::kOut).ok());
+  VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjKernel, job.coeffs,
+                        Direction::kIn).ok());
+  return job;
+}
+
 // ----- asynchronous lifecycle -----
 
 TEST(VcopdTest, SubmitPollWaitRoundTrip) {
@@ -282,6 +317,34 @@ TEST(VcopdTest, PreemptionWithDirtyPagesKeepsResultsExact) {
   // Dirty output pages were pending at fault boundaries and written
   // back eagerly by SaveContext.
   EXPECT_GT(run.service.pages_written_back_on_save, 0u);
+}
+
+TEST(VcopdTest, PreemptedConvResumesWithItsWindowIntact) {
+  // The conv core holds six window pixels across accesses. On 4096x6
+  // images each row spans two pages, so faults (the preemption points)
+  // fall mid-row and a switched-out job resumes on its saved window.
+  FpgaSystem sys(TestConfig());
+  VcopdConfig config;
+  config.policy = ServicePolicy::kFairShare;
+  config.time_slice = 50ull * 1000 * 1000;  // 50 us: well below runtime
+  config.quantum = 100ull * 1000 * 1000;
+  Vcopd daemon(sys.kernel(), config);
+
+  ConvJob first = StageConv(sys, daemon, "alpha", 4096, 6, 1);
+  ConvJob second = StageConv(sys, daemon, "beta", 4096, 6, 2);
+  VcopdClient c1(daemon, first.tenant);
+  VcopdClient c2(daemon, second.tenant);
+  const Ticket t1 =
+      c1.Submit(cp::Conv3x3Bitstream(), {4096u, 6u, 0u}).value();
+  const Ticket t2 =
+      c2.Submit(cp::Conv3x3Bitstream(), {4096u, 6u, 0u}).value();
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  EXPECT_GT(daemon.stats().preemptions, 0u);
+  EXPECT_TRUE(daemon.Poll(t1)->status.ok());
+  EXPECT_TRUE(daemon.Poll(t2)->status.ok());
+  EXPECT_EQ(first.dst.ToVector(), first.expect);
+  EXPECT_EQ(second.dst.ToVector(), second.expect);
 }
 
 TEST(VcopdTest, TaggedTlbAvoidsFullFlushesAndRestoresEntries) {
