@@ -119,8 +119,6 @@ void MixReport(Digest& d, const os::ExecutionReport& r) {
   d.Mix(v.prefetch_useful);
   d.Mix(v.prefetch_wasted);
   d.Mix(v.prefetch_suggestions_dropped);
-  d.Mix(v.coalesced_bursts);
-  d.Mix(v.coalesced_pages);
   d.Mix(v.fault_service_us.count());
   d.MixDouble(v.fault_service_us.sum());
   d.MixDouble(v.fault_service_us.min());

@@ -1,6 +1,6 @@
-// Gates the §10 speculation/batching machinery (DESIGN.md §10,
-// EXPERIMENTS.md E17) and writes BENCH_prefetch.json for CI. Three
-// deterministic scenarios:
+// Gates the §10 speculation machinery (DESIGN.md §10, EXPERIMENTS.md
+// E17) and writes BENCH_prefetch.json for CI. Two deterministic
+// scenarios:
 //
 //   conv2d     the interleaved-stream workload (three live image rows
 //              plus the output row, each advancing +1 page) swept over
@@ -10,10 +10,6 @@
 //   streaming  adpcm + IDEA walk their objects purely sequentially, so
 //              the adaptive detector must degrade gracefully: within
 //              1% of the sequential prefetcher end to end.
-//   coalesce   end-of-operation dirty flush as one scatter-gather
-//              burst: byte- and cycle-identical to the per-page sweep
-//              in the CPU copy modes (2 KB pages tile INCR16 exactly),
-//              strictly faster under kDma (one channel setup).
 //
 // Every run must stay byte-identical to its software reference under
 // every configuration; any gate failure exits 1.
@@ -76,19 +72,8 @@ os::KernelConfig KindConfig(os::PrefetchKind kind) {
   return config;
 }
 
-// ----- scenario 3: coalesced write-back -----
-
-bench::Point RunCoalescePoint(mem::CopyMode mode, bool coalesce) {
-  os::KernelConfig config = runtime::Epxa1Config();
-  config.vim.copy_mode = mode;
-  config.vim.coalesce_writeback = coalesce;
-  return bench::RunAdpcmPoint(config, 8192);
-}
-
 int Main() {
-  std::printf(
-      "== speculation and batching: adaptive prefetch, coalesced "
-      "write-back ==\n\n");
+  std::printf("== speculation: adaptive prefetch ==\n\n");
   int rc = 0;
 
   // ----- scenario 1: conv2d prefetch-kind sweep -----
@@ -224,59 +209,6 @@ int Main() {
     }
   }
 
-  // ----- scenario 3: coalesced write-back -----
-  const std::vector<bench::Point> coalesce_runs =
-      sim::FleetMap<bench::Point>(4, [](usize i) {
-        const mem::CopyMode mode =
-            i < 2 ? mem::CopyMode::kDoubleCopy : mem::CopyMode::kDma;
-        return RunCoalescePoint(mode, i % 2 == 1);
-      });
-  const bench::Point& cpu_off = coalesce_runs[0];
-  const bench::Point& cpu_on = coalesce_runs[1];
-  const bench::Point& dma_off = coalesce_runs[2];
-  const bench::Point& dma_on = coalesce_runs[3];
-  std::printf(
-      "coalesced write-back (adpcm 8 KB, end-of-operation flush):\n"
-      "  double-copy: %.3f ms per-page vs %.3f ms coalesced "
-      "(%llu pages in %llu bursts)\n"
-      "  dma:         %.3f ms per-page vs %.3f ms coalesced "
-      "(%llu pages in %llu bursts)\n\n",
-      static_cast<double>(cpu_off.vim.total) / 1e9,
-      static_cast<double>(cpu_on.vim.total) / 1e9,
-      static_cast<unsigned long long>(cpu_on.vim.vim.coalesced_pages),
-      static_cast<unsigned long long>(cpu_on.vim.vim.coalesced_bursts),
-      static_cast<double>(dma_off.vim.total) / 1e9,
-      static_cast<double>(dma_on.vim.total) / 1e9,
-      static_cast<unsigned long long>(dma_on.vim.vim.coalesced_pages),
-      static_cast<unsigned long long>(dma_on.vim.vim.coalesced_bursts));
-  if (cpu_on.vim.vim.coalesced_pages < 2) {
-    std::printf("FAIL: the end-of-operation flush never coalesced\n");
-    rc = 1;
-  }
-  // 2 KB pages tile INCR16 exactly, so the burst is cycle-for-cycle the
-  // sum of the per-page stores; only the floor in each cycles->ps
-  // conversion (once per pass vs once per page) may leak through.
-  const Picoseconds cpu_delta =
-      cpu_on.vim.total > cpu_off.vim.total
-          ? cpu_on.vim.total - cpu_off.vim.total
-          : cpu_off.vim.total - cpu_on.vim.total;
-  std::printf("  double-copy coalescing delta: %llu ps (clock-edge "
-              "rounding only)\n\n",
-              static_cast<unsigned long long>(cpu_delta));
-  if (cpu_delta > 1000) {
-    std::printf(
-        "FAIL: coalescing changed the CPU-copy cost beyond clock "
-        "rounding (%llu ps)\n",
-        static_cast<unsigned long long>(cpu_delta));
-    rc = 1;
-  }
-  if (dma_on.vim.vim.coalesced_bursts == 0 ||
-      dma_on.vim.total >= dma_off.vim.total) {
-    std::printf(
-        "FAIL: coalescing did not amortise the DMA channel setup\n");
-    rc = 1;
-  }
-
   // ----- JSON -----
   std::FILE* f = std::fopen("BENCH_prefetch.json", "w");
   VCOP_CHECK_MSG(f != nullptr,
@@ -307,16 +239,7 @@ int Main() {
     }
     std::fprintf(f, "}");
   }
-  std::fprintf(
-      f,
-      "\n  },\n  \"coalesce\": {\"double_copy_us\": %.3f, "
-      "\"double_copy_coalesced_us\": %.3f, \"dma_us\": %.3f, "
-      "\"dma_coalesced_us\": %.3f, \"pages\": %llu, \"bursts\": %llu}\n",
-      ToMicroseconds(cpu_off.vim.total), ToMicroseconds(cpu_on.vim.total),
-      ToMicroseconds(dma_off.vim.total), ToMicroseconds(dma_on.vim.total),
-      static_cast<unsigned long long>(dma_on.vim.vim.coalesced_pages),
-      static_cast<unsigned long long>(dma_on.vim.vim.coalesced_bursts));
-  std::fprintf(f, "}\n");
+  std::fprintf(f, "\n  }\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_prefetch.json\n");
   return rc;

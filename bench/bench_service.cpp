@@ -27,11 +27,9 @@
 //   * fairness at 2x: Jain index >= kJainFloor;
 //   * suppression on/off completion digests identical.
 //
-// Tenant count and per-tenant quota scale with SERVICE_TENANTS /
-// SERVICE_JOBS (CI smoke runs a reduced fleet). Deterministic for a
-// fixed (tenant count, jobs, seed) triple regardless of fleet threads.
+// The fleet is always kTenants tenants x kJobs jobs each, the scale
+// EXPERIMENTS.md E19 reports. Deterministic regardless of fleet threads.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -59,13 +57,9 @@ using runtime::VcopdClient;
 
 // ----- workload knobs -----
 
-u32 EnvOr(const char* name, u32 fallback) {
-  if (const char* env = std::getenv(name)) {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) return static_cast<u32>(v);
-  }
-  return fallback;
-}
+constexpr u32 kTenants = 144;
+/// Per-tenant quota.
+constexpr u32 kJobs = 4;
 
 /// 2x-overload tail-latency bound, as a multiple of the 1x p99. The
 /// token bucket + ring backpressure keep admitted jobs' queueing
@@ -476,19 +470,17 @@ void JsonScenario(std::FILE* f, const char* key, const ScenarioResult& r,
 }
 
 int Main() {
-  const u32 tenants = EnvOr("SERVICE_TENANTS", 144);
-  const u32 jobs = EnvOr("SERVICE_JOBS", 4);
   std::printf(
       "== ring-transport service layer: %u tenants x %u jobs, "
       "mixed adpcm/IDEA/conv3x3 ==\n\n",
-      tenants, jobs);
+      kTenants, kJobs);
   int rc = 0;
   bench::WallTimer timer;
 
   // ----- closed loop: capacity + correctness -----
   ScenarioParams closed_params;
-  closed_params.tenants = tenants;
-  closed_params.jobs = jobs;
+  closed_params.tenants = kTenants;
+  closed_params.jobs = kJobs;
   const ScenarioResult closed = RunScenario(closed_params);
   PrintScenario("closed loop (capacity)", closed);
   if (!closed.outputs_exact) {
@@ -507,9 +499,9 @@ int Main() {
                            : 0;
   // Token bucket: 1.5x each tenant's fair share of the capacity, small
   // burst — overload must park in the rings, not in the daemon.
-  const u64 admit_rate = std::max<u64>(1, capacity * 3 / 2 / tenants);
+  const u64 admit_rate = std::max<u64>(1, capacity * 3 / 2 / kTenants);
   // Mean per-tenant inter-job gap at 1x offered load.
-  const u64 gap_1x = capacity > 0 ? static_cast<u64>(tenants) *
+  const u64 gap_1x = capacity > 0 ? static_cast<u64>(kTenants) *
                                         kPicosecondsPerSecond / capacity
                                   : 1;
   std::printf(
@@ -522,8 +514,8 @@ int Main() {
   // ----- open loop at 1x and 2x, side by side on the fleet runner ----
   auto open_params = [&](u32 scale) {
     ScenarioParams p;
-    p.tenants = tenants;
-    p.jobs = jobs;
+    p.tenants = kTenants;
+    p.jobs = kJobs;
     p.open = true;
     p.per_job_gap = std::max<u64>(1, gap_1x / scale);
     p.admit_rate = admit_rate;
@@ -609,7 +601,7 @@ int Main() {
   VCOP_CHECK_MSG(f != nullptr, "cannot open BENCH_service.json for writing");
   std::fprintf(f, "{\n  \"bench\": \"service\",\n");
   std::fprintf(f, "  \"tenants\": %u,\n  \"jobs_per_tenant\": %u,\n",
-               tenants, jobs);
+               kTenants, kJobs);
   std::fprintf(f, "  \"capacity_jobs_per_sim_s\": %llu,\n",
                static_cast<unsigned long long>(capacity));
   std::fprintf(f, "  \"admit_rate_per_tenant\": %llu,\n",

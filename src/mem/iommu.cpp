@@ -74,22 +74,19 @@ bool Iommu::TranslateOnePage(IommuAsid asid, u32 vpage, Translation& t) {
   return true;
 }
 
-bool Iommu::TranslateRange(IommuAsid asid, UserAddr addr, u32 len,
-                           Translation& t) {
+Iommu::Translation Iommu::Translate(IommuAsid asid, UserAddr addr, u32 len) {
   VCOP_CHECK_MSG(enabled_, "IOMMU translate while disabled");
-  if (len == 0) return true;
+  Translation t;
+  if (len == 0) return t;
   const u32 first = addr >> kUserPageShift;
   const u32 last = static_cast<u32>((static_cast<u64>(addr) + len - 1) >>
                                     kUserPageShift);
   for (u32 vpage = first; vpage <= last; ++vpage) {
-    if (!TranslateOnePage(asid, vpage, t)) return false;
+    if (!TranslateOnePage(asid, vpage, t)) {
+      t.ok = false;
+      break;
+    }
   }
-  return true;
-}
-
-Iommu::Translation Iommu::Translate(IommuAsid asid, UserAddr addr, u32 len) {
-  Translation t;
-  t.ok = TranslateRange(asid, addr, len, t);
   return t;
 }
 
@@ -128,41 +125,6 @@ TransferResult Iommu::StoreFromDp(IommuAsid asid, DualPortRam& dp, u32 src,
   UnpinRange(user, dst, len);
   r.time += t.time;
   if (!r.bus_error) {
-    ++stats_.zero_copy_stores;
-    stats_.zero_copy_bytes += r.bytes;
-  }
-  return r;
-}
-
-BurstResult Iommu::StoreBurstFromDp(DualPortRam& dp, UserMemory& user,
-                                    std::span<const BurstSegment> segments) {
-  // Translate a prefix of the scatter-gather list, stopping at the
-  // first faulting segment, then hand that prefix to the engine as one
-  // burst. Segments the engine completes have landed; the caller
-  // retries from completed_segments either way.
-  Translation t;
-  std::vector<StoreSegment> translated;
-  translated.reserve(segments.size());
-  bool faulted = false;
-  for (const BurstSegment& bs : segments) {
-    if (!TranslateRange(bs.asid, bs.seg.dst, bs.seg.len, t)) {
-      faulted = true;
-      break;
-    }
-    translated.push_back(bs.seg);
-  }
-  for (const StoreSegment& seg : translated) PinRange(user, seg.dst, seg.len);
-  BurstResult r = translated.empty()
-                      ? BurstResult{}
-                      : engine_.StoreBurstDirect(dp, user, translated);
-  for (const StoreSegment& seg : translated) {
-    UnpinRange(user, seg.dst, seg.len);
-  }
-  r.time += t.time;
-  if (faulted && !r.bus_error && r.completed_segments == translated.size()) {
-    r.iommu_fault = true;
-  }
-  if (r.bytes > 0) {
     ++stats_.zero_copy_stores;
     stats_.zero_copy_bytes += r.bytes;
   }

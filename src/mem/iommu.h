@@ -16,7 +16,6 @@
 #pragma once
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "base/fault.h"
@@ -52,14 +51,6 @@ class Iommu {
   /// Installed by the VIM; called once per IO-TLB miss.
   using Walker = std::function<bool(IommuAsid asid, UserAddr page_base)>;
 
-  /// One scatter-gather element of a burst store, tagged with its
-  /// owning address space (a coalesced write-back sweep may mix pages
-  /// of different tenants).
-  struct BurstSegment {
-    IommuAsid asid = 0;
-    StoreSegment seg;
-  };
-
   Iommu(TransferEngine& engine, Frequency clock)
       : engine_(engine), clock_(clock) {}
 
@@ -82,12 +73,6 @@ class Iommu {
                           DualPortRam& dp, u32 dst, u32 len);
   TransferResult StoreFromDp(IommuAsid asid, DualPortRam& dp, u32 src,
                              UserMemory& user, UserAddr dst, u32 len);
-  /// Scatter-gather burst store. On a translation fault at segment i,
-  /// segments [0, completed_segments) landed, iommu_fault is set and
-  /// the caller retries from completed_segments — same contract as the
-  /// engine's AHB burst errors.
-  BurstResult StoreBurstFromDp(DualPortRam& dp, UserMemory& user,
-                               std::span<const BurstSegment> segments);
 
   /// Pin bookkeeping for *asynchronous* DMAs (the VIM's overlapped
   /// prefetch pins at schedule time and unpins at completion).
@@ -121,8 +106,6 @@ class Iommu {
   /// Translates every 4 KB page of [addr, addr+len), refilling the
   /// IO-TLB as needed. Stops at the first faulting page.
   Translation Translate(IommuAsid asid, UserAddr addr, u32 len);
-  /// As Translate, accumulating walk time into `t`; false on fault.
-  bool TranslateRange(IommuAsid asid, UserAddr addr, u32 len, Translation& t);
   bool TranslateOnePage(IommuAsid asid, u32 vpage, Translation& t);
 
   TransferEngine& engine_;

@@ -76,91 +76,9 @@ Picoseconds TransferEngine::PriceDirect(u32 len) const {
   return ahb_.clock().Duration(bus_cycles);
 }
 
-TransferResult TransferEngine::LoadDirect(const UserMemory& user,
-                                          UserAddr src, DualPortRam& dp,
-                                          u32 dst, u32 len) {
-  if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
-    TransferResult r;
-    r.time = PriceDirect(len);
-    r.bus_error = true;
-    total_time_ += r.time;
-    return r;
-  }
-  auto view = user.View(src, len);
-  dp.Write(DualPortRam::Port::kProcessor, dst, view);
-  TransferResult r;
-  r.bytes = len;
-  r.time = PriceDirect(len);
-  if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbRetry)) {
-    r.retried_beats = 1;
-    r.time += ahb_.clock().Duration(ahb_.timing().setup_cycles +
-                                    ahb_.timing().cycles_per_beat);
-  }
-  bytes_loaded_ += len;
-  total_time_ += r.time;
-  return r;
-}
-
-TransferResult TransferEngine::StoreDirect(DualPortRam& dp, u32 src,
-                                           UserMemory& user, UserAddr dst,
-                                           u32 len) {
-  if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
-    TransferResult r;
-    r.time = PriceDirect(len);
-    r.bus_error = true;
-    total_time_ += r.time;
-    return r;
-  }
-  std::vector<u8> buf(len);
-  dp.Read(DualPortRam::Port::kProcessor, src, buf);
-  user.WriteBytes(dst, buf);
-  TransferResult r;
-  r.bytes = len;
-  r.time = PriceDirect(len);
-  if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbRetry)) {
-    r.retried_beats = 1;
-    r.time += ahb_.clock().Duration(ahb_.timing().setup_cycles +
-                                    ahb_.timing().cycles_per_beat);
-  }
-  bytes_stored_ += len;
-  total_time_ += r.time;
-  return r;
-}
-
-BurstResult TransferEngine::StoreBurstDirect(
-    DualPortRam& dp, UserMemory& user,
-    std::span<const StoreSegment> segments) {
-  BurstResult r;
-  u32 done_len = 0;
-  std::vector<u8> buf;
-  for (const StoreSegment& seg : segments) {
-    if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
-      r.bus_error = true;
-      r.time = PriceDirect(done_len + seg.len);
-      bytes_stored_ += r.bytes;
-      total_time_ += r.time;
-      return r;
-    }
-    buf.resize(seg.len);
-    dp.Read(DualPortRam::Port::kProcessor, seg.src, buf);
-    user.WriteBytes(seg.dst, buf);
-    done_len += seg.len;
-    r.bytes += seg.len;
-    ++r.completed_segments;
-  }
-  r.time = PriceDirect(done_len);
-  if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbRetry)) {
-    r.retried_beats = 1;
-    r.time += ahb_.clock().Duration(ahb_.timing().setup_cycles +
-                                    ahb_.timing().cycles_per_beat);
-  }
-  bytes_stored_ += r.bytes;
-  total_time_ += r.time;
-  return r;
-}
-
 TransferResult TransferEngine::LoadPage(const UserMemory& user, UserAddr src,
                                         DualPortRam& dp, u32 dst, u32 len) {
+  if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
   return Load(user, src, dp, dst, len, PriceTransfer(len));
 }
 
@@ -169,13 +87,19 @@ TransferResult TransferEngine::ReloadPage(const UserMemory& user,
                                           u32 dst, u32 len) {
   // The bounce copy equals user memory (every write-back refreshes it
   // on its way out), so the data is read from user memory either way.
+  if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
   return Load(user, src, dp, dst, len, PriceReload(len));
+}
+
+TransferResult TransferEngine::LoadDirect(const UserMemory& user,
+                                          UserAddr src, DualPortRam& dp,
+                                          u32 dst, u32 len) {
+  return Load(user, src, dp, dst, len, PriceDirect(len));
 }
 
 TransferResult TransferEngine::Load(const UserMemory& user, UserAddr src,
                                     DualPortRam& dp, u32 dst, u32 len,
                                     Picoseconds price) {
-  if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
     // The transfer errors mid-pass: no data reaches the DP-RAM, but the
     // bus time was wasted. The VIM decides whether to retry.
@@ -206,9 +130,21 @@ TransferResult TransferEngine::StorePage(DualPortRam& dp, u32 src,
                                          UserMemory& user, UserAddr dst,
                                          u32 len) {
   if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
+  return Store(dp, src, user, dst, len, PriceTransfer(len));
+}
+
+TransferResult TransferEngine::StoreDirect(DualPortRam& dp, u32 src,
+                                           UserMemory& user, UserAddr dst,
+                                           u32 len) {
+  return Store(dp, src, user, dst, len, PriceDirect(len));
+}
+
+TransferResult TransferEngine::Store(DualPortRam& dp, u32 src,
+                                     UserMemory& user, UserAddr dst, u32 len,
+                                     Picoseconds price) {
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
     TransferResult r;
-    r.time = PriceTransfer(len);
+    r.time = price;
     r.bus_error = true;
     total_time_ += r.time;
     return r;
@@ -218,52 +154,13 @@ TransferResult TransferEngine::StorePage(DualPortRam& dp, u32 src,
   user.WriteBytes(dst, buf);
   TransferResult r;
   r.bytes = len;
-  r.time = PriceTransfer(len);
+  r.time = price;
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbRetry)) {
     r.retried_beats = 1;
     r.time += ahb_.clock().Duration(ahb_.timing().setup_cycles +
                                     ahb_.timing().cycles_per_beat);
   }
   bytes_stored_ += len;
-  total_time_ += r.time;
-  return r;
-}
-
-BurstResult TransferEngine::StoreBurst(
-    DualPortRam& dp, UserMemory& user,
-    std::span<const StoreSegment> segments) {
-  BurstResult r;
-  // Each segment is one fault-injection opportunity, mirroring the
-  // per-page store path, so a FaultPlan hits burst and non-burst runs
-  // at comparable rates.
-  u32 done_len = 0;
-  std::vector<u8> buf;
-  for (const StoreSegment& seg : segments) {
-    if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
-    if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
-      // The transaction errors inside this segment: earlier segments
-      // landed, this segment's bus pass is wasted time, later segments
-      // never start. The caller retries from completed_segments.
-      r.bus_error = true;
-      r.time = PriceBurst(done_len + seg.len);
-      bytes_stored_ += r.bytes;
-      total_time_ += r.time;
-      return r;
-    }
-    buf.resize(seg.len);
-    dp.Read(DualPortRam::Port::kProcessor, seg.src, buf);
-    user.WriteBytes(seg.dst, buf);
-    done_len += seg.len;
-    r.bytes += seg.len;
-    ++r.completed_segments;
-  }
-  r.time = PriceBurst(done_len);
-  if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbRetry)) {
-    r.retried_beats = 1;
-    r.time += ahb_.clock().Duration(ahb_.timing().setup_cycles +
-                                    ahb_.timing().cycles_per_beat);
-  }
-  bytes_stored_ += r.bytes;
   total_time_ += r.time;
   return r;
 }

@@ -9,7 +9,6 @@
 // say they are working on, and backs the abl_transfers experiment.
 #pragma once
 
-#include <span>
 #include <string_view>
 
 #include "base/fault.h"
@@ -48,31 +47,6 @@ struct TransferResult {
   bool iommu_fault = false;
 };
 
-/// One piece of a scatter-gather burst store: `len` bytes from DP-RAM
-/// offset `src` to user address `dst`.
-struct StoreSegment {
-  u32 src = 0;
-  UserAddr dst = 0;
-  u32 len = 0;
-};
-
-/// Outcome of one scatter-gather burst (StoreBurst).
-struct BurstResult {
-  u64 bytes = 0;
-  Picoseconds time = 0;
-  bool bus_error = false;
-  u32 retried_beats = 0;
-  /// Segments fully written back. On a bus error this is the index of
-  /// the failing segment: data for segments [0, completed_segments)
-  /// reached user memory, the failing segment's bus pass was wasted,
-  /// and later segments were never started. The caller retries from
-  /// `completed_segments`.
-  u32 completed_segments = 0;
-  /// As TransferResult::iommu_fault, for the segment at
-  /// `completed_segments` (set by mem::Iommu only).
-  bool iommu_fault = false;
-};
-
 class TransferEngine {
  public:
   /// `sdram_cycles_per_word`: CPU cost per word of the user-space side
@@ -95,33 +69,16 @@ class TransferEngine {
   TransferResult StorePage(DualPortRam& dp, u32 src, UserMemory& user,
                            UserAddr dst, u32 len);
 
-  /// Writes several DP-RAM ranges back to user memory as ONE bus
-  /// transaction: words from consecutive segments pack into shared
-  /// bursts, and fixed per-transaction costs (the DMA channel setup in
-  /// kDma mode) are paid once instead of once per segment. A
-  /// single-segment burst costs exactly PriceTransfer(len); 2 KB pages
-  /// are whole multiples of INCR16, so in the CPU copy modes a burst of
-  /// aligned pages costs cycle-for-cycle the sum of per-page stores —
-  /// the savings there come only from packing partial tail pages. (In
-  /// picoseconds the two can differ by less than one clock period per
-  /// pass: Frequency::Duration floors each cycles->time conversion,
-  /// and the burst converts once where the per-page path converts once
-  /// per page.)
-  BurstResult StoreBurst(DualPortRam& dp, UserMemory& user,
-                         std::span<const StoreSegment> segments);
-
   /// Zero-copy paths used by the IOMMU (mem/iommu.h): the DMA master
   /// scatter-gathers straight between user pages and the DP-RAM, so the
   /// data crosses the bus exactly once and the CPU never touches it.
-  /// Functionally identical to LoadPage/StorePage/StoreBurst (same
-  /// fault-injection opportunities) but priced at PriceDirect — the raw
-  /// AHB streaming bound with no CPU-copy passes.
+  /// Functionally identical to LoadPage/StorePage (same fault-injection
+  /// opportunities) but priced at PriceDirect — the raw AHB streaming
+  /// bound with no CPU-copy passes.
   TransferResult LoadDirect(const UserMemory& user, UserAddr src,
                             DualPortRam& dp, u32 dst, u32 len);
   TransferResult StoreDirect(DualPortRam& dp, u32 src, UserMemory& user,
                              UserAddr dst, u32 len);
-  BurstResult StoreBurstDirect(DualPortRam& dp, UserMemory& user,
-                               std::span<const StoreSegment> segments);
 
   /// Time that moving `len` bytes would take in the current mode,
   /// without performing it (used by planners/prefetchers).
@@ -139,11 +96,6 @@ class TransferEngine {
   /// service and priced as the IO-TLB walk). This is the analytic bound
   /// bench_iommu gates against.
   Picoseconds PriceDirect(u32 len) const;
-
-  /// Time StoreBurst would charge for segments totalling `total_len`
-  /// bytes (identical to PriceTransfer — the burst model is "one
-  /// transfer of the combined length").
-  Picoseconds PriceBurst(u32 total_len) const { return PriceTransfer(total_len); }
 
   CopyMode mode() const { return mode_; }
   void set_mode(CopyMode mode) { mode_ = mode; }
@@ -165,8 +117,12 @@ class TransferEngine {
   /// One CPU copy loop touching user SDRAM on one end and the DP-RAM on
   /// the other: the whole of a single-copy transfer.
   Picoseconds PriceOnePass(u32 len) const;
+  /// The one copy routine per direction, charged `price`: every load
+  /// and store, bounced or direct, runs through these.
   TransferResult Load(const UserMemory& user, UserAddr src, DualPortRam& dp,
                       u32 dst, u32 len, Picoseconds price);
+  TransferResult Store(DualPortRam& dp, u32 src, UserMemory& user,
+                       UserAddr dst, u32 len, Picoseconds price);
 
   AhbModel ahb_;
   Frequency cpu_clock_;

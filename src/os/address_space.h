@@ -96,10 +96,6 @@ struct VimAccounting {
   /// (wrong object, out of range, the faulting page itself) and were
   /// dropped by the Vim's central clamp. Nonzero means a strategy bug.
   u64 prefetch_suggestions_dropped = 0;
-  /// Scatter-gather write-back batching: bursts issued and pages they
-  /// carried (pages/bursts = mean batch size).
-  u64 coalesced_bursts = 0;
-  u64 coalesced_pages = 0;
   /// Distribution of individual fault-service times in microseconds
   /// (interrupt entry to coprocessor restart).
   sim::Summary fault_service_us;

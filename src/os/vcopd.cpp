@@ -498,7 +498,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     // design, the job fails cleanly. A resumed job's saved context is
     // discarded without writing partial results back to user memory.
     if (resuming) {
-      kernel_.vim().FlushAsid(tenant.space->asid(), /*write_back=*/false);
+      kernel_.vim().FlushAsid(tenant.space->asid());
     } else {
       job->result.started_at = dispatch_time;
     }
@@ -522,7 +522,6 @@ Status Vcopd::RunSlice(Tenant& tenant) {
 
   bool done = false;
   Status failure = Status::Ok();
-  Picoseconds tail_cost = 0;
   const hw::Asid asid = tenant.space->asid();
 
   vim.set_completion_handler([&done] { done = true; });
@@ -530,7 +529,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     failure = std::move(status);
     job->core->Abort();
     // An aborted run's partial results must never reach user memory.
-    tail_cost += kernel_.vim().FlushAsid(asid, /*write_back=*/false);
+    kernel_.vim().FlushAsid(asid);
     done = true;
   });
   slice_preempted_ = false;
@@ -617,7 +616,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
         "coprocessor did not complete (simulation went idle or exceeded "
         "its event budget) — FSM deadlock?");
     job->core->Abort();
-    tail_cost += vim.FlushAsid(asid, /*write_back=*/false);
+    vim.FlushAsid(asid);
     done = true;
     slice_preempted_ = false;
   }
@@ -631,10 +630,6 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     ++job->result.preemptions;
     ++stats_.preemptions;
   } else {
-    if (tail_cost > 0) {
-      sim.ScheduleAfter(tail_cost, [] {});
-      sim.RunToIdle();
-    }
     // A fault-budget abort, hang abort or non-convergence quarantines
     // the tenant: its later Submits fail fast, other ASIDs keep going.
     if (!failure.ok() && (vim.fault_abort() || !converged)) {

@@ -186,7 +186,7 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
   } else {
     // Shared fabric: clear only this space's residue (defensive — a
     // clean prior end-of-operation leaves none), discarding stale data.
-    FlushAsid(space_->asid(), /*write_back=*/false);
+    FlushAsid(space_->asid());
   }
   space_->param_frame.reset();
   space_->transferred.clear();
@@ -723,27 +723,15 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
       // The hint says the coprocessor only reads this object; honour it
       // and drop the (buggy) writes, but record that it happened.
       ++owner->accounting.dirty_in_pages_dropped;
-    } else {
-      // Write-back bookkeeping goes to the owning space (its data left
-      // the fabric); the transfer time extends the *current* service.
-      const u32 len = PageLength(*object, state.vpage);
-      const mem::TransferResult r = StorePageRetried(
-          state.asid, geometry_.FrameBase(frame),
-          PageUserAddr(*object, state.vpage), len);
-      dp_cost += r.time;
-      if (r.bus_error) {
-        // The dirty page cannot leave the fabric: its data would be
-        // lost, so the run must fail (callers notice space_->aborted,
-        // PrepareExecution notices last_transfer_failure_).
-        if (!space_->aborted) Abort(last_transfer_failure_);
-        pages_.Release(frame);
-        policy_->OnFreed(frame);
-        ++acct().evictions;
-        return;
-      }
-      ++owner->accounting.writebacks;
-      owner->accounting.bytes_written_back += len;
-      owner->transferred.insert({state.object, state.vpage});
+    } else if (!WriteBack(frame, *owner, *object, dp_cost)) {
+      // The dirty page cannot leave the fabric: its data would be
+      // lost, so the run must fail (callers notice space_->aborted,
+      // PrepareExecution notices last_transfer_failure_).
+      if (!space_->aborted) Abort(last_transfer_failure_);
+      pages_.Release(frame);
+      policy_->OnFreed(frame);
+      ++acct().evictions;
+      return;
     }
   }
   SettleSpeculativeRelease(pages_.frame(frame));
@@ -751,6 +739,23 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
   policy_->OnFreed(frame);
   ++acct().evictions;
   imu_cost += costs_.Cycles(costs_.page_table_cycles);
+}
+
+bool Vim::WriteBack(mem::FrameId frame, AddressSpace& owner,
+                    const MappedObject& object, Picoseconds& dp_cost) {
+  // Bookkeeping goes to the owning space (its data left the fabric);
+  // the transfer time extends the *current* service.
+  const FrameState& state = pages_.frame(frame);
+  const u32 len = PageLength(object, state.vpage);
+  const mem::TransferResult r =
+      StorePageRetried(state.asid, geometry_.FrameBase(frame),
+                       PageUserAddr(object, state.vpage), len);
+  dp_cost += r.time;
+  if (r.bus_error) return false;
+  ++owner.accounting.writebacks;
+  owner.accounting.bytes_written_back += len;
+  owner.transferred.insert({state.object, state.vpage});
+  return true;
 }
 
 void Vim::InstallTlbEntry(hw::ObjectId object, mem::VirtPage vpage,
@@ -874,134 +879,59 @@ void Vim::OnEndOfOperation() {
   }
   cpu_busy_until_ = 0;
 
-  // Merge live dirty bits, then drop the translations. In the classic
-  // single-tenant path everything on the fabric belongs to this run; in
-  // the vcopd (ASID-scoped) path only this space's entries and frames
-  // are touched, so other tenants' working sets survive the switch.
+  // Merge live dirty bits, then drop the translations. Only this
+  // space's entries and frames are touched, so on a shared fabric
+  // (vcopd) other tenants' working sets survive; after a full reset
+  // everything resident is this space's anyway.
   hw::Tlb& tlb = imu_->tlb();
-  if (current_scope_ == ResetScope::kFullReset) {
-    for (u32 i = 0; i < tlb.num_entries(); ++i) {
-      const hw::TlbEntry e = tlb.entry(i);
-      if (!e.valid) continue;
-      if (e.dirty && pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-      if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
+  const hw::Asid asid = space_->asid();
+  for (u32 i = 0; i < tlb.num_entries(); ++i) {
+    const hw::TlbEntry e = tlb.entry(i);
+    if (!e.valid || e.asid != asid) continue;
+    if (e.dirty && pages_.frame(e.frame).in_use) {
+      pages_.MarkDirty(e.frame);
     }
-    tlb.InvalidateAll();
-
-    if (config_.coalesce_writeback) {
-      // One scatter-gather burst cleans every dirty page first; the
-      // sweep below then finds nothing left to write back and keeps
-      // its exact bookkeeping.
-      CoalescedWriteback(pages_.InUseFrames(), dp_cost);
-      if (space_->aborted) {
-        acct().t_imu += imu_cost;
-        acct().t_dp += dp_cost;
-        return;
-      }
-    }
-
-    // "The interface manager copies back to user space all the dirty data
-    // currently residing in the dual-port memory." (§3.3)
-    for (const mem::FrameId f : pages_.InUseFrames()) {
-      const FrameState state = pages_.frame(f);
-      SettleSpeculativeRelease(state);
-      if (state.object == hw::kParamObject) {
-        if (state.pinned) pages_.Unpin(f);
-        pages_.Release(f);
-        space_->param_frame.reset();
-        continue;
-      }
-      const MappedObject* object = space_->objects().Find(state.object);
-      VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-      if (state.dirty) {
-        if (object->direction == Direction::kIn) {
-          ++acct().dirty_in_pages_dropped;
-        } else {
-          const u32 len = PageLength(*object, state.vpage);
-          const mem::TransferResult r = StorePageRetried(
-              state.asid, geometry_.FrameBase(f),
-              PageUserAddr(*object, state.vpage), len);
-          dp_cost += r.time;
-          if (r.bus_error) {
-            acct().t_imu += imu_cost;
-            acct().t_dp += dp_cost;
-            if (!space_->aborted) Abort(last_transfer_failure_);
-            return;
-          }
-          ++acct().writebacks;
-          acct().bytes_written_back += len;
-        }
-      }
-      pages_.Release(f);
-      policy_->OnFreed(f);
-      imu_cost += costs_.Cycles(costs_.page_table_cycles);
-    }
-  } else {
-    const hw::Asid asid = space_->asid();
-    for (u32 i = 0; i < tlb.num_entries(); ++i) {
-      const hw::TlbEntry e = tlb.entry(i);
-      if (!e.valid || e.asid != asid) continue;
-      if (e.dirty && pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-      if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-    }
-    if (tlb_tagging_) {
-      tlb.InvalidateAsid(asid);
-      ++service_stats_.tlb_flushes_avoided;
-    } else {
-      tlb.InvalidateAll();
-      ++service_stats_.full_tlb_flushes;
-    }
-
-    if (config_.coalesce_writeback) {
-      CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-      if (space_->aborted) {
-        acct().t_imu += imu_cost;
-        acct().t_dp += dp_cost;
-        return;
-      }
-    }
-
-    for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-      const FrameState state = pages_.frame(f);
-      SettleSpeculativeRelease(state);
-      if (state.object == hw::kParamObject) {
-        if (state.pinned) pages_.Unpin(f);
-        pages_.Release(f);
-        policy_->OnFreed(f);
-        space_->param_frame.reset();
-        continue;
-      }
-      const MappedObject* object = space_->objects().Find(state.object);
-      VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-      if (state.dirty) {
-        if (object->direction == Direction::kIn) {
-          ++acct().dirty_in_pages_dropped;
-        } else {
-          const u32 len = PageLength(*object, state.vpage);
-          const mem::TransferResult r = StorePageRetried(
-              state.asid, geometry_.FrameBase(f),
-              PageUserAddr(*object, state.vpage), len);
-          dp_cost += r.time;
-          if (r.bus_error) {
-            acct().t_imu += imu_cost;
-            acct().t_dp += dp_cost;
-            if (!space_->aborted) Abort(last_transfer_failure_);
-            return;
-          }
-          ++acct().writebacks;
-          acct().bytes_written_back += len;
-        }
-      }
-      pages_.Release(f);
-      policy_->OnFreed(f);
-      imu_cost += costs_.Cycles(costs_.page_table_cycles);
-    }
-    space_->params_live = false;
+    if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
   }
+  if (current_scope_ == ResetScope::kFullReset) {
+    tlb.InvalidateAll();
+  } else if (tlb_tagging_) {
+    tlb.InvalidateAsid(asid);
+    ++service_stats_.tlb_flushes_avoided;
+  } else {
+    tlb.InvalidateAll();
+    ++service_stats_.full_tlb_flushes;
+  }
+
+  // "The interface manager copies back to user space all the dirty data
+  // currently residing in the dual-port memory." (§3.3)
+  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
+    const FrameState state = pages_.frame(f);
+    SettleSpeculativeRelease(state);
+    if (state.object == hw::kParamObject) {
+      if (state.pinned) pages_.Unpin(f);
+      pages_.Release(f);
+      policy_->OnFreed(f);
+      space_->param_frame.reset();
+      continue;
+    }
+    const MappedObject* object = space_->objects().Find(state.object);
+    VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
+    if (state.dirty) {
+      if (object->direction == Direction::kIn) {
+        ++acct().dirty_in_pages_dropped;
+      } else if (!WriteBack(f, *space_, *object, dp_cost)) {
+        acct().t_imu += imu_cost;
+        acct().t_dp += dp_cost;
+        if (!space_->aborted) Abort(last_transfer_failure_);
+        return;
+      }
+    }
+    pages_.Release(f);
+    policy_->OnFreed(f);
+    imu_cost += costs_.Cycles(costs_.page_table_cycles);
+  }
+  space_->params_live = false;
 
   // The run's DMA window is over: shoot down its IO-TLB entries so
   // nothing can translate through them afterwards (the write-back
@@ -1010,7 +940,7 @@ void Vim::OnEndOfOperation() {
     if (current_scope_ == ResetScope::kFullReset) {
       iommu_.InvalidateAll();
     } else {
-      iommu_.InvalidateAsid(space_->asid());
+      iommu_.InvalidateAsid(asid);
     }
   }
 
@@ -1076,16 +1006,6 @@ Picoseconds Vim::SaveContext() {
       space_->tlb_snapshot.push_back(
           TlbSnapshotEntry{e.object, e.vpage, e.frame});
     }
-    if (config_.coalesce_writeback) {
-      const u32 cleaned =
-          CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-      service_stats_.pages_written_back_on_save += cleaned;
-      if (space_->aborted) {
-        acct().t_dp += dp_cost;
-        acct().t_imu += imu_cost;
-        return dp_cost + imu_cost;
-      }
-    }
     for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
       const FrameState state = pages_.frame(f);
       if (!state.dirty) continue;
@@ -1094,20 +1014,12 @@ Picoseconds Vim::SaveContext() {
       // kIn pages never reach user space; if a foreign eviction drops
       // one later it is counted there, not here.
       if (object->direction == Direction::kIn) continue;
-      const u32 len = PageLength(*object, state.vpage);
-      const mem::TransferResult r = StorePageRetried(
-          state.asid, geometry_.FrameBase(f),
-          PageUserAddr(*object, state.vpage), len);
-      dp_cost += r.time;
-      if (r.bus_error) {
+      if (!WriteBack(f, *space_, *object, dp_cost)) {
         if (!space_->aborted) Abort(last_transfer_failure_);
         acct().t_dp += dp_cost;
         acct().t_imu += imu_cost;
         return dp_cost + imu_cost;
       }
-      ++acct().writebacks;
-      acct().bytes_written_back += len;
-      space_->transferred.insert({state.object, state.vpage});
       ++service_stats_.pages_written_back_on_save;
       pages_.ClearDirty(f);
       if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
@@ -1118,16 +1030,6 @@ Picoseconds Vim::SaveContext() {
   } else {
     // Untagged baseline: the TLB cannot distinguish tenants, so the
     // whole working set leaves the fabric and the TLB is flushed.
-    if (config_.coalesce_writeback) {
-      // Multi-page eviction: one burst writes every dirty page back, so
-      // the per-frame evictions below are all clean (and free).
-      CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-      if (space_->aborted) {
-        acct().t_dp += dp_cost;
-        acct().t_imu += imu_cost;
-        return dp_cost + imu_cost;
-      }
-    }
     for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
       EvictFrame(f, dp_cost, imu_cost);
     }
@@ -1206,60 +1108,20 @@ Picoseconds Vim::RestoreContext() {
   return dp_cost + imu_cost;
 }
 
-Picoseconds Vim::FlushAsid(hw::Asid asid, bool write_back) {
+void Vim::FlushAsid(hw::Asid asid) {
   VCOP_CHECK_MSG(imu_ != nullptr, "flush with no IMU bound");
-  hw::Tlb& tlb = imu_->tlb();
-  Picoseconds cost = 0;
-
-  // Fold live dirty bits for this space before dropping translations.
-  for (u32 i = 0; i < tlb.num_entries(); ++i) {
-    const hw::TlbEntry e = tlb.entry(i);
-    if (e.valid && e.asid == asid && e.dirty &&
-        pages_.frame(e.frame).in_use) {
-      pages_.MarkDirty(e.frame);
-    }
-  }
-  tlb.InvalidateAsid(asid);
-
-  AddressSpace* owner = ResolveSpace(asid);
-  if (write_back && config_.coalesce_writeback) {
-    CoalescedWriteback(pages_.InUseFramesOf(asid), cost);
-    // A burst failure leaves the failed pages dirty; the best-effort
-    // per-page sweep below retries them individually.
-  }
+  imu_->tlb().InvalidateAsid(asid);
   for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
     const FrameState state = pages_.frame(f);
-    if (write_back && state.dirty && state.object != hw::kParamObject &&
-        owner != nullptr) {
-      const MappedObject* object = owner->objects().Find(state.object);
-      if (object != nullptr && object->direction != Direction::kIn) {
-        const u32 len = PageLength(*object, state.vpage);
-        const mem::TransferResult r = StorePageRetried(
-            state.asid, geometry_.FrameBase(f),
-            PageUserAddr(*object, state.vpage), len);
-        cost += r.time;
-        if (r.bus_error) {
-          // Teardown is best-effort: the page's data is lost, which
-          // fault_abort_ (set by the failed retry chain) reports to
-          // vcopd so the job is failed rather than silently truncated.
-          continue;
-        }
-        ++owner->accounting.writebacks;
-        owner->accounting.bytes_written_back += len;
-        owner->transferred.insert({state.object, state.vpage});
-      }
-    }
-    SettleSpeculativeRelease(pages_.frame(f));
+    SettleSpeculativeRelease(state);
     if (state.pinned) pages_.Unpin(f);
     pages_.Release(f);
     policy_->OnFreed(f);
   }
-  if (owner != nullptr) owner->param_frame.reset();
-  // IO-TLB shootdown rides the same flush: the ASID's interface state
-  // is gone, and with it every cached DMA translation. After the
-  // write-back sweep — its own stores were the last legitimate users.
+  if (AddressSpace* owner = ResolveSpace(asid)) owner->param_frame.reset();
+  // The ASID's interface state is gone, and with it every cached DMA
+  // translation.
   if (config_.iommu) iommu_.InvalidateAsid(asid);
-  return cost;
 }
 
 void Vim::AbandonInFlight() {
@@ -1284,7 +1146,7 @@ void Vim::Abort(Status status) {
   if (on_abort_) on_abort_(std::move(status));
 }
 
-// ----- speculation and batching (DESIGN.md §10) -----
+// ----- speculation (DESIGN.md §10) -----
 
 std::vector<PrefetchSuggestion> Vim::ClampedSuggestions(hw::ObjectId oid,
                                                         mem::VirtPage vpage,
@@ -1322,115 +1184,6 @@ void Vim::SettleSpeculativeRelease(const FrameState& state) {
   ++service_stats_.prefetch_wasted;
 }
 
-u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
-                            Picoseconds& dp_cost) {
-  // Gather the dirty, write-backable pages. InUseFrames enumerates in
-  // frame order, so adjacent dirty pages land in one ascending burst.
-  std::vector<mem::FrameId> batch;
-  std::vector<mem::Iommu::BurstSegment> segments;
-  for (const mem::FrameId f : frames) {
-    const FrameState state = pages_.frame(f);
-    if (!state.in_use || state.object == hw::kParamObject) continue;
-    if (!FrameDirty(f)) continue;
-    AddressSpace* owner = ResolveSpace(state.asid);
-    if (owner == nullptr) continue;
-    const MappedObject* object = owner->objects().Find(state.object);
-    if (object == nullptr || object->direction == Direction::kIn) {
-      continue;  // dropped pages stay with the per-page sweep's counters
-    }
-    const u32 len = PageLength(*object, state.vpage);
-    batch.push_back(f);
-    segments.push_back(mem::Iommu::BurstSegment{
-        state.asid,
-        mem::StoreSegment{geometry_.FrameBase(f),
-                          PageUserAddr(*object, state.vpage), len}});
-  }
-  if (segments.size() < 2) return 0;  // nothing to amortise
-
-  const mem::BurstResult r = StoreBurstRetried(segments);
-  dp_cost += r.time;
-  // Settle the pages that actually landed, even on a failed burst: they
-  // are clean now, and the per-page sweep must not write them twice.
-  for (u32 i = 0; i < r.completed_segments; ++i) {
-    const mem::FrameId f = batch[i];
-    const FrameState state = pages_.frame(f);
-    AddressSpace* owner = ResolveSpace(state.asid);
-    VCOP_CHECK_MSG(owner != nullptr, "burst page lost its owner");
-    ++owner->accounting.writebacks;
-    owner->accounting.bytes_written_back += segments[i].seg.len;
-    owner->transferred.insert({state.object, state.vpage});
-    pages_.ClearDirty(f);
-    if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
-      imu_->tlb().ClearDirty(*entry);
-    }
-  }
-  ++service_stats_.coalesced_bursts;
-  service_stats_.coalesced_pages += r.completed_segments;
-  acct().coalesced_bursts += 1;
-  acct().coalesced_pages += r.completed_segments;
-  return r.completed_segments;
-}
-
-mem::BurstResult Vim::StoreBurstRetried(
-    std::span<const mem::Iommu::BurstSegment> segments) {
-  // Off the zero-copy path the engine takes plain segments; strip the
-  // ASID tags once up front.
-  std::vector<mem::StoreSegment> plain;
-  if (!config_.iommu) {
-    plain.reserve(segments.size());
-    for (const mem::Iommu::BurstSegment& bs : segments) {
-      plain.push_back(bs.seg);
-    }
-  }
-  mem::BurstResult total;
-  u32 attempt = 0;
-  while (true) {
-    const mem::BurstResult r =
-        config_.iommu
-            ? iommu_.StoreBurstFromDp(
-                  dp_ram_, user_memory_,
-                  segments.subspan(total.completed_segments))
-            : transfers_.StoreBurst(
-                  dp_ram_, user_memory_,
-                  std::span<const mem::StoreSegment>(plain).subspan(
-                      total.completed_segments));
-    total.time += r.time;
-    total.bytes += r.bytes;
-    total.retried_beats += r.retried_beats;
-    const bool progressed = r.completed_segments > 0;
-    total.completed_segments += r.completed_segments;
-    if (!r.bus_error && !r.iommu_fault) return total;
-    if (r.iommu_fault) {
-      // The walk for the first unfinished segment failed: service it
-      // like a bus error (decode, then re-enter the bounded retry).
-      ++acct().iommu_faults;
-      total.time += costs_.Cycles(costs_.fault_decode_cycles);
-    }
-    // Retry the transaction from the first segment that did not land,
-    // with the same bounded backoff as the per-page transfers. Progress
-    // resets the attempt counter: only a segment that keeps failing in
-    // place exhausts the limit.
-    if (progressed) attempt = 0;
-    ++service_stats_.transfer_retries;
-    if (++attempt >= config_.transfer_retry_limit) break;
-    total.time += costs_.Cycles(
-        static_cast<u64>(costs_.transfer_retry_backoff_cycles)
-        << (attempt - 1));
-    if (!ChargeFaultRecovery("AHB burst store retry")) {
-      total.bus_error = true;
-      return total;
-    }
-  }
-  ++service_stats_.transfer_retry_failures;
-  fault_abort_ = true;
-  last_transfer_failure_ = UnavailableError(StrFormat(
-      "AHB burst store stalled at segment %u of %zu after %u attempts",
-      total.completed_segments, segments.size(),
-      config_.transfer_retry_limit));
-  total.bus_error = true;
-  return total;
-}
-
 // ----- fault injection and recovery -----
 
 void Vim::InstallFaultPlan(FaultPlan* plan) {
@@ -1449,16 +1202,12 @@ void Vim::OnTlbParityDrop(const hw::TlbEntry& dropped) {
   }
 }
 
-mem::TransferResult Vim::LoadPageRetried(hw::Asid asid, mem::UserAddr src,
-                                         u32 dst, u32 len, bool reload) {
+template <typename Attempt>
+mem::TransferResult Vim::RetryTransfer(const char* op, u32 len,
+                                       Attempt attempt) {
   mem::TransferResult total;
-  for (u32 attempt = 0;; ++attempt) {
-    const mem::TransferResult r =
-        config_.iommu
-            ? iommu_.LoadToDp(asid, user_memory_, src, dp_ram_, dst, len)
-        : reload
-            ? transfers_.ReloadPage(user_memory_, src, dp_ram_, dst, len)
-            : transfers_.LoadPage(user_memory_, src, dp_ram_, dst, len);
+  for (u32 tries = 0;; ++tries) {
+    const mem::TransferResult r = attempt();
     total.time += r.time;
     total.retried_beats += r.retried_beats;
     if (!r.bus_error && !r.iommu_fault) {
@@ -1474,57 +1223,42 @@ mem::TransferResult Vim::LoadPageRetried(hw::Asid asid, mem::UserAddr src,
       total.time += costs_.Cycles(costs_.fault_decode_cycles);
     }
     ++service_stats_.transfer_retries;
-    if (attempt + 1 >= config_.transfer_retry_limit) break;
+    if (tries + 1 >= config_.transfer_retry_limit) break;
     total.time += costs_.Cycles(
-        static_cast<u64>(costs_.transfer_retry_backoff_cycles) << attempt);
-    if (!ChargeFaultRecovery("AHB load retry")) {
+        static_cast<u64>(costs_.transfer_retry_backoff_cycles) << tries);
+    if (!ChargeFaultRecovery(StrFormat("AHB %s retry", op).c_str())) {
       total.bus_error = true;
       return total;
     }
   }
   ++service_stats_.transfer_retry_failures;
   fault_abort_ = true;
-  last_transfer_failure_ = UnavailableError(StrFormat(
-      "AHB load of %u bytes failed after %u attempts", len,
-      config_.transfer_retry_limit));
+  last_transfer_failure_ = UnavailableError(
+      StrFormat("AHB %s of %u bytes failed after %u attempts", op, len,
+                config_.transfer_retry_limit));
   total.bus_error = true;
   return total;
 }
 
+mem::TransferResult Vim::LoadPageRetried(hw::Asid asid, mem::UserAddr src,
+                                         u32 dst, u32 len, bool reload) {
+  return RetryTransfer("load", len, [&] {
+    return config_.iommu
+               ? iommu_.LoadToDp(asid, user_memory_, src, dp_ram_, dst, len)
+           : reload
+               ? transfers_.ReloadPage(user_memory_, src, dp_ram_, dst, len)
+               : transfers_.LoadPage(user_memory_, src, dp_ram_, dst, len);
+  });
+}
+
 mem::TransferResult Vim::StorePageRetried(hw::Asid asid, u32 src,
                                           mem::UserAddr dst, u32 len) {
-  mem::TransferResult total;
-  for (u32 attempt = 0;; ++attempt) {
-    const mem::TransferResult r =
-        config_.iommu
-            ? iommu_.StoreFromDp(asid, dp_ram_, src, user_memory_, dst, len)
-            : transfers_.StorePage(dp_ram_, src, user_memory_, dst, len);
-    total.time += r.time;
-    total.retried_beats += r.retried_beats;
-    if (!r.bus_error && !r.iommu_fault) {
-      total.bytes = r.bytes;
-      return total;
-    }
-    if (r.iommu_fault) {
-      ++acct().iommu_faults;
-      total.time += costs_.Cycles(costs_.fault_decode_cycles);
-    }
-    ++service_stats_.transfer_retries;
-    if (attempt + 1 >= config_.transfer_retry_limit) break;
-    total.time += costs_.Cycles(
-        static_cast<u64>(costs_.transfer_retry_backoff_cycles) << attempt);
-    if (!ChargeFaultRecovery("AHB store retry")) {
-      total.bus_error = true;
-      return total;
-    }
-  }
-  ++service_stats_.transfer_retry_failures;
-  fault_abort_ = true;
-  last_transfer_failure_ = UnavailableError(StrFormat(
-      "AHB store of %u bytes failed after %u attempts", len,
-      config_.transfer_retry_limit));
-  total.bus_error = true;
-  return total;
+  return RetryTransfer("store", len, [&] {
+    return config_.iommu
+               ? iommu_.StoreFromDp(asid, dp_ram_, src, user_memory_, dst,
+                                    len)
+               : transfers_.StorePage(dp_ram_, src, user_memory_, dst, len);
+  });
 }
 
 bool Vim::ChargeFaultRecovery(const char* what) {

@@ -67,11 +67,6 @@ struct VimConfig {
   /// translation pre-installed, so the coprocessor never faults on it;
   /// a fault racing an in-flight load waits only for the remainder.
   bool overlap_prefetch = false;
-  /// Batch the write-back sweeps (end-of-operation, FlushAsid, context
-  /// save / untagged switch-out) into scatter-gather bursts: one bus
-  /// transaction covering every adjacent dirty page instead of one
-  /// transfer per page. Off keeps the per-page path bit-identical.
-  bool coalesce_writeback = false;
   /// Zero-copy virtual-address DMA (DESIGN.md §13): page transfers
   /// stream directly between the user pages and the dual-port RAM
   /// through an IOMMU that translates the tenant's virtual addresses,
@@ -101,7 +96,11 @@ struct VimConfig {
   Picoseconds watchdog_timeout = 1'000'000'000;  // 1 ms
 };
 
-/// How PrepareExecution treats state that outlives one execution.
+/// How PrepareExecution treats state that outlives one execution. The
+/// end-of-operation sweep writes back and frees the attached space's
+/// frames under either scope (after a full reset every resident frame
+/// is the space's own); the scope only picks how it then flushes the
+/// TLB and the IO-TLB.
 enum class ResetScope {
   /// Single-tenant semantics (the legacy kernel path): wipe all frames,
   /// policy state and TLB content/statistics. Bit-identical to the
@@ -113,11 +112,12 @@ enum class ResetScope {
   kAsidScoped,
 };
 
-/// Service-daemon wide counters over all SaveContext / RestoreContext /
-/// end-of-operation events, independent of which space was attached.
-/// These are the numbers the ASID experiment gates on: tagging turns
+/// Service-wide counters, independent of which space was attached:
+/// context switches, fault recovery and speculation. The switch
+/// counters are the numbers the ASID experiment gates on: tagging turns
 /// full flushes into per-ASID invalidations and lets entries survive to
-/// be counted as restored (or never dropped at all).
+/// be counted as restored (or never dropped at all). Per-space counters
+/// live in VimAccounting.
 struct VimServiceStats {
   u64 context_saves = 0;
   u64 context_restores = 0;
@@ -157,7 +157,7 @@ struct VimServiceStats {
   /// TLB entries the hardware discarded on a failed parity check.
   u64 tlb_parity_drops = 0;
 
-  // ----- speculation and batching (DESIGN.md §10) -----
+  // ----- speculation (DESIGN.md §10) -----
 
   /// Pages loaded speculatively (sync or overlapped prefetch).
   u64 prefetch_issued = 0;
@@ -167,9 +167,6 @@ struct VimServiceStats {
   u64 prefetch_wasted = 0;
   /// Contract-violating suggestions dropped by the central clamp.
   u64 prefetch_suggestions_dropped = 0;
-  /// Scatter-gather write-back transactions and the pages they carried.
-  u64 coalesced_bursts = 0;
-  u64 coalesced_pages = 0;
 };
 
 class Vim {
@@ -233,11 +230,10 @@ class Vim {
   /// live. Returns the service time (charged to the space).
   Picoseconds RestoreContext();
 
-  /// Drops every frame and TLB entry owned by `asid`. With `write_back`
-  /// dirty non-IN pages go to user memory first; without, partial
-  /// results are discarded (abort/teardown). Returns the transfer time.
-  /// Does not charge any space's accounting — callers decide.
-  Picoseconds FlushAsid(hw::Asid asid, bool write_back);
+  /// Drops every frame, TLB entry and IO-TLB entry owned by `asid`,
+  /// discarding dirty data: partial results of an aborted or torn-down
+  /// run never reach user memory. Free in simulated time.
+  void FlushAsid(hw::Asid asid);
 
   /// Consulted at each fault *before* servicing it; returning true
   /// preempts: the VIM saves context and calls the preempt handler
@@ -351,6 +347,14 @@ class Vim {
   void EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
                   Picoseconds& imu_cost);
 
+  /// The one dirty-page store (§3.3: eviction, end of operation and
+  /// context save all write back through it): copies `frame`'s page of
+  /// `object` to user memory with bounded retries, adds the time to
+  /// `dp_cost` and books the write-back to `owner`. False when the
+  /// store failed for good; the caller decides how the run ends.
+  bool WriteBack(mem::FrameId frame, AddressSpace& owner,
+                 const MappedObject& object, Picoseconds& dp_cost);
+
   /// Owner space of `asid`: the attached space or, for foreign tags,
   /// whatever the resolver returns (nullptr when unknown).
   AddressSpace* ResolveSpace(hw::Asid asid);
@@ -395,24 +399,6 @@ class Vim {
   /// flagged speculative was a wasted guess.
   void SettleSpeculativeRelease(const FrameState& state);
 
-  // ----- coalesced write-back -----
-
-  /// Writes every dirty, write-backable page among `frames` back to
-  /// user memory as one scatter-gather burst, leaving the pages
-  /// resident and *clean* — the caller's per-page sweep then finds no
-  /// dirty pages and keeps its exact bookkeeping. Returns the pages
-  /// cleaned; on an unrecoverable burst failure the remaining dirty
-  /// pages are left for the caller's per-page (retried) path.
-  u32 CoalescedWriteback(const std::vector<mem::FrameId>& frames,
-                         Picoseconds& dp_cost);
-
-  /// StoreBurst with the same bounded retry-with-backoff as the
-  /// per-page transfers; retries resume from the first segment that
-  /// did not complete. Segments carry their owning ASID so the IOMMU
-  /// path can translate a mixed-tenant scatter-gather list.
-  mem::BurstResult StoreBurstRetried(
-      std::span<const mem::Iommu::BurstSegment> segments);
-
   /// Pulls the TLB accessed bits into the replacement policy.
   void HarvestRecency();
 
@@ -432,6 +418,12 @@ class Vim {
                                       u32 dst, u32 len, bool reload);
   mem::TransferResult StorePageRetried(hw::Asid asid, u32 src,
                                        mem::UserAddr dst, u32 len);
+  /// The retry loop both share: runs `attempt` until it succeeds or
+  /// transfer_retry_limit attempts failed. `op` ("load" or "store")
+  /// names the direction in the failure status.
+  template <typename Attempt>
+  mem::TransferResult RetryTransfer(const char* op, u32 len,
+                                    Attempt attempt);
 
   /// Cost of moving one `len`-byte page between user and dual-port
   /// memory on the configured path: the IOMMU's streaming price when

@@ -199,10 +199,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
       config.vim.overlap_prefetch = v.value();
-    } else if (key == "coalesce_writeback") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.vim.coalesce_writeback = v.value();
     } else if (key == "iommu") {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
@@ -305,8 +301,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
   out += StrFormat("prefetch_depth = %u\n", config.vim.prefetch_depth);
   out += StrFormat("overlap = %s\n",
                    config.vim.overlap_prefetch ? "true" : "false");
-  out += StrFormat("coalesce_writeback = %s\n",
-                   config.vim.coalesce_writeback ? "true" : "false");
   out += StrFormat("iommu = %s\n", config.vim.iommu ? "true" : "false");
   out += StrFormat("iotlb_entries = %u\n", config.vim.iotlb_entries);
   out += StrFormat("service_ring = %u\n", config.service.ring_entries);

@@ -132,7 +132,6 @@ copy_mode = dma
 prefetch = sequential
 prefetch_depth = 2
 overlap = true
-coalesce_writeback = yes
 iommu = on
 iotlb_entries = 64
 service_ring = 128
@@ -157,7 +156,6 @@ service_burst = 32
   EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kSequential);
   EXPECT_EQ(c.vim.prefetch_depth, 2u);
   EXPECT_TRUE(c.vim.overlap_prefetch);
-  EXPECT_TRUE(c.vim.coalesce_writeback);
   EXPECT_TRUE(c.vim.iommu);
   EXPECT_EQ(c.vim.iotlb_entries, 64u);
   EXPECT_EQ(c.service.ring_entries, 128u);
@@ -272,7 +270,7 @@ TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
   for (const char* line :
        {"dp_ram_mb = 4", "victim_tlb_entries = 4", "lazy_writeback = on",
         "design_affinity = on", "fastforward = on", "l1_tlb_entries = 2",
-        "l2_tlb_entries = 6", "page_kb = 2"}) {
+        "l2_tlb_entries = 6", "page_kb = 2", "coalesce_writeback = on"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");
@@ -380,7 +378,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   original.imu_pipelined = true;
   original.vim.prefetch = os::PrefetchKind::kAdaptive;
   original.vim.prefetch_depth = 3;
-  original.vim.coalesce_writeback = true;
   original.vim.iommu = true;
   original.vim.iotlb_entries = 32;
   original.service.ring_entries = 256;
@@ -397,8 +394,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   EXPECT_EQ(parsed.value().imu_pipelined, original.imu_pipelined);
   EXPECT_EQ(parsed.value().vim.prefetch, original.vim.prefetch);
   EXPECT_EQ(parsed.value().vim.prefetch_depth, original.vim.prefetch_depth);
-  EXPECT_EQ(parsed.value().vim.coalesce_writeback,
-            original.vim.coalesce_writeback);
   EXPECT_EQ(parsed.value().vim.iommu, original.vim.iommu);
   EXPECT_EQ(parsed.value().vim.iotlb_entries, original.vim.iotlb_entries);
   EXPECT_EQ(parsed.value().service.ring_entries,
@@ -459,7 +454,6 @@ os::KernelConfig RandomPlatform(Rng& rng) {
   c.vim.prefetch = kPrefetch[rng.NextBelow(3)];
   c.vim.prefetch_depth = static_cast<u32>(rng.NextInRange(1, 16));
   c.vim.overlap_prefetch = RandomBool(rng);
-  c.vim.coalesce_writeback = RandomBool(rng);
   c.vim.iommu = RandomBool(rng);
   c.vim.iotlb_entries = RandomPowerOfTwo(rng, 0, 10);
   c.service.ring_entries = RandomPowerOfTwo(rng, 1, 15);
@@ -488,13 +482,13 @@ std::string RandomKeyValueLine(Rng& rng) {
   static constexpr const char* kKeys[] = {
       "name", "dp_ram_kb", "page_size", "tlb_entries", "cpu_mhz",
       "imu_latency", "pipelined", "posted_writes", "bounds_check", "pld_les", "policy",
-      "copy_mode", "prefetch", "prefetch_depth", "overlap",
-      "coalesce_writeback", "iommu", "iotlb_entries", "service_ring",
-      "service_rate", "service_burst", "config_slots", "page_size_obj3",
-      // Near misses: the parameter object, no id, an id out of range, a
-      // removed key, upper case, an inner space.
+      "copy_mode", "prefetch", "prefetch_depth", "overlap", "iommu",
+      "iotlb_entries", "service_ring", "service_rate", "service_burst",
+      "config_slots", "page_size_obj3",
+      // Near misses: the parameter object, no id, an id out of range,
+      // removed keys, upper case, an inner space.
       "page_size_obj15", "page_size_obj", "page_size_obj99", "fastforward",
-      "NAME", "tlb entries"};
+      "coalesce_writeback", "NAME", "tlb entries"};
   static constexpr const char* kValues[] = {
       "0", "1", "2", "3", "512", "1024", "4096", "65536", "65537", "-1",
       "on", "off", "maybe", "lru", "wsfifo", "dma", "adaptive", "",

@@ -7,11 +7,11 @@
 //
 // The sweep runs 200 seeded (workload × config) points through both
 // engines via the parallel fleet runner; the configs deliberately
-// include adaptive-prefetch and overlapped-prefetch variants (both with
-// coalesced write-back) whose fault-time machinery forces fast-forward
-// onto its fallback edges, and posted-write variants whose writes are
-// never eligible at all. The paper's Figure 8 / Figure 9 points also
-// pin how much work kFast skips.
+// include adaptive-prefetch and overlapped-prefetch variants whose
+// fault-time machinery forces fast-forward onto its fallback edges,
+// and posted-write variants whose writes are never eligible at all.
+// The paper's Figure 8 / Figure 9 points also pin how much work kFast
+// skips.
 //
 // The same harness has a memory-mode axis for per-object page sizes:
 // granule-sized overrides must be bit-identical to the default, and
@@ -72,17 +72,14 @@ os::KernelConfig VariantConfig(u64 seed, Engine engine, MemMode mode) {
   switch (seed % 4) {
     case 0:  // plain EPXA1: long hit streaks, maximal fast-forwarding
       break;
-    case 1:  // adaptive prefetch + coalesced write-back: fault-heavy
-             // fallback edges
+    case 1:  // adaptive prefetch: fault-heavy fallback edges
       config.vim.prefetch = os::PrefetchKind::kAdaptive;
-      config.vim.coalesce_writeback = true;
       config.vim.prefetch_depth = 2;
       break;
-    case 2:  // overlapped prefetch + coalesced write-back: the VIM's
-             // in-flight transfers veto the tier through its OS gate
+    case 2:  // overlapped prefetch: the VIM's in-flight transfers veto
+             // the tier through its OS gate
       config.vim.prefetch = os::PrefetchKind::kSequential;
       config.vim.overlap_prefetch = true;
-      config.vim.coalesce_writeback = true;
       break;
     default:  // posted writes + bounds check: writes never eligible
       config.imu_posted_writes = true;
@@ -216,8 +213,6 @@ void ExpectBitIdentical(const DiffOutcome& got, const DiffOutcome& ref,
   EXPECT_EQ(a.vim.prefetch_wasted, b.vim.prefetch_wasted);
   EXPECT_EQ(a.vim.prefetch_suggestions_dropped,
             b.vim.prefetch_suggestions_dropped);
-  EXPECT_EQ(a.vim.coalesced_bursts, b.vim.coalesced_bursts);
-  EXPECT_EQ(a.vim.coalesced_pages, b.vim.coalesced_pages);
   EXPECT_EQ(a.vim.fault_service_us.count(), b.vim.fault_service_us.count());
   EXPECT_EQ(a.vim.fault_service_us.sum(), b.vim.fault_service_us.sum());
   EXPECT_EQ(a.vim.fault_service_us.min(), b.vim.fault_service_us.min());

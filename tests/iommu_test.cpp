@@ -56,15 +56,6 @@ class IommuTest : public ::testing::Test {
     return addr;
   }
 
-  /// As Stage, but returns a 4 KB-aligned address inside the region —
-  /// for tests whose page-count arithmetic assumes aligned DMA windows.
-  /// (Allocate itself is only 16-byte aligned, like malloc.)
-  mem::UserAddr StageAligned(u32 pages, u8 seed) {
-    const u32 bytes = (pages + 1) * kUserPageBytes;
-    const mem::UserAddr addr = Stage(bytes, seed);
-    return (addr + kUserPageBytes - 1) & ~(kUserPageBytes - 1);
-  }
-
   std::vector<u8> DpBytes(u32 offset, u32 len) {
     std::vector<u8> out(len);
     dp_.Read(DualPortRam::Port::kProcessor, offset, out);
@@ -216,28 +207,6 @@ TEST_F(IommuTest, IotlbCorruptionIsDetectedAndRewalkedTransparently) {
   std::vector<u8> expect(user_.View(a, 2048).begin(),
                          user_.View(a, 2048).end());
   EXPECT_EQ(DpBytes(0, 2048), expect);
-  iommu_.set_fault_plan(nullptr);
-}
-
-TEST_F(IommuTest, BurstStoreFaultKeepsThePrefixAndReportsResumePoint) {
-  std::vector<u8> page(2048, 0xAB);
-  dp_.Write(DualPortRam::Port::kProcessor, 0, page);
-
-  FaultPlan plan;
-  plan.At(FaultSite::kIommuTranslationFault, 2);  // second page's walk
-  iommu_.set_fault_plan(&plan);
-  // Three segments to three distinct, page-aligned user pages: exactly
-  // one walk each, so the scheduled fault hits segment 1's translation.
-  const mem::UserAddr big = StageAligned(3, 11);
-  std::vector<Iommu::BurstSegment> segs;
-  for (u32 i = 0; i < 3; ++i)
-    segs.push_back({1, {0, big + i * kUserPageBytes, 2048}});
-  const mem::BurstResult r = iommu_.StoreBurstFromDp(dp_, user_, segs);
-  EXPECT_TRUE(r.iommu_fault);
-  EXPECT_EQ(r.completed_segments, 1u);  // the prefix landed
-  auto first = user_.View(big, 2048);
-  EXPECT_TRUE(std::equal(first.begin(), first.end(), page.begin()));
-  EXPECT_EQ(user_.pinned_pages(), 0u);
   iommu_.set_fault_plan(nullptr);
 }
 

@@ -7,12 +7,15 @@
 #include <numeric>
 #include <set>
 
+#include "apps/adpcm.h"
 #include "apps/workloads.h"
 #include "base/fault.h"
 #include "base/rng.h"
+#include "cp/adpcm_cp.h"
 #include "cp/gather_cp.h"
 #include "cp/registry.h"
 #include "cp/vecadd_cp.h"
+#include "os/vcopd.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
@@ -446,6 +449,162 @@ TEST(VimReloadTest, ExhaustedLoadRetriesRecordNothingAndFailCleanly) {
     }
     EXPECT_EQ(acct.loads - acct.kernel_copy_loads, in_pages);
   }
+}
+
+// ----- write-back under bus errors -----
+//
+// Eviction, the end-of-operation sweep and context save all store dirty
+// pages through one retried helper. adpcm 8 KB makes 20 AHB transfers,
+// and the 20th is the sweep's last store, so these tests fail exactly
+// that store, through the blocking kernel path and through vcopd.
+
+/// AHB transfers in one clean adpcm 8 KB run.
+constexpr u64 kAdpcmTransfers = 20;
+
+struct AdpcmRun {
+  Status status = Status::Ok();
+  bool exact = false;
+  os::VimAccounting acct;
+  os::VimServiceStats service;
+  bool quarantined = false;
+};
+
+std::vector<u8> AdpcmInput() { return apps::MakeAdpcmStream(8192, 9); }
+
+std::vector<i16> AdpcmReference(const std::vector<u8>& input) {
+  std::vector<i16> expect(input.size() * 2);
+  apps::AdpcmState state;
+  apps::AdpcmDecode(input, expect, state);
+  return expect;
+}
+
+/// The job through FPGA_EXECUTE.
+AdpcmRun RunAdpcmKernel(FaultPlan* plan) {
+  FpgaSystem sys(Epxa1Config());
+  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
+  const std::vector<u8> input = AdpcmInput();
+  auto run = runtime::RunAdpcmVim(sys, input);
+  AdpcmRun out;
+  out.status = run.status();
+  out.exact = run.ok() && run.value().output == AdpcmReference(input);
+  out.acct = sys.kernel().vim().accounting();
+  out.service = sys.kernel().vim().service_stats();
+  return out;
+}
+
+/// The same job as the only vcopd tenant.
+AdpcmRun RunAdpcmVcopd(FaultPlan* plan) {
+  FpgaSystem sys(Epxa1Config());
+  os::Vcopd daemon(sys.kernel());
+  const os::TenantId tenant = daemon.RegisterTenant("adpcm").value();
+  const std::vector<u8> input = AdpcmInput();
+  const u32 bytes = static_cast<u32>(input.size());
+  auto in = sys.Allocate<u8>(bytes).value();
+  in.Fill(input);
+  auto out_buf = sys.Allocate<i16>(bytes * 2).value();
+  runtime::VcopdClient client(daemon, tenant);
+  VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjIn, in,
+                        os::Direction::kIn).ok());
+  VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjOut, out_buf,
+                        os::Direction::kOut).ok());
+  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
+  const os::Ticket ticket =
+      client.Submit(cp::AdpcmDecodeBitstream(), {bytes, 0u, 0u}).value();
+  VCOP_CHECK(daemon.RunUntilIdle().ok());
+  const os::JobResult* result = daemon.Poll(ticket);
+  VCOP_CHECK(result != nullptr);
+  AdpcmRun out;
+  out.status = result->status;
+  out.exact = result->status.ok() &&
+              out_buf.ToVector() == AdpcmReference(input);
+  out.acct = result->report.vim;
+  out.service = sys.kernel().vim().service_stats();
+  out.quarantined = daemon.TenantQuarantined(tenant);
+  return out;
+}
+
+/// Fails the sweep's last store on every attempt the retry limit allows.
+FaultPlan ExhaustLastStore() {
+  FaultPlan plan;
+  for (u64 k = 0; k < os::VimConfig{}.transfer_retry_limit; ++k) {
+    plan.At(FaultSite::kAhbError, kAdpcmTransfers + k);
+  }
+  return plan;
+}
+
+void ExpectCleanStoreFailure(const AdpcmRun& run) {
+  ASSERT_FALSE(run.status.ok());
+  EXPECT_EQ(run.status.code(), ErrorCode::kUnavailable);
+  EXPECT_NE(run.status.message().find(
+                "AHB store of 2048 bytes failed after 4 attempts"),
+            std::string::npos)
+      << run.status.ToString();
+  EXPECT_EQ(run.service.transfer_retry_failures, 1u);
+  // Every store before the failing one landed and was counted.
+  EXPECT_EQ(run.acct.writebacks, 15u);
+}
+
+TEST(VimWriteBackTest, InjectedBusErrorsRetryOrAbortCleanly) {
+  u64 retries = 0;
+  u64 exact_runs = 0;
+  for (u64 seed = 1; seed <= 10; ++seed) {
+    FaultPlan plan;
+    // The plan's Rng is fixed; varying the probability across runs
+    // varies where (and whether) the errors land.
+    plan.WithProbability(FaultSite::kAhbError,
+                         0.02 * static_cast<double>(seed));
+    const AdpcmRun run = RunAdpcmKernel(&plan);
+    // Every outcome must be clean: either the retry chain absorbed the
+    // errors and the output is exact, or the run failed with a status —
+    // never a silently truncated result.
+    if (run.status.ok()) {
+      EXPECT_TRUE(run.exact) << "seed " << seed;
+      ++exact_runs;
+    }
+    retries += run.service.transfer_retries;
+  }
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(exact_runs, 0u);
+}
+
+TEST(VimWriteBackTest, ErrorOnTheSweepsLastStoreIsRetriedInPlace) {
+  // An armed-but-unreachable plan counts the run's AHB opportunities
+  // without perturbing it.
+  FaultPlan probe;
+  probe.At(FaultSite::kAhbError, ~0ull);
+  const AdpcmRun clean = RunAdpcmKernel(&probe);
+  ASSERT_TRUE(clean.status.ok() && clean.exact);
+  ASSERT_EQ(probe.stats(FaultSite::kAhbError).opportunities,
+            kAdpcmTransfers);
+  EXPECT_EQ(clean.acct.writebacks, 16u);
+
+  FaultPlan plan;
+  plan.At(FaultSite::kAhbError, kAdpcmTransfers);
+  const AdpcmRun run = RunAdpcmKernel(&plan);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_TRUE(run.exact);
+  EXPECT_EQ(run.service.transfer_retries, 1u);
+  EXPECT_EQ(run.acct.writebacks, clean.acct.writebacks);
+}
+
+TEST(VimWriteBackTest, ExhaustedSweepStoreFailsTheKernelExecute) {
+  FaultPlan plan = ExhaustLastStore();
+  ExpectCleanStoreFailure(RunAdpcmKernel(&plan));
+}
+
+TEST(VimWriteBackTest, ExhaustedSweepStoreQuarantinesTheVcopdTenant) {
+  FaultPlan probe;
+  probe.At(FaultSite::kAhbError, ~0ull);
+  const AdpcmRun clean = RunAdpcmVcopd(&probe);
+  ASSERT_TRUE(clean.status.ok() && clean.exact);
+  ASSERT_EQ(probe.stats(FaultSite::kAhbError).opportunities,
+            kAdpcmTransfers);
+  EXPECT_EQ(clean.acct.writebacks, 16u);
+
+  FaultPlan plan = ExhaustLastStore();
+  const AdpcmRun run = RunAdpcmVcopd(&plan);
+  ExpectCleanStoreFailure(run);
+  EXPECT_TRUE(run.quarantined);
 }
 
 }  // namespace
