@@ -108,10 +108,11 @@ int Main() {
       " * fully random access thrashes every policy — the case for the "
       "paper's\n   §3.3 hints: an application that knows its pattern can "
       "tell the VIM;\n"
-      " * wsfifo, the default, decides like FIFO on sequential faults and "
-      "spares\n   the pages touched since the previous fault on random "
-      "ones, recovering\n   about two thirds of LRU's gain on random "
-      "access here.\n");
+      " * wsfifo, the default, decides like FIFO on sequential faults, "
+      "spares the\n   pages touched since the previous fault on random "
+      "ones, and evicts the\n   least recently used page when a page it "
+      "evicted after use comes back;\n   on random access here it takes "
+      "fewer faults than LRU.\n");
   return 0;
 }
 

@@ -141,6 +141,11 @@ class AddressSpace {
   /// objects().version() when this execution began: once the table
   /// moves, the bounce copies no longer name the pages they mirrored.
   u64 transferred_objects_version = 0;
+  /// Pages this space evicted after the coprocessor had referenced them,
+  /// since the space last came onto the fabric (PrepareExecution or
+  /// RestoreContext after a SaveContext). A demand fault on one is a
+  /// re-fault (DemandFault::refault).
+  std::set<std::pair<hw::ObjectId, mem::VirtPage>> evicted_after_use;
   /// Frame pinned under the parameter page, while established.
   std::optional<mem::FrameId> param_frame;
   /// The scalar parameters of the current execution, kept so a

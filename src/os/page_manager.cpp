@@ -109,6 +109,13 @@ void PageManager::ClearSpeculative(mem::FrameId frame) {
   s.speculative = false;
 }
 
+void PageManager::MarkReferenced(mem::FrameId frame) {
+  FrameState& s = MutableFrame(frame);
+  VCOP_CHECK_MSG(s.in_use && !s.continuation,
+                 "MarkReferenced on a free frame");
+  s.referenced = true;
+}
+
 void PageManager::Pin(mem::FrameId frame) {
   FrameState& s = MutableFrame(frame);
   VCOP_CHECK_MSG(s.in_use && !s.continuation, "Pin on a free frame");

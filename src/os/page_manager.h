@@ -36,6 +36,10 @@ struct FrameState {
   /// coprocessor. Cleared by the Vim on first demonstrated use; frames
   /// still speculative when released count as wasted prefetches.
   bool speculative = false;
+  /// The coprocessor referenced the page since it was installed (a
+  /// harvested or folded TLB accessed/dirty bit). An eviction of a
+  /// referenced page is one the owner may fault back (Vim::EvictFrame).
+  bool referenced = false;
   hw::ObjectId object = 0;
   /// Owning address space (vcopd multi-tenancy); 0 = kernel default.
   hw::Asid asid = 0;
@@ -100,6 +104,9 @@ class PageManager {
   /// yet used); ClearSpeculative records the first real use.
   void MarkSpeculative(mem::FrameId frame);
   void ClearSpeculative(mem::FrameId frame);
+
+  /// Records that the coprocessor referenced the frame's page.
+  void MarkReferenced(mem::FrameId frame);
 
   const FrameState& frame(mem::FrameId frame) const;
 

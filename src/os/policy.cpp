@@ -1,6 +1,5 @@
 #include "os/policy.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace vcop::os {
@@ -17,44 +16,58 @@ std::string_view ToString(PolicyKind kind) {
 
 namespace {
 
-/// FIFO: evict the page installed the longest ago, regardless of use.
-class FifoPolicy : public ReplacementPolicy {
+/// One stamp per frame from a monotonic clock, and the scan for the
+/// frame stamped longest ago. FIFO stamps a frame when a page is
+/// installed in it; LRU stamps it on every observed touch as well.
+class StampClock {
  public:
-  std::string_view name() const override { return "fifo"; }
-
-  void Reset(u32 num_frames) override {
-    install_seq_.assign(num_frames, 0);
+  void Reset(u32 num_frames) {
+    stamps_.assign(num_frames, 0);
     clock_ = 0;
   }
+  void Stamp(mem::FrameId frame) { stamps_[frame] = ++clock_; }
+  void Clear(mem::FrameId frame) { stamps_[frame] = 0; }
 
-  void OnInstalled(mem::FrameId frame) override {
-    install_seq_[frame] = ++clock_;
-  }
-
-  void OnTouched(mem::FrameId) override {}
-  void OnFreed(mem::FrameId frame) override { install_seq_[frame] = 0; }
-
-  mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
-    const std::optional<mem::FrameId> oldest = Oldest(evictable);
-    VCOP_CHECK_MSG(oldest.has_value(), "PickVictim with nothing evictable");
-    return *oldest;
-  }
-
- protected:
-  /// The earliest-installed frame with `candidates[frame]` true.
+  /// The frame with `candidates[frame]` true stamped the longest ago
+  /// (lowest index on ties).
   std::optional<mem::FrameId> Oldest(
       const std::vector<bool>& candidates) const {
     std::optional<mem::FrameId> best;
     for (mem::FrameId f = 0; f < candidates.size(); ++f) {
       if (!candidates[f]) continue;
-      if (!best.has_value() || install_seq_[f] < install_seq_[*best]) best = f;
+      if (!best.has_value() || stamps_[f] < stamps_[*best]) best = f;
     }
     return best;
   }
 
+  /// Same, for a victim scan: at least one frame must be a candidate.
+  mem::FrameId Victim(const std::vector<bool>& evictable) const {
+    const std::optional<mem::FrameId> oldest = Oldest(evictable);
+    VCOP_CHECK_MSG(oldest.has_value(), "PickVictim with nothing evictable");
+    return *oldest;
+  }
+
  private:
-  std::vector<u64> install_seq_;
+  std::vector<u64> stamps_;
   u64 clock_ = 0;
+};
+
+/// FIFO: evict the page installed the longest ago, regardless of use.
+class FifoPolicy final : public ReplacementPolicy {
+ public:
+  std::string_view name() const override { return "fifo"; }
+
+  void Reset(u32 num_frames) override { installed_.Reset(num_frames); }
+  void OnInstalled(mem::FrameId frame) override { installed_.Stamp(frame); }
+  void OnTouched(mem::FrameId) override {}
+  void OnFreed(mem::FrameId frame) override { installed_.Clear(frame); }
+
+  mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
+    return installed_.Victim(evictable);
+  }
+
+ private:
+  StampClock installed_;
 };
 
 /// FIFO with a working-set guard. A demand fault that breaks its
@@ -62,25 +75,49 @@ class FifoPolicy : public ReplacementPolicy {
 /// same or next page as its previous one) is a random access: it evicts
 /// the oldest frame that was not referenced since the previous fault and
 /// holds no unreferenced prefetched page, so the pages every access
-/// touches stay resident. Sequential faults, and non-sequential ones
-/// that find every candidate guarded, evict exactly as FIFO does.
-class WsFifoPolicy final : public FifoPolicy {
+/// touches stay resident. A re-fault (a page its space evicted after
+/// using it) is the sign of a working set larger than the frames: it
+/// evicts the least recently used frame that holds no unreferenced
+/// prefetched page. Every other demand fault, and a non-sequential one
+/// that finds every candidate guarded, evicts exactly as FIFO does.
+class WsFifoPolicy final : public ReplacementPolicy {
  public:
   std::string_view name() const override { return "wsfifo"; }
 
+  void Reset(u32 num_frames) override {
+    installed_.Reset(num_frames);
+    used_.Reset(num_frames);
+  }
+  void OnInstalled(mem::FrameId frame) override {
+    installed_.Stamp(frame);
+    used_.Stamp(frame);
+  }
+  void OnTouched(mem::FrameId frame) override { used_.Stamp(frame); }
+  void OnFreed(mem::FrameId frame) override {
+    installed_.Clear(frame);
+    used_.Clear(frame);
+  }
+
+  mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
+    return installed_.Victim(evictable);
+  }
+
   mem::FrameId PickDemandVictim(const std::vector<bool>& evictable,
                                 const DemandFault& fault) override {
+    if (fault.refault) {
+      if (const std::optional<mem::FrameId> victim =
+              used_.Oldest(Without(evictable, fault.speculative))) {
+        return *victim;
+      }
+      return used_.Victim(evictable);
+    }
     const bool sequential = !fault.previous.has_value() ||
                             fault.vpage == *fault.previous ||
                             fault.vpage == *fault.previous + 1;
     if (!sequential) {
-      std::vector<bool> cold = evictable;
-      for (mem::FrameId f = 0; f < cold.size(); ++f) {
-        if (Flagged(fault.referenced, f) || Flagged(fault.speculative, f)) {
-          cold[f] = false;
-        }
-      }
-      if (const std::optional<mem::FrameId> victim = Oldest(cold)) {
+      if (const std::optional<mem::FrameId> victim = installed_.Oldest(
+              Without(Without(evictable, fault.referenced),
+                      fault.speculative))) {
         return *victim;
       }
     }
@@ -88,9 +125,18 @@ class WsFifoPolicy final : public FifoPolicy {
   }
 
  private:
-  static bool Flagged(const std::vector<bool>& mask, mem::FrameId f) {
-    return f < mask.size() && mask[f];
+  /// `candidates` with every frame flagged in `mask` removed.
+  static std::vector<bool> Without(std::vector<bool> candidates,
+                                   const std::vector<bool>& mask) {
+    for (mem::FrameId f = 0; f < candidates.size() && f < mask.size(); ++f) {
+      if (mask[f]) candidates[f] = false;
+    }
+    return candidates;
   }
+
+  /// FIFO's install order and LRU's use order.
+  StampClock installed_;
+  StampClock used_;
 };
 
 /// LRU over the recency the OS can actually observe: TLB accessed bits
@@ -99,34 +145,17 @@ class LruPolicy final : public ReplacementPolicy {
  public:
   std::string_view name() const override { return "lru"; }
 
-  void Reset(u32 num_frames) override {
-    last_use_.assign(num_frames, 0);
-    clock_ = 0;
-  }
-
-  void OnInstalled(mem::FrameId frame) override { last_use_[frame] = ++clock_; }
-  void OnTouched(mem::FrameId frame) override { last_use_[frame] = ++clock_; }
-  void OnFreed(mem::FrameId frame) override { last_use_[frame] = 0; }
+  void Reset(u32 num_frames) override { used_.Reset(num_frames); }
+  void OnInstalled(mem::FrameId frame) override { used_.Stamp(frame); }
+  void OnTouched(mem::FrameId frame) override { used_.Stamp(frame); }
+  void OnFreed(mem::FrameId frame) override { used_.Clear(frame); }
 
   mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
-    mem::FrameId best = 0;
-    u64 best_use = ~u64{0};
-    bool found = false;
-    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-      if (!evictable[f]) continue;
-      if (!found || last_use_[f] < best_use) {
-        best = f;
-        best_use = last_use_[f];
-        found = true;
-      }
-    }
-    VCOP_CHECK_MSG(found, "PickVictim with nothing evictable");
-    return best;
+    return used_.Victim(evictable);
   }
 
  private:
-  std::vector<u64> last_use_;
-  u64 clock_ = 0;
+  StampClock used_;
 };
 
 /// Uniformly random among evictable frames (deterministic in the seed).

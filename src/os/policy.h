@@ -6,7 +6,8 @@
 // a real VIM would have: installation order, the TLB's accessed bits
 // (harvested at every fault), and nothing else. The default, wsfifo,
 // is FIFO with a working-set guard on demand faults that leave their
-// object's sequential run (DESIGN.md S6).
+// object's sequential run, and LRU on re-faults of pages evicted after
+// use (DESIGN.md S6).
 #pragma once
 
 #include <memory>
@@ -40,6 +41,9 @@ struct DemandFault {
   const std::vector<bool>& referenced;
   /// Per frame: holds a prefetched page nobody has referenced yet.
   const std::vector<bool>& speculative;
+  /// The faulting page was evicted after the coprocessor had referenced
+  /// it, since its address space last came onto the fabric.
+  bool refault = false;
 };
 
 class ReplacementPolicy {

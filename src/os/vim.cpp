@@ -190,6 +190,7 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
   }
   space_->param_frame.reset();
   space_->transferred.clear();
+  space_->evicted_after_use.clear();
   space_->transferred_objects_version = objects().version();
   space_->tlb_snapshot.clear();
   space_->last_fault_page = {};
@@ -661,7 +662,9 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
                  : policy_->PickDemandVictim(
                        evictable,
                        DemandFault{object.id, vpage, previous, hot_frames_,
-                                   pages_.SpeculativeMask()});
+                                   pages_.SpeculativeMask(),
+                                   space_->evicted_after_use.count(
+                                       {object.id, vpage}) != 0});
     EvictFrame(victim, dp_cost, imu_cost);
     if (space_->aborted) return MapOutcome::kAborted;
     frame = victim;
@@ -710,11 +713,20 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
   if (const std::optional<u32> e = imu_->tlb().FindByFrame(frame)) {
     const hw::TlbEntry old = imu_->tlb().Invalidate(*e);
     if (old.dirty) pages_.MarkDirty(frame);
-    if (old.accessed || old.dirty) NoteSpeculativeTouch(frame);
+    if (old.accessed || old.dirty) {
+      NoteSpeculativeTouch(frame);
+      pages_.MarkReferenced(frame);
+    }
   }
   const FrameState state = pages_.frame(frame);
   AddressSpace* owner = ResolveSpace(state.asid);
   VCOP_CHECK_MSG(owner != nullptr, "evicting a frame of an unknown space");
+  // Only the attached space's own evictions of pages it used count
+  // towards its re-faults; another tenant's eviction says nothing about
+  // this one's working set.
+  if (state.referenced && owner == space_) {
+    space_->evicted_after_use.insert({state.object, state.vpage});
+  }
   const MappedObject* object = owner->objects().Find(state.object);
   VCOP_CHECK_MSG(object != nullptr,
                  "evicting a frame of an unknown object");
@@ -843,6 +855,7 @@ void Vim::HarvestRecency() {
   for (const mem::FrameId f : imu_->tlb().HarvestAccessed()) {
     policy_->OnTouched(f);
     NoteSpeculativeTouch(f);
+    pages_.MarkReferenced(f);
     if (f < hot_frames_.size()) hot_frames_[f] = true;
   }
 }
@@ -1040,6 +1053,10 @@ Picoseconds Vim::SaveContext() {
   // The tenant's DMA window closes with its slice: shoot its IO-TLB
   // entries down so a later tenant cannot translate through them.
   if (config_.iommu) iommu_.InvalidateAsid(asid);
+
+  // Back on the fabric, the tenant's evictions start over: what other
+  // tenants did meanwhile decides which of its pages are still resident.
+  space_->evicted_after_use.clear();
 
   ++service_stats_.context_saves;
   acct().t_dp += dp_cost;

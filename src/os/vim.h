@@ -56,7 +56,8 @@ namespace vcop::os {
 
 struct VimConfig {
   /// Page replacement (§3.3). The default, working-set-guarded FIFO,
-  /// decides exactly like FIFO on sequential faults.
+  /// decides exactly like FIFO on sequential faults that are not
+  /// re-faults of pages evicted after use.
   PolicyKind policy = PolicyKind::kWsFifo;
   PrefetchKind prefetch = PrefetchKind::kNone;
   u32 prefetch_depth = 1;

@@ -257,6 +257,71 @@ TEST(WsFifoPolicyTest, RunStateIsPerAddressSpace) {
             1u);
 }
 
+/// WsFifoOverFourFrames with frames 0 and 1 touched at an earlier
+/// harvest: the FIFO order is still 0, 1, 2, 3, the LRU order is 2, 3,
+/// 0, 1, and nothing was referenced since the previous fault.
+std::unique_ptr<ReplacementPolicy> WsFifoWithLruOrder2301() {
+  auto policy = WsFifoOverFourFrames();
+  policy->OnTouched(0);
+  policy->OnTouched(1);
+  return policy;
+}
+
+TEST(WsFifoPolicyTest, ReFaultEvictsLeastRecentlyUsedWhereFifoNamesAnother) {
+  auto policy = WsFifoWithLruOrder2301();
+  // Sequential and run-breaking faults alike: a re-fault takes the LRU
+  // frame, any other fault FIFO's oldest.
+  for (const mem::VirtPage previous : {6u, 1u}) {
+    EXPECT_EQ(policy->PickDemandVictim(
+                  AllEvictable(4),
+                  DemandFault{1, 7, previous, kNone, kNone, true}),
+              2u);
+    EXPECT_EQ(policy->PickDemandVictim(
+                  AllEvictable(4), DemandFault{1, 7, previous, kNone, kNone}),
+              0u);
+  }
+  // Only evictable frames are candidates.
+  EXPECT_EQ(policy->PickDemandVictim(
+                {true, true, false, true},
+                DemandFault{1, 7, 6, kNone, kNone, true}),
+            3u);
+  // A freed frame's recency goes with its page.
+  policy->OnFreed(2);
+  policy->OnInstalled(2);
+  EXPECT_EQ(policy->PickDemandVictim(
+                AllEvictable(4), DemandFault{1, 7, 6, kNone, kNone, true}),
+            3u);
+}
+
+TEST(WsFifoPolicyTest, ReFaultSparesAnUnreferencedPrefetchedFrame) {
+  auto policy = WsFifoWithLruOrder2301();
+  EXPECT_EQ(policy->PickDemandVictim(
+                AllEvictable(4),
+                DemandFault{1, 7, 6, kNone, {false, false, true, false},
+                            true}),
+            3u);
+  EXPECT_EQ(policy->PickDemandVictim(
+                AllEvictable(4),
+                DemandFault{1, 7, 6, kNone, {false, false, true, true},
+                            true}),
+            0u);
+}
+
+TEST(WsFifoPolicyTest, ReFaultFallsBackToLruWhenEveryCandidateIsPrefetched) {
+  auto policy = WsFifoWithLruOrder2301();
+  const std::vector<bool> all(4, true);
+  EXPECT_EQ(policy->PickDemandVictim(
+                AllEvictable(4), DemandFault{1, 7, 6, kNone, all, true}),
+            2u);
+  // The fallback stays within the evictable frames: 3 is the least
+  // recent of 0, 1 and 3.
+  EXPECT_EQ(policy->PickDemandVictim(
+                {true, true, false, true},
+                DemandFault{1, 7, 6, kNone, {true, true, false, true},
+                            true}),
+            3u);
+}
+
 // ----- Prefetchers -----
 
 TEST(PrefetchTest, NoneSuggestsNothing) {

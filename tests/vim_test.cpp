@@ -8,6 +8,8 @@
 #include <set>
 
 #include "apps/adpcm.h"
+#include "apps/conv2d.h"
+#include "apps/idea.h"
 #include "apps/workloads.h"
 #include "base/fault.h"
 #include "base/rng.h"
@@ -263,6 +265,10 @@ TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
   for (const Mode& mode : modes) {
     SCOPED_TRACE(mode.name);
     os::KernelConfig config = Epxa1Config();
+    // FIFO keeps evicting the OUT pages mid-run, so their re-loads are
+    // priced too. The default evicts least recently used pages on
+    // re-faults and writes back exactly the 12 OUT pages.
+    config.vim.policy = os::PolicyKind::kFifo;
     config.vim.copy_mode = mode.copy;
     config.vim.iommu = mode.iommu;
     FpgaSystem sys(config);
@@ -605,6 +611,305 @@ TEST(VimWriteBackTest, ExhaustedSweepStoreQuarantinesTheVcopdTenant) {
   const AdpcmRun run = RunAdpcmVcopd(&plan);
   ExpectCleanStoreFailure(run);
   EXPECT_TRUE(run.quarantined);
+}
+
+// ----- re-faults: which demand faults take wsfifo's LRU rule -----
+//
+// A demand fault is a re-fault when its own space evicted the page after
+// the coprocessor had referenced it, since the space last came onto the
+// fabric. PolicyLog wraps the default policy and logs, in order, every
+// page the VIM frees and every demand decision with its verdict; the
+// tests replay that log.
+
+/// One callback the VIM made into its replacement policy.
+struct PolicyEvent {
+  bool demand = false;  // a demand decision; otherwise a freed page
+  /// The space on the fabric, and its preemptions so far in the current
+  /// execution: together they name the slice.
+  hw::Asid attached = 0;
+  u64 slice = 0;
+  /// The page: the freed page and its owner, or the faulting page.
+  hw::Asid owner = 0;
+  hw::ObjectId object = 0;
+  mem::VirtPage vpage = 0;
+  /// Freed page: a harvest saw it referenced.
+  bool used = false;
+  /// Demand decision: the fault's DemandFault::refault.
+  bool refault = false;
+};
+
+/// The default policy, logging what the VIM tells it.
+class PolicyLog final : public os::ReplacementPolicy {
+ public:
+  explicit PolicyLog(os::Vim& vim) : vim_(vim) {}
+
+  std::vector<PolicyEvent> events;
+
+  std::string_view name() const override { return inner_->name(); }
+  void Reset(u32 num_frames) override {
+    inner_->Reset(num_frames);
+    frames_.assign(num_frames, PolicyEvent{});
+  }
+  void OnInstalled(mem::FrameId frame) override { inner_->OnInstalled(frame); }
+  void OnInstalledAt(mem::FrameId frame, hw::ObjectId object,
+                     mem::VirtPage vpage) override {
+    frames_[frame] = Now(object, vpage);
+  }
+  void OnTouched(mem::FrameId frame) override {
+    inner_->OnTouched(frame);
+    frames_[frame].used = true;
+  }
+  void OnFreed(mem::FrameId frame) override {
+    inner_->OnFreed(frame);
+    PolicyEvent freed = Now(frames_[frame].object, frames_[frame].vpage);
+    freed.owner = frames_[frame].owner;
+    freed.used = frames_[frame].used;
+    events.push_back(freed);
+  }
+  mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
+    return inner_->PickVictim(evictable);
+  }
+  mem::FrameId PickDemandVictim(const std::vector<bool>& evictable,
+                                const os::DemandFault& fault) override {
+    PolicyEvent decision = Now(fault.object, fault.vpage);
+    decision.demand = true;
+    decision.refault = fault.refault;
+    events.push_back(decision);
+    return inner_->PickDemandVictim(evictable, fault);
+  }
+
+ private:
+  /// An event on (object, vpage) of the attached space, now.
+  PolicyEvent Now(hw::ObjectId object, mem::VirtPage vpage) {
+    const os::AddressSpace& space = *vim_.space();
+    PolicyEvent e;
+    e.attached = space.asid();
+    e.slice = space.accounting.preemptions;
+    e.owner = space.asid();
+    e.object = object;
+    e.vpage = vpage;
+    return e;
+  }
+
+  os::Vim& vim_;
+  std::unique_ptr<os::ReplacementPolicy> inner_ =
+      os::MakePolicy(os::PolicyKind::kWsFifo, 0);
+  std::vector<PolicyEvent> frames_;
+};
+
+/// Installs a PolicyLog as `sys`'s replacement policy.
+PolicyLog& LogPolicy(FpgaSystem& sys) {
+  auto log = std::make_unique<PolicyLog>(sys.kernel().vim());
+  PolicyLog& ref = *log;
+  sys.kernel().vim().SetPolicy(std::move(log));
+  return ref;
+}
+
+/// One demand decision, and what the log said about its page before it.
+/// Each space runs one job, so the log is one execution per space.
+struct Verdict {
+  PolicyEvent fault;
+  /// The faulting space freed the page in this slice after a harvest
+  /// saw it referenced: the rule demands a re-fault.
+  bool used_here = false;
+  /// The faulting space freed the page in this slice, used or not: the
+  /// rule allows a re-fault only then.
+  bool freed_here = false;
+  /// The faulting space freed the page in an earlier slice.
+  bool freed_before = false;
+  /// A page of this name was freed while its owner was off the fabric:
+  /// this page by another space, or another space's page by this one.
+  bool freed_by_other = false;
+};
+
+std::vector<Verdict> Verdicts(const std::vector<PolicyEvent>& events) {
+  std::vector<Verdict> out;
+  for (usize i = 0; i < events.size(); ++i) {
+    const PolicyEvent& fault = events[i];
+    if (!fault.demand) continue;
+    Verdict v{fault};
+    for (usize j = 0; j < i; ++j) {
+      const PolicyEvent& e = events[j];
+      if (e.demand || e.object != fault.object || e.vpage != fault.vpage) {
+        continue;
+      }
+      if (e.owner == fault.owner && e.attached == fault.owner) {
+        const bool here = e.slice == fault.slice;
+        v.freed_here = v.freed_here || here;
+        v.used_here = v.used_here || (here && e.used);
+        v.freed_before = v.freed_before || !here;
+      } else if (e.owner != e.attached &&
+                 (e.owner == fault.owner || e.attached == fault.owner)) {
+        v.freed_by_other = true;
+      }
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+/// Checks every verdict against the rule; returns how many re-faults.
+u64 ExpectRefaultRule(const std::vector<Verdict>& verdicts) {
+  u64 refaults = 0;
+  for (const Verdict& v : verdicts) {
+    SCOPED_TRACE("asid " + std::to_string(v.fault.owner) + " slice " +
+                 std::to_string(v.fault.slice) + " object " +
+                 std::to_string(v.fault.object) + " page " +
+                 std::to_string(v.fault.vpage));
+    if (v.fault.refault) {
+      ++refaults;
+      EXPECT_TRUE(v.freed_here) << "re-fault on a page not freed in "
+                                   "this slice by its own space";
+    }
+    if (v.used_here) {
+      EXPECT_TRUE(v.fault.refault) << "missed re-fault";
+    }
+  }
+  return refaults;
+}
+
+TEST(VimRefaultTest, PageEvictedAfterUseIsAReFault) {
+  FpgaSystem sys(Epxa1Config());
+  const PolicyLog& log = LogPolicy(sys);
+  RunGather(sys, MakeGather(17));  // exact
+  EXPECT_GT(ExpectRefaultRule(Verdicts(log.events)), 0u);
+}
+
+TEST(VimRefaultTest, PageEvictedBeforeAnyReferenceIsNoReFault) {
+  // With sequential overlap depth 2, the overlapped prefetch of one
+  // fault service evicts OUT page 12, which that service just loaded,
+  // before the stalled coprocessor could reference it.
+  os::KernelConfig config = Epxa1Config();
+  config.vim.prefetch = os::PrefetchKind::kSequential;
+  config.vim.prefetch_depth = 2;
+  config.vim.overlap_prefetch = true;
+  FpgaSystem sys(config);
+  const PolicyLog& log = LogPolicy(sys);
+  const std::vector<u8> input = AdpcmInput();
+  auto run = runtime::RunAdpcmVim(sys, input);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run.value().output, AdpcmReference(input));
+  const std::vector<Verdict> verdicts = Verdicts(log.events);
+  ExpectRefaultRule(verdicts);
+  // Wasted prefetches of IN pages come back the same way.
+  bool out_page_12 = false;
+  for (const Verdict& v : verdicts) {
+    if (!v.freed_here || v.used_here) continue;
+    EXPECT_FALSE(v.fault.refault);
+    out_page_12 = out_page_12 ||
+                  (v.fault.object == cp::AdpcmDecodeCoprocessor::kObjOut &&
+                   v.fault.vpage == 12);
+  }
+  EXPECT_TRUE(out_page_12);
+}
+
+/// Two vcopd tenants, each one gather over the same object ids, sharing
+/// the fabric under fair share: each is preempted at fault boundaries,
+/// and each evicts the other's pages.
+std::vector<Verdict> TwoGatherTenants() {
+  FpgaSystem sys(Epxa1Config());
+  os::Vcopd daemon(sys.kernel());
+  const PolicyLog& log = LogPolicy(sys);
+  struct Tenant {
+    GatherInput input;
+    runtime::HostBuffer<u32> out;
+    os::Ticket ticket = 0;
+  };
+  std::vector<Tenant> tenants;
+  for (const u64 seed : {21u, 22u}) {
+    const os::TenantId id =
+        daemon.RegisterTenant("gather" + std::to_string(seed)).value();
+    runtime::VcopdClient client(daemon, id);
+    GatherInput input = MakeGather(seed);
+    auto in = sys.Allocate<u32>(kGatherElements).value();
+    auto perm = sys.Allocate<u32>(kGatherElements).value();
+    auto out = sys.Allocate<u32>(kGatherElements).value();
+    in.Fill(input.in);
+    perm.Fill(input.perm);
+    VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjIn, in,
+                          os::Direction::kIn).ok());
+    VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjOut, out,
+                          os::Direction::kOut).ok());
+    VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjPerm, perm,
+                          os::Direction::kIn).ok());
+    const os::Ticket ticket =
+        client.Submit(cp::GatherBitstream(), {kGatherElements}).value();
+    tenants.push_back(Tenant{std::move(input), out, ticket});
+  }
+  VCOP_CHECK(daemon.RunUntilIdle().ok());
+  for (const Tenant& t : tenants) {
+    const os::JobResult* result = daemon.Poll(t.ticket);
+    VCOP_CHECK(result != nullptr && result->status.ok());
+    VCOP_CHECK(result->preemptions > 0);
+    const std::vector<u32> got = t.out.ToVector();
+    for (u32 i = 0; i < kGatherElements; ++i) {
+      VCOP_CHECK(got[i] == t.input.in[t.input.perm[i]]);
+    }
+  }
+  return Verdicts(log.events);
+}
+
+TEST(VimRefaultTest, VcopdTenantPreemptedSinceTheEvictionTakesWsFifosVictim) {
+  const std::vector<Verdict> verdicts = TwoGatherTenants();
+  EXPECT_GT(ExpectRefaultRule(verdicts), 0u);
+  u64 across_preemption = 0;
+  for (const Verdict& v : verdicts) {
+    if (v.freed_before && !v.freed_here) {
+      ++across_preemption;
+      EXPECT_FALSE(v.fault.refault);
+    }
+  }
+  EXPECT_GT(across_preemption, 0u);
+}
+
+TEST(VimRefaultTest, AnotherTenantsEvictionMarksNoPage) {
+  const std::vector<Verdict> verdicts = TwoGatherTenants();
+  ExpectRefaultRule(verdicts);
+  u64 foreign_only = 0;
+  for (const Verdict& v : verdicts) {
+    if (v.freed_by_other && !v.freed_here) {
+      ++foreign_only;
+      EXPECT_FALSE(v.fault.refault);
+    }
+  }
+  EXPECT_GT(foreign_only, 0u);
+}
+
+TEST(VimRefaultTest, PaperPointsTakeNoReFault) {
+  // The seven Figure 8 / Figure 9 points and the edge_detect image
+  // stream their objects: no page comes back after its eviction, so
+  // wsfifo decides there exactly as before the re-fault rule.
+  u64 decisions = 0;
+  const auto check = [&](auto run) {
+    FpgaSystem sys(Epxa1Config());
+    const PolicyLog& log = LogPolicy(sys);
+    ASSERT_TRUE(run(sys).ok());
+    const std::vector<Verdict> verdicts = Verdicts(log.events);
+    EXPECT_EQ(ExpectRefaultRule(verdicts), 0u);
+    for (const Verdict& v : verdicts) EXPECT_FALSE(v.freed_here);
+    decisions += verdicts.size();
+  };
+  constexpr u64 kSeed = 20040216;  // the paper inputs (bench/common.h)
+  for (const usize bytes : {2048u, 4096u, 8192u}) {
+    SCOPED_TRACE("adpcm " + std::to_string(bytes));
+    const std::vector<u8> input = apps::MakeAdpcmStream(bytes, kSeed);
+    check([&](FpgaSystem& sys) { return runtime::RunAdpcmVim(sys, input); });
+  }
+  const apps::IdeaSubkeys keys =
+      apps::IdeaExpandKey(apps::MakeIdeaKey(kSeed));
+  for (const usize bytes : {4096u, 8192u, 16384u, 32768u}) {
+    SCOPED_TRACE("idea " + std::to_string(bytes));
+    const std::vector<u8> input = apps::MakeRandomBytes(bytes, kSeed + 1);
+    check([&](FpgaSystem& sys) {
+      return runtime::RunIdeaVim(sys, keys, input);
+    });
+  }
+  const std::vector<u8> image = apps::MakeTestImage(128, 96, 2026);
+  check([&](FpgaSystem& sys) {
+    return runtime::RunConv3x3Vim(sys, image, 128, 96, apps::SobelXKernel(),
+                                  /*shift=*/0);
+  });
+  EXPECT_GT(decisions, 0u);
 }
 
 }  // namespace
