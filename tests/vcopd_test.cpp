@@ -21,6 +21,7 @@
 #include "cp/vecadd_cp.h"
 #include "os/address_space.h"
 #include "os/vcopd.h"
+#include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
 
 namespace vcop::os {
@@ -613,6 +614,68 @@ TEST(VcopdTest, KernelBlockingPathStillWorksAfterDaemonIdles) {
   const Result<ExecutionReport> report = sys.Execute({128u});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(c.ToVector(), std::vector<u32>(128, 7));
+}
+
+/// The blocking system calls and a live daemon drive one VIM. A
+/// blocking FPGA_EXECUTE between two vcopd jobs must leave every output
+/// exact, and each report must count only its own execution's IMU and
+/// TLB traffic: the counts the same execution reports on a fresh system.
+TEST(VcopdTest, BlockingExecuteInterleavesWithLiveDaemon) {
+  constexpr u32 kN = 4096;  // 48 KB of objects: every run evicts
+  auto expect_own_traffic = [](const ExecutionReport& got,
+                               const ExecutionReport& alone) {
+    EXPECT_EQ(got.imu.accesses, alone.imu.accesses);
+    EXPECT_EQ(got.imu.faults, alone.imu.faults);
+    EXPECT_EQ(got.tlb.lookups, alone.tlb.lookups);
+    EXPECT_EQ(got.tlb.hits, alone.tlb.hits);
+    EXPECT_EQ(got.tlb.misses, alone.tlb.misses);
+    EXPECT_EQ(got.vim.faults, alone.vim.faults);
+    EXPECT_EQ(got.vim.evictions, alone.vim.evictions);
+  };
+  auto run_job = [](FpgaSystem& sys, Vcopd& daemon, const char* name,
+                    u32 seed) {
+    VecAddJob job = StageVecAdd(sys, daemon, name, kN, seed);
+    VcopdClient client(daemon, job.tenant);
+    const Result<JobResult> r =
+        client.Wait(client.Submit(cp::VecAddBitstream(), {kN}).value());
+    EXPECT_TRUE(r.ok() && r.value().status.ok());
+    EXPECT_EQ(job.c.ToVector(), job.expect);
+    return r.value().report;
+  };
+  std::vector<u32> a(kN), b(kN), sum(kN);
+  for (u32 i = 0; i < kN; ++i) {
+    a[i] = 5u * i + 1u;
+    b[i] = 77u * i;
+    sum[i] = a[i] + b[i];
+  }
+  auto run_blocking = [&](FpgaSystem& sys) {
+    const auto r = runtime::RunVecAddVim(sys, a, b);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().output, sum);
+    return r.value().report;
+  };
+
+  ExecutionReport first_alone, second_alone, blocking_alone;
+  {
+    FpgaSystem sys(TestConfig());
+    Vcopd daemon(sys.kernel());
+    first_alone = run_job(sys, daemon, "first", 1);
+  }
+  {
+    FpgaSystem sys(TestConfig());
+    Vcopd daemon(sys.kernel());
+    second_alone = run_job(sys, daemon, "second", 2);
+  }
+  {
+    FpgaSystem sys(TestConfig());
+    blocking_alone = run_blocking(sys);
+  }
+
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel());
+  expect_own_traffic(run_job(sys, daemon, "first", 1), first_alone);
+  expect_own_traffic(run_blocking(sys), blocking_alone);
+  expect_own_traffic(run_job(sys, daemon, "second", 2), second_alone);
 }
 
 // ----- FIFO policy: run to completion, batched by bit-stream -----

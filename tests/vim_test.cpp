@@ -912,5 +912,83 @@ TEST(VimRefaultTest, PaperPointsTakeNoReFault) {
   EXPECT_GT(decisions, 0u);
 }
 
+
+// ----- a repeated FPGA_EXECUTE repeats itself -----
+
+/// Runs `run` three times on one system. Every run must page like the
+/// first, and the totals may differ only by the clock phase each run
+/// starts on: at most one period of the coprocessor clock `cp_clock`.
+template <typename Run>
+void ExpectRepeatedRunsAgree(const os::KernelConfig& config,
+                             Frequency cp_clock, Run run) {
+  FpgaSystem sys(config);
+  std::vector<os::ExecutionReport> reports;
+  for (int i = 0; i < 3; ++i) {
+    auto result = run(sys);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    reports.push_back(result.value().report);
+  }
+  const os::ExecutionReport& first = reports.front();
+  Picoseconds lo = first.total;
+  Picoseconds hi = first.total;
+  for (usize i = 1; i < reports.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i + 1));
+    const os::ExecutionReport& r = reports[i];
+    EXPECT_EQ(r.vim.faults, first.vim.faults);
+    EXPECT_EQ(r.vim.evictions, first.vim.evictions);
+    EXPECT_EQ(r.vim.loads, first.vim.loads);
+    EXPECT_EQ(r.vim.writebacks, first.vim.writebacks);
+    EXPECT_EQ(r.vim.tlb_refills, first.vim.tlb_refills);
+    EXPECT_EQ(r.vim.prefetched_pages, first.vim.prefetched_pages);
+    EXPECT_EQ(r.imu.accesses, first.imu.accesses);
+    EXPECT_EQ(r.imu.faults, first.imu.faults);
+    EXPECT_EQ(r.tlb.lookups, first.tlb.lookups);
+    EXPECT_EQ(r.tlb.misses, first.tlb.misses);
+    lo = std::min(lo, r.total);
+    hi = std::max(hi, r.total);
+  }
+  EXPECT_LE(hi - lo, cp_clock.Duration(1));
+}
+
+TEST(VimRepeatTest, RepeatedAdpcmRunsAgree) {
+  const std::vector<u8> input = apps::MakeAdpcmStream(8192, 20040216);
+  const Frequency cp_clock = cp::AdpcmDecodeBitstream().cp_clock;
+  auto run = [&](FpgaSystem& sys) { return runtime::RunAdpcmVim(sys, input); };
+
+  os::KernelConfig epxa1 = Epxa1Config();
+  os::KernelConfig two_entries = Epxa1Config();
+  two_entries.tlb_entries = 2;
+  os::KernelConfig overlap = Epxa1Config();
+  overlap.tlb_entries = 3;
+  overlap.vim.prefetch = os::PrefetchKind::kAdaptive;
+  overlap.vim.prefetch_depth = 2;
+  overlap.vim.overlap_prefetch = true;
+  os::KernelConfig sync = Epxa1Config();
+  sync.vim.prefetch = os::PrefetchKind::kAdaptive;
+  sync.vim.prefetch_depth = 2;
+  for (const auto& [name, config] :
+       {std::pair{"epxa1", epxa1}, std::pair{"tlb2", two_entries},
+        std::pair{"tlb3 adaptive overlap", overlap},
+        std::pair{"adaptive sync", sync}}) {
+    SCOPED_TRACE(name);
+    ExpectRepeatedRunsAgree(config, cp_clock, run);
+  }
+}
+
+TEST(VimRepeatTest, RepeatedIdeaRunsAgreeUnderOverlap) {
+  const apps::IdeaSubkeys keys =
+      apps::IdeaExpandKey(apps::MakeIdeaKey(20040216));
+  const std::vector<u8> input = apps::MakeRandomBytes(32768, 20040217);
+  os::KernelConfig config = Epxa1Config();
+  config.tlb_entries = 3;
+  config.vim.prefetch = os::PrefetchKind::kAdaptive;
+  config.vim.prefetch_depth = 2;
+  config.vim.overlap_prefetch = true;
+  ExpectRepeatedRunsAgree(config, cp::IdeaBitstream().cp_clock,
+                          [&](FpgaSystem& sys) {
+                            return runtime::RunIdeaVim(sys, keys, input);
+                          });
+}
+
 }  // namespace
 }  // namespace vcop
