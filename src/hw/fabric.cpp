@@ -12,26 +12,6 @@ FpgaFabric::FpgaFabric(u32 capacity_les, u64 config_bytes_per_second)
                  "configuration throughput must be nonzero");
 }
 
-Result<Picoseconds> FpgaFabric::Configure(const Bitstream& bitstream) {
-  if (coprocessor_ != nullptr) {
-    return ResourceExhaustedError(
-        StrFormat("PLD already configured with '%s' (exclusive use)",
-                  bitstream_.name.c_str()));
-  }
-  const Result<Picoseconds> priced = PriceConfigure(bitstream);
-  if (!priced.ok()) return priced;
-  if (InjectConfigError()) {
-    return UnavailableError(
-        StrFormat("configuration of '%s' failed (CRC error on the "
-                  "configuration stream)",
-                  bitstream.name.c_str()));
-  }
-  bitstream_ = bitstream;
-  coprocessor_ = bitstream.create();
-  VCOP_CHECK_MSG(coprocessor_ != nullptr, "bitstream factory returned null");
-  return priced;
-}
-
 Result<Picoseconds> FpgaFabric::PriceConfigure(
     const Bitstream& bitstream) const {
   if (bitstream.logic_elements > capacity_les_) {
@@ -130,16 +110,6 @@ Result<SlotAcquire> FpgaFabric::AcquireDesign(const Bitstream& bitstream) {
   acquired.time = priced.value();
   acquired.reconfigured = true;
   return acquired;
-}
-
-void FpgaFabric::Release() {
-  coprocessor_.reset();
-  bitstream_ = Bitstream{};
-}
-
-const Bitstream& FpgaFabric::current_bitstream() const {
-  VCOP_CHECK_MSG(coprocessor_ != nullptr, "no design loaded");
-  return bitstream_;
 }
 
 }  // namespace vcop::hw

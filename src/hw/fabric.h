@@ -4,6 +4,9 @@
 // FPGA_LOAD "loads a coprocessor definition in the reconfigurable
 // hardware and ensures the exclusive use of the resource. The argument
 // of the call is a pointer to the configuration bit-stream." (§3.1)
+// The fabric prices and validates configurations and keeps the
+// configuration cache; the kernel holds the exclusive design and
+// instantiates every core (os::Kernel).
 // Here a Bitstream bundles what a real bit-stream determines implicitly:
 // the synthesised core (as a C++ cycle-level model factory), its
 // resource usage, and the clock frequencies the design closed timing at
@@ -67,23 +70,12 @@ class FpgaFabric {
   /// the bit-stream. Priced like any other configuration-port transfer.
   static constexpr u32 kSlotActivationBytes = 256;
 
-  /// Loads `bitstream`. Fails when a design is already loaded
-  /// (exclusive use, §3.1) or when it does not fit the PLD.
-  /// On success returns the configuration time.
-  Result<Picoseconds> Configure(const Bitstream& bitstream);
-
-  /// Validates `bitstream` against the PLD and prices its configuration
-  /// time without loading anything. vcopd uses this to model partial
-  /// reconfiguration: it instantiates per-job cores itself and only
-  /// needs the fit check and the configuration-port transfer time.
+  /// Validates `bitstream` against the PLD (fit, core factory, clocks)
+  /// and prices its full configuration-port transfer. The fabric holds
+  /// no cores: the kernel instantiates every design itself
+  /// (os::Kernel::Instantiate). FPGA_LOAD and a miss in AcquireDesign
+  /// both pay this price.
   Result<Picoseconds> PriceConfigure(const Bitstream& bitstream) const;
-
-  /// Unloads the current design, releasing the resource.
-  void Release();
-
-  bool loaded() const { return coprocessor_ != nullptr; }
-  Coprocessor* coprocessor() { return coprocessor_.get(); }
-  const Bitstream& current_bitstream() const;
 
   u32 capacity_les() const { return capacity_les_; }
 
@@ -93,8 +85,7 @@ class FpgaFabric {
 
   /// Counts one configuration attempt against the fault plan; true when
   /// the programming fails (CRC error on the configuration stream).
-  /// Configure calls this internally; vcopd's partial-reconfiguration
-  /// path (which prices but never calls Configure) calls it directly.
+  /// FPGA_LOAD and AcquireDesign call this once per attempt.
   bool InjectConfigError();
 
   // ----- multi-slot configuration cache (partial reconfiguration) -----
@@ -137,8 +128,6 @@ class FpgaFabric {
 
   u32 capacity_les_;
   u64 config_bytes_per_second_;
-  Bitstream bitstream_{};
-  std::unique_ptr<Coprocessor> coprocessor_;
   FaultPlan* fault_plan_ = nullptr;
 
   std::vector<Slot> slots_{1};

@@ -7,16 +7,13 @@ namespace vcop::hw {
 
 Imu::Imu(const ImuConfig& config, mem::PageGeometry geometry,
          mem::DualPortRam& dp_ram, InterruptLine& irq, sim::Simulator& sim,
-         Tlb* shared_tlb)
+         Tlb& tlb)
     : config_(config),
       geometry_(geometry),
       dp_ram_(dp_ram),
       irq_(irq),
       sim_(sim),
-      owned_tlb_(shared_tlb == nullptr
-                     ? std::make_unique<Tlb>(config.tlb_entries)
-                     : nullptr),
-      tlb_(owned_tlb_ != nullptr ? owned_tlb_.get() : shared_tlb) {
+      tlb_(tlb) {
   VCOP_CHECK_MSG(config.access_latency_cycles >= 2,
                  "IMU access latency must be at least 2 cycles");
   VCOP_CHECK_MSG(geometry.total_bytes() <= dp_ram.size(),
@@ -71,8 +68,9 @@ void Imu::AssertStart() {
   cp_consumed_ = false;
   finish_pending_ = false;
   sr_ = kSrBusy;
+  stats_ = ImuStats{};
   // Object widths and TLB content are (re)programmed by the OS around
-  // each run; nothing to reset here.
+  // each run.
 }
 
 void Imu::AckEnd() { sr_ &= ~kSrEndPending; }
@@ -207,8 +205,8 @@ u32 Imu::ConsumeResponse() {
 }
 
 void Imu::ReleaseParamPage() {
-  const std::optional<u32> idx = tlb_->Probe(kParamObject, 0, asid_);
-  if (idx.has_value()) tlb_->Invalidate(*idx);
+  const std::optional<u32> idx = tlb_.Probe(kParamObject, 0, asid_);
+  if (idx.has_value()) tlb_.Invalidate(*idx);
   sr_ |= kSrParamReleased;
   if (param_release_hook_) param_release_hook_();
 }
@@ -309,12 +307,12 @@ bool Imu::TryFastForward() {
   const mem::VirtPage vpage = static_cast<mem::VirtPage>(
       offset >> ObjectPageShift(current_.object));
   const TcEntry& tc = tc_[current_.object];
-  if (!(tc.valid && tc.generation == tlb_->generation() &&
+  if (!(tc.valid && tc.generation == tlb_.generation() &&
         tc.vpage == vpage)) {
-    const std::optional<u32> idx = tlb_->Probe(current_.object, vpage, asid_);
+    const std::optional<u32> idx = tlb_.Probe(current_.object, vpage, asid_);
     // Probe does not screen parity like Lookup does: a corrupt match
     // would be a miss on the real path, so it declines the jump here.
-    if (!idx.has_value() || !tlb_->entry(*idx).parity_ok) return false;
+    if (!idx.has_value() || !tlb_.entry(*idx).parity_ok) return false;
   }
   // The whole burst on the clock grid: with N observation edges needed
   // strictly after the issue edge, translation completes at the Nth
@@ -349,17 +347,17 @@ void Imu::TranslateAt(Picoseconds when) {
         offset >> ObjectPageShift(current_.object));
     TcEntry& tc = tc_[current_.object];
     if (sim_.engine() == sim::Engine::kFast && tc.valid &&
-        tc.generation == tlb_->generation() && tc.vpage == vpage) {
+        tc.generation == tlb_.generation() && tc.vpage == vpage) {
       // Same page as this object's last hit and the TLB has not changed
       // since: skip the CAM scan. NoteHit leaves statistics and the
       // accessed bit exactly as a matching Lookup would.
-      tlb_->NoteHit(tc.index);
+      tlb_.NoteHit(tc.index);
       entry = tc.index;
     } else {
-      entry = tlb_->Lookup(current_.object, vpage, asid_);
+      entry = tlb_.Lookup(current_.object, vpage, asid_);
       tc.valid = entry.has_value();
       if (tc.valid) {
-        tc.generation = tlb_->generation();
+        tc.generation = tlb_.generation();
         tc.vpage = vpage;
         tc.index = *entry;
       }
@@ -386,7 +384,7 @@ void Imu::TranslateAt(Picoseconds when) {
     return;
   }
 
-  const TlbEntry& e = tlb_->entry(*entry);
+  const TlbEntry& e = tlb_.entry(*entry);
   // Page offset under the object's own page size: a superpage maps a
   // contiguous run of frames starting at e.frame, so the offset can
   // safely extend past the first frame.
@@ -396,7 +394,7 @@ void Imu::TranslateAt(Picoseconds when) {
   if (current_.write) {
     dp_ram_.WriteWord(mem::DualPortRam::Port::kCoprocessor, paddr, width,
                       current_.wdata);
-    tlb_->MarkDirty(*entry);
+    tlb_.MarkDirty(*entry);
     rdata_ = 0;
   } else {
     rdata_ =

@@ -18,7 +18,7 @@
 #pragma once
 
 #include <array>
-#include <memory>
+#include <functional>
 #include <optional>
 
 #include "base/fault.h"
@@ -43,8 +43,6 @@ struct ImuConfig {
   /// Pipelined translation: lookup completes combinationally and a new
   /// access can be accepted every cycle.
   bool pipelined = false;
-  /// Number of TLB entries (EPXA1 system: 8, one per DP-RAM page).
-  u32 tlb_entries = 8;
   /// Extension beyond the paper's IMU: per-object *limit registers*
   /// (segment-style bounds). A coprocessor access at or beyond an
   /// object's element count faults with SR.limit set even when it would
@@ -77,15 +75,13 @@ struct ImuStats {
 class Imu final : public sim::ClockedModule, public CoprocessorPort {
  public:
   /// The IMU is wired to its platform at construction: page geometry of
-  /// the interface memory, the dual-port RAM itself, and the interrupt
-  /// line to the processor. When `shared_tlb` is non-null the IMU uses
-  /// it instead of owning a private TLB — this models partial
-  /// reconfiguration under vcopd, where successive per-job IMU
-  /// instances front the same physical CAM so ASID-tagged entries
-  /// survive tenant switches. The shared TLB must outlive the IMU.
+  /// the interface memory, the dual-port RAM itself, the interrupt line
+  /// to the processor, and the platform's TLB CAM. Every design
+  /// instantiated on a platform fronts the same CAM, so ASID-tagged
+  /// entries survive tenant switches. The TLB must outlive the IMU.
   Imu(const ImuConfig& config, mem::PageGeometry geometry,
       mem::DualPortRam& dp_ram, InterruptLine& irq, sim::Simulator& sim,
-      Tlb* shared_tlb = nullptr);
+      Tlb& tlb);
 
   /// Clock wiring: `own` is the IMU/memory-subsystem clock; `cp` is the
   /// coprocessor's clock domain (kicked when a response becomes ready).
@@ -107,8 +103,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   /// Direct access to the TLB (the OS installs/invalidates entries
   /// during fault handling, like an MMU with a software-managed TLB).
-  Tlb& tlb() { return *tlb_; }
-  const Tlb& tlb() const { return *tlb_; }
+  Tlb& tlb() { return tlb_; }
+  const Tlb& tlb() const { return tlb_; }
 
   /// Programs object `object`'s page size in bytes (a power of two, at
   /// least the platform frame granule; superpages span several
@@ -127,7 +123,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   u32 ReadRegister(ImuRegister reg) const;
 
-  /// CP_START: begins a coprocessor run. Resets per-run state.
+  /// CP_START: begins a coprocessor run. Resets per-run state, the
+  /// statistics included.
   void AssertStart();
 
   /// Acknowledges the end-of-operation interrupt (clears SR.end).
@@ -165,8 +162,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   /// Pass nullptr to disable.
   void AttachTracer(sim::Tracer* tracer);
 
+  /// Counters of the current (or last) run since CP_START.
   const ImuStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ImuStats{}; }
   const mem::PageGeometry& geometry() const { return geometry_; }
   bool fault_pending() const { return (sr_ & kSrFaultPending) != 0; }
   bool busy() const { return (sr_ & kSrBusy) != 0; }
@@ -258,8 +255,7 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   mutable Picoseconds next_edge_memo_ = 0;
   mutable bool next_edge_memo_valid_ = false;
 
-  std::unique_ptr<Tlb> owned_tlb_;  // null when fronting a shared TLB
-  Tlb* tlb_;
+  Tlb& tlb_;
   Asid asid_ = 0;
   std::array<u32, kMaxObjects> elem_width_{};  // bytes; 0 = unprogrammed
   std::array<u32, kMaxObjects> elem_limit_{};  // elements; 0 = unlimited

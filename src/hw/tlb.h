@@ -70,6 +70,14 @@ struct TlbStats {
   u64 installs = 0;
 };
 
+/// The counts accumulated between the snapshots `since` and `now`.
+inline TlbStats operator-(const TlbStats& now, const TlbStats& since) {
+  return TlbStats{now.lookups - since.lookups, now.hits - since.hits,
+                  now.misses - since.misses,
+                  now.parity_errors - since.parity_errors,
+                  now.installs - since.installs};
+}
+
 class Tlb {
  public:
   /// `num_entries` >= 1. The EPXA1 system uses 8 (one per DP-RAM page).
@@ -108,11 +116,12 @@ class Tlb {
   /// was (so the OS can propagate its dirty bit to the page tables).
   TlbEntry Invalidate(u32 index);
 
-  /// Invalidates every entry (used at FPGA_EXECUTE start / end).
+  /// Invalidates every entry (an untagged tenant switch, or an ASID
+  /// rollover).
   void InvalidateAll();
 
-  /// Invalidates only the entries tagged `asid` (tenant teardown /
-  /// scoped end-of-operation sweeps). Returns how many were dropped.
+  /// Invalidates only the entries tagged `asid` (tenant teardown,
+  /// execution start and end). Returns how many were dropped.
   u32 InvalidateAsid(Asid asid);
 
   /// IMU datapath: marks entry `index` dirty after a write access.

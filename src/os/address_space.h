@@ -7,14 +7,13 @@
 // part that makes preemption possible — the VIM execution context that
 // used to live inside the Vim itself (accounting, write-back history,
 // parameter-page state, a TLB snapshot taken at preemption). The Vim
-// operates on exactly one attached AddressSpace at a time; vcopd swaps
-// spaces at dispatch boundaries.
+// operates on exactly one attached AddressSpace at a time; Kernel::Bind
+// attaches one for every FPGA_EXECUTE and every vcopd slice.
 //
 // Spaces are identified by an ASID, the tag the shared interface TLB
 // keys entries on (hw/tlb.h): a tenant's translations survive other
 // tenants' slices until capacity evicts them. ASID 0 is reserved for
-// the kernel's default single-tenant space, which keeps every legacy
-// code path bit-identical.
+// the kernel's default space, the one the blocking system calls use.
 #pragma once
 
 #include <array>

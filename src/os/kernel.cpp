@@ -4,16 +4,6 @@
 
 namespace vcop::os {
 
-hw::ImuConfig ImuConfigFor(const KernelConfig& config) {
-  hw::ImuConfig imu;
-  imu.access_latency_cycles = config.imu_access_latency;
-  imu.pipelined = config.imu_pipelined;
-  imu.tlb_entries = config.tlb_entries;
-  imu.bounds_check = config.imu_bounds_check;
-  imu.posted_writes = config.imu_posted_writes;
-  return imu;
-}
-
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
       user_memory_(config.user_memory_bytes),
@@ -42,14 +32,10 @@ Kernel::Kernel(const KernelConfig& config)
         break;
     }
   });
-  // Recovery wiring. Both hooks are inert without an installed fault
-  // plan: parity bits only flip under kTlbParity, and the progress
-  // probe is consulted only by the (plan-gated) watchdog.
+  // Recovery wiring, inert without an installed fault plan: parity
+  // bits only flip under kTlbParity.
   shared_tlb_.set_parity_drop_hook(
       [this](const hw::TlbEntry& dropped) { vim_.OnTlbParityDrop(dropped); });
-  vim_.set_progress_probe([this]() -> u64 {
-    return fabric_.coprocessor() ? fabric_.coprocessor()->cycles_run() : 0;
-  });
 }
 
 void Kernel::InstallFaultPlan(FaultPlan* plan) {
@@ -58,40 +44,136 @@ void Kernel::InstallFaultPlan(FaultPlan* plan) {
   fabric_.set_fault_plan(plan);
   shared_tlb_.set_fault_plan(plan);
   vim_.InstallFaultPlan(plan);
-  if (imu_) imu_->set_fault_plan(plan);
+  if (design_ != nullptr) design_->imu->set_fault_plan(plan);
+}
+
+std::unique_ptr<Design> Kernel::Instantiate(const hw::Bitstream& bitstream,
+                                            hw::Asid asid) {
+  auto design = std::make_unique<Design>();
+  design->name = bitstream.name;
+  design->core = bitstream.create();
+  VCOP_CHECK_MSG(design->core != nullptr, "bitstream factory returned null");
+  design->imu = std::make_unique<hw::Imu>(
+      hw::ImuConfig{.access_latency_cycles = config_.imu_access_latency,
+                    .pipelined = config_.imu_pipelined,
+                    .bounds_check = config_.imu_bounds_check,
+                    .posted_writes = config_.imu_posted_writes},
+      mem::PageGeometry(config_.page_bytes,
+                        config_.dp_ram_bytes / config_.page_bytes),
+      dp_ram_, irq_, sim_, shared_tlb_);
+  design->imu->SetAsid(asid);
+  design->imu->set_fault_plan(fault_plan_);
+
+  ++designs_built_;
+  sim::ClockDomain& imu_domain = sim_.AddClockDomain(
+      StrFormat("imu%u@%s", designs_built_,
+                bitstream.imu_clock.ToString().c_str()),
+      bitstream.imu_clock);
+  design->cp_domain = &sim_.AddClockDomain(
+      StrFormat("cp%u@%s", designs_built_,
+                bitstream.cp_clock.ToString().c_str()),
+      bitstream.cp_clock);
+  design->imu->BindClocks(imu_domain, *design->cp_domain);
+  imu_domain.Attach(*design->imu);
+  design->cp_domain->Attach(*design->core);
+  design->core->BindPort(*design->imu);
+  return design;
+}
+
+void Kernel::Bind(AddressSpace& space, Design& design) {
+  bound_ = &design;
+  run_done_ = false;
+  run_failure_ = Status::Ok();
+  vim_.BindImu(design.imu.get());
+  vim_.AttachSpace(&space);
+  hw::Coprocessor* core = design.core.get();
+  vim_.set_progress_probe([core] { return core->cycles_run(); });
+  vim_.set_completion_handler([this] { run_done_ = true; });
+  vim_.set_abort_handler([this](Status status) { Fail(std::move(status)); });
+}
+
+void Kernel::Fail(Status status) {
+  run_failure_ = std::move(status);
+  bound_->core->Abort();
+  vim_.FlushAsid(vim_.space()->asid());
+  run_done_ = true;
+}
+
+Result<Picoseconds> Kernel::Start(std::span<const u32> params,
+                                  Picoseconds lead) {
+  const Result<Picoseconds> setup = vim_.PrepareExecution(params);
+  if (!setup.ok()) return setup;
+  hw::Imu* imu = bound_->imu.get();
+  hw::Coprocessor* core = bound_->core.get();
+  sim::ClockDomain* cp = bound_->cp_domain;
+  const u32 num_params = static_cast<u32>(params.size());
+  sim_.ScheduleAt(sim_.now() + lead + setup.value(),
+                  [imu, core, cp, num_params] {
+                    imu->AssertStart();
+                    core->Start(num_params);
+                    cp->Kick();
+                  });
+  return setup;
+}
+
+RunEnd Kernel::Run(const std::function<bool()>& preempted) {
+  RunEnd end;
+  end.converged = sim_.RunUntil(
+      [&] { return run_done_ || (preempted && preempted()); });
+  if (!end.converged) {
+    Fail(UnavailableError(
+        "coprocessor did not complete (simulation went idle or exceeded "
+        "its event budget) — FSM deadlock?"));
+  }
+  vim_.set_completion_handler(nullptr);
+  vim_.set_abort_handler(nullptr);
+  end.done = run_done_;
+  end.status = run_failure_;
+  return end;
+}
+
+void Kernel::FillReport(ExecutionReport& report, Picoseconds started,
+                        const AddressSpace& space,
+                        const Design& design) const {
+  const VimAccounting& acct = space.accounting;
+  report.total = sim_.now() - started;
+  report.t_invoke += acct.t_wakeup;
+  report.t_dp = acct.t_dp;
+  report.t_imu = acct.t_imu;
+  VCOP_CHECK_MSG(report.total >=
+                     report.t_invoke + report.t_dp + report.t_imu,
+                 "OS time exceeds wall time");
+  report.t_hw = report.total - report.t_invoke - report.t_dp - report.t_imu;
+  report.vim = acct;
+  report.imu = design.imu->stats();
+  report.cp_cycles = design.core->cycles_run();
+}
+
+void Kernel::Unbind() {
+  bound_ = nullptr;
+  vim_.AttachSpace(&default_space_);
+  vim_.BindImu(nullptr);
+  vim_.set_progress_probe(nullptr);
+  vim_.set_completion_handler(nullptr);
+  vim_.set_abort_handler(nullptr);
 }
 
 Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
-  Result<Picoseconds> configured = fabric_.Configure(bitstream);
-  if (!configured.ok()) return configured.status();
-  last_load_time_ = configured.value();
-
-  // Fresh IMU wired for this design's clocks. The IMU's clock domain is
-  // created before the coprocessor's so that, on coincident edges, the
-  // translation pipeline advances before the core samples CP_TLBHIT.
-  ++load_count_;
-  shared_tlb_.InvalidateAll();
-  shared_tlb_.ResetStats();
-  imu_ = std::make_unique<hw::Imu>(
-      ImuConfigFor(config_),
-      mem::PageGeometry(config_.page_bytes,
-                        config_.dp_ram_bytes / config_.page_bytes),
-      dp_ram_, irq_, sim_, &shared_tlb_);
-
-  imu_domain_ = &sim_.AddClockDomain(
-      StrFormat("imu%u@%s", load_count_,
-                bitstream.imu_clock.ToString().c_str()),
-      bitstream.imu_clock);
-  cp_domain_ = &sim_.AddClockDomain(
-      StrFormat("cp%u@%s", load_count_,
-                bitstream.cp_clock.ToString().c_str()),
-      bitstream.cp_clock);
-  imu_->set_fault_plan(fault_plan_);
-  imu_->BindClocks(*imu_domain_, *cp_domain_);
-  imu_domain_->Attach(*imu_);
-  cp_domain_->Attach(*fabric_.coprocessor());
-  fabric_.coprocessor()->BindPort(*imu_);
-  vim_.BindImu(imu_.get());
+  if (design_ != nullptr) {
+    return ResourceExhaustedError(
+        StrFormat("PLD already configured with '%s' (exclusive use)",
+                  design_->name.c_str()));
+  }
+  const Result<Picoseconds> priced = fabric_.PriceConfigure(bitstream);
+  if (!priced.ok()) return priced.status();
+  if (fabric_.InjectConfigError()) {
+    return UnavailableError(
+        StrFormat("configuration of '%s' failed (CRC error on the "
+                  "configuration stream)",
+                  bitstream.name.c_str()));
+  }
+  last_load_time_ = priced.value();
+  design_ = Instantiate(bitstream, default_space_.asid());
 
   // Configuration takes real time on the configuration port.
   timeline_.Record(StrFormat("configure %s", bitstream.name.c_str()),
@@ -118,75 +200,43 @@ Status Kernel::FpgaMapObject(hw::ObjectId id, mem::UserAddr addr,
   if (id < hw::kMaxObjects) {
     object.page_bytes = config_.object_page_bytes[id];
   }
-  return vim_.objects().Map(object);
+  return default_space_.objects().Map(object);
 }
 
 Status Kernel::FpgaUnmapObject(hw::ObjectId id) {
-  return vim_.objects().Unmap(id);
+  return default_space_.objects().Unmap(id);
 }
 
 Result<ExecutionReport> Kernel::FpgaExecute(std::span<const u32> params) {
-  if (!fabric_.loaded()) {
+  if (design_ == nullptr) {
     return FailedPreconditionError("FPGA_EXECUTE with no design loaded");
   }
-  Result<Picoseconds> setup = vim_.PrepareExecution(params);
+  Bind(default_space_, *design_);
+  const hw::TlbStats tlb_mark = shared_tlb_.stats();
+  const Picoseconds t0 = sim_.now();
+  const Result<Picoseconds> setup = Start(params, /*lead=*/0);
   if (!setup.ok()) return setup.status();
 
-  const Picoseconds t0 = sim_.now();
-  bool done = false;
-  Status failure = Status::Ok();
-  vim_.set_completion_handler([&done] { done = true; });
-  vim_.set_abort_handler([this, &done, &failure](Status status) {
-    failure = std::move(status);
-    fabric_.coprocessor()->Abort();
-    done = true;
-  });
-
   default_space_.process().Sleep(t0);
-  const usize num_params = params.size();
-  sim_.ScheduleAt(t0 + setup.value(), [this, num_params] {
-    imu_->AssertStart();
-    fabric_.coprocessor()->Start(static_cast<u32>(num_params));
-    cp_domain_->Kick();
-  });
-
-  const bool converged = sim_.RunUntil([&done] { return done; });
+  const RunEnd end = Run();
   default_space_.process().Wake(sim_.now());
-  vim_.set_completion_handler(nullptr);
-  vim_.set_abort_handler(nullptr);
-  if (!converged) {
-    return UnavailableError(
-        "coprocessor did not complete (simulation went idle or exceeded "
-        "its event budget) — FSM deadlock?");
-  }
-  if (!failure.ok()) return failure;
+  if (!end.status.ok()) return end.status;
 
   ExecutionReport report;
-  report.total = sim_.now() - t0;
-  report.t_invoke = setup.value() + vim_.accounting().t_wakeup;
-  report.t_dp = vim_.accounting().t_dp;
-  report.t_imu = vim_.accounting().t_imu;
-  VCOP_CHECK_MSG(report.total >=
-                     report.t_invoke + report.t_dp + report.t_imu,
-                 "OS time exceeds wall time");
-  report.t_hw = report.total - report.t_invoke - report.t_dp - report.t_imu;
-  report.vim = vim_.accounting();
-  report.imu = imu_->stats();
-  report.tlb = imu_->tlb().stats();
-  report.cp_cycles = fabric_.coprocessor()->cycles_run();
-  timeline_.Record(
-      StrFormat("execute %s", fabric_.current_bitstream().name.c_str()),
-      "exec", t0, report.total, /*track=*/1);
+  report.t_invoke = setup.value();
+  FillReport(report, t0, default_space_, *design_);
+  report.tlb = shared_tlb_.stats() - tlb_mark;
+  timeline_.Record(StrFormat("execute %s", design_->name.c_str()), "exec",
+                   t0, report.total, /*track=*/1);
   return report;
 }
 
 Status Kernel::FpgaUnload() {
-  if (!fabric_.loaded()) {
+  if (design_ == nullptr) {
     return FailedPreconditionError("FPGA_UNLOAD with no design loaded");
   }
-  vim_.BindImu(nullptr);
-  fabric_.Release();
-  imu_.reset();
+  Unbind();
+  design_.reset();
   return Status::Ok();
 }
 

@@ -15,9 +15,14 @@
 // plots: hardware time, dual-port-RAM management time, IMU management
 // time (plus the invocation overhead, which the paper folds into its
 // totals).
+//
+// FPGA_EXECUTE and vcopd's slices reach the fabric by one route: a
+// Design from Instantiate, bound to the VIM with an address space by
+// Bind, started by Start, run by Run and reported by FillReport.
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -98,10 +103,6 @@ struct KernelConfig {
   ServiceTuning service{};
 };
 
-/// The IMU configuration `config` gives every design instantiated on
-/// the platform, by FPGA_LOAD and by vcopd alike.
-hw::ImuConfig ImuConfigFor(const KernelConfig& config);
-
 /// What FPGA_EXECUTE measures, in the paper's decomposition.
 struct ExecutionReport {
   Picoseconds total = 0;     // wall time of the blocking call
@@ -115,6 +116,30 @@ struct ExecutionReport {
   u64 cp_cycles = 0;  // rising edges consumed by the coprocessor core
 };
 
+/// A design instantiated on the platform (Kernel::Instantiate): the
+/// core its bit-stream creates, an IMU on the shared TLB, and the
+/// coprocessor's clock domain. FPGA_LOAD holds one until FPGA_UNLOAD;
+/// vcopd builds one per job. The simulator's clock domains keep raw
+/// pointers to the core and the IMU, so a design must outlive every run
+/// that ticks them.
+struct Design {
+  std::string name;
+  std::unique_ptr<hw::Coprocessor> core;
+  std::unique_ptr<hw::Imu> imu;
+  sim::ClockDomain* cp_domain = nullptr;
+};
+
+/// How Kernel::Run left the execution bound to the VIM.
+struct RunEnd {
+  /// False when the run stopped at a preemption; a later Run resumes it.
+  bool done = false;
+  /// False when the simulation went idle or exceeded its event budget
+  /// before the execution ended (a deadlocked core).
+  bool converged = true;
+  /// Why a done execution failed; OK when it completed.
+  Status status;
+};
+
 class Kernel {
  public:
   explicit Kernel(const KernelConfig& config);
@@ -124,9 +149,9 @@ class Kernel {
 
   // ----- the three OS services of §3.1 -----
 
-  /// Loads a coprocessor bit-stream; fails if one is already loaded
-  /// (the PLD is an exclusive resource). Simulated time advances by the
-  /// configuration duration.
+  /// Loads a coprocessor bit-stream; fails with ResourceExhausted if one
+  /// is already loaded (the PLD is an exclusive resource). Simulated
+  /// time advances by the configuration duration.
   Status FpgaLoad(const hw::Bitstream& bitstream);
 
   /// Declares a mapped object (parameter-passing by reference, §3.1).
@@ -150,7 +175,9 @@ class Kernel {
   Vim& vim() { return vim_; }
   Process& process() { return default_space_.process(); }
   hw::FpgaFabric& fabric() { return fabric_; }
-  hw::Imu* imu() { return imu_.get(); }
+  /// The design FPGA_LOAD configured (nullptr when none) and its IMU.
+  const Design* loaded_design() const { return design_.get(); }
+  hw::Imu* imu() { return design_ != nullptr ? design_->imu.get() : nullptr; }
   hw::InterruptLine& irq() { return irq_; }
   /// The single interface TLB shared by every IMU instantiated on this
   /// platform (ASID-tagged; see os/vcopd.h).
@@ -163,11 +190,49 @@ class Kernel {
   /// Configuration time of the most recent FPGA_LOAD.
   Picoseconds last_load_time() const { return last_load_time_; }
 
+  // ----- the route onto the fabric (FPGA_EXECUTE and vcopd) -----
+
+  /// Builds `bitstream`'s design for address space `asid`: the core
+  /// from Bitstream::create, an IMU on the shared TLB presenting `asid`,
+  /// and the IMU's clock domain before the coprocessor's, so that on
+  /// coincident edges the translation pipeline advances before the core
+  /// samples CP_TLBHIT. The caller has priced `bitstream`
+  /// (FpgaFabric::PriceConfigure) and paid its configuration.
+  std::unique_ptr<Design> Instantiate(const hw::Bitstream& bitstream,
+                                      hw::Asid asid);
+
+  /// Binds `space` and `design` to the VIM for a run on the fabric: the
+  /// IMU, the watchdog's progress probe, and completion and abort
+  /// handlers that end Run.
+  void Bind(AddressSpace& space, Design& design);
+
+  /// Prepares a new execution of the bound design with `params`
+  /// (Vim::PrepareExecution) and schedules CP_START `lead` plus the
+  /// setup cost after now. Returns the setup cost.
+  Result<Picoseconds> Start(std::span<const u32> params, Picoseconds lead);
+
+  /// Runs the simulation until the bound execution completes or fails
+  /// (an abort, or a run that cannot converge), or until `preempted`
+  /// turns true, then removes the handlers Bind wired.
+  RunEnd Run(const std::function<bool()>& preempted = nullptr);
+
+  /// Fills `report` for an execution of `space` on `design` that began
+  /// at `started` and ends now. `report.t_invoke` holds the caller's
+  /// dispatch cost; the wake-up joins it, the OS's transfer and IMU
+  /// management come from the space's accounting, and t_hw is the rest
+  /// of the wall time. The TLB counters are the caller's.
+  void FillReport(ExecutionReport& report, Picoseconds started,
+                  const AddressSpace& space, const Design& design) const;
+
+  /// Points the VIM at the default space with no design bound, before a
+  /// design or a tenant space it holds goes away.
+  void Unbind();
+
   // ----- fault injection (base/fault.h) -----
 
   /// Installs `plan` across every model on the platform (bus, interrupt
-  /// line, shared TLB, fabric, VIM, the current IMU and any IMU created
-  /// by a later FPGA_LOAD). Pass nullptr to remove it. The plan is not
+  /// line, shared TLB, fabric, VIM, the loaded design's IMU and any IMU
+  /// instantiated later). Pass nullptr to remove it. The plan is not
   /// owned and must outlive the kernel or the next InstallFaultPlan.
   /// With no plan installed — or an empty one — every code path is
   /// bit-identical to the fault-free engine.
@@ -178,6 +243,11 @@ class Kernel {
   TimelineRecorder& timeline() { return timeline_; }
 
  private:
+  /// Ends the bound run with `status`: stops the core and discards the
+  /// space's interface state, so partial results never reach user
+  /// memory.
+  void Fail(Status status);
+
   KernelConfig config_;
   sim::Simulator sim_;
   mem::UserMemory user_memory_;
@@ -189,12 +259,16 @@ class Kernel {
   AddressSpace default_space_;
 
   TimelineRecorder timeline_;
-  std::unique_ptr<hw::Imu> imu_;
-  sim::ClockDomain* imu_domain_ = nullptr;
-  sim::ClockDomain* cp_domain_ = nullptr;
-  u32 load_count_ = 0;
+  /// FPGA_LOAD's design, held until FPGA_UNLOAD.
+  std::unique_ptr<Design> design_;
+  u32 designs_built_ = 0;
   Picoseconds last_load_time_ = 0;
   FaultPlan* fault_plan_ = nullptr;
+
+  // The run bound to the VIM (Bind) and what its handlers reported.
+  Design* bound_ = nullptr;
+  bool run_done_ = false;
+  Status run_failure_ = Status::Ok();
 };
 
 }  // namespace vcop::os

@@ -53,9 +53,9 @@ class Prefetcher {
                                                   mem::VirtPage vpage,
                                                   u32 num_pages) = 0;
 
-  /// Clears learned history (stream slots). Called by
-  /// the VIM at the start of each full-reset execution so one run's
-  /// access pattern cannot pollute the next run's predictions.
+  /// Clears learned history (stream slots). Called by the VIM at the
+  /// start of every execution (PrepareExecution) so one run's access
+  /// pattern cannot pollute the next run's predictions.
   virtual void Reset() {}
 };
 

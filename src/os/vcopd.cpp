@@ -64,7 +64,8 @@ Vcopd::~Vcopd() {
   vim.set_preempt_check(nullptr);
   vim.set_preempt_handler(nullptr);
   vim.set_tlb_tagging(true);
-  RestoreKernelBinding();
+  // The jobs' designs and the tenants' spaces go with the daemon.
+  kernel_.Unbind();
 }
 
 Result<TenantId> Vcopd::RegisterTenant(std::string name, u32 weight) {
@@ -92,9 +93,9 @@ Status Vcopd::UnregisterTenant(TenantId tenant) {
     return FailedPreconditionError(StrFormat(
         "tenant %u has queued or in-flight work", tenant));
   }
-  // A clean tenant holds no frames (the scoped end-of-operation sweep
-  // released them); scrub any surviving TLB entries before the tag can
-  // be recycled.
+  // A clean tenant holds no frames (the end-of-operation sweep released
+  // them); scrub any surviving TLB entries before the tag can be
+  // recycled.
   kernel_.shared_tlb().InvalidateAsid(t->space->asid());
   asids_.Release(t->space->asid());
   t->active = false;
@@ -226,7 +227,6 @@ Result<JobResult> Vcopd::Wait(Ticket ticket) {
     const Status status = RunSlice(*next);
     if (!status.ok()) return status;
   }
-  RestoreKernelBinding();
   return job->result;
 }
 
@@ -254,7 +254,6 @@ Status Vcopd::RunUntilIdle() {
     const Status status = RunSlice(*next);
     if (!status.ok()) return status;
   }
-  RestoreKernelBinding();
   return Status::Ok();
 }
 
@@ -447,34 +446,6 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
   return got.time;
 }
 
-void Vcopd::InstantiateHardware(Tenant& tenant, Job& job) {
-  const KernelConfig& kc = kernel_.config();
-  ++hardware_count_;
-  job.imu = std::make_unique<hw::Imu>(
-      ImuConfigFor(kc),
-      mem::PageGeometry(kc.page_bytes, kc.dp_ram_bytes / kc.page_bytes),
-      kernel_.dp_ram(), kernel_.irq(), kernel_.simulator(),
-      &kernel_.shared_tlb());
-  job.imu->SetAsid(tenant.space->asid());
-  job.imu->set_fault_plan(kernel_.fault_plan());
-
-  // IMU domain first: on coincident edges the translation pipeline must
-  // advance before the core samples CP_TLBHIT (same as Kernel::FpgaLoad).
-  job.imu_domain = &kernel_.simulator().AddClockDomain(
-      StrFormat("vcopd-imu%u@%s", hardware_count_,
-                job.bitstream.imu_clock.ToString().c_str()),
-      job.bitstream.imu_clock);
-  job.cp_domain = &kernel_.simulator().AddClockDomain(
-      StrFormat("vcopd-cp%u@%s", hardware_count_,
-                job.bitstream.cp_clock.ToString().c_str()),
-      job.bitstream.cp_clock);
-  job.core = job.bitstream.create();
-  job.imu->BindClocks(*job.imu_domain, *job.cp_domain);
-  job.imu_domain->Attach(*job.imu);
-  job.cp_domain->Attach(*job.core);
-  job.core->BindPort(*job.imu);
-}
-
 Status Vcopd::RunSlice(Tenant& tenant) {
   sim::Simulator& sim = kernel_.simulator();
   Vim& vim = kernel_.vim();
@@ -508,30 +479,10 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   const Picoseconds lead = switched.value();
   if (!resuming) {
     job->result.started_at = dispatch_time;
-    InstantiateHardware(tenant, *job);
+    job->design = kernel_.Instantiate(job->bitstream, tenant.space->asid());
   }
+  kernel_.Bind(*tenant.space, *job->design);
 
-  vim.BindImu(job->imu.get());
-  vim.AttachSpace(tenant.space.get());
-  // The watchdog's hang detector tracks this job's core, not the
-  // kernel's exclusive coprocessor.
-  hw::Coprocessor* slice_core = job->core.get();
-  vim.set_progress_probe([slice_core]() -> u64 {
-    return slice_core != nullptr ? slice_core->cycles_run() : 0;
-  });
-
-  bool done = false;
-  Status failure = Status::Ok();
-  const hw::Asid asid = tenant.space->asid();
-
-  vim.set_completion_handler([&done] { done = true; });
-  vim.set_abort_handler([&, job](Status status) {
-    failure = std::move(status);
-    job->core->Abort();
-    // An aborted run's partial results must never reach user memory.
-    kernel_.vim().FlushAsid(asid);
-    done = true;
-  });
   slice_preempted_ = false;
   slice_preempt_cost_ = 0;
   vim.set_preempt_check([this, &tenant] {
@@ -552,11 +503,8 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   tenant.space->process().NoteSlice();
 
   if (!resuming) {
-    const Result<Picoseconds> setup =
-        vim.PrepareExecution(job->params, ResetScope::kAsidScoped);
+    const Result<Picoseconds> setup = kernel_.Start(job->params, lead);
     if (!setup.ok()) {
-      vim.set_completion_handler(nullptr);
-      vim.set_abort_handler(nullptr);
       vim.set_preempt_check(nullptr);
       vim.set_preempt_handler(nullptr);
       if (vim.fault_abort()) Quarantine(tenant);
@@ -565,21 +513,11 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     }
     job->state = VcopdJobState::kRunning;
     job->result.report.t_invoke += lead + setup.value();
-    const Picoseconds go = dispatch_time + lead + setup.value();
-    slice_started_at_ = go;
-    hw::Imu* imu = job->imu.get();
-    hw::Coprocessor* core = job->core.get();
-    sim::ClockDomain* cp = job->cp_domain;
-    const u32 nparams = static_cast<u32>(job->params.size());
+    slice_started_at_ = dispatch_time + lead + setup.value();
     kernel_.timeline().Record(
         StrFormat("vcopd dispatch pid%u %s", tenant.space->pid(),
                   job->bitstream.name.c_str()),
         "exec", dispatch_time, lead + setup.value(), /*track=*/3);
-    sim.ScheduleAt(go, [imu, core, cp, nparams] {
-      imu->AssertStart();
-      core->Start(nparams);
-      cp->Kick();
-    });
   } else {
     job->state = VcopdJobState::kRunning;
     job->result.report.t_invoke += lead;
@@ -597,8 +535,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     sim.ScheduleAt(go, [vimp] { vimp->OnPageFault(); });
   }
 
-  const bool converged =
-      sim.RunUntil([&] { return done || slice_preempted_; });
+  const RunEnd end = kernel_.Run([this] { return slice_preempted_; });
 
   // Attribute this slice's shared-TLB traffic to the job.
   const hw::TlbStats tlb_now = kernel_.shared_tlb().stats();
@@ -606,22 +543,10 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   job->tlb_acc.hits += tlb_now.hits - tlb_mark.hits;
   job->tlb_acc.misses += tlb_now.misses - tlb_mark.misses;
 
-  vim.set_completion_handler(nullptr);
-  vim.set_abort_handler(nullptr);
   vim.set_preempt_check(nullptr);
   vim.set_preempt_handler(nullptr);
 
-  if (!converged) {
-    failure = UnavailableError(
-        "coprocessor did not complete (simulation went idle or exceeded "
-        "its event budget) — FSM deadlock?");
-    job->core->Abort();
-    vim.FlushAsid(asid);
-    done = true;
-    slice_preempted_ = false;
-  }
-
-  if (slice_preempted_ && !done) {
+  if (!end.done) {
     // The decode + save service takes real time: advance the clock
     // before the next tenant is dispatched.
     sim.ScheduleAfter(slice_preempt_cost_, [] {});
@@ -632,10 +557,10 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   } else {
     // A fault-budget abort, hang abort or non-convergence quarantines
     // the tenant: its later Submits fail fast, other ASIDs keep going.
-    if (!failure.ok() && (vim.fault_abort() || !converged)) {
+    if (!end.status.ok() && (vim.fault_abort() || !end.converged)) {
       Quarantine(tenant);
     }
-    FinishJob(tenant, *job, failure);
+    FinishJob(tenant, *job, end.status);
   }
   tenant.deficit -= static_cast<i64>(sim.now() - dispatch_time);
   return Status::Ok();
@@ -658,26 +583,13 @@ void Vcopd::FinishJob(Tenant& tenant, Job& job, Status status) {
   JobResult& r = job.result;
   r.status = std::move(status);
   r.finished_at = kernel_.simulator().now();
-
-  const VimAccounting& acct = tenant.space->accounting;
-  ExecutionReport& report = r.report;
-  report.total = r.finished_at - r.started_at;
-  report.t_invoke += acct.t_wakeup;
-  report.t_dp = acct.t_dp;
-  report.t_imu = acct.t_imu;
-  // `total` includes switched-out time under other tenants, so the
-  // remainder is not pure hardware time for preempted jobs (see
-  // JobResult). Clamp defensively for failed-before-start jobs.
-  const Picoseconds charged = report.t_invoke + report.t_dp + report.t_imu;
-  report.t_hw = report.total > charged ? report.total - charged : 0;
-  report.vim = acct;
-  if (job.imu != nullptr) report.imu = job.imu->stats();
-  report.tlb = job.tlb_acc;
-  if (job.core != nullptr) report.cp_cycles = job.core->cycles_run();
-
   if (r.status.ok()) {
+    kernel_.FillReport(r.report, r.started_at, *tenant.space, *job.design);
+    r.report.tlb = job.tlb_acc;
     ++stats_.completed;
   } else {
+    // No decomposition for a failed job: only what the VIM counted.
+    r.report.vim = tenant.space->accounting;
     ++stats_.failed;
   }
   kernel_.timeline().Record(
@@ -686,16 +598,6 @@ void Vcopd::FinishJob(Tenant& tenant, Job& job, Status status) {
                 r.status.ok() ? "" : " (failed)"),
       "exec", r.finished_at, 0, /*track=*/3);
   if (job.on_complete) job.on_complete(r);
-}
-
-void Vcopd::RestoreKernelBinding() {
-  kernel_.vim().AttachSpace(&kernel_.default_space());
-  kernel_.vim().BindImu(kernel_.imu());
-  Kernel* kernel = &kernel_;
-  kernel_.vim().set_progress_probe([kernel]() -> u64 {
-    hw::Coprocessor* core = kernel->fabric().coprocessor();
-    return core != nullptr ? core->cycles_run() : 0;
-  });
 }
 
 }  // namespace vcop::os

@@ -23,11 +23,13 @@
 //     handed to the next tenant. The FIFO policy instead runs jobs to
 //     completion, batching by bit-stream to amortise reconfiguration.
 //
-// Hardware model: vcopd treats the PLD as partially reconfigurable —
-// per-job cores and IMU instances front the same physical dual-port RAM
-// and the same shared TLB CAM, and switching designs costs the
-// configuration-port transfer time (FpgaFabric::PriceConfigure) without
-// tearing the platform down. Only one core executes at any instant.
+// Hardware model: vcopd treats the PLD as partially reconfigurable.
+// Each job's design (Kernel::Instantiate: a core and an IMU fronting the
+// same dual-port RAM and the same shared TLB CAM) runs through the
+// route FPGA_EXECUTE takes (Kernel::Bind/Start/Run/FillReport), and
+// switching designs costs the configuration-port transfer time
+// (FpgaFabric::AcquireDesign) without tearing the platform down. Only
+// one core executes at any instant.
 #pragma once
 
 #include <deque>
@@ -41,11 +43,9 @@
 #include "base/types.h"
 #include "base/units.h"
 #include "hw/fabric.h"
-#include "hw/imu.h"
 #include "hw/tlb.h"
 #include "os/address_space.h"
 #include "os/kernel.h"
-#include "sim/clock.h"
 
 namespace vcop::os {
 
@@ -116,10 +116,12 @@ struct JobResult {
   /// Configuration-port time across all slices (full configurations
   /// plus slot activations).
   Picoseconds config_time = 0;
-  /// The usual decomposition — with one caveat: `total` spans first
-  /// dispatch to completion, so for preempted jobs it includes time
-  /// switched out while other tenants held the fabric (t_hw absorbs
-  /// that remainder).
+  /// The usual decomposition (Kernel::FillReport) when status.ok(); a
+  /// failed job reports only its VIM accounting (`report.vim`). `total`
+  /// spans first dispatch to completion, so for a preempted job t_hw
+  /// also holds the time it sat switched out while other tenants held
+  /// the fabric. The TLB counters are the lookups, hits and misses of
+  /// the job's own slices.
   ExecutionReport report;
 
   Picoseconds turnaround() const { return finished_at - submitted_at; }
@@ -185,8 +187,9 @@ struct VcopdStats {
 class Vcopd {
  public:
   /// The daemon drives the kernel's platform (simulator, VIM, memories,
-  /// shared TLB) directly; the kernel must not run its own blocking
-  /// FPGA_EXECUTE while vcopd has work in flight.
+  /// shared TLB) through the kernel's route onto the fabric. A blocking
+  /// FPGA_EXECUTE may run between the daemon's slices, but not while a
+  /// job is running or preempted.
   explicit Vcopd(Kernel& kernel, VcopdConfig config = {});
   ~Vcopd();
 
@@ -245,9 +248,7 @@ class Vcopd {
   bool HasWork() const;
 
   /// Grants exactly one slice to the next tenant under the configured
-  /// policy; no-op when idle. Unlike Wait/RunUntilIdle this does NOT
-  /// restore the kernel's default VIM binding — callers stepping the
-  /// daemon finish with RunUntilIdle().
+  /// policy; no-op when idle.
   Status RunOne();
 
   /// Whether `tenant` has been quarantined (unknown tenants: false).
@@ -273,13 +274,10 @@ class Vcopd {
     std::function<void(const JobResult&)> on_complete;
     JobResult result;
 
-    // Per-job hardware, instantiated at first dispatch and kept alive
+    // The job's design, instantiated at first dispatch and kept alive
     // for the daemon's lifetime (clock domains hold raw module
     // pointers; dormant domains cost nothing).
-    std::unique_ptr<hw::Coprocessor> core;
-    std::unique_ptr<hw::Imu> imu;
-    sim::ClockDomain* imu_domain = nullptr;
-    sim::ClockDomain* cp_domain = nullptr;
+    std::unique_ptr<Design> design;
 
     /// Shared-TLB statistics attributed to this job, accumulated as
     /// deltas over the monotonic counters between slice start/end.
@@ -329,14 +327,10 @@ class Vcopd {
   /// preempted, else its queue head). Only called for runnable tenants.
   static const std::string& HeadDesign(const Tenant& tenant);
 
-  void InstantiateHardware(Tenant& tenant, Job& job);
   /// Marks the tenant quarantined (idempotent) after a fault-budget,
   /// hang or non-convergence abort.
   void Quarantine(Tenant& tenant);
   void FinishJob(Tenant& tenant, Job& job, Status status);
-  /// Points the VIM back at the kernel's default space / IMU so the
-  /// blocking single-tenant path keeps working after the daemon idles.
-  void RestoreKernelBinding();
 
   Kernel& kernel_;
   VcopdConfig config_;
@@ -346,7 +340,6 @@ class Vcopd {
   std::vector<std::unique_ptr<Job>> jobs_;  // every job ever submitted
   Ticket next_ticket_ = 0;
   u32 next_pid_ = 2;  // pid 1 is the kernel's default space
-  u32 hardware_count_ = 0;
 
   // The design on the fabric and the resident set live in the fabric's
   // configuration cache (hw::FpgaFabric::active_design/DesignResident).

@@ -133,8 +133,7 @@ mem::UserAddr Vim::PageUserAddr(const MappedObject& object,
                                     ObjectPageBytes(object));
 }
 
-Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
-                                          ResetScope scope) {
+Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   if (imu_ == nullptr) {
     return FailedPreconditionError("FPGA_EXECUTE before FPGA_LOAD");
   }
@@ -167,27 +166,20 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     }
   }
 
-  current_scope_ = scope;
   space_->aborted = false;
   space_->accounting = VimAccounting{};
   fault_abort_ = false;
   fault_service_pending_ = false;
   last_transfer_failure_ = Status::Ok();
-  if (scope == ResetScope::kFullReset) {
-    pages_.Reset();
-    policy_->Reset(geometry_.num_frames());
-    prefetcher_->Reset();
-    imu_->tlb().InvalidateAll();
-    imu_->tlb().ResetStats();
-    imu_->ResetStats();
-    tlb_recycle_cursor_ = 0;
-    hot_frames_.assign(geometry_.num_frames(), false);
-    if (config_.iommu) iommu_.InvalidateAll();
-  } else {
-    // Shared fabric: clear only this space's residue (defensive — a
-    // clean prior end-of-operation leaves none), discarding stale data.
-    FlushAsid(space_->asid());
-  }
+  // The fabric may be shared (vcopd): clear only this space's residue
+  // (defensive — a clean prior end of operation leaves none), discarding
+  // stale data. Other spaces' frames and TLB entries stay resident. What
+  // the previous execution taught the prefetcher, and where it left the
+  // TLB recycle cursor, are forgotten, so a repeated execution repeats
+  // itself.
+  FlushAsid(space_->asid());
+  prefetcher_->Reset();
+  tlb_recycle_cursor_ = 0;
   space_->param_frame.reset();
   space_->transferred.clear();
   space_->evicted_after_use.clear();
@@ -221,7 +213,7 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
 
   if (!params.empty()) {
     std::optional<mem::FrameId> frame = pages_.FindFree();
-    if (!frame.has_value() && scope == ResetScope::kAsidScoped) {
+    if (!frame.has_value()) {
       // Other tenants hold every frame: evict a victim for the
       // parameter page (charged to this tenant's setup).
       const std::vector<bool> evictable = pages_.EvictableMask();
@@ -237,9 +229,8 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
       EvictFrame(victim, evict_dp, evict_imu);
       setup += evict_dp + evict_imu;
       if (space_->aborted || !last_transfer_failure_.ok()) {
-        // The victim's write-back failed even after retries: no abort
-        // handler is installed at setup time, so the failure is
-        // returned as a plain Status for the caller to surface.
+        // The victim's write-back failed even after retries and
+        // aborted the run: setup fails with the transfer's status.
         return !last_transfer_failure_.ok()
                    ? last_transfer_failure_
                    : UnavailableError("execution setup failed on a "
@@ -247,7 +238,6 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
       }
       frame = victim;
     }
-    VCOP_CHECK_MSG(frame.has_value(), "no frame free after reset");
     for (usize i = 0; i < params.size(); ++i) {
       dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
                         geometry_.FrameBase(*frame) + static_cast<u32>(4 * i),
@@ -894,8 +884,7 @@ void Vim::OnEndOfOperation() {
 
   // Merge live dirty bits, then drop the translations. Only this
   // space's entries and frames are touched, so on a shared fabric
-  // (vcopd) other tenants' working sets survive; after a full reset
-  // everything resident is this space's anyway.
+  // (vcopd) other tenants' working sets survive.
   hw::Tlb& tlb = imu_->tlb();
   const hw::Asid asid = space_->asid();
   for (u32 i = 0; i < tlb.num_entries(); ++i) {
@@ -906,9 +895,7 @@ void Vim::OnEndOfOperation() {
     }
     if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
   }
-  if (current_scope_ == ResetScope::kFullReset) {
-    tlb.InvalidateAll();
-  } else if (tlb_tagging_) {
+  if (tlb_tagging_) {
     tlb.InvalidateAsid(asid);
     ++service_stats_.tlb_flushes_avoided;
   } else {
@@ -949,13 +936,7 @@ void Vim::OnEndOfOperation() {
   // The run's DMA window is over: shoot down its IO-TLB entries so
   // nothing can translate through them afterwards (the write-back
   // sweep above was the last legitimate user).
-  if (config_.iommu) {
-    if (current_scope_ == ResetScope::kFullReset) {
-      iommu_.InvalidateAll();
-    } else {
-      iommu_.InvalidateAsid(asid);
-    }
-  }
+  if (config_.iommu) iommu_.InvalidateAsid(asid);
 
   imu_->AckEnd();
   const Picoseconds wake = costs_.Cycles(costs_.wakeup_cycles);

@@ -97,22 +97,6 @@ struct VimConfig {
   Picoseconds watchdog_timeout = 1'000'000'000;  // 1 ms
 };
 
-/// How PrepareExecution treats state that outlives one execution. The
-/// end-of-operation sweep writes back and frees the attached space's
-/// frames under either scope (after a full reset every resident frame
-/// is the space's own); the scope only picks how it then flushes the
-/// TLB and the IO-TLB.
-enum class ResetScope {
-  /// Single-tenant semantics (the legacy kernel path): wipe all frames,
-  /// policy state and TLB content/statistics. Bit-identical to the
-  /// behaviour before multi-tenancy existed.
-  kFullReset,
-  /// vcopd semantics: the fabric is shared — only the attached space's
-  /// own residue is cleared; other tenants' frames and (ASID-tagged)
-  /// TLB entries stay resident.
-  kAsidScoped,
-};
-
 /// Service-wide counters, independent of which space was attached:
 /// context switches, fault recovery and speculation. The switch
 /// counters are the numbers the ASID experiment gates on: tagging turns
@@ -122,8 +106,8 @@ enum class ResetScope {
 struct VimServiceStats {
   u64 context_saves = 0;
   u64 context_restores = 0;
-  /// Whole-TLB invalidations forced by a tenant switch or scoped
-  /// end-of-operation when ASID tagging is off.
+  /// Whole-TLB invalidations forced by a tenant switch or an end of
+  /// operation when ASID tagging is off.
   u64 full_tlb_flushes = 0;
   /// Switch/end events where tagging made a full flush unnecessary.
   u64 tlb_flushes_avoided = 0;
@@ -189,26 +173,26 @@ class Vim {
   /// reinstall a built-in one.
   void SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher);
 
-  /// Rebinds to a freshly configured IMU (at FPGA_LOAD, and by vcopd at
-  /// every dispatch boundary).
+  /// Binds the IMU of the design about to run (Kernel::Bind, before
+  /// every FPGA_EXECUTE and every vcopd slice); nullptr unbinds.
   void BindImu(hw::Imu* imu);
 
-  /// Attaches the address space the VIM operates on. The kernel
-  /// attaches its default space once; vcopd swaps tenant spaces at
-  /// dispatch boundaries. Must outlive the attachment.
+  /// Attaches the address space the VIM operates on (Kernel::Bind:
+  /// the kernel's default space for FPGA_EXECUTE, a tenant's for a
+  /// vcopd slice). Must outlive the attachment.
   void AttachSpace(AddressSpace* space);
   AddressSpace* space() { return space_; }
 
   ObjectTable& objects() { return space_->objects(); }
   const ObjectTable& objects() const { return space_->objects(); }
 
-  /// Prepares an execution: validates mappings, programs the IMU object
-  /// descriptor table, clears TLB and page frames (to the requested
-  /// scope), writes the scalar `params` into the parameter page and
-  /// maps it. Returns the setup cost on success.
-  Result<Picoseconds> PrepareExecution(std::span<const u32> params,
-                                       ResetScope scope =
-                                           ResetScope::kFullReset);
+  /// Prepares an execution: validates mappings, flushes the attached
+  /// space's frames and TLB entries (other spaces' stay resident),
+  /// resets the prefetcher's history and the TLB recycle cursor,
+  /// programs the IMU object descriptor table, writes the scalar
+  /// `params` into the parameter page and maps it. Returns the setup
+  /// cost on success.
+  Result<Picoseconds> PrepareExecution(std::span<const u32> params);
 
   /// Interrupt services (wired to the InterruptLine by the kernel).
   void OnPageFault();
@@ -238,7 +222,7 @@ class Vim {
 
   /// Consulted at each fault *before* servicing it; returning true
   /// preempts: the VIM saves context and calls the preempt handler
-  /// instead of mapping the page. Unset = never preempt (legacy path).
+  /// instead of mapping the page. Unset = never preempt (FPGA_EXECUTE).
   void set_preempt_check(std::function<bool()> check) {
     preempt_check_ = std::move(check);
   }
@@ -265,13 +249,13 @@ class Vim {
   void ResetServiceStats() { service_stats_ = VimServiceStats{}; }
 
   /// Called when the end-of-operation service (including write-backs)
-  /// completes; the kernel uses it to wake the sleeping process.
+  /// completes; Kernel::Bind installs it to end the run.
   void set_completion_handler(std::function<void()> handler) {
     on_complete_ = std::move(handler);
   }
 
   /// Called when a run must be aborted (fault on an unmapped object or
-  /// out-of-bounds access). The kernel fails the FPGA_EXECUTE call.
+  /// out-of-bounds access). Kernel::Bind installs it to fail the run.
   void set_abort_handler(std::function<void(Status)> handler) {
     on_abort_ = std::move(handler);
   }
@@ -480,7 +464,6 @@ class Vim {
   AddressSpace* space_ = nullptr;
   PageManager pages_;
   u32 tlb_recycle_cursor_ = 0;
-  ResetScope current_scope_ = ResetScope::kFullReset;
   bool tlb_tagging_ = true;
 
   /// Overlapped-prefetch state: transfers the CPU is running in the

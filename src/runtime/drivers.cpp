@@ -17,10 +17,8 @@ namespace {
 /// occupies the PLD (reconfiguring on every call would be wasteful and
 /// is not what an application does).
 Status EnsureLoaded(FpgaSystem& sys, const hw::Bitstream& bitstream) {
-  if (sys.kernel().fabric().loaded()) {
-    if (sys.kernel().fabric().current_bitstream().name == bitstream.name) {
-      return Status::Ok();
-    }
+  if (const os::Design* loaded = sys.kernel().loaded_design()) {
+    if (loaded->name == bitstream.name) return Status::Ok();
     VCOP_RETURN_IF_ERROR(sys.Unload());
   }
   return sys.Load(bitstream);
@@ -111,7 +109,7 @@ Result<VimRun<u8>> RunIdeaMode(FpgaSystem& sys,
                    os::Direction::kIn},
         std::tuple{cp::IdeaCoprocessor::kObjOut, &out.value(),
                    os::Direction::kOut}}) {
-    if (sys.kernel().vim().objects().Find(id) != nullptr) {
+    if (sys.kernel().default_space().objects().Find(id) != nullptr) {
       VCOP_RETURN_IF_ERROR(sys.kernel().FpgaUnmapObject(id));
     }
     VCOP_RETURN_IF_ERROR(sys.kernel().FpgaMapObject(

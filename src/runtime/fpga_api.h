@@ -110,7 +110,7 @@ class FpgaSystem {
   template <typename T>
   Status Remap(hw::ObjectId id, const HostBuffer<T>& buffer,
                os::Direction direction) {
-    if (kernel_.vim().objects().Find(id) != nullptr) {
+    if (kernel_.default_space().objects().Find(id) != nullptr) {
       VCOP_RETURN_IF_ERROR(Unmap(id));
     }
     return Map(id, buffer, direction);

@@ -10,12 +10,9 @@ Result<AdpcmStreamDecoder> AdpcmStreamDecoder::Create(FpgaSystem& sys,
   if (chunk_bytes == 0) {
     return InvalidArgumentError("chunk size must be nonzero");
   }
-  if (sys.kernel().fabric().loaded()) {
-    if (sys.kernel().fabric().current_bitstream().name != "adpcmdecode") {
-      VCOP_RETURN_IF_ERROR(sys.Unload());
-      VCOP_RETURN_IF_ERROR(sys.Load(cp::AdpcmDecodeBitstream()));
-    }
-  } else {
+  const os::Design* loaded = sys.kernel().loaded_design();
+  if (loaded == nullptr || loaded->name != "adpcmdecode") {
+    if (loaded != nullptr) VCOP_RETURN_IF_ERROR(sys.Unload());
     VCOP_RETURN_IF_ERROR(sys.Load(cp::AdpcmDecodeBitstream()));
   }
   Result<HostBuffer<u8>> in = sys.Allocate<u8>(chunk_bytes);
@@ -35,7 +32,7 @@ Result<std::vector<i16>> AdpcmStreamDecoder::DecodeChunk(
 
   // Remap to the *used* prefix so the kernel's bounds checks see the
   // true extent of this chunk.
-  if (sys_->kernel().vim().objects().Find(
+  if (sys_->kernel().default_space().objects().Find(
           cp::AdpcmDecodeCoprocessor::kObjIn) != nullptr) {
     VCOP_RETURN_IF_ERROR(
         sys_->Unmap(cp::AdpcmDecodeCoprocessor::kObjIn));

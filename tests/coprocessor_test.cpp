@@ -187,32 +187,17 @@ TEST(CoprocessorBaseDeathTest, DoubleStartAborts) {
 
 // ----- FpgaFabric -----
 
-TEST(FabricTest, ConfigureCreatesCoreAndPricesTime) {
-  FpgaFabric fabric(/*capacity_les=*/5000, /*bytes_per_second=*/1 << 20);
-  const Bitstream bs = cp::VecAddBitstream();
-  auto t = fabric.Configure(bs);
+TEST(FabricTest, PriceConfigurePricesTime) {
+  const FpgaFabric fabric(/*capacity_les=*/5000, /*bytes_per_second=*/1 << 20);
+  const auto t = fabric.PriceConfigure(cp::VecAddBitstream());
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_TRUE(fabric.loaded());
-  EXPECT_NE(fabric.coprocessor(), nullptr);
-  EXPECT_EQ(fabric.coprocessor()->name(), "vecadd");
   // 48 KB at 1 MB/s = 46.875 ms.
   EXPECT_NEAR(ToMilliseconds(t.value()), 46.875, 0.01);
 }
 
-TEST(FabricTest, ExclusiveUse) {
-  FpgaFabric fabric(5000, 1 << 20);
-  ASSERT_TRUE(fabric.Configure(cp::VecAddBitstream()).ok());
-  const auto second = fabric.Configure(cp::AdpcmDecodeBitstream());
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), ErrorCode::kResourceExhausted);
-  fabric.Release();
-  EXPECT_FALSE(fabric.loaded());
-  EXPECT_TRUE(fabric.Configure(cp::AdpcmDecodeBitstream()).ok());
-}
-
 TEST(FabricTest, ResourceFitChecked) {
-  FpgaFabric small(/*capacity_les=*/100, 1 << 20);
-  const auto r = small.Configure(cp::IdeaBitstream());
+  const FpgaFabric small(/*capacity_les=*/100, 1 << 20);
+  const auto r = small.PriceConfigure(cp::IdeaBitstream());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("LEs"), std::string::npos);
 }
@@ -226,13 +211,13 @@ TEST(FabricTest, IdeaNearlyFillsEpxa1) {
 }
 
 TEST(FabricTest, InvalidBitstreamRejected) {
-  FpgaFabric fabric(5000, 1 << 20);
+  const FpgaFabric fabric(5000, 1 << 20);
   Bitstream bad = cp::VecAddBitstream();
   bad.create = nullptr;
-  EXPECT_FALSE(fabric.Configure(bad).ok());
+  EXPECT_FALSE(fabric.PriceConfigure(bad).ok());
   Bitstream no_clock = cp::VecAddBitstream();
   no_clock.cp_clock = Frequency();
-  EXPECT_FALSE(fabric.Configure(no_clock).ok());
+  EXPECT_FALSE(fabric.PriceConfigure(no_clock).ok());
 }
 
 }  // namespace

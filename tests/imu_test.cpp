@@ -75,7 +75,8 @@ class ImuHarness {
   ImuHarness(ImuConfig config, Frequency imu_clock, Frequency cp_clock,
              std::vector<ScriptedCoprocessor::Op> script)
       : dp_ram_(16384),
-        imu_(config, mem::PageGeometry(2048, 8), dp_ram_, irq_, sim_),
+        tlb_(8),
+        imu_(config, mem::PageGeometry(2048, 8), dp_ram_, irq_, sim_, tlb_),
         cp_(sim_, std::move(script)),
         imu_domain_(sim_.AddClockDomain("imu", imu_clock)),
         cp_domain_(sim_.AddClockDomain("cp", cp_clock)) {
@@ -107,6 +108,7 @@ class ImuHarness {
   sim::Simulator sim_;
   hw::InterruptLine irq_;
   mem::DualPortRam dp_ram_;
+  Tlb tlb_;
   Imu imu_;
   ScriptedCoprocessor cp_;
   sim::ClockDomain& imu_domain_;
@@ -117,7 +119,6 @@ class ImuHarness {
 ImuConfig DefaultConfig() {
   ImuConfig config;
   config.access_latency_cycles = 4;
-  config.tlb_entries = 8;
   return config;
 }
 
@@ -421,9 +422,10 @@ TEST(ImuDeathTest, LatencyBelowTwoRejected) {
   sim::Simulator sim;
   mem::DualPortRam dp(16384);
   InterruptLine irq;
+  Tlb tlb(8);
   ImuConfig config;
   config.access_latency_cycles = 1;
-  EXPECT_DEATH(Imu(config, mem::PageGeometry(2048, 8), dp, irq, sim),
+  EXPECT_DEATH(Imu(config, mem::PageGeometry(2048, 8), dp, irq, sim, tlb),
                "at least 2");
 }
 

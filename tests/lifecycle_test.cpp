@@ -19,9 +19,15 @@ using runtime::FpgaSystem;
 TEST(LifecycleTest, DoubleLoadRejected) {
   FpgaSystem sys(Epxa1Config());
   ASSERT_TRUE(sys.Load(cp::VecAddBitstream()).ok());
+  ASSERT_NE(sys.kernel().loaded_design(), nullptr);
+  EXPECT_EQ(sys.kernel().loaded_design()->core->name(), "vecadd");
+  // The PLD is exclusive (§3.1) until FPGA_UNLOAD releases it.
   const Status again = sys.Load(cp::IdeaBitstream());
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.code(), ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(sys.Unload().ok());
+  EXPECT_EQ(sys.kernel().loaded_design(), nullptr);
+  EXPECT_TRUE(sys.Load(cp::IdeaBitstream()).ok());
 }
 
 TEST(LifecycleTest, UnloadWithoutLoadRejected) {

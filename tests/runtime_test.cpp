@@ -153,13 +153,13 @@ TEST(DriversTest, SwitchingApplicationsReloadsTheFabric) {
   const std::vector<u32> a(64, 1), b(64, 2);
   auto add = RunVecAddVim(sys, a, b);
   ASSERT_TRUE(add.ok()) << add.status().ToString();
-  EXPECT_EQ(sys.kernel().fabric().current_bitstream().name, "vecadd");
+  EXPECT_EQ(sys.kernel().loaded_design()->name, "vecadd");
 
   const auto keys = apps::IdeaExpandKey(apps::MakeIdeaKey(1));
   const std::vector<u8> input = apps::MakeRandomBytes(256, 2);
   auto idea = RunIdeaVim(sys, keys, input);
   ASSERT_TRUE(idea.ok()) << idea.status().ToString();
-  EXPECT_EQ(sys.kernel().fabric().current_bitstream().name, "idea");
+  EXPECT_EQ(sys.kernel().loaded_design()->name, "idea");
 }
 
 }  // namespace
