@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "cp/registry.h"
-#include "os/vcopd.h"
 
 namespace vcop {
 namespace {
@@ -32,61 +30,22 @@ struct Order {
   u32 skip_budget;
 };
 
-struct OrderRun {
-  os::VcopdStats stats;
-  Picoseconds makespan = 0;
-  Picoseconds mean_turnaround = 0;
-  bool exact = true;
-};
-
-OrderRun RunOrder(const Order& order) {
-  runtime::FpgaSystem sys(runtime::Epxa1Config());
+bench::FleetResult RunOrder(const Order& order) {
   os::VcopdConfig config;
   config.policy = order.policy;
   config.time_slice = kPicosecondsPerSecond;
   config.affinity_skip_budget = order.skip_budget;
-  os::Vcopd daemon(sys.kernel(), config);
-  runtime::VcopdClient audio(daemon, daemon.RegisterTenant("audio").value());
-  runtime::VcopdClient crypto(daemon,
-                              daemon.RegisterTenant("crypto").value());
-  bench::StagedAdpcm adpcm =
-      bench::StageAdpcmTenant(sys, audio, kAdpcmBytes, bench::kWorkloadSeed);
-  bench::StagedIdea idea =
-      bench::StageIdeaTenant(sys, crypto, kIdeaBytes, bench::kWorkloadSeed);
+  return bench::RunVcopdFleet(
+      {{bench::App::kAdpcm, "audio", 1, kAdpcmBytes, kJobsPerTenant},
+       {bench::App::kIdea, "crypto", 1, kIdeaBytes, kJobsPerTenant}},
+      runtime::Epxa1Config(), config);
+}
 
-  // Each completion checks its output, then clears it so the tenant's
-  // next job has to write every byte again.
-  OrderRun run;
-  auto check_adpcm = [&](const os::JobResult& r) {
-    run.exact &= r.status.ok() && adpcm.out.ToVector() == adpcm.expect;
-    adpcm.out.Fill(std::vector<i16>(adpcm.expect.size()));
-  };
-  auto check_idea = [&](const os::JobResult& r) {
-    run.exact &= r.status.ok() && idea.out.ToVector() == idea.expect;
-    idea.out.Fill(std::vector<u8>(idea.expect.size()));
-  };
-  for (u32 i = 0; i < kJobsPerTenant; ++i) {
-    VCOP_CHECK(audio.Submit(cp::AdpcmDecodeBitstream(),
-                            {kAdpcmBytes, 0u, 0u}, check_adpcm)
-                   .ok());
-    VCOP_CHECK(crypto.Submit(cp::IdeaBitstream(),
-                             {kIdeaBytes / apps::kIdeaBlockBytes,
-                              cp::IdeaCoprocessor::kModeEcb, 0u, 0u},
-                             check_idea)
-                   .ok());
-  }
-  const Status status = daemon.RunUntilIdle();
-  VCOP_CHECK_MSG(status.ok(), status.ToString());
-
-  run.stats = daemon.stats();
-  run.exact &= run.stats.completed == 2 * kJobsPerTenant;
-  const os::ScheduleReport report = daemon.BuildScheduleReport();
-  run.makespan = report.makespan;
-  for (const os::JobOutcome& o : report.outcomes) {
-    run.mean_turnaround += o.turnaround();
-  }
-  run.mean_turnaround /= report.outcomes.size();
-  return run;
+/// Mean job turnaround over the whole schedule.
+Picoseconds MeanTurnaround(const os::ScheduleReport& report) {
+  Picoseconds sum = 0;
+  for (const os::JobOutcome& o : report.outcomes) sum += o.turnaround();
+  return sum / report.outcomes.size();
 }
 
 int Main() {
@@ -105,29 +64,30 @@ int Main() {
   table.set_title(
       "2 vcopd tenants (4x adpcm 8 KB + 4x IDEA 16 KB, interleaved), one "
       "EPXA1 fabric, no preemption");
-  std::vector<OrderRun> runs;
+  std::vector<bench::FleetResult> runs;
   for (const Order& order : orders) {
-    const OrderRun& run = runs.emplace_back(RunOrder(order));
+    const bench::FleetResult& run = runs.emplace_back(RunOrder(order));
     table.AddRow(
         {order.name,
          StrFormat("%llu",
                    static_cast<unsigned long long>(run.stats.reconfigurations)),
-         runtime::Ms(run.stats.total_config_time), runtime::Ms(run.makespan),
-         runtime::Ms(run.mean_turnaround),
+         runtime::Ms(run.stats.total_config_time),
+         runtime::Ms(run.report.makespan),
+         runtime::Ms(MeanTurnaround(run.report)),
          StrFormat("%.0f%%",
                    100.0 * static_cast<double>(run.stats.total_config_time) /
-                       static_cast<double>(run.makespan)),
-         run.exact ? "yes" : "NO"});
+                       static_cast<double>(run.report.makespan)),
+         run.outputs_exact ? "yes" : "NO"});
   }
   table.Print();
   std::printf("\n");
 
-  bool pass = runs[0].exact;
+  bool pass = runs[0].outputs_exact;
   for (usize i = 1; i < runs.size(); ++i) {
-    pass &= runs[i].exact &&
+    pass &= runs[i].outputs_exact &&
             runs[i].stats.reconfigurations <
                 runs[0].stats.reconfigurations &&
-            runs[i].makespan < runs[0].makespan;
+            runs[i].report.makespan < runs[0].report.makespan;
   }
   std::printf(
       "%s: batching by design must reconfigure less and finish sooner than "

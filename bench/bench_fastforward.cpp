@@ -38,11 +38,8 @@
 #include "base/fault.h"
 #include "base/log.h"
 #include "bench/common.h"
-#include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "os/vim.h"
 #include "sim/fleet.h"
-#include "sim/trace.h"
 
 namespace vcop {
 namespace {
@@ -301,47 +298,15 @@ struct Sweep {
 
 // ----- artifact identity -----
 
-/// The Figure-7 waveform: a one-element vecadd with the tracer
-/// attached. An attached tracer vetoes the IMU's fast-forward by
-/// construction (DESIGN.md §11) — this check pins that contract: the
-/// VCD text must come out byte-identical under both engines.
-std::string VecAddVcd(Engine engine) {
+/// The Figure-7 waveform and the conv2d Chrome trace must come out
+/// byte-identical under both engines. An attached tracer vetoes the
+/// IMU's fast-forward by construction (DESIGN.md §11); the timeline does
+/// not, so every recorded fault-service and transfer span must carry
+/// the exact same simulated timestamps under analytic jumps.
+os::KernelConfig EngineConfig(Engine engine) {
   os::KernelConfig config = Epxa1Config();
   config.engine = engine;
-  FpgaSystem sys(config);
-  sim::Tracer tracer;
-  VCOP_CHECK(sys.Load(cp::VecAddBitstream()).ok());
-  sys.kernel().imu()->AttachTracer(&tracer);
-  auto a = sys.Allocate<u32>(1);
-  auto b = sys.Allocate<u32>(1);
-  auto c = sys.Allocate<u32>(1);
-  VCOP_CHECK(a.ok() && b.ok() && c.ok());
-  a.value().view()[0] = 0x0000CAFE;
-  b.value().view()[0] = 0x00000001;
-  VCOP_CHECK(sys.Map(0, a.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(1, b.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(2, c.value(), os::Direction::kOut).ok());
-  auto report = sys.Execute({1u});
-  VCOP_CHECK_MSG(report.ok(), report.status().ToString());
-  VCOP_CHECK(c.value().view()[0] == 0x0000CAFF);
-  return tracer.ToVcd();
-}
-
-/// The edge-detect-style Chrome trace: conv2d with the timeline
-/// recorder. Unlike the VCD, the timeline does NOT veto fast-forward,
-/// so every recorded fault-service and transfer span must carry the
-/// exact same simulated timestamps under analytic jumps.
-std::string ConvChromeTrace(Engine engine) {
-  os::KernelConfig config = Epxa1Config();
-  config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
-  config.engine = engine;
-  FpgaSystem sys(config);
-  const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
-  const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,
-                                          apps::SharpenKernel(), 0);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  return sys.kernel().timeline().ToChromeTrace();
+  return config;
 }
 
 // ----- JSON -----
@@ -466,10 +431,11 @@ int Main() {
     sweeps.push_back(std::move(sw));
   }
 
-  const bool vcd_identical =
-      VecAddVcd(Engine::kFast) == VecAddVcd(Engine::kReference);
+  const bool vcd_identical = bench::Fig7Vcd(EngineConfig(Engine::kFast)) ==
+                             bench::Fig7Vcd(EngineConfig(Engine::kReference));
   const bool trace_identical =
-      ConvChromeTrace(Engine::kFast) == ConvChromeTrace(Engine::kReference);
+      bench::ConvChromeTrace(EngineConfig(Engine::kFast)) ==
+      bench::ConvChromeTrace(EngineConfig(Engine::kReference));
 
   std::printf("\nsummary:\n");
   bool pass = true;

@@ -25,16 +25,9 @@
 #include <string>
 #include <vector>
 
-#include "apps/sw_model.h"
-#include "apps/workloads.h"
-#include "base/log.h"
 #include "bench/common.h"
-#include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "mem/iommu.h"
 #include "os/vim.h"
-#include "runtime/drivers.h"
-#include "sim/trace.h"
 
 namespace vcop {
 namespace {
@@ -91,70 +84,30 @@ Picoseconds DirectBound(const mem::TransferEngine& engine, u32 page_bytes,
   return bound;
 }
 
-void FinishRow(Row& row, FpgaSystem& sys, const os::KernelConfig& config) {
-  os::Vim& vim = sys.kernel().vim();
-  row.bounce_copies = vim.transfer_engine().bounce_copies();
-  row.iommu_stats = vim.iommu().stats();
-  const u64 moved =
-      row.report.vim.bytes_loaded + row.report.vim.bytes_written_back;
-  const Picoseconds bound =
-      DirectBound(vim.transfer_engine(), config.page_bytes, moved);
-  row.bound_ratio = bound > 0 ? static_cast<double>(row.report.vim.t_dp) /
-                                    static_cast<double>(bound)
-                              : 0.0;
-  sys.kernel().simulator().DrainAssertQuiescent();
-}
-
-Row RunAdpcm(const Mode& m, usize bytes) {
+Row RunRow(const char* app, const Mode& m, const bench::Job& job) {
+  const os::KernelConfig config = ModeConfig(m);
   Row row;
-  row.app = "adpcmdecode";
-  row.bytes = bytes;
+  row.app = app;
   row.mode = m.label;
   row.iommu = m.iommu;
-
-  const os::KernelConfig config = ModeConfig(m);
-  const std::vector<u8> input =
-      apps::MakeAdpcmStream(bytes, bench::kWorkloadSeed);
-  std::vector<i16> expect(input.size() * 2);
-  apps::AdpcmState state;
-  apps::AdpcmDecode(input, expect, state);
-  apps::ArmTimingModel arm;
-  arm.cpu_clock = config.costs.cpu_clock;
-  row.sw = arm.AdpcmDecodeTime(bytes);
-
-  FpgaSystem sys(config);
-  auto run = runtime::RunAdpcmVim(sys, input);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  row.output_exact = run.value().output == expect;
-  row.report = run.value().report;
-  FinishRow(row, sys, config);
-  return row;
-}
-
-Row RunIdea(const Mode& m, usize bytes) {
-  Row row;
-  row.app = "IDEA";
-  row.bytes = bytes;
-  row.mode = m.label;
-  row.iommu = m.iommu;
-
-  const os::KernelConfig config = ModeConfig(m);
-  const apps::IdeaSubkeys keys =
-      apps::IdeaExpandKey(apps::MakeIdeaKey(bench::kWorkloadSeed));
-  const std::vector<u8> input =
-      apps::MakeRandomBytes(bytes, bench::kWorkloadSeed + 1);
-  std::vector<u8> expect(input.size());
-  apps::IdeaCryptEcb(keys, input, expect);
-  apps::ArmTimingModel arm;
-  arm.cpu_clock = config.costs.cpu_clock;
-  row.sw = arm.IdeaEcbTime(bytes);
-
-  FpgaSystem sys(config);
-  auto run = runtime::RunIdeaVim(sys, keys, input);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  row.output_exact = run.value().output == expect;
-  row.report = run.value().report;
-  FinishRow(row, sys, config);
+  const bench::Point p = bench::RunPoint(
+      config, job, [&](FpgaSystem& sys, const bench::Point& point) {
+        os::Vim& vim = sys.kernel().vim();
+        row.bounce_copies = vim.transfer_engine().bounce_copies();
+        row.iommu_stats = vim.iommu().stats();
+        const u64 moved =
+            point.vim.vim.bytes_loaded + point.vim.vim.bytes_written_back;
+        const Picoseconds bound =
+            DirectBound(vim.transfer_engine(), config.page_bytes, moved);
+        row.bound_ratio =
+            bound > 0 ? static_cast<double>(point.vim.vim.t_dp) /
+                            static_cast<double>(bound)
+                      : 0.0;
+      });
+  row.bytes = p.input_bytes;
+  row.output_exact = p.exact;
+  row.sw = p.sw;
+  row.report = p.vim;
   return row;
 }
 
@@ -169,43 +122,6 @@ os::KernelConfig OffConfig(bool touch_knobs) {
     config.vim.iotlb_entries = 1024;
   }
   return config;
-}
-
-/// The Figure-7 waveform (one-element vecadd with the tracer attached),
-/// as fig7_timing writes it.
-std::string VecAddVcd(bool touch_knobs) {
-  FpgaSystem sys(OffConfig(touch_knobs));
-  sim::Tracer tracer;
-  VCOP_CHECK(sys.Load(cp::VecAddBitstream()).ok());
-  sys.kernel().imu()->AttachTracer(&tracer);
-  auto a = sys.Allocate<u32>(1);
-  auto b = sys.Allocate<u32>(1);
-  auto c = sys.Allocate<u32>(1);
-  VCOP_CHECK(a.ok() && b.ok() && c.ok());
-  a.value().view()[0] = 0x0000CAFE;
-  b.value().view()[0] = 0x00000001;
-  VCOP_CHECK(sys.Map(0, a.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(1, b.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(2, c.value(), os::Direction::kOut).ok());
-  auto report = sys.Execute({1u});
-  VCOP_CHECK_MSG(report.ok(), report.status().ToString());
-  VCOP_CHECK(c.value().view()[0] == 0x0000CAFF);
-  return tracer.ToVcd();
-}
-
-/// The edge-detect-style Chrome trace: conv2d with the timeline
-/// recorder, prefetch overlapped — the busiest DMA schedule the
-/// examples produce.
-std::string ConvChromeTrace(bool touch_knobs) {
-  os::KernelConfig config = OffConfig(touch_knobs);
-  config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
-  FpgaSystem sys(config);
-  const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
-  const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,
-                                          apps::SharpenKernel(), 0);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  return sys.kernel().timeline().ToChromeTrace();
 }
 
 // ----- JSON -----
@@ -260,8 +176,8 @@ void WriteJson(const std::vector<Row>& rows, bool exact, bool zero_bounce,
 int Main() {
   std::printf("== zero-copy IOMMU DMA (DESIGN.md §13, E20) ==\n\n");
 
-  constexpr usize kAdpcmSizes[] = {2048u, 8192u, 65536u};
-  constexpr usize kIdeaSizes[] = {8192u, 32768u};
+  constexpr u32 kAdpcmSizes[] = {2048u, 8192u, 65536u};
+  constexpr u32 kIdeaSizes[] = {8192u, 32768u};
   constexpr usize kAdpcmLarge = 65536u;
 
   Table table({"app", "input", "mode", "SW(DP) ms", "total ms", "speedup",
@@ -281,14 +197,22 @@ int Main() {
                   StrFormat("%.2f", row.bound_ratio)});
     rows.push_back(row);
   };
-  for (const usize bytes : kAdpcmSizes)
-    for (const Mode& m : kModes) add(RunAdpcm(m, bytes));
-  for (const usize bytes : kIdeaSizes)
-    for (const Mode& m : kModes) add(RunIdea(m, bytes));
+  for (const u32 bytes : kAdpcmSizes) {
+    const bench::Job job =
+        bench::MakeJob(bench::App::kAdpcm, bytes, bench::kWorkloadSeed);
+    for (const Mode& m : kModes) add(RunRow("adpcmdecode", m, job));
+  }
+  for (const u32 bytes : kIdeaSizes) {
+    const bench::Job job =
+        bench::MakeJob(bench::App::kIdea, bytes, bench::kWorkloadSeed);
+    for (const Mode& m : kModes) add(RunRow("IDEA", m, job));
+  }
   table.Print();
 
-  const bool vcd_inert = VecAddVcd(false) == VecAddVcd(true);
-  const bool trace_inert = ConvChromeTrace(false) == ConvChromeTrace(true);
+  const bool vcd_inert =
+      bench::Fig7Vcd(OffConfig(false)) == bench::Fig7Vcd(OffConfig(true));
+  const bool trace_inert = bench::ConvChromeTrace(OffConfig(false)) ==
+                           bench::ConvChromeTrace(OffConfig(true));
 
   bool exact = true;
   bool zero_bounce = true;

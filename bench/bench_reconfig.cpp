@@ -17,25 +17,17 @@
 //   * baseline and slots improve makespan over strict ring order.
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/common.h"
-#include "cp/adpcm_cp.h"
-#include "cp/idea_cp.h"
-#include "apps/conv2d.h"
-#include "cp/conv_cp.h"
-#include "cp/registry.h"
-#include "os/vcopd.h"
 #include "sim/fleet.h"
 
 namespace vcop {
 namespace {
 
-using bench::kWorkloadSeed;
-using runtime::FpgaSystem;
-using runtime::HostBuffer;
-using runtime::VcopdClient;
+using bench::App;
+using bench::FleetResult;
+using bench::TenantSpec;
 
 /// Fairness slack: design affinity may not drop the Jain index over
 /// per-tenant fabric time more than this below strict ring order at
@@ -46,128 +38,6 @@ constexpr double kJainSlack = 0.02;
 /// Absolute fairness floor for every mode.
 constexpr double kJainFloor = 0.85;
 
-// Conv2d tenant geometry: width fixed, height = input_bytes / width.
-constexpr u32 kConvWidth = 64;
-constexpr u32 kConvShift = 3;  // box blur: sum 9, >> 3
-
-enum class App : u8 { kAdpcm, kIdea, kConv };
-
-struct TenantSpec {
-  App app = App::kConv;
-  std::string name;
-  u32 weight = 1;
-  usize input_bytes = 0;
-  u32 jobs = 1;
-};
-
-struct TenantRun {
-  TenantSpec spec;
-  os::TenantId id = 0;
-  std::vector<Picoseconds> turnarounds;
-  u32 completed = 0;
-  bool outputs_exact = true;
-
-  HostBuffer<u8> in_u8;
-  HostBuffer<i16> out_i16;
-  HostBuffer<u8> out_u8;
-  HostBuffer<u16> key_u16;
-  HostBuffer<u32> coeffs_u32;
-  std::vector<i16> expect_i16;
-  std::vector<u8> expect_u8;
-
-  Status SubmitOne(os::Vcopd& daemon) {
-    VcopdClient client(daemon, id);
-    auto on_complete = [this](const os::JobResult& r) {
-      turnarounds.push_back(r.turnaround());
-      ++completed;
-      if (!r.status.ok()) {
-        outputs_exact = false;
-        return;
-      }
-      switch (spec.app) {
-        case App::kAdpcm:
-          outputs_exact &= out_i16.ToVector() == expect_i16;
-          break;
-        case App::kIdea:
-          outputs_exact &= out_u8.ToVector() == expect_u8;
-          break;
-        case App::kConv:
-          outputs_exact &= out_u8.ToVector() == expect_u8;
-          break;
-      }
-    };
-    const u32 n = static_cast<u32>(spec.input_bytes);
-    switch (spec.app) {
-      case App::kAdpcm:
-        return client
-            .Submit(cp::AdpcmDecodeBitstream(), {n, 0u, 0u}, on_complete)
-            .status();
-      case App::kIdea:
-        return client
-            .Submit(cp::IdeaBitstream(),
-                    {n / 8, cp::IdeaCoprocessor::kModeEcb, 0u, 0u},
-                    on_complete)
-            .status();
-      case App::kConv:
-        return client
-            .Submit(cp::Conv3x3Bitstream(),
-                    {kConvWidth, n / kConvWidth, kConvShift}, on_complete)
-            .status();
-    }
-    return InternalError("unreachable");
-  }
-};
-
-TenantRun Stage(FpgaSystem& sys, os::Vcopd& daemon, const TenantSpec& spec,
-                u64 seed) {
-  TenantRun run;
-  run.spec = spec;
-  run.id = daemon.RegisterTenant(spec.name, spec.weight).value();
-  VcopdClient client(daemon, run.id);
-  const u32 bytes = static_cast<u32>(spec.input_bytes);
-  switch (spec.app) {
-    case App::kAdpcm: {
-      bench::StagedAdpcm s = bench::StageAdpcmTenant(sys, client, bytes, seed);
-      run.in_u8 = s.in;
-      run.out_i16 = s.out;
-      run.expect_i16 = std::move(s.expect);
-      break;
-    }
-    case App::kIdea: {
-      bench::StagedIdea s = bench::StageIdeaTenant(sys, client, bytes, seed);
-      run.in_u8 = s.in;
-      run.out_u8 = s.out;
-      run.key_u16 = s.key;
-      run.expect_u8 = std::move(s.expect);
-      break;
-    }
-    case App::kConv: {
-      const u32 height = bytes / kConvWidth;
-      const std::vector<u8> image = apps::MakeTestImage(kConvWidth, height, seed);
-      const apps::Conv3x3Kernel kernel = apps::BoxBlurKernel();
-      run.expect_u8.resize(image.size());
-      apps::Convolve3x3(image, kConvWidth, height, kernel, kConvShift,
-                        run.expect_u8);
-      run.in_u8 = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
-      run.in_u8.Fill(image);
-      run.out_u8 = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
-      run.coeffs_u32 = sys.Allocate<u32>(9).value();
-      {
-        auto view = run.coeffs_u32.view();
-        for (usize i = 0; i < 9; ++i) view[i] = static_cast<u32>(kernel[i]);
-      }
-      VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjSrc, run.in_u8,
-                            os::Direction::kIn).ok());
-      VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjDst, run.out_u8,
-                            os::Direction::kOut).ok());
-      VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjKernel, run.coeffs_u32,
-                            os::Direction::kIn).ok());
-      break;
-    }
-  }
-  return run;
-}
-
 // ----- modes -----
 
 struct Mode {
@@ -176,74 +46,16 @@ struct Mode {
   u32 skip_budget = os::VcopdConfig{}.affinity_skip_budget;
 };
 
-struct FleetResult {
-  std::vector<TenantRun> tenants;
-  os::VcopdStats stats;
-  os::VimServiceStats service;
-  os::ScheduleReport report;
-  bool outputs_exact = true;
-
-  u64 jobs() const {
-    u64 n = 0;
-    for (const TenantRun& t : tenants) n += t.completed;
-    return n;
-  }
-  /// Jain index over per-tenant fabric time (busy spans): 1.0 = every
-  /// tenant held the PLD equally long.
-  double jain() const {
-    double sum = 0.0, sum_sq = 0.0;
-    usize n = 0;
-    for (const os::TenantFairness& t : report.per_pid()) {
-      const double busy = static_cast<double>(t.busy);
-      sum += busy;
-      sum_sq += busy * busy;
-      ++n;
-    }
-    return sum_sq > 0.0
-               ? (sum * sum) / (static_cast<double>(n) * sum_sq)
-               : 0.0;
-  }
-};
-
-/// Stages every tenant, submits round-robin (interleaved tickets so
-/// consecutive jobs alternate designs), and drives the daemon to idle.
-FleetResult RunFleet(const std::vector<TenantSpec>& specs, const Mode& mode) {
+/// Drives `specs` through vcopd under `mode`: fair share with a 100 us
+/// slice, which forces preemption.
+FleetResult RunMode(const std::vector<TenantSpec>& specs, const Mode& mode) {
   os::KernelConfig kernel_config = runtime::Epxa1Config();
   kernel_config.config_slots = mode.slots;
-  FpgaSystem sys(kernel_config);
-
   os::VcopdConfig config;
   config.policy = os::ServicePolicy::kFairShare;
-  config.time_slice = 100ull * 1000 * 1000;  // 100 us: forces preemption
+  config.time_slice = 100ull * 1000 * 1000;
   config.affinity_skip_budget = mode.skip_budget;
-  os::Vcopd daemon(sys.kernel(), config);
-  sys.kernel().vim().ResetServiceStats();
-
-  FleetResult result;
-  u64 seed = kWorkloadSeed;
-  for (const TenantSpec& spec : specs) {
-    result.tenants.push_back(Stage(sys, daemon, spec, seed++));
-  }
-  u32 remaining = 0;
-  for (const TenantSpec& spec : specs) remaining += spec.jobs;
-  for (u32 round = 0; remaining > 0; ++round) {
-    for (TenantRun& tenant : result.tenants) {
-      if (round >= tenant.spec.jobs) continue;
-      VCOP_CHECK_MSG(tenant.SubmitOne(daemon).ok(), "submit failed");
-      --remaining;
-    }
-  }
-  const Status status = daemon.RunUntilIdle();
-  VCOP_CHECK_MSG(status.ok(), status.ToString());
-
-  result.stats = daemon.stats();
-  result.service = sys.kernel().vim().service_stats();
-  result.report = daemon.BuildScheduleReport();
-  for (const TenantRun& tenant : result.tenants) {
-    result.outputs_exact &= tenant.outputs_exact &&
-                            tenant.completed == tenant.spec.jobs;
-  }
-  return result;
+  return bench::RunVcopdFleet(specs, kernel_config, config);
 }
 
 void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
@@ -315,7 +127,7 @@ int Main() {
   // The modes are independent simulations of the same tenant spec —
   // run them side by side on the fleet runner.
   const std::vector<FleetResult> runs = sim::FleetMap<FleetResult>(
-      modes.size(), [&](usize i) { return RunFleet(specs, *modes[i]); });
+      modes.size(), [&](usize i) { return RunMode(specs, *modes[i]); });
   const FleetResult& strict = runs[0];
   const FleetResult& baseline = runs[1];
   const FleetResult& slots = runs[2];

@@ -38,10 +38,6 @@
 #include "base/latency_histogram.h"
 #include "base/rng.h"
 #include "bench/common.h"
-#include "cp/adpcm_cp.h"
-#include "cp/conv_cp.h"
-#include "cp/idea_cp.h"
-#include "cp/registry.h"
 #include "os/ring.h"
 #include "os/service.h"
 #include "os/vcopd.h"
@@ -52,8 +48,6 @@ namespace {
 
 using bench::kWorkloadSeed;
 using runtime::FpgaSystem;
-using runtime::HostBuffer;
-using runtime::VcopdClient;
 
 // ----- workload knobs -----
 
@@ -69,7 +63,9 @@ constexpr double kP99OverloadFactor = 8.0;
 /// Jain fairness floor over per-tenant completions at 2x overload.
 constexpr double kJainFloor = 0.80;
 
-enum class App : u8 { kAdpcm, kIdea, kConv };
+/// Tenant i runs kApps[i % 3].
+constexpr bench::App kApps[] = {bench::App::kAdpcm, bench::App::kIdea,
+                                bench::App::kConv};
 
 // Small per-job footprints: the interesting contention is hundreds of
 // tenants against one fabric, not one tenant against the pager.
@@ -81,18 +77,8 @@ constexpr u32 kConvHeight = 12;
 // ----- per-tenant state -----
 
 struct TenantState {
-  App app = App::kAdpcm;
-  os::TenantId id = 0;
+  bench::StagedJob staged;
   u32 design = 0;
-  u32 nparams = 0;
-  std::array<u32, os::kRingMaxParams> params{};
-
-  HostBuffer<u8> in_u8, out_u8;
-  HostBuffer<i16> out_i16;
-  HostBuffer<u16> key_u16;
-  HostBuffer<u32> coeffs_u32;
-  std::vector<i16> expect_i16;
-  std::vector<u8> expect_u8;
 
   u32 published = 0;
   u32 ring_rejections = 0;  // open-loop arrivals dropped at a full ring
@@ -102,67 +88,18 @@ struct TenantState {
   std::vector<os::CompletionDescriptor> reaped;  // in reap order
 };
 
-/// Registers the tenant, stages its buffers and reference expectation,
-/// and fixes the descriptor payload its jobs will publish.
+/// Registers the tenant, stages its job and attaches it to the service.
 TenantState Stage(FpgaSystem& sys, os::Vcopd& daemon,
-                  os::VcopService& service, App app, u32 index, u64 seed) {
+                  os::VcopService& service, bench::App app, u32 index,
+                  u64 seed) {
+  const u32 bytes = app == bench::App::kAdpcm ? kAdpcmBytes
+                    : app == bench::App::kIdea ? kIdeaBytes
+                                               : kConvWidth * kConvHeight;
   TenantState t;
-  t.app = app;
-  t.id = daemon.RegisterTenant(StrFormat("svc-%u", index)).value();
-  VcopdClient client(daemon, t.id);
-  switch (app) {
-    case App::kAdpcm: {
-      bench::StagedAdpcm s =
-          bench::StageAdpcmTenant(sys, client, kAdpcmBytes, seed);
-      t.in_u8 = s.in;
-      t.out_i16 = s.out;
-      t.expect_i16 = std::move(s.expect);
-      t.design = service.RegisterDesign(cp::AdpcmDecodeBitstream());
-      t.nparams = 3;
-      t.params = {kAdpcmBytes, 0, 0};
-      break;
-    }
-    case App::kIdea: {
-      bench::StagedIdea s =
-          bench::StageIdeaTenant(sys, client, kIdeaBytes, seed);
-      t.in_u8 = s.in;
-      t.out_u8 = s.out;
-      t.key_u16 = s.key;
-      t.expect_u8 = std::move(s.expect);
-      t.design = service.RegisterDesign(cp::IdeaBitstream());
-      t.nparams = 4;
-      t.params = {kIdeaBytes / 8, cp::IdeaCoprocessor::kModeEcb, 0, 0};
-      break;
-    }
-    case App::kConv: {
-      const std::vector<u8> image =
-          apps::MakeTestImage(kConvWidth, kConvHeight, seed);
-      const apps::Conv3x3Kernel kernel = apps::BoxBlurKernel();
-      const u32 shift = 3;
-      t.expect_u8.resize(image.size());
-      apps::Convolve3x3(image, kConvWidth, kConvHeight, kernel, shift,
-                        t.expect_u8);
-      t.in_u8 = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
-      t.in_u8.Fill(image);
-      t.out_u8 = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
-      t.coeffs_u32 = sys.Allocate<u32>(9).value();
-      {
-        auto view = t.coeffs_u32.view();
-        for (usize i = 0; i < 9; ++i) view[i] = static_cast<u32>(kernel[i]);
-      }
-      VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjSrc, t.in_u8,
-                            os::Direction::kIn).ok());
-      VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjDst, t.out_u8,
-                            os::Direction::kOut).ok());
-      VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjKernel, t.coeffs_u32,
-                            os::Direction::kIn).ok());
-      t.design = service.RegisterDesign(cp::Conv3x3Bitstream());
-      t.nparams = 3;
-      t.params = {kConvWidth, kConvHeight, shift};
-      break;
-    }
-  }
-  VCOP_CHECK(service.AttachTenant(t.id).ok());
+  t.staged = bench::StageTenant(sys, daemon, StrFormat("svc-%u", index),
+                                bench::MakeJob(app, bytes, seed, kConvWidth));
+  t.design = service.RegisterDesign(t.staged.job.bitstream);
+  VCOP_CHECK(service.AttachTenant(t.staged.tenant).ok());
   return t;
 }
 
@@ -171,13 +108,7 @@ TenantState Stage(FpgaSystem& sys, os::Vcopd& daemon,
 /// buffer of any tenant that completed >= 1 job must equal the
 /// reference.
 bool OutputsExact(const TenantState& t) {
-  if (t.completed == 0) return true;
-  switch (t.app) {
-    case App::kAdpcm: return t.out_i16.ToVector() == t.expect_i16;
-    case App::kIdea:
-    case App::kConv: return t.out_u8.ToVector() == t.expect_u8;
-  }
-  return false;
+  return t.completed == 0 || t.staged.Exact();
 }
 
 // ----- scenario runner -----
@@ -224,9 +155,10 @@ bool PublishOne(os::VcopService& service, TenantState& t, Picoseconds now) {
   os::RingDescriptor d;
   d.cookie = static_cast<u64>(t.published) + 1;
   d.design = t.design;
-  d.nparams = t.nparams;
-  d.params = t.params;
-  const Status status = service.Publish(t.id, d);
+  const std::vector<u32>& params = t.staged.job.params;
+  d.nparams = static_cast<u32>(params.size());
+  std::copy(params.begin(), params.end(), d.params.begin());
+  const Status status = service.Publish(t.staged.tenant, d);
   if (!status.ok()) {
     // Ring full — the open-loop generator drops the arrival (the edge
     // backpressure the 2x gate is about).
@@ -241,8 +173,9 @@ bool PublishOne(os::VcopService& service, TenantState& t, Picoseconds now) {
 
 void ReapAll(os::VcopService& service, TenantState& t,
              ScenarioResult& result) {
-  while (service.HasCompletions(t.id)) {
-    const os::CompletionDescriptor c = service.Reap(t.id).value();
+  while (service.HasCompletions(t.staged.tenant)) {
+    const os::CompletionDescriptor c =
+        service.Reap(t.staged.tenant).value();
     ++t.completed;
     if (c.code != 0) ++t.failed;
     result.latency.Add(c.finished_at - t.publish_at[c.cookie - 1]);
@@ -269,18 +202,21 @@ ScenarioResult RunScenario(const ScenarioParams& p) {
   std::vector<TenantState> tenants;
   tenants.reserve(p.tenants);
   for (u32 i = 0; i < p.tenants; ++i) {
-    const App app = static_cast<App>(i % 3);
-    tenants.push_back(Stage(sys, daemon, service, app, i, p.seed + i));
+    tenants.push_back(
+        Stage(sys, daemon, service, kApps[i % 3], i, p.seed + i));
   }
 
   if (p.suppressed) {
-    for (TenantState& t : tenants) service.SetInterruptSuppression(t.id, true);
+    for (TenantState& t : tenants) {
+      service.SetInterruptSuppression(t.staged.tenant, true);
+    }
   } else {
     // Interrupt-driven tenants: reap at the completion instant.
     for (TenantState& t : tenants) {
       TenantState* tp = &t;
-      service.SetCompletionNotifier(
-          t.id, [&service, tp, &result] { ReapAll(service, *tp, result); });
+      service.SetCompletionNotifier(t.staged.tenant, [&service, tp, &result] {
+        ReapAll(service, *tp, result);
+      });
     }
   }
 
@@ -296,7 +232,7 @@ ScenarioResult RunScenario(const ScenarioParams& p) {
           VCOP_CHECK(PublishOne(service, t, sim.now()));
           // Doorbell per publish: every kick past the first lands while
           // the drain is pending and coalesces into it.
-          VCOP_CHECK(service.Kick(t.id).ok());
+          VCOP_CHECK(service.Kick(t.staged.tenant).ok());
         }
       }
     } else {
@@ -306,16 +242,16 @@ ScenarioResult RunScenario(const ScenarioParams& p) {
                      "window-1 closed loop needs completion notifications");
       for (TenantState& t : tenants) {
         TenantState* tp = &t;
-        service.SetCompletionNotifier(t.id, [&service, &sim, tp, &result,
-                                             jobs = p.jobs] {
-          ReapAll(service, *tp, result);
-          if (tp->published < jobs &&
-              PublishOne(service, *tp, sim.now())) {
-            VCOP_CHECK(service.Kick(tp->id).ok());
-          }
-        });
+        service.SetCompletionNotifier(
+            t.staged.tenant, [&service, &sim, tp, &result, jobs = p.jobs] {
+              ReapAll(service, *tp, result);
+              if (tp->published < jobs &&
+                  PublishOne(service, *tp, sim.now())) {
+                VCOP_CHECK(service.Kick(tp->staged.tenant).ok());
+              }
+            });
         VCOP_CHECK(PublishOne(service, t, sim.now()));
-        VCOP_CHECK(service.Kick(t.id).ok());
+        VCOP_CHECK(service.Kick(t.staged.tenant).ok());
       }
     }
   } else {
@@ -336,7 +272,7 @@ ScenarioResult RunScenario(const ScenarioParams& p) {
             // Doorbell per publish; kicks within the burst coalesce
             // into the first one's pending drain.
             if (PublishOne(service, *tp, sim.now())) {
-              VCOP_CHECK(service.Kick(tp->id).ok());
+              VCOP_CHECK(service.Kick(tp->staged.tenant).ok());
             }
           }
         });
@@ -372,7 +308,7 @@ ScenarioResult RunScenario(const ScenarioParams& p) {
     sum += static_cast<double>(t.completed);
     sum_sq +=
         static_cast<double>(t.completed) * static_cast<double>(t.completed);
-    mix(t.id);
+    mix(t.staged.tenant);
     for (const os::CompletionDescriptor& c : t.reaped) {
       mix(c.cookie);
       mix(c.code);

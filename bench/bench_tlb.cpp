@@ -24,24 +24,13 @@
 #include <string>
 #include <vector>
 
-#include "apps/conv2d.h"
-#include "apps/sw_model.h"
-#include "apps/workloads.h"
-#include "base/log.h"
 #include "bench/common.h"
-#include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "hw/imu.h"
-#include "hw/tlb.h"
-#include "os/vim.h"
-#include "runtime/drivers.h"
-#include "sim/trace.h"
 
 namespace vcop {
 namespace {
 
 using runtime::Epxa1Config;
-using runtime::FpgaSystem;
 
 struct Mode {
   const char* label;
@@ -78,70 +67,10 @@ os::KernelConfig ModeConfig(const Mode& m,
   return config;
 }
 
-void FinishRow(Row& row, const Mode& m, FpgaSystem& sys) {
-  row.mode = m.label;
-  sys.kernel().simulator().DrainAssertQuiescent();
-}
-
-Row RunConv(const Mode& m, u32 width, u32 height) {
-  Row row;
-  row.app = "conv2d";
-  row.bytes = static_cast<usize>(width) * height;
-
-  const std::vector<u8> image =
-      apps::MakeTestImage(width, height, bench::kWorkloadSeed);
-  std::vector<u8> expect(image.size());
-  apps::Convolve3x3(image, width, height, apps::BoxBlurKernel(), 3, expect);
-
-  FpgaSystem sys(ModeConfig(m, {0}));
-  auto run = runtime::RunConv3x3Vim(sys, image, width, height,
-                                    apps::BoxBlurKernel(), 3);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  row.output_exact = run.value().output == expect;
-  row.report = run.value().report;
-  FinishRow(row, m, sys);
-  return row;
-}
-
-Row RunIdea(const Mode& m, usize bytes) {
-  Row row;
-  row.app = "IDEA";
-  row.bytes = bytes;
-
-  const apps::IdeaSubkeys keys =
-      apps::IdeaExpandKey(apps::MakeIdeaKey(bench::kWorkloadSeed));
-  const std::vector<u8> input =
-      apps::MakeRandomBytes(bytes, bench::kWorkloadSeed + 1);
-  std::vector<u8> expect(input.size());
-  apps::IdeaCryptEcb(keys, input, expect);
-
-  FpgaSystem sys(ModeConfig(m, {0, 1}));
-  auto run = runtime::RunIdeaVim(sys, keys, input);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  row.output_exact = run.value().output == expect;
-  row.report = run.value().report;
-  FinishRow(row, m, sys);
-  return row;
-}
-
-Row RunAdpcm(const Mode& m, usize bytes) {
-  Row row;
-  row.app = "adpcmdecode";
-  row.bytes = bytes;
-
-  const std::vector<u8> input =
-      apps::MakeAdpcmStream(bytes, bench::kWorkloadSeed);
-  std::vector<i16> expect(input.size() * 2);
-  apps::AdpcmState state;
-  apps::AdpcmDecode(input, expect, state);
-
-  FpgaSystem sys(ModeConfig(m, {0, 1}));
-  auto run = runtime::RunAdpcmVim(sys, input);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  row.output_exact = run.value().output == expect;
-  row.report = run.value().report;
-  FinishRow(row, m, sys);
-  return row;
+Row RunRow(const char* app, const Mode& m, std::initializer_list<u32> sp_ids,
+           const bench::Job& job) {
+  const bench::Point p = bench::RunPoint(ModeConfig(m, sp_ids), job);
+  return Row{app, p.input_bytes, m.label, p.exact, p.vim};
 }
 
 // ----- defaults inertness -----
@@ -155,43 +84,6 @@ os::KernelConfig OffConfig(bool touch_knobs) {
       config.object_page_bytes[id] = config.page_bytes;
   }
   return config;
-}
-
-/// The Figure-7 waveform (one-element vecadd with the tracer attached),
-/// as fig7_timing writes it.
-std::string VecAddVcd(bool touch_knobs) {
-  FpgaSystem sys(OffConfig(touch_knobs));
-  sim::Tracer tracer;
-  VCOP_CHECK(sys.Load(cp::VecAddBitstream()).ok());
-  sys.kernel().imu()->AttachTracer(&tracer);
-  auto a = sys.Allocate<u32>(1);
-  auto b = sys.Allocate<u32>(1);
-  auto c = sys.Allocate<u32>(1);
-  VCOP_CHECK(a.ok() && b.ok() && c.ok());
-  a.value().view()[0] = 0x0000CAFE;
-  b.value().view()[0] = 0x00000001;
-  VCOP_CHECK(sys.Map(0, a.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(1, b.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(2, c.value(), os::Direction::kOut).ok());
-  auto report = sys.Execute({1u});
-  VCOP_CHECK_MSG(report.ok(), report.status().ToString());
-  VCOP_CHECK(c.value().view()[0] == 0x0000CAFF);
-  return tracer.ToVcd();
-}
-
-/// The edge-detect-style Chrome trace: conv2d with the timeline
-/// recorder, prefetch overlapped — the busiest DMA schedule the
-/// examples produce.
-std::string ConvChromeTrace(bool touch_knobs) {
-  os::KernelConfig config = OffConfig(touch_knobs);
-  config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
-  FpgaSystem sys(config);
-  const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
-  const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,
-                                          apps::SharpenKernel(), 0);
-  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
-  return sys.kernel().timeline().ToChromeTrace();
 }
 
 // ----- JSON -----
@@ -249,8 +141,8 @@ int Main() {
 
   constexpr u32 kConvWidth = 96;
   constexpr u32 kConvHeight = 85;
-  constexpr usize kIdeaBytes = 32768;
-  constexpr usize kAdpcmBytes = 32768;
+  constexpr u32 kIdeaBytes = 32768;
+  constexpr u32 kAdpcmBytes = 32768;
 
   Table table({"app", "input", "mode", "faults", "refills", "total ms"});
   table.set_title(
@@ -267,13 +159,22 @@ int Main() {
                   runtime::Ms(row.report.total)});
     rows.push_back(row);
   };
-  for (const Mode& m : kModes) add(RunConv(m, kConvWidth, kConvHeight));
-  for (const Mode& m : kModes) add(RunIdea(m, kIdeaBytes));
-  for (const Mode& m : kModes) add(RunAdpcm(m, kAdpcmBytes));
+  const bench::Job conv =
+      bench::MakeJob(bench::App::kConv, kConvWidth * kConvHeight,
+                     bench::kWorkloadSeed, kConvWidth);
+  const bench::Job idea =
+      bench::MakeJob(bench::App::kIdea, kIdeaBytes, bench::kWorkloadSeed);
+  const bench::Job adpcm =
+      bench::MakeJob(bench::App::kAdpcm, kAdpcmBytes, bench::kWorkloadSeed);
+  for (const Mode& m : kModes) add(RunRow("conv2d", m, {0}, conv));
+  for (const Mode& m : kModes) add(RunRow("IDEA", m, {0, 1}, idea));
+  for (const Mode& m : kModes) add(RunRow("adpcmdecode", m, {0, 1}, adpcm));
   table.Print();
 
-  const bool vcd_inert = VecAddVcd(false) == VecAddVcd(true);
-  const bool trace_inert = ConvChromeTrace(false) == ConvChromeTrace(true);
+  const bool vcd_inert =
+      bench::Fig7Vcd(OffConfig(false)) == bench::Fig7Vcd(OffConfig(true));
+  const bool trace_inert = bench::ConvChromeTrace(OffConfig(false)) ==
+                           bench::ConvChromeTrace(OffConfig(true));
   const bool off_inert = vcd_inert && trace_inert;
 
   bool exact = true;

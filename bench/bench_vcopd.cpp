@@ -13,216 +13,20 @@
 //             tagging avoids full flushes entirely and must not be
 //             slower end to end.
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "base/latency_histogram.h"
 #include "bench/common.h"
 #include "sim/fleet.h"
-#include "cp/adpcm_cp.h"
-#include "cp/idea_cp.h"
-#include "cp/registry.h"
-#include "cp/vecadd_cp.h"
-#include "os/vcopd.h"
 
 namespace vcop {
 namespace {
 
-using bench::kWorkloadSeed;
-using runtime::FpgaSystem;
-using runtime::HostBuffer;
-using runtime::VcopdClient;
-
-enum class App : u8 { kAdpcm, kIdea, kVecAdd };
-
-const char* AppName(App app) {
-  switch (app) {
-    case App::kAdpcm: return "adpcm";
-    case App::kIdea: return "idea";
-    case App::kVecAdd: return "vecadd";
-  }
-  return "?";
-}
-
-struct TenantSpec {
-  App app = App::kVecAdd;
-  std::string name;
-  u32 weight = 1;
-  usize input_bytes = 0;
-  u32 jobs = 1;
-};
-
-/// One registered tenant with staged buffers, its software-reference
-/// expectation, and the turnaround samples collected at completion.
-struct TenantRun {
-  TenantSpec spec;
-  os::TenantId id = 0;
-  std::vector<Picoseconds> turnarounds;
-  u32 completed = 0;
-  u32 preemptions = 0;
-  bool outputs_exact = true;
-
-  // App-specific staging (only the members for spec.app are live).
-  HostBuffer<u8> in_u8;
-  HostBuffer<i16> out_i16;
-  HostBuffer<u8> out_u8;
-  HostBuffer<u16> key_u16;
-  HostBuffer<u32> a_u32, b_u32, c_u32;
-  std::vector<i16> expect_i16;
-  std::vector<u8> expect_u8;
-  std::vector<u32> expect_u32;
-
-  /// Submits one job; the completion callback checks bytes and samples
-  /// the turnaround. (Jobs of one tenant run sequentially, so checking
-  /// the shared output buffer at the completion instant is race-free.)
-  Status SubmitOne(os::Vcopd& daemon) {
-    VcopdClient client(daemon, id);
-    auto on_complete = [this](const os::JobResult& r) {
-      turnarounds.push_back(r.turnaround());
-      preemptions += r.preemptions;
-      ++completed;
-      if (!r.status.ok()) {
-        outputs_exact = false;
-        return;
-      }
-      switch (spec.app) {
-        case App::kAdpcm:
-          outputs_exact &= out_i16.ToVector() == expect_i16;
-          break;
-        case App::kIdea:
-          outputs_exact &= out_u8.ToVector() == expect_u8;
-          break;
-        case App::kVecAdd:
-          outputs_exact &= c_u32.ToVector() == expect_u32;
-          break;
-      }
-    };
-    const u32 n = static_cast<u32>(spec.input_bytes);
-    switch (spec.app) {
-      case App::kAdpcm:
-        return client
-            .Submit(cp::AdpcmDecodeBitstream(), {n, 0u, 0u}, on_complete)
-            .status();
-      case App::kIdea:
-        return client
-            .Submit(cp::IdeaBitstream(),
-                    {n / 8, cp::IdeaCoprocessor::kModeEcb, 0u, 0u},
-                    on_complete)
-            .status();
-      case App::kVecAdd:
-        return client
-            .Submit(cp::VecAddBitstream(),
-                    {n / static_cast<u32>(sizeof(u32))}, on_complete)
-            .status();
-    }
-    return InternalError("unreachable");
-  }
-};
-
-TenantRun Stage(FpgaSystem& sys, os::Vcopd& daemon, const TenantSpec& spec,
-                u64 seed) {
-  TenantRun run;
-  run.spec = spec;
-  run.id = daemon.RegisterTenant(spec.name, spec.weight).value();
-  VcopdClient client(daemon, run.id);
-  const u32 bytes = static_cast<u32>(spec.input_bytes);
-  switch (spec.app) {
-    case App::kAdpcm: {
-      bench::StagedAdpcm s = bench::StageAdpcmTenant(sys, client, bytes, seed);
-      run.in_u8 = s.in;
-      run.out_i16 = s.out;
-      run.expect_i16 = std::move(s.expect);
-      break;
-    }
-    case App::kIdea: {
-      bench::StagedIdea s = bench::StageIdeaTenant(sys, client, bytes, seed);
-      run.in_u8 = s.in;
-      run.out_u8 = s.out;
-      run.key_u16 = s.key;
-      run.expect_u8 = std::move(s.expect);
-      break;
-    }
-    case App::kVecAdd: {
-      const u32 n = bytes / static_cast<u32>(sizeof(u32));
-      std::vector<u32> a(n), b(n);
-      for (u32 i = 0; i < n; ++i) {
-        a[i] = static_cast<u32>(seed) * 1000003u + i;
-        b[i] = static_cast<u32>(seed) * 7919u + 3u * i;
-      }
-      run.a_u32 = sys.Allocate<u32>(n).value();
-      run.b_u32 = sys.Allocate<u32>(n).value();
-      run.c_u32 = sys.Allocate<u32>(n).value();
-      run.a_u32.Fill(a);
-      run.b_u32.Fill(b);
-      run.expect_u32.resize(n);
-      for (u32 i = 0; i < n; ++i) run.expect_u32[i] = a[i] + b[i];
-      VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjA, run.a_u32,
-                            os::Direction::kIn).ok());
-      VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjB, run.b_u32,
-                            os::Direction::kIn).ok());
-      VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjC, run.c_u32,
-                            os::Direction::kOut).ok());
-      break;
-    }
-  }
-  return run;
-}
-
-/// Result of driving one fleet of tenants to completion.
-struct FleetResult {
-  std::vector<TenantRun> tenants;
-  os::VcopdStats stats;
-  os::VimServiceStats service;
-  Picoseconds makespan = 0;
-  bool outputs_exact = true;
-
-  u64 jobs() const {
-    u64 n = 0;
-    for (const TenantRun& t : tenants) n += t.completed;
-    return n;
-  }
-  /// Completed jobs per simulated millisecond.
-  double throughput() const {
-    const double ms = static_cast<double>(makespan) / 1e9;
-    return ms > 0.0 ? static_cast<double>(jobs()) / ms : 0.0;
-  }
-};
-
-/// Stages every tenant, submits round-robin (interleaved tickets so
-/// FIFO order genuinely mixes tenants), and drives the daemon to idle.
-FleetResult RunFleet(const std::vector<TenantSpec>& specs,
-                     const os::VcopdConfig& config) {
-  FpgaSystem sys(runtime::Epxa1Config());
-  os::Vcopd daemon(sys.kernel(), config);
-  sys.kernel().vim().ResetServiceStats();
-
-  FleetResult result;
-  u64 seed = kWorkloadSeed;
-  for (const TenantSpec& spec : specs) {
-    result.tenants.push_back(Stage(sys, daemon, spec, seed++));
-  }
-  u32 remaining = 0;
-  for (const TenantSpec& spec : specs) remaining += spec.jobs;
-  for (u32 round = 0; remaining > 0; ++round) {
-    for (TenantRun& tenant : result.tenants) {
-      if (round >= tenant.spec.jobs) continue;
-      VCOP_CHECK_MSG(tenant.SubmitOne(daemon).ok(), "submit failed");
-      --remaining;
-    }
-  }
-  const Status status = daemon.RunUntilIdle();
-  VCOP_CHECK_MSG(status.ok(), status.ToString());
-
-  result.stats = daemon.stats();
-  result.service = sys.kernel().vim().service_stats();
-  result.makespan = daemon.BuildScheduleReport().makespan;
-  for (const TenantRun& tenant : result.tenants) {
-    result.outputs_exact &= tenant.outputs_exact &&
-                            tenant.completed == tenant.spec.jobs;
-  }
-  return result;
-}
+using bench::App;
+using bench::FleetResult;
+using bench::TenantRun;
+using bench::TenantSpec;
 
 void PrintFleetTable(const char* title, const FleetResult& fleet) {
   Table table({"tenant", "app", "w", "input", "jobs", "preempt", "p50 us",
@@ -230,7 +34,8 @@ void PrintFleetTable(const char* title, const FleetResult& fleet) {
   table.set_title(title);
   for (const TenantRun& t : fleet.tenants) {
     table.AddRow(
-        {t.spec.name, AppName(t.spec.app), StrFormat("%u", t.spec.weight),
+        {t.spec.name, bench::AppName(t.spec.app),
+         StrFormat("%u", t.spec.weight),
          bench::SizeLabel(t.spec.input_bytes), StrFormat("%u", t.completed),
          StrFormat("%u", t.preemptions),
          StrFormat("%.1f", ToMicroseconds(PercentileNearestRank(t.turnarounds, 0.5))),
@@ -241,7 +46,7 @@ void PrintFleetTable(const char* title, const FleetResult& fleet) {
   std::printf(
       "  makespan %.1f us, %.2f jobs/sim-ms, %llu dispatches, "
       "%llu preemptions, %llu reconfigs (%.1f us config time)\n\n",
-      ToMicroseconds(fleet.makespan), fleet.throughput(),
+      ToMicroseconds(fleet.report.makespan), fleet.throughput(),
       static_cast<unsigned long long>(fleet.stats.dispatches),
       static_cast<unsigned long long>(fleet.stats.preemptions),
       static_cast<unsigned long long>(fleet.stats.reconfigurations),
@@ -258,7 +63,7 @@ void JsonTenants(std::FILE* f, const FleetResult& fleet) {
         "\"input_bytes\": %zu, \"jobs\": %u, \"preemptions\": %u, "
         "\"p50_turnaround_us\": %.3f, \"p99_turnaround_us\": %.3f, "
         "\"outputs_exact\": %s}",
-        i == 0 ? "" : ",", t.spec.name.c_str(), AppName(t.spec.app),
+        i == 0 ? "" : ",", t.spec.name.c_str(), bench::AppName(t.spec.app),
         t.spec.weight, t.spec.input_bytes, t.completed, t.preemptions,
         ToMicroseconds(PercentileNearestRank(t.turnarounds, 0.5)),
         ToMicroseconds(PercentileNearestRank(t.turnarounds, 0.99)),
@@ -289,7 +94,8 @@ int Main() {
   os::VcopdConfig fair;
   fair.policy = os::ServicePolicy::kFairShare;
   fair.time_slice = 100ull * 1000 * 1000;  // 100 us: forces preemption
-  const FleetResult mixed8 = RunFleet(mixed, fair);
+  const FleetResult mixed8 =
+      bench::RunVcopdFleet(mixed, runtime::Epxa1Config(), fair);
   PrintFleetTable("mixed-8: fair share, ASID-tagged TLB", mixed8);
   if (!mixed8.outputs_exact) {
     std::printf("FAIL: mixed-8 outputs diverged from software reference\n");
@@ -317,7 +123,10 @@ int Main() {
   // The two policies are independent simulations of the same tenant
   // spec — run them side by side on the fleet runner.
   const std::vector<FleetResult> policy_runs = sim::FleetMap<FleetResult>(
-      2, [&](usize i) { return RunFleet(contended, i == 0 ? fair : fifo); });
+      2, [&](usize i) {
+        return bench::RunVcopdFleet(contended, runtime::Epxa1Config(),
+                                    i == 0 ? fair : fifo);
+      });
   const FleetResult& under_fair = policy_runs[0];
   const FleetResult& under_fifo = policy_runs[1];
   PrintFleetTable("fairness: fair share", under_fair);
@@ -353,8 +162,10 @@ int Main() {
   os::VcopdConfig untagged = tagged;
   untagged.asid_tagging = false;
   const std::vector<FleetResult> tag_runs = sim::FleetMap<FleetResult>(
-      2,
-      [&](usize i) { return RunFleet(streaming, i == 0 ? tagged : untagged); });
+      2, [&](usize i) {
+        return bench::RunVcopdFleet(streaming, runtime::Epxa1Config(),
+                                    i == 0 ? tagged : untagged);
+      });
   const FleetResult& with_tags = tag_runs[0];
   const FleetResult& no_tags = tag_runs[1];
   PrintFleetTable("asid: tagged TLB", with_tags);
@@ -371,7 +182,8 @@ int Main() {
           with_tags.service.pages_written_back_on_save),
       static_cast<unsigned long long>(no_tags.service.full_tlb_flushes),
       static_cast<unsigned long long>(no_tags.service.tlb_flushes_avoided),
-      ToMicroseconds(with_tags.makespan), ToMicroseconds(no_tags.makespan));
+      ToMicroseconds(with_tags.report.makespan),
+      ToMicroseconds(no_tags.report.makespan));
   if (!with_tags.outputs_exact || !no_tags.outputs_exact) {
     std::printf("FAIL: asid outputs diverged\n");
     rc = 1;
@@ -385,7 +197,7 @@ int Main() {
     std::printf("FAIL: untagged baseline never fully flushed\n");
     rc = 1;
   }
-  if (with_tags.makespan > no_tags.makespan) {
+  if (with_tags.report.makespan > no_tags.report.makespan) {
     std::printf("FAIL: tagged TLB slower end to end than flush-on-switch\n");
     rc = 1;
   }
@@ -401,13 +213,13 @@ int Main() {
       "\"preemptions\": %llu, \"reconfigurations\": %llu, "
       "\"config_time_us\": %.3f, \"config_share\": %.4f, "
       "\"outputs_exact\": %s,\n    \"tenants\": ",
-      ToMicroseconds(mixed8.makespan), mixed8.throughput(),
+      ToMicroseconds(mixed8.report.makespan), mixed8.throughput(),
       static_cast<unsigned long long>(mixed8.stats.preemptions),
       static_cast<unsigned long long>(mixed8.stats.reconfigurations),
       ToMicroseconds(mixed8.stats.total_config_time),
-      mixed8.makespan > 0
+      mixed8.report.makespan > 0
           ? static_cast<double>(mixed8.stats.total_config_time) /
-                static_cast<double>(mixed8.makespan)
+                static_cast<double>(mixed8.report.makespan)
           : 0.0,
       mixed8.outputs_exact ? "true" : "false");
   JsonTenants(f, mixed8);
@@ -432,13 +244,13 @@ int Main() {
       "\"tlb_entries_restored\": %llu, \"pages_written_back_on_save\": "
       "%llu},\n    \"untagged\": {\"makespan_us\": %.3f, "
       "\"full_tlb_flushes\": %llu, \"tlb_flushes_avoided\": %llu}\n  }\n",
-      ToMicroseconds(with_tags.makespan),
+      ToMicroseconds(with_tags.report.makespan),
       static_cast<unsigned long long>(with_tags.service.full_tlb_flushes),
       static_cast<unsigned long long>(with_tags.service.tlb_flushes_avoided),
       static_cast<unsigned long long>(with_tags.service.tlb_entries_restored),
       static_cast<unsigned long long>(
           with_tags.service.pages_written_back_on_save),
-      ToMicroseconds(no_tags.makespan),
+      ToMicroseconds(no_tags.report.makespan),
       static_cast<unsigned long long>(no_tags.service.full_tlb_flushes),
       static_cast<unsigned long long>(no_tags.service.tlb_flushes_avoided));
   std::fprintf(f, "}\n");

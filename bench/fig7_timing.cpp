@@ -8,12 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "base/table.h"
-#include "cp/registry.h"
-#include "cp/vecadd_cp.h"
-#include "runtime/config.h"
-#include "runtime/fpga_api.h"
-#include "sim/trace.h"
+#include "bench/common.h"
 
 namespace vcop {
 namespace {
@@ -21,25 +16,8 @@ namespace {
 int Main() {
   std::printf("== Figure 7: coprocessor read access through the IMU ==\n\n");
 
-  runtime::FpgaSystem sys(runtime::Epxa1Config());
   sim::Tracer tracer;
-
-  VCOP_CHECK(sys.Load(cp::VecAddBitstream()).ok());
-  sys.kernel().imu()->AttachTracer(&tracer);
-
-  // One-element vector add: one read of A, one of B, one write of C.
-  auto a = sys.Allocate<u32>(1);
-  auto b = sys.Allocate<u32>(1);
-  auto c = sys.Allocate<u32>(1);
-  VCOP_CHECK(a.ok() && b.ok() && c.ok());
-  a.value().view()[0] = 0x0000CAFE;
-  b.value().view()[0] = 0x00000001;
-  VCOP_CHECK(sys.Map(0, a.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(1, b.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(2, c.value(), os::Direction::kOut).ok());
-  auto report = sys.Execute({1u});
-  VCOP_CHECK_MSG(report.ok(), report.status().ToString());
-  VCOP_CHECK(c.value().view()[0] == 0x0000CAFF);
+  const Picoseconds end = bench::RunFig7(runtime::Epxa1Config(), tracer);
 
   // Find the read of A[0] after the fault that mapped it: the last
   // rising of cp_access with cp_obj==0 before the final write.
@@ -61,7 +39,6 @@ int Main() {
   const sim::SignalId sig_access = 0, sig_tlbhit = 4, sig_din = 5;
   std::vector<Picoseconds> issue_times;
   std::optional<u64> prev;
-  const Picoseconds end = sys.kernel().simulator().now();
   for (Picoseconds t = 0; t <= end; t += period) {
     const auto v = tracer.ValueAt(sig_access, t);
     if (v.has_value() && v == 1 && (!prev.has_value() || *prev == 0)) {

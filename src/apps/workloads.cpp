@@ -1,6 +1,8 @@
 #include "apps/workloads.h"
 
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "apps/adpcm.h"
 #include "base/status.h"
@@ -44,6 +46,19 @@ IdeaKey MakeIdeaKey(u64 seed) {
   IdeaKey key{};
   for (u8& b : key) b = static_cast<u8>(rng.NextBelow(256));
   return key;
+}
+
+GatherInput MakeRandomGather(u32 elements, u64 seed) {
+  Rng rng(seed);
+  GatherInput g;
+  g.in.resize(elements);
+  for (u32& v : g.in) v = static_cast<u32>(rng.Next());
+  g.perm.resize(elements);
+  std::iota(g.perm.begin(), g.perm.end(), 0u);
+  for (u32 i = elements; i > 1; --i) {
+    std::swap(g.perm[i - 1], g.perm[rng.NextBelow(i)]);
+  }
+  return g;
 }
 
 }  // namespace vcop::apps

@@ -31,4 +31,14 @@ std::vector<u8> MakeRandomBytes(usize num_bytes, u64 seed);
 /// A fixed, documented 128-bit IDEA benchmark key derived from `seed`.
 IdeaKey MakeIdeaKey(u64 seed);
 
+/// A gather stressor's inputs: out[i] = in[perm[i]].
+struct GatherInput {
+  std::vector<u32> in;
+  std::vector<u32> perm;
+};
+
+/// `elements` uniform random words, then a Fisher-Yates shuffle of the
+/// identity permutation, both drawn from one Rng seeded with `seed`.
+GatherInput MakeRandomGather(u32 elements, u64 seed);
+
 }  // namespace vcop::apps

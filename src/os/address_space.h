@@ -79,7 +79,7 @@ struct VimAccounting {
   /// Times this execution was preempted at a fault boundary (vcopd).
   u64 preemptions = 0;
   /// Recovery actions (transfer retries, watchdog re-polls) consumed
-  /// against this execution's fault budget (VimConfig::fault_budget).
+  /// against this execution's fault budget (kFaultBudget).
   u64 fault_recoveries = 0;
   /// Zero-copy DMA accesses the IOMMU refused to translate (walk
   /// failed or an injected translation fault); each is serviced

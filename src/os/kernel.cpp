@@ -6,9 +6,9 @@ namespace vcop::os {
 
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
-      user_memory_(config.user_memory_bytes),
+      user_memory_(kUserMemoryBytes),
       dp_ram_(config.dp_ram_bytes),
-      fabric_(config.pld_capacity_les, config.config_bytes_per_second),
+      fabric_(config.pld_capacity_les, kConfigBytesPerSecond),
       shared_tlb_(config.tlb_entries),
       vim_(config.costs,
            mem::PageGeometry(config.page_bytes,

@@ -60,6 +60,12 @@ struct ServiceTuning {
   u32 admit_burst = 16;
 };
 
+/// Process address space modelled (the board has 64 MB SDRAM; 16 MB is
+/// ample for every experiment).
+inline constexpr u32 kUserMemoryBytes = 16 * 1024 * 1024;
+/// PLD configuration-port rate.
+inline constexpr u64 kConfigBytesPerSecond = 4 * 1024 * 1024;
+
 /// Static description of the modelled platform. Presets for the
 /// Excalibur family live in runtime/config.h.
 struct KernelConfig {
@@ -83,12 +89,8 @@ struct KernelConfig {
   /// Enable the IMU's posted-write buffer (extension; acknowledges
   /// writes early and retires them in the background).
   bool imu_posted_writes = false;
-  /// Process address space modelled (the board has 64 MB SDRAM; 16 MB
-  /// is ample for every experiment).
-  u32 user_memory_bytes = 16 * 1024 * 1024;
-  /// PLD size (EPXA1: 4160 logic elements) and configuration rate.
+  /// PLD size (EPXA1: 4160 logic elements).
   u32 pld_capacity_les = 4160;
-  u64 config_bytes_per_second = 4 * 1024 * 1024;
   /// Partial-reconfiguration regions in the configuration cache
   /// (hw::FpgaFabric::AcquireDesign). 1 = the classic model: every
   /// design alternation pays the full configuration-port transfer.

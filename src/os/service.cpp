@@ -84,7 +84,6 @@ Status VcopService::AttachTenant(TenantId tenant,
       tenant, config_.ring_entries,
       admit_rate.value_or(config_.admit_rate),
       admit_burst.value_or(config_.admit_burst), now);
-  port->cq.SetSuppressed(config_.start_suppressed);
   ports_.push_back(std::move(port));
   return Status::Ok();
 }
@@ -138,7 +137,7 @@ Status VcopService::Kick(TenantId tenant) {
     ++stats_.doorbells_coalesced;
     return Status::Ok();
   }
-  ScheduleDrain(*port, config_.doorbell_latency);
+  ScheduleDrain(*port, kDoorbellLatency);
   return Status::Ok();
 }
 
@@ -329,7 +328,7 @@ void VcopService::ArmRepoll() {
   FaultPlan* plan = daemon_.kernel().fault_plan();
   if (plan == nullptr || plan->empty()) return;
   repoll_armed_ = true;
-  daemon_.kernel().simulator().ScheduleAfter(config_.repoll_period,
+  daemon_.kernel().simulator().ScheduleAfter(kRepollPeriod,
                                              [this] { RepollTick(); });
 }
 

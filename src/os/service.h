@@ -85,6 +85,14 @@ class TokenBucket {
   Picoseconds last_ = 0;
 };
 
+/// Simulated latency between a doorbell write and the service seeing it
+/// (the kick crosses the interconnect as a posted write).
+inline constexpr Picoseconds kDoorbellLatency = 200'000;  // 200 ns
+/// Re-poll watchdog period: under a non-empty fault plan the service
+/// periodically re-scans attached rings for descriptors whose doorbell
+/// never arrived. Matches the VIM watchdog's period.
+inline constexpr Picoseconds kRepollPeriod = 1'000'000'000;  // 1 ms
+
 struct VcopServiceConfig {
   /// Entries per ring; defaults from KernelConfig::service.
   u32 ring_entries = 64;
@@ -92,15 +100,6 @@ struct VcopServiceConfig {
   /// 0 = unlimited) and burst; AttachTenant may override per tenant.
   u64 admit_rate = 0;
   u32 admit_burst = 16;
-  /// Simulated latency between a doorbell write and the service seeing
-  /// it (the kick crosses the interconnect as a posted write).
-  Picoseconds doorbell_latency = 200'000;  // 200 ns
-  /// Re-poll watchdog period: under a non-empty fault plan the service
-  /// periodically re-scans attached rings for descriptors whose
-  /// doorbell never arrived. Matches the VIM watchdog's default.
-  Picoseconds repoll_period = 1'000'000'000;  // 1 ms
-  /// Initial completion-interrupt suppression state for new tenants.
-  bool start_suppressed = false;
 
   /// Service defaults as declared by the platform file.
   static VcopServiceConfig FromKernel(const KernelConfig& config);

@@ -421,7 +421,6 @@ void Vim::OnPageFault() {
       if (outcome == MapOutcome::kAborted) return;
       if (outcome == MapOutcome::kSkipped) break;
       ++acct().prefetched_pages;
-      ++service_stats_.prefetch_issued;
     }
   }
 
@@ -507,7 +506,6 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
       InFlight{object.id, vpage, *frame, tail, user_src, len, pin});
   acct().t_dp_overlapped += unit_cost;
   ++acct().prefetched_pages;
-  ++service_stats_.prefetch_issued;
   if (timeline_ != nullptr) {
     timeline_->Record(
         StrFormat("prefetch obj%u page%u", object.id, vpage), "overlap",
@@ -1155,7 +1153,6 @@ std::vector<PrefetchSuggestion> Vim::ClampedSuggestions(hw::ObjectId oid,
   for (const PrefetchSuggestion& s : out) {
     if (s.object != oid || s.vpage >= num_pages || s.vpage == vpage) {
       ++acct().prefetch_suggestions_dropped;
-      ++service_stats_.prefetch_suggestions_dropped;
       continue;
     }
     out[kept++] = s;
@@ -1170,7 +1167,6 @@ void Vim::NoteSpeculativeTouch(mem::FrameId frame) {
   if (AddressSpace* owner = ResolveSpace(state.asid)) {
     ++owner->accounting.prefetch_useful;
   }
-  ++service_stats_.prefetch_useful;
   pages_.ClearSpeculative(frame);
 }
 
@@ -1179,7 +1175,6 @@ void Vim::SettleSpeculativeRelease(const FrameState& state) {
   if (AddressSpace* owner = ResolveSpace(state.asid)) {
     ++owner->accounting.prefetch_wasted;
   }
-  ++service_stats_.prefetch_wasted;
 }
 
 // ----- fault injection and recovery -----
@@ -1221,7 +1216,7 @@ mem::TransferResult Vim::RetryTransfer(const char* op, u32 len,
       total.time += costs_.Cycles(costs_.fault_decode_cycles);
     }
     ++service_stats_.transfer_retries;
-    if (tries + 1 >= config_.transfer_retry_limit) break;
+    if (tries + 1 >= kTransferRetryLimit) break;
     total.time += costs_.Cycles(
         static_cast<u64>(costs_.transfer_retry_backoff_cycles) << tries);
     if (!ChargeFaultRecovery(StrFormat("AHB %s retry", op).c_str())) {
@@ -1233,7 +1228,7 @@ mem::TransferResult Vim::RetryTransfer(const char* op, u32 len,
   fault_abort_ = true;
   last_transfer_failure_ = UnavailableError(
       StrFormat("AHB %s of %u bytes failed after %u attempts", op, len,
-                config_.transfer_retry_limit));
+                kTransferRetryLimit));
   total.bus_error = true;
   return total;
 }
@@ -1260,12 +1255,12 @@ mem::TransferResult Vim::StorePageRetried(hw::Asid asid, u32 src,
 }
 
 bool Vim::ChargeFaultRecovery(const char* what) {
-  if (++acct().fault_recoveries <= config_.fault_budget) return true;
+  if (++acct().fault_recoveries <= kFaultBudget) return true;
   ++service_stats_.fault_budget_aborts;
   fault_abort_ = true;
   last_transfer_failure_ = ResourceExhaustedError(StrFormat(
       "per-request fault budget (%u recoveries) exhausted at %s",
-      config_.fault_budget, what));
+      kFaultBudget, what));
   if (!space_->aborted) Abort(last_transfer_failure_);
   return false;
 }
@@ -1276,7 +1271,7 @@ void Vim::ArmWatchdog() {
   wd_stuck_ticks_ = 0;
   wd_last_progress_ = ~u64{0};  // first tick always snapshots fresh
   const u64 epoch = ++watchdog_epoch_;
-  sim_.ScheduleAfter(config_.watchdog_timeout,
+  sim_.ScheduleAfter(kWatchdogTimeout,
                      [this, epoch] { WatchdogTick(epoch); });
 }
 
@@ -1293,7 +1288,7 @@ void Vim::WatchdogTick(u64 epoch) {
     if (!ChargeFaultRecovery("watchdog fault re-poll")) return;
     OnPageFault();
     if (space_->aborted) return;
-    sim_.ScheduleAfter(config_.watchdog_timeout,
+    sim_.ScheduleAfter(kWatchdogTimeout,
                        [this, epoch] { WatchdogTick(epoch); });
     return;
   }
@@ -1326,7 +1321,7 @@ void Vim::WatchdogTick(u64 epoch) {
     wd_stuck_ticks_ = 0;
     wd_last_progress_ = progress;
   }
-  sim_.ScheduleAfter(config_.watchdog_timeout,
+  sim_.ScheduleAfter(kWatchdogTimeout,
                      [this, epoch] { WatchdogTick(epoch); });
 }
 

@@ -79,26 +79,26 @@ struct VimConfig {
   mem::CopyMode copy_mode = mem::CopyMode::kDoubleCopy;
   /// Seed for the random replacement policy.
   u64 seed = 1;
-
-  // ----- fault recovery (active only under an installed FaultPlan) -----
-
-  /// Attempts per page transfer before the service gives up and the run
-  /// fails cleanly. Each failed attempt adds an exponential backoff.
-  u32 transfer_retry_limit = 4;
-  /// Recovery actions (transfer retries, watchdog recoveries) one
-  /// execution may consume before the VIM aborts it with
-  /// ResourceExhausted instead of fighting a dying device forever.
-  u32 fault_budget = 64;
-  /// Interrupt watchdog period on the simulated timeline: when no
-  /// progress signal arrives for this long, the VIM re-polls SR to
-  /// recover lost interrupts (and, after repeated silent periods,
-  /// declares the coprocessor hung). Armed only for non-empty plans, so
-  /// fault-free runs schedule no extra events.
-  Picoseconds watchdog_timeout = 1'000'000'000;  // 1 ms
 };
 
+// ----- fault recovery (active only under an installed FaultPlan) -----
+
+/// Attempts per page transfer before the service gives up and the run
+/// fails cleanly. Each failed attempt adds an exponential backoff.
+inline constexpr u32 kTransferRetryLimit = 4;
+/// Recovery actions (transfer retries, watchdog recoveries) one
+/// execution may consume before the VIM aborts it with
+/// ResourceExhausted instead of fighting a dying device forever.
+inline constexpr u32 kFaultBudget = 64;
+/// Interrupt watchdog period on the simulated timeline: when no
+/// progress signal arrives for this long, the VIM re-polls SR to
+/// recover lost interrupts (and, after repeated silent periods,
+/// declares the coprocessor hung). Armed only for non-empty plans, so
+/// fault-free runs schedule no extra events.
+inline constexpr Picoseconds kWatchdogTimeout = 1'000'000'000;  // 1 ms
+
 /// Service-wide counters, independent of which space was attached:
-/// context switches, fault recovery and speculation. The switch
+/// context switches and fault recovery. The switch
 /// counters are the numbers the ASID experiment gates on: tagging turns
 /// full flushes into per-ASID invalidations and lets entries survive to
 /// be counted as restored (or never dropped at all). Per-space counters
@@ -124,7 +124,7 @@ struct VimServiceStats {
 
   /// AHB transfers re-run after a bus error.
   u64 transfer_retries = 0;
-  /// Transfers abandoned after transfer_retry_limit attempts.
+  /// Transfers abandoned after kTransferRetryLimit attempts.
   u64 transfer_retry_failures = 0;
   /// Watchdog timer expiries (benign ticks included).
   u64 watchdog_wakeups = 0;
@@ -141,17 +141,6 @@ struct VimServiceStats {
   u64 fault_budget_aborts = 0;
   /// TLB entries the hardware discarded on a failed parity check.
   u64 tlb_parity_drops = 0;
-
-  // ----- speculation (DESIGN.md §10) -----
-
-  /// Pages loaded speculatively (sync or overlapped prefetch).
-  u64 prefetch_issued = 0;
-  /// Prefetched pages the coprocessor went on to touch.
-  u64 prefetch_useful = 0;
-  /// Prefetched pages released without ever being referenced.
-  u64 prefetch_wasted = 0;
-  /// Contract-violating suggestions dropped by the central clamp.
-  u64 prefetch_suggestions_dropped = 0;
 };
 
 class Vim {
@@ -404,7 +393,7 @@ class Vim {
   mem::TransferResult StorePageRetried(hw::Asid asid, u32 src,
                                        mem::UserAddr dst, u32 len);
   /// The retry loop both share: runs `attempt` until it succeeds or
-  /// transfer_retry_limit attempts failed. `op` ("load" or "store")
+  /// kTransferRetryLimit attempts failed. `op` ("load" or "store")
   /// names the direction in the failure status.
   template <typename Attempt>
   mem::TransferResult RetryTransfer(const char* op, u32 len,

@@ -4,11 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <numeric>
 
 #include "apps/adpcm.h"
 #include "apps/workloads.h"
-#include "base/rng.h"
 #include "cp/registry.h"
 #include "cp/vecadd_cp.h"
 #include "os/oracle.h"
@@ -79,15 +77,8 @@ TEST(OverlapPrefetchTest, BeatsSynchronousPrefetchOnIdea) {
 TEST(OverlapPrefetchTest, GatherStaysCorrectUnderOverlap) {
   // Random access + speculation racing the coprocessor: the strongest
   // consistency test for the in-flight machinery.
-  Rng rng(35);
   const u32 n = 6000;
-  std::vector<u32> in(n);
-  for (u32& v : in) v = static_cast<u32>(rng.Next());
-  std::vector<u32> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  for (u32 i = n - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
-  }
+  const auto [in, perm] = apps::MakeRandomGather(n, 35);
 
   os::KernelConfig config = Epxa1Config();
   config.vim.prefetch = os::PrefetchKind::kSequential;
@@ -247,15 +238,8 @@ TEST(AdpcmEncoderCoreTest, HardwareCodecRoundTrip) {
 TEST(OracleTest, NextUseEvictionBeatsOnlinePoliciesOnGather) {
   // Record pass -> replay with the oracle; it must produce at most as
   // many faults as the best online policy.
-  Rng rng(80);
   const u32 n = 6000;
-  std::vector<u32> in(n);
-  for (u32& v : in) v = static_cast<u32>(rng.Next());
-  std::vector<u32> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  for (u32 i = n - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
-  }
+  const auto [in, perm] = apps::MakeRandomGather(n, 80);
 
   auto run_with = [&](os::PolicyKind kind,
                       std::shared_ptr<const os::PageRefTrace> trace,

@@ -8,7 +8,6 @@
 // fault or its earlier write-back gets clobbered.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <tuple>
 
 #include "apps/adpcm.h"
@@ -59,15 +58,7 @@ class GatherPropertyTest
 
 TEST_P(GatherPropertyTest, MatchesHostGather) {
   const GatherParam p = GetParam();
-  Rng rng(p.seed);
-  std::vector<u32> in(p.elements);
-  for (u32& v : in) v = static_cast<u32>(rng.Next());
-  std::vector<u32> perm(p.elements);
-  std::iota(perm.begin(), perm.end(), 0u);
-  // Deterministic shuffle.
-  for (u32 i = p.elements - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
-  }
+  const auto [in, perm] = apps::MakeRandomGather(p.elements, p.seed);
 
   os::KernelConfig config = Epxa1Config();
   config.vim.policy = p.policy;

@@ -10,8 +10,8 @@
 
 #include "base/fault.h"
 #include "base/units.h"
+#include "bench/common.h"
 #include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "os/ring.h"
 #include "os/service.h"
 #include "os/vcopd.h"
@@ -20,8 +20,11 @@
 namespace vcop::os {
 namespace {
 
+using bench::App;
+using bench::MakeJob;
+using bench::StagedJob;
+using bench::StageTenant;
 using runtime::FpgaSystem;
-using runtime::HostBuffer;
 using runtime::VcopdClient;
 
 KernelConfig TestConfig() {
@@ -170,47 +173,14 @@ TEST(TokenBucketTest, RefundRestoresAndCapacityCaps) {
   EXPECT_FALSE(bucket.TryTake(much_later));
 }
 
-// ----- service-layer staging -----
-
-struct VecAddJob {
-  TenantId tenant = 0;
-  HostBuffer<u32> a, b, c;
-  std::vector<u32> expect;
-};
-
-VecAddJob StageVecAdd(FpgaSystem& sys, Vcopd& daemon, const char* name,
-                      u32 n, u32 seed) {
-  VecAddJob job;
-  job.tenant = daemon.RegisterTenant(name, 1).value();
-  job.a = sys.Allocate<u32>(n).value();
-  job.b = sys.Allocate<u32>(n).value();
-  job.c = sys.Allocate<u32>(n).value();
-  std::vector<u32> a(n), b(n);
-  for (u32 i = 0; i < n; ++i) {
-    a[i] = seed * 1000003u + i;
-    b[i] = seed * 7919u + 3u * i;
-  }
-  job.a.Fill(a);
-  job.b.Fill(b);
-  job.expect.resize(n);
-  for (u32 i = 0; i < n; ++i) job.expect[i] = a[i] + b[i];
-  VcopdClient client(daemon, job.tenant);
-  VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjA, job.a,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjB, job.b,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjC, job.c,
-                        Direction::kOut).ok());
-  return job;
-}
-
 // ----- ring-backed client end to end -----
 
 TEST(VcopServiceTest, RingBackedSubmitAwaitMatchesExactOutput) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
   VcopService service(daemon);
-  VecAddJob job = StageVecAdd(sys, daemon, "ringed", 256, 1);
+  StagedJob job =
+      StageTenant(sys, daemon, "ringed", MakeJob(App::kVecAdd, 1024, 1));
   ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
 
   VcopdClient client(service, job.tenant);
@@ -222,7 +192,7 @@ TEST(VcopServiceTest, RingBackedSubmitAwaitMatchesExactOutput) {
   EXPECT_EQ(done.value().cookie, cookie);
   EXPECT_EQ(done.value().code, static_cast<u32>(ErrorCode::kOk));
   EXPECT_GT(done.value().finished_at, done.value().started_at);
-  EXPECT_EQ(job.c.ToVector(), job.expect);
+  EXPECT_TRUE(job.Exact());
   EXPECT_EQ(service.stats().drained_jobs, 1u);
   EXPECT_EQ(service.stats().completions_pushed, 1u);
   EXPECT_EQ(daemon.stats().completed, 1u);
@@ -232,7 +202,8 @@ TEST(VcopServiceTest, ApiContractOnUnattachedAndDoubleAttach) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
   VcopService service(daemon);
-  VecAddJob job = StageVecAdd(sys, daemon, "contract", 64, 2);
+  StagedJob job =
+      StageTenant(sys, daemon, "contract", MakeJob(App::kVecAdd, 256, 2));
 
   RingDescriptor d;
   d.cookie = 1;
@@ -254,12 +225,13 @@ TEST(VcopServiceTest, FullSubmissionRingBackpressuresAtTheEdge) {
   VcopServiceConfig config;
   config.ring_entries = 2;
   VcopService service(daemon, config);
-  VecAddJob job = StageVecAdd(sys, daemon, "edge", 64, 3);
+  StagedJob job =
+      StageTenant(sys, daemon, "edge", MakeJob(App::kVecAdd, 256, 3));
   ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
 
   VcopdClient client(service, job.tenant);
   ASSERT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
-  // The first kick's drain is still config_.doorbell_latency in the
+  // The first kick's drain is still kDoorbellLatency in the
   // simulated future, so both slots stay occupied right now...
   ASSERT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
   const Result<u64> third =
@@ -273,14 +245,15 @@ TEST(VcopServiceTest, FullSubmissionRingBackpressuresAtTheEdge) {
   EXPECT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
   ASSERT_TRUE(service.RunUntilQuiescent().ok());
   EXPECT_EQ(daemon.stats().completed, 3u);
-  EXPECT_EQ(job.c.ToVector(), job.expect);
+  EXPECT_TRUE(job.Exact());
 }
 
 TEST(VcopServiceTest, DuplicateDoorbellKicksCoalesceAndRunJobsOnce) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
   VcopService service(daemon);
-  VecAddJob job = StageVecAdd(sys, daemon, "kicks", 128, 4);
+  StagedJob job =
+      StageTenant(sys, daemon, "kicks", MakeJob(App::kVecAdd, 512, 4));
   ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
 
   const u32 design = service.RegisterDesign(cp::VecAddBitstream());
@@ -306,14 +279,15 @@ TEST(VcopServiceTest, DuplicateDoorbellKicksCoalesceAndRunJobsOnce) {
   EXPECT_EQ(service.stats().max_batch, 3u);
   EXPECT_EQ(daemon.stats().submitted, 3u);
   EXPECT_EQ(daemon.stats().completed, 3u);
-  EXPECT_EQ(job.c.ToVector(), job.expect);
+  EXPECT_TRUE(job.Exact());
 }
 
 TEST(VcopServiceTest, EmptyTokenBucketDefersDrainUntilAccrual) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
   VcopService service(daemon);
-  VecAddJob job = StageVecAdd(sys, daemon, "metered", 64, 5);
+  StagedJob job =
+      StageTenant(sys, daemon, "metered", MakeJob(App::kVecAdd, 256, 5));
   // 4 jobs/simulated-second, burst 1: the second and third descriptors
   // must wait out the bucket, not the fabric.
   ASSERT_TRUE(service.AttachTenant(job.tenant, /*admit_rate=*/4,
@@ -326,7 +300,7 @@ TEST(VcopServiceTest, EmptyTokenBucketDefersDrainUntilAccrual) {
   ASSERT_TRUE(service.RunUntilQuiescent().ok());
   EXPECT_EQ(daemon.stats().completed, 3u);
   EXPECT_GE(service.stats().admission_deferrals, 2u);
-  EXPECT_EQ(job.c.ToVector(), job.expect);
+  EXPECT_TRUE(job.Exact());
   // The admission spacing is visible in the completions: ~250 ms apart.
   VcopdClient reaper(service, job.tenant);
   std::vector<Picoseconds> submitted;
@@ -354,7 +328,8 @@ SuppressionRun RunSuppression(bool suppressed) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
   VcopService service(daemon);
-  VecAddJob job = StageVecAdd(sys, daemon, "supp", 128, 6);
+  StagedJob job =
+      StageTenant(sys, daemon, "supp", MakeJob(App::kVecAdd, 512, 6));
   VCOP_CHECK(service.AttachTenant(job.tenant).ok());
 
   SuppressionRun run;
@@ -372,7 +347,7 @@ SuppressionRun RunSuppression(bool suppressed) {
   while (service.HasCompletions(job.tenant)) {
     run.completions.push_back(service.Reap(job.tenant).value());
   }
-  VCOP_CHECK(job.c.ToVector() == job.expect);
+  VCOP_CHECK(job.Exact());
   run.stats = service.stats();
   return run;
 }
@@ -414,7 +389,8 @@ TEST(VcopServiceTest, QuarantinedTenantDoorbellsAreIgnored) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
   VcopService service(daemon);
-  VecAddJob job = StageVecAdd(sys, daemon, "wedger", 256, 7);
+  StagedJob job =
+      StageTenant(sys, daemon, "wedger", MakeJob(App::kVecAdd, 1024, 7));
   ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
 
   FaultPlan plan;

@@ -25,11 +25,9 @@
 #include "apps/conv2d.h"
 #include "apps/idea.h"
 #include "apps/workloads.h"
-#include "cp/adpcm_cp.h"
 #include "base/fault.h"
-#include "base/rng.h"
+#include "bench/common.h"
 #include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "os/service.h"
 #include "os/vcopd.h"
 #include "os/vim.h"
@@ -155,17 +153,10 @@ TortureOutcome RunWorkload(Workload workload, u64 seed, FaultPlan* plan,
     }
     case Workload::kGather: {  // random gather, objects 1.5x the DP-RAM
       constexpr u32 kElements = 6144;  // 24 KB per object
-      Rng rng(seed);
-      std::vector<u32> in(kElements);
-      for (u32& v : in) v = static_cast<u32>(rng.Next());
-      std::vector<u32> perm(kElements);
-      for (u32 i = 0; i < kElements; ++i) perm[i] = i;
-      for (u32 i = kElements - 1; i > 0; --i) {
-        std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
-      }
+      const apps::GatherInput g = apps::MakeRandomGather(kElements, seed);
       std::vector<u32> expect(kElements);
-      for (u32 i = 0; i < kElements; ++i) expect[i] = in[perm[i]];
-      auto run = runtime::RunGatherVim(sys, in, perm);
+      for (u32 i = 0; i < kElements; ++i) expect[i] = g.in[g.perm[i]];
+      auto run = runtime::RunGatherVim(sys, g.in, g.perm);
       out.status = run.status();
       if (run.ok()) {
         out.exact = run.value().output == expect;
@@ -495,14 +486,7 @@ TEST(TortureTest, ConfigurationFaultFailsTheLoadCleanly) {
 struct SlotRig {
   FpgaSystem sys;
   os::Vcopd daemon;
-  os::TenantId adpcm_tenant = 0, vec_tenant = 0;
-  runtime::HostBuffer<u8> adpcm_in;
-  runtime::HostBuffer<i16> adpcm_out;
-  std::vector<i16> adpcm_expect;
-  runtime::HostBuffer<u32> a, b, c;
-  std::vector<u32> vec_expect;
-  static constexpr u32 kAdpcmBytes = 512;
-  static constexpr u32 kVecN = 128;
+  bench::StagedJob adpcm, vec;
 
   static os::KernelConfig Config() {
     os::KernelConfig config = Epxa1Config();
@@ -519,58 +503,21 @@ struct SlotRig {
     return config;
   }
 
-  SlotRig() : sys(Config()), daemon(sys.kernel(), DaemonConfig()) {
-    adpcm_tenant = daemon.RegisterTenant("adpcm").value();
-    std::vector<u8> input(kAdpcmBytes);
-    for (u32 i = 0; i < kAdpcmBytes; ++i) {
-      input[i] = static_cast<u8>((i * 2654435761u) >> 13);
-    }
-    adpcm_in = sys.Allocate<u8>(kAdpcmBytes).value();
-    adpcm_in.Fill(input);
-    adpcm_out = sys.Allocate<i16>(kAdpcmBytes * 2).value();
-    adpcm_expect.resize(kAdpcmBytes * 2);
-    apps::AdpcmState state;
-    apps::AdpcmDecode(input, adpcm_expect, state);
-    runtime::VcopdClient ac(daemon, adpcm_tenant);
-    VCOP_CHECK(ac.Map(cp::AdpcmDecodeCoprocessor::kObjIn, adpcm_in,
-                      os::Direction::kIn).ok());
-    VCOP_CHECK(ac.Map(cp::AdpcmDecodeCoprocessor::kObjOut, adpcm_out,
-                      os::Direction::kOut).ok());
-
-    vec_tenant = daemon.RegisterTenant("vec").value();
-    a = sys.Allocate<u32>(kVecN).value();
-    b = sys.Allocate<u32>(kVecN).value();
-    c = sys.Allocate<u32>(kVecN).value();
-    std::vector<u32> va(kVecN), vb(kVecN);
-    for (u32 i = 0; i < kVecN; ++i) {
-      va[i] = 1000003u + i;
-      vb[i] = 7919u + 3u * i;
-    }
-    a.Fill(va);
-    b.Fill(vb);
-    vec_expect.resize(kVecN);
-    for (u32 i = 0; i < kVecN; ++i) vec_expect[i] = va[i] + vb[i];
-    runtime::VcopdClient vc(daemon, vec_tenant);
-    VCOP_CHECK(vc.Map(cp::VecAddCoprocessor::kObjA, a,
-                      os::Direction::kIn).ok());
-    VCOP_CHECK(vc.Map(cp::VecAddCoprocessor::kObjB, b,
-                      os::Direction::kIn).ok());
-    VCOP_CHECK(vc.Map(cp::VecAddCoprocessor::kObjC, c,
-                      os::Direction::kOut).ok());
-  }
+  SlotRig()
+      : sys(Config()),
+        daemon(sys.kernel(), DaemonConfig()),
+        adpcm(bench::StageTenant(sys, daemon, "adpcm",
+                                 bench::MakeJob(bench::App::kAdpcm, 512, 1))),
+        vec(bench::StageTenant(sys, daemon, "vec",
+                               bench::MakeJob(bench::App::kVecAdd, 512, 1))) {}
 
   /// Submits adpcm/vecadd jobs interleaved and drains; returns the
   /// per-ticket statuses in submission order.
   std::vector<Status> Drain(u32 rounds) {
     std::vector<os::Ticket> tickets;
-    runtime::VcopdClient ac(daemon, adpcm_tenant);
-    runtime::VcopdClient vc(daemon, vec_tenant);
     for (u32 round = 0; round < rounds; ++round) {
-      tickets.push_back(
-          ac.Submit(cp::AdpcmDecodeBitstream(), {kAdpcmBytes, 0u, 0u})
-              .value());
-      tickets.push_back(
-          vc.Submit(cp::VecAddBitstream(), {kVecN}).value());
+      tickets.push_back(adpcm.Submit(daemon).value());
+      tickets.push_back(vec.Submit(daemon).value());
     }
     VCOP_CHECK(daemon.RunUntilIdle().ok());
     std::vector<Status> statuses;
@@ -595,10 +542,10 @@ struct SlotRig {
       (i % 2 == 0 ? adpcm_ok : vec_ok) = true;
     }
     if (adpcm_ok) {
-      EXPECT_EQ(adpcm_out.ToVector(), adpcm_expect);
+      EXPECT_TRUE(adpcm.Exact());
     }
     if (vec_ok) {
-      EXPECT_EQ(c.ToVector(), vec_expect);
+      EXPECT_TRUE(vec.Exact());
     }
   }
 };
@@ -630,7 +577,7 @@ TEST(TortureTest, SlotActivationCrcFaultFailsCleanlyAndEvictsTheSlot) {
   const std::vector<Status> retry = rig.Drain(1);
   EXPECT_TRUE(retry[0].ok()) << retry[0].ToString();
   EXPECT_TRUE(retry[1].ok());
-  EXPECT_EQ(rig.adpcm_out.ToVector(), rig.adpcm_expect);
+  EXPECT_TRUE(rig.adpcm.Exact());
   EXPECT_GE(rig.daemon.stats().reconfigurations, 3u);
   ASSERT_LT(rig.sys.kernel().simulator().now(), kSimTimeBound);
 }
@@ -675,34 +622,15 @@ struct ServiceRig {
   FpgaSystem sys;
   os::Vcopd daemon;
   os::VcopService service;
-  os::TenantId tenant;
-  runtime::HostBuffer<u32> a, b, c;
-  std::vector<u32> expect;
+  bench::StagedJob job;
 
   ServiceRig()
-      : sys(Epxa1Config()), daemon(sys.kernel()), service(daemon) {
-    constexpr u32 n = 128;
-    tenant = daemon.RegisterTenant("transport", 1).value();
-    a = sys.Allocate<u32>(n).value();
-    b = sys.Allocate<u32>(n).value();
-    c = sys.Allocate<u32>(n).value();
-    std::vector<u32> va(n), vb(n);
-    for (u32 i = 0; i < n; ++i) {
-      va[i] = 1000003u + i;
-      vb[i] = 7919u + 3u * i;
-    }
-    a.Fill(va);
-    b.Fill(vb);
-    expect.resize(n);
-    for (u32 i = 0; i < n; ++i) expect[i] = va[i] + vb[i];
-    runtime::VcopdClient direct(daemon, tenant);
-    VCOP_CHECK(direct.Map(cp::VecAddCoprocessor::kObjA, a,
-                          os::Direction::kIn).ok());
-    VCOP_CHECK(direct.Map(cp::VecAddCoprocessor::kObjB, b,
-                          os::Direction::kIn).ok());
-    VCOP_CHECK(direct.Map(cp::VecAddCoprocessor::kObjC, c,
-                          os::Direction::kOut).ok());
-    VCOP_CHECK(service.AttachTenant(tenant).ok());
+      : sys(Epxa1Config()),
+        daemon(sys.kernel()),
+        service(daemon),
+        job(bench::StageTenant(sys, daemon, "transport",
+                               bench::MakeJob(bench::App::kVecAdd, 512, 1))) {
+    VCOP_CHECK(service.AttachTenant(job.tenant).ok());
   }
 };
 
@@ -716,7 +644,7 @@ TEST(TortureTest, LostDoorbellIsRecoveredByServiceRepoll) {
   plan.At(FaultSite::kDoorbellLost, 1);
   rig.sys.kernel().InstallFaultPlan(&plan);
 
-  runtime::VcopdClient client(rig.service, rig.tenant);
+  runtime::VcopdClient client(rig.service, rig.job.tenant);
   const u64 cookie =
       client.SubmitRinged(cp::VecAddBitstream(), {128u}).value();
   EXPECT_EQ(rig.service.stats().doorbells_lost, 1u);
@@ -728,7 +656,7 @@ TEST(TortureTest, LostDoorbellIsRecoveredByServiceRepoll) {
   EXPECT_GE(rig.service.stats().doorbells_recovered, 1u);
   EXPECT_GE(rig.service.stats().repoll_ticks, 1u);
   EXPECT_EQ(rig.daemon.stats().completed, 1u);
-  EXPECT_EQ(rig.c.ToVector(), rig.expect);
+  EXPECT_TRUE(rig.job.Exact());
   ASSERT_LT(rig.sys.kernel().simulator().now(), kSimTimeBound);
   rig.sys.kernel().InstallFaultPlan(nullptr);
 }
@@ -743,7 +671,7 @@ TEST(TortureTest, CorruptedDescriptorFailsCleanlyAndSparesTheRest) {
   plan.At(FaultSite::kDescriptorCorrupt, 1);
   rig.sys.kernel().InstallFaultPlan(&plan);
 
-  runtime::VcopdClient client(rig.service, rig.tenant);
+  runtime::VcopdClient client(rig.service, rig.job.tenant);
   const u64 doomed =
       client.SubmitRinged(cp::VecAddBitstream(), {128u}).value();
   const u64 healthy =
@@ -760,7 +688,7 @@ TEST(TortureTest, CorruptedDescriptorFailsCleanlyAndSparesTheRest) {
   EXPECT_EQ(good.value().code, static_cast<u32>(ErrorCode::kOk));
   EXPECT_EQ(rig.daemon.stats().submitted, 1u);  // only the intact one ran
   EXPECT_EQ(rig.daemon.stats().completed, 1u);
-  EXPECT_EQ(rig.c.ToVector(), rig.expect);
+  EXPECT_TRUE(rig.job.Exact());
   ASSERT_LT(rig.sys.kernel().simulator().now(), kSimTimeBound);
   rig.sys.kernel().InstallFaultPlan(nullptr);
 }

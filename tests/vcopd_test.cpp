@@ -6,19 +6,11 @@
 // switch policies, and the FIFO policy's batching by bit-stream.
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
-#include "apps/adpcm.h"
-#include "apps/conv2d.h"
-#include "apps/idea.h"
 #include "base/fault.h"
-#include "cp/adpcm_cp.h"
-#include "cp/conv_cp.h"
-#include "cp/gather_cp.h"
-#include "cp/idea_cp.h"
+#include "bench/common.h"
 #include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "os/address_space.h"
 #include "os/vcopd.h"
 #include "runtime/drivers.h"
@@ -27,8 +19,11 @@
 namespace vcop::os {
 namespace {
 
+using bench::App;
+using bench::MakeJob;
+using bench::StagedJob;
+using bench::StageTenant;
 using runtime::FpgaSystem;
-using runtime::HostBuffer;
 using runtime::VcopdClient;
 
 KernelConfig TestConfig() {
@@ -62,141 +57,13 @@ TEST(AsidAllocatorTest, WrapAroundReuseAfterRelease) {
   EXPECT_EQ(allocator.in_use(), 4u);  // includes the reserved kernel tag
 }
 
-// ----- staging helpers -----
-
-struct VecAddJob {
-  TenantId tenant = 0;
-  HostBuffer<u32> a, b, c;
-  std::vector<u32> expect;
-};
-
-VecAddJob StageVecAdd(FpgaSystem& sys, Vcopd& daemon, const char* name,
-                      u32 n, u32 seed, u32 weight = 1) {
-  VecAddJob job;
-  job.tenant = daemon.RegisterTenant(name, weight).value();
-  job.a = sys.Allocate<u32>(n).value();
-  job.b = sys.Allocate<u32>(n).value();
-  job.c = sys.Allocate<u32>(n).value();
-  std::vector<u32> a(n), b(n);
-  for (u32 i = 0; i < n; ++i) {
-    a[i] = seed * 1000003u + i;
-    b[i] = seed * 7919u + 3u * i;
-  }
-  job.a.Fill(a);
-  job.b.Fill(b);
-  job.expect.resize(n);
-  for (u32 i = 0; i < n; ++i) job.expect[i] = a[i] + b[i];
-  VcopdClient client(daemon, job.tenant);
-  VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjA, job.a,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjB, job.b,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::VecAddCoprocessor::kObjC, job.c,
-                        Direction::kOut).ok());
-  return job;
-}
-
-struct GatherJob {
-  TenantId tenant = 0;
-  HostBuffer<u32> in, out, perm;
-  std::vector<u32> expect;
-};
-
-/// A gather tenant reversing `n` elements: out[i] = in[perm[i]].
-GatherJob StageGather(FpgaSystem& sys, Vcopd& daemon, const char* name,
-                      u32 n) {
-  GatherJob job;
-  job.tenant = daemon.RegisterTenant(name).value();
-  job.in = sys.Allocate<u32>(n).value();
-  job.out = sys.Allocate<u32>(n).value();
-  job.perm = sys.Allocate<u32>(n).value();
-  std::vector<u32> in(n), perm(n);
-  for (u32 i = 0; i < n; ++i) {
-    in[i] = i * 5;
-    perm[i] = n - 1 - i;
-  }
-  for (const u32 index : perm) job.expect.push_back(in[index]);
-  job.in.Fill(in);
-  job.perm.Fill(perm);
-  VcopdClient client(daemon, job.tenant);
-  VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjIn, job.in,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjOut, job.out,
-                        Direction::kOut).ok());
-  VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjPerm, job.perm,
-                        Direction::kIn).ok());
-  return job;
-}
-
-struct AdpcmJob {
-  TenantId tenant = 0;
-  HostBuffer<u8> in;
-  HostBuffer<i16> out;
-  std::vector<i16> expect;
-  u32 input_bytes = 0;
-};
-
-AdpcmJob StageAdpcm(FpgaSystem& sys, Vcopd& daemon, const char* name,
-                    u32 bytes, u32 seed, u32 weight = 1) {
-  AdpcmJob job;
-  job.tenant = daemon.RegisterTenant(name, weight).value();
-  job.input_bytes = bytes;
-  std::vector<u8> input(bytes);
-  for (u32 i = 0; i < bytes; ++i) {
-    input[i] = static_cast<u8>((seed * 2654435761u + i * 97u) >> 13);
-  }
-  job.in = sys.Allocate<u8>(bytes).value();
-  job.in.Fill(input);
-  job.out = sys.Allocate<i16>(bytes * 2).value();
-  job.expect.resize(bytes * 2);
-  apps::AdpcmState state;
-  apps::AdpcmDecode(input, job.expect, state);
-  VcopdClient client(daemon, job.tenant);
-  VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjIn, job.in,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjOut, job.out,
-                        Direction::kOut).ok());
-  return job;
-}
-
-struct ConvJob {
-  TenantId tenant = 0;
-  HostBuffer<u8> src, dst;
-  HostBuffer<u32> coeffs;
-  std::vector<u8> expect;
-};
-
-/// A conv3x3 tenant sharpening a `width` x `height` test image.
-ConvJob StageConv(FpgaSystem& sys, Vcopd& daemon, const char* name,
-                  u32 width, u32 height, u64 seed) {
-  ConvJob job;
-  job.tenant = daemon.RegisterTenant(name).value();
-  const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
-  const apps::Conv3x3Kernel kernel = apps::SharpenKernel();
-  job.expect.resize(image.size());
-  apps::Convolve3x3(image, width, height, kernel, 0, job.expect);
-  job.src = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
-  job.src.Fill(image);
-  job.dst = sys.Allocate<u8>(static_cast<u32>(image.size())).value();
-  job.coeffs = sys.Allocate<u32>(9).value();
-  auto view = job.coeffs.view();
-  for (usize i = 0; i < 9; ++i) view[i] = static_cast<u32>(kernel[i]);
-  VcopdClient client(daemon, job.tenant);
-  VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjSrc, job.src,
-                        Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjDst, job.dst,
-                        Direction::kOut).ok());
-  VCOP_CHECK(client.Map(cp::Conv3x3Coprocessor::kObjKernel, job.coeffs,
-                        Direction::kIn).ok());
-  return job;
-}
-
 // ----- asynchronous lifecycle -----
 
 TEST(VcopdTest, SubmitPollWaitRoundTrip) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
-  VecAddJob job = StageVecAdd(sys, daemon, "solo", 512, 1);
+  StagedJob job =
+      StageTenant(sys, daemon, "solo", MakeJob(App::kVecAdd, 2048, 1));
   VcopdClient client(daemon, job.tenant);
 
   const Ticket ticket =
@@ -207,7 +74,7 @@ TEST(VcopdTest, SubmitPollWaitRoundTrip) {
   const Result<JobResult> result = client.Wait(ticket);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().status.ok());
-  EXPECT_EQ(job.c.ToVector(), job.expect);
+  EXPECT_TRUE(job.Exact());
 
   const JobResult* polled = daemon.Poll(ticket);
   ASSERT_NE(polled, nullptr);
@@ -220,11 +87,12 @@ TEST(VcopdTest, SubmitPollWaitRoundTrip) {
 TEST(VcopdTest, CompletionCallbackFiresAtCompletionInstant) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
-  VecAddJob job = StageVecAdd(sys, daemon, "cb", 256, 2);
+  StagedJob job =
+      StageTenant(sys, daemon, "cb", MakeJob(App::kVecAdd, 1024, 2));
   VcopdClient client(daemon, job.tenant);
 
   Picoseconds callback_at = 0;
-  std::vector<u32> snapshot;
+  bool exact_at_completion = false;
   const Ticket ticket =
       client
           .Submit(cp::VecAddBitstream(), {256u},
@@ -232,7 +100,7 @@ TEST(VcopdTest, CompletionCallbackFiresAtCompletionInstant) {
                     callback_at = r.finished_at;
                     // The payload must already be in user memory when
                     // the completion event fires.
-                    snapshot = job.c.ToVector();
+                    exact_at_completion = job.Exact();
                   })
           .value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
@@ -240,7 +108,7 @@ TEST(VcopdTest, CompletionCallbackFiresAtCompletionInstant) {
   const JobResult* result = daemon.Poll(ticket);
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(callback_at, result->finished_at);
-  EXPECT_EQ(snapshot, job.expect);
+  EXPECT_TRUE(exact_at_completion);
 }
 
 TEST(VcopdTest, BoundedQueueRejectsWithBackpressure) {
@@ -248,7 +116,8 @@ TEST(VcopdTest, BoundedQueueRejectsWithBackpressure) {
   VcopdConfig config;
   config.queue_depth = 2;
   Vcopd daemon(sys.kernel(), config);
-  VecAddJob job = StageVecAdd(sys, daemon, "burst", 64, 3);
+  StagedJob job =
+      StageTenant(sys, daemon, "burst", MakeJob(App::kVecAdd, 256, 3));
   VcopdClient client(daemon, job.tenant);
 
   ASSERT_TRUE(client.Submit(cp::VecAddBitstream(), {64u}).ok());
@@ -287,16 +156,12 @@ PreemptionRun RunContendedAdpcm(bool asid_tagging) {
   Vcopd daemon(sys.kernel(), config);
   sys.kernel().vim().ResetServiceStats();
 
-  AdpcmJob first = StageAdpcm(sys, daemon, "alpha", 12 * 1024, 1);
-  AdpcmJob second = StageAdpcm(sys, daemon, "beta", 12 * 1024, 2);
-  VcopdClient c1(daemon, first.tenant);
-  VcopdClient c2(daemon, second.tenant);
-  const Ticket t1 =
-      c1.Submit(cp::AdpcmDecodeBitstream(),
-                {first.input_bytes, 0u, 0u}).value();
-  const Ticket t2 =
-      c2.Submit(cp::AdpcmDecodeBitstream(),
-                {second.input_bytes, 0u, 0u}).value();
+  StagedJob first =
+      StageTenant(sys, daemon, "alpha", MakeJob(App::kAdpcm, 12 * 1024, 1));
+  StagedJob second =
+      StageTenant(sys, daemon, "beta", MakeJob(App::kAdpcm, 12 * 1024, 2));
+  const Ticket t1 = first.Submit(daemon).value();
+  const Ticket t2 = second.Submit(daemon).value();
   VCOP_CHECK(daemon.RunUntilIdle().ok());
 
   PreemptionRun run;
@@ -304,8 +169,7 @@ PreemptionRun RunContendedAdpcm(bool asid_tagging) {
   run.service = sys.kernel().vim().service_stats();
   run.correct = daemon.Poll(t1)->status.ok() &&
                 daemon.Poll(t2)->status.ok() &&
-                first.out.ToVector() == first.expect &&
-                second.out.ToVector() == second.expect;
+                first.Exact() && second.Exact();
   return run;
 }
 
@@ -331,21 +195,19 @@ TEST(VcopdTest, PreemptedConvResumesWithItsWindowIntact) {
   config.quantum = 100ull * 1000 * 1000;
   Vcopd daemon(sys.kernel(), config);
 
-  ConvJob first = StageConv(sys, daemon, "alpha", 4096, 6, 1);
-  ConvJob second = StageConv(sys, daemon, "beta", 4096, 6, 2);
-  VcopdClient c1(daemon, first.tenant);
-  VcopdClient c2(daemon, second.tenant);
-  const Ticket t1 =
-      c1.Submit(cp::Conv3x3Bitstream(), {4096u, 6u, 0u}).value();
-  const Ticket t2 =
-      c2.Submit(cp::Conv3x3Bitstream(), {4096u, 6u, 0u}).value();
+  StagedJob first =
+      StageTenant(sys, daemon, "alpha", MakeJob(App::kConv, 4096 * 6, 1, 4096));
+  StagedJob second =
+      StageTenant(sys, daemon, "beta", MakeJob(App::kConv, 4096 * 6, 2, 4096));
+  const Ticket t1 = first.Submit(daemon).value();
+  const Ticket t2 = second.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   EXPECT_GT(daemon.stats().preemptions, 0u);
   EXPECT_TRUE(daemon.Poll(t1)->status.ok());
   EXPECT_TRUE(daemon.Poll(t2)->status.ok());
-  EXPECT_EQ(first.dst.ToVector(), first.expect);
-  EXPECT_EQ(second.dst.ToVector(), second.expect);
+  EXPECT_TRUE(first.Exact());
+  EXPECT_TRUE(second.Exact());
 }
 
 TEST(VcopdTest, TaggedTlbAvoidsFullFlushesAndRestoresEntries) {
@@ -378,22 +240,18 @@ TEST(VcopdTest, OverlappedPrefetchFramesBelongToTheTenant) {
   FpgaSystem sys(kc);
   Vcopd daemon(sys.kernel());
 
-  AdpcmJob first = StageAdpcm(sys, daemon, "alpha", 8 * 1024, 1);
-  AdpcmJob second = StageAdpcm(sys, daemon, "beta", 8 * 1024, 2);
-  VcopdClient c1(daemon, first.tenant);
-  VcopdClient c2(daemon, second.tenant);
-  const Ticket t1 =
-      c1.Submit(cp::AdpcmDecodeBitstream(),
-                {first.input_bytes, 0u, 0u}).value();
-  const Ticket t2 =
-      c2.Submit(cp::AdpcmDecodeBitstream(),
-                {second.input_bytes, 0u, 0u}).value();
+  StagedJob first =
+      StageTenant(sys, daemon, "alpha", MakeJob(App::kAdpcm, 8 * 1024, 1));
+  StagedJob second =
+      StageTenant(sys, daemon, "beta", MakeJob(App::kAdpcm, 8 * 1024, 2));
+  const Ticket t1 = first.Submit(daemon).value();
+  const Ticket t2 = second.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   EXPECT_TRUE(daemon.Poll(t1)->status.ok());
   EXPECT_TRUE(daemon.Poll(t2)->status.ok());
-  EXPECT_EQ(first.out.ToVector(), first.expect);
-  EXPECT_EQ(second.out.ToVector(), second.expect);
+  EXPECT_TRUE(first.Exact());
+  EXPECT_TRUE(second.Exact());
   EXPECT_GT(daemon.stats().preemptions, 0u);
   EXPECT_TRUE(sys.kernel().vim().page_manager().InUseFrames().empty());
 }
@@ -406,54 +264,24 @@ TEST(VcopdTest, MixedTenantsMatchSoloByteForByte) {
   config.time_slice = 100ull * 1000 * 1000;
   Vcopd daemon(sys.kernel(), config);
 
-  AdpcmJob adpcm = StageAdpcm(sys, daemon, "adpcm", 8 * 1024, 7);
-  VecAddJob vecadd = StageVecAdd(sys, daemon, "vecadd", 2048, 8);
+  StagedJob adpcm =
+      StageTenant(sys, daemon, "adpcm", MakeJob(App::kAdpcm, 8 * 1024, 7));
+  StagedJob vecadd =
+      StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 8192, 8));
 
-  // IDEA tenant staged by hand (in/out are byte buffers the core
-  // addresses as 32-bit elements).
-  const TenantId idea_tenant = daemon.RegisterTenant("idea").value();
-  const u32 idea_bytes = 4 * 1024;
-  std::vector<u8> plain(idea_bytes);
-  for (u32 i = 0; i < idea_bytes; ++i) {
-    plain[i] = static_cast<u8>(i * 131u + 17u);
-  }
-  apps::IdeaKey key{};
-  std::iota(key.begin(), key.end(), u8{1});
-  const apps::IdeaSubkeys subkeys = apps::IdeaExpandKey(key);
-  std::vector<u8> expect_cipher(idea_bytes);
-  apps::IdeaCryptEcb(subkeys, plain, expect_cipher);
+  StagedJob idea =
+      StageTenant(sys, daemon, "idea", MakeJob(App::kIdea, 4 * 1024, 9));
 
-  HostBuffer<u8> idea_in = sys.Allocate<u8>(idea_bytes).value();
-  idea_in.Fill(plain);
-  HostBuffer<u8> idea_out = sys.Allocate<u8>(idea_bytes).value();
-  HostBuffer<u16> idea_key =
-      sys.Allocate<u16>(static_cast<u32>(subkeys.size())).value();
-  idea_key.Fill(std::span<const u16>(subkeys.data(), subkeys.size()));
-  VcopdClient idea_client(daemon, idea_tenant);
-  ASSERT_TRUE(idea_client.Map(cp::IdeaCoprocessor::kObjIn, idea_in,
-                              /*elem_width=*/4, Direction::kIn).ok());
-  ASSERT_TRUE(idea_client.Map(cp::IdeaCoprocessor::kObjOut, idea_out,
-                              /*elem_width=*/4, Direction::kOut).ok());
-  ASSERT_TRUE(idea_client.Map(cp::IdeaCoprocessor::kObjKey, idea_key,
-                              Direction::kIn).ok());
-
-  VcopdClient adpcm_client(daemon, adpcm.tenant);
-  VcopdClient vecadd_client(daemon, vecadd.tenant);
-  ASSERT_TRUE(adpcm_client.Submit(cp::AdpcmDecodeBitstream(),
-                                  {adpcm.input_bytes, 0u, 0u}).ok());
-  ASSERT_TRUE(idea_client
-                  .Submit(cp::IdeaBitstream(),
-                          {idea_bytes / 8, cp::IdeaCoprocessor::kModeEcb,
-                           0u, 0u})
-                  .ok());
-  ASSERT_TRUE(vecadd_client.Submit(cp::VecAddBitstream(), {2048u}).ok());
+  ASSERT_TRUE(adpcm.Submit(daemon).ok());
+  ASSERT_TRUE(idea.Submit(daemon).ok());
+  ASSERT_TRUE(vecadd.Submit(daemon).ok());
 
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
   EXPECT_EQ(daemon.stats().completed, 3u);
   EXPECT_EQ(daemon.stats().failed, 0u);
-  EXPECT_EQ(adpcm.out.ToVector(), adpcm.expect);
-  EXPECT_EQ(vecadd.c.ToVector(), vecadd.expect);
-  EXPECT_EQ(idea_out.ToVector(), expect_cipher);
+  EXPECT_TRUE(adpcm.Exact());
+  EXPECT_TRUE(vecadd.Exact());
+  EXPECT_TRUE(idea.Exact());
   // Three different designs were time-multiplexed onto the fabric.
   EXPECT_GE(daemon.stats().reconfigurations, 3u);
 
@@ -473,7 +301,8 @@ TEST(VcopdTest, MixedTenantsMatchSoloByteForByte) {
 TEST(VcopdTest, UnregisterTenantLifecycle) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
-  VecAddJob job = StageVecAdd(sys, daemon, "transient", 128, 4);
+  StagedJob job =
+      StageTenant(sys, daemon, "transient", MakeJob(App::kVecAdd, 512, 4));
   VcopdClient client(daemon, job.tenant);
 
   const Ticket ticket =
@@ -500,7 +329,8 @@ TEST(VcopdTest, AsidReuseAfterTeardownIsClean) {
   config.max_asids = 3;  // tags {0,1,2}: two usable tenants
   Vcopd daemon(sys.kernel(), config);
 
-  VecAddJob first = StageVecAdd(sys, daemon, "first", 256, 5);
+  StagedJob first =
+      StageTenant(sys, daemon, "first", MakeJob(App::kVecAdd, 1024, 5));
   VcopdClient c1(daemon, first.tenant);
   ASSERT_TRUE(c1.Wait(c1.Submit(cp::VecAddBitstream(), {256u}).value())
                   .ok());
@@ -511,11 +341,12 @@ TEST(VcopdTest, AsidReuseAfterTeardownIsClean) {
 
   // The recycled tag must start with a clean slate: a new tenant under
   // the reused ASID computes correct results from its own pages.
-  VecAddJob reuse = StageVecAdd(sys, daemon, "reuse", 256, 6);
+  StagedJob reuse =
+      StageTenant(sys, daemon, "reuse", MakeJob(App::kVecAdd, 1024, 6));
   VcopdClient c3(daemon, reuse.tenant);
   ASSERT_TRUE(c3.Wait(c3.Submit(cp::VecAddBitstream(), {256u}).value())
                   .ok());
-  EXPECT_EQ(reuse.c.ToVector(), reuse.expect);
+  EXPECT_TRUE(reuse.Exact());
 }
 
 // ----- error paths and fault recovery -----
@@ -529,7 +360,8 @@ TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
   EXPECT_EQ(wait.status().code(), ErrorCode::kNotFound);
 
   // A retired ticket stays pollable; its neighbour never exists.
-  VecAddJob job = StageVecAdd(sys, daemon, "known", 64, 10);
+  StagedJob job =
+      StageTenant(sys, daemon, "known", MakeJob(App::kVecAdd, 256, 10));
   VcopdClient client(daemon, job.tenant);
   const Ticket ticket = client.Submit(cp::VecAddBitstream(), {64u}).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
@@ -544,8 +376,10 @@ TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
 TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
-  VecAddJob victim = StageVecAdd(sys, daemon, "victim", 256, 11);
-  VecAddJob bystander = StageVecAdd(sys, daemon, "bystander", 256, 12);
+  StagedJob victim =
+      StageTenant(sys, daemon, "victim", MakeJob(App::kVecAdd, 1024, 11));
+  StagedJob bystander =
+      StageTenant(sys, daemon, "bystander", MakeJob(App::kVecAdd, 1024, 12));
   VcopdClient cv(daemon, victim.tenant);
   VcopdClient cb(daemon, bystander.tenant);
 
@@ -569,7 +403,7 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   const JobResult* rb = daemon.Poll(tb);
   ASSERT_NE(rb, nullptr);
   EXPECT_TRUE(rb->status.ok()) << rb->status.ToString();
-  EXPECT_EQ(bystander.c.ToVector(), bystander.expect);
+  EXPECT_TRUE(bystander.Exact());
 
   // Submissions from the quarantined tenant are refused from now on.
   const Result<Ticket> refused = cv.Submit(cp::VecAddBitstream(), {256u});
@@ -580,7 +414,7 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   // The healthy tenant keeps full service after the abort.
   const Ticket tb2 = cb.Submit(cp::VecAddBitstream(), {256u}).value();
   ASSERT_TRUE(cb.Wait(tb2).ok());
-  EXPECT_EQ(bystander.c.ToVector(), bystander.expect);
+  EXPECT_TRUE(bystander.Exact());
 }
 
 // ----- coexistence with the blocking kernel path -----
@@ -589,31 +423,21 @@ TEST(VcopdTest, KernelBlockingPathStillWorksAfterDaemonIdles) {
   FpgaSystem sys(TestConfig());
   {
     Vcopd daemon(sys.kernel());
-    VecAddJob job = StageVecAdd(sys, daemon, "tenant", 256, 9);
+    StagedJob job =
+        StageTenant(sys, daemon, "tenant", MakeJob(App::kVecAdd, 1024, 9));
     VcopdClient client(daemon, job.tenant);
     ASSERT_TRUE(
         client.Wait(client.Submit(cp::VecAddBitstream(), {256u}).value())
             .ok());
-    EXPECT_EQ(job.c.ToVector(), job.expect);
+    EXPECT_TRUE(job.Exact());
   }  // daemon restores the kernel binding on destruction
 
   // The classic exclusive blocking path on the very same kernel.
-  ASSERT_TRUE(sys.Load(cp::VecAddBitstream()).ok());
-  HostBuffer<u32> a = sys.Allocate<u32>(128).value();
-  HostBuffer<u32> b = sys.Allocate<u32>(128).value();
-  HostBuffer<u32> c = sys.Allocate<u32>(128).value();
-  std::vector<u32> va(128, 3), vb(128, 4);
-  a.Fill(va);
-  b.Fill(vb);
-  ASSERT_TRUE(sys.Map(cp::VecAddCoprocessor::kObjA, a,
-                      Direction::kIn).ok());
-  ASSERT_TRUE(sys.Map(cp::VecAddCoprocessor::kObjB, b,
-                      Direction::kIn).ok());
-  ASSERT_TRUE(sys.Map(cp::VecAddCoprocessor::kObjC, c,
-                      Direction::kOut).ok());
-  const Result<ExecutionReport> report = sys.Execute({128u});
+  const StagedJob blocking =
+      bench::StageBlocking(sys, MakeJob(App::kVecAdd, 512, 3));
+  const Result<ExecutionReport> report = sys.Execute(blocking.job.params);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(c.ToVector(), std::vector<u32>(128, 7));
+  EXPECT_TRUE(blocking.Exact());
 }
 
 /// The blocking system calls and a live daemon drive one VIM. A
@@ -634,12 +458,13 @@ TEST(VcopdTest, BlockingExecuteInterleavesWithLiveDaemon) {
   };
   auto run_job = [](FpgaSystem& sys, Vcopd& daemon, const char* name,
                     u32 seed) {
-    VecAddJob job = StageVecAdd(sys, daemon, name, kN, seed);
+    StagedJob job =
+        StageTenant(sys, daemon, name, MakeJob(App::kVecAdd, 4 * kN, seed));
     VcopdClient client(daemon, job.tenant);
     const Result<JobResult> r =
         client.Wait(client.Submit(cp::VecAddBitstream(), {kN}).value());
     EXPECT_TRUE(r.ok() && r.value().status.ok());
-    EXPECT_EQ(job.c.ToVector(), job.expect);
+    EXPECT_TRUE(job.Exact());
     return r.value().report;
   };
   std::vector<u32> a(kN), b(kN), sum(kN);
@@ -691,15 +516,15 @@ VcopdConfig FifoConfig() {
 TEST(VcopdFifoTest, SameDesignJobsRunInTicketOrderUnderOneConfiguration) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel(), FifoConfig());
-  std::vector<VecAddJob> jobs;
+  std::vector<StagedJob> jobs;
   for (const char* name : {"first", "second", "third"}) {
-    jobs.push_back(StageVecAdd(sys, daemon, name, 256,
-                               40 + static_cast<u32>(jobs.size())));
+    jobs.push_back(StageTenant(
+        sys, daemon, name,
+        MakeJob(App::kVecAdd, 1024, 40 + static_cast<u32>(jobs.size()))));
   }
   std::vector<Ticket> tickets;
-  for (const VecAddJob& job : jobs) {
-    VcopdClient client(daemon, job.tenant);
-    tickets.push_back(client.Submit(cp::VecAddBitstream(), {256u}).value());
+  for (const StagedJob& job : jobs) {
+    tickets.push_back(job.Submit(daemon).value());
   }
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
@@ -712,7 +537,7 @@ TEST(VcopdFifoTest, SameDesignJobsRunInTicketOrderUnderOneConfiguration) {
     if (i > 0) {
       EXPECT_GE(r->started_at, daemon.Poll(tickets[i - 1])->finished_at);
     }
-    EXPECT_EQ(jobs[i].c.ToVector(), jobs[i].expect);
+    EXPECT_TRUE(jobs[i].Exact());
   }
 }
 
@@ -737,26 +562,22 @@ struct AlternatingRun {
 AlternatingRun RunAlternatingDesigns(const VcopdConfig& config) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel(), config);
-  std::vector<VecAddJob> vecadds;
-  std::vector<GatherJob> gathers;
+  std::vector<StagedJob> vecadds, gathers;
   for (u32 i = 0; i < 3; ++i) {
-    vecadds.push_back(StageVecAdd(sys, daemon, "vecadd", 128, 50 + i));
-    gathers.push_back(StageGather(sys, daemon, "gather", 128));
+    vecadds.push_back(StageTenant(sys, daemon, "vecadd",
+                                  MakeJob(App::kVecAdd, 512, 50 + i)));
+    gathers.push_back(StageTenant(sys, daemon, "gather",
+                                  MakeJob(App::kGather, 512, 53 + i)));
   }
   std::vector<Ticket> vecadd_tickets, gather_tickets;
   for (u32 i = 0; i < 3; ++i) {
-    VcopdClient cv(daemon, vecadds[i].tenant);
-    VcopdClient cg(daemon, gathers[i].tenant);
-    vecadd_tickets.push_back(cv.Submit(cp::VecAddBitstream(), {128u}).value());
-    gather_tickets.push_back(cg.Submit(cp::GatherBitstream(), {128u}).value());
+    vecadd_tickets.push_back(vecadds[i].Submit(daemon).value());
+    gather_tickets.push_back(gathers[i].Submit(daemon).value());
   }
   VCOP_CHECK(daemon.RunUntilIdle().ok());
   EXPECT_EQ(daemon.stats().completed, 6u);
-  for (const VecAddJob& job : vecadds) {
-    EXPECT_EQ(job.c.ToVector(), job.expect);
-  }
-  for (const GatherJob& job : gathers) {
-    EXPECT_EQ(job.out.ToVector(), job.expect);
+  for (const std::vector<StagedJob>* jobs : {&vecadds, &gathers}) {
+    for (const StagedJob& job : *jobs) EXPECT_TRUE(job.Exact());
   }
 
   AlternatingRun r;
@@ -798,7 +619,8 @@ TEST(VcopdFifoTest, UnmappedTenantsJobFailsAlone) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel(), FifoConfig());
   const TenantId unmapped = daemon.RegisterTenant("unmapped").value();
-  VecAddJob mapped = StageVecAdd(sys, daemon, "mapped", 256, 60);
+  StagedJob mapped =
+      StageTenant(sys, daemon, "mapped", MakeJob(App::kVecAdd, 1024, 60));
   VcopdClient cu(daemon, unmapped);
   VcopdClient cm(daemon, mapped.tenant);
   const Ticket broken = cu.Submit(cp::VecAddBitstream(), {8u}).value();
@@ -810,7 +632,7 @@ TEST(VcopdFifoTest, UnmappedTenantsJobFailsAlone) {
   ASSERT_NE(daemon.Poll(healthy), nullptr);
   EXPECT_TRUE(daemon.Poll(healthy)->status.ok())
       << daemon.Poll(healthy)->status.ToString();
-  EXPECT_EQ(mapped.c.ToVector(), mapped.expect);
+  EXPECT_TRUE(mapped.Exact());
 }
 
 /// A design larger than the PLD is refused at Submit, before it can
@@ -818,7 +640,8 @@ TEST(VcopdFifoTest, UnmappedTenantsJobFailsAlone) {
 TEST(VcopdFifoTest, OversizedDesignRejectedAtSubmit) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel(), FifoConfig());
-  VecAddJob job = StageVecAdd(sys, daemon, "tenant", 256, 61);
+  StagedJob job =
+      StageTenant(sys, daemon, "tenant", MakeJob(App::kVecAdd, 1024, 61));
   VcopdClient client(daemon, job.tenant);
   hw::Bitstream oversized = cp::VecAddBitstream();
   oversized.logic_elements = sys.kernel().config().pld_capacity_les + 1;
@@ -834,7 +657,7 @@ TEST(VcopdFifoTest, OversizedDesignRejectedAtSubmit) {
   EXPECT_EQ(daemon.stats().completed, 2u);
   EXPECT_TRUE(daemon.Poll(before)->status.ok());
   EXPECT_TRUE(daemon.Poll(after)->status.ok());
-  EXPECT_EQ(job.c.ToVector(), job.expect);
+  EXPECT_TRUE(job.Exact());
 }
 
 /// Of two queued jobs the second waits for the first: it starts after
@@ -842,8 +665,10 @@ TEST(VcopdFifoTest, OversizedDesignRejectedAtSubmit) {
 TEST(VcopdFifoTest, TurnaroundAccountsWaiting) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel(), FifoConfig());
-  VecAddJob first = StageVecAdd(sys, daemon, "first", 2048, 62);
-  VecAddJob second = StageVecAdd(sys, daemon, "second", 2048, 63);
+  StagedJob first =
+      StageTenant(sys, daemon, "first", MakeJob(App::kVecAdd, 8192, 62));
+  StagedJob second =
+      StageTenant(sys, daemon, "second", MakeJob(App::kVecAdd, 8192, 63));
   VcopdClient c1(daemon, first.tenant);
   VcopdClient c2(daemon, second.tenant);
   const Ticket t1 = c1.Submit(cp::VecAddBitstream(), {2048u}).value();
@@ -858,8 +683,8 @@ TEST(VcopdFifoTest, TurnaroundAccountsWaiting) {
   ASSERT_TRUE(r2->status.ok());
   EXPECT_GT(r2->wait(), 0u);
   EXPECT_GT(r2->turnaround(), r1->turnaround());
-  EXPECT_EQ(first.c.ToVector(), first.expect);
-  EXPECT_EQ(second.c.ToVector(), second.expect);
+  EXPECT_TRUE(first.Exact());
+  EXPECT_TRUE(second.Exact());
 }
 
 // ----- reconfiguration-aware serving (DESIGN.md §15) -----
@@ -877,21 +702,20 @@ TEST(VcopdReconfigTest, SlotCacheActivatesInsteadOfReconfiguring) {
   FpgaSystem sys(SlottedConfig(3));
   Vcopd daemon(sys.kernel());
 
-  AdpcmJob adpcm = StageAdpcm(sys, daemon, "adpcm", 2 * 1024, 21);
-  VecAddJob vecadd = StageVecAdd(sys, daemon, "vecadd", 512, 22);
-  VcopdClient ca(daemon, adpcm.tenant);
-  VcopdClient cv(daemon, vecadd.tenant);
+  StagedJob adpcm =
+      StageTenant(sys, daemon, "adpcm", MakeJob(App::kAdpcm, 2 * 1024, 21));
+  StagedJob vecadd =
+      StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 2048, 22));
   // Two designs alternating over three rounds: a, v, a, v, a, v.
   for (u32 round = 0; round < 3; ++round) {
-    ASSERT_TRUE(ca.Submit(cp::AdpcmDecodeBitstream(),
-                          {adpcm.input_bytes, 0u, 0u}).ok());
-    ASSERT_TRUE(cv.Submit(cp::VecAddBitstream(), {512u}).ok());
+    ASSERT_TRUE(adpcm.Submit(daemon).ok());
+    ASSERT_TRUE(vecadd.Submit(daemon).ok());
   }
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   EXPECT_EQ(daemon.stats().completed, 6u);
-  EXPECT_EQ(adpcm.out.ToVector(), adpcm.expect);
-  EXPECT_EQ(vecadd.c.ToVector(), vecadd.expect);
+  EXPECT_TRUE(adpcm.Exact());
+  EXPECT_TRUE(vecadd.Exact());
   // First use of each design is a miss; every alternation after that
   // activates a resident slot.
   EXPECT_EQ(daemon.stats().reconfigurations, 2u);
@@ -919,17 +743,15 @@ TEST(VcopdReconfigTest, ResumeViaActivationWhenDesignStaysResident) {
   config.quantum = 100ull * 1000 * 1000;
   Vcopd daemon(sys.kernel(), config);
 
-  AdpcmJob first = StageAdpcm(sys, daemon, "alpha", 12 * 1024, 24);
-  AdpcmJob second = StageAdpcm(sys, daemon, "beta", 12 * 1024, 25);
-  VecAddJob vecadd = StageVecAdd(sys, daemon, "gamma", 2048, 26);
-  VcopdClient c1(daemon, first.tenant);
-  VcopdClient c2(daemon, second.tenant);
-  VcopdClient c3(daemon, vecadd.tenant);
-  const Ticket t1 = c1.Submit(cp::AdpcmDecodeBitstream(),
-                              {first.input_bytes, 0u, 0u}).value();
-  ASSERT_TRUE(c2.Submit(cp::AdpcmDecodeBitstream(),
-                        {second.input_bytes, 0u, 0u}).ok());
-  ASSERT_TRUE(c3.Submit(cp::VecAddBitstream(), {2048u}).ok());
+  StagedJob first =
+      StageTenant(sys, daemon, "alpha", MakeJob(App::kAdpcm, 12 * 1024, 24));
+  StagedJob second =
+      StageTenant(sys, daemon, "beta", MakeJob(App::kAdpcm, 12 * 1024, 25));
+  StagedJob vecadd =
+      StageTenant(sys, daemon, "gamma", MakeJob(App::kVecAdd, 8192, 26));
+  const Ticket t1 = first.Submit(daemon).value();
+  ASSERT_TRUE(second.Submit(daemon).ok());
+  ASSERT_TRUE(vecadd.Submit(daemon).ok());
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   EXPECT_GT(daemon.stats().preemptions, 0u);
@@ -940,9 +762,9 @@ TEST(VcopdReconfigTest, ResumeViaActivationWhenDesignStaysResident) {
   // Both designs fit the 3-slot cache, so resumed slices re-activate
   // instead of reconfiguring: the job paid exactly one configuration.
   EXPECT_EQ(r1->reconfigurations, 1u);
-  EXPECT_EQ(first.out.ToVector(), first.expect);
-  EXPECT_EQ(second.out.ToVector(), second.expect);
-  EXPECT_EQ(vecadd.c.ToVector(), vecadd.expect);
+  EXPECT_TRUE(first.Exact());
+  EXPECT_TRUE(second.Exact());
+  EXPECT_TRUE(vecadd.Exact());
   EXPECT_EQ(sys.kernel().fabric().slot_stats().evictions, 0u);
 }
 
@@ -960,43 +782,16 @@ TEST(VcopdReconfigTest, ResumeViaCacheMissAfterEviction) {
 
   // Three distinct designs against two slots: while alpha is
   // preempted, idea + vecadd occupy both slots and evict adpcm.
-  AdpcmJob alpha = StageAdpcm(sys, daemon, "alpha", 12 * 1024, 27);
-  VecAddJob vecadd = StageVecAdd(sys, daemon, "vec", 2048, 28);
-  const TenantId idea_tenant = daemon.RegisterTenant("idea").value();
-  const u32 idea_bytes = 8 * 1024;
-  std::vector<u8> plain(idea_bytes);
-  for (u32 i = 0; i < idea_bytes; ++i) {
-    plain[i] = static_cast<u8>(i * 131u + 17u);
-  }
-  apps::IdeaKey key{};
-  std::iota(key.begin(), key.end(), u8{1});
-  const apps::IdeaSubkeys subkeys = apps::IdeaExpandKey(key);
-  std::vector<u8> expect_cipher(idea_bytes);
-  apps::IdeaCryptEcb(subkeys, plain, expect_cipher);
-  HostBuffer<u8> idea_in = sys.Allocate<u8>(idea_bytes).value();
-  idea_in.Fill(plain);
-  HostBuffer<u8> idea_out = sys.Allocate<u8>(idea_bytes).value();
-  HostBuffer<u16> idea_key =
-      sys.Allocate<u16>(static_cast<u32>(subkeys.size())).value();
-  idea_key.Fill(std::span<const u16>(subkeys.data(), subkeys.size()));
-  VcopdClient idea_client(daemon, idea_tenant);
-  ASSERT_TRUE(idea_client.Map(cp::IdeaCoprocessor::kObjIn, idea_in,
-                              /*elem_width=*/4, Direction::kIn).ok());
-  ASSERT_TRUE(idea_client.Map(cp::IdeaCoprocessor::kObjOut, idea_out,
-                              /*elem_width=*/4, Direction::kOut).ok());
-  ASSERT_TRUE(idea_client.Map(cp::IdeaCoprocessor::kObjKey, idea_key,
-                              Direction::kIn).ok());
+  StagedJob alpha =
+      StageTenant(sys, daemon, "alpha", MakeJob(App::kAdpcm, 12 * 1024, 27));
+  StagedJob vecadd =
+      StageTenant(sys, daemon, "vec", MakeJob(App::kVecAdd, 8192, 28));
+  StagedJob idea =
+      StageTenant(sys, daemon, "idea", MakeJob(App::kIdea, 8 * 1024, 29));
 
-  VcopdClient ca(daemon, alpha.tenant);
-  VcopdClient cv(daemon, vecadd.tenant);
-  const Ticket ta = ca.Submit(cp::AdpcmDecodeBitstream(),
-                              {alpha.input_bytes, 0u, 0u}).value();
-  ASSERT_TRUE(idea_client
-                  .Submit(cp::IdeaBitstream(),
-                          {idea_bytes / 8, cp::IdeaCoprocessor::kModeEcb,
-                           0u, 0u})
-                  .ok());
-  ASSERT_TRUE(cv.Submit(cp::VecAddBitstream(), {2048u}).ok());
+  const Ticket ta = alpha.Submit(daemon).value();
+  ASSERT_TRUE(idea.Submit(daemon).ok());
+  ASSERT_TRUE(vecadd.Submit(daemon).ok());
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   const JobResult* ra = daemon.Poll(ta);
@@ -1007,9 +802,9 @@ TEST(VcopdReconfigTest, ResumeViaCacheMissAfterEviction) {
   // configurations charged to one job.
   EXPECT_GE(ra->reconfigurations, 2u);
   EXPECT_GT(sys.kernel().fabric().slot_stats().evictions, 0u);
-  EXPECT_EQ(alpha.out.ToVector(), alpha.expect);
-  EXPECT_EQ(idea_out.ToVector(), expect_cipher);
-  EXPECT_EQ(vecadd.c.ToVector(), vecadd.expect);
+  EXPECT_TRUE(alpha.Exact());
+  EXPECT_TRUE(idea.Exact());
+  EXPECT_TRUE(vecadd.Exact());
 
   // Satellite 1's under-reporting fix: the schedule report rolls the
   // per-slice count up, not just a first-slice bool.
@@ -1037,20 +832,19 @@ TEST(VcopdReconfigTest, AffinityReducesSwitchesAndKeepsOutputsExact) {
     if (!affinity) config.affinity_skip_budget = 0;
     Vcopd daemon(sys.kernel(), config);
 
-    AdpcmJob adpcm = StageAdpcm(sys, daemon, "adpcm", 4 * 1024, 29);
-    VecAddJob vecadd = StageVecAdd(sys, daemon, "vecadd", 1024, 30);
-    VcopdClient ca(daemon, adpcm.tenant);
-    VcopdClient cv(daemon, vecadd.tenant);
+    StagedJob adpcm =
+        StageTenant(sys, daemon, "adpcm", MakeJob(App::kAdpcm, 4 * 1024, 29));
+    StagedJob vecadd =
+        StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 4096, 30));
     for (u32 round = 0; round < 3; ++round) {
-      ASSERT_TRUE(ca.Submit(cp::AdpcmDecodeBitstream(),
-                            {adpcm.input_bytes, 0u, 0u}).ok());
-      ASSERT_TRUE(cv.Submit(cp::VecAddBitstream(), {1024u}).ok());
+      ASSERT_TRUE(adpcm.Submit(daemon).ok());
+      ASSERT_TRUE(vecadd.Submit(daemon).ok());
     }
     ASSERT_TRUE(daemon.RunUntilIdle().ok());
     EXPECT_EQ(daemon.stats().completed, 6u);
     EXPECT_EQ(daemon.stats().failed, 0u);
-    EXPECT_EQ(adpcm.out.ToVector(), adpcm.expect);
-    EXPECT_EQ(vecadd.c.ToVector(), vecadd.expect);
+    EXPECT_TRUE(adpcm.Exact());
+    EXPECT_TRUE(vecadd.Exact());
     (affinity ? stats_on : stats_off) = daemon.stats();
   }
   // Affinity batches same-design jobs (bounded by the skip budget), so
@@ -1074,36 +868,36 @@ TEST(VcopdReconfigTest, SkipBudgetBoundsBypassesOfNonResidentTenant) {
     config.affinity_skip_budget = budget;
     Vcopd daemon(sys.kernel(), config);
 
-    AdpcmJob a0 = StageAdpcm(sys, daemon, "adpcm-0", 512, 33);
-    VecAddJob vecadd = StageVecAdd(sys, daemon, "vecadd", 256, 34);
-    AdpcmJob a1 = StageAdpcm(sys, daemon, "adpcm-1", 512, 35);
-    AdpcmJob a2 = StageAdpcm(sys, daemon, "adpcm-2", 512, 36);
+    StagedJob a0 =
+        StageTenant(sys, daemon, "adpcm-0", MakeJob(App::kAdpcm, 512, 33));
+    StagedJob vecadd =
+        StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 1024, 34));
+    StagedJob a1 =
+        StageTenant(sys, daemon, "adpcm-1", MakeJob(App::kAdpcm, 512, 35));
+    StagedJob a2 =
+        StageTenant(sys, daemon, "adpcm-2", MakeJob(App::kAdpcm, 512, 36));
     u32 adpcm_done = 0;
     u32 adpcm_before_vecadd = 0;
-    for (const AdpcmJob* job : {&a0, &a1, &a2}) {
-      VcopdClient client(daemon, job->tenant);
+    for (const StagedJob* job : {&a0, &a1, &a2}) {
       for (u32 i = 0; i < 6; ++i) {
-        ASSERT_TRUE(client
-                        .Submit(cp::AdpcmDecodeBitstream(),
-                                {job->input_bytes, 0u, 0u},
-                                [&](const JobResult&) { ++adpcm_done; })
-                        .ok());
+        ASSERT_TRUE(
+            job->Submit(daemon, [&](const JobResult&) { ++adpcm_done; }).ok());
       }
     }
-    VcopdClient cv(daemon, vecadd.tenant);
-    ASSERT_TRUE(cv.Submit(cp::VecAddBitstream(), {256u},
-                          [&](const JobResult&) {
-                            adpcm_before_vecadd = adpcm_done;
-                          })
+    ASSERT_TRUE(vecadd
+                    .Submit(daemon,
+                            [&](const JobResult&) {
+                              adpcm_before_vecadd = adpcm_done;
+                            })
                     .ok());
     ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
     EXPECT_EQ(adpcm_before_vecadd, 1 + 3 * budget) << "budget " << budget;
     EXPECT_EQ(daemon.stats().completed, 19u);
     EXPECT_EQ(daemon.stats().preemptions, 0u);
-    EXPECT_EQ(vecadd.c.ToVector(), vecadd.expect);
-    for (const AdpcmJob* job : {&a0, &a1, &a2}) {
-      EXPECT_EQ(job->out.ToVector(), job->expect);
+    EXPECT_TRUE(vecadd.Exact());
+    for (const StagedJob* job : {&a0, &a1, &a2}) {
+      EXPECT_TRUE(job->Exact());
     }
   }
 }

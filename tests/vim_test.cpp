@@ -12,7 +12,7 @@
 #include "apps/idea.h"
 #include "apps/workloads.h"
 #include "base/fault.h"
-#include "base/rng.h"
+#include "bench/common.h"
 #include "cp/adpcm_cp.h"
 #include "cp/gather_cp.h"
 #include "cp/registry.h"
@@ -206,11 +206,6 @@ TEST(VimAccountingTest, TransferVolumesScaleWithFaults) {
 
 // ----- re-loads from the kernel's bounce copy -----
 
-struct GatherInput {
-  std::vector<u32> in;
-  std::vector<u32> perm;
-};
-
 /// 24 KB objects: 1.5x the 16 KB dual-port RAM, 12 pages each.
 constexpr u32 kGatherElements = 6144;
 constexpr u64 kGatherPages = kGatherElements * 4 / 2048;
@@ -219,20 +214,12 @@ constexpr u64 kGatherPages = kGatherElements * 4 / 2048;
 /// each of its loads is already a re-load.
 constexpr u64 kGatherFirstLoads = 2 * kGatherPages;
 
-GatherInput MakeGather(u64 seed) {
-  Rng rng(seed);
-  GatherInput g;
-  g.in.resize(kGatherElements);
-  for (u32& v : g.in) v = static_cast<u32>(rng.Next());
-  g.perm = Iota(kGatherElements, 0);
-  for (u32 i = kGatherElements - 1; i > 0; --i) {
-    std::swap(g.perm[i], g.perm[rng.NextBelow(i + 1)]);
-  }
-  return g;
+apps::GatherInput MakeGather(u64 seed) {
+  return apps::MakeRandomGather(kGatherElements, seed);
 }
 
 /// Runs the gather on `sys` and checks its output against the input.
-os::ExecutionReport RunGather(FpgaSystem& sys, const GatherInput& g) {
+os::ExecutionReport RunGather(FpgaSystem& sys, const apps::GatherInput& g) {
   auto run = runtime::RunGatherVim(sys, g.in, g.perm);
   VCOP_CHECK_MSG(run.ok(), run.status().ToString());
   for (u32 i = 0; i < kGatherElements; ++i) {
@@ -251,7 +238,7 @@ Picoseconds ExpectedDpTime(FpgaSystem& sys, const os::ExecutionReport& r) {
 }
 
 TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
-  const GatherInput g = MakeGather(11);
+  const apps::GatherInput g = MakeGather(11);
   struct Mode {
     const char* name;
     mem::CopyMode copy;
@@ -300,7 +287,7 @@ TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
 TEST(VimReloadTest, SecondExecutionReadsARewrittenInBufferAtFullPrice) {
   FpgaSystem sys(Epxa1Config());
   ASSERT_TRUE(sys.Load(cp::GatherBitstream()).ok());
-  const GatherInput g = MakeGather(13);
+  const apps::GatherInput g = MakeGather(13);
   auto in = sys.Allocate<u32>(kGatherElements);
   auto out = sys.Allocate<u32>(kGatherElements);
   auto perm = sys.Allocate<u32>(kGatherElements);
@@ -338,7 +325,7 @@ TEST(VimReloadTest, SecondExecutionReadsARewrittenInBufferAtFullPrice) {
 }
 
 TEST(VimReloadTest, ObjectTableChangeMidRunDropsTheBounceCopies) {
-  const GatherInput g = MakeGather(14);
+  const apps::GatherInput g = MakeGather(14);
   FpgaSystem clean_sys(Epxa1Config());
   const os::ExecutionReport clean = RunGather(clean_sys, g);
 
@@ -405,7 +392,7 @@ TEST(VimReloadTest, OverlappedUnitsReadKeptCopiesButKeepNone) {
 constexpr u64 kReloadAttempt = 200;
 
 TEST(VimReloadTest, BusErrorOnAReloadRetriesAtTheReloadPrice) {
-  const GatherInput g = MakeGather(15);
+  const apps::GatherInput g = MakeGather(15);
   FpgaSystem clean_sys(Epxa1Config());
   const os::ExecutionReport clean = RunGather(clean_sys, g);
 
@@ -427,13 +414,13 @@ TEST(VimReloadTest, BusErrorOnAReloadRetriesAtTheReloadPrice) {
 }
 
 TEST(VimReloadTest, ExhaustedLoadRetriesRecordNothingAndFailCleanly) {
-  const GatherInput g = MakeGather(15);
+  const apps::GatherInput g = MakeGather(15);
   // The very first transfer is a first load; attempt kReloadAttempt is
   // a re-load. Fail every attempt the retry limit allows on each.
   for (const u64 attempt : {u64{1}, kReloadAttempt}) {
     SCOPED_TRACE("attempt " + std::to_string(attempt));
     FaultPlan plan;
-    for (u64 k = 0; k < os::VimConfig{}.transfer_retry_limit; ++k) {
+    for (u64 k = 0; k < os::kTransferRetryLimit; ++k) {
       plan.At(FaultSite::kAhbError, attempt + k);
     }
     FpgaSystem sys(Epxa1Config());
@@ -475,24 +462,17 @@ struct AdpcmRun {
   bool quarantined = false;
 };
 
-std::vector<u8> AdpcmInput() { return apps::MakeAdpcmStream(8192, 9); }
-
-std::vector<i16> AdpcmReference(const std::vector<u8>& input) {
-  std::vector<i16> expect(input.size() * 2);
-  apps::AdpcmState state;
-  apps::AdpcmDecode(input, expect, state);
-  return expect;
-}
+bench::Job AdpcmJob() { return bench::MakeJob(bench::App::kAdpcm, 8192, 9); }
 
 /// The job through FPGA_EXECUTE.
 AdpcmRun RunAdpcmKernel(FaultPlan* plan) {
   FpgaSystem sys(Epxa1Config());
   if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
-  const std::vector<u8> input = AdpcmInput();
-  auto run = runtime::RunAdpcmVim(sys, input);
+  const bench::StagedJob staged = bench::StageBlocking(sys, AdpcmJob());
+  const Result<os::ExecutionReport> report = sys.Execute(staged.job.params);
   AdpcmRun out;
-  out.status = run.status();
-  out.exact = run.ok() && run.value().output == AdpcmReference(input);
+  out.status = report.status();
+  out.exact = report.ok() && staged.Exact();
   out.acct = sys.kernel().vim().accounting();
   out.service = sys.kernel().vim().service_stats();
   return out;
@@ -502,37 +482,26 @@ AdpcmRun RunAdpcmKernel(FaultPlan* plan) {
 AdpcmRun RunAdpcmVcopd(FaultPlan* plan) {
   FpgaSystem sys(Epxa1Config());
   os::Vcopd daemon(sys.kernel());
-  const os::TenantId tenant = daemon.RegisterTenant("adpcm").value();
-  const std::vector<u8> input = AdpcmInput();
-  const u32 bytes = static_cast<u32>(input.size());
-  auto in = sys.Allocate<u8>(bytes).value();
-  in.Fill(input);
-  auto out_buf = sys.Allocate<i16>(bytes * 2).value();
-  runtime::VcopdClient client(daemon, tenant);
-  VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjIn, in,
-                        os::Direction::kIn).ok());
-  VCOP_CHECK(client.Map(cp::AdpcmDecodeCoprocessor::kObjOut, out_buf,
-                        os::Direction::kOut).ok());
+  const bench::StagedJob staged =
+      bench::StageTenant(sys, daemon, "adpcm", AdpcmJob());
   if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
-  const os::Ticket ticket =
-      client.Submit(cp::AdpcmDecodeBitstream(), {bytes, 0u, 0u}).value();
+  const os::Ticket ticket = staged.Submit(daemon).value();
   VCOP_CHECK(daemon.RunUntilIdle().ok());
   const os::JobResult* result = daemon.Poll(ticket);
   VCOP_CHECK(result != nullptr);
   AdpcmRun out;
   out.status = result->status;
-  out.exact = result->status.ok() &&
-              out_buf.ToVector() == AdpcmReference(input);
+  out.exact = result->status.ok() && staged.Exact();
   out.acct = result->report.vim;
   out.service = sys.kernel().vim().service_stats();
-  out.quarantined = daemon.TenantQuarantined(tenant);
+  out.quarantined = daemon.TenantQuarantined(staged.tenant);
   return out;
 }
 
 /// Fails the sweep's last store on every attempt the retry limit allows.
 FaultPlan ExhaustLastStore() {
   FaultPlan plan;
-  for (u64 k = 0; k < os::VimConfig{}.transfer_retry_limit; ++k) {
+  for (u64 k = 0; k < os::kTransferRetryLimit; ++k) {
     plan.At(FaultSite::kAhbError, kAdpcmTransfers + k);
   }
   return plan;
@@ -785,10 +754,10 @@ TEST(VimRefaultTest, PageEvictedBeforeAnyReferenceIsNoReFault) {
   config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
   const PolicyLog& log = LogPolicy(sys);
-  const std::vector<u8> input = AdpcmInput();
-  auto run = runtime::RunAdpcmVim(sys, input);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_EQ(run.value().output, AdpcmReference(input));
+  const bench::StagedJob staged = bench::StageBlocking(sys, AdpcmJob());
+  const Result<os::ExecutionReport> report = sys.Execute(staged.job.params);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(staged.Exact());
   const std::vector<Verdict> verdicts = Verdicts(log.events);
   ExpectRefaultRule(verdicts);
   // Wasted prefetches of IN pages come back the same way.
@@ -810,41 +779,20 @@ std::vector<Verdict> TwoGatherTenants() {
   FpgaSystem sys(Epxa1Config());
   os::Vcopd daemon(sys.kernel());
   const PolicyLog& log = LogPolicy(sys);
-  struct Tenant {
-    GatherInput input;
-    runtime::HostBuffer<u32> out;
-    os::Ticket ticket = 0;
-  };
-  std::vector<Tenant> tenants;
+  std::vector<bench::StagedJob> tenants;
+  std::vector<os::Ticket> tickets;
   for (const u64 seed : {21u, 22u}) {
-    const os::TenantId id =
-        daemon.RegisterTenant("gather" + std::to_string(seed)).value();
-    runtime::VcopdClient client(daemon, id);
-    GatherInput input = MakeGather(seed);
-    auto in = sys.Allocate<u32>(kGatherElements).value();
-    auto perm = sys.Allocate<u32>(kGatherElements).value();
-    auto out = sys.Allocate<u32>(kGatherElements).value();
-    in.Fill(input.in);
-    perm.Fill(input.perm);
-    VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjIn, in,
-                          os::Direction::kIn).ok());
-    VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjOut, out,
-                          os::Direction::kOut).ok());
-    VCOP_CHECK(client.Map(cp::GatherCoprocessor::kObjPerm, perm,
-                          os::Direction::kIn).ok());
-    const os::Ticket ticket =
-        client.Submit(cp::GatherBitstream(), {kGatherElements}).value();
-    tenants.push_back(Tenant{std::move(input), out, ticket});
+    tenants.push_back(bench::StageTenant(
+        sys, daemon, "gather" + std::to_string(seed),
+        bench::MakeJob(bench::App::kGather, 4 * kGatherElements, seed)));
+    tickets.push_back(tenants.back().Submit(daemon).value());
   }
   VCOP_CHECK(daemon.RunUntilIdle().ok());
-  for (const Tenant& t : tenants) {
-    const os::JobResult* result = daemon.Poll(t.ticket);
+  for (usize i = 0; i < tenants.size(); ++i) {
+    const os::JobResult* result = daemon.Poll(tickets[i]);
     VCOP_CHECK(result != nullptr && result->status.ok());
     VCOP_CHECK(result->preemptions > 0);
-    const std::vector<u32> got = t.out.ToVector();
-    for (u32 i = 0; i < kGatherElements; ++i) {
-      VCOP_CHECK(got[i] == t.input.in[t.input.perm[i]]);
-    }
+    VCOP_CHECK(tenants[i].Exact());
   }
   return Verdicts(log.events);
 }
