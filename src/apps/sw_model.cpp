@@ -24,11 +24,4 @@ SwRunResult RunSoftwareAdpcmDecode(const ArmTimingModel& model,
   return SwRunResult{model.AdpcmDecodeTime(in.size())};
 }
 
-SwRunResult RunSoftwareIdea(const ArmTimingModel& model,
-                            const IdeaSubkeys& subkeys,
-                            std::span<const u8> in, std::span<u8> out) {
-  IdeaCryptEcb(subkeys, in, out);
-  return SwRunResult{model.IdeaEcbTime(in.size())};
-}
-
 }  // namespace vcop::apps

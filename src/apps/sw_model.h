@@ -56,9 +56,4 @@ SwRunResult RunSoftwareAdpcmDecode(const ArmTimingModel& model,
                                    std::span<const u8> in,
                                    std::span<i16> out);
 
-/// Runs the reference IDEA ECB transform and prices it with `model`.
-SwRunResult RunSoftwareIdea(const ArmTimingModel& model,
-                            const IdeaSubkeys& subkeys,
-                            std::span<const u8> in, std::span<u8> out);
-
 }  // namespace vcop::apps

@@ -19,10 +19,6 @@ class Table {
   /// longer rows extend the column count.
   void AddRow(std::vector<std::string> cells);
 
-  /// Appends a cell-by-cell row built from heterogeneous values.
-  /// (Callers format numbers themselves; the table only aligns.)
-  usize num_rows() const { return rows_.size(); }
-
   void set_title(std::string title) { title_ = std::move(title); }
 
   /// Renders the table. Numeric-looking cells are right-aligned,

@@ -43,8 +43,6 @@ class IdeaCoprocessor final : public hw::Coprocessor {
 
   std::string_view name() const override { return "idea"; }
 
-  u32 blocks_done() const { return blk_; }
-
  protected:
   void OnStart() override;
   void Step() override;

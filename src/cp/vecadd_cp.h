@@ -26,8 +26,6 @@ class VecAddCoprocessor final : public hw::Coprocessor {
 
   std::string_view name() const override { return "vecadd"; }
 
-  u32 elements_done() const { return i_; }
-
  protected:
   void OnStart() override;
   void Step() override;

@@ -239,8 +239,6 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
     return config_.pipelined ? 0 : config_.access_latency_cycles - 2;
   }
 
-  void TraceSignals();
-
   ImuConfig config_;
   mem::PageGeometry geometry_;
   mem::DualPortRam& dp_ram_;

@@ -32,27 +32,17 @@ class InterruptLine {
   void Raise(InterruptCause cause) {
     VCOP_CHECK_MSG(static_cast<bool>(handler_),
                    "interrupt raised with no handler connected");
-    ++raised_;
     if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kIrqDrop)) {
-      ++dropped_;
       return;
     }
     if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kIrqDuplicate)) {
-      ++duplicated_;
       handler_(cause);
     }
     handler_(cause);
   }
 
-  u64 times_raised() const { return raised_; }
-  u64 times_dropped() const { return dropped_; }
-  u64 times_duplicated() const { return duplicated_; }
-
  private:
   Handler handler_;
-  u64 raised_ = 0;
-  u64 dropped_ = 0;
-  u64 duplicated_ = 0;
   FaultPlan* fault_plan_ = nullptr;
 };
 

@@ -154,33 +154,6 @@ u64 Iommu::InvalidateAsid(IommuAsid asid) {
   return removed;
 }
 
-u64 Iommu::InvalidateAll() {
-  ++stats_.shootdowns;
-  u64 removed = 0;
-  for (Entry& e : iotlb_) {
-    if (e.valid) {
-      e.valid = false;
-      ++removed;
-    }
-  }
-  stats_.entries_shot_down += removed;
-  return removed;
-}
-
-u64 Iommu::InvalidatePage(IommuAsid asid, UserAddr addr) {
-  ++stats_.shootdowns;
-  const u32 vpage = addr >> kUserPageShift;
-  u64 removed = 0;
-  for (Entry& e : iotlb_) {
-    if (e.valid && e.asid == asid && e.vpage == vpage) {
-      e.valid = false;
-      ++removed;
-    }
-  }
-  stats_.entries_shot_down += removed;
-  return removed;
-}
-
 u32 Iommu::live_entries() const {
   u32 n = 0;
   for (const Entry& e : iotlb_) n += e.valid ? 1 : 0;

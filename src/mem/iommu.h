@@ -79,12 +79,9 @@ class Iommu {
   void PinRange(UserMemory& user, UserAddr addr, u32 len);
   void UnpinRange(UserMemory& user, UserAddr addr, u32 len);
 
-  /// IO-TLB shootdowns. Return the number of live entries removed.
+  /// IO-TLB shootdown of one ASID. Returns the number of live entries
+  /// removed.
   u64 InvalidateAsid(IommuAsid asid);
-  u64 InvalidateAll();
-  /// Single-page shootdown, used by the fault-recovery path to drop a
-  /// possibly-stale entry before retrying.
-  u64 InvalidatePage(IommuAsid asid, UserAddr addr);
 
   u32 live_entries() const;
   u32 live_entries_of(IommuAsid asid) const;

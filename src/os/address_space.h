@@ -135,7 +135,7 @@ class AddressSpace {
   /// its own, so a wasted guess never cheapens a later load. An OUT
   /// page is never loaded before its first write-back, so for OUT
   /// objects this is also the set of pages whose next fault must reload
-  /// them (see Vim::EnsureMapped).
+  /// them (see Vim::NeedsLoad).
   std::set<std::pair<hw::ObjectId, mem::VirtPage>> transferred;
   /// objects().version() when this execution began: once the table
   /// moves, the bounce copies no longer name the pages they mirrored.

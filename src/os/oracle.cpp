@@ -31,8 +31,8 @@ void OraclePolicy::OnReference(hw::ObjectId object, mem::VirtPage vpage) {
   ++cursor_;
 }
 
-void OraclePolicy::OnInstalledAt(mem::FrameId frame, hw::ObjectId object,
-                                 mem::VirtPage vpage) {
+void OraclePolicy::OnInstalled(mem::FrameId frame, hw::ObjectId object,
+                               mem::VirtPage vpage) {
   VCOP_CHECK_MSG(frame < frame_page_.size(), "frame out of range");
   frame_page_[frame] = {true, PageKey{object, vpage}};
 }
@@ -57,7 +57,7 @@ mem::FrameId OraclePolicy::PickVictim(const std::vector<bool>& evictable) {
   for (mem::FrameId f = 0; f < evictable.size(); ++f) {
     if (!evictable[f]) continue;
     // A frame the VIM may evict but whose page identity we never saw
-    // (should not happen — OnInstalledAt mirrors every install) is
+    // (should not happen — OnInstalled mirrors every install) is
     // treated as never-used-again, i.e. a perfect victim.
     const u64 next =
         frame_page_[f].first ? NextUse(frame_page_[f].second) : ~u64{0};

@@ -45,14 +45,11 @@ class OraclePolicy final : public ReplacementPolicy {
   // ReplacementPolicy:
   std::string_view name() const override { return "belady"; }
   void Reset(u32 num_frames) override;
-  void OnInstalled(mem::FrameId frame) override { (void)frame; }
-  void OnInstalledAt(mem::FrameId frame, hw::ObjectId object,
-                     mem::VirtPage vpage) override;
+  void OnInstalled(mem::FrameId frame, hw::ObjectId object,
+                   mem::VirtPage vpage) override;
   void OnTouched(mem::FrameId frame) override { (void)frame; }
   void OnFreed(mem::FrameId frame) override;
   mem::FrameId PickVictim(const std::vector<bool>& evictable) override;
-
-  u64 references_seen() const { return cursor_; }
 
  private:
   using PageKey = std::pair<hw::ObjectId, mem::VirtPage>;

@@ -69,7 +69,7 @@ class PageManager {
   /// Frame currently holding (asid, object, vpage), if resident.
   std::optional<mem::FrameId> FindResident(hw::ObjectId object,
                                            mem::VirtPage vpage,
-                                           hw::Asid asid = 0) const;
+                                           hw::Asid asid) const;
 
   /// Any free frame (lowest index first).
   std::optional<mem::FrameId> FindFree() const;
@@ -82,7 +82,7 @@ class PageManager {
   /// Precondition: all of them are free. `frame` becomes the head; the
   /// rest become continuation tails.
   void Install(mem::FrameId frame, hw::ObjectId object, mem::VirtPage vpage,
-               bool pinned = false, hw::Asid asid = 0, u32 span = 1);
+               bool pinned, hw::Asid asid, u32 span = 1);
 
   /// Releases the run headed at `frame` (must be a head, not a tail).
   /// Returns the head's final state (the caller decides about write-back

@@ -58,7 +58,9 @@ class FifoPolicy final : public ReplacementPolicy {
   std::string_view name() const override { return "fifo"; }
 
   void Reset(u32 num_frames) override { installed_.Reset(num_frames); }
-  void OnInstalled(mem::FrameId frame) override { installed_.Stamp(frame); }
+  void OnInstalled(mem::FrameId frame, hw::ObjectId, mem::VirtPage) override {
+    installed_.Stamp(frame);
+  }
   void OnTouched(mem::FrameId) override {}
   void OnFreed(mem::FrameId frame) override { installed_.Clear(frame); }
 
@@ -88,7 +90,7 @@ class WsFifoPolicy final : public ReplacementPolicy {
     installed_.Reset(num_frames);
     used_.Reset(num_frames);
   }
-  void OnInstalled(mem::FrameId frame) override {
+  void OnInstalled(mem::FrameId frame, hw::ObjectId, mem::VirtPage) override {
     installed_.Stamp(frame);
     used_.Stamp(frame);
   }
@@ -146,7 +148,9 @@ class LruPolicy final : public ReplacementPolicy {
   std::string_view name() const override { return "lru"; }
 
   void Reset(u32 num_frames) override { used_.Reset(num_frames); }
-  void OnInstalled(mem::FrameId frame) override { used_.Stamp(frame); }
+  void OnInstalled(mem::FrameId frame, hw::ObjectId, mem::VirtPage) override {
+    used_.Stamp(frame);
+  }
   void OnTouched(mem::FrameId frame) override { used_.Stamp(frame); }
   void OnFreed(mem::FrameId frame) override { used_.Clear(frame); }
 
@@ -165,7 +169,7 @@ class RandomPolicy final : public ReplacementPolicy {
 
   std::string_view name() const override { return "random"; }
   void Reset(u32) override {}
-  void OnInstalled(mem::FrameId) override {}
+  void OnInstalled(mem::FrameId, hw::ObjectId, mem::VirtPage) override {}
   void OnTouched(mem::FrameId) override {}
   void OnFreed(mem::FrameId) override {}
 

@@ -55,17 +55,11 @@ class ReplacementPolicy {
   /// Forgets all history; called at each FPGA_EXECUTE.
   virtual void Reset(u32 num_frames) = 0;
 
-  /// A page was installed into `frame`.
-  virtual void OnInstalled(mem::FrameId frame) = 0;
-
-  /// Same event with the page identity — only policies that reason
-  /// about *which* page sits in a frame (the Belady oracle) need it.
-  virtual void OnInstalledAt(mem::FrameId frame, hw::ObjectId object,
-                             mem::VirtPage vpage) {
-    (void)frame;
-    (void)object;
-    (void)vpage;
-  }
+  /// Page (object, vpage) was installed into `frame`. Only policies
+  /// that reason about *which* page sits in a frame (the Belady oracle)
+  /// read the page.
+  virtual void OnInstalled(mem::FrameId frame, hw::ObjectId object,
+                           mem::VirtPage vpage) = 0;
 
   /// The coprocessor was observed touching `frame` since the last
   /// harvest (from the TLB accessed bits).

@@ -43,18 +43,12 @@ class Process {
   Picoseconds total_slept() const { return total_slept_; }
   u64 wakeups() const { return wakeups_; }
 
-  /// vcopd accounting: the dispatcher notes every time slice it grants
-  /// this process (initial dispatch and each resume after preemption).
-  void NoteSlice() { ++slices_run_; }
-  u64 slices_run() const { return slices_run_; }
-
  private:
   u32 pid_;
   ProcessState state_ = ProcessState::kRunning;
   Picoseconds slept_at_ = 0;
   Picoseconds total_slept_ = 0;
   u64 wakeups_ = 0;
-  u64 slices_run_ = 0;
 };
 
 }  // namespace vcop::os

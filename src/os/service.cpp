@@ -49,21 +49,6 @@ Picoseconds TokenBucket::NextTokenAt(Picoseconds now) {
 
 // ----- VcopService -----
 
-VcopServiceConfig VcopServiceConfig::FromKernel(const KernelConfig& config) {
-  VcopServiceConfig out;
-  out.ring_entries = config.service.ring_entries;
-  out.admit_rate = config.service.admit_rate;
-  out.admit_burst = config.service.admit_burst;
-  return out;
-}
-
-VcopService::VcopService(Vcopd& daemon,
-                         std::optional<VcopServiceConfig> config)
-    : daemon_(daemon),
-      config_(config.has_value()
-                  ? *config
-                  : VcopServiceConfig::FromKernel(daemon.kernel().config())) {}
-
 u32 VcopService::RegisterDesign(const hw::Bitstream& bitstream) {
   for (usize i = 0; i < designs_.size(); ++i) {
     if (designs_[i].name == bitstream.name) return static_cast<u32>(i);
@@ -81,9 +66,9 @@ Status VcopService::AttachTenant(TenantId tenant,
   }
   const Picoseconds now = daemon_.kernel().simulator().now();
   auto port = std::make_unique<Port>(
-      tenant, config_.ring_entries,
-      admit_rate.value_or(config_.admit_rate),
-      admit_burst.value_or(config_.admit_burst), now);
+      tenant, config().ring_entries,
+      admit_rate.value_or(config().admit_rate),
+      admit_burst.value_or(config().admit_burst), now);
   ports_.push_back(std::move(port));
   return Status::Ok();
 }
@@ -381,11 +366,6 @@ Status VcopService::RunUntilQuiescent() {
 const RingStats* VcopService::submission_stats(TenantId tenant) const {
   const Port* port = FindPort(tenant);
   return port == nullptr ? nullptr : &port->sq.stats();
-}
-
-const RingStats* VcopService::completion_stats(TenantId tenant) const {
-  const Port* port = FindPort(tenant);
-  return port == nullptr ? nullptr : &port->cq.stats();
 }
 
 }  // namespace vcop::os

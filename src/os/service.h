@@ -93,18 +93,6 @@ inline constexpr Picoseconds kDoorbellLatency = 200'000;  // 200 ns
 /// never arrived. Matches the VIM watchdog's period.
 inline constexpr Picoseconds kRepollPeriod = 1'000'000'000;  // 1 ms
 
-struct VcopServiceConfig {
-  /// Entries per ring; defaults from KernelConfig::service.
-  u32 ring_entries = 64;
-  /// Default per-tenant admission rate (jobs per simulated second,
-  /// 0 = unlimited) and burst; AttachTenant may override per tenant.
-  u64 admit_rate = 0;
-  u32 admit_burst = 16;
-
-  /// Service defaults as declared by the platform file.
-  static VcopServiceConfig FromKernel(const KernelConfig& config);
-};
-
 struct VcopServiceStats {
   u64 doorbell_kicks = 0;       // kicks observed (before any filtering)
   u64 doorbells_coalesced = 0;  // absorbed into an already-pending drain
@@ -126,11 +114,10 @@ struct VcopServiceStats {
 
 class VcopService {
  public:
-  /// Layers the ring transport over `daemon`. With no explicit config,
-  /// ring sizing and admission defaults come from the daemon's
-  /// platform file (KernelConfig::service).
-  explicit VcopService(Vcopd& daemon,
-                       std::optional<VcopServiceConfig> config = {});
+  /// Layers the ring transport over `daemon`. Ring sizing and the
+  /// admission defaults come from the daemon's platform file
+  /// (KernelConfig::service).
+  explicit VcopService(Vcopd& daemon) : daemon_(daemon) {}
 
   VcopService(const VcopService&) = delete;
   VcopService& operator=(const VcopService&) = delete;
@@ -184,12 +171,13 @@ class VcopService {
   Status RunUntilQuiescent();
 
   const VcopServiceStats& stats() const { return stats_; }
-  const VcopServiceConfig& config() const { return config_; }
+  const ServiceTuning& config() const {
+    return daemon_.kernel().config().service;
+  }
   Vcopd& daemon() { return daemon_; }
-  /// Producer/consumer counters of a tenant's rings (nullptr when the
-  /// tenant was never attached).
+  /// Producer/consumer counters of a tenant's submission ring (nullptr
+  /// when the tenant was never attached).
   const RingStats* submission_stats(TenantId tenant) const;
-  const RingStats* completion_stats(TenantId tenant) const;
 
   /// The daemon's schedule report.
   ScheduleReport BuildScheduleReport() const {
@@ -226,7 +214,6 @@ class VcopService {
   bool AnyTransportWork() const;
 
   Vcopd& daemon_;
-  VcopServiceConfig config_;
   std::vector<hw::Bitstream> designs_;
   std::vector<std::unique_ptr<Port>> ports_;
   bool repoll_armed_ = false;

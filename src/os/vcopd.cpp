@@ -500,7 +500,6 @@ Status Vcopd::RunSlice(Tenant& tenant) {
 
   const hw::TlbStats tlb_mark = kernel_.shared_tlb().stats();
   ++stats_.dispatches;
-  tenant.space->process().NoteSlice();
 
   if (!resuming) {
     const Result<Picoseconds> setup = kernel_.Start(job->params, lead);

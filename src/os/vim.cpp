@@ -76,12 +76,7 @@ void Vim::BindImu(hw::Imu* imu) {
   if (imu_ == nullptr) return;
   imu_->set_fastforward_gate([this] { return FastForwardSafe(); });
   imu_->set_param_release_hook([this] {
-    if (space_->param_frame.has_value()) {
-      pages_.Unpin(*space_->param_frame);
-      pages_.Release(*space_->param_frame);
-      policy_->OnFreed(*space_->param_frame);
-      space_->param_frame.reset();
-    }
+    ReleaseParamFrame();
     // The coprocessor gave the page up for good: a preempted run must
     // not re-materialise it at resume.
     space_->params_live = false;
@@ -170,7 +165,7 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   space_->accounting = VimAccounting{};
   fault_abort_ = false;
   fault_service_pending_ = false;
-  last_transfer_failure_ = Status::Ok();
+  last_failure_ = Status::Ok();
   // The fabric may be shared (vcopd): clear only this space's residue
   // (defensive — a clean prior end of operation leaves none), discarding
   // stale data. Other spaces' frames and TLB entries stay resident. What
@@ -212,45 +207,13 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   Picoseconds setup = costs_.Cycles(setup_cycles);
 
   if (!params.empty()) {
-    std::optional<mem::FrameId> frame = pages_.FindFree();
-    if (!frame.has_value()) {
-      // Other tenants hold every frame: evict a victim for the
-      // parameter page (charged to this tenant's setup).
-      const std::vector<bool> evictable = pages_.EvictableMask();
-      bool any = false;
-      for (const bool e : evictable) any = any || e;
-      if (!any) {
-        return ResourceExhaustedError(
-            "no frame available for the parameter page (all pinned)");
-      }
-      const mem::FrameId victim = policy_->PickVictim(evictable);
-      Picoseconds evict_dp = 0;
-      Picoseconds evict_imu = 0;
-      EvictFrame(victim, evict_dp, evict_imu);
-      setup += evict_dp + evict_imu;
-      if (space_->aborted || !last_transfer_failure_.ok()) {
-        // The victim's write-back failed even after retries and
-        // aborted the run: setup fails with the transfer's status.
-        return !last_transfer_failure_.ok()
-                   ? last_transfer_failure_
-                   : UnavailableError("execution setup failed on a "
-                                      "device fault");
-      }
-      frame = victim;
-    }
-    for (usize i = 0; i < params.size(); ++i) {
-      dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
-                        geometry_.FrameBase(*frame) + static_cast<u32>(4 * i),
-                        4, params[i]);
-    }
-    pages_.Install(*frame, hw::kParamObject, 0, /*pinned=*/true,
-                   space_->asid());
-    policy_->OnInstalled(*frame);
-    policy_->OnInstalledAt(*frame, hw::kParamObject, 0);
-    InstallTlbEntry(hw::kParamObject, 0, *frame);
-    space_->param_frame = frame;
-    space_->params_live = true;
-    setup += transfers_.PriceTransfer(param_bytes);
+    // Other tenants may hold every frame: evicting a victim for the
+    // parameter page is charged to this tenant's setup, and a victim
+    // whose write-back fails aborts the run and fails the setup.
+    Picoseconds dp_cost = 0;
+    Picoseconds imu_cost = 0;
+    if (!MapParamPage(params, dp_cost, imu_cost)) return last_failure_;
+    setup += dp_cost + imu_cost;
   }
   ArmWatchdog();
   return setup;
@@ -298,14 +261,7 @@ void Vim::OnPageFault() {
     ++acct().tlb_refills;
     acct().t_imu += imu_cost;
     acct().fault_service_us.Add(ToMicroseconds(imu_cost));
-    hw::Imu* imu = imu_;
-    fault_service_pending_ = true;
-    const u64 epoch = epoch_;
-    sim_.ScheduleAt(sim_.now() + imu_cost, [this, imu, epoch] {
-      if (epoch != epoch_) return;
-      fault_service_pending_ = false;
-      imu->ResolveFault();
-    });
+    ScheduleResolve(sim_.now() + imu_cost);
     return;
   }
 
@@ -347,7 +303,6 @@ void Vim::OnPageFault() {
   HarvestRecency();
 
   const mem::VirtPage vpage = ObjectPageOf(*object, offset);
-  hw::Imu* imu = imu_;
 
   if (config_.overlap_prefetch) {
     // Racing an in-flight background load of this very page: the
@@ -363,13 +318,7 @@ void Vim::OnPageFault() {
         acct().t_dp_wait += done - decode_done;
         acct().fault_service_us.Add(
             ToMicroseconds(done - sim_.now()));
-        fault_service_pending_ = true;
-        const u64 epoch = epoch_;
-        sim_.ScheduleAt(done, [this, imu, epoch] {
-          if (epoch != epoch_) return;
-          fault_service_pending_ = false;
-          imu->ResolveFault();
-        });
+        ScheduleResolve(done);
         return;
       }
     }
@@ -382,46 +331,47 @@ void Vim::OnPageFault() {
     }
   }
 
-  if (EnsureMapped(*object, vpage, /*prefetch=*/false, dp_cost, imu_cost) ==
-      MapOutcome::kAborted) {
+  if (const std::optional<mem::FrameId> resident =
+          pages_.FindResident(oid, vpage, space_->asid())) {
+    // Soft fault: the page is in the dual-port RAM but its translation
+    // fell out of the TLB (possible when tlb_entries < num_frames).
+    NoteSpeculativeTouch(*resident);
+    InstallTlbEntry(oid, vpage, *resident);
+    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
+    ++acct().tlb_refills;
+  } else if (!MapPage(*object, vpage, /*speculative=*/false, dp_cost,
+                      imu_cost)) {
     return;
   }
 
   // Speculative extra pages (§3.3 "speculative actions as prefetching
   // could be used in order to avoid translation misses"). Prefetch is
-  // best-effort: it may reuse a free frame or evict a clean page, but
-  // never pays a write-back for a guess. In overlapped mode the units
-  // run on the CPU *after* the coprocessor resumes.
-  const Picoseconds resolution = sim_.now() + imu_cost + dp_cost;
-  const u32 num_pages = ObjectNumPages(*object);
-  if (config_.overlap_prefetch) {
-    Picoseconds tail = std::max(resolution, cpu_busy_until_);
-    for (const PrefetchSuggestion& s :
-         ClampedSuggestions(oid, vpage, num_pages)) {
-      if (pages_.FindResident(s.object, s.vpage).has_value()) continue;
-      bool flying = false;
-      for (const InFlight& unit : in_flight_) {
-        flying = flying || (unit.object == s.object && unit.vpage == s.vpage);
-      }
-      if (flying) continue;
+  // best-effort (AcquireFrame): it never pays a write-back for a guess.
+  // In overlapped mode the units run on the CPU *after* the coprocessor
+  // resumes.
+  Picoseconds tail =
+      std::max(sim_.now() + imu_cost + dp_cost, cpu_busy_until_);
+  for (const PrefetchSuggestion& s :
+       ClampedSuggestions(oid, vpage, ObjectNumPages(*object))) {
+    // Resident, or reserved for an in-flight unit: nothing to guess.
+    if (pages_.FindResident(s.object, s.vpage, space_->asid())) continue;
+    if (config_.overlap_prefetch) {
       ScheduleOverlappedPrefetch(*object, s.vpage, tail);
+      continue;
     }
+    if (!MapPage(*object, s.vpage, /*speculative=*/true, dp_cost,
+                 imu_cost)) {
+      if (space_->aborted) return;
+      break;
+    }
+    ++acct().prefetched_pages;
+  }
+  if (config_.overlap_prefetch) {
     // Eager cleaning: the write-backs, not the loads, dominate the
     // serial DP-management time (output pages must all go back to user
     // space); pushing them into the background is where overlap pays.
     ScheduleBackgroundCleaning(tail);
     cpu_busy_until_ = tail;
-  } else {
-    for (const PrefetchSuggestion& s :
-         ClampedSuggestions(oid, vpage, num_pages)) {
-      if (pages_.FindResident(s.object, s.vpage).has_value()) continue;
-      const MapOutcome outcome = EnsureMapped(*object, s.vpage,
-                                              /*prefetch=*/true, dp_cost,
-                                              imu_cost);
-      if (outcome == MapOutcome::kAborted) return;
-      if (outcome == MapOutcome::kSkipped) break;
-      ++acct().prefetched_pages;
-    }
   }
 
   acct().t_imu += imu_cost;
@@ -432,10 +382,14 @@ void Vim::OnPageFault() {
         StrFormat("fault obj%u page%u", oid, vpage), "fault", sim_.now(),
         imu_cost + dp_cost, /*track=*/0);
   }
+  ScheduleResolve(sim_.now() + imu_cost + dp_cost);
+}
 
+void Vim::ScheduleResolve(Picoseconds when) {
+  hw::Imu* imu = imu_;
   fault_service_pending_ = true;
   const u64 epoch = epoch_;
-  sim_.ScheduleAt(sim_.now() + imu_cost + dp_cost, [this, imu, epoch] {
+  sim_.ScheduleAt(when, [this, imu, epoch] {
     if (epoch != epoch_) return;
     fault_service_pending_ = false;
     imu->ResolveFault();
@@ -445,46 +399,19 @@ void Vim::OnPageFault() {
 void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
                                      mem::VirtPage vpage,
                                      Picoseconds& tail) {
-  // Acquire a frame now (while the coprocessor is stalled, so evicting
-  // a clean victim's translation is race-free); fill it later.
+  // Claim a frame now (while the coprocessor is stalled, so evicting a
+  // clean victim's translation is race-free); fill it later. The clean
+  // victim adds no transfer time to the unit.
   Picoseconds unit_cost = 0;
   const u32 span = ObjectPageSpan(object);
-  std::optional<mem::FrameId> frame;
-  if (span > 1) {
-    // Superpage speculation is strictly best-effort: take a free
-    // contiguous window or decline — never evict for a guess.
-    frame = pages_.FindFreeRun(span);
-    if (!frame.has_value()) return;
-  } else {
-    frame = pages_.FindFree();
-  }
-  if (!frame.has_value()) {
-    std::vector<bool> evictable = pages_.EvictableMask();
-    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-      if (!evictable[f]) continue;
-      if (FrameDirty(f) || (f < hot_frames_.size() && hot_frames_[f])) {
-        evictable[f] = false;
-      }
-    }
-    bool any = false;
-    for (const bool e : evictable) any = any || e;
-    if (!any) return;  // nothing cheap to speculate into
-    const mem::FrameId victim = policy_->PickVictim(evictable);
-    Picoseconds evict_dp = 0;
-    EvictFrame(victim, evict_dp, unit_cost);
-    VCOP_CHECK_MSG(evict_dp == 0, "clean eviction must not write back");
-    frame = victim;
-  }
-  pages_.Install(*frame, object.id, vpage, /*pinned=*/true, space_->asid(),
-                 span);
-  pages_.MarkSpeculative(*frame);
-  policy_->OnInstalled(*frame);
-  policy_->OnInstalledAt(*frame, object.id, vpage);
+  const std::optional<mem::FrameId> frame =
+      AcquireFrame(span, /*speculative=*/true, nullptr, unit_cost, unit_cost);
+  if (!frame.has_value()) return;  // nothing cheap to speculate into
+  InstallPage(*frame, object.id, vpage, /*pinned=*/true,
+              /*speculative=*/true, span);
 
   const u32 len = PageLength(object, vpage);
-  const bool needs_load =
-      object.direction != Direction::kOut ||
-      space_->transferred.count({object.id, vpage}) != 0;
+  const bool needs_load = NeedsLoad(object, vpage);
   // A unit re-loads from a bounce copy the kernel kept, but keeps none
   // of its own (see AddressSpace::transferred).
   const bool reload = needs_load && KernelCopyHeld(object.id, vpage);
@@ -522,9 +449,7 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
     if (needs_load) {
       dp_ram_.Write(mem::DualPortRam::Port::kProcessor,
                     geometry_.FrameBase(f), user_memory_.View(src, len));
-      ++acct().loads;
-      if (reload) ++acct().kernel_copy_loads;
-      acct().bytes_loaded += len;
+      CountLoad(len, reload);
     }
     if (pin) iommu_.UnpinRange(user_memory_, src, len);
     pages_.Unpin(f);
@@ -538,158 +463,202 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
   });
 }
 
-Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
-                                  mem::VirtPage vpage, bool prefetch,
-                                  Picoseconds& dp_cost,
-                                  Picoseconds& imu_cost) {
-  if (const std::optional<mem::FrameId> resident =
-          pages_.FindResident(object.id, vpage, space_->asid())) {
-    // Soft fault: the page is in the dual-port RAM but its translation
-    // fell out of the TLB (possible when tlb_entries < num_frames).
-    NoteSpeculativeTouch(*resident);
-    InstallTlbEntry(object.id, vpage, *resident);
-    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
-    ++acct().tlb_refills;
-    return MapOutcome::kMapped;
-  }
-
+bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
+                  bool speculative, Picoseconds& dp_cost,
+                  Picoseconds& imu_cost) {
   // A hard demand fault extends or breaks its object's sequential run;
   // the replacement policy may weigh which (DemandFault).
-  const std::optional<mem::VirtPage> previous =
-      prefetch ? std::nullopt : space_->NoteDemandFault(object.id, vpage);
+  std::optional<DemandPage> demand;
+  if (!speculative) {
+    demand = DemandPage{object.id, vpage,
+                        space_->NoteDemandFault(object.id, vpage)};
+  }
   const u32 span = ObjectPageSpan(object);
-  std::optional<mem::FrameId> frame;
-  if (span > 1) {
-    frame = pages_.FindFreeRun(span);
-    if (!frame.has_value()) {
-      if (prefetch) return MapOutcome::kSkipped;
-      // Deterministic window scan: pick the span-wide window whose
-      // clearing evicts the fewest *hot* mappings (pages the
-      // coprocessor touched since the last recency harvest), then the
-      // fewest mappings overall (ties: lowest start), and evict those
-      // heads in ascending order. Windows overlapping a pinned frame
-      // are infeasible. Hot-avoidance is what keeps two streaming
-      // superpage objects from ping-ponging each other out of memory:
-      // without it the scan would deterministically clear the lowest
-      // window every fault, which is exactly where the other object's
-      // active page lives.
-      const u32 num_frames = geometry_.num_frames();
-      std::optional<mem::FrameId> best_start;
-      usize best_hot = 0;
-      usize best_cost = 0;
-      for (mem::FrameId start = 0; start + span <= num_frames; ++start) {
-        std::set<mem::FrameId> heads;
-        bool feasible = true;
-        for (mem::FrameId f = start; f < start + span; ++f) {
-          const FrameState& s = pages_.frame(f);
-          if (!s.in_use) continue;
-          const mem::FrameId head = s.continuation ? s.head : f;
-          if (pages_.frame(head).pinned) {
-            feasible = false;
-            break;
-          }
-          heads.insert(head);
-        }
-        if (!feasible) continue;
-        usize hot = 0;
-        for (const mem::FrameId h : heads) {
-          if (h < hot_frames_.size() && hot_frames_[h]) ++hot;
-        }
-        if (!best_start.has_value() || hot < best_hot ||
-            (hot == best_hot && heads.size() < best_cost)) {
-          best_start = start;
-          best_hot = hot;
-          best_cost = heads.size();
-        }
-      }
-      if (!best_start.has_value()) {
-        Abort(ResourceExhaustedError(StrFormat(
-            "no %u-frame window available for a %u-byte superpage "
-            "(pinned frames fragment the dual-port RAM)",
-            span, ObjectPageBytes(object))));
-        return MapOutcome::kAborted;
-      }
-      std::set<mem::FrameId> victims;
-      for (mem::FrameId f = *best_start; f < *best_start + span; ++f) {
-        const FrameState& s = pages_.frame(f);
-        if (s.in_use) victims.insert(s.continuation ? s.head : f);
-      }
-      for (const mem::FrameId v : victims) {
-        EvictFrame(v, dp_cost, imu_cost);
-        if (space_->aborted) return MapOutcome::kAborted;
-      }
-      frame = best_start;
-    }
-  } else {
-    frame = pages_.FindFree();
-  }
-  if (!frame.has_value()) {
-    std::vector<bool> evictable = pages_.EvictableMask();
-    if (prefetch) {
-      // Never pay a write-back for speculation, and never displace a
-      // page the coprocessor is actively using: only clean, cold
-      // victims.
-      for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-        if (!evictable[f]) continue;
-        if (FrameDirty(f) ||
-            (f < hot_frames_.size() && hot_frames_[f])) {
-          evictable[f] = false;
-        }
-      }
-    }
-    bool any = false;
-    for (const bool e : evictable) any = any || e;
-    if (!any) {
-      if (prefetch) return MapOutcome::kSkipped;
-      Abort(ResourceExhaustedError(
-          "no evictable interface page (all frames pinned)"));
-      return MapOutcome::kAborted;
-    }
-    const mem::FrameId victim =
-        prefetch ? policy_->PickVictim(evictable)
-                 : policy_->PickDemandVictim(
-                       evictable,
-                       DemandFault{object.id, vpage, previous, hot_frames_,
-                                   pages_.SpeculativeMask(),
-                                   space_->evicted_after_use.count(
-                                       {object.id, vpage}) != 0});
-    EvictFrame(victim, dp_cost, imu_cost);
-    if (space_->aborted) return MapOutcome::kAborted;
-    frame = victim;
-  }
-  if (!prefetch) ++acct().faults;
+  const std::optional<mem::FrameId> frame =
+      AcquireFrame(span, speculative, demand ? &*demand : nullptr, dp_cost,
+                   imu_cost);
+  if (!frame.has_value()) return false;
+  if (!speculative) ++acct().faults;
 
-  const u32 len = PageLength(object, vpage);
-  // The OUT hint skips the load only on a page's *first* touch; once a
-  // page has been written back, later faults must reload it or the
-  // final write-back would clobber earlier results with stale bytes.
-  const bool needs_load =
-      object.direction != Direction::kOut ||
-      space_->transferred.count({object.id, vpage}) != 0;
-  if (needs_load) {
+  if (NeedsLoad(object, vpage)) {
+    const u32 len = PageLength(object, vpage);
     const bool reload = KernelCopyHeld(object.id, vpage);
     const mem::TransferResult r = LoadPageRetried(
         space_->asid(), PageUserAddr(object, vpage),
         geometry_.FrameBase(*frame), len, reload);
     dp_cost += r.time;
     if (r.bus_error) {
-      if (!space_->aborted) Abort(last_transfer_failure_);
-      return MapOutcome::kAborted;
+      if (!space_->aborted) Abort(last_failure_);
+      return false;
     }
-    ++acct().loads;
-    if (reload) ++acct().kernel_copy_loads;
-    acct().bytes_loaded += len;
+    CountLoad(len, reload);
     space_->transferred.insert({object.id, vpage});
   }
-  pages_.Install(*frame, object.id, vpage, /*pinned=*/false,
-                 space_->asid(), span);
-  if (prefetch) pages_.MarkSpeculative(*frame);
-  policy_->OnInstalled(*frame);
-  policy_->OnInstalledAt(*frame, object.id, vpage);
+  InstallPage(*frame, object.id, vpage, /*pinned=*/false, speculative,
+              span);
   InstallTlbEntry(object.id, vpage, *frame);
   imu_cost +=
       costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
-  return MapOutcome::kMapped;
+  return true;
+}
+
+bool Vim::NeedsLoad(const MappedObject& object, mem::VirtPage vpage) const {
+  // The OUT hint skips the load only on a page's *first* touch; once a
+  // page has been written back, later faults must reload it or the
+  // final write-back would clobber earlier results with stale bytes.
+  return object.direction != Direction::kOut ||
+         space_->transferred.count({object.id, vpage}) != 0;
+}
+
+void Vim::CountLoad(u32 len, bool reload) {
+  ++acct().loads;
+  if (reload) ++acct().kernel_copy_loads;
+  acct().bytes_loaded += len;
+}
+
+std::optional<mem::FrameId> Vim::AcquireFrame(u32 span, bool speculative,
+                                              const DemandPage* demand,
+                                              Picoseconds& dp_cost,
+                                              Picoseconds& imu_cost) {
+  if (span > 1) {
+    if (const std::optional<mem::FrameId> run = pages_.FindFreeRun(span)) {
+      return run;
+    }
+    if (speculative) return std::nullopt;  // never evict for a guess
+    const std::optional<mem::FrameId> start = SuperpageWindow(span);
+    if (!start.has_value()) {
+      Abort(ResourceExhaustedError(StrFormat(
+          "no %u-frame window available for a %u-byte superpage "
+          "(pinned frames fragment the dual-port RAM)",
+          span, span * geometry_.page_bytes())));
+      return std::nullopt;
+    }
+    std::set<mem::FrameId> victims;
+    for (mem::FrameId f = *start; f < *start + span; ++f) {
+      const FrameState& s = pages_.frame(f);
+      if (s.in_use) victims.insert(s.continuation ? s.head : f);
+    }
+    for (const mem::FrameId v : victims) {
+      EvictFrame(v, dp_cost, imu_cost);
+      if (space_->aborted) return std::nullopt;
+    }
+    return start;
+  }
+
+  if (const std::optional<mem::FrameId> free = pages_.FindFree()) {
+    return free;
+  }
+  std::vector<bool> evictable = pages_.EvictableMask();
+  if (speculative) {
+    // Never pay a write-back for speculation, and never displace a
+    // page the coprocessor is actively using: only clean, cold victims.
+    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
+      if (evictable[f] &&
+          (FrameDirty(f) || (f < hot_frames_.size() && hot_frames_[f]))) {
+        evictable[f] = false;
+      }
+    }
+  }
+  if (std::find(evictable.begin(), evictable.end(), true) ==
+      evictable.end()) {
+    if (!speculative) {
+      Abort(ResourceExhaustedError(
+          "no evictable interface page (all frames pinned)"));
+    }
+    return std::nullopt;
+  }
+  const mem::FrameId victim =
+      demand == nullptr
+          ? policy_->PickVictim(evictable)
+          : policy_->PickDemandVictim(
+                evictable,
+                DemandFault{demand->object, demand->vpage, demand->previous,
+                            hot_frames_, pages_.SpeculativeMask(),
+                            space_->evicted_after_use.count(
+                                {demand->object, demand->vpage}) != 0});
+  EvictFrame(victim, dp_cost, imu_cost);
+  if (space_->aborted) return std::nullopt;
+  return victim;
+}
+
+std::optional<mem::FrameId> Vim::SuperpageWindow(u32 span) const {
+  // Deterministic window scan: the span-wide window whose clearing
+  // evicts the fewest *hot* mappings (pages the coprocessor touched
+  // since the last recency harvest), then the fewest mappings overall
+  // (ties: lowest start). Windows overlapping a pinned frame are
+  // infeasible. Hot-avoidance is what keeps two streaming superpage
+  // objects from ping-ponging each other out of memory: without it the
+  // scan would deterministically clear the lowest window every fault,
+  // which is exactly where the other object's active page lives.
+  std::optional<mem::FrameId> best_start;
+  usize best_hot = 0;
+  usize best_cost = 0;
+  for (mem::FrameId start = 0; start + span <= geometry_.num_frames();
+       ++start) {
+    std::set<mem::FrameId> heads;
+    bool feasible = true;
+    for (mem::FrameId f = start; f < start + span; ++f) {
+      const FrameState& s = pages_.frame(f);
+      if (!s.in_use) continue;
+      const mem::FrameId head = s.continuation ? s.head : f;
+      if (pages_.frame(head).pinned) {
+        feasible = false;
+        break;
+      }
+      heads.insert(head);
+    }
+    if (!feasible) continue;
+    usize hot = 0;
+    for (const mem::FrameId h : heads) {
+      if (h < hot_frames_.size() && hot_frames_[h]) ++hot;
+    }
+    if (!best_start.has_value() || hot < best_hot ||
+        (hot == best_hot && heads.size() < best_cost)) {
+      best_start = start;
+      best_hot = hot;
+      best_cost = heads.size();
+    }
+  }
+  return best_start;
+}
+
+void Vim::InstallPage(mem::FrameId frame, hw::ObjectId object,
+                      mem::VirtPage vpage, bool pinned, bool speculative,
+                      u32 span) {
+  pages_.Install(frame, object, vpage, pinned, space_->asid(), span);
+  if (speculative) pages_.MarkSpeculative(frame);
+  policy_->OnInstalled(frame, object, vpage);
+}
+
+void Vim::FreeFrame(mem::FrameId frame) {
+  SettleSpeculativeRelease(pages_.frame(frame));
+  pages_.Release(frame);
+  policy_->OnFreed(frame);
+}
+
+bool Vim::MapParamPage(std::span<const u32> params, Picoseconds& dp_cost,
+                       Picoseconds& imu_cost) {
+  const std::optional<mem::FrameId> frame = AcquireFrame(
+      /*span=*/1, /*speculative=*/false, nullptr, dp_cost, imu_cost);
+  if (!frame.has_value()) return false;
+  for (usize i = 0; i < params.size(); ++i) {
+    dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
+                      geometry_.FrameBase(*frame) + static_cast<u32>(4 * i),
+                      4, params[i]);
+  }
+  InstallPage(*frame, hw::kParamObject, 0, /*pinned=*/true,
+              /*speculative=*/false, /*span=*/1);
+  InstallTlbEntry(hw::kParamObject, 0, *frame);
+  space_->param_frame = frame;
+  space_->params_live = true;
+  dp_cost += transfers_.PriceTransfer(static_cast<u32>(params.size() * 4));
+  return true;
+}
+
+void Vim::ReleaseParamFrame() {
+  if (!space_->param_frame.has_value()) return;
+  FreeFrame(*space_->param_frame);
+  space_->param_frame.reset();
 }
 
 void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
@@ -724,19 +693,14 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
       // and drop the (buggy) writes, but record that it happened.
       ++owner->accounting.dirty_in_pages_dropped;
     } else if (!WriteBack(frame, *owner, *object, dp_cost)) {
-      // The dirty page cannot leave the fabric: its data would be
-      // lost, so the run must fail (callers notice space_->aborted,
-      // PrepareExecution notices last_transfer_failure_).
-      if (!space_->aborted) Abort(last_transfer_failure_);
-      pages_.Release(frame);
-      policy_->OnFreed(frame);
-      ++acct().evictions;
+      // The dirty page cannot leave the fabric, so the run fails. The
+      // abort flushes the attached space's frames, this one among them
+      // when it is the space's own; a foreign owner keeps its page.
+      if (!space_->aborted) Abort(last_failure_);
       return;
     }
   }
-  SettleSpeculativeRelease(pages_.frame(frame));
-  pages_.Release(frame);
-  policy_->OnFreed(frame);
+  FreeFrame(frame);
   ++acct().evictions;
   imu_cost += costs_.Cycles(costs_.page_table_cycles);
 }
@@ -786,11 +750,6 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
     if (state.pinned) continue;
     if (f < hot_frames_.size() && hot_frames_[f]) continue;
     if (!FrameDirty(f)) continue;
-    bool flying = false;
-    for (const InFlight& unit : in_flight_) {
-      flying = flying || unit.frame == f;
-    }
-    if (flying) continue;
     const MappedObject* object = space_->objects().Find(state.object);
     if (object == nullptr || object->direction == Direction::kIn) continue;
 
@@ -905,12 +864,8 @@ void Vim::OnEndOfOperation() {
   // currently residing in the dual-port memory." (§3.3)
   for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
     const FrameState state = pages_.frame(f);
-    SettleSpeculativeRelease(state);
     if (state.object == hw::kParamObject) {
-      if (state.pinned) pages_.Unpin(f);
-      pages_.Release(f);
-      policy_->OnFreed(f);
-      space_->param_frame.reset();
+      ReleaseParamFrame();
       continue;
     }
     const MappedObject* object = space_->objects().Find(state.object);
@@ -921,12 +876,11 @@ void Vim::OnEndOfOperation() {
       } else if (!WriteBack(f, *space_, *object, dp_cost)) {
         acct().t_imu += imu_cost;
         acct().t_dp += dp_cost;
-        if (!space_->aborted) Abort(last_transfer_failure_);
+        if (!space_->aborted) Abort(last_failure_);
         return;
       }
     }
-    pages_.Release(f);
-    policy_->OnFreed(f);
+    FreeFrame(f);
     imu_cost += costs_.Cycles(costs_.page_table_cycles);
   }
   space_->params_live = false;
@@ -973,10 +927,7 @@ Picoseconds Vim::SaveContext() {
             tlb.Probe(hw::kParamObject, 0, asid)) {
       tlb.Invalidate(*entry);
     }
-    pages_.Unpin(*space_->param_frame);
-    pages_.Release(*space_->param_frame);
-    policy_->OnFreed(*space_->param_frame);
-    space_->param_frame.reset();
+    ReleaseParamFrame();
     imu_cost += costs_.Cycles(costs_.page_table_cycles);
   }
 
@@ -1007,7 +958,7 @@ Picoseconds Vim::SaveContext() {
       // one later it is counted there, not here.
       if (object->direction == Direction::kIn) continue;
       if (!WriteBack(f, *space_, *object, dp_cost)) {
-        if (!space_->aborted) Abort(last_transfer_failure_);
+        if (!space_->aborted) Abort(last_failure_);
         acct().t_dp += dp_cost;
         acct().t_imu += imu_cost;
         return dp_cost + imu_cost;
@@ -1024,6 +975,7 @@ Picoseconds Vim::SaveContext() {
     // whole working set leaves the fabric and the TLB is flushed.
     for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
       EvictFrame(f, dp_cost, imu_cost);
+      if (space_->aborted) break;  // the abort's flush freed the rest
     }
     tlb.InvalidateAll();
     ++service_stats_.full_tlb_flushes;
@@ -1069,30 +1021,8 @@ Picoseconds Vim::RestoreContext() {
   space_->tlb_snapshot.clear();
 
   // Re-materialise the parameter page released at save time.
-  if (space_->params_live && !space_->param_frame.has_value()) {
-    std::optional<mem::FrameId> frame = pages_.FindFree();
-    if (!frame.has_value()) {
-      const std::vector<bool> evictable = pages_.EvictableMask();
-      bool any = false;
-      for (const bool e : evictable) any = any || e;
-      VCOP_CHECK_MSG(any, "no frame available to restore the parameter "
-                          "page (all pinned)");
-      const mem::FrameId victim = policy_->PickVictim(evictable);
-      EvictFrame(victim, dp_cost, imu_cost);
-      frame = victim;
-    }
-    for (usize i = 0; i < space_->saved_params.size(); ++i) {
-      dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
-                        geometry_.FrameBase(*frame) + static_cast<u32>(4 * i),
-                        4, space_->saved_params[i]);
-    }
-    pages_.Install(*frame, hw::kParamObject, 0, /*pinned=*/true, asid);
-    policy_->OnInstalled(*frame);
-    policy_->OnInstalledAt(*frame, hw::kParamObject, 0);
-    InstallTlbEntry(hw::kParamObject, 0, *frame);
-    space_->param_frame = frame;
-    dp_cost += transfers_.PriceTransfer(
-        static_cast<u32>(space_->saved_params.size() * 4));
+  if (space_->params_live && !space_->param_frame.has_value() &&
+      MapParamPage(space_->saved_params, dp_cost, imu_cost)) {
     imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
     ++service_stats_.param_page_restores;
   }
@@ -1107,13 +1037,7 @@ Picoseconds Vim::RestoreContext() {
 void Vim::FlushAsid(hw::Asid asid) {
   VCOP_CHECK_MSG(imu_ != nullptr, "flush with no IMU bound");
   imu_->tlb().InvalidateAsid(asid);
-  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-    const FrameState state = pages_.frame(f);
-    SettleSpeculativeRelease(state);
-    if (state.pinned) pages_.Unpin(f);
-    pages_.Release(f);
-    policy_->OnFreed(f);
-  }
+  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) FreeFrame(f);
   if (AddressSpace* owner = ResolveSpace(asid)) owner->param_frame.reset();
   // The ASID's interface state is gone, and with it every cached DMA
   // translation.
@@ -1131,6 +1055,7 @@ void Vim::AbandonInFlight() {
 
 void Vim::Abort(Status status) {
   VCOP_CHECK_MSG(!status.ok(), "abort with OK status");
+  last_failure_ = status;
   space_->aborted = true;
   ++epoch_;
   ++watchdog_epoch_;
@@ -1226,7 +1151,7 @@ mem::TransferResult Vim::RetryTransfer(const char* op, u32 len,
   }
   ++service_stats_.transfer_retry_failures;
   fault_abort_ = true;
-  last_transfer_failure_ = UnavailableError(
+  last_failure_ = UnavailableError(
       StrFormat("AHB %s of %u bytes failed after %u attempts", op, len,
                 kTransferRetryLimit));
   total.bus_error = true;
@@ -1258,10 +1183,10 @@ bool Vim::ChargeFaultRecovery(const char* what) {
   if (++acct().fault_recoveries <= kFaultBudget) return true;
   ++service_stats_.fault_budget_aborts;
   fault_abort_ = true;
-  last_transfer_failure_ = ResourceExhaustedError(StrFormat(
+  last_failure_ = ResourceExhaustedError(StrFormat(
       "per-request fault budget (%u recoveries) exhausted at %s",
       kFaultBudget, what));
-  if (!space_->aborted) Abort(last_transfer_failure_);
+  if (!space_->aborted) Abort(last_failure_);
   return false;
 }
 

@@ -232,7 +232,6 @@ class Vim {
   /// keep entries tagged; off, every switch flushes the whole TLB.
   /// Entries are tagged either way — only switch behaviour changes.
   void set_tlb_tagging(bool enabled) { tlb_tagging_ = enabled; }
-  bool tlb_tagging() const { return tlb_tagging_; }
 
   const VimServiceStats& service_stats() const { return service_stats_; }
   void ResetServiceStats() { service_stats_ = VimServiceStats{}; }
@@ -300,19 +299,68 @@ class Vim {
   const mem::Iommu& iommu() const { return iommu_; }
 
  private:
-  enum class MapOutcome {
-    kMapped,   // page resident and translated
-    kSkipped,  // prefetch declined (no cheap frame available)
-    kAborted,  // run failed
+  // ----- the frame path: every frame is claimed, filled and freed here -----
+
+  /// The hard half of §3.3's fault service: loads the attached space's
+  /// non-resident (object, vpage) into a frame from AcquireFrame and
+  /// maps it, adding transfer/management costs to the out-params. A
+  /// speculative (prefetch) page is flagged as such. False when nothing
+  /// was mapped: a speculative claim declined, or the run aborted.
+  bool MapPage(const MappedObject& object, mem::VirtPage vpage,
+               bool speculative, Picoseconds& dp_cost,
+               Picoseconds& imu_cost);
+
+  /// The page a demand fault loads, as the policy's DemandFault sees it.
+  struct DemandPage {
+    hw::ObjectId object = 0;
+    mem::VirtPage vpage = 0;
+    std::optional<mem::VirtPage> previous;
   };
 
-  /// Ensures (object, vpage) is resident and mapped in the TLB.
-  /// Accumulates transfer/management costs into the out-params.
-  /// In prefetch mode the call is best-effort: it uses a free frame or
-  /// evicts a *clean* page, but never pays a write-back for a guess.
-  MapOutcome EnsureMapped(const MappedObject& object, mem::VirtPage vpage,
-                          bool prefetch, Picoseconds& dp_cost,
-                          Picoseconds& imu_cost);
+  /// The one place a frame or victim is chosen: a free frame (a free
+  /// run of `span` frames for a superpage), else a victim the policy
+  /// picks (PickDemandVictim for a `demand` fault), evicted through
+  /// EvictFrame; a superpage clears SuperpageWindow's heads instead. A
+  /// `speculative` claim takes only a free frame or run, or a clean
+  /// victim the coprocessor has not touched since the previous fault.
+  /// Returns the (head) frame, or nullopt: a speculative claim declined,
+  /// any other claim aborted the run.
+  std::optional<mem::FrameId> AcquireFrame(u32 span, bool speculative,
+                                           const DemandPage* demand,
+                                           Picoseconds& dp_cost,
+                                           Picoseconds& imu_cost);
+
+  /// Start of the `span`-frame window whose clearing evicts the fewest
+  /// hot mappings, then the fewest mappings; none when pinned frames
+  /// overlap every window.
+  std::optional<mem::FrameId> SuperpageWindow(u32 span) const;
+
+  /// The one page installation: files frames [frame, frame+span) under
+  /// the attached space and tells the policy which page they hold.
+  void InstallPage(mem::FrameId frame, hw::ObjectId object,
+                   mem::VirtPage vpage, bool pinned, bool speculative,
+                   u32 span);
+
+  /// The one frame release: settles a still-speculative page as wasted,
+  /// frees the run headed at `frame` whatever its pins, tells the policy.
+  void FreeFrame(mem::FrameId frame);
+
+  /// Writes `params` into a frame from AcquireFrame and maps it as the
+  /// attached space's pinned parameter page. False when the run aborted.
+  bool MapParamPage(std::span<const u32> params, Picoseconds& dp_cost,
+                    Picoseconds& imu_cost);
+  /// Frees the attached space's parameter frame, if it holds one.
+  void ReleaseParamFrame();
+
+  /// True when filling (object, vpage) must read user memory: always,
+  /// except on the first touch of a page of an OUT object.
+  bool NeedsLoad(const MappedObject& object, mem::VirtPage vpage) const;
+  /// Books one `len`-byte page load (`reload`: from the bounce copy).
+  void CountLoad(u32 len, bool reload);
+
+  /// Restarts the IMU's latched translation at `when`, unless the run
+  /// has ended or aborted by then.
+  void ScheduleResolve(Picoseconds when);
 
   /// Evicts the page in `frame` (write-back iff dirty and not IN). The
   /// frame may belong to a space other than the attached one (vcopd:
@@ -382,7 +430,7 @@ class Vim {
 
   /// LoadPage/StorePage with bounded retry-with-backoff. On exhaustion
   /// (or budget overrun mid-retry) the result has bus_error set and
-  /// last_transfer_failure_ holds the status the caller should fail
+  /// last_failure_ holds the status the caller should fail
   /// with; budget overruns have already Aborted. `asid` selects the
   /// address space the IOMMU translates against (unused off the
   /// zero-copy path). An IOMMU translation fault re-enters the same
@@ -456,7 +504,8 @@ class Vim {
   bool tlb_tagging_ = true;
 
   /// Overlapped-prefetch state: transfers the CPU is running in the
-  /// background while the coprocessor executes.
+  /// background while the coprocessor executes. A unit's frame stays
+  /// pinned until it lands, so eviction and cleaning pass it by.
   struct InFlight {
     hw::ObjectId object;
     mem::VirtPage vpage;
@@ -503,8 +552,9 @@ class Vim {
   /// A ResolveFault event is scheduled but has not fired yet — a second
   /// page-fault edge in this window is a duplicate delivery.
   bool fault_service_pending_ = false;
-  /// Status of the most recent failed retried transfer.
-  Status last_transfer_failure_ = Status::Ok();
+  /// Status of the run's latest failure: a retried transfer that gave
+  /// up, an exhausted budget, or whatever the run aborted with.
+  Status last_failure_ = Status::Ok();
   /// Invalidates stale watchdog ticks (bumped on completion, abort,
   /// preemption, and every re-arm).
   u64 watchdog_epoch_ = 0;

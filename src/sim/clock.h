@@ -104,9 +104,6 @@ class ClockDomain {
   /// edges count: they occurred, the modules just did not need them).
   u64 edges_ticked() const { return edges_ticked_; }
 
-  /// Index (on the global grid) of the most recently elapsed edge.
-  u64 current_edge() const { return next_edge_ == 0 ? 0 : next_edge_ - 1; }
-
   /// Timestamp of the first grid edge strictly after the current
   /// simulation time. Cheap while this domain's own tick is running —
   /// the current edge index is already known, so no time->cycle

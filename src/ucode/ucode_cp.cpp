@@ -8,7 +8,6 @@ MicrocodedCoprocessor::MicrocodedCoprocessor(Program program)
 void MicrocodedCoprocessor::OnStart() {
   pc_ = 0;
   delay_left_ = 0;
-  retired_ = 0;
   for (u32& r : regs_) r = 0;
 }
 
@@ -89,11 +88,9 @@ void MicrocodedCoprocessor::Step() {
       if (--delay_left_ != 0) return;  // keep burning cycles here
       break;
     case Op::kHalt:
-      ++retired_;
       Finish();
       return;
   }
-  ++retired_;
   pc_ = next_pc;
 }
 

@@ -24,9 +24,6 @@ class MicrocodedCoprocessor final : public hw::Coprocessor {
 
   std::string_view name() const override { return "ucode"; }
 
-  /// Instructions retired so far in the current run.
-  u64 instructions_retired() const { return retired_; }
-
  protected:
   void OnStart() override;
   void Step() override;
@@ -36,7 +33,6 @@ class MicrocodedCoprocessor final : public hw::Coprocessor {
   u32 pc_ = 0;
   u32 regs_[kNumRegisters] = {};
   u32 delay_left_ = 0;
-  u64 retired_ = 0;
 };
 
 /// Wraps `program` as a loadable bit-stream. The configuration size and

@@ -303,9 +303,9 @@ TEST(OracleTest, PicksFarthestNextUse) {
   }
   os::OraclePolicy oracle(trace);
   oracle.Reset(3);
-  oracle.OnInstalledAt(0, 0, 0);  // A in frame 0
-  oracle.OnInstalledAt(1, 0, 1);  // B in frame 1
-  oracle.OnInstalledAt(2, 0, 2);  // C in frame 2
+  oracle.OnInstalled(0, 0, 0);  // A in frame 0
+  oracle.OnInstalled(1, 0, 1);  // B in frame 1
+  oracle.OnInstalled(2, 0, 2);  // C in frame 2
   // After the first three references, the future is A, B: C is never
   // used again -> evict frame 2.
   oracle.OnReference(0, 0);

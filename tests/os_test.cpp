@@ -102,13 +102,16 @@ TEST(ObjectTableTest, VersionMovesOnEverySuccessfulChange) {
 }
 
 // ----- Replacement policies -----
+//
+// The policies here read only the frame of OnInstalled: the tests put
+// page f of object 0 in frame f.
 
 std::vector<bool> AllEvictable(u32 n) { return std::vector<bool>(n, true); }
 
 TEST(PolicyTest, FifoEvictsOldestInstall) {
   auto policy = MakePolicy(PolicyKind::kFifo, 0);
   policy->Reset(4);
-  for (mem::FrameId f : {2u, 0u, 3u, 1u}) policy->OnInstalled(f);
+  for (mem::FrameId f : {2u, 0u, 3u, 1u}) policy->OnInstalled(f, 0, f);
   EXPECT_EQ(policy->PickVictim(AllEvictable(4)), 2u);
   // Touches do not matter to FIFO.
   policy->OnTouched(2);
@@ -118,20 +121,20 @@ TEST(PolicyTest, FifoEvictsOldestInstall) {
 TEST(PolicyTest, FifoReinstallMovesToBack) {
   auto policy = MakePolicy(PolicyKind::kFifo, 0);
   policy->Reset(3);
-  policy->OnInstalled(0);
-  policy->OnInstalled(1);
-  policy->OnInstalled(2);
+  policy->OnInstalled(0, 0, 0);
+  policy->OnInstalled(1, 0, 1);
+  policy->OnInstalled(2, 0, 2);
   policy->OnFreed(0);
-  policy->OnInstalled(0);
+  policy->OnInstalled(0, 0, 0);
   EXPECT_EQ(policy->PickVictim(AllEvictable(3)), 1u);
 }
 
 TEST(PolicyTest, LruHonoursTouches) {
   auto policy = MakePolicy(PolicyKind::kLru, 0);
   policy->Reset(3);
-  policy->OnInstalled(0);
-  policy->OnInstalled(1);
-  policy->OnInstalled(2);
+  policy->OnInstalled(0, 0, 0);
+  policy->OnInstalled(1, 0, 1);
+  policy->OnInstalled(2, 0, 2);
   policy->OnTouched(0);  // 1 is now least recently used
   EXPECT_EQ(policy->PickVictim(AllEvictable(3)), 1u);
   policy->OnTouched(1);
@@ -143,7 +146,7 @@ TEST(PolicyTest, VictimRespectsEvictableMask) {
                                 PolicyKind::kRandom, PolicyKind::kWsFifo}) {
     auto policy = MakePolicy(kind, 42);
     policy->Reset(4);
-    for (mem::FrameId f = 0; f < 4; ++f) policy->OnInstalled(f);
+    for (mem::FrameId f = 0; f < 4; ++f) policy->OnInstalled(f, 0, f);
     std::vector<bool> mask = {false, false, true, false};
     EXPECT_EQ(policy->PickVictim(mask), 2u) << ToString(kind);
   }
@@ -181,7 +184,7 @@ TEST(PolicyTest, NamesMatchKinds) {
 std::unique_ptr<ReplacementPolicy> WsFifoOverFourFrames() {
   auto policy = MakePolicy(PolicyKind::kWsFifo, 0);
   policy->Reset(4);
-  for (mem::FrameId f = 0; f < 4; ++f) policy->OnInstalled(f);
+  for (mem::FrameId f = 0; f < 4; ++f) policy->OnInstalled(f, 0, f);
   return policy;
 }
 
@@ -287,7 +290,7 @@ TEST(WsFifoPolicyTest, ReFaultEvictsLeastRecentlyUsedWhereFifoNamesAnother) {
             3u);
   // A freed frame's recency goes with its page.
   policy->OnFreed(2);
-  policy->OnInstalled(2);
+  policy->OnInstalled(2, 0, 2);
   EXPECT_EQ(policy->PickDemandVictim(
                 AllEvictable(4), DemandFault{1, 7, 6, kNone, kNone, true}),
             3u);
@@ -349,9 +352,9 @@ TEST(PrefetchTest, SequentialStopsAtObjectEnd) {
 TEST(PageManagerTest, InstallFindRelease) {
   PageManager pm(mem::PageGeometry(2048, 4));
   EXPECT_EQ(pm.frames_free(), 4u);
-  pm.Install(1, /*object=*/2, /*vpage=*/5);
-  EXPECT_EQ(pm.FindResident(2, 5), 1u);
-  EXPECT_FALSE(pm.FindResident(2, 6).has_value());
+  pm.Install(1, /*object=*/2, /*vpage=*/5, /*pinned=*/false, /*asid=*/0);
+  EXPECT_EQ(pm.FindResident(2, 5, /*asid=*/0), 1u);
+  EXPECT_FALSE(pm.FindResident(2, 6, /*asid=*/0).has_value());
   EXPECT_EQ(pm.frames_in_use(), 1u);
   const FrameState old = pm.Release(1);
   EXPECT_TRUE(old.in_use);
@@ -361,17 +364,17 @@ TEST(PageManagerTest, InstallFindRelease) {
 
 TEST(PageManagerTest, FindFreeSkipsUsed) {
   PageManager pm(mem::PageGeometry(1024, 3));
-  pm.Install(0, 1, 0);
-  pm.Install(1, 1, 1);
+  pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/0);
+  pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
   EXPECT_EQ(pm.FindFree(), 2u);
-  pm.Install(2, 1, 2);
+  pm.Install(2, 1, 2, /*pinned=*/false, /*asid=*/0);
   EXPECT_FALSE(pm.FindFree().has_value());
 }
 
 TEST(PageManagerTest, PinnedFramesNotEvictable) {
   PageManager pm(mem::PageGeometry(1024, 3));
-  pm.Install(0, 1, 0, /*pinned=*/true);
-  pm.Install(1, 1, 1);
+  pm.Install(0, 1, 0, /*pinned=*/true, /*asid=*/0);
+  pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
   const std::vector<bool> mask = pm.EvictableMask();
   EXPECT_FALSE(mask[0]);
   EXPECT_TRUE(mask[1]);
@@ -382,41 +385,43 @@ TEST(PageManagerTest, PinnedFramesNotEvictable) {
 
 TEST(PageManagerTest, DirtyTracking) {
   PageManager pm(mem::PageGeometry(1024, 2));
-  pm.Install(0, 1, 0);
+  pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/0);
   EXPECT_FALSE(pm.frame(0).dirty);
   pm.MarkDirty(0);
   EXPECT_TRUE(pm.frame(0).dirty);
   pm.Release(0);
-  pm.Install(0, 1, 1);
+  pm.Install(0, 1, 1, /*pinned=*/false, /*asid=*/0);
   EXPECT_FALSE(pm.frame(0).dirty) << "dirty must not leak across installs";
 }
 
 TEST(PageManagerTest, ResetFreesEverything) {
   PageManager pm(mem::PageGeometry(1024, 2));
-  pm.Install(0, 1, 0, true);
-  pm.Install(1, 2, 0);
+  pm.Install(0, 1, 0, /*pinned=*/true, /*asid=*/0);
+  pm.Install(1, 2, 0, /*pinned=*/false, /*asid=*/0);
   pm.Reset();
   EXPECT_EQ(pm.frames_in_use(), 0u);
-  EXPECT_FALSE(pm.FindResident(1, 0).has_value());
+  EXPECT_FALSE(pm.FindResident(1, 0, /*asid=*/0).has_value());
 }
 
 TEST(PageManagerTest, InUseFramesEnumerates) {
   PageManager pm(mem::PageGeometry(1024, 4));
-  pm.Install(3, 1, 0);
-  pm.Install(1, 1, 1);
+  pm.Install(3, 1, 0, /*pinned=*/false, /*asid=*/0);
+  pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
   EXPECT_EQ(pm.InUseFrames(), (std::vector<mem::FrameId>{1, 3}));
 }
 
 TEST(PageManagerDeathTest, DoubleInstallAborts) {
   PageManager pm(mem::PageGeometry(1024, 2));
-  pm.Install(0, 1, 0);
-  EXPECT_DEATH(pm.Install(0, 2, 0), "occupied");
+  pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/0);
+  EXPECT_DEATH(pm.Install(0, 2, 0, /*pinned=*/false, /*asid=*/0),
+               "occupied");
 }
 
 TEST(PageManagerDeathTest, DuplicateResidencyAborts) {
   PageManager pm(mem::PageGeometry(1024, 2));
-  pm.Install(0, 1, 5);
-  EXPECT_DEATH(pm.Install(1, 1, 5), "already resident");
+  pm.Install(0, 1, 5, /*pinned=*/false, /*asid=*/0);
+  EXPECT_DEATH(pm.Install(1, 1, 5, /*pinned=*/false, /*asid=*/0),
+               "already resident");
 }
 
 // ----- Process -----

@@ -220,11 +220,11 @@ TEST(VcopServiceTest, ApiContractOnUnattachedAndDoubleAttach) {
 }
 
 TEST(VcopServiceTest, FullSubmissionRingBackpressuresAtTheEdge) {
-  FpgaSystem sys(TestConfig());
+  KernelConfig config = TestConfig();
+  config.service.ring_entries = 2;
+  FpgaSystem sys(config);
   Vcopd daemon(sys.kernel());
-  VcopServiceConfig config;
-  config.ring_entries = 2;
-  VcopService service(daemon, config);
+  VcopService service(daemon);
   StagedJob job =
       StageTenant(sys, daemon, "edge", MakeJob(App::kVecAdd, 256, 3));
   ASSERT_TRUE(service.AttachTenant(job.tenant).ok());

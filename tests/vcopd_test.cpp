@@ -256,6 +256,85 @@ TEST(VcopdTest, OverlappedPrefetchFramesBelongToTheTenant) {
   EXPECT_TRUE(sys.kernel().vim().page_manager().InUseFrames().empty());
 }
 
+/// The paging a lone tenant and FPGA_EXECUTE must agree on: the time
+/// split, the core's cycles, the IMU counters and every VIM counter.
+void ExpectSamePaging(const ExecutionReport& got,
+                      const ExecutionReport& want) {
+  EXPECT_EQ(got.t_hw, want.t_hw);
+  EXPECT_EQ(got.t_dp, want.t_dp);
+  EXPECT_EQ(got.t_imu, want.t_imu);
+  EXPECT_EQ(got.cp_cycles, want.cp_cycles);
+  EXPECT_EQ(got.imu.accesses, want.imu.accesses);
+  EXPECT_EQ(got.imu.reads, want.imu.reads);
+  EXPECT_EQ(got.imu.writes, want.imu.writes);
+  EXPECT_EQ(got.imu.faults, want.imu.faults);
+  EXPECT_EQ(got.imu.fault_stall_time, want.imu.fault_stall_time);
+  EXPECT_EQ(got.imu.access_latency_time, want.imu.access_latency_time);
+  const VimAccounting& a = got.vim;
+  const VimAccounting& b = want.vim;
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.tlb_refills, b.tlb_refills);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.loads, b.loads);
+  EXPECT_EQ(a.kernel_copy_loads, b.kernel_copy_loads);
+  EXPECT_EQ(a.prefetched_pages, b.prefetched_pages);
+  EXPECT_EQ(a.cleaned_pages, b.cleaned_pages);
+  EXPECT_EQ(a.bytes_loaded, b.bytes_loaded);
+  EXPECT_EQ(a.bytes_written_back, b.bytes_written_back);
+  EXPECT_EQ(a.t_dp_overlapped, b.t_dp_overlapped);
+  EXPECT_EQ(a.t_dp_wait, b.t_dp_wait);
+  EXPECT_EQ(a.dirty_in_pages_dropped, b.dirty_in_pages_dropped);
+  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.fault_recoveries, b.fault_recoveries);
+  EXPECT_EQ(a.iommu_faults, b.iommu_faults);
+  EXPECT_EQ(a.prefetch_useful, b.prefetch_useful);
+  EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
+  EXPECT_EQ(a.prefetch_suggestions_dropped, b.prefetch_suggestions_dropped);
+  EXPECT_EQ(a.fault_service_us.count(), b.fault_service_us.count());
+}
+
+TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteUnderPrefetch) {
+  // Alone on the fabric, a tenant's residency questions name its own
+  // ASID: a suggested page it already holds is skipped exactly as
+  // FPGA_EXECUTE skips it in the kernel's space.
+  const std::vector<bench::Job> jobs = {
+      MakeJob(App::kAdpcm, 8 * 1024, 5), MakeJob(App::kIdea, 32 * 1024, 5),
+      MakeJob(App::kConv, 256 * 96, 5, 256),
+      MakeJob(App::kVecAdd, 16 * 1024, 5),
+      MakeJob(App::kGather, 16 * 1024, 5)};
+  for (const PrefetchKind prefetch :
+       {PrefetchKind::kSequential, PrefetchKind::kAdaptive}) {
+    for (const u32 depth : {1u, 2u}) {
+      for (const bool overlap : {false, true}) {
+        KernelConfig config = TestConfig();
+        config.vim.prefetch = prefetch;
+        config.vim.prefetch_depth = depth;
+        config.vim.overlap_prefetch = overlap;
+        for (const bench::Job& job : jobs) {
+          SCOPED_TRACE(StrFormat("%s %s depth %u overlap %d",
+                                 bench::AppName(job.app),
+                                 std::string(ToString(prefetch)).c_str(),
+                                 depth, overlap));
+          const bench::Point blocking = bench::RunPoint(config, job);
+          EXPECT_TRUE(blocking.exact);
+
+          FpgaSystem sys(config);
+          Vcopd daemon(sys.kernel());
+          const StagedJob lone = StageTenant(sys, daemon, "lone", job);
+          const Ticket ticket = lone.Submit(daemon).value();
+          ASSERT_TRUE(daemon.RunUntilIdle().ok());
+          const JobResult* result = daemon.Poll(ticket);
+          ASSERT_NE(result, nullptr);
+          ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+          EXPECT_TRUE(lone.Exact());
+          ExpectSamePaging(result->report, blocking.vim);
+        }
+      }
+    }
+  }
+}
+
 // ----- mixed multi-tenant correctness -----
 
 TEST(VcopdTest, MixedTenantsMatchSoloByteForByte) {

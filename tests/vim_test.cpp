@@ -4,8 +4,10 @@
 // the kernel on real coprocessor runs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "apps/adpcm.h"
 #include "apps/conv2d.h"
@@ -460,6 +462,8 @@ struct AdpcmRun {
   os::VimAccounting acct;
   os::VimServiceStats service;
   bool quarantined = false;
+  /// Dual-port frames still in use once the system went idle.
+  u32 frames_in_use = 0;
 };
 
 bench::Job AdpcmJob() { return bench::MakeJob(bench::App::kAdpcm, 8192, 9); }
@@ -475,6 +479,7 @@ AdpcmRun RunAdpcmKernel(FaultPlan* plan) {
   out.exact = report.ok() && staged.Exact();
   out.acct = sys.kernel().vim().accounting();
   out.service = sys.kernel().vim().service_stats();
+  out.frames_in_use = sys.kernel().vim().page_manager().frames_in_use();
   return out;
 }
 
@@ -495,7 +500,41 @@ AdpcmRun RunAdpcmVcopd(FaultPlan* plan) {
   out.acct = result->report.vim;
   out.service = sys.kernel().vim().service_stats();
   out.quarantined = daemon.TenantQuarantined(staged.tenant);
+  out.frames_in_use = sys.kernel().vim().page_manager().frames_in_use();
   return out;
+}
+
+/// Two adpcm 8 KB tenants (seeds 9 and 10) under fair share with a
+/// 50 us slice: evictions, context saves and resumes all store pages.
+std::vector<AdpcmRun> RunAdpcmPair(FaultPlan* plan, bool asid_tagging) {
+  FpgaSystem sys(Epxa1Config());
+  os::VcopdConfig config;
+  config.policy = os::ServicePolicy::kFairShare;
+  config.time_slice = 50ull * 1000 * 1000;
+  config.asid_tagging = asid_tagging;
+  os::Vcopd daemon(sys.kernel(), config);
+  std::vector<bench::StagedJob> staged;
+  for (const u64 seed : {9u, 10u}) {
+    staged.push_back(bench::StageTenant(
+        sys, daemon, StrFormat("adpcm%u", static_cast<u32>(seed)),
+        bench::MakeJob(bench::App::kAdpcm, 8192, seed)));
+  }
+  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
+  std::vector<os::Ticket> tickets;
+  for (const bench::StagedJob& job : staged) {
+    tickets.push_back(job.Submit(daemon).value());
+  }
+  VCOP_CHECK(daemon.RunUntilIdle().ok());
+  std::vector<AdpcmRun> runs(staged.size());
+  for (usize i = 0; i < staged.size(); ++i) {
+    const os::JobResult* result = daemon.Poll(tickets[i]);
+    VCOP_CHECK(result != nullptr);
+    runs[i].status = result->status;
+    runs[i].exact = result->status.ok() && staged[i].Exact();
+    runs[i].frames_in_use =
+        sys.kernel().vim().page_manager().frames_in_use();
+  }
+  return runs;
 }
 
 /// Fails the sweep's last store on every attempt the retry limit allows.
@@ -582,6 +621,54 @@ TEST(VimWriteBackTest, ExhaustedSweepStoreQuarantinesTheVcopdTenant) {
   EXPECT_TRUE(run.quarantined);
 }
 
+TEST(VimWriteBackTest, ExhaustedStoreAtAnyTransferFailsCleanly) {
+  // Whichever transfer exhausts its retries (a load, an eviction's
+  // store, a context save's or the sweep's), every job ends exact or
+  // with the retry status, and no frame stays behind.
+  struct Scenario {
+    const char* name;
+    u64 transfers;  // AHB opportunities of the clean run
+    std::function<std::vector<AdpcmRun>(FaultPlan*)> run;
+  };
+  const Scenario scenarios[] = {
+      {"blocking", kAdpcmTransfers,
+       [](FaultPlan* plan) { return std::vector{RunAdpcmKernel(plan)}; }},
+      {"lone tenant", kAdpcmTransfers,
+       [](FaultPlan* plan) { return std::vector{RunAdpcmVcopd(plan)}; }},
+      {"two tenants, tagged", 47,
+       [](FaultPlan* plan) { return RunAdpcmPair(plan, true); }},
+      {"two tenants, untagged", 72,
+       [](FaultPlan* plan) { return RunAdpcmPair(plan, false); }},
+  };
+  const std::string exhausted =
+      StrFormat("failed after %u attempts", os::kTransferRetryLimit);
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(scenario.name);
+    FaultPlan probe;
+    probe.At(FaultSite::kAhbError, ~0ull);
+    scenario.run(&probe);
+    ASSERT_EQ(probe.stats(FaultSite::kAhbError).opportunities,
+              scenario.transfers);
+    for (u64 k = 1; k <= scenario.transfers; ++k) {
+      SCOPED_TRACE(StrFormat("errors from transfer %u", static_cast<u32>(k)));
+      FaultPlan plan;
+      for (u64 i = 0; i < os::kTransferRetryLimit; ++i) {
+        plan.At(FaultSite::kAhbError, k + i);
+      }
+      for (const AdpcmRun& run : scenario.run(&plan)) {
+        EXPECT_EQ(run.frames_in_use, 0u);
+        if (run.status.ok()) {
+          EXPECT_TRUE(run.exact);
+          continue;
+        }
+        EXPECT_EQ(run.status.code(), ErrorCode::kUnavailable);
+        EXPECT_NE(run.status.message().find(exhausted), std::string::npos)
+            << run.status.ToString();
+      }
+    }
+  }
+}
+
 // ----- re-faults: which demand faults take wsfifo's LRU rule -----
 //
 // A demand fault is a re-fault when its own space evicted the page after
@@ -619,9 +706,9 @@ class PolicyLog final : public os::ReplacementPolicy {
     inner_->Reset(num_frames);
     frames_.assign(num_frames, PolicyEvent{});
   }
-  void OnInstalled(mem::FrameId frame) override { inner_->OnInstalled(frame); }
-  void OnInstalledAt(mem::FrameId frame, hw::ObjectId object,
-                     mem::VirtPage vpage) override {
+  void OnInstalled(mem::FrameId frame, hw::ObjectId object,
+                   mem::VirtPage vpage) override {
+    inner_->OnInstalled(frame, object, vpage);
     frames_[frame] = Now(object, vpage);
   }
   void OnTouched(mem::FrameId frame) override {
