@@ -44,7 +44,7 @@ bench::FleetResult RunOrder(const Order& order) {
 /// Mean job turnaround over the whole schedule.
 Picoseconds MeanTurnaround(const os::ScheduleReport& report) {
   Picoseconds sum = 0;
-  for (const os::JobOutcome& o : report.outcomes) sum += o.turnaround();
+  for (const os::JobResult& o : report.outcomes) sum += o.turnaround();
   return sum / report.outcomes.size();
 }
 

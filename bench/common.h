@@ -407,6 +407,9 @@ struct FleetResult {
   os::VcopdStats stats;
   os::VimServiceStats service;
   os::ScheduleReport report;
+  /// Designs the kernel built; the rest of the jobs took one from its
+  /// pool.
+  u32 designs_built = 0;
   bool outputs_exact = true;
 
   u64 jobs() const {
@@ -483,6 +486,7 @@ inline FleetResult RunVcopdFleet(const std::vector<TenantSpec>& specs,
   result.stats = daemon.stats();
   result.service = sys.kernel().vim().service_stats();
   result.report = daemon.BuildScheduleReport();
+  result.designs_built = sys.kernel().designs_built();
   for (const TenantRun& tenant : result.tenants) {
     result.outputs_exact &=
         tenant.outputs_exact && tenant.completed == tenant.spec.jobs;

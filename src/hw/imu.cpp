@@ -26,6 +26,12 @@ void Imu::BindClocks(sim::ClockDomain& own, sim::ClockDomain& cp) {
   cp_domain_ = &cp;
 }
 
+void Imu::ClearObjects() {
+  elem_width_.fill(0);
+  elem_limit_.fill(0);
+  page_shift_.fill(0);
+}
+
 void Imu::SetObjectWidth(ObjectId object, u32 width) {
   VCOP_CHECK_MSG(object < kMaxObjects, "object id out of range");
   VCOP_CHECK_MSG(width == 1 || width == 2 || width == 4,

@@ -90,6 +90,10 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   // ----- OS-side interface (used by the VIM through the kernel) -----
 
+  /// Clears the whole object descriptor table (widths, limits and page
+  /// sizes): an object not programmed again faults as never described.
+  void ClearObjects();
+
   /// Programs the object descriptor table: elements of `object` are
   /// `width` bytes (1, 2 or 4). Virtual byte offset = index * width.
   void SetObjectWidth(ObjectId object, u32 width);

@@ -1,5 +1,7 @@
 #include "os/kernel.h"
 
+#include <iterator>
+
 #include "base/table.h"
 
 namespace vcop::os {
@@ -49,6 +51,17 @@ void Kernel::InstallFaultPlan(FaultPlan* plan) {
 
 std::unique_ptr<Design> Kernel::Instantiate(const hw::Bitstream& bitstream,
                                             hw::Asid asid) {
+  // The most recently retired design of the name: the fabric already
+  // treats a name as a design's identity (FpgaFabric::DesignResident).
+  for (auto it = pool_.rbegin(); it != pool_.rend(); ++it) {
+    if ((*it)->name != bitstream.name) continue;
+    std::unique_ptr<Design> design = std::move(*it);
+    pool_.erase(std::next(it).base());
+    design->imu->SetAsid(asid);
+    design->imu->set_fault_plan(fault_plan_);
+    return design;
+  }
+
   auto design = std::make_unique<Design>();
   design->name = bitstream.name;
   design->core = bitstream.create();
@@ -80,6 +93,16 @@ std::unique_ptr<Design> Kernel::Instantiate(const hw::Bitstream& bitstream,
   return design;
 }
 
+void Kernel::Retire(std::unique_ptr<Design> design) {
+  if (design == nullptr) return;
+  // Coprocessor::Start and Imu::AssertStart both require an idle design.
+  VCOP_CHECK_MSG(!design->core->running() && !design->imu->busy(),
+                 "retiring a design whose run has not ended");
+  design->imu->AttachTracer(nullptr);
+  design->imu->set_page_ref_probe(nullptr);
+  pool_.push_back(std::move(design));
+}
+
 void Kernel::Bind(AddressSpace& space, Design& design) {
   bound_ = &design;
   run_done_ = false;
@@ -94,7 +117,7 @@ void Kernel::Bind(AddressSpace& space, Design& design) {
 
 void Kernel::Fail(Status status) {
   run_failure_ = std::move(status);
-  bound_->core->Abort();
+  bound_->Stop();
   vim_.FlushAsid(vim_.space()->asid());
   run_done_ = true;
 }
@@ -236,7 +259,7 @@ Status Kernel::FpgaUnload() {
     return FailedPreconditionError("FPGA_UNLOAD with no design loaded");
   }
   Unbind();
-  design_.reset();
+  Retire(std::move(design_));
   return Status::Ok();
 }
 

@@ -18,13 +18,15 @@
 //
 // FPGA_EXECUTE and vcopd's slices reach the fabric by one route: a
 // Design from Instantiate, bound to the VIM with an address space by
-// Bind, started by Start, run by Run and reported by FillReport.
+// Bind, started by Start, run by Run, reported by FillReport and handed
+// back to the kernel's pool by Retire.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/status.h"
 #include "base/types.h"
@@ -120,15 +122,23 @@ struct ExecutionReport {
 
 /// A design instantiated on the platform (Kernel::Instantiate): the
 /// core its bit-stream creates, an IMU on the shared TLB, and the
-/// coprocessor's clock domain. FPGA_LOAD holds one until FPGA_UNLOAD;
-/// vcopd builds one per job. The simulator's clock domains keep raw
-/// pointers to the core and the IMU, so a design must outlive every run
-/// that ticks them.
+/// coprocessor's clock domain. FPGA_LOAD holds one until FPGA_UNLOAD; a
+/// vcopd job holds one from its first dispatch until it finishes. Both
+/// then hand it back (Kernel::Retire), and the kernel's pool gives it
+/// to the next job of the same bit-stream. The simulator's clock domains
+/// keep raw pointers to the core and the IMU, so the kernel destroys no
+/// design before it is destroyed itself.
 struct Design {
   std::string name;
   std::unique_ptr<hw::Coprocessor> core;
   std::unique_ptr<hw::Imu> imu;
   sim::ClockDomain* cp_domain = nullptr;
+
+  /// Ends a run mid-flight: the core and the IMU return to idle.
+  void Stop() {
+    core->Abort();
+    imu->HardStop();
+  }
 };
 
 /// How Kernel::Run left the execution bound to the VIM.
@@ -194,14 +204,25 @@ class Kernel {
 
   // ----- the route onto the fabric (FPGA_EXECUTE and vcopd) -----
 
-  /// Builds `bitstream`'s design for address space `asid`: the core
-  /// from Bitstream::create, an IMU on the shared TLB presenting `asid`,
-  /// and the IMU's clock domain before the coprocessor's, so that on
-  /// coincident edges the translation pipeline advances before the core
-  /// samples CP_TLBHIT. The caller has priced `bitstream`
-  /// (FpgaFabric::PriceConfigure) and paid its configuration.
+  /// Returns `bitstream`'s design for address space `asid`. An idle
+  /// design of the same name from the pool is taken first, its IMU
+  /// re-programmed with `asid` and the installed fault plan. Otherwise a
+  /// new one is built: the core from Bitstream::create, an IMU on the
+  /// shared TLB presenting `asid`, and the IMU's clock domain before the
+  /// coprocessor's, so that on coincident edges the translation
+  /// pipeline advances before the core samples CP_TLBHIT. The caller has
+  /// priced `bitstream` (FpgaFabric::PriceConfigure) and paid its
+  /// configuration.
   std::unique_ptr<Design> Instantiate(const hw::Bitstream& bitstream,
                                       hw::Asid asid);
+
+  /// Returns a design whose run has ended to the pool; its core and IMU
+  /// must be idle (Design::Stop ends a run that has not). The IMU's
+  /// tracer and page-reference probe are detached. nullptr is a no-op.
+  void Retire(std::unique_ptr<Design> design);
+
+  /// Designs built so far; a design taken from the pool is not counted.
+  u32 designs_built() const { return designs_built_; }
 
   /// Binds `space` and `design` to the VIM for a run on the fabric: the
   /// IMU, the watchdog's progress probe, and completion and abort
@@ -245,7 +266,7 @@ class Kernel {
   TimelineRecorder& timeline() { return timeline_; }
 
  private:
-  /// Ends the bound run with `status`: stops the core and discards the
+  /// Ends the bound run with `status`: stops the design and discards the
   /// space's interface state, so partial results never reach user
   /// memory.
   void Fail(Status status);
@@ -263,6 +284,8 @@ class Kernel {
   TimelineRecorder timeline_;
   /// FPGA_LOAD's design, held until FPGA_UNLOAD.
   std::unique_ptr<Design> design_;
+  /// Retired designs, idle until Instantiate hands one out again.
+  std::vector<std::unique_ptr<Design>> pool_;
   u32 designs_built_ = 0;
   Picoseconds last_load_time_ = 0;
   FaultPlan* fault_plan_ = nullptr;

@@ -21,18 +21,41 @@ std::string JsonEscape(const std::string& s) {
 }
 }  // namespace
 
+u32 TimelineRecorder::Intern(std::string s) {
+  const auto [it, added] =
+      ids_.try_emplace(std::move(s), static_cast<u32>(strings_.size()));
+  if (added) strings_.push_back(&it->first);
+  return it->second;
+}
+
+std::vector<TimelineEvent> TimelineRecorder::events() const {
+  std::vector<TimelineEvent> out;
+  out.reserve(records_.size());
+  for (const EventRecord& r : records_) {
+    out.push_back(TimelineEvent{*strings_[r.name], *strings_[r.category],
+                                r.start, r.duration, r.track});
+  }
+  return out;
+}
+
+void TimelineRecorder::Clear() {
+  records_.clear();
+  strings_.clear();
+  ids_.clear();
+}
+
 std::string TimelineRecorder::ToChromeTrace() const {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const TimelineEvent& event : events_) {
+  for (const EventRecord& r : records_) {
     if (!first) out += ',';
     first = false;
     out += StrFormat(
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
         "\"dur\":%.3f,\"pid\":1,\"tid\":%u}",
-        JsonEscape(event.name).c_str(), JsonEscape(event.category).c_str(),
-        ToMicroseconds(event.start), ToMicroseconds(event.duration),
-        event.track);
+        JsonEscape(*strings_[r.name]).c_str(),
+        JsonEscape(*strings_[r.category]).c_str(), ToMicroseconds(r.start),
+        ToMicroseconds(r.duration), r.track);
   }
   out += "]}";
   return out;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -28,23 +29,45 @@ struct TimelineEvent {
   u32 track = 0;
 };
 
+/// Stores each distinct name and category once and each event as a
+/// fixed 32-byte record, so a long-running service's timeline grows by
+/// 32 bytes per event however long its names are.
 class TimelineRecorder {
  public:
   void Record(std::string name, std::string category, Picoseconds start,
               Picoseconds duration, u32 track) {
-    events_.push_back(TimelineEvent{std::move(name), std::move(category),
-                                    start, duration, track});
+    records_.push_back(EventRecord{start, duration, track,
+                                   Intern(std::move(name)),
+                                   Intern(std::move(category))});
   }
 
-  const std::vector<TimelineEvent>& events() const { return events_; }
-  void Clear() { events_.clear(); }
+  /// Every event in recording order, rebuilt from the records.
+  std::vector<TimelineEvent> events() const;
+  usize size() const { return records_.size(); }
+  void Clear();
 
   /// Chrome trace-event JSON ("X" complete events, microsecond
   /// timestamps as the format requires).
   std::string ToChromeTrace() const;
 
  private:
-  std::vector<TimelineEvent> events_;
+  struct EventRecord {
+    Picoseconds start = 0;
+    Picoseconds duration = 0;
+    u32 track = 0;
+    u32 name = 0;      // index into strings_
+    u32 category = 0;  // index into strings_
+  };
+  static_assert(sizeof(EventRecord) == 32);
+
+  /// The id of `s`, adding it on first sight.
+  u32 Intern(std::string s);
+
+  // Each string is stored once, as a key of ids_; strings_ points at the
+  // keys by id (a rehash moves no element of an unordered_map).
+  std::unordered_map<std::string, u32> ids_;
+  std::vector<const std::string*> strings_;
+  std::vector<EventRecord> records_;
 };
 
 }  // namespace vcop::os

@@ -18,8 +18,8 @@ std::string_view ToString(ServicePolicy policy) {
 }
 
 std::vector<TenantFairness> ScheduleReport::per_pid() const {
-  std::map<u32, std::vector<const JobOutcome*>> by_pid;
-  for (const JobOutcome& o : outcomes) by_pid[o.pid].push_back(&o);
+  std::map<u32, std::vector<const JobResult*>> by_pid;
+  for (const JobResult& o : outcomes) by_pid[o.pid].push_back(&o);
 
   std::vector<TenantFairness> result;
   result.reserve(by_pid.size());
@@ -29,7 +29,7 @@ std::vector<TenantFairness> ScheduleReport::per_pid() const {
     f.jobs = jobs.size();
     std::vector<Picoseconds> turnarounds;
     turnarounds.reserve(jobs.size());
-    for (const JobOutcome* o : jobs) {
+    for (const JobResult* o : jobs) {
       f.busy += o->finished_at - o->started_at;
       turnarounds.push_back(o->turnaround());
     }
@@ -64,8 +64,14 @@ Vcopd::~Vcopd() {
   vim.set_preempt_check(nullptr);
   vim.set_preempt_handler(nullptr);
   vim.set_tlb_tagging(true);
-  // The jobs' designs and the tenants' spaces go with the daemon.
   kernel_.Unbind();
+  // A preempted job's design outlives the daemon in the kernel's pool;
+  // the tenants' spaces go with the daemon.
+  for (const std::unique_ptr<Tenant>& t : tenants_) {
+    if (t->inflight == nullptr) continue;
+    t->inflight->design->Stop();
+    kernel_.Retire(std::move(t->inflight->design));
+  }
 }
 
 Result<TenantId> Vcopd::RegisterTenant(std::string name, u32 weight) {
@@ -195,6 +201,7 @@ Result<Ticket> Vcopd::Submit(
   job->on_complete = std::move(on_complete);
   job->result.ticket = job->ticket;
   job->result.tenant = tenant;
+  job->result.pid = t->space->pid();
   job->result.bitstream = bitstream.name;
   job->result.submitted_at = kernel_.simulator().now();
   t->queue.push_back(job.get());
@@ -276,19 +283,10 @@ ScheduleReport Vcopd::BuildScheduleReport() const {
       continue;
     }
     const JobResult& r = job->result;
-    JobOutcome outcome;
-    outcome.pid = tenants_[job->tenant - 1]->space->pid();
-    outcome.bitstream = r.bitstream;
-    outcome.status = r.status;
-    outcome.submitted_at = r.submitted_at;
-    outcome.started_at = r.started_at;
-    outcome.finished_at = r.finished_at;
-    outcome.reconfigurations = r.reconfigurations;
-    outcome.report = r.report;
     if (!any || r.submitted_at < first_submit) first_submit = r.submitted_at;
     last_finish = std::max(last_finish, r.finished_at);
     any = true;
-    report.outcomes.push_back(std::move(outcome));
+    report.outcomes.push_back(r);
   }
   if (any) report.makespan = last_finish - first_submit;
   return report;
@@ -466,9 +464,11 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   const Result<Picoseconds> switched = SwitchDesign(*job);
   if (!switched.ok()) {
     // The configuration stream failed: the fabric keeps its previous
-    // design, the job fails cleanly. A resumed job's saved context is
-    // discarded without writing partial results back to user memory.
+    // design, the job fails cleanly. A resumed job's run is stopped and
+    // its saved context discarded without writing partial results back
+    // to user memory.
     if (resuming) {
+      job->design->Stop();
       kernel_.vim().FlushAsid(tenant.space->asid());
     } else {
       job->result.started_at = dispatch_time;
@@ -591,6 +591,7 @@ void Vcopd::FinishJob(Tenant& tenant, Job& job, Status status) {
     r.report.vim = tenant.space->accounting;
     ++stats_.failed;
   }
+  kernel_.Retire(std::move(job.design));
   kernel_.timeline().Record(
       StrFormat("vcopd complete pid%u %s%s", tenant.space->pid(),
                 job.bitstream.name.c_str(),

@@ -25,11 +25,13 @@
 //
 // Hardware model: vcopd treats the PLD as partially reconfigurable.
 // Each job's design (Kernel::Instantiate: a core and an IMU fronting the
-// same dual-port RAM and the same shared TLB CAM) runs through the
-// route FPGA_EXECUTE takes (Kernel::Bind/Start/Run/FillReport), and
-// switching designs costs the configuration-port transfer time
-// (FpgaFabric::AcquireDesign) without tearing the platform down. Only
-// one core executes at any instant.
+// same dual-port RAM and the same shared TLB CAM, reused from the
+// kernel's pool when a finished job of the same bit-stream retired one)
+// runs through the route FPGA_EXECUTE takes
+// (Kernel::Bind/Start/Run/FillReport/Retire), and switching designs
+// costs the configuration-port transfer time (FpgaFabric::AcquireDesign)
+// without tearing the platform down. Only one core executes at any
+// instant.
 #pragma once
 
 #include <deque>
@@ -96,10 +98,12 @@ enum class VcopdJobState : u8 {
   kFailed,
 };
 
-/// Completion record of one submitted job.
+/// Completion record of one submitted job, and the schedule report's
+/// entry for it.
 struct JobResult {
   Ticket ticket = 0;
   TenantId tenant = 0;
+  u32 pid = 0;  // the tenant's process
   std::string bitstream;
   Status status;
   Picoseconds submitted_at = 0;
@@ -128,21 +132,8 @@ struct JobResult {
   Picoseconds wait() const { return started_at - submitted_at; }
 };
 
-/// A finished job as the schedule report sees it: who submitted it,
-/// when it ran, and what it produced.
-struct JobOutcome {
-  u32 pid = 0;
-  std::string bitstream;
-  Status status;
-  Picoseconds submitted_at = 0;
-  Picoseconds started_at = 0;
-  Picoseconds finished_at = 0;
-  /// Full configurations this job paid, across every slice.
-  u32 reconfigurations = 0;
-  ExecutionReport report;  // valid when status.ok()
-
-  Picoseconds turnaround() const { return finished_at - submitted_at; }
-};
+/// Kept only because perfbench names the type; use JobResult.
+using JobOutcome = JobResult;
 
 /// Per-submitter fairness digest of a schedule, for starvation and
 /// tail-latency analysis across competing tenants.
@@ -159,7 +150,7 @@ struct TenantFairness {
 /// Every finished job in ticket order. Service-wide counters live in
 /// VcopdStats, VimServiceStats and VcopServiceStats.
 struct ScheduleReport {
-  std::vector<JobOutcome> outcomes;
+  std::vector<JobResult> outcomes;
   /// First submission to last completion.
   Picoseconds makespan = 0;
 
@@ -260,8 +251,8 @@ class Vcopd {
   const VcopdConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   AddressSpace* FindSpace(hw::Asid asid);
-  /// Completed work as a schedule report (JobOutcome per finished
-  /// job, per-pid digests via per_pid()).
+  /// Completed work as a schedule report (the JobResult of every
+  /// finished job, per-pid digests via per_pid()).
   ScheduleReport BuildScheduleReport() const;
 
  private:
@@ -274,9 +265,8 @@ class Vcopd {
     std::function<void(const JobResult&)> on_complete;
     JobResult result;
 
-    // The job's design, instantiated at first dispatch and kept alive
-    // for the daemon's lifetime (clock domains hold raw module
-    // pointers; dormant domains cost nothing).
+    // The job's design, from Kernel::Instantiate at first dispatch. A
+    // preempted job keeps it; FinishJob retires it to the kernel's pool.
     std::unique_ptr<Design> design;
 
     /// Shared-TLB statistics attributed to this job, accumulated as

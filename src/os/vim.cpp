@@ -189,7 +189,10 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
 
   // Program the object descriptor table: the hardware contract of §3.1
   // ("the hardware designer implements a coprocessor having in mind the
-  // programmer-declared data").
+  // programmer-declared data"). It starts empty, so an object unmapped
+  // since this design's previous run, or mapped only by the tenant that
+  // ran it before, faults as never mapped.
+  imu_->ClearObjects();
   for (const MappedObject& object : objects().All()) {
     imu_->SetObjectWidth(object.id, object.elem_width);
     imu_->SetObjectLimit(object.id,

@@ -5,6 +5,7 @@
 
 #include <numeric>
 
+#include "cp/gather_cp.h"
 #include "cp/registry.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
@@ -96,6 +97,53 @@ TEST(LifecycleTest, ObjectsSurviveAcrossExecutions) {
       ASSERT_EQ(c.value().view()[i], i * round + 100 * round)
           << "round " << round << " i " << i;
     }
+  }
+}
+
+TEST(LifecycleTest, UnmappedObjectFaultsAsNeverMapped) {
+  // gather reads perm[0] = 100, then in[100]. With `in` unmapped since
+  // the design's previous run, the run must fail exactly as it does on
+  // a system where `in` was never mapped: its old descriptor (width and
+  // limit register) may not survive into the new execution.
+  using Cp = cp::GatherCoprocessor;
+  constexpr u32 n = 16;
+  struct Failed {
+    Status status;
+    u64 tlb_lookups = 0;
+  };
+  auto run = [](bool bounds_check, bool map_in_first) {
+    os::KernelConfig config = Epxa1Config();
+    config.imu_bounds_check = bounds_check;
+    FpgaSystem sys(config);
+    VCOP_CHECK(sys.Load(cp::GatherBitstream()).ok());
+    auto in = sys.Allocate<u32>(n).value();
+    auto out = sys.Allocate<u32>(n).value();
+    auto perm = sys.Allocate<u32>(n).value();
+    for (u32 i = 0; i < n; ++i) perm.view()[i] = n - 1 - i;
+    VCOP_CHECK(sys.Map(Cp::kObjOut, out, os::Direction::kOut).ok());
+    VCOP_CHECK(sys.Map(Cp::kObjPerm, perm, os::Direction::kIn).ok());
+    if (map_in_first) {
+      VCOP_CHECK(sys.Map(Cp::kObjIn, in, os::Direction::kIn).ok());
+      VCOP_CHECK(sys.Execute({n}).ok());
+      VCOP_CHECK(sys.Unmap(Cp::kObjIn).ok());
+    }
+    perm.view()[0] = 100;
+    const u64 lookups = sys.kernel().shared_tlb().stats().lookups;
+    auto report = sys.Execute({n});
+    VCOP_CHECK(!report.ok());
+    return Failed{report.status(),
+                  sys.kernel().shared_tlb().stats().lookups - lookups};
+  };
+  for (const bool bounds_check : {true, false}) {
+    SCOPED_TRACE(bounds_check ? "bounds check" : "no bounds check");
+    const Failed never = run(bounds_check, /*map_in_first=*/false);
+    const Failed unmapped = run(bounds_check, /*map_in_first=*/true);
+    EXPECT_EQ(never.status.code(), ErrorCode::kNotFound);
+    EXPECT_NE(never.status.message().find("never mapped"),
+              std::string::npos)
+        << never.status.ToString();
+    EXPECT_EQ(unmapped.status.ToString(), never.status.ToString());
+    EXPECT_EQ(unmapped.tlb_lookups, never.tlb_lookups);
   }
 }
 

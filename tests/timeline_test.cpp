@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/workloads.h"
+#include "base/table.h"
 #include "os/timeline.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
@@ -32,6 +33,33 @@ TEST(TimelineTest, EscapesJsonSpecials) {
   timeline.Record("quote\"back\\slash", "cat", 0, 1, 0);
   const std::string json = timeline.ToChromeTrace();
   EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
+}
+
+TEST(TimelineTest, RepeatedNamesRoundTrip) {
+  // Each distinct name and category is stored once; every event must
+  // still come back whole and in recording order.
+  os::TimelineRecorder timeline;
+  std::vector<os::TimelineEvent> want;
+  for (u32 i = 0; i < 1000; ++i) {
+    os::TimelineEvent e{StrFormat("fault obj%u page%u", i % 10, i % 10),
+                        std::string(i % 3 == 0   ? "fault"
+                                    : i % 3 == 1 ? "exec"
+                                                 : "overlap"),
+                        1000ull * i, 7ull * i + 1, i % 4};
+    timeline.Record(e.name, e.category, e.start, e.duration, e.track);
+    want.push_back(std::move(e));
+  }
+  EXPECT_EQ(timeline.size(), 1000u);
+  const std::vector<os::TimelineEvent> got = timeline.events();
+  ASSERT_EQ(got.size(), want.size());
+  for (usize i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].category, want[i].category);
+    EXPECT_EQ(got[i].start, want[i].start);
+    EXPECT_EQ(got[i].duration, want[i].duration);
+    EXPECT_EQ(got[i].track, want[i].track);
+  }
 }
 
 TEST(TimelineTest, KernelPopulatesTimelineDuringRuns) {

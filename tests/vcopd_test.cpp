@@ -3,13 +3,16 @@
 // at the fault boundary, TLB restore after intervening eviction, a conv
 // job resuming mid-row on its register window),
 // ASID allocation/wrap, tenant teardown, the tagged-vs-untagged TLB
-// switch policies, and the FIFO policy's batching by bit-stream.
+// switch policies, the FIFO policy's batching by bit-stream, and jobs
+// reusing designs from the kernel's pool.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "base/fault.h"
 #include "bench/common.h"
+#include "cp/gather_cp.h"
 #include "cp/registry.h"
 #include "os/address_space.h"
 #include "os/vcopd.h"
@@ -316,23 +319,198 @@ TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteUnderPrefetch) {
                                  bench::AppName(job.app),
                                  std::string(ToString(prefetch)).c_str(),
                                  depth, overlap));
-          const bench::Point blocking = bench::RunPoint(config, job);
-          EXPECT_TRUE(blocking.exact);
-
+          FpgaSystem blocking_sys(config);
+          StagedJob blocking = bench::StageBlocking(blocking_sys, job);
           FpgaSystem sys(config);
           Vcopd daemon(sys.kernel());
-          const StagedJob lone = StageTenant(sys, daemon, "lone", job);
-          const Ticket ticket = lone.Submit(daemon).value();
-          ASSERT_TRUE(daemon.RunUntilIdle().ok());
-          const JobResult* result = daemon.Poll(ticket);
-          ASSERT_NE(result, nullptr);
-          ASSERT_TRUE(result->status.ok()) << result->status.ToString();
-          EXPECT_TRUE(lone.Exact());
-          ExpectSamePaging(result->report, blocking.vim);
+          StagedJob lone = StageTenant(sys, daemon, "lone", job);
+          // Each side runs the job twice. The tenant's second job runs on
+          // the design its first one retired, FPGA_EXECUTE's on the design
+          // FPGA_LOAD configured.
+          for (const char* run : {"first run", "second run"}) {
+            SCOPED_TRACE(run);
+            blocking.ClearOutput();
+            const Result<ExecutionReport> want =
+                blocking_sys.Execute(job.params);
+            ASSERT_TRUE(want.ok()) << want.status().ToString();
+            EXPECT_TRUE(blocking.Exact());
+
+            lone.ClearOutput();
+            const Ticket ticket = lone.Submit(daemon).value();
+            ASSERT_TRUE(daemon.RunUntilIdle().ok());
+            const JobResult* result = daemon.Poll(ticket);
+            ASSERT_NE(result, nullptr);
+            ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+            EXPECT_TRUE(lone.Exact());
+            ExpectSamePaging(result->report, want.value());
+          }
+          EXPECT_EQ(sys.kernel().designs_built(), 1u);
+          blocking_sys.kernel().simulator().DrainAssertQuiescent();
         }
       }
     }
   }
+}
+
+// ----- the kernel's design pool -----
+
+/// Jobs of one bit-stream share a design across the daemon's life: the
+/// kernel builds one per bit-stream under FIFO batching, and no more
+/// than there are jobs of it in flight at once under fair share, where
+/// a preempted job keeps its design.
+TEST(VcopdTest, DesignsAreReusedAcrossJobs) {
+  const std::vector<bench::TenantSpec> specs = {
+      {App::kAdpcm, "audio0", 1, 4 * 1024, 8},
+      {App::kAdpcm, "audio1", 1, 4 * 1024, 8},
+      {App::kIdea, "crypto", 1, 8 * 1024, 8}};
+  VcopdConfig fifo;
+  fifo.policy = ServicePolicy::kFifoBatch;
+  const bench::FleetResult batched =
+      bench::RunVcopdFleet(specs, TestConfig(), fifo);
+  EXPECT_TRUE(batched.outputs_exact);
+  EXPECT_EQ(batched.designs_built, 2u);
+
+  VcopdConfig fair;
+  fair.time_slice = 100ull * 1000 * 1000;  // 100 us: jobs get preempted
+  const bench::FleetResult shared =
+      bench::RunVcopdFleet(specs, TestConfig(), fair);
+  EXPECT_TRUE(shared.outputs_exact);
+  EXPECT_GT(shared.stats.preemptions, 0u);
+  EXPECT_LE(shared.designs_built, 3u);
+}
+
+/// A design retired after a failed job is idle again: the next tenant's
+/// job of the same bit-stream runs on it, exactly.
+TEST(VcopdTest, WedgedDesignServesTheNextJob) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel());
+  const StagedJob wedger =
+      StageTenant(sys, daemon, "wedger", MakeJob(App::kVecAdd, 1024, 7));
+  const StagedJob healthy =
+      StageTenant(sys, daemon, "healthy", MakeJob(App::kVecAdd, 1024, 8));
+
+  FaultPlan plan;
+  plan.At(FaultSite::kCpHang, 1);  // wedge the first datapath access
+  sys.kernel().InstallFaultPlan(&plan);
+  const Result<JobResult> wedged =
+      daemon.Wait(wedger.Submit(daemon).value());
+  ASSERT_TRUE(wedged.ok());
+  EXPECT_EQ(wedged.value().status.code(), ErrorCode::kUnavailable)
+      << wedged.value().status.ToString();
+  EXPECT_EQ(daemon.stats().quarantined, 1u);
+
+  const Result<JobResult> served =
+      daemon.Wait(healthy.Submit(daemon).value());
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(served.value().status.ok())
+      << served.value().status.ToString();
+  EXPECT_TRUE(healthy.Exact());
+  EXPECT_EQ(sys.kernel().designs_built(), 1u);
+  sys.kernel().InstallFaultPlan(nullptr);
+}
+
+/// A preempted job whose resume fails to configure its design fails
+/// cleanly; its design is stopped mid-run and retired, and the tenant's
+/// next job runs on it exactly.
+TEST(VcopdTest, FailedResumeRetiresAStoppedDesign) {
+  FpgaSystem sys(TestConfig());
+  VcopdConfig config;
+  config.time_slice = 100ull * 1000 * 1000;  // 100 us
+  config.affinity_skip_budget = 0;           // strict ring order
+  Vcopd daemon(sys.kernel(), config);
+  const StagedJob audio =
+      StageTenant(sys, daemon, "audio", MakeJob(App::kAdpcm, 8 * 1024, 1));
+  const StagedJob vec =
+      StageTenant(sys, daemon, "vec", MakeJob(App::kVecAdd, 1024, 2));
+
+  // Configuration-port opportunities: 1 configures adpcm, 2 vecadd once
+  // adpcm's deficit runs out, 3 adpcm again for the preempted job.
+  FaultPlan plan;
+  plan.At(FaultSite::kConfigError, 3);
+  sys.kernel().InstallFaultPlan(&plan);
+  const Ticket struck = audio.Submit(daemon).value();
+  const Ticket bystander = vec.Submit(daemon).value();
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+  sys.kernel().InstallFaultPlan(nullptr);
+
+  const JobResult* failed = daemon.Poll(struck);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->status.code(), ErrorCode::kUnavailable)
+      << failed->status.ToString();
+  EXPECT_GT(failed->preemptions, 0u);
+  ASSERT_TRUE(daemon.Poll(bystander)->status.ok());
+  EXPECT_TRUE(vec.Exact());
+
+  const Result<JobResult> again = daemon.Wait(audio.Submit(daemon).value());
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().status.ok()) << again.value().status.ToString();
+  EXPECT_TRUE(audio.Exact());
+  EXPECT_EQ(sys.kernel().designs_built(), 2u);
+}
+
+/// A daemon torn down while a job is preempted stops that job's design
+/// and retires it, so the next daemon's job of the bit-stream runs on it.
+TEST(VcopdTest, TeardownRetiresAPreemptedJobsDesign) {
+  FpgaSystem sys(TestConfig());
+  {
+    VcopdConfig config;
+    config.time_slice = 100ull * 1000 * 1000;  // 100 us
+    Vcopd daemon(sys.kernel(), config);
+    const StagedJob first =
+        StageTenant(sys, daemon, "first", MakeJob(App::kAdpcm, 8 * 1024, 1));
+    const StagedJob second = StageTenant(sys, daemon, "second",
+                                         MakeJob(App::kAdpcm, 8 * 1024, 2));
+    ASSERT_TRUE(first.Submit(daemon).ok());
+    ASSERT_TRUE(second.Submit(daemon).ok());
+    while (daemon.stats().preemptions == 0) {
+      ASSERT_TRUE(daemon.RunOne().ok());
+    }
+  }
+  EXPECT_EQ(sys.kernel().designs_built(), 1u);
+
+  Vcopd daemon(sys.kernel());
+  const StagedJob next =
+      StageTenant(sys, daemon, "next", MakeJob(App::kAdpcm, 8 * 1024, 3));
+  const Result<JobResult> done = daemon.Wait(next.Submit(daemon).value());
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(done.value().status.ok()) << done.value().status.ToString();
+  EXPECT_TRUE(next.Exact());
+  EXPECT_EQ(sys.kernel().designs_built(), 1u);
+}
+
+/// A pooled design carries no object descriptor of its last tenant: a
+/// tenant that never mapped `in` faults on it as never mapped, not on
+/// the limit register the previous tenant's `in` programmed.
+TEST(VcopdTest, PooledDesignForgetsThePreviousTenantsObjects) {
+  using Cp = cp::GatherCoprocessor;
+  KernelConfig config = TestConfig();
+  config.imu_bounds_check = true;
+  FpgaSystem sys(config);
+  Vcopd daemon(sys.kernel());
+  const StagedJob mapped =
+      StageTenant(sys, daemon, "mapped", MakeJob(App::kGather, 64, 3));
+  // The second tenant maps only `perm` and `out`, and its perm[0] = 100
+  // reads past the first tenant's 16-element `in`.
+  bench::Job partial = MakeJob(App::kGather, 64, 4);
+  std::erase_if(partial.objects, [](const bench::JobObject& o) {
+    return o.id == Cp::kObjIn;
+  });
+  for (bench::JobObject& o : partial.objects) {
+    const u32 past = 100;
+    if (o.id == Cp::kObjPerm) std::memcpy(o.bytes.data(), &past, sizeof(past));
+  }
+  const StagedJob unmapped =
+      StageTenant(sys, daemon, "unmapped", std::move(partial));
+
+  const Result<JobResult> first = daemon.Wait(mapped.Submit(daemon).value());
+  ASSERT_TRUE(first.ok() && first.value().status.ok());
+  EXPECT_TRUE(mapped.Exact());
+  const Result<JobResult> second =
+      daemon.Wait(unmapped.Submit(daemon).value());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value().status.code(), ErrorCode::kNotFound)
+      << second.value().status.ToString();
+  EXPECT_EQ(sys.kernel().designs_built(), 1u);
 }
 
 // ----- mixed multi-tenant correctness -----
@@ -889,7 +1067,7 @@ TEST(VcopdReconfigTest, ResumeViaCacheMissAfterEviction) {
   // per-slice count up, not just a first-slice bool.
   const ScheduleReport report = daemon.BuildScheduleReport();
   u32 alpha_reconfigs = 0;
-  for (const JobOutcome& outcome : report.outcomes) {
+  for (const JobResult& outcome : report.outcomes) {
     if (outcome.bitstream == cp::AdpcmDecodeBitstream().name) {
       alpha_reconfigs += outcome.reconfigurations;
     }
