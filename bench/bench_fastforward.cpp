@@ -6,9 +6,10 @@
 // fleet:
 //
 //   torture  N randomized FaultPlans (FF_PLANS, default 1000) over the
-//            four reference workloads, exactly the torture harness's
-//            grid. Fault injection exercises fast-forward's fallback
-//            edges on roughly every other seed.
+//            four reference workloads: the seeded fault-plan grid that
+//            torture_test and bench_faults run too (bench/common.h,
+//            RunGrid). Fault injection exercises fast-forward's
+//            fallback edges on roughly every other seed.
 //   conv2d   the prefetch bench's shape × strategy grid (sharpen
 //            kernel, overlapped transfers): long TLB-hit streaks,
 //            fast-forward's best case.
@@ -26,15 +27,11 @@
 // depend on the host and are reported, not gated.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "apps/adpcm.h"
 #include "apps/conv2d.h"
-#include "apps/idea.h"
-#include "apps/workloads.h"
 #include "base/fault.h"
 #include "base/log.h"
 #include "bench/common.h"
@@ -70,11 +67,6 @@ class Digest {
   void Mix(u64 v) {
     for (int i = 0; i < 8; ++i) MixByte(static_cast<u8>(v >> (8 * i)));
   }
-  void MixDouble(double v) {
-    u64 bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Mix(bits);
-  }
   void MixBytes(std::span<const u8> bytes) {
     for (u8 b : bytes) MixByte(b);
   }
@@ -89,54 +81,9 @@ class Digest {
 };
 
 void MixReport(Digest& d, const os::ExecutionReport& r) {
-  d.Mix(static_cast<u64>(r.total));
-  d.Mix(static_cast<u64>(r.t_hw));
-  d.Mix(static_cast<u64>(r.t_dp));
-  d.Mix(static_cast<u64>(r.t_imu));
-  d.Mix(static_cast<u64>(r.t_invoke));
-  d.Mix(r.cp_cycles);
-  const os::VimAccounting& v = r.vim;
-  d.Mix(static_cast<u64>(v.t_dp));
-  d.Mix(static_cast<u64>(v.t_imu));
-  d.Mix(static_cast<u64>(v.t_wakeup));
-  d.Mix(v.faults);
-  d.Mix(v.tlb_refills);
-  d.Mix(v.evictions);
-  d.Mix(v.writebacks);
-  d.Mix(v.loads);
-  d.Mix(v.prefetched_pages);
-  d.Mix(v.cleaned_pages);
-  d.Mix(v.bytes_loaded);
-  d.Mix(v.bytes_written_back);
-  d.Mix(static_cast<u64>(v.t_dp_overlapped));
-  d.Mix(static_cast<u64>(v.t_dp_wait));
-  d.Mix(v.dirty_in_pages_dropped);
-  d.Mix(v.preemptions);
-  d.Mix(v.fault_recoveries);
-  d.Mix(v.prefetch_useful);
-  d.Mix(v.prefetch_wasted);
-  d.Mix(v.prefetch_suggestions_dropped);
-  d.Mix(v.fault_service_us.count());
-  d.MixDouble(v.fault_service_us.sum());
-  d.MixDouble(v.fault_service_us.min());
-  d.MixDouble(v.fault_service_us.max());
-  d.Mix(r.imu.accesses);
-  d.Mix(r.imu.reads);
-  d.Mix(r.imu.writes);
-  d.Mix(r.imu.faults);
-  d.Mix(static_cast<u64>(r.imu.fault_stall_time));
-  d.Mix(static_cast<u64>(r.imu.access_latency_time));
-  d.Mix(r.tlb.lookups);
-  d.Mix(r.tlb.hits);
-  d.Mix(r.tlb.misses);
-  d.Mix(r.tlb.parity_errors);
-  d.Mix(r.tlb.installs);
-}
-
-template <typename T>
-std::span<const u8> AsBytes(const std::vector<T>& v) {
-  return std::span<const u8>(reinterpret_cast<const u8*>(v.data()),
-                             v.size() * sizeof(T));
+  for (const bench::ReportField& field : bench::ReportFields(r)) {
+    d.Mix(field.value);
+  }
 }
 
 struct RunResult {
@@ -146,61 +93,34 @@ struct RunResult {
 
 // ----- sweep A: the torture grid -----
 
-RunResult TortureRunPoint(u64 seed, Engine engine) {
+os::KernelConfig EngineConfig(Engine engine) {
   os::KernelConfig config = Epxa1Config();
   config.engine = engine;
-  FpgaSystem sys(config);
-  FaultPlan plan = FaultPlan::Random(seed);
-  sys.kernel().InstallFaultPlan(&plan);
+  return config;
+}
 
+RunResult TortureRunPoint(u64 seed, Engine engine) {
+  FaultPlan plan = FaultPlan::Random(seed);
+  const bench::FreshRun run =
+      bench::RunGrid(seed, EngineConfig(engine), &plan);
   Digest d;
-  auto digest_run = [&](const auto& run) {
-    d.Mix(run.ok() ? 1 : 0);
-    if (run.ok()) {
-      d.MixBytes(AsBytes(run.value().output));
-      MixReport(d, run.value().report);
-    } else {
-      d.MixBytes(std::span<const u8>(
-          reinterpret_cast<const u8*>(run.status().ToString().data()),
-          run.status().ToString().size()));
-    }
-  };
-  switch (seed % 4) {
-    case 0:
-      digest_run(runtime::RunAdpcmVim(sys, apps::MakeAdpcmStream(2048, seed)));
-      break;
-    case 1: {
-      const apps::IdeaSubkeys subkeys =
-          apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
-      digest_run(
-          runtime::RunIdeaVim(sys, subkeys, apps::MakeRandomBytes(1024, seed)));
-      break;
-    }
-    case 2: {
-      std::vector<u32> a(512), b(512);
-      for (u32 i = 0; i < 512; ++i) {
-        a[i] = static_cast<u32>(seed) * 1000003u + i;
-        b[i] = static_cast<u32>(seed) * 7919u + 3u * i;
-      }
-      digest_run(runtime::RunVecAddVim(sys, a, b));
-      break;
-    }
-    default: {
-      const std::vector<u8> image = apps::MakeTestImage(48, 24, seed);
-      digest_run(runtime::RunConv3x3Vim(sys, image, 48, 24,
-                                        apps::BoxBlurKernel(), 3));
-      break;
-    }
+  d.Mix(run.status.ok() ? 1 : 0);
+  if (run.status.ok()) {
+    d.MixBytes(run.output);
+    MixReport(d, run.report);
+  } else {
+    const std::string status = run.status.ToString();
+    d.MixBytes(std::span<const u8>(
+        reinterpret_cast<const u8*>(status.data()), status.size()));
   }
-  d.Mix(static_cast<u64>(sys.kernel().simulator().now()));
+  d.Mix(static_cast<u64>(run.sim_now));
   d.Mix(plan.total_injected());
   for (usize s = 0; s < kNumFaultSites; ++s) {
     const FaultSiteStats& st = plan.stats(static_cast<FaultSite>(s));
     d.Mix(st.opportunities);
     d.Mix(st.injected);
   }
-  sys.kernel().simulator().DrainAssertQuiescent();
-  return RunResult{d.value(), sys.kernel().simulator().events_dispatched()};
+  return RunResult{d.value(), run.events};
 }
 
 // ----- sweep B: the conv2d prefetch grid -----
@@ -216,11 +136,10 @@ constexpr usize kConvPoints = std::size(kShapes) * std::size(kKinds);
 
 RunResult ConvRunPoint(usize index, Engine engine) {
   const auto shape = kShapes[index / std::size(kKinds)];
-  os::KernelConfig config = Epxa1Config();
+  os::KernelConfig config = EngineConfig(engine);
   config.vim.prefetch = kKinds[index % std::size(kKinds)];
   config.vim.prefetch_depth = 2;
   config.vim.overlap_prefetch = true;
-  config.engine = engine;
   FpgaSystem sys(config);
 
   const std::vector<u8> image =
@@ -235,7 +154,7 @@ RunResult ConvRunPoint(usize index, Engine engine) {
   VCOP_CHECK_MSG(run.value().output == expect, "conv2d output mismatch");
 
   Digest d;
-  d.MixBytes(AsBytes(run.value().output));
+  d.MixBytes(run.value().output);
   MixReport(d, run.value().report);
   d.Mix(static_cast<u64>(sys.kernel().simulator().now()));
   sys.kernel().simulator().DrainAssertQuiescent();
@@ -303,11 +222,6 @@ struct Sweep {
 /// IMU's fast-forward by construction (DESIGN.md §11); the timeline does
 /// not, so every recorded fault-service and transfer span must carry
 /// the exact same simulated timestamps under analytic jumps.
-os::KernelConfig EngineConfig(Engine engine) {
-  os::KernelConfig config = Epxa1Config();
-  config.engine = engine;
-  return config;
-}
 
 // ----- JSON -----
 

@@ -1,8 +1,10 @@
 // Characterises the fault-injection substrate and the VIM's recovery
 // machinery: N seeded random fault plans (default 256, override with
-// FAULT_PLANS=<n>) run across the four reference workloads. Every run
-// must either complete byte-identical to the software model or fail
-// with a clean Status; a run that completes with wrong bytes — or an
+// FAULT_PLANS=<n>) run the seeded fault-plan grid (bench/common.h,
+// RunGrid) across the four reference workloads. Every run must either
+// complete byte-identical to the software model or fail with a clean
+// Status, and leave a quiescent simulator (the grid's end-of-run audit
+// aborts otherwise); a run that completes with wrong bytes — or an
 // aggregate counter pattern showing the recovery paths were never
 // exercised — fails the bench (rc 1). Per-site opportunity/injection
 // counts and the recovery-counter rollup go to BENCH_faults.json.
@@ -10,9 +12,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "apps/adpcm.h"
-#include "apps/conv2d.h"
-#include "apps/idea.h"
 #include "base/fault.h"
 #include "bench/common.h"
 #include "os/vim.h"
@@ -22,88 +21,6 @@ namespace vcop {
 namespace {
 
 constexpr u32 kNumWorkloads = 4;
-
-const char* WorkloadName(u64 seed) {
-  switch (seed % kNumWorkloads) {
-    case 0: return "adpcm";
-    case 1: return "idea";
-    case 2: return "vecadd";
-    case 3: return "conv2d";
-  }
-  return "?";
-}
-
-struct Outcome {
-  bool ok = false;      // the run returned Status::Ok()
-  bool exact = false;   // ... and matched the software reference
-  os::VimServiceStats service;
-};
-
-/// One workload (picked by seed) on a fresh system under `plan`.
-Outcome RunOne(u64 seed, FaultPlan* plan) {
-  runtime::FpgaSystem sys(runtime::Epxa1Config());
-  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
-  Outcome out;
-  switch (seed % kNumWorkloads) {
-    case 0: {
-      const std::vector<u8> input = apps::MakeAdpcmStream(2048, seed);
-      const auto run = runtime::RunAdpcmVim(sys, input);
-      out.ok = run.ok();
-      if (run.ok()) {
-        std::vector<i16> expect(input.size() * 2);
-        apps::AdpcmState state;
-        apps::AdpcmDecode(input, expect, state);
-        out.exact = run.value().output == expect;
-      }
-      break;
-    }
-    case 1: {
-      const apps::IdeaSubkeys keys =
-          apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
-      const std::vector<u8> input = apps::MakeRandomBytes(1024, seed);
-      const auto run = runtime::RunIdeaVim(sys, keys, input);
-      out.ok = run.ok();
-      if (run.ok()) {
-        std::vector<u8> expect(input.size());
-        apps::IdeaCryptEcb(keys, input, expect);
-        out.exact = run.value().output == expect;
-      }
-      break;
-    }
-    case 2: {
-      const u32 n = 512;
-      std::vector<u32> a(n), b(n);
-      for (u32 i = 0; i < n; ++i) {
-        a[i] = static_cast<u32>(seed) * 1000003u + i;
-        b[i] = static_cast<u32>(seed) * 7919u + 3u * i;
-      }
-      const auto run = runtime::RunVecAddVim(sys, a, b);
-      out.ok = run.ok();
-      if (run.ok()) {
-        std::vector<u32> expect(n);
-        for (u32 i = 0; i < n; ++i) expect[i] = a[i] + b[i];
-        out.exact = run.value().output == expect;
-      }
-      break;
-    }
-    case 3: {
-      const u32 width = 48, height = 24;
-      const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
-      const apps::Conv3x3Kernel kernel = apps::BoxBlurKernel();
-      const auto run =
-          runtime::RunConv3x3Vim(sys, image, width, height, kernel, 3);
-      out.ok = run.ok();
-      if (run.ok()) {
-        std::vector<u8> expect(image.size());
-        apps::Convolve3x3(image, width, height, kernel, 3, expect);
-        out.exact = run.value().output == expect;
-      }
-      break;
-    }
-  }
-  out.service = sys.kernel().vim().service_stats();
-  return out;
-}
 
 void Accumulate(os::VimServiceStats& into, const os::VimServiceStats& run) {
   into.transfer_retries += run.transfer_retries;
@@ -140,7 +57,7 @@ int Main() {
   // and aggregate sequentially so every printed number (and the JSON)
   // is identical to the old single-threaded loop.
   struct SeedResult {
-    Outcome out;
+    bench::FreshRun out;
     u64 injected = 0;
     std::array<FaultSiteStats, kNumFaultSites> sites{};
   };
@@ -149,7 +66,7 @@ int Main() {
         const u64 seed = static_cast<u64>(i) + 1;
         FaultPlan plan = FaultPlan::Random(seed);
         SeedResult r;
-        r.out = RunOne(seed, &plan);
+        r.out = bench::RunGrid(seed, runtime::Epxa1Config(), &plan);
         r.injected = plan.total_injected();
         for (usize s = 0; s < kNumFaultSites; ++s) {
           r.sites[s] = plan.stats(static_cast<FaultSite>(s));
@@ -159,14 +76,15 @@ int Main() {
 
   for (u64 seed = 1; seed <= plans; ++seed) {
     const SeedResult& result = results[seed - 1];
-    const Outcome& out = result.out;
-    if (out.ok && out.exact) {
+    const bench::FreshRun& out = result.out;
+    if (out.status.ok() && out.exact) {
       ++completed;
       ++per_workload_completed[seed % kNumWorkloads];
-    } else if (out.ok) {
+    } else if (out.status.ok()) {
       ++silent_corruptions;
       std::printf("FAIL: seed %llu (%s) completed with wrong bytes\n",
-                  static_cast<unsigned long long>(seed), WorkloadName(seed));
+                  static_cast<unsigned long long>(seed),
+                  bench::AppName(bench::GridApp(seed)));
     } else {
       ++failed;
       ++per_workload_failed[seed % kNumWorkloads];
@@ -199,7 +117,8 @@ int Main() {
       static_cast<unsigned long long>(silent_corruptions),
       static_cast<unsigned long long>(injected_total));
   for (u32 w = 0; w < kNumWorkloads; ++w) {
-    std::printf("    %-7s %llu completed / %llu failed\n", WorkloadName(w),
+    std::printf("    %-7s %llu completed / %llu failed\n",
+                bench::AppName(bench::GridApp(w)),
                 static_cast<unsigned long long>(per_workload_completed[w]),
                 static_cast<unsigned long long>(per_workload_failed[w]));
   }

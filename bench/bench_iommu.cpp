@@ -91,16 +91,16 @@ Row RunRow(const char* app, const Mode& m, const bench::Job& job) {
   row.mode = m.label;
   row.iommu = m.iommu;
   const bench::Point p = bench::RunPoint(
-      config, job, [&](FpgaSystem& sys, const bench::Point& point) {
+      config, job, [&](FpgaSystem& sys, const bench::FreshRun& run) {
         os::Vim& vim = sys.kernel().vim();
         row.bounce_copies = vim.transfer_engine().bounce_copies();
         row.iommu_stats = vim.iommu().stats();
         const u64 moved =
-            point.vim.vim.bytes_loaded + point.vim.vim.bytes_written_back;
+            run.report.vim.bytes_loaded + run.report.vim.bytes_written_back;
         const Picoseconds bound =
             DirectBound(vim.transfer_engine(), config.page_bytes, moved);
         row.bound_ratio =
-            bound > 0 ? static_cast<double>(point.vim.vim.t_dp) /
+            bound > 0 ? static_cast<double>(run.report.vim.t_dp) /
                             static_cast<double>(bound)
                       : 0.0;
       });

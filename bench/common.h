@@ -1,12 +1,14 @@
-// The harness the bench binaries and the vcopd tests share: one stager
-// per application (seeded inputs, software reference, object mappings,
-// bit-stream, FPGA_EXECUTE parameters and the exactness check), one
-// single-run point runner, one vcopd fleet runner and the two trace
+// The harness the bench binaries and the tests share: one stager per
+// application (seeded inputs and the software reference around the
+// runtime's description of the job, runtime/drivers.h, plus the
+// exactness check), one run on a fresh system with its end-of-run
+// audit, the seeded fault-plan grid, the list of every report field,
+// the single-run point runner, the vcopd fleet runner and the two trace
 // artifacts. Every bench keeps its own sizes, gates, tables and JSON.
 #pragma once
 
+#include <bit>
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -17,20 +19,17 @@
 #include "apps/idea.h"
 #include "apps/sw_model.h"
 #include "apps/workloads.h"
+#include "base/fault.h"
 #include "base/status.h"
 #include "base/table.h"
-#include "cp/adpcm_cp.h"
-#include "cp/conv_cp.h"
-#include "cp/gather_cp.h"
-#include "cp/idea_cp.h"
 #include "cp/registry.h"
-#include "cp/vecadd_cp.h"
 #include "os/kernel.h"
 #include "os/vcopd.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
 #include "runtime/report.h"
+#include "sim/stats.h"
 #include "sim/trace.h"
 
 namespace vcop::bench {
@@ -105,32 +104,15 @@ inline const char* AppName(App app) {
 /// Default conv2d image width; the height is input_bytes / width.
 inline constexpr u32 kConvWidth = 64;
 
-/// One object of a job: its FPGA_MAP_OBJECT arguments and initial bytes
-/// (zeros for the output).
-struct JobObject {
-  hw::ObjectId id = 0;
-  u32 elem_width = 1;
-  os::Direction direction = os::Direction::kIn;
-  std::vector<u8> bytes;
-};
-
-/// One job's host side, fixed by (app, input size, seed).
-struct Job {
+/// One job's host side, fixed by (app, input size, seed): the
+/// application's FPGA job as the runtime describes it (bit-stream,
+/// objects, FPGA_EXECUTE parameters, output object) plus the software
+/// reference output.
+struct Job : runtime::FpgaJob {
   App app = App::kAdpcm;
   u32 input_bytes = 0;
-  hw::Bitstream bitstream;
-  std::vector<u32> params;         // FPGA_EXECUTE parameters
-  std::vector<JobObject> objects;  // allocation and mapping order
-  hw::ObjectId output = 0;         // the object the check reads
-  std::vector<u8> expect;          // software reference output
+  std::vector<u8> expect;  // software reference output
 };
-
-template <typename T>
-std::vector<u8> AsBytes(std::span<const T> values) {
-  std::vector<u8> bytes(values.size_bytes());
-  if (!bytes.empty()) std::memcpy(bytes.data(), values.data(), bytes.size());
-  return bytes;
-}
 
 /// Builds the job for `app` over `input_bytes` of seeded input: adpcm's
 /// compressed stream, IDEA's plaintext (ECB), one vecadd or gather
@@ -138,52 +120,30 @@ std::vector<u8> AsBytes(std::span<const T> values) {
 /// shift 3).
 inline Job MakeJob(App app, u32 input_bytes, u64 seed,
                    u32 conv_width = kConvWidth) {
-  Job job;
-  job.app = app;
-  job.input_bytes = input_bytes;
-  auto add = [&job](hw::ObjectId id, u32 elem_width, os::Direction direction,
-                    std::vector<u8> bytes) {
-    job.objects.push_back({id, elem_width, direction, std::move(bytes)});
-  };
-  auto add_output = [&](hw::ObjectId id, u32 elem_width) {
-    job.output = id;
-    add(id, elem_width, os::Direction::kOut,
-        std::vector<u8>(job.expect.size()));
-  };
+  using runtime::AsBytes;
+  runtime::FpgaJob fpga;
+  std::vector<u8> expect;
   switch (app) {
     case App::kAdpcm: {
-      using Cp = cp::AdpcmDecodeCoprocessor;
       const std::vector<u8> input = apps::MakeAdpcmStream(input_bytes, seed);
-      std::vector<i16> expect(input.size() * 2);
+      std::vector<i16> pcm(input.size() * 2);
       apps::AdpcmState state;
-      apps::AdpcmDecode(input, expect, state);
-      job.expect = AsBytes(std::span<const i16>(expect));
-      job.bitstream = cp::AdpcmDecodeBitstream();
-      job.params = {input_bytes, 0u, 0u};  // fresh predictor state
-      add(Cp::kObjIn, 1, os::Direction::kIn, input);
-      add_output(Cp::kObjOut, 2);
+      apps::AdpcmDecode(input, pcm, state);
+      fpga = runtime::AdpcmDecodeJob(input);
+      expect = AsBytes(std::span<const i16>(pcm));
       break;
     }
     case App::kIdea: {
-      using Cp = cp::IdeaCoprocessor;
       const apps::IdeaSubkeys keys =
           apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
       const std::vector<u8> input = apps::MakeRandomBytes(input_bytes,
                                                           seed + 1);
-      job.expect.resize(input.size());
-      apps::IdeaCryptEcb(keys, input, job.expect);
-      job.bitstream = cp::IdeaBitstream();
-      job.params = {static_cast<u32>(input_bytes / apps::kIdeaBlockBytes),
-                    Cp::kModeEcb, 0u, 0u};
-      // The core addresses the byte streams as 32-bit elements.
-      add(Cp::kObjIn, 4, os::Direction::kIn, input);
-      add_output(Cp::kObjOut, 4);
-      add(Cp::kObjKey, 2, os::Direction::kIn,
-          AsBytes(std::span<const u16>(keys)));
+      expect.resize(input.size());
+      apps::IdeaCryptEcb(keys, input, expect);
+      fpga = runtime::IdeaJob(keys, input);
       break;
     }
     case App::kVecAdd: {
-      using Cp = cp::VecAddCoprocessor;
       const u32 n = input_bytes / static_cast<u32>(sizeof(u32));
       std::vector<u32> a(n), b(n), c(n);
       for (u32 i = 0; i < n; ++i) {
@@ -191,54 +151,32 @@ inline Job MakeJob(App app, u32 input_bytes, u64 seed,
         b[i] = static_cast<u32>(seed) * 7919u + 3u * i;
         c[i] = a[i] + b[i];
       }
-      job.expect = AsBytes(std::span<const u32>(c));
-      job.bitstream = cp::VecAddBitstream();
-      job.params = {n};
-      add(Cp::kObjA, 4, os::Direction::kIn, AsBytes(std::span<const u32>(a)));
-      add(Cp::kObjB, 4, os::Direction::kIn, AsBytes(std::span<const u32>(b)));
-      add_output(Cp::kObjC, 4);
+      fpga = runtime::VecAddJob(a, b);
+      expect = AsBytes(std::span<const u32>(c));
       break;
     }
     case App::kConv: {
-      using Cp = cp::Conv3x3Coprocessor;
       constexpr u32 kShift = 3;  // box blur: sum 9, >> 3
       const u32 height = input_bytes / conv_width;
       const std::vector<u8> image =
           apps::MakeTestImage(conv_width, height, seed);
       const apps::Conv3x3Kernel kernel = apps::BoxBlurKernel();
-      job.expect.resize(image.size());
-      apps::Convolve3x3(image, conv_width, height, kernel, kShift,
-                        job.expect);
-      std::vector<u32> coeffs(kernel.size());
-      for (usize i = 0; i < kernel.size(); ++i) {
-        coeffs[i] = static_cast<u32>(kernel[i]);
-      }
-      job.bitstream = cp::Conv3x3Bitstream();
-      job.params = {conv_width, height, kShift};
-      add(Cp::kObjSrc, 1, os::Direction::kIn, image);
-      add_output(Cp::kObjDst, 1);
-      add(Cp::kObjKernel, 4, os::Direction::kIn,
-          AsBytes(std::span<const u32>(coeffs)));
+      expect.resize(image.size());
+      apps::Convolve3x3(image, conv_width, height, kernel, kShift, expect);
+      fpga = runtime::Conv3x3Job(image, conv_width, height, kernel, kShift);
       break;
     }
     case App::kGather: {
-      using Cp = cp::GatherCoprocessor;
       const u32 n = input_bytes / static_cast<u32>(sizeof(u32));
       const apps::GatherInput g = apps::MakeRandomGather(n, seed);
       std::vector<u32> out(n);
       for (u32 i = 0; i < n; ++i) out[i] = g.in[g.perm[i]];
-      job.expect = AsBytes(std::span<const u32>(out));
-      job.bitstream = cp::GatherBitstream();
-      job.params = {n};
-      add(Cp::kObjIn, 4, os::Direction::kIn,
-          AsBytes(std::span<const u32>(g.in)));
-      add(Cp::kObjPerm, 4, os::Direction::kIn,
-          AsBytes(std::span<const u32>(g.perm)));
-      add_output(Cp::kObjOut, 4);
+      fpga = runtime::GatherJob(g.in, g.perm);
+      expect = AsBytes(std::span<const u32>(out));
       break;
     }
   }
-  return job;
+  return Job{std::move(fpga), app, input_bytes, std::move(expect)};
 }
 
 /// A job placed in a system's user memory and mapped into one owner's
@@ -269,7 +207,7 @@ inline StagedJob PlaceJob(runtime::FpgaSystem& sys, os::Vcopd* daemon,
                           os::TenantId tenant, Job job) {
   StagedJob staged;
   staged.tenant = tenant;
-  for (const JobObject& o : job.objects) {
+  for (const runtime::JobObject& o : job.objects) {
     runtime::HostBuffer<u8> buffer =
         sys.Allocate<u8>(static_cast<u32>(o.bytes.size())).value();
     buffer.Fill(o.bytes);
@@ -304,6 +242,160 @@ inline StagedJob StageBlocking(runtime::FpgaSystem& sys, Job job) {
   return PlaceJob(sys, nullptr, 0, std::move(job));
 }
 
+// ----- one run on a fresh system -----
+
+/// One job's run on a fresh system (RunFresh).
+struct FreshRun {
+  Status status = Status::Ok();
+  std::vector<u8> output;      // the output object; empty on failure
+  bool exact = false;          // output equals the software reference
+  os::ExecutionReport report;  // valid when status.ok()
+  os::VimServiceStats service;
+  Picoseconds sim_now = 0;  // simulated time at the end of the run
+  u64 events = 0;           // events dispatched, the audit's included
+};
+
+/// Runs `job` through runtime::RunJob on a fresh system built from
+/// `config`, under `plan` (with none, none is installed). `inspect`, if
+/// given, reads the system and the result (`events` not yet set) before
+/// the end-of-run audit: anything still queued must drain without
+/// ticking another clock edge (the process aborts otherwise).
+inline FreshRun RunFresh(
+    const os::KernelConfig& config, const Job& job, FaultPlan* plan = nullptr,
+    const std::function<void(runtime::FpgaSystem&, const FreshRun&)>&
+        inspect = nullptr) {
+  runtime::FpgaSystem sys(config);
+  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
+  FreshRun run;
+  Result<runtime::VimRun<u8>> result = runtime::RunJob(sys, job);
+  run.status = result.status();
+  if (result.ok()) {
+    run.output = std::move(result.value().output);
+    run.exact = run.output == job.expect;
+    run.report = result.value().report;
+  }
+  run.service = sys.kernel().vim().service_stats();
+  sim::Simulator& sim = sys.kernel().simulator();
+  run.sim_now = sim.now();
+  if (inspect) inspect(sys, run);
+  sim.DrainAssertQuiescent();
+  run.events = sim.events_dispatched();
+  return run;
+}
+
+// ----- the seeded fault-plan grid -----
+
+/// The grid's streaming workload for `seed`: adpcm, IDEA, vecadd or
+/// conv2d by seed % 4.
+inline App GridApp(u64 seed) {
+  constexpr App kApps[] = {App::kAdpcm, App::kIdea, App::kVecAdd, App::kConv};
+  return kApps[seed % 4];
+}
+
+/// Runs the grid's workload for `seed` on a fresh system built from
+/// `config`, under `plan` (none installed when null), and audits the
+/// end of the run (RunFresh). The streaming workloads fit the 16 KB
+/// dual-port RAM: adpcm 2 KB, IDEA 1 KB, vecadd 512 words, a 48x24
+/// conv2d image. With `gather`, the run is instead a 6144-word gather,
+/// whose 24 KB objects evict, write back mid-run and re-load pages.
+inline FreshRun RunGrid(u64 seed, const os::KernelConfig& config,
+                        FaultPlan* plan, bool gather = false) {
+  constexpr u32 kGridWidth = 48;
+  const App app = gather ? App::kGather : GridApp(seed);
+  u32 bytes = 0;
+  switch (app) {
+    case App::kAdpcm: bytes = 2048; break;
+    case App::kIdea: bytes = 1024; break;
+    case App::kVecAdd: bytes = 512 * 4; break;
+    case App::kConv: bytes = kGridWidth * 24; break;
+    case App::kGather: bytes = 6144 * 4; break;
+  }
+  return RunFresh(config, MakeJob(app, bytes, seed, kGridWidth), plan);
+}
+
+// ----- every report field -----
+
+/// One ExecutionReport field by dotted name. A double enters as its bit
+/// pattern, so equal values mean bit-identical fields.
+struct ReportField {
+  const char* name;
+  u64 value;
+};
+
+/// Every ExecutionReport field, in declaration order; a sim::Summary
+/// enters as its count, sum, min and max. The whole-report checks (the
+/// engine differential, the empty-plan check, bench_fastforward's
+/// digest) all read this one list.
+inline std::vector<ReportField> ReportFields(const os::ExecutionReport& r) {
+  // The 43 fields below are 8 bytes each: a field added to the report
+  // fails this until it joins the list.
+  static_assert(sizeof(os::ExecutionReport) == 43 * sizeof(u64));
+  const os::VimAccounting& v = r.vim;
+  const sim::Summary& fs = v.fault_service_us;
+  auto bits = [](double d) { return std::bit_cast<u64>(d); };
+  return {
+      {"total", r.total},
+      {"t_hw", r.t_hw},
+      {"t_dp", r.t_dp},
+      {"t_imu", r.t_imu},
+      {"t_invoke", r.t_invoke},
+      {"vim.t_dp", v.t_dp},
+      {"vim.t_imu", v.t_imu},
+      {"vim.t_wakeup", v.t_wakeup},
+      {"vim.faults", v.faults},
+      {"vim.tlb_refills", v.tlb_refills},
+      {"vim.evictions", v.evictions},
+      {"vim.writebacks", v.writebacks},
+      {"vim.loads", v.loads},
+      {"vim.kernel_copy_loads", v.kernel_copy_loads},
+      {"vim.prefetched_pages", v.prefetched_pages},
+      {"vim.cleaned_pages", v.cleaned_pages},
+      {"vim.bytes_loaded", v.bytes_loaded},
+      {"vim.bytes_written_back", v.bytes_written_back},
+      {"vim.t_dp_overlapped", v.t_dp_overlapped},
+      {"vim.t_dp_wait", v.t_dp_wait},
+      {"vim.dirty_in_pages_dropped", v.dirty_in_pages_dropped},
+      {"vim.preemptions", v.preemptions},
+      {"vim.fault_recoveries", v.fault_recoveries},
+      {"vim.iommu_faults", v.iommu_faults},
+      {"vim.prefetch_useful", v.prefetch_useful},
+      {"vim.prefetch_wasted", v.prefetch_wasted},
+      {"vim.prefetch_suggestions_dropped", v.prefetch_suggestions_dropped},
+      {"vim.fault_service_us.count", fs.count()},
+      {"vim.fault_service_us.sum", bits(fs.sum())},
+      {"vim.fault_service_us.min", bits(fs.min())},
+      {"vim.fault_service_us.max", bits(fs.max())},
+      {"imu.accesses", r.imu.accesses},
+      {"imu.reads", r.imu.reads},
+      {"imu.writes", r.imu.writes},
+      {"imu.faults", r.imu.faults},
+      {"imu.fault_stall_time", r.imu.fault_stall_time},
+      {"imu.access_latency_time", r.imu.access_latency_time},
+      {"tlb.lookups", r.tlb.lookups},
+      {"tlb.hits", r.tlb.hits},
+      {"tlb.misses", r.tlb.misses},
+      {"tlb.parity_errors", r.tlb.parity_errors},
+      {"tlb.installs", r.tlb.installs},
+      {"cp_cycles", r.cp_cycles},
+  };
+}
+
+/// The fields in which `got` differs from `want`, one "name: got vs
+/// want" line each; empty when the two reports are bit-identical.
+inline std::string ReportMismatch(const os::ExecutionReport& got,
+                                  const os::ExecutionReport& want) {
+  const std::vector<ReportField> a = ReportFields(got);
+  const std::vector<ReportField> b = ReportFields(want);
+  std::string mismatch;
+  for (usize i = 0; i < a.size(); ++i) {
+    if (a[i].value == b[i].value) continue;
+    mismatch += StrFormat("%s: %llu vs %llu\n", a[i].name,
+                          static_cast<unsigned long long>(a[i].value),
+                          static_cast<unsigned long long>(b[i].value));
+  }
+  return mismatch;
+}
+
 // ----- the single-run point runner -----
 
 struct Point {
@@ -316,11 +408,11 @@ struct Point {
 };
 
 /// Runs `job` once through FPGA_EXECUTE on a fresh system built from
-/// `config`. `inspect`, if given, reads the system before teardown.
+/// `config` (RunFresh, which passes `inspect` on).
 inline Point RunPoint(
     const os::KernelConfig& config, const Job& job,
-    const std::function<void(runtime::FpgaSystem&, const Point&)>& inspect =
-        nullptr) {
+    const std::function<void(runtime::FpgaSystem&, const FreshRun&)>&
+        inspect = nullptr) {
   Point point;
   point.input_bytes = job.input_bytes;
   apps::ArmTimingModel arm;
@@ -328,16 +420,10 @@ inline Point RunPoint(
   if (job.app == App::kAdpcm) point.sw = arm.AdpcmDecodeTime(job.input_bytes);
   if (job.app == App::kIdea) point.sw = arm.IdeaEcbTime(job.input_bytes);
 
-  runtime::FpgaSystem sys(config);
-  const StagedJob staged = StageBlocking(sys, job);
-  auto report = sys.Execute(job.params);
-  VCOP_CHECK_MSG(report.ok(), report.status().ToString());
-  point.vim = report.value();
-  point.exact = staged.Exact();
-  if (inspect) inspect(sys, point);
-  // End-of-run audit: anything still queued must drain without ticking
-  // another clock edge (the run aborts otherwise).
-  sys.kernel().simulator().DrainAssertQuiescent();
+  const FreshRun run = RunFresh(config, job, nullptr, inspect);
+  VCOP_CHECK_MSG(run.status.ok(), run.status.ToString());
+  point.vim = run.report;
+  point.exact = run.exact;
   return point;
 }
 
@@ -505,18 +591,10 @@ inline Picoseconds RunFig7(const os::KernelConfig& config,
   runtime::FpgaSystem sys(config);
   VCOP_CHECK(sys.Load(cp::VecAddBitstream()).ok());
   sys.kernel().imu()->AttachTracer(&tracer);
-  auto a = sys.Allocate<u32>(1);
-  auto b = sys.Allocate<u32>(1);
-  auto c = sys.Allocate<u32>(1);
-  VCOP_CHECK(a.ok() && b.ok() && c.ok());
-  a.value().view()[0] = 0x0000CAFE;
-  b.value().view()[0] = 0x00000001;
-  VCOP_CHECK(sys.Map(0, a.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(1, b.value(), os::Direction::kIn).ok());
-  VCOP_CHECK(sys.Map(2, c.value(), os::Direction::kOut).ok());
-  auto report = sys.Execute({1u});
-  VCOP_CHECK_MSG(report.ok(), report.status().ToString());
-  VCOP_CHECK(c.value().view()[0] == 0x0000CAFF);
+  const std::vector<u32> a = {0x0000CAFE}, b = {0x00000001};
+  const auto run = runtime::RunVecAddVim(sys, a, b);
+  VCOP_CHECK_MSG(run.ok(), run.status().ToString());
+  VCOP_CHECK(run.value().output[0] == 0x0000CAFF);
   return sys.kernel().simulator().now();
 }
 

@@ -78,6 +78,16 @@ inline TlbStats operator-(const TlbStats& now, const TlbStats& since) {
                   now.installs - since.installs};
 }
 
+/// Adds one window's counts (a `now - since` delta) to `into`.
+inline TlbStats& operator+=(TlbStats& into, const TlbStats& delta) {
+  into.lookups += delta.lookups;
+  into.hits += delta.hits;
+  into.misses += delta.misses;
+  into.parity_errors += delta.parity_errors;
+  into.installs += delta.installs;
+  return into;
+}
+
 class Tlb {
  public:
   /// `num_entries` >= 1. The EPXA1 system uses 8 (one per DP-RAM page).

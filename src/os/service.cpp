@@ -158,15 +158,7 @@ void VcopService::DrainPort(Port& port) {
     if (!head.Intact() || head.design >= designs_.size() ||
         head.nparams > kRingMaxParams ||
         head.nrefs > kRingMaxObjectRefs) {
-      const RingDescriptor bad = port.sq.Consume();
-      ++stats_.descriptors_rejected;
-      CompletionDescriptor completion;
-      completion.cookie = bad.cookie;
-      completion.code = static_cast<u32>(ErrorCode::kInvalidArgument);
-      completion.submitted_at = now;
-      completion.started_at = now;
-      completion.finished_at = now;
-      PushCompletion(port, completion);
+      RejectHead(port, ErrorCode::kInvalidArgument, now);
       continue;
     }
     // Object refs carry (object id << 32 | user VA): the tenant
@@ -183,15 +175,7 @@ void VcopService::DrainPort(Port& port) {
         repoint = daemon_.RepointObject(port.tenant, oid, va);
       }
       if (!repoint.ok()) {
-        const RingDescriptor bad = port.sq.Consume();
-        ++stats_.descriptors_rejected;
-        CompletionDescriptor completion;
-        completion.cookie = bad.cookie;
-        completion.code = static_cast<u32>(repoint.code());
-        completion.submitted_at = now;
-        completion.started_at = now;
-        completion.finished_at = now;
-        PushCompletion(port, completion);
+        RejectHead(port, repoint.code(), now);
         continue;
       }
     }
@@ -218,15 +202,7 @@ void VcopService::DrainPort(Port& port) {
     }
     // Quarantine, unknown design, oversized parameters, ...: fail the
     // descriptor cleanly and keep draining.
-    const RingDescriptor failed = port.sq.Consume();
-    ++stats_.descriptors_rejected;
-    CompletionDescriptor completion;
-    completion.cookie = failed.cookie;
-    completion.code = static_cast<u32>(ticket.status().code());
-    completion.submitted_at = now;
-    completion.started_at = now;
-    completion.finished_at = now;
-    PushCompletion(port, completion);
+    RejectHead(port, ticket.status().code(), now);
   }
   if (batch > 0) {
     ++stats_.drains;
@@ -237,6 +213,17 @@ void VcopService::DrainPort(Port& port) {
                   static_cast<unsigned long long>(batch)),
         "service", sim.now(), 0, /*track=*/3);
   }
+}
+
+void VcopService::RejectHead(Port& port, ErrorCode code, Picoseconds now) {
+  CompletionDescriptor completion;
+  completion.cookie = port.sq.Consume().cookie;
+  completion.code = static_cast<u32>(code);
+  completion.submitted_at = now;
+  completion.started_at = now;
+  completion.finished_at = now;
+  ++stats_.descriptors_rejected;
+  PushCompletion(port, completion);
 }
 
 void VcopService::PushCompletion(Port& port,

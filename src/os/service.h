@@ -207,6 +207,9 @@ class VcopService {
 
   void ScheduleDrain(Port& port, Picoseconds delay);
   void DrainPort(Port& port);
+  /// Consumes the head descriptor without running it and completes it
+  /// at `now` with error `code`.
+  void RejectHead(Port& port, ErrorCode code, Picoseconds now);
   void PushCompletion(Port& port, const CompletionDescriptor& completion);
   void OnJobComplete(Port& port, u64 cookie, const JobResult& result);
   void ArmRepoll();

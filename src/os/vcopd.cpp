@@ -536,11 +536,9 @@ Status Vcopd::RunSlice(Tenant& tenant) {
 
   const RunEnd end = kernel_.Run([this] { return slice_preempted_; });
 
-  // Attribute this slice's shared-TLB traffic to the job.
-  const hw::TlbStats tlb_now = kernel_.shared_tlb().stats();
-  job->tlb_acc.lookups += tlb_now.lookups - tlb_mark.lookups;
-  job->tlb_acc.hits += tlb_now.hits - tlb_mark.hits;
-  job->tlb_acc.misses += tlb_now.misses - tlb_mark.misses;
+  // Attribute this slice's shared-TLB traffic to the job, the whole
+  // delta as FPGA_EXECUTE reports it.
+  job->tlb_acc += kernel_.shared_tlb().stats() - tlb_mark;
 
   vim.set_preempt_check(nullptr);
   vim.set_preempt_handler(nullptr);

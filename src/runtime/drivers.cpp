@@ -1,7 +1,5 @@
 #include "runtime/drivers.h"
 
-#include <tuple>
-
 #include "cp/adpcm_cp.h"
 #include "cp/adpcm_enc_cp.h"
 #include "cp/conv_cp.h"
@@ -24,30 +22,126 @@ Status EnsureLoaded(FpgaSystem& sys, const hw::Bitstream& bitstream) {
   return sys.Load(bitstream);
 }
 
+JobObject In(hw::ObjectId id, u32 elem_width, std::vector<u8> bytes) {
+  return {id, elem_width, os::Direction::kIn, std::move(bytes)};
+}
+
+JobObject Out(hw::ObjectId id, u32 elem_width, usize bytes) {
+  return {id, elem_width, os::Direction::kOut, std::vector<u8>(bytes)};
+}
+
+/// RunJob with the output copied out as T elements.
+template <typename T>
+Result<VimRun<T>> RunTyped(FpgaSystem& sys, const FpgaJob& job) {
+  Result<VimRun<u8>> run = RunJob(sys, job);
+  if (!run.ok()) return run.status();
+  const std::vector<u8>& bytes = run.value().output;
+  std::vector<T> output(bytes.size() / sizeof(T));
+  if (!output.empty()) std::memcpy(output.data(), bytes.data(), bytes.size());
+  return VimRun<T>{std::move(output), run.value().report};
+}
+
+Status CheckIdeaInput(std::span<const u8> input) {
+  if (input.empty() || input.size() % apps::kIdeaBlockBytes != 0) {
+    return InvalidArgumentError(
+        "IDEA input must be a nonzero multiple of 8 bytes");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+FpgaJob AdpcmDecodeJob(std::span<const u8> input) {
+  using Cp = cp::AdpcmDecodeCoprocessor;
+  const u32 n = static_cast<u32>(input.size());
+  // FPGA_EXECUTE(length, valprev, index): fresh predictor state.
+  return {cp::AdpcmDecodeBitstream(),
+          {In(Cp::kObjIn, 1, AsBytes(input)),
+           Out(Cp::kObjOut, 2, 4 * usize{n})},
+          {n, 0u, 0u},
+          Cp::kObjOut};
+}
+
+FpgaJob AdpcmEncodeJob(std::span<const i16> pcm) {
+  using Cp = cp::AdpcmEncodeCoprocessor;
+  const u32 n = static_cast<u32>(pcm.size());
+  return {cp::AdpcmEncodeBitstream(),
+          {In(Cp::kObjIn, 2, AsBytes(pcm)), Out(Cp::kObjOut, 1, n / 2)},
+          {n, 0u, 0u},
+          Cp::kObjOut};
+}
+
+FpgaJob IdeaJob(const apps::IdeaSubkeys& subkeys, std::span<const u8> input,
+                u32 mode, const apps::IdeaIv& iv) {
+  using Cp = cp::IdeaCoprocessor;
+  u32 iv_lo = 0, iv_hi = 0;
+  for (u32 b = 0; b < 4; ++b) {
+    iv_lo |= static_cast<u32>(iv[b]) << (8 * b);
+    iv_hi |= static_cast<u32>(iv[4 + b]) << (8 * b);
+  }
+  const u32 blocks = static_cast<u32>(input.size() / apps::kIdeaBlockBytes);
+  // The core addresses the byte streams as 32-bit elements.
+  return {cp::IdeaBitstream(),
+          {In(Cp::kObjIn, 4, AsBytes(input)),
+           Out(Cp::kObjOut, 4, input.size()),
+           In(Cp::kObjKey, 2, AsBytes(std::span<const u16>(subkeys)))},
+          {blocks, mode, iv_lo, iv_hi},
+          Cp::kObjOut};
+}
+
+FpgaJob VecAddJob(std::span<const u32> a, std::span<const u32> b) {
+  using Cp = cp::VecAddCoprocessor;
+  return {cp::VecAddBitstream(),
+          {In(Cp::kObjA, 4, AsBytes(a)), In(Cp::kObjB, 4, AsBytes(b)),
+           Out(Cp::kObjC, 4, a.size_bytes())},
+          {static_cast<u32>(a.size())},
+          Cp::kObjC};
+}
+
+FpgaJob GatherJob(std::span<const u32> in, std::span<const u32> perm) {
+  using Cp = cp::GatherCoprocessor;
+  return {cp::GatherBitstream(),
+          {In(Cp::kObjIn, 4, AsBytes(in)), In(Cp::kObjPerm, 4, AsBytes(perm)),
+           Out(Cp::kObjOut, 4, perm.size_bytes())},
+          {static_cast<u32>(perm.size())},
+          Cp::kObjOut};
+}
+
+FpgaJob Conv3x3Job(std::span<const u8> image, u32 width, u32 height,
+                   const apps::Conv3x3Kernel& kernel, u32 shift) {
+  using Cp = cp::Conv3x3Coprocessor;
+  std::vector<u32> coeffs(kernel.size());
+  for (usize i = 0; i < kernel.size(); ++i) {
+    coeffs[i] = static_cast<u32>(kernel[i]);
+  }
+  return {cp::Conv3x3Bitstream(),
+          {In(Cp::kObjSrc, 1, AsBytes(image)),
+           Out(Cp::kObjDst, 1, image.size()),
+           In(Cp::kObjKernel, 4, AsBytes(std::span<const u32>(coeffs)))},
+          {width, height, shift},
+          Cp::kObjDst};
+}
+
+Result<VimRun<u8>> RunJob(FpgaSystem& sys, const FpgaJob& job) {
+  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, job.bitstream));
+  HostBuffer<u8> output;
+  for (const JobObject& o : job.objects) {
+    Result<HostBuffer<u8>> buffer =
+        sys.Allocate<u8>(static_cast<u32>(o.bytes.size()));
+    if (!buffer.ok()) return buffer.status();
+    buffer.value().Fill(o.bytes);
+    VCOP_RETURN_IF_ERROR(
+        sys.Remap(o.id, buffer.value(), o.elem_width, o.direction));
+    if (o.id == job.output) output = buffer.value();
+  }
+  Result<os::ExecutionReport> report = sys.Execute(job.params);
+  if (!report.ok()) return report.status();
+  return VimRun<u8>{output.ToVector(), report.value()};
+}
 
 Result<VimRun<i16>> RunAdpcmVim(FpgaSystem& sys, std::span<const u8> input) {
   if (input.empty()) return InvalidArgumentError("empty ADPCM input");
-  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, cp::AdpcmDecodeBitstream()));
-
-  Result<HostBuffer<u8>> in =
-      sys.Allocate<u8>(static_cast<u32>(input.size()));
-  if (!in.ok()) return in.status();
-  in.value().Fill(input);
-  Result<HostBuffer<i16>> out =
-      sys.Allocate<i16>(static_cast<u32>(input.size() * 2));
-  if (!out.ok()) return out.status();
-
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::AdpcmDecodeCoprocessor::kObjIn,
-                                 in.value(), os::Direction::kIn));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::AdpcmDecodeCoprocessor::kObjOut,
-                                 out.value(), os::Direction::kOut));
-
-  // FPGA_EXECUTE(length, valprev, index) — fresh predictor state.
-  Result<os::ExecutionReport> report =
-      sys.Execute({static_cast<u32>(input.size()), 0u, 0u});
-  if (!report.ok()) return report.status();
-  return VimRun<i16>{out.value().ToVector(), report.value()};
+  return RunTyped<i16>(sys, AdpcmDecodeJob(input));
 }
 
 Result<VimRun<u8>> RunAdpcmEncodeVim(FpgaSystem& sys,
@@ -56,99 +150,25 @@ Result<VimRun<u8>> RunAdpcmEncodeVim(FpgaSystem& sys,
     return InvalidArgumentError(
         "ADPCM encodes a nonzero, even number of samples");
   }
-  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, cp::AdpcmEncodeBitstream()));
-
-  Result<HostBuffer<i16>> in =
-      sys.Allocate<i16>(static_cast<u32>(pcm.size()));
-  if (!in.ok()) return in.status();
-  in.value().Fill(pcm);
-  Result<HostBuffer<u8>> out =
-      sys.Allocate<u8>(static_cast<u32>(pcm.size() / 2));
-  if (!out.ok()) return out.status();
-
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::AdpcmEncodeCoprocessor::kObjIn,
-                                 in.value(), os::Direction::kIn));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::AdpcmEncodeCoprocessor::kObjOut,
-                                 out.value(), os::Direction::kOut));
-
-  Result<os::ExecutionReport> report =
-      sys.Execute({static_cast<u32>(pcm.size()), 0u, 0u});
-  if (!report.ok()) return report.status();
-  return VimRun<u8>{out.value().ToVector(), report.value()};
+  return RunJob(sys, AdpcmEncodeJob(pcm));
 }
-
-namespace {
-
-/// Shared IDEA runner: mode 0 = ECB, 1 = CBC encrypt, 2 = CBC decrypt.
-Result<VimRun<u8>> RunIdeaMode(FpgaSystem& sys,
-                               const apps::IdeaSubkeys& subkeys,
-                               u32 mode, u32 iv_lo, u32 iv_hi,
-                               std::span<const u8> input) {
-  if (input.empty() || input.size() % apps::kIdeaBlockBytes != 0) {
-    return InvalidArgumentError(
-        "IDEA input must be a nonzero multiple of 8 bytes");
-  }
-  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, cp::IdeaBitstream()));
-
-  Result<HostBuffer<u8>> in =
-      sys.Allocate<u8>(static_cast<u32>(input.size()));
-  if (!in.ok()) return in.status();
-  in.value().Fill(input);
-  Result<HostBuffer<u8>> out =
-      sys.Allocate<u8>(static_cast<u32>(input.size()));
-  if (!out.ok()) return out.status();
-  Result<HostBuffer<u16>> key =
-      sys.Allocate<u16>(static_cast<u32>(subkeys.size()));
-  if (!key.ok()) return key.status();
-  key.value().Fill(std::span<const u16>(subkeys.data(), subkeys.size()));
-
-  // The in/out streams are addressed as 32-bit elements by the core;
-  // map them with 4-byte element width over the same raw bytes.
-  for (const auto& [id, buffer, dir] :
-       {std::tuple{cp::IdeaCoprocessor::kObjIn, &in.value(),
-                   os::Direction::kIn},
-        std::tuple{cp::IdeaCoprocessor::kObjOut, &out.value(),
-                   os::Direction::kOut}}) {
-    if (sys.kernel().default_space().objects().Find(id) != nullptr) {
-      VCOP_RETURN_IF_ERROR(sys.kernel().FpgaUnmapObject(id));
-    }
-    VCOP_RETURN_IF_ERROR(sys.kernel().FpgaMapObject(
-        id, buffer->addr(), buffer->size_bytes(), /*elem_width=*/4, dir));
-  }
-  VCOP_RETURN_IF_ERROR(
-      sys.Remap(cp::IdeaCoprocessor::kObjKey, key.value(),
-                os::Direction::kIn));
-
-  const u32 blocks =
-      static_cast<u32>(input.size() / apps::kIdeaBlockBytes);
-  Result<os::ExecutionReport> report =
-      sys.Execute({blocks, mode, iv_lo, iv_hi});
-  if (!report.ok()) return report.status();
-  return VimRun<u8>{out.value().ToVector(), report.value()};
-}
-
-}  // namespace
 
 Result<VimRun<u8>> RunIdeaVim(FpgaSystem& sys,
                               const apps::IdeaSubkeys& subkeys,
                               std::span<const u8> input) {
-  return RunIdeaMode(sys, subkeys, cp::IdeaCoprocessor::kModeEcb, 0, 0,
-                     input);
+  VCOP_RETURN_IF_ERROR(CheckIdeaInput(input));
+  return RunJob(sys, IdeaJob(subkeys, input));
 }
 
 Result<VimRun<u8>> RunIdeaCbcVim(FpgaSystem& sys,
                                  const apps::IdeaSubkeys& subkeys,
                                  const apps::IdeaIv& iv, bool encrypt,
                                  std::span<const u8> input) {
-  u32 iv_lo = 0, iv_hi = 0;
-  for (u32 b = 0; b < 4; ++b) {
-    iv_lo |= static_cast<u32>(iv[b]) << (8 * b);
-    iv_hi |= static_cast<u32>(iv[4 + b]) << (8 * b);
-  }
-  return RunIdeaMode(sys, subkeys,
-                     encrypt ? cp::IdeaCoprocessor::kModeCbcEncrypt
-                             : cp::IdeaCoprocessor::kModeCbcDecrypt,
-                     iv_lo, iv_hi, input);
+  VCOP_RETURN_IF_ERROR(CheckIdeaInput(input));
+  return RunJob(sys, IdeaJob(subkeys, input,
+                             encrypt ? cp::IdeaCoprocessor::kModeCbcEncrypt
+                                     : cp::IdeaCoprocessor::kModeCbcDecrypt,
+                             iv));
 }
 
 Result<VimRun<u32>> RunVecAddVim(FpgaSystem& sys, std::span<const u32> a,
@@ -156,28 +176,7 @@ Result<VimRun<u32>> RunVecAddVim(FpgaSystem& sys, std::span<const u32> a,
   if (a.size() != b.size() || a.empty()) {
     return InvalidArgumentError("vecadd needs two equal nonzero vectors");
   }
-  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, cp::VecAddBitstream()));
-
-  const u32 n = static_cast<u32>(a.size());
-  Result<HostBuffer<u32>> ba = sys.Allocate<u32>(n);
-  if (!ba.ok()) return ba.status();
-  ba.value().Fill(a);
-  Result<HostBuffer<u32>> bb = sys.Allocate<u32>(n);
-  if (!bb.ok()) return bb.status();
-  bb.value().Fill(b);
-  Result<HostBuffer<u32>> bc = sys.Allocate<u32>(n);
-  if (!bc.ok()) return bc.status();
-
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::VecAddCoprocessor::kObjA, ba.value(),
-                                 os::Direction::kIn));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::VecAddCoprocessor::kObjB, bb.value(),
-                                 os::Direction::kIn));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::VecAddCoprocessor::kObjC, bc.value(),
-                                 os::Direction::kOut));
-
-  Result<os::ExecutionReport> report = sys.Execute({n});
-  if (!report.ok()) return report.status();
-  return VimRun<u32>{bc.value().ToVector(), report.value()};
+  return RunTyped<u32>(sys, VecAddJob(a, b));
 }
 
 Result<VimRun<u32>> RunGatherVim(FpgaSystem& sys, std::span<const u32> in,
@@ -185,31 +184,7 @@ Result<VimRun<u32>> RunGatherVim(FpgaSystem& sys, std::span<const u32> in,
   if (in.empty() || perm.empty()) {
     return InvalidArgumentError("gather needs nonempty in and perm");
   }
-  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, cp::GatherBitstream()));
-
-  Result<HostBuffer<u32>> bin =
-      sys.Allocate<u32>(static_cast<u32>(in.size()));
-  if (!bin.ok()) return bin.status();
-  bin.value().Fill(in);
-  Result<HostBuffer<u32>> bperm =
-      sys.Allocate<u32>(static_cast<u32>(perm.size()));
-  if (!bperm.ok()) return bperm.status();
-  bperm.value().Fill(perm);
-  Result<HostBuffer<u32>> bout =
-      sys.Allocate<u32>(static_cast<u32>(perm.size()));
-  if (!bout.ok()) return bout.status();
-
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::GatherCoprocessor::kObjIn, bin.value(),
-                                 os::Direction::kIn));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::GatherCoprocessor::kObjOut,
-                                 bout.value(), os::Direction::kOut));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::GatherCoprocessor::kObjPerm,
-                                 bperm.value(), os::Direction::kIn));
-
-  Result<os::ExecutionReport> report =
-      sys.Execute({static_cast<u32>(perm.size())});
-  if (!report.ok()) return report.status();
-  return VimRun<u32>{bout.value().ToVector(), report.value()};
+  return RunTyped<u32>(sys, GatherJob(in, perm));
 }
 
 Result<VimRun<u8>> RunConv3x3Vim(FpgaSystem& sys,
@@ -221,33 +196,7 @@ Result<VimRun<u8>> RunConv3x3Vim(FpgaSystem& sys,
       image.size() != static_cast<usize>(width) * height) {
     return InvalidArgumentError("bad image geometry");
   }
-  VCOP_RETURN_IF_ERROR(EnsureLoaded(sys, cp::Conv3x3Bitstream()));
-
-  Result<HostBuffer<u8>> src =
-      sys.Allocate<u8>(static_cast<u32>(image.size()));
-  if (!src.ok()) return src.status();
-  src.value().Fill(image);
-  Result<HostBuffer<u8>> dst =
-      sys.Allocate<u8>(static_cast<u32>(image.size()));
-  if (!dst.ok()) return dst.status();
-  Result<HostBuffer<u32>> coeffs = sys.Allocate<u32>(9);
-  if (!coeffs.ok()) return coeffs.status();
-  {
-    auto view = coeffs.value().view();
-    for (usize i = 0; i < 9; ++i) view[i] = static_cast<u32>(kernel[i]);
-  }
-
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::Conv3x3Coprocessor::kObjSrc,
-                                 src.value(), os::Direction::kIn));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::Conv3x3Coprocessor::kObjDst,
-                                 dst.value(), os::Direction::kOut));
-  VCOP_RETURN_IF_ERROR(sys.Remap(cp::Conv3x3Coprocessor::kObjKernel,
-                                 coeffs.value(), os::Direction::kIn));
-
-  Result<os::ExecutionReport> report =
-      sys.Execute({width, height, shift});
-  if (!report.ok()) return report.status();
-  return VimRun<u8>{dst.value().ToVector(), report.value()};
+  return RunJob(sys, Conv3x3Job(image, width, height, kernel, shift));
 }
 
 Result<ManualIdeaRun> RunIdeaManual(const os::CostModel& costs,

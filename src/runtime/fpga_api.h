@@ -13,12 +13,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <initializer_list>
-#include <optional>
 #include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -106,14 +103,17 @@ class FpgaSystem {
 
   Status Unmap(hw::ObjectId id) { return kernel_.FpgaUnmapObject(id); }
 
-  /// Remaps `id` to a (possibly different) buffer: unmap + map.
+  /// Remaps `id` to a (possibly different) buffer: unmap + map, with an
+  /// explicit element width (a core may address a byte buffer as 32-bit
+  /// elements, e.g. IDEA's in/out streams).
   template <typename T>
-  Status Remap(hw::ObjectId id, const HostBuffer<T>& buffer,
+  Status Remap(hw::ObjectId id, const HostBuffer<T>& buffer, u32 elem_width,
                os::Direction direction) {
     if (kernel_.default_space().objects().Find(id) != nullptr) {
       VCOP_RETURN_IF_ERROR(Unmap(id));
     }
-    return Map(id, buffer, direction);
+    return kernel_.FpgaMapObject(id, buffer.addr(), buffer.size_bytes(),
+                                 elem_width, direction);
   }
 
   /// FPGA_EXECUTE.
@@ -134,74 +134,18 @@ class FpgaSystem {
   os::Kernel kernel_;
 };
 
-/// Per-tenant facade over the vcopd service daemon — the asynchronous,
-/// multi-tenant counterpart of FpgaSystem's blocking calls. Buffers
-/// still live in the one simulated user memory; allocate them through
-/// the FpgaSystem (or kernel) that owns the daemon's platform.
+/// Per-tenant client of the vcopd ring transport: SubmitRinged publishes
+/// descriptors into the tenant's submission ring and rings the
+/// doorbell; completions come back through the completion ring
+/// (Await). The tenant must already be attached to `service`. Buffers
+/// live in the one simulated user memory; map them through the daemon
+/// (Vcopd::MapObject) for the tenant.
 class VcopdClient {
  public:
-  /// Direct-call mode: Submit goes straight into the daemon, exactly
-  /// as before the ring transport existed (the compatibility shim —
-  /// behaviour and outputs are untouched by the service layer).
-  VcopdClient(os::Vcopd& daemon, os::TenantId tenant)
-      : daemon_(&daemon), tenant_(tenant) {}
-
-  /// Ring-backed mode: SubmitRinged publishes descriptors into the
-  /// tenant's submission ring and rings the doorbell; completions come
-  /// back through the completion ring (Await/Reap). The tenant must
-  /// already be attached to `service`.
   VcopdClient(os::VcopService& service, os::TenantId tenant)
-      : daemon_(&service.daemon()), service_(&service), tenant_(tenant) {}
+      : service_(&service), tenant_(tenant) {}
 
   os::TenantId tenant() const { return tenant_; }
-  bool ring_backed() const { return service_ != nullptr; }
-
-  /// FPGA_MAP_OBJECT into this tenant's private object table.
-  template <typename T>
-  Status Map(hw::ObjectId id, const HostBuffer<T>& buffer,
-             os::Direction direction) {
-    return daemon_->MapObject(tenant_, id, buffer.addr(),
-                              buffer.size_bytes(),
-                              static_cast<u32>(sizeof(T)), direction);
-  }
-
-  /// Same with an explicit element width (cores that address a byte
-  /// buffer as 32-bit elements, e.g. IDEA's in/out streams).
-  template <typename T>
-  Status Map(hw::ObjectId id, const HostBuffer<T>& buffer, u32 elem_width,
-             os::Direction direction) {
-    return daemon_->MapObject(tenant_, id, buffer.addr(),
-                              buffer.size_bytes(), elem_width, direction);
-  }
-
-  Status Unmap(hw::ObjectId id) {
-    return daemon_->UnmapObject(tenant_, id);
-  }
-
-  /// Asynchronous FPGA_EXECUTE: enqueue and return a ticket. The
-  /// optional callback fires on the simulated timeline at completion.
-  Result<os::Ticket> Submit(
-      const hw::Bitstream& bitstream, std::span<const u32> params,
-      std::function<void(const os::JobResult&)> on_complete = nullptr) {
-    return daemon_->Submit(tenant_, bitstream, params,
-                           std::move(on_complete));
-  }
-  Result<os::Ticket> Submit(
-      const hw::Bitstream& bitstream, std::initializer_list<u32> params,
-      std::function<void(const os::JobResult&)> on_complete = nullptr) {
-    return Submit(bitstream,
-                  std::span<const u32>(params.begin(), params.size()),
-                  std::move(on_complete));
-  }
-
-  const os::JobResult* Poll(os::Ticket ticket) const {
-    return daemon_->Poll(ticket);
-  }
-  Result<os::JobResult> Wait(os::Ticket ticket) {
-    return daemon_->Wait(ticket);
-  }
-
-  // ----- ring-backed operations (require the service constructor) ----
 
   /// Ring-backed FPGA_EXECUTE: publishes one descriptor and kicks the
   /// doorbell. Returns the completion cookie. A full submission ring
@@ -209,7 +153,6 @@ class VcopdClient {
   /// signal; nothing blocks.
   Result<u64> SubmitRinged(const hw::Bitstream& bitstream,
                            std::span<const u32> params) {
-    VCOP_CHECK_MSG(service_ != nullptr, "client is not ring-backed");
     if (params.size() > os::kRingMaxParams) {
       return InvalidArgumentError(
           "too many scalar parameters for a ring descriptor");
@@ -232,7 +175,6 @@ class VcopdClient {
   /// Drives the service until `cookie`'s completion arrives, reaping
   /// (and stashing) other completions along the way.
   Result<os::CompletionDescriptor> Await(u64 cookie) {
-    VCOP_CHECK_MSG(service_ != nullptr, "client is not ring-backed");
     for (int pass = 0; pass < 2; ++pass) {
       while (service_->HasCompletions(tenant_)) {
         Result<os::CompletionDescriptor> reaped = service_->Reap(tenant_);
@@ -252,8 +194,7 @@ class VcopdClient {
   }
 
  private:
-  os::Vcopd* daemon_;
-  os::VcopService* service_ = nullptr;
+  os::VcopService* service_;
   os::TenantId tenant_;
   u64 next_cookie_ = 1;
   /// Completions reaped while awaiting a different cookie.

@@ -1,15 +1,16 @@
 // Differential tests for the host-side engines: under sim::Engine::kFast
 // (edge batching, tick coalescing, the IMU translation cache and
-// fast-forward) the simulation must be bit-identical — outputs, the
-// full ExecutionReport (VimAccounting, ImuStats, TlbStats) and the
-// final simulated timestamp — to the event-per-edge kReference engine,
-// across every workload and platform ablation.
+// fast-forward) the simulation must be bit-identical — outputs, every
+// ExecutionReport field (bench::ReportFields) and the final simulated
+// timestamp — to the event-per-edge kReference engine, across every
+// workload and platform ablation.
 //
-// The sweep runs 200 seeded (workload × config) points through both
-// engines via the parallel fleet runner; the configs deliberately
-// include adaptive-prefetch and overlapped-prefetch variants whose
-// fault-time machinery forces fast-forward onto its fallback edges,
-// and posted-write variants whose writes are never eligible at all.
+// The sweep runs 200 seeded (workload × config) points, staged by
+// bench::MakeJob and run by bench::RunFresh, through both engines via
+// the parallel fleet runner; the configs deliberately include
+// adaptive-prefetch and overlapped-prefetch variants whose fault-time
+// machinery forces fast-forward onto its fallback edges, and
+// posted-write variants whose writes are never eligible at all.
 // The paper's Figure 8 / Figure 9 points also pin how much work kFast
 // skips.
 //
@@ -22,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,7 +31,7 @@
 #include "apps/conv2d.h"
 #include "apps/idea.h"
 #include "apps/workloads.h"
-#include "base/rng.h"
+#include "bench/common.h"
 #include "hw/tlb.h"
 #include "os/kernel.h"
 #include "runtime/config.h"
@@ -42,6 +42,9 @@
 namespace vcop {
 namespace {
 
+using bench::App;
+using bench::FreshRun;
+using bench::MakeJob;
 using runtime::Epxa1Config;
 using runtime::FpgaSystem;
 using sim::Engine;
@@ -89,33 +92,19 @@ os::KernelConfig VariantConfig(u64 seed, Engine engine, MemMode mode) {
   return config;
 }
 
-struct DiffOutcome {
-  std::vector<u8> output;
-  os::ExecutionReport report;
-  Picoseconds sim_now = 0;
-  u64 events = 0;
-};
-
-template <typename T>
-std::vector<u8> AsBytes(const std::vector<T>& v) {
-  std::vector<u8> bytes(v.size() * sizeof(T));
-  std::memcpy(bytes.data(), v.data(), bytes.size());
-  return bytes;
-}
-
 /// Records a driver run's output and report; every run compared here
 /// must succeed under both engines.
 template <typename Run>
-void RecordRun(const Run& run, DiffOutcome& out) {
+void RecordRun(const Run& run, FreshRun& out) {
   if (!run.ok()) throw std::runtime_error(run.status().ToString());
-  out.output = AsBytes(run.value().output);
+  out.output = runtime::AsBytes(std::span(run.value().output));
   out.report = run.value().report;
 }
 
 /// Records the final simulated time and the dispatched events, then
 /// runs the end-of-run quiescence audit: whatever is still queued must
 /// drain as no-ops — no clock domain may tick another edge.
-void Finish(FpgaSystem& sys, DiffOutcome& out) {
+void Finish(FpgaSystem& sys, FreshRun& out) {
   sim::Simulator& sim = sys.kernel().simulator();
   out.sim_now = sim.now();
   out.events = sim.events_dispatched();
@@ -123,108 +112,46 @@ void Finish(FpgaSystem& sys, DiffOutcome& out) {
 }
 
 /// Runs workload `seed % 4` (adpcm / IDEA / conv2d / gather) on a fresh
-/// system configured by VariantConfig(seed / 4, engine, mode).
-DiffOutcome RunPoint(u64 seed, Engine engine,
-                     MemMode mode = MemMode::kDefault) {
-  FpgaSystem sys(VariantConfig(seed / 4, engine, mode));
-  DiffOutcome out;
+/// system configured by VariantConfig(seed / 4, engine, mode). Every
+/// run compared here must succeed under both engines.
+FreshRun RunPoint(u64 seed, Engine engine, MemMode mode = MemMode::kDefault) {
+  bench::Job job;
   switch (seed % 4) {
     case 0:
-      RecordRun(runtime::RunAdpcmVim(
-                    sys, apps::MakeAdpcmStream(512 + (seed % 3) * 512, seed)),
-                out);
+      job = MakeJob(App::kAdpcm, 512 + static_cast<u32>(seed % 3) * 512, seed);
       break;
-    case 1: {
-      const apps::IdeaSubkeys subkeys =
-          apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
-      RecordRun(
-          runtime::RunIdeaVim(sys, subkeys, apps::MakeRandomBytes(1024, seed)),
-          out);
+    case 1:
+      job = MakeJob(App::kIdea, 1024, seed);
       break;
-    }
-    case 2: {
-      const u32 width = 32, height = 16;
-      const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
-      RecordRun(runtime::RunConv3x3Vim(sys, image, width, height,
-                                       apps::BoxBlurKernel(), /*shift=*/3),
-                out);
+    case 2:
+      job = MakeJob(App::kConv, 32 * 16, seed, /*conv_width=*/32);
       break;
-    }
-    default: {
+    default:
       // Random permutation gather: data-dependent page hopping, the
       // worst case for hit streaks (and the translation cache).
-      std::vector<u32> in(512), perm(512);
-      Rng rng(seed);
-      for (u32 i = 0; i < 512; ++i) {
-        in[i] = static_cast<u32>(seed) * 2654435761u + i;
-        perm[i] = static_cast<u32>(rng.NextInRange(0, 511));
-      }
-      RecordRun(runtime::RunGatherVim(sys, in, perm), out);
+      job = MakeJob(App::kGather, 512 * 4, seed);
       break;
-    }
   }
-  Finish(sys, out);
-  return out;
+  FreshRun run = bench::RunFresh(VariantConfig(seed / 4, engine, mode), job);
+  if (!run.status.ok()) throw std::runtime_error(run.status.ToString());
+  return run;
 }
 
-void ExpectBitIdentical(const DiffOutcome& got, const DiffOutcome& ref,
-                        u64 seed) {
+/// Outputs, the final simulated time and every report field
+/// (bench::ReportFields) must be equal.
+void ExpectBitIdentical(const FreshRun& got, const FreshRun& ref, u64 seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   EXPECT_EQ(got.output, ref.output);
   EXPECT_EQ(got.sim_now, ref.sim_now);
-  const os::ExecutionReport& a = got.report;
-  const os::ExecutionReport& b = ref.report;
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.t_hw, b.t_hw);
-  EXPECT_EQ(a.t_dp, b.t_dp);
-  EXPECT_EQ(a.t_imu, b.t_imu);
-  EXPECT_EQ(a.t_invoke, b.t_invoke);
-  EXPECT_EQ(a.cp_cycles, b.cp_cycles);
-  EXPECT_EQ(a.tlb.lookups, b.tlb.lookups);
-  EXPECT_EQ(a.tlb.hits, b.tlb.hits);
-  EXPECT_EQ(a.tlb.misses, b.tlb.misses);
-  EXPECT_EQ(a.tlb.parity_errors, b.tlb.parity_errors);
-  EXPECT_EQ(a.tlb.installs, b.tlb.installs);
-  EXPECT_EQ(a.imu.accesses, b.imu.accesses);
-  EXPECT_EQ(a.imu.reads, b.imu.reads);
-  EXPECT_EQ(a.imu.writes, b.imu.writes);
-  EXPECT_EQ(a.imu.faults, b.imu.faults);
-  EXPECT_EQ(a.imu.fault_stall_time, b.imu.fault_stall_time);
-  EXPECT_EQ(a.imu.access_latency_time, b.imu.access_latency_time);
-  EXPECT_EQ(a.vim.t_dp, b.vim.t_dp);
-  EXPECT_EQ(a.vim.t_imu, b.vim.t_imu);
-  EXPECT_EQ(a.vim.t_wakeup, b.vim.t_wakeup);
-  EXPECT_EQ(a.vim.faults, b.vim.faults);
-  EXPECT_EQ(a.vim.tlb_refills, b.vim.tlb_refills);
-  EXPECT_EQ(a.vim.evictions, b.vim.evictions);
-  EXPECT_EQ(a.vim.writebacks, b.vim.writebacks);
-  EXPECT_EQ(a.vim.loads, b.vim.loads);
-  EXPECT_EQ(a.vim.kernel_copy_loads, b.vim.kernel_copy_loads);
-  EXPECT_EQ(a.vim.prefetched_pages, b.vim.prefetched_pages);
-  EXPECT_EQ(a.vim.cleaned_pages, b.vim.cleaned_pages);
-  EXPECT_EQ(a.vim.bytes_loaded, b.vim.bytes_loaded);
-  EXPECT_EQ(a.vim.bytes_written_back, b.vim.bytes_written_back);
-  EXPECT_EQ(a.vim.t_dp_overlapped, b.vim.t_dp_overlapped);
-  EXPECT_EQ(a.vim.t_dp_wait, b.vim.t_dp_wait);
-  EXPECT_EQ(a.vim.dirty_in_pages_dropped, b.vim.dirty_in_pages_dropped);
-  EXPECT_EQ(a.vim.preemptions, b.vim.preemptions);
-  EXPECT_EQ(a.vim.fault_recoveries, b.vim.fault_recoveries);
-  EXPECT_EQ(a.vim.prefetch_useful, b.vim.prefetch_useful);
-  EXPECT_EQ(a.vim.prefetch_wasted, b.vim.prefetch_wasted);
-  EXPECT_EQ(a.vim.prefetch_suggestions_dropped,
-            b.vim.prefetch_suggestions_dropped);
-  EXPECT_EQ(a.vim.fault_service_us.count(), b.vim.fault_service_us.count());
-  EXPECT_EQ(a.vim.fault_service_us.sum(), b.vim.fault_service_us.sum());
-  EXPECT_EQ(a.vim.fault_service_us.min(), b.vim.fault_service_us.min());
-  EXPECT_EQ(a.vim.fault_service_us.max(), b.vim.fault_service_us.max());
+  EXPECT_EQ(bench::ReportMismatch(got.report, ref.report), "");
 }
 
 constexpr u64 kDiffSeeds = 200;
 
 TEST(FastForwardDiffTest, TwoHundredSeedsAreBitIdenticalAcrossEngines) {
   struct Pair {
-    DiffOutcome fast;
-    DiffOutcome ref;
+    FreshRun fast;
+    FreshRun ref;
   };
   // Both engines for each seed run in one fleet task, fanned out over
   // all cores; results land by index, so the comparison order (and any
@@ -251,9 +178,9 @@ TEST(FastForwardDiffTest, TwoHundredSeedsAreBitIdenticalAcrossEngines) {
 
 TEST(TlbDiffTest, FlexibleMemoryOffIsBitIdenticalAndOnIsOutputIdentical) {
   struct ModeRuns {
-    DiffOutcome base;
-    DiffOutcome granule;
-    DiffOutcome superpages;
+    FreshRun base;
+    FreshRun granule;
+    FreshRun superpages;
   };
   const std::vector<ModeRuns> runs = sim::FleetMap<ModeRuns>(
       128, [](usize i) -> ModeRuns {
@@ -293,18 +220,12 @@ TEST(FastForwardDiffTest, FaultPlansStayReplayableUnderFastForward) {
       plan_fast.WithProbability(FaultSite::kCpStall, 0.02);
       FaultPlan plan_ref = plan_fast;
 
-      auto run = [&](Engine engine, FaultPlan* plan) -> DiffOutcome {
-        FpgaSystem sys(EngineConfig(engine));
-        sys.kernel().InstallFaultPlan(plan);
-        DiffOutcome out;
-        RecordRun(runtime::RunAdpcmVim(
-                      sys, apps::MakeAdpcmStream(512, seed + workload)),
-                  out);
-        out.sim_now = sys.kernel().simulator().now();
-        return out;
-      };
-      const DiffOutcome fast = run(Engine::kFast, &plan_fast);
-      const DiffOutcome ref = run(Engine::kReference, &plan_ref);
+      const bench::Job job = MakeJob(App::kAdpcm, 512, seed + workload);
+      const FreshRun fast =
+          bench::RunFresh(EngineConfig(Engine::kFast), job, &plan_fast);
+      const FreshRun ref =
+          bench::RunFresh(EngineConfig(Engine::kReference), job, &plan_ref);
+      ASSERT_TRUE(fast.status.ok()) << fast.status.ToString();
       ExpectBitIdentical(fast, ref, seed * 10 + workload);
       for (usize s = 0; s < kNumFaultSites; ++s) {
         const FaultSite site = static_cast<FaultSite>(s);
@@ -332,15 +253,13 @@ TEST(FastForwardDiffTest, RandomFaultPlansAreBitIdenticalAcrossEngines) {
     std::array<u64, 2 * kNumFaultSites> site_counts{};
   };
   auto run_one = [](u64 seed, Engine engine) -> FaultRun {
-    FpgaSystem sys(EngineConfig(engine));
     FaultPlan plan = FaultPlan::Random(seed);
-    sys.kernel().InstallFaultPlan(&plan);
+    const FreshRun run = bench::RunFresh(
+        EngineConfig(engine), MakeJob(App::kAdpcm, 1024, seed), &plan);
     FaultRun out;
-    const std::vector<u8> input = apps::MakeAdpcmStream(1024, seed);
-    auto r = runtime::RunAdpcmVim(sys, input);
-    out.code = r.status().code();
-    if (r.ok()) out.output = AsBytes(r.value().output);
-    out.sim_now = sys.kernel().simulator().now();
+    out.code = run.status.code();
+    out.output = run.output;
+    out.sim_now = run.sim_now;
     out.injected = plan.total_injected();
     for (usize s = 0; s < kNumFaultSites; ++s) {
       out.site_counts[2 * s] = plan.stats(static_cast<FaultSite>(s)).opportunities;
@@ -375,12 +294,12 @@ constexpr u64 kPaperInputSeed = 20040216;
 /// Runs one paper workload point on a fresh system under `engine` and
 /// replacement `policy`.
 template <typename RunFn>
-DiffOutcome RunPaperPoint(Engine engine, const RunFn& run,
-                          os::PolicyKind policy = os::VimConfig{}.policy) {
+FreshRun RunPaperPoint(Engine engine, const RunFn& run,
+                       os::PolicyKind policy = os::VimConfig{}.policy) {
   os::KernelConfig config = EngineConfig(engine);
   config.vim.policy = policy;
   FpgaSystem sys(config);
-  DiffOutcome out;
+  FreshRun out;
   RecordRun(run(sys), out);
   Finish(sys, out);
   return out;
@@ -389,8 +308,8 @@ DiffOutcome RunPaperPoint(Engine engine, const RunFn& run,
 /// Bit-identical results from at least 50x fewer events. Batching and
 /// coalescing alone reach only 4-7x on these points, so the floor also
 /// pins that kFast includes fast-forward.
-void ExpectPaperPointEquivalent(const DiffOutcome& fast,
-                                const DiffOutcome& ref) {
+void ExpectPaperPointEquivalent(const FreshRun& fast,
+                                const FreshRun& ref) {
   ExpectBitIdentical(fast, ref, kPaperInputSeed);
   EXPECT_GE(ref.events, 50 * fast.events)
       << "reference=" << ref.events << " fast=" << fast.events;

@@ -2,8 +2,8 @@
 // split-ring index wrap-around, full-ring backpressure, descriptor
 // checksums, the deterministic token bucket, doorbell coalescing,
 // completion-interrupt suppression (bit-identical delivery on vs off),
-// admission deferral, quarantined-tenant doorbells, and the ring-backed
-// VcopdClient end to end.
+// admission deferral, quarantined-tenant doorbells, and VcopdClient end
+// to end.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -184,7 +184,6 @@ TEST(VcopServiceTest, RingBackedSubmitAwaitMatchesExactOutput) {
   ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
 
   VcopdClient client(service, job.tenant);
-  EXPECT_TRUE(client.ring_backed());
   const u64 cookie =
       client.SubmitRinged(cp::VecAddBitstream(), {256u}).value();
   const Result<CompletionDescriptor> done = client.Await(cookie);

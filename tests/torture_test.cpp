@@ -3,12 +3,15 @@
 //
 // Thousands of seeded FaultPlans run the four reference workloads
 // (adpcmdecode, IDEA, vecadd, conv3x3), and on every 16th seed a random
-// gather that thrashes the dual-port RAM, against the software model. The
-// invariant under torture is absolute: every run either completes with
-// output byte-identical to the software reference, or fails with a
-// clean non-OK Status — no hangs, no unbounded simulated time, no
-// silently corrupted results. Each failure is replayable from its seed
-// alone (base/fault.h).
+// gather that thrashes the dual-port RAM, against the software model.
+// The runs come from the seeded fault-plan grid that bench_faults and
+// bench_fastforward run too (bench/common.h, RunGrid). The invariant
+// under torture is absolute: every run either completes with output
+// byte-identical to the software reference, or fails with a clean
+// non-OK Status — no hangs, no unbounded simulated time, no silently
+// corrupted results, and nothing left to tick once it ends (the grid's
+// end-of-run audit aborts otherwise). Each failure is replayable from
+// its seed alone (base/fault.h).
 //
 // TORTURE_SEEDS in the environment overrides the seed count (CI's
 // sanitizer job runs a reduced smoke; the default is the acceptance
@@ -16,15 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "apps/adpcm.h"
-#include "apps/conv2d.h"
-#include "apps/idea.h"
-#include "apps/workloads.h"
 #include "base/fault.h"
 #include "bench/common.h"
 #include "cp/registry.h"
@@ -33,12 +31,12 @@
 #include "os/vim.h"
 #include "sim/fleet.h"
 #include "runtime/config.h"
-#include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
 
 namespace vcop {
 namespace {
 
+using bench::FreshRun;
 using runtime::Epxa1Config;
 using runtime::FpgaSystem;
 
@@ -55,125 +53,16 @@ u32 TortureSeeds() {
 /// bounds every recovery path in single-digit milliseconds).
 constexpr Picoseconds kSimTimeBound = 10ull * 1000 * 1000 * 1000 * 1000;
 
-template <typename T>
-std::vector<u8> AsBytes(const std::vector<T>& v) {
-  std::vector<u8> bytes(v.size() * sizeof(T));
-  std::memcpy(bytes.data(), v.data(), bytes.size());
-  return bytes;
-}
-
-struct TortureOutcome {
-  Status status = Status::Ok();
-  bool exact = false;             // output == software reference
-  std::vector<u8> output;         // raw bytes, for bit-identity checks
-  os::ExecutionReport report;     // valid when status.ok()
-  os::VimServiceStats service;
-  Picoseconds sim_now = 0;
-};
-
-/// The four streaming workloads fit the 16 KB dual-port RAM; only the
-/// gather evicts, writes back mid-run and re-loads pages.
-enum class Workload : u8 { kAdpcm, kIdea, kVecAdd, kConv, kGather };
-
-/// Runs `workload` on a fresh EPXA1 platform under `plan` (nullptr = no
-/// plan installed at all). Input data derives from `seed`, so reference
-/// and coprocessor always agree on the dataset. With `iommu` the
-/// zero-copy DMA path (DESIGN.md §13) replaces the CPU page copies —
-/// the deterministic IOMMU-site tests below run on it.
-TortureOutcome RunWorkload(Workload workload, u64 seed, FaultPlan* plan,
-                           bool iommu = false) {
+/// Runs the grid's workload for `seed` (streaming, or with `gather` the
+/// thrashing gather) on the EPXA1 platform under `plan` (nullptr = no
+/// plan installed at all). With `iommu` the zero-copy DMA path
+/// (DESIGN.md §13) replaces the CPU page copies — the deterministic
+/// IOMMU-site tests below run on it.
+FreshRun TortureRun(u64 seed, FaultPlan* plan, bool iommu = false,
+                    bool gather = false) {
   os::KernelConfig config = Epxa1Config();
   config.vim.iommu = iommu;
-  FpgaSystem sys(config);
-  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
-
-  TortureOutcome out;
-  switch (workload) {
-    case Workload::kAdpcm: {  // ADPCM decode, sequential byte stream
-      const std::vector<u8> input = apps::MakeAdpcmStream(2048, seed);
-      std::vector<i16> expect(input.size() * 2);
-      apps::AdpcmState state;
-      apps::AdpcmDecode(input, expect, state);
-      auto run = runtime::RunAdpcmVim(sys, input);
-      out.status = run.status();
-      if (run.ok()) {
-        out.exact = run.value().output == expect;
-        out.output = AsBytes(run.value().output);
-        out.report = run.value().report;
-      }
-      break;
-    }
-    case Workload::kIdea: {  // IDEA ECB, random payload
-      const std::vector<u8> plain = apps::MakeRandomBytes(1024, seed);
-      const apps::IdeaSubkeys subkeys =
-          apps::IdeaExpandKey(apps::MakeIdeaKey(seed));
-      std::vector<u8> expect(plain.size());
-      apps::IdeaCryptEcb(subkeys, plain, expect);
-      auto run = runtime::RunIdeaVim(sys, subkeys, plain);
-      out.status = run.status();
-      if (run.ok()) {
-        out.exact = run.value().output == expect;
-        out.output = AsBytes(run.value().output);
-        out.report = run.value().report;
-      }
-      break;
-    }
-    case Workload::kVecAdd: {  // vecadd, streaming three objects
-      std::vector<u32> a(512), b(512), expect(512);
-      for (u32 i = 0; i < 512; ++i) {
-        a[i] = static_cast<u32>(seed) * 1000003u + i;
-        b[i] = static_cast<u32>(seed) * 7919u + 3u * i;
-        expect[i] = a[i] + b[i];
-      }
-      auto run = runtime::RunVecAddVim(sys, a, b);
-      out.status = run.status();
-      if (run.ok()) {
-        out.exact = run.value().output == expect;
-        out.output = AsBytes(run.value().output);
-        out.report = run.value().report;
-      }
-      break;
-    }
-    case Workload::kConv: {  // 3x3 convolution, strided three-row window
-      const u32 width = 48, height = 24;
-      const std::vector<u8> image = apps::MakeTestImage(width, height, seed);
-      const apps::Conv3x3Kernel kernel = apps::BoxBlurKernel();
-      const u32 shift = 3;
-      std::vector<u8> expect(image.size());
-      apps::Convolve3x3(image, width, height, kernel, shift, expect);
-      auto run = runtime::RunConv3x3Vim(sys, image, width, height, kernel,
-                                        shift);
-      out.status = run.status();
-      if (run.ok()) {
-        out.exact = run.value().output == expect;
-        out.output = AsBytes(run.value().output);
-        out.report = run.value().report;
-      }
-      break;
-    }
-    case Workload::kGather: {  // random gather, objects 1.5x the DP-RAM
-      constexpr u32 kElements = 6144;  // 24 KB per object
-      const apps::GatherInput g = apps::MakeRandomGather(kElements, seed);
-      std::vector<u32> expect(kElements);
-      for (u32 i = 0; i < kElements; ++i) expect[i] = g.in[g.perm[i]];
-      auto run = runtime::RunGatherVim(sys, g.in, g.perm);
-      out.status = run.status();
-      if (run.ok()) {
-        out.exact = run.value().output == expect;
-        out.output = AsBytes(run.value().output);
-        out.report = run.value().report;
-      }
-      break;
-    }
-  }
-  out.service = sys.kernel().vim().service_stats();
-  out.sim_now = sys.kernel().simulator().now();
-  return out;
-}
-
-/// Runs streaming workload `seed % 4` (adpcm, IDEA, vecadd, conv).
-TortureOutcome TortureRun(u64 seed, FaultPlan* plan, bool iommu = false) {
-  return RunWorkload(static_cast<Workload>(seed % 4), seed, plan, iommu);
+  return bench::RunGrid(seed, config, plan, gather);
 }
 
 /// Every kGatherEvery-th seed of the sweep also runs the thrashing
@@ -201,9 +90,9 @@ TEST(TortureTest, SeededFaultPlansCompleteExactlyOrFailCleanly) {
     RunVerdict streaming;
     std::optional<RunVerdict> gather;
   };
-  const auto run = [](Workload workload, u64 seed, double intensity) {
+  const auto run = [](u64 seed, bool gather, double intensity) {
     FaultPlan plan = FaultPlan::Random(seed, intensity);
-    const TortureOutcome out = RunWorkload(workload, seed, &plan);
+    const FreshRun out = TortureRun(seed, &plan, /*iommu=*/false, gather);
     return RunVerdict{out.status.ok(), out.exact, plan.total_injected(),
                       out.sim_now, out.report.vim};
   };
@@ -211,9 +100,9 @@ TEST(TortureTest, SeededFaultPlansCompleteExactlyOrFailCleanly) {
       seeds, [&run](usize i) -> SeedVerdict {
         const u64 seed = static_cast<u64>(i) + 1;
         SeedVerdict v;
-        v.streaming = run(static_cast<Workload>(seed % 4), seed, 1.0);
+        v.streaming = run(seed, /*gather=*/false, 1.0);
         if (seed % kGatherEvery == 0) {
-          v.gather = run(Workload::kGather, seed, kGatherIntensity);
+          v.gather = run(seed, /*gather=*/true, kGatherIntensity);
         }
         return v;
       });
@@ -282,8 +171,8 @@ TEST(TortureTest, FailuresAreReplayableFromSeedAlone) {
   for (const u64 seed : {5ull, 13ull, 21ull, 34ull, 55ull}) {
     FaultPlan first_plan = FaultPlan::Random(seed);
     FaultPlan second_plan = FaultPlan::Random(seed);
-    const TortureOutcome first = TortureRun(seed, &first_plan);
-    const TortureOutcome second = TortureRun(seed, &second_plan);
+    const FreshRun first = TortureRun(seed, &first_plan);
+    const FreshRun second = TortureRun(seed, &second_plan);
     EXPECT_EQ(first.status.code(), second.status.code()) << "seed " << seed;
     EXPECT_EQ(first.output, second.output) << "seed " << seed;
     EXPECT_EQ(first.sim_now, second.sim_now) << "seed " << seed;
@@ -297,10 +186,10 @@ TEST(TortureTest, FailuresAreReplayableFromSeedAlone) {
 TEST(TortureTest, EmptyPlanIsBitIdenticalToTheFaultFreeEngine) {
   for (u64 workload = 0; workload < 4; ++workload) {
     const u64 seed = 100 + workload;  // seed % 4 selects the workload
-    const TortureOutcome bare = TortureRun(seed, nullptr);
+    const FreshRun bare = TortureRun(seed, nullptr);
     FaultPlan empty;
     ASSERT_TRUE(empty.empty());
-    const TortureOutcome with_plan = TortureRun(seed, &empty);
+    const FreshRun with_plan = TortureRun(seed, &empty);
 
     ASSERT_TRUE(bare.status.ok()) << bare.status.ToString();
     ASSERT_TRUE(with_plan.status.ok()) << with_plan.status.ToString();
@@ -309,17 +198,10 @@ TEST(TortureTest, EmptyPlanIsBitIdenticalToTheFaultFreeEngine) {
     EXPECT_EQ(bare.output, with_plan.output) << "workload " << workload;
     // The whole report — wall time included — must be bit-identical:
     // with nothing armed, not a single extra event may be scheduled.
-    EXPECT_EQ(bare.report.total, with_plan.report.total);
-    EXPECT_EQ(bare.report.t_hw, with_plan.report.t_hw);
-    EXPECT_EQ(bare.report.t_dp, with_plan.report.t_dp);
-    EXPECT_EQ(bare.report.t_imu, with_plan.report.t_imu);
-    EXPECT_EQ(bare.report.t_invoke, with_plan.report.t_invoke);
-    EXPECT_EQ(bare.report.cp_cycles, with_plan.report.cp_cycles);
-    EXPECT_EQ(bare.report.vim.faults, with_plan.report.vim.faults);
-    EXPECT_EQ(bare.report.vim.tlb_refills, with_plan.report.vim.tlb_refills);
-    EXPECT_EQ(bare.report.vim.evictions, with_plan.report.vim.evictions);
-    EXPECT_EQ(bare.report.imu.accesses, with_plan.report.imu.accesses);
+    EXPECT_EQ(bench::ReportMismatch(bare.report, with_plan.report), "")
+        << "workload " << workload;
     EXPECT_EQ(bare.sim_now, with_plan.sim_now);
+    EXPECT_EQ(bare.events, with_plan.events);
     // And no recovery machinery may have woken up.
     EXPECT_EQ(with_plan.service.watchdog_wakeups, 0u);
     EXPECT_EQ(with_plan.service.transfer_retries, 0u);
@@ -331,7 +213,7 @@ TEST(TortureTest, EmptyPlanIsBitIdenticalToTheFaultFreeEngine) {
 TEST(TortureTest, TransferBusErrorIsRetriedToExactCompletion) {
   FaultPlan plan;
   plan.At(FaultSite::kAhbError, 1);  // first page transfer bus-errors
-  const TortureOutcome out = TortureRun(2, &plan);  // vecadd
+  const FreshRun out = TortureRun(2, &plan);  // vecadd
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   EXPECT_GE(out.service.transfer_retries, 1u);
@@ -341,7 +223,7 @@ TEST(TortureTest, TransferBusErrorIsRetriedToExactCompletion) {
 TEST(TortureTest, SaturatedBusFailsCleanlyAfterRetryExhaustion) {
   FaultPlan plan;
   plan.WithProbability(FaultSite::kAhbError, 1.0);  // every transfer dies
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_FALSE(out.status.ok());
   EXPECT_GE(out.service.transfer_retry_failures, 1u);
   ASSERT_LT(out.sim_now, kSimTimeBound);
@@ -350,7 +232,7 @@ TEST(TortureTest, SaturatedBusFailsCleanlyAfterRetryExhaustion) {
 TEST(TortureTest, AllInterruptsDroppedIsRecoveredByTheWatchdog) {
   FaultPlan plan;
   plan.WithProbability(FaultSite::kIrqDrop, 1.0);  // CPU never sees an IRQ
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   EXPECT_GT(out.service.watchdog_recoveries, 0u);
@@ -360,7 +242,7 @@ TEST(TortureTest, AllInterruptsDroppedIsRecoveredByTheWatchdog) {
 TEST(TortureTest, DuplicateInterruptsAreServicedIdempotently) {
   FaultPlan plan;
   plan.WithProbability(FaultSite::kIrqDuplicate, 1.0);  // every IRQ twice
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   EXPECT_GT(out.service.duplicate_irqs_ignored, 0u);
@@ -369,7 +251,7 @@ TEST(TortureTest, DuplicateInterruptsAreServicedIdempotently) {
 TEST(TortureTest, SpuriousFaultInterruptsAreIgnored) {
   FaultPlan plan;
   plan.WithProbability(FaultSite::kSpuriousFault, 1.0);
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   EXPECT_GT(out.service.spurious_faults_ignored +
@@ -380,7 +262,7 @@ TEST(TortureTest, SpuriousFaultInterruptsAreIgnored) {
 TEST(TortureTest, TlbParityCorruptionIsDetectedAndRefilled) {
   FaultPlan plan;
   plan.At(FaultSite::kTlbParity, 1);  // first installed entry corrupted
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   EXPECT_GE(out.service.tlb_parity_drops, 1u);
@@ -394,8 +276,8 @@ TEST(TortureTest, SeededTlbWritePlansAreDeterministicOnTheCam) {
     plan_a.WithProbability(FaultSite::kTlbParity, 0.25);
     FaultPlan plan_b;
     plan_b.WithProbability(FaultSite::kTlbParity, 0.25);
-    const TortureOutcome a = TortureRun(seed, &plan_a);
-    const TortureOutcome b = TortureRun(seed, &plan_b);
+    const FreshRun a = TortureRun(seed, &plan_a);
+    const FreshRun b = TortureRun(seed, &plan_b);
     SCOPED_TRACE("seed " + std::to_string(seed));
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
     EXPECT_TRUE(a.exact);
@@ -409,7 +291,7 @@ TEST(TortureTest, SeededTlbWritePlansAreDeterministicOnTheCam) {
 TEST(TortureTest, IommuTranslationFaultIsRetriedToExactCompletion) {
   FaultPlan plan;
   plan.At(FaultSite::kIommuTranslationFault, 1);  // first walk faults
-  const TortureOutcome out = TortureRun(2, &plan, /*iommu=*/true);
+  const FreshRun out = TortureRun(2, &plan, /*iommu=*/true);
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   EXPECT_GE(out.report.vim.iommu_faults, 1u);
@@ -421,7 +303,7 @@ TEST(TortureTest, IommuTranslationFaultIsRetriedToExactCompletion) {
 TEST(TortureTest, SaturatedIommuWalksFailCleanlyAfterRetryExhaustion) {
   FaultPlan plan;
   plan.WithProbability(FaultSite::kIommuTranslationFault, 1.0);
-  const TortureOutcome out = TortureRun(2, &plan, /*iommu=*/true);
+  const FreshRun out = TortureRun(2, &plan, /*iommu=*/true);
   ASSERT_FALSE(out.status.ok());
   EXPECT_GE(out.service.transfer_retry_failures, 1u);
   ASSERT_LT(out.sim_now, kSimTimeBound);
@@ -430,7 +312,7 @@ TEST(TortureTest, SaturatedIommuWalksFailCleanlyAfterRetryExhaustion) {
 TEST(TortureTest, IotlbCorruptionIsDroppedAndRewalkedTransparently) {
   FaultPlan plan;
   plan.At(FaultSite::kIotlbCorrupt, 1);  // first IO-TLB hit is damaged
-  const TortureOutcome out = TortureRun(2, &plan, /*iommu=*/true);
+  const FreshRun out = TortureRun(2, &plan, /*iommu=*/true);
   ASSERT_TRUE(out.status.ok()) << out.status.ToString();
   EXPECT_TRUE(out.exact);
   // Parity recovery is invisible to the service layer: no retries, no
@@ -445,7 +327,7 @@ TEST(TortureTest, RandomPlansNeverArmTheIommuSites) {
   // the iommu path, random plans give them opportunities but never fire.
   for (const u64 seed : {3ull, 8ull, 17ull}) {
     FaultPlan plan = FaultPlan::Random(seed);
-    const TortureOutcome out = TortureRun(seed * 4 + 2, &plan, true);
+    const FreshRun out = TortureRun(seed * 4 + 2, &plan, true);
     ASSERT_LT(out.sim_now, kSimTimeBound);
     EXPECT_EQ(plan.stats(FaultSite::kIommuTranslationFault).injected, 0u);
     EXPECT_EQ(plan.stats(FaultSite::kIotlbCorrupt).injected, 0u);
@@ -457,7 +339,7 @@ TEST(TortureTest, RandomPlansNeverArmTheIommuSites) {
 TEST(TortureTest, CoprocessorHangIsAbortedByTheWatchdog) {
   FaultPlan plan;
   plan.At(FaultSite::kCpHang, 1);  // first translation never answers
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_FALSE(out.status.ok());
   EXPECT_EQ(out.status.code(), ErrorCode::kUnavailable)
       << out.status.ToString();
@@ -470,7 +352,7 @@ TEST(TortureTest, CoprocessorHangIsAbortedByTheWatchdog) {
 TEST(TortureTest, ConfigurationFaultFailsTheLoadCleanly) {
   FaultPlan plan;
   plan.At(FaultSite::kConfigError, 1);
-  const TortureOutcome out = TortureRun(2, &plan);
+  const FreshRun out = TortureRun(2, &plan);
   ASSERT_FALSE(out.status.ok());
   EXPECT_EQ(out.status.code(), ErrorCode::kUnavailable)
       << out.status.ToString();

@@ -1,7 +1,8 @@
 // Tests for the vcopd service daemon: asynchronous submission,
 // admission control, preemptive context switching (dirty pages pending
-// at the fault boundary, TLB restore after intervening eviction, a conv
-// job resuming mid-row on its register window),
+// at the fault boundary, TLB snapshot entries re-installed after the
+// other tenant evicted them from a TLB smaller than the frame pool, a
+// conv job resuming mid-row on its register window),
 // ASID allocation/wrap, tenant teardown, the tagged-vs-untagged TLB
 // switch policies, the FIFO policy's batching by bit-stream, and jobs
 // reusing designs from the kernel's pool.
@@ -27,7 +28,6 @@ using bench::MakeJob;
 using bench::StagedJob;
 using bench::StageTenant;
 using runtime::FpgaSystem;
-using runtime::VcopdClient;
 
 KernelConfig TestConfig() {
   KernelConfig config;  // EPXA1 defaults: 8 x 2KB pages, 8-entry TLB
@@ -67,14 +67,12 @@ TEST(VcopdTest, SubmitPollWaitRoundTrip) {
   Vcopd daemon(sys.kernel());
   StagedJob job =
       StageTenant(sys, daemon, "solo", MakeJob(App::kVecAdd, 2048, 1));
-  VcopdClient client(daemon, job.tenant);
 
-  const Ticket ticket =
-      client.Submit(cp::VecAddBitstream(), {512u}).value();
+  const Ticket ticket = job.Submit(daemon).value();
   EXPECT_EQ(daemon.Poll(ticket), nullptr);  // queued, nothing ran yet
   EXPECT_EQ(daemon.stats().submitted, 1u);
 
-  const Result<JobResult> result = client.Wait(ticket);
+  const Result<JobResult> result = daemon.Wait(ticket);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().status.ok());
   EXPECT_TRUE(job.Exact());
@@ -92,20 +90,15 @@ TEST(VcopdTest, CompletionCallbackFiresAtCompletionInstant) {
   Vcopd daemon(sys.kernel());
   StagedJob job =
       StageTenant(sys, daemon, "cb", MakeJob(App::kVecAdd, 1024, 2));
-  VcopdClient client(daemon, job.tenant);
 
   Picoseconds callback_at = 0;
   bool exact_at_completion = false;
-  const Ticket ticket =
-      client
-          .Submit(cp::VecAddBitstream(), {256u},
-                  [&](const JobResult& r) {
-                    callback_at = r.finished_at;
-                    // The payload must already be in user memory when
-                    // the completion event fires.
-                    exact_at_completion = job.Exact();
-                  })
-          .value();
+  const Ticket ticket = job.Submit(daemon, [&](const JobResult& r) {
+                             callback_at = r.finished_at;
+                             // The payload must already be in user memory
+                             // when the completion event fires.
+                             exact_at_completion = job.Exact();
+                           }).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   const JobResult* result = daemon.Poll(ticket);
@@ -121,18 +114,17 @@ TEST(VcopdTest, BoundedQueueRejectsWithBackpressure) {
   Vcopd daemon(sys.kernel(), config);
   StagedJob job =
       StageTenant(sys, daemon, "burst", MakeJob(App::kVecAdd, 256, 3));
-  VcopdClient client(daemon, job.tenant);
 
-  ASSERT_TRUE(client.Submit(cp::VecAddBitstream(), {64u}).ok());
-  ASSERT_TRUE(client.Submit(cp::VecAddBitstream(), {64u}).ok());
-  const Result<Ticket> third = client.Submit(cp::VecAddBitstream(), {64u});
+  ASSERT_TRUE(job.Submit(daemon).ok());
+  ASSERT_TRUE(job.Submit(daemon).ok());
+  const Result<Ticket> third = job.Submit(daemon);
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_EQ(daemon.stats().rejected, 1u);
 
   // Draining the queue restores admission.
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
-  EXPECT_TRUE(client.Submit(cp::VecAddBitstream(), {64u}).ok());
+  EXPECT_TRUE(job.Submit(daemon).ok());
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
   EXPECT_EQ(daemon.stats().completed, 3u);
 }
@@ -141,16 +133,21 @@ TEST(VcopdTest, BoundedQueueRejectsWithBackpressure) {
 
 /// Two ADPCM tenants big enough to fault repeatedly, with a time slice
 /// far below their runtime: forces preemptions with dirty output pages
-/// pending at the fault boundary, TLB snapshots restored after the
-/// other tenant evicted entries, and parameter-page re-materialisation.
+/// pending at the fault boundary and parameter-page re-materialisation.
+/// A TLB of `tlb_entries` below the 8 frames also lets the other tenant
+/// evict TLB entries whose frames survive the switched-out window, and
+/// the switch back re-installs them from the snapshot; at 8 entries an
+/// entry only ever leaves together with its frame.
 struct PreemptionRun {
   u64 preemptions = 0;
   VimServiceStats service;
   bool correct = false;
 };
 
-PreemptionRun RunContendedAdpcm(bool asid_tagging) {
-  FpgaSystem sys(TestConfig());
+PreemptionRun RunContendedAdpcm(bool asid_tagging, u32 tlb_entries = 8) {
+  KernelConfig kernel_config = TestConfig();
+  kernel_config.tlb_entries = tlb_entries;
+  FpgaSystem sys(kernel_config);
   VcopdConfig config;
   config.policy = ServicePolicy::kFairShare;
   config.time_slice = 50ull * 1000 * 1000;  // 50 us: well below runtime
@@ -218,11 +215,13 @@ TEST(VcopdTest, TaggedTlbAvoidsFullFlushesAndRestoresEntries) {
   ASSERT_TRUE(tagged.correct);
   EXPECT_GT(tagged.service.tlb_flushes_avoided, 0u);
   EXPECT_EQ(tagged.service.full_tlb_flushes, 0u);
-  // The 8-entry CAM is contended by two streaming tenants, so some
-  // snapshot entries must have survived (or been re-installed).
-  EXPECT_GT(tagged.service.tlb_entries_restored +
-                tagged.service.tlb_flushes_avoided,
-            0u);
+  // Four entries over eight frames: the other tenant evicts entries of
+  // pages that stay resident, and every switch back re-installs some.
+  const PreemptionRun small =
+      RunContendedAdpcm(/*asid_tagging=*/true, /*tlb_entries=*/4);
+  ASSERT_TRUE(small.correct);
+  EXPECT_EQ(small.service.full_tlb_flushes, 0u);
+  EXPECT_GT(small.service.tlb_entries_restored, 0u);
 }
 
 TEST(VcopdTest, UntaggedBaselineFlushesOnEverySwitch) {
@@ -260,13 +259,19 @@ TEST(VcopdTest, OverlappedPrefetchFramesBelongToTheTenant) {
 }
 
 /// The paging a lone tenant and FPGA_EXECUTE must agree on: the time
-/// split, the core's cycles, the IMU counters and every VIM counter.
+/// split, the core's cycles, the TLB and IMU counters and every VIM
+/// counter.
 void ExpectSamePaging(const ExecutionReport& got,
                       const ExecutionReport& want) {
   EXPECT_EQ(got.t_hw, want.t_hw);
   EXPECT_EQ(got.t_dp, want.t_dp);
   EXPECT_EQ(got.t_imu, want.t_imu);
   EXPECT_EQ(got.cp_cycles, want.cp_cycles);
+  EXPECT_EQ(got.tlb.lookups, want.tlb.lookups);
+  EXPECT_EQ(got.tlb.hits, want.tlb.hits);
+  EXPECT_EQ(got.tlb.misses, want.tlb.misses);
+  EXPECT_EQ(got.tlb.parity_errors, want.tlb.parity_errors);
+  EXPECT_EQ(got.tlb.installs, want.tlb.installs);
   EXPECT_EQ(got.imu.accesses, want.imu.accesses);
   EXPECT_EQ(got.imu.reads, want.imu.reads);
   EXPECT_EQ(got.imu.writes, want.imu.writes);
@@ -492,10 +497,10 @@ TEST(VcopdTest, PooledDesignForgetsThePreviousTenantsObjects) {
   // The second tenant maps only `perm` and `out`, and its perm[0] = 100
   // reads past the first tenant's 16-element `in`.
   bench::Job partial = MakeJob(App::kGather, 64, 4);
-  std::erase_if(partial.objects, [](const bench::JobObject& o) {
+  std::erase_if(partial.objects, [](const runtime::JobObject& o) {
     return o.id == Cp::kObjIn;
   });
-  for (bench::JobObject& o : partial.objects) {
+  for (runtime::JobObject& o : partial.objects) {
     const u32 past = 100;
     if (o.id == Cp::kObjPerm) std::memcpy(o.bytes.data(), &past, sizeof(past));
   }
@@ -560,22 +565,19 @@ TEST(VcopdTest, UnregisterTenantLifecycle) {
   Vcopd daemon(sys.kernel());
   StagedJob job =
       StageTenant(sys, daemon, "transient", MakeJob(App::kVecAdd, 512, 4));
-  VcopdClient client(daemon, job.tenant);
 
-  const Ticket ticket =
-      client.Submit(cp::VecAddBitstream(), {128u}).value();
+  const Ticket ticket = job.Submit(daemon).value();
   // Work in flight: teardown must be refused.
   const Status busy = daemon.UnregisterTenant(job.tenant);
   ASSERT_FALSE(busy.ok());
   EXPECT_EQ(busy.code(), ErrorCode::kFailedPrecondition);
 
-  ASSERT_TRUE(client.Wait(ticket).ok());
+  ASSERT_TRUE(daemon.Wait(ticket).ok());
   ASSERT_TRUE(daemon.UnregisterTenant(job.tenant).ok());
   // Gone: further calls fail, and the ASID tag is recyclable.
   EXPECT_EQ(daemon.UnregisterTenant(job.tenant).code(),
             ErrorCode::kNotFound);
-  EXPECT_EQ(client.Submit(cp::VecAddBitstream(), {128u}).status().code(),
-            ErrorCode::kNotFound);
+  EXPECT_EQ(job.Submit(daemon).status().code(), ErrorCode::kNotFound);
   const TenantId reborn = daemon.RegisterTenant("reborn").value();
   EXPECT_NE(reborn, job.tenant);
 }
@@ -588,9 +590,7 @@ TEST(VcopdTest, AsidReuseAfterTeardownIsClean) {
 
   StagedJob first =
       StageTenant(sys, daemon, "first", MakeJob(App::kVecAdd, 1024, 5));
-  VcopdClient c1(daemon, first.tenant);
-  ASSERT_TRUE(c1.Wait(c1.Submit(cp::VecAddBitstream(), {256u}).value())
-                  .ok());
+  ASSERT_TRUE(daemon.Wait(first.Submit(daemon).value()).ok());
   ASSERT_TRUE(daemon.RegisterTenant("second").ok());
   // Tag space full until the first tenant is torn down.
   ASSERT_FALSE(daemon.RegisterTenant("third").ok());
@@ -600,9 +600,7 @@ TEST(VcopdTest, AsidReuseAfterTeardownIsClean) {
   // the reused ASID computes correct results from its own pages.
   StagedJob reuse =
       StageTenant(sys, daemon, "reuse", MakeJob(App::kVecAdd, 1024, 6));
-  VcopdClient c3(daemon, reuse.tenant);
-  ASSERT_TRUE(c3.Wait(c3.Submit(cp::VecAddBitstream(), {256u}).value())
-                  .ok());
+  ASSERT_TRUE(daemon.Wait(reuse.Submit(daemon).value()).ok());
   EXPECT_TRUE(reuse.Exact());
 }
 
@@ -619,8 +617,7 @@ TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
   // A retired ticket stays pollable; its neighbour never exists.
   StagedJob job =
       StageTenant(sys, daemon, "known", MakeJob(App::kVecAdd, 256, 10));
-  VcopdClient client(daemon, job.tenant);
-  const Ticket ticket = client.Submit(cp::VecAddBitstream(), {64u}).value();
+  const Ticket ticket = job.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
   EXPECT_NE(daemon.Poll(ticket), nullptr);
   EXPECT_EQ(daemon.Poll(ticket + 1), nullptr);
@@ -637,15 +634,13 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
       StageTenant(sys, daemon, "victim", MakeJob(App::kVecAdd, 1024, 11));
   StagedJob bystander =
       StageTenant(sys, daemon, "bystander", MakeJob(App::kVecAdd, 1024, 12));
-  VcopdClient cv(daemon, victim.tenant);
-  VcopdClient cb(daemon, bystander.tenant);
 
   FaultPlan plan;
   plan.At(FaultSite::kCpHang, 1);  // wedge the first datapath access
   sys.kernel().InstallFaultPlan(&plan);
 
-  const Ticket tv = cv.Submit(cp::VecAddBitstream(), {256u}).value();
-  const Ticket tb = cb.Submit(cp::VecAddBitstream(), {256u}).value();
+  const Ticket tv = victim.Submit(daemon).value();
+  const Ticket tb = bystander.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   const JobResult* rv = daemon.Poll(tv);
@@ -663,14 +658,13 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   EXPECT_TRUE(bystander.Exact());
 
   // Submissions from the quarantined tenant are refused from now on.
-  const Result<Ticket> refused = cv.Submit(cp::VecAddBitstream(), {256u});
+  const Result<Ticket> refused = victim.Submit(daemon);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), ErrorCode::kFailedPrecondition);
   EXPECT_EQ(daemon.stats().quarantined, 1u);
 
   // The healthy tenant keeps full service after the abort.
-  const Ticket tb2 = cb.Submit(cp::VecAddBitstream(), {256u}).value();
-  ASSERT_TRUE(cb.Wait(tb2).ok());
+  ASSERT_TRUE(daemon.Wait(bystander.Submit(daemon).value()).ok());
   EXPECT_TRUE(bystander.Exact());
 }
 
@@ -682,10 +676,7 @@ TEST(VcopdTest, KernelBlockingPathStillWorksAfterDaemonIdles) {
     Vcopd daemon(sys.kernel());
     StagedJob job =
         StageTenant(sys, daemon, "tenant", MakeJob(App::kVecAdd, 1024, 9));
-    VcopdClient client(daemon, job.tenant);
-    ASSERT_TRUE(
-        client.Wait(client.Submit(cp::VecAddBitstream(), {256u}).value())
-            .ok());
+    ASSERT_TRUE(daemon.Wait(job.Submit(daemon).value()).ok());
     EXPECT_TRUE(job.Exact());
   }  // daemon restores the kernel binding on destruction
 
@@ -717,9 +708,7 @@ TEST(VcopdTest, BlockingExecuteInterleavesWithLiveDaemon) {
                     u32 seed) {
     StagedJob job =
         StageTenant(sys, daemon, name, MakeJob(App::kVecAdd, 4 * kN, seed));
-    VcopdClient client(daemon, job.tenant);
-    const Result<JobResult> r =
-        client.Wait(client.Submit(cp::VecAddBitstream(), {kN}).value());
+    const Result<JobResult> r = daemon.Wait(job.Submit(daemon).value());
     EXPECT_TRUE(r.ok() && r.value().status.ok());
     EXPECT_TRUE(job.Exact());
     return r.value().report;
@@ -878,10 +867,10 @@ TEST(VcopdFifoTest, UnmappedTenantsJobFailsAlone) {
   const TenantId unmapped = daemon.RegisterTenant("unmapped").value();
   StagedJob mapped =
       StageTenant(sys, daemon, "mapped", MakeJob(App::kVecAdd, 1024, 60));
-  VcopdClient cu(daemon, unmapped);
-  VcopdClient cm(daemon, mapped.tenant);
-  const Ticket broken = cu.Submit(cp::VecAddBitstream(), {8u}).value();
-  const Ticket healthy = cm.Submit(cp::VecAddBitstream(), {256u}).value();
+  const u32 params[] = {8u};
+  const Ticket broken =
+      daemon.Submit(unmapped, cp::VecAddBitstream(), params).value();
+  const Ticket healthy = mapped.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   ASSERT_NE(daemon.Poll(broken), nullptr);
@@ -899,15 +888,15 @@ TEST(VcopdFifoTest, OversizedDesignRejectedAtSubmit) {
   Vcopd daemon(sys.kernel(), FifoConfig());
   StagedJob job =
       StageTenant(sys, daemon, "tenant", MakeJob(App::kVecAdd, 1024, 61));
-  VcopdClient client(daemon, job.tenant);
   hw::Bitstream oversized = cp::VecAddBitstream();
   oversized.logic_elements = sys.kernel().config().pld_capacity_les + 1;
 
-  const Ticket before = client.Submit(cp::VecAddBitstream(), {256u}).value();
-  const Result<Ticket> rejected = client.Submit(oversized, {256u});
+  const Ticket before = job.Submit(daemon).value();
+  const Result<Ticket> rejected =
+      daemon.Submit(job.tenant, oversized, job.job.params);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), ErrorCode::kResourceExhausted);
-  const Ticket after = client.Submit(cp::VecAddBitstream(), {256u}).value();
+  const Ticket after = job.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   EXPECT_EQ(daemon.stats().submitted, 2u);
@@ -926,10 +915,8 @@ TEST(VcopdFifoTest, TurnaroundAccountsWaiting) {
       StageTenant(sys, daemon, "first", MakeJob(App::kVecAdd, 8192, 62));
   StagedJob second =
       StageTenant(sys, daemon, "second", MakeJob(App::kVecAdd, 8192, 63));
-  VcopdClient c1(daemon, first.tenant);
-  VcopdClient c2(daemon, second.tenant);
-  const Ticket t1 = c1.Submit(cp::VecAddBitstream(), {2048u}).value();
-  const Ticket t2 = c2.Submit(cp::VecAddBitstream(), {2048u}).value();
+  const Ticket t1 = first.Submit(daemon).value();
+  const Ticket t2 = second.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   const JobResult* r1 = daemon.Poll(t1);
