@@ -9,7 +9,6 @@
 // IOMMU path (DESIGN.md §13) that takes the CPU out of the data path
 // entirely.
 #include <cstdio>
-#include <utility>
 
 #include "bench/common.h"
 
@@ -27,27 +26,18 @@ int Main() {
       "page-transfer implementations: the paper's double copy, their "
       "announced single-copy fix, a DMA engine, and the zero-copy IOMMU");
 
+  constexpr mem::CopyMode kModes[] = {
+      mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
+      mem::CopyMode::kDma, mem::CopyMode::kIommu};
   auto add = [&](const char* app, const std::vector<usize>& sizes,
                  auto&& runner) {
     for (const usize bytes : sizes) {
-      for (const mem::CopyMode mode :
-           {mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
-            mem::CopyMode::kDma}) {
+      for (const mem::CopyMode mode : kModes) {
         os::KernelConfig config = runtime::Epxa1Config();
         config.vim.copy_mode = mode;
         const bench::Point p = runner(config, bytes);
         table.AddRow({app, bench::SizeLabel(bytes),
                       std::string(mem::ToString(mode)),
-                      runtime::Ms(p.vim.t_dp), runtime::Ms(p.vim.total),
-                      runtime::Speedup(p.sw, p.vim.total)});
-      }
-      {
-        // Zero-copy: the copy_mode is irrelevant once the IOMMU owns
-        // the data path — transfers stream at the direct bus price.
-        os::KernelConfig config = runtime::Epxa1Config();
-        config.vim.iommu = true;
-        const bench::Point p = runner(config, bytes);
-        table.AddRow({app, bench::SizeLabel(bytes), "iommu",
                       runtime::Ms(p.vim.t_dp), runtime::Ms(p.vim.total),
                       runtime::Speedup(p.sw, p.vim.total)});
       }
@@ -76,20 +66,14 @@ int Main() {
       "objects); in double copy a re-load runs only the bounce -> DP-RAM "
       "pass");
   constexpr u32 kGatherElements = 6144;
-  const std::pair<mem::CopyMode, bool> kModes[] = {
-      {mem::CopyMode::kDoubleCopy, false},
-      {mem::CopyMode::kSingleCopy, false},
-      {mem::CopyMode::kDma, false},
-      {mem::CopyMode::kDoubleCopy, true}};
-  for (const auto& [mode, iommu] : kModes) {
+  for (const mem::CopyMode mode : kModes) {
     os::KernelConfig config = runtime::Epxa1Config();
     config.vim.copy_mode = mode;
-    config.vim.iommu = iommu;
     const os::ExecutionReport r =
         bench::RunGatherReport(config, kGatherElements, /*seed=*/7);
     reloads.AddRow(
         {StrFormat("gather %u KB", kGatherElements * 4 / 1024),
-         iommu ? "iommu" : std::string(mem::ToString(mode)),
+         std::string(mem::ToString(mode)),
          StrFormat("%llu", static_cast<unsigned long long>(r.vim.loads)),
          StrFormat("%llu",
                    static_cast<unsigned long long>(r.vim.kernel_copy_loads)),

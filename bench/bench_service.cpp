@@ -31,6 +31,7 @@
 // EXPERIMENTS.md E19 reports. Deterministic regardless of fleet threads.
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,12 +139,24 @@ struct ScenarioResult {
   u64 failed = 0;
   u32 starved_tenants = 0;  // tenants with zero completions
   Picoseconds makespan = 0;
-  LatencyHistogram latency;  // publish -> completion, admitted jobs
+  std::vector<Picoseconds> latency;  // publish -> completion, admitted jobs
   double jain = 0.0;
   bool outputs_exact = true;
   u64 completion_digest = 0;  // FNV over every reaped completion
   os::VcopServiceStats service;
   os::VcopdStats daemon;
+
+  /// Exact nearest-rank latency percentile in microseconds: q = 0 is
+  /// the minimum, q = 1 the maximum.
+  double latency_us(double q) const {
+    return ToMicroseconds(PercentileNearestRank(latency, q));
+  }
+  double mean_latency_us() const {
+    if (latency.empty()) return 0.0;
+    return ToMicroseconds(
+        std::accumulate(latency.begin(), latency.end(), Picoseconds{0}) /
+        latency.size());
+  }
 
   double throughput_per_ms() const {
     const double ms = static_cast<double>(makespan) / 1e9;
@@ -178,7 +191,7 @@ void ReapAll(os::VcopService& service, TenantState& t,
         service.Reap(t.staged.tenant).value();
     ++t.completed;
     if (c.code != 0) ++t.failed;
-    result.latency.Add(c.finished_at - t.publish_at[c.cookie - 1]);
+    result.latency.push_back(c.finished_at - t.publish_at[c.cookie - 1]);
     t.reaped.push_back(c);
   }
 }
@@ -344,8 +357,7 @@ void PrintScenario(const char* title, const ScenarioResult& r) {
       "  makespan %.1f us, %.2f jobs/sim-ms, latency p50/p99/p999 = "
       "%.1f/%.1f/%.1f us, jain %.3f\n",
       ToMicroseconds(r.makespan), r.throughput_per_ms(),
-      ToMicroseconds(r.latency.p50()), ToMicroseconds(r.latency.p99()),
-      ToMicroseconds(r.latency.p999()), r.jain);
+      r.latency_us(0.50), r.latency_us(0.99), r.latency_us(0.999), r.jain);
   std::printf(
       "  transport: %llu kicks (%llu coalesced), %llu drains (max batch "
       "%llu), %llu admission deferrals, %llu daemon backpressure, "
@@ -385,9 +397,8 @@ void JsonScenario(std::FILE* f, const char* key, const ScenarioResult& r,
       static_cast<unsigned long long>(r.completed),
       static_cast<unsigned long long>(r.failed), r.starved_tenants,
       ToMicroseconds(r.makespan), r.throughput_per_ms(),
-      ToMicroseconds(r.latency.p50()), ToMicroseconds(r.latency.p99()),
-      ToMicroseconds(r.latency.p999()), ToMicroseconds(r.latency.min()),
-      ToMicroseconds(r.latency.max()), ToMicroseconds(r.latency.mean()),
+      r.latency_us(0.50), r.latency_us(0.99), r.latency_us(0.999),
+      r.latency_us(0.0), r.latency_us(1.0), r.mean_latency_us(),
       r.jain, r.outputs_exact ? "true" : "false",
       static_cast<unsigned long long>(r.daemon.reconfigurations),
       ToMicroseconds(r.daemon.total_config_time),
@@ -477,8 +488,8 @@ int Main() {
                 open_2x.starved_tenants);
     rc = 1;
   }
-  const double p99_1x = ToMicroseconds(open_1x.latency.p99());
-  const double p99_2x = ToMicroseconds(open_2x.latency.p99());
+  const double p99_1x = open_1x.latency_us(0.99);
+  const double p99_2x = open_2x.latency_us(0.99);
   if (p99_1x > 0.0 && p99_2x > kP99OverloadFactor * p99_1x) {
     std::printf("FAIL: 2x p99 %.1f us exceeds %.1fx the 1x p99 %.1f us\n",
                 p99_2x, kP99OverloadFactor, p99_1x);

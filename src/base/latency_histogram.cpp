@@ -1,7 +1,6 @@
 #include "base/latency_histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 namespace vcop {
@@ -14,61 +13,6 @@ Picoseconds PercentileNearestRank(std::vector<Picoseconds> samples,
   const usize index = static_cast<usize>(
       std::clamp(rank - 1.0, 0.0, static_cast<double>(samples.size() - 1)));
   return samples[index];
-}
-
-u32 LatencyHistogram::BucketIndex(Picoseconds sample) {
-  // Values below one full sub-bucket resolution land in the first
-  // octave, indexed linearly.
-  if (sample < kSubBuckets) return static_cast<u32>(sample);
-  const u32 octave = 63 - static_cast<u32>(std::countl_zero(sample));
-  // Top 3 bits below the leading one select the linear sub-bucket.
-  const u32 sub = static_cast<u32>(sample >> (octave - 3)) & (kSubBuckets - 1);
-  return octave * kSubBuckets + sub;
-}
-
-Picoseconds LatencyHistogram::BucketUpperBound(u32 bucket) {
-  if (bucket < kSubBuckets) return bucket;
-  const u32 octave = bucket / kSubBuckets;
-  const u32 sub = bucket % kSubBuckets;
-  // The bucket covers [2^octave + sub*w, 2^octave + (sub+1)*w) with
-  // sub-bucket width w = 2^(octave-3); report the last value inside.
-  const Picoseconds base = Picoseconds{1} << octave;
-  const Picoseconds width = Picoseconds{1} << (octave - 3);
-  return base + (sub + 1) * width - 1;
-}
-
-void LatencyHistogram::Add(Picoseconds sample) {
-  ++buckets_[BucketIndex(sample)];
-  if (count_ == 0 || sample < min_) min_ = sample;
-  if (sample > max_) max_ = sample;
-  ++count_;
-  sum_ += sample;
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  for (u32 i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-Picoseconds LatencyHistogram::mean() const {
-  return count_ == 0 ? 0 : static_cast<Picoseconds>(sum_ / count_);
-}
-
-Picoseconds LatencyHistogram::Percentile(double q) const {
-  if (count_ == 0) return 0;
-  const double rank_d =
-      std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(count_));
-  const u64 rank = std::max<u64>(1, static_cast<u64>(rank_d));
-  u64 seen = 0;
-  for (u32 i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) return std::min(BucketUpperBound(i), max_);
-  }
-  return max_;
 }
 
 }  // namespace vcop

@@ -15,13 +15,10 @@ u32 PagesTouched(UserAddr addr, u32 len) {
 
 }  // namespace
 
-void Iommu::Configure(bool enabled, u32 iotlb_entries, u32 walk_cycles) {
-  VCOP_CHECK_MSG(!enabled || IsPowerOfTwo(iotlb_entries),
+Iommu::Iommu(Frequency clock, u32 walk_cycles, u32 iotlb_entries)
+    : clock_(clock), walk_cycles_(walk_cycles), iotlb_(iotlb_entries) {
+  VCOP_CHECK_MSG(IsPowerOfTwo(iotlb_entries),
                  "iotlb_entries must be a power of two");
-  enabled_ = enabled;
-  walk_cycles_ = walk_cycles;
-  iotlb_.assign(enabled ? iotlb_entries : 0, Entry{});
-  evict_cursor_ = 0;
 }
 
 bool Iommu::TranslateOnePage(IommuAsid asid, u32 vpage, Translation& t) {
@@ -75,7 +72,6 @@ bool Iommu::TranslateOnePage(IommuAsid asid, u32 vpage, Translation& t) {
 }
 
 Iommu::Translation Iommu::Translate(IommuAsid asid, UserAddr addr, u32 len) {
-  VCOP_CHECK_MSG(enabled_, "IOMMU translate while disabled");
   Translation t;
   if (len == 0) return t;
   const u32 first = addr >> kUserPageShift;
@@ -88,47 +84,6 @@ Iommu::Translation Iommu::Translate(IommuAsid asid, UserAddr addr, u32 len) {
     }
   }
   return t;
-}
-
-TransferResult Iommu::LoadToDp(IommuAsid asid, UserMemory& user,
-                               UserAddr src, DualPortRam& dp, u32 dst,
-                               u32 len) {
-  Translation t = Translate(asid, src, len);
-  if (!t.ok) {
-    TransferResult r;
-    r.time = t.time;
-    r.iommu_fault = true;
-    return r;
-  }
-  PinRange(user, src, len);
-  TransferResult r = engine_.LoadDirect(user, src, dp, dst, len);
-  UnpinRange(user, src, len);
-  r.time += t.time;
-  if (!r.bus_error) {
-    ++stats_.zero_copy_loads;
-    stats_.zero_copy_bytes += r.bytes;
-  }
-  return r;
-}
-
-TransferResult Iommu::StoreFromDp(IommuAsid asid, DualPortRam& dp, u32 src,
-                                  UserMemory& user, UserAddr dst, u32 len) {
-  Translation t = Translate(asid, dst, len);
-  if (!t.ok) {
-    TransferResult r;
-    r.time = t.time;
-    r.iommu_fault = true;
-    return r;
-  }
-  PinRange(user, dst, len);
-  TransferResult r = engine_.StoreDirect(dp, src, user, dst, len);
-  UnpinRange(user, dst, len);
-  r.time += t.time;
-  if (!r.bus_error) {
-    ++stats_.zero_copy_stores;
-    stats_.zero_copy_bytes += r.bytes;
-  }
-  return r;
 }
 
 void Iommu::PinRange(UserMemory& user, UserAddr addr, u32 len) {

@@ -1,18 +1,19 @@
-// IOMMU: virtual-address DMA for the transfer engine.
+// IOMMU: the transfer engine's translation stage for zero-copy DMA.
 //
 // The paper's VIM copies every page through the CPU (§4.1 even does it
-// twice). The IOMMU removes the CPU from the data path entirely: the
-// DMA master issues *user virtual addresses*, and an IO-TLB in front of
-// the bus translates (asid, vpage) -> user frame, walking the owning
+// twice). In CopyMode::kIommu the CPU leaves the data path: the DMA
+// master issues *user virtual addresses*, and an IO-TLB in front of the
+// bus translates (asid, vpage) -> user frame, walking the owning
 // tenant's address-space tables on a miss. Pages referenced by an
 // in-flight DMA are pinned so the OS cannot reclaim them under the
 // device; shootdowns keep the IO-TLB coherent with FlushAsid/context
-// switch. Modelled on the ARMv8 IOMMU/RDMA thesis (PAPERS.md).
+// switch. Modelled on the ARMv8 IOMMU/RDMA thesis (PAPERS.md), which
+// puts the IOMMU in front of the DMA engine as a translation stage.
 //
-// Layering: mem::Iommu knows nothing about the OS. The VIM installs a
-// `walker` callback that validates a (asid, page) pair against the
-// owning AddressSpace; everything else — IO-TLB, pinning, pricing via
-// TransferEngine::*Direct — lives here.
+// Layering: mem::Iommu moves no data and knows nothing about the OS.
+// mem::TransferEngine owns it and consults it on every kIommu transfer;
+// the VIM installs a `walker` callback that validates an (asid, page)
+// pair against the owning AddressSpace.
 #pragma once
 
 #include <functional>
@@ -20,7 +21,7 @@
 
 #include "base/fault.h"
 #include "base/units.h"
-#include "mem/transfer.h"
+#include "mem/user_memory.h"
 
 namespace vcop::mem {
 
@@ -28,7 +29,10 @@ namespace vcop::mem {
 /// without pulling hw/ headers into mem/.
 using IommuAsid = u16;
 
-/// Counters for the IO-TLB and the zero-copy data path.
+/// IO-TLB capacity of the modelled IOMMU.
+inline constexpr u32 kIotlbEntries = 16;
+
+/// Counters for the IO-TLB and the DMA pins.
 struct IommuStats {
   u64 iotlb_hits = 0;
   u64 iotlb_misses = 0;
@@ -40,9 +44,6 @@ struct IommuStats {
   u64 iotlb_parity_drops = 0;  // corrupt entries detected at use
   u64 pages_pinned = 0;
   u64 pages_unpinned = 0;
-  u64 zero_copy_loads = 0;
-  u64 zero_copy_stores = 0;
-  u64 zero_copy_bytes = 0;
 };
 
 class Iommu {
@@ -51,31 +52,27 @@ class Iommu {
   /// Installed by the VIM; called once per IO-TLB miss.
   using Walker = std::function<bool(IommuAsid asid, UserAddr page_base)>;
 
-  Iommu(TransferEngine& engine, Frequency clock)
-      : engine_(engine), clock_(clock) {}
+  /// Outcome of translating one DMA's user range.
+  struct Translation {
+    bool ok = true;
+    Picoseconds time = 0;  // walk cycles spent, success or not
+  };
 
-  /// `iotlb_entries` must be a power of two (platform key contract);
-  /// `walk_cycles` is the per-miss table-walk cost on `clock`.
-  void Configure(bool enabled, u32 iotlb_entries, u32 walk_cycles);
-  bool enabled() const { return enabled_; }
+  /// `walk_cycles` on `clock` is the per-miss table-walk cost;
+  /// `iotlb_entries` must be a power of two.
+  Iommu(Frequency clock, u32 walk_cycles, u32 iotlb_entries);
 
   void set_walker(Walker walker) { walker_ = std::move(walker); }
   /// Fault plan consulted per translated page (kIotlbCorrupt on hits,
   /// kIommuTranslationFault on walks). Not owned.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
-  /// Zero-copy DMA: translate every user page the access touches, pin
-  /// it for the duration, and stream over the bus via the engine's
-  /// direct path. On a translation fault the result carries
-  /// iommu_fault = true, no data moves, and the walk time already
-  /// spent is in `time` — the VIM services it like a bus error.
-  TransferResult LoadToDp(IommuAsid asid, UserMemory& user, UserAddr src,
-                          DualPortRam& dp, u32 dst, u32 len);
-  TransferResult StoreFromDp(IommuAsid asid, DualPortRam& dp, u32 src,
-                             UserMemory& user, UserAddr dst, u32 len);
+  /// Translates every 4 KB page of [addr, addr+len), refilling the
+  /// IO-TLB as needed. Stops at the first faulting page.
+  Translation Translate(IommuAsid asid, UserAddr addr, u32 len);
 
-  /// Pin bookkeeping for *asynchronous* DMAs (the VIM's overlapped
-  /// prefetch pins at schedule time and unpins at completion).
+  /// Pins the user pages a DMA references for its duration, so
+  /// reclamation cannot pull them out from under the device.
   void PinRange(UserMemory& user, UserAddr addr, u32 len);
   void UnpinRange(UserMemory& user, UserAddr addr, u32 len);
 
@@ -95,19 +92,9 @@ class Iommu {
     u32 frame = 0;  // user frame number (flat space: identity map)
   };
 
-  struct Translation {
-    bool ok = true;
-    Picoseconds time = 0;  // walk cycles spent, success or not
-  };
-
-  /// Translates every 4 KB page of [addr, addr+len), refilling the
-  /// IO-TLB as needed. Stops at the first faulting page.
-  Translation Translate(IommuAsid asid, UserAddr addr, u32 len);
   bool TranslateOnePage(IommuAsid asid, u32 vpage, Translation& t);
 
-  TransferEngine& engine_;
   Frequency clock_;
-  bool enabled_ = false;
   u32 walk_cycles_ = 0;
   std::vector<Entry> iotlb_;
   u32 evict_cursor_ = 0;

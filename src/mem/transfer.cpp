@@ -9,16 +9,19 @@ std::string_view ToString(CopyMode mode) {
     case CopyMode::kDoubleCopy: return "double-copy";
     case CopyMode::kSingleCopy: return "single-copy";
     case CopyMode::kDma: return "dma";
+    case CopyMode::kIommu: return "iommu";
   }
   return "?";
 }
 
 TransferEngine::TransferEngine(AhbModel ahb, Frequency cpu_clock,
-                               CopyMode mode, u32 sdram_cycles_per_word)
+                               CopyMode mode, u32 sdram_cycles_per_word,
+                               u32 iommu_walk_cycles, u32 iotlb_entries)
     : ahb_(ahb),
       cpu_clock_(cpu_clock),
       mode_(mode),
-      sdram_cycles_per_word_(sdram_cycles_per_word) {
+      sdram_cycles_per_word_(sdram_cycles_per_word),
+      iommu_(cpu_clock, iommu_walk_cycles, iotlb_entries) {
   VCOP_CHECK_MSG(cpu_clock.valid(), "CPU clock must be nonzero");
 }
 
@@ -30,8 +33,12 @@ Picoseconds TransferEngine::PriceOnePass(u32 len) const {
 }
 
 Picoseconds TransferEngine::PriceTransfer(u32 len) const {
+  return PriceIn(mode_, len);
+}
+
+Picoseconds TransferEngine::PriceIn(CopyMode mode, u32 len) const {
   const u64 words = DivCeil(len, 4);
-  switch (mode_) {
+  switch (mode) {
     case CopyMode::kSingleCopy:
       // Direct copy: one pass touching user SDRAM and the DP-RAM.
       return PriceOnePass(len);
@@ -52,6 +59,8 @@ Picoseconds TransferEngine::PriceTransfer(u32 len) const {
       return cpu_clock_.Duration(kDmaSetupCpuCycles) +
              ahb_.clock().Duration(bus_cycles);
     }
+    case CopyMode::kIommu:
+      return PriceDirect(len);
   }
   VCOP_CHECK(false);
   return 0;
@@ -60,8 +69,12 @@ Picoseconds TransferEngine::PriceTransfer(u32 len) const {
 Picoseconds TransferEngine::PriceReload(u32 len) const {
   // The user -> bounce pass ran when the copy was made; only the
   // bounce -> DP-RAM pass is left.
-  return mode_ == CopyMode::kDoubleCopy ? PriceOnePass(len)
-                                        : PriceTransfer(len);
+  return KeepsBounceCopies() ? PriceOnePass(len) : PriceTransfer(len);
+}
+
+Picoseconds TransferEngine::PriceParams(u32 len) const {
+  return PriceIn(mode_ == CopyMode::kIommu ? CopyMode::kDoubleCopy : mode_,
+                 len);
 }
 
 Picoseconds TransferEngine::PriceDirect(u32 len) const {
@@ -76,30 +89,68 @@ Picoseconds TransferEngine::PriceDirect(u32 len) const {
   return ahb_.clock().Duration(bus_cycles);
 }
 
-TransferResult TransferEngine::LoadPage(const UserMemory& user, UserAddr src,
-                                        DualPortRam& dp, u32 dst, u32 len) {
-  if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
-  return Load(user, src, dp, dst, len, PriceTransfer(len));
+template <typename Copy>
+TransferResult TransferEngine::Translated(IommuAsid asid, UserMemory& user,
+                                          UserAddr addr, u32 len, Copy copy) {
+  if (mode_ != CopyMode::kIommu) return copy();
+  // The DMA master scatter-gathers straight between the user pages and
+  // the DP-RAM once the IOMMU has resolved and pinned them. On a
+  // translation fault the walk time already spent is all the transfer
+  // costs; the VIM services it like a bus error.
+  const Iommu::Translation t = iommu_.Translate(asid, addr, len);
+  if (!t.ok) {
+    TransferResult r;
+    r.time = t.time;
+    r.iommu_fault = true;
+    return r;
+  }
+  iommu_.PinRange(user, addr, len);
+  TransferResult r = copy();
+  iommu_.UnpinRange(user, addr, len);
+  r.time += t.time;
+  if (!r.bus_error) zero_copy_bytes_ += r.bytes;
+  return r;
 }
 
-TransferResult TransferEngine::ReloadPage(const UserMemory& user,
-                                          UserAddr src, DualPortRam& dp,
-                                          u32 dst, u32 len) {
-  // The bounce copy equals user memory (every write-back refreshes it
-  // on its way out), so the data is read from user memory either way.
-  if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
-  return Load(user, src, dp, dst, len, PriceReload(len));
+TransferResult TransferEngine::LoadPage(IommuAsid asid, UserMemory& user,
+                                        UserAddr src, DualPortRam& dp,
+                                        u32 dst, u32 len, bool reload) {
+  // A re-load reads user memory too: the bounce copy equals it (every
+  // write-back refreshes it on its way out).
+  if (KeepsBounceCopies()) ++bounce_copies_;
+  const Picoseconds price = reload ? PriceReload(len) : PriceTransfer(len);
+  return Translated(asid, user, src, len, [&] {
+    return CopyIn(user, src, dp, dst, len, price);
+  });
 }
 
-TransferResult TransferEngine::LoadDirect(const UserMemory& user,
-                                          UserAddr src, DualPortRam& dp,
-                                          u32 dst, u32 len) {
-  return Load(user, src, dp, dst, len, PriceDirect(len));
+TransferResult TransferEngine::StorePage(IommuAsid asid, DualPortRam& dp,
+                                         u32 src, UserMemory& user,
+                                         UserAddr dst, u32 len) {
+  if (KeepsBounceCopies()) ++bounce_copies_;
+  const Picoseconds price = PriceTransfer(len);
+  return Translated(asid, user, dst, len, [&] {
+    return CopyOut(dp, src, user, dst, len, price);
+  });
 }
 
-TransferResult TransferEngine::Load(const UserMemory& user, UserAddr src,
-                                    DualPortRam& dp, u32 dst, u32 len,
-                                    Picoseconds price) {
+bool TransferEngine::Pin(UserMemory& user, UserAddr addr, u32 len) {
+  if (mode_ != CopyMode::kIommu) return false;
+  iommu_.PinRange(user, addr, len);
+  return true;
+}
+
+void TransferEngine::Unpin(UserMemory& user, UserAddr addr, u32 len) {
+  iommu_.UnpinRange(user, addr, len);
+}
+
+void TransferEngine::Invalidate(IommuAsid asid) {
+  if (mode_ == CopyMode::kIommu) iommu_.InvalidateAsid(asid);
+}
+
+TransferResult TransferEngine::CopyIn(const UserMemory& user, UserAddr src,
+                                      DualPortRam& dp, u32 dst, u32 len,
+                                      Picoseconds price) {
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
     // The transfer errors mid-pass: no data reaches the DP-RAM, but the
     // bus time was wasted. The VIM decides whether to retry.
@@ -126,22 +177,9 @@ TransferResult TransferEngine::Load(const UserMemory& user, UserAddr src,
   return r;
 }
 
-TransferResult TransferEngine::StorePage(DualPortRam& dp, u32 src,
-                                         UserMemory& user, UserAddr dst,
-                                         u32 len) {
-  if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
-  return Store(dp, src, user, dst, len, PriceTransfer(len));
-}
-
-TransferResult TransferEngine::StoreDirect(DualPortRam& dp, u32 src,
-                                           UserMemory& user, UserAddr dst,
-                                           u32 len) {
-  return Store(dp, src, user, dst, len, PriceDirect(len));
-}
-
-TransferResult TransferEngine::Store(DualPortRam& dp, u32 src,
-                                     UserMemory& user, UserAddr dst, u32 len,
-                                     Picoseconds price) {
+TransferResult TransferEngine::CopyOut(DualPortRam& dp, u32 src,
+                                       UserMemory& user, UserAddr dst,
+                                       u32 len, Picoseconds price) {
   if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
     TransferResult r;
     r.time = price;

@@ -209,11 +209,30 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
 Status Kernel::FpgaMapObject(hw::ObjectId id, mem::UserAddr addr,
                              u32 size_bytes, u32 elem_width,
                              Direction direction) {
-  if (!user_memory_.Contains(addr, size_bytes)) {
-    return InvalidArgumentError(StrFormat(
-        "object %u: [%u, +%u) is not in the process address space", id,
-        addr, size_bytes));
-  }
+  return MapObject(default_space_, id, addr, size_bytes, elem_width,
+                   direction);
+}
+
+Status Kernel::FpgaUnmapObject(hw::ObjectId id) {
+  return default_space_.objects().Unmap(id);
+}
+
+namespace {
+
+Status CheckUserRange(const mem::UserMemory& user, hw::ObjectId id,
+                      mem::UserAddr addr, u32 size_bytes) {
+  if (user.Contains(addr, size_bytes)) return Status::Ok();
+  return InvalidArgumentError(StrFormat(
+      "object %u: [%u, +%u) is not in the process address space", id, addr,
+      size_bytes));
+}
+
+}  // namespace
+
+Status Kernel::MapObject(AddressSpace& space, hw::ObjectId id,
+                         mem::UserAddr addr, u32 size_bytes, u32 elem_width,
+                         Direction direction) {
+  VCOP_RETURN_IF_ERROR(CheckUserRange(user_memory_, id, addr, size_bytes));
   MappedObject object;
   object.id = id;
   object.user_addr = addr;
@@ -223,11 +242,20 @@ Status Kernel::FpgaMapObject(hw::ObjectId id, mem::UserAddr addr,
   if (id < hw::kMaxObjects) {
     object.page_bytes = config_.object_page_bytes[id];
   }
-  return default_space_.objects().Map(object);
+  return space.objects().Map(object);
 }
 
-Status Kernel::FpgaUnmapObject(hw::ObjectId id) {
-  return default_space_.objects().Unmap(id);
+Status Kernel::RepointObject(AddressSpace& space, hw::ObjectId id,
+                             mem::UserAddr addr) {
+  const MappedObject* object = space.objects().Find(id);
+  if (object == nullptr) {
+    return NotFoundError(StrFormat("no object %u to re-point", id));
+  }
+  VCOP_RETURN_IF_ERROR(
+      CheckUserRange(user_memory_, id, addr, object->size_bytes));
+  VCOP_RETURN_IF_ERROR(space.objects().Repoint(id, addr));
+  vim_.transfer_engine().Invalidate(space.asid());
+  return Status::Ok();
 }
 
 Result<ExecutionReport> Kernel::FpgaExecute(std::span<const u32> params) {

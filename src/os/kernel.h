@@ -173,6 +173,20 @@ class Kernel {
   /// Removes an object mapping.
   Status FpgaUnmapObject(hw::ObjectId id);
 
+  /// The one object mapping, for FPGA_MAP_OBJECT and vcopd tenants
+  /// alike: maps `id` in `space` over user memory [addr, +size_bytes),
+  /// paged at the object's configured size
+  /// (KernelConfig::object_page_bytes).
+  Status MapObject(AddressSpace& space, hw::ObjectId id, mem::UserAddr addr,
+                   u32 size_bytes, u32 elem_width, Direction direction);
+
+  /// Re-points `space`'s object `id` at `addr` (size, width, direction
+  /// and page size unchanged) after MapObject's user-memory check, and
+  /// shoots down the space's cached DMA translations: the pages behind
+  /// its virtual range just changed.
+  Status RepointObject(AddressSpace& space, hw::ObjectId id,
+                       mem::UserAddr addr);
+
   /// Runs the loaded coprocessor to completion with `params` passed
   /// through the parameter page. Blocking (the process sleeps).
   Result<ExecutionReport> FpgaExecute(std::span<const u32> params);

@@ -232,7 +232,6 @@ void VcopService::PushCompletion(Port& port,
     // The tenant stopped reaping; hold the completion in order behind
     // whatever already overflowed and let Reap() drain it back.
     port.overflow.push_back(completion);
-    ++stats_.completion_ring_stalls;
     return;
   }
   ++stats_.completions_pushed;

@@ -108,7 +108,6 @@ struct VcopServiceStats {
   u64 completions_pushed = 0;
   u64 completions_notified = 0;
   u64 completions_suppressed = 0;  // pushed while interrupts suppressed
-  u64 completion_ring_stalls = 0;  // held in overflow until a reap
   u64 repoll_ticks = 0;
 };
 

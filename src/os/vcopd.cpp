@@ -116,18 +116,8 @@ Status Vcopd::MapObject(TenantId tenant, hw::ObjectId id,
   if (t == nullptr) {
     return NotFoundError(StrFormat("unknown tenant %u", tenant));
   }
-  if (!kernel_.user_memory().Contains(addr, size_bytes)) {
-    return InvalidArgumentError(StrFormat(
-        "object %u: [%u, +%u) is not in the process address space", id,
-        addr, size_bytes));
-  }
-  MappedObject object;
-  object.id = id;
-  object.user_addr = addr;
-  object.size_bytes = size_bytes;
-  object.elem_width = elem_width;
-  object.direction = direction;
-  return t->space->objects().Map(object);
+  return kernel_.MapObject(*t->space, id, addr, size_bytes, elem_width,
+                           direction);
 }
 
 Status Vcopd::UnmapObject(TenantId tenant, hw::ObjectId id) {
@@ -144,23 +134,7 @@ Status Vcopd::RepointObject(TenantId tenant, hw::ObjectId id,
   if (t == nullptr) {
     return NotFoundError(StrFormat("unknown tenant %u", tenant));
   }
-  const MappedObject* object = t->space->objects().Find(id);
-  if (object == nullptr) {
-    return NotFoundError(
-        StrFormat("tenant %u has no object %u to re-point", tenant, id));
-  }
-  if (!kernel_.user_memory().Contains(addr, object->size_bytes)) {
-    return InvalidArgumentError(StrFormat(
-        "object %u: [%u, +%u) is not in the process address space", id,
-        addr, object->size_bytes));
-  }
-  const Status s = t->space->objects().Repoint(id, addr);
-  if (s.ok() && kernel_.vim().config().iommu) {
-    // The virtual range the object names just moved: cached DMA
-    // translations for this tenant may now point at the wrong pages.
-    kernel_.vim().iommu().InvalidateAsid(t->space->asid());
-  }
-  return s;
+  return kernel_.RepointObject(*t->space, id, addr);
 }
 
 Result<Ticket> Vcopd::Submit(

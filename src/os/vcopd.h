@@ -124,8 +124,8 @@ struct JobResult {
   /// failed job reports only its VIM accounting (`report.vim`). `total`
   /// spans first dispatch to completion, so for a preempted job t_hw
   /// also holds the time it sat switched out while other tenants held
-  /// the fabric. The TLB counters are the lookups, hits and misses of
-  /// the job's own slices.
+  /// the fabric. The TLB counters are the shared TLB's whole delta over
+  /// each of the job's slices, summed (installs included).
   ExecutionReport report;
 
   Picoseconds turnaround() const { return finished_at - submitted_at; }
@@ -203,10 +203,10 @@ class Vcopd {
   Status UnmapObject(TenantId tenant, hw::ObjectId id);
 
   /// Re-points an already-mapped object at a new user virtual address
-  /// (size/width/direction unchanged). The ring path's object_refs use
-  /// this so one mapping can target per-submission buffers; any cached
-  /// IO-TLB translations of the tenant are shot down, since the pages
-  /// behind its virtual range just changed.
+  /// (Kernel::RepointObject: size/width/direction unchanged, the
+  /// tenant's cached DMA translations shot down). The ring path's
+  /// object_refs use this so one mapping can target per-submission
+  /// buffers.
   Status RepointObject(TenantId tenant, hw::ObjectId id,
                        mem::UserAddr addr);
 

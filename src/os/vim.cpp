@@ -16,12 +16,13 @@ Vim::Vim(const CostModel& costs, mem::PageGeometry geometry,
       user_memory_(user_memory),
       sim_(sim),
       transfers_(mem::AhbModel(costs.ahb, costs.cpu_clock), costs.cpu_clock,
-                 mem::CopyMode::kDoubleCopy, costs.sdram_cycles_per_word),
-      iommu_(transfers_, costs.cpu_clock),
+                 mem::CopyMode::kDoubleCopy, costs.sdram_cycles_per_word,
+                 costs.iommu_walk_cycles),
       pages_(geometry) {
-  iommu_.set_walker([this](mem::IommuAsid asid, mem::UserAddr page_base) {
-    return IommuWalk(asid, page_base);
-  });
+  transfers_.iommu().set_walker(
+      [this](mem::IommuAsid asid, mem::UserAddr page_base) {
+        return IommuWalk(asid, page_base);
+      });
   Configure(VimConfig{});
 }
 
@@ -31,8 +32,6 @@ void Vim::Configure(const VimConfig& config) {
   policy_->Reset(geometry_.num_frames());
   prefetcher_ = MakePrefetcher(config.prefetch, config.prefetch_depth);
   transfers_.set_mode(config.copy_mode);
-  iommu_.Configure(config.iommu, config.iotlb_entries,
-                   costs_.iommu_walk_cycles);
 }
 
 bool Vim::IommuWalk(mem::IommuAsid asid, mem::UserAddr page_base) {
@@ -48,14 +47,8 @@ bool Vim::IommuWalk(mem::IommuAsid asid, mem::UserAddr page_base) {
   return false;
 }
 
-Picoseconds Vim::PricePage(u32 len) const {
-  return config_.iommu ? transfers_.PriceDirect(len)
-                       : transfers_.PriceTransfer(len);
-}
-
 bool Vim::KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const {
-  return !config_.iommu &&
-         transfers_.mode() == mem::CopyMode::kDoubleCopy &&
+  return transfers_.KeepsBounceCopies() &&
          space_->objects().version() == space_->transferred_objects_version &&
          space_->transferred.count({object, vpage}) != 0;
 }
@@ -421,15 +414,14 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
   unit_cost +=
       costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
   if (needs_load) {
-    unit_cost += reload ? transfers_.PriceReload(len) : PricePage(len);
+    unit_cost +=
+        reload ? transfers_.PriceReload(len) : transfers_.PriceTransfer(len);
   }
 
   const mem::UserAddr user_src = PageUserAddr(object, vpage);
-  // Under the IOMMU the transfer references the user pages directly
-  // until it lands: pin them so reclamation cannot pull the source out
-  // from under an in-flight DMA.
-  const bool pin = config_.iommu && needs_load;
-  if (pin) iommu_.PinRange(user_memory_, user_src, len);
+  // A DMA references the user pages directly until it lands: the engine
+  // pins them so reclamation cannot pull the source out from under it.
+  const bool pin = needs_load && transfers_.Pin(user_memory_, user_src, len);
 
   tail = std::max(tail, sim_.now()) + unit_cost;
   in_flight_.push_back(
@@ -454,7 +446,7 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
                     geometry_.FrameBase(f), user_memory_.View(src, len));
       CountLoad(len, reload);
     }
-    if (pin) iommu_.UnpinRange(user_memory_, src, len);
+    if (pin) transfers_.Unpin(user_memory_, src, len);
     pages_.Unpin(f);
     InstallTlbEntry(oid, vpage, f);
     for (usize i = 0; i < in_flight_.size(); ++i) {
@@ -486,9 +478,11 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
   if (NeedsLoad(object, vpage)) {
     const u32 len = PageLength(object, vpage);
     const bool reload = KernelCopyHeld(object.id, vpage);
-    const mem::TransferResult r = LoadPageRetried(
-        space_->asid(), PageUserAddr(object, vpage),
-        geometry_.FrameBase(*frame), len, reload);
+    const mem::UserAddr src = PageUserAddr(object, vpage);
+    const mem::TransferResult r = RetryTransfer("load", len, [&] {
+      return transfers_.LoadPage(space_->asid(), user_memory_, src, dp_ram_,
+                                 geometry_.FrameBase(*frame), len, reload);
+    });
     dp_cost += r.time;
     if (r.bus_error) {
       if (!space_->aborted) Abort(last_failure_);
@@ -654,7 +648,7 @@ bool Vim::MapParamPage(std::span<const u32> params, Picoseconds& dp_cost,
   InstallTlbEntry(hw::kParamObject, 0, *frame);
   space_->param_frame = frame;
   space_->params_live = true;
-  dp_cost += transfers_.PriceTransfer(static_cast<u32>(params.size() * 4));
+  dp_cost += transfers_.PriceParams(static_cast<u32>(params.size() * 4));
   return true;
 }
 
@@ -714,9 +708,12 @@ bool Vim::WriteBack(mem::FrameId frame, AddressSpace& owner,
   // the transfer time extends the *current* service.
   const FrameState& state = pages_.frame(frame);
   const u32 len = PageLength(object, state.vpage);
-  const mem::TransferResult r =
-      StorePageRetried(state.asid, geometry_.FrameBase(frame),
-                       PageUserAddr(object, state.vpage), len);
+  const mem::UserAddr dst = PageUserAddr(object, state.vpage);
+  const mem::TransferResult r = RetryTransfer("store", len, [&] {
+    return transfers_.StorePage(state.asid, dp_ram_,
+                                geometry_.FrameBase(frame), user_memory_, dst,
+                                len);
+  });
   dp_cost += r.time;
   if (r.bus_error) return false;
   ++owner.accounting.writebacks;
@@ -758,7 +755,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
 
     const u32 len = PageLength(*object, state.vpage);
     const Picoseconds unit_cost =
-        PricePage(len) + costs_.Cycles(costs_.page_table_cycles);
+        transfers_.PriceTransfer(len) + costs_.Cycles(costs_.page_table_cycles);
     tail = std::max(tail, sim_.now()) + unit_cost;
     acct().t_dp_overlapped += unit_cost;
     --budget;
@@ -891,7 +888,7 @@ void Vim::OnEndOfOperation() {
   // The run's DMA window is over: shoot down its IO-TLB entries so
   // nothing can translate through them afterwards (the write-back
   // sweep above was the last legitimate user).
-  if (config_.iommu) iommu_.InvalidateAsid(asid);
+  transfers_.Invalidate(asid);
 
   imu_->AckEnd();
   const Picoseconds wake = costs_.Cycles(costs_.wakeup_cycles);
@@ -986,7 +983,7 @@ Picoseconds Vim::SaveContext() {
 
   // The tenant's DMA window closes with its slice: shoot its IO-TLB
   // entries down so a later tenant cannot translate through them.
-  if (config_.iommu) iommu_.InvalidateAsid(asid);
+  transfers_.Invalidate(asid);
 
   // Back on the fabric, the tenant's evictions start over: what other
   // tenants did meanwhile decides which of its pages are still resident.
@@ -1027,7 +1024,6 @@ Picoseconds Vim::RestoreContext() {
   if (space_->params_live && !space_->param_frame.has_value() &&
       MapParamPage(space_->saved_params, dp_cost, imu_cost)) {
     imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
-    ++service_stats_.param_page_restores;
   }
 
   ++service_stats_.context_restores;
@@ -1044,13 +1040,13 @@ void Vim::FlushAsid(hw::Asid asid) {
   if (AddressSpace* owner = ResolveSpace(asid)) owner->param_frame.reset();
   // The ASID's interface state is gone, and with it every cached DMA
   // translation.
-  if (config_.iommu) iommu_.InvalidateAsid(asid);
+  transfers_.Invalidate(asid);
 }
 
 void Vim::AbandonInFlight() {
   for (const InFlight& unit : in_flight_) {
     if (unit.pinned) {
-      iommu_.UnpinRange(user_memory_, unit.user_addr, unit.user_len);
+      transfers_.Unpin(user_memory_, unit.user_addr, unit.user_len);
     }
   }
   in_flight_.clear();
@@ -1110,7 +1106,6 @@ void Vim::SettleSpeculativeRelease(const FrameState& state) {
 void Vim::InstallFaultPlan(FaultPlan* plan) {
   fault_plan_ = plan;
   transfers_.set_fault_plan(plan);
-  iommu_.set_fault_plan(plan);
 }
 
 void Vim::OnTlbParityDrop(const hw::TlbEntry& dropped) {
@@ -1159,27 +1154,6 @@ mem::TransferResult Vim::RetryTransfer(const char* op, u32 len,
                 kTransferRetryLimit));
   total.bus_error = true;
   return total;
-}
-
-mem::TransferResult Vim::LoadPageRetried(hw::Asid asid, mem::UserAddr src,
-                                         u32 dst, u32 len, bool reload) {
-  return RetryTransfer("load", len, [&] {
-    return config_.iommu
-               ? iommu_.LoadToDp(asid, user_memory_, src, dp_ram_, dst, len)
-           : reload
-               ? transfers_.ReloadPage(user_memory_, src, dp_ram_, dst, len)
-               : transfers_.LoadPage(user_memory_, src, dp_ram_, dst, len);
-  });
-}
-
-mem::TransferResult Vim::StorePageRetried(hw::Asid asid, u32 src,
-                                          mem::UserAddr dst, u32 len) {
-  return RetryTransfer("store", len, [&] {
-    return config_.iommu
-               ? iommu_.StoreFromDp(asid, dp_ram_, src, user_memory_, dst,
-                                    len)
-               : transfers_.StorePage(dp_ram_, src, user_memory_, dst, len);
-  });
 }
 
 bool Vim::ChargeFaultRecovery(const char* what) {

@@ -39,7 +39,6 @@
 #include "base/types.h"
 #include "base/units.h"
 #include "hw/imu.h"
-#include "mem/iommu.h"
 #include "mem/transfer.h"
 #include "mem/user_memory.h"
 #include "os/address_space.h"
@@ -68,14 +67,9 @@ struct VimConfig {
   /// translation pre-installed, so the coprocessor never faults on it;
   /// a fault racing an in-flight load waits only for the remainder.
   bool overlap_prefetch = false;
-  /// Zero-copy virtual-address DMA (DESIGN.md §13): page transfers
-  /// stream directly between the user pages and the dual-port RAM
-  /// through an IOMMU that translates the tenant's virtual addresses,
-  /// bypassing the kernel bounce buffer entirely. Off keeps every
-  /// transfer on the configured copy_mode path, bit-identical.
-  bool iommu = false;
-  /// IO-TLB capacity (power of two) when the IOMMU is on.
-  u32 iotlb_entries = 16;
+  /// How pages move between user memory and the dual-port RAM: the
+  /// paper's double copy, single copy, DMA, or zero-copy DMA through
+  /// the IOMMU (DESIGN.md §13). Only the transfer engine interprets it.
   mem::CopyMode copy_mode = mem::CopyMode::kDoubleCopy;
   /// Seed for the random replacement policy.
   u64 seed = 1;
@@ -117,8 +111,6 @@ struct VimServiceStats {
   /// Dirty pages eagerly written back during SaveContext (they stay
   /// resident and clean, so later cross-tenant eviction is free).
   u64 pages_written_back_on_save = 0;
-  /// Parameter pages re-materialised at resume.
-  u64 param_page_restores = 0;
 
   // ----- fault recovery (see DESIGN.md §9) -----
 
@@ -295,8 +287,6 @@ class Vim {
   const CostModel& costs() const { return costs_; }
   PageManager& page_manager() { return pages_; }
   mem::TransferEngine& transfer_engine() { return transfers_; }
-  mem::Iommu& iommu() { return iommu_; }
-  const mem::Iommu& iommu() const { return iommu_; }
 
  private:
   // ----- the frame path: every frame is claimed, filled and freed here -----
@@ -428,35 +418,21 @@ class Vim {
 
   // ----- fault recovery internals -----
 
-  /// LoadPage/StorePage with bounded retry-with-backoff. On exhaustion
-  /// (or budget overrun mid-retry) the result has bus_error set and
-  /// last_failure_ holds the status the caller should fail
-  /// with; budget overruns have already Aborted. `asid` selects the
-  /// address space the IOMMU translates against (unused off the
-  /// zero-copy path). An IOMMU translation fault re-enters the same
-  /// bounded retry loop after a fault-decode charge.
-  /// With `reload` each attempt is a TransferEngine::ReloadPage.
-  mem::TransferResult LoadPageRetried(hw::Asid asid, mem::UserAddr src,
-                                      u32 dst, u32 len, bool reload);
-  mem::TransferResult StorePageRetried(hw::Asid asid, u32 src,
-                                       mem::UserAddr dst, u32 len);
-  /// The retry loop both share: runs `attempt` until it succeeds or
-  /// kTransferRetryLimit attempts failed. `op` ("load" or "store")
-  /// names the direction in the failure status.
+  /// The one page-transfer retry loop (page loads and write-backs):
+  /// runs `attempt` until it succeeds or kTransferRetryLimit attempts
+  /// failed, adding an exponential backoff after each failure. A
+  /// translation fault (iommu_fault) re-enters the loop after a
+  /// fault-decode charge. On exhaustion (or a budget overrun mid-retry)
+  /// the result has bus_error set and last_failure_ holds the status
+  /// the caller should fail with; budget overruns have already Aborted.
+  /// `op` ("load" or "store") names the direction in the failure status.
   template <typename Attempt>
   mem::TransferResult RetryTransfer(const char* op, u32 len,
                                     Attempt attempt);
 
-  /// Cost of moving one `len`-byte page between user and dual-port
-  /// memory on the configured path: the IOMMU's streaming price when
-  /// zero-copy is on, the copy-mode price otherwise. Used where the
-  /// VIM prices background copies it performs inline (overlapped
-  /// prefetch, background cleaning).
-  Picoseconds PricePage(u32 len) const;
-
   /// True when a load of the attached space's (object, vpage) is a
-  /// re-load: double copy with the IOMMU off, the page already
-  /// transferred in this execution, and the object table unchanged
+  /// re-load: the engine keeps bounce copies, the page was already
+  /// transferred in this execution, and the object table is unchanged
   /// since it began. The kernel then still holds the page's bounce
   /// copy, and only the bounce -> DP-RAM pass runs.
   bool KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const;
@@ -485,10 +461,9 @@ class Vim {
   mem::DualPortRam& dp_ram_;
   mem::UserMemory& user_memory_;
   sim::Simulator& sim_;
+  /// Moves and prices every page transfer, in whatever mode; in kIommu
+  /// through its IOMMU, whose walker is IommuWalk.
   mem::TransferEngine transfers_;
-  /// Zero-copy DMA front-end over transfers_ (DESIGN.md §13). Holds the
-  /// IO-TLB; disabled (zero entries) unless config_.iommu is on.
-  mem::Iommu iommu_;
 
   VimConfig config_{};
   std::unique_ptr<ReplacementPolicy> policy_;
@@ -512,8 +487,8 @@ class Vim {
     mem::FrameId frame;
     Picoseconds ready_at;
     /// User-side range the transfer references; DMA-pinned for the
-    /// transfer's lifetime when `pinned` (IOMMU mode), so the user
-    /// pages cannot be reclaimed under an in-flight DMA.
+    /// transfer's lifetime when `pinned` (TransferEngine::Pin), so the
+    /// user pages cannot be reclaimed under an in-flight DMA.
     mem::UserAddr user_addr = 0;
     u32 user_len = 0;
     bool pinned = false;

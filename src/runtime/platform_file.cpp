@@ -175,9 +175,11 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
         config.vim.copy_mode = mem::CopyMode::kSingleCopy;
       } else if (v == "dma") {
         config.vim.copy_mode = mem::CopyMode::kDma;
+      } else if (v == "iommu") {
+        config.vim.copy_mode = mem::CopyMode::kIommu;
       } else {
         return LineError(line_number,
-                         "copy_mode must be double|single|dma");
+                         "copy_mode must be double|single|dma|iommu");
       }
     } else if (key == "prefetch") {
       const std::string v = Lower(value);
@@ -199,18 +201,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
       config.vim.overlap_prefetch = v.value();
-    } else if (key == "iommu") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.vim.iommu = v.value();
-    } else if (key == "iotlb_entries") {
-      Result<u64> v = number(1, 1024);
-      if (!v.ok()) return v.status();
-      if (!IsPowerOfTwo(v.value())) {
-        return LineError(line_number,
-                         "iotlb_entries must be a power of two");
-      }
-      config.vim.iotlb_entries = static_cast<u32>(v.value());
     } else if (key == "service_ring") {
       Result<u64> v = number(2, 32768);
       if (!v.ok()) return v.status();
@@ -294,15 +284,15 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
                          ? "double"
                      : config.vim.copy_mode == mem::CopyMode::kSingleCopy
                          ? "single"
-                         : "dma";
+                     : config.vim.copy_mode == mem::CopyMode::kDma
+                         ? "dma"
+                         : "iommu";
   out += StrFormat("copy_mode = %s\n", copy);
   out += StrFormat("prefetch = %s\n",
                    std::string(ToString(config.vim.prefetch)).c_str());
   out += StrFormat("prefetch_depth = %u\n", config.vim.prefetch_depth);
   out += StrFormat("overlap = %s\n",
                    config.vim.overlap_prefetch ? "true" : "false");
-  out += StrFormat("iommu = %s\n", config.vim.iommu ? "true" : "false");
-  out += StrFormat("iotlb_entries = %u\n", config.vim.iotlb_entries);
   out += StrFormat("service_ring = %u\n", config.service.ring_entries);
   out += StrFormat("service_rate = %llu\n",
                    static_cast<unsigned long long>(config.service.admit_rate));

@@ -17,8 +17,8 @@
 //     bounds_check = false
 //     pld_les      = 16640
 //     policy       = lru          ; wsfifo (default) | fifo | lru | random
-//     copy_mode    = single       ; double | single | dma
-//     prefetch     = sequential   ; none | sequential
+//     copy_mode    = single       ; double | single | dma | iommu
+//     prefetch     = sequential   ; none | sequential | adaptive
 //     prefetch_depth = 2
 //     overlap      = true
 //

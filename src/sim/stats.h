@@ -2,10 +2,7 @@
 #pragma once
 
 #include <algorithm>
-#include <string>
-#include <vector>
 
-#include "base/status.h"
 #include "base/types.h"
 
 namespace vcop::sim {
@@ -36,32 +33,6 @@ class Summary {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [0, bucket_width * num_buckets);
-/// values beyond the last bucket land in an overflow bucket.
-class Histogram {
- public:
-  Histogram(double bucket_width, usize num_buckets)
-      : bucket_width_(bucket_width), counts_(num_buckets + 1, 0) {
-    VCOP_CHECK_MSG(bucket_width > 0 && num_buckets > 0, "bad histogram shape");
-  }
-
-  void Add(double v) {
-    const auto idx = static_cast<usize>(v / bucket_width_);
-    counts_[std::min(idx, counts_.size() - 1)]++;
-    summary_.Add(v);
-  }
-
-  u64 bucket(usize i) const { return counts_[i]; }
-  u64 overflow() const { return counts_.back(); }
-  usize num_buckets() const { return counts_.size() - 1; }
-  const Summary& summary() const { return summary_; }
-
- private:
-  double bucket_width_;
-  std::vector<u64> counts_;
-  Summary summary_;
 };
 
 }  // namespace vcop::sim

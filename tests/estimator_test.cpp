@@ -132,8 +132,6 @@ copy_mode = dma
 prefetch = sequential
 prefetch_depth = 2
 overlap = true
-iommu = on
-iotlb_entries = 64
 service_ring = 128
 service_rate = 5000
 service_burst = 32
@@ -156,8 +154,6 @@ service_burst = 32
   EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kSequential);
   EXPECT_EQ(c.vim.prefetch_depth, 2u);
   EXPECT_TRUE(c.vim.overlap_prefetch);
-  EXPECT_TRUE(c.vim.iommu);
-  EXPECT_EQ(c.vim.iotlb_entries, 64u);
   EXPECT_EQ(c.service.ring_entries, 128u);
   EXPECT_EQ(c.service.admit_rate, 5000u);
   EXPECT_EQ(c.service.admit_burst, 32u);
@@ -174,38 +170,21 @@ TEST(PlatformFileTest, BadServiceValuesRejected) {
 }
 
 TEST(PlatformFileTest, IommuIsOffByDefaultAndBadValuesNameTheKey) {
-  // Strictly opt-in: with no `iommu` line the seed artifacts must be
-  // untouched (DESIGN.md §13).
+  // The IOMMU is one of the four transfer modes: with no `copy_mode`
+  // line the board runs the paper's double copy (DESIGN.md §13).
   auto defaults = runtime::ParsePlatformFile("");
   ASSERT_TRUE(defaults.ok());
-  EXPECT_FALSE(defaults.value().vim.iommu);
-  EXPECT_EQ(defaults.value().vim.iotlb_entries, 16u);
+  EXPECT_EQ(defaults.value().vim.copy_mode, mem::CopyMode::kDoubleCopy);
+  auto on = runtime::ParsePlatformFile("copy_mode = IOMMU\n");
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_EQ(on.value().vim.copy_mode, mem::CopyMode::kIommu);
 
-  // Rejections carry the line and the key, like every other knob.
-  auto bad_bool = runtime::ParsePlatformFile("name = X\niommu = maybe\n");
-  ASSERT_FALSE(bad_bool.ok());
-  EXPECT_NE(bad_bool.status().message().find("line 2"), std::string::npos)
-      << bad_bool.status().message();
-  EXPECT_NE(bad_bool.status().message().find("iommu"), std::string::npos)
-      << bad_bool.status().message();
-
-  // The IO-TLB is fully associative with a round-robin cursor masked by
-  // size-1: the size must be a power of two, bounded.
-  auto not_pow2 = runtime::ParsePlatformFile("iotlb_entries = 48\n");
-  ASSERT_FALSE(not_pow2.ok());
-  EXPECT_NE(not_pow2.status().message().find("iotlb_entries"),
-            std::string::npos)
-      << not_pow2.status().message();
-  EXPECT_FALSE(runtime::ParsePlatformFile("iotlb_entries = 0\n").ok());
-  EXPECT_FALSE(runtime::ParsePlatformFile("iotlb_entries = 2048\n").ok());
-  EXPECT_FALSE(runtime::ParsePlatformFile("iotlb_entries = many\n").ok());
-
-  // All accepted spellings of the boolean.
-  for (const char* value : {"on", "true", "yes", "1"}) {
-    auto config = runtime::ParsePlatformFile(std::string("iommu = ") +
-                                             value + "\n");
-    ASSERT_TRUE(config.ok()) << value;
-    EXPECT_TRUE(config.value().vim.iommu) << value;
+  // Rejections carry the line and the key, and list every mode.
+  auto bad = runtime::ParsePlatformFile("name = X\ncopy_mode = zero\n");
+  ASSERT_FALSE(bad.ok());
+  for (const char* part : {"line 2", "copy_mode", "double|single|dma|iommu"}) {
+    EXPECT_NE(bad.status().message().find(part), std::string::npos)
+        << bad.status().message();
   }
 }
 
@@ -270,7 +249,8 @@ TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
   for (const char* line :
        {"dp_ram_mb = 4", "victim_tlb_entries = 4", "lazy_writeback = on",
         "design_affinity = on", "fastforward = on", "l1_tlb_entries = 2",
-        "l2_tlb_entries = 6", "page_kb = 2", "coalesce_writeback = on"}) {
+        "l2_tlb_entries = 6", "page_kb = 2", "coalesce_writeback = on",
+        "iommu = on", "iotlb_entries = 16"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");
@@ -374,12 +354,10 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   // leading NUL must not make the writer emit an empty name.
   original.platform_name = std::string("\0EPXA4", 6);
   original.vim.policy = os::PolicyKind::kRandom;
-  original.vim.copy_mode = mem::CopyMode::kSingleCopy;
+  original.vim.copy_mode = mem::CopyMode::kIommu;
   original.imu_pipelined = true;
   original.vim.prefetch = os::PrefetchKind::kAdaptive;
   original.vim.prefetch_depth = 3;
-  original.vim.iommu = true;
-  original.vim.iotlb_entries = 32;
   original.service.ring_entries = 256;
   original.service.admit_rate = 1234;
   original.service.admit_burst = 7;
@@ -394,8 +372,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   EXPECT_EQ(parsed.value().imu_pipelined, original.imu_pipelined);
   EXPECT_EQ(parsed.value().vim.prefetch, original.vim.prefetch);
   EXPECT_EQ(parsed.value().vim.prefetch_depth, original.vim.prefetch_depth);
-  EXPECT_EQ(parsed.value().vim.iommu, original.vim.iommu);
-  EXPECT_EQ(parsed.value().vim.iotlb_entries, original.vim.iotlb_entries);
   EXPECT_EQ(parsed.value().service.ring_entries,
             original.service.ring_entries);
   EXPECT_EQ(parsed.value().service.admit_rate, original.service.admit_rate);
@@ -444,18 +420,16 @@ os::KernelConfig RandomPlatform(Rng& rng) {
       os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
       os::PolicyKind::kWsFifo};
   c.vim.policy = kPolicies[rng.NextBelow(std::size(kPolicies))];
-  constexpr mem::CopyMode kCopyModes[] = {mem::CopyMode::kDoubleCopy,
-                                          mem::CopyMode::kSingleCopy,
-                                          mem::CopyMode::kDma};
-  c.vim.copy_mode = kCopyModes[rng.NextBelow(3)];
+  constexpr mem::CopyMode kCopyModes[] = {
+      mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
+      mem::CopyMode::kDma, mem::CopyMode::kIommu};
+  c.vim.copy_mode = kCopyModes[rng.NextBelow(std::size(kCopyModes))];
   constexpr os::PrefetchKind kPrefetch[] = {os::PrefetchKind::kNone,
                                             os::PrefetchKind::kSequential,
                                             os::PrefetchKind::kAdaptive};
   c.vim.prefetch = kPrefetch[rng.NextBelow(3)];
   c.vim.prefetch_depth = static_cast<u32>(rng.NextInRange(1, 16));
   c.vim.overlap_prefetch = RandomBool(rng);
-  c.vim.iommu = RandomBool(rng);
-  c.vim.iotlb_entries = RandomPowerOfTwo(rng, 0, 10);
   c.service.ring_entries = RandomPowerOfTwo(rng, 1, 15);
   c.service.admit_rate = rng.NextInRange(0, 1'000'000'000);
   c.service.admit_burst = static_cast<u32>(rng.NextInRange(1, 1 << 20));
@@ -482,16 +456,16 @@ std::string RandomKeyValueLine(Rng& rng) {
   static constexpr const char* kKeys[] = {
       "name", "dp_ram_kb", "page_size", "tlb_entries", "cpu_mhz",
       "imu_latency", "pipelined", "posted_writes", "bounds_check", "pld_les", "policy",
-      "copy_mode", "prefetch", "prefetch_depth", "overlap", "iommu",
-      "iotlb_entries", "service_ring", "service_rate", "service_burst",
-      "config_slots", "page_size_obj3",
+      "copy_mode", "prefetch", "prefetch_depth", "overlap",
+      "service_ring", "service_rate", "service_burst", "config_slots",
+      "page_size_obj3",
       // Near misses: the parameter object, no id, an id out of range,
       // removed keys, upper case, an inner space.
       "page_size_obj15", "page_size_obj", "page_size_obj99", "fastforward",
-      "coalesce_writeback", "NAME", "tlb entries"};
+      "coalesce_writeback", "iommu", "iotlb_entries", "NAME", "tlb entries"};
   static constexpr const char* kValues[] = {
       "0", "1", "2", "3", "512", "1024", "4096", "65536", "65537", "-1",
-      "on", "off", "maybe", "lru", "wsfifo", "dma", "adaptive", "",
+      "on", "off", "maybe", "lru", "wsfifo", "dma", "iommu", "adaptive", "",
       "18446744073709551616", "4294967296", "1e3", " 7 ", "x=y"};
   std::string line = kKeys[rng.NextBelow(std::size(kKeys))];
   line += rng.NextBelow(8) == 0 ? " " : " = ";

@@ -1,6 +1,6 @@
 // IOMMU subsystem tests (DESIGN.md §13): IO-TLB behaviour, the
 // pin/reclaim contract, translation-fault recovery, and the zero-copy
-// data path end to end through the VIM.
+// transfer mode (`copy_mode = iommu`) end to end through the VIM.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -31,7 +31,8 @@ using mem::UserMemory;
 using runtime::Epxa1Config;
 using runtime::FpgaSystem;
 
-// ----- unit rig: a bare IOMMU over a trusting walker -----
+// ----- unit rig: a zero-copy engine and its IOMMU over a trusting
+// walker -----
 
 class IommuTest : public ::testing::Test {
  protected:
@@ -39,11 +40,10 @@ class IommuTest : public ::testing::Test {
       : user_(1 << 20),
         dp_(16384),
         engine_(AhbModel(AhbTiming{}, Frequency::MHz(133)),
-                Frequency::MHz(133), CopyMode::kDoubleCopy,
-                /*sdram_cycles_per_word=*/12),
-        iommu_(engine_, Frequency::MHz(133)) {
-    iommu_.Configure(/*enabled=*/true, /*iotlb_entries=*/8,
-                     /*walk_cycles=*/120);
+                Frequency::MHz(133), CopyMode::kIommu,
+                /*sdram_cycles_per_word=*/12, /*iommu_walk_cycles=*/120,
+                /*iotlb_entries=*/8),
+        iommu_(engine_.iommu()) {
     iommu_.set_walker([](mem::IommuAsid, mem::UserAddr) { return true; });
   }
 
@@ -65,16 +65,16 @@ class IommuTest : public ::testing::Test {
   UserMemory user_;
   DualPortRam dp_;
   TransferEngine engine_;
-  Iommu iommu_;
+  Iommu& iommu_;
 };
 
 TEST_F(IommuTest, IotlbHitsAfterCompulsoryMissAndEvictsRoundRobin) {
   // One 4 KB user page, accessed twice: miss + walk, then hit.
   const mem::UserAddr a = Stage(kUserPageBytes, 1);
-  ASSERT_FALSE(iommu_.LoadToDp(1, user_, a, dp_, 0, 2048).iommu_fault);
+  ASSERT_FALSE(engine_.LoadPage(1, user_, a, dp_, 0, 2048).iommu_fault);
   EXPECT_EQ(iommu_.stats().iotlb_misses, 1u);
   EXPECT_EQ(iommu_.stats().walks, 1u);
-  ASSERT_FALSE(iommu_.LoadToDp(1, user_, a, dp_, 0, 2048).iommu_fault);
+  ASSERT_FALSE(engine_.LoadPage(1, user_, a, dp_, 0, 2048).iommu_fault);
   EXPECT_EQ(iommu_.stats().iotlb_hits, 1u);
   EXPECT_EQ(iommu_.stats().iotlb_misses, 1u);
 
@@ -82,8 +82,8 @@ TEST_F(IommuTest, IotlbHitsAfterCompulsoryMissAndEvictsRoundRobin) {
   // valid entry must be displaced.
   const mem::UserAddr big = Stage(9 * kUserPageBytes, 2);
   for (u32 p = 0; p < 9; ++p) {
-    ASSERT_FALSE(iommu_
-                     .LoadToDp(1, user_, big + p * kUserPageBytes, dp_, 0,
+    ASSERT_FALSE(engine_
+                     .LoadPage(1, user_, big + p * kUserPageBytes, dp_, 0,
                                256)
                      .iommu_fault);
   }
@@ -97,12 +97,12 @@ TEST_F(IommuTest, InvalidateAsidRemovesExactlyTheTenantsEntries) {
   const mem::UserAddr a = Stage(3 * kUserPageBytes, 3);
   const mem::UserAddr b = Stage(2 * kUserPageBytes, 4);
   for (u32 p = 0; p < 3; ++p)
-    ASSERT_FALSE(iommu_
-                     .LoadToDp(7, user_, a + p * kUserPageBytes, dp_, 0, 64)
+    ASSERT_FALSE(engine_
+                     .LoadPage(7, user_, a + p * kUserPageBytes, dp_, 0, 64)
                      .iommu_fault);
   for (u32 p = 0; p < 2; ++p)
-    ASSERT_FALSE(iommu_
-                     .LoadToDp(9, user_, b + p * kUserPageBytes, dp_, 0, 64)
+    ASSERT_FALSE(engine_
+                     .LoadPage(9, user_, b + p * kUserPageBytes, dp_, 0, 64)
                      .iommu_fault);
   ASSERT_EQ(iommu_.live_entries_of(7), 3u);
   ASSERT_EQ(iommu_.live_entries_of(9), 2u);
@@ -115,9 +115,9 @@ TEST_F(IommuTest, InvalidateAsidRemovesExactlyTheTenantsEntries) {
   // The surviving tenant still hits; the flushed one re-walks.
   const u64 hits = iommu_.stats().iotlb_hits;
   const u64 walks = iommu_.stats().walks;
-  ASSERT_FALSE(iommu_.LoadToDp(9, user_, b, dp_, 0, 64).iommu_fault);
+  ASSERT_FALSE(engine_.LoadPage(9, user_, b, dp_, 0, 64).iommu_fault);
   EXPECT_EQ(iommu_.stats().iotlb_hits, hits + 1);
-  ASSERT_FALSE(iommu_.LoadToDp(7, user_, a, dp_, 0, 64).iommu_fault);
+  ASSERT_FALSE(engine_.LoadPage(7, user_, a, dp_, 0, 64).iommu_fault);
   EXPECT_EQ(iommu_.stats().walks, walks + 1);
 }
 
@@ -149,8 +149,8 @@ TEST_F(IommuTest, PinRefcountsStackAcrossOverlappingDmas) {
 
 TEST_F(IommuTest, SynchronousDmaPinsOnlyForItsOwnDuration) {
   const mem::UserAddr a = Stage(kUserPageBytes, 6);
-  ASSERT_FALSE(iommu_.LoadToDp(1, user_, a, dp_, 0, 2048).iommu_fault);
-  // LoadToDp pins around the bus transaction and unpins before
+  ASSERT_FALSE(engine_.LoadPage(1, user_, a, dp_, 0, 2048).iommu_fault);
+  // LoadPage pins around the bus transaction and unpins before
   // returning — nothing may stay pinned afterwards.
   EXPECT_EQ(user_.pinned_pages(), 0u);
   EXPECT_GT(iommu_.stats().pages_pinned, 0u);
@@ -161,9 +161,9 @@ TEST_F(IommuTest, TranslationFaultMovesNothingAndRetrySucceeds) {
   const mem::UserAddr a = Stage(2048, 7);
   FaultPlan plan;
   plan.At(FaultSite::kIommuTranslationFault, 1);
-  iommu_.set_fault_plan(&plan);
+  engine_.set_fault_plan(&plan);
 
-  const TransferResult r = iommu_.LoadToDp(1, user_, a, dp_, 0, 2048);
+  const TransferResult r = engine_.LoadPage(1, user_, a, dp_, 0, 2048);
   EXPECT_TRUE(r.iommu_fault);
   EXPECT_EQ(r.bytes, 0u);
   EXPECT_GT(r.time, 0u);  // the wasted walk was still paid for
@@ -171,19 +171,19 @@ TEST_F(IommuTest, TranslationFaultMovesNothingAndRetrySucceeds) {
   EXPECT_EQ(user_.pinned_pages(), 0u);
 
   // The injected fault was transient: the retry walks and completes.
-  const TransferResult again = iommu_.LoadToDp(1, user_, a, dp_, 0, 2048);
+  const TransferResult again = engine_.LoadPage(1, user_, a, dp_, 0, 2048);
   EXPECT_FALSE(again.iommu_fault);
   EXPECT_EQ(again.bytes, 2048u);
   std::vector<u8> expect(user_.View(a, 2048).begin(),
                          user_.View(a, 2048).end());
   EXPECT_EQ(DpBytes(0, 2048), expect);
-  iommu_.set_fault_plan(nullptr);
+  engine_.set_fault_plan(nullptr);
 }
 
 TEST_F(IommuTest, UnmappedPageIsRefusedByTheWalker) {
   iommu_.set_walker([](mem::IommuAsid, mem::UserAddr) { return false; });
   const mem::UserAddr a = Stage(2048, 8);
-  const TransferResult r = iommu_.LoadToDp(1, user_, a, dp_, 0, 2048);
+  const TransferResult r = engine_.LoadPage(1, user_, a, dp_, 0, 2048);
   EXPECT_TRUE(r.iommu_fault);
   EXPECT_EQ(r.bytes, 0u);
   EXPECT_EQ(iommu_.stats().translation_faults, 1u);
@@ -192,12 +192,12 @@ TEST_F(IommuTest, UnmappedPageIsRefusedByTheWalker) {
 
 TEST_F(IommuTest, IotlbCorruptionIsDetectedAndRewalkedTransparently) {
   const mem::UserAddr a = Stage(kUserPageBytes, 9);
-  ASSERT_FALSE(iommu_.LoadToDp(1, user_, a, dp_, 0, 2048).iommu_fault);
+  ASSERT_FALSE(engine_.LoadPage(1, user_, a, dp_, 0, 2048).iommu_fault);
 
   FaultPlan plan;
   plan.At(FaultSite::kIotlbCorrupt, 1);
-  iommu_.set_fault_plan(&plan);
-  const TransferResult r = iommu_.LoadToDp(1, user_, a, dp_, 0, 2048);
+  engine_.set_fault_plan(&plan);
+  const TransferResult r = engine_.LoadPage(1, user_, a, dp_, 0, 2048);
   // Parity drops the damaged entry and the access re-walks: success,
   // correct bytes, one parity drop, one extra walk.
   EXPECT_FALSE(r.iommu_fault);
@@ -207,7 +207,7 @@ TEST_F(IommuTest, IotlbCorruptionIsDetectedAndRewalkedTransparently) {
   std::vector<u8> expect(user_.View(a, 2048).begin(),
                          user_.View(a, 2048).end());
   EXPECT_EQ(DpBytes(0, 2048), expect);
-  iommu_.set_fault_plan(nullptr);
+  engine_.set_fault_plan(nullptr);
 }
 
 // ----- end to end through the VIM -----
@@ -227,23 +227,22 @@ TEST(IommuVimTest, ZeroCopyAdpcmIsByteExactWithZeroBounceCopies) {
   EXPECT_GT(sys_off.kernel().vim().transfer_engine().bounce_copies(), 0u);
 
   os::KernelConfig on = off;
-  on.vim.iommu = true;
+  on.vim.copy_mode = CopyMode::kIommu;
   FpgaSystem sys_on(on);
   auto run_on = runtime::RunAdpcmVim(sys_on, input);
   ASSERT_TRUE(run_on.ok()) << run_on.status().ToString();
   EXPECT_EQ(run_on.value().output, expect);
 
-  os::Vim& vim = sys_on.kernel().vim();
-  EXPECT_EQ(vim.transfer_engine().bounce_copies(), 0u);
-  EXPECT_GT(vim.iommu().stats().zero_copy_bytes, 0u);
-  EXPECT_GT(vim.iommu().stats().iotlb_hits + vim.iommu().stats().iotlb_misses,
-            0u);
+  const TransferEngine& engine = sys_on.kernel().vim().transfer_engine();
+  const mem::IommuStats& io = engine.iommu().stats();
+  EXPECT_EQ(engine.bounce_copies(), 0u);
+  EXPECT_GT(engine.zero_copy_bytes(), 0u);
+  EXPECT_GT(io.iotlb_hits + io.iotlb_misses, 0u);
   // Zero-copy must be no slower than the CPU-copy run it replaces.
   EXPECT_LE(run_on.value().report.total, run_off.value().report.total);
   // And every synchronous pin was released.
   EXPECT_EQ(sys_on.kernel().user_memory().pinned_pages(), 0u);
-  EXPECT_EQ(vim.iommu().stats().pages_pinned,
-            vim.iommu().stats().pages_unpinned);
+  EXPECT_EQ(io.pages_pinned, io.pages_unpinned);
 }
 
 TEST(IommuVimTest, TransientTranslationFaultRecoversToExactOutput) {
@@ -253,7 +252,7 @@ TEST(IommuVimTest, TransientTranslationFaultRecoversToExactOutput) {
   apps::AdpcmDecode(input, expect, state);
 
   os::KernelConfig config = Epxa1Config();
-  config.vim.iommu = true;
+  config.vim.copy_mode = CopyMode::kIommu;
   FpgaSystem sys(config);
   FaultPlan plan;
   plan.At(FaultSite::kIommuTranslationFault, 1);
@@ -270,18 +269,19 @@ TEST(IommuVimTest, TransientTranslationFaultRecoversToExactOutput) {
 
 TEST(IommuVimTest, ShootdownFiresAtEndOfOperationAndLeavesNoLiveEntries) {
   os::KernelConfig config = Epxa1Config();
-  config.vim.iommu = true;
+  config.vim.copy_mode = CopyMode::kIommu;
   FpgaSystem sys(config);
   const std::vector<u8> input = apps::MakeAdpcmStream(4096, 11);
   auto run = runtime::RunAdpcmVim(sys, input);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
-  const mem::IommuStats& s = sys.kernel().vim().iommu().stats();
+  const mem::Iommu& iommu = sys.kernel().vim().transfer_engine().iommu();
+  const mem::IommuStats& s = iommu.stats();
   // End-of-operation shot the tenant's entries down after the final
   // write-back sweep — the IO-TLB holds nothing stale across runs.
   EXPECT_GT(s.shootdowns, 0u);
   EXPECT_GT(s.entries_shot_down, 0u);
-  EXPECT_EQ(sys.kernel().vim().iommu().live_entries(), 0u);
+  EXPECT_EQ(iommu.live_entries(), 0u);
 }
 
 TEST(IommuVimTest, AbortDuringOverlappedDmaLeavesNoPinnedPages) {
@@ -290,7 +290,7 @@ TEST(IommuVimTest, AbortDuringOverlappedDmaLeavesNoPinnedPages) {
   // AbandonInFlight must return every pin, or the tenant's buffers
   // could never be reclaimed.
   os::KernelConfig config = Epxa1Config();
-  config.vim.iommu = true;
+  config.vim.copy_mode = CopyMode::kIommu;
   config.vim.prefetch = os::PrefetchKind::kSequential;
   config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
@@ -302,16 +302,16 @@ TEST(IommuVimTest, AbortDuringOverlappedDmaLeavesNoPinnedPages) {
   auto run = runtime::RunAdpcmVim(sys, input);
   EXPECT_FALSE(run.ok());
 
-  os::Vim& vim = sys.kernel().vim();
+  const mem::IommuStats& io =
+      sys.kernel().vim().transfer_engine().iommu().stats();
   EXPECT_EQ(sys.kernel().user_memory().pinned_pages(), 0u);
-  EXPECT_EQ(vim.iommu().stats().pages_pinned,
-            vim.iommu().stats().pages_unpinned);
+  EXPECT_EQ(io.pages_pinned, io.pages_unpinned);
   sys.kernel().InstallFaultPlan(nullptr);
 }
 
 TEST(IommuVimTest, OverlappedZeroCopyRunBalancesAsyncPins) {
   os::KernelConfig config = Epxa1Config();
-  config.vim.iommu = true;
+  config.vim.copy_mode = CopyMode::kIommu;
   config.vim.prefetch = os::PrefetchKind::kSequential;
   config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
@@ -325,11 +325,11 @@ TEST(IommuVimTest, OverlappedZeroCopyRunBalancesAsyncPins) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run.value().output, expect);
 
-  os::Vim& vim = sys.kernel().vim();
+  const TransferEngine& engine = sys.kernel().vim().transfer_engine();
+  const mem::IommuStats& io = engine.iommu().stats();
   EXPECT_EQ(sys.kernel().user_memory().pinned_pages(), 0u);
-  EXPECT_EQ(vim.iommu().stats().pages_pinned,
-            vim.iommu().stats().pages_unpinned);
-  EXPECT_EQ(vim.transfer_engine().bounce_copies(), 0u);
+  EXPECT_EQ(io.pages_pinned, io.pages_unpinned);
+  EXPECT_EQ(engine.bounce_copies(), 0u);
 }
 
 }  // namespace

@@ -197,7 +197,7 @@ TEST_F(TransferEngineTest, LoadMovesDataAndCharges) {
   for (u32 i = 0; i < 2048; ++i) span[i] = static_cast<u8>(i * 7);
 
   const TransferResult r =
-      engine_.LoadPage(user_, addr.value(), dp_, 4096, 2048);
+      engine_.LoadPage(/*asid=*/0, user_, addr.value(), dp_, 4096, 2048);
   EXPECT_EQ(r.bytes, 2048u);
   EXPECT_GT(r.time, 0u);
   std::vector<u8> back(2048);
@@ -213,7 +213,7 @@ TEST_F(TransferEngineTest, StoreMovesDataBack) {
   for (u32 i = 0; i < 256; ++i) data[i] = static_cast<u8>(255 - i);
   dp_.Write(DualPortRam::Port::kProcessor, 0, data);
 
-  engine_.StorePage(dp_, 0, user_, addr.value(), 256);
+  engine_.StorePage(/*asid=*/0, dp_, 0, user_, addr.value(), 256);
   std::vector<u8> back(256);
   user_.ReadBytes(addr.value(), back);
   EXPECT_EQ(back, data);
@@ -253,7 +253,8 @@ TEST_F(TransferEngineTest, ReloadPaysOnlyTheBouncePassInDoubleCopy) {
   EXPECT_EQ(reload, engine_.PriceTransfer(2048));
   // The other modes keep no bounce copy: a re-load is priced as a
   // first load.
-  for (const CopyMode mode : {CopyMode::kSingleCopy, CopyMode::kDma}) {
+  for (const CopyMode mode :
+       {CopyMode::kSingleCopy, CopyMode::kDma, CopyMode::kIommu}) {
     engine_.set_mode(mode);
     for (const u32 len : {512u, 2048u, 2050u}) {
       EXPECT_EQ(engine_.PriceReload(len), engine_.PriceTransfer(len))
@@ -268,8 +269,8 @@ TEST_F(TransferEngineTest, ReloadMovesDataAndCountsABouncePass) {
   auto span = user_.View(addr.value(), 2048);
   for (u32 i = 0; i < 2048; ++i) span[i] = static_cast<u8>(i * 5 + 1);
 
-  const TransferResult r =
-      engine_.ReloadPage(user_, addr.value(), dp_, 2048, 2048);
+  const TransferResult r = engine_.LoadPage(/*asid=*/0, user_, addr.value(),
+                                            dp_, 2048, 2048, /*reload=*/true);
   EXPECT_EQ(r.bytes, 2048u);
   EXPECT_EQ(r.time, engine_.PriceReload(2048));
   std::vector<u8> back(2048);
@@ -288,14 +289,14 @@ TEST_F(TransferEngineTest, ReloadBusErrorWastesTheReloadPrice) {
   FaultPlan plan;
   plan.At(FaultSite::kAhbError, 1);
   engine_.set_fault_plan(&plan);
-  const TransferResult failed =
-      engine_.ReloadPage(user_, addr.value(), dp_, 0, 2048);
+  const TransferResult failed = engine_.LoadPage(
+      /*asid=*/0, user_, addr.value(), dp_, 0, 2048, /*reload=*/true);
   EXPECT_TRUE(failed.bus_error);
   EXPECT_EQ(failed.bytes, 0u);
   EXPECT_EQ(failed.time, engine_.PriceReload(2048));
   EXPECT_EQ(engine_.total_bytes_loaded(), 0u);
-  const TransferResult retried =
-      engine_.ReloadPage(user_, addr.value(), dp_, 0, 2048);
+  const TransferResult retried = engine_.LoadPage(
+      /*asid=*/0, user_, addr.value(), dp_, 0, 2048, /*reload=*/true);
   EXPECT_FALSE(retried.bus_error);
   EXPECT_EQ(engine_.total_time(), 2 * engine_.PriceReload(2048));
 }
@@ -304,9 +305,25 @@ TEST_F(TransferEngineTest, AccumulatesTotalTime) {
   auto addr = user_.Allocate(512);
   ASSERT_TRUE(addr.ok());
   const Picoseconds t0 = engine_.total_time();
-  engine_.LoadPage(user_, addr.value(), dp_, 0, 512);
-  engine_.StorePage(dp_, 0, user_, addr.value(), 512);
+  engine_.LoadPage(/*asid=*/0, user_, addr.value(), dp_, 0, 512);
+  engine_.StorePage(/*asid=*/0, dp_, 0, user_, addr.value(), 512);
   EXPECT_EQ(engine_.total_time() - t0, 2 * engine_.PriceTransfer(512));
+}
+
+TEST_F(TransferEngineTest, ParameterWordsTakeTheCpuPathUnderTheIommu) {
+  // The parameter words come from the system call, not from a user page
+  // the IOMMU maps: every mode prices them as one page transfer, except
+  // kIommu, whose CPU copies them at the double-copy price.
+  const Picoseconds double_copy = engine_.PriceTransfer(64);
+  for (const CopyMode mode :
+       {CopyMode::kDoubleCopy, CopyMode::kSingleCopy, CopyMode::kDma}) {
+    engine_.set_mode(mode);
+    EXPECT_EQ(engine_.PriceParams(64), engine_.PriceTransfer(64))
+        << ToString(mode);
+  }
+  engine_.set_mode(CopyMode::kIommu);
+  EXPECT_EQ(engine_.PriceParams(64), double_copy);
+  EXPECT_EQ(engine_.PriceTransfer(64), engine_.PriceDirect(64));
 }
 
 }  // namespace

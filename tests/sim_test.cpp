@@ -317,19 +317,5 @@ TEST(SummaryTest, TracksMinMaxMean) {
   EXPECT_DOUBLE_EQ(s.mean(), 4.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(/*bucket_width=*/10.0, /*num_buckets=*/3);
-  h.Add(0.0);
-  h.Add(9.9);
-  h.Add(15.0);
-  h.Add(25.0);
-  h.Add(99.0);  // overflow
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.summary().count(), 5u);
-}
-
 }  // namespace
 }  // namespace vcop::sim

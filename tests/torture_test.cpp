@@ -56,12 +56,13 @@ constexpr Picoseconds kSimTimeBound = 10ull * 1000 * 1000 * 1000 * 1000;
 /// Runs the grid's workload for `seed` (streaming, or with `gather` the
 /// thrashing gather) on the EPXA1 platform under `plan` (nullptr = no
 /// plan installed at all). With `iommu` the zero-copy DMA path
-/// (DESIGN.md §13) replaces the CPU page copies — the deterministic
-/// IOMMU-site tests below run on it.
+/// (`copy_mode = iommu`, DESIGN.md §13) replaces the paper's double copy
+/// — the deterministic IOMMU-site tests below run on it.
 FreshRun TortureRun(u64 seed, FaultPlan* plan, bool iommu = false,
                     bool gather = false) {
   os::KernelConfig config = Epxa1Config();
-  config.vim.iommu = iommu;
+  config.vim.copy_mode =
+      iommu ? mem::CopyMode::kIommu : mem::CopyMode::kDoubleCopy;
   return bench::RunGrid(seed, config, plan, gather);
 }
 

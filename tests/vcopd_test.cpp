@@ -4,10 +4,13 @@
 // other tenant evicted them from a TLB smaller than the frame pool, a
 // conv job resuming mid-row on its register window),
 // ASID allocation/wrap, tenant teardown, the tagged-vs-untagged TLB
-// switch policies, the FIFO policy's batching by bit-stream, and jobs
-// reusing designs from the kernel's pool.
+// switch policies, IO-TLB shootdowns at switches and repoints, a lone
+// tenant paging like FPGA_EXECUTE (every transfer mode, prefetch,
+// per-object page sizes), the FIFO policy's batching by bit-stream,
+// and jobs reusing designs from the kernel's pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -142,11 +145,19 @@ struct PreemptionRun {
   u64 preemptions = 0;
   VimServiceStats service;
   bool correct = false;
+  /// The IO-TLB's most live entries after any slice.
+  u32 max_live_iotlb_entries = 0;
+  mem::IommuStats iommu;
+  /// User pages still DMA-pinned once the daemon is idle.
+  u64 pinned_pages_left = 0;
 };
 
-PreemptionRun RunContendedAdpcm(bool asid_tagging, u32 tlb_entries = 8) {
+PreemptionRun RunContendedAdpcm(
+    bool asid_tagging, u32 tlb_entries = 8,
+    mem::CopyMode copy_mode = mem::CopyMode::kDoubleCopy) {
   KernelConfig kernel_config = TestConfig();
   kernel_config.tlb_entries = tlb_entries;
+  kernel_config.vim.copy_mode = copy_mode;
   FpgaSystem sys(kernel_config);
   VcopdConfig config;
   config.policy = ServicePolicy::kFairShare;
@@ -162,11 +173,18 @@ PreemptionRun RunContendedAdpcm(bool asid_tagging, u32 tlb_entries = 8) {
       StageTenant(sys, daemon, "beta", MakeJob(App::kAdpcm, 12 * 1024, 2));
   const Ticket t1 = first.Submit(daemon).value();
   const Ticket t2 = second.Submit(daemon).value();
-  VCOP_CHECK(daemon.RunUntilIdle().ok());
-
   PreemptionRun run;
+  const mem::Iommu& io = sys.kernel().vim().transfer_engine().iommu();
+  while (daemon.HasWork()) {
+    VCOP_CHECK(daemon.RunOne().ok());
+    run.max_live_iotlb_entries =
+        std::max(run.max_live_iotlb_entries, io.live_entries());
+  }
+
   run.preemptions = daemon.stats().preemptions;
   run.service = sys.kernel().vim().service_stats();
+  run.iommu = io.stats();
+  run.pinned_pages_left = sys.kernel().user_memory().pinned_pages();
   run.correct = daemon.Poll(t1)->status.ok() &&
                 daemon.Poll(t2)->status.ok() &&
                 first.Exact() && second.Exact();
@@ -230,6 +248,48 @@ TEST(VcopdTest, UntaggedBaselineFlushesOnEverySwitch) {
   EXPECT_GT(untagged.service.full_tlb_flushes, 0u);
   EXPECT_EQ(untagged.service.tlb_flushes_avoided, 0u);
   EXPECT_EQ(untagged.service.tlb_entries_restored, 0u);
+}
+
+TEST(VcopdTest, ContendedTenantsUnderTheIommuHoldNoTranslationsBetweenSlices) {
+  // Every switch-out shoots the tenant's IO-TLB entries down, so no
+  // slice starts with another tenant's DMA translations live.
+  const PreemptionRun run = RunContendedAdpcm(
+      /*asid_tagging=*/true, /*tlb_entries=*/8, mem::CopyMode::kIommu);
+  EXPECT_TRUE(run.correct);
+  EXPECT_GT(run.preemptions, 0u);
+  EXPECT_EQ(run.max_live_iotlb_entries, 0u);
+  EXPECT_GT(run.iommu.walks, 0u);
+  EXPECT_GT(run.iommu.pages_pinned, 0u);
+  EXPECT_EQ(run.iommu.pages_pinned, run.iommu.pages_unpinned);
+  EXPECT_EQ(run.pinned_pages_left, 0u);
+}
+
+TEST(VcopdTest, RepointShootsDownTheTenantsTranslations) {
+  KernelConfig config = TestConfig();
+  config.vim.copy_mode = mem::CopyMode::kIommu;
+  FpgaSystem sys(config);
+  Vcopd daemon(sys.kernel());
+  StagedJob staged =
+      StageTenant(sys, daemon, "alpha", MakeJob(App::kIdea, 8 * 1024, 1));
+  // The first tenant's ASID is 1.
+  const AddressSpace* space = daemon.FindSpace(1);
+  ASSERT_NE(space, nullptr);
+  const runtime::JobObject& in = staged.job.objects.front();
+  const mem::UserAddr first = space->objects().Find(in.id)->user_addr;
+
+  // A DMA for the tenant while it is off the fabric: the walker finds
+  // its objects through the space resolver and caches the translation.
+  mem::TransferEngine& engine = sys.kernel().vim().transfer_engine();
+  ASSERT_FALSE(engine
+                   .LoadPage(1, sys.kernel().user_memory(), first,
+                             sys.kernel().dp_ram(), 0, 64)
+                   .iommu_fault);
+  ASSERT_EQ(engine.iommu().live_entries_of(1), 1u);
+
+  const mem::UserAddr moved =
+      sys.Allocate<u8>(static_cast<u32>(in.bytes.size())).value().addr();
+  ASSERT_TRUE(daemon.RepointObject(staged.tenant, in.id, moved).ok());
+  EXPECT_EQ(engine.iommu().live_entries_of(1), 0u);
 }
 
 TEST(VcopdTest, OverlappedPrefetchFramesBelongToTheTenant) {
@@ -302,6 +362,39 @@ void ExpectSamePaging(const ExecutionReport& got,
   EXPECT_EQ(a.fault_service_us.count(), b.fault_service_us.count());
 }
 
+/// Runs `job` twice as a lone vcopd tenant and twice through
+/// FPGA_EXECUTE, each side on its own system under `config`, and checks
+/// that both page alike and stay exact.
+void ExpectLoneTenantPagesLikeFpgaExecute(const KernelConfig& config,
+                                          const bench::Job& job) {
+  FpgaSystem blocking_sys(config);
+  StagedJob blocking = bench::StageBlocking(blocking_sys, job);
+  FpgaSystem sys(config);
+  Vcopd daemon(sys.kernel());
+  StagedJob lone = StageTenant(sys, daemon, "lone", job);
+  // Each side runs the job twice. The tenant's second job runs on the
+  // design its first one retired, FPGA_EXECUTE's on the design FPGA_LOAD
+  // configured.
+  for (const char* run : {"first run", "second run"}) {
+    SCOPED_TRACE(run);
+    blocking.ClearOutput();
+    const Result<ExecutionReport> want = blocking_sys.Execute(job.params);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(blocking.Exact());
+
+    lone.ClearOutput();
+    const Ticket ticket = lone.Submit(daemon).value();
+    ASSERT_TRUE(daemon.RunUntilIdle().ok());
+    const JobResult* result = daemon.Poll(ticket);
+    ASSERT_NE(result, nullptr);
+    ASSERT_TRUE(result->status.ok()) << result->status.ToString();
+    EXPECT_TRUE(lone.Exact());
+    ExpectSamePaging(result->report, want.value());
+  }
+  EXPECT_EQ(sys.kernel().designs_built(), 1u);
+  blocking_sys.kernel().simulator().DrainAssertQuiescent();
+}
+
 TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteUnderPrefetch) {
   // Alone on the fabric, a tenant's residency questions name its own
   // ASID: a suggested page it already holds is skipped exactly as
@@ -324,36 +417,41 @@ TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteUnderPrefetch) {
                                  bench::AppName(job.app),
                                  std::string(ToString(prefetch)).c_str(),
                                  depth, overlap));
-          FpgaSystem blocking_sys(config);
-          StagedJob blocking = bench::StageBlocking(blocking_sys, job);
-          FpgaSystem sys(config);
-          Vcopd daemon(sys.kernel());
-          StagedJob lone = StageTenant(sys, daemon, "lone", job);
-          // Each side runs the job twice. The tenant's second job runs on
-          // the design its first one retired, FPGA_EXECUTE's on the design
-          // FPGA_LOAD configured.
-          for (const char* run : {"first run", "second run"}) {
-            SCOPED_TRACE(run);
-            blocking.ClearOutput();
-            const Result<ExecutionReport> want =
-                blocking_sys.Execute(job.params);
-            ASSERT_TRUE(want.ok()) << want.status().ToString();
-            EXPECT_TRUE(blocking.Exact());
-
-            lone.ClearOutput();
-            const Ticket ticket = lone.Submit(daemon).value();
-            ASSERT_TRUE(daemon.RunUntilIdle().ok());
-            const JobResult* result = daemon.Poll(ticket);
-            ASSERT_NE(result, nullptr);
-            ASSERT_TRUE(result->status.ok()) << result->status.ToString();
-            EXPECT_TRUE(lone.Exact());
-            ExpectSamePaging(result->report, want.value());
-          }
-          EXPECT_EQ(sys.kernel().designs_built(), 1u);
-          blocking_sys.kernel().simulator().DrainAssertQuiescent();
+          ExpectLoneTenantPagesLikeFpgaExecute(config, job);
         }
       }
     }
+  }
+}
+
+TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteInEveryTransferMode) {
+  // Under the IOMMU the walker finds the tenant's objects through its
+  // own ASID, and the end-of-operation shootdown names it.
+  const std::vector<bench::Job> jobs = {MakeJob(App::kIdea, 32 * 1024, 5),
+                                        MakeJob(App::kGather, 16 * 1024, 5)};
+  for (const mem::CopyMode mode :
+       {mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
+        mem::CopyMode::kDma, mem::CopyMode::kIommu}) {
+    KernelConfig config = TestConfig();
+    config.vim.copy_mode = mode;
+    for (const bench::Job& job : jobs) {
+      SCOPED_TRACE(StrFormat("%s %s", bench::AppName(job.app),
+                             std::string(mem::ToString(mode)).c_str()));
+      ExpectLoneTenantPagesLikeFpgaExecute(config, job);
+    }
+  }
+}
+
+TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteUnderObjectPageSizes) {
+  // `page_size_obj<id>` applies to a tenant's objects as it does to
+  // FPGA_EXECUTE's: 4 KB pages halve the faults on a 2 KB granule.
+  KernelConfig config = TestConfig();
+  config.object_page_bytes.fill(4096);
+  for (const bench::Job& job :
+       {MakeJob(App::kIdea, 32 * 1024, 5), MakeJob(App::kAdpcm, 32 * 1024, 5),
+        MakeJob(App::kConv, 256 * 96, 5, 256)}) {
+    SCOPED_TRACE(bench::AppName(job.app));
+    ExpectLoneTenantPagesLikeFpgaExecute(config, job);
   }
 }
 

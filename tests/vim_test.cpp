@@ -241,25 +241,17 @@ Picoseconds ExpectedDpTime(FpgaSystem& sys, const os::ExecutionReport& r) {
 
 TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
   const apps::GatherInput g = MakeGather(11);
-  struct Mode {
-    const char* name;
-    mem::CopyMode copy;
-    bool iommu;
-  };
-  const Mode modes[] = {{"double-copy", mem::CopyMode::kDoubleCopy, false},
-                        {"single-copy", mem::CopyMode::kSingleCopy, false},
-                        {"dma", mem::CopyMode::kDma, false},
-                        {"iommu", mem::CopyMode::kDoubleCopy, true}};
   std::optional<os::ExecutionReport> base;
-  for (const Mode& mode : modes) {
-    SCOPED_TRACE(mode.name);
+  for (const mem::CopyMode mode :
+       {mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
+        mem::CopyMode::kDma, mem::CopyMode::kIommu}) {
+    SCOPED_TRACE(std::string(mem::ToString(mode)));
     os::KernelConfig config = Epxa1Config();
     // FIFO keeps evicting the OUT pages mid-run, so their re-loads are
     // priced too. The default evicts least recently used pages on
     // re-faults and writes back exactly the 12 OUT pages.
     config.vim.policy = os::PolicyKind::kFifo;
-    config.vim.copy_mode = mode.copy;
-    config.vim.iommu = mode.iommu;
+    config.vim.copy_mode = mode;
     FpgaSystem sys(config);
     const os::ExecutionReport r = RunGather(sys, g);
     // The transfer path never changes paging.
@@ -273,13 +265,13 @@ TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
     // to user memory mid-run and faulted again. Their reloads found the
     // copy the write-back left, so they count among the re-loads below.
     EXPECT_GT(r.vim.writebacks, kGatherPages);
-    if (mode.iommu) {
+    if (mode == mem::CopyMode::kIommu) {
       // Zero-copy DMA keeps no bounce copy to re-load from.
       EXPECT_EQ(r.vim.kernel_copy_loads, 0u);
       EXPECT_EQ(sys.kernel().vim().transfer_engine().bounce_copies(), 0u);
       continue;
     }
-    const bool double_copy = mode.copy == mem::CopyMode::kDoubleCopy;
+    const bool double_copy = mode == mem::CopyMode::kDoubleCopy;
     EXPECT_EQ(r.vim.kernel_copy_loads,
               double_copy ? r.vim.loads - kGatherFirstLoads : 0u);
     EXPECT_EQ(r.t_dp, ExpectedDpTime(sys, r));
