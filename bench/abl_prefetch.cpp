@@ -3,8 +3,8 @@
 // the latter allowing overlapping of processor and coprocessor
 // execution."
 //
-// Sweeps the sequential prefetcher's look-ahead depth on both streaming
-// kernels.
+// Sweeps the `prefetch` setting and the sequential prefetcher's
+// look-ahead depth on both streaming kernels.
 #include <cstdio>
 
 #include "bench/common.h"
@@ -19,29 +19,23 @@ int Main() {
 
   Table table({"app", "input", "mode", "faults", "prefetched", "cleaned",
                "SW(DP) ms", "overlapped ms", "total ms"});
-  table.set_title(
-      "synchronous prefetch vs overlapped prefetch + background "
-      "cleaning");
+  table.set_title("overlapped prefetch + background cleaning");
 
   auto add = [&](const char* app, usize bytes, auto&& runner) {
     struct Mode {
       const char* name;
       os::PrefetchKind kind;
       u32 depth;
-      bool overlap;
     };
     using enum os::PrefetchKind;
-    for (const Mode mode : {Mode{"off", kNone, 0, false},
-                            Mode{"sync depth 1", kSequential, 1, false},
-                            Mode{"sync depth 2", kSequential, 2, false},
-                            Mode{"overlap depth 0", kNone, 0, true},
-                            Mode{"overlap depth 1", kSequential, 1, true},
-                            Mode{"overlap depth 2", kSequential, 2, true},
-                            Mode{"adaptive depth 2", kAdaptive, 2, true}}) {
+    for (const Mode mode : {Mode{"off", kNone, 1},
+                            Mode{"overlap depth 0", kClean, 1},
+                            Mode{"overlap depth 1", kSequential, 1},
+                            Mode{"overlap depth 2", kSequential, 2},
+                            Mode{"adaptive depth 2", kAdaptive, 2}}) {
       os::KernelConfig config = runtime::Epxa1Config();
       config.vim.prefetch = mode.kind;
-      config.vim.prefetch_depth = mode.depth == 0 ? 1 : mode.depth;
-      config.vim.overlap_prefetch = mode.overlap;
+      config.vim.prefetch_depth = mode.depth;
       const bench::Point p = runner(config, bytes);
       table.AddRow({app, bench::SizeLabel(bytes), mode.name,
                     StrFormat("%llu", static_cast<unsigned long long>(
@@ -60,13 +54,11 @@ int Main() {
   table.Print();
 
   std::printf(
-      "\nSynchronous prefetch only moves transfers between fault "
-      "services — total\ntime barely moves. The overlapped mode is the "
-      "paper's actual vision\n(§3.3: 'prefetching [...] allowing "
-      "overlapping of processor and\ncoprocessor execution'): speculative "
-      "loads AND eager write-backs of cold\ndirty pages run while the "
-      "coprocessor computes, collapsing the serial\nDP-management "
-      "column.\n\nBoth apps walk their objects strictly sequentially, so "
+      "\nThe overlapped mode is the paper's actual vision\n(§3.3: "
+      "'prefetching [...] allowing overlapping of processor and\n"
+      "coprocessor execution'): speculative loads AND eager write-backs "
+      "of cold\ndirty pages run while the coprocessor computes, "
+      "collapsing the serial\nDP-management column.\n\nBoth apps walk their objects strictly sequentially, so "
       "the adaptive\ndetector (DESIGN.md §10) converges on the same +1 "
       "stride after a short\nlearning window — it trades a few "
       "prefetches at the start for\nimmunity to the irregular access "

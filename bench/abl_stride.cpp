@@ -23,15 +23,14 @@
 namespace vcop {
 namespace {
 
-/// Faults of one conv2d run under `kind` (overlap, depth 2); the
-/// output is checked against `expect`.
+/// Faults of one conv2d run under `kind` (depth 2); the output is
+/// checked against `expect`.
 u64 FaultsUnder(os::PrefetchKind kind, const std::vector<u8>& image,
                 u32 width, u32 height, const std::vector<u8>& expect,
                 os::ExecutionReport* report = nullptr) {
   os::KernelConfig config = runtime::Epxa1Config();
   config.vim.prefetch = kind;
   config.vim.prefetch_depth = 2;
-  config.vim.overlap_prefetch = kind != os::PrefetchKind::kNone;
   runtime::FpgaSystem sys(config);
   auto run = runtime::RunConv3x3Vim(sys, image, width, height,
                                     apps::SharpenKernel(), 0);

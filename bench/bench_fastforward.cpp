@@ -125,7 +125,7 @@ RunResult TortureRunPoint(u64 seed, Engine engine) {
 
 // ----- sweep B: the conv2d prefetch grid -----
 
-constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kNone,
+constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kClean,
                                        os::PrefetchKind::kSequential,
                                        os::PrefetchKind::kAdaptive};
 constexpr struct {
@@ -139,7 +139,6 @@ RunResult ConvRunPoint(usize index, Engine engine) {
   os::KernelConfig config = EngineConfig(engine);
   config.vim.prefetch = kKinds[index % std::size(kKinds)];
   config.vim.prefetch_depth = 2;
-  config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
 
   const std::vector<u8> image =

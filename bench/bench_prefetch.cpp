@@ -4,9 +4,12 @@
 //
 //   conv2d     the interleaved-stream workload (three live image rows
 //              plus the output row, each advancing +1 page) swept over
-//              every prefetch kind. The adaptive reference-prediction
-//              table must strictly beat the sequential prefetcher on
-//              both fault count and fault-service time.
+//              every prefetch setting with background work (clean,
+//              sequential, adaptive), so the sweep isolates the
+//              suggestion strategy itself. The adaptive
+//              reference-prediction table must strictly beat the
+//              sequential prefetcher on both fault count and
+//              fault-service time.
 //   streaming  adpcm + IDEA walk their objects purely sequentially, so
 //              the adaptive detector must degrade gracefully: within
 //              1% of the sequential prefetcher end to end.
@@ -26,7 +29,7 @@ namespace {
 
 using runtime::FpgaSystem;
 
-constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kNone,
+constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kClean,
                                        os::PrefetchKind::kSequential,
                                        os::PrefetchKind::kAdaptive};
 constexpr usize kNumKinds = std::size(kKinds);
@@ -66,9 +69,6 @@ os::KernelConfig KindConfig(os::PrefetchKind kind) {
   os::KernelConfig config = runtime::Epxa1Config();
   config.vim.prefetch = kind;
   config.vim.prefetch_depth = 2;
-  // Overlap for every kind (including none, where it only background-
-  // cleans), so the sweep isolates the suggestion strategy itself.
-  config.vim.overlap_prefetch = true;
   return config;
 }
 
@@ -125,7 +125,7 @@ int Main() {
   const KindTotals& seq = totals[1];
   const KindTotals& adp = totals[2];
   std::printf(
-      "\n  aggregate faults: none %llu, sequential %llu, adaptive %llu\n"
+      "\n  aggregate faults: clean %llu, sequential %llu, adaptive %llu\n"
       "  aggregate service: %.3f ms sequential vs %.3f ms adaptive\n\n",
       static_cast<unsigned long long>(totals[0].faults),
       static_cast<unsigned long long>(seq.faults),

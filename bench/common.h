@@ -606,11 +606,10 @@ inline std::string Fig7Vcd(const os::KernelConfig& config) {
 }
 
 /// The edge-detect-style Chrome trace: a 96x24 conv2d (sharpen) with the
-/// timeline recorder and sequential prefetch overlapped on top of
-/// `config`, the busiest DMA schedule the examples produce.
+/// timeline recorder and sequential prefetch on top of `config`, the
+/// busiest DMA schedule the examples produce.
 inline std::string ConvChromeTrace(os::KernelConfig config) {
   config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
   runtime::FpgaSystem sys(config);
   const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
   const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,

@@ -305,7 +305,7 @@ bool Imu::TryFastForward() {
   // pending at or before the translation-complete edge.
   const u32 width = elem_width_[current_.object];
   if (width == 0) return false;
-  if (config_.bounds_check && elem_limit_[current_.object] != 0 &&
+  if (elem_limit_[current_.object] != 0 &&
       current_.index >= elem_limit_[current_.object]) {
     return false;
   }
@@ -343,7 +343,7 @@ void Imu::TranslateAt(Picoseconds when) {
   }
   const u32 width = elem_width_[current_.object];
   const bool limit_violation =
-      config_.bounds_check && elem_limit_[current_.object] != 0 &&
+      elem_limit_[current_.object] != 0 &&
       current_.index >= elem_limit_[current_.object];
   std::optional<u32> entry;
   u64 offset = 0;

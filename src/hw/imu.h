@@ -43,12 +43,6 @@ struct ImuConfig {
   /// Pipelined translation: lookup completes combinationally and a new
   /// access can be accepted every cycle.
   bool pipelined = false;
-  /// Extension beyond the paper's IMU: per-object *limit registers*
-  /// (segment-style bounds). A coprocessor access at or beyond an
-  /// object's element count faults with SR.limit set even when it would
-  /// land inside a mapped page — which the paper's design (and a plain
-  /// MMU) cannot catch. Costs one comparator per access in hardware.
-  bool bounds_check = false;
   /// Extension: a single-entry posted-write buffer. Writes are
   /// acknowledged to the coprocessor on its next edge while the
   /// translation retires in the background; the core only stalls if it
@@ -98,8 +92,12 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   /// `width` bytes (1, 2 or 4). Virtual byte offset = index * width.
   void SetObjectWidth(ObjectId object, u32 width);
 
-  /// Programs the object's limit register (element count). Only
-  /// consulted when ImuConfig::bounds_check is enabled; 0 = no limit.
+  /// Programs the object's limit register (element count; 0 = no
+  /// limit). Extension beyond the paper's IMU (segment-style bounds): an
+  /// access at or beyond the limit faults with SR.limit set even when it
+  /// would land inside a mapped page — which the paper's design (and a
+  /// plain MMU) cannot catch. Costs one comparator per access in
+  /// hardware.
   void SetObjectLimit(ObjectId object, u32 elem_count);
 
   /// True when the pending fault is a limit violation (extension).

@@ -61,7 +61,8 @@ struct VimAccounting {
   /// (double copy only; included in `loads`).
   u64 kernel_copy_loads = 0;
   u64 prefetched_pages = 0;
-  /// Pages written back in place by background cleaning (overlap mode).
+  /// Pages written back in place by background cleaning (every prefetch
+  /// setting but none).
   u64 cleaned_pages = 0;
   u64 bytes_loaded = 0;
   u64 bytes_written_back = 0;
@@ -127,15 +128,15 @@ class AddressSpace {
   // ----- VIM execution context (driven by the Vim while attached) -----
 
   VimAccounting accounting{};
-  /// Pages transferred in this execution: loaded by a fault service
-  /// (demand or synchronous prefetch) or written back. In double-copy
-  /// mode the kernel keeps each one's bounce copy, so a later load runs
-  /// only the bounce -> DP-RAM pass. An overlapped prefetch unit is a
-  /// background guess: it re-loads from a kept copy but keeps none of
-  /// its own, so a wasted guess never cheapens a later load. An OUT
-  /// page is never loaded before its first write-back, so for OUT
-  /// objects this is also the set of pages whose next fault must reload
-  /// them (see Vim::NeedsLoad).
+  /// Pages transferred in this execution: loaded by a demand fault's
+  /// service or written back. In double-copy mode the kernel keeps each
+  /// one's bounce copy, so a later load runs only the bounce -> DP-RAM
+  /// pass. An overlapped prefetch unit is a background guess: it
+  /// re-loads from a kept copy but keeps none of its own, so a wasted
+  /// guess never cheapens a later load. An OUT page is never loaded
+  /// before its first write-back, so for OUT objects this is also the
+  /// set of pages whose next fault must reload them (see
+  /// Vim::NeedsLoad).
   std::set<std::pair<hw::ObjectId, mem::VirtPage>> transferred;
   /// objects().version() when this execution began: once the table
   /// moves, the bounce copies no longer name the pages they mirrored.

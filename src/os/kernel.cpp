@@ -69,7 +69,6 @@ std::unique_ptr<Design> Kernel::Instantiate(const hw::Bitstream& bitstream,
   design->imu = std::make_unique<hw::Imu>(
       hw::ImuConfig{.access_latency_cycles = config_.imu_access_latency,
                     .pipelined = config_.imu_pipelined,
-                    .bounds_check = config_.imu_bounds_check,
                     .posted_writes = config_.imu_posted_writes},
       mem::PageGeometry(config_.page_bytes,
                         config_.dp_ram_bytes / config_.page_bytes),
@@ -144,7 +143,7 @@ RunEnd Kernel::Run(const std::function<bool()>& preempted) {
   end.converged = sim_.RunUntil(
       [&] { return run_done_ || (preempted && preempted()); });
   if (!end.converged) {
-    Fail(UnavailableError(
+    vim_.Abort(UnavailableError(
         "coprocessor did not complete (simulation went idle or exceeded "
         "its event budget) — FSM deadlock?"));
   }

@@ -85,9 +85,6 @@ struct KernelConfig {
   u32 tlb_entries = 8;
   u32 imu_access_latency = 4;
   bool imu_pipelined = false;
-  /// Enable the IMU's per-object limit registers (extension; catches
-  /// within-page overruns the paper's design cannot).
-  bool imu_bounds_check = false;
   /// Enable the IMU's posted-write buffer (extension; acknowledges
   /// writes early and retires them in the background).
   bool imu_posted_writes = false;
@@ -280,9 +277,9 @@ class Kernel {
   TimelineRecorder& timeline() { return timeline_; }
 
  private:
-  /// Ends the bound run with `status`: stops the design and discards the
-  /// space's interface state, so partial results never reach user
-  /// memory.
+  /// The VIM's abort handler: ends the bound run with `status`, stops
+  /// the design and discards the space's interface state, so partial
+  /// results never reach user memory.
   void Fail(Status status);
 
   KernelConfig config_;

@@ -12,6 +12,7 @@ std::string_view ToString(PrefetchKind kind) {
     case PrefetchKind::kNone: return "none";
     case PrefetchKind::kSequential: return "sequential";
     case PrefetchKind::kAdaptive: return "adaptive";
+    case PrefetchKind::kClean: return "clean";
   }
   return "?";
 }
@@ -195,7 +196,8 @@ class AdaptivePrefetcher final : public Prefetcher {
 
 std::unique_ptr<Prefetcher> MakePrefetcher(PrefetchKind kind, u32 depth) {
   switch (kind) {
-    case PrefetchKind::kNone: return std::make_unique<NonePrefetcher>();
+    case PrefetchKind::kNone:
+    case PrefetchKind::kClean: return std::make_unique<NonePrefetcher>();
     case PrefetchKind::kSequential:
       return std::make_unique<SequentialPrefetcher>(depth);
     case PrefetchKind::kAdaptive:

@@ -5,9 +5,13 @@
 // work; we implement it as a pluggable strategy consulted during fault
 // service, and evaluate it in bench/abl_prefetch and bench_prefetch.
 //
-// Three strategies form a taxonomy:
+// The `prefetch` setting says what the VIM does on the CPU while the
+// coprocessor computes (§3.3: "allowing overlapping of processor and
+// coprocessor execution"). Every value but kNone runs background
+// cleaning; the last two also queue speculative page loads:
 //
-//   kNone        — demand paging only.
+//   kNone        — demand paging only; nothing runs in the background.
+//   kClean       — background cleaning of cold dirty pages only.
 //   kSequential  — after a fault on page p, suggest p+1..p+depth
 //                  (streaming apps: adpcm, IDEA).
 //   kAdaptive    — per-object reference-prediction table in the
@@ -29,7 +33,7 @@
 
 namespace vcop::os {
 
-enum class PrefetchKind : u8 { kNone, kSequential, kAdaptive };
+enum class PrefetchKind : u8 { kNone, kSequential, kAdaptive, kClean };
 
 std::string_view ToString(PrefetchKind kind);
 

@@ -176,9 +176,10 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   space_->last_fault_page = {};
   space_->saved_params.assign(params.begin(), params.end());
   space_->params_live = false;
-  ++epoch_;
-  AbandonInFlight();
-  cpu_busy_until_ = 0;
+  // Background work left the fabric with the previous run
+  // (EndBackgroundWork).
+  VCOP_CHECK_MSG(in_flight_.empty() && cpu_busy_until_ == 0,
+                 "background work outlived its run");
 
   // Program the object descriptor table: the hardware contract of §3.1
   // ("the hardware designer implements a coprocessor having in mind the
@@ -300,31 +301,28 @@ void Vim::OnPageFault() {
 
   const mem::VirtPage vpage = ObjectPageOf(*object, offset);
 
-  if (config_.overlap_prefetch) {
-    // Racing an in-flight background load of this very page: the
-    // service just waits for the transfer to land (its translation is
-    // installed by the completion event).
-    for (const InFlight& unit : in_flight_) {
-      if (unit.object == oid && unit.vpage == vpage) {
-        NoteSpeculativeTouch(unit.frame);
-        const Picoseconds decode_done = sim_.now() + imu_cost;
-        const Picoseconds done = std::max(decode_done, unit.ready_at);
-        acct().t_imu += imu_cost;
-        acct().t_dp += done - decode_done;
-        acct().t_dp_wait += done - decode_done;
-        acct().fault_service_us.Add(
-            ToMicroseconds(done - sim_.now()));
-        ScheduleResolve(done);
-        return;
-      }
+  // Racing an in-flight background load of this very page: the service
+  // just waits for the transfer to land (its translation is installed
+  // by the completion event).
+  for (const InFlight& unit : in_flight_) {
+    if (unit.object == oid && unit.vpage == vpage) {
+      NoteSpeculativeTouch(unit.frame);
+      const Picoseconds decode_done = sim_.now() + imu_cost;
+      const Picoseconds done = std::max(decode_done, unit.ready_at);
+      acct().t_imu += imu_cost;
+      acct().t_dp += done - decode_done;
+      acct().t_dp_wait += done - decode_done;
+      acct().fault_service_us.Add(ToMicroseconds(done - sim_.now()));
+      ScheduleResolve(done);
+      return;
     }
-    // The handler itself has to wait while the CPU finishes queued
-    // background transfer units (copy loops run interrupt-disabled).
-    if (cpu_busy_until_ > sim_.now()) {
-      const Picoseconds wait = cpu_busy_until_ - sim_.now();
-      dp_cost += wait;
-      acct().t_dp_wait += wait;
-    }
+  }
+  // The handler itself has to wait while the CPU finishes queued
+  // background units (copy loops run interrupt-disabled).
+  if (cpu_busy_until_ > sim_.now()) {
+    const Picoseconds wait = cpu_busy_until_ - sim_.now();
+    dp_cost += wait;
+    acct().t_dp_wait += wait;
   }
 
   if (const std::optional<mem::FrameId> resident =
@@ -335,37 +333,26 @@ void Vim::OnPageFault() {
     InstallTlbEntry(oid, vpage, *resident);
     imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
     ++acct().tlb_refills;
-  } else if (!MapPage(*object, vpage, /*speculative=*/false, dp_cost,
-                      imu_cost)) {
+  } else if (!MapPage(*object, vpage, dp_cost, imu_cost)) {
     return;
   }
 
-  // Speculative extra pages (§3.3 "speculative actions as prefetching
-  // could be used in order to avoid translation misses"). Prefetch is
-  // best-effort (AcquireFrame): it never pays a write-back for a guess.
-  // In overlapped mode the units run on the CPU *after* the coprocessor
-  // resumes.
-  Picoseconds tail =
-      std::max(sim_.now() + imu_cost + dp_cost, cpu_busy_until_);
-  for (const PrefetchSuggestion& s :
-       ClampedSuggestions(oid, vpage, ObjectNumPages(*object))) {
-    // Resident, or reserved for an in-flight unit: nothing to guess.
-    if (pages_.FindResident(s.object, s.vpage, space_->asid())) continue;
-    if (config_.overlap_prefetch) {
+  if (config_.prefetch != PrefetchKind::kNone) {
+    // Background work, run on the CPU *after* the coprocessor resumes:
+    // speculative extra pages (§3.3 "speculative actions as prefetching
+    // could be used in order to avoid translation misses"), best-effort
+    // (AcquireFrame: never a write-back for a guess), then eager
+    // cleaning. The write-backs, not the loads, dominate the serial
+    // DP-management time (output pages must all go back to user space);
+    // pushing them into the background is where overlap pays.
+    Picoseconds tail =
+        std::max(sim_.now() + imu_cost + dp_cost, cpu_busy_until_);
+    for (const PrefetchSuggestion& s :
+         ClampedSuggestions(oid, vpage, ObjectNumPages(*object))) {
+      // Resident, or reserved for an in-flight unit: nothing to guess.
+      if (pages_.FindResident(s.object, s.vpage, space_->asid())) continue;
       ScheduleOverlappedPrefetch(*object, s.vpage, tail);
-      continue;
     }
-    if (!MapPage(*object, s.vpage, /*speculative=*/true, dp_cost,
-                 imu_cost)) {
-      if (space_->aborted) return;
-      break;
-    }
-    ++acct().prefetched_pages;
-  }
-  if (config_.overlap_prefetch) {
-    // Eager cleaning: the write-backs, not the loads, dominate the
-    // serial DP-management time (output pages must all go back to user
-    // space); pushing them into the background is where overlap pays.
     ScheduleBackgroundCleaning(tail);
     cpu_busy_until_ = tail;
   }
@@ -459,21 +446,16 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
 }
 
 bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
-                  bool speculative, Picoseconds& dp_cost,
-                  Picoseconds& imu_cost) {
+                  Picoseconds& dp_cost, Picoseconds& imu_cost) {
   // A hard demand fault extends or breaks its object's sequential run;
   // the replacement policy may weigh which (DemandFault).
-  std::optional<DemandPage> demand;
-  if (!speculative) {
-    demand = DemandPage{object.id, vpage,
-                        space_->NoteDemandFault(object.id, vpage)};
-  }
+  const DemandPage demand{object.id, vpage,
+                          space_->NoteDemandFault(object.id, vpage)};
   const u32 span = ObjectPageSpan(object);
-  const std::optional<mem::FrameId> frame =
-      AcquireFrame(span, speculative, demand ? &*demand : nullptr, dp_cost,
-                   imu_cost);
+  const std::optional<mem::FrameId> frame = AcquireFrame(
+      span, /*speculative=*/false, &demand, dp_cost, imu_cost);
   if (!frame.has_value()) return false;
-  if (!speculative) ++acct().faults;
+  ++acct().faults;
 
   if (NeedsLoad(object, vpage)) {
     const u32 len = PageLength(object, vpage);
@@ -491,8 +473,8 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
     CountLoad(len, reload);
     space_->transferred.insert({object.id, vpage});
   }
-  InstallPage(*frame, object.id, vpage, /*pinned=*/false, speculative,
-              span);
+  InstallPage(*frame, object.id, vpage, /*pinned=*/false,
+              /*speculative=*/false, span);
   InstallTlbEntry(object.id, vpage, *frame);
   imu_cost +=
       costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
@@ -744,7 +726,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
   // Budget per fault service: a couple of pages, so a burst of dirty
   // pages cannot starve fault handling behind a long copy queue.
   u32 budget = 2;
-  for (const mem::FrameId f : pages_.InUseFrames()) {
+  for (const mem::FrameId f : pages_.InUseFramesOf(space_->asid())) {
     if (budget == 0) break;
     const FrameState state = pages_.frame(f);
     if (state.pinned) continue;
@@ -825,19 +807,9 @@ void Vim::OnEndOfOperation() {
   }
   ++watchdog_epoch_;  // the run is over; kill any pending watchdog tick
 
-  // Abandon any still-flying speculative transfers.
-  ++epoch_;
-  AbandonInFlight();
-
   Picoseconds imu_cost = costs_.Cycles(costs_.interrupt_entry_cycles);
   Picoseconds dp_cost = 0;
-  // The handler runs after any in-progress background copy completes.
-  if (cpu_busy_until_ > sim_.now()) {
-    const Picoseconds wait = cpu_busy_until_ - sim_.now();
-    dp_cost += wait;
-    acct().t_dp_wait += wait;
-  }
-  cpu_busy_until_ = 0;
+  EndBackgroundWork(dp_cost, imu_cost);
 
   // Merge live dirty bits, then drop the translations. Only this
   // space's entries and frames are touched, so on a shared fabric
@@ -913,9 +885,11 @@ Picoseconds Vim::SaveContext() {
   Picoseconds dp_cost = 0;
   Picoseconds imu_cost = costs_.Cycles(costs_.context_save_cycles);
 
-  // The tenant leaves the fabric; its watchdog must not fire into some
-  // other tenant's slice. RestoreContext re-arms.
+  // The tenant leaves the fabric; neither its watchdog nor its
+  // background work may reach into some other tenant's slice.
+  // RestoreContext re-arms the watchdog.
   ++watchdog_epoch_;
+  EndBackgroundWork(dp_cost, imu_cost);
 
   HarvestRecency();
 
@@ -1043,24 +1017,34 @@ void Vim::FlushAsid(hw::Asid asid) {
   transfers_.Invalidate(asid);
 }
 
-void Vim::AbandonInFlight() {
+void Vim::EndBackgroundWork(Picoseconds& dp_cost, Picoseconds& imu_cost) {
+  ++epoch_;
   for (const InFlight& unit : in_flight_) {
+    FreeFrame(unit.frame);
+    imu_cost += costs_.Cycles(costs_.page_table_cycles);
     if (unit.pinned) {
       transfers_.Unpin(user_memory_, unit.user_addr, unit.user_len);
     }
   }
   in_flight_.clear();
+  if (cpu_busy_until_ > sim_.now()) {
+    const Picoseconds wait = cpu_busy_until_ - sim_.now();
+    dp_cost += wait;
+    acct().t_dp_wait += wait;
+  }
+  cpu_busy_until_ = 0;
 }
 
 void Vim::Abort(Status status) {
   VCOP_CHECK_MSG(!status.ok(), "abort with OK status");
   last_failure_ = status;
   space_->aborted = true;
-  ++epoch_;
   ++watchdog_epoch_;
   fault_service_pending_ = false;
-  AbandonInFlight();
-  cpu_busy_until_ = 0;
+  // A failed run reports no time split, so the exit's costs are dropped.
+  Picoseconds dp_cost = 0;
+  Picoseconds imu_cost = 0;
+  EndBackgroundWork(dp_cost, imu_cost);
   VCOP_LOG(kWarning, "VIM aborting run: " + status.ToString());
   imu_->HardStop();
   if (on_abort_) on_abort_(std::move(status));

@@ -58,15 +58,16 @@ struct VimConfig {
   /// decides exactly like FIFO on sequential faults that are not
   /// re-faults of pages evicted after use.
   PolicyKind policy = PolicyKind::kWsFifo;
+  /// What the VIM does on the CPU while the coprocessor executes (§3.3:
+  /// "prefetching [...] allowing overlapping of processor and
+  /// coprocessor execution"): nothing (kNone), background cleaning of
+  /// cold dirty pages (kClean), or cleaning plus the strategy's
+  /// speculative page loads (kSequential, kAdaptive). A speculative page
+  /// arrives with its translation pre-installed, so the coprocessor
+  /// never faults on it; a fault racing an in-flight load waits only
+  /// for the remainder.
   PrefetchKind prefetch = PrefetchKind::kNone;
   u32 prefetch_depth = 1;
-  /// Overlapped prefetching (§3.3: "prefetching [...] allowing
-  /// overlapping of processor and coprocessor execution"): instead of
-  /// lengthening the fault service, speculative page loads run on the
-  /// CPU *while the coprocessor executes*. A page arrives with its
-  /// translation pre-installed, so the coprocessor never faults on it;
-  /// a fault racing an in-flight load waits only for the remainder.
-  bool overlap_prefetch = false;
   /// How pages move between user memory and the dual-port RAM: the
   /// paper's double copy, single copy, DMA, or zero-copy DMA through
   /// the IOMMU (DESIGN.md §13). Only the transfer engine interprets it.
@@ -243,6 +244,11 @@ class Vim {
   /// Optional event timeline (owned by the kernel); nullptr disables.
   void set_timeline(TimelineRecorder* timeline) { timeline_ = timeline; }
 
+  /// Fails the attached space's run with `status`: stops its background
+  /// work and the IMU, then calls the abort handler. The VIM's own
+  /// failures end here, and so does a run the kernel gives up on.
+  void Abort(Status status);
+
   // ----- fault injection and recovery (DESIGN.md §9) -----
 
   /// Installs (or clears) the fault plan. Threads it into the transfer
@@ -292,13 +298,11 @@ class Vim {
   // ----- the frame path: every frame is claimed, filled and freed here -----
 
   /// The hard half of §3.3's fault service: loads the attached space's
-  /// non-resident (object, vpage) into a frame from AcquireFrame and
-  /// maps it, adding transfer/management costs to the out-params. A
-  /// speculative (prefetch) page is flagged as such. False when nothing
-  /// was mapped: a speculative claim declined, or the run aborted.
+  /// non-resident demand page (object, vpage) into a frame from
+  /// AcquireFrame and maps it, adding transfer/management costs to the
+  /// out-params. False when the run aborted.
   bool MapPage(const MappedObject& object, mem::VirtPage vpage,
-               bool speculative, Picoseconds& dp_cost,
-               Picoseconds& imu_cost);
+               Picoseconds& dp_cost, Picoseconds& imu_cost);
 
   /// The page a demand fault loads, as the policy's DemandFault sees it.
   struct DemandPage {
@@ -414,8 +418,6 @@ class Vim {
   /// Pulls the TLB accessed bits into the replacement policy.
   void HarvestRecency();
 
-  void Abort(Status status);
-
   // ----- fault recovery internals -----
 
   /// The one page-transfer retry loop (page loads and write-backs):
@@ -441,12 +443,6 @@ class Vim {
   /// overlaps an object mapped in `asid`'s address space (or the
   /// space's parameter backing). DMA to anything else faults.
   bool IommuWalk(mem::IommuAsid asid, mem::UserAddr page_base);
-
-  /// Drops all in-flight overlapped transfers (run boundary / abort),
-  /// releasing any user-page DMA pins they hold. Replaces bare
-  /// in_flight_.clear(): pins live in UserMemory and would otherwise
-  /// outlive the run.
-  void AbandonInFlight();
 
   /// Counts one recovery action against the per-request budget; on
   /// overrun aborts the run (ResourceExhausted) and returns false.
@@ -495,7 +491,7 @@ class Vim {
   };
   std::vector<InFlight> in_flight_;
   Picoseconds cpu_busy_until_ = 0;
-  /// Invalidates stale completion events across executions/aborts.
+  /// Invalidates stale completion and restart events (EndBackgroundWork).
   u64 epoch_ = 0;
 
   /// Queues one overlapped prefetch unit for (object, vpage); `tail` is
@@ -503,11 +499,19 @@ class Vim {
   void ScheduleOverlappedPrefetch(const MappedObject& object,
                                   mem::VirtPage vpage, Picoseconds& tail);
 
-  /// Queues background *cleaning* of dirty, not-recently-touched pages:
-  /// writing them back while the coprocessor runs so that later
-  /// evictions find clean victims — the page-daemon counterpart of
-  /// overlapped prefetch.
+  /// Queues background *cleaning* of the attached space's dirty,
+  /// not-recently-touched pages: writing them back while the
+  /// coprocessor runs so that later evictions find clean victims — the
+  /// page-daemon counterpart of overlapped prefetch.
   void ScheduleBackgroundCleaning(Picoseconds& tail);
+
+  /// The one exit for background work: it leaves the fabric with its
+  /// space (end of operation, context save, abort). Bumps the epoch so
+  /// no queued unit lands, frees each in-flight unit's frame (adding its
+  /// page-table update to `imu_cost`) and releases its DMA pins, then
+  /// waits out the CPU's queue (adding the wait to `dp_cost`, booked as
+  /// t_dp_wait).
+  void EndBackgroundWork(Picoseconds& dp_cost, Picoseconds& imu_cost);
 
   /// Merged (page-state | live-TLB) dirty bit of `frame`.
   bool FrameDirty(mem::FrameId frame) const;

@@ -146,10 +146,6 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       Result<bool> v = boolean();
       if (!v.ok()) return v.status();
       config.imu_posted_writes = v.value();
-    } else if (key == "bounds_check") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.imu_bounds_check = v.value();
     } else if (key == "pld_les") {
       Result<u64> v = number(100, 1 << 24);
       if (!v.ok()) return v.status();
@@ -185,22 +181,20 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
       const std::string v = Lower(value);
       if (v == "none") {
         config.vim.prefetch = os::PrefetchKind::kNone;
+      } else if (v == "clean") {
+        config.vim.prefetch = os::PrefetchKind::kClean;
       } else if (v == "sequential") {
         config.vim.prefetch = os::PrefetchKind::kSequential;
       } else if (v == "adaptive") {
         config.vim.prefetch = os::PrefetchKind::kAdaptive;
       } else {
         return LineError(line_number,
-                         "prefetch must be none|sequential|adaptive");
+                         "prefetch must be none|clean|sequential|adaptive");
       }
     } else if (key == "prefetch_depth") {
       Result<u64> v = number(1, 16);
       if (!v.ok()) return v.status();
       config.vim.prefetch_depth = static_cast<u32>(v.value());
-    } else if (key == "overlap") {
-      Result<bool> v = boolean();
-      if (!v.ok()) return v.status();
-      config.vim.overlap_prefetch = v.value();
     } else if (key == "service_ring") {
       Result<u64> v = number(2, 32768);
       if (!v.ok()) return v.status();
@@ -275,8 +269,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
                    config.imu_pipelined ? "true" : "false");
   out += StrFormat("posted_writes = %s\n",
                    config.imu_posted_writes ? "true" : "false");
-  out += StrFormat("bounds_check = %s\n",
-                   config.imu_bounds_check ? "true" : "false");
   out += StrFormat("pld_les = %u\n", config.pld_capacity_les);
   out += StrFormat("policy = %s\n",
                    std::string(ToString(config.vim.policy)).c_str());
@@ -291,8 +283,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
   out += StrFormat("prefetch = %s\n",
                    std::string(ToString(config.vim.prefetch)).c_str());
   out += StrFormat("prefetch_depth = %u\n", config.vim.prefetch_depth);
-  out += StrFormat("overlap = %s\n",
-                   config.vim.overlap_prefetch ? "true" : "false");
   out += StrFormat("service_ring = %u\n", config.service.ring_entries);
   out += StrFormat("service_rate = %llu\n",
                    static_cast<unsigned long long>(config.service.admit_rate));

@@ -14,13 +14,11 @@
 //     imu_latency  = 4
 //     pipelined    = false
 //     posted_writes= false
-//     bounds_check = false
 //     pld_les      = 16640
 //     policy       = lru          ; wsfifo (default) | fifo | lru | random
 //     copy_mode    = single       ; double | single | dma | iommu
-//     prefetch     = sequential   ; none | sequential | adaptive
+//     prefetch     = sequential   ; none | clean | sequential | adaptive
 //     prefetch_depth = 2
-//     overlap      = true
 //
 // Unknown keys and malformed values are errors (a silently ignored
 // typo in a board file is a debugging session).

@@ -125,13 +125,11 @@ cpu_mhz = 200        # faster ARM
 imu_latency = 3
 pipelined = true
 posted_writes = yes
-bounds_check = on
 pld_les = 16640
 policy = lru
 copy_mode = dma
 prefetch = sequential
 prefetch_depth = 2
-overlap = true
 service_ring = 128
 service_rate = 5000
 service_burst = 32
@@ -147,13 +145,11 @@ service_burst = 32
   EXPECT_EQ(c.imu_access_latency, 3u);
   EXPECT_TRUE(c.imu_pipelined);
   EXPECT_TRUE(c.imu_posted_writes);
-  EXPECT_TRUE(c.imu_bounds_check);
   EXPECT_EQ(c.pld_capacity_les, 16640u);
   EXPECT_EQ(c.vim.policy, os::PolicyKind::kLru);
   EXPECT_EQ(c.vim.copy_mode, mem::CopyMode::kDma);
   EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kSequential);
   EXPECT_EQ(c.vim.prefetch_depth, 2u);
-  EXPECT_TRUE(c.vim.overlap_prefetch);
   EXPECT_EQ(c.service.ring_entries, 128u);
   EXPECT_EQ(c.service.admit_rate, 5000u);
   EXPECT_EQ(c.service.admit_burst, 32u);
@@ -224,6 +220,7 @@ TEST(PlatformFileTest, ParsesEveryPrefetchKind) {
     os::PrefetchKind kind;
   };
   for (const Case c : {Case{"none", os::PrefetchKind::kNone},
+                       Case{"clean", os::PrefetchKind::kClean},
                        Case{"sequential", os::PrefetchKind::kSequential},
                        Case{"adaptive", os::PrefetchKind::kAdaptive}}) {
     auto config = runtime::ParsePlatformFile(
@@ -239,7 +236,7 @@ TEST(PlatformFileTest, UnknownPrefetchKindRejectedClearly) {
                                              value + "\n");
     ASSERT_FALSE(config.ok()) << value;
     EXPECT_NE(config.status().message().find(
-                  "prefetch must be none|sequential|adaptive"),
+                  "prefetch must be none|clean|sequential|adaptive"),
               std::string::npos)
         << config.status().message();
   }
@@ -250,7 +247,8 @@ TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
        {"dp_ram_mb = 4", "victim_tlb_entries = 4", "lazy_writeback = on",
         "design_affinity = on", "fastforward = on", "l1_tlb_entries = 2",
         "l2_tlb_entries = 6", "page_kb = 2", "coalesce_writeback = on",
-        "iommu = on", "iotlb_entries = 16"}) {
+        "iommu = on", "iotlb_entries = 16", "overlap = true",
+        "bounds_check = on"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");
@@ -414,7 +412,6 @@ os::KernelConfig RandomPlatform(Rng& rng) {
   c.imu_access_latency = static_cast<u32>(rng.NextInRange(2, 64));
   c.imu_pipelined = RandomBool(rng);
   c.imu_posted_writes = RandomBool(rng);
-  c.imu_bounds_check = RandomBool(rng);
   c.pld_capacity_les = static_cast<u32>(rng.NextInRange(100, 1 << 24));
   constexpr os::PolicyKind kPolicies[] = {
       os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
@@ -424,12 +421,11 @@ os::KernelConfig RandomPlatform(Rng& rng) {
       mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
       mem::CopyMode::kDma, mem::CopyMode::kIommu};
   c.vim.copy_mode = kCopyModes[rng.NextBelow(std::size(kCopyModes))];
-  constexpr os::PrefetchKind kPrefetch[] = {os::PrefetchKind::kNone,
-                                            os::PrefetchKind::kSequential,
-                                            os::PrefetchKind::kAdaptive};
-  c.vim.prefetch = kPrefetch[rng.NextBelow(3)];
+  constexpr os::PrefetchKind kPrefetch[] = {
+      os::PrefetchKind::kNone, os::PrefetchKind::kClean,
+      os::PrefetchKind::kSequential, os::PrefetchKind::kAdaptive};
+  c.vim.prefetch = kPrefetch[rng.NextBelow(std::size(kPrefetch))];
   c.vim.prefetch_depth = static_cast<u32>(rng.NextInRange(1, 16));
-  c.vim.overlap_prefetch = RandomBool(rng);
   c.service.ring_entries = RandomPowerOfTwo(rng, 1, 15);
   c.service.admit_rate = rng.NextInRange(0, 1'000'000'000);
   c.service.admit_burst = static_cast<u32>(rng.NextInRange(1, 1 << 20));
@@ -455,14 +451,14 @@ TEST(PlatformFileTest, RandomConfigsRoundTripByteForByte) {
 std::string RandomKeyValueLine(Rng& rng) {
   static constexpr const char* kKeys[] = {
       "name", "dp_ram_kb", "page_size", "tlb_entries", "cpu_mhz",
-      "imu_latency", "pipelined", "posted_writes", "bounds_check", "pld_les", "policy",
-      "copy_mode", "prefetch", "prefetch_depth", "overlap",
-      "service_ring", "service_rate", "service_burst", "config_slots",
-      "page_size_obj3",
+      "imu_latency", "pipelined", "posted_writes", "pld_les", "policy",
+      "copy_mode", "prefetch", "prefetch_depth", "service_ring",
+      "service_rate", "service_burst", "config_slots", "page_size_obj3",
       // Near misses: the parameter object, no id, an id out of range,
       // removed keys, upper case, an inner space.
       "page_size_obj15", "page_size_obj", "page_size_obj99", "fastforward",
-      "coalesce_writeback", "iommu", "iotlb_entries", "NAME", "tlb entries"};
+      "coalesce_writeback", "iommu", "iotlb_entries", "overlap",
+      "bounds_check", "NAME", "tlb entries"};
   static constexpr const char* kValues[] = {
       "0", "1", "2", "3", "512", "1024", "4096", "65536", "65537", "-1",
       "on", "off", "maybe", "lru", "wsfifo", "dma", "iommu", "adaptive", "",

@@ -8,8 +8,8 @@
 // The sweep runs 200 seeded (workload × config) points, staged by
 // bench::MakeJob and run by bench::RunFresh, through both engines via
 // the parallel fleet runner; the configs deliberately include
-// adaptive-prefetch and overlapped-prefetch variants whose fault-time
-// machinery forces fast-forward onto its fallback edges, and
+// adaptive and sequential prefetch variants whose fault-time machinery
+// forces fast-forward onto its fallback edges, and
 // posted-write variants whose writes are never eligible at all.
 // The paper's Figure 8 / Figure 9 points also pin how much work kFast
 // skips.
@@ -79,14 +79,12 @@ os::KernelConfig VariantConfig(u64 seed, Engine engine, MemMode mode) {
       config.vim.prefetch = os::PrefetchKind::kAdaptive;
       config.vim.prefetch_depth = 2;
       break;
-    case 2:  // overlapped prefetch: the VIM's in-flight transfers veto
+    case 2:  // sequential prefetch: the VIM's in-flight transfers veto
              // the tier through its OS gate
       config.vim.prefetch = os::PrefetchKind::kSequential;
-      config.vim.overlap_prefetch = true;
       break;
-    default:  // posted writes + bounds check: writes never eligible
+    default:  // posted writes: writes never eligible
       config.imu_posted_writes = true;
-      config.imu_bounds_check = true;
       break;
   }
   return config;

@@ -109,7 +109,6 @@ TEST(HistogramTest, OverlappedSpeculationDoesNotLoseIncrements) {
 
   os::KernelConfig config = runtime::Epxa1Config();
   config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
   const HistogramRun run = RunHistogram(config, values, 4096);
   EXPECT_EQ(run.bins, HostHistogram(values, 4096));
 }

@@ -287,12 +287,11 @@ TEST(IommuVimTest, ShootdownFiresAtEndOfOperationAndLeavesNoLiveEntries) {
 TEST(IommuVimTest, AbortDuringOverlappedDmaLeavesNoPinnedPages) {
   // Overlapped prefetch pins source pages at schedule time; a
   // coprocessor hang aborts the run with transfers still in flight.
-  // AbandonInFlight must return every pin, or the tenant's buffers
+  // EndBackgroundWork must return every pin, or the tenant's buffers
   // could never be reclaimed.
   os::KernelConfig config = Epxa1Config();
   config.vim.copy_mode = CopyMode::kIommu;
   config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
   FaultPlan plan;
   plan.At(FaultSite::kCpHang, 1);
@@ -313,7 +312,6 @@ TEST(IommuVimTest, OverlappedZeroCopyRunBalancesAsyncPins) {
   os::KernelConfig config = Epxa1Config();
   config.vim.copy_mode = CopyMode::kIommu;
   config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
 
   const u32 width = 96, height = 24;

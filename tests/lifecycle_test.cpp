@@ -111,10 +111,8 @@ TEST(LifecycleTest, UnmappedObjectFaultsAsNeverMapped) {
     Status status;
     u64 tlb_lookups = 0;
   };
-  auto run = [](bool bounds_check, bool map_in_first) {
-    os::KernelConfig config = Epxa1Config();
-    config.imu_bounds_check = bounds_check;
-    FpgaSystem sys(config);
+  auto run = [](bool map_in_first) {
+    FpgaSystem sys(Epxa1Config());
     VCOP_CHECK(sys.Load(cp::GatherBitstream()).ok());
     auto in = sys.Allocate<u32>(n).value();
     auto out = sys.Allocate<u32>(n).value();
@@ -134,17 +132,13 @@ TEST(LifecycleTest, UnmappedObjectFaultsAsNeverMapped) {
     return Failed{report.status(),
                   sys.kernel().shared_tlb().stats().lookups - lookups};
   };
-  for (const bool bounds_check : {true, false}) {
-    SCOPED_TRACE(bounds_check ? "bounds check" : "no bounds check");
-    const Failed never = run(bounds_check, /*map_in_first=*/false);
-    const Failed unmapped = run(bounds_check, /*map_in_first=*/true);
-    EXPECT_EQ(never.status.code(), ErrorCode::kNotFound);
-    EXPECT_NE(never.status.message().find("never mapped"),
-              std::string::npos)
-        << never.status.ToString();
-    EXPECT_EQ(unmapped.status.ToString(), never.status.ToString());
-    EXPECT_EQ(unmapped.tlb_lookups, never.tlb_lookups);
-  }
+  const Failed never = run(/*map_in_first=*/false);
+  const Failed unmapped = run(/*map_in_first=*/true);
+  EXPECT_EQ(never.status.code(), ErrorCode::kNotFound);
+  EXPECT_NE(never.status.message().find("never mapped"), std::string::npos)
+      << never.status.ToString();
+  EXPECT_EQ(unmapped.status.ToString(), never.status.ToString());
+  EXPECT_EQ(unmapped.tlb_lookups, never.tlb_lookups);
 }
 
 TEST(LifecycleTest, SimulatedTimeIsMonotonicAcrossCalls) {

@@ -125,7 +125,8 @@ class HostilePrefetcher final : public Prefetcher {
 
 TEST(VimPrefetchContractTest, HostileSuggestionsAreDroppedCentrally) {
   KernelConfig config = runtime::Epxa1Config();
-  config.vim.prefetch = PrefetchKind::kNone;  // replaced below
+  // Background work on; the strategy is replaced below.
+  config.vim.prefetch = PrefetchKind::kSequential;
   FpgaSystem sys(config);
   sys.kernel().vim().SetPrefetcher(std::make_unique<HostilePrefetcher>());
 

@@ -1,5 +1,5 @@
 // Extended property matrix: the full cross-product of the extension
-// features (copy modes x IMU microarchitectures x overlap x policies)
+// features (copy modes x IMU microarchitectures x prefetch x policies)
 // on all three applications, checking bit-exactness and the accounting
 // invariants in every cell. This is the suite that guards against
 // feature interactions — each knob is tested alone elsewhere; here they
@@ -27,8 +27,7 @@ struct FeatureMix {
   mem::CopyMode copy_mode;
   bool pipelined;
   bool posted_writes;
-  bool bounds_check;
-  bool overlap;
+  bool prefetch;
   os::PolicyKind policy;
 };
 
@@ -37,12 +36,10 @@ os::KernelConfig ConfigFor(const FeatureMix& mix) {
   config.vim.copy_mode = mix.copy_mode;
   config.imu_pipelined = mix.pipelined;
   config.imu_posted_writes = mix.posted_writes;
-  config.imu_bounds_check = mix.bounds_check;
   config.vim.policy = mix.policy;
-  if (mix.overlap) {
+  if (mix.prefetch) {
     config.vim.prefetch = os::PrefetchKind::kSequential;
     config.vim.prefetch_depth = 1;
-    config.vim.overlap_prefetch = true;
   }
   return config;
 }
@@ -51,8 +48,7 @@ std::string MixName(const FeatureMix& mix) {
   std::string name(mem::ToString(mix.copy_mode));
   if (mix.pipelined) name += "+piped";
   if (mix.posted_writes) name += "+posted";
-  if (mix.bounds_check) name += "+bounds";
-  if (mix.overlap) name += "+overlap";
+  if (mix.prefetch) name += "+prefetch";
   name += "+";
   name += ToString(mix.policy);
   return name;
@@ -70,18 +66,13 @@ void CheckInvariants(const os::ExecutionReport& r,
 // A representative but affordable sample of the cross-product: every
 // feature appears on and off, pairwise combinations covered.
 const FeatureMix kMixes[] = {
-    {mem::CopyMode::kDoubleCopy, false, false, false, false,
+    {mem::CopyMode::kDoubleCopy, false, false, false,
      os::PolicyKind::kFifo},  // the paper platform
-    {mem::CopyMode::kSingleCopy, false, false, true, false,
-     os::PolicyKind::kLru},
-    {mem::CopyMode::kDma, false, true, false, false,
-     os::PolicyKind::kRandom},
-    {mem::CopyMode::kDoubleCopy, true, false, true, true,
-     os::PolicyKind::kLru},
-    {mem::CopyMode::kSingleCopy, true, true, false, true,
-     os::PolicyKind::kFifo},
-    {mem::CopyMode::kDma, true, true, true, true,
-     os::PolicyKind::kRandom},
+    {mem::CopyMode::kSingleCopy, false, false, false, os::PolicyKind::kLru},
+    {mem::CopyMode::kDma, false, true, false, os::PolicyKind::kRandom},
+    {mem::CopyMode::kDoubleCopy, true, false, true, os::PolicyKind::kLru},
+    {mem::CopyMode::kSingleCopy, true, true, true, os::PolicyKind::kFifo},
+    {mem::CopyMode::kDma, true, true, true, os::PolicyKind::kRandom},
 };
 
 class FeatureMatrixTest : public ::testing::TestWithParam<usize> {};

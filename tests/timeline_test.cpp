@@ -100,7 +100,6 @@ TEST(TimelineTest, KernelPopulatesTimelineDuringRuns) {
 TEST(TimelineTest, OverlappedUnitsLandOnBackgroundTrack) {
   os::KernelConfig config = runtime::Epxa1Config();
   config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.overlap_prefetch = true;
   runtime::FpgaSystem sys(config);
   const std::vector<u8> input = apps::MakeAdpcmStream(8192, 9);
   auto run = runtime::RunAdpcmVim(sys, input);

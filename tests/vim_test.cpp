@@ -230,8 +230,9 @@ os::ExecutionReport RunGather(FpgaSystem& sys, const apps::GatherInput& g) {
   return run.value().report;
 }
 
-/// t_dp of a fault-free run without overlap: each first load and each
-/// write-back pays PriceTransfer, each re-load PriceReload (2 KB pages).
+/// t_dp of a fault-free run without background work: each first load and
+/// each write-back pays PriceTransfer, each re-load PriceReload (2 KB
+/// pages).
 Picoseconds ExpectedDpTime(FpgaSystem& sys, const os::ExecutionReport& r) {
   const mem::TransferEngine& engine = sys.kernel().vim().transfer_engine();
   const u64 full = r.vim.loads - r.vim.kernel_copy_loads + r.vim.writebacks;
@@ -350,7 +351,6 @@ TEST(VimReloadTest, OverlappedUnitsReadKeptCopiesButKeepNone) {
   os::KernelConfig config = Epxa1Config();
   config.vim.prefetch = os::PrefetchKind::kSequential;
   config.vim.prefetch_depth = 2;
-  config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
   const os::ExecutionReport r = RunGather(sys, MakeGather(16));  // exact
   // Each overlapped unit's timeline span is its bookkeeping (plus one
@@ -824,13 +824,12 @@ TEST(VimRefaultTest, PageEvictedAfterUseIsAReFault) {
 }
 
 TEST(VimRefaultTest, PageEvictedBeforeAnyReferenceIsNoReFault) {
-  // With sequential overlap depth 2, the overlapped prefetch of one
+  // With sequential prefetch depth 2, the overlapped prefetch of one
   // fault service evicts OUT page 12, which that service just loaded,
   // before the stalled coprocessor could reference it.
   os::KernelConfig config = Epxa1Config();
   config.vim.prefetch = os::PrefetchKind::kSequential;
   config.vim.prefetch_depth = 2;
-  config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
   const PolicyLog& log = LogPolicy(sys);
   const bench::StagedJob staged = bench::StageBlocking(sys, AdpcmJob());
@@ -985,18 +984,13 @@ TEST(VimRepeatTest, RepeatedAdpcmRunsAgree) {
   os::KernelConfig epxa1 = Epxa1Config();
   os::KernelConfig two_entries = Epxa1Config();
   two_entries.tlb_entries = 2;
-  os::KernelConfig overlap = Epxa1Config();
-  overlap.tlb_entries = 3;
-  overlap.vim.prefetch = os::PrefetchKind::kAdaptive;
-  overlap.vim.prefetch_depth = 2;
-  overlap.vim.overlap_prefetch = true;
-  os::KernelConfig sync = Epxa1Config();
-  sync.vim.prefetch = os::PrefetchKind::kAdaptive;
-  sync.vim.prefetch_depth = 2;
+  os::KernelConfig adaptive = Epxa1Config();
+  adaptive.tlb_entries = 3;
+  adaptive.vim.prefetch = os::PrefetchKind::kAdaptive;
+  adaptive.vim.prefetch_depth = 2;
   for (const auto& [name, config] :
        {std::pair{"epxa1", epxa1}, std::pair{"tlb2", two_entries},
-        std::pair{"tlb3 adaptive overlap", overlap},
-        std::pair{"adaptive sync", sync}}) {
+        std::pair{"tlb3 adaptive", adaptive}}) {
     SCOPED_TRACE(name);
     ExpectRepeatedRunsAgree(config, cp_clock, run);
   }
@@ -1010,7 +1004,6 @@ TEST(VimRepeatTest, RepeatedIdeaRunsAgreeUnderOverlap) {
   config.tlb_entries = 3;
   config.vim.prefetch = os::PrefetchKind::kAdaptive;
   config.vim.prefetch_depth = 2;
-  config.vim.overlap_prefetch = true;
   ExpectRepeatedRunsAgree(config, cp::IdeaBitstream().cp_clock,
                           [&](FpgaSystem& sys) {
                             return runtime::RunIdeaVim(sys, keys, input);
