@@ -33,6 +33,7 @@ class AdpcmDecodeCoprocessor final : public hw::Coprocessor {
   static constexpr u32 kDecodeCyclesPerSample = 13;
 
   std::string_view name() const override { return "adpcmdecode"; }
+  u32 required_params() const override { return kNumParams; }
 
  protected:
   void OnStart() override;

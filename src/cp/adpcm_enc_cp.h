@@ -32,6 +32,7 @@ class AdpcmEncodeCoprocessor final : public hw::Coprocessor {
   static constexpr u32 kEncodeCyclesPerSample = 13;
 
   std::string_view name() const override { return "adpcmencode"; }
+  u32 required_params() const override { return kNumParams; }
 
  protected:
   void OnStart() override;

@@ -46,6 +46,7 @@ class Conv3x3Coprocessor final : public hw::Coprocessor {
   static constexpr u32 kComputeCycles = 3;
 
   std::string_view name() const override { return "conv3x3"; }
+  u32 required_params() const override { return kNumParams; }
 
  protected:
   void OnStart() override;

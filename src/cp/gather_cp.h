@@ -22,6 +22,7 @@ class GatherCoprocessor final : public hw::Coprocessor {
   static constexpr u32 kNumParams = 1;         // [0] = element count
 
   std::string_view name() const override { return "gather"; }
+  u32 required_params() const override { return kNumParams; }
 
  protected:
   void OnStart() override;

@@ -28,6 +28,7 @@ class HistogramCoprocessor final : public hw::Coprocessor {
   static constexpr u32 kNumParams = 2;
 
   std::string_view name() const override { return "histogram"; }
+  u32 required_params() const override { return kNumParams; }
 
  protected:
   void OnStart() override;

@@ -42,6 +42,8 @@ class IdeaCoprocessor final : public hw::Coprocessor {
   static constexpr u32 kPipelineCycles = 8;
 
   std::string_view name() const override { return "idea"; }
+  /// The mode and the CBC chaining value are optional.
+  u32 required_params() const override { return 1; }
 
  protected:
   void OnStart() override;

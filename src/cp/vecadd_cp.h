@@ -25,6 +25,7 @@ class VecAddCoprocessor final : public hw::Coprocessor {
   static constexpr u32 kNumParams = 1;
 
   std::string_view name() const override { return "vecadd"; }
+  u32 required_params() const override { return kNumParams; }
 
  protected:
   void OnStart() override;

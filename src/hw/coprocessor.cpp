@@ -7,7 +7,7 @@ namespace vcop::hw {
 void Coprocessor::Start(u32 num_params) {
   VCOP_CHECK_MSG(port_ != nullptr, "coprocessor started with no port bound");
   VCOP_CHECK_MSG(phase_ == Phase::kIdle, "coprocessor already running");
-  params_.assign(num_params, 0);
+  params_.assign(std::max(num_params, required_params()), 0);
   params_read_ = 0;
   finished_once_ = false;
   cycles_run_ = 0;

@@ -42,6 +42,11 @@ class Coprocessor : public sim::ClockedModule {
   /// Human-readable core name, e.g. "adpcmdecode".
   virtual std::string_view name() const = 0;
 
+  /// Parameters the core reads, param(0) to param(n - 1). CP_START
+  /// fetches at least this many, so a run passed fewer faults on the
+  /// parameter object at the IMU, and the VIM fails it cleanly.
+  virtual u32 required_params() const { return 0; }
+
   /// Emergency reset used by the OS abort path: the FSM returns to idle
   /// without signalling CP_FIN.
   void Abort();

@@ -126,8 +126,9 @@ class Tlb {
   /// was (so the OS can propagate its dirty bit to the page tables).
   TlbEntry Invalidate(u32 index);
 
-  /// Invalidates every entry (an untagged tenant switch, or an ASID
-  /// rollover).
+  /// Invalidates every entry: the ASID allocator's rollover, before a
+  /// recycled tag could alias its previous owner's entries. A tenant
+  /// switch flushes nothing.
   void InvalidateAll();
 
   /// Invalidates only the entries tagged `asid` (tenant teardown,

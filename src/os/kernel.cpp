@@ -106,12 +106,14 @@ void Kernel::Bind(AddressSpace& space, Design& design) {
   bound_ = &design;
   run_done_ = false;
   run_failure_ = Status::Ok();
+  run_preempted_ = false;
   vim_.BindImu(design.imu.get());
   vim_.AttachSpace(&space);
   hw::Coprocessor* core = design.core.get();
   vim_.set_progress_probe([core] { return core->cycles_run(); });
   vim_.set_completion_handler([this] { run_done_ = true; });
   vim_.set_abort_handler([this](Status status) { Fail(std::move(status)); });
+  vim_.set_preempt_handler([this] { run_preempted_ = true; });
 }
 
 void Kernel::Fail(Status status) {
@@ -138,17 +140,20 @@ Result<Picoseconds> Kernel::Start(std::span<const u32> params,
   return setup;
 }
 
-RunEnd Kernel::Run(const std::function<bool()>& preempted) {
+RunEnd Kernel::Run(std::function<bool()> preempt) {
+  vim_.set_preempt_check(std::move(preempt));
   RunEnd end;
   end.converged = sim_.RunUntil(
-      [&] { return run_done_ || (preempted && preempted()); });
+      [this] { return run_done_ || run_preempted_; });
   if (!end.converged) {
     vim_.Abort(UnavailableError(
         "coprocessor did not complete (simulation went idle or exceeded "
         "its event budget) — FSM deadlock?"));
   }
+  vim_.set_preempt_check(nullptr);
   vim_.set_completion_handler(nullptr);
   vim_.set_abort_handler(nullptr);
+  vim_.set_preempt_handler(nullptr);
   end.done = run_done_;
   end.status = run_failure_;
   return end;
@@ -178,6 +183,7 @@ void Kernel::Unbind() {
   vim_.set_progress_probe(nullptr);
   vim_.set_completion_handler(nullptr);
   vim_.set_abort_handler(nullptr);
+  vim_.set_preempt_handler(nullptr);
 }
 
 Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
@@ -244,15 +250,27 @@ Status Kernel::MapObject(AddressSpace& space, hw::ObjectId id,
   return space.objects().Map(object);
 }
 
-Status Kernel::RepointObject(AddressSpace& space, hw::ObjectId id,
-                             mem::UserAddr addr) {
-  const MappedObject* object = space.objects().Find(id);
-  if (object == nullptr) {
-    return NotFoundError(StrFormat("no object %u to re-point", id));
+Status Kernel::RepointObjects(AddressSpace& space,
+                              std::span<const ObjectRef> refs) {
+  for (const ObjectRef& ref : refs) {
+    if (ref.object >= hw::kMaxObjects) {
+      return InvalidArgumentError(StrFormat(
+          "object id %u out of range (max %u)", ref.object,
+          hw::kMaxObjects - 1));
+    }
+    const MappedObject* object =
+        space.objects().Find(static_cast<hw::ObjectId>(ref.object));
+    if (object == nullptr) {
+      return NotFoundError(StrFormat("no object %u to re-point", ref.object));
+    }
+    VCOP_RETURN_IF_ERROR(CheckUserRange(user_memory_, object->id, ref.addr,
+                                        object->size_bytes));
   }
-  VCOP_RETURN_IF_ERROR(
-      CheckUserRange(user_memory_, id, addr, object->size_bytes));
-  VCOP_RETURN_IF_ERROR(space.objects().Repoint(id, addr));
+  if (refs.empty()) return Status::Ok();
+  for (const ObjectRef& ref : refs) {
+    VCOP_RETURN_IF_ERROR(space.objects().Repoint(
+        static_cast<hw::ObjectId>(ref.object), ref.addr));
+  }
   vim_.transfer_engine().Invalidate(space.asid());
   return Status::Ok();
 }

@@ -25,6 +25,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,7 +141,8 @@ struct Design {
 
 /// How Kernel::Run left the execution bound to the VIM.
 struct RunEnd {
-  /// False when the run stopped at a preemption; a later Run resumes it.
+  /// False when the run stopped at a preemption, with the clock past
+  /// the context save; a later Run resumes it.
   bool done = false;
   /// False when the simulation went idle or exceeded its event budget
   /// before the execution ended (a deadlocked core).
@@ -177,12 +179,12 @@ class Kernel {
   Status MapObject(AddressSpace& space, hw::ObjectId id, mem::UserAddr addr,
                    u32 size_bytes, u32 elem_width, Direction direction);
 
-  /// Re-points `space`'s object `id` at `addr` (size, width, direction
-  /// and page size unchanged) after MapObject's user-memory check, and
-  /// shoots down the space's cached DMA translations: the pages behind
-  /// its virtual range just changed.
-  Status RepointObject(AddressSpace& space, hw::ObjectId id,
-                       mem::UserAddr addr);
+  /// Re-points `space`'s objects as `refs` say (size, width, direction
+  /// and page size unchanged), all or none: every ref must name a
+  /// mapped object below hw::kMaxObjects and a range in user memory
+  /// before any is applied. Then shoots down the space's cached DMA
+  /// translations: the pages behind its virtual ranges just changed.
+  Status RepointObjects(AddressSpace& space, std::span<const ObjectRef> refs);
 
   /// Runs the loaded coprocessor to completion with `params` passed
   /// through the parameter page. Blocking (the process sleeps).
@@ -236,8 +238,8 @@ class Kernel {
   u32 designs_built() const { return designs_built_; }
 
   /// Binds `space` and `design` to the VIM for a run on the fabric: the
-  /// IMU, the watchdog's progress probe, and completion and abort
-  /// handlers that end Run.
+  /// IMU, the watchdog's progress probe, and the completion, abort and
+  /// preempt handlers that end Run.
   void Bind(AddressSpace& space, Design& design);
 
   /// Prepares a new execution of the bound design with `params`
@@ -246,9 +248,12 @@ class Kernel {
   Result<Picoseconds> Start(std::span<const u32> params, Picoseconds lead);
 
   /// Runs the simulation until the bound execution completes or fails
-  /// (an abort, or a run that cannot converge), or until `preempted`
-  /// turns true, then removes the handlers Bind wired.
-  RunEnd Run(const std::function<bool()>& preempted = nullptr);
+  /// (an abort, or a run that cannot converge), or until the VIM
+  /// preempts it: for this run only, `preempt` is consulted at each page
+  /// fault (Vim::set_preempt_check), and once it returns true the VIM
+  /// saves the context instead of servicing the fault. Returns with the
+  /// clock past the save and the handlers Bind wired removed.
+  RunEnd Run(std::function<bool()> preempt = nullptr);
 
   /// Fills `report` for an execution of `space` on `design` that began
   /// at `started` and ends now. `report.t_invoke` holds the caller's
@@ -305,6 +310,7 @@ class Kernel {
   Design* bound_ = nullptr;
   bool run_done_ = false;
   Status run_failure_ = Status::Ok();
+  bool run_preempted_ = false;
 };
 
 }  // namespace vcop::os

@@ -48,6 +48,15 @@ struct MappedObject {
   u32 page_bytes = 0;
 };
 
+/// One re-pointing of a mapped object at a new user address
+/// (Kernel::RepointObjects). The object field is as wide as a ring
+/// descriptor carries it, so an id past hw::kMaxObjects is refused
+/// rather than truncated onto another object.
+struct ObjectRef {
+  u32 object = 0;
+  mem::UserAddr addr = 0;
+};
+
 class ObjectTable {
  public:
   /// Registers `object`. Fails on duplicate id, a reserved id

@@ -17,10 +17,9 @@
 //     (registered once with the service — the ring never carries a
 //     bit-stream), the scalar parameters, up to four object-table refs,
 //     and an opaque completion cookie the tenant uses to match
-//     completions to requests. Object refs today are ids in the
-//     tenant's own table; the field is 64-bit wide so a future IOMMU
-//     path can point them at user virtual addresses directly
-//     (ROADMAP item 1) without changing the ring ABI.
+//     completions to requests. An object ref is (object id << 32 |
+//     user virtual address): the service re-points the tenant's mapped
+//     object there before the job runs, all refs or none.
 //   * Indices are free-running u16s, masked by the (power-of-two) ring
 //     size on access — exactly virtio's avail/used scheme, so
 //     wrap-around at the 65536 boundary is part of normal operation
@@ -48,8 +47,7 @@ namespace vcop::os {
 /// core, IDEA, takes 4; the parameter page itself remains the limit for
 /// the direct API).
 inline constexpr u32 kRingMaxParams = 8;
-/// Object-table references a descriptor can carry (bookkeeping today;
-/// sized for the future IOMMU path).
+/// Object re-pointings a descriptor can carry.
 inline constexpr u32 kRingMaxObjectRefs = 4;
 
 /// One submission: fixed-size, sealed with a checksum at publish time.
@@ -60,8 +58,7 @@ struct RingDescriptor {
   u32 design = 0;
   u32 nparams = 0;
   std::array<u32, kRingMaxParams> params{};
-  /// Object-table refs (64-bit so a future IOMMU path can carry user
-  /// virtual addresses here instead of table ids).
+  /// (object id << 32 | user virtual address) per ref.
   std::array<u64, kRingMaxObjectRefs> object_refs{};
   u32 nrefs = 0;
   /// FNV-1a over every field above; see Seal()/IntactAtDrain().

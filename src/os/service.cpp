@@ -1,6 +1,7 @@
 #include "os/service.h"
 
 #include <algorithm>
+#include <array>
 
 #include "base/fault.h"
 #include "base/table.h"
@@ -163,21 +164,18 @@ void VcopService::DrainPort(Port& port) {
     }
     // Object refs carry (object id << 32 | user VA): the tenant
     // re-points its mapped objects at per-submission buffers without a
-    // map/unmap round trip and without changing the ring ABI — the
-    // refs were 64-bit from day one for exactly this (ROADMAP item 1).
-    if (head.nrefs > 0) {
-      Status repoint = Status::Ok();
-      for (u32 i = 0; i < head.nrefs && repoint.ok(); ++i) {
-        const hw::ObjectId oid =
-            static_cast<hw::ObjectId>(head.object_refs[i] >> 32);
-        const mem::UserAddr va =
-            static_cast<mem::UserAddr>(head.object_refs[i] & 0xffffffffu);
-        repoint = daemon_.RepointObject(port.tenant, oid, va);
-      }
-      if (!repoint.ok()) {
-        RejectHead(port, repoint.code(), now);
-        continue;
-      }
+    // map/unmap round trip. A bad ref rejects the descriptor with none
+    // of its refs applied.
+    std::array<ObjectRef, kRingMaxObjectRefs> refs;
+    for (u32 i = 0; i < head.nrefs; ++i) {
+      refs[i] = {static_cast<u32>(head.object_refs[i] >> 32),
+                 static_cast<mem::UserAddr>(head.object_refs[i])};
+    }
+    const Status repoint = daemon_.RepointObjects(
+        port.tenant, std::span<const ObjectRef>(refs.data(), head.nrefs));
+    if (!repoint.ok()) {
+      RejectHead(port, repoint.code(), now);
+      continue;
     }
     Port* pp = &port;
     const u64 cookie = head.cookie;

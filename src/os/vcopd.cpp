@@ -49,9 +49,8 @@ Vcopd::Vcopd(Kernel& kernel, VcopdConfig config)
       config_(config),
       asids_(std::max<u32>(
           2, std::min<u32>(config.max_asids, 65536))) {
-  Vim& vim = kernel_.vim();
-  vim.set_tlb_tagging(config_.asid_tagging);
-  vim.set_space_resolver([this](hw::Asid asid) { return FindSpace(asid); });
+  kernel_.vim().set_space_resolver(
+      [this](hw::Asid asid) { return FindSpace(asid); });
   // ASID generation rollover: when the allocator's cursor wraps past
   // the top of the tag space, a recycled tag could alias stale shared-
   // TLB entries installed under its previous owner. Flush everything.
@@ -59,11 +58,7 @@ Vcopd::Vcopd(Kernel& kernel, VcopdConfig config)
 }
 
 Vcopd::~Vcopd() {
-  Vim& vim = kernel_.vim();
-  vim.set_space_resolver(nullptr);
-  vim.set_preempt_check(nullptr);
-  vim.set_preempt_handler(nullptr);
-  vim.set_tlb_tagging(true);
+  kernel_.vim().set_space_resolver(nullptr);
   kernel_.Unbind();
   // A preempted job's design outlives the daemon in the kernel's pool;
   // the tenants' spaces go with the daemon.
@@ -128,13 +123,13 @@ Status Vcopd::UnmapObject(TenantId tenant, hw::ObjectId id) {
   return t->space->objects().Unmap(id);
 }
 
-Status Vcopd::RepointObject(TenantId tenant, hw::ObjectId id,
-                            mem::UserAddr addr) {
+Status Vcopd::RepointObjects(TenantId tenant,
+                             std::span<const ObjectRef> refs) {
   Tenant* t = FindTenant(tenant);
   if (t == nullptr) {
     return NotFoundError(StrFormat("unknown tenant %u", tenant));
   }
-  return kernel_.RepointObject(*t->space, id, addr);
+  return kernel_.RepointObjects(*t->space, refs);
 }
 
 Result<Ticket> Vcopd::Submit(
@@ -456,30 +451,12 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     job->design = kernel_.Instantiate(job->bitstream, tenant.space->asid());
   }
   kernel_.Bind(*tenant.space, *job->design);
-
-  slice_preempted_ = false;
-  slice_preempt_cost_ = 0;
-  vim.set_preempt_check([this, &tenant] {
-    if (config_.policy != ServicePolicy::kFairShare) return false;
-    if (kernel_.simulator().now() - slice_started_at_ <
-        config_.time_slice) {
-      return false;
-    }
-    return AnyOtherRunnable(&tenant);
-  });
-  vim.set_preempt_handler([this](Picoseconds cost) {
-    slice_preempted_ = true;
-    slice_preempt_cost_ = cost;
-  });
-
   const hw::TlbStats tlb_mark = kernel_.shared_tlb().stats();
   ++stats_.dispatches;
 
   if (!resuming) {
     const Result<Picoseconds> setup = kernel_.Start(job->params, lead);
     if (!setup.ok()) {
-      vim.set_preempt_check(nullptr);
-      vim.set_preempt_handler(nullptr);
       if (vim.fault_abort()) Quarantine(tenant);
       FinishJob(tenant, *job, setup.status());
       return Status::Ok();
@@ -508,20 +485,20 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     sim.ScheduleAt(go, [vimp] { vimp->OnPageFault(); });
   }
 
-  const RunEnd end = kernel_.Run([this] { return slice_preempted_; });
+  // Fair share preempts the job at its first fault boundary past the
+  // slice while another tenant waits; FIFO runs it to completion.
+  const RunEnd end = kernel_.Run([this, &tenant] {
+    return config_.policy == ServicePolicy::kFairShare &&
+           kernel_.simulator().now() - slice_started_at_ >=
+               config_.time_slice &&
+           AnyOtherRunnable(&tenant);
+  });
 
   // Attribute this slice's shared-TLB traffic to the job, the whole
   // delta as FPGA_EXECUTE reports it.
   job->tlb_acc += kernel_.shared_tlb().stats() - tlb_mark;
 
-  vim.set_preempt_check(nullptr);
-  vim.set_preempt_handler(nullptr);
-
   if (!end.done) {
-    // The decode + save service takes real time: advance the clock
-    // before the next tenant is dispatched.
-    sim.ScheduleAfter(slice_preempt_cost_, [] {});
-    sim.RunToIdle();
     job->state = VcopdJobState::kPreempted;
     ++job->result.preemptions;
     ++stats_.preemptions;

@@ -13,15 +13,18 @@
 //   * Submission queues are bounded (admission control): a full queue
 //     rejects with ResourceExhausted instead of growing without bound.
 //   * The shared interface TLB is ASID-tagged (hw/tlb.h), so a tenant
-//     switch does not force a full flush — entries of switched-out
-//     tenants survive until capacity evicts them, and the VIM restores
-//     whatever was recycled at resume (Vim::SaveContext/RestoreContext).
+//     switch flushes nothing: a switched-out tenant's entries and
+//     frames survive until capacity evicts them, its dirty pages are
+//     written back at the switch, and the VIM restores whatever entries
+//     were recycled at resume (Vim::RestoreContext).
 //   * Under the fair-share policy (design-affine deficit round-robin
 //     over tenant weights) a job whose time slice has expired is
-//     preempted at its next page-fault boundary: the fault stays latched
-//     in the IMU, the interface context is saved, and the fabric is
-//     handed to the next tenant. The FIFO policy instead runs jobs to
-//     completion, batching by bit-stream to amortise reconfiguration.
+//     preempted at its next page-fault boundary: the daemon hands its
+//     slice check to Kernel::Run, the fault stays latched in the IMU,
+//     the VIM saves the interface context, and the run ends through the
+//     kernel like a completion or an abort. The FIFO policy instead
+//     runs jobs to completion, batching by bit-stream to amortise
+//     reconfiguration.
 //
 // Hardware model: vcopd treats the PLD as partially reconfigurable.
 // Each job's design (Kernel::Instantiate: a core and an IMU fronting the
@@ -76,9 +79,6 @@ struct VcopdConfig {
   Picoseconds time_slice = 200 * 1000 * 1000;  // 200 us
   /// Fair share: fabric time granted per round and unit of weight.
   Picoseconds quantum = 400 * 1000 * 1000;  // 400 us
-  /// Off = flush-on-switch baseline for the ASID experiment. Entries
-  /// are tagged either way; only switch behaviour changes.
-  bool asid_tagging = true;
   /// ASID tag space (including the reserved kernel tag 0).
   u32 max_asids = 64;
   /// Fair share is design-affine: when advancing the DRR ring, a
@@ -202,13 +202,12 @@ class Vcopd {
                    u32 size_bytes, u32 elem_width, Direction direction);
   Status UnmapObject(TenantId tenant, hw::ObjectId id);
 
-  /// Re-points an already-mapped object at a new user virtual address
-  /// (Kernel::RepointObject: size/width/direction unchanged, the
-  /// tenant's cached DMA translations shot down). The ring path's
-  /// object_refs use this so one mapping can target per-submission
-  /// buffers.
-  Status RepointObject(TenantId tenant, hw::ObjectId id,
-                       mem::UserAddr addr);
+  /// Re-points already-mapped objects at new user virtual addresses,
+  /// all or none (Kernel::RepointObjects: size/width/direction
+  /// unchanged, the tenant's cached DMA translations shot down). The
+  /// ring path's object_refs use this so one mapping can target
+  /// per-submission buffers.
+  Status RepointObjects(TenantId tenant, std::span<const ObjectRef> refs);
 
   // ----- asynchronous execution -----
 
@@ -335,8 +334,6 @@ class Vcopd {
   // configuration cache (hw::FpgaFabric::active_design/DesignResident).
   Tenant* current_ = nullptr;  // fair-share round-robin position
   Picoseconds slice_started_at_ = 0;
-  bool slice_preempted_ = false;  // set by the VIM's preempt handler
-  Picoseconds slice_preempt_cost_ = 0;
 
   VcopdStats stats_;
 };

@@ -293,7 +293,13 @@ void Vim::OnPageFault() {
           StrFormat("preempt pid%u obj%u", space_->pid(), oid), "preempt",
           sim_.now(), imu_cost + save, /*track=*/3);
     }
-    if (on_preempt_) on_preempt_(imu_cost + save);
+    // Like a completion, the run ends once the service is over; until
+    // then a second edge of this fault is a duplicate.
+    fault_service_pending_ = true;
+    sim_.ScheduleAt(sim_.now() + imu_cost + save, [this] {
+      fault_service_pending_ = false;
+      if (on_preempt_) on_preempt_();
+    });
     return;
   }
 
@@ -824,13 +830,7 @@ void Vim::OnEndOfOperation() {
     }
     if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
   }
-  if (tlb_tagging_) {
-    tlb.InvalidateAsid(asid);
-    ++service_stats_.tlb_flushes_avoided;
-  } else {
-    tlb.InvalidateAll();
-    ++service_stats_.full_tlb_flushes;
-  }
+  tlb.InvalidateAsid(asid);
 
   // "The interface manager copies back to user space all the dirty data
   // currently residing in the dual-port memory." (§3.3)
@@ -905,54 +905,42 @@ Picoseconds Vim::SaveContext() {
     imu_cost += costs_.Cycles(costs_.page_table_cycles);
   }
 
+  // The translations stay installed under the tenant's ASID, and the
+  // snapshot lets a resume re-install whatever an intervening tenant
+  // recycled. Dirty pages are written back eagerly, so a foreign
+  // eviction of one of our frames while we are switched out is a free
+  // drop.
   space_->tlb_snapshot.clear();
-  if (tlb_tagging_) {
-    // Tagged mode: translations stay installed (that is the point of the
-    // ASID), but we snapshot them so a resume can re-install whatever an
-    // intervening tenant recycled. Dirty pages are written back eagerly,
-    // so a foreign eviction of one of our frames while we are switched
-    // out is a free drop.
-    for (u32 i = 0; i < tlb.num_entries(); ++i) {
-      const hw::TlbEntry e = tlb.entry(i);
-      if (!e.valid || e.asid != asid || e.object == hw::kParamObject) {
-        continue;
-      }
-      if (e.dirty && pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-      space_->tlb_snapshot.push_back(
-          TlbSnapshotEntry{e.object, e.vpage, e.frame});
+  for (u32 i = 0; i < tlb.num_entries(); ++i) {
+    const hw::TlbEntry e = tlb.entry(i);
+    if (!e.valid || e.asid != asid || e.object == hw::kParamObject) {
+      continue;
     }
-    for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-      const FrameState state = pages_.frame(f);
-      if (!state.dirty) continue;
-      const MappedObject* object = space_->objects().Find(state.object);
-      VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-      // kIn pages never reach user space; if a foreign eviction drops
-      // one later it is counted there, not here.
-      if (object->direction == Direction::kIn) continue;
-      if (!WriteBack(f, *space_, *object, dp_cost)) {
-        if (!space_->aborted) Abort(last_failure_);
-        acct().t_dp += dp_cost;
-        acct().t_imu += imu_cost;
-        return dp_cost + imu_cost;
-      }
-      ++service_stats_.pages_written_back_on_save;
-      pages_.ClearDirty(f);
-      if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
-        tlb.ClearDirty(*entry);
-      }
+    if (e.dirty && pages_.frame(e.frame).in_use) {
+      pages_.MarkDirty(e.frame);
     }
-    ++service_stats_.tlb_flushes_avoided;
-  } else {
-    // Untagged baseline: the TLB cannot distinguish tenants, so the
-    // whole working set leaves the fabric and the TLB is flushed.
-    for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-      EvictFrame(f, dp_cost, imu_cost);
-      if (space_->aborted) break;  // the abort's flush freed the rest
+    space_->tlb_snapshot.push_back(
+        TlbSnapshotEntry{e.object, e.vpage, e.frame});
+  }
+  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
+    const FrameState state = pages_.frame(f);
+    if (!state.dirty) continue;
+    const MappedObject* object = space_->objects().Find(state.object);
+    VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
+    // kIn pages never reach user space; if a foreign eviction drops
+    // one later it is counted there, not here.
+    if (object->direction == Direction::kIn) continue;
+    if (!WriteBack(f, *space_, *object, dp_cost)) {
+      if (!space_->aborted) Abort(last_failure_);
+      acct().t_dp += dp_cost;
+      acct().t_imu += imu_cost;
+      return dp_cost + imu_cost;
     }
-    tlb.InvalidateAll();
-    ++service_stats_.full_tlb_flushes;
+    ++service_stats_.pages_written_back_on_save;
+    pages_.ClearDirty(f);
+    if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
+      tlb.ClearDirty(*entry);
+    }
   }
 
   // The tenant's DMA window closes with its slice: shoot its IO-TLB
@@ -978,19 +966,16 @@ Picoseconds Vim::RestoreContext() {
   Picoseconds dp_cost = 0;
   Picoseconds imu_cost = costs_.Cycles(costs_.context_restore_cycles);
 
-  if (tlb_tagging_) {
-    for (const TlbSnapshotEntry& snap : space_->tlb_snapshot) {
-      if (tlb.Probe(snap.object, snap.vpage, asid).has_value()) {
-        continue;  // Survived the switched-out window in place.
-      }
-      if (pages_.FindResident(snap.object, snap.vpage, asid) !=
-          snap.frame) {
-        continue;  // Frame was evicted meanwhile; a fault will reload it.
-      }
-      InstallTlbEntry(snap.object, snap.vpage, snap.frame);
-      imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
-      ++service_stats_.tlb_entries_restored;
+  for (const TlbSnapshotEntry& snap : space_->tlb_snapshot) {
+    if (tlb.Probe(snap.object, snap.vpage, asid).has_value()) {
+      continue;  // Survived the switched-out window in place.
     }
+    if (pages_.FindResident(snap.object, snap.vpage, asid) != snap.frame) {
+      continue;  // Frame was evicted meanwhile; a fault will reload it.
+    }
+    InstallTlbEntry(snap.object, snap.vpage, snap.frame);
+    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
+    ++service_stats_.tlb_entries_restored;
   }
   space_->tlb_snapshot.clear();
 

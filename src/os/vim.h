@@ -93,19 +93,11 @@ inline constexpr u32 kFaultBudget = 64;
 inline constexpr Picoseconds kWatchdogTimeout = 1'000'000'000;  // 1 ms
 
 /// Service-wide counters, independent of which space was attached:
-/// context switches and fault recovery. The switch
-/// counters are the numbers the ASID experiment gates on: tagging turns
-/// full flushes into per-ASID invalidations and lets entries survive to
-/// be counted as restored (or never dropped at all). Per-space counters
-/// live in VimAccounting.
+/// context switches and fault recovery. Per-space counters live in
+/// VimAccounting.
 struct VimServiceStats {
   u64 context_saves = 0;
   u64 context_restores = 0;
-  /// Whole-TLB invalidations forced by a tenant switch or an end of
-  /// operation when ASID tagging is off.
-  u64 full_tlb_flushes = 0;
-  /// Switch/end events where tagging made a full flush unnecessary.
-  u64 tlb_flushes_avoided = 0;
   /// Snapshot entries re-installed at resume because frame and mapping
   /// were still intact.
   u64 tlb_entries_restored = 0;
@@ -182,17 +174,7 @@ class Vim {
 
   // ----- preemptive context switching (vcopd) -----
 
-  /// Saves the attached space's interface context at a fault boundary:
-  /// merges TLB dirty bits, snapshots the space's translations,
-  /// releases the pinned parameter frame, and either eagerly cleans
-  /// dirty frames (ASID tagging on — frames stay resident and clean) or
-  /// evicts everything with a full TLB flush (tagging off, the
-  /// flush-on-switch baseline). Charges the space's accounting and
-  /// returns the total service time. The faulting IMU stays
-  /// fault-stalled; re-enter via OnPageFault after RestoreContext.
-  Picoseconds SaveContext();
-
-  /// Restores a previously saved context: re-installs surviving TLB
+  /// Restores the context a preemption saved: re-installs surviving TLB
   /// snapshot entries and re-materialises the parameter page if it was
   /// live. Returns the service time (charged to the space).
   Picoseconds RestoreContext();
@@ -203,15 +185,17 @@ class Vim {
   void FlushAsid(hw::Asid asid);
 
   /// Consulted at each fault *before* servicing it; returning true
-  /// preempts: the VIM saves context and calls the preempt handler
-  /// instead of mapping the page. Unset = never preempt (FPGA_EXECUTE).
+  /// preempts: the VIM saves context instead of mapping the page, and
+  /// the preempt handler ends the run. Kernel::Run installs it for one
+  /// run; unset = never preempt (FPGA_EXECUTE).
   void set_preempt_check(std::function<bool()> check) {
     preempt_check_ = std::move(check);
   }
 
-  /// Invoked when a fault was turned into a preemption; the argument is
-  /// the service time already spent (decode + context save).
-  void set_preempt_handler(std::function<void(Picoseconds)> handler) {
+  /// Called when the service of a fault turned into a preemption (the
+  /// decode and the context save) is over; Kernel::Bind installs it to
+  /// end the run.
+  void set_preempt_handler(std::function<void()> handler) {
     on_preempt_ = std::move(handler);
   }
 
@@ -220,11 +204,6 @@ class Vim {
   void set_space_resolver(std::function<AddressSpace*(hw::Asid)> resolver) {
     space_resolver_ = std::move(resolver);
   }
-
-  /// ASID tagging policy (vcopd experiment knob): on, tenant switches
-  /// keep entries tagged; off, every switch flushes the whole TLB.
-  /// Entries are tagged either way — only switch behaviour changes.
-  void set_tlb_tagging(bool enabled) { tlb_tagging_ = enabled; }
 
   const VimServiceStats& service_stats() const { return service_stats_; }
   void ResetServiceStats() { service_stats_ = VimServiceStats{}; }
@@ -295,6 +274,15 @@ class Vim {
   mem::TransferEngine& transfer_engine() { return transfers_; }
 
  private:
+  /// Saves the attached space's interface context when OnPageFault
+  /// turns a fault into a preemption: merges TLB dirty bits, snapshots
+  /// the space's translations (they stay installed under its ASID),
+  /// releases the pinned parameter frame and writes dirty frames back,
+  /// so its working set stays resident and clean. Charges the space's
+  /// accounting and returns the service time. The faulting IMU stays
+  /// fault-stalled; re-enter via OnPageFault after RestoreContext.
+  Picoseconds SaveContext();
+
   // ----- the frame path: every frame is claimed, filled and freed here -----
 
   /// The hard half of §3.3's fault service: loads the attached space's
@@ -472,7 +460,6 @@ class Vim {
   AddressSpace* space_ = nullptr;
   PageManager pages_;
   u32 tlb_recycle_cursor_ = 0;
-  bool tlb_tagging_ = true;
 
   /// Overlapped-prefetch state: transfers the CPU is running in the
   /// background while the coprocessor executes. A unit's frame stays
@@ -528,8 +515,9 @@ class Vim {
   FaultPlan* fault_plan_ = nullptr;
   /// Set when the current run failed on a device fault; read by vcopd.
   bool fault_abort_ = false;
-  /// A ResolveFault event is scheduled but has not fired yet — a second
-  /// page-fault edge in this window is a duplicate delivery.
+  /// A ResolveFault event, or the end of a preempting fault's save, is
+  /// scheduled but has not fired yet — a second page-fault edge in this
+  /// window is a duplicate delivery.
   bool fault_service_pending_ = false;
   /// Status of the run's latest failure: a retried transfer that gave
   /// up, an exhausted budget, or whatever the run aborted with.
@@ -546,7 +534,7 @@ class Vim {
   std::function<void()> on_complete_;
   std::function<void(Status)> on_abort_;
   std::function<bool()> preempt_check_;
-  std::function<void(Picoseconds)> on_preempt_;
+  std::function<void()> on_preempt_;
   std::function<AddressSpace*(hw::Asid)> space_resolver_;
 };
 

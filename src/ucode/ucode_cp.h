@@ -23,6 +23,7 @@ class MicrocodedCoprocessor final : public hw::Coprocessor {
   explicit MicrocodedCoprocessor(Program program);
 
   std::string_view name() const override { return "ucode"; }
+  u32 required_params() const override { return program_.num_params(); }
 
  protected:
   void OnStart() override;

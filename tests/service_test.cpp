@@ -2,13 +2,14 @@
 // split-ring index wrap-around, full-ring backpressure, descriptor
 // checksums, the deterministic token bucket, doorbell coalescing,
 // completion-interrupt suppression (bit-identical delivery on vs off),
-// admission deferral, quarantined-tenant doorbells, and VcopdClient end
-// to end.
+// admission deferral, quarantined-tenant doorbells, all-or-none object
+// refs, a ring-descriptor fuzz, and VcopdClient end to end.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "base/fault.h"
+#include "base/rng.h"
 #include "base/units.h"
 #include "bench/common.h"
 #include "cp/registry.h"
@@ -175,136 +176,132 @@ TEST(TokenBucketTest, RefundRestoresAndCapacityCaps) {
 
 // ----- ring-backed client end to end -----
 
-TEST(VcopServiceTest, RingBackedSubmitAwaitMatchesExactOutput) {
-  FpgaSystem sys(TestConfig());
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "ringed", MakeJob(App::kVecAdd, 1024, 1));
-  ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
+/// A vecadd tenant (`bytes` per operand, `seed`) on the ring service of
+/// a fresh system, attached with the service's admission defaults
+/// unless `attach` is false, its ring client, and a spare buffer the
+/// size of its objects for ring refs to name.
+struct RingTenant {
+  RingTenant(u32 bytes, u64 seed, const KernelConfig& config = TestConfig(),
+             bool attach = true)
+      : sys(config),
+        job(StageTenant(sys, daemon, "ringed",
+                        MakeJob(App::kVecAdd, bytes, seed))),
+        spare(sys.Allocate<u8>(bytes).value().addr()) {
+    if (attach) VCOP_CHECK(service.AttachTenant(job.tenant).ok());
+  }
 
-  VcopdClient client(service, job.tenant);
+  /// The tenant's object table (its ASID is the first one, 1).
+  const ObjectTable& table() { return daemon.FindSpace(1)->objects(); }
+
+  FpgaSystem sys;
+  Vcopd daemon{sys.kernel()};
+  VcopService service{daemon};
+  StagedJob job;
+  mem::UserAddr spare;
+  VcopdClient client{service, job.tenant};
+};
+
+TEST(VcopServiceTest, RingBackedSubmitAwaitMatchesExactOutput) {
+  RingTenant t(1024, 1);
   const u64 cookie =
-      client.SubmitRinged(cp::VecAddBitstream(), {256u}).value();
-  const Result<CompletionDescriptor> done = client.Await(cookie);
+      t.client.SubmitRinged(cp::VecAddBitstream(), {256u}).value();
+  const Result<CompletionDescriptor> done = t.client.Await(cookie);
   ASSERT_TRUE(done.ok()) << done.status().ToString();
   EXPECT_EQ(done.value().cookie, cookie);
   EXPECT_EQ(done.value().code, static_cast<u32>(ErrorCode::kOk));
   EXPECT_GT(done.value().finished_at, done.value().started_at);
-  EXPECT_TRUE(job.Exact());
-  EXPECT_EQ(service.stats().drained_jobs, 1u);
-  EXPECT_EQ(service.stats().completions_pushed, 1u);
-  EXPECT_EQ(daemon.stats().completed, 1u);
+  EXPECT_TRUE(t.job.Exact());
+  EXPECT_EQ(t.service.stats().drained_jobs, 1u);
+  EXPECT_EQ(t.service.stats().completions_pushed, 1u);
+  EXPECT_EQ(t.daemon.stats().completed, 1u);
 }
 
 TEST(VcopServiceTest, ApiContractOnUnattachedAndDoubleAttach) {
-  FpgaSystem sys(TestConfig());
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "contract", MakeJob(App::kVecAdd, 256, 2));
+  RingTenant t(256, 2, TestConfig(), /*attach=*/false);
+  VcopService& service = t.service;
+  const TenantId tenant = t.job.tenant;
 
   RingDescriptor d;
   d.cookie = 1;
-  EXPECT_EQ(service.Publish(job.tenant, d).code(), ErrorCode::kNotFound);
-  EXPECT_EQ(service.Kick(job.tenant).code(), ErrorCode::kNotFound);
-  EXPECT_EQ(service.Reap(job.tenant).status().code(), ErrorCode::kNotFound);
-  EXPECT_EQ(service.submission_stats(job.tenant), nullptr);
+  EXPECT_EQ(service.Publish(tenant, d).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(service.Kick(tenant).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(service.Reap(tenant).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(service.submission_stats(tenant), nullptr);
 
-  ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
-  EXPECT_EQ(service.AttachTenant(job.tenant).code(),
+  ASSERT_TRUE(service.AttachTenant(tenant).ok());
+  EXPECT_EQ(service.AttachTenant(tenant).code(),
             ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(service.Reap(job.tenant).status().code(),
+  EXPECT_EQ(service.Reap(tenant).status().code(),
             ErrorCode::kFailedPrecondition);  // attached, nothing pending
 }
 
 TEST(VcopServiceTest, FullSubmissionRingBackpressuresAtTheEdge) {
   KernelConfig config = TestConfig();
   config.service.ring_entries = 2;
-  FpgaSystem sys(config);
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "edge", MakeJob(App::kVecAdd, 256, 3));
-  ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
-
-  VcopdClient client(service, job.tenant);
-  ASSERT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
+  RingTenant t(256, 3, config);
+  ASSERT_TRUE(t.client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
   // The first kick's drain is still kDoorbellLatency in the
   // simulated future, so both slots stay occupied right now...
-  ASSERT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
+  ASSERT_TRUE(t.client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
   const Result<u64> third =
-      client.SubmitRinged(cp::VecAddBitstream(), {64u});
+      t.client.SubmitRinged(cp::VecAddBitstream(), {64u});
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), ErrorCode::kResourceExhausted);
-  EXPECT_EQ(service.submission_stats(job.tenant)->full_rejections, 1u);
+  EXPECT_EQ(t.service.submission_stats(t.job.tenant)->full_rejections, 1u);
 
   // ...and a drained ring admits again.
-  ASSERT_TRUE(service.RunUntilQuiescent().ok());
-  EXPECT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
-  ASSERT_TRUE(service.RunUntilQuiescent().ok());
-  EXPECT_EQ(daemon.stats().completed, 3u);
-  EXPECT_TRUE(job.Exact());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  EXPECT_TRUE(t.client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  EXPECT_EQ(t.daemon.stats().completed, 3u);
+  EXPECT_TRUE(t.job.Exact());
 }
 
 TEST(VcopServiceTest, DuplicateDoorbellKicksCoalesceAndRunJobsOnce) {
-  FpgaSystem sys(TestConfig());
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "kicks", MakeJob(App::kVecAdd, 512, 4));
-  ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
-
-  const u32 design = service.RegisterDesign(cp::VecAddBitstream());
+  RingTenant t(512, 4);
+  const u32 design = t.service.RegisterDesign(cp::VecAddBitstream());
   for (u64 cookie = 1; cookie <= 3; ++cookie) {
     RingDescriptor d;
     d.cookie = cookie;
     d.design = design;
     d.nparams = 1;
     d.params[0] = 128;
-    ASSERT_TRUE(service.Publish(job.tenant, d).ok());
+    ASSERT_TRUE(t.service.Publish(t.job.tenant, d).ok());
   }
   // One doorbell schedules the drain; the next four are coalesced into
   // it — idempotent, no duplicate drains, no duplicate jobs.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(service.Kick(job.tenant).ok());
+    ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());
   }
-  EXPECT_EQ(service.stats().doorbell_kicks, 5u);
-  EXPECT_EQ(service.stats().doorbells_coalesced, 4u);
+  EXPECT_EQ(t.service.stats().doorbell_kicks, 5u);
+  EXPECT_EQ(t.service.stats().doorbells_coalesced, 4u);
 
-  ASSERT_TRUE(service.RunUntilQuiescent().ok());
-  EXPECT_EQ(service.stats().drains, 1u);  // one batch drained all three
-  EXPECT_EQ(service.stats().drained_jobs, 3u);
-  EXPECT_EQ(service.stats().max_batch, 3u);
-  EXPECT_EQ(daemon.stats().submitted, 3u);
-  EXPECT_EQ(daemon.stats().completed, 3u);
-  EXPECT_TRUE(job.Exact());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  EXPECT_EQ(t.service.stats().drains, 1u);  // one batch drained all three
+  EXPECT_EQ(t.service.stats().drained_jobs, 3u);
+  EXPECT_EQ(t.service.stats().max_batch, 3u);
+  EXPECT_EQ(t.daemon.stats().submitted, 3u);
+  EXPECT_EQ(t.daemon.stats().completed, 3u);
+  EXPECT_TRUE(t.job.Exact());
 }
 
 TEST(VcopServiceTest, EmptyTokenBucketDefersDrainUntilAccrual) {
-  FpgaSystem sys(TestConfig());
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "metered", MakeJob(App::kVecAdd, 256, 5));
+  RingTenant t(256, 5, TestConfig(), /*attach=*/false);
   // 4 jobs/simulated-second, burst 1: the second and third descriptors
   // must wait out the bucket, not the fabric.
-  ASSERT_TRUE(service.AttachTenant(job.tenant, /*admit_rate=*/4,
-                                   /*admit_burst=*/1).ok());
-
-  VcopdClient client(service, job.tenant);
+  ASSERT_TRUE(t.service.AttachTenant(t.job.tenant, /*admit_rate=*/4,
+                                     /*admit_burst=*/1).ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
+    ASSERT_TRUE(t.client.SubmitRinged(cp::VecAddBitstream(), {64u}).ok());
   }
-  ASSERT_TRUE(service.RunUntilQuiescent().ok());
-  EXPECT_EQ(daemon.stats().completed, 3u);
-  EXPECT_GE(service.stats().admission_deferrals, 2u);
-  EXPECT_TRUE(job.Exact());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  EXPECT_EQ(t.daemon.stats().completed, 3u);
+  EXPECT_GE(t.service.stats().admission_deferrals, 2u);
+  EXPECT_TRUE(t.job.Exact());
   // The admission spacing is visible in the completions: ~250 ms apart.
-  VcopdClient reaper(service, job.tenant);
   std::vector<Picoseconds> submitted;
-  while (service.HasCompletions(job.tenant)) {
-    submitted.push_back(service.Reap(job.tenant).value().submitted_at);
+  while (t.service.HasCompletions(t.job.tenant)) {
+    submitted.push_back(t.service.Reap(t.job.tenant).value().submitted_at);
   }
   ASSERT_EQ(submitted.size(), 3u);
   EXPECT_GE(submitted[1] - submitted[0], kPicosecondsPerSecond / 4);
@@ -324,30 +321,24 @@ struct SuppressionRun {
 /// off. The submission schedule is the same either way, so delivery
 /// must be bit-identical — suppression elides wake-ups, not content.
 SuppressionRun RunSuppression(bool suppressed) {
-  FpgaSystem sys(TestConfig());
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "supp", MakeJob(App::kVecAdd, 512, 6));
-  VCOP_CHECK(service.AttachTenant(job.tenant).ok());
-
+  RingTenant t(512, 6);
+  const TenantId tenant = t.job.tenant;
   SuppressionRun run;
-  service.SetCompletionNotifier(job.tenant, [&run] { ++run.notifies; });
-  if (suppressed) service.SetInterruptSuppression(job.tenant, true);
+  t.service.SetCompletionNotifier(tenant, [&run] { ++run.notifies; });
+  if (suppressed) t.service.SetInterruptSuppression(tenant, true);
 
-  VcopdClient client(service, job.tenant);
   for (int i = 0; i < 3; ++i) {
-    VCOP_CHECK(client.SubmitRinged(cp::VecAddBitstream(), {128u}).ok());
+    VCOP_CHECK(t.client.SubmitRinged(cp::VecAddBitstream(), {128u}).ok());
   }
-  VCOP_CHECK(service.RunUntilQuiescent().ok());
+  VCOP_CHECK(t.service.RunUntilQuiescent().ok());
   if (suppressed) {
-    run.recheck = service.SetInterruptSuppression(job.tenant, false);
+    run.recheck = t.service.SetInterruptSuppression(tenant, false);
   }
-  while (service.HasCompletions(job.tenant)) {
-    run.completions.push_back(service.Reap(job.tenant).value());
+  while (t.service.HasCompletions(tenant)) {
+    run.completions.push_back(t.service.Reap(tenant).value());
   }
-  VCOP_CHECK(job.Exact());
-  run.stats = service.stats();
+  VCOP_CHECK(t.job.Exact());
+  run.stats = t.service.stats();
   return run;
 }
 
@@ -385,34 +376,127 @@ TEST(VcopServiceTest, SuppressionElidesWakeupsButDeliveryIsBitIdentical) {
 /// from then on the service ignores its doorbells outright — published
 /// descriptors strand in the ring and never reach the daemon.
 TEST(VcopServiceTest, QuarantinedTenantDoorbellsAreIgnored) {
-  FpgaSystem sys(TestConfig());
-  Vcopd daemon(sys.kernel());
-  VcopService service(daemon);
-  StagedJob job =
-      StageTenant(sys, daemon, "wedger", MakeJob(App::kVecAdd, 1024, 7));
-  ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
-
+  RingTenant t(1024, 7);
   FaultPlan plan;
   plan.At(FaultSite::kCpHang, 1);  // wedge the first datapath access
-  sys.kernel().InstallFaultPlan(&plan);
+  t.sys.kernel().InstallFaultPlan(&plan);
 
-  VcopdClient client(service, job.tenant);
   const u64 cookie =
-      client.SubmitRinged(cp::VecAddBitstream(), {256u}).value();
-  const Result<CompletionDescriptor> done = client.Await(cookie);
+      t.client.SubmitRinged(cp::VecAddBitstream(), {256u}).value();
+  const Result<CompletionDescriptor> done = t.client.Await(cookie);
   ASSERT_TRUE(done.ok()) << done.status().ToString();
   EXPECT_EQ(done.value().code, static_cast<u32>(ErrorCode::kUnavailable));
-  EXPECT_EQ(daemon.stats().quarantined, 1u);
+  EXPECT_EQ(t.daemon.stats().quarantined, 1u);
 
   // The publish still lands in shared memory, but the doorbell is dead.
-  ASSERT_TRUE(client.SubmitRinged(cp::VecAddBitstream(), {256u}).ok());
-  ASSERT_TRUE(service.Kick(job.tenant).ok());  // and again, directly
-  EXPECT_EQ(service.stats().doorbells_ignored, 2u);
+  ASSERT_TRUE(t.client.SubmitRinged(cp::VecAddBitstream(), {256u}).ok());
+  ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());  // and again, directly
+  EXPECT_EQ(t.service.stats().doorbells_ignored, 2u);
 
-  ASSERT_TRUE(service.RunUntilQuiescent().ok());
-  EXPECT_EQ(daemon.stats().submitted, 1u);  // the stranded job never ran
-  EXPECT_EQ(service.submission_stats(job.tenant)->consumed, 1u);
-  sys.kernel().InstallFaultPlan(nullptr);
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  EXPECT_EQ(t.daemon.stats().submitted, 1u);  // the stranded job never ran
+  EXPECT_EQ(t.service.submission_stats(t.job.tenant)->consumed, 1u);
+  t.sys.kernel().InstallFaultPlan(nullptr);
+}
+
+// ----- object refs -----
+
+/// A vecadd descriptor whose refs point `objects` at the spare buffer
+/// is rejected with `code` and re-points none of them: object 0 keeps
+/// its address and the tenant's table its version.
+void ExpectRefsRejected(std::initializer_list<u32> objects, ErrorCode code) {
+  RingTenant t(1024, 8);
+  const mem::UserAddr before = t.table().Find(0)->user_addr;
+  const u64 version = t.table().version();
+  RingDescriptor d;
+  d.design = t.service.RegisterDesign(cp::VecAddBitstream());
+  d.nparams = 1;
+  d.params[0] = 256;
+  for (const u32 object : objects) {
+    d.object_refs[d.nrefs++] = u64{object} << 32 | t.spare;
+  }
+  ASSERT_TRUE(t.service.Publish(t.job.tenant, d).ok());
+  ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  EXPECT_EQ(t.service.Reap(t.job.tenant).value().code,
+            static_cast<u32>(code));
+  EXPECT_EQ(t.table().Find(0)->user_addr, before);
+  EXPECT_EQ(t.table().version(), version);
+}
+
+TEST(VcopServiceTest, RefPastTheObjectTableIsRejected) {
+  // No object 0x100 exists; cut to its low 8 bits it would name 0.
+  ExpectRefsRejected({0x100}, ErrorCode::kInvalidArgument);
+}
+
+TEST(VcopServiceTest, BadRefLeavesTheValidRefsBeforeItUnapplied) {
+  // Object 0 is mapped, object 9 is not.
+  ExpectRefsRejected({0, 9}, ErrorCode::kNotFound);
+}
+
+// ----- ring-descriptor fuzz -----
+
+/// Ring descriptors are untrusted input. 1000 seeded ones, with random
+/// design ids, parameter and ref counts, parameters and refs (object
+/// fields past the table, addresses outside user memory), a tenth of
+/// them damaged in the ring after sealing: each gets exactly one
+/// completion, OK or a clean error, the service reaches quiescence
+/// every time, and a rejected descriptor leaves the table untouched.
+TEST(RingFuzzTest, RandomDescriptorsCompleteCleanly) {
+  FaultPlan plan;
+  plan.WithProbability(FaultSite::kDescriptorCorrupt, 0.1);
+  RingTenant t(1024, 8);
+  t.sys.kernel().InstallFaultPlan(&plan);
+  const u32 design = t.service.RegisterDesign(cp::VecAddBitstream());
+  Rng rng(bench::kWorkloadSeed);
+  u32 completed = 0, failed = 0, rejected = 0;
+  for (u64 cookie = 1; cookie <= 1000; ++cookie) {
+    SCOPED_TRACE(StrFormat("descriptor %u", static_cast<u32>(cookie)));
+    RingDescriptor d;
+    d.cookie = cookie;
+    d.design = rng.NextBool(0.8) ? design : static_cast<u32>(rng.Next());
+    d.nparams = static_cast<u32>(rng.NextBelow(kRingMaxParams + 2));
+    for (u32& param : d.params) {
+      param = static_cast<u32>(rng.NextBool() ? rng.NextBelow(300)
+                                              : rng.Next());
+    }
+    d.nrefs = static_cast<u32>(rng.NextBelow(kRingMaxObjectRefs + 2));
+    for (u64& ref : d.object_refs) {
+      // Mostly one of vecadd's objects (0-2) at the spare buffer, else
+      // an unmapped id, an id past the table or any 32-bit address.
+      const u64 object = rng.NextBool(0.85) ? rng.NextBelow(3)
+                         : rng.NextBool()   ? rng.NextBelow(hw::kMaxObjects)
+                                            : rng.Next() >> 32;
+      ref = object << 32 | (rng.NextBool(0.85) ? t.spare : rng.Next() >> 32);
+    }
+    const u64 version = t.table().version();
+    const u64 rejections = t.service.stats().descriptors_rejected;
+    ASSERT_TRUE(t.service.Publish(t.job.tenant, d).ok());
+    ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());
+    ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+    const Result<CompletionDescriptor> done = t.service.Reap(t.job.tenant);
+    ASSERT_TRUE(done.ok() && done.value().cookie == cookie);
+    ASSERT_FALSE(t.service.HasCompletions(t.job.tenant));
+    const ErrorCode code = static_cast<ErrorCode>(done.value().code);
+    EXPECT_TRUE(code == ErrorCode::kOk ||
+                code == ErrorCode::kInvalidArgument ||
+                code == ErrorCode::kNotFound ||
+                code == ErrorCode::kOutOfRange)
+        << static_cast<u32>(code);
+    if (t.service.stats().descriptors_rejected != rejections) {
+      ++rejected;
+      EXPECT_EQ(t.table().version(), version);
+    } else {
+      ++(code == ErrorCode::kOk ? completed : failed);
+    }
+  }
+  // Every path was taken: jobs that completed, jobs the VIM failed, and
+  // descriptors rejected in the ring.
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(t.daemon.stats().quarantined, 0u);
+  t.sys.kernel().InstallFaultPlan(nullptr);
 }
 
 }  // namespace

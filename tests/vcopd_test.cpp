@@ -3,14 +3,15 @@
 // at the fault boundary, TLB snapshot entries re-installed after the
 // other tenant evicted them from a TLB smaller than the frame pool, a
 // conv job resuming mid-row on its register window),
-// ASID allocation/wrap, tenant teardown, the tagged-vs-untagged TLB
-// switch policies, IO-TLB shootdowns at switches and repoints, a lone
-// tenant paging like FPGA_EXECUTE (every transfer mode, prefetch,
-// per-object page sizes), the FIFO policy's batching by bit-stream,
-// and jobs reusing designs from the kernel's pool.
+// ASID allocation/wrap, tenant teardown, a switch keeping the
+// switched-out tenant's working set, IO-TLB shootdowns at switches and
+// repoints, a lone tenant paging like FPGA_EXECUTE (every transfer mode,
+// prefetch, per-object page sizes), the FIFO policy's batching by
+// bit-stream, and jobs reusing designs from the kernel's pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -138,7 +139,10 @@ TEST(VcopdTest, BoundedQueueRejectsWithBackpressure) {
 
 struct PreemptionRun {
   u64 preemptions = 0;
+  Picoseconds makespan = 0;
   VimServiceStats service;
+  /// Each job's own accounting, in submission order.
+  std::vector<VimAccounting> jobs;
   bool correct = false;
   /// The IO-TLB's most live entries after any slice.
   u32 max_live_iotlb_entries = 0;
@@ -150,21 +154,22 @@ struct PreemptionRun {
 };
 
 /// Two tenants, one job each, with a time slice far below their
-/// runtime: every fault boundary past 50 us preempts.
+/// runtime: every fault boundary past 50 us preempts. `plan`, if given,
+/// is installed once both are staged.
 PreemptionRun RunContendedPair(const KernelConfig& kernel_config,
-                               bool asid_tagging, const bench::Job& a,
-                               const bench::Job& b) {
+                               const bench::Job& a, const bench::Job& b,
+                               FaultPlan* plan = nullptr) {
   FpgaSystem sys(kernel_config);
   VcopdConfig config;
   config.policy = ServicePolicy::kFairShare;
   config.time_slice = 50ull * 1000 * 1000;  // 50 us: well below runtime
   config.quantum = 100ull * 1000 * 1000;
-  config.asid_tagging = asid_tagging;
   Vcopd daemon(sys.kernel(), config);
   sys.kernel().vim().ResetServiceStats();
 
   StagedJob first = StageTenant(sys, daemon, "alpha", a);
   StagedJob second = StageTenant(sys, daemon, "beta", b);
+  if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
   const Ticket t1 = first.Submit(daemon).value();
   const Ticket t2 = second.Submit(daemon).value();
   PreemptionRun run;
@@ -176,10 +181,12 @@ PreemptionRun RunContendedPair(const KernelConfig& kernel_config,
   }
 
   run.preemptions = daemon.stats().preemptions;
+  run.makespan = daemon.BuildScheduleReport().makespan;
   run.service = sys.kernel().vim().service_stats();
   run.iommu = io.stats();
   run.pinned_pages_left = sys.kernel().user_memory().pinned_pages();
   run.frames_in_use = sys.kernel().vim().page_manager().InUseFrames().size();
+  run.jobs = {daemon.Poll(t1)->report.vim, daemon.Poll(t2)->report.vim};
   run.correct = daemon.Poll(t1)->status.ok() &&
                 daemon.Poll(t2)->status.ok() &&
                 first.Exact() && second.Exact();
@@ -194,12 +201,12 @@ PreemptionRun RunContendedPair(const KernelConfig& kernel_config,
 /// snapshot; at 8 entries an entry only ever leaves together with its
 /// frame.
 PreemptionRun RunContendedAdpcm(
-    bool asid_tagging, u32 tlb_entries = 8,
+    u32 tlb_entries = 8,
     mem::CopyMode copy_mode = mem::CopyMode::kDoubleCopy) {
   KernelConfig kernel_config = TestConfig();
   kernel_config.tlb_entries = tlb_entries;
   kernel_config.vim.copy_mode = copy_mode;
-  return RunContendedPair(kernel_config, asid_tagging,
+  return RunContendedPair(kernel_config,
                           MakeJob(App::kAdpcm, 12 * 1024, 1),
                           MakeJob(App::kAdpcm, 12 * 1024, 2));
 }
@@ -207,18 +214,17 @@ PreemptionRun RunContendedAdpcm(
 /// Two conv2d 1024x12 tenants under `prefetch`: the background units of
 /// one fault service are still queued when the next fault preempts its
 /// tenant.
-PreemptionRun RunContendedConv(PrefetchKind prefetch, u32 depth,
-                               bool asid_tagging) {
+PreemptionRun RunContendedConv(PrefetchKind prefetch, u32 depth) {
   KernelConfig kernel_config = TestConfig();
   kernel_config.vim.prefetch = prefetch;
   kernel_config.vim.prefetch_depth = depth;
-  return RunContendedPair(kernel_config, asid_tagging,
+  return RunContendedPair(kernel_config,
                           MakeJob(App::kConv, 12 * 1024, 1, 1024),
                           MakeJob(App::kConv, 12 * 1024, 2, 1024));
 }
 
 TEST(VcopdTest, PreemptionWithDirtyPagesKeepsResultsExact) {
-  const PreemptionRun run = RunContendedAdpcm(/*asid_tagging=*/true);
+  const PreemptionRun run = RunContendedAdpcm();
   EXPECT_TRUE(run.correct);
   EXPECT_GT(run.preemptions, 0u);
   EXPECT_GT(run.service.context_saves, 0u);
@@ -232,55 +238,62 @@ TEST(VcopdTest, PreemptedConvResumesWithItsWindowIntact) {
   // The conv core holds six window pixels across accesses. On 4096x6
   // images each row spans two pages, so faults (the preemption points)
   // fall mid-row and a switched-out job resumes on its saved window.
-  FpgaSystem sys(TestConfig());
-  VcopdConfig config;
-  config.policy = ServicePolicy::kFairShare;
-  config.time_slice = 50ull * 1000 * 1000;  // 50 us: well below runtime
-  config.quantum = 100ull * 1000 * 1000;
-  Vcopd daemon(sys.kernel(), config);
-
-  StagedJob first =
-      StageTenant(sys, daemon, "alpha", MakeJob(App::kConv, 4096 * 6, 1, 4096));
-  StagedJob second =
-      StageTenant(sys, daemon, "beta", MakeJob(App::kConv, 4096 * 6, 2, 4096));
-  const Ticket t1 = first.Submit(daemon).value();
-  const Ticket t2 = second.Submit(daemon).value();
-  ASSERT_TRUE(daemon.RunUntilIdle().ok());
-
-  EXPECT_GT(daemon.stats().preemptions, 0u);
-  EXPECT_TRUE(daemon.Poll(t1)->status.ok());
-  EXPECT_TRUE(daemon.Poll(t2)->status.ok());
-  EXPECT_TRUE(first.Exact());
-  EXPECT_TRUE(second.Exact());
+  const PreemptionRun run =
+      RunContendedPair(TestConfig(), MakeJob(App::kConv, 4096 * 6, 1, 4096),
+                       MakeJob(App::kConv, 4096 * 6, 2, 4096));
+  EXPECT_GT(run.preemptions, 0u);
+  EXPECT_TRUE(run.correct);
 }
 
 TEST(VcopdTest, TaggedTlbAvoidsFullFlushesAndRestoresEntries) {
-  const PreemptionRun tagged = RunContendedAdpcm(/*asid_tagging=*/true);
-  ASSERT_TRUE(tagged.correct);
-  EXPECT_GT(tagged.service.tlb_flushes_avoided, 0u);
-  EXPECT_EQ(tagged.service.full_tlb_flushes, 0u);
+  // A switch flushes nothing: with eight entries over eight frames no
+  // job refills a translation, and each pages about as much as the same
+  // job alone (30 hard faults here; a switch that evicted the
+  // switched-out tenant's working set took 54 per job).
+  const u64 alone =
+      bench::RunFresh(TestConfig(), MakeJob(App::kAdpcm, 12 * 1024, 1))
+          .report.vim.faults;
+  const PreemptionRun contended = RunContendedAdpcm();
+  ASSERT_TRUE(contended.correct);
+  EXPECT_GT(contended.preemptions, 0u);
+  for (const VimAccounting& job : contended.jobs) {
+    EXPECT_EQ(job.tlb_refills, 0u);
+    EXPECT_LT(2 * job.faults, 3 * alone) << job.faults << " vs " << alone;
+  }
   // Four entries over eight frames: the other tenant evicts entries of
   // pages that stay resident, and every switch back re-installs some.
-  const PreemptionRun small =
-      RunContendedAdpcm(/*asid_tagging=*/true, /*tlb_entries=*/4);
+  const PreemptionRun small = RunContendedAdpcm(/*tlb_entries=*/4);
   ASSERT_TRUE(small.correct);
-  EXPECT_EQ(small.service.full_tlb_flushes, 0u);
   EXPECT_GT(small.service.tlb_entries_restored, 0u);
 }
 
-TEST(VcopdTest, UntaggedBaselineFlushesOnEverySwitch) {
-  const PreemptionRun untagged = RunContendedAdpcm(/*asid_tagging=*/false);
-  ASSERT_TRUE(untagged.correct);  // policy changes timing, never bytes
-  EXPECT_GT(untagged.service.full_tlb_flushes, 0u);
-  EXPECT_EQ(untagged.service.tlb_flushes_avoided, 0u);
-  EXPECT_EQ(untagged.service.tlb_entries_restored, 0u);
+TEST(VcopdTest, ArmedFaultPlanDoesNotStretchPreemptions) {
+  // A plan arms the VIM watchdog. The stale tick a preempted run leaves
+  // queued (up to 1 ms out) must not hold the fabric idle, and a second
+  // edge of the preempting fault is a duplicate, not a second save:
+  // under a plan that never fires, or one that doubles every interrupt
+  // edge, the pair finishes when it does with no plan.
+  const bench::Job a = MakeJob(App::kAdpcm, 12 * 1024, 1);
+  const bench::Job b = MakeJob(App::kAdpcm, 12 * 1024, 2);
+  const PreemptionRun plain = RunContendedPair(TestConfig(), a, b);
+  FaultPlan never, doubled;
+  never.At(FaultSite::kAhbError, ~0ull);
+  doubled.WithProbability(FaultSite::kIrqDuplicate, 1.0);
+  for (FaultPlan* plan : {&never, &doubled}) {
+    const PreemptionRun armed = RunContendedPair(TestConfig(), a, b, plan);
+    EXPECT_TRUE(armed.correct);
+    EXPECT_GT(armed.preemptions, 0u);
+    EXPECT_EQ(armed.preemptions, plain.preemptions);
+    EXPECT_EQ(armed.service.context_saves, plain.service.context_saves);
+    EXPECT_EQ(armed.makespan, plain.makespan);
+  }
 }
 
 TEST(VcopdTest, ContendedTenantsUnderTheIommuHoldNoTranslationsBetweenSlices) {
   // Every switch-out shoots the tenant's IO-TLB entries down, so no
   // slice starts with another tenant's DMA translations live.
-  const PreemptionRun run = RunContendedAdpcm(
-      /*asid_tagging=*/true, /*tlb_entries=*/8, mem::CopyMode::kIommu);
+  const PreemptionRun run =
+      RunContendedAdpcm(/*tlb_entries=*/8, mem::CopyMode::kIommu);
   EXPECT_TRUE(run.correct);
   EXPECT_GT(run.preemptions, 0u);
   EXPECT_EQ(run.max_live_iotlb_entries, 0u);
@@ -314,7 +327,9 @@ TEST(VcopdTest, RepointShootsDownTheTenantsTranslations) {
 
   const mem::UserAddr moved =
       sys.Allocate<u8>(static_cast<u32>(in.bytes.size())).value().addr();
-  ASSERT_TRUE(daemon.RepointObject(staged.tenant, in.id, moved).ok());
+  ASSERT_TRUE(
+      daemon.RepointObjects(staged.tenant, std::array{ObjectRef{in.id, moved}})
+          .ok());
   EXPECT_EQ(engine.iommu().live_entries_of(1), 0u);
 }
 
@@ -345,11 +360,9 @@ TEST(VcopdTest, OverlappedPrefetchFramesBelongToTheTenant) {
 
 TEST(VcopdTest, BackgroundWorkLeavesTheFabricWithItsTenant) {
   // A unit that outlived its tenant's context save would land under the
-  // next tenant's ASID (tagged: both jobs OK, wrong bytes) or on a frame
-  // the untagged save already freed (an abort in PageManager::Unpin).
+  // next tenant's ASID: both jobs OK, wrong bytes.
   const u64 demand_paged =
-      RunContendedConv(PrefetchKind::kNone, 1, /*asid_tagging=*/true)
-          .preemptions;
+      RunContendedConv(PrefetchKind::kNone, 1).preemptions;
   struct Case {
     PrefetchKind prefetch;
     u32 depth;
@@ -357,19 +370,14 @@ TEST(VcopdTest, BackgroundWorkLeavesTheFabricWithItsTenant) {
   for (const Case c : {Case{PrefetchKind::kSequential, 1},
                        Case{PrefetchKind::kSequential, 2},
                        Case{PrefetchKind::kAdaptive, 2}}) {
-    for (const bool tagging : {true, false}) {
-      SCOPED_TRACE(StrFormat("%s depth %u, tagging %s",
-                             std::string(ToString(c.prefetch)).c_str(),
-                             c.depth, tagging ? "on" : "off"));
-      const PreemptionRun run =
-          RunContendedConv(c.prefetch, c.depth, tagging);
-      EXPECT_TRUE(run.correct);
-      EXPECT_EQ(run.frames_in_use, 0u);
-      // Background work does not turn preemption into a storm.
-      if (tagging) {
-        EXPECT_LE(run.preemptions, 2 * demand_paged);
-      }
-    }
+    SCOPED_TRACE(StrFormat("%s depth %u",
+                           std::string(ToString(c.prefetch)).c_str(),
+                           c.depth));
+    const PreemptionRun run = RunContendedConv(c.prefetch, c.depth);
+    EXPECT_TRUE(run.correct);
+    EXPECT_EQ(run.frames_in_use, 0u);
+    // Background work does not turn preemption into a storm.
+    EXPECT_LE(run.preemptions, 2 * demand_paged);
   }
 }
 
