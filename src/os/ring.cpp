@@ -26,6 +26,12 @@ u32 CheckRingEntries(u32 entries) {
   return entries;
 }
 
+/// Counts a publish. virtio's free-running u16 producer index is the
+/// publish count mod 65536, so it wraps at every 65536th.
+void CountPublish(RingStats& stats) {
+  if (++stats.published % 65536 == 0) ++stats.index_wraps;
+}
+
 }  // namespace
 
 u32 RingDescriptor::ComputeChecksum() const {
@@ -46,63 +52,61 @@ u32 RingDescriptor::ComputeChecksum() const {
 }
 
 SubmissionRing::SubmissionRing(u32 entries)
-    : indices_(CheckRingEntries(entries)), slots_(entries) {}
+    : entries_(CheckRingEntries(entries)) {}
 
 Status SubmissionRing::Publish(RingDescriptor descriptor) {
-  if (indices_.full()) {
+  if (slots_.size() == entries_) {
     ++stats_.full_rejections;
     return ResourceExhaustedError(
         StrFormat("submission ring full (%u entries) — back off and "
                   "resubmit",
-                  indices_.entries()));
+                  entries_));
   }
   descriptor.Seal();
-  slots_[indices_.producer_slot()] = descriptor;
-  if (indices_.AdvanceProducer()) ++stats_.index_wraps;
-  ++stats_.published;
+  slots_.push_back(descriptor);
+  CountPublish(stats_);
   return Status::Ok();
 }
 
 RingDescriptor& SubmissionRing::Head() {
-  VCOP_CHECK_MSG(!indices_.empty(), "Head() on an empty submission ring");
-  return slots_[indices_.consumer_slot()];
+  VCOP_CHECK_MSG(!slots_.empty(), "Head() on an empty submission ring");
+  return slots_.front();
 }
 
 RingDescriptor SubmissionRing::Consume() {
   RingDescriptor descriptor = Head();
-  indices_.AdvanceConsumer();
+  slots_.pop_front();
   ++stats_.consumed;
   return descriptor;
 }
 
 CompletionRing::CompletionRing(u32 entries)
-    : indices_(CheckRingEntries(entries)), slots_(entries) {}
+    : entries_(CheckRingEntries(entries)) {}
 
 Status CompletionRing::Push(const CompletionDescriptor& completion) {
-  if (indices_.full()) {
+  if (slots_.size() == entries_) {
     ++stats_.full_rejections;
     return ResourceExhaustedError(
         StrFormat("completion ring full (%u entries) — tenant stopped "
                   "reaping",
-                  indices_.entries()));
+                  entries_));
   }
-  slots_[indices_.producer_slot()] = completion;
-  if (indices_.AdvanceProducer()) ++stats_.index_wraps;
-  ++stats_.published;
+  slots_.push_back(completion);
+  CountPublish(stats_);
   return Status::Ok();
 }
 
 CompletionDescriptor CompletionRing::Reap() {
-  VCOP_CHECK_MSG(!indices_.empty(), "Reap() on an empty completion ring");
-  CompletionDescriptor completion = slots_[indices_.consumer_slot()];
-  indices_.AdvanceConsumer();
+  VCOP_CHECK_MSG(!slots_.empty(), "Reap() on an empty completion ring");
+  CompletionDescriptor completion = slots_.front();
+  slots_.pop_front();
   ++stats_.consumed;
   return completion;
 }
 
 bool CompletionRing::SetSuppressed(bool suppressed) {
   suppressed_ = suppressed;
-  return !suppressed && !indices_.empty();
+  return !suppressed && !slots_.empty();
 }
 
 }  // namespace vcop::os

@@ -20,10 +20,13 @@
 //     completions to requests. An object ref is (object id << 32 |
 //     user virtual address): the service re-points the tenant's mapped
 //     object there before the job runs, all refs or none.
-//   * Indices are free-running u16s, masked by the (power-of-two) ring
-//     size on access — exactly virtio's avail/used scheme, so
-//     wrap-around at the 65536 boundary is part of normal operation
-//     and is exercised by tests/service_test.
+//   * A ring's size is virtio's: a power of two that bounds how many
+//     descriptors it holds, and a full ring refuses the next one. The
+//     storage holds only the descriptors in flight, oldest first, so
+//     it never exceeds that bound, and an idle ring stores none. The
+//     producer index is virtio's free-running u16, so wrap-around at
+//     the 65536 boundary is part of normal operation
+//     (RingStats::index_wraps) and is exercised by tests/service_test.
 //   * A checksum seals each submission descriptor when it is published.
 //     The service validates it at drain time: a descriptor corrupted in
 //     shared memory (fault site kDescriptorCorrupt) is completed with a
@@ -35,7 +38,7 @@
 #pragma once
 
 #include <array>
-#include <vector>
+#include <deque>
 
 #include "base/status.h"
 #include "base/types.h"
@@ -93,46 +96,20 @@ struct RingStats {
   u64 index_wraps = 0;    // free-running index wrapped past 65535
 };
 
-namespace ring_internal {
-
-/// Free-running u16 producer/consumer indices over a power-of-two
-/// ring — virtio's avail/used index scheme.
-class SplitIndices {
- public:
-  explicit SplitIndices(u32 entries) : entries_(entries) {}
-
-  u32 entries() const { return entries_; }
-  u32 size() const { return static_cast<u16>(produced_ - consumed_); }
-  bool empty() const { return produced_ == consumed_; }
-  bool full() const { return size() == entries_; }
-  u32 producer_slot() const { return produced_ & (entries_ - 1); }
-  u32 consumer_slot() const { return consumed_ & (entries_ - 1); }
-  /// Advances the producer index; reports a u16 wrap for stats.
-  bool AdvanceProducer() { return ++produced_ == 0; }
-  void AdvanceConsumer() { ++consumed_; }
-
- private:
-  u32 entries_;
-  u16 produced_ = 0;
-  u16 consumed_ = 0;
-};
-
-}  // namespace ring_internal
-
 /// Tenant-side producer, service-side consumer.
 class SubmissionRing {
  public:
   /// `entries` must be a power of two in [2, 32768] (half the u16 index
-  /// space, so full/empty stay distinguishable).
+  /// space, so virtio's indices tell full from empty).
   explicit SubmissionRing(u32 entries);
 
   /// Publishes a descriptor (sealing it). Full ring: ResourceExhausted
   /// immediately — the edge backpressure signal; never blocks.
   Status Publish(RingDescriptor descriptor);
 
-  bool empty() const { return indices_.empty(); }
-  u32 size() const { return indices_.size(); }
-  u32 entries() const { return indices_.entries(); }
+  bool empty() const { return slots_.empty(); }
+  u32 size() const { return static_cast<u32>(slots_.size()); }
+  u32 entries() const { return entries_; }
 
   /// Consumer head, for in-place inspection (and fault injection).
   /// Pre: !empty().
@@ -143,8 +120,8 @@ class SubmissionRing {
   const RingStats& stats() const { return stats_; }
 
  private:
-  ring_internal::SplitIndices indices_;
-  std::vector<RingDescriptor> slots_;  // the simulated shared memory
+  u32 entries_;
+  std::deque<RingDescriptor> slots_;  // in flight, oldest first
   RingStats stats_;
 };
 
@@ -158,9 +135,9 @@ class CompletionRing {
   /// completion (it retries on the next reap).
   Status Push(const CompletionDescriptor& completion);
 
-  bool empty() const { return indices_.empty(); }
-  u32 size() const { return indices_.size(); }
-  u32 entries() const { return indices_.entries(); }
+  bool empty() const { return slots_.empty(); }
+  u32 size() const { return static_cast<u32>(slots_.size()); }
+  u32 entries() const { return entries_; }
 
   /// Consumes the oldest completion. Pre: !empty().
   CompletionDescriptor Reap();
@@ -177,8 +154,8 @@ class CompletionRing {
   const RingStats& stats() const { return stats_; }
 
  private:
-  ring_internal::SplitIndices indices_;
-  std::vector<CompletionDescriptor> slots_;
+  u32 entries_;
+  std::deque<CompletionDescriptor> slots_;  // in flight, oldest first
   RingStats stats_;
   bool suppressed_ = false;
 };

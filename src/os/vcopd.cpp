@@ -162,48 +162,41 @@ Result<Ticket> Vcopd::Submit(
         tenant, config_.queue_depth));
   }
 
+  JobResult& result = results_.emplace_back();
+  result.ticket = results_.size();
+  result.tenant = tenant;
+  result.pid = t->space->pid();
+  result.bitstream = bitstream.name;
+  result.submitted_at = kernel_.simulator().now();
   auto job = std::make_unique<Job>();
-  job->ticket = ++next_ticket_;
-  job->tenant = tenant;
+  job->result = &result;
   job->bitstream = bitstream;
   job->params.assign(params.begin(), params.end());
   job->on_complete = std::move(on_complete);
-  job->result.ticket = job->ticket;
-  job->result.tenant = tenant;
-  job->result.pid = t->space->pid();
-  job->result.bitstream = bitstream.name;
-  job->result.submitted_at = kernel_.simulator().now();
-  t->queue.push_back(job.get());
-  jobs_.push_back(std::move(job));
+  t->queue.push_back(std::move(job));
   ++stats_.submitted;
-  return jobs_.back()->ticket;
+  return result.ticket;
 }
 
 const JobResult* Vcopd::Poll(Ticket ticket) const {
-  const Job* job = FindJob(ticket);
-  if (job == nullptr) return nullptr;
-  if (job->state != VcopdJobState::kDone &&
-      job->state != VcopdJobState::kFailed) {
-    return nullptr;
-  }
-  return &job->result;
+  const JobResult* result = FindResult(ticket);
+  return result != nullptr && Finished(*result) ? result : nullptr;
 }
 
 Result<JobResult> Vcopd::Wait(Ticket ticket) {
-  Job* job = FindJob(ticket);
-  if (job == nullptr) {
+  const JobResult* result = FindResult(ticket);
+  if (result == nullptr) {
     return NotFoundError(StrFormat(
         "unknown ticket %llu", static_cast<unsigned long long>(ticket)));
   }
-  while (job->state != VcopdJobState::kDone &&
-         job->state != VcopdJobState::kFailed) {
+  while (!Finished(*result)) {
     Tenant* next = PickNext();
     VCOP_CHECK_MSG(next != nullptr,
                    "ticket pending but no tenant is runnable");
     const Status status = RunSlice(*next);
     if (!status.ok()) return status;
   }
-  return job->result;
+  return *result;
 }
 
 bool Vcopd::HasWork() const {
@@ -243,15 +236,12 @@ AddressSpace* Vcopd::FindSpace(hw::Asid asid) {
 
 ScheduleReport Vcopd::BuildScheduleReport() const {
   ScheduleReport report;
+  report.outcomes.reserve(results_.size());
   Picoseconds first_submit = 0;
   Picoseconds last_finish = 0;
   bool any = false;
-  for (const std::unique_ptr<Job>& job : jobs_) {
-    if (job->state != VcopdJobState::kDone &&
-        job->state != VcopdJobState::kFailed) {
-      continue;
-    }
-    const JobResult& r = job->result;
+  for (const JobResult& r : results_) {
+    if (!Finished(r)) continue;
     if (!any || r.submitted_at < first_submit) first_submit = r.submitted_at;
     last_finish = std::max(last_finish, r.finished_at);
     any = true;
@@ -267,13 +257,25 @@ Vcopd::Tenant* Vcopd::FindTenant(TenantId id) {
   return t->active ? t : nullptr;
 }
 
-Vcopd::Job* Vcopd::FindJob(Ticket ticket) const {
-  if (ticket == 0 || ticket > jobs_.size()) return nullptr;
-  return jobs_[ticket - 1].get();
+const JobResult* Vcopd::FindResult(Ticket ticket) const {
+  if (ticket == 0 || ticket > results_.size()) return nullptr;
+  return &results_[ticket - 1];
+}
+
+bool Vcopd::Finished(const JobResult& result) const {
+  // A tenant's jobs finish in ticket order: one at a time is in flight,
+  // and the rest wait in its queue in the order they were submitted.
+  const Job* oldest = OldestJob(*tenants_[result.tenant - 1]);
+  return oldest == nullptr || result.ticket < oldest->result->ticket;
+}
+
+const Vcopd::Job* Vcopd::OldestJob(const Tenant& tenant) {
+  if (tenant.inflight != nullptr) return tenant.inflight.get();
+  return tenant.queue.empty() ? nullptr : tenant.queue.front().get();
 }
 
 bool Vcopd::Runnable(const Tenant& tenant) const {
-  return tenant.inflight != nullptr || !tenant.queue.empty();
+  return OldestJob(tenant) != nullptr;
 }
 
 bool Vcopd::AnyOtherRunnable(const Tenant* current) const {
@@ -285,9 +287,7 @@ bool Vcopd::AnyOtherRunnable(const Tenant* current) const {
 }
 
 const std::string& Vcopd::HeadDesign(const Tenant& tenant) {
-  const Job* head = tenant.inflight != nullptr ? tenant.inflight
-                                               : tenant.queue.front();
-  return head->bitstream.name;
+  return OldestJob(tenant)->bitstream.name;
 }
 
 Vcopd::Tenant* Vcopd::PickNext() {
@@ -308,8 +308,7 @@ Vcopd::Tenant* Vcopd::PickNext() {
       const u32 rank = design == fabric.active_design() ? 2
                        : fabric.DesignResident(design)  ? 1
                                                         : 0;
-      const Ticket ticket =
-          (t->inflight != nullptr ? t->inflight : t->queue.front())->ticket;
+      const Ticket ticket = OldestJob(*t)->result->ticket;
       if (best == nullptr || rank > best_rank ||
           (rank == best_rank && ticket < best_ticket)) {
         best = t.get();
@@ -396,16 +395,16 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
   if (got.reconfigured) {
     ++stats_.reconfigurations;
     stats_.total_config_time += got.time;
-    ++job.result.reconfigurations;
-    job.result.config_time += got.time;
+    ++job.result->reconfigurations;
+    job.result->config_time += got.time;
     kernel_.timeline().Record(
         StrFormat("vcopd configure %s", job.bitstream.name.c_str()),
         "config", kernel_.simulator().now(), got.time, /*track=*/3);
   } else if (got.activated) {
     ++stats_.slot_activations;
     stats_.total_activation_time += got.time;
-    ++job.result.slot_activations;
-    job.result.config_time += got.time;
+    ++job.result->slot_activations;
+    job.result->config_time += got.time;
     kernel_.timeline().Record(
         StrFormat("vcopd activate %s", job.bitstream.name.c_str()),
         "config", kernel_.simulator().now(), got.time, /*track=*/3);
@@ -417,17 +416,13 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   sim::Simulator& sim = kernel_.simulator();
   Vim& vim = kernel_.vim();
 
+  // Between slices an in-flight job is a preempted one.
   const bool resuming = tenant.inflight != nullptr;
-  Job* job;
-  if (resuming) {
-    job = tenant.inflight;
-    VCOP_CHECK_MSG(job->state == VcopdJobState::kPreempted,
-                   "in-flight job in unexpected state");
-  } else {
-    job = tenant.queue.front();
+  if (!resuming) {
+    tenant.inflight = std::move(tenant.queue.front());
     tenant.queue.pop_front();
-    tenant.inflight = job;
   }
+  Job* job = tenant.inflight.get();
 
   const Picoseconds dispatch_time = sim.now();
   const Result<Picoseconds> switched = SwitchDesign(*job);
@@ -440,14 +435,14 @@ Status Vcopd::RunSlice(Tenant& tenant) {
       job->design->Stop();
       kernel_.vim().FlushAsid(tenant.space->asid());
     } else {
-      job->result.started_at = dispatch_time;
+      job->result->started_at = dispatch_time;
     }
-    FinishJob(tenant, *job, switched.status());
+    FinishJob(tenant, switched.status());
     return Status::Ok();
   }
   const Picoseconds lead = switched.value();
   if (!resuming) {
-    job->result.started_at = dispatch_time;
+    job->result->started_at = dispatch_time;
     job->design = kernel_.Instantiate(job->bitstream, tenant.space->asid());
   }
   kernel_.Bind(*tenant.space, *job->design);
@@ -458,19 +453,17 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     const Result<Picoseconds> setup = kernel_.Start(job->params, lead);
     if (!setup.ok()) {
       if (vim.fault_abort()) Quarantine(tenant);
-      FinishJob(tenant, *job, setup.status());
+      FinishJob(tenant, setup.status());
       return Status::Ok();
     }
-    job->state = VcopdJobState::kRunning;
-    job->result.report.t_invoke += lead + setup.value();
+    job->result->report.t_invoke += lead + setup.value();
     slice_started_at_ = dispatch_time + lead + setup.value();
     kernel_.timeline().Record(
         StrFormat("vcopd dispatch pid%u %s", tenant.space->pid(),
                   job->bitstream.name.c_str()),
         "exec", dispatch_time, lead + setup.value(), /*track=*/3);
   } else {
-    job->state = VcopdJobState::kRunning;
-    job->result.report.t_invoke += lead;
+    job->result->report.t_invoke += lead;
     // RestoreContext charges its own time to the space's accounting.
     const Picoseconds restore = vim.RestoreContext();
     const Picoseconds go = dispatch_time + lead + restore;
@@ -499,8 +492,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   job->tlb_acc += kernel_.shared_tlb().stats() - tlb_mark;
 
   if (!end.done) {
-    job->state = VcopdJobState::kPreempted;
-    ++job->result.preemptions;
+    ++job->result->preemptions;
     ++stats_.preemptions;
   } else {
     // A fault-budget abort, hang abort or non-convergence quarantines
@@ -508,7 +500,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     if (!end.status.ok() && (vim.fault_abort() || !end.converged)) {
       Quarantine(tenant);
     }
-    FinishJob(tenant, *job, end.status);
+    FinishJob(tenant, end.status);
   }
   tenant.deficit -= static_cast<i64>(sim.now() - dispatch_time);
   return Status::Ok();
@@ -523,30 +515,28 @@ void Vcopd::Quarantine(Tenant& tenant) {
                             tenant.id, tenant.space->pid()));
 }
 
-void Vcopd::FinishJob(Tenant& tenant, Job& job, Status status) {
-  job.state =
-      status.ok() ? VcopdJobState::kDone : VcopdJobState::kFailed;
-  tenant.inflight = nullptr;
-
-  JobResult& r = job.result;
+void Vcopd::FinishJob(Tenant& tenant, Status status) {
+  // The job is freed on return; its result stays in results_.
+  const std::unique_ptr<Job> job = std::move(tenant.inflight);
+  JobResult& r = *job->result;
   r.status = std::move(status);
   r.finished_at = kernel_.simulator().now();
   if (r.status.ok()) {
-    kernel_.FillReport(r.report, r.started_at, *tenant.space, *job.design);
-    r.report.tlb = job.tlb_acc;
+    kernel_.FillReport(r.report, r.started_at, *tenant.space, *job->design);
+    r.report.tlb = job->tlb_acc;
     ++stats_.completed;
   } else {
     // No decomposition for a failed job: only what the VIM counted.
     r.report.vim = tenant.space->accounting;
     ++stats_.failed;
   }
-  kernel_.Retire(std::move(job.design));
+  kernel_.Retire(std::move(job->design));
   kernel_.timeline().Record(
       StrFormat("vcopd complete pid%u %s%s", tenant.space->pid(),
-                job.bitstream.name.c_str(),
+                job->bitstream.name.c_str(),
                 r.status.ok() ? "" : " (failed)"),
       "exec", r.finished_at, 0, /*track=*/3);
-  if (job.on_complete) job.on_complete(r);
+  if (job->on_complete) job->on_complete(r);
 }
 
 }  // namespace vcop::os

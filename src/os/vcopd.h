@@ -90,14 +90,6 @@ struct VcopdConfig {
   u32 affinity_skip_budget = 4;
 };
 
-enum class VcopdJobState : u8 {
-  kQueued,
-  kRunning,
-  kPreempted,  // context saved, fault latched, awaiting resume
-  kDone,
-  kFailed,
-};
-
 /// Completion record of one submitted job, and the schedule report's
 /// entry for it.
 struct JobResult {
@@ -219,8 +211,9 @@ class Vcopd {
       std::span<const u32> params,
       std::function<void(const JobResult&)> on_complete = nullptr);
 
-  /// Non-blocking completion check: the result once the job reached
-  /// kDone/kFailed, nullptr while it is still queued or on the fabric.
+  /// Non-blocking completion check: the result once the job finished,
+  /// nullptr while it is still queued or on the fabric. The pointer
+  /// stays valid, and the result unchanged, for the daemon's lifetime.
   const JobResult* Poll(Ticket ticket) const;
 
   /// Drives the service until `ticket` completes (other tenants' work
@@ -255,14 +248,13 @@ class Vcopd {
   ScheduleReport BuildScheduleReport() const;
 
  private:
+  /// A submitted job until it finishes. Its result lives in results_
+  /// from Submit on; FinishJob frees the rest once on_complete has run.
   struct Job {
-    Ticket ticket = 0;
-    TenantId tenant = 0;
-    VcopdJobState state = VcopdJobState::kQueued;
+    JobResult* result = nullptr;
     hw::Bitstream bitstream;
     std::vector<u32> params;
     std::function<void(const JobResult&)> on_complete;
-    JobResult result;
 
     // The job's design, from Kernel::Instantiate at first dispatch. A
     // preempted job keeps it; FinishJob retires it to the kernel's pool.
@@ -282,9 +274,10 @@ class Vcopd {
     bool quarantined = false;
     u32 weight = 1;
     std::unique_ptr<AddressSpace> space;
-    std::deque<Job*> queue;       // submitted, not yet dispatched
-    Job* inflight = nullptr;      // running or preempted
-    i64 deficit = 0;              // fair-share deficit (picoseconds)
+    /// Submitted, not yet dispatched, in ticket order.
+    std::deque<std::unique_ptr<Job>> queue;
+    std::unique_ptr<Job> inflight;  // running or preempted
+    i64 deficit = 0;  // fair-share deficit (picoseconds)
     /// Consecutive times design affinity bypassed this tenant when it
     /// was the strict ring-order choice; at the skip budget the bypass
     /// is disallowed (no-starvation bound). Reset when picked.
@@ -292,7 +285,14 @@ class Vcopd {
   };
 
   Tenant* FindTenant(TenantId id);
-  Job* FindJob(Ticket ticket) const;
+  /// The result of `ticket`, finished or not; nullptr for a ticket
+  /// Submit never returned.
+  const JobResult* FindResult(Ticket ticket) const;
+  /// Whether the job behind `result` has finished.
+  bool Finished(const JobResult& result) const;
+  /// The tenant's oldest unfinished job: the one in flight, else its
+  /// queue head; nullptr when it has none.
+  static const Job* OldestJob(const Tenant& tenant);
   bool Runnable(const Tenant& tenant) const;
   bool AnyOtherRunnable(const Tenant* current) const;
 
@@ -319,15 +319,19 @@ class Vcopd {
   /// Marks the tenant quarantined (idempotent) after a fault-budget,
   /// hang or non-convergence abort.
   void Quarantine(Tenant& tenant);
-  void FinishJob(Tenant& tenant, Job& job, Status status);
+  /// Ends the tenant's in-flight job with `status`: settles its result,
+  /// retires its design, runs on_complete and frees the job.
+  void FinishJob(Tenant& tenant, Status status);
 
   Kernel& kernel_;
   VcopdConfig config_;
   AsidAllocator asids_;
 
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::vector<std::unique_ptr<Job>> jobs_;  // every job ever submitted
-  Ticket next_ticket_ = 0;
+  /// One result per ticket Submit returned, at index ticket - 1: what a
+  /// finished job keeps. A deque keeps each at a stable address as it
+  /// grows.
+  std::deque<JobResult> results_;
   u32 next_pid_ = 2;  // pid 1 is the kernel's default space
 
   // The design on the fabric and the resident set live in the fabric's

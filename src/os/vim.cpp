@@ -249,6 +249,16 @@ void Vim::OnPageFault() {
     return;
   }
 
+  if (oid == hw::kParamObject && space_->saved_params.empty()) {
+    // The parameter limit register of a run passed no parameters reads
+    // 0, which the IMU takes as "no limit": fail the read here as the
+    // limit register fails a read past the last parameter.
+    Abort(OutOfRangeError(StrFormat(
+        "coprocessor read parameter %u of a run passed no parameters",
+        index)));
+    return;
+  }
+
   if (oid == hw::kParamObject && space_->param_frame.has_value()) {
     // The parameter page is resident but its translation fell out of
     // the TLB (entry recycled, or dropped across a preemption): a pure

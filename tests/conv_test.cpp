@@ -1,17 +1,14 @@
 // Tests for the 2D convolution domain: reference implementation
 // properties, coprocessor bit-exactness across image shapes (including
-// widths whose three-row window stresses the interface memory), and
-// the streaming ADPCM decoder built on the same runtime.
+// widths whose three-row window stresses the interface memory).
 #include <gtest/gtest.h>
 
 #include "apps/conv2d.h"
-#include "apps/workloads.h"
 #include "cp/conv_cp.h"
 #include "cp/registry.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
-#include "runtime/streaming.h"
 
 namespace vcop {
 namespace {
@@ -167,61 +164,6 @@ TEST(ConvCoprocessorTest, ImageWithNoInteriorCopiesThrough) {
   EXPECT_EQ(dst.ToVector(), img);
   EXPECT_EQ(report.value().imu.reads, 3u + 9u + w * h);
   EXPECT_EQ(report.value().imu.writes, w * h);
-}
-
-// ----- streaming decoder -----
-
-TEST(StreamingTest, ChunkedDecodeEqualsOneShot) {
-  const std::vector<u8> stream = apps::MakeAdpcmStream(10'000, 77);
-  std::vector<i16> expect(stream.size() * 2);
-  apps::AdpcmState st;
-  apps::AdpcmDecode(stream, expect, st);
-
-  runtime::FpgaSystem sys(runtime::Epxa1Config());
-  auto decoder = runtime::AdpcmStreamDecoder::Create(sys, 1536);
-  ASSERT_TRUE(decoder.ok()) << decoder.status().ToString();
-
-  // Feed in awkward pieces.
-  std::vector<i16> got;
-  usize pos = 0;
-  for (const usize piece : {100u, 999u, 2048u, 1u, 5000u}) {
-    const usize n = std::min(piece, stream.size() - pos);
-    auto out = decoder.value().Feed(
-        std::span<const u8>(stream).subspan(pos, n));
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    got.insert(got.end(), out.value().begin(), out.value().end());
-    pos += n;
-  }
-  auto rest = decoder.value().Feed(
-      std::span<const u8>(stream).subspan(pos));
-  ASSERT_TRUE(rest.ok());
-  got.insert(got.end(), rest.value().begin(), rest.value().end());
-  auto tail = decoder.value().Finish();
-  ASSERT_TRUE(tail.ok());
-  got.insert(got.end(), tail.value().begin(), tail.value().end());
-
-  EXPECT_EQ(got, expect);
-  EXPECT_GT(decoder.value().stats().chunks, 5u);
-  EXPECT_EQ(decoder.value().stats().samples, stream.size() * 2);
-}
-
-TEST(StreamingTest, FinishOnEmptyIsNoop) {
-  runtime::FpgaSystem sys(runtime::Epxa1Config());
-  auto decoder = runtime::AdpcmStreamDecoder::Create(sys, 512);
-  ASSERT_TRUE(decoder.ok());
-  auto out = decoder.value().Finish();
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out.value().empty());
-}
-
-TEST(StreamingTest, StatsAccumulateAcrossChunks) {
-  const std::vector<u8> stream = apps::MakeAdpcmStream(4096, 5);
-  runtime::FpgaSystem sys(runtime::Epxa1Config());
-  auto decoder = runtime::AdpcmStreamDecoder::Create(sys, 1024);
-  ASSERT_TRUE(decoder.ok());
-  ASSERT_TRUE(decoder.value().Feed(stream).ok());
-  EXPECT_EQ(decoder.value().stats().chunks, 4u);
-  EXPECT_GT(decoder.value().stats().total_time, 0u);
 }
 
 }  // namespace

@@ -131,5 +131,31 @@ TEST(AdpcmIntegrationTest, PredictorStateParametersAreHonoured) {
   }
 }
 
+TEST(AdpcmIntegrationTest, MissingParametersFailOutOfRange) {
+  // adpcm reads three parameters. Reading one the caller did not pass
+  // fails OUT_OF_RANGE whether it passed too few or none at all, and
+  // the system serves the next call.
+  FpgaSystem sys(Epxa1Config());
+  ASSERT_TRUE(sys.Load(cp::AdpcmDecodeBitstream()).ok());
+  auto in = sys.Allocate<u8>(256);
+  auto out = sys.Allocate<i16>(512);
+  ASSERT_TRUE(in.ok());
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(sys.Map(cp::AdpcmDecodeCoprocessor::kObjIn, in.value(),
+                      os::Direction::kIn)
+                  .ok());
+  ASSERT_TRUE(sys.Map(cp::AdpcmDecodeCoprocessor::kObjOut, out.value(),
+                      os::Direction::kOut)
+                  .ok());
+  for (const std::vector<u32>& params :
+       {std::vector<u32>{}, std::vector<u32>{256u, 0u}}) {
+    const auto report = sys.Execute(std::span<const u32>(params));
+    ASSERT_FALSE(report.ok()) << params.size() << " parameters";
+    EXPECT_EQ(report.status().code(), ErrorCode::kOutOfRange)
+        << report.status().ToString();
+  }
+  EXPECT_TRUE(sys.Execute({256u, 0u, 0u}).ok());
+}
+
 }  // namespace
 }  // namespace vcop

@@ -100,6 +100,52 @@ TEST(SplitRingTest, CompletionIndexWrapKeepsFifoOrder) {
   EXPECT_TRUE(ring.empty());
 }
 
+/// A ring holds exactly `entries` descriptors at either end of the size
+/// range: it fills, refuses the next with ResourceExhausted, drains
+/// empty in order, and keeps doing so across the 65536 index wrap.
+class RingCapacityTest : public ::testing::TestWithParam<u32> {};
+
+TEST_P(RingCapacityTest, FillsToEntriesAndDrainsAcrossTheIndexWrap) {
+  const u32 entries = GetParam();
+  SubmissionRing sq(entries);
+  CompletionRing cq(entries);
+  const u64 rounds = 65536 / entries + 1;  // the last one crosses the wrap
+  u64 cookie = 0;
+  for (u64 round = 0; round < rounds; ++round) {
+    const u64 first = cookie + 1;
+    for (u32 i = 0; i < entries; ++i) {
+      RingDescriptor d;
+      d.cookie = ++cookie;
+      ASSERT_TRUE(sq.Publish(d).ok());
+      CompletionDescriptor c;
+      c.cookie = cookie;
+      ASSERT_TRUE(cq.Push(c).ok());
+    }
+    ASSERT_EQ(sq.size(), entries);
+    ASSERT_EQ(cq.size(), entries);
+    ASSERT_EQ(sq.Publish(RingDescriptor{}).code(),
+              ErrorCode::kResourceExhausted);
+    ASSERT_EQ(cq.Push(CompletionDescriptor{}).code(),
+              ErrorCode::kResourceExhausted);
+    for (u64 want = first; want <= cookie; ++want) {
+      ASSERT_EQ(sq.Consume().cookie, want);
+      ASSERT_EQ(cq.Reap().cookie, want);
+    }
+    ASSERT_TRUE(sq.empty());
+    ASSERT_TRUE(cq.empty());
+  }
+  for (const RingStats& stats : {sq.stats(), cq.stats()}) {
+    EXPECT_EQ(stats.published, rounds * entries);
+    EXPECT_EQ(stats.consumed, rounds * entries);
+    EXPECT_EQ(stats.full_rejections, rounds);
+    EXPECT_EQ(stats.index_wraps, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, RingCapacityTest,
+                         ::testing::Values(2u, 32768u),
+                         ::testing::PrintToStringParamName());
+
 TEST(SplitRingTest, ChecksumSealsAndDetectsCorruption) {
   SubmissionRing ring(2);
   RingDescriptor d;
@@ -370,6 +416,34 @@ TEST(VcopServiceTest, SuppressionElidesWakeupsButDeliveryIsBitIdentical) {
   }
 }
 
+/// A tenant that stops reaping overflows its completion ring. The
+/// service holds the rest in order and drains them back as the tenant
+/// reaps, so each completion arrives once, in completion order.
+TEST(VcopServiceTest, OverflowedCompletionsDrainBackInOrder) {
+  KernelConfig config = TestConfig();
+  config.service.ring_entries = 2;
+  RingTenant t(256, 9, config);
+  std::vector<u64> cookies;
+  for (int batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 2; ++i) {
+      cookies.push_back(
+          t.client.SubmitRinged(cp::VecAddBitstream(), {64u}).value());
+    }
+    ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  }
+  // Two completions fit the ring; the other four are held.
+  EXPECT_EQ(t.service.stats().completions_pushed, 2u);
+  for (const u64 cookie : cookies) {
+    const Result<CompletionDescriptor> done = t.service.Reap(t.job.tenant);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_EQ(done.value().cookie, cookie);
+    EXPECT_EQ(done.value().code, static_cast<u32>(ErrorCode::kOk));
+  }
+  EXPECT_FALSE(t.service.HasCompletions(t.job.tenant));
+  EXPECT_EQ(t.service.stats().completions_pushed, 6u);
+  EXPECT_TRUE(t.job.Exact());
+}
+
 // ----- quarantine -----
 
 /// A wedged datapath quarantines the tenant (vcopd's existing policy);
@@ -441,7 +515,8 @@ TEST(VcopServiceTest, BadRefLeavesTheValidRefsBeforeItUnapplied) {
 /// fields past the table, addresses outside user memory), a tenth of
 /// them damaged in the ring after sealing: each gets exactly one
 /// completion, OK or a clean error, the service reaches quiescence
-/// every time, and a rejected descriptor leaves the table untouched.
+/// every time, a rejected descriptor leaves the table untouched, and a
+/// run passed no parameters fails OUT_OF_RANGE.
 TEST(RingFuzzTest, RandomDescriptorsCompleteCleanly) {
   FaultPlan plan;
   plan.WithProbability(FaultSite::kDescriptorCorrupt, 0.1);
@@ -449,7 +524,7 @@ TEST(RingFuzzTest, RandomDescriptorsCompleteCleanly) {
   t.sys.kernel().InstallFaultPlan(&plan);
   const u32 design = t.service.RegisterDesign(cp::VecAddBitstream());
   Rng rng(bench::kWorkloadSeed);
-  u32 completed = 0, failed = 0, rejected = 0;
+  u32 completed = 0, failed = 0, rejected = 0, unparameterised = 0;
   for (u64 cookie = 1; cookie <= 1000; ++cookie) {
     SCOPED_TRACE(StrFormat("descriptor %u", static_cast<u32>(cookie)));
     RingDescriptor d;
@@ -487,13 +562,19 @@ TEST(RingFuzzTest, RandomDescriptorsCompleteCleanly) {
       ++rejected;
       EXPECT_EQ(t.table().version(), version);
     } else {
+      // vecadd reads its one parameter first.
+      if (d.nparams == 0) {
+        EXPECT_EQ(code, ErrorCode::kOutOfRange);
+        ++unparameterised;
+      }
       ++(code == ErrorCode::kOk ? completed : failed);
     }
   }
-  // Every path was taken: jobs that completed, jobs the VIM failed, and
-  // descriptors rejected in the ring.
+  // Every path was taken: jobs that completed, jobs the VIM failed (some
+  // passed no parameters), and descriptors rejected in the ring.
   EXPECT_GT(completed, 0u);
   EXPECT_GT(failed, 0u);
+  EXPECT_GT(unparameterised, 0u);
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(t.daemon.stats().quarantined, 0u);
   t.sys.kernel().InstallFaultPlan(nullptr);

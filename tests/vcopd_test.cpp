@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -729,23 +730,95 @@ TEST(VcopdTest, AsidReuseAfterTeardownIsClean) {
   EXPECT_TRUE(reuse.Exact());
 }
 
+// ----- results outlive their jobs -----
+
+/// Every JobResult field of `got` equals `want`'s.
+void ExpectSameResult(const JobResult& got, const JobResult& want) {
+  EXPECT_EQ(got.ticket, want.ticket);
+  EXPECT_EQ(got.tenant, want.tenant);
+  EXPECT_EQ(got.pid, want.pid);
+  EXPECT_EQ(got.bitstream, want.bitstream);
+  EXPECT_EQ(got.status.ToString(), want.status.ToString());
+  EXPECT_EQ(got.submitted_at, want.submitted_at);
+  EXPECT_EQ(got.started_at, want.started_at);
+  EXPECT_EQ(got.finished_at, want.finished_at);
+  EXPECT_EQ(got.preemptions, want.preemptions);
+  EXPECT_EQ(got.reconfigurations, want.reconfigurations);
+  EXPECT_EQ(got.slot_activations, want.slot_activations);
+  EXPECT_EQ(got.config_time, want.config_time);
+  EXPECT_EQ(bench::ReportMismatch(got.report, want.report), "");
+}
+
+/// A finished job keeps only its JobResult, at a stable address. Two
+/// tenants x 500 jobs that preempt each other: Poll, Wait and the
+/// schedule report give every ticket the result on_complete saw, and a
+/// pointer Poll gave before those 1000 submissions still reads the same.
+TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
+  FpgaSystem sys(TestConfig());
+  VcopdConfig config;
+  config.queue_depth = 500;
+  config.time_slice = 20 * 1000 * 1000;  // 20 us
+  Vcopd daemon(sys.kernel(), config);
+  StagedJob adpcm =
+      StageTenant(sys, daemon, "adpcm", MakeJob(App::kAdpcm, 1024, 1));
+  StagedJob vecadd =
+      StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 256, 2));
+  std::map<Ticket, JobResult> seen;
+  auto record = [&seen](const JobResult& r) { seen.emplace(r.ticket, r); };
+
+  std::vector<Ticket> tickets = {adpcm.Submit(daemon, record).value()};
+  ASSERT_TRUE(daemon.Wait(tickets[0]).ok());
+  const JobResult* early = daemon.Poll(tickets[0]);
+  ASSERT_NE(early, nullptr);
+  const JobResult early_copy = *early;
+
+  for (int i = 0; i < 500; ++i) {
+    tickets.push_back(adpcm.Submit(daemon, record).value());
+    tickets.push_back(vecadd.Submit(daemon, record).value());
+  }
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+  EXPECT_GT(daemon.stats().preemptions, 0u);
+  EXPECT_EQ(daemon.stats().completed, tickets.size());
+  EXPECT_EQ(daemon.Poll(tickets[0]), early);
+  ExpectSameResult(*early, early_copy);
+
+  const ScheduleReport report = daemon.BuildScheduleReport();
+  ASSERT_EQ(seen.size(), tickets.size());
+  ASSERT_EQ(report.outcomes.size(), tickets.size());
+  for (usize i = 0; i < tickets.size(); ++i) {
+    SCOPED_TRACE(StrFormat("ticket %zu", i + 1));
+    const JobResult& saw = seen.at(tickets[i]);
+    ASSERT_NE(daemon.Poll(tickets[i]), nullptr);
+    ExpectSameResult(*daemon.Poll(tickets[i]), saw);
+    ExpectSameResult(daemon.Wait(tickets[i]).value(), saw);
+    ExpectSameResult(report.outcomes[i], saw);
+  }
+}
+
 // ----- error paths and fault recovery -----
 
 TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
+  EXPECT_EQ(daemon.Poll(0), nullptr);
   EXPECT_EQ(daemon.Poll(1), nullptr);
-  const Result<JobResult> wait = daemon.Wait(999);
-  ASSERT_FALSE(wait.ok());
-  EXPECT_EQ(wait.status().code(), ErrorCode::kNotFound);
+  for (const Ticket never : {Ticket{0}, Ticket{999}}) {
+    const Result<JobResult> wait = daemon.Wait(never);
+    ASSERT_FALSE(wait.ok());
+    EXPECT_EQ(wait.status().code(), ErrorCode::kNotFound);
+  }
 
-  // A retired ticket stays pollable; its neighbour never exists.
+  // A retired ticket stays pollable; ticket 0 and its neighbour never
+  // exist.
   StagedJob job =
       StageTenant(sys, daemon, "known", MakeJob(App::kVecAdd, 256, 10));
   const Ticket ticket = job.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
   EXPECT_NE(daemon.Poll(ticket), nullptr);
-  EXPECT_EQ(daemon.Poll(ticket + 1), nullptr);
+  for (const Ticket never : {Ticket{0}, ticket + 1}) {
+    EXPECT_EQ(daemon.Poll(never), nullptr);
+    EXPECT_EQ(daemon.Wait(never).status().code(), ErrorCode::kNotFound);
+  }
 }
 
 /// A wedged datapath (injected kCpHang on the victim's first access) is
