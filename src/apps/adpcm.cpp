@@ -1,5 +1,7 @@
 #include "apps/adpcm.h"
 
+#include <algorithm>
+
 #include "base/status.h"
 
 namespace vcop::apps {
@@ -11,7 +13,7 @@ constexpr i8 kIndexTable[16] = {
     -1, -1, -1, -1, 2, 4, 6, 8,
 };
 
-constexpr i16 kStepSizeTable[89] = {
+constexpr i16 kStepSizeTable[kAdpcmMaxIndex + 1] = {
     7,     8,     9,     10,    11,    12,    13,    14,    16,    17,
     19,    21,    23,    25,    28,    31,    34,    37,    41,    45,
     50,    55,    60,    66,    73,    80,    88,    97,    107,   118,
@@ -22,34 +24,48 @@ constexpr i16 kStepSizeTable[89] = {
     5894,  6484,  7132,  7845,  8630,  9493,  10442, 11487, 12635, 13899,
     15289, 16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767};
 
-i32 ClampIndex(i32 index) {
-  if (index < 0) return 0;
-  if (index > 88) return 88;
-  return index;
-}
-
 i32 ClampSample(i32 v) {
   if (v > 32767) return 32767;
   if (v < -32768) return -32768;
   return v;
 }
 
+/// The decoder's whole transition as two lookups per (index, code):
+/// the signed difference step*code/4 + step/8, computed with shifts
+/// exactly as the reference coder does, and the clamped next index.
+/// Looking both up takes the four data-dependent branches on the code
+/// bits off the per-sample path.
+struct AdpcmStepTable {
+  i32 diff[kAdpcmMaxIndex + 1][16];
+  u8 next[kAdpcmMaxIndex + 1][16];
+};
+
+constexpr AdpcmStepTable BuildStepTable() {
+  AdpcmStepTable t{};
+  for (i32 index = 0; index <= kAdpcmMaxIndex; ++index) {
+    const i32 step = kStepSizeTable[index];
+    for (i32 code = 0; code < 16; ++code) {
+      i32 diff = step >> 3;
+      if (code & 4) diff += step;
+      if (code & 2) diff += step >> 1;
+      if (code & 1) diff += step >> 2;
+      t.diff[index][code] = (code & 8) ? -diff : diff;
+      t.next[index][code] = static_cast<u8>(
+          std::clamp(index + kIndexTable[code], 0, i32{kAdpcmMaxIndex}));
+    }
+  }
+  return t;
+}
+
+constexpr AdpcmStepTable kStepTable = BuildStepTable();
+
 }  // namespace
 
 i16 AdpcmDecodeSample(u8 code, AdpcmState& state) {
-  const i32 step = kStepSizeTable[state.index];
-
-  // Reconstruct the difference: step*code/4 + step/8, computed with
-  // shifts exactly as the reference coder does.
-  i32 diff = step >> 3;
-  if (code & 4) diff += step;
-  if (code & 2) diff += step >> 1;
-  if (code & 1) diff += step >> 2;
-  if (code & 8) diff = -diff;
-
-  const i32 valprev = ClampSample(state.valprev + diff);
-  state.valprev = static_cast<i16>(valprev);
-  state.index = static_cast<u8>(ClampIndex(state.index + kIndexTable[code]));
+  code &= 0x0F;
+  state.valprev = static_cast<i16>(
+      ClampSample(state.valprev + kStepTable.diff[state.index][code]));
+  state.index = kStepTable.next[state.index][code];
   return state.valprev;
 }
 
@@ -89,6 +105,8 @@ void AdpcmEncode(std::span<const i16> pcm, std::span<u8> out,
   VCOP_CHECK_MSG(pcm.size() % 2 == 0, "ADPCM encodes samples in pairs");
   VCOP_CHECK_MSG(out.size() == pcm.size() / 2,
                  "ADPCM output must be half the sample count in bytes");
+  VCOP_CHECK_MSG(state.index <= kAdpcmMaxIndex,
+                 "ADPCM step index out of range");
   for (usize i = 0; i < pcm.size(); i += 2) {
     const u8 lo = AdpcmEncodeSample(pcm[i], state);
     const u8 hi = AdpcmEncodeSample(pcm[i + 1], state);
@@ -100,10 +118,16 @@ void AdpcmDecode(std::span<const u8> in, std::span<i16> out,
                  AdpcmState& state) {
   VCOP_CHECK_MSG(out.size() == in.size() * 2,
                  "ADPCM decode emits two samples per input byte");
+  VCOP_CHECK_MSG(state.index <= kAdpcmMaxIndex,
+                 "ADPCM step index out of range");
+  // A local predictor stays in registers: a store through the i16
+  // `out` may alias `state.valprev` and would force a reload per sample.
+  AdpcmState predictor = state;
   for (usize i = 0; i < in.size(); ++i) {
-    out[2 * i] = AdpcmDecodeSample(in[i] & 0x0F, state);
-    out[2 * i + 1] = AdpcmDecodeSample(in[i] >> 4, state);
+    out[2 * i] = AdpcmDecodeSample(in[i] & 0x0F, predictor);
+    out[2 * i + 1] = AdpcmDecodeSample(in[i] >> 4, predictor);
   }
+  state = predictor;
 }
 
 }  // namespace vcop::apps

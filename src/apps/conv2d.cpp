@@ -1,5 +1,6 @@
 #include "apps/conv2d.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "base/rng.h"
@@ -43,20 +44,23 @@ void Convolve3x3(std::span<const u8> src, u32 width, u32 height,
         src[static_cast<usize>(y) * width + width - 1];
   }
 
+  // The nine taps are read once, and each output row walks the three
+  // source rows around it by pointer. The i64 accumulator keeps any i32
+  // kernel exact (9 * 2^31 * 255 < 2^63).
+  const i64 k00 = kernel[0], k01 = kernel[1], k02 = kernel[2];
+  const i64 k10 = kernel[3], k11 = kernel[4], k12 = kernel[5];
+  const i64 k20 = kernel[6], k21 = kernel[7], k22 = kernel[8];
   for (u32 y = 1; y + 1 < height; ++y) {
+    const u8* above = src.data() + static_cast<usize>(y - 1) * width;
+    const u8* row = above + width;
+    const u8* below = row + width;
+    u8* out = dst.data() + static_cast<usize>(y) * width;
     for (u32 x = 1; x + 1 < width; ++x) {
-      i64 acc = 0;
-      for (u32 ky = 0; ky < 3; ++ky) {
-        for (u32 kx = 0; kx < 3; ++kx) {
-          const usize idx =
-              static_cast<usize>(y + ky - 1) * width + (x + kx - 1);
-          acc += static_cast<i64>(kernel[ky * 3 + kx]) * src[idx];
-        }
-      }
+      i64 acc = k00 * above[x - 1] + k01 * above[x] + k02 * above[x + 1] +
+                k10 * row[x - 1] + k11 * row[x] + k12 * row[x + 1] +
+                k20 * below[x - 1] + k21 * below[x] + k22 * below[x + 1];
       acc >>= shift;
-      if (acc < 0) acc = 0;
-      if (acc > 255) acc = 255;
-      dst[static_cast<usize>(y) * width + x] = static_cast<u8>(acc);
+      out[x] = static_cast<u8>(std::clamp<i64>(acc, 0, 255));
     }
   }
 }

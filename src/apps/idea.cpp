@@ -8,13 +8,17 @@ u16 IdeaMul(u16 a, u16 b) {
   // Multiplication mod 2^16+1 with 0 representing 2^16 (a group of
   // order 2^16 on {1..2^16}). Low-high decomposition avoids a 32-bit
   // modulo: for p = a*b != 0, p mod (2^16+1) = lo - hi (+2^16+1 if
-  // lo < hi).
-  if (a == 0) return static_cast<u16>(0x10001u - b);  // 2^16 * b
-  if (b == 0) return static_cast<u16>(0x10001u - a);
+  // lo < hi). p == 0 exactly when an operand is 0 (≡ 2^16 ≡ -1), and
+  // then the product is -b resp. -a, i.e. 1 - a - b mod 2^16 either
+  // way. Both results are computed and one selected, with no branch,
+  // and the zero test reads the 16-bit halves, so that the eight-block
+  // loop below vectorises into 16-bit lanes.
   const u32 p = static_cast<u32>(a) * b;
   const u16 lo = static_cast<u16>(p);
   const u16 hi = static_cast<u16>(p >> 16);
-  return static_cast<u16>(lo - hi + (lo < hi ? 1 : 0));
+  const u16 product = static_cast<u16>(lo - hi + (lo < hi ? 1 : 0));
+  const u16 by_zero = static_cast<u16>(1 - a - b);
+  return (lo | hi) == 0 ? by_zero : product;
 }
 
 u16 IdeaMulInv(u16 x) {
@@ -93,44 +97,59 @@ void Store16(u8* p, u16 v) {
   p[1] = static_cast<u8>(v);
 }
 
-}  // namespace
+/// The eight rounds and the output transform over `N` independent
+/// blocks from `in` to `out` (which may be the same buffer). Word w of
+/// every block sits in one array, so each step of a round runs over all
+/// N blocks at once: the blocks' dependency chains of 34 multiplies
+/// overlap, and for N = 8 the compiler vectorises the steps.
+template <usize N>
+void IdeaCryptBlocks(const IdeaSubkeys& k, const u8* in, u8* out) {
+  u16 x1[N], x2[N], x3[N], x4[N];
+  for (usize b = 0; b < N; ++b) {
+    x1[b] = Load16(in + kIdeaBlockBytes * b);
+    x2[b] = Load16(in + kIdeaBlockBytes * b + 2);
+    x3[b] = Load16(in + kIdeaBlockBytes * b + 4);
+    x4[b] = Load16(in + kIdeaBlockBytes * b + 6);
+  }
 
-void IdeaCryptBlock(const IdeaSubkeys& k,
-                    std::span<u8, kIdeaBlockBytes> block) {
-  u16 x1 = Load16(&block[0]);
-  u16 x2 = Load16(&block[2]);
-  u16 x3 = Load16(&block[4]);
-  u16 x4 = Load16(&block[6]);
+  for (usize i = 0; i < 6 * kIdeaRounds; i += 6) {
+    for (usize b = 0; b < N; ++b) {
+      const u16 y1 = IdeaMul(x1[b], k[i + 0]);
+      const u16 y2 = static_cast<u16>(x2[b] + k[i + 1]);
+      const u16 y3 = static_cast<u16>(x3[b] + k[i + 2]);
+      const u16 y4 = IdeaMul(x4[b], k[i + 3]);
 
-  usize i = 0;
-  for (usize round = 0; round < kIdeaRounds; ++round) {
-    x1 = IdeaMul(x1, k[i + 0]);
-    x2 = static_cast<u16>(x2 + k[i + 1]);
-    x3 = static_cast<u16>(x3 + k[i + 2]);
-    x4 = IdeaMul(x4, k[i + 3]);
+      const u16 t0 = IdeaMul(static_cast<u16>(y1 ^ y3), k[i + 4]);
+      const u16 t1 = IdeaMul(static_cast<u16>((y2 ^ y4) + t0), k[i + 5]);
+      const u16 t2 = static_cast<u16>(t0 + t1);
 
-    const u16 t0 = IdeaMul(static_cast<u16>(x1 ^ x3), k[i + 4]);
-    const u16 t1 = IdeaMul(static_cast<u16>((x2 ^ x4) + t0), k[i + 5]);
-    const u16 t2 = static_cast<u16>(t0 + t1);
-
-    x1 ^= t1;
-    x4 ^= t2;
-    const u16 x2_old = x2;
-    x2 = static_cast<u16>(x3 ^ t1);
-    x3 = static_cast<u16>(x2_old ^ t2);
-    i += 6;
+      // The x2/x3 crossing.
+      x1[b] = static_cast<u16>(y1 ^ t1);
+      x2[b] = static_cast<u16>(y3 ^ t1);
+      x3[b] = static_cast<u16>(y2 ^ t2);
+      x4[b] = static_cast<u16>(y4 ^ t2);
+    }
   }
 
   // Output transform (note x2/x3 cross back).
-  const u16 y1 = IdeaMul(x1, k[i + 0]);
-  const u16 y2 = static_cast<u16>(x3 + k[i + 1]);
-  const u16 y3 = static_cast<u16>(x2 + k[i + 2]);
-  const u16 y4 = IdeaMul(x4, k[i + 3]);
+  const usize i = 6 * kIdeaRounds;
+  for (usize b = 0; b < N; ++b) {
+    Store16(out + kIdeaBlockBytes * b, IdeaMul(x1[b], k[i + 0]));
+    Store16(out + kIdeaBlockBytes * b + 2, static_cast<u16>(x3[b] + k[i + 1]));
+    Store16(out + kIdeaBlockBytes * b + 4, static_cast<u16>(x2[b] + k[i + 2]));
+    Store16(out + kIdeaBlockBytes * b + 6, IdeaMul(x4[b], k[i + 3]));
+  }
+}
 
-  Store16(&block[0], y1);
-  Store16(&block[2], y2);
-  Store16(&block[4], y3);
-  Store16(&block[6], y4);
+// Blocks per pass of IdeaCryptEcb: eight u16 words fill a 128-bit
+// vector register.
+constexpr usize kIdeaLanes = 8;
+
+}  // namespace
+
+void IdeaCryptBlock(const IdeaSubkeys& subkeys,
+                    std::span<u8, kIdeaBlockBytes> block) {
+  IdeaCryptBlocks<1>(subkeys, block.data(), block.data());
 }
 
 void IdeaCbcEncrypt(const IdeaSubkeys& ek, const IdeaIv& iv,
@@ -178,11 +197,13 @@ void IdeaCryptEcb(const IdeaSubkeys& subkeys, std::span<const u8> in,
   VCOP_CHECK_MSG(in.size() == out.size(), "ECB in/out sizes must match");
   VCOP_CHECK_MSG(in.size() % kIdeaBlockBytes == 0,
                  "ECB length must be a multiple of the block size");
-  for (usize off = 0; off < in.size(); off += kIdeaBlockBytes) {
-    u8 block[kIdeaBlockBytes];
-    for (usize b = 0; b < kIdeaBlockBytes; ++b) block[b] = in[off + b];
-    IdeaCryptBlock(subkeys, std::span<u8, kIdeaBlockBytes>(block));
-    for (usize b = 0; b < kIdeaBlockBytes; ++b) out[off + b] = block[b];
+  constexpr usize kPassBytes = kIdeaLanes * kIdeaBlockBytes;
+  usize off = 0;
+  for (; off + kPassBytes <= in.size(); off += kPassBytes) {
+    IdeaCryptBlocks<kIdeaLanes>(subkeys, in.data() + off, out.data() + off);
+  }
+  for (; off < in.size(); off += kIdeaBlockBytes) {
+    IdeaCryptBlocks<1>(subkeys, in.data() + off, out.data() + off);
   }
 }
 

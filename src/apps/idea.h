@@ -45,7 +45,9 @@ IdeaSubkeys IdeaInvertKey(const IdeaSubkeys& ek);
 /// encryption subkeys to encrypt, the inverted ones to decrypt).
 void IdeaCryptBlock(const IdeaSubkeys& subkeys, std::span<u8, kIdeaBlockBytes> block);
 
-/// ECB over a whole buffer; sizes must be equal multiples of 8.
+/// ECB over a whole buffer; sizes must be equal multiples of 8. Runs
+/// the rounds over eight blocks per pass, then block by block; the
+/// result equals IdeaCryptBlock on each block.
 void IdeaCryptEcb(const IdeaSubkeys& subkeys, std::span<const u8> in,
                   std::span<u8> out);
 

@@ -1,11 +1,16 @@
 #include "cp/adpcm_cp.h"
 
+#include <algorithm>
+
 namespace vcop::cp {
 
 void AdpcmDecodeCoprocessor::OnStart() {
   n_bytes_ = param(0);
   predictor_.valprev = static_cast<i16>(param(1));
-  predictor_.index = static_cast<u8>(param(2));
+  // The index is a caller's parameter; the shared step reads its table
+  // only at 0..kAdpcmMaxIndex, where every later step leaves it.
+  predictor_.index =
+      std::min(static_cast<u8>(param(2)), apps::kAdpcmMaxIndex);
   pos_ = 0;
   state_ = State::kFetchByte;
 }

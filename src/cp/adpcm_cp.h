@@ -8,7 +8,8 @@
 //          1 = output PCM samples (2-byte elements, mapped OUT)
 // Parameters: [0] = input length in bytes
 //             [1] = initial predictor value (valprev, as u32)
-//             [2] = initial step-table index
+//             [2] = initial step-table index (its low byte, saturated
+//                   at apps::kAdpcmMaxIndex)
 #pragma once
 
 #include <string_view>

@@ -10,7 +10,8 @@
 //          1 = output code stream (1-byte elements, mapped OUT)
 // Parameters: [0] = sample count (even)
 //             [1] = initial predictor value (valprev, as u32)
-//             [2] = initial step-table index
+//             [2] = initial step-table index (its low byte, saturated
+//                   at apps::kAdpcmMaxIndex)
 #pragma once
 
 #include <string_view>

@@ -1,5 +1,6 @@
 #include "mem/user_memory.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -63,13 +64,14 @@ Result<UserAddr> UserMemory::Allocate(u32 size) {
 }
 
 bool UserMemory::Contains(UserAddr addr, u32 len) const {
-  for (const Region& r : regions_) {
-    if (addr >= r.base && static_cast<u64>(addr) + len <=
-                              static_cast<u64>(r.base) + r.size) {
-      return true;
-    }
-  }
-  return false;
+  // Only the last region starting at or below `addr` can hold it.
+  auto it = std::upper_bound(
+      regions_.begin(), regions_.end(), addr,
+      [](UserAddr a, const Region& r) { return a < r.base; });
+  if (it == regions_.begin()) return false;
+  --it;
+  return static_cast<u64>(addr) + len <=
+         static_cast<u64>(it->base) + it->size;
 }
 
 std::span<u8> UserMemory::View(UserAddr addr, u32 len) {
@@ -134,17 +136,19 @@ bool UserMemory::AnyPinned(UserAddr addr, u32 len) const {
 }
 
 Status UserMemory::Reclaim(UserAddr base) {
-  for (auto it = regions_.begin(); it != regions_.end(); ++it) {
-    if (it->base != base) continue;
-    if (AnyPinned(it->base, it->size)) {
-      return FailedPreconditionError(StrFormat(
-          "region [%u,+%u) has DMA-pinned pages; unpin before reclaim",
-          it->base, it->size));
-    }
-    regions_.erase(it);
-    return Status::Ok();
+  auto it = std::lower_bound(
+      regions_.begin(), regions_.end(), base,
+      [](const Region& r, UserAddr b) { return r.base < b; });
+  if (it == regions_.end() || it->base != base) {
+    return NotFoundError(StrFormat("no region allocated at %u", base));
   }
-  return NotFoundError(StrFormat("no region allocated at %u", base));
+  if (AnyPinned(it->base, it->size)) {
+    return FailedPreconditionError(StrFormat(
+        "region [%u,+%u) has DMA-pinned pages; unpin before reclaim",
+        it->base, it->size));
+  }
+  regions_.erase(it);
+  return Status::Ok();
 }
 
 }  // namespace vcop::mem

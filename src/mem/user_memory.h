@@ -77,6 +77,8 @@ class UserMemory {
     UserAddr base;
     u32 size;
   };
+  // Sorted by base and disjoint: Allocate appends at the bump pointer
+  // and Reclaim erases in place, so lookups binary-search it.
   std::vector<Region> regions_;
   // page number -> pin refcount; entries erased at zero so
   // pinned_pages() is exact.

@@ -9,6 +9,7 @@
 // expected.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,7 +32,8 @@ struct TimelineEvent {
 
 /// Stores each distinct name and category once and each event as a
 /// fixed 32-byte record, so a long-running service's timeline grows by
-/// 32 bytes per event however long its names are.
+/// 32 bytes per event however long its names are. The records grow in
+/// fixed-size chunks, never by copying into a doubled buffer.
 class TimelineRecorder {
  public:
   void Record(std::string name, std::string category, Picoseconds start,
@@ -67,7 +69,7 @@ class TimelineRecorder {
   // keys by id (a rehash moves no element of an unordered_map).
   std::unordered_map<std::string, u32> ids_;
   std::vector<const std::string*> strings_;
-  std::vector<EventRecord> records_;
+  std::deque<EventRecord> records_;
 };
 
 }  // namespace vcop::os

@@ -1,8 +1,10 @@
 // Unit tests for the IMA ADPCM codec: structural properties, known
 // step-table behaviour, encode/decode round-trip quality, and the
-// single-sample transition function shared with the coprocessor FSM.
+// single-sample transition function shared with the coprocessor FSM
+// (checked against the MediaBench decoder's arithmetic, restated here).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "apps/adpcm.h"
@@ -130,6 +132,66 @@ TEST(AdpcmTest, KnownVectorFirstSamples) {
   // diff = 7 + 3 + 1 + 0 (step>>3 = 0) = 7>>3=0 + 7 + 3 + 1 = 11.
   EXPECT_EQ(s, 11);
   EXPECT_EQ(state.index, 8u);
+}
+
+TEST(AdpcmTest, TransitionMatchesMediaBenchShiftArithmetic) {
+  // The MediaBench adpcm_decoder step, restated: the difference is
+  // built from the previous step with shifts, added or subtracted by
+  // the sign bit, clamped to 16 bits; the index moves by the index
+  // table and clamps to 0..88. Every (index, code) pair, from the
+  // middle of the range and from both clamps.
+  constexpr i32 kIndexTable[16] = {-1, -1, -1, -1, 2, 4, 6, 8,
+                                   -1, -1, -1, -1, 2, 4, 6, 8};
+  constexpr i32 kStepSizeTable[89] = {
+      7,     8,     9,     10,    11,    12,    13,    14,    16,
+      17,    19,    21,    23,    25,    28,    31,    34,    37,
+      41,    45,    50,    55,    60,    66,    73,    80,    88,
+      97,    107,   118,   130,   143,   157,   173,   190,   209,
+      230,   253,   279,   307,   337,   371,   408,   449,   494,
+      544,   598,   658,   724,   796,   876,   963,   1060,  1166,
+      1282,  1411,  1552,  1707,  1878,  2066,  2272,  2499,  2749,
+      3024,  3327,  3660,  4026,  4428,  4871,  5358,  5894,  6484,
+      7132,  7845,  8630,  9493,  10442, 11487, 12635, 13899, 15289,
+      16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767};
+  for (i32 index = 0; index <= kAdpcmMaxIndex; ++index) {
+    const i32 step = kStepSizeTable[index];
+    for (u8 code = 0; code < 16; ++code) {
+      i32 vpdiff = step >> 3;
+      if (code & 4) vpdiff += step;
+      if (code & 2) vpdiff += step >> 1;
+      if (code & 1) vpdiff += step >> 2;
+      const i32 next = std::clamp(index + kIndexTable[code], 0, 88);
+      for (const i32 valprev : {-32768, -1000, 0, 1000, 32767}) {
+        const i32 expect = std::clamp(
+            (code & 8) ? valprev - vpdiff : valprev + vpdiff, -32768, 32767);
+        AdpcmState state{static_cast<i16>(valprev), static_cast<u8>(index)};
+        ASSERT_EQ(AdpcmDecodeSample(code, state), expect)
+            << "index " << index << " code " << int{code} << " valprev "
+            << valprev;
+        ASSERT_EQ(state.valprev, expect);
+        ASSERT_EQ(state.index, next)
+            << "index " << index << " code " << int{code};
+      }
+    }
+  }
+}
+
+TEST(AdpcmTest, DecodeEqualsTheSampleStepLoop) {
+  // AdpcmDecode keeps the predictor in locals; it must leave the same
+  // samples and the same final state as stepping sample by sample,
+  // low nibble first, from a mid-stream state.
+  const std::vector<u8> in = MakeAdpcmStream(4096, 21);
+  std::vector<i16> out(2 * in.size());
+  AdpcmState state{-1234, 40};
+  AdpcmDecode(in, out, state);
+
+  AdpcmState step{-1234, 40};
+  for (usize i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(out[2 * i], AdpcmDecodeSample(in[i] & 0x0F, step)) << i;
+    ASSERT_EQ(out[2 * i + 1], AdpcmDecodeSample(in[i] >> 4, step)) << i;
+  }
+  EXPECT_EQ(state.valprev, step.valprev);
+  EXPECT_EQ(state.index, step.index);
 }
 
 }  // namespace

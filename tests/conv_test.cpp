@@ -3,6 +3,9 @@
 // widths whose three-row window stresses the interface memory).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "apps/conv2d.h"
 #include "cp/conv_cp.h"
 #include "cp/registry.h"
@@ -80,6 +83,46 @@ TEST(Conv2dReferenceTest, ClampsBothEnds) {
   const Conv3x3Kernel negative{-1, -1, -1, -1, -1, -1, -1, -1, -1};
   Convolve3x3(img, 3, 3, negative, 0, out);
   EXPECT_EQ(out[4], 0);
+}
+
+TEST(Conv2dReferenceTest, ExtremeCoefficientsMatchANaiveI64Loop) {
+  // Any i32 kernel is exact: INT32_MIN and INT32_MAX taps at shifts 0,
+  // 3 and 31 against the textbook loop with an i64 accumulator.
+  constexpr i32 kMin = std::numeric_limits<i32>::min();
+  constexpr i32 kMax = std::numeric_limits<i32>::max();
+  const Conv3x3Kernel kernels[] = {
+      {kMin, kMin, kMin, kMin, kMin, kMin, kMin, kMin, kMin},
+      {kMax, kMax, kMax, kMax, kMax, kMax, kMax, kMax, kMax},
+      {kMax, kMin, kMax, kMin, kMax, kMin, kMax, kMin, kMax},
+      {kMin, 0, kMax, 1, -1, 0, kMax, kMin, 2},
+  };
+  constexpr u32 kW = 29, kH = 9;
+  const std::vector<u8> img = MakeTestImage(kW, kH, 5);
+  usize unclamped = 0;
+  for (const Conv3x3Kernel& kernel : kernels) {
+    for (const u32 shift : {0u, 3u, 31u}) {
+      std::vector<u8> expect = img;
+      for (u32 y = 1; y + 1 < kH; ++y) {
+        for (u32 x = 1; x + 1 < kW; ++x) {
+          i64 acc = 0;
+          for (u32 ky = 0; ky < 3; ++ky) {
+            for (u32 kx = 0; kx < 3; ++kx) {
+              acc += static_cast<i64>(kernel[ky * 3 + kx]) *
+                     img[(y + ky - 1) * kW + (x + kx - 1)];
+            }
+          }
+          acc = std::clamp<i64>(acc >> shift, 0, 255);
+          unclamped += acc > 0 && acc < 255;
+          expect[y * kW + x] = static_cast<u8>(acc);
+        }
+      }
+      std::vector<u8> out(img.size());
+      Convolve3x3(img, kW, kH, kernel, shift, out);
+      EXPECT_EQ(out, expect) << "shift " << shift << " kernel[0] "
+                             << kernel[0];
+    }
+  }
+  EXPECT_GT(unclamped, 0u);  // not every pixel saturates
 }
 
 // ----- coprocessor vs reference across shapes -----

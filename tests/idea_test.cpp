@@ -35,6 +35,24 @@ TEST(IdeaMulTest, IdentityAndZeroRepresentation) {
   EXPECT_EQ(IdeaMul(0, 2), static_cast<u16>(65537 - 2));
 }
 
+TEST(IdeaMulTest, ExhaustiveWithZeroAndUnitOperands) {
+  // The zero operand (≡ 2^16) is taken by a select, not a branch: every
+  // a against b in {0, 1, 0xFFFF}, and every b against a = 0.
+  auto expect = [](u32 a, u32 b) {
+    const u64 aa = a == 0 ? 65536 : a;
+    const u64 bb = b == 0 ? 65536 : b;
+    return static_cast<u16>(aa * bb % 65537 % 65536);
+  };
+  for (u32 x = 0; x <= 0xFFFF; ++x) {
+    for (const u32 b : {0u, 1u, 0xFFFFu}) {
+      ASSERT_EQ(IdeaMul(static_cast<u16>(x), static_cast<u16>(b)),
+                expect(x, b))
+          << x << " * " << b;
+    }
+    ASSERT_EQ(IdeaMul(0, static_cast<u16>(x)), expect(0, x)) << "0 * " << x;
+  }
+}
+
 TEST(IdeaMulInvTest, InverseForAllRepresentativeValues) {
   Rng rng(2);
   for (int i = 0; i < 5'000; ++i) {
@@ -119,6 +137,34 @@ TEST(IdeaEcbTest, RoundTripRandomBuffers) {
     IdeaCryptEcb(dk, ct, rt);
     EXPECT_EQ(rt, pt) << "trial " << trial;
     EXPECT_NE(ct, pt);
+  }
+}
+
+TEST(IdeaEcbTest, EightBlockPassesEqualBlockByBlock) {
+  // ECB runs eight blocks per pass and the rest one at a time; every
+  // length from 0 to 17 blocks must equal IdeaCryptBlock block by
+  // block. All-zero words and the all-zero key (every subkey 0) take
+  // the multiply's zero-operand select in every lane.
+  const IdeaKey zero_key{};
+  for (const IdeaKey& key : {MakeIdeaKey(15), zero_key}) {
+    const IdeaSubkeys ek = IdeaExpandKey(key);
+    for (usize blocks = 0; blocks <= 17; ++blocks) {
+      for (const bool zero_words : {true, false}) {
+        const std::vector<u8> in =
+            zero_words ? std::vector<u8>(blocks * kIdeaBlockBytes, 0)
+                       : MakeRandomBytes(blocks * kIdeaBlockBytes, blocks);
+        std::vector<u8> ecb(in.size());
+        IdeaCryptEcb(ek, in, ecb);
+        std::vector<u8> expect = in;
+        for (usize b = 0; b < blocks; ++b) {
+          IdeaCryptBlock(ek, std::span<u8, kIdeaBlockBytes>(
+                                 expect.data() + b * kIdeaBlockBytes,
+                                 kIdeaBlockBytes));
+        }
+        EXPECT_EQ(ecb, expect) << blocks << " blocks, zero words "
+                               << zero_words << ", key[0] " << ek[0];
+      }
+    }
   }
 }
 

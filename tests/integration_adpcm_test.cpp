@@ -157,5 +157,33 @@ TEST(AdpcmIntegrationTest, MissingParametersFailOutOfRange) {
   EXPECT_TRUE(sys.Execute({256u, 0u, 0u}).ok());
 }
 
+TEST(AdpcmIntegrationTest, OutOfRangeStepIndexSaturates) {
+  // The step-table index arrives as a caller's parameter. Both ADPCM
+  // cores saturate an index past the table's end at its last entry, so
+  // they match the software codec started there.
+  const std::vector<u8> codes = apps::MakeAdpcmStream(256, 13);
+  const std::vector<i16> pcm = apps::MakeAudioPcm(512, 14);
+  std::vector<i16> decoded(2 * codes.size());
+  std::vector<u8> encoded(pcm.size() / 2);
+  apps::AdpcmState dec_state{0, apps::kAdpcmMaxIndex};
+  apps::AdpcmState enc_state{0, apps::kAdpcmMaxIndex};
+  apps::AdpcmDecode(codes, decoded, dec_state);
+  apps::AdpcmEncode(pcm, encoded, enc_state);
+
+  FpgaSystem sys(Epxa1Config());
+  runtime::FpgaJob decode = runtime::AdpcmDecodeJob(codes);
+  decode.params[2] = 200;
+  const auto dec = runtime::RunJob(sys, decode);
+  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
+  EXPECT_EQ(dec.value().output,
+            runtime::AsBytes(std::span<const i16>(decoded)));
+
+  runtime::FpgaJob encode = runtime::AdpcmEncodeJob(pcm);
+  encode.params[2] = 255;
+  const auto enc = runtime::RunJob(sys, encode);
+  ASSERT_TRUE(enc.ok()) << enc.status().ToString();
+  EXPECT_EQ(enc.value().output, encoded);
+}
+
 }  // namespace
 }  // namespace vcop

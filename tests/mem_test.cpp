@@ -120,6 +120,51 @@ TEST(UserMemoryTest, ContainsTracksRegions) {
   EXPECT_FALSE(mem.Contains(a.value(), 65));
 }
 
+TEST(UserMemoryTest, LookupResolvesEachOfManyRegions) {
+  // Odd sizes leave a 16-byte alignment gap after most regions; the
+  // lookup must resolve every region's bytes, and none of a gap's.
+  UserMemory mem(1 << 20);
+  struct Placed {
+    UserAddr base;
+    u32 size;
+  };
+  std::vector<Placed> regions;
+  for (u32 i = 0; i < 500; ++i) {
+    const u32 size = 1 + (i * 37) % 200;
+    auto a = mem.Allocate(size);
+    ASSERT_TRUE(a.ok());
+    regions.push_back({a.value(), size});
+  }
+  auto expect_resolved = [&](const Placed& r, bool resolved) {
+    EXPECT_EQ(mem.Contains(r.base, 1), resolved) << r.base;
+    EXPECT_EQ(mem.Contains(r.base + r.size - 1, 1), resolved) << r.base;
+    EXPECT_EQ(mem.Contains(r.base, r.size), resolved) << r.base;
+  };
+  usize gaps = 0;
+  for (usize i = 0; i < regions.size(); ++i) {
+    const Placed& r = regions[i];
+    expect_resolved(r, true);
+    // One byte past the end.
+    EXPECT_FALSE(mem.Contains(r.base, r.size + 1)) << r.base;
+    if (i + 1 == regions.size()) continue;
+    const UserAddr end = r.base + r.size;
+    ASSERT_EQ(regions[i + 1].base, (end + 15) / 16 * 16);
+    for (UserAddr gap = end; gap < regions[i + 1].base; ++gap) {
+      EXPECT_FALSE(mem.Contains(gap, 1)) << gap;
+      ++gaps;
+    }
+  }
+  EXPECT_GT(gaps, regions.size());
+
+  // Reclaiming a middle region unmaps only it.
+  const usize middle = regions.size() / 2;
+  ASSERT_TRUE(mem.Reclaim(regions[middle].base).ok());
+  expect_resolved(regions[middle], false);
+  expect_resolved(regions[middle - 1], true);
+  expect_resolved(regions[middle + 1], true);
+  EXPECT_EQ(mem.Reclaim(regions[middle].base).code(), ErrorCode::kNotFound);
+}
+
 TEST(UserMemoryTest, ReadWriteRoundTrip) {
   UserMemory mem(1 << 16);
   auto a = mem.Allocate(16);
