@@ -6,15 +6,10 @@
 // rows wider than the whole dual-port RAM. Interface virtualisation is
 // exactly what absorbs this shape change: the application and the core
 // are identical in every row of the table.
-//
-// The per-strategy fault columns show the same sweep through the
-// DESIGN.md §10 prefetchers: demand paging (none), blind next-page
-// prefetch (seq), and the confidence-gated adaptive detector (adapt).
 #include <cstdio>
 
 #include "apps/conv2d.h"
 #include "base/table.h"
-#include "os/vim.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
@@ -23,21 +18,16 @@
 namespace vcop {
 namespace {
 
-/// Faults of one conv2d run under `kind` (depth 2); the output is
-/// checked against `expect`.
-u64 FaultsUnder(os::PrefetchKind kind, const std::vector<u8>& image,
-                u32 width, u32 height, const std::vector<u8>& expect,
-                os::ExecutionReport* report = nullptr) {
-  os::KernelConfig config = runtime::Epxa1Config();
-  config.vim.prefetch = kind;
-  config.vim.prefetch_depth = 2;
-  runtime::FpgaSystem sys(config);
+/// Report of one demand-paged conv2d run; the output is checked
+/// against `expect`.
+os::ExecutionReport RunShape(const std::vector<u8>& image, u32 width,
+                             u32 height, const std::vector<u8>& expect) {
+  runtime::FpgaSystem sys(runtime::Epxa1Config());
   auto run = runtime::RunConv3x3Vim(sys, image, width, height,
                                     apps::SharpenKernel(), 0);
   VCOP_CHECK_MSG(run.ok(), run.status().ToString());
   VCOP_CHECK_MSG(run.value().output == expect, "conv output mismatch");
-  if (report != nullptr) *report = run.value().report;
-  return run.value().report.vim.faults;
+  return run.value().report;
 }
 
 int Main() {
@@ -46,11 +36,8 @@ int Main() {
       "~48 K pixels, EPXA1) ==\n\n");
 
   Table table({"image", "row bytes", "3-row window", "faults",
-               "compulsory", "seq", "adapt", "SW(DP) ms",
-               "total ms"});
-  table.set_title(
-      "constant pixel count, varying stride (fault columns by prefetch "
-      "strategy)");
+               "compulsory", "SW(DP) ms", "total ms"});
+  table.set_title("constant pixel count, varying stride (demand paging)");
 
   struct Shape {
     u32 width;
@@ -65,13 +52,8 @@ int Main() {
     apps::Convolve3x3(image, shape.width, shape.height,
                       apps::SharpenKernel(), 0, expect);
 
-    os::ExecutionReport r;
-    const u64 demand = FaultsUnder(os::PrefetchKind::kNone, image,
-                                   shape.width, shape.height, expect, &r);
-    const u64 seq = FaultsUnder(os::PrefetchKind::kSequential, image,
-                                shape.width, shape.height, expect);
-    const u64 adapt = FaultsUnder(os::PrefetchKind::kAdaptive, image,
-                                  shape.width, shape.height, expect);
+    const os::ExecutionReport r =
+        RunShape(image, shape.width, shape.height, expect);
     // Every source and destination page once, plus the coefficients.
     const u32 compulsory =
         2 * ((static_cast<u32>(image.size()) + 2047) / 2048) + 1;
@@ -79,11 +61,9 @@ int Main() {
         {StrFormat("%ux%u", shape.width, shape.height),
          StrFormat("%u", shape.width),
          StrFormat("%u B", 3 * shape.width),
-         StrFormat("%llu", static_cast<unsigned long long>(demand)),
-         StrFormat("%u", compulsory),
-         StrFormat("%llu", static_cast<unsigned long long>(seq)),
-         StrFormat("%llu", static_cast<unsigned long long>(adapt)),
-         runtime::Ms(r.t_dp), runtime::Ms(r.total)});
+         StrFormat("%llu", static_cast<unsigned long long>(r.vim.faults)),
+         StrFormat("%u", compulsory), runtime::Ms(r.t_dp),
+         runtime::Ms(r.total)});
   }
   table.Print();
 
@@ -99,12 +79,7 @@ int Main() {
       "it after eviction. The VIM\ndiscovers that working set by "
       "itself. A manual port would need a different\ntiling for every "
       "row in this table; here the application and the core are\n"
-      "byte-identical (§2.2's argument, quantified).\n\nThe strategy "
-      "columns add the cautionary tale: blind sequential prefetch\ncan "
-      "*explode* the fault count when rows span multiple pages (its "
-      "guesses\nevict the still-live window), while the confidence-gated "
-      "adaptive detector\ntracks each row's stream separately and stays "
-      "near the demand-paging figure.\n");
+      "byte-identical (§2.2's argument, quantified).\n");
   return 0;
 }
 

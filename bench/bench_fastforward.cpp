@@ -10,9 +10,9 @@
 //            torture_test and bench_faults run too (bench/common.h,
 //            RunGrid). Fault injection exercises fast-forward's
 //            fallback edges on roughly every other seed.
-//   conv2d   the prefetch bench's shape × strategy grid (sharpen
-//            kernel, overlapped transfers): long TLB-hit streaks,
-//            fast-forward's best case.
+//   conv2d   a shape × background-work grid (sharpen kernel, prefetch
+//            none and clean): long TLB-hit streaks, fast-forward's best
+//            case.
 //
 // Exit-code gates cover only *deterministic* properties:
 //   - bit-identity: an order-independent digest of every run's status,
@@ -127,11 +127,10 @@ RunResult TortureRunPoint(u64 seed, Engine engine) {
   return RunResult{d.value(), run.events};
 }
 
-// ----- sweep B: the conv2d prefetch grid -----
+// ----- sweep B: the conv2d background-work grid -----
 
-constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kClean,
-                                       os::PrefetchKind::kSequential,
-                                       os::PrefetchKind::kAdaptive};
+constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kNone,
+                                       os::PrefetchKind::kClean};
 constexpr struct {
   u32 width;
   u32 height;
@@ -142,7 +141,6 @@ RunResult ConvRunPoint(usize index, Engine engine) {
   const auto shape = kShapes[index / std::size(kKinds)];
   os::KernelConfig config = EngineConfig(engine);
   config.vim.prefetch = kKinds[index % std::size(kKinds)];
-  config.vim.prefetch_depth = 2;
   FpgaSystem sys(config);
 
   const std::vector<u8> image =
@@ -333,7 +331,7 @@ int Main() {
     sweeps.push_back(std::move(sw));
   }
   {
-    std::printf("conv2d sweep (%zu shape x strategy points):\n", kConvPoints);
+    std::printf("conv2d sweep (%zu shape x prefetch points):\n", kConvPoints);
     Sweep sw;
     sw.name = "conv2d";
     sw.runs = kConvPoints;

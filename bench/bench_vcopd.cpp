@@ -163,10 +163,8 @@ int Main() {
       bench::RunVcopdFleet(streaming, runtime::Epxa1Config(), switching);
   PrintFleetTable("asid: tagged TLB", tagged);
   std::printf(
-      "  %llu context saves, %llu entries restored, %llu eager "
-      "write-backs\n\n",
+      "  %llu context saves, %llu eager write-backs\n\n",
       static_cast<unsigned long long>(tagged.service.context_saves),
-      static_cast<unsigned long long>(tagged.service.tlb_entries_restored),
       static_cast<unsigned long long>(
           tagged.service.pages_written_back_on_save));
   if (!tagged.outputs_exact) {
@@ -217,11 +215,10 @@ int Main() {
   std::fprintf(
       f,
       "  \"asid\": {\n    \"tagged\": {\"makespan_us\": %.3f, "
-      "\"context_saves\": %llu, \"tlb_entries_restored\": %llu, "
+      "\"context_saves\": %llu, "
       "\"pages_written_back_on_save\": %llu}\n  }\n",
       ToMicroseconds(tagged.report.makespan),
       static_cast<unsigned long long>(tagged.service.context_saves),
-      static_cast<unsigned long long>(tagged.service.tlb_entries_restored),
       static_cast<unsigned long long>(
           tagged.service.pages_written_back_on_save));
   std::fprintf(f, "}\n");

@@ -327,9 +327,9 @@ struct ReportField {
 /// engine differential, the empty-plan check, bench_fastforward's
 /// digest) all read this one list.
 inline std::vector<ReportField> ReportFields(const os::ExecutionReport& r) {
-  // The 43 fields below are 8 bytes each: a field added to the report
+  // The 41 fields below are 8 bytes each: a field added to the report
   // fails this until it joins the list.
-  static_assert(sizeof(os::ExecutionReport) == 43 * sizeof(u64));
+  static_assert(sizeof(os::ExecutionReport) == 41 * sizeof(u64));
   const os::VimAccounting& v = r.vim;
   const sim::Summary& fs = v.fault_service_us;
   auto bits = [](double d) { return std::bit_cast<u64>(d); };
@@ -359,8 +359,6 @@ inline std::vector<ReportField> ReportFields(const os::ExecutionReport& r) {
       {"vim.fault_recoveries", v.fault_recoveries},
       {"vim.iommu_faults", v.iommu_faults},
       {"vim.prefetch_useful", v.prefetch_useful},
-      {"vim.prefetch_wasted", v.prefetch_wasted},
-      {"vim.prefetch_suggestions_dropped", v.prefetch_suggestions_dropped},
       {"vim.fault_service_us.count", fs.count()},
       {"vim.fault_service_us.sum", bits(fs.sum())},
       {"vim.fault_service_us.min", bits(fs.min())},
@@ -605,14 +603,15 @@ inline std::string Fig7Vcd(const os::KernelConfig& config) {
   return tracer.ToVcd();
 }
 
-/// The edge-detect-style Chrome trace: a 96x24 conv2d (sharpen) with the
-/// timeline recorder and sequential prefetch on top of `config`, the
-/// busiest DMA schedule the examples produce.
+/// The edge-detect-style Chrome trace: a 256x24 conv2d (sharpen) with the
+/// timeline recorder and background cleaning on top of `config`, wide
+/// enough that fault services queue clean units (`overlap` events) beside
+/// the faults and the sweep.
 inline std::string ConvChromeTrace(os::KernelConfig config) {
-  config.vim.prefetch = os::PrefetchKind::kSequential;
+  config.vim.prefetch = os::PrefetchKind::kClean;
   runtime::FpgaSystem sys(config);
-  const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
-  const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,
+  const std::vector<u8> image = apps::MakeTestImage(256, 24, 7);
+  const auto run = runtime::RunConv3x3Vim(sys, image, 256, 24,
                                           apps::SharpenKernel(), 0);
   VCOP_CHECK_MSG(run.ok(), run.status().ToString());
   return sys.kernel().timeline().ToChromeTrace();

@@ -31,6 +31,9 @@ void Convolve3x3(std::span<const u8> src, u32 width, u32 height,
   VCOP_CHECK_MSG(src.size() == static_cast<usize>(width) * height,
                  "source size mismatch");
   VCOP_CHECK_MSG(dst.size() == src.size(), "destination size mismatch");
+  // An i64 shifted by 64 or more is undefined; from 63 up every shift
+  // gives the same image.
+  shift = std::min(shift, 63u);
 
   // Border: copy-through.
   for (u32 x = 0; x < width; ++x) {

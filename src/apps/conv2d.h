@@ -24,9 +24,9 @@ Conv3x3Kernel SobelXKernel();     // horizontal gradient
 Conv3x3Kernel EmbossKernel();
 
 /// Convolves `src` (width x height, row-major u8) with `kernel`,
-/// right-shifts by `shift`, clamps to 0..255. Border pixels (the
-/// one-pixel frame) are copied through unchanged. dst.size() ==
-/// src.size() == width*height; width, height >= 3.
+/// right-shifts by `shift` (saturated at 63), clamps to 0..255. Border
+/// pixels (the one-pixel frame) are copied through unchanged.
+/// dst.size() == src.size() == width*height; width, height >= 3.
 void Convolve3x3(std::span<const u8> src, u32 width, u32 height,
                  const Conv3x3Kernel& kernel, u32 shift,
                  std::span<u8> dst);

@@ -1,11 +1,15 @@
 #include "cp/conv_cp.h"
 
+#include <algorithm>
+
 namespace vcop::cp {
 
 void Conv3x3Coprocessor::OnStart() {
   width_ = param(0);
   height_ = param(1);
-  shift_ = param(2);
+  // The shift is a caller's parameter: an i64 shifted by 64 or more is
+  // undefined, and from 63 up every shift gives the same image.
+  shift_ = std::min(param(2), 63u);
   kernel_loaded_ = 0;
   y_ = 0;
   state_ = State::kLoadKernel;

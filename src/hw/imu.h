@@ -179,9 +179,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   /// OS-side veto over the fast-forward tier: when installed, an access
   /// is only resolved analytically while the gate returns true. The VIM
-  /// uses it to decline fast-forwarding while background activity of
-  /// its own (overlapped prefetch in flight, a fault service being
-  /// costed) could touch translations. nullptr = no veto.
+  /// uses it to decline fast-forwarding while a fault service of its
+  /// own is being costed. nullptr = no veto.
   void set_fastforward_gate(std::function<bool()> gate) {
     ff_gate_ = std::move(gate);
   }

@@ -65,8 +65,8 @@ struct TlbStats {
   u64 misses = 0;
   /// Matches discarded because the entry failed its parity check.
   u64 parity_errors = 0;
-  /// Entries written by the OS (refills + prefetch installs); installs
-  /// minus misses approximates speculative TLB traffic.
+  /// Entries written by the OS (fault services, refills and the
+  /// parameter page).
   u64 installs = 0;
 };
 

@@ -134,16 +134,6 @@ TransferResult TransferEngine::StorePage(IommuAsid asid, DualPortRam& dp,
   });
 }
 
-bool TransferEngine::Pin(UserMemory& user, UserAddr addr, u32 len) {
-  if (mode_ != CopyMode::kIommu) return false;
-  iommu_.PinRange(user, addr, len);
-  return true;
-}
-
-void TransferEngine::Unpin(UserMemory& user, UserAddr addr, u32 len) {
-  iommu_.UnpinRange(user, addr, len);
-}
-
 void TransferEngine::Invalidate(IommuAsid asid) {
   if (mode_ == CopyMode::kIommu) iommu_.InvalidateAsid(asid);
 }

@@ -85,8 +85,8 @@ class TransferEngine {
                            UserMemory& user, UserAddr dst, u32 len);
 
   /// Time that moving `len` bytes would take in the current mode,
-  /// without performing it (used by planners/prefetchers). In kIommu it
-  /// is PriceDirect; the IO-TLB walks are priced per transfer.
+  /// without performing it (the VIM prices its clean units with it). In
+  /// kIommu it is PriceDirect; the IO-TLB walks are priced per transfer.
   Picoseconds PriceTransfer(u32 len) const;
 
   /// Time of a re-load (LoadPage with `reload`). In kDoubleCopy only the
@@ -114,13 +114,6 @@ class TransferEngine {
   /// kernel's bounce buffer (kDoubleCopy), which a later re-load of the
   /// same page reads instead of user memory.
   bool KeepsBounceCopies() const { return mode_ == CopyMode::kDoubleCopy; }
-
-  /// DMA-pins [addr, addr+len) for an asynchronous transfer the caller
-  /// runs itself (the VIM's overlapped prefetch). Only kIommu transfers
-  /// reference user pages directly; in every other mode nothing is
-  /// pinned. Returns whether the range was pinned, i.e. owes an Unpin.
-  bool Pin(UserMemory& user, UserAddr addr, u32 len);
-  void Unpin(UserMemory& user, UserAddr addr, u32 len);
 
   /// Shoots down `asid`'s IO-TLB translations (its DMA window closed or
   /// its virtual ranges moved). Nothing to do outside kIommu.

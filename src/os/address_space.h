@@ -6,7 +6,7 @@
 // an AddressSpace: its own Process, its own object table, and — the
 // part that makes preemption possible — the VIM execution context that
 // used to live inside the Vim itself (accounting, write-back history,
-// parameter-page state, a TLB snapshot taken at preemption). The Vim
+// parameter-page state). The Vim
 // operates on exactly one attached AddressSpace at a time; Kernel::Bind
 // attaches one for every FPGA_EXECUTE and every vcopd slice.
 //
@@ -60,19 +60,17 @@ struct VimAccounting {
   /// earlier in this execution: only the bounce -> DP-RAM pass ran
   /// (double copy only; included in `loads`).
   u64 kernel_copy_loads = 0;
-  u64 prefetched_pages = 0;
-  /// Pages written back in place by background cleaning (every prefetch
-  /// setting but none).
+  /// Pages written back in place by background cleaning (prefetch =
+  /// clean).
   u64 cleaned_pages = 0;
   u64 bytes_loaded = 0;
   u64 bytes_written_back = 0;
-  /// CPU time spent on transfers that ran concurrently with coprocessor
-  /// execution (overlapped prefetch). NOT part of the serial t_dp sum —
-  /// it does not extend the wall time unless a fault has to wait.
+  /// CPU time spent on clean units that ran concurrently with
+  /// coprocessor execution. NOT part of the serial t_dp sum — it does
+  /// not extend the wall time unless a service has to wait.
   Picoseconds t_dp_overlapped = 0;
-  /// Portion of fault-service time spent waiting for an in-flight
-  /// overlapped transfer (or for the CPU to finish one). Included in
-  /// t_dp.
+  /// Portion of service time spent waiting for the CPU to finish queued
+  /// clean units. Included in t_dp.
   Picoseconds t_dp_wait = 0;
   /// Writes observed to pages of objects mapped IN (coprocessor bug
   /// indicator: those dirty pages are dropped, honouring the hint).
@@ -86,27 +84,13 @@ struct VimAccounting {
   /// failed or an injected translation fault); each is serviced
   /// through the same bounded retry path as a bus error.
   u64 iommu_faults = 0;
-  /// Speculation outcome: prefetched pages that the coprocessor went on
-  /// to touch vs pages released still-unreferenced. useful + wasted
-  /// <= prefetched_pages (pages still resident at the end of an
-  /// execution are settled by the end-of-operation sweep).
+  /// Always 0: the VIM loads no page speculatively (DESIGN.md §10).
+  /// Kept because perfbench reports them.
+  u64 prefetched_pages = 0;
   u64 prefetch_useful = 0;
-  u64 prefetch_wasted = 0;
-  /// Suggestions a prefetch strategy made that violated its contract
-  /// (wrong object, out of range, the faulting page itself) and were
-  /// dropped by the Vim's central clamp. Nonzero means a strategy bug.
-  u64 prefetch_suggestions_dropped = 0;
   /// Distribution of individual fault-service times in microseconds
   /// (interrupt entry to coprocessor restart).
   sim::Summary fault_service_us;
-};
-
-/// A TLB entry as remembered by SaveContext: enough to re-install the
-/// translation at resume if the backing frame is still resident.
-struct TlbSnapshotEntry {
-  hw::ObjectId object = 0;
-  mem::VirtPage vpage = 0;
-  mem::FrameId frame = 0;
 };
 
 class AddressSpace {
@@ -131,9 +115,7 @@ class AddressSpace {
   /// Pages transferred in this execution: loaded by a demand fault's
   /// service or written back. In double-copy mode the kernel keeps each
   /// one's bounce copy, so a later load runs only the bounce -> DP-RAM
-  /// pass. An overlapped prefetch unit is a background guess: it
-  /// re-loads from a kept copy but keeps none of its own, so a wasted
-  /// guess never cheapens a later load. An OUT page is never loaded
+  /// pass. An OUT page is never loaded
   /// before its first write-back, so for OUT objects this is also the
   /// set of pages whose next fault must reload them (see
   /// Vim::NeedsLoad).
@@ -157,8 +139,6 @@ class AddressSpace {
   bool params_live = false;
   /// The run was aborted; late interrupts are ignored.
   bool aborted = false;
-  /// Own TLB entries at the last SaveContext (restored if still valid).
-  std::vector<TlbSnapshotEntry> tlb_snapshot;
   /// Page of each object's latest demand fault in this execution: the
   /// sequential-run state a replacement policy may weigh (DemandFault).
   std::array<std::optional<mem::VirtPage>, hw::kMaxObjects> last_fault_page{};

@@ -56,7 +56,6 @@ void PageManager::Install(mem::FrameId frame, hw::ObjectId object,
   FrameState next;
   next.in_use = true;
   next.pinned = pinned;
-  next.pins = pinned ? 1 : 0;
   next.object = object;
   next.asid = asid;
   next.vpage = vpage;
@@ -64,7 +63,6 @@ void PageManager::Install(mem::FrameId frame, hw::ObjectId object,
   frames_[frame] = next;
   for (u32 i = 1; i < span; ++i) {
     FrameState tail = next;
-    tail.pins = 0;
     tail.span = 1;
     tail.continuation = true;
     tail.head = frame;
@@ -95,39 +93,11 @@ void PageManager::ClearDirty(mem::FrameId frame) {
   s.dirty = false;
 }
 
-void PageManager::MarkSpeculative(mem::FrameId frame) {
-  FrameState& s = MutableFrame(frame);
-  VCOP_CHECK_MSG(s.in_use && !s.continuation,
-                 "MarkSpeculative on a free frame");
-  s.speculative = true;
-}
-
-void PageManager::ClearSpeculative(mem::FrameId frame) {
-  FrameState& s = MutableFrame(frame);
-  VCOP_CHECK_MSG(s.in_use && !s.continuation,
-                 "ClearSpeculative on a free frame");
-  s.speculative = false;
-}
-
 void PageManager::MarkReferenced(mem::FrameId frame) {
   FrameState& s = MutableFrame(frame);
   VCOP_CHECK_MSG(s.in_use && !s.continuation,
                  "MarkReferenced on a free frame");
   s.referenced = true;
-}
-
-void PageManager::Pin(mem::FrameId frame) {
-  FrameState& s = MutableFrame(frame);
-  VCOP_CHECK_MSG(s.in_use && !s.continuation, "Pin on a free frame");
-  ++s.pins;
-  s.pinned = true;
-}
-
-void PageManager::Unpin(mem::FrameId frame) {
-  FrameState& s = MutableFrame(frame);
-  VCOP_CHECK_MSG(s.in_use && s.pins > 0,
-                 "Unpin on a frame that is not pinned");
-  if (--s.pins == 0) s.pinned = false;
 }
 
 const FrameState& PageManager::frame(mem::FrameId frame) const {
@@ -147,14 +117,6 @@ std::vector<bool> PageManager::EvictableMask() const {
   for (mem::FrameId f = 0; f < frames_.size(); ++f) {
     mask[f] = frames_[f].in_use && !frames_[f].pinned &&
               !frames_[f].continuation;
-  }
-  return mask;
-}
-
-std::vector<bool> PageManager::SpeculativeMask() const {
-  std::vector<bool> mask(frames_.size());
-  for (mem::FrameId f = 0; f < frames_.size(); ++f) {
-    mask[f] = frames_[f].in_use && frames_[f].speculative;
   }
   return mask;
 }

@@ -22,20 +22,12 @@ namespace vcop::os {
 
 struct FrameState {
   bool in_use = false;
-  /// Pinned frames are never chosen as eviction victims (the parameter
-  /// page between EXECUTE and its release by the coprocessor, or a
-  /// frame an in-flight DMA references). `pinned` mirrors `pins > 0`;
-  /// the refcount lets overlapping pinners (parameter hold + IOMMU DMA)
-  /// stack without releasing each other's pin early.
+  /// Pinned frames are never chosen as eviction victims: the parameter
+  /// page between EXECUTE and its release by the coprocessor.
   bool pinned = false;
-  u32 pins = 0;
   /// Dirty as accumulated from invalidated TLB entries; the live TLB
   /// entry's dirty bit is merged in by the Vim at eviction time.
   bool dirty = false;
-  /// Loaded speculatively (prefetch) and not yet referenced by the
-  /// coprocessor. Cleared by the Vim on first demonstrated use; frames
-  /// still speculative when released count as wasted prefetches.
-  bool speculative = false;
   /// The coprocessor referenced the page since it was installed (a
   /// harvested or folded TLB accessed/dirty bit). An eviction of a
   /// referenced page is one the owner may fault back (Vim::EvictFrame).
@@ -95,16 +87,6 @@ class PageManager {
   /// (background cleaning).
   void ClearDirty(mem::FrameId frame);
 
-  /// Adds one pin to an in-use frame (refcounted; see FrameState).
-  void Pin(mem::FrameId frame);
-  /// Drops one pin; the frame becomes evictable at refcount zero.
-  void Unpin(mem::FrameId frame);
-
-  /// Flags a freshly installed frame as speculative (prefetched, not
-  /// yet used); ClearSpeculative records the first real use.
-  void MarkSpeculative(mem::FrameId frame);
-  void ClearSpeculative(mem::FrameId frame);
-
   /// Records that the coprocessor referenced the frame's page.
   void MarkReferenced(mem::FrameId frame);
 
@@ -112,9 +94,6 @@ class PageManager {
 
   /// Eviction candidates: in use and not pinned.
   std::vector<bool> EvictableMask() const;
-
-  /// Frames flagged speculative (prefetched, not yet referenced).
-  std::vector<bool> SpeculativeMask() const;
 
   /// All in-use frames (for end-of-operation write-back sweeps).
   std::vector<mem::FrameId> InUseFrames() const;

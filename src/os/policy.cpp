@@ -75,13 +75,12 @@ class FifoPolicy final : public ReplacementPolicy {
 /// FIFO with a working-set guard. A demand fault that breaks its
 /// object's sequential run (neither the object's first fault nor on the
 /// same or next page as its previous one) is a random access: it evicts
-/// the oldest frame that was not referenced since the previous fault and
-/// holds no unreferenced prefetched page, so the pages every access
-/// touches stay resident. A re-fault (a page its space evicted after
-/// using it) is the sign of a working set larger than the frames: it
-/// evicts the least recently used frame that holds no unreferenced
-/// prefetched page. Every other demand fault, and a non-sequential one
-/// that finds every candidate guarded, evicts exactly as FIFO does.
+/// the oldest frame that was not referenced since the previous fault, so
+/// the pages every access touches stay resident. A re-fault (a page its
+/// space evicted after using it) is the sign of a working set larger
+/// than the frames: it evicts the least recently used frame. Every other
+/// demand fault, and a non-sequential one that finds every candidate
+/// referenced, evicts exactly as FIFO does.
 class WsFifoPolicy final : public ReplacementPolicy {
  public:
   std::string_view name() const override { return "wsfifo"; }
@@ -106,20 +105,13 @@ class WsFifoPolicy final : public ReplacementPolicy {
 
   mem::FrameId PickDemandVictim(const std::vector<bool>& evictable,
                                 const DemandFault& fault) override {
-    if (fault.refault) {
-      if (const std::optional<mem::FrameId> victim =
-              used_.Oldest(Without(evictable, fault.speculative))) {
-        return *victim;
-      }
-      return used_.Victim(evictable);
-    }
+    if (fault.refault) return used_.Victim(evictable);
     const bool sequential = !fault.previous.has_value() ||
                             fault.vpage == *fault.previous ||
                             fault.vpage == *fault.previous + 1;
     if (!sequential) {
-      if (const std::optional<mem::FrameId> victim = installed_.Oldest(
-              Without(Without(evictable, fault.referenced),
-                      fault.speculative))) {
+      if (const std::optional<mem::FrameId> victim =
+              installed_.Oldest(Without(evictable, fault.referenced))) {
         return *victim;
       }
     }

@@ -28,8 +28,8 @@ enum class PolicyKind : u8 { kFifo, kLru, kRandom, kWsFifo };
 std::string_view ToString(PolicyKind kind);
 
 /// The demand fault a victim is chosen for, and what the VIM knows about
-/// every frame at that moment. The masks are borrowed for the duration
-/// of one PickDemandVictim call.
+/// every frame at that moment. The mask is borrowed for the duration of
+/// one PickDemandVictim call.
 struct DemandFault {
   hw::ObjectId object = 0;
   mem::VirtPage vpage = 0;
@@ -39,8 +39,6 @@ struct DemandFault {
   /// Per frame: referenced since the previous fault (the TLB accessed
   /// bits harvested at this one).
   const std::vector<bool>& referenced;
-  /// Per frame: holds a prefetched page nobody has referenced yet.
-  const std::vector<bool>& speculative;
   /// The faulting page was evicted after the coprocessor had referenced
   /// it, since its address space last came onto the fabric.
   bool refault = false;
@@ -72,8 +70,8 @@ class ReplacementPolicy {
   /// Precondition: at least one frame is evictable.
   virtual mem::FrameId PickVictim(const std::vector<bool>& evictable) = 0;
 
-  /// Same, for a demand fault (prefetch and parameter-page victims use
-  /// PickVictim). Only policies that weigh the fault override it.
+  /// Same, for a demand fault (parameter-page victims use PickVictim).
+  /// Only policies that weigh the fault override it.
   virtual mem::FrameId PickDemandVictim(const std::vector<bool>& evictable,
                                         const DemandFault& fault) {
     (void)fault;

@@ -7,6 +7,14 @@
 
 namespace vcop::os {
 
+std::string_view ToString(PrefetchKind kind) {
+  switch (kind) {
+    case PrefetchKind::kNone: return "none";
+    case PrefetchKind::kClean: return "clean";
+  }
+  return "?";
+}
+
 Vim::Vim(const CostModel& costs, mem::PageGeometry geometry,
          mem::DualPortRam& dp_ram, mem::UserMemory& user_memory,
          sim::Simulator& sim)
@@ -18,7 +26,8 @@ Vim::Vim(const CostModel& costs, mem::PageGeometry geometry,
       transfers_(mem::AhbModel(costs.ahb, costs.cpu_clock), costs.cpu_clock,
                  mem::CopyMode::kDoubleCopy, costs.sdram_cycles_per_word,
                  costs.iommu_walk_cycles),
-      pages_(geometry) {
+      pages_(geometry),
+      clean_queued_(geometry.num_frames(), false) {
   transfers_.iommu().set_walker(
       [this](mem::IommuAsid asid, mem::UserAddr page_base) {
         return IommuWalk(asid, page_base);
@@ -30,7 +39,6 @@ void Vim::Configure(const VimConfig& config) {
   config_ = config;
   policy_ = MakePolicy(config.policy, config.seed);
   policy_->Reset(geometry_.num_frames());
-  prefetcher_ = MakePrefetcher(config.prefetch, config.prefetch_depth);
   transfers_.set_mode(config.copy_mode);
 }
 
@@ -57,11 +65,6 @@ void Vim::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
   VCOP_CHECK_MSG(policy != nullptr, "null policy");
   policy_ = std::move(policy);
   policy_->Reset(geometry_.num_frames());
-}
-
-void Vim::SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher) {
-  VCOP_CHECK_MSG(prefetcher != nullptr, "null prefetcher");
-  prefetcher_ = std::move(prefetcher);
 }
 
 void Vim::BindImu(hw::Imu* imu) {
@@ -107,11 +110,6 @@ u32 Vim::ObjectPageSpan(const MappedObject& object) const {
 mem::VirtPage Vim::ObjectPageOf(const MappedObject& object,
                                 u64 offset) const {
   return static_cast<mem::VirtPage>(offset / ObjectPageBytes(object));
-}
-
-u32 Vim::ObjectNumPages(const MappedObject& object) const {
-  return static_cast<u32>(
-      DivCeil(object.size_bytes, ObjectPageBytes(object)));
 }
 
 mem::UserAddr Vim::PageUserAddr(const MappedObject& object,
@@ -161,25 +159,21 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   last_failure_ = Status::Ok();
   // The fabric may be shared (vcopd): clear only this space's residue
   // (defensive — a clean prior end of operation leaves none), discarding
-  // stale data. Other spaces' frames and TLB entries stay resident. What
-  // the previous execution taught the prefetcher, and where it left the
-  // TLB recycle cursor, are forgotten, so a repeated execution repeats
-  // itself.
+  // stale data. Other spaces' frames and TLB entries stay resident. Where
+  // the previous execution left the TLB recycle cursor is forgotten, so a
+  // repeated execution repeats itself.
   FlushAsid(space_->asid());
-  prefetcher_->Reset();
   tlb_recycle_cursor_ = 0;
   space_->param_frame.reset();
   space_->transferred.clear();
   space_->evicted_after_use.clear();
   space_->transferred_objects_version = objects().version();
-  space_->tlb_snapshot.clear();
   space_->last_fault_page = {};
   space_->saved_params.assign(params.begin(), params.end());
   space_->params_live = false;
   // Background work left the fabric with the previous run
   // (EndBackgroundWork).
-  VCOP_CHECK_MSG(in_flight_.empty() && cpu_busy_until_ == 0,
-                 "background work outlived its run");
+  VCOP_CHECK_MSG(cpu_busy_until_ == 0, "background work outlived its run");
 
   // Program the object descriptor table: the hardware contract of §3.1
   // ("the hardware designer implements a coprocessor having in mind the
@@ -317,22 +311,6 @@ void Vim::OnPageFault() {
 
   const mem::VirtPage vpage = ObjectPageOf(*object, offset);
 
-  // Racing an in-flight background load of this very page: the service
-  // just waits for the transfer to land (its translation is installed
-  // by the completion event).
-  for (const InFlight& unit : in_flight_) {
-    if (unit.object == oid && unit.vpage == vpage) {
-      NoteSpeculativeTouch(unit.frame);
-      const Picoseconds decode_done = sim_.now() + imu_cost;
-      const Picoseconds done = std::max(decode_done, unit.ready_at);
-      acct().t_imu += imu_cost;
-      acct().t_dp += done - decode_done;
-      acct().t_dp_wait += done - decode_done;
-      acct().fault_service_us.Add(ToMicroseconds(done - sim_.now()));
-      ScheduleResolve(done);
-      return;
-    }
-  }
   // The handler itself has to wait while the CPU finishes queued
   // background units (copy loops run interrupt-disabled).
   if (cpu_busy_until_ > sim_.now()) {
@@ -345,7 +323,6 @@ void Vim::OnPageFault() {
           pages_.FindResident(oid, vpage, space_->asid())) {
     // Soft fault: the page is in the dual-port RAM but its translation
     // fell out of the TLB (possible when tlb_entries < num_frames).
-    NoteSpeculativeTouch(*resident);
     InstallTlbEntry(oid, vpage, *resident);
     imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
     ++acct().tlb_refills;
@@ -353,22 +330,13 @@ void Vim::OnPageFault() {
     return;
   }
 
-  if (config_.prefetch != PrefetchKind::kNone) {
+  if (config_.prefetch == PrefetchKind::kClean) {
     // Background work, run on the CPU *after* the coprocessor resumes:
-    // speculative extra pages (§3.3 "speculative actions as prefetching
-    // could be used in order to avoid translation misses"), best-effort
-    // (AcquireFrame: never a write-back for a guess), then eager
-    // cleaning. The write-backs, not the loads, dominate the serial
-    // DP-management time (output pages must all go back to user space);
-    // pushing them into the background is where overlap pays.
+    // eager cleaning. The write-backs dominate the serial DP-management
+    // time (output pages must all go back to user space); pushing them
+    // into the background is where overlap pays.
     Picoseconds tail =
         std::max(sim_.now() + imu_cost + dp_cost, cpu_busy_until_);
-    for (const PrefetchSuggestion& s :
-         ClampedSuggestions(oid, vpage, ObjectNumPages(*object))) {
-      // Resident, or reserved for an in-flight unit: nothing to guess.
-      if (pages_.FindResident(s.object, s.vpage, space_->asid())) continue;
-      ScheduleOverlappedPrefetch(*object, s.vpage, tail);
-    }
     ScheduleBackgroundCleaning(tail);
     cpu_busy_until_ = tail;
   }
@@ -395,72 +363,6 @@ void Vim::ScheduleResolve(Picoseconds when) {
   });
 }
 
-void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
-                                     mem::VirtPage vpage,
-                                     Picoseconds& tail) {
-  // Claim a frame now (while the coprocessor is stalled, so evicting a
-  // clean victim's translation is race-free); fill it later. The clean
-  // victim adds no transfer time to the unit.
-  Picoseconds unit_cost = 0;
-  const u32 span = ObjectPageSpan(object);
-  const std::optional<mem::FrameId> frame =
-      AcquireFrame(span, /*speculative=*/true, nullptr, unit_cost, unit_cost);
-  if (!frame.has_value()) return;  // nothing cheap to speculate into
-  InstallPage(*frame, object.id, vpage, /*pinned=*/true,
-              /*speculative=*/true, span);
-
-  const u32 len = PageLength(object, vpage);
-  const bool needs_load = NeedsLoad(object, vpage);
-  // A unit re-loads from a bounce copy the kernel kept, but keeps none
-  // of its own (see AddressSpace::transferred).
-  const bool reload = needs_load && KernelCopyHeld(object.id, vpage);
-  unit_cost +=
-      costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
-  if (needs_load) {
-    unit_cost +=
-        reload ? transfers_.PriceReload(len) : transfers_.PriceTransfer(len);
-  }
-
-  const mem::UserAddr user_src = PageUserAddr(object, vpage);
-  // A DMA references the user pages directly until it lands: the engine
-  // pins them so reclamation cannot pull the source out from under it.
-  const bool pin = needs_load && transfers_.Pin(user_memory_, user_src, len);
-
-  tail = std::max(tail, sim_.now()) + unit_cost;
-  in_flight_.push_back(
-      InFlight{object.id, vpage, *frame, tail, user_src, len, pin});
-  acct().t_dp_overlapped += unit_cost;
-  ++acct().prefetched_pages;
-  if (timeline_ != nullptr) {
-    timeline_->Record(
-        StrFormat("prefetch obj%u page%u", object.id, vpage), "overlap",
-        tail - unit_cost, unit_cost, /*track=*/2);
-  }
-
-  const u64 epoch = epoch_;
-  const mem::FrameId f = *frame;
-  const hw::ObjectId oid = object.id;
-  const mem::UserAddr src = user_src;
-  sim_.ScheduleAt(tail, [this, epoch, f, oid, vpage, src, len, needs_load,
-                         reload, pin] {
-    if (epoch != epoch_) return;  // run ended or aborted meanwhile
-    if (needs_load) {
-      dp_ram_.Write(mem::DualPortRam::Port::kProcessor,
-                    geometry_.FrameBase(f), user_memory_.View(src, len));
-      CountLoad(len, reload);
-    }
-    if (pin) transfers_.Unpin(user_memory_, src, len);
-    pages_.Unpin(f);
-    InstallTlbEntry(oid, vpage, f);
-    for (usize i = 0; i < in_flight_.size(); ++i) {
-      if (in_flight_[i].frame == f) {
-        in_flight_.erase(in_flight_.begin() + static_cast<long>(i));
-        break;
-      }
-    }
-  });
-}
-
 bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
                   Picoseconds& dp_cost, Picoseconds& imu_cost) {
   // A hard demand fault extends or breaks its object's sequential run;
@@ -468,8 +370,8 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
   const DemandPage demand{object.id, vpage,
                           space_->NoteDemandFault(object.id, vpage)};
   const u32 span = ObjectPageSpan(object);
-  const std::optional<mem::FrameId> frame = AcquireFrame(
-      span, /*speculative=*/false, &demand, dp_cost, imu_cost);
+  const std::optional<mem::FrameId> frame =
+      AcquireFrame(span, &demand, dp_cost, imu_cost);
   if (!frame.has_value()) return false;
   ++acct().faults;
 
@@ -489,8 +391,7 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
     CountLoad(len, reload);
     space_->transferred.insert({object.id, vpage});
   }
-  InstallPage(*frame, object.id, vpage, /*pinned=*/false,
-              /*speculative=*/false, span);
+  InstallPage(*frame, object.id, vpage, /*pinned=*/false, span);
   InstallTlbEntry(object.id, vpage, *frame);
   imu_cost +=
       costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
@@ -511,7 +412,7 @@ void Vim::CountLoad(u32 len, bool reload) {
   acct().bytes_loaded += len;
 }
 
-std::optional<mem::FrameId> Vim::AcquireFrame(u32 span, bool speculative,
+std::optional<mem::FrameId> Vim::AcquireFrame(u32 span,
                                               const DemandPage* demand,
                                               Picoseconds& dp_cost,
                                               Picoseconds& imu_cost) {
@@ -519,7 +420,6 @@ std::optional<mem::FrameId> Vim::AcquireFrame(u32 span, bool speculative,
     if (const std::optional<mem::FrameId> run = pages_.FindFreeRun(span)) {
       return run;
     }
-    if (speculative) return std::nullopt;  // never evict for a guess
     const std::optional<mem::FrameId> start = SuperpageWindow(span);
     if (!start.has_value()) {
       Abort(ResourceExhaustedError(StrFormat(
@@ -543,23 +443,11 @@ std::optional<mem::FrameId> Vim::AcquireFrame(u32 span, bool speculative,
   if (const std::optional<mem::FrameId> free = pages_.FindFree()) {
     return free;
   }
-  std::vector<bool> evictable = pages_.EvictableMask();
-  if (speculative) {
-    // Never pay a write-back for speculation, and never displace a
-    // page the coprocessor is actively using: only clean, cold victims.
-    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-      if (evictable[f] &&
-          (FrameDirty(f) || (f < hot_frames_.size() && hot_frames_[f]))) {
-        evictable[f] = false;
-      }
-    }
-  }
+  const std::vector<bool> evictable = pages_.EvictableMask();
   if (std::find(evictable.begin(), evictable.end(), true) ==
       evictable.end()) {
-    if (!speculative) {
-      Abort(ResourceExhaustedError(
-          "no evictable interface page (all frames pinned)"));
-    }
+    Abort(ResourceExhaustedError(
+        "no evictable interface page (all frames pinned)"));
     return std::nullopt;
   }
   const mem::FrameId victim =
@@ -568,7 +456,7 @@ std::optional<mem::FrameId> Vim::AcquireFrame(u32 span, bool speculative,
           : policy_->PickDemandVictim(
                 evictable,
                 DemandFault{demand->object, demand->vpage, demand->previous,
-                            hot_frames_, pages_.SpeculativeMask(),
+                            hot_frames_,
                             space_->evicted_after_use.count(
                                 {demand->object, demand->vpage}) != 0});
   EvictFrame(victim, dp_cost, imu_cost);
@@ -618,31 +506,28 @@ std::optional<mem::FrameId> Vim::SuperpageWindow(u32 span) const {
 }
 
 void Vim::InstallPage(mem::FrameId frame, hw::ObjectId object,
-                      mem::VirtPage vpage, bool pinned, bool speculative,
-                      u32 span) {
+                      mem::VirtPage vpage, bool pinned, u32 span) {
   pages_.Install(frame, object, vpage, pinned, space_->asid(), span);
-  if (speculative) pages_.MarkSpeculative(frame);
   policy_->OnInstalled(frame, object, vpage);
 }
 
 void Vim::FreeFrame(mem::FrameId frame) {
-  SettleSpeculativeRelease(pages_.frame(frame));
   pages_.Release(frame);
+  clean_queued_[frame] = false;
   policy_->OnFreed(frame);
 }
 
 bool Vim::MapParamPage(std::span<const u32> params, Picoseconds& dp_cost,
                        Picoseconds& imu_cost) {
-  const std::optional<mem::FrameId> frame = AcquireFrame(
-      /*span=*/1, /*speculative=*/false, nullptr, dp_cost, imu_cost);
+  const std::optional<mem::FrameId> frame =
+      AcquireFrame(/*span=*/1, nullptr, dp_cost, imu_cost);
   if (!frame.has_value()) return false;
   for (usize i = 0; i < params.size(); ++i) {
     dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
                       geometry_.FrameBase(*frame) + static_cast<u32>(4 * i),
                       4, params[i]);
   }
-  InstallPage(*frame, hw::kParamObject, 0, /*pinned=*/true,
-              /*speculative=*/false, /*span=*/1);
+  InstallPage(*frame, hw::kParamObject, 0, /*pinned=*/true, /*span=*/1);
   InstallTlbEntry(hw::kParamObject, 0, *frame);
   space_->param_frame = frame;
   space_->params_live = true;
@@ -658,17 +543,12 @@ void Vim::ReleaseParamFrame() {
 
 void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
                      Picoseconds& imu_cost) {
-  // Fold the live TLB entry's dirty bit into the page state first. The
-  // accessed/dirty bits also settle the speculation verdict for a
-  // prefetched frame: referenced since the last harvest counts as a
-  // useful guess.
+  // Fold the live TLB entry's dirty and accessed bits into the page
+  // state first.
   if (const std::optional<u32> e = imu_->tlb().FindByFrame(frame)) {
     const hw::TlbEntry old = imu_->tlb().Invalidate(*e);
     if (old.dirty) pages_.MarkDirty(frame);
-    if (old.accessed || old.dirty) {
-      NoteSpeculativeTouch(frame);
-      pages_.MarkReferenced(frame);
-    }
+    if (old.accessed || old.dirty) pages_.MarkReferenced(frame);
   }
   const FrameState state = pages_.frame(frame);
   AddressSpace* owner = ResolveSpace(state.asid);
@@ -745,7 +625,9 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
   for (const mem::FrameId f : pages_.InUseFramesOf(space_->asid())) {
     if (budget == 0) break;
     const FrameState state = pages_.frame(f);
-    if (state.pinned) continue;
+    // A page already queued stays dirty until its unit lands: a second
+    // unit would write it back twice.
+    if (state.pinned || clean_queued_[f]) continue;
     if (f < hot_frames_.size() && hot_frames_[f]) continue;
     if (!FrameDirty(f)) continue;
     const MappedObject* object = space_->objects().Find(state.object);
@@ -756,6 +638,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
         transfers_.PriceTransfer(len) + costs_.Cycles(costs_.page_table_cycles);
     tail = std::max(tail, sim_.now()) + unit_cost;
     acct().t_dp_overlapped += unit_cost;
+    clean_queued_[f] = true;
     --budget;
     if (timeline_ != nullptr) {
       timeline_->Record(
@@ -771,15 +654,12 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
       if (epoch != epoch_) return;
       const FrameState now_state = pages_.frame(f);
       // The frame may have been evicted/repurposed meanwhile — the
-      // eviction already wrote the data back synchronously. A *pinned*
-      // match is the subtle case: the page was evicted and the frame
-      // re-reserved by an in-flight prefetch of the same page, whose
-      // content has not arrived yet — copying it out would publish
-      // garbage over the eviction's correct write-back.
-      if (!now_state.in_use || now_state.pinned ||
-          now_state.object != oid || now_state.vpage != vpage) {
+      // eviction already wrote the data back synchronously.
+      if (!now_state.in_use || now_state.object != oid ||
+          now_state.vpage != vpage) {
         return;
       }
+      clean_queued_[f] = false;
       std::vector<u8> buf(len);
       dp_ram_.Read(mem::DualPortRam::Port::kProcessor,
                    geometry_.FrameBase(f), buf);
@@ -799,7 +679,6 @@ void Vim::HarvestRecency() {
   hot_frames_.assign(geometry_.num_frames(), false);
   for (const mem::FrameId f : imu_->tlb().HarvestAccessed()) {
     policy_->OnTouched(f);
-    NoteSpeculativeTouch(f);
     pages_.MarkReferenced(f);
     if (f < hot_frames_.size()) hot_frames_[f] = true;
   }
@@ -825,7 +704,7 @@ void Vim::OnEndOfOperation() {
 
   Picoseconds imu_cost = costs_.Cycles(costs_.interrupt_entry_cycles);
   Picoseconds dp_cost = 0;
-  EndBackgroundWork(dp_cost, imu_cost);
+  EndBackgroundWork(dp_cost);
 
   // Merge live dirty bits, then drop the translations. Only this
   // space's entries and frames are touched, so on a shared fabric
@@ -834,11 +713,10 @@ void Vim::OnEndOfOperation() {
   const hw::Asid asid = space_->asid();
   for (u32 i = 0; i < tlb.num_entries(); ++i) {
     const hw::TlbEntry e = tlb.entry(i);
-    if (!e.valid || e.asid != asid) continue;
-    if (e.dirty && pages_.frame(e.frame).in_use) {
+    if (e.valid && e.asid == asid && e.dirty &&
+        pages_.frame(e.frame).in_use) {
       pages_.MarkDirty(e.frame);
     }
-    if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
   }
   tlb.InvalidateAsid(asid);
 
@@ -899,7 +777,7 @@ Picoseconds Vim::SaveContext() {
   // background work may reach into some other tenant's slice.
   // RestoreContext re-arms the watchdog.
   ++watchdog_epoch_;
-  EndBackgroundWork(dp_cost, imu_cost);
+  EndBackgroundWork(dp_cost);
 
   HarvestRecency();
 
@@ -915,22 +793,16 @@ Picoseconds Vim::SaveContext() {
     imu_cost += costs_.Cycles(costs_.page_table_cycles);
   }
 
-  // The translations stay installed under the tenant's ASID, and the
-  // snapshot lets a resume re-install whatever an intervening tenant
-  // recycled. Dirty pages are written back eagerly, so a foreign
-  // eviction of one of our frames while we are switched out is a free
-  // drop.
-  space_->tlb_snapshot.clear();
+  // The translations stay installed under the tenant's ASID; a fault
+  // refills any that an intervening tenant recycles. Dirty pages are
+  // written back eagerly, so a foreign eviction of one of our frames
+  // while we are switched out is a free drop.
   for (u32 i = 0; i < tlb.num_entries(); ++i) {
     const hw::TlbEntry e = tlb.entry(i);
-    if (!e.valid || e.asid != asid || e.object == hw::kParamObject) {
-      continue;
-    }
-    if (e.dirty && pages_.frame(e.frame).in_use) {
+    if (e.valid && e.asid == asid && e.object != hw::kParamObject &&
+        e.dirty && pages_.frame(e.frame).in_use) {
       pages_.MarkDirty(e.frame);
     }
-    space_->tlb_snapshot.push_back(
-        TlbSnapshotEntry{e.object, e.vpage, e.frame});
   }
   for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
     const FrameState state = pages_.frame(f);
@@ -971,23 +843,8 @@ Picoseconds Vim::RestoreContext() {
   VCOP_CHECK_MSG(imu_ != nullptr, "context restore with no IMU bound");
   VCOP_CHECK_MSG(space_ != nullptr,
                  "context restore with no space attached");
-  const hw::Asid asid = space_->asid();
-  hw::Tlb& tlb = imu_->tlb();
   Picoseconds dp_cost = 0;
   Picoseconds imu_cost = costs_.Cycles(costs_.context_restore_cycles);
-
-  for (const TlbSnapshotEntry& snap : space_->tlb_snapshot) {
-    if (tlb.Probe(snap.object, snap.vpage, asid).has_value()) {
-      continue;  // Survived the switched-out window in place.
-    }
-    if (pages_.FindResident(snap.object, snap.vpage, asid) != snap.frame) {
-      continue;  // Frame was evicted meanwhile; a fault will reload it.
-    }
-    InstallTlbEntry(snap.object, snap.vpage, snap.frame);
-    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
-    ++service_stats_.tlb_entries_restored;
-  }
-  space_->tlb_snapshot.clear();
 
   // Re-materialise the parameter page released at save time.
   if (space_->params_live && !space_->param_frame.has_value() &&
@@ -1012,16 +869,9 @@ void Vim::FlushAsid(hw::Asid asid) {
   transfers_.Invalidate(asid);
 }
 
-void Vim::EndBackgroundWork(Picoseconds& dp_cost, Picoseconds& imu_cost) {
+void Vim::EndBackgroundWork(Picoseconds& dp_cost) {
   ++epoch_;
-  for (const InFlight& unit : in_flight_) {
-    FreeFrame(unit.frame);
-    imu_cost += costs_.Cycles(costs_.page_table_cycles);
-    if (unit.pinned) {
-      transfers_.Unpin(user_memory_, unit.user_addr, unit.user_len);
-    }
-  }
-  in_flight_.clear();
+  clean_queued_.assign(clean_queued_.size(), false);
   if (cpu_busy_until_ > sim_.now()) {
     const Picoseconds wait = cpu_busy_until_ - sim_.now();
     dp_cost += wait;
@@ -1036,48 +886,12 @@ void Vim::Abort(Status status) {
   space_->aborted = true;
   ++watchdog_epoch_;
   fault_service_pending_ = false;
-  // A failed run reports no time split, so the exit's costs are dropped.
+  // A failed run reports no time split, so the exit's wait is dropped.
   Picoseconds dp_cost = 0;
-  Picoseconds imu_cost = 0;
-  EndBackgroundWork(dp_cost, imu_cost);
+  EndBackgroundWork(dp_cost);
   VCOP_LOG(kWarning, "VIM aborting run: " + status.ToString());
   imu_->HardStop();
   if (on_abort_) on_abort_(std::move(status));
-}
-
-// ----- speculation (DESIGN.md §10) -----
-
-std::vector<PrefetchSuggestion> Vim::ClampedSuggestions(hw::ObjectId oid,
-                                                        mem::VirtPage vpage,
-                                                        u32 num_pages) {
-  std::vector<PrefetchSuggestion> out =
-      prefetcher_->Suggest(oid, vpage, num_pages);
-  usize kept = 0;
-  for (const PrefetchSuggestion& s : out) {
-    if (s.object != oid || s.vpage >= num_pages || s.vpage == vpage) {
-      ++acct().prefetch_suggestions_dropped;
-      continue;
-    }
-    out[kept++] = s;
-  }
-  out.resize(kept);
-  return out;
-}
-
-void Vim::NoteSpeculativeTouch(mem::FrameId frame) {
-  const FrameState& state = pages_.frame(frame);
-  if (!state.in_use || !state.speculative) return;
-  if (AddressSpace* owner = ResolveSpace(state.asid)) {
-    ++owner->accounting.prefetch_useful;
-  }
-  pages_.ClearSpeculative(frame);
-}
-
-void Vim::SettleSpeculativeRelease(const FrameState& state) {
-  if (!state.speculative) return;
-  if (AddressSpace* owner = ResolveSpace(state.asid)) {
-    ++owner->accounting.prefetch_wasted;
-  }
 }
 
 // ----- fault injection and recovery -----

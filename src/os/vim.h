@@ -31,6 +31,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,28 +47,32 @@
 #include "os/object_table.h"
 #include "os/page_manager.h"
 #include "os/policy.h"
-#include "os/prefetch.h"
 #include "os/timeline.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 
 namespace vcop::os {
 
+/// What the VIM does on the CPU while the coprocessor executes (§3.3:
+/// "allowing overlapping of processor and coprocessor execution"):
+///
+///   kNone   — demand paging only; nothing runs in the background.
+///   kClean  — background cleaning: each fault service queues write-backs
+///             of cold dirty pages, so later evictions find clean victims.
+///
+/// The paper's other suggestion, "speculative actions as prefetching"
+/// (§3.3), is not modelled: DESIGN.md §10 records why it went.
+enum class PrefetchKind : u8 { kNone, kClean };
+
+std::string_view ToString(PrefetchKind kind);
+
 struct VimConfig {
   /// Page replacement (§3.3). The default, working-set-guarded FIFO,
   /// decides exactly like FIFO on sequential faults that are not
   /// re-faults of pages evicted after use.
   PolicyKind policy = PolicyKind::kWsFifo;
-  /// What the VIM does on the CPU while the coprocessor executes (§3.3:
-  /// "prefetching [...] allowing overlapping of processor and
-  /// coprocessor execution"): nothing (kNone), background cleaning of
-  /// cold dirty pages (kClean), or cleaning plus the strategy's
-  /// speculative page loads (kSequential, kAdaptive). A speculative page
-  /// arrives with its translation pre-installed, so the coprocessor
-  /// never faults on it; a fault racing an in-flight load waits only
-  /// for the remainder.
+  /// Background work on the CPU: none, or cleaning (PrefetchKind).
   PrefetchKind prefetch = PrefetchKind::kNone;
-  u32 prefetch_depth = 1;
   /// How pages move between user memory and the dual-port RAM: the
   /// paper's double copy, single copy, DMA, or zero-copy DMA through
   /// the IOMMU (DESIGN.md §13). Only the transfer engine interprets it.
@@ -98,8 +103,9 @@ inline constexpr Picoseconds kWatchdogTimeout = 1'000'000'000;  // 1 ms
 struct VimServiceStats {
   u64 context_saves = 0;
   u64 context_restores = 0;
-  /// Snapshot entries re-installed at resume because frame and mapping
-  /// were still intact.
+  /// Always 0: a resume re-installs no TLB entry (a switched-out
+  /// tenant's entries stay tagged in the TLB, and a fault refills any
+  /// that another tenant recycled). Kept because perfbench reports it.
   u64 tlb_entries_restored = 0;
   /// Dirty pages eagerly written back during SaveContext (they stay
   /// resident and clean, so later cross-tenant eviction is free).
@@ -134,18 +140,13 @@ class Vim {
       mem::DualPortRam& dp_ram, mem::UserMemory& user_memory,
       sim::Simulator& sim);
 
-  /// Applies a configuration (policy, prefetch, copy mode). May be
-  /// called between executions.
+  /// Applies a configuration (policy, background work, copy mode). May
+  /// be called between executions.
   void Configure(const VimConfig& config);
 
   /// Replaces the replacement policy with a custom instance (e.g. the
   /// Belady oracle) — Configure() would reinstall a built-in one.
   void SetPolicy(std::unique_ptr<ReplacementPolicy> policy);
-
-  /// Replaces the prefetcher with a custom instance (tests use this to
-  /// feed the VIM contract-violating suggestions) — Configure() would
-  /// reinstall a built-in one.
-  void SetPrefetcher(std::unique_ptr<Prefetcher> prefetcher);
 
   /// Binds the IMU of the design about to run (Kernel::Bind, before
   /// every FPGA_EXECUTE and every vcopd slice); nullptr unbinds.
@@ -162,7 +163,7 @@ class Vim {
 
   /// Prepares an execution: validates mappings, flushes the attached
   /// space's frames and TLB entries (other spaces' stay resident),
-  /// resets the prefetcher's history and the TLB recycle cursor,
+  /// resets the TLB recycle cursor,
   /// programs the IMU object descriptor table, writes the scalar
   /// `params` into the parameter page and maps it. Returns the setup
   /// cost on success.
@@ -174,9 +175,10 @@ class Vim {
 
   // ----- preemptive context switching (vcopd) -----
 
-  /// Restores the context a preemption saved: re-installs surviving TLB
-  /// snapshot entries and re-materialises the parameter page if it was
-  /// live. Returns the service time (charged to the space).
+  /// Restores the context a preemption saved: re-materialises the
+  /// parameter page if it was live. The tenant's translations stayed
+  /// in the TLB under its ASID; a fault refills any that another
+  /// tenant recycled. Returns the service time (charged to the space).
   Picoseconds RestoreContext();
 
   /// Drops every frame, TLB entry and IO-TLB entry owned by `asid`,
@@ -256,16 +258,11 @@ class Vim {
   void OnTlbParityDrop(const hw::TlbEntry& dropped);
 
   /// OS-side eligibility for the IMU's fast-forward tier (installed as
-  /// the IMU's gate by BindImu): declines while VIM background
-  /// activity is pending — an overlapped prefetch still in flight, or
-  /// a fault service whose restart is still being costed — i.e. while
-  /// completion events that will touch translations or frame state are
-  /// outstanding. The simulator's pending-event check already
-  /// guarantees bit-identity on its own; this veto keeps the fast path
-  /// from probing at all inside windows it could never win.
-  bool FastForwardSafe() const {
-    return !fault_service_pending_ && in_flight_.empty();
-  }
+  /// the IMU's gate by BindImu): declines while a fault service's
+  /// restart is still being costed. The simulator's pending-event check
+  /// already guarantees bit-identity on its own; this veto keeps the
+  /// fast path from probing at all inside windows it could never win.
+  bool FastForwardSafe() const { return !fault_service_pending_; }
 
   const VimAccounting& accounting() const { return space_->accounting; }
   const VimConfig& config() const { return config_; }
@@ -275,9 +272,9 @@ class Vim {
 
  private:
   /// Saves the attached space's interface context when OnPageFault
-  /// turns a fault into a preemption: merges TLB dirty bits, snapshots
-  /// the space's translations (they stay installed under its ASID),
-  /// releases the pinned parameter frame and writes dirty frames back,
+  /// turns a fault into a preemption: merges TLB dirty bits (the
+  /// space's translations stay installed under its ASID), releases the
+  /// pinned parameter frame and writes dirty frames back,
   /// so its working set stays resident and clean. Charges the space's
   /// accounting and returns the service time. The faulting IMU stays
   /// fault-stalled; re-enter via OnPageFault after RestoreContext.
@@ -302,12 +299,9 @@ class Vim {
   /// The one place a frame or victim is chosen: a free frame (a free
   /// run of `span` frames for a superpage), else a victim the policy
   /// picks (PickDemandVictim for a `demand` fault), evicted through
-  /// EvictFrame; a superpage clears SuperpageWindow's heads instead. A
-  /// `speculative` claim takes only a free frame or run, or a clean
-  /// victim the coprocessor has not touched since the previous fault.
-  /// Returns the (head) frame, or nullopt: a speculative claim declined,
-  /// any other claim aborted the run.
-  std::optional<mem::FrameId> AcquireFrame(u32 span, bool speculative,
+  /// EvictFrame; a superpage clears SuperpageWindow's heads instead.
+  /// Returns the (head) frame, or nullopt when the run aborted.
+  std::optional<mem::FrameId> AcquireFrame(u32 span,
                                            const DemandPage* demand,
                                            Picoseconds& dp_cost,
                                            Picoseconds& imu_cost);
@@ -320,11 +314,10 @@ class Vim {
   /// The one page installation: files frames [frame, frame+span) under
   /// the attached space and tells the policy which page they hold.
   void InstallPage(mem::FrameId frame, hw::ObjectId object,
-                   mem::VirtPage vpage, bool pinned, bool speculative,
-                   u32 span);
+                   mem::VirtPage vpage, bool pinned, u32 span);
 
-  /// The one frame release: settles a still-speculative page as wasted,
-  /// frees the run headed at `frame` whatever its pins, tells the policy.
+  /// The one frame release: frees the run headed at `frame`, pinned or
+  /// not, drops any clean unit queued for it and tells the policy.
   void FreeFrame(mem::FrameId frame);
 
   /// Writes `params` into a frame from AcquireFrame and maps it as the
@@ -381,27 +374,9 @@ class Vim {
   u32 ObjectPageSpan(const MappedObject& object) const;
   /// Virtual page of byte `offset` under the object's page size.
   mem::VirtPage ObjectPageOf(const MappedObject& object, u64 offset) const;
-  /// Number of pages covering the object.
-  u32 ObjectNumPages(const MappedObject& object) const;
   /// User-space address backing `vpage` of `object`.
   mem::UserAddr PageUserAddr(const MappedObject& object,
                              mem::VirtPage vpage) const;
-
-  /// Central enforcement of the Suggest contract: strategies are
-  /// advisory, so anything pointing at another object, past the
-  /// object's end, or at the faulting page itself is dropped (and
-  /// counted) here instead of trusting each strategy.
-  std::vector<PrefetchSuggestion> ClampedSuggestions(hw::ObjectId oid,
-                                                     mem::VirtPage vpage,
-                                                     u32 num_pages);
-
-  /// A speculative frame proved useful (the coprocessor referenced it):
-  /// count it and clear the flag. Safe to call on any frame.
-  void NoteSpeculativeTouch(mem::FrameId frame);
-
-  /// Called when `state`'s frame leaves the fabric: a frame still
-  /// flagged speculative was a wasted guess.
-  void SettleSpeculativeRelease(const FrameState& state);
 
   /// Pulls the TLB accessed bits into the replacement policy.
   void HarvestRecency();
@@ -451,7 +426,6 @@ class Vim {
 
   VimConfig config_{};
   std::unique_ptr<ReplacementPolicy> policy_;
-  std::unique_ptr<Prefetcher> prefetcher_;
 
   hw::Imu* imu_ = nullptr;
   /// The space whose execution context the VIM is operating on. The
@@ -461,51 +435,34 @@ class Vim {
   PageManager pages_;
   u32 tlb_recycle_cursor_ = 0;
 
-  /// Overlapped-prefetch state: transfers the CPU is running in the
-  /// background while the coprocessor executes. A unit's frame stays
-  /// pinned until it lands, so eviction and cleaning pass it by.
-  struct InFlight {
-    hw::ObjectId object;
-    mem::VirtPage vpage;
-    mem::FrameId frame;
-    Picoseconds ready_at;
-    /// User-side range the transfer references; DMA-pinned for the
-    /// transfer's lifetime when `pinned` (TransferEngine::Pin), so the
-    /// user pages cannot be reclaimed under an in-flight DMA.
-    mem::UserAddr user_addr = 0;
-    u32 user_len = 0;
-    bool pinned = false;
-  };
-  std::vector<InFlight> in_flight_;
+  /// Background cleaning (DESIGN.md §10): the CPU writes back units
+  /// queued by fault services while the coprocessor executes, and is
+  /// busy until `cpu_busy_until_`.
   Picoseconds cpu_busy_until_ = 0;
-  /// Invalidates stale completion and restart events (EndBackgroundWork).
+  /// Per frame: a clean unit is queued for its page and has not landed.
+  std::vector<bool> clean_queued_;
+  /// Invalidates stale clean units and restart events (EndBackgroundWork).
   u64 epoch_ = 0;
 
-  /// Queues one overlapped prefetch unit for (object, vpage); `tail` is
-  /// the running CPU-availability time, advanced past the new unit.
-  void ScheduleOverlappedPrefetch(const MappedObject& object,
-                                  mem::VirtPage vpage, Picoseconds& tail);
-
   /// Queues background *cleaning* of the attached space's dirty,
-  /// not-recently-touched pages: writing them back while the
-  /// coprocessor runs so that later evictions find clean victims — the
-  /// page-daemon counterpart of overlapped prefetch.
+  /// not-recently-touched pages whose write-back is not already queued:
+  /// writing them back while the coprocessor runs, so that later
+  /// evictions find clean victims. `tail` is the running
+  /// CPU-availability time, advanced past each new unit.
   void ScheduleBackgroundCleaning(Picoseconds& tail);
 
   /// The one exit for background work: it leaves the fabric with its
   /// space (end of operation, context save, abort). Bumps the epoch so
-  /// no queued unit lands, frees each in-flight unit's frame (adding its
-  /// page-table update to `imu_cost`) and releases its DMA pins, then
-  /// waits out the CPU's queue (adding the wait to `dp_cost`, booked as
-  /// t_dp_wait).
-  void EndBackgroundWork(Picoseconds& dp_cost, Picoseconds& imu_cost);
+  /// no queued unit lands, then waits out the CPU's queue (adding the
+  /// wait to `dp_cost`, booked as t_dp_wait).
+  void EndBackgroundWork(Picoseconds& dp_cost);
 
   /// Merged (page-state | live-TLB) dirty bit of `frame`.
   bool FrameDirty(mem::FrameId frame) const;
 
   /// Frames the coprocessor touched since the previous fault
-  /// (refreshed by HarvestRecency); speculation never evicts them, and
-  /// demand faults hand them to the policy as DemandFault::referenced.
+  /// (refreshed by HarvestRecency); cleaning passes them by, and demand
+  /// faults hand them to the policy as DemandFault::referenced.
   std::vector<bool> hot_frames_;
 
   /// Shorthand for the attached space's accounting.

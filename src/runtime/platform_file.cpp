@@ -183,18 +183,9 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
         config.vim.prefetch = os::PrefetchKind::kNone;
       } else if (v == "clean") {
         config.vim.prefetch = os::PrefetchKind::kClean;
-      } else if (v == "sequential") {
-        config.vim.prefetch = os::PrefetchKind::kSequential;
-      } else if (v == "adaptive") {
-        config.vim.prefetch = os::PrefetchKind::kAdaptive;
       } else {
-        return LineError(line_number,
-                         "prefetch must be none|clean|sequential|adaptive");
+        return LineError(line_number, "prefetch must be none|clean");
       }
-    } else if (key == "prefetch_depth") {
-      Result<u64> v = number(1, 16);
-      if (!v.ok()) return v.status();
-      config.vim.prefetch_depth = static_cast<u32>(v.value());
     } else if (key == "service_ring") {
       Result<u64> v = number(2, 32768);
       if (!v.ok()) return v.status();
@@ -282,7 +273,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
   out += StrFormat("copy_mode = %s\n", copy);
   out += StrFormat("prefetch = %s\n",
                    std::string(ToString(config.vim.prefetch)).c_str());
-  out += StrFormat("prefetch_depth = %u\n", config.vim.prefetch_depth);
   out += StrFormat("service_ring = %u\n", config.service.ring_entries);
   out += StrFormat("service_rate = %llu\n",
                    static_cast<unsigned long long>(config.service.admit_rate));

@@ -17,8 +17,7 @@
 //     pld_les      = 16640
 //     policy       = lru          ; wsfifo (default) | fifo | lru | random
 //     copy_mode    = single       ; double | single | dma | iommu
-//     prefetch     = sequential   ; none | clean | sequential | adaptive
-//     prefetch_depth = 2
+//     prefetch     = clean        ; none (default) | clean
 //
 // Unknown keys and malformed values are errors (a silently ignored
 // typo in a board file is a debugging session).

@@ -8,7 +8,7 @@
 // kernel needs: move-only (actions are moved, never copied — see
 // EventQueueTest.ActionsAreMovedNotCopied), with a 48-byte inline
 // buffer sized for the largest closure the simulator schedules (the
-// VIM's overlapped-prefetch completion, ~40 bytes of captures). Larger
+// VIM's clean-unit completion, about 40 bytes of captures). Larger
 // captures spill to one heap allocation instead of failing to compile.
 #pragma once
 

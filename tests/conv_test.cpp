@@ -183,6 +183,27 @@ TEST(ConvCoprocessorTest, StridedWorkingSetPagesSanely) {
   EXPECT_EQ(r.vim.loads, 13u);
 }
 
+TEST(ConvCoprocessorTest, ShiftsPastSixtyThreeSaturate) {
+  // The shift is a caller's parameter (FPGA_EXECUTE parameter 2, or a
+  // ring descriptor's): core and reference saturate it at 63, where an
+  // i64 shift stops being defined one step later.
+  const u32 w = 16, h = 8;
+  const std::vector<u8> img = MakeTestImage(w, h, 1);
+  std::vector<u8> want(img.size());
+  Convolve3x3(img, w, h, apps::SharpenKernel(), 63, want);
+  for (const u32 shift : {64u, 255u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(shift);
+    std::vector<u8> out(img.size());
+    Convolve3x3(img, w, h, apps::SharpenKernel(), shift, out);
+    EXPECT_EQ(out, want);
+    runtime::FpgaSystem sys(runtime::Epxa1Config());
+    auto run = runtime::RunConv3x3Vim(sys, img, w, h, apps::SharpenKernel(),
+                                      shift);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run.value().output, want);
+  }
+}
+
 TEST(ConvCoprocessorTest, ImageWithNoInteriorCopiesThrough) {
   // RunConv3x3Vim rejects such shapes, but a vcopd tenant may pass any
   // geometry: every pixel of a 2-wide image is a frame pixel, so the

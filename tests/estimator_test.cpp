@@ -128,8 +128,7 @@ posted_writes = yes
 pld_les = 16640
 policy = lru
 copy_mode = dma
-prefetch = sequential
-prefetch_depth = 2
+prefetch = clean
 service_ring = 128
 service_rate = 5000
 service_burst = 32
@@ -148,8 +147,7 @@ service_burst = 32
   EXPECT_EQ(c.pld_capacity_les, 16640u);
   EXPECT_EQ(c.vim.policy, os::PolicyKind::kLru);
   EXPECT_EQ(c.vim.copy_mode, mem::CopyMode::kDma);
-  EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kSequential);
-  EXPECT_EQ(c.vim.prefetch_depth, 2u);
+  EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kClean);
   EXPECT_EQ(c.service.ring_entries, 128u);
   EXPECT_EQ(c.service.admit_rate, 5000u);
   EXPECT_EQ(c.service.admit_burst, 32u);
@@ -220,9 +218,7 @@ TEST(PlatformFileTest, ParsesEveryPrefetchKind) {
     os::PrefetchKind kind;
   };
   for (const Case c : {Case{"none", os::PrefetchKind::kNone},
-                       Case{"clean", os::PrefetchKind::kClean},
-                       Case{"sequential", os::PrefetchKind::kSequential},
-                       Case{"adaptive", os::PrefetchKind::kAdaptive}}) {
+                       Case{"clean", os::PrefetchKind::kClean}}) {
     auto config = runtime::ParsePlatformFile(
         std::string("prefetch = ") + c.value + "\n");
     ASSERT_TRUE(config.ok()) << c.value;
@@ -231,12 +227,15 @@ TEST(PlatformFileTest, ParsesEveryPrefetchKind) {
 }
 
 TEST(PlatformFileTest, UnknownPrefetchKindRejectedClearly) {
-  for (const char* value : {"psychic", "stride"}) {
-    auto config = runtime::ParsePlatformFile(std::string("prefetch = ") +
-                                             value + "\n");
+  // `sequential` and `adaptive` are not values: a board file naming one
+  // fails like any other bad value.
+  for (const char* value : {"psychic", "stride", "sequential", "adaptive"}) {
+    auto config = runtime::ParsePlatformFile(
+        std::string("name = X\nprefetch = ") + value + "\n");
     ASSERT_FALSE(config.ok()) << value;
-    EXPECT_NE(config.status().message().find(
-                  "prefetch must be none|clean|sequential|adaptive"),
+    EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+        << config.status().message();
+    EXPECT_NE(config.status().message().find("prefetch must be none|clean"),
               std::string::npos)
         << config.status().message();
   }
@@ -248,7 +247,7 @@ TEST(PlatformFileTest, UnknownKeyRejectedWithLine) {
         "design_affinity = on", "fastforward = on", "l1_tlb_entries = 2",
         "l2_tlb_entries = 6", "page_kb = 2", "coalesce_writeback = on",
         "iommu = on", "iotlb_entries = 16", "overlap = true",
-        "bounds_check = on"}) {
+        "bounds_check = on", "prefetch" "_depth = 2"}) {
     const std::string key(line, std::string_view(line).find(' '));
     auto config = runtime::ParsePlatformFile(std::string("name = X\n") +
                                              line + "\n");
@@ -354,8 +353,7 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   original.vim.policy = os::PolicyKind::kRandom;
   original.vim.copy_mode = mem::CopyMode::kIommu;
   original.imu_pipelined = true;
-  original.vim.prefetch = os::PrefetchKind::kAdaptive;
-  original.vim.prefetch_depth = 3;
+  original.vim.prefetch = os::PrefetchKind::kClean;
   original.service.ring_entries = 256;
   original.service.admit_rate = 1234;
   original.service.admit_burst = 7;
@@ -369,7 +367,6 @@ TEST(PlatformFileTest, RoundTripsThroughWriter) {
   EXPECT_EQ(parsed.value().vim.copy_mode, original.vim.copy_mode);
   EXPECT_EQ(parsed.value().imu_pipelined, original.imu_pipelined);
   EXPECT_EQ(parsed.value().vim.prefetch, original.vim.prefetch);
-  EXPECT_EQ(parsed.value().vim.prefetch_depth, original.vim.prefetch_depth);
   EXPECT_EQ(parsed.value().service.ring_entries,
             original.service.ring_entries);
   EXPECT_EQ(parsed.value().service.admit_rate, original.service.admit_rate);
@@ -421,11 +418,8 @@ os::KernelConfig RandomPlatform(Rng& rng) {
       mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
       mem::CopyMode::kDma, mem::CopyMode::kIommu};
   c.vim.copy_mode = kCopyModes[rng.NextBelow(std::size(kCopyModes))];
-  constexpr os::PrefetchKind kPrefetch[] = {
-      os::PrefetchKind::kNone, os::PrefetchKind::kClean,
-      os::PrefetchKind::kSequential, os::PrefetchKind::kAdaptive};
-  c.vim.prefetch = kPrefetch[rng.NextBelow(std::size(kPrefetch))];
-  c.vim.prefetch_depth = static_cast<u32>(rng.NextInRange(1, 16));
+  c.vim.prefetch =
+      RandomBool(rng) ? os::PrefetchKind::kClean : os::PrefetchKind::kNone;
   c.service.ring_entries = RandomPowerOfTwo(rng, 1, 15);
   c.service.admit_rate = rng.NextInRange(0, 1'000'000'000);
   c.service.admit_burst = static_cast<u32>(rng.NextInRange(1, 1 << 20));
@@ -452,8 +446,8 @@ std::string RandomKeyValueLine(Rng& rng) {
   static constexpr const char* kKeys[] = {
       "name", "dp_ram_kb", "page_size", "tlb_entries", "cpu_mhz",
       "imu_latency", "pipelined", "posted_writes", "pld_les", "policy",
-      "copy_mode", "prefetch", "prefetch_depth", "service_ring",
-      "service_rate", "service_burst", "config_slots", "page_size_obj3",
+      "copy_mode", "prefetch", "service_ring", "service_rate",
+      "service_burst", "config_slots", "page_size_obj3",
       // Near misses: the parameter object, no id, an id out of range,
       // removed keys, upper case, an inner space.
       "page_size_obj15", "page_size_obj", "page_size_obj99", "fastforward",
@@ -461,7 +455,8 @@ std::string RandomKeyValueLine(Rng& rng) {
       "bounds_check", "NAME", "tlb entries"};
   static constexpr const char* kValues[] = {
       "0", "1", "2", "3", "512", "1024", "4096", "65536", "65537", "-1",
-      "on", "off", "maybe", "lru", "wsfifo", "dma", "iommu", "adaptive", "",
+      "on", "off", "maybe", "lru", "wsfifo", "dma", "iommu", "clean",
+      "adaptive", "",
       "18446744073709551616", "4294967296", "1e3", " 7 ", "x=y"};
   std::string line = kKeys[rng.NextBelow(std::size(kKeys))];
   line += rng.NextBelow(8) == 0 ? " " : " = ";

@@ -7,10 +7,9 @@
 //
 // The sweep runs 200 seeded (workload × config) points, staged by
 // bench::MakeJob and run by bench::RunFresh, through both engines via
-// the parallel fleet runner; the configs deliberately include
-// adaptive and sequential prefetch variants whose fault-time machinery
-// forces fast-forward onto its fallback edges, and
-// posted-write variants whose writes are never eligible at all.
+// the parallel fleet runner; the configs deliberately include a
+// background-cleaning variant whose queued units land between accesses,
+// and posted-write variants whose writes are never eligible at all.
 // The paper's Figure 8 / Figure 9 points also pin how much work kFast
 // skips.
 //
@@ -65,23 +64,18 @@ enum class MemMode {
 os::KernelConfig VariantConfig(u64 seed, Engine engine, MemMode mode) {
   os::KernelConfig config = EngineConfig(engine);
   if (mode != MemMode::kDefault) {
-    // Granule-sized overrides are span-1 pages: the allocator,
-    // prefetcher and RNG draws must be untouched.
+    // Granule-sized overrides are span-1 pages: the allocator and RNG
+    // draws must be untouched.
     const u32 bytes = mode == MemMode::kGranule ? config.page_bytes : 4096;
     for (u32 id = 0; id + 1 < hw::kMaxObjects; ++id) {
       config.object_page_bytes[id] = bytes;
     }
   }
-  switch (seed % 4) {
+  switch (seed % 3) {
     case 0:  // plain EPXA1: long hit streaks, maximal fast-forwarding
       break;
-    case 1:  // adaptive prefetch: fault-heavy fallback edges
-      config.vim.prefetch = os::PrefetchKind::kAdaptive;
-      config.vim.prefetch_depth = 2;
-      break;
-    case 2:  // sequential prefetch: the VIM's in-flight transfers veto
-             // the tier through its OS gate
-      config.vim.prefetch = os::PrefetchKind::kSequential;
+    case 1:  // background cleaning: clean units land mid-run
+      config.vim.prefetch = os::PrefetchKind::kClean;
       break;
     default:  // posted writes: writes never eligible
       config.imu_posted_writes = true;

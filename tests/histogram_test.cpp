@@ -1,7 +1,7 @@
 // Histogram coprocessor tests: read-modify-write consistency on an
 // INOUT object under data-dependent addressing — increments must
 // survive eviction/write-back/reload cycles of the bins' pages, under
-// every replacement policy and with overlapped speculation racing the
+// every replacement policy and with background cleaning racing the
 // core.
 #include <gtest/gtest.h>
 
@@ -108,9 +108,10 @@ TEST(HistogramTest, OverlappedSpeculationDoesNotLoseIncrements) {
   for (u32& v : values) v = static_cast<u32>(rng.Next());
 
   os::KernelConfig config = runtime::Epxa1Config();
-  config.vim.prefetch = os::PrefetchKind::kSequential;
+  config.vim.prefetch = os::PrefetchKind::kClean;
   const HistogramRun run = RunHistogram(config, values, 4096);
   EXPECT_EQ(run.bins, HostHistogram(values, 4096));
+  EXPECT_GT(run.report.vim.cleaned_pages, 0u);
 }
 
 TEST(HistogramTest, SkewedDistributionKeepsHotPageResident) {

@@ -1,5 +1,5 @@
 // Unit tests for the OS building blocks: object table, replacement
-// policies, prefetchers, page manager, process lifecycle and cost model.
+// policies, page manager, process lifecycle and cost model.
 #include <gtest/gtest.h>
 
 #include "os/address_space.h"
@@ -7,7 +7,6 @@
 #include "os/object_table.h"
 #include "os/page_manager.h"
 #include "os/policy.h"
-#include "os/prefetch.h"
 #include "os/process.h"
 
 namespace vcop::os {
@@ -199,29 +198,25 @@ TEST(WsFifoPolicyTest, SequentialFaultTakesFifoOldestEvenWhenReferenced) {
        {std::optional<mem::VirtPage>(6), std::optional<mem::VirtPage>(7),
         std::optional<mem::VirtPage>()}) {
     EXPECT_EQ(policy->PickDemandVictim(
-                  AllEvictable(4), DemandFault{1, 7, previous, referenced,
-                                               kNone}),
+                  AllEvictable(4), DemandFault{1, 7, previous, referenced}),
               0u);
   }
 }
 
-TEST(WsFifoPolicyTest, NonSequentialFaultSparesReferencedAndPrefetchedFrames) {
+TEST(WsFifoPolicyTest, NonSequentialFaultSparesReferencedFrames) {
   auto policy = WsFifoOverFourFrames();
-  const std::vector<bool> referenced = {true, false, false, false};
-  const std::vector<bool> speculative = {false, true, false, false};
+  const std::vector<bool> referenced = {true, true, false, false};
   // Backwards and forward jumps both break the run.
   for (const mem::VirtPage previous : {9u, 1u}) {
     EXPECT_EQ(policy->PickDemandVictim(
-                  AllEvictable(4),
-                  DemandFault{1, 3, previous, referenced, speculative}),
+                  AllEvictable(4), DemandFault{1, 3, previous, referenced}),
               2u);
   }
   // The guard narrows the evictable set; it never widens it.
-  EXPECT_EQ(policy->PickDemandVictim(
-                {true, true, false, true},
-                DemandFault{1, 3, 9, referenced, speculative}),
+  EXPECT_EQ(policy->PickDemandVictim({true, true, false, true},
+                                     DemandFault{1, 3, 9, referenced}),
             3u);
-  // Prefetch and parameter-page victims stay plain FIFO.
+  // Parameter-page victims stay plain FIFO.
   EXPECT_EQ(policy->PickVictim(AllEvictable(4)), 0u);
 }
 
@@ -229,13 +224,12 @@ TEST(WsFifoPolicyTest, FallsBackToFifoWhenEveryFrameIsGuarded) {
   auto policy = WsFifoOverFourFrames();
   const std::vector<bool> all(4, true);
   EXPECT_EQ(policy->PickDemandVictim(AllEvictable(4),
-                                     DemandFault{1, 3, 9, all, kNone}),
+                                     DemandFault{1, 3, 9, all}),
             0u);
-  // Referenced and prefetched frames together can guard every candidate.
+  // Referenced frames can guard every evictable candidate.
   EXPECT_EQ(policy->PickDemandVictim(
                 {false, true, true, false},
-                DemandFault{1, 3, 9, {false, true, false, false},
-                            {false, false, true, false}}),
+                DemandFault{1, 3, 9, {false, true, true, false}}),
             1u);
 }
 
@@ -253,10 +247,10 @@ TEST(WsFifoPolicyTest, RunStateIsPerAddressSpace) {
   auto policy = WsFifoOverFourFrames();
   const std::vector<bool> referenced = {true, false, false, false};
   EXPECT_EQ(policy->PickDemandVictim(
-                AllEvictable(4), DemandFault{1, 5, a_prev, referenced, kNone}),
+                AllEvictable(4), DemandFault{1, 5, a_prev, referenced}),
             0u);
   EXPECT_EQ(policy->PickDemandVictim(
-                AllEvictable(4), DemandFault{1, 3, b_prev, referenced, kNone}),
+                AllEvictable(4), DemandFault{1, 3, b_prev, referenced}),
             1u);
 }
 
@@ -276,75 +270,22 @@ TEST(WsFifoPolicyTest, ReFaultEvictsLeastRecentlyUsedWhereFifoNamesAnother) {
   // frame, any other fault FIFO's oldest.
   for (const mem::VirtPage previous : {6u, 1u}) {
     EXPECT_EQ(policy->PickDemandVictim(
-                  AllEvictable(4),
-                  DemandFault{1, 7, previous, kNone, kNone, true}),
+                  AllEvictable(4), DemandFault{1, 7, previous, kNone, true}),
               2u);
-    EXPECT_EQ(policy->PickDemandVictim(
-                  AllEvictable(4), DemandFault{1, 7, previous, kNone, kNone}),
+    EXPECT_EQ(policy->PickDemandVictim(AllEvictable(4),
+                                       DemandFault{1, 7, previous, kNone}),
               0u);
   }
   // Only evictable frames are candidates.
-  EXPECT_EQ(policy->PickDemandVictim(
-                {true, true, false, true},
-                DemandFault{1, 7, 6, kNone, kNone, true}),
+  EXPECT_EQ(policy->PickDemandVictim({true, true, false, true},
+                                     DemandFault{1, 7, 6, kNone, true}),
             3u);
   // A freed frame's recency goes with its page.
   policy->OnFreed(2);
   policy->OnInstalled(2, 0, 2);
-  EXPECT_EQ(policy->PickDemandVictim(
-                AllEvictable(4), DemandFault{1, 7, 6, kNone, kNone, true}),
+  EXPECT_EQ(policy->PickDemandVictim(AllEvictable(4),
+                                     DemandFault{1, 7, 6, kNone, true}),
             3u);
-}
-
-TEST(WsFifoPolicyTest, ReFaultSparesAnUnreferencedPrefetchedFrame) {
-  auto policy = WsFifoWithLruOrder2301();
-  EXPECT_EQ(policy->PickDemandVictim(
-                AllEvictable(4),
-                DemandFault{1, 7, 6, kNone, {false, false, true, false},
-                            true}),
-            3u);
-  EXPECT_EQ(policy->PickDemandVictim(
-                AllEvictable(4),
-                DemandFault{1, 7, 6, kNone, {false, false, true, true},
-                            true}),
-            0u);
-}
-
-TEST(WsFifoPolicyTest, ReFaultFallsBackToLruWhenEveryCandidateIsPrefetched) {
-  auto policy = WsFifoWithLruOrder2301();
-  const std::vector<bool> all(4, true);
-  EXPECT_EQ(policy->PickDemandVictim(
-                AllEvictable(4), DemandFault{1, 7, 6, kNone, all, true}),
-            2u);
-  // The fallback stays within the evictable frames: 3 is the least
-  // recent of 0, 1 and 3.
-  EXPECT_EQ(policy->PickDemandVictim(
-                {true, true, false, true},
-                DemandFault{1, 7, 6, kNone, {true, true, false, true},
-                            true}),
-            3u);
-}
-
-// ----- Prefetchers -----
-
-TEST(PrefetchTest, NoneSuggestsNothing) {
-  auto p = MakePrefetcher(PrefetchKind::kNone);
-  EXPECT_TRUE(p->Suggest(0, 3, 100).empty());
-}
-
-TEST(PrefetchTest, SequentialSuggestsNextPages) {
-  auto p = MakePrefetcher(PrefetchKind::kSequential, 2);
-  const auto s = p->Suggest(1, 3, 100);
-  ASSERT_EQ(s.size(), 2u);
-  EXPECT_EQ(s[0].object, 1u);
-  EXPECT_EQ(s[0].vpage, 4u);
-  EXPECT_EQ(s[1].vpage, 5u);
-}
-
-TEST(PrefetchTest, SequentialStopsAtObjectEnd) {
-  auto p = MakePrefetcher(PrefetchKind::kSequential, 4);
-  EXPECT_EQ(p->Suggest(0, 8, 10).size(), 1u);  // only page 9 exists
-  EXPECT_TRUE(p->Suggest(0, 9, 10).empty());
 }
 
 // ----- PageManager -----
@@ -379,7 +320,9 @@ TEST(PageManagerTest, PinnedFramesNotEvictable) {
   EXPECT_FALSE(mask[0]);
   EXPECT_TRUE(mask[1]);
   EXPECT_FALSE(mask[2]);  // free, not evictable
-  pm.Unpin(0);
+  // A pin lasts as long as its page: the frame's next page is evictable.
+  pm.Release(0);
+  pm.Install(0, 1, 2, /*pinned=*/false, /*asid=*/0);
   EXPECT_TRUE(pm.EvictableMask()[0]);
 }
 

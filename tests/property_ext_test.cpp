@@ -1,5 +1,5 @@
 // Extended property matrix: the full cross-product of the extension
-// features (copy modes x IMU microarchitectures x prefetch x policies)
+// features (copy modes x IMU microarchitectures x cleaning x policies)
 // on all three applications, checking bit-exactness and the accounting
 // invariants in every cell. This is the suite that guards against
 // feature interactions — each knob is tested alone elsewhere; here they
@@ -27,7 +27,7 @@ struct FeatureMix {
   mem::CopyMode copy_mode;
   bool pipelined;
   bool posted_writes;
-  bool prefetch;
+  bool clean;
   os::PolicyKind policy;
 };
 
@@ -37,10 +37,7 @@ os::KernelConfig ConfigFor(const FeatureMix& mix) {
   config.imu_pipelined = mix.pipelined;
   config.imu_posted_writes = mix.posted_writes;
   config.vim.policy = mix.policy;
-  if (mix.prefetch) {
-    config.vim.prefetch = os::PrefetchKind::kSequential;
-    config.vim.prefetch_depth = 1;
-  }
+  if (mix.clean) config.vim.prefetch = os::PrefetchKind::kClean;
   return config;
 }
 
@@ -48,7 +45,7 @@ std::string MixName(const FeatureMix& mix) {
   std::string name(mem::ToString(mix.copy_mode));
   if (mix.pipelined) name += "+piped";
   if (mix.posted_writes) name += "+posted";
-  if (mix.prefetch) name += "+prefetch";
+  if (mix.clean) name += "+clean";
   name += "+";
   name += ToString(mix.policy);
   return name;
@@ -126,7 +123,7 @@ TEST_P(FeatureMatrixTest, ConvolutionBitExact) {
 
 TEST_P(FeatureMatrixTest, BackToBackRunsStayClean) {
   // Two consecutive executions under each mix: state from the first
-  // (in-flight prefetches, posted writes, dirty tracking) must not
+  // (queued clean units, posted writes, dirty tracking) must not
   // leak into the second.
   const FeatureMix& mix = kMixes[GetParam()];
   FpgaSystem sys(ConfigFor(mix));

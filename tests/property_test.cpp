@@ -32,7 +32,7 @@ void CheckReportInvariants(const os::ExecutionReport& r) {
   // Every hard fault either used a free frame or evicted something.
   EXPECT_GE(r.vim.faults, r.vim.evictions);
   // Loads and write-backs only happen on faults/evictions/end sweep.
-  EXPECT_LE(r.vim.loads, r.vim.faults + r.vim.prefetched_pages);
+  EXPECT_LE(r.vim.loads, r.vim.faults);
   EXPECT_EQ(r.vim.dirty_in_pages_dropped, 0u)
       << "shipped coprocessors never write IN objects";
 }
@@ -161,14 +161,13 @@ INSTANTIATE_TEST_SUITE_P(
         // Pipelined IMU.
         PlatformParam{2048, 8, 8, true, os::PolicyKind::kFifo,
                       mem::CopyMode::kDoubleCopy, os::PrefetchKind::kNone},
-        // Prefetching on, random policy.
+        // Background cleaning on, random policy.
         PlatformParam{2048, 8, 8, false, os::PolicyKind::kRandom,
-                      mem::CopyMode::kDoubleCopy,
-                      os::PrefetchKind::kSequential},
+                      mem::CopyMode::kDoubleCopy, os::PrefetchKind::kClean},
         // Big pages.
         PlatformParam{8192, 4, 4, false, os::PolicyKind::kLru,
                       mem::CopyMode::kSingleCopy,
-                      os::PrefetchKind::kSequential}));
+                      os::PrefetchKind::kClean}));
 
 // ----- IDEA sizes x pipelining sweep -----
 

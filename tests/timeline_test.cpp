@@ -3,6 +3,7 @@
 
 #include "apps/workloads.h"
 #include "base/table.h"
+#include "bench/common.h"
 #include "os/timeline.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
@@ -99,7 +100,7 @@ TEST(TimelineTest, KernelPopulatesTimelineDuringRuns) {
 
 TEST(TimelineTest, OverlappedUnitsLandOnBackgroundTrack) {
   os::KernelConfig config = runtime::Epxa1Config();
-  config.vim.prefetch = os::PrefetchKind::kSequential;
+  config.vim.prefetch = os::PrefetchKind::kClean;
   runtime::FpgaSystem sys(config);
   const std::vector<u8> input = apps::MakeAdpcmStream(8192, 9);
   auto run = runtime::RunAdpcmVim(sys, input);
@@ -113,6 +114,13 @@ TEST(TimelineTest, OverlappedUnitsLandOnBackgroundTrack) {
     }
   }
   EXPECT_GT(overlap_units, 0u);
+}
+
+TEST(TimelineTest, ConvChromeTraceHoldsCleanUnits) {
+  // bench_fastforward and bench_tlb compare this trace across engines
+  // and TLB granules: it must cover background work, not only faults.
+  const std::string json = bench::ConvChromeTrace(runtime::Epxa1Config());
+  EXPECT_NE(json.find("\"cat\":\"overlap\""), std::string::npos);
 }
 
 }  // namespace

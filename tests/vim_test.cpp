@@ -1,6 +1,6 @@
 // VIM-focused behavioural tests: replacement policies, copy modes,
 // soft TLB refills when the TLB is smaller than the frame count,
-// prefetching, direction hints and abort paths — all exercised through
+// background cleaning, direction hints and abort paths — all exercised through
 // the kernel on real coprocessor runs.
 #include <gtest/gtest.h>
 
@@ -103,17 +103,6 @@ TEST(VimTlbTest, TlbSmallerThanFramesCausesSoftRefills) {
 TEST(VimTlbTest, FullSizeTlbHasNoSoftRefills) {
   const os::ExecutionReport r = RunLargeVecAdd(Epxa1Config(), 1024);
   EXPECT_EQ(r.vim.tlb_refills, 0u);
-}
-
-TEST(VimPrefetchTest, SequentialPrefetchReducesFaults) {
-  os::KernelConfig off = Epxa1Config();
-  os::KernelConfig on = Epxa1Config();
-  on.vim.prefetch = os::PrefetchKind::kSequential;
-  on.vim.prefetch_depth = 1;
-  const os::ExecutionReport r_off = RunLargeVecAdd(off);
-  const os::ExecutionReport r_on = RunLargeVecAdd(on);
-  EXPECT_LT(r_on.vim.faults, r_off.vim.faults);
-  EXPECT_GT(r_on.vim.prefetched_pages, 0u);
 }
 
 TEST(VimDirectionTest, InPagesAreNeverWrittenBack) {
@@ -345,40 +334,6 @@ TEST(VimReloadTest, ObjectTableChangeMidRunDropsTheBounceCopies) {
   EXPECT_GT(r.vim.kernel_copy_loads, 0u);
   EXPECT_LT(r.vim.kernel_copy_loads, clean.vim.kernel_copy_loads);
   EXPECT_EQ(r.t_dp, ExpectedDpTime(sys, r));
-}
-
-TEST(VimReloadTest, OverlappedUnitsReadKeptCopiesButKeepNone) {
-  os::KernelConfig config = Epxa1Config();
-  config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.prefetch_depth = 2;
-  FpgaSystem sys(config);
-  const os::ExecutionReport r = RunGather(sys, MakeGather(16));  // exact
-  // Each overlapped unit's timeline span is its bookkeeping (plus one
-  // page-table edit when it evicted a clean victim) and its load: some
-  // units re-load from a copy a fault service kept, others pay the full
-  // double copy.
-  const os::CostModel& costs = sys.kernel().vim().costs();
-  const mem::TransferEngine& engine = sys.kernel().vim().transfer_engine();
-  const Picoseconds bookkeeping =
-      costs.Cycles(costs.tlb_update_cycles + costs.page_table_cycles);
-  const Picoseconds evict = costs.Cycles(costs.page_table_cycles);
-  u64 reload_units = 0;
-  u64 full_units = 0;
-  for (const os::TimelineEvent& e : sys.kernel().timeline().events()) {
-    if (e.name.rfind("prefetch ", 0) != 0) continue;
-    for (const Picoseconds extra : {Picoseconds{0}, evict}) {
-      const Picoseconds load = e.duration - bookkeeping - extra;
-      if (load == engine.PriceReload(2048)) ++reload_units;
-      if (load == engine.PriceTransfer(2048)) ++full_units;
-    }
-  }
-  EXPECT_GT(reload_units, 0u);
-  EXPECT_GT(full_units, 0u);
-  // A page only an overlapped unit brought in has no kept copy, so its
-  // next load pays the full price: fewer loads re-load than loads of
-  // pages transferred before.
-  EXPECT_GT(r.vim.kernel_copy_loads, 0u);
-  EXPECT_LT(r.vim.kernel_copy_loads, r.vim.loads - kGatherFirstLoads);
 }
 
 /// The AHB-error opportunity (the transfer attempt, counted from 1)
@@ -821,31 +776,21 @@ TEST(VimRefaultTest, PageEvictedAfterUseIsAReFault) {
   EXPECT_GT(ExpectRefaultRule(Verdicts(log.events)), 0u);
 }
 
-TEST(VimRefaultTest, PageEvictedBeforeAnyReferenceIsNoReFault) {
-  // With sequential prefetch depth 2, the overlapped prefetch of one
-  // fault service evicts OUT page 12, which that service just loaded,
-  // before the stalled coprocessor could reference it.
+TEST(VimRefaultTest, DemandPagesAreReferencedBeforeEviction) {
+  // Every page a fault service loads is the one the stalled coprocessor
+  // is waiting for, so no page leaves before its first reference: each
+  // page the gather faults back was used first. Background cleaning
+  // frees no frame, so the rule holds under it too.
   os::KernelConfig config = Epxa1Config();
-  config.vim.prefetch = os::PrefetchKind::kSequential;
-  config.vim.prefetch_depth = 2;
+  config.vim.prefetch = os::PrefetchKind::kClean;
   FpgaSystem sys(config);
   const PolicyLog& log = LogPolicy(sys);
-  const bench::StagedJob staged = bench::StageBlocking(sys, AdpcmJob());
-  const Result<os::ExecutionReport> report = sys.Execute(staged.job.params);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_TRUE(staged.Exact());
+  RunGather(sys, MakeGather(17));  // exact
   const std::vector<Verdict> verdicts = Verdicts(log.events);
-  ExpectRefaultRule(verdicts);
-  // Wasted prefetches of IN pages come back the same way.
-  bool out_page_12 = false;
+  EXPECT_GT(ExpectRefaultRule(verdicts), 0u);
   for (const Verdict& v : verdicts) {
-    if (!v.freed_here || v.used_here) continue;
-    EXPECT_FALSE(v.fault.refault);
-    out_page_12 = out_page_12 ||
-                  (v.fault.object == cp::AdpcmDecodeCoprocessor::kObjOut &&
-                   v.fault.vpage == 12);
+    EXPECT_TRUE(!v.freed_here || v.used_here);
   }
-  EXPECT_TRUE(out_page_12);
 }
 
 /// Two vcopd tenants, each one gather over the same object ids, sharing
@@ -963,7 +908,7 @@ void ExpectRepeatedRunsAgree(const os::KernelConfig& config,
     EXPECT_EQ(r.vim.loads, first.vim.loads);
     EXPECT_EQ(r.vim.writebacks, first.vim.writebacks);
     EXPECT_EQ(r.vim.tlb_refills, first.vim.tlb_refills);
-    EXPECT_EQ(r.vim.prefetched_pages, first.vim.prefetched_pages);
+    EXPECT_EQ(r.vim.cleaned_pages, first.vim.cleaned_pages);
     EXPECT_EQ(r.imu.accesses, first.imu.accesses);
     EXPECT_EQ(r.imu.faults, first.imu.faults);
     EXPECT_EQ(r.tlb.lookups, first.tlb.lookups);
@@ -982,13 +927,12 @@ TEST(VimRepeatTest, RepeatedAdpcmRunsAgree) {
   os::KernelConfig epxa1 = Epxa1Config();
   os::KernelConfig two_entries = Epxa1Config();
   two_entries.tlb_entries = 2;
-  os::KernelConfig adaptive = Epxa1Config();
-  adaptive.tlb_entries = 3;
-  adaptive.vim.prefetch = os::PrefetchKind::kAdaptive;
-  adaptive.vim.prefetch_depth = 2;
+  os::KernelConfig clean = Epxa1Config();
+  clean.tlb_entries = 3;
+  clean.vim.prefetch = os::PrefetchKind::kClean;
   for (const auto& [name, config] :
        {std::pair{"epxa1", epxa1}, std::pair{"tlb2", two_entries},
-        std::pair{"tlb3 adaptive", adaptive}}) {
+        std::pair{"tlb3 clean", clean}}) {
     SCOPED_TRACE(name);
     ExpectRepeatedRunsAgree(config, cp_clock, run);
   }
@@ -1000,8 +944,7 @@ TEST(VimRepeatTest, RepeatedIdeaRunsAgreeUnderOverlap) {
   const std::vector<u8> input = apps::MakeRandomBytes(32768, 20040217);
   os::KernelConfig config = Epxa1Config();
   config.tlb_entries = 3;
-  config.vim.prefetch = os::PrefetchKind::kAdaptive;
-  config.vim.prefetch_depth = 2;
+  config.vim.prefetch = os::PrefetchKind::kClean;
   ExpectRepeatedRunsAgree(config, cp::IdeaBitstream().cp_clock,
                           [&](FpgaSystem& sys) {
                             return runtime::RunIdeaVim(sys, keys, input);
