@@ -1,53 +1,15 @@
 #include "mem/user_memory.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#endif
 
 #include "base/bitops.h"
 #include "base/table.h"
 
 namespace vcop::mem {
-namespace {
 
-// Anonymous mmap hands out zero pages that the kernel materialises only
-// on first touch, and munmap returns them without a pass over the
-// buffer. calloc is not enough here: glibc keeps a freed chunk this
-// size in its arena and memsets it on the next calloc, which puts the
-// full SDRAM wipe back on every system construction.
-u8* MapZeroed(u32 bytes) {
-#if defined(__unix__) || defined(__APPLE__)
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  return p == MAP_FAILED ? nullptr : static_cast<u8*>(p);
-#else
-  return static_cast<u8*>(std::calloc(bytes, 1));
-#endif
-}
-
-void UnmapZeroed(u8* p, u32 bytes) {
-#if defined(__unix__) || defined(__APPLE__)
-  ::munmap(p, bytes);
-#else
-  (void)bytes;
-  std::free(p);
-#endif
-}
-
-}  // namespace
-
-UserMemory::UserMemory(u32 capacity_bytes)
-    : backing_(MapZeroed(capacity_bytes)), capacity_(capacity_bytes) {
+UserMemory::UserMemory(u32 capacity_bytes) : capacity_(capacity_bytes) {
   VCOP_CHECK_MSG(capacity_bytes >= 64, "user memory unrealistically small");
-  VCOP_CHECK_MSG(backing_ != nullptr, "user memory allocation failed");
-}
-
-UserMemory::~UserMemory() {
-  if (backing_ != nullptr) UnmapZeroed(backing_, capacity_);
 }
 
 Result<UserAddr> UserMemory::Allocate(u32 size) {
@@ -58,34 +20,37 @@ Result<UserAddr> UserMemory::Allocate(u32 size) {
         StrFormat("user memory exhausted: %u bytes requested, %zu free", size,
                   static_cast<usize>(capacity_ - base)));
   }
+  // calloc, not new[]: a large block comes straight from a lazily zeroed
+  // mapping, which nothing has to wipe.
+  std::unique_ptr<u8, FreeBlock> block(static_cast<u8*>(std::calloc(size, 1)));
+  if (block == nullptr) {
+    return ResourceExhaustedError(
+        StrFormat("host allocation of %u bytes failed", size));
+  }
   next_ = base + size;
-  regions_.push_back(Region{base, size});
+  regions_.push_back(Region{base, size, std::move(block)});
   return base;
 }
 
-bool UserMemory::Contains(UserAddr addr, u32 len) const {
+const UserMemory::Region* UserMemory::Find(UserAddr addr, u32 len) const {
   // Only the last region starting at or below `addr` can hold it.
   auto it = std::upper_bound(
       regions_.begin(), regions_.end(), addr,
       [](UserAddr a, const Region& r) { return a < r.base; });
-  if (it == regions_.begin()) return false;
+  if (it == regions_.begin()) return nullptr;
   --it;
-  return static_cast<u64>(addr) + len <=
-         static_cast<u64>(it->base) + it->size;
+  if (static_cast<u64>(addr) + len > static_cast<u64>(it->base) + it->size) {
+    return nullptr;
+  }
+  return &*it;
 }
 
-std::span<u8> UserMemory::View(UserAddr addr, u32 len) {
-  VCOP_CHECK_MSG(Contains(addr, len),
+u8* UserMemory::Bytes(UserAddr addr, u32 len) const {
+  const Region* region = Find(addr, len);
+  VCOP_CHECK_MSG(region != nullptr,
                  StrFormat("user memory access [%u,+%u) not allocated", addr,
                            len));
-  return std::span<u8>(backing_ + addr, len);
-}
-
-std::span<const u8> UserMemory::View(UserAddr addr, u32 len) const {
-  VCOP_CHECK_MSG(Contains(addr, len),
-                 StrFormat("user memory access [%u,+%u) not allocated", addr,
-                           len));
-  return std::span<const u8>(backing_ + addr, len);
+  return region->block.get() + (addr - region->base);
 }
 
 void UserMemory::WriteBytes(UserAddr addr, std::span<const u8> data) {

@@ -7,6 +7,8 @@
 // in a flat 32-bit space, mirroring malloc'd buffers.
 #pragma once
 
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -25,7 +27,6 @@ class UserMemory {
   /// `capacity_bytes` bounds the total allocatable space (EPXA1 board:
   /// 64 MB SDRAM).
   explicit UserMemory(u32 capacity_bytes);
-  ~UserMemory();
   UserMemory(const UserMemory&) = delete;
   UserMemory& operator=(const UserMemory&) = delete;
 
@@ -34,12 +35,17 @@ class UserMemory {
   Result<UserAddr> Allocate(u32 size);
 
   /// Whether [addr, addr+len) lies inside an allocated region.
-  bool Contains(UserAddr addr, u32 len) const;
+  bool Contains(UserAddr addr, u32 len) const {
+    return Find(addr, len) != nullptr;
+  }
 
   /// Raw access used by the software baselines and the VIM's copies.
-  /// The range must be allocated.
-  std::span<u8> View(UserAddr addr, u32 len);
-  std::span<const u8> View(UserAddr addr, u32 len) const;
+  /// The range must lie inside one allocated region. The view stays
+  /// valid until that region is reclaimed.
+  std::span<u8> View(UserAddr addr, u32 len) { return {Bytes(addr, len), len}; }
+  std::span<const u8> View(UserAddr addr, u32 len) const {
+    return {Bytes(addr, len), len};
+  }
 
   /// Convenience typed stores/loads (little-endian).
   void WriteBytes(UserAddr addr, std::span<const u8> data);
@@ -61,22 +67,33 @@ class UserMemory {
   /// Total pages currently holding a nonzero pin count.
   usize pinned_pages() const { return pins_.size(); }
 
-  /// Unmaps the region allocated at exactly `base`. Refuses with
-  /// FAILED_PRECONDITION while any of its pages is pinned by a DMA —
-  /// the reclaim-vs-pin contract tests/iommu_test.cpp exercises.
+  /// Unmaps the region allocated at exactly `base` and frees its bytes.
+  /// Refuses with FAILED_PRECONDITION while any of its pages is pinned
+  /// by a DMA — the reclaim-vs-pin contract tests/iommu_test.cpp
+  /// exercises.
   Status Reclaim(UserAddr base);
 
  private:
-  // mmap-backed so the OS hands out zero pages lazily: a fleet sweep
-  // constructs thousands of systems, and eagerly memset-ing the full
-  // SDRAM (16-64 MB) per construction would dominate short runs.
-  u8* backing_ = nullptr;
-  u32 capacity_ = 0;
-  u32 next_ = 16;  // address 0 stays unmapped, as a null-pointer guard
+  struct FreeBlock {
+    void operator()(u8* block) const { std::free(block); }
+  };
+  // Each region owns one calloc'd host block of its size, the way the
+  // process's malloc'd buffers sit in SDRAM. A block reused from an
+  // earlier system is already resident, so staging takes no host page
+  // fault, and only the region's own size is cleared.
   struct Region {
     UserAddr base;
     u32 size;
+    std::unique_ptr<u8, FreeBlock> block;
   };
+
+  /// The region holding all of [addr, addr+len), or nullptr.
+  const Region* Find(UserAddr addr, u32 len) const;
+  /// Host address of `addr`; aborts unless the range is allocated.
+  u8* Bytes(UserAddr addr, u32 len) const;
+
+  u32 capacity_ = 0;
+  u32 next_ = 16;  // address 0 stays unmapped, as a null-pointer guard
   // Sorted by base and disjoint: Allocate appends at the bump pointer
   // and Reclaim erases in place, so lookups binary-search it.
   std::vector<Region> regions_;

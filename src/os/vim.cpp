@@ -660,10 +660,13 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
         return;
       }
       clean_queued_[f] = false;
-      std::vector<u8> buf(len);
-      dp_ram_.Read(mem::DualPortRam::Port::kProcessor,
-                   geometry_.FrameBase(f), buf);
-      user_memory_.WriteBytes(dst, buf);
+      // The unit keeps the price it was queued at. A store that fails
+      // leaves the page dirty: its eviction or the end-of-operation sweep
+      // writes it back through the retry path.
+      const mem::TransferResult r =
+          transfers_.StorePage(now_state.asid, dp_ram_, geometry_.FrameBase(f),
+                               user_memory_, dst, len);
+      if (r.bus_error || r.iommu_fault) return;
       space_->transferred.insert({oid, vpage});
       pages_.ClearDirty(f);
       if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {

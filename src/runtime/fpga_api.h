@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <deque>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -41,8 +42,9 @@ class HostBuffer {
   u32 size_bytes() const { return count_ * static_cast<u32>(sizeof(T)); }
   bool valid() const { return memory_ != nullptr; }
 
-  /// Host-side view of the buffer. Allocation is 16-byte aligned, so
-  /// the reinterpret is well-aligned for any element type used here.
+  /// Host-side view of the buffer. It starts at its region's host block,
+  /// which calloc aligns for any fundamental type, so the reinterpret is
+  /// well-aligned for T.
   std::span<T> view() {
     auto bytes = memory_->View(addr_, size_bytes());
     return std::span<T>(reinterpret_cast<T*>(bytes.data()), count_);
@@ -79,11 +81,16 @@ class FpgaSystem {
   explicit FpgaSystem(const os::KernelConfig& config) : kernel_(config) {}
 
   /// Allocates `count` elements of T in the process address space.
+  /// Fails with INVALID_ARGUMENT when their byte size exceeds 32 bits.
   template <typename T>
   Result<HostBuffer<T>> Allocate(u32 count) {
     static_assert(std::is_trivially_copyable_v<T>);
+    const u64 bytes = u64{count} * sizeof(T);
+    if (bytes > std::numeric_limits<u32>::max()) {
+      return InvalidArgumentError("buffer size overflows 32 bits");
+    }
     Result<mem::UserAddr> addr =
-        kernel_.user_memory().Allocate(count * static_cast<u32>(sizeof(T)));
+        kernel_.user_memory().Allocate(static_cast<u32>(bytes));
     if (!addr.ok()) return addr.status();
     return HostBuffer<T>(&kernel_.user_memory(), addr.value(), count);
   }

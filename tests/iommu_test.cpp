@@ -286,7 +286,8 @@ TEST(IommuVimTest, ShootdownFiresAtEndOfOperationAndLeavesNoLiveEntries) {
 
 TEST(IommuVimTest, OverlappedZeroCopyRunBalancesAsyncPins) {
   // Background cleaning overlaps write-backs with the run; every DMA
-  // the fault services and the sweep start still returns its pins.
+  // the fault services, the clean units and the sweep start still
+  // returns its pins.
   os::KernelConfig config = Epxa1Config();
   config.vim.copy_mode = CopyMode::kIommu;
   config.vim.prefetch = os::PrefetchKind::kClean;
@@ -306,7 +307,34 @@ TEST(IommuVimTest, OverlappedZeroCopyRunBalancesAsyncPins) {
   EXPECT_EQ(sys.kernel().user_memory().pinned_pages(), 0u);
   EXPECT_EQ(io.pages_pinned, io.pages_unpinned);
   EXPECT_EQ(engine.bounce_copies(), 0u);
-  EXPECT_GT(run.value().report.vim.cleaned_pages, 0u);
+  const os::VimAccounting& vim = run.value().report.vim;
+  EXPECT_GT(vim.cleaned_pages, 0u);
+  // Every byte the VIM moved, cleaned pages included, crossed the IOMMU.
+  EXPECT_EQ(engine.zero_copy_bytes(),
+            vim.bytes_loaded + vim.bytes_written_back);
+
+  // A cleaned page is pinned and translated like the write-back it
+  // replaces: adpcm 8 KB cleans most of its output pages, and pins and
+  // walks what it does without cleaning.
+  const std::vector<u8> input = apps::MakeAdpcmStream(8192, 20040216);
+  auto adpcm = [&](os::PrefetchKind prefetch) {
+    config.vim.prefetch = prefetch;
+    FpgaSystem adpcm_sys(config);
+    auto adpcm_run = runtime::RunAdpcmVim(adpcm_sys, input);
+    VCOP_CHECK_MSG(adpcm_run.ok(), adpcm_run.status().ToString());
+    EXPECT_EQ(adpcm_sys.kernel().user_memory().pinned_pages(), 0u);
+    return std::pair{
+        adpcm_run.value().report.vim,
+        adpcm_sys.kernel().vim().transfer_engine().iommu().stats()};
+  };
+  const auto [none_vim, none_io] = adpcm(os::PrefetchKind::kNone);
+  const auto [clean_vim, clean_io] = adpcm(os::PrefetchKind::kClean);
+  EXPECT_EQ(none_vim.cleaned_pages, 0u);
+  EXPECT_GT(clean_vim.cleaned_pages, clean_vim.writebacks);
+  EXPECT_EQ(clean_vim.writebacks + clean_vim.cleaned_pages,
+            none_vim.writebacks);
+  EXPECT_EQ(clean_io.pages_pinned, none_io.pages_pinned);
+  EXPECT_EQ(clean_io.walks, none_io.walks);
 }
 
 }  // namespace

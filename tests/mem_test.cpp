@@ -2,12 +2,16 @@
 // user memory, the AHB cost model and the transfer engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "base/fault.h"
 #include "mem/ahb.h"
 #include "mem/dp_ram.h"
 #include "mem/page.h"
 #include "mem/transfer.h"
 #include "mem/user_memory.h"
+#include "runtime/fpga_api.h"
 
 namespace vcop::mem {
 namespace {
@@ -134,6 +138,7 @@ TEST(UserMemoryTest, LookupResolvesEachOfManyRegions) {
     auto a = mem.Allocate(size);
     ASSERT_TRUE(a.ok());
     regions.push_back({a.value(), size});
+    std::ranges::fill(mem.View(a.value(), size), static_cast<u8>(i));
   }
   auto expect_resolved = [&](const Placed& r, bool resolved) {
     EXPECT_EQ(mem.Contains(r.base, 1), resolved) << r.base;
@@ -163,6 +168,58 @@ TEST(UserMemoryTest, LookupResolvesEachOfManyRegions) {
   expect_resolved(regions[middle - 1], true);
   expect_resolved(regions[middle + 1], true);
   EXPECT_EQ(mem.Reclaim(regions[middle].base).code(), ErrorCode::kNotFound);
+  // Freeing its bytes leaves every other region's intact.
+  for (usize i = 0; i < regions.size(); ++i) {
+    if (i == middle) continue;
+    for (const u8 b : mem.View(regions[i].base, regions[i].size)) {
+      ASSERT_EQ(b, static_cast<u8>(i)) << regions[i].base;
+    }
+  }
+}
+
+TEST(UserMemoryTest, ReusedHostBytesReadZero) {
+  // A new region may get host bytes that an earlier system wrote and
+  // freed; they must read zero like fresh ones. The sizes span blocks
+  // recycled from the heap and ones too large for it.
+  const std::vector<u32> sizes = {16, 100, 2048, 4096, 8192, 32768, 200000};
+  {
+    UserMemory dirty(1 << 20);
+    for (const u32 size : sizes) {
+      auto a = dirty.Allocate(size);
+      ASSERT_TRUE(a.ok());
+      std::ranges::fill(dirty.View(a.value(), size), u8{0xFF});
+    }
+  }
+  UserMemory mem(1 << 20);
+  for (const u32 size : sizes) {
+    auto a = mem.Allocate(size);
+    ASSERT_TRUE(a.ok());
+    EXPECT_TRUE(std::ranges::all_of(mem.View(a.value(), size),
+                                    [](u8 b) { return b == 0; }))
+        << size;
+  }
+}
+
+template <typename T>
+void ExpectAlignedView(UserMemory& mem, u32 count) {
+  auto a = mem.Allocate(count * static_cast<u32>(sizeof(T)));
+  ASSERT_TRUE(a.ok());
+  runtime::HostBuffer<T> buffer(&mem, a.value(), count);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(buffer.view().data()) % alignof(T),
+            0u);
+}
+
+TEST(UserMemoryTest, HostBufferViewsAreAlignedForTheirType) {
+  // The typed view reinterprets the region's host bytes, so its
+  // alignment comes from the host block, whatever the odd-sized regions
+  // allocated before it.
+  UserMemory mem(1 << 16);
+  for (u32 odd = 1; odd <= 7; odd += 2) {
+    ASSERT_TRUE(mem.Allocate(odd).ok());
+    ExpectAlignedView<i16>(mem, 3);
+    ExpectAlignedView<u32>(mem, 5);
+    ExpectAlignedView<u64>(mem, 7);
+  }
 }
 
 TEST(UserMemoryTest, ReadWriteRoundTrip) {

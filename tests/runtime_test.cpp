@@ -56,6 +56,22 @@ TEST(HostBufferTest, TypedSizes) {
   EXPECT_EQ(b16.value().size_bytes(), 20u);
 }
 
+TEST(HostBufferTest, ByteSizeBeyond32BitsIsRejected) {
+  FpgaSystem sys(Epxa1Config());
+  const u32 before = sys.kernel().user_memory().allocated();
+  // 0x40000004 u32s are 2^32 + 16 bytes: cut to 32 bits, a 16-byte
+  // region would sit under a view of a billion elements.
+  auto wrapped = sys.Allocate<u32>(0x40000004);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), ErrorCode::kInvalidArgument);
+  // One element fewer fits in 32 bits and reaches the user memory,
+  // which has no room for it.
+  auto too_big = sys.Allocate<u32>(0x3FFFFFFF);
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(sys.kernel().user_memory().allocated(), before);
+}
+
 // ----- DirectPort / ManualRunner -----
 
 TEST(ManualRunnerTest, VecAddThroughDirectPort) {

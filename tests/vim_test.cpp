@@ -416,8 +416,9 @@ struct AdpcmRun {
 bench::Job AdpcmJob() { return bench::MakeJob(bench::App::kAdpcm, 8192, 9); }
 
 /// The job through FPGA_EXECUTE.
-AdpcmRun RunAdpcmKernel(FaultPlan* plan) {
-  FpgaSystem sys(Epxa1Config());
+AdpcmRun RunAdpcmKernel(FaultPlan* plan,
+                        const os::KernelConfig& config = Epxa1Config()) {
+  FpgaSystem sys(config);
   if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
   const bench::StagedJob staged = bench::StageBlocking(sys, AdpcmJob());
   const Result<os::ExecutionReport> report = sys.Execute(staged.job.params);
@@ -545,6 +546,36 @@ TEST(VimWriteBackTest, ErrorOnTheSweepsLastStoreIsRetriedInPlace) {
   EXPECT_TRUE(run.exact);
   EXPECT_EQ(run.service.transfer_retries, 1u);
   EXPECT_EQ(run.acct.writebacks, clean.acct.writebacks);
+}
+
+TEST(VimWriteBackTest, FailedCleanUnitLeavesItsPageToTheSweep) {
+  // Under `clean` most output pages leave through background units. A
+  // unit's store that bus-errors is not retried: its page stays dirty,
+  // and its eviction or the end-of-operation sweep writes it back.
+  os::KernelConfig config = Epxa1Config();
+  config.vim.prefetch = os::PrefetchKind::kClean;
+  FaultPlan probe;
+  probe.At(FaultSite::kAhbError, ~0ull);
+  const AdpcmRun clean = RunAdpcmKernel(&probe, config);
+  ASSERT_TRUE(clean.status.ok() && clean.exact);
+  ASSERT_GT(clean.acct.cleaned_pages, 0u);
+  const u64 pages_out = clean.acct.writebacks + clean.acct.cleaned_pages;
+
+  u64 failed_units = 0;
+  for (u64 k = 1; k <= probe.stats(FaultSite::kAhbError).opportunities;
+       ++k) {
+    SCOPED_TRACE(StrFormat("error on transfer %u", static_cast<u32>(k)));
+    FaultPlan plan;
+    plan.At(FaultSite::kAhbError, k);
+    const AdpcmRun run = RunAdpcmKernel(&plan, config);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_TRUE(run.exact);
+    EXPECT_EQ(run.frames_in_use, 0u);
+    EXPECT_EQ(run.acct.writebacks + run.acct.cleaned_pages, pages_out);
+    // A load or a synchronous store retries the error; a unit does not.
+    if (run.service.transfer_retries == 0) ++failed_units;
+  }
+  EXPECT_GT(failed_units, 0u);
 }
 
 TEST(VimWriteBackTest, ExhaustedSweepStoreFailsTheKernelExecute) {
