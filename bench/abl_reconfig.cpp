@@ -43,7 +43,7 @@ int Main() {
     for (const u32 budget : {0u, os::VcopdConfig{}.affinity_skip_budget}) {
       const bench::FleetResult r = Run(slots, budget);
       table.AddRow({StrFormat("%u", slots), StrFormat("%u", budget),
-                    StrFormat("%.1f", ToMicroseconds(r.report.makespan)),
+                    StrFormat("%.1f", ToMicroseconds(r.makespan)),
                     StrFormat("%llu", static_cast<unsigned long long>(
                                           r.stats.reconfigurations)),
                     StrFormat("%llu", static_cast<unsigned long long>(

@@ -41,13 +41,6 @@ bench::FleetResult RunOrder(const Order& order) {
       runtime::Epxa1Config(), config);
 }
 
-/// Mean job turnaround over the whole schedule.
-Picoseconds MeanTurnaround(const os::ScheduleReport& report) {
-  Picoseconds sum = 0;
-  for (const os::JobResult& o : report.outcomes) sum += o.turnaround();
-  return sum / report.outcomes.size();
-}
-
 int Main() {
   std::printf(
       "== Ablation: sharing the PLD across tasks (Section 5's "
@@ -72,11 +65,11 @@ int Main() {
          StrFormat("%llu",
                    static_cast<unsigned long long>(run.stats.reconfigurations)),
          runtime::Ms(run.stats.total_config_time),
-         runtime::Ms(run.report.makespan),
-         runtime::Ms(MeanTurnaround(run.report)),
+         runtime::Ms(run.makespan),
+         runtime::Ms(run.mean_turnaround()),
          StrFormat("%.0f%%",
                    100.0 * static_cast<double>(run.stats.total_config_time) /
-                       static_cast<double>(run.report.makespan)),
+                       static_cast<double>(run.makespan)),
          run.outputs_exact ? "yes" : "NO"});
   }
   table.Print();
@@ -87,7 +80,7 @@ int Main() {
     pass &= runs[i].outputs_exact &&
             runs[i].stats.reconfigurations <
                 runs[0].stats.reconfigurations &&
-            runs[i].report.makespan < runs[0].report.makespan;
+            runs[i].makespan < runs[0].makespan;
   }
   std::printf(
       "%s: batching by design must reconfigure less and finish sooner than "

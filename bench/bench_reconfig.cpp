@@ -62,7 +62,7 @@ void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
   table.AddRow(
       {mode.name, StrFormat("%u", mode.slots),
        StrFormat("%u", mode.skip_budget),
-       StrFormat("%.1f", ToMicroseconds(r.report.makespan)),
+       StrFormat("%.1f", ToMicroseconds(r.makespan)),
        StrFormat("%llu", static_cast<unsigned long long>(
                              r.stats.reconfigurations)),
        StrFormat("%llu",
@@ -74,7 +74,7 @@ void PrintModeRow(Table& table, const Mode& mode, const FleetResult& r) {
 }
 
 void JsonMode(std::FILE* f, const Mode& mode, const FleetResult& r) {
-  const double makespan = static_cast<double>(r.report.makespan);
+  const double makespan = static_cast<double>(r.makespan);
   std::fprintf(
       f,
       "  \"%s\": {\"config_slots\": %u, \"affinity_skip_budget\": %u,\n"
@@ -85,7 +85,7 @@ void JsonMode(std::FILE* f, const Mode& mode, const FleetResult& r) {
       "    \"pages_written_back_on_save\": %llu,\n"
       "    \"jain\": %.4f, \"outputs_exact\": %s},\n",
       mode.name, mode.slots, mode.skip_budget,
-      ToMicroseconds(r.report.makespan),
+      ToMicroseconds(r.makespan),
       static_cast<unsigned long long>(r.jobs()),
       static_cast<unsigned long long>(r.stats.reconfigurations),
       static_cast<unsigned long long>(r.stats.slot_activations),
@@ -186,11 +186,11 @@ int Main() {
   // ----- gate: affinity and the slot cache improve makespan -----
   bool makespan_improved = true;
   for (usize i = 1; i < modes.size(); ++i) {
-    if (runs[i].report.makespan >= strict.report.makespan) {
+    if (runs[i].makespan >= strict.makespan) {
       std::printf("FAIL: %s makespan %.1f us not below strict ring order's "
                   "%.1f us\n",
-                  modes[i]->name, ToMicroseconds(runs[i].report.makespan),
-                  ToMicroseconds(strict.report.makespan));
+                  modes[i]->name, ToMicroseconds(runs[i].makespan),
+                  ToMicroseconds(strict.makespan));
       makespan_improved = false;
     }
   }
@@ -200,9 +200,9 @@ int Main() {
                      : 1;
 
   auto speedup = [&strict](const FleetResult& r) {
-    return r.report.makespan > 0
-               ? static_cast<double>(strict.report.makespan) /
-                     static_cast<double>(r.report.makespan)
+    return r.makespan > 0
+               ? static_cast<double>(strict.makespan) /
+                     static_cast<double>(r.makespan)
                : 0.0;
   };
   std::printf(
@@ -215,9 +215,9 @@ int Main() {
       static_cast<unsigned long long>(baseline.stats.reconfigurations),
       static_cast<unsigned long long>(slots.stats.reconfigurations),
       static_cast<unsigned long long>(slots.stats.slot_activations),
-      ToMicroseconds(strict.report.makespan),
-      ToMicroseconds(baseline.report.makespan), speedup(baseline),
-      ToMicroseconds(slots.report.makespan), speedup(slots), strict.jain(),
+      ToMicroseconds(strict.makespan),
+      ToMicroseconds(baseline.makespan), speedup(baseline),
+      ToMicroseconds(slots.makespan), speedup(slots), strict.jain(),
       baseline.jain(), slots.jain());
 
   // ----- JSON -----

@@ -46,7 +46,7 @@ void PrintFleetTable(const char* title, const FleetResult& fleet) {
   std::printf(
       "  makespan %.1f us, %.2f jobs/sim-ms, %llu dispatches, "
       "%llu preemptions, %llu reconfigs (%.1f us config time)\n\n",
-      ToMicroseconds(fleet.report.makespan), fleet.throughput(),
+      ToMicroseconds(fleet.makespan), fleet.throughput(),
       static_cast<unsigned long long>(fleet.stats.dispatches),
       static_cast<unsigned long long>(fleet.stats.preemptions),
       static_cast<unsigned long long>(fleet.stats.reconfigurations),
@@ -188,13 +188,13 @@ int Main() {
       "\"preemptions\": %llu, \"reconfigurations\": %llu, "
       "\"config_time_us\": %.3f, \"config_share\": %.4f, "
       "\"outputs_exact\": %s,\n    \"tenants\": ",
-      ToMicroseconds(mixed8.report.makespan), mixed8.throughput(),
+      ToMicroseconds(mixed8.makespan), mixed8.throughput(),
       static_cast<unsigned long long>(mixed8.stats.preemptions),
       static_cast<unsigned long long>(mixed8.stats.reconfigurations),
       ToMicroseconds(mixed8.stats.total_config_time),
-      mixed8.report.makespan > 0
+      mixed8.makespan > 0
           ? static_cast<double>(mixed8.stats.total_config_time) /
-                static_cast<double>(mixed8.report.makespan)
+                static_cast<double>(mixed8.makespan)
           : 0.0,
       mixed8.outputs_exact ? "true" : "false");
   JsonTenants(f, mixed8);
@@ -217,7 +217,7 @@ int Main() {
       "  \"asid\": {\n    \"tagged\": {\"makespan_us\": %.3f, "
       "\"context_saves\": %llu, "
       "\"pages_written_back_on_save\": %llu}\n  }\n",
-      ToMicroseconds(tagged.report.makespan),
+      ToMicroseconds(tagged.makespan),
       static_cast<unsigned long long>(tagged.service.context_saves),
       static_cast<unsigned long long>(
           tagged.service.pages_written_back_on_save));

@@ -486,11 +486,15 @@ struct TenantRun {
   bool outputs_exact = true;
 };
 
+/// What a fleet run keeps of its daemon's schedule report, which refers
+/// to results that end with the daemon.
 struct FleetResult {
   std::vector<TenantRun> tenants;
   os::VcopdStats stats;
   os::VimServiceStats service;
-  os::ScheduleReport report;
+  /// The schedule's makespan and per-pid digest.
+  Picoseconds makespan = 0;
+  std::vector<os::TenantFairness> fairness;
   /// Designs the kernel built; the rest of the jobs took one from its
   /// pool.
   u32 designs_built = 0;
@@ -503,15 +507,23 @@ struct FleetResult {
   }
   /// Completed jobs per simulated millisecond.
   double throughput() const {
-    const double ms = static_cast<double>(report.makespan) / 1e9;
+    const double ms = static_cast<double>(makespan) / 1e9;
     return ms > 0.0 ? static_cast<double>(jobs()) / ms : 0.0;
+  }
+  /// Mean turnaround over every completed job.
+  Picoseconds mean_turnaround() const {
+    Picoseconds sum = 0;
+    for (const TenantRun& t : tenants) {
+      for (const Picoseconds turnaround : t.turnarounds) sum += turnaround;
+    }
+    return jobs() > 0 ? sum / jobs() : 0;
   }
   /// Jain index over per-tenant fabric time (busy spans): 1.0 = every
   /// tenant held the PLD equally long.
   double jain() const {
     double sum = 0.0, sum_sq = 0.0;
     usize n = 0;
-    for (const os::TenantFairness& t : report.per_pid()) {
+    for (const os::TenantFairness& t : fairness) {
       const double busy = static_cast<double>(t.busy);
       sum += busy;
       sum_sq += busy * busy;
@@ -569,7 +581,9 @@ inline FleetResult RunVcopdFleet(const std::vector<TenantSpec>& specs,
 
   result.stats = daemon.stats();
   result.service = sys.kernel().vim().service_stats();
-  result.report = daemon.BuildScheduleReport();
+  const os::ScheduleReport report = daemon.BuildScheduleReport();
+  result.makespan = report.makespan;
+  result.fairness = report.per_pid();
   result.designs_built = sys.kernel().designs_built();
   for (const TenantRun& tenant : result.tenants) {
     result.outputs_exact &=

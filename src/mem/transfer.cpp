@@ -1,7 +1,5 @@
 #include "mem/transfer.h"
 
-#include <vector>
-
 namespace vcop::mem {
 
 std::string_view ToString(CopyMode mode) {
@@ -177,9 +175,8 @@ TransferResult TransferEngine::CopyOut(DualPortRam& dp, u32 src,
     total_time_ += r.time;
     return r;
   }
-  std::vector<u8> buf(len);
-  dp.Read(DualPortRam::Port::kProcessor, src, buf);
-  user.WriteBytes(dst, buf);
+  // Straight into the user page: View aborts on an unallocated range.
+  dp.Read(DualPortRam::Port::kProcessor, src, user.View(dst, len));
   TransferResult r;
   r.bytes = len;
   r.time = price;

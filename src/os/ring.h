@@ -22,8 +22,9 @@
 //     object there before the job runs, all refs or none.
 //   * A ring's size is virtio's: a power of two that bounds how many
 //     descriptors it holds, and a full ring refuses the next one. The
-//     storage holds only the descriptors in flight, oldest first, so
-//     it never exceeds that bound, and an idle ring stores none. The
+//     storage holds only the descriptors in flight, oldest first, one
+//     heap node each, so it never exceeds that bound, and an idle ring
+//     (a freshly built one included) allocates nothing. The
 //     producer index is virtio's free-running u16, so wrap-around at
 //     the 65536 boundary is part of normal operation
 //     (RingStats::index_wraps) and is exercised by tests/service_test.
@@ -38,7 +39,7 @@
 #pragma once
 
 #include <array>
-#include <deque>
+#include <list>
 
 #include "base/status.h"
 #include "base/types.h"
@@ -121,7 +122,9 @@ class SubmissionRing {
 
  private:
   u32 entries_;
-  std::deque<RingDescriptor> slots_;  // in flight, oldest first
+  // In flight, oldest first. A list, not a deque: an empty deque still
+  // holds a map and a node, and every tenant owns an idle ring.
+  std::list<RingDescriptor> slots_;
   RingStats stats_;
 };
 
@@ -155,7 +158,9 @@ class CompletionRing {
 
  private:
   u32 entries_;
-  std::deque<CompletionDescriptor> slots_;  // in flight, oldest first
+  // In flight, oldest first; a list for the same reason as
+  // SubmissionRing's.
+  std::list<CompletionDescriptor> slots_;
   RingStats stats_;
   bool suppressed_ = false;
 };

@@ -39,8 +39,8 @@
 // completes it with a clean error instead of executing garbage.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -178,7 +178,7 @@ class VcopService {
   /// when the tenant was never attached).
   const RingStats* submission_stats(TenantId tenant) const;
 
-  /// The daemon's schedule report.
+  /// The daemon's schedule report, valid while the daemon lives.
   ScheduleReport BuildScheduleReport() const {
     return daemon_.BuildScheduleReport();
   }
@@ -194,8 +194,8 @@ class VcopService {
     bool drain_scheduled = false;
     std::function<void()> notify;
     /// Completions that did not fit the completion ring; drained back
-    /// into it as the tenant reaps.
-    std::deque<CompletionDescriptor> overflow;
+    /// into it as the tenant reaps. A list, so an idle port stores none.
+    std::list<CompletionDescriptor> overflow;
 
     Port(TenantId id, u32 entries, u64 rate, u32 burst, Picoseconds now)
         : tenant(id), sq(entries), cq(entries), bucket(rate, burst, now) {}

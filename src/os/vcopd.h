@@ -39,6 +39,7 @@
 
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <span>
 #include <string>
@@ -142,7 +143,10 @@ struct TenantFairness {
 /// Every finished job in ticket order. Service-wide counters live in
 /// VcopdStats, VimServiceStats and VcopServiceStats.
 struct ScheduleReport {
-  std::vector<JobResult> outcomes;
+  /// The daemon's own results (Vcopd::Poll's), not copies: each stays
+  /// valid, and unchanged, for the daemon's lifetime. A report that must
+  /// outlive its daemon keeps what it needs from them instead.
+  std::vector<std::reference_wrapper<const JobResult>> outcomes;
   /// First submission to last completion.
   Picoseconds makespan = 0;
 
@@ -213,7 +217,8 @@ class Vcopd {
 
   /// Non-blocking completion check: the result once the job finished,
   /// nullptr while it is still queued or on the fabric. The pointer
-  /// stays valid, and the result unchanged, for the daemon's lifetime.
+  /// stays valid, and the result unchanged, for the daemon's lifetime;
+  /// a schedule report's outcomes refer to the same results.
   const JobResult* Poll(Ticket ticket) const;
 
   /// Drives the service until `ticket` completes (other tenants' work
@@ -243,8 +248,9 @@ class Vcopd {
   const VcopdConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   AddressSpace* FindSpace(hw::Asid asid);
-  /// Completed work as a schedule report (the JobResult of every
-  /// finished job, per-pid digests via per_pid()).
+  /// Completed work as a schedule report: every finished job's result,
+  /// referred to where Poll finds it, so the report is valid for the
+  /// daemon's lifetime (per-pid digests via per_pid()).
   ScheduleReport BuildScheduleReport() const;
 
  private:
@@ -274,8 +280,9 @@ class Vcopd {
     bool quarantined = false;
     u32 weight = 1;
     std::unique_ptr<AddressSpace> space;
-    /// Submitted, not yet dispatched, in ticket order.
-    std::deque<std::unique_ptr<Job>> queue;
+    /// Submitted, not yet dispatched, in ticket order. A list, so an
+    /// idle tenant's queue stores none (an empty deque holds a node).
+    std::list<std::unique_ptr<Job>> queue;
     std::unique_ptr<Job> inflight;  // running or preempted
     i64 deficit = 0;  // fair-share deficit (picoseconds)
     /// Consecutive times design affinity bypassed this tenant when it

@@ -12,9 +12,9 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <initializer_list>
 #include <limits>
+#include <list>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -204,8 +204,9 @@ class VcopdClient {
   os::VcopService* service_;
   os::TenantId tenant_;
   u64 next_cookie_ = 1;
-  /// Completions reaped while awaiting a different cookie.
-  std::deque<os::CompletionDescriptor> reaped_;
+  /// Completions reaped while awaiting a different cookie. A list: Await
+  /// erases from the middle, and an idle client stores none.
+  std::list<os::CompletionDescriptor> reaped_;
 };
 
 }  // namespace vcop::runtime

@@ -762,6 +762,48 @@ TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
   }
 }
 
+/// The schedule report refers to the daemon's results instead of copying
+/// them. Built between the slices of two tenants that preempt each
+/// other, it holds exactly the finished jobs, in ticket order, each at
+/// the address Poll gives; a job still queued or switched out is absent.
+TEST(VcopdTest, ScheduleReportRefersToTheDaemonsResults) {
+  FpgaSystem sys(TestConfig());
+  VcopdConfig config;
+  config.time_slice = 20 * 1000 * 1000;  // 20 us
+  Vcopd daemon(sys.kernel(), config);
+  StagedJob adpcm =
+      StageTenant(sys, daemon, "adpcm", MakeJob(App::kAdpcm, 4096, 1));
+  StagedJob vecadd =
+      StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 1024, 2));
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < 3; ++i) {
+    tickets.push_back(adpcm.Submit(daemon).value());
+    tickets.push_back(vecadd.Submit(daemon).value());
+  }
+
+  usize partial_reports = 0;  // built with some jobs finished, some not
+  while (daemon.HasWork()) {
+    ASSERT_TRUE(daemon.RunOne().ok());
+    const ScheduleReport report = daemon.BuildScheduleReport();
+    std::vector<Ticket> finished;
+    for (const Ticket ticket : tickets) {
+      if (daemon.Poll(ticket) != nullptr) finished.push_back(ticket);
+    }
+    if (!finished.empty() && finished.size() < tickets.size()) {
+      ++partial_reports;
+    }
+    ASSERT_EQ(report.outcomes.size(), finished.size());
+    for (usize i = 0; i < finished.size(); ++i) {
+      const JobResult& outcome = report.outcomes[i];
+      EXPECT_EQ(outcome.ticket, finished[i]);
+      EXPECT_EQ(&outcome, daemon.Poll(finished[i]));
+    }
+  }
+  EXPECT_GT(partial_reports, 0u);
+  EXPECT_GT(daemon.stats().preemptions, 0u);
+  EXPECT_EQ(daemon.BuildScheduleReport().outcomes.size(), tickets.size());
+}
+
 // ----- error paths and fault recovery -----
 
 TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
