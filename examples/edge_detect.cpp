@@ -72,7 +72,7 @@ int Main() {
   std::printf(
       "wrote edge_detect_trace.json (%zu events — open in "
       "chrome://tracing or Perfetto)\n\n",
-      sys.kernel().timeline().events().size());
+      sys.kernel().timeline().size());
   std::printf(
       "The 3x3 window keeps a three-row strip of the source resident; "
       "the VIM pages\nrows in and out as the window slides — no "

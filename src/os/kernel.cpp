@@ -204,8 +204,8 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
   design_ = Instantiate(bitstream, default_space_.asid());
 
   // Configuration takes real time on the configuration port.
-  timeline_.Record(StrFormat("configure %s", bitstream.name.c_str()),
-                   "config", sim_.now(), last_load_time_, /*track=*/0);
+  timeline_.Record(TimelineKind::kConfigure, sim_.now(), last_load_time_,
+                   {}, bitstream.name);
   sim_.ScheduleAfter(last_load_time_, [] {});
   sim_.RunToIdle();
   return Status::Ok();
@@ -294,8 +294,8 @@ Result<ExecutionReport> Kernel::FpgaExecute(std::span<const u32> params) {
   report.t_invoke = setup.value();
   FillReport(report, t0, default_space_, *design_);
   report.tlb = shared_tlb_.stats() - tlb_mark;
-  timeline_.Record(StrFormat("execute %s", design_->name.c_str()), "exec",
-                   t0, report.total, /*track=*/1);
+  timeline_.Record(TimelineKind::kExecute, t0, report.total, {},
+                   design_->name);
   return report;
 }
 

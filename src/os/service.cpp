@@ -206,10 +206,8 @@ void VcopService::DrainPort(Port& port) {
     ++stats_.drains;
     stats_.drained_jobs += batch;
     stats_.max_batch = std::max(stats_.max_batch, batch);
-    daemon_.kernel().timeline().Record(
-        StrFormat("ring drain tenant%u x%llu", port.tenant,
-                  static_cast<unsigned long long>(batch)),
-        "service", sim.now(), 0, /*track=*/3);
+    daemon_.kernel().timeline().Record(TimelineKind::kRingDrain, sim.now(),
+                                       0, {port.tenant, batch});
   }
 }
 

@@ -9,20 +9,39 @@
 // expected.
 #pragma once
 
-#include <deque>
+#include <initializer_list>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
-#include "base/status.h"
 #include "base/types.h"
 #include "base/units.h"
 
 namespace vcop::os {
 
+/// What an event is. Each kind has a fixed name format, category and
+/// track, held in one table in timeline.cpp; the comment lists the
+/// kind's integer operands in the order its name shows them.
+enum class TimelineKind : u8 {
+  kConfigure,       // design
+  kExecute,         // design
+  kFault,           // object, page
+  kClean,           // object, page
+  kSweep,           // none
+  kPreempt,         // pid, object
+  kRingDrain,       // tenant, batch
+  kVcopdConfigure,  // design
+  kVcopdActivate,   // design
+  kVcopdDispatch,   // pid, design
+  kVcopdResume,     // pid, design
+  kVcopdComplete,   // pid, design
+  kVcopdFailed,     // pid, design
+};
+
 struct TimelineEvent {
-  std::string name;      // e.g. "fault obj0 page3", "clean frame 5"
-  std::string category;  // "fault" | "transfer" | "overlap" | "exec" | "config"
+  std::string name;      // e.g. "fault obj0 page3", "clean obj1 page5"
+  std::string category;  // e.g. "fault", "overlap", "exec", "service"
   Picoseconds start = 0;
   Picoseconds duration = 0;
   /// Virtual lane: 0 = CPU/OS, 1 = coprocessor, 2 = background CPU,
@@ -30,46 +49,49 @@ struct TimelineEvent {
   u32 track = 0;
 };
 
-/// Stores each distinct name and category once and each event as a
-/// fixed 32-byte record, so a long-running service's timeline grows by
-/// 32 bytes per event however long its names are. The records grow in
-/// fixed-size chunks, never by copying into a doubled buffer.
+/// Records each event as a typed fact: its kind, start, duration,
+/// integer operands and design name, varint-packed to about 11 bytes
+/// and appended to byte chunks that are never copied. Names, categories
+/// and tracks are produced only when the timeline is exported, so
+/// recording formats no string and allocates only for a new chunk or a
+/// design name it has not seen before.
 class TimelineRecorder {
  public:
-  void Record(std::string name, std::string category, Picoseconds start,
-              Picoseconds duration, u32 track) {
-    records_.push_back(EventRecord{start, duration, track,
-                                   Intern(std::move(name)),
-                                   Intern(std::move(category))});
+  /// Storage chunk sizes. The first chunk is small, so a timeline of a
+  /// few events holds 512 bytes; every later chunk holds 4 KB.
+  static constexpr usize kFirstChunkBytes = 512;
+  static constexpr usize kChunkBytes = 4096;
+  static constexpr usize ChunkBytes(usize index) {
+    return index == 0 ? kFirstChunkBytes : kChunkBytes;
   }
 
-  /// Every event in recording order, rebuilt from the records.
+  /// Records one event. `ids` are the kind's integer operands in the
+  /// order its name shows them (at most two); `design` is its design
+  /// name, for the kinds whose name has one.
+  void Record(TimelineKind kind, Picoseconds start, Picoseconds duration,
+              std::initializer_list<u64> ids = {},
+              std::string_view design = {});
+
+  /// Every event in recording order, named from the kind table.
   std::vector<TimelineEvent> events() const;
-  usize size() const { return records_.size(); }
-  void Clear();
+  usize size() const { return size_; }
 
   /// Chrome trace-event JSON ("X" complete events, microsecond
   /// timestamps as the format requires).
   std::string ToChromeTrace() const;
 
  private:
-  struct EventRecord {
-    Picoseconds start = 0;
-    Picoseconds duration = 0;
-    u32 track = 0;
-    u32 name = 0;      // index into strings_
-    u32 category = 0;  // index into strings_
-  };
-  static_assert(sizeof(EventRecord) == 32);
+  /// The index of `design` in designs_, adding it on first sight.
+  u32 DesignId(std::string_view design);
+  void Append(const u8* bytes, usize count);
 
-  /// The id of `s`, adding it on first sight.
-  u32 Intern(std::string s);
-
-  // Each string is stored once, as a key of ids_; strings_ points at the
-  // keys by id (a rehash moves no element of an unordered_map).
-  std::unordered_map<std::string, u32> ids_;
-  std::vector<const std::string*> strings_;
-  std::deque<EventRecord> records_;
+  std::vector<std::unique_ptr<u8[]>> chunks_;
+  usize tail_ = 0;  // bytes used in chunks_.back()
+  usize size_ = 0;
+  /// Starts are stored as deltas from the previous event's start.
+  Picoseconds last_start_ = 0;
+  /// Each design name seen, once; a kernel loads only a few designs.
+  std::vector<std::string> designs_;
 };
 
 }  // namespace vcop::os

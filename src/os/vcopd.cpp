@@ -397,17 +397,17 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
     stats_.total_config_time += got.time;
     ++job.result->reconfigurations;
     job.result->config_time += got.time;
-    kernel_.timeline().Record(
-        StrFormat("vcopd configure %s", job.bitstream.name.c_str()),
-        "config", kernel_.simulator().now(), got.time, /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdConfigure,
+                              kernel_.simulator().now(), got.time, {},
+                              job.bitstream.name);
   } else if (got.activated) {
     ++stats_.slot_activations;
     stats_.total_activation_time += got.time;
     ++job.result->slot_activations;
     job.result->config_time += got.time;
-    kernel_.timeline().Record(
-        StrFormat("vcopd activate %s", job.bitstream.name.c_str()),
-        "config", kernel_.simulator().now(), got.time, /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdActivate,
+                              kernel_.simulator().now(), got.time, {},
+                              job.bitstream.name);
   }
   return got.time;
 }
@@ -458,20 +458,18 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     }
     job->result->report.t_invoke += lead + setup.value();
     slice_started_at_ = dispatch_time + lead + setup.value();
-    kernel_.timeline().Record(
-        StrFormat("vcopd dispatch pid%u %s", tenant.space->pid(),
-                  job->bitstream.name.c_str()),
-        "exec", dispatch_time, lead + setup.value(), /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdDispatch, dispatch_time,
+                              lead + setup.value(), {tenant.space->pid()},
+                              job->bitstream.name);
   } else {
     job->result->report.t_invoke += lead;
     // RestoreContext charges its own time to the space's accounting.
     const Picoseconds restore = vim.RestoreContext();
     const Picoseconds go = dispatch_time + lead + restore;
     slice_started_at_ = go;
-    kernel_.timeline().Record(
-        StrFormat("vcopd resume pid%u %s", tenant.space->pid(),
-                  job->bitstream.name.c_str()),
-        "exec", dispatch_time, lead + restore, /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdResume, dispatch_time,
+                              lead + restore, {tenant.space->pid()},
+                              job->bitstream.name);
     // The preempting fault is still latched in the IMU: re-enter its
     // service now that the context is back.
     Vim* vimp = &vim;
@@ -531,11 +529,10 @@ void Vcopd::FinishJob(Tenant& tenant, Status status) {
     ++stats_.failed;
   }
   kernel_.Retire(std::move(job->design));
-  kernel_.timeline().Record(
-      StrFormat("vcopd complete pid%u %s%s", tenant.space->pid(),
-                job->bitstream.name.c_str(),
-                r.status.ok() ? "" : " (failed)"),
-      "exec", r.finished_at, 0, /*track=*/3);
+  kernel_.timeline().Record(r.status.ok() ? TimelineKind::kVcopdComplete
+                                          : TimelineKind::kVcopdFailed,
+                            r.finished_at, 0, {tenant.space->pid()},
+                            job->bitstream.name);
   if (job->on_complete) job->on_complete(r);
 }
 

@@ -293,9 +293,8 @@ void Vim::OnPageFault() {
     if (space_->aborted) return;  // write-back failed mid-save
     ++acct().preemptions;
     if (timeline_ != nullptr) {
-      timeline_->Record(
-          StrFormat("preempt pid%u obj%u", space_->pid(), oid), "preempt",
-          sim_.now(), imu_cost + save, /*track=*/3);
+      timeline_->Record(TimelineKind::kPreempt, sim_.now(), imu_cost + save,
+                        {space_->pid(), oid});
     }
     // Like a completion, the run ends once the service is over; until
     // then a second edge of this fault is a duplicate.
@@ -345,9 +344,8 @@ void Vim::OnPageFault() {
   acct().t_dp += dp_cost;
   acct().fault_service_us.Add(ToMicroseconds(imu_cost + dp_cost));
   if (timeline_ != nullptr) {
-    timeline_->Record(
-        StrFormat("fault obj%u page%u", oid, vpage), "fault", sim_.now(),
-        imu_cost + dp_cost, /*track=*/0);
+    timeline_->Record(TimelineKind::kFault, sim_.now(), imu_cost + dp_cost,
+                      {oid, vpage});
   }
   ScheduleResolve(sim_.now() + imu_cost + dp_cost);
 }
@@ -641,9 +639,8 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
     clean_queued_[f] = true;
     --budget;
     if (timeline_ != nullptr) {
-      timeline_->Record(
-          StrFormat("clean obj%u page%u", state.object, state.vpage),
-          "overlap", tail - unit_cost, unit_cost, /*track=*/2);
+      timeline_->Record(TimelineKind::kClean, tail - unit_cost, unit_cost,
+                        {state.object, state.vpage});
     }
 
     const u64 epoch = epoch_;
@@ -759,8 +756,8 @@ void Vim::OnEndOfOperation() {
   acct().t_dp += dp_cost;
   acct().t_wakeup += wake;
   if (timeline_ != nullptr) {
-    timeline_->Record("end-of-operation sweep", "transfer", sim_.now(),
-                      imu_cost + dp_cost + wake, /*track=*/0);
+    timeline_->Record(TimelineKind::kSweep, sim_.now(),
+                      imu_cost + dp_cost + wake);
   }
 
   sim_.ScheduleAt(sim_.now() + imu_cost + dp_cost + wake, [this] {

@@ -1,8 +1,10 @@
-// Idle rings store nothing: a freshly built submission or completion
-// ring makes no heap allocation, and one drained of every descriptor it
-// held keeps no FIFO bytes. A counting global operator new, switched on
-// only inside a measured scope, shows it. The replacement applies to the
-// whole program, so these tests have a binary of their own.
+// Heap bounds shown by a counting global operator new, switched on only
+// inside a measured scope. Idle rings store nothing: a freshly built
+// submission or completion ring makes no heap allocation, and one
+// drained of every descriptor it held keeps no FIFO bytes. A timeline
+// stores a fault in a few bytes of a shared chunk and allocates only to
+// open the next chunk. The replacement applies to the whole program, so
+// these tests have a binary of their own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,6 +12,7 @@
 
 #include "base/types.h"
 #include "os/ring.h"
+#include "os/timeline.h"
 
 namespace {
 
@@ -60,6 +63,12 @@ void operator delete(void* ptr) noexcept {
 }
 
 void operator delete(void* ptr, std::size_t) noexcept { operator delete(ptr); }
+
+// The array forms count too: a sanitizer runtime supplies its own
+// operator new[] that would otherwise bypass the count.
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete[](void* ptr) noexcept { operator delete(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { operator delete(ptr); }
 
 namespace vcop::os {
 namespace {
@@ -118,6 +127,40 @@ TEST(RingAllocationTest, DrainedRingsHoldNoFifoBytes) {
                                            sizeof(CompletionDescriptor))));
     EXPECT_EQ(drained[round], 0);
   }
+}
+
+/// 10 000 faults shaped like gather_thrash's (objects 0-2, pages 0-23,
+/// about 90 us apart and as long) cost at most 16 live bytes each, and
+/// only the calls that open a chunk allocate. A name formatted per event
+/// or a fixed 32-byte record breaks one bound or the other.
+TEST(TimelineAllocationTest, FaultsAllocateOnlyForNewChunks) {
+  constexpr u32 kEvents = 10'000;
+  u64 allocating_records = 0;
+  i64 live = 0;
+  {
+    AllocationScope scope;
+    TimelineRecorder timeline;
+    u64 state = 1;
+    Picoseconds start = 0;
+    for (u32 i = 0; i < kEvents; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const u32 jitter = static_cast<u32>(state >> 44);  // < 1.05 us
+      start += 89'500'000 + jitter;
+      const u64 before = scope.allocations_made();
+      timeline.Record(TimelineKind::kFault, start, 91'000'000 + jitter,
+                      {(state >> 33) % 3, (state >> 40) % 24});
+      allocating_records += scope.allocations_made() != before;
+    }
+    live = scope.bytes_live();
+  }
+  EXPECT_LE(live, static_cast<i64>(16 * kEvents));
+  // Each allocating call opened a chunk, which is still live: the first
+  // of kFirstChunkBytes, every later one of kChunkBytes.
+  ASSERT_GE(live, static_cast<i64>(TimelineRecorder::kFirstChunkBytes));
+  EXPECT_GT(allocating_records, 0u);
+  EXPECT_LE(allocating_records,
+            1 + (static_cast<u64>(live) - TimelineRecorder::kFirstChunkBytes) /
+                    TimelineRecorder::kChunkBytes);
 }
 
 }  // namespace

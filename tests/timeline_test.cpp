@@ -4,6 +4,8 @@
 #include "apps/workloads.h"
 #include "base/table.h"
 #include "bench/common.h"
+#include "hw/tlb.h"
+#include "mem/page.h"
 #include "os/timeline.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
@@ -14,8 +16,8 @@ namespace {
 
 TEST(TimelineTest, RecordsAndExports) {
   os::TimelineRecorder timeline;
-  timeline.Record("fault obj0 page1", "fault", 1'000'000, 2'000'000, 0);
-  timeline.Record("execute adpcm", "exec", 0, 10'000'000, 1);
+  timeline.Record(os::TimelineKind::kFault, 1'000'000, 2'000'000, {0, 1});
+  timeline.Record(os::TimelineKind::kExecute, 0, 10'000'000, {}, "adpcm");
   ASSERT_EQ(timeline.events().size(), 2u);
 
   const std::string json = timeline.ToChromeTrace();
@@ -31,26 +33,83 @@ TEST(TimelineTest, RecordsAndExports) {
 
 TEST(TimelineTest, EscapesJsonSpecials) {
   os::TimelineRecorder timeline;
-  timeline.Record("quote\"back\\slash", "cat", 0, 1, 0);
+  timeline.Record(os::TimelineKind::kExecute, 0, 1, {}, "quote\"back\\slash");
   const std::string json = timeline.ToChromeTrace();
-  EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"execute quote\\\"back\\\\slash\""),
+            std::string::npos);
 }
 
-TEST(TimelineTest, RepeatedNamesRoundTrip) {
-  // Each distinct name and category is stored once; every event must
-  // still come back whole and in recording order.
+TEST(TimelineTest, EveryKindRoundTrips) {
+  // Each kind is checked against the name its call site formatted
+  // before events were typed, with operands at their type maxima and
+  // at zero. Starts step backwards and wrap (2^64-1 right after 0),
+  // and durations reach 0 and 2^64-1. Forty rounds of every kind fill
+  // many chunks, with events straddling their boundaries.
+  constexpr u64 kMax = ~u64{0};
+  constexpr hw::ObjectId kObject = 0xff;  // hw::ObjectId is 8 bits
+  constexpr mem::VirtPage kPage = 0xffffffff;
+  constexpr u32 kPid = 0xffffffff;
+  constexpr u32 kTenant = 0xffffffff;
+  const std::string design = "idea_ecb";
+  const std::string other = "adpcm_decoder";
+  const Picoseconds starts[] = {0, kMax, kMax - 1, 5, 4, 0, kMax, 1, 0};
+  const Picoseconds durations[] = {0, kMax, 1, kMax - 1, 92'317'000};
+
   os::TimelineRecorder timeline;
   std::vector<os::TimelineEvent> want;
-  for (u32 i = 0; i < 1000; ++i) {
-    os::TimelineEvent e{StrFormat("fault obj%u page%u", i % 10, i % 10),
-                        std::string(i % 3 == 0   ? "fault"
-                                    : i % 3 == 1 ? "exec"
-                                                 : "overlap"),
-                        1000ull * i, 7ull * i + 1, i % 4};
-    timeline.Record(e.name, e.category, e.start, e.duration, e.track);
-    want.push_back(std::move(e));
+  usize n = 0;
+  const auto record = [&](os::TimelineKind kind,
+                          std::initializer_list<u64> ids,
+                          std::string_view name_design, std::string name,
+                          std::string category, u32 track) {
+    const Picoseconds start = starts[n % std::size(starts)];
+    const Picoseconds duration = durations[n % std::size(durations)];
+    ++n;
+    timeline.Record(kind, start, duration, ids, name_design);
+    want.push_back({std::move(name), std::move(category), start, duration,
+                    track});
+  };
+  using K = os::TimelineKind;
+  for (u32 round = 0; round < 40; ++round) {
+    const std::string& d = round % 2 == 0 ? design : other;
+    const hw::ObjectId object = round % 2 == 0 ? kObject : 0;
+    const mem::VirtPage page = round % 2 == 0 ? kPage : round;
+    const u32 pid = round % 2 == 0 ? kPid : 0;
+    const u32 tenant = round % 2 == 0 ? kTenant : 1;
+    const u64 batch = round % 2 == 0 ? kMax : 1;
+    record(K::kConfigure, {}, d, StrFormat("configure %s", d.c_str()),
+           "config", 0);
+    record(K::kExecute, {}, d, StrFormat("execute %s", d.c_str()), "exec",
+           1);
+    record(K::kFault, {object, page}, {},
+           StrFormat("fault obj%u page%u", object, page), "fault", 0);
+    record(K::kClean, {object, page}, {},
+           StrFormat("clean obj%u page%u", object, page), "overlap", 2);
+    record(K::kSweep, {}, {}, "end-of-operation sweep", "transfer", 0);
+    record(K::kPreempt, {pid, object}, {},
+           StrFormat("preempt pid%u obj%u", pid, object), "preempt", 3);
+    record(K::kRingDrain, {tenant, batch}, {},
+           StrFormat("ring drain tenant%u x%llu", tenant,
+                     static_cast<unsigned long long>(batch)),
+           "service", 3);
+    record(K::kVcopdConfigure, {}, d,
+           StrFormat("vcopd configure %s", d.c_str()), "config", 3);
+    record(K::kVcopdActivate, {}, d,
+           StrFormat("vcopd activate %s", d.c_str()), "config", 3);
+    record(K::kVcopdDispatch, {pid}, d,
+           StrFormat("vcopd dispatch pid%u %s", pid, d.c_str()), "exec", 3);
+    record(K::kVcopdResume, {pid}, d,
+           StrFormat("vcopd resume pid%u %s", pid, d.c_str()), "exec", 3);
+    record(K::kVcopdComplete, {pid}, d,
+           StrFormat("vcopd complete pid%u %s%s", pid, d.c_str(), ""),
+           "exec", 3);
+    record(K::kVcopdFailed, {pid}, d,
+           StrFormat("vcopd complete pid%u %s%s", pid, d.c_str(),
+                     " (failed)"),
+           "exec", 3);
   }
-  EXPECT_EQ(timeline.size(), 1000u);
+
+  EXPECT_EQ(timeline.size(), want.size());
   const std::vector<os::TimelineEvent> got = timeline.events();
   ASSERT_EQ(got.size(), want.size());
   for (usize i = 0; i < got.size(); ++i) {
