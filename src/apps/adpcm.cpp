@@ -59,6 +59,26 @@ constexpr AdpcmStepTable BuildStepTable() {
 
 constexpr AdpcmStepTable kStepTable = BuildStepTable();
 
+/// The index after both codes of an input byte (low nibble first), per
+/// (index, byte): AdpcmDecode advances the index once per byte, so the
+/// serial chain through the index is one lookup per two samples.
+struct AdpcmByteIndexTable {
+  u8 next[kAdpcmMaxIndex + 1][256];
+};
+
+constexpr AdpcmByteIndexTable BuildByteIndexTable() {
+  AdpcmByteIndexTable t{};
+  for (usize index = 0; index <= kAdpcmMaxIndex; ++index) {
+    for (usize byte = 0; byte < 256; ++byte) {
+      const u8 mid = kStepTable.next[index][byte & 0x0F];
+      t.next[index][byte] = kStepTable.next[mid][byte >> 4];
+    }
+  }
+  return t;
+}
+
+constexpr AdpcmByteIndexTable kByteIndexTable = BuildByteIndexTable();
+
 }  // namespace
 
 i16 AdpcmDecodeSample(u8 code, AdpcmState& state) {
@@ -120,14 +140,27 @@ void AdpcmDecode(std::span<const u8> in, std::span<i16> out,
                  "ADPCM decode emits two samples per input byte");
   VCOP_CHECK_MSG(state.index <= kAdpcmMaxIndex,
                  "ADPCM step index out of range");
-  // A local predictor stays in registers: a store through the i16
-  // `out` may alias `state.valprev` and would force a reload per sample.
-  AdpcmState predictor = state;
+  // The predictor stays in locals: a store through the i16 `out` may
+  // alias `state.valprev` and would force a reload per sample. Both
+  // samples of a byte take their differences from kStepTable, as
+  // AdpcmDecodeSample does, but the index crosses the whole byte in one
+  // lookup: the high code's index (`mid`) branches off the serial chain
+  // instead of lengthening it.
+  i32 valprev = state.valprev;
+  u8 index = state.index;
   for (usize i = 0; i < in.size(); ++i) {
-    out[2 * i] = AdpcmDecodeSample(in[i] & 0x0F, predictor);
-    out[2 * i + 1] = AdpcmDecodeSample(in[i] >> 4, predictor);
+    const u8 byte = in[i];
+    const u8 lo = byte & 0x0F;
+    const u8 hi = byte >> 4;
+    const u8 mid = kStepTable.next[index][lo];
+    valprev = ClampSample(valprev + kStepTable.diff[index][lo]);
+    out[2 * i] = static_cast<i16>(valprev);
+    valprev = ClampSample(valprev + kStepTable.diff[mid][hi]);
+    out[2 * i + 1] = static_cast<i16>(valprev);
+    index = kByteIndexTable.next[index][byte];
   }
-  state = predictor;
+  state.valprev = static_cast<i16>(valprev);
+  state.index = index;
 }
 
 }  // namespace vcop::apps

@@ -10,15 +10,16 @@ u16 IdeaMul(u16 a, u16 b) {
   // modulo: for p = a*b != 0, p mod (2^16+1) = lo - hi (+2^16+1 if
   // lo < hi). p == 0 exactly when an operand is 0 (≡ 2^16 ≡ -1), and
   // then the product is -b resp. -a, i.e. 1 - a - b mod 2^16 either
-  // way. Both results are computed and one selected, with no branch,
-  // and the zero test reads the 16-bit halves, so that the eight-block
-  // loop below vectorises into 16-bit lanes.
-  const u32 p = static_cast<u32>(a) * b;
-  const u16 lo = static_cast<u16>(p);
-  const u16 hi = static_cast<u16>(p >> 16);
-  const u16 product = static_cast<u16>(lo - hi + (lo < hi ? 1 : 0));
+  // way. Both results are computed and one selected, with no branch.
+  // `lo` and `hi` are two separate 16-bit expressions, so that in the
+  // block loops below the compiler emits a 16-bit low and high multiply
+  // per lane pair (pmullw, pmulhuw) rather than widening every lane to
+  // 32 bits and shuffling back.
+  const u16 lo = static_cast<u16>(static_cast<u32>(a) * b);
+  const u16 hi = static_cast<u16>((static_cast<u32>(a) * b) >> 16);
+  const u16 product = static_cast<u16>(lo - hi + (hi > lo));
   const u16 by_zero = static_cast<u16>(1 - a - b);
-  return (lo | hi) == 0 ? by_zero : product;
+  return a == 0 || b == 0 ? by_zero : product;
 }
 
 u16 IdeaMulInv(u16 x) {
@@ -101,7 +102,8 @@ void Store16(u8* p, u16 v) {
 /// blocks from `in` to `out` (which may be the same buffer). Word w of
 /// every block sits in one array, so each step of a round runs over all
 /// N blocks at once: the blocks' dependency chains of 34 multiplies
-/// overlap, and for N = 8 the compiler vectorises the steps.
+/// overlap, and for N = 8 and 32 the compiler vectorises the steps into
+/// 16-bit lanes.
 template <usize N>
 void IdeaCryptBlocks(const IdeaSubkeys& k, const u8* in, u8* out) {
   u16 x1[N], x2[N], x3[N], x4[N];
@@ -141,9 +143,17 @@ void IdeaCryptBlocks(const IdeaSubkeys& k, const u8* in, u8* out) {
   }
 }
 
-// Blocks per pass of IdeaCryptEcb: eight u16 words fill a 128-bit
-// vector register.
-constexpr usize kIdeaLanes = 8;
+/// IdeaCryptBlocks<N> over every whole N-block pass from byte `off`
+/// on; returns the offset after the last one.
+template <usize N>
+usize IdeaCryptPasses(const IdeaSubkeys& k, std::span<const u8> in,
+                      std::span<u8> out, usize off) {
+  constexpr usize kPassBytes = N * kIdeaBlockBytes;
+  for (; off + kPassBytes <= in.size(); off += kPassBytes) {
+    IdeaCryptBlocks<N>(k, in.data() + off, out.data() + off);
+  }
+  return off;
+}
 
 }  // namespace
 
@@ -197,14 +207,13 @@ void IdeaCryptEcb(const IdeaSubkeys& subkeys, std::span<const u8> in,
   VCOP_CHECK_MSG(in.size() == out.size(), "ECB in/out sizes must match");
   VCOP_CHECK_MSG(in.size() % kIdeaBlockBytes == 0,
                  "ECB length must be a multiple of the block size");
-  constexpr usize kPassBytes = kIdeaLanes * kIdeaBlockBytes;
-  usize off = 0;
-  for (; off + kPassBytes <= in.size(); off += kPassBytes) {
-    IdeaCryptBlocks<kIdeaLanes>(subkeys, in.data() + off, out.data() + off);
-  }
-  for (; off < in.size(); off += kIdeaBlockBytes) {
-    IdeaCryptBlocks<1>(subkeys, in.data() + off, out.data() + off);
-  }
+  // Eight u16 words fill a 128-bit vector register, so a 32-block pass
+  // keeps four independent vectors of multiplies in flight. 8-block
+  // passes and single blocks take the tail (a 496-byte job is one
+  // 32-block pass, three 8-block passes and six single blocks).
+  usize off = IdeaCryptPasses<32>(subkeys, in, out, 0);
+  off = IdeaCryptPasses<8>(subkeys, in, out, off);
+  IdeaCryptPasses<1>(subkeys, in, out, off);
 }
 
 }  // namespace vcop::apps

@@ -46,7 +46,7 @@ IdeaSubkeys IdeaInvertKey(const IdeaSubkeys& ek);
 void IdeaCryptBlock(const IdeaSubkeys& subkeys, std::span<u8, kIdeaBlockBytes> block);
 
 /// ECB over a whole buffer; sizes must be equal multiples of 8. Runs
-/// the rounds over eight blocks per pass, then block by block; the
+/// the rounds over 32 blocks per pass, then 8, then block by block; the
 /// result equals IdeaCryptBlock on each block.
 void IdeaCryptEcb(const IdeaSubkeys& subkeys, std::span<const u8> in,
                   std::span<u8> out);

@@ -46,8 +46,14 @@ class Logger {
   Sink sink_;
 };
 
-/// Convenience wrappers: VCOP_LOG(kDebug, "message " + detail);
-#define VCOP_LOG(level, msg) \
-  ::vcop::Logger::Get().Log(::vcop::LogLevel::level, (msg))
+/// Convenience wrapper: VCOP_LOG(kDebug, "message " + detail); a
+/// statement. `msg` is evaluated only when `level` is enabled, so a
+/// formatted line on a hot path costs one comparison while it is off.
+#define VCOP_LOG(level, msg)                                            \
+  do {                                                                  \
+    if (::vcop::LogLevel::level >= ::vcop::Logger::Get().min_level()) { \
+      ::vcop::Logger::Get().Log(::vcop::LogLevel::level, (msg));        \
+    }                                                                   \
+  } while (false)
 
 }  // namespace vcop

@@ -16,10 +16,10 @@
 // the kernel's default space, the one the blocking system calls use.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +34,37 @@
 #include "sim/stats.h"
 
 namespace vcop::os {
+
+/// A set of (object, page) pairs, kept as one sorted vector of packed
+/// keys: a lookup is a binary search, an insert allocates only when the
+/// vector grows, Clear() keeps the capacity for the next execution, and
+/// a set never inserted into holds no storage.
+class PageSet {
+ public:
+  bool Contains(hw::ObjectId object, mem::VirtPage vpage) const {
+    return std::binary_search(keys_.begin(), keys_.end(), Key(object, vpage));
+  }
+  void Insert(hw::ObjectId object, mem::VirtPage vpage) {
+    const u64 key = Key(object, vpage);
+    const auto at = std::lower_bound(keys_.begin(), keys_.end(), key);
+    if (at == keys_.end() || *at != key) keys_.insert(at, key);
+  }
+  void Clear() { keys_.clear(); }
+  usize size() const { return keys_.size(); }
+  /// The number of pages of `object` in the set.
+  usize CountOf(hw::ObjectId object) const {
+    const auto first = std::lower_bound(keys_.begin(), keys_.end(),
+                                        Key(object, 0));
+    return static_cast<usize>(
+        std::lower_bound(first, keys_.end(), Key(object + 1, 0)) - first);
+  }
+
+ private:
+  static u64 Key(u64 object, mem::VirtPage vpage) {
+    return object << 32 | vpage;
+  }
+  std::vector<u64> keys_;
+};
 
 /// Per-execution accounting, matching the decomposition of Figures 8/9.
 /// Lives with the address space so a preempted tenant's partial charges
@@ -119,7 +150,7 @@ class AddressSpace {
   /// before its first write-back, so for OUT objects this is also the
   /// set of pages whose next fault must reload them (see
   /// Vim::NeedsLoad).
-  std::set<std::pair<hw::ObjectId, mem::VirtPage>> transferred;
+  PageSet transferred;
   /// objects().version() when this execution began: once the table
   /// moves, the bounce copies no longer name the pages they mirrored.
   u64 transferred_objects_version = 0;
@@ -127,7 +158,7 @@ class AddressSpace {
   /// since the space last came onto the fabric (PrepareExecution or
   /// RestoreContext after a SaveContext). A demand fault on one is a
   /// re-fault (DemandFault::refault).
-  std::set<std::pair<hw::ObjectId, mem::VirtPage>> evicted_after_use;
+  PageSet evicted_after_use;
   /// Frame pinned under the parameter page, while established.
   std::optional<mem::FrameId> param_frame;
   /// The scalar parameters of the current execution, kept so a

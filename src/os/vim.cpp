@@ -58,7 +58,7 @@ bool Vim::IommuWalk(mem::IommuAsid asid, mem::UserAddr page_base) {
 bool Vim::KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const {
   return transfers_.KeepsBounceCopies() &&
          space_->objects().version() == space_->transferred_objects_version &&
-         space_->transferred.count({object, vpage}) != 0;
+         space_->transferred.Contains(object, vpage);
 }
 
 void Vim::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
@@ -165,8 +165,8 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   FlushAsid(space_->asid());
   tlb_recycle_cursor_ = 0;
   space_->param_frame.reset();
-  space_->transferred.clear();
-  space_->evicted_after_use.clear();
+  space_->transferred.Clear();
+  space_->evicted_after_use.Clear();
   space_->transferred_objects_version = objects().version();
   space_->last_fault_page = {};
   space_->saved_params.assign(params.begin(), params.end());
@@ -387,7 +387,7 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
       return false;
     }
     CountLoad(len, reload);
-    space_->transferred.insert({object.id, vpage});
+    space_->transferred.Insert(object.id, vpage);
   }
   InstallPage(*frame, object.id, vpage, /*pinned=*/false, span);
   InstallTlbEntry(object.id, vpage, *frame);
@@ -401,7 +401,7 @@ bool Vim::NeedsLoad(const MappedObject& object, mem::VirtPage vpage) const {
   // page has been written back, later faults must reload it or the
   // final write-back would clobber earlier results with stale bytes.
   return object.direction != Direction::kOut ||
-         space_->transferred.count({object.id, vpage}) != 0;
+         space_->transferred.Contains(object.id, vpage);
 }
 
 void Vim::CountLoad(u32 len, bool reload) {
@@ -455,8 +455,8 @@ std::optional<mem::FrameId> Vim::AcquireFrame(u32 span,
                 evictable,
                 DemandFault{demand->object, demand->vpage, demand->previous,
                             hot_frames_,
-                            space_->evicted_after_use.count(
-                                {demand->object, demand->vpage}) != 0});
+                            space_->evicted_after_use.Contains(
+                                demand->object, demand->vpage)});
   EvictFrame(victim, dp_cost, imu_cost);
   if (space_->aborted) return std::nullopt;
   return victim;
@@ -555,7 +555,7 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
   // towards its re-faults; another tenant's eviction says nothing about
   // this one's working set.
   if (state.referenced && owner == space_) {
-    space_->evicted_after_use.insert({state.object, state.vpage});
+    space_->evicted_after_use.Insert(state.object, state.vpage);
   }
   const MappedObject* object = owner->objects().Find(state.object);
   VCOP_CHECK_MSG(object != nullptr,
@@ -594,7 +594,7 @@ bool Vim::WriteBack(mem::FrameId frame, AddressSpace& owner,
   if (r.bus_error) return false;
   ++owner.accounting.writebacks;
   owner.accounting.bytes_written_back += len;
-  owner.transferred.insert({state.object, state.vpage});
+  owner.transferred.Insert(state.object, state.vpage);
   return true;
 }
 
@@ -664,7 +664,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
           transfers_.StorePage(now_state.asid, dp_ram_, geometry_.FrameBase(f),
                                user_memory_, dst, len);
       if (r.bus_error || r.iommu_fault) return;
-      space_->transferred.insert({oid, vpage});
+      space_->transferred.Insert(oid, vpage);
       pages_.ClearDirty(f);
       if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
         imu_->tlb().ClearDirty(*entry);
@@ -831,7 +831,7 @@ Picoseconds Vim::SaveContext() {
 
   // Back on the fabric, the tenant's evictions start over: what other
   // tenants did meanwhile decides which of its pages are still resident.
-  space_->evicted_after_use.clear();
+  space_->evicted_after_use.Clear();
 
   ++service_stats_.context_saves;
   acct().t_dp += dp_cost;

@@ -177,21 +177,37 @@ TEST(AdpcmTest, TransitionMatchesMediaBenchShiftArithmetic) {
 }
 
 TEST(AdpcmTest, DecodeEqualsTheSampleStepLoop) {
-  // AdpcmDecode keeps the predictor in locals; it must leave the same
-  // samples and the same final state as stepping sample by sample,
-  // low nibble first, from a mid-stream state.
-  const std::vector<u8> in = MakeAdpcmStream(4096, 21);
-  std::vector<i16> out(2 * in.size());
-  AdpcmState state{-1234, 40};
-  AdpcmDecode(in, out, state);
-
-  AdpcmState step{-1234, 40};
-  for (usize i = 0; i < in.size(); ++i) {
-    ASSERT_EQ(out[2 * i], AdpcmDecodeSample(in[i] & 0x0F, step)) << i;
-    ASSERT_EQ(out[2 * i + 1], AdpcmDecodeSample(in[i] >> 4, step)) << i;
+  // AdpcmDecode keeps the predictor in locals and advances the index
+  // once per byte; it must leave the same samples and the same final
+  // state as stepping sample by sample, low nibble first. From every
+  // start index: each byte value alone (every (index, byte) pair of the
+  // per-byte step), then a stream that holds all 256 byte values ahead
+  // of a synthetic one.
+  auto expect_step_loop = [](std::span<const u8> in, AdpcmState start) {
+    std::vector<i16> out(2 * in.size());
+    AdpcmState state = start;
+    AdpcmDecode(in, out, state);
+    AdpcmState step = start;
+    for (usize i = 0; i < in.size(); ++i) {
+      ASSERT_EQ(out[2 * i], AdpcmDecodeSample(in[i] & 0x0F, step))
+          << "byte " << i << ", start index " << int{start.index};
+      ASSERT_EQ(out[2 * i + 1], AdpcmDecodeSample(in[i] >> 4, step))
+          << "byte " << i << ", start index " << int{start.index};
+    }
+    EXPECT_EQ(state.valprev, step.valprev);
+    EXPECT_EQ(state.index, step.index);
+  };
+  std::vector<u8> stream(256);
+  for (usize b = 0; b < stream.size(); ++b) stream[b] = static_cast<u8>(b);
+  const std::vector<u8> synthetic = MakeAdpcmStream(4096, 21);
+  stream.insert(stream.end(), synthetic.begin(), synthetic.end());
+  for (u8 index = 0; index <= kAdpcmMaxIndex; ++index) {
+    for (usize b = 0; b < 256; ++b) {
+      expect_step_loop(std::span<const u8>(&stream[b], 1),
+                       AdpcmState{-1234, index});
+    }
+    expect_step_loop(stream, AdpcmState{-1234, index});
   }
-  EXPECT_EQ(state.valprev, step.valprev);
-  EXPECT_EQ(state.index, step.index);
 }
 
 }  // namespace

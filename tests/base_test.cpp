@@ -231,6 +231,30 @@ TEST(LogTest, SinkReceivesEnabledLevelsOnly) {
   EXPECT_EQ(captured[1], "ERROR:loud");
 }
 
+TEST(LogTest, DisabledLevelDoesNotEvaluateItsMessage) {
+  // A debug line on a hot path (the IMU's per-fault one) must not
+  // format its message while debug logging is off.
+  int formatted = 0;
+  auto message = [&formatted] {
+    ++formatted;
+    return std::string("formatted");
+  };
+  std::vector<std::string> captured;
+  Logger::Get().set_sink([&](LogLevel, std::string_view msg) {
+    captured.emplace_back(msg);
+  });
+  Logger::Get().set_min_level(LogLevel::kInfo);
+  VCOP_LOG(kDebug, message());
+  EXPECT_EQ(formatted, 0);
+  EXPECT_TRUE(captured.empty());
+  VCOP_LOG(kInfo, message());
+  Logger::Get().set_sink(nullptr);
+  Logger::Get().set_min_level(LogLevel::kWarning);
+  EXPECT_EQ(formatted, 1);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(captured[0], "formatted");
+}
+
 // ----- table -----
 
 TEST(TableTest, AlignsColumnsAndRightAlignsNumbers) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "apps/conv2d.h"
 #include "cp/conv_cp.h"
@@ -85,6 +86,27 @@ TEST(Conv2dReferenceTest, ClampsBothEnds) {
   EXPECT_EQ(out[4], 0);
 }
 
+/// The textbook loop with an i64 accumulator, border copied through.
+std::vector<u8> NaiveConvolve3x3(const std::vector<u8>& img, u32 width,
+                                 u32 height, const Conv3x3Kernel& kernel,
+                                 u32 shift) {
+  std::vector<u8> out = img;
+  for (u32 y = 1; y + 1 < height; ++y) {
+    for (u32 x = 1; x + 1 < width; ++x) {
+      i64 acc = 0;
+      for (u32 ky = 0; ky < 3; ++ky) {
+        for (u32 kx = 0; kx < 3; ++kx) {
+          acc += static_cast<i64>(kernel[ky * 3 + kx]) *
+                 img[(y + ky - 1) * width + (x + kx - 1)];
+        }
+      }
+      acc = std::clamp<i64>(acc >> shift, 0, 255);
+      out[y * width + x] = static_cast<u8>(acc);
+    }
+  }
+  return out;
+}
+
 TEST(Conv2dReferenceTest, ExtremeCoefficientsMatchANaiveI64Loop) {
   // Any i32 kernel is exact: INT32_MIN and INT32_MAX taps at shifts 0,
   // 3 and 31 against the textbook loop with an i64 accumulator.
@@ -101,19 +123,12 @@ TEST(Conv2dReferenceTest, ExtremeCoefficientsMatchANaiveI64Loop) {
   usize unclamped = 0;
   for (const Conv3x3Kernel& kernel : kernels) {
     for (const u32 shift : {0u, 3u, 31u}) {
-      std::vector<u8> expect = img;
+      const std::vector<u8> expect =
+          NaiveConvolve3x3(img, kW, kH, kernel, shift);
       for (u32 y = 1; y + 1 < kH; ++y) {
         for (u32 x = 1; x + 1 < kW; ++x) {
-          i64 acc = 0;
-          for (u32 ky = 0; ky < 3; ++ky) {
-            for (u32 kx = 0; kx < 3; ++kx) {
-              acc += static_cast<i64>(kernel[ky * 3 + kx]) *
-                     img[(y + ky - 1) * kW + (x + kx - 1)];
-            }
-          }
-          acc = std::clamp<i64>(acc >> shift, 0, 255);
-          unclamped += acc > 0 && acc < 255;
-          expect[y * kW + x] = static_cast<u8>(acc);
+          const u8 v = expect[y * kW + x];
+          unclamped += v > 0 && v < 255;
         }
       }
       std::vector<u8> out(img.size());
@@ -123,6 +138,38 @@ TEST(Conv2dReferenceTest, ExtremeCoefficientsMatchANaiveI64Loop) {
     }
   }
   EXPECT_GT(unclamped, 0u);  // not every pixel saturates
+
+  // Kernels of weight sum|k| 128 run eight pixels per step in i16 lanes,
+  // whose sums reach +-32 640 over an all-255 image; weight 129 would
+  // overflow them and takes the i64 loop. Widths 3..40 leave every tail
+  // length after the eight-pixel steps, and shifts from 15 up clamp to 0.
+  const Conv3x3Kernel lane_kernels[] = {
+      {16, 16, 16, 16, 0, 16, 16, 16, 16},
+      {-16, -16, -16, -16, 0, -16, -16, -16, -16},
+      {100, 0, 0, 0, 0, 0, 0, 0, -28},
+      {16, 16, 16, 16, 1, 16, 16, 16, 16},
+      {-16, -16, -16, -16, -1, -16, -16, -16, -16},
+      {100, 0, 0, 0, 0, 0, 0, 0, -29},
+  };
+  std::vector<u32> shifts(21);
+  std::iota(shifts.begin(), shifts.end(), 0u);
+  shifts.push_back(63);
+  constexpr u32 kLaneH = 4;
+  for (u32 width = 3; width <= 40; ++width) {
+    const std::vector<u8> images[] = {std::vector<u8>(width * kLaneH, 255),
+                                      MakeTestImage(width, kLaneH, width)};
+    for (const std::vector<u8>& image : images) {
+      for (const Conv3x3Kernel& kernel : lane_kernels) {
+        for (const u32 shift : shifts) {
+          std::vector<u8> out(image.size());
+          Convolve3x3(image, width, kLaneH, kernel, shift, out);
+          ASSERT_EQ(out, NaiveConvolve3x3(image, width, kLaneH, kernel, shift))
+              << "width " << width << " shift " << shift << " kernel[0] "
+              << kernel[0] << " kernel[4] " << kernel[4];
+        }
+      }
+    }
+  }
 }
 
 // ----- coprocessor vs reference across shapes -----

@@ -12,17 +12,18 @@ namespace {
 // ----- mul / inv algebra -----
 
 TEST(IdeaMulTest, MatchesDirectModularDefinition) {
-  // Against the defining formula on a sample of the space: operands 0
-  // represent 2^16 in Z*_{2^16+1}.
-  Rng rng(1);
-  for (int i = 0; i < 20'000; ++i) {
-    const u16 a = static_cast<u16>(rng.NextBelow(65536));
-    const u16 b = static_cast<u16>(rng.NextBelow(65536));
-    const u64 aa = a == 0 ? 65536 : a;
-    const u64 bb = b == 0 ? 65536 : b;
-    const u64 expect = (aa * bb) % 65537 % 65536;  // 65536 -> encoded as 0
-    EXPECT_EQ(IdeaMul(a, b), static_cast<u16>(expect))
-        << a << " * " << b;
+  // Against the defining formula, every a against b = 0, 771, ...,
+  // 0xFFFF (771 divides 0xFFFF): operands 0 represent 2^16 in
+  // Z*_{2^16+1}.
+  for (u32 a = 0; a <= 0xFFFF; ++a) {
+    for (u32 b = 0; b <= 0xFFFF; b += 771) {
+      const u64 aa = a == 0 ? 65536 : a;
+      const u64 bb = b == 0 ? 65536 : b;
+      const u64 expect = (aa * bb) % 65537 % 65536;  // 65536 -> encoded as 0
+      ASSERT_EQ(IdeaMul(static_cast<u16>(a), static_cast<u16>(b)),
+                static_cast<u16>(expect))
+          << a << " * " << b;
+    }
   }
 }
 
@@ -141,14 +142,16 @@ TEST(IdeaEcbTest, RoundTripRandomBuffers) {
 }
 
 TEST(IdeaEcbTest, EightBlockPassesEqualBlockByBlock) {
-  // ECB runs eight blocks per pass and the rest one at a time; every
-  // length from 0 to 17 blocks must equal IdeaCryptBlock block by
-  // block. All-zero words and the all-zero key (every subkey 0) take
-  // the multiply's zero-operand select in every lane.
+  // ECB runs 32 blocks per pass, then 8, then one at a time; every
+  // length from 0 to 70 blocks (up to two 32-block passes, then every
+  // count of 8-block passes and of single blocks) must equal
+  // IdeaCryptBlock block by block, out of place and in place. All-zero
+  // words and the all-zero key (every subkey 0) take the multiply's
+  // zero-operand select in every lane.
   const IdeaKey zero_key{};
   for (const IdeaKey& key : {MakeIdeaKey(15), zero_key}) {
     const IdeaSubkeys ek = IdeaExpandKey(key);
-    for (usize blocks = 0; blocks <= 17; ++blocks) {
+    for (usize blocks = 0; blocks <= 70; ++blocks) {
       for (const bool zero_words : {true, false}) {
         const std::vector<u8> in =
             zero_words ? std::vector<u8>(blocks * kIdeaBlockBytes, 0)
@@ -163,6 +166,9 @@ TEST(IdeaEcbTest, EightBlockPassesEqualBlockByBlock) {
         }
         EXPECT_EQ(ecb, expect) << blocks << " blocks, zero words "
                                << zero_words << ", key[0] " << ek[0];
+        std::vector<u8> in_place = in;
+        IdeaCryptEcb(ek, in_place, in_place);
+        EXPECT_EQ(in_place, expect) << blocks << " blocks in place";
       }
     }
   }

@@ -385,10 +385,9 @@ TEST(VimReloadTest, ExhaustedLoadRetriesRecordNothingAndFailCleanly) {
     EXPECT_EQ(acct.loads + acct.writebacks, attempt - 1);
     // Each IN page in the transfer set was first-loaded exactly once;
     // every other load was a re-load. A failed first load adds no page.
-    u64 in_pages = 0;
-    for (const auto& [object, vpage] : sys.kernel().vim().space()->transferred) {
-      if (object != cp::GatherCoprocessor::kObjOut) ++in_pages;
-    }
+    const os::PageSet& transferred = sys.kernel().vim().space()->transferred;
+    const u64 in_pages =
+        transferred.size() - transferred.CountOf(cp::GatherCoprocessor::kObjOut);
     EXPECT_EQ(acct.loads - acct.kernel_copy_loads, in_pages);
   }
 }
