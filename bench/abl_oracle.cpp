@@ -49,7 +49,7 @@ u64 RunFaults(const Workload& w, os::PolicyKind kind,
   if (replay != nullptr) {
     auto policy = std::make_unique<os::OraclePolicy>(replay);
     oracle = policy.get();
-    sys.kernel().vim().SetPolicy(std::move(policy));
+    sys.kernel().vim().page_manager().SetPolicy(std::move(policy));
   } else {
     sys.kernel().vim().Configure([&] {
       os::VimConfig config;

@@ -19,6 +19,7 @@ Imu::Imu(const ImuConfig& config, mem::PageGeometry geometry,
   VCOP_CHECK_MSG(geometry.total_bytes() <= dp_ram.size(),
                  "page geometry exceeds the dual-port RAM");
   if (config.pipelined) cr_ |= kCrPipelined;
+  ClearObjects();
 }
 
 void Imu::BindClocks(sim::ClockDomain& own, sim::ClockDomain& cp) {
@@ -29,7 +30,7 @@ void Imu::BindClocks(sim::ClockDomain& own, sim::ClockDomain& cp) {
 void Imu::ClearObjects() {
   elem_width_.fill(0);
   elem_limit_.fill(0);
-  page_shift_.fill(0);
+  page_shift_.fill(geometry_.page_shift());
 }
 
 void Imu::SetObjectWidth(ObjectId object, u32 width) {
@@ -46,10 +47,6 @@ void Imu::SetObjectLimit(ObjectId object, u32 elem_count) {
 
 void Imu::SetObjectPageBytes(ObjectId object, u32 bytes) {
   VCOP_CHECK_MSG(object < kMaxObjects, "object id out of range");
-  if (bytes == 0) {
-    page_shift_[object] = 0;
-    return;
-  }
   VCOP_CHECK_MSG(IsPowerOfTwo(bytes), "object page size must be 2^k");
   VCOP_CHECK_MSG(bytes >= geometry_.page_bytes(),
                  "object page size below the frame granule");
@@ -148,7 +145,7 @@ void Imu::Issue(const CpAccess& access) {
         static_cast<u64>(access.index) * elem_width_[access.object];
     page_ref_probe_(access.object,
                     static_cast<mem::VirtPage>(
-                        offset >> ObjectPageShift(access.object)));
+                        offset >> page_shift_[access.object]));
   }
   if (tracer_ != nullptr) {
     const Picoseconds now = sim_.now();
@@ -311,7 +308,7 @@ bool Imu::TryFastForward() {
   }
   const u64 offset = static_cast<u64>(current_.index) * width;
   const mem::VirtPage vpage = static_cast<mem::VirtPage>(
-      offset >> ObjectPageShift(current_.object));
+      offset >> page_shift_[current_.object]);
   const TcEntry& tc = tc_[current_.object];
   if (!(tc.valid && tc.generation == tlb_.generation() &&
         tc.vpage == vpage)) {
@@ -350,7 +347,7 @@ void Imu::TranslateAt(Picoseconds when) {
   if (width != 0 && !limit_violation) {
     offset = static_cast<u64>(current_.index) * width;
     const mem::VirtPage vpage = static_cast<mem::VirtPage>(
-        offset >> ObjectPageShift(current_.object));
+        offset >> page_shift_[current_.object]);
     TcEntry& tc = tc_[current_.object];
     if (sim_.engine() == sim::Engine::kFast && tc.valid &&
         tc.generation == tlb_.generation() && tc.vpage == vpage) {
@@ -395,7 +392,7 @@ void Imu::TranslateAt(Picoseconds when) {
   // contiguous run of frames starting at e.frame, so the offset can
   // safely extend past the first frame.
   const u32 page_off = static_cast<u32>(
-      offset & ((u64{1} << ObjectPageShift(current_.object)) - 1));
+      offset & ((u64{1} << page_shift_[current_.object]) - 1));
   const u32 paddr = geometry_.FrameBase(e.frame) + page_off;
   if (current_.write) {
     dp_ram_.WriteWord(mem::DualPortRam::Port::kCoprocessor, paddr, width,

@@ -84,8 +84,9 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   // ----- OS-side interface (used by the VIM through the kernel) -----
 
-  /// Clears the whole object descriptor table (widths, limits and page
-  /// sizes): an object not programmed again faults as never described.
+  /// Clears the whole object descriptor table (widths and limits; page
+  /// sizes return to the granule): an object not programmed again
+  /// faults as never described.
   void ClearObjects();
 
   /// Programs the object descriptor table: elements of `object` are
@@ -110,7 +111,7 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
 
   /// Programs object `object`'s page size in bytes (a power of two, at
   /// least the platform frame granule; superpages span several
-  /// contiguous frames). 0 restores the platform default. Affects how
+  /// contiguous frames). ClearObjects restores the granule. Affects how
   /// the IMU splits a byte offset into (vpage, page offset).
   void SetObjectPageBytes(ObjectId object, u32 bytes);
 
@@ -258,13 +259,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   Asid asid_ = 0;
   std::array<u32, kMaxObjects> elem_width_{};  // bytes; 0 = unprogrammed
   std::array<u32, kMaxObjects> elem_limit_{};  // elements; 0 = unlimited
-  // Per-object page shift; 0 = the platform geometry's shift.
+  // Per-object page shift; the granule's until programmed.
   std::array<u32, kMaxObjects> page_shift_{};
-
-  u32 ObjectPageShift(ObjectId object) const {
-    const u32 s = page_shift_[object];
-    return s != 0 ? s : geometry_.page_shift();
-  }
 
   State state_ = State::kIdle;
   bool started_ = false;

@@ -111,16 +111,20 @@ void Kernel::Bind(AddressSpace& space, Design& design) {
   vim_.AttachSpace(&space);
   hw::Coprocessor* core = design.core.get();
   vim_.set_progress_probe([core] { return core->cycles_run(); });
-  vim_.set_completion_handler([this] { run_done_ = true; });
-  vim_.set_abort_handler([this](Status status) { Fail(std::move(status)); });
-  vim_.set_preempt_handler([this] { run_preempted_ = true; });
-}
-
-void Kernel::Fail(Status status) {
-  run_failure_ = std::move(status);
-  bound_->Stop();
-  vim_.FlushAsid(vim_.space()->asid());
-  run_done_ = true;
+  vim_.set_end_handler([this](Status status, bool preempted) {
+    if (preempted) {
+      run_preempted_ = true;
+      return;
+    }
+    if (!status.ok()) {
+      // A failed run stops its design and discards the space's interface
+      // state, so partial results never reach user memory.
+      run_failure_ = std::move(status);
+      bound_->Stop();
+      vim_.FlushAsid(vim_.space()->asid());
+    }
+    run_done_ = true;
+  });
 }
 
 Result<Picoseconds> Kernel::Start(std::span<const u32> params,
@@ -151,9 +155,7 @@ RunEnd Kernel::Run(std::function<bool()> preempt) {
         "its event budget) — FSM deadlock?"));
   }
   vim_.set_preempt_check(nullptr);
-  vim_.set_completion_handler(nullptr);
-  vim_.set_abort_handler(nullptr);
-  vim_.set_preempt_handler(nullptr);
+  vim_.set_end_handler(nullptr);
   end.done = run_done_;
   end.status = run_failure_;
   return end;
@@ -181,9 +183,7 @@ void Kernel::Unbind() {
   vim_.AttachSpace(&default_space_);
   vim_.BindImu(nullptr);
   vim_.set_progress_probe(nullptr);
-  vim_.set_completion_handler(nullptr);
-  vim_.set_abort_handler(nullptr);
-  vim_.set_preempt_handler(nullptr);
+  vim_.set_end_handler(nullptr);
 }
 
 Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
@@ -244,9 +244,20 @@ Status Kernel::MapObject(AddressSpace& space, hw::ObjectId id,
   object.size_bytes = size_bytes;
   object.elem_width = elem_width;
   object.direction = direction;
-  if (id < hw::kMaxObjects) {
-    object.page_bytes = config_.object_page_bytes[id];
+  // An override must not subdivide a frame, and a page must fit the
+  // DP-RAM.
+  const u32 page = id < hw::kMaxObjects ? config_.object_page_bytes[id] : 0;
+  if (page != 0 &&
+      (!mem::IsValidObjectPageBytes(page) || page < config_.page_bytes ||
+       page > config_.dp_ram_bytes)) {
+    return InvalidArgumentError(StrFormat(
+        "object %u page size %u must be a power of two in [%u, %u], at "
+        "least the %u-byte frame granule and at most the %u-byte dual-port "
+        "RAM",
+        id, page, mem::kMinObjectPageBytes, mem::kMaxObjectPageBytes,
+        config_.page_bytes, config_.dp_ram_bytes));
   }
+  object.page_bytes = page != 0 ? page : config_.page_bytes;
   return space.objects().Map(object);
 }
 

@@ -78,9 +78,9 @@ struct KernelConfig {
   u32 dp_ram_bytes = 16 * 1024;
   u32 page_bytes = 2 * 1024;
   /// Per-object page-size overrides in bytes, indexed by object id
-  /// (0 = platform default `page_bytes`; must be a power of two in
-  /// [mem::kMinObjectPageBytes, mem::kMaxObjectPageBytes]). Applied by
-  /// FPGA_MAP_OBJECT; sizes above the frame granule are superpages.
+  /// (0 = none: the object is paged at `page_bytes`). Kernel::MapObject
+  /// fixes and checks an object's size; sizes above the frame granule
+  /// are superpages.
   std::array<u32, hw::kMaxObjects> object_page_bytes{};
   /// IMU parameters (§3.2/§4).
   u32 tlb_entries = 8;
@@ -174,8 +174,10 @@ class Kernel {
 
   /// The one object mapping, for FPGA_MAP_OBJECT and vcopd tenants
   /// alike: maps `id` in `space` over user memory [addr, +size_bytes),
-  /// paged at the object's configured size
-  /// (KernelConfig::object_page_bytes).
+  /// paged at the frame granule or the object's override
+  /// (KernelConfig::object_page_bytes). An override that is not a power
+  /// of two in [mem::kMinObjectPageBytes, mem::kMaxObjectPageBytes],
+  /// below the granule or larger than the DP-RAM is InvalidArgument.
   Status MapObject(AddressSpace& space, hw::ObjectId id, mem::UserAddr addr,
                    u32 size_bytes, u32 elem_width, Direction direction);
 
@@ -238,8 +240,8 @@ class Kernel {
   u32 designs_built() const { return designs_built_; }
 
   /// Binds `space` and `design` to the VIM for a run on the fabric: the
-  /// IMU, the watchdog's progress probe, and the completion, abort and
-  /// preempt handlers that end Run.
+  /// IMU, the watchdog's progress probe, and the end handler that ends
+  /// Run.
   void Bind(AddressSpace& space, Design& design);
 
   /// Prepares a new execution of the bound design with `params`
@@ -282,11 +284,6 @@ class Kernel {
   TimelineRecorder& timeline() { return timeline_; }
 
  private:
-  /// The VIM's abort handler: ends the bound run with `status`, stops
-  /// the design and discards the space's interface state, so partial
-  /// results never reach user memory.
-  void Fail(Status status);
-
   KernelConfig config_;
   sim::Simulator sim_;
   mem::UserMemory user_memory_;

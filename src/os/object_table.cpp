@@ -40,13 +40,6 @@ Status ObjectTable::Map(const MappedObject& object) {
         StrFormat("object size %u is not a multiple of element width %u",
                   object.size_bytes, object.elem_width));
   }
-  if (object.page_bytes != 0 &&
-      !mem::IsValidObjectPageBytes(object.page_bytes)) {
-    return InvalidArgumentError(StrFormat(
-        "object page size %u is not a power of two in [%u, %u]",
-        object.page_bytes, mem::kMinObjectPageBytes,
-        mem::kMaxObjectPageBytes));
-  }
   slots_[object.id] = object;
   ++count_;
   ++version_;

@@ -39,12 +39,9 @@ struct MappedObject {
   u32 size_bytes = 0;
   u32 elem_width = 4;  // 1, 2 or 4 — the object's natural element size
   Direction direction = Direction::kInOut;
-  /// Per-object page size override in bytes; 0 = platform default.
-  /// Must be a power of two in [mem::kMinObjectPageBytes,
-  /// mem::kMaxObjectPageBytes]. (That it is also >= the platform frame
-  /// granule is checked at PrepareExecution, where the geometry is
-  /// known.) Sizes above the granule are superpages spanning several
-  /// contiguous DP-RAM frames.
+  /// Page size in bytes, fixed and checked by Kernel::MapObject: the
+  /// platform frame granule or the object's override. Sizes above the
+  /// granule are superpages spanning several contiguous DP-RAM frames.
   u32 page_bytes = 0;
 };
 

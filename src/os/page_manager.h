@@ -1,15 +1,19 @@
-// Bookkeeping for the dual-port RAM's page frames.
+// Bookkeeping for the dual-port RAM's page frames, and the one frame
+// choice.
 //
 // "The memory is logically organised in pages, as in typical memory
 // systems. Datasets accessed by the coprocessor are mapped to these
 // pages. The OS keeps track of the pages each dataset currently
 // occupies." (§3.3) PageManager is that tracking: which frame holds
 // which (object, virtual page), which frames are free, pinned (the
-// parameter page before the coprocessor releases it) or dirty. It is
-// pure bookkeeping — transfers and TLB updates are orchestrated by the
-// Vim, which owns the policy decisions too.
+// parameter page before the coprocessor releases it) or dirty. It owns
+// the replacement policy, tells it of every install, release and
+// harvested touch, and decides which frames a page goes to (Choose).
+// Transfers, TLB updates and the evictions a choice implies are the
+// Vim's.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "base/types.h"
 #include "hw/tlb.h"
 #include "mem/page.h"
+#include "os/policy.h"
 
 namespace vcop::os {
 
@@ -48,10 +53,12 @@ struct FrameState {
 
 class PageManager {
  public:
+  /// Starts with the wsfifo policy, the VIM's default.
   explicit PageManager(mem::PageGeometry geometry);
 
-  /// Frees everything (start of an EXECUTE).
-  void Reset();
+  /// Replaces the replacement policy (a built-in one from Vim::Configure,
+  /// or a custom instance such as the Belady oracle) and resets it.
+  void SetPolicy(std::unique_ptr<ReplacementPolicy> policy);
 
   const mem::PageGeometry& geometry() const { return geometry_; }
   u32 num_frames() const { return geometry_.num_frames(); }
@@ -63,40 +70,41 @@ class PageManager {
                                            mem::VirtPage vpage,
                                            hw::Asid asid) const;
 
-  /// Any free frame (lowest index first).
-  std::optional<mem::FrameId> FindFree() const;
+  /// The one frame choice: the first of the `span` frames a page goes
+  /// to. In order: the lowest free run; for one frame, the policy's
+  /// victim (PickDemandVictim for a `demand` fault, PickVictim for the
+  /// parameter page); for a superpage (always a demand fault), the
+  /// window whose clearing evicts the fewest runs the coprocessor
+  /// referenced since the previous fault (`demand->referenced`), then
+  /// the fewest runs, lowest start on ties, among windows no pinned
+  /// frame overlaps. The caller evicts every run in use in the window.
+  /// Nothing when pinned frames leave no candidate. Allocates nothing.
+  std::optional<mem::FrameId> Choose(u32 span, const DemandFault* demand);
 
-  /// Lowest `span` consecutive free frames (superpage allocation), if
-  /// any such window exists.
-  std::optional<mem::FrameId> FindFreeRun(u32 span) const;
-
-  /// Claims frames [frame, frame+span) for (asid, object, vpage).
-  /// Precondition: all of them are free. `frame` becomes the head; the
-  /// rest become continuation tails.
+  /// Claims frames [frame, frame+span) for (asid, object, vpage) and
+  /// tells the policy. Precondition: all of them are free. `frame`
+  /// becomes the head; the rest become continuation tails.
   void Install(mem::FrameId frame, hw::ObjectId object, mem::VirtPage vpage,
                bool pinned, hw::Asid asid, u32 span = 1);
 
-  /// Releases the run headed at `frame` (must be a head, not a tail).
-  /// Returns the head's final state (the caller decides about write-back
-  /// *before* releasing; this is for bookkeeping symmetry).
+  /// Releases the run headed at `frame` (must be a head, not a tail) and
+  /// tells the policy. Returns the head's final state (the caller
+  /// decides about write-back *before* releasing).
   FrameState Release(mem::FrameId frame);
 
   void MarkDirty(mem::FrameId frame);
 
-  /// Clears the dirty flag after the page was written back in place
-  /// (background cleaning).
+  /// Clears the dirty flag after the page was written back in place.
   void ClearDirty(mem::FrameId frame);
 
   /// Records that the coprocessor referenced the frame's page.
   void MarkReferenced(mem::FrameId frame);
 
+  /// A harvested TLB accessed bit: marks the frame's page referenced and
+  /// tells the policy it was touched.
+  void Touch(mem::FrameId frame);
+
   const FrameState& frame(mem::FrameId frame) const;
-
-  /// Eviction candidates: in use and not pinned.
-  std::vector<bool> EvictableMask() const;
-
-  /// All in-use frames (for end-of-operation write-back sweeps).
-  std::vector<mem::FrameId> InUseFrames() const;
 
   /// In-use frames owned by `asid` (vcopd's scoped sweeps and context
   /// save/restore only touch the attached tenant's frames).
@@ -108,6 +116,10 @@ class PageManager {
   mem::PageGeometry geometry_;
   std::vector<FrameState> frames_;
   u32 in_use_ = 0;
+  std::unique_ptr<ReplacementPolicy> policy_;
+  /// Eviction candidates (in use, not pinned, not a tail), refilled by
+  /// every victim choice so that none allocates.
+  std::vector<bool> evictable_;
 };
 
 }  // namespace vcop::os

@@ -1,5 +1,6 @@
 #include "os/policy.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace vcop::os {
@@ -28,13 +29,13 @@ class StampClock {
   void Stamp(mem::FrameId frame) { stamps_[frame] = ++clock_; }
   void Clear(mem::FrameId frame) { stamps_[frame] = 0; }
 
-  /// The frame with `candidates[frame]` true stamped the longest ago
-  /// (lowest index on ties).
-  std::optional<mem::FrameId> Oldest(
-      const std::vector<bool>& candidates) const {
+  /// The frame with `candidates[frame]` true and `skip[frame]` false or
+  /// absent stamped the longest ago (lowest index on ties).
+  std::optional<mem::FrameId> Oldest(const std::vector<bool>& candidates,
+                                     const std::vector<bool>& skip = {}) const {
     std::optional<mem::FrameId> best;
     for (mem::FrameId f = 0; f < candidates.size(); ++f) {
-      if (!candidates[f]) continue;
+      if (!candidates[f] || (f < skip.size() && skip[f])) continue;
       if (!best.has_value() || stamps_[f] < stamps_[*best]) best = f;
     }
     return best;
@@ -111,7 +112,7 @@ class WsFifoPolicy final : public ReplacementPolicy {
                             fault.vpage == *fault.previous + 1;
     if (!sequential) {
       if (const std::optional<mem::FrameId> victim =
-              installed_.Oldest(Without(evictable, fault.referenced))) {
+              installed_.Oldest(evictable, fault.referenced)) {
         return *victim;
       }
     }
@@ -119,15 +120,6 @@ class WsFifoPolicy final : public ReplacementPolicy {
   }
 
  private:
-  /// `candidates` with every frame flagged in `mask` removed.
-  static std::vector<bool> Without(std::vector<bool> candidates,
-                                   const std::vector<bool>& mask) {
-    for (mem::FrameId f = 0; f < candidates.size() && f < mask.size(); ++f) {
-      if (mask[f]) candidates[f] = false;
-    }
-    return candidates;
-  }
-
   /// FIFO's install order and LRU's use order.
   StampClock installed_;
   StampClock used_;
@@ -166,12 +158,13 @@ class RandomPolicy final : public ReplacementPolicy {
   void OnFreed(mem::FrameId) override {}
 
   mem::FrameId PickVictim(const std::vector<bool>& evictable) override {
-    std::vector<mem::FrameId> candidates;
-    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-      if (evictable[f]) candidates.push_back(f);
+    const usize candidates =
+        std::count(evictable.begin(), evictable.end(), true);
+    VCOP_CHECK_MSG(candidates != 0, "PickVictim with nothing evictable");
+    u64 k = rng_.NextBelow(candidates);
+    for (mem::FrameId f = 0;; ++f) {
+      if (evictable[f] && k-- == 0) return f;
     }
-    VCOP_CHECK_MSG(!candidates.empty(), "PickVictim with nothing evictable");
-    return candidates[rng_.NextBelow(candidates.size())];
   }
 
  private:

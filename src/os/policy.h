@@ -29,7 +29,7 @@ std::string_view ToString(PolicyKind kind);
 
 /// The demand fault a victim is chosen for, and what the VIM knows about
 /// every frame at that moment. The mask is borrowed for the duration of
-/// one PickDemandVictim call.
+/// one PageManager::Choose.
 struct DemandFault {
   hw::ObjectId object = 0;
   mem::VirtPage vpage = 0;
@@ -50,7 +50,10 @@ class ReplacementPolicy {
 
   virtual std::string_view name() const = 0;
 
-  /// Forgets all history; called at each FPGA_EXECUTE.
+  /// Forgets all history; called when the policy is installed
+  /// (PageManager::SetPolicy, from Vim::Configure or with a custom
+  /// instance). Between executions the history is pruned frame by frame:
+  /// FlushAsid's releases reach OnFreed.
   virtual void Reset(u32 num_frames) = 0;
 
   /// Page (object, vpage) was installed into `frame`. Only policies

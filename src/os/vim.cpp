@@ -37,8 +37,7 @@ Vim::Vim(const CostModel& costs, mem::PageGeometry geometry,
 
 void Vim::Configure(const VimConfig& config) {
   config_ = config;
-  policy_ = MakePolicy(config.policy, config.seed);
-  policy_->Reset(geometry_.num_frames());
+  pages_.SetPolicy(MakePolicy(config.policy, config.seed));
   transfers_.set_mode(config.copy_mode);
 }
 
@@ -59,12 +58,6 @@ bool Vim::KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const {
   return transfers_.KeepsBounceCopies() &&
          space_->objects().version() == space_->transferred_objects_version &&
          space_->transferred.Contains(object, vpage);
-}
-
-void Vim::SetPolicy(std::unique_ptr<ReplacementPolicy> policy) {
-  VCOP_CHECK_MSG(policy != nullptr, "null policy");
-  policy_ = std::move(policy);
-  policy_->Reset(geometry_.num_frames());
 }
 
 void Vim::BindImu(hw::Imu* imu) {
@@ -91,32 +84,21 @@ AddressSpace* Vim::ResolveSpace(hw::Asid asid) {
 }
 
 u32 Vim::PageLength(const MappedObject& object, mem::VirtPage vpage) const {
-  const u32 page_bytes = ObjectPageBytes(object);
-  const u64 start = static_cast<u64>(vpage) * page_bytes;
+  const u64 start = static_cast<u64>(vpage) * object.page_bytes;
   VCOP_CHECK_MSG(start < object.size_bytes, "page beyond object");
   const u64 remaining = object.size_bytes - start;
-  return static_cast<u32>(std::min<u64>(remaining, page_bytes));
-}
-
-u32 Vim::ObjectPageBytes(const MappedObject& object) const {
-  return object.page_bytes != 0 ? object.page_bytes
-                                : geometry_.page_bytes();
-}
-
-u32 Vim::ObjectPageSpan(const MappedObject& object) const {
-  return object.page_bytes != 0 ? geometry_.SpanOf(object.page_bytes) : 1;
-}
-
-mem::VirtPage Vim::ObjectPageOf(const MappedObject& object,
-                                u64 offset) const {
-  return static_cast<mem::VirtPage>(offset / ObjectPageBytes(object));
+  return static_cast<u32>(std::min<u64>(remaining, object.page_bytes));
 }
 
 mem::UserAddr Vim::PageUserAddr(const MappedObject& object,
                                 mem::VirtPage vpage) const {
-  return object.user_addr +
-         static_cast<mem::UserAddr>(static_cast<u64>(vpage) *
-                                    ObjectPageBytes(object));
+  return object.user_addr + static_cast<mem::UserAddr>(
+                                static_cast<u64>(vpage) * object.page_bytes);
+}
+
+void Vim::Book(const ServiceTime& cost) {
+  acct().t_dp += cost.dp;
+  acct().t_imu += cost.imu;
 }
 
 Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
@@ -134,21 +116,6 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
     if (!user_memory_.Contains(object.user_addr, object.size_bytes)) {
       return InvalidArgumentError(StrFormat(
           "object %u points outside the process address space", object.id));
-    }
-    if (object.page_bytes != 0) {
-      if (object.page_bytes < geometry_.page_bytes()) {
-        return InvalidArgumentError(StrFormat(
-            "object %u page size %u is below the %u-byte frame granule",
-            object.id, object.page_bytes, geometry_.page_bytes()));
-      }
-      const u32 span = geometry_.SpanOf(object.page_bytes);
-      if (span > geometry_.num_frames()) {
-        return InvalidArgumentError(StrFormat(
-            "object %u page size %u exceeds the dual-port RAM (%u frames "
-            "of %u bytes)",
-            object.id, object.page_bytes, geometry_.num_frames(),
-            geometry_.page_bytes()));
-      }
     }
   }
 
@@ -190,7 +157,6 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
   imu_->SetObjectWidth(hw::kParamObject, 4);
   imu_->SetObjectLimit(hw::kParamObject,
                        static_cast<u32>(params.size()));
-  imu_->SetObjectPageBytes(hw::kParamObject, 0);
 
   u64 setup_cycles =
       costs_.syscall_cycles +
@@ -201,10 +167,9 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params) {
     // Other tenants may hold every frame: evicting a victim for the
     // parameter page is charged to this tenant's setup, and a victim
     // whose write-back fails aborts the run and fails the setup.
-    Picoseconds dp_cost = 0;
-    Picoseconds imu_cost = 0;
-    if (!MapParamPage(params, dp_cost, imu_cost)) return last_failure_;
-    setup += dp_cost + imu_cost;
+    ServiceTime cost;
+    if (!MapParamPage(params, cost)) return last_failure_;
+    setup += cost.total();
   }
   ArmWatchdog();
   return setup;
@@ -227,9 +192,8 @@ void Vim::OnPageFault() {
     return;
   }
 
-  Picoseconds imu_cost = costs_.Cycles(costs_.interrupt_entry_cycles +
-                                       costs_.fault_decode_cycles);
-  Picoseconds dp_cost = 0;
+  ServiceTime cost{.imu = costs_.Cycles(costs_.interrupt_entry_cycles +
+                                        costs_.fault_decode_cycles)};
 
   const u32 ar = imu_->ReadRegister(hw::ImuRegister::kAR);
   const hw::ObjectId oid = hw::ArObject(ar);
@@ -258,11 +222,11 @@ void Vim::OnPageFault() {
     // the TLB (entry recycled, or dropped across a preemption): a pure
     // TLB refill — the parameter object has no user-space backing.
     InstallTlbEntry(hw::kParamObject, 0, *space_->param_frame);
-    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
+    cost.imu += costs_.Cycles(costs_.tlb_update_cycles);
     ++acct().tlb_refills;
-    acct().t_imu += imu_cost;
-    acct().fault_service_us.Add(ToMicroseconds(imu_cost));
-    ScheduleResolve(sim_.now() + imu_cost);
+    Book(cost);
+    acct().fault_service_us.Add(ToMicroseconds(cost.total()));
+    ScheduleResolve(sim_.now() + cost.total());
     return;
   }
 
@@ -288,33 +252,34 @@ void Vim::OnPageFault() {
     // dispatcher. The fault stays latched in the IMU (it never gets
     // ResolveFault); re-entering OnPageFault after RestoreContext
     // services it then.
-    acct().t_imu += imu_cost;
-    const Picoseconds save = SaveContext();
+    SaveContext(cost);
+    Book(cost);
     if (space_->aborted) return;  // write-back failed mid-save
     ++acct().preemptions;
     if (timeline_ != nullptr) {
-      timeline_->Record(TimelineKind::kPreempt, sim_.now(), imu_cost + save,
+      timeline_->Record(TimelineKind::kPreempt, sim_.now(), cost.total(),
                         {space_->pid(), oid});
     }
     // Like a completion, the run ends once the service is over; until
     // then a second edge of this fault is a duplicate.
     fault_service_pending_ = true;
-    sim_.ScheduleAt(sim_.now() + imu_cost + save, [this] {
+    sim_.ScheduleAt(sim_.now() + cost.total(), [this] {
       fault_service_pending_ = false;
-      if (on_preempt_) on_preempt_();
+      if (on_end_) on_end_(Status::Ok(), /*preempted=*/true);
     });
     return;
   }
 
   HarvestRecency();
 
-  const mem::VirtPage vpage = ObjectPageOf(*object, offset);
+  const mem::VirtPage vpage =
+      static_cast<mem::VirtPage>(offset / object->page_bytes);
 
   // The handler itself has to wait while the CPU finishes queued
   // background units (copy loops run interrupt-disabled).
   if (cpu_busy_until_ > sim_.now()) {
     const Picoseconds wait = cpu_busy_until_ - sim_.now();
-    dp_cost += wait;
+    cost.dp += wait;
     acct().t_dp_wait += wait;
   }
 
@@ -323,9 +288,9 @@ void Vim::OnPageFault() {
     // Soft fault: the page is in the dual-port RAM but its translation
     // fell out of the TLB (possible when tlb_entries < num_frames).
     InstallTlbEntry(oid, vpage, *resident);
-    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
+    cost.imu += costs_.Cycles(costs_.tlb_update_cycles);
     ++acct().tlb_refills;
-  } else if (!MapPage(*object, vpage, dp_cost, imu_cost)) {
+  } else if (!MapPage(*object, vpage, cost)) {
     return;
   }
 
@@ -334,20 +299,18 @@ void Vim::OnPageFault() {
     // eager cleaning. The write-backs dominate the serial DP-management
     // time (output pages must all go back to user space); pushing them
     // into the background is where overlap pays.
-    Picoseconds tail =
-        std::max(sim_.now() + imu_cost + dp_cost, cpu_busy_until_);
+    Picoseconds tail = std::max(sim_.now() + cost.total(), cpu_busy_until_);
     ScheduleBackgroundCleaning(tail);
     cpu_busy_until_ = tail;
   }
 
-  acct().t_imu += imu_cost;
-  acct().t_dp += dp_cost;
-  acct().fault_service_us.Add(ToMicroseconds(imu_cost + dp_cost));
+  Book(cost);
+  acct().fault_service_us.Add(ToMicroseconds(cost.total()));
   if (timeline_ != nullptr) {
-    timeline_->Record(TimelineKind::kFault, sim_.now(), imu_cost + dp_cost,
+    timeline_->Record(TimelineKind::kFault, sim_.now(), cost.total(),
                       {oid, vpage});
   }
-  ScheduleResolve(sim_.now() + imu_cost + dp_cost);
+  ScheduleResolve(sim_.now() + cost.total());
 }
 
 void Vim::ScheduleResolve(Picoseconds when) {
@@ -362,14 +325,15 @@ void Vim::ScheduleResolve(Picoseconds when) {
 }
 
 bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
-                  Picoseconds& dp_cost, Picoseconds& imu_cost) {
-  // A hard demand fault extends or breaks its object's sequential run;
-  // the replacement policy may weigh which (DemandFault).
-  const DemandPage demand{object.id, vpage,
-                          space_->NoteDemandFault(object.id, vpage)};
-  const u32 span = ObjectPageSpan(object);
-  const std::optional<mem::FrameId> frame =
-      AcquireFrame(span, &demand, dp_cost, imu_cost);
+                  ServiceTime& cost) {
+  // A hard demand fault extends or breaks its object's sequential run,
+  // and may re-fault a page its space evicted after use; the
+  // replacement policy may weigh both (DemandFault).
+  const DemandFault demand{
+      object.id, vpage, space_->NoteDemandFault(object.id, vpage),
+      hot_frames_, space_->evicted_after_use.Contains(object.id, vpage)};
+  const u32 span = geometry_.SpanOf(object.page_bytes);
+  const std::optional<mem::FrameId> frame = AcquireFrame(span, &demand, cost);
   if (!frame.has_value()) return false;
   ++acct().faults;
 
@@ -381,7 +345,7 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
       return transfers_.LoadPage(space_->asid(), user_memory_, src, dp_ram_,
                                  geometry_.FrameBase(*frame), len, reload);
     });
-    dp_cost += r.time;
+    cost.dp += r.time;
     if (r.bus_error) {
       if (!space_->aborted) Abort(last_failure_);
       return false;
@@ -389,9 +353,10 @@ bool Vim::MapPage(const MappedObject& object, mem::VirtPage vpage,
     CountLoad(len, reload);
     space_->transferred.Insert(object.id, vpage);
   }
-  InstallPage(*frame, object.id, vpage, /*pinned=*/false, span);
+  pages_.Install(*frame, object.id, vpage, /*pinned=*/false, space_->asid(),
+                 span);
   InstallTlbEntry(object.id, vpage, *frame);
-  imu_cost +=
+  cost.imu +=
       costs_.Cycles(costs_.tlb_update_cycles + costs_.page_table_cycles);
   return true;
 }
@@ -411,125 +376,49 @@ void Vim::CountLoad(u32 len, bool reload) {
 }
 
 std::optional<mem::FrameId> Vim::AcquireFrame(u32 span,
-                                              const DemandPage* demand,
-                                              Picoseconds& dp_cost,
-                                              Picoseconds& imu_cost) {
-  if (span > 1) {
-    if (const std::optional<mem::FrameId> run = pages_.FindFreeRun(span)) {
-      return run;
-    }
-    const std::optional<mem::FrameId> start = SuperpageWindow(span);
-    if (!start.has_value()) {
-      Abort(ResourceExhaustedError(StrFormat(
-          "no %u-frame window available for a %u-byte superpage "
-          "(pinned frames fragment the dual-port RAM)",
-          span, span * geometry_.page_bytes())));
-      return std::nullopt;
-    }
-    std::set<mem::FrameId> victims;
-    for (mem::FrameId f = *start; f < *start + span; ++f) {
-      const FrameState& s = pages_.frame(f);
-      if (s.in_use) victims.insert(s.continuation ? s.head : f);
-    }
-    for (const mem::FrameId v : victims) {
-      EvictFrame(v, dp_cost, imu_cost);
-      if (space_->aborted) return std::nullopt;
-    }
-    return start;
-  }
-
-  if (const std::optional<mem::FrameId> free = pages_.FindFree()) {
-    return free;
-  }
-  const std::vector<bool> evictable = pages_.EvictableMask();
-  if (std::find(evictable.begin(), evictable.end(), true) ==
-      evictable.end()) {
+                                              const DemandFault* demand,
+                                              ServiceTime& cost) {
+  const std::optional<mem::FrameId> start = pages_.Choose(span, demand);
+  if (!start.has_value()) {
     Abort(ResourceExhaustedError(
-        "no evictable interface page (all frames pinned)"));
+        span > 1 ? StrFormat("no %u-frame window available for a %u-byte "
+                             "superpage (pinned frames fragment the "
+                             "dual-port RAM)",
+                             span, span * geometry_.page_bytes())
+                 : "no evictable interface page (all frames pinned)"));
     return std::nullopt;
   }
-  const mem::FrameId victim =
-      demand == nullptr
-          ? policy_->PickVictim(evictable)
-          : policy_->PickDemandVictim(
-                evictable,
-                DemandFault{demand->object, demand->vpage, demand->previous,
-                            hot_frames_,
-                            space_->evicted_after_use.Contains(
-                                demand->object, demand->vpage)});
-  EvictFrame(victim, dp_cost, imu_cost);
-  if (space_->aborted) return std::nullopt;
-  return victim;
-}
-
-std::optional<mem::FrameId> Vim::SuperpageWindow(u32 span) const {
-  // Deterministic window scan: the span-wide window whose clearing
-  // evicts the fewest *hot* mappings (pages the coprocessor touched
-  // since the last recency harvest), then the fewest mappings overall
-  // (ties: lowest start). Windows overlapping a pinned frame are
-  // infeasible. Hot-avoidance is what keeps two streaming superpage
-  // objects from ping-ponging each other out of memory: without it the
-  // scan would deterministically clear the lowest window every fault,
-  // which is exactly where the other object's active page lives.
-  std::optional<mem::FrameId> best_start;
-  usize best_hot = 0;
-  usize best_cost = 0;
-  for (mem::FrameId start = 0; start + span <= geometry_.num_frames();
-       ++start) {
-    std::set<mem::FrameId> heads;
-    bool feasible = true;
-    for (mem::FrameId f = start; f < start + span; ++f) {
-      const FrameState& s = pages_.frame(f);
-      if (!s.in_use) continue;
-      const mem::FrameId head = s.continuation ? s.head : f;
-      if (pages_.frame(head).pinned) {
-        feasible = false;
-        break;
-      }
-      heads.insert(head);
-    }
-    if (!feasible) continue;
-    usize hot = 0;
-    for (const mem::FrameId h : heads) {
-      if (h < hot_frames_.size() && hot_frames_[h]) ++hot;
-    }
-    if (!best_start.has_value() || hot < best_hot ||
-        (hot == best_hot && heads.size() < best_cost)) {
-      best_start = start;
-      best_hot = hot;
-      best_cost = heads.size();
-    }
+  // A run in use is met first at its head, or at the window's first
+  // frame when it began before the window; evicting it frees its tails.
+  for (mem::FrameId f = *start; f < *start + span; ++f) {
+    const FrameState& s = pages_.frame(f);
+    if (!s.in_use) continue;
+    EvictFrame(s.continuation ? s.head : f, cost);
+    if (space_->aborted) return std::nullopt;
   }
-  return best_start;
-}
-
-void Vim::InstallPage(mem::FrameId frame, hw::ObjectId object,
-                      mem::VirtPage vpage, bool pinned, u32 span) {
-  pages_.Install(frame, object, vpage, pinned, space_->asid(), span);
-  policy_->OnInstalled(frame, object, vpage);
+  return start;
 }
 
 void Vim::FreeFrame(mem::FrameId frame) {
   pages_.Release(frame);
   clean_queued_[frame] = false;
-  policy_->OnFreed(frame);
 }
 
-bool Vim::MapParamPage(std::span<const u32> params, Picoseconds& dp_cost,
-                       Picoseconds& imu_cost) {
+bool Vim::MapParamPage(std::span<const u32> params, ServiceTime& cost) {
   const std::optional<mem::FrameId> frame =
-      AcquireFrame(/*span=*/1, nullptr, dp_cost, imu_cost);
+      AcquireFrame(/*span=*/1, nullptr, cost);
   if (!frame.has_value()) return false;
   for (usize i = 0; i < params.size(); ++i) {
     dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
                       geometry_.FrameBase(*frame) + static_cast<u32>(4 * i),
                       4, params[i]);
   }
-  InstallPage(*frame, hw::kParamObject, 0, /*pinned=*/true, /*span=*/1);
+  pages_.Install(*frame, hw::kParamObject, 0, /*pinned=*/true,
+                 space_->asid());
   InstallTlbEntry(hw::kParamObject, 0, *frame);
   space_->param_frame = frame;
   space_->params_live = true;
-  dp_cost += transfers_.PriceParams(static_cast<u32>(params.size() * 4));
+  cost.dp += transfers_.PriceParams(static_cast<u32>(params.size() * 4));
   return true;
 }
 
@@ -539,13 +428,12 @@ void Vim::ReleaseParamFrame() {
   space_->param_frame.reset();
 }
 
-void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
-                     Picoseconds& imu_cost) {
+void Vim::EvictFrame(mem::FrameId frame, ServiceTime& cost) {
   // Fold the live TLB entry's dirty and accessed bits into the page
   // state first.
   if (const std::optional<u32> e = imu_->tlb().FindByFrame(frame)) {
     const hw::TlbEntry old = imu_->tlb().Invalidate(*e);
-    if (old.dirty) pages_.MarkDirty(frame);
+    KeepDirty(old);
     if (old.accessed || old.dirty) pages_.MarkReferenced(frame);
   }
   const FrameState state = pages_.frame(frame);
@@ -565,7 +453,7 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
       // The hint says the coprocessor only reads this object; honour it
       // and drop the (buggy) writes, but record that it happened.
       ++owner->accounting.dirty_in_pages_dropped;
-    } else if (!WriteBack(frame, *owner, *object, dp_cost)) {
+    } else if (!WriteBack(frame, *owner, *object, cost)) {
       // The dirty page cannot leave the fabric, so the run fails. The
       // abort flushes the attached space's frames, this one among them
       // when it is the space's own; a foreign owner keeps its page.
@@ -575,11 +463,11 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
   }
   FreeFrame(frame);
   ++acct().evictions;
-  imu_cost += costs_.Cycles(costs_.page_table_cycles);
+  cost.imu += costs_.Cycles(costs_.page_table_cycles);
 }
 
 bool Vim::WriteBack(mem::FrameId frame, AddressSpace& owner,
-                    const MappedObject& object, Picoseconds& dp_cost) {
+                    const MappedObject& object, ServiceTime& cost) {
   // Bookkeeping goes to the owning space (its data left the fabric);
   // the transfer time extends the *current* service.
   const FrameState& state = pages_.frame(frame);
@@ -590,7 +478,7 @@ bool Vim::WriteBack(mem::FrameId frame, AddressSpace& owner,
                                 geometry_.FrameBase(frame), user_memory_, dst,
                                 len);
   });
-  dp_cost += r.time;
+  cost.dp += r.time;
   if (r.bus_error) return false;
   ++owner.accounting.writebacks;
   owner.accounting.bytes_written_back += len;
@@ -607,10 +495,7 @@ void Vim::InstallTlbEntry(hw::ObjectId object, mem::VirtPage vpage,
     // table when the TLB is smaller than the frame count); keep the
     // recycled entry's dirty information in the page state.
     const u32 victim = tlb_recycle_cursor_++ % tlb.num_entries();
-    const hw::TlbEntry old = tlb.Invalidate(victim);
-    if (old.valid && old.dirty && pages_.frame(old.frame).in_use) {
-      pages_.MarkDirty(old.frame);
-    }
+    KeepDirty(tlb.Invalidate(victim));
     slot = victim;
   }
   tlb.Install(*slot, object, vpage, frame, space_->asid());
@@ -665,10 +550,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
                                user_memory_, dst, len);
       if (r.bus_error || r.iommu_fault) return;
       space_->transferred.Insert(oid, vpage);
-      pages_.ClearDirty(f);
-      if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
-        imu_->tlb().ClearDirty(*entry);
-      }
+      MarkClean(f);
       ++acct().cleaned_pages;
       acct().bytes_written_back += len;
     });
@@ -678,9 +560,28 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
 void Vim::HarvestRecency() {
   hot_frames_.assign(geometry_.num_frames(), false);
   for (const mem::FrameId f : imu_->tlb().HarvestAccessed()) {
-    policy_->OnTouched(f);
-    pages_.MarkReferenced(f);
-    if (f < hot_frames_.size()) hot_frames_[f] = true;
+    pages_.Touch(f);
+    hot_frames_[f] = true;
+  }
+}
+
+void Vim::KeepDirty(const hw::TlbEntry& entry) {
+  if (entry.valid && entry.dirty && pages_.frame(entry.frame).in_use) {
+    pages_.MarkDirty(entry.frame);
+  }
+}
+
+void Vim::MergeTlbDirty(hw::Asid asid) {
+  const hw::Tlb& tlb = imu_->tlb();
+  for (u32 i = 0; i < tlb.num_entries(); ++i) {
+    if (tlb.entry(i).asid == asid) KeepDirty(tlb.entry(i));
+  }
+}
+
+void Vim::MarkClean(mem::FrameId frame) {
+  pages_.ClearDirty(frame);
+  if (const std::optional<u32> entry = imu_->tlb().FindByFrame(frame)) {
+    imu_->tlb().ClearDirty(*entry);
   }
 }
 
@@ -702,23 +603,15 @@ void Vim::OnEndOfOperation() {
   }
   ++watchdog_epoch_;  // the run is over; kill any pending watchdog tick
 
-  Picoseconds imu_cost = costs_.Cycles(costs_.interrupt_entry_cycles);
-  Picoseconds dp_cost = 0;
-  EndBackgroundWork(dp_cost);
+  ServiceTime cost{.imu = costs_.Cycles(costs_.interrupt_entry_cycles)};
+  EndBackgroundWork(cost);
 
   // Merge live dirty bits, then drop the translations. Only this
   // space's entries and frames are touched, so on a shared fabric
   // (vcopd) other tenants' working sets survive.
-  hw::Tlb& tlb = imu_->tlb();
   const hw::Asid asid = space_->asid();
-  for (u32 i = 0; i < tlb.num_entries(); ++i) {
-    const hw::TlbEntry e = tlb.entry(i);
-    if (e.valid && e.asid == asid && e.dirty &&
-        pages_.frame(e.frame).in_use) {
-      pages_.MarkDirty(e.frame);
-    }
-  }
-  tlb.InvalidateAsid(asid);
+  MergeTlbDirty(asid);
+  imu_->tlb().InvalidateAsid(asid);
 
   // "The interface manager copies back to user space all the dirty data
   // currently residing in the dual-port memory." (§3.3)
@@ -733,15 +626,14 @@ void Vim::OnEndOfOperation() {
     if (state.dirty) {
       if (object->direction == Direction::kIn) {
         ++acct().dirty_in_pages_dropped;
-      } else if (!WriteBack(f, *space_, *object, dp_cost)) {
-        acct().t_imu += imu_cost;
-        acct().t_dp += dp_cost;
+      } else if (!WriteBack(f, *space_, *object, cost)) {
+        Book(cost);
         if (!space_->aborted) Abort(last_failure_);
         return;
       }
     }
     FreeFrame(f);
-    imu_cost += costs_.Cycles(costs_.page_table_cycles);
+    cost.imu += costs_.Cycles(costs_.page_table_cycles);
   }
   space_->params_live = false;
 
@@ -752,32 +644,28 @@ void Vim::OnEndOfOperation() {
 
   imu_->AckEnd();
   const Picoseconds wake = costs_.Cycles(costs_.wakeup_cycles);
-  acct().t_imu += imu_cost;
-  acct().t_dp += dp_cost;
+  Book(cost);
   acct().t_wakeup += wake;
   if (timeline_ != nullptr) {
-    timeline_->Record(TimelineKind::kSweep, sim_.now(),
-                      imu_cost + dp_cost + wake);
+    timeline_->Record(TimelineKind::kSweep, sim_.now(), cost.total() + wake);
   }
 
-  sim_.ScheduleAt(sim_.now() + imu_cost + dp_cost + wake, [this] {
-    if (on_complete_) on_complete_();
+  sim_.ScheduleAt(sim_.now() + cost.total() + wake, [this] {
+    if (on_end_) on_end_(Status::Ok(), /*preempted=*/false);
   });
 }
 
-Picoseconds Vim::SaveContext() {
+void Vim::SaveContext(ServiceTime& cost) {
   VCOP_CHECK_MSG(imu_ != nullptr, "context save with no IMU bound");
   VCOP_CHECK_MSG(space_ != nullptr, "context save with no space attached");
   const hw::Asid asid = space_->asid();
-  hw::Tlb& tlb = imu_->tlb();
-  Picoseconds dp_cost = 0;
-  Picoseconds imu_cost = costs_.Cycles(costs_.context_save_cycles);
+  cost.imu += costs_.Cycles(costs_.context_save_cycles);
 
   // The tenant leaves the fabric; neither its watchdog nor its
   // background work may reach into some other tenant's slice.
   // RestoreContext re-arms the watchdog.
   ++watchdog_epoch_;
-  EndBackgroundWork(dp_cost);
+  EndBackgroundWork(cost);
 
   HarvestRecency();
 
@@ -786,24 +674,18 @@ Picoseconds Vim::SaveContext() {
   // across the switched-out window would starve the other tenants.
   if (space_->param_frame.has_value()) {
     if (const std::optional<u32> entry =
-            tlb.Probe(hw::kParamObject, 0, asid)) {
-      tlb.Invalidate(*entry);
+            imu_->tlb().Probe(hw::kParamObject, 0, asid)) {
+      imu_->tlb().Invalidate(*entry);
     }
     ReleaseParamFrame();
-    imu_cost += costs_.Cycles(costs_.page_table_cycles);
+    cost.imu += costs_.Cycles(costs_.page_table_cycles);
   }
 
   // The translations stay installed under the tenant's ASID; a fault
   // refills any that an intervening tenant recycles. Dirty pages are
   // written back eagerly, so a foreign eviction of one of our frames
   // while we are switched out is a free drop.
-  for (u32 i = 0; i < tlb.num_entries(); ++i) {
-    const hw::TlbEntry e = tlb.entry(i);
-    if (e.valid && e.asid == asid && e.object != hw::kParamObject &&
-        e.dirty && pages_.frame(e.frame).in_use) {
-      pages_.MarkDirty(e.frame);
-    }
-  }
+  MergeTlbDirty(asid);
   for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
     const FrameState state = pages_.frame(f);
     if (!state.dirty) continue;
@@ -812,17 +694,12 @@ Picoseconds Vim::SaveContext() {
     // kIn pages never reach user space; if a foreign eviction drops
     // one later it is counted there, not here.
     if (object->direction == Direction::kIn) continue;
-    if (!WriteBack(f, *space_, *object, dp_cost)) {
+    if (!WriteBack(f, *space_, *object, cost)) {
       if (!space_->aborted) Abort(last_failure_);
-      acct().t_dp += dp_cost;
-      acct().t_imu += imu_cost;
-      return dp_cost + imu_cost;
+      return;
     }
     ++service_stats_.pages_written_back_on_save;
-    pages_.ClearDirty(f);
-    if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
-      tlb.ClearDirty(*entry);
-    }
+    MarkClean(f);
   }
 
   // The tenant's DMA window closes with its slice: shoot its IO-TLB
@@ -834,29 +711,24 @@ Picoseconds Vim::SaveContext() {
   space_->evicted_after_use.Clear();
 
   ++service_stats_.context_saves;
-  acct().t_dp += dp_cost;
-  acct().t_imu += imu_cost;
-  return dp_cost + imu_cost;
 }
 
 Picoseconds Vim::RestoreContext() {
   VCOP_CHECK_MSG(imu_ != nullptr, "context restore with no IMU bound");
   VCOP_CHECK_MSG(space_ != nullptr,
                  "context restore with no space attached");
-  Picoseconds dp_cost = 0;
-  Picoseconds imu_cost = costs_.Cycles(costs_.context_restore_cycles);
+  ServiceTime cost{.imu = costs_.Cycles(costs_.context_restore_cycles)};
 
   // Re-materialise the parameter page released at save time.
   if (space_->params_live && !space_->param_frame.has_value() &&
-      MapParamPage(space_->saved_params, dp_cost, imu_cost)) {
-    imu_cost += costs_.Cycles(costs_.tlb_update_cycles);
+      MapParamPage(space_->saved_params, cost)) {
+    cost.imu += costs_.Cycles(costs_.tlb_update_cycles);
   }
 
   ++service_stats_.context_restores;
-  acct().t_dp += dp_cost;
-  acct().t_imu += imu_cost;
+  Book(cost);
   ArmWatchdog();
-  return dp_cost + imu_cost;
+  return cost.total();
 }
 
 void Vim::FlushAsid(hw::Asid asid) {
@@ -869,12 +741,12 @@ void Vim::FlushAsid(hw::Asid asid) {
   transfers_.Invalidate(asid);
 }
 
-void Vim::EndBackgroundWork(Picoseconds& dp_cost) {
+void Vim::EndBackgroundWork(ServiceTime& cost) {
   ++epoch_;
   clean_queued_.assign(clean_queued_.size(), false);
   if (cpu_busy_until_ > sim_.now()) {
     const Picoseconds wait = cpu_busy_until_ - sim_.now();
-    dp_cost += wait;
+    cost.dp += wait;
     acct().t_dp_wait += wait;
   }
   cpu_busy_until_ = 0;
@@ -887,11 +759,11 @@ void Vim::Abort(Status status) {
   ++watchdog_epoch_;
   fault_service_pending_ = false;
   // A failed run reports no time split, so the exit's wait is dropped.
-  Picoseconds dp_cost = 0;
-  EndBackgroundWork(dp_cost);
+  ServiceTime dropped;
+  EndBackgroundWork(dropped);
   VCOP_LOG(kWarning, "VIM aborting run: " + status.ToString());
   imu_->HardStop();
-  if (on_abort_) on_abort_(std::move(status));
+  if (on_end_) on_end_(std::move(status), /*preempted=*/false);
 }
 
 // ----- fault injection and recovery -----
@@ -903,12 +775,9 @@ void Vim::InstallFaultPlan(FaultPlan* plan) {
 
 void Vim::OnTlbParityDrop(const hw::TlbEntry& dropped) {
   ++service_stats_.tlb_parity_drops;
-  // Keep the dropped entry's dirty information: the page is still
-  // resident, and the refill fault that follows must not forget that
-  // the coprocessor wrote to it.
-  if (dropped.dirty && pages_.frame(dropped.frame).in_use) {
-    pages_.MarkDirty(dropped.frame);
-  }
+  // The page is still resident, and the refill fault that follows must
+  // not forget that the coprocessor wrote to it.
+  KeepDirty(dropped);
 }
 
 template <typename Attempt>

@@ -26,9 +26,7 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -141,12 +139,9 @@ class Vim {
       sim::Simulator& sim);
 
   /// Applies a configuration (policy, background work, copy mode). May
-  /// be called between executions.
+  /// be called between executions. A custom policy instance goes
+  /// through page_manager().SetPolicy; Configure reinstalls a built-in.
   void Configure(const VimConfig& config);
-
-  /// Replaces the replacement policy with a custom instance (e.g. the
-  /// Belady oracle) — Configure() would reinstall a built-in one.
-  void SetPolicy(std::unique_ptr<ReplacementPolicy> policy);
 
   /// Binds the IMU of the design about to run (Kernel::Bind, before
   /// every FPGA_EXECUTE and every vcopd slice); nullptr unbinds.
@@ -161,12 +156,11 @@ class Vim {
   ObjectTable& objects() { return space_->objects(); }
   const ObjectTable& objects() const { return space_->objects(); }
 
-  /// Prepares an execution: validates mappings, flushes the attached
-  /// space's frames and TLB entries (other spaces' stay resident),
-  /// resets the TLB recycle cursor,
-  /// programs the IMU object descriptor table, writes the scalar
-  /// `params` into the parameter page and maps it. Returns the setup
-  /// cost on success.
+  /// Prepares an execution: checks that the objects lie in user memory,
+  /// flushes the attached space's frames and TLB entries (other spaces'
+  /// stay resident), resets the TLB recycle cursor, programs the IMU
+  /// object descriptor table, writes the scalar `params` into the
+  /// parameter page and maps it. Returns the setup cost on success.
   Result<Picoseconds> PrepareExecution(std::span<const u32> params);
 
   /// Interrupt services (wired to the InterruptLine by the kernel).
@@ -188,17 +182,10 @@ class Vim {
 
   /// Consulted at each fault *before* servicing it; returning true
   /// preempts: the VIM saves context instead of mapping the page, and
-  /// the preempt handler ends the run. Kernel::Run installs it for one
-  /// run; unset = never preempt (FPGA_EXECUTE).
+  /// the run ends preempted. Kernel::Run installs it for one run;
+  /// unset = never preempt (FPGA_EXECUTE).
   void set_preempt_check(std::function<bool()> check) {
     preempt_check_ = std::move(check);
-  }
-
-  /// Called when the service of a fault turned into a preemption (the
-  /// decode and the context save) is over; Kernel::Bind installs it to
-  /// end the run.
-  void set_preempt_handler(std::function<void()> handler) {
-    on_preempt_ = std::move(handler);
   }
 
   /// Resolves a foreign ASID to its space (owner of a frame the current
@@ -210,23 +197,19 @@ class Vim {
   const VimServiceStats& service_stats() const { return service_stats_; }
   void ResetServiceStats() { service_stats_ = VimServiceStats{}; }
 
-  /// Called when the end-of-operation service (including write-backs)
-  /// completes; Kernel::Bind installs it to end the run.
-  void set_completion_handler(std::function<void()> handler) {
-    on_complete_ = std::move(handler);
-  }
-
-  /// Called when a run must be aborted (fault on an unmapped object or
-  /// out-of-bounds access). Kernel::Bind installs it to fail the run.
-  void set_abort_handler(std::function<void(Status)> handler) {
-    on_abort_ = std::move(handler);
+  /// The one way a run ends, installed by Kernel::Bind: OK once the
+  /// end-of-operation service (write-backs included) is over; OK and
+  /// `preempted` once a fault's decode and context save are over; the
+  /// failure at once when the run aborts (Abort).
+  void set_end_handler(std::function<void(Status, bool preempted)> handler) {
+    on_end_ = std::move(handler);
   }
 
   /// Optional event timeline (owned by the kernel); nullptr disables.
   void set_timeline(TimelineRecorder* timeline) { timeline_ = timeline; }
 
   /// Fails the attached space's run with `status`: stops its background
-  /// work and the IMU, then calls the abort handler. The VIM's own
+  /// work and the IMU, then calls the end handler. The VIM's own
   /// failures end here, and so does a run the kernel gives up on.
   void Abort(Status status);
 
@@ -252,9 +235,9 @@ class Vim {
     progress_probe_ = std::move(probe);
   }
 
-  /// Wired to Tlb::set_parity_drop_hook by the kernel: propagates the
-  /// dropped entry's dirty bit into the page state (so the follow-up
-  /// fault's write-back path stays correct) and counts the drop.
+  /// Wired to Tlb::set_parity_drop_hook by the kernel: keeps the dropped
+  /// entry's dirty bit (KeepDirty), so the follow-up fault's write-back
+  /// path stays correct, and counts the drop.
   void OnTlbParityDrop(const hw::TlbEntry& dropped);
 
   /// OS-side eligibility for the IMU's fast-forward tier (installed as
@@ -271,59 +254,51 @@ class Vim {
   mem::TransferEngine& transfer_engine() { return transfers_; }
 
  private:
+  /// Time one interrupt service spends, split the way the paper reports
+  /// it: transferring data (DP management) and decoding faults and
+  /// updating translations (IMU management).
+  struct ServiceTime {
+    Picoseconds dp = 0;
+    Picoseconds imu = 0;
+    Picoseconds total() const { return dp + imu; }
+  };
+
+  /// Charges `cost` to the attached space's accounting.
+  void Book(const ServiceTime& cost);
+
   /// Saves the attached space's interface context when OnPageFault
   /// turns a fault into a preemption: merges TLB dirty bits (the
   /// space's translations stay installed under its ASID), releases the
-  /// pinned parameter frame and writes dirty frames back,
-  /// so its working set stays resident and clean. Charges the space's
-  /// accounting and returns the service time. The faulting IMU stays
-  /// fault-stalled; re-enter via OnPageFault after RestoreContext.
-  Picoseconds SaveContext();
+  /// pinned parameter frame and writes dirty frames back, so its working
+  /// set stays resident and clean. Adds the service time to `cost`. The
+  /// faulting IMU stays fault-stalled; re-enter via OnPageFault after
+  /// RestoreContext.
+  void SaveContext(ServiceTime& cost);
 
   // ----- the frame path: every frame is claimed, filled and freed here -----
 
   /// The hard half of §3.3's fault service: loads the attached space's
   /// non-resident demand page (object, vpage) into a frame from
-  /// AcquireFrame and maps it, adding transfer/management costs to the
-  /// out-params. False when the run aborted.
+  /// AcquireFrame and maps it, adding the service time to `cost`. False
+  /// when the run aborted.
   bool MapPage(const MappedObject& object, mem::VirtPage vpage,
-               Picoseconds& dp_cost, Picoseconds& imu_cost);
+               ServiceTime& cost);
 
-  /// The page a demand fault loads, as the policy's DemandFault sees it.
-  struct DemandPage {
-    hw::ObjectId object = 0;
-    mem::VirtPage vpage = 0;
-    std::optional<mem::VirtPage> previous;
-  };
-
-  /// The one place a frame or victim is chosen: a free frame (a free
-  /// run of `span` frames for a superpage), else a victim the policy
-  /// picks (PickDemandVictim for a `demand` fault), evicted through
-  /// EvictFrame; a superpage clears SuperpageWindow's heads instead.
-  /// Returns the (head) frame, or nullopt when the run aborted.
+  /// Takes the `span` frames PageManager::Choose picks for a `demand`
+  /// fault (nullptr: the parameter page), evicting every run in use
+  /// there through EvictFrame, in ascending head order. Returns the
+  /// first frame, or nullopt when the run aborted.
   std::optional<mem::FrameId> AcquireFrame(u32 span,
-                                           const DemandPage* demand,
-                                           Picoseconds& dp_cost,
-                                           Picoseconds& imu_cost);
-
-  /// Start of the `span`-frame window whose clearing evicts the fewest
-  /// hot mappings, then the fewest mappings; none when pinned frames
-  /// overlap every window.
-  std::optional<mem::FrameId> SuperpageWindow(u32 span) const;
-
-  /// The one page installation: files frames [frame, frame+span) under
-  /// the attached space and tells the policy which page they hold.
-  void InstallPage(mem::FrameId frame, hw::ObjectId object,
-                   mem::VirtPage vpage, bool pinned, u32 span);
+                                           const DemandFault* demand,
+                                           ServiceTime& cost);
 
   /// The one frame release: frees the run headed at `frame`, pinned or
-  /// not, drops any clean unit queued for it and tells the policy.
+  /// not, and drops any clean unit queued for it.
   void FreeFrame(mem::FrameId frame);
 
   /// Writes `params` into a frame from AcquireFrame and maps it as the
   /// attached space's pinned parameter page. False when the run aborted.
-  bool MapParamPage(std::span<const u32> params, Picoseconds& dp_cost,
-                    Picoseconds& imu_cost);
+  bool MapParamPage(std::span<const u32> params, ServiceTime& cost);
   /// Frees the attached space's parameter frame, if it holds one.
   void ReleaseParamFrame();
 
@@ -341,44 +316,46 @@ class Vim {
   /// frame may belong to a space other than the attached one (vcopd:
   /// the running tenant evicts a switched-out tenant's page); write-back
   /// bookkeeping is charged to the owner, time to the current service.
-  void EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
-                  Picoseconds& imu_cost);
+  void EvictFrame(mem::FrameId frame, ServiceTime& cost);
 
   /// The one dirty-page store (§3.3: eviction, end of operation and
   /// context save all write back through it): copies `frame`'s page of
   /// `object` to user memory with bounded retries, adds the time to
-  /// `dp_cost` and books the write-back to `owner`. False when the
-  /// store failed for good; the caller decides how the run ends.
+  /// `cost` and books the write-back to `owner`. False when the store
+  /// failed for good; the caller decides how the run ends.
   bool WriteBack(mem::FrameId frame, AddressSpace& owner,
-                 const MappedObject& object, Picoseconds& dp_cost);
+                 const MappedObject& object, ServiceTime& cost);
 
   /// Owner space of `asid`: the attached space or, for foreign tags,
   /// whatever the resolver returns (nullptr when unknown).
   AddressSpace* ResolveSpace(hw::Asid asid);
 
   /// Installs a TLB entry for (object, vpage)->frame, recycling a TLB
-  /// slot round-robin when none is free; propagates the recycled
-  /// entry's dirty bit into the page state.
+  /// slot round-robin when none is free (KeepDirty on the recycled
+  /// entry).
   void InstallTlbEntry(hw::ObjectId object, mem::VirtPage vpage,
                        mem::FrameId frame);
 
+  // ----- the TLB's dirty bits and the page state -----
+
+  /// The one fold of a TLB dirty bit into the page state: marks the
+  /// frame of a valid, dirty `entry` dirty while the frame is in use.
+  void KeepDirty(const hw::TlbEntry& entry);
+  /// KeepDirty over every entry tagged `asid` (end of operation and
+  /// context save).
+  void MergeTlbDirty(hw::Asid asid);
+  /// The page in `frame` was written back in place: clears the page
+  /// state's and the live TLB entry's dirty bits.
+  void MarkClean(mem::FrameId frame);
+
   /// Byte length of `vpage` within `object` (short for the last page).
   u32 PageLength(const MappedObject& object, mem::VirtPage vpage) const;
-
-  // ----- per-object page geometry (DESIGN.md §14) -----
-
-  /// Effective page size of `object`: its override or the platform
-  /// frame granule.
-  u32 ObjectPageBytes(const MappedObject& object) const;
-  /// Frames per page of `object` (1 unless it uses superpages).
-  u32 ObjectPageSpan(const MappedObject& object) const;
-  /// Virtual page of byte `offset` under the object's page size.
-  mem::VirtPage ObjectPageOf(const MappedObject& object, u64 offset) const;
   /// User-space address backing `vpage` of `object`.
   mem::UserAddr PageUserAddr(const MappedObject& object,
                              mem::VirtPage vpage) const;
 
-  /// Pulls the TLB accessed bits into the replacement policy.
+  /// Pulls the TLB accessed bits into the page state and the policy
+  /// (PageManager::Touch) and refreshes hot_frames_.
   void HarvestRecency();
 
   // ----- fault recovery internals -----
@@ -425,7 +402,6 @@ class Vim {
   mem::TransferEngine transfers_;
 
   VimConfig config_{};
-  std::unique_ptr<ReplacementPolicy> policy_;
 
   hw::Imu* imu_ = nullptr;
   /// The space whose execution context the VIM is operating on. The
@@ -454,15 +430,15 @@ class Vim {
   /// The one exit for background work: it leaves the fabric with its
   /// space (end of operation, context save, abort). Bumps the epoch so
   /// no queued unit lands, then waits out the CPU's queue (adding the
-  /// wait to `dp_cost`, booked as t_dp_wait).
-  void EndBackgroundWork(Picoseconds& dp_cost);
+  /// wait to `cost.dp`, booked as t_dp_wait).
+  void EndBackgroundWork(ServiceTime& cost);
 
   /// Merged (page-state | live-TLB) dirty bit of `frame`.
   bool FrameDirty(mem::FrameId frame) const;
 
   /// Frames the coprocessor touched since the previous fault
   /// (refreshed by HarvestRecency); cleaning passes them by, and demand
-  /// faults hand them to the policy as DemandFault::referenced.
+  /// faults hand them to PageManager::Choose as DemandFault::referenced.
   std::vector<bool> hot_frames_;
 
   /// Shorthand for the attached space's accounting.
@@ -488,10 +464,8 @@ class Vim {
 
   VimServiceStats service_stats_{};
   TimelineRecorder* timeline_ = nullptr;
-  std::function<void()> on_complete_;
-  std::function<void(Status)> on_abort_;
+  std::function<void(Status, bool)> on_end_;
   std::function<bool()> preempt_check_;
-  std::function<void()> on_preempt_;
   std::function<AddressSpace*(hw::Asid)> space_resolver_;
 };
 

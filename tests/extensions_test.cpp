@@ -229,7 +229,7 @@ TEST(OracleTest, NextUseEvictionBeatsOnlinePoliciesOnGather) {
     if (trace != nullptr) {
       auto policy = std::make_unique<os::OraclePolicy>(trace);
       oracle = policy.get();
-      sys.kernel().vim().SetPolicy(std::move(policy));
+      sys.kernel().vim().page_manager().SetPolicy(std::move(policy));
     }
     sys.kernel().imu()->set_page_ref_probe(
         [record, oracle](hw::ObjectId object, mem::VirtPage vpage) {

@@ -304,26 +304,43 @@ TEST(PageManagerTest, InstallFindRelease) {
 }
 
 TEST(PageManagerTest, FindFreeSkipsUsed) {
-  PageManager pm(mem::PageGeometry(1024, 3));
+  PageManager pm(mem::PageGeometry(1024, 4));
   pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/0);
   pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
-  EXPECT_EQ(pm.FindFree(), 2u);
+  pm.Install(3, 1, 3, /*pinned=*/false, /*asid=*/0);
+  EXPECT_EQ(pm.Choose(1, nullptr), 2u);
+  // Two frames need a free run. With none, the window chosen evicts no
+  // page touched since the previous fault, though frames 1-2 would also
+  // evict one page only.
+  const std::vector<bool> hot = {false, true, false, false};
+  const DemandFault demand{2, 0, std::nullopt, hot};
+  EXPECT_EQ(pm.Choose(2, &demand), 2u);
+  pm.Release(1);
+  EXPECT_EQ(pm.Choose(2, &demand), 1u);
   pm.Install(2, 1, 2, /*pinned=*/false, /*asid=*/0);
-  EXPECT_FALSE(pm.FindFree().has_value());
+  // Full: the victim is FIFO's oldest.
+  pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
+  EXPECT_EQ(pm.Choose(1, nullptr), 0u);
 }
 
 TEST(PageManagerTest, PinnedFramesNotEvictable) {
   PageManager pm(mem::PageGeometry(1024, 3));
   pm.Install(0, 1, 0, /*pinned=*/true, /*asid=*/0);
   pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
-  const std::vector<bool> mask = pm.EvictableMask();
-  EXPECT_FALSE(mask[0]);
-  EXPECT_TRUE(mask[1]);
-  EXPECT_FALSE(mask[2]);  // free, not evictable
+  pm.Install(2, 1, 2, /*pinned=*/true, /*asid=*/0);
+  EXPECT_EQ(pm.Choose(1, nullptr), 1u);  // the oldest page is pinned
+  // No superpage window avoids a pinned frame, and with frame 1 pinned
+  // too nothing is evictable.
+  const std::vector<bool> none(3, false);
+  const DemandFault demand{2, 0, std::nullopt, none};
+  EXPECT_FALSE(pm.Choose(2, &demand).has_value());
+  pm.Release(1);
+  pm.Install(1, 1, 1, /*pinned=*/true, /*asid=*/0);
+  EXPECT_FALSE(pm.Choose(1, nullptr).has_value());
   // A pin lasts as long as its page: the frame's next page is evictable.
   pm.Release(0);
-  pm.Install(0, 1, 2, /*pinned=*/false, /*asid=*/0);
-  EXPECT_TRUE(pm.EvictableMask()[0]);
+  pm.Install(0, 1, 3, /*pinned=*/false, /*asid=*/0);
+  EXPECT_EQ(pm.Choose(1, nullptr), 0u);
 }
 
 TEST(PageManagerTest, DirtyTracking) {
@@ -337,20 +354,13 @@ TEST(PageManagerTest, DirtyTracking) {
   EXPECT_FALSE(pm.frame(0).dirty) << "dirty must not leak across installs";
 }
 
-TEST(PageManagerTest, ResetFreesEverything) {
-  PageManager pm(mem::PageGeometry(1024, 2));
-  pm.Install(0, 1, 0, /*pinned=*/true, /*asid=*/0);
-  pm.Install(1, 2, 0, /*pinned=*/false, /*asid=*/0);
-  pm.Reset();
-  EXPECT_EQ(pm.frames_in_use(), 0u);
-  EXPECT_FALSE(pm.FindResident(1, 0, /*asid=*/0).has_value());
-}
-
 TEST(PageManagerTest, InUseFramesEnumerates) {
   PageManager pm(mem::PageGeometry(1024, 4));
   pm.Install(3, 1, 0, /*pinned=*/false, /*asid=*/0);
   pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
-  EXPECT_EQ(pm.InUseFrames(), (std::vector<mem::FrameId>{1, 3}));
+  pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/2);
+  EXPECT_EQ(pm.InUseFramesOf(0), (std::vector<mem::FrameId>{1, 3}));
+  EXPECT_EQ(pm.InUseFramesOf(2), (std::vector<mem::FrameId>{0}));
 }
 
 TEST(PageManagerDeathTest, DoubleInstallAborts) {

@@ -1,6 +1,7 @@
 // Unit tests for the per-object page-size machinery: the PageGeometry
-// superpage helpers, object-table validation, and mixed page sizes
-// inside one address space producing byte-identical outputs.
+// superpage helpers, the size Kernel::MapObject fixes and checks, and
+// mixed page sizes inside one address space producing byte-identical
+// outputs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,6 +11,7 @@
 #include "mem/page.h"
 #include "os/kernel.h"
 #include "os/object_table.h"
+#include "os/vcopd.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
@@ -49,17 +51,48 @@ TEST(PageGeometryTest, UserPageConstantsLiveInPageHeader) {
   EXPECT_EQ(mem::kUserPageBytes, 4096u);
 }
 
-TEST(ObjectTableTest, RejectsNonPowerOfTwoPageSize) {
-  os::ObjectTable table;
-  os::MappedObject object;
-  object.id = 1;
-  object.user_addr = 0;
-  object.size_bytes = 4096;
-  object.page_bytes = 3000;
-  const Status s = table.Map(object);
-  EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-  object.page_bytes = 4096;
-  EXPECT_TRUE(table.Map(object).ok());
+TEST(PageSizeMapTest, SizeIsFixedAndCheckedWhenTheObjectIsMapped) {
+  // EPXA1: 2 KB frames in a 16 KB dual-port RAM.
+  os::KernelConfig config = runtime::Epxa1Config();
+  config.object_page_bytes[1] = 4096;
+  config.object_page_bytes[2] = 3000;  // not a power of two
+  config.object_page_bytes[3] = 1024;  // below the frame granule
+  os::Kernel kernel(config);
+  const mem::UserAddr addr = kernel.user_memory().Allocate(8192).value();
+  const auto map = [&](hw::ObjectId id) {
+    return kernel.FpgaMapObject(id, addr, 8192, 4, os::Direction::kIn);
+  };
+  const os::ObjectTable& objects = kernel.default_space().objects();
+  ASSERT_TRUE(map(0).ok());
+  EXPECT_EQ(objects.Find(0)->page_bytes, 2048u);  // no override
+  ASSERT_TRUE(map(1).ok());
+  EXPECT_EQ(objects.Find(1)->page_bytes, 4096u);
+  EXPECT_EQ(map(2).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(map(3).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(objects.Find(2), nullptr);
+  EXPECT_EQ(objects.Find(3), nullptr);
+
+  // An 8 KB page does not fit a 4 KB dual-port RAM, for FPGA_MAP_OBJECT
+  // and a vcopd tenant alike.
+  os::KernelConfig small = runtime::Epxa1Config();
+  small.dp_ram_bytes = 4096;
+  small.object_page_bytes[0] = 8192;
+  os::Kernel small_kernel(small);
+  const mem::UserAddr small_addr =
+      small_kernel.user_memory().Allocate(8192).value();
+  EXPECT_EQ(small_kernel
+                .FpgaMapObject(0, small_addr, 8192, 4, os::Direction::kIn)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  os::Vcopd daemon(small_kernel);
+  const os::TenantId tenant = daemon.RegisterTenant("tenant").value();
+  EXPECT_EQ(
+      daemon.MapObject(tenant, 0, small_addr, 8192, 4, os::Direction::kIn)
+          .code(),
+      ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(
+      daemon.MapObject(tenant, 1, small_addr, 8192, 4, os::Direction::kIn)
+          .ok());
 }
 
 // ----- end-to-end: page sizes change nothing but timing -----

@@ -3,14 +3,21 @@
 // submission or completion ring makes no heap allocation, and one
 // drained of every descriptor it held keeps no FIFO bytes. A timeline
 // stores a fault in a few bytes of a shared chunk and allocates only to
-// open the next chunk. The replacement applies to the whole program, so
-// these tests have a binary of their own.
+// open the next chunk. A page manager chooses a victim without
+// allocating. The replacement applies to the whole program, so these
+// tests have a binary of their own.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 
+#include <optional>
+#include <vector>
+
 #include "base/types.h"
+#include "mem/page.h"
+#include "os/page_manager.h"
+#include "os/policy.h"
 #include "os/ring.h"
 #include "os/timeline.h"
 
@@ -161,6 +168,53 @@ TEST(TimelineAllocationTest, FaultsAllocateOnlyForNewChunks) {
   EXPECT_LE(allocating_records,
             1 + (static_cast<u64>(live) - TimelineRecorder::kFirstChunkBytes) /
                     TimelineRecorder::kChunkBytes);
+}
+
+/// A full 8-frame PageManager makes 10 000 victim choices under each
+/// policy, wsfifo first, cycling through a sequential demand fault, a
+/// run-breaking one, a re-fault and a parameter page, each followed by
+/// the release and install the VIM makes. No choice allocates: the
+/// evictable mask is a member refilled per choice, wsfifo passes
+/// referenced frames by in place instead of copying the mask, and the
+/// random policy counts its candidates instead of listing them.
+TEST(FrameChoiceAllocationTest, EvictingFaultsAllocateNothing) {
+  constexpr u32 kFrames = 8;
+  constexpr u32 kChoices = 10'000;
+  const std::vector<bool> referenced = {true,  false, true,  false,
+                                        false, true,  false, false};
+  for (const PolicyKind kind : {PolicyKind::kWsFifo, PolicyKind::kFifo,
+                                PolicyKind::kLru, PolicyKind::kRandom}) {
+    SCOPED_TRACE(ToString(kind));
+    PageManager pages(mem::PageGeometry(2048, kFrames));
+    pages.SetPolicy(MakePolicy(kind, /*seed=*/1));
+    for (mem::FrameId f = 0; f < kFrames; ++f) {
+      pages.Install(f, /*object=*/0, f, /*pinned=*/false, /*asid=*/0);
+    }
+    u64 made = 0;
+    bool every_choice_found = true;
+    {
+      AllocationScope scope;
+      for (u32 i = 0; i < kChoices; ++i) {
+        const mem::VirtPage vpage = kFrames + i;
+        const DemandFault sequential{0, vpage, vpage - 1, referenced};
+        const DemandFault jump{0, vpage, vpage + 5, referenced};
+        const DemandFault refault{0, vpage, vpage - 1, referenced, true};
+        const DemandFault* const demand[] = {&sequential, &jump, &refault,
+                                             nullptr};
+        const std::optional<mem::FrameId> frame =
+            pages.Choose(/*span=*/1, demand[i % 4]);
+        every_choice_found &= frame.has_value();
+        if (!frame.has_value()) break;
+        pages.Touch((*frame + 3) % kFrames);
+        pages.Release(*frame);
+        pages.Install(*frame, /*object=*/0, vpage, /*pinned=*/false,
+                      /*asid=*/0);
+      }
+      made = scope.allocations_made();
+    }
+    EXPECT_TRUE(every_choice_found);
+    EXPECT_EQ(made, 0u);
+  }
 }
 
 }  // namespace

@@ -190,7 +190,7 @@ PreemptionRun RunContendedPair(const KernelConfig& kernel_config,
   run.service = sys.kernel().vim().service_stats();
   run.iommu = io.stats();
   run.pinned_pages_left = sys.kernel().user_memory().pinned_pages();
-  run.frames_in_use = sys.kernel().vim().page_manager().InUseFrames().size();
+  run.frames_in_use = sys.kernel().vim().page_manager().frames_in_use();
   for (const os::TimelineEvent& e : sys.kernel().timeline().events()) {
     if (e.category == "overlap") ++run.clean_units;
   }

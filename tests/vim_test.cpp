@@ -732,7 +732,7 @@ class PolicyLog final : public os::ReplacementPolicy {
 PolicyLog& LogPolicy(FpgaSystem& sys) {
   auto log = std::make_unique<PolicyLog>(sys.kernel().vim());
   PolicyLog& ref = *log;
-  sys.kernel().vim().SetPolicy(std::move(log));
+  sys.kernel().vim().page_manager().SetPolicy(std::move(log));
   return ref;
 }
 
