@@ -106,17 +106,6 @@ void Tlb::ClearDirty(u32 index) {
   entries_[index].dirty = false;
 }
 
-std::vector<mem::FrameId> Tlb::HarvestAccessed() {
-  std::vector<mem::FrameId> touched;
-  for (TlbEntry& e : entries_) {
-    if (e.valid && e.accessed) {
-      touched.push_back(e.frame);
-      e.accessed = false;
-    }
-  }
-  return touched;
-}
-
 std::optional<u32> Tlb::FindByFrame(mem::FrameId frame) const {
   for (u32 i = 0; i < entries_.size(); ++i) {
     if (entries_[i].valid && entries_[i].frame == frame) return i;

@@ -142,9 +142,18 @@ class Tlb {
   /// (written back without being evicted).
   void ClearDirty(u32 index);
 
-  /// Returns the frames of entries accessed since the last harvest and
-  /// clears their accessed bits. OS-side recency source for LRU.
-  std::vector<mem::FrameId> HarvestAccessed();
+  /// Calls `visit(frame)` for each entry accessed since the last
+  /// harvest, in entry order, and clears its accessed bit. OS-side
+  /// recency source for LRU; visits in place, so it allocates nothing.
+  template <typename Visit>
+  void HarvestAccessed(Visit&& visit) {
+    for (TlbEntry& e : entries_) {
+      if (e.valid && e.accessed) {
+        e.accessed = false;
+        visit(e.frame);
+      }
+    }
+  }
 
   /// Finds the valid entry mapping physical frame `frame`, if any.
   std::optional<u32> FindByFrame(mem::FrameId frame) const;

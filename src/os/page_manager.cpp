@@ -162,15 +162,4 @@ FrameState& PageManager::MutableFrame(mem::FrameId frame) {
   return frames_[frame];
 }
 
-std::vector<mem::FrameId> PageManager::InUseFramesOf(hw::Asid asid) const {
-  std::vector<mem::FrameId> out;
-  for (mem::FrameId f = 0; f < frames_.size(); ++f) {
-    if (frames_[f].in_use && !frames_[f].continuation &&
-        frames_[f].asid == asid) {
-      out.push_back(f);
-    }
-  }
-  return out;
-}
-
 }  // namespace vcop::os

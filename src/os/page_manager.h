@@ -13,6 +13,7 @@
 // Vim's.
 #pragma once
 
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -106,9 +107,45 @@ class PageManager {
 
   const FrameState& frame(mem::FrameId frame) const;
 
-  /// In-use frames owned by `asid` (vcopd's scoped sweeps and context
-  /// save/restore only touch the attached tenant's frames).
-  std::vector<mem::FrameId> InUseFramesOf(hw::Asid asid) const;
+  /// Walks the head frames in use by `asid` in ascending order (vcopd's
+  /// scoped sweeps and context save/restore only touch the attached
+  /// tenant's frames). The walk reads each frame as it reaches it and
+  /// allocates nothing, so a loop body may release the run it is
+  /// visiting: that run's tails are skipped, as tails always are.
+  class HeadWalk {
+   public:
+    HeadWalk(const std::vector<FrameState>& frames, hw::Asid asid)
+        : frames_(&frames), asid_(asid) {
+      Settle();
+    }
+    mem::FrameId operator*() const { return frame_; }
+    HeadWalk& operator++() {
+      ++frame_;
+      Settle();
+      return *this;
+    }
+    bool operator==(std::default_sentinel_t) const {
+      return frame_ == frames_->size();
+    }
+    HeadWalk begin() const { return *this; }
+    std::default_sentinel_t end() const { return {}; }
+
+   private:
+    /// Moves to the first head of asid_ at or after frame_.
+    void Settle() {
+      for (; frame_ < frames_->size(); ++frame_) {
+        const FrameState& state = (*frames_)[frame_];
+        if (state.in_use && !state.continuation && state.asid == asid_) {
+          return;
+        }
+      }
+    }
+
+    const std::vector<FrameState>* frames_;
+    hw::Asid asid_;
+    mem::FrameId frame_ = 0;
+  };
+  HeadWalk HeadsOf(hw::Asid asid) const { return HeadWalk(frames_, asid); }
 
  private:
   FrameState& MutableFrame(mem::FrameId frame);

@@ -1,7 +1,5 @@
 #include "os/timeline.h"
 
-#include <algorithm>
-#include <cstring>
 #include <iterator>
 
 #include "base/status.h"
@@ -45,19 +43,9 @@ constexpr u8 kKindMask = 0x0f;
 constexpr u32 kIdCountShift = 4;
 constexpr u8 kHasDesign = 0x40;
 constexpr usize kMaxIds = 2;
-constexpr usize kMaxVarintBytes = 10;
 // The head byte, then start, duration, design index and operands.
 constexpr usize kMaxEventBytes = 1 + (3 + kMaxIds) * kMaxVarintBytes;
 static_assert(std::size(kKinds) <= kKindMask + 1);
-
-u8* PutVarint(u8* out, u64 value) {
-  while (value >= 0x80) {
-    *out++ = static_cast<u8>(value | 0x80);
-    value >>= 7;
-  }
-  *out++ = static_cast<u8>(value);
-  return out;
-}
 
 /// One event as recorded.
 struct Fact {
@@ -69,49 +57,29 @@ struct Fact {
   std::string_view design;
 };
 
-/// Decodes the events from the first chunk on, in recording order.
+/// Decodes the events from the first on, in recording order.
 class Reader {
  public:
-  Reader(const std::vector<std::unique_ptr<u8[]>>& chunks,
-         const std::vector<std::string>& designs)
-      : chunks_(chunks), designs_(designs) {}
+  Reader(const PackedBytes& bytes, const std::vector<std::string>& designs)
+      : in_(bytes), designs_(designs) {}
 
   Fact Next() {
     Fact fact;
-    const u8 head = Byte();
+    const u8 head = in_.Byte();
     fact.kind = static_cast<TimelineKind>(head & kKindMask);
-    const u64 zigzag = Varint();
+    const u64 zigzag = in_.Varint();
     start_ += (zigzag >> 1) ^ (0 - (zigzag & 1));
     fact.start = start_;
-    fact.duration = Varint();
+    fact.duration = in_.Varint();
     fact.id_count = (head >> kIdCountShift) & 0x3;
-    for (u32 i = 0; i < fact.id_count; ++i) fact.ids[i] = Varint();
-    if ((head & kHasDesign) != 0) fact.design = designs_[Varint()];
+    for (u32 i = 0; i < fact.id_count; ++i) fact.ids[i] = in_.Varint();
+    if ((head & kHasDesign) != 0) fact.design = designs_[in_.Varint()];
     return fact;
   }
 
  private:
-  u8 Byte() {
-    if (offset_ == TimelineRecorder::ChunkBytes(chunk_)) {
-      ++chunk_;
-      offset_ = 0;
-    }
-    return chunks_[chunk_][offset_++];
-  }
-
-  u64 Varint() {
-    u64 value = 0;
-    for (u32 shift = 0;; shift += 7) {
-      const u8 byte = Byte();
-      value |= static_cast<u64>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return value;
-    }
-  }
-
-  const std::vector<std::unique_ptr<u8[]>>& chunks_;
+  PackedBytes::Reader in_;
   const std::vector<std::string>& designs_;
-  usize chunk_ = 0;
-  usize offset_ = 0;
   Picoseconds start_ = 0;
 };
 
@@ -174,39 +142,15 @@ void TimelineRecorder::Record(TimelineKind kind, Picoseconds start,
   last_start_ = start;
   out = PutVarint(out, duration);
   for (const u64 id : ids) out = PutVarint(out, id);
-  if (!design.empty()) out = PutVarint(out, DesignId(design));
-  Append(event, static_cast<usize>(out - event));
+  if (!design.empty()) out = PutVarint(out, NameId(designs_, design));
+  bytes_.Append(event, static_cast<usize>(out - event));
   ++size_;
-}
-
-u32 TimelineRecorder::DesignId(std::string_view design) {
-  const auto it = std::find(designs_.begin(), designs_.end(), design);
-  if (it != designs_.end()) {
-    return static_cast<u32>(it - designs_.begin());
-  }
-  designs_.emplace_back(design);
-  return static_cast<u32>(designs_.size() - 1);
-}
-
-void TimelineRecorder::Append(const u8* bytes, usize count) {
-  // An event may straddle two chunks, so no chunk has a wasted tail.
-  while (count > 0) {
-    if (chunks_.empty() || tail_ == ChunkBytes(chunks_.size() - 1)) {
-      chunks_.push_back(std::make_unique<u8[]>(ChunkBytes(chunks_.size())));
-      tail_ = 0;
-    }
-    const usize take = std::min(count, ChunkBytes(chunks_.size() - 1) - tail_);
-    std::memcpy(chunks_.back().get() + tail_, bytes, take);
-    tail_ += take;
-    bytes += take;
-    count -= take;
-  }
 }
 
 std::vector<TimelineEvent> TimelineRecorder::events() const {
   std::vector<TimelineEvent> out;
   out.reserve(size_);
-  Reader reader(chunks_, designs_);
+  Reader reader(bytes_, designs_);
   for (usize i = 0; i < size_; ++i) {
     const Fact fact = reader.Next();
     out.push_back(TimelineEvent{Name(fact), Info(fact).category, fact.start,
@@ -217,7 +161,7 @@ std::vector<TimelineEvent> TimelineRecorder::events() const {
 
 std::string TimelineRecorder::ToChromeTrace() const {
   std::string out = "{\"traceEvents\":[";
-  Reader reader(chunks_, designs_);
+  Reader reader(bytes_, designs_);
   for (usize i = 0; i < size_; ++i) {
     const Fact fact = reader.Next();
     if (i > 0) out += ',';

@@ -10,11 +10,11 @@
 #pragma once
 
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "base/packed_bytes.h"
 #include "base/types.h"
 #include "base/units.h"
 
@@ -51,7 +51,8 @@ struct TimelineEvent {
 
 /// Records each event as a typed fact: its kind, start, duration,
 /// integer operands and design name, varint-packed to about 11 bytes
-/// and appended to byte chunks that are never copied. Names, categories
+/// and appended to byte chunks that are never copied (PackedBytes, the
+/// codec vcopd's job history shares). Names, categories
 /// and tracks are produced only when the timeline is exported, so
 /// recording formats no string and allocates only for a new chunk or a
 /// design name it has not seen before.
@@ -59,11 +60,8 @@ class TimelineRecorder {
  public:
   /// Storage chunk sizes. The first chunk is small, so a timeline of a
   /// few events holds 512 bytes; every later chunk holds 4 KB.
-  static constexpr usize kFirstChunkBytes = 512;
-  static constexpr usize kChunkBytes = 4096;
-  static constexpr usize ChunkBytes(usize index) {
-    return index == 0 ? kFirstChunkBytes : kChunkBytes;
-  }
+  static constexpr usize kFirstChunkBytes = PackedBytes::kFirstChunkBytes;
+  static constexpr usize kChunkBytes = PackedBytes::kChunkBytes;
 
   /// Records one event. `ids` are the kind's integer operands in the
   /// order its name shows them (at most two); `design` is its design
@@ -81,12 +79,7 @@ class TimelineRecorder {
   std::string ToChromeTrace() const;
 
  private:
-  /// The index of `design` in designs_, adding it on first sight.
-  u32 DesignId(std::string_view design);
-  void Append(const u8* bytes, usize count);
-
-  std::vector<std::unique_ptr<u8[]>> chunks_;
-  usize tail_ = 0;  // bytes used in chunks_.back()
+  PackedBytes bytes_;
   usize size_ = 0;
   /// Starts are stored as deltas from the previous event's start.
   Picoseconds last_start_ = 0;

@@ -1,7 +1,10 @@
 #include "os/vcopd.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <type_traits>
+#include <utility>
 
 #include "base/latency_histogram.h"
 #include "base/log.h"
@@ -17,22 +20,97 @@ std::string_view ToString(ServicePolicy policy) {
   return "?";
 }
 
+// A record is varints: tenant, pid, design index, status code,
+// submission, start and finish (each after the first as the modular
+// difference from the one before), preemptions, reconfigurations, slot
+// activations, configuration time, the report word by word, then the
+// status message's length and bytes.
+static_assert(std::is_trivially_copyable_v<ExecutionReport> &&
+              sizeof(ExecutionReport) % sizeof(u64) == 0);
+constexpr usize kReportWords = sizeof(ExecutionReport) / sizeof(u64);
+constexpr usize kMaxRecordBytes = (12 + kReportWords) * kMaxVarintBytes;
+
+Ticket JobHistory::Open() {
+  record_at_.push_back(kOpen);
+  return record_at_.size();
+}
+
+void JobHistory::Keep(const JobResult& r) {
+  VCOP_CHECK(r.ticket >= 1 && r.ticket <= record_at_.size() &&
+             record_at_[r.ticket - 1] == kOpen);
+  VCOP_CHECK_MSG(records_.size() < kOpen, "job history exceeds 4 GB");
+  record_at_[r.ticket - 1] = static_cast<u32>(records_.size());
+
+  u8 record[kMaxRecordBytes];
+  u8* out = record;
+  out = PutVarint(out, r.tenant);
+  out = PutVarint(out, r.pid);
+  out = PutVarint(out, NameId(designs_, r.bitstream));
+  out = PutVarint(out, static_cast<u64>(r.status.code()));
+  out = PutVarint(out, r.submitted_at);
+  out = PutVarint(out, r.started_at - r.submitted_at);
+  out = PutVarint(out, r.finished_at - r.started_at);
+  out = PutVarint(out, r.preemptions);
+  out = PutVarint(out, r.reconfigurations);
+  out = PutVarint(out, r.slot_activations);
+  out = PutVarint(out, r.config_time);
+  u64 words[kReportWords];
+  std::memcpy(words, &r.report, sizeof(words));
+  for (const u64 word : words) out = PutVarint(out, word);
+  const std::string& message = r.status.message();
+  out = PutVarint(out, message.size());
+  records_.Append(record, static_cast<usize>(out - record));
+  records_.Append(reinterpret_cast<const u8*>(message.data()),
+                  message.size());
+}
+
+bool JobHistory::Finished(Ticket ticket) const {
+  return ticket >= 1 && ticket <= record_at_.size() &&
+         record_at_[ticket - 1] != kOpen;
+}
+
+JobResult JobHistory::Get(Ticket ticket) const {
+  VCOP_CHECK(Finished(ticket));
+  PackedBytes::Reader in(records_, record_at_[ticket - 1]);
+  JobResult r;
+  r.ticket = ticket;
+  r.tenant = static_cast<TenantId>(in.Varint());
+  r.pid = static_cast<u32>(in.Varint());
+  r.bitstream = designs_[in.Varint()];
+  const auto code = static_cast<ErrorCode>(in.Varint());
+  r.submitted_at = in.Varint();
+  r.started_at = r.submitted_at + in.Varint();
+  r.finished_at = r.started_at + in.Varint();
+  r.preemptions = static_cast<u32>(in.Varint());
+  r.reconfigurations = static_cast<u32>(in.Varint());
+  r.slot_activations = static_cast<u32>(in.Varint());
+  r.config_time = in.Varint();
+  u64 words[kReportWords];
+  for (u64& word : words) word = in.Varint();
+  std::memcpy(&r.report, words, sizeof(words));
+  std::string message(in.Varint(), '\0');
+  for (char& c : message) c = static_cast<char>(in.Byte());
+  if (code != ErrorCode::kOk) r.status = Status(code, std::move(message));
+  return r;
+}
+
 std::vector<TenantFairness> ScheduleReport::per_pid() const {
-  std::map<u32, std::vector<const JobResult*>> by_pid;
-  for (const JobResult& o : outcomes) by_pid[o.pid].push_back(&o);
+  // Per pid: its busy time and every turnaround, in ticket order.
+  std::map<u32, std::pair<Picoseconds, std::vector<Picoseconds>>> by_pid;
+  for (const JobResult& o : outcomes) {
+    auto& [busy, turnarounds] = by_pid[o.pid];
+    busy += o.finished_at - o.started_at;
+    turnarounds.push_back(o.turnaround());
+  }
 
   std::vector<TenantFairness> result;
   result.reserve(by_pid.size());
-  for (const auto& [pid, jobs] : by_pid) {
+  for (auto& [pid, jobs] : by_pid) {
+    auto& [busy, turnarounds] = jobs;
     TenantFairness f;
     f.pid = pid;
-    f.jobs = jobs.size();
-    std::vector<Picoseconds> turnarounds;
-    turnarounds.reserve(jobs.size());
-    for (const JobResult* o : jobs) {
-      f.busy += o->finished_at - o->started_at;
-      turnarounds.push_back(o->turnaround());
-    }
+    f.jobs = turnarounds.size();
+    f.busy = busy;
     f.p50_turnaround = PercentileNearestRank(turnarounds, 0.50);
     f.p99_turnaround = PercentileNearestRank(std::move(turnarounds), 0.99);
     f.makespan_share =
@@ -162,14 +240,13 @@ Result<Ticket> Vcopd::Submit(
         tenant, config_.queue_depth));
   }
 
-  JobResult& result = results_.emplace_back();
-  result.ticket = results_.size();
+  auto job = std::make_unique<Job>();
+  JobResult& result = job->result;
+  result.ticket = history_.Open();
   result.tenant = tenant;
   result.pid = t->space->pid();
   result.bitstream = bitstream.name;
   result.submitted_at = kernel_.simulator().now();
-  auto job = std::make_unique<Job>();
-  job->result = &result;
   job->bitstream = bitstream;
   job->params.assign(params.begin(), params.end());
   job->on_complete = std::move(on_complete);
@@ -178,25 +255,24 @@ Result<Ticket> Vcopd::Submit(
   return result.ticket;
 }
 
-const JobResult* Vcopd::Poll(Ticket ticket) const {
-  const JobResult* result = FindResult(ticket);
-  return result != nullptr && Finished(*result) ? result : nullptr;
+std::optional<JobResult> Vcopd::Poll(Ticket ticket) const {
+  if (!history_.Finished(ticket)) return std::nullopt;
+  return history_.Get(ticket);
 }
 
 Result<JobResult> Vcopd::Wait(Ticket ticket) {
-  const JobResult* result = FindResult(ticket);
-  if (result == nullptr) {
+  if (ticket == 0 || ticket > history_.tickets()) {
     return NotFoundError(StrFormat(
         "unknown ticket %llu", static_cast<unsigned long long>(ticket)));
   }
-  while (!Finished(*result)) {
+  while (!history_.Finished(ticket)) {
     Tenant* next = PickNext();
     VCOP_CHECK_MSG(next != nullptr,
                    "ticket pending but no tenant is runnable");
     const Status status = RunSlice(*next);
     if (!status.ok()) return status;
   }
-  return *result;
+  return history_.Get(ticket);
 }
 
 bool Vcopd::HasWork() const {
@@ -236,18 +312,18 @@ AddressSpace* Vcopd::FindSpace(hw::Asid asid) {
 
 ScheduleReport Vcopd::BuildScheduleReport() const {
   ScheduleReport report;
-  report.outcomes.reserve(results_.size());
-  Picoseconds first_submit = 0;
-  Picoseconds last_finish = 0;
-  bool any = false;
-  for (const JobResult& r : results_) {
-    if (!Finished(r)) continue;
-    if (!any || r.submitted_at < first_submit) first_submit = r.submitted_at;
-    last_finish = std::max(last_finish, r.finished_at);
-    any = true;
-    report.outcomes.push_back(r);
+  report.outcomes.history_ = &history_;
+  std::vector<Ticket>& finished = report.outcomes.tickets_;
+  for (Ticket ticket = 1; ticket <= history_.tickets(); ++ticket) {
+    if (history_.Finished(ticket)) finished.push_back(ticket);
   }
-  if (any) report.makespan = last_finish - first_submit;
+  Picoseconds first_submit = ~Picoseconds{0};
+  Picoseconds last_finish = 0;
+  for (const JobResult& r : report.outcomes) {
+    first_submit = std::min(first_submit, r.submitted_at);
+    last_finish = std::max(last_finish, r.finished_at);
+  }
+  if (!finished.empty()) report.makespan = last_finish - first_submit;
   return report;
 }
 
@@ -255,18 +331,6 @@ Vcopd::Tenant* Vcopd::FindTenant(TenantId id) {
   if (id == 0 || id > tenants_.size()) return nullptr;
   Tenant* t = tenants_[id - 1].get();
   return t->active ? t : nullptr;
-}
-
-const JobResult* Vcopd::FindResult(Ticket ticket) const {
-  if (ticket == 0 || ticket > results_.size()) return nullptr;
-  return &results_[ticket - 1];
-}
-
-bool Vcopd::Finished(const JobResult& result) const {
-  // A tenant's jobs finish in ticket order: one at a time is in flight,
-  // and the rest wait in its queue in the order they were submitted.
-  const Job* oldest = OldestJob(*tenants_[result.tenant - 1]);
-  return oldest == nullptr || result.ticket < oldest->result->ticket;
 }
 
 const Vcopd::Job* Vcopd::OldestJob(const Tenant& tenant) {
@@ -308,7 +372,7 @@ Vcopd::Tenant* Vcopd::PickNext() {
       const u32 rank = design == fabric.active_design() ? 2
                        : fabric.DesignResident(design)  ? 1
                                                         : 0;
-      const Ticket ticket = OldestJob(*t)->result->ticket;
+      const Ticket ticket = OldestJob(*t)->result.ticket;
       if (best == nullptr || rank > best_rank ||
           (rank == best_rank && ticket < best_ticket)) {
         best = t.get();
@@ -395,16 +459,16 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
   if (got.reconfigured) {
     ++stats_.reconfigurations;
     stats_.total_config_time += got.time;
-    ++job.result->reconfigurations;
-    job.result->config_time += got.time;
+    ++job.result.reconfigurations;
+    job.result.config_time += got.time;
     kernel_.timeline().Record(TimelineKind::kVcopdConfigure,
                               kernel_.simulator().now(), got.time, {},
                               job.bitstream.name);
   } else if (got.activated) {
     ++stats_.slot_activations;
     stats_.total_activation_time += got.time;
-    ++job.result->slot_activations;
-    job.result->config_time += got.time;
+    ++job.result.slot_activations;
+    job.result.config_time += got.time;
     kernel_.timeline().Record(TimelineKind::kVcopdActivate,
                               kernel_.simulator().now(), got.time, {},
                               job.bitstream.name);
@@ -435,14 +499,14 @@ Status Vcopd::RunSlice(Tenant& tenant) {
       job->design->Stop();
       kernel_.vim().FlushAsid(tenant.space->asid());
     } else {
-      job->result->started_at = dispatch_time;
+      job->result.started_at = dispatch_time;
     }
     FinishJob(tenant, switched.status());
     return Status::Ok();
   }
   const Picoseconds lead = switched.value();
   if (!resuming) {
-    job->result->started_at = dispatch_time;
+    job->result.started_at = dispatch_time;
     job->design = kernel_.Instantiate(job->bitstream, tenant.space->asid());
   }
   kernel_.Bind(*tenant.space, *job->design);
@@ -456,13 +520,13 @@ Status Vcopd::RunSlice(Tenant& tenant) {
       FinishJob(tenant, setup.status());
       return Status::Ok();
     }
-    job->result->report.t_invoke += lead + setup.value();
+    job->result.report.t_invoke += lead + setup.value();
     slice_started_at_ = dispatch_time + lead + setup.value();
     kernel_.timeline().Record(TimelineKind::kVcopdDispatch, dispatch_time,
                               lead + setup.value(), {tenant.space->pid()},
                               job->bitstream.name);
   } else {
-    job->result->report.t_invoke += lead;
+    job->result.report.t_invoke += lead;
     // RestoreContext charges its own time to the space's accounting.
     const Picoseconds restore = vim.RestoreContext();
     const Picoseconds go = dispatch_time + lead + restore;
@@ -490,7 +554,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   job->tlb_acc += kernel_.shared_tlb().stats() - tlb_mark;
 
   if (!end.done) {
-    ++job->result->preemptions;
+    ++job->result.preemptions;
     ++stats_.preemptions;
   } else {
     // A fault-budget abort, hang abort or non-convergence quarantines
@@ -514,9 +578,9 @@ void Vcopd::Quarantine(Tenant& tenant) {
 }
 
 void Vcopd::FinishJob(Tenant& tenant, Status status) {
-  // The job is freed on return; its result stays in results_.
+  // The job is freed on return, once its result is in the history.
   const std::unique_ptr<Job> job = std::move(tenant.inflight);
-  JobResult& r = *job->result;
+  JobResult& r = job->result;
   r.status = std::move(status);
   r.finished_at = kernel_.simulator().now();
   if (r.status.ok()) {
@@ -534,6 +598,7 @@ void Vcopd::FinishJob(Tenant& tenant, Status status) {
                             r.finished_at, 0, {tenant.space->pid()},
                             job->bitstream.name);
   if (job->on_complete) job->on_complete(r);
+  history_.Keep(r);
 }
 
 }  // namespace vcop::os

@@ -37,14 +37,15 @@
 // instant.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "base/packed_bytes.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "base/units.h"
@@ -140,13 +141,79 @@ struct TenantFairness {
   double makespan_share = 0.0;
 };
 
+/// Every finished job's result, packed into one record of varints
+/// (PackedBytes, the codec the timeline shares) when the job finishes:
+/// about 130 bytes for a service_open job, where a JobResult takes 464.
+/// A record decodes to the JobResult it was packed from, every field
+/// bit for bit.
+class JobHistory {
+ public:
+  /// Issues the next ticket (1, 2, ...), unfinished until Keep.
+  Ticket Open();
+  /// Packs `result`, the finished job of an open ticket.
+  void Keep(const JobResult& result);
+
+  /// Whether `ticket` was issued and has finished.
+  bool Finished(Ticket ticket) const;
+  /// The finished job's result, decoded. Precondition: Finished(ticket).
+  JobResult Get(Ticket ticket) const;
+  /// Tickets issued so far.
+  Ticket tickets() const { return record_at_.size(); }
+
+ private:
+  /// record_at_'s mark for an issued ticket that has not finished.
+  static constexpr u32 kOpen = ~u32{0};
+
+  PackedBytes records_;
+  /// Each ticket's record offset in records_, at index ticket - 1.
+  std::vector<u32> record_at_;
+  /// Each design name once; a record holds its index.
+  std::vector<std::string> designs_;
+};
+
+/// A schedule report's finished jobs in ticket order, decoded from the
+/// daemon's history on access: it keeps the tickets, and an element is
+/// a JobResult by value. Valid for the daemon's lifetime; a report that
+/// must outlive its daemon keeps what it needs from the decoded values.
+class JobOutcomes {
+ public:
+  class Iterator {
+   public:
+    JobResult operator*() const { return history_->Get(*ticket_); }
+    Iterator& operator++() {
+      ++ticket_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return ticket_ == other.ticket_;
+    }
+
+   private:
+    friend class JobOutcomes;
+    Iterator(const JobHistory* history,
+             std::vector<Ticket>::const_iterator ticket)
+        : history_(history), ticket_(ticket) {}
+
+    const JobHistory* history_;
+    std::vector<Ticket>::const_iterator ticket_;
+  };
+
+  usize size() const { return tickets_.size(); }
+  JobResult operator[](usize i) const { return history_->Get(tickets_[i]); }
+  Iterator begin() const { return {history_, tickets_.begin()}; }
+  Iterator end() const { return {history_, tickets_.end()}; }
+
+ private:
+  friend class Vcopd;
+  const JobHistory* history_ = nullptr;
+  std::vector<Ticket> tickets_;
+};
+
 /// Every finished job in ticket order. Service-wide counters live in
 /// VcopdStats, VimServiceStats and VcopServiceStats.
 struct ScheduleReport {
-  /// The daemon's own results (Vcopd::Poll's), not copies: each stays
-  /// valid, and unchanged, for the daemon's lifetime. A report that must
-  /// outlive its daemon keeps what it needs from them instead.
-  std::vector<std::reference_wrapper<const JobResult>> outcomes;
+  /// Decoded from the daemon's history as they are read.
+  JobOutcomes outcomes;
   /// First submission to last completion.
   Picoseconds makespan = 0;
 
@@ -209,17 +276,17 @@ class Vcopd {
 
   /// Validates and enqueues a job; returns its ticket without running
   /// anything. `on_complete` (optional) fires on the simulated timeline
-  /// at the job's completion instant, before Wait/Poll observe it.
+  /// at the job's completion instant, with the live result, before
+  /// Wait/Poll observe it.
   Result<Ticket> Submit(
       TenantId tenant, const hw::Bitstream& bitstream,
       std::span<const u32> params,
       std::function<void(const JobResult&)> on_complete = nullptr);
 
   /// Non-blocking completion check: the result once the job finished,
-  /// nullptr while it is still queued or on the fabric. The pointer
-  /// stays valid, and the result unchanged, for the daemon's lifetime;
-  /// a schedule report's outcomes refer to the same results.
-  const JobResult* Poll(Ticket ticket) const;
+  /// decoded from the history, for the daemon's lifetime; nothing while
+  /// it is still queued or on the fabric, or for an unknown ticket.
+  std::optional<JobResult> Poll(Ticket ticket) const;
 
   /// Drives the service until `ticket` completes (other tenants' work
   /// proceeds meanwhile, exactly as the daemon would schedule it).
@@ -248,16 +315,16 @@ class Vcopd {
   const VcopdConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   AddressSpace* FindSpace(hw::Asid asid);
-  /// Completed work as a schedule report: every finished job's result,
-  /// referred to where Poll finds it, so the report is valid for the
-  /// daemon's lifetime (per-pid digests via per_pid()).
+  /// Completed work as a schedule report: the finished tickets, each
+  /// decoded from the history as the report is read, so the report is
+  /// valid for the daemon's lifetime (per-pid digests via per_pid()).
   ScheduleReport BuildScheduleReport() const;
 
  private:
-  /// A submitted job until it finishes. Its result lives in results_
-  /// from Submit on; FinishJob frees the rest once on_complete has run.
+  /// A submitted job until it finishes. FinishJob packs its result into
+  /// history_ once on_complete has run, and frees the job.
   struct Job {
-    JobResult* result = nullptr;
+    JobResult result;
     hw::Bitstream bitstream;
     std::vector<u32> params;
     std::function<void(const JobResult&)> on_complete;
@@ -292,11 +359,6 @@ class Vcopd {
   };
 
   Tenant* FindTenant(TenantId id);
-  /// The result of `ticket`, finished or not; nullptr for a ticket
-  /// Submit never returned.
-  const JobResult* FindResult(Ticket ticket) const;
-  /// Whether the job behind `result` has finished.
-  bool Finished(const JobResult& result) const;
   /// The tenant's oldest unfinished job: the one in flight, else its
   /// queue head; nullptr when it has none.
   static const Job* OldestJob(const Tenant& tenant);
@@ -327,7 +389,8 @@ class Vcopd {
   /// hang or non-convergence abort.
   void Quarantine(Tenant& tenant);
   /// Ends the tenant's in-flight job with `status`: settles its result,
-  /// retires its design, runs on_complete and frees the job.
+  /// retires its design, runs on_complete, packs the result into the
+  /// history and frees the job.
   void FinishJob(Tenant& tenant, Status status);
 
   Kernel& kernel_;
@@ -335,10 +398,8 @@ class Vcopd {
   AsidAllocator asids_;
 
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  /// One result per ticket Submit returned, at index ticket - 1: what a
-  /// finished job keeps. A deque keeps each at a stable address as it
-  /// grows.
-  std::deque<JobResult> results_;
+  /// What a finished job keeps: its packed result.
+  JobHistory history_;
   u32 next_pid_ = 2;  // pid 1 is the kernel's default space
 
   // The design on the fabric and the resident set live in the fabric's

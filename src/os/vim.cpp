@@ -505,7 +505,7 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
   // Budget per fault service: a couple of pages, so a burst of dirty
   // pages cannot starve fault handling behind a long copy queue.
   u32 budget = 2;
-  for (const mem::FrameId f : pages_.InUseFramesOf(space_->asid())) {
+  for (const mem::FrameId f : pages_.HeadsOf(space_->asid())) {
     if (budget == 0) break;
     const FrameState state = pages_.frame(f);
     // A page already queued stays dirty until its unit lands: a second
@@ -559,10 +559,10 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
 
 void Vim::HarvestRecency() {
   hot_frames_.assign(geometry_.num_frames(), false);
-  for (const mem::FrameId f : imu_->tlb().HarvestAccessed()) {
+  imu_->tlb().HarvestAccessed([this](mem::FrameId f) {
     pages_.Touch(f);
     hot_frames_[f] = true;
-  }
+  });
 }
 
 void Vim::KeepDirty(const hw::TlbEntry& entry) {
@@ -615,7 +615,7 @@ void Vim::OnEndOfOperation() {
 
   // "The interface manager copies back to user space all the dirty data
   // currently residing in the dual-port memory." (§3.3)
-  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
+  for (const mem::FrameId f : pages_.HeadsOf(asid)) {
     const FrameState state = pages_.frame(f);
     if (state.object == hw::kParamObject) {
       ReleaseParamFrame();
@@ -686,7 +686,7 @@ void Vim::SaveContext(ServiceTime& cost) {
   // written back eagerly, so a foreign eviction of one of our frames
   // while we are switched out is a free drop.
   MergeTlbDirty(asid);
-  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
+  for (const mem::FrameId f : pages_.HeadsOf(asid)) {
     const FrameState state = pages_.frame(f);
     if (!state.dirty) continue;
     const MappedObject* object = space_->objects().Find(state.object);
@@ -734,7 +734,7 @@ Picoseconds Vim::RestoreContext() {
 void Vim::FlushAsid(hw::Asid asid) {
   VCOP_CHECK_MSG(imu_ != nullptr, "flush with no IMU bound");
   imu_->tlb().InvalidateAsid(asid);
-  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) FreeFrame(f);
+  for (const mem::FrameId f : pages_.HeadsOf(asid)) FreeFrame(f);
   if (AddressSpace* owner = ResolveSpace(asid)) owner->param_frame.reset();
   // The ASID's interface state is gone, and with it every cached DMA
   // translation.

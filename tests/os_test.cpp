@@ -354,13 +354,43 @@ TEST(PageManagerTest, DirtyTracking) {
   EXPECT_FALSE(pm.frame(0).dirty) << "dirty must not leak across installs";
 }
 
+/// The head frames `walk` visits, in order; `release` frees each run
+/// as the walk visits it.
+std::vector<mem::FrameId> Visited(PageManager& pm, hw::Asid asid,
+                                  bool release = false) {
+  std::vector<mem::FrameId> visited;
+  for (const mem::FrameId f : pm.HeadsOf(asid)) {
+    visited.push_back(f);
+    if (release) pm.Release(f);
+  }
+  return visited;
+}
+
 TEST(PageManagerTest, InUseFramesEnumerates) {
   PageManager pm(mem::PageGeometry(1024, 4));
   pm.Install(3, 1, 0, /*pinned=*/false, /*asid=*/0);
   pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/0);
   pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/2);
-  EXPECT_EQ(pm.InUseFramesOf(0), (std::vector<mem::FrameId>{1, 3}));
-  EXPECT_EQ(pm.InUseFramesOf(2), (std::vector<mem::FrameId>{0}));
+  EXPECT_EQ(Visited(pm, 0), (std::vector<mem::FrameId>{1, 3}));
+  EXPECT_EQ(Visited(pm, 2), (std::vector<mem::FrameId>{0}));
+  EXPECT_TRUE(Visited(pm, 5).empty());
+}
+
+/// A loop body may free the run it visits: the walk still visits every
+/// other head of the space, skips the freed run's tails as it skips a
+/// live run's, and leaves the space with no frame.
+TEST(PageManagerTest, HeadWalkSurvivesReleasingEachRun) {
+  PageManager pm(mem::PageGeometry(1024, 8));
+  pm.Install(0, 1, 0, /*pinned=*/false, /*asid=*/3, /*span=*/2);
+  pm.Install(2, 1, 1, /*pinned=*/false, /*asid=*/4);
+  pm.Install(4, 2, 0, /*pinned=*/false, /*asid=*/3, /*span=*/4);
+  pm.Install(3, 1, 2, /*pinned=*/false, /*asid=*/3);
+  EXPECT_EQ(Visited(pm, 3), (std::vector<mem::FrameId>{0, 3, 4}));
+  EXPECT_EQ(Visited(pm, 3, /*release=*/true),
+            (std::vector<mem::FrameId>{0, 3, 4}));
+  EXPECT_TRUE(Visited(pm, 3).empty());
+  EXPECT_EQ(pm.frames_in_use(), 1u);
+  EXPECT_EQ(Visited(pm, 4), (std::vector<mem::FrameId>{2}));
 }
 
 TEST(PageManagerDeathTest, DoubleInstallAborts) {

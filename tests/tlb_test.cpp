@@ -72,10 +72,14 @@ TEST(TlbTest, AccessedBitsHarvest) {
   // Touch entries 0 and 2 via lookups.
   ASSERT_TRUE(tlb.Lookup(1, 0).has_value());
   ASSERT_TRUE(tlb.Lookup(1, 2).has_value());
-  const std::vector<mem::FrameId> touched = tlb.HarvestAccessed();
+  std::vector<mem::FrameId> touched;
+  auto collect = [&touched](mem::FrameId f) { touched.push_back(f); };
+  tlb.HarvestAccessed(collect);
   EXPECT_EQ(touched, (std::vector<mem::FrameId>{5, 7}));
-  // Bits cleared: a second harvest is empty.
-  EXPECT_TRUE(tlb.HarvestAccessed().empty());
+  // Bits cleared: a second harvest visits nothing.
+  touched.clear();
+  tlb.HarvestAccessed(collect);
+  EXPECT_TRUE(touched.empty());
 }
 
 TEST(TlbTest, FindByFrameAndFindFree) {

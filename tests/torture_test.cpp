@@ -405,8 +405,8 @@ struct SlotRig {
     VCOP_CHECK(daemon.RunUntilIdle().ok());
     std::vector<Status> statuses;
     for (const os::Ticket ticket : tickets) {
-      const os::JobResult* result = daemon.Poll(ticket);
-      VCOP_CHECK(result != nullptr);
+      const std::optional<os::JobResult> result = daemon.Poll(ticket);
+      VCOP_CHECK(result.has_value());
       statuses.push_back(result->status);
     }
     return statuses;

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,7 +78,7 @@ TEST(VcopdTest, SubmitPollWaitRoundTrip) {
       StageTenant(sys, daemon, "solo", MakeJob(App::kVecAdd, 2048, 1));
 
   const Ticket ticket = job.Submit(daemon).value();
-  EXPECT_EQ(daemon.Poll(ticket), nullptr);  // queued, nothing ran yet
+  EXPECT_FALSE(daemon.Poll(ticket).has_value());  // queued, nothing ran yet
   EXPECT_EQ(daemon.stats().submitted, 1u);
 
   const Result<JobResult> result = daemon.Wait(ticket);
@@ -85,8 +86,8 @@ TEST(VcopdTest, SubmitPollWaitRoundTrip) {
   EXPECT_TRUE(result.value().status.ok());
   EXPECT_TRUE(job.Exact());
 
-  const JobResult* polled = daemon.Poll(ticket);
-  ASSERT_NE(polled, nullptr);
+  const std::optional<JobResult> polled = daemon.Poll(ticket);
+  ASSERT_TRUE(polled.has_value());
   EXPECT_EQ(polled->ticket, ticket);
   EXPECT_GT(polled->finished_at, polled->started_at);
   EXPECT_EQ(daemon.stats().completed, 1u);
@@ -109,8 +110,8 @@ TEST(VcopdTest, CompletionCallbackFiresAtCompletionInstant) {
                            }).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
-  const JobResult* result = daemon.Poll(ticket);
-  ASSERT_NE(result, nullptr);
+  const std::optional<JobResult> result = daemon.Poll(ticket);
+  ASSERT_TRUE(result.has_value());
   EXPECT_EQ(callback_at, result->finished_at);
   EXPECT_TRUE(exact_at_completion);
 }
@@ -395,8 +396,8 @@ void ExpectLoneTenantPagesLikeFpgaExecute(const KernelConfig& config,
     lone.ClearOutput();
     const Ticket ticket = lone.Submit(daemon).value();
     ASSERT_TRUE(daemon.RunUntilIdle().ok());
-    const JobResult* result = daemon.Poll(ticket);
-    ASSERT_NE(result, nullptr);
+    const std::optional<JobResult> result = daemon.Poll(ticket);
+    ASSERT_TRUE(result.has_value());
     ASSERT_TRUE(result->status.ok()) << result->status.ToString();
     EXPECT_TRUE(lone.Exact());
     ExpectSamePaging(result->report, want.value());
@@ -533,8 +534,8 @@ TEST(VcopdTest, FailedResumeRetiresAStoppedDesign) {
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
   sys.kernel().InstallFaultPlan(nullptr);
 
-  const JobResult* failed = daemon.Poll(struck);
-  ASSERT_NE(failed, nullptr);
+  const std::optional<JobResult> failed = daemon.Poll(struck);
+  ASSERT_TRUE(failed.has_value());
   EXPECT_EQ(failed->status.code(), ErrorCode::kUnavailable)
       << failed->status.ToString();
   EXPECT_GT(failed->preemptions, 0u);
@@ -716,10 +717,11 @@ void ExpectSameResult(const JobResult& got, const JobResult& want) {
   EXPECT_EQ(bench::ReportMismatch(got.report, want.report), "");
 }
 
-/// A finished job keeps only its JobResult, at a stable address. Two
-/// tenants x 500 jobs that preempt each other: Poll, Wait and the
-/// schedule report give every ticket the result on_complete saw, and a
-/// pointer Poll gave before those 1000 submissions still reads the same.
+/// A finished job keeps only its packed result. Two tenants x 500 jobs
+/// that preempt each other, and one job of a third tenant that fails
+/// with a message: Poll, Wait and the schedule report decode for every
+/// ticket the result on_complete saw, field by field, and the first
+/// job's result reads the same after those 1001 submissions as before.
 TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
   FpgaSystem sys(TestConfig());
   VcopdConfig config;
@@ -730,24 +732,35 @@ TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
       StageTenant(sys, daemon, "adpcm", MakeJob(App::kAdpcm, 1024, 1));
   StagedJob vecadd =
       StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 256, 2));
+  const TenantId unmapped = daemon.RegisterTenant("unmapped").value();
   std::map<Ticket, JobResult> seen;
   auto record = [&seen](const JobResult& r) { seen.emplace(r.ticket, r); };
 
   std::vector<Ticket> tickets = {adpcm.Submit(daemon, record).value()};
   ASSERT_TRUE(daemon.Wait(tickets[0]).ok());
-  const JobResult* early = daemon.Poll(tickets[0]);
-  ASSERT_NE(early, nullptr);
-  const JobResult early_copy = *early;
+  const std::optional<JobResult> early = daemon.Poll(tickets[0]);
+  ASSERT_TRUE(early.has_value());
 
+  Ticket broken = 0;
   for (int i = 0; i < 500; ++i) {
     tickets.push_back(adpcm.Submit(daemon, record).value());
     tickets.push_back(vecadd.Submit(daemon, record).value());
+    if (i == 250) {
+      const u32 params[] = {8u};
+      broken = daemon.Submit(unmapped, cp::VecAddBitstream(), params, record)
+                   .value();
+      tickets.push_back(broken);
+    }
   }
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
   EXPECT_GT(daemon.stats().preemptions, 0u);
-  EXPECT_EQ(daemon.stats().completed, tickets.size());
-  EXPECT_EQ(daemon.Poll(tickets[0]), early);
-  ExpectSameResult(*early, early_copy);
+  EXPECT_EQ(daemon.stats().completed, tickets.size() - 1);
+  EXPECT_EQ(daemon.stats().failed, 1u);
+  ExpectSameResult(*daemon.Poll(tickets[0]), *early);
+  ASSERT_EQ(seen.count(broken), 1u);
+  EXPECT_FALSE(seen.at(broken).status.ok());
+  EXPECT_FALSE(seen.at(broken).status.message().empty());
+  EXPECT_GT(seen.at(tickets[0]).report.vim.fault_service_us.count(), 0u);
 
   const ScheduleReport report = daemon.BuildScheduleReport();
   ASSERT_EQ(seen.size(), tickets.size());
@@ -755,18 +768,19 @@ TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
   for (usize i = 0; i < tickets.size(); ++i) {
     SCOPED_TRACE(StrFormat("ticket %zu", i + 1));
     const JobResult& saw = seen.at(tickets[i]);
-    ASSERT_NE(daemon.Poll(tickets[i]), nullptr);
+    ASSERT_TRUE(daemon.Poll(tickets[i]).has_value());
     ExpectSameResult(*daemon.Poll(tickets[i]), saw);
     ExpectSameResult(daemon.Wait(tickets[i]).value(), saw);
     ExpectSameResult(report.outcomes[i], saw);
   }
 }
 
-/// The schedule report refers to the daemon's results instead of copying
-/// them. Built between the slices of two tenants that preempt each
-/// other, it holds exactly the finished jobs, in ticket order, each at
-/// the address Poll gives; a job still queued or switched out is absent.
-TEST(VcopdTest, ScheduleReportRefersToTheDaemonsResults) {
+/// The schedule report decodes the daemon's history as it is read. Built
+/// between the slices of two tenants that preempt each other, it holds
+/// exactly the finished jobs, in ticket order, each equal to what Poll
+/// decodes; a job still queued or switched out is absent. The first
+/// partial report reads the same once every job has finished.
+TEST(VcopdTest, ScheduleReportDecodesTheHistory) {
   FpgaSystem sys(TestConfig());
   VcopdConfig config;
   config.time_slice = 20 * 1000 * 1000;  // 20 us
@@ -782,26 +796,39 @@ TEST(VcopdTest, ScheduleReportRefersToTheDaemonsResults) {
   }
 
   usize partial_reports = 0;  // built with some jobs finished, some not
+  std::optional<ScheduleReport> first_partial;
+  std::vector<JobResult> first_partial_read;
   while (daemon.HasWork()) {
     ASSERT_TRUE(daemon.RunOne().ok());
     const ScheduleReport report = daemon.BuildScheduleReport();
     std::vector<Ticket> finished;
     for (const Ticket ticket : tickets) {
-      if (daemon.Poll(ticket) != nullptr) finished.push_back(ticket);
+      if (daemon.Poll(ticket).has_value()) finished.push_back(ticket);
     }
     if (!finished.empty() && finished.size() < tickets.size()) {
       ++partial_reports;
+      if (!first_partial.has_value()) {
+        first_partial = report;
+        for (const JobResult& outcome : report.outcomes) {
+          first_partial_read.push_back(outcome);
+        }
+      }
     }
     ASSERT_EQ(report.outcomes.size(), finished.size());
     for (usize i = 0; i < finished.size(); ++i) {
-      const JobResult& outcome = report.outcomes[i];
+      const JobResult outcome = report.outcomes[i];
       EXPECT_EQ(outcome.ticket, finished[i]);
-      EXPECT_EQ(&outcome, daemon.Poll(finished[i]));
+      ExpectSameResult(outcome, *daemon.Poll(finished[i]));
     }
   }
   EXPECT_GT(partial_reports, 0u);
   EXPECT_GT(daemon.stats().preemptions, 0u);
   EXPECT_EQ(daemon.BuildScheduleReport().outcomes.size(), tickets.size());
+  ASSERT_TRUE(first_partial.has_value());
+  ASSERT_EQ(first_partial->outcomes.size(), first_partial_read.size());
+  for (usize i = 0; i < first_partial_read.size(); ++i) {
+    ExpectSameResult(first_partial->outcomes[i], first_partial_read[i]);
+  }
 }
 
 // ----- error paths and fault recovery -----
@@ -809,8 +836,8 @@ TEST(VcopdTest, ScheduleReportRefersToTheDaemonsResults) {
 TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
   FpgaSystem sys(TestConfig());
   Vcopd daemon(sys.kernel());
-  EXPECT_EQ(daemon.Poll(0), nullptr);
-  EXPECT_EQ(daemon.Poll(1), nullptr);
+  EXPECT_FALSE(daemon.Poll(0).has_value());
+  EXPECT_FALSE(daemon.Poll(1).has_value());
   for (const Ticket never : {Ticket{0}, Ticket{999}}) {
     const Result<JobResult> wait = daemon.Wait(never);
     ASSERT_FALSE(wait.ok());
@@ -823,9 +850,9 @@ TEST(VcopdTest, UnknownTicketPollsNullAndWaitFailsCleanly) {
       StageTenant(sys, daemon, "known", MakeJob(App::kVecAdd, 256, 10));
   const Ticket ticket = job.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
-  EXPECT_NE(daemon.Poll(ticket), nullptr);
+  EXPECT_TRUE(daemon.Poll(ticket).has_value());
   for (const Ticket never : {Ticket{0}, ticket + 1}) {
-    EXPECT_EQ(daemon.Poll(never), nullptr);
+    EXPECT_FALSE(daemon.Poll(never).has_value());
     EXPECT_EQ(daemon.Wait(never).status().code(), ErrorCode::kNotFound);
   }
 }
@@ -850,8 +877,8 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   const Ticket tb = bystander.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
-  const JobResult* rv = daemon.Poll(tv);
-  ASSERT_NE(rv, nullptr);
+  const std::optional<JobResult> rv = daemon.Poll(tv);
+  ASSERT_TRUE(rv.has_value());
   ASSERT_FALSE(rv->status.ok());
   EXPECT_EQ(rv->status.code(), ErrorCode::kUnavailable)
       << rv->status.ToString();
@@ -859,8 +886,8 @@ TEST(VcopdTest, HangAbortQuarantinesTenantAndSparesOthers) {
   EXPECT_GE(sys.kernel().vim().service_stats().watchdog_hang_aborts, 1u);
 
   // The bystander completed exactly despite sharing the fabric.
-  const JobResult* rb = daemon.Poll(tb);
-  ASSERT_NE(rb, nullptr);
+  const std::optional<JobResult> rb = daemon.Poll(tb);
+  ASSERT_TRUE(rb.has_value());
   EXPECT_TRUE(rb->status.ok()) << rb->status.ToString();
   EXPECT_TRUE(bystander.Exact());
 
@@ -983,8 +1010,8 @@ TEST(VcopdFifoTest, SameDesignJobsRunInTicketOrderUnderOneConfiguration) {
 
   EXPECT_EQ(daemon.stats().reconfigurations, 1u);
   for (usize i = 0; i < jobs.size(); ++i) {
-    const JobResult* r = daemon.Poll(tickets[i]);
-    ASSERT_NE(r, nullptr);
+    const std::optional<JobResult> r = daemon.Poll(tickets[i]);
+    ASSERT_TRUE(r.has_value());
     EXPECT_TRUE(r->status.ok()) << r->status.ToString();
     EXPECT_LT(r->started_at, r->finished_at);
     if (i > 0) {
@@ -1080,9 +1107,9 @@ TEST(VcopdFifoTest, UnmappedTenantsJobFailsAlone) {
   const Ticket healthy = mapped.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
-  ASSERT_NE(daemon.Poll(broken), nullptr);
+  ASSERT_TRUE(daemon.Poll(broken).has_value());
   EXPECT_FALSE(daemon.Poll(broken)->status.ok());
-  ASSERT_NE(daemon.Poll(healthy), nullptr);
+  ASSERT_TRUE(daemon.Poll(healthy).has_value());
   EXPECT_TRUE(daemon.Poll(healthy)->status.ok())
       << daemon.Poll(healthy)->status.ToString();
   EXPECT_TRUE(mapped.Exact());
@@ -1126,10 +1153,10 @@ TEST(VcopdFifoTest, TurnaroundAccountsWaiting) {
   const Ticket t2 = second.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
-  const JobResult* r1 = daemon.Poll(t1);
-  const JobResult* r2 = daemon.Poll(t2);
-  ASSERT_NE(r1, nullptr);
-  ASSERT_NE(r2, nullptr);
+  const std::optional<JobResult> r1 = daemon.Poll(t1);
+  const std::optional<JobResult> r2 = daemon.Poll(t2);
+  ASSERT_TRUE(r1.has_value());
+  ASSERT_TRUE(r2.has_value());
   ASSERT_TRUE(r1->status.ok());
   ASSERT_TRUE(r2->status.ok());
   EXPECT_GT(r2->wait(), 0u);
@@ -1206,8 +1233,8 @@ TEST(VcopdReconfigTest, ResumeViaActivationWhenDesignStaysResident) {
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   EXPECT_GT(daemon.stats().preemptions, 0u);
-  const JobResult* r1 = daemon.Poll(t1);
-  ASSERT_NE(r1, nullptr);
+  const std::optional<JobResult> r1 = daemon.Poll(t1);
+  ASSERT_TRUE(r1.has_value());
   ASSERT_TRUE(r1->status.ok());
   EXPECT_GT(r1->preemptions, 0u);
   // Both designs fit the 3-slot cache, so resumed slices re-activate
@@ -1245,8 +1272,8 @@ TEST(VcopdReconfigTest, ResumeViaCacheMissAfterEviction) {
   ASSERT_TRUE(vecadd.Submit(daemon).ok());
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
-  const JobResult* ra = daemon.Poll(ta);
-  ASSERT_NE(ra, nullptr);
+  const std::optional<JobResult> ra = daemon.Poll(ta);
+  ASSERT_TRUE(ra.has_value());
   ASSERT_TRUE(ra->status.ok());
   EXPECT_GT(ra->preemptions, 0u);
   // The resumed slice found its slot evicted: >= 2 full

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -439,8 +440,8 @@ AdpcmRun RunAdpcmVcopd(FaultPlan* plan) {
   if (plan != nullptr) sys.kernel().InstallFaultPlan(plan);
   const os::Ticket ticket = staged.Submit(daemon).value();
   VCOP_CHECK(daemon.RunUntilIdle().ok());
-  const os::JobResult* result = daemon.Poll(ticket);
-  VCOP_CHECK(result != nullptr);
+  const std::optional<os::JobResult> result = daemon.Poll(ticket);
+  VCOP_CHECK(result.has_value());
   AdpcmRun out;
   out.status = result->status;
   out.exact = result->status.ok() && staged.Exact();
@@ -473,8 +474,8 @@ std::vector<AdpcmRun> RunAdpcmPair(FaultPlan* plan) {
   VCOP_CHECK(daemon.RunUntilIdle().ok());
   std::vector<AdpcmRun> runs(staged.size());
   for (usize i = 0; i < staged.size(); ++i) {
-    const os::JobResult* result = daemon.Poll(tickets[i]);
-    VCOP_CHECK(result != nullptr);
+    const std::optional<os::JobResult> result = daemon.Poll(tickets[i]);
+    VCOP_CHECK(result.has_value());
     runs[i].status = result->status;
     runs[i].exact = result->status.ok() && staged[i].Exact();
     runs[i].frames_in_use =
@@ -840,8 +841,8 @@ std::vector<Verdict> TwoGatherTenants() {
   }
   VCOP_CHECK(daemon.RunUntilIdle().ok());
   for (usize i = 0; i < tenants.size(); ++i) {
-    const os::JobResult* result = daemon.Poll(tickets[i]);
-    VCOP_CHECK(result != nullptr && result->status.ok());
+    const std::optional<os::JobResult> result = daemon.Poll(tickets[i]);
+    VCOP_CHECK(result.has_value() && result->status.ok());
     VCOP_CHECK(result->preemptions > 0);
     VCOP_CHECK(tenants[i].Exact());
   }
