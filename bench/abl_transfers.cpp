@@ -18,17 +18,17 @@ namespace {
 int Main() {
   std::printf(
       "== Ablation: page-transfer implementations (double copy / single "
-      "copy / DMA / IOMMU) ==\n\n");
+      "copy / IOMMU) ==\n\n");
 
   Table table({"app", "input", "transfer mode", "SW(DP) ms", "total ms",
                "speedup"});
   table.set_title(
       "page-transfer implementations: the paper's double copy, their "
-      "announced single-copy fix, a DMA engine, and the zero-copy IOMMU");
+      "announced single-copy fix, and the zero-copy IOMMU");
 
-  constexpr mem::CopyMode kModes[] = {
-      mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
-      mem::CopyMode::kDma, mem::CopyMode::kIommu};
+  constexpr mem::CopyMode kModes[] = {mem::CopyMode::kDoubleCopy,
+                                      mem::CopyMode::kSingleCopy,
+                                      mem::CopyMode::kIommu};
   auto add = [&](const char* app, const std::vector<usize>& sizes,
                  auto&& runner) {
     for (const usize bytes : sizes) {

@@ -1,10 +1,10 @@
 // E20 — zero-copy virtual-address DMA through the IOMMU (DESIGN.md
 // §13). Writes BENCH_iommu.json.
 //
-// Sweeps adpcm and IDEA over the four transfer implementations (the
-// paper's double copy, the announced single-copy fix, the DMA engine,
-// and the zero-copy IOMMU path) at several input sizes, then gates the
-// subsystem's whole contract on the exit code:
+// Sweeps adpcm and IDEA over the three transfer implementations (the
+// paper's double copy, the announced single-copy fix and the zero-copy
+// IOMMU path) at several input sizes, then gates the subsystem's whole
+// contract on the exit code:
 //
 //   1. byte-exact outputs: every mode, every size, both applications
 //      must reproduce the software reference bit-for-bit — the IOMMU
@@ -15,7 +15,7 @@
 //      management time must be <= 1.2x the raw AHB/DMA analytic bound
 //      for the bytes it actually moved (the slack covers IO-TLB walks
 //      and page-table bookkeeping);
-//   4. the IOMMU is idle in the other modes: the double, single and DMA
+//   4. the IOMMU is idle in the other modes: the double and single
 //      rows walk no page table, pin no user page and shoot down
 //      nothing. (Their artifacts are pinned byte for byte by the
 //      trace_artifact_goldens and paper_table_goldens tests.)
@@ -40,7 +40,6 @@ struct Mode {
 constexpr Mode kModes[] = {
     {"double", mem::CopyMode::kDoubleCopy},
     {"single", mem::CopyMode::kSingleCopy},
-    {"dma", mem::CopyMode::kDma},
     {"iommu", mem::CopyMode::kIommu},
 };
 
@@ -160,7 +159,7 @@ int Main() {
   Table table({"app", "input", "mode", "SW(DP) ms", "total ms", "speedup",
                "bounce", "bus-bound x"});
   table.set_title(
-      "four transfer implementations; 'bus-bound x' is DP time over the "
+      "three transfer implementations; 'bus-bound x' is DP time over the "
       "raw AHB streaming price of the bytes moved");
 
   std::vector<Row> rows;
@@ -214,7 +213,7 @@ int Main() {
   std::printf("  large adpcm DP time / raw AHB bound:             %.3fx\n",
               adpcm_large_ratio);
   gate("large adpcm within 1.2x of the raw AHB bound", bound_ok);
-  gate("IOMMU idle in the double, single and DMA rows", idle_elsewhere);
+  gate("IOMMU idle in the double and single rows", idle_elsewhere);
 
   WriteJson(rows, exact, zero_bounce, adpcm_large_ratio, bound_ok,
             idle_elsewhere, pass);

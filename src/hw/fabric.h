@@ -73,8 +73,8 @@ class FpgaFabric {
   /// Validates `bitstream` against the PLD (fit, core factory, clocks)
   /// and prices its full configuration-port transfer. The fabric holds
   /// no cores: the kernel instantiates every design itself
-  /// (os::Kernel::Instantiate). FPGA_LOAD and a miss in AcquireDesign
-  /// both pay this price.
+  /// (os::Kernel::Instantiate). A miss in AcquireDesign pays this price;
+  /// vcopd's admission control uses it to validate without configuring.
   Result<Picoseconds> PriceConfigure(const Bitstream& bitstream) const;
 
   u32 capacity_les() const { return capacity_les_; }
@@ -83,15 +83,11 @@ class FpgaFabric {
   /// port (kConfigError). Not owned.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
-  /// Counts one configuration attempt against the fault plan; true when
-  /// the programming fails (CRC error on the configuration stream).
-  /// FPGA_LOAD and AcquireDesign call this once per attempt.
-  bool InjectConfigError();
-
   // ----- multi-slot configuration cache (partial reconfiguration) -----
   //
   // The PLD is split into `n` partial-reconfiguration regions, each able
-  // to hold one configured design. AcquireDesign is a cache probe:
+  // to hold one configured design. AcquireDesign, the one route onto the
+  // configuration port (FPGA_LOAD's and vcopd's), is a cache probe:
   //   * hit on the active slot — free (the design is already wired up);
   //   * hit on a dormant slot — a slot activation, priced as a
   //     kSlotActivationBytes configuration-port transfer;
@@ -121,6 +117,10 @@ class FpgaFabric {
   const ConfigSlotStats& slot_stats() const { return slot_stats_; }
 
  private:
+  /// Counts one configuration attempt against the fault plan; true when
+  /// the programming fails (CRC error on the configuration stream).
+  bool InjectConfigError();
+
   struct Slot {
     std::string design;  // "" = empty
     u64 last_used = 0;   // LRU tick

@@ -140,12 +140,9 @@ void Imu::Issue(const CpAccess& access) {
   } else {
     ++stats_.reads;
   }
-  if (page_ref_probe_ && elem_width_[access.object] != 0) {
-    const u64 offset =
-        static_cast<u64>(access.index) * elem_width_[access.object];
-    page_ref_probe_(access.object,
-                    static_cast<mem::VirtPage>(
-                        offset >> page_shift_[access.object]));
+  if (page_ref_probe_) {
+    const Split split = SplitCurrent();
+    if (split.width != 0) page_ref_probe_(access.object, split.vpage);
   }
   if (tracer_ != nullptr) {
     const Picoseconds now = sim_.now();
@@ -282,37 +279,52 @@ Picoseconds Imu::OwnEdgeStrictlyAfter(Picoseconds t) const {
   return f.EdgeTime(f.CyclesAt(t) + 1);
 }
 
+Imu::Split Imu::SplitCurrent() const {
+  const ObjectId object = current_.object;
+  Split split;
+  split.width = elem_width_[object];
+  split.limit_violation =
+      elem_limit_[object] != 0 && current_.index >= elem_limit_[object];
+  const u64 offset = static_cast<u64>(current_.index) * split.width;
+  split.vpage = static_cast<mem::VirtPage>(offset >> page_shift_[object]);
+  // A superpage maps a contiguous run of frames, so the offset can
+  // extend past the first frame.
+  split.page_off =
+      static_cast<u32>(offset & ((u64{1} << page_shift_[object]) - 1));
+  return split;
+}
+
+std::optional<u32> Imu::CachedTranslation(mem::VirtPage vpage) const {
+  const TcEntry& tc = tc_[current_.object];
+  if (sim_.engine() == sim::Engine::kFast && tc.valid &&
+      tc.generation == tlb_.generation() && tc.vpage == vpage) {
+    return tc.index;
+  }
+  return std::nullopt;
+}
+
 bool Imu::TryFastForward() {
   if (sim_.engine() == sim::Engine::kReference) return false;
   if (own_domain_ == nullptr || cp_domain_ == nullptr) return false;
   // Uncertain edges the analytic path cannot model: a posted write's
-  // independent ack/retire lifecycle, waveform tracing of the
-  // in-between edges, or an OS veto (background VIM activity that may
-  // touch translations). Armed CP-port fault sites need no veto:
+  // independent ack/retire lifecycle, or waveform tracing of the
+  // in-between edges. Armed CP-port fault sites need no special case:
   // TranslateAt replays their RNG draws at the same simulated time and
   // in the same order as the cycle engine (the AnalyticJumpAllowed
   // check below admits the jump only when nothing else can interleave
   // a draw), and its hang/stall outcomes depend only on `when`.
   if (posted_ || tracer_ != nullptr) return false;
-  if (ff_gate_ && !ff_gate_()) return false;
-  // Pure hit probe, mirroring TranslateAt's lookup exactly: the access
-  // must translate without a fault of any kind. Nothing can change the
-  // TLB between this probe and the analytic TranslateAt below — the
+  // Pure hit probe on TranslateAt's own address split: the access must
+  // translate without a fault of any kind. Nothing can change the TLB
+  // between this probe and the analytic TranslateAt below — the
   // AnalyticJumpAllowed check admits the jump only when no event is
-  // pending at or before the translation-complete edge.
-  const u32 width = elem_width_[current_.object];
-  if (width == 0) return false;
-  if (elem_limit_[current_.object] != 0 &&
-      current_.index >= elem_limit_[current_.object]) {
-    return false;
-  }
-  const u64 offset = static_cast<u64>(current_.index) * width;
-  const mem::VirtPage vpage = static_cast<mem::VirtPage>(
-      offset >> page_shift_[current_.object]);
-  const TcEntry& tc = tc_[current_.object];
-  if (!(tc.valid && tc.generation == tlb_.generation() &&
-        tc.vpage == vpage)) {
-    const std::optional<u32> idx = tlb_.Probe(current_.object, vpage, asid_);
+  // pending at or before the translation-complete edge, and while the
+  // VIM services a fault this IMU is fault-stalled and issues nothing.
+  const Split split = SplitCurrent();
+  if (!split.translatable()) return false;
+  if (!CachedTranslation(split.vpage).has_value()) {
+    const std::optional<u32> idx =
+        tlb_.Probe(current_.object, split.vpage, asid_);
     // Probe does not screen parity like Lookup does: a corrupt match
     // would be a miss on the real path, so it declines the jump here.
     if (!idx.has_value() || !tlb_.entry(*idx).parity_ok) return false;
@@ -338,42 +350,31 @@ void Imu::TranslateAt(Picoseconds when) {
     state_ = State::kHung;
     return;
   }
-  const u32 width = elem_width_[current_.object];
-  const bool limit_violation =
-      elem_limit_[current_.object] != 0 &&
-      current_.index >= elem_limit_[current_.object];
+  const Split split = SplitCurrent();
+  // Limit violation, or an access to an object the OS never described:
+  // always a fault; the VIM will fail the run with a diagnostic (there
+  // is no mapping to provide). Counted as a TLB miss for consistency.
   std::optional<u32> entry;
-  u64 offset = 0;
-  if (width != 0 && !limit_violation) {
-    offset = static_cast<u64>(current_.index) * width;
-    const mem::VirtPage vpage = static_cast<mem::VirtPage>(
-        offset >> page_shift_[current_.object]);
-    TcEntry& tc = tc_[current_.object];
-    if (sim_.engine() == sim::Engine::kFast && tc.valid &&
-        tc.generation == tlb_.generation() && tc.vpage == vpage) {
+  if (split.translatable()) {
+    entry = CachedTranslation(split.vpage);
+    if (entry.has_value()) {
       // Same page as this object's last hit and the TLB has not changed
       // since: skip the CAM scan. NoteHit leaves statistics and the
       // accessed bit exactly as a matching Lookup would.
-      tlb_.NoteHit(tc.index);
-      entry = tc.index;
+      tlb_.NoteHit(*entry);
     } else {
-      entry = tlb_.Lookup(current_.object, vpage, asid_);
+      entry = tlb_.Lookup(current_.object, split.vpage, asid_);
+      TcEntry& tc = tc_[current_.object];
       tc.valid = entry.has_value();
       if (tc.valid) {
         tc.generation = tlb_.generation();
-        tc.vpage = vpage;
+        tc.vpage = split.vpage;
         tc.index = *entry;
       }
     }
-  } else {
-    // Limit violation, or an access to an object the OS never
-    // described: always a fault; the VIM will fail the run with a
-    // diagnostic (there is no mapping to provide). Counted as a TLB
-    // miss for consistency.
-    entry = std::nullopt;
   }
 
-  if (limit_violation) sr_ |= kSrLimitFault;
+  if (split.limit_violation) sr_ |= kSrLimitFault;
   if (!entry.has_value()) {
     ar_ = PackAr(current_.object, current_.index);
     sr_ |= kSrFaultPending;
@@ -387,21 +388,16 @@ void Imu::TranslateAt(Picoseconds when) {
     return;
   }
 
-  const TlbEntry& e = tlb_.entry(*entry);
-  // Page offset under the object's own page size: a superpage maps a
-  // contiguous run of frames starting at e.frame, so the offset can
-  // safely extend past the first frame.
-  const u32 page_off = static_cast<u32>(
-      offset & ((u64{1} << page_shift_[current_.object]) - 1));
-  const u32 paddr = geometry_.FrameBase(e.frame) + page_off;
+  const u32 paddr =
+      geometry_.FrameBase(tlb_.entry(*entry).frame) + split.page_off;
   if (current_.write) {
-    dp_ram_.WriteWord(mem::DualPortRam::Port::kCoprocessor, paddr, width,
-                      current_.wdata);
+    dp_ram_.WriteWord(mem::DualPortRam::Port::kCoprocessor, paddr,
+                      split.width, current_.wdata);
     tlb_.MarkDirty(*entry);
     rdata_ = 0;
   } else {
-    rdata_ =
-        dp_ram_.ReadWord(mem::DualPortRam::Port::kCoprocessor, paddr, width);
+    rdata_ = dp_ram_.ReadWord(mem::DualPortRam::Port::kCoprocessor, paddr,
+                              split.width);
   }
   ar_ = PackAr(current_.object, current_.index);
 

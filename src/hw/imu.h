@@ -178,14 +178,6 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   /// port (kCpStall, kCpHang, kSpuriousFault). Not owned.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
-  /// OS-side veto over the fast-forward tier: when installed, an access
-  /// is only resolved analytically while the gate returns true. The VIM
-  /// uses it to decline fast-forwarding while a fault service of its
-  /// own is being costed. nullptr = no veto.
-  void set_fastforward_gate(std::function<bool()> gate) {
-    ff_gate_ = std::move(gate);
-  }
-
   // ----- CoprocessorPort (coprocessor-side interface) -----
   bool CanIssue() const override;
   void Issue(const CpAccess& access) override;
@@ -213,6 +205,21 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
     kHung,          // fault injection wedged the datapath for good
   };
 
+  /// The current access split by its object's descriptor: element width
+  /// (0: never described), limit check, and page and page offset under
+  /// the object's own page size.
+  struct Split {
+    u32 width = 0;
+    bool limit_violation = false;
+    mem::VirtPage vpage = 0;
+    u32 page_off = 0;
+    bool translatable() const { return width != 0 && !limit_violation; }
+  };
+  Split SplitCurrent() const;
+  /// The last-translation cache's TLB index for the current object's
+  /// `vpage` while the TLB is unchanged (kFast only).
+  std::optional<u32> CachedTranslation(mem::VirtPage vpage) const;
+
   /// Performs the TLB lookup and, on a hit, the DP-RAM access;
   /// otherwise raises the fault. Runs "at the end of" translation —
   /// `when` is the translation-complete timestamp, which is the current
@@ -226,8 +233,8 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   /// translation analytically at issue time (with the timestamps the
   /// cycle-stepped engine would produce) and never wake the IMU clock.
   /// Returns false — leaving all state untouched — at any uncertain
-  /// edge: TLB miss, armed CP-port fault site, posted write, attached
-  /// tracer, OS veto, or a pending event before the completion time.
+  /// edge: TLB miss, posted write, attached tracer, or a pending event
+  /// at or before the completion time.
   bool TryFastForward();
 
   /// First IMU-grid edge strictly after the current simulation time.
@@ -300,7 +307,6 @@ class Imu final : public sim::ClockedModule, public CoprocessorPort {
   std::array<TcEntry, kMaxObjects> tc_{};
 
   std::function<void()> param_release_hook_;
-  std::function<bool()> ff_gate_;
   std::function<void(ObjectId, mem::VirtPage)> page_ref_probe_;
   ImuStats stats_;
   FaultPlan* fault_plan_ = nullptr;

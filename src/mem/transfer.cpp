@@ -6,7 +6,6 @@ std::string_view ToString(CopyMode mode) {
   switch (mode) {
     case CopyMode::kDoubleCopy: return "double-copy";
     case CopyMode::kSingleCopy: return "single-copy";
-    case CopyMode::kDma: return "dma";
     case CopyMode::kIommu: return "iommu";
   }
   return "?";
@@ -45,18 +44,6 @@ Picoseconds TransferEngine::PriceIn(CopyMode mode, u32 len) const {
       // the data is touched twice.
       return 2 * cpu_clock_.Duration(words * sdram_cycles_per_word_) +
              PriceOnePass(len);
-    case CopyMode::kDma: {
-      // Channel programming on the CPU, then bus-limited streaming:
-      // each word pays the AHB beat plus two cycles of SDRAM access,
-      // no per-word CPU work.
-      constexpr u64 kDmaSetupCpuCycles = 200;
-      const u64 bursts = DivCeil(words, ahb_.timing().max_burst_beats);
-      const u64 bus_cycles =
-          bursts * ahb_.timing().setup_cycles +
-          words * (ahb_.timing().cycles_per_beat + 2);
-      return cpu_clock_.Duration(kDmaSetupCpuCycles) +
-             ahb_.clock().Duration(bus_cycles);
-    }
     case CopyMode::kIommu:
       return PriceDirect(len);
   }

@@ -2,14 +2,15 @@
 // the dual-port RAM.
 //
 // It both *performs* the copy (functional) and *prices* it (timing).
-// Four modes, one setting (`copy_mode`). Two reproduce a detail the
+// Three modes, one setting (`copy_mode`). Two reproduce a detail the
 // paper calls out in §4.1: their simple VIM "makes two transfers each
 // time a page is loaded or unloaded from the dual-port memory" (user
 // space -> kernel bounce buffer -> DP-RAM). kDoubleCopy models that;
 // kSingleCopy models the fixed VIM the authors say they are working on,
-// and backs the abl_transfers experiment. kDma and kIommu are the
-// platform upgrades beyond it. Only this engine interprets the mode: in
-// every mode the VIM sees one load, one store and one price per page.
+// and backs the abl_transfers experiment. kIommu is the platform
+// upgrade beyond it: DMA behind an IOMMU. Only this engine interprets
+// the mode: in every mode the VIM sees one load, one store and one
+// price per page.
 #pragma once
 
 #include <string_view>
@@ -26,11 +27,6 @@ namespace vcop::mem {
 enum class CopyMode {
   kDoubleCopy,  // paper's implementation: two passes over the data
   kSingleCopy,  // direct user<->DP copy: one pass
-  /// A platform with a DMA controller on the AHB: the CPU programs the
-  /// channel (fixed cost) and the data streams SDRAM<->DP-RAM at bus
-  /// speed without per-word CPU work. Not available on the paper's
-  /// EPXA1 path — modelled as the obvious platform upgrade.
-  kDma,
   /// Zero-copy virtual-address DMA (DESIGN.md §13): the DMA master
   /// streams straight between the tenant's user pages and the DP-RAM at
   /// the raw bus price (PriceDirect), behind the IOMMU's translation

@@ -192,15 +192,9 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
         StrFormat("PLD already configured with '%s' (exclusive use)",
                   design_->name.c_str()));
   }
-  const Result<Picoseconds> priced = fabric_.PriceConfigure(bitstream);
-  if (!priced.ok()) return priced.status();
-  if (fabric_.InjectConfigError()) {
-    return UnavailableError(
-        StrFormat("configuration of '%s' failed (CRC error on the "
-                  "configuration stream)",
-                  bitstream.name.c_str()));
-  }
-  last_load_time_ = priced.value();
+  const Result<hw::SlotAcquire> acquired = fabric_.AcquireDesign(bitstream);
+  if (!acquired.ok()) return acquired.status();
+  last_load_time_ = acquired.value().time;
   design_ = Instantiate(bitstream, default_space_.asid());
 
   // Configuration takes real time on the configuration port.

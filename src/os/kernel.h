@@ -19,7 +19,8 @@
 // FPGA_EXECUTE and vcopd's slices reach the fabric by one route: a
 // Design from Instantiate, bound to the VIM with an address space by
 // Bind, started by Start, run by Run, reported by FillReport and handed
-// back to the kernel's pool by Retire.
+// back to the kernel's pool by Retire. FPGA_LOAD and vcopd's design
+// switches both configure the PLD through hw::FpgaFabric::AcquireDesign.
 #pragma once
 
 #include <array>
@@ -162,7 +163,8 @@ class Kernel {
 
   /// Loads a coprocessor bit-stream; fails with ResourceExhausted if one
   /// is already loaded (the PLD is an exclusive resource). Simulated
-  /// time advances by the configuration duration.
+  /// time advances by what hw::FpgaFabric::AcquireDesign charges:
+  /// nothing when the design is still the active one.
   Status FpgaLoad(const hw::Bitstream& bitstream);
 
   /// Declares a mapped object (parameter-passing by reference, §3.1).
@@ -214,7 +216,7 @@ class Kernel {
   AddressSpace& default_space() { return default_space_; }
   const KernelConfig& config() const { return config_; }
 
-  /// Configuration time of the most recent FPGA_LOAD.
+  /// Configuration time of the most recent FPGA_LOAD (0: already active).
   Picoseconds last_load_time() const { return last_load_time_; }
 
   // ----- the route onto the fabric (FPGA_EXECUTE and vcopd) -----
@@ -226,8 +228,7 @@ class Kernel {
   /// shared TLB presenting `asid`, and the IMU's clock domain before the
   /// coprocessor's, so that on coincident edges the translation
   /// pipeline advances before the core samples CP_TLBHIT. The caller has
-  /// priced `bitstream` (FpgaFabric::PriceConfigure) and paid its
-  /// configuration.
+  /// configured `bitstream` (FpgaFabric::AcquireDesign).
   std::unique_ptr<Design> Instantiate(const hw::Bitstream& bitstream,
                                       hw::Asid asid);
 

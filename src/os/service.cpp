@@ -165,7 +165,8 @@ void VcopService::DrainPort(Port& port) {
     // Object refs carry (object id << 32 | user VA): the tenant
     // re-points its mapped objects at per-submission buffers without a
     // map/unmap round trip. A bad ref rejects the descriptor with none
-    // of its refs applied.
+    // of its refs applied. The tenant has one object table, so refs
+    // wait (FailedPrecondition) until its earlier jobs are done with it.
     std::array<ObjectRef, kRingMaxObjectRefs> refs;
     for (u32 i = 0; i < head.nrefs; ++i) {
       refs[i] = {static_cast<u32>(head.object_refs[i] >> 32),
@@ -173,27 +174,33 @@ void VcopService::DrainPort(Port& port) {
     }
     const Status repoint = daemon_.RepointObjects(
         port.tenant, std::span<const ObjectRef>(refs.data(), head.nrefs));
-    if (!repoint.ok()) {
+    const bool table_busy = repoint.code() == ErrorCode::kFailedPrecondition;
+    if (!repoint.ok() && !table_busy) {
       RejectHead(port, repoint.code(), now);
       continue;
     }
     Port* pp = &port;
     const u64 cookie = head.cookie;
-    const Result<Ticket> ticket = daemon_.Submit(
-        port.tenant, designs_[head.design],
-        std::span<const u32>(head.params.data(), head.nparams),
-        [this, pp, cookie](const JobResult& result) {
-          OnJobComplete(*pp, cookie, result);
-        });
+    const Result<Ticket> ticket =
+        table_busy ? Result<Ticket>(repoint)
+                   : daemon_.Submit(
+                         port.tenant, designs_[head.design],
+                         std::span<const u32>(head.params.data(),
+                                              head.nparams),
+                         [this, pp, cookie](const JobResult& result) {
+                           OnJobComplete(*pp, cookie, result);
+                         });
     if (ticket.ok()) {
       port.sq.Consume();
       ++batch;
       continue;
     }
-    if (ticket.status().code() == ErrorCode::kResourceExhausted) {
-      // The daemon's tenant queue is the next backpressure stage: the
-      // descriptor stays in the ring and is re-drained when one of this
-      // tenant's jobs completes (OnJobComplete) or the next kick lands.
+    if (table_busy ||
+        ticket.status().code() == ErrorCode::kResourceExhausted) {
+      // The daemon's tenant queue (or its object table) is the next
+      // backpressure stage: the descriptor stays in the ring and is
+      // re-drained when one of this tenant's jobs completes
+      // (OnJobComplete) or the next kick lands.
       ++stats_.daemon_backpressure;
       port.bucket.Refund();  // the job was not admitted after all
       break;

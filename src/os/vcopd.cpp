@@ -207,6 +207,10 @@ Status Vcopd::RepointObjects(TenantId tenant,
   if (t == nullptr) {
     return NotFoundError(StrFormat("unknown tenant %u", tenant));
   }
+  if (!refs.empty() && Runnable(*t)) {
+    return FailedPreconditionError(StrFormat(
+        "tenant %u has queued or in-flight work", tenant));
+  }
   return kernel_.RepointObjects(*t->space, refs);
 }
 
@@ -448,12 +452,11 @@ Vcopd::Tenant* Vcopd::PickNext() {
 }
 
 Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
-  hw::FpgaFabric& fabric = kernel_.fabric();
-  if (fabric.active_design() == job.bitstream.name) return Picoseconds{0};
   // Submit validated the price, but the library could have changed
   // since; a stale design fails the job, not the daemon. AcquireDesign
   // re-validates on the miss path.
-  const Result<hw::SlotAcquire> acquired = fabric.AcquireDesign(job.bitstream);
+  const Result<hw::SlotAcquire> acquired =
+      kernel_.fabric().AcquireDesign(job.bitstream);
   if (!acquired.ok()) return acquired.status();
   const hw::SlotAcquire& got = acquired.value();
   if (got.reconfigured) {

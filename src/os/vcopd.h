@@ -269,7 +269,9 @@ class Vcopd {
   /// all or none (Kernel::RepointObjects: size/width/direction
   /// unchanged, the tenant's cached DMA translations shot down). The
   /// ring path's object_refs use this so one mapping can target
-  /// per-submission buffers.
+  /// per-submission buffers. Jobs read the table when they run, so
+  /// non-empty `refs` fail with FailedPrecondition while one is queued
+  /// or in flight.
   Status RepointObjects(TenantId tenant, std::span<const ObjectRef> refs);
 
   // ----- asynchronous execution -----

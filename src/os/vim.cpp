@@ -63,7 +63,6 @@ bool Vim::KernelCopyHeld(hw::ObjectId object, mem::VirtPage vpage) const {
 void Vim::BindImu(hw::Imu* imu) {
   imu_ = imu;
   if (imu_ == nullptr) return;
-  imu_->set_fastforward_gate([this] { return FastForwardSafe(); });
   imu_->set_param_release_hook([this] {
     ReleaseParamFrame();
     // The coprocessor gave the page up for good: a preempted run must

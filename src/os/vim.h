@@ -72,8 +72,8 @@ struct VimConfig {
   /// Background work on the CPU: none, or cleaning (PrefetchKind).
   PrefetchKind prefetch = PrefetchKind::kNone;
   /// How pages move between user memory and the dual-port RAM: the
-  /// paper's double copy, single copy, DMA, or zero-copy DMA through
-  /// the IOMMU (DESIGN.md §13). Only the transfer engine interprets it.
+  /// paper's double copy, single copy, or zero-copy DMA through the
+  /// IOMMU (DESIGN.md §13). Only the transfer engine interprets it.
   mem::CopyMode copy_mode = mem::CopyMode::kDoubleCopy;
   /// Seed for the random replacement policy.
   u64 seed = 1;
@@ -239,13 +239,6 @@ class Vim {
   /// entry's dirty bit (KeepDirty), so the follow-up fault's write-back
   /// path stays correct, and counts the drop.
   void OnTlbParityDrop(const hw::TlbEntry& dropped);
-
-  /// OS-side eligibility for the IMU's fast-forward tier (installed as
-  /// the IMU's gate by BindImu): declines while a fault service's
-  /// restart is still being costed. The simulator's pending-event check
-  /// already guarantees bit-identity on its own; this veto keeps the
-  /// fast path from probing at all inside windows it could never win.
-  bool FastForwardSafe() const { return !fault_service_pending_; }
 
   const VimAccounting& accounting() const { return space_->accounting; }
   const VimConfig& config() const { return config_; }

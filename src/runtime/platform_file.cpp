@@ -169,13 +169,10 @@ Result<os::KernelConfig> ParsePlatformFile(std::string_view text) {
         config.vim.copy_mode = mem::CopyMode::kDoubleCopy;
       } else if (v == "single") {
         config.vim.copy_mode = mem::CopyMode::kSingleCopy;
-      } else if (v == "dma") {
-        config.vim.copy_mode = mem::CopyMode::kDma;
       } else if (v == "iommu") {
         config.vim.copy_mode = mem::CopyMode::kIommu;
       } else {
-        return LineError(line_number,
-                         "copy_mode must be double|single|dma|iommu");
+        return LineError(line_number, "copy_mode must be double|single|iommu");
       }
     } else if (key == "prefetch") {
       const std::string v = Lower(value);
@@ -267,8 +264,6 @@ std::string WritePlatformFile(const os::KernelConfig& config) {
                          ? "double"
                      : config.vim.copy_mode == mem::CopyMode::kSingleCopy
                          ? "single"
-                     : config.vim.copy_mode == mem::CopyMode::kDma
-                         ? "dma"
                          : "iommu";
   out += StrFormat("copy_mode = %s\n", copy);
   out += StrFormat("prefetch = %s\n",

@@ -16,7 +16,7 @@
 //     posted_writes= false
 //     pld_les      = 16640
 //     policy       = lru          ; wsfifo (default) | fifo | lru | random
-//     copy_mode    = single       ; double | single | dma | iommu
+//     copy_mode    = single       ; double | single | iommu
 //     prefetch     = clean        ; none (default) | clean
 //
 // Unknown keys and malformed values are errors (a silently ignored

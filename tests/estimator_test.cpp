@@ -127,7 +127,7 @@ pipelined = true
 posted_writes = yes
 pld_les = 16640
 policy = lru
-copy_mode = dma
+copy_mode = iommu
 prefetch = clean
 service_ring = 128
 service_rate = 5000
@@ -146,7 +146,7 @@ service_burst = 32
   EXPECT_TRUE(c.imu_posted_writes);
   EXPECT_EQ(c.pld_capacity_les, 16640u);
   EXPECT_EQ(c.vim.policy, os::PolicyKind::kLru);
-  EXPECT_EQ(c.vim.copy_mode, mem::CopyMode::kDma);
+  EXPECT_EQ(c.vim.copy_mode, mem::CopyMode::kIommu);
   EXPECT_EQ(c.vim.prefetch, os::PrefetchKind::kClean);
   EXPECT_EQ(c.service.ring_entries, 128u);
   EXPECT_EQ(c.service.admit_rate, 5000u);
@@ -164,7 +164,7 @@ TEST(PlatformFileTest, BadServiceValuesRejected) {
 }
 
 TEST(PlatformFileTest, IommuIsOffByDefaultAndBadValuesNameTheKey) {
-  // The IOMMU is one of the four transfer modes: with no `copy_mode`
+  // The IOMMU is one of the three transfer modes: with no `copy_mode`
   // line the board runs the paper's double copy (DESIGN.md §13).
   auto defaults = runtime::ParsePlatformFile("");
   ASSERT_TRUE(defaults.ok());
@@ -173,10 +173,11 @@ TEST(PlatformFileTest, IommuIsOffByDefaultAndBadValuesNameTheKey) {
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   EXPECT_EQ(on.value().vim.copy_mode, mem::CopyMode::kIommu);
 
-  // Rejections carry the line and the key, and list every mode.
-  auto bad = runtime::ParsePlatformFile("name = X\ncopy_mode = zero\n");
+  // Rejections carry the line and the key, and list every mode; `dma`
+  // (bus DMA without the IOMMU) is no longer one.
+  auto bad = runtime::ParsePlatformFile("name = X\ncopy_mode = dma\n");
   ASSERT_FALSE(bad.ok());
-  for (const char* part : {"line 2", "copy_mode", "double|single|dma|iommu"}) {
+  for (const char* part : {"line 2", "copy_mode", "double|single|iommu"}) {
     EXPECT_NE(bad.status().message().find(part), std::string::npos)
         << bad.status().message();
   }
@@ -414,9 +415,9 @@ os::KernelConfig RandomPlatform(Rng& rng) {
       os::PolicyKind::kFifo, os::PolicyKind::kLru, os::PolicyKind::kRandom,
       os::PolicyKind::kWsFifo};
   c.vim.policy = kPolicies[rng.NextBelow(std::size(kPolicies))];
-  constexpr mem::CopyMode kCopyModes[] = {
-      mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
-      mem::CopyMode::kDma, mem::CopyMode::kIommu};
+  constexpr mem::CopyMode kCopyModes[] = {mem::CopyMode::kDoubleCopy,
+                                          mem::CopyMode::kSingleCopy,
+                                          mem::CopyMode::kIommu};
   c.vim.copy_mode = kCopyModes[rng.NextBelow(std::size(kCopyModes))];
   c.vim.prefetch =
       RandomBool(rng) ? os::PrefetchKind::kClean : os::PrefetchKind::kNone;

@@ -1,7 +1,6 @@
 // Tests for the extension features beyond the paper's prototype:
-// background cleaning (`prefetch = clean`), the DMA transfer mode, the
-// IMU's per-object limit registers, the ADPCM encoder core, and the
-// Belady oracle.
+// background cleaning (`prefetch = clean`), the IMU's per-object limit
+// registers, the ADPCM encoder core, and the Belady oracle.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -101,42 +100,6 @@ TEST(OverlapPrefetchTest, RepeatedExecutionsDoNotLeakInFlightState) {
     EXPECT_EQ(run.value().output, expect) << round;
     EXPECT_EQ(sys.kernel().vim().page_manager().frames_in_use(), 0u);
   }
-}
-
-// ----- DMA transfer mode -----
-
-TEST(DmaTest, CheaperThanAnyCpuCopy) {
-  mem::TransferEngine engine(
-      mem::AhbModel(mem::AhbTiming{}, Frequency::MHz(133)),
-      Frequency::MHz(133), mem::CopyMode::kDoubleCopy, 12);
-  const Picoseconds dbl = engine.PriceTransfer(2048);
-  engine.set_mode(mem::CopyMode::kSingleCopy);
-  const Picoseconds sgl = engine.PriceTransfer(2048);
-  engine.set_mode(mem::CopyMode::kDma);
-  const Picoseconds dma = engine.PriceTransfer(2048);
-  EXPECT_LT(dma, sgl);
-  EXPECT_LT(sgl, dbl);
-}
-
-TEST(DmaTest, EndToEndCorrectAndFaster) {
-  const std::vector<u8> input = apps::MakeAdpcmStream(8192, 50);
-  std::vector<i16> expect(input.size() * 2);
-  apps::AdpcmState st;
-  apps::AdpcmDecode(input, expect, st);
-
-  Picoseconds dp_times[2];
-  int i = 0;
-  for (const mem::CopyMode mode :
-       {mem::CopyMode::kDoubleCopy, mem::CopyMode::kDma}) {
-    os::KernelConfig config = Epxa1Config();
-    config.vim.copy_mode = mode;
-    FpgaSystem sys(config);
-    auto run = runtime::RunAdpcmVim(sys, input);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_EQ(run.value().output, expect);
-    dp_times[i++] = run.value().report.t_dp;
-  }
-  EXPECT_LT(dp_times[1] * 3, dp_times[0]);
 }
 
 // ----- IMU limit registers -----

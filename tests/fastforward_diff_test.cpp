@@ -199,9 +199,8 @@ TEST(TlbDiffTest, FlexibleMemoryOffIsBitIdenticalAndOnIsOutputIdentical) {
 }
 
 TEST(FastForwardDiffTest, FaultPlansStayReplayableUnderFastForward) {
-  // An armed plan on non-CP sites must inject at the exact same
-  // opportunities under both engines (the opportunity streams are
-  // ordered identically), and the CP-port sites veto the tier outright.
+  // An armed plan must inject at the exact same opportunities under both
+  // engines (the opportunity streams are ordered identically).
   for (const u64 seed : {3ull, 7ull, 11ull}) {
     for (u64 workload = 0; workload < 4; ++workload) {
       FaultPlan plan_fast;

@@ -355,14 +355,15 @@ TEST_F(TransferEngineTest, ReloadPaysOnlyTheBouncePassInDoubleCopy) {
   EXPECT_EQ(reload, engine_.PriceTransfer(2048));
   // The other modes keep no bounce copy: a re-load is priced as a
   // first load.
-  for (const CopyMode mode :
-       {CopyMode::kSingleCopy, CopyMode::kDma, CopyMode::kIommu}) {
+  for (const CopyMode mode : {CopyMode::kSingleCopy, CopyMode::kIommu}) {
     engine_.set_mode(mode);
     for (const u32 len : {512u, 2048u, 2050u}) {
       EXPECT_EQ(engine_.PriceReload(len), engine_.PriceTransfer(len))
           << ToString(mode) << " " << len;
     }
   }
+  // DMA through the IOMMU undercuts both CPU copies.
+  EXPECT_LT(engine_.PriceTransfer(2048), reload);
 }
 
 TEST_F(TransferEngineTest, ReloadMovesDataAndCountsABouncePass) {
@@ -417,8 +418,7 @@ TEST_F(TransferEngineTest, ParameterWordsTakeTheCpuPathUnderTheIommu) {
   // the IOMMU maps: every mode prices them as one page transfer, except
   // kIommu, whose CPU copies them at the double-copy price.
   const Picoseconds double_copy = engine_.PriceTransfer(64);
-  for (const CopyMode mode :
-       {CopyMode::kDoubleCopy, CopyMode::kSingleCopy, CopyMode::kDma}) {
+  for (const CopyMode mode : {CopyMode::kDoubleCopy, CopyMode::kSingleCopy}) {
     engine_.set_mode(mode);
     EXPECT_EQ(engine_.PriceParams(64), engine_.PriceTransfer(64))
         << ToString(mode);

@@ -1,9 +1,9 @@
-// Extended property matrix: the full cross-product of the extension
-// features (copy modes x IMU microarchitectures x cleaning x policies)
-// on all three applications, checking bit-exactness and the accounting
-// invariants in every cell. This is the suite that guards against
-// feature interactions — each knob is tested alone elsewhere; here they
-// compose.
+// Extended property matrix: a pairwise sample of the cross-product of
+// the extension features (copy modes x IMU microarchitectures x
+// cleaning x policies) on all three applications, checking
+// bit-exactness and the accounting invariants in every cell. This is
+// the suite that guards against feature interactions — each knob is
+// tested alone elsewhere; here they compose.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -66,10 +66,10 @@ const FeatureMix kMixes[] = {
     {mem::CopyMode::kDoubleCopy, false, false, false,
      os::PolicyKind::kFifo},  // the paper platform
     {mem::CopyMode::kSingleCopy, false, false, false, os::PolicyKind::kLru},
-    {mem::CopyMode::kDma, false, true, false, os::PolicyKind::kRandom},
+    {mem::CopyMode::kIommu, false, true, false, os::PolicyKind::kRandom},
     {mem::CopyMode::kDoubleCopy, true, false, true, os::PolicyKind::kLru},
     {mem::CopyMode::kSingleCopy, true, true, true, os::PolicyKind::kFifo},
-    {mem::CopyMode::kDma, true, true, true, os::PolicyKind::kRandom},
+    {mem::CopyMode::kIommu, true, true, true, os::PolicyKind::kRandom},
 };
 
 class FeatureMatrixTest : public ::testing::TestWithParam<usize> {};

@@ -3,7 +3,8 @@
 // checksums, the deterministic token bucket, doorbell coalescing,
 // completion-interrupt suppression (bit-identical delivery on vs off),
 // admission deferral, quarantined-tenant doorbells, all-or-none object
-// refs, a ring-descriptor fuzz, and VcopdClient end to end.
+// refs that apply to their own descriptor's job, a ring-descriptor
+// fuzz, and VcopdClient end to end.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -506,6 +507,41 @@ TEST(VcopServiceTest, RefPastTheObjectTableIsRejected) {
 TEST(VcopServiceTest, BadRefLeavesTheValidRefsBeforeItUnapplied) {
   // Object 0 is mapped, object 9 is not.
   ExpectRefsRejected({0, 9}, ErrorCode::kNotFound);
+}
+
+/// One kick drains two vecadd descriptors whose refs name different
+/// buffers. The second descriptor's refs wait in the ring until the
+/// first job is done with the tenant's one object table, so each job
+/// runs on its own buffers and completions keep cookie order.
+TEST(VcopServiceTest, EachDescriptorsRefsApplyToItsOwnJob) {
+  RingTenant t(1024, 9);
+  const u32 design = t.service.RegisterDesign(cp::VecAddBitstream());
+  std::vector<StagedJob> staged(2);
+  for (u32 i = 0; i < 2; ++i) {
+    staged[i].job = MakeJob(App::kVecAdd, 1024, 21 + i);
+    RingDescriptor d;
+    d.cookie = i + 1;
+    d.design = design;
+    d.nparams = 1;
+    d.params[0] = 256;
+    for (const runtime::JobObject& o : staged[i].job.objects) {
+      runtime::HostBuffer<u8> buffer =
+          t.sys.Allocate<u8>(static_cast<u32>(o.bytes.size())).value();
+      buffer.Fill(o.bytes);
+      d.object_refs[d.nrefs++] = u64{o.id} << 32 | buffer.addr();
+      if (o.id == staged[i].job.output) staged[i].out = buffer;
+    }
+    ASSERT_TRUE(t.service.Publish(t.job.tenant, d).ok());
+  }
+  ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+  for (u32 i = 0; i < 2; ++i) {
+    const CompletionDescriptor done = t.service.Reap(t.job.tenant).value();
+    EXPECT_EQ(done.cookie, i + 1);
+    EXPECT_EQ(done.code, static_cast<u32>(ErrorCode::kOk));
+    EXPECT_TRUE(staged[i].Exact()) << "descriptor " << i + 1;
+  }
+  EXPECT_GE(t.service.stats().daemon_backpressure, 1u);
 }
 
 // ----- ring-descriptor fuzz -----

@@ -6,9 +6,9 @@
 // ASID allocation/wrap, tenant teardown, a switch keeping the
 // switched-out tenant's working set, IO-TLB shootdowns at switches and
 // repoints, a lone tenant paging like FPGA_EXECUTE (every transfer mode,
-// background cleaning, per-object page sizes), the FIFO policy's
-// batching by bit-stream, and jobs reusing designs from the kernel's
-// pool.
+// background cleaning, per-object page sizes), blocking loads and jobs
+// sharing the fabric's configuration cache, the FIFO policy's batching
+// by bit-stream, and jobs reusing designs from the kernel's pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -429,7 +429,7 @@ TEST(VcopdTest, LoneTenantPagesLikeFpgaExecuteInEveryTransferMode) {
                                         MakeJob(App::kGather, 16 * 1024, 5)};
   for (const mem::CopyMode mode :
        {mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
-        mem::CopyMode::kDma, mem::CopyMode::kIommu}) {
+        mem::CopyMode::kIommu}) {
     KernelConfig config = TestConfig();
     config.vim.copy_mode = mode;
     for (const bench::Job& job : jobs) {
@@ -981,6 +981,34 @@ TEST(VcopdTest, BlockingExecuteInterleavesWithLiveDaemon) {
   expect_own_traffic(run_job(sys, daemon, "first", 1), first_alone);
   expect_own_traffic(run_blocking(sys), blocking_alone);
   expect_own_traffic(run_job(sys, daemon, "second", 2), second_alone);
+}
+
+/// FPGA_LOAD and vcopd configure the PLD by one route, so each sees what
+/// the other left on the fabric.
+TEST(VcopdTest, BlockingLoadsAndJobsShareOneConfigurationRoute) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel());
+  StagedJob job =
+      StageTenant(sys, daemon, "tenant", MakeJob(App::kVecAdd, 1024, 4));
+  ASSERT_TRUE(daemon.Wait(job.Submit(daemon).value()).ok());
+  const bench::Job adpcm = MakeJob(App::kAdpcm, 1024, 4);
+  const Result<runtime::VimRun<u8>> blocking = runtime::RunJob(sys, adpcm);
+  ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+  EXPECT_EQ(blocking.value().output, adpcm.expect);
+  ASSERT_TRUE(sys.Unload().ok());
+
+  // The blocking load replaced vecadd: the job pays a full configuration.
+  job.ClearOutput();
+  const Result<JobResult> second = daemon.Wait(job.Submit(daemon).value());
+  ASSERT_TRUE(second.ok() && second.value().status.ok());
+  EXPECT_TRUE(job.Exact());
+  EXPECT_EQ(second.value().reconfigurations, 1u);
+  EXPECT_DOUBLE_EQ(ToMicroseconds(second.value().config_time),
+                   11'718.75);  // 48 KB at 4 MiB/s
+
+  // vcopd left vecadd active: loading it again is free.
+  ASSERT_TRUE(sys.Load(cp::VecAddBitstream()).ok());
+  EXPECT_EQ(sys.kernel().last_load_time(), 0u);
 }
 
 // ----- FIFO policy: run to completion, batched by bit-stream -----

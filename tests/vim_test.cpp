@@ -235,7 +235,7 @@ TEST(VimReloadTest, EachTransferModePricesFirstLoadsAndReloads) {
   std::optional<os::ExecutionReport> base;
   for (const mem::CopyMode mode :
        {mem::CopyMode::kDoubleCopy, mem::CopyMode::kSingleCopy,
-        mem::CopyMode::kDma, mem::CopyMode::kIommu}) {
+        mem::CopyMode::kIommu}) {
     SCOPED_TRACE(std::string(mem::ToString(mode)));
     os::KernelConfig config = Epxa1Config();
     // FIFO keeps evicting the OUT pages mid-run, so their re-loads are
