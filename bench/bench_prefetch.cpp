@@ -6,23 +6,13 @@
 //
 // Gates: every output is byte-identical to its software reference, and
 // on every point `clean` finishes no later than `none` + 0.5%. Cleaning
-// earns its place only if it never costs more than noise; any gate
-// failure exits 1.
-#include <cstdio>
-#include <string>
-#include <vector>
-
+// earns its place only if it never costs more than noise.
 #include "bench/common.h"
-#include "os/vim.h"
-#include "sim/fleet.h"
 
 namespace vcop {
 namespace {
 
 using bench::App;
-
-/// `clean` may finish at most this factor after `none` on any point.
-constexpr double kCleanBound = 1.005;
 
 struct MatrixPoint {
   const char* label;
@@ -42,78 +32,35 @@ constexpr MatrixPoint kPoints[] = {
     {"conv2d 64x128", App::kConv, 64 * 128, 1, 64},
     {"gather 6144 words", App::kGather, 6144 * 4, 1},
 };
-constexpr os::PrefetchKind kKinds[] = {os::PrefetchKind::kNone,
-                                       os::PrefetchKind::kClean};
-constexpr usize kNumKinds = std::size(kKinds);
 
-unsigned long long U(u64 v) { return static_cast<unsigned long long>(v); }
+/// Runs the point's job under `prefetch` none, then clean.
+void RunMatrixPoint(const MatrixPoint& p, bench::Values& v) {
+  const bench::Job job = bench::MakeJob(p.app, p.bytes, p.seed, p.conv_width);
+  os::KernelConfig config = runtime::Epxa1Config();
+  const bench::Point none = bench::RunPoint(config, job);
+  config.vim.prefetch = os::PrefetchKind::kClean;
+  const bench::Point clean = bench::RunPoint(config, job);
+  v.Add(os::FieldsOf(none.vim), {"total_us", "vim.faults"}, "none")
+      .Add(os::FieldsOf(clean.vim),
+           {"total_us", "vim.faults", "vim.cleaned_pages", "vim.t_dp_wait_us"},
+           "clean")
+      .Real("clean_over_none",
+            static_cast<double>(clean.vim.total) /
+                static_cast<double>(none.vim.total),
+            4)
+      .Flag("outputs_exact", none.exact && clean.exact);
+}
 
 int Main() {
-  std::printf("== background cleaning: clean vs none ==\n\n");
-  int rc = 0;
-
-  // Every (point, setting) run is an independent simulation: fan them
-  // out over the fleet, then read them back in order.
-  const std::vector<bench::Point> runs = sim::FleetMap<bench::Point>(
-      std::size(kPoints) * kNumKinds, [](usize i) {
-        const MatrixPoint& p = kPoints[i / kNumKinds];
-        os::KernelConfig config = runtime::Epxa1Config();
-        config.vim.prefetch = kKinds[i % kNumKinds];
-        return bench::RunPoint(
-            config, bench::MakeJob(p.app, p.bytes, p.seed, p.conv_width));
-      });
-
-  Table table({"point", "none ms", "none faults", "clean ms",
-               "clean faults", "cleaned", "clean/none"});
-  table.set_title("total time and hard faults by prefetch setting");
-  std::string json_rows;
-  for (usize i = 0; i < std::size(kPoints); ++i) {
-    const MatrixPoint& p = kPoints[i];
-    const bench::Point& none = runs[i * kNumKinds];
-    const bench::Point& clean = runs[i * kNumKinds + 1];
-    const bool exact = none.exact && clean.exact;
-    const double ratio = static_cast<double>(clean.vim.total) /
-                         static_cast<double>(none.vim.total);
-    table.AddRow({p.label, runtime::Ms(none.vim.total),
-                  StrFormat("%llu", U(none.vim.vim.faults)),
-                  runtime::Ms(clean.vim.total),
-                  StrFormat("%llu", U(clean.vim.vim.faults)),
-                  StrFormat("%llu", U(clean.vim.vim.cleaned_pages)),
-                  StrFormat("%.4f", ratio)});
-    if (!exact) {
-      std::printf("FAIL: %s output diverged from its reference\n", p.label);
-      rc = 1;
-    }
-    if (ratio > kCleanBound) {
-      std::printf("FAIL: %s under clean is %.4fx its time under none "
-                  "(> %.3f)\n",
-                  p.label, ratio, kCleanBound);
-      rc = 1;
-    }
-    json_rows += StrFormat(
-        "%s\n    {\"point\": \"%s\", \"none_us\": %.3f, \"none_faults\": "
-        "%llu, \"clean_us\": %.3f, \"clean_faults\": %llu, \"cleaned\": "
-        "%llu, \"clean_wait_us\": %.3f, \"clean_over_none\": %.4f, "
-        "\"outputs_exact\": %s}",
-        i == 0 ? "" : ",", p.label, ToMicroseconds(none.vim.total),
-        U(none.vim.vim.faults), ToMicroseconds(clean.vim.total),
-        U(clean.vim.vim.faults), U(clean.vim.vim.cleaned_pages),
-        ToMicroseconds(clean.vim.vim.t_dp_wait), ratio,
-        exact ? "true" : "false");
+  bench::Bench bench("prefetch");
+  std::vector<bench::Row> rows;
+  for (const MatrixPoint& p : kPoints) {
+    rows.push_back(
+        {p.label, [&p](bench::Values& v) { RunMatrixPoint(p, v); }});
   }
-  table.Print();
-  std::printf("\n");
-
-  std::FILE* f = std::fopen("BENCH_prefetch.json", "w");
-  VCOP_CHECK_MSG(f != nullptr,
-                 "cannot open BENCH_prefetch.json for writing");
-  std::fprintf(f,
-               "{\n  \"bench\": \"prefetch\",\n  \"clean_bound\": %.3f,\n"
-               "  \"points\": [%s\n  ]\n}\n",
-               kCleanBound, json_rows.c_str());
-  std::fclose(f);
-  std::printf("wrote BENCH_prefetch.json\n");
-  return rc;
+  bench.Run(rows);
+  return bench.Finish({{"", "outputs_exact", bench::Cmp::kEq, 1},
+                       {"", "clean_over_none", bench::Cmp::kLe, 1.005}});
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //   cam8      2 KB pages                             (the seed platform)
 //   cam8+sp   4 KB superpages on the streaming objects (the gated config)
 //
-// Exit-code gates:
+// Gates:
 //
 //   1. byte-exact outputs: every configuration must reproduce the
 //      software reference bit-for-bit — page geometry changes *when*
@@ -19,203 +19,87 @@
 //      trace must come out byte-identical whether the per-object page
 //      sizes are at their defaults or spelled as granule-sized
 //      overrides. (Byte-identity against the *seed* artifacts is pinned
-//      separately by tests/golden/trace_artifacts.sha256.)
-#include <cstdio>
-#include <string>
-#include <vector>
-
+//      separately by the trace_artifact_goldens test.)
 #include "bench/common.h"
 #include "hw/imu.h"
 
 namespace vcop {
 namespace {
 
+using bench::Cmp;
 using runtime::Epxa1Config;
-
-struct Mode {
-  const char* label;
-  bool superpages;  // 4 KB pages on the streaming objects (ids 0, 1)
-};
-
-constexpr Mode kModes[] = {
-    {"cam8", false},
-    {"cam8+sp", true},
-};
 
 constexpr u32 kSuperPageBytes = 4096;
 
-struct Row {
-  std::string app;
-  usize bytes = 0;
-  std::string mode;
-  bool output_exact = false;
-  os::ExecutionReport report;
+/// The three applications, each run under cam8 and cam8+sp. `sp_ids`
+/// selects which objects take the 4 KB superpage — per-object sizing is
+/// the whole point: the purely-streaming in/out buffers of IDEA and
+/// adpcm both take it, while conv2d's strided three-row source window
+/// leaves only the source upgraded. Superpaging the destination too is
+/// 2.9% slower on the 96x85 image: 6 faults, 2 evictions and 5.462 ms
+/// against the source alone's 7 faults, 1 eviction and 5.309 ms (2 KB
+/// pages: 9 faults, 1 eviction, 5.329 ms).
+const struct AppRow {
+  const char* label;
+  bench::App app;
+  u32 bytes;
+  u32 conv_width;
+  std::vector<u32> sp_ids;
+} kApps[] = {
+    {"conv2d", bench::App::kConv, 96 * 85, 96, {0}},
+    {"IDEA", bench::App::kIdea, 32768, bench::kConvWidth, {0, 1}},
+    {"adpcmdecode", bench::App::kAdpcm, 32768, bench::kConvWidth, {0, 1}},
 };
 
-/// `sp_ids` selects which objects take the 4 KB superpage in 'sp'
-/// modes — per-object sizing is the whole point: the purely-streaming
-/// in/out buffers of IDEA and adpcm both take it, while conv2d's
-/// strided three-row source window leaves only the source upgraded.
-/// Superpaging the destination too is 2.9% slower on the 96x85 image:
-/// 6 faults, 2 evictions and 5.462 ms against the source alone's 7
-/// faults, 1 eviction and 5.309 ms (2 KB pages: 9 faults, 1 eviction,
-/// 5.329 ms).
-os::KernelConfig ModeConfig(const Mode& m,
-                            std::initializer_list<u32> sp_ids) {
-  os::KernelConfig config = Epxa1Config();
-  if (m.superpages) {
-    for (const u32 id : sp_ids) config.object_page_bytes[id] = kSuperPageBytes;
+void RunApp(const AppRow& a, bench::Values& v) {
+  const bench::Job job =
+      bench::MakeJob(a.app, a.bytes, bench::kWorkloadSeed, a.conv_width);
+  v.Count("bytes", job.input_bytes);
+  for (const bool superpages : {false, true}) {
+    os::KernelConfig config = Epxa1Config();
+    if (superpages) {
+      for (const u32 id : a.sp_ids) {
+        config.object_page_bytes[id] = kSuperPageBytes;
+      }
+    }
+    const bench::Point p = bench::RunPoint(config, job);
+    const std::string mode = superpages ? "cam8+sp" : "cam8";
+    v.Flag(mode + ".outputs_exact", p.exact)
+        .Add(os::FieldsOf(p.vim),
+             {"vim.faults", "vim.tlb_refills", "vim.evictions", "total_ps"},
+             mode);
   }
-  return config;
-}
-
-Row RunRow(const char* app, const Mode& m, std::initializer_list<u32> sp_ids,
-           const bench::Job& job) {
-  const bench::Point p = bench::RunPoint(ModeConfig(m, sp_ids), job);
-  return Row{app, p.input_bytes, m.label, p.exact, p.vim};
-}
-
-// ----- defaults inertness -----
-
-os::KernelConfig OffConfig(bool touch_knobs) {
-  os::KernelConfig config = Epxa1Config();
-  if (touch_knobs) {
-    // Granule-sized per-object overrides: identical geometry to the
-    // default, spelled out.
-    for (u32 id = 0; id < hw::kMaxObjects - 1; ++id)
-      config.object_page_bytes[id] = config.page_bytes;
-  }
-  return config;
-}
-
-// ----- JSON -----
-
-void WriteJson(const std::vector<Row>& rows, bool exact, u64 conv_base,
-               u64 conv_flex, u64 idea_base, u64 idea_flex, bool off_inert,
-               bool all_gates) {
-  std::FILE* f = std::fopen("BENCH_tlb.json", "w");
-  VCOP_CHECK_MSG(f != nullptr, "cannot open BENCH_tlb.json for writing");
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"tlb\",\n");
-  std::fprintf(f, "  \"tlb_entry_budget\": 8,\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (usize i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"app\": \"%s\", \"bytes\": %zu, \"mode\": \"%s\", "
-        "\"output_exact\": %s, \"faults\": %llu, \"tlb_refills\": %llu, "
-        "\"evictions\": %llu, \"total_ps\": %llu}%s\n",
-        r.app.c_str(), r.bytes, r.mode.c_str(),
-        r.output_exact ? "true" : "false",
-        static_cast<unsigned long long>(r.report.vim.faults),
-        static_cast<unsigned long long>(r.report.vim.tlb_refills),
-        static_cast<unsigned long long>(r.report.vim.evictions),
-        static_cast<unsigned long long>(r.report.total),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"gates\": {\"outputs_byte_exact\": %s, "
-               "\"conv2d_faults_baseline\": %llu, "
-               "\"conv2d_faults_flexible\": %llu, "
-               "\"conv2d_faults_below_baseline\": %s, "
-               "\"idea_faults_baseline\": %llu, "
-               "\"idea_faults_flexible\": %llu, "
-               "\"idea_faults_below_baseline\": %s, "
-               "\"defaults_inert\": %s},\n",
-               exact ? "true" : "false",
-               static_cast<unsigned long long>(conv_base),
-               static_cast<unsigned long long>(conv_flex),
-               conv_flex < conv_base ? "true" : "false",
-               static_cast<unsigned long long>(idea_base),
-               static_cast<unsigned long long>(idea_flex),
-               idea_flex < idea_base ? "true" : "false",
-               off_inert ? "true" : "false");
-  std::fprintf(f, "  \"gates_pass\": %s\n", all_gates ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
 }
 
 int Main() {
-  std::printf("== flexible memory: per-object page sizes "
-              "(DESIGN.md §14, E21) ==\n\n");
-
-  constexpr u32 kConvWidth = 96;
-  constexpr u32 kConvHeight = 85;
-  constexpr u32 kIdeaBytes = 32768;
-  constexpr u32 kAdpcmBytes = 32768;
-
-  Table table({"app", "input", "mode", "faults", "refills", "total ms"});
-  table.set_title(
-      "single 8-entry CAM; 'sp' = 4 KB superpages on the streaming "
-      "objects");
-
-  std::vector<Row> rows;
-  auto add = [&](const Row& row) {
-    table.AddRow({row.app, bench::SizeLabel(row.bytes), row.mode,
-                  StrFormat("%llu", static_cast<unsigned long long>(
-                                        row.report.vim.faults)),
-                  StrFormat("%llu", static_cast<unsigned long long>(
-                                        row.report.vim.tlb_refills)),
-                  runtime::Ms(row.report.total)});
-    rows.push_back(row);
-  };
-  const bench::Job conv =
-      bench::MakeJob(bench::App::kConv, kConvWidth * kConvHeight,
-                     bench::kWorkloadSeed, kConvWidth);
-  const bench::Job idea =
-      bench::MakeJob(bench::App::kIdea, kIdeaBytes, bench::kWorkloadSeed);
-  const bench::Job adpcm =
-      bench::MakeJob(bench::App::kAdpcm, kAdpcmBytes, bench::kWorkloadSeed);
-  for (const Mode& m : kModes) add(RunRow("conv2d", m, {0}, conv));
-  for (const Mode& m : kModes) add(RunRow("IDEA", m, {0, 1}, idea));
-  for (const Mode& m : kModes) add(RunRow("adpcmdecode", m, {0, 1}, adpcm));
-  table.Print();
-
-  const bool vcd_inert =
-      bench::Fig7Vcd(OffConfig(false)) == bench::Fig7Vcd(OffConfig(true));
-  const bool trace_inert = bench::ConvChromeTrace(OffConfig(false)) ==
-                           bench::ConvChromeTrace(OffConfig(true));
-  const bool off_inert = vcd_inert && trace_inert;
-
-  bool exact = true;
-  u64 conv_base = 0, conv_flex = 0, idea_base = 0, idea_flex = 0;
-  for (const Row& r : rows) {
-    if (!r.output_exact) exact = false;
-    const bool baseline = r.mode == "cam8";
-    if (r.app == "conv2d" && baseline) conv_base = r.report.vim.faults;
-    if (r.app == "conv2d" && !baseline) conv_flex = r.report.vim.faults;
-    if (r.app == "IDEA" && baseline) idea_base = r.report.vim.faults;
-    if (r.app == "IDEA" && !baseline) idea_flex = r.report.vim.faults;
+  std::vector<bench::Row> rows;
+  for (const AppRow& a : kApps) {
+    rows.push_back({a.label, [&a](bench::Values& v) { RunApp(a, v); }});
   }
-
-  std::printf("\nsummary:\n");
-  bool pass = true;
-  auto gate = [&](const char* name, bool ok) {
-    std::printf("  %-52s %s\n", name, ok ? "pass" : "FAIL");
-    if (!ok) pass = false;
-  };
-  gate("outputs byte-exact across all configurations", exact);
-  std::printf("  conv2d faults, cam8 -> cam8+sp:                   "
-              "%llu -> %llu\n",
-              static_cast<unsigned long long>(conv_base),
-              static_cast<unsigned long long>(conv_flex));
-  gate("conv2d faults strictly below the cam8 baseline",
-       conv_flex < conv_base);
-  std::printf("  IDEA faults, cam8 -> cam8+sp:                     "
-              "%llu -> %llu\n",
-              static_cast<unsigned long long>(idea_base),
-              static_cast<unsigned long long>(idea_flex));
-  gate("IDEA faults strictly below the cam8 baseline",
-       idea_flex < idea_base);
-  gate("defaults inert (fig7 VCD byte-identical)", vcd_inert);
-  gate("defaults inert (conv2d Chrome trace identical)", trace_inert);
-
-  WriteJson(rows, exact, conv_base, conv_flex, idea_base, idea_flex,
-            off_inert, pass);
-  std::printf("wrote BENCH_tlb.json\n");
-  return pass ? 0 : 1;
+  // The platform with its per-object page sizes at their defaults, and
+  // spelled as granule-sized overrides: identical geometry.
+  rows.push_back({"defaults", [](bench::Values& v) {
+                    const os::KernelConfig plain = Epxa1Config();
+                    os::KernelConfig spelled = plain;
+                    for (u32 id = 0; id < hw::kMaxObjects - 1; ++id) {
+                      spelled.object_page_bytes[id] = spelled.page_bytes;
+                    }
+                    v.Flag("fig7_vcd_inert",
+                           bench::Fig7Vcd(plain) == bench::Fig7Vcd(spelled))
+                        .Flag("conv_trace_inert",
+                              bench::ConvChromeTrace(plain) ==
+                                  bench::ConvChromeTrace(spelled));
+                  }});
+  bench::Bench bench("tlb");
+  bench.Run(rows);
+  return bench.Finish({
+      {"", "cam8.outputs_exact", Cmp::kEq, 1},
+      {"", "cam8+sp.outputs_exact", Cmp::kEq, 1},
+      {"conv2d", "cam8+sp.vim.faults", Cmp::kLt, 0, "", "cam8.vim.faults"},
+      {"IDEA", "cam8+sp.vim.faults", Cmp::kLt, 0, "", "cam8.vim.faults"},
+      {"defaults", "fig7_vcd_inert", Cmp::kEq, 1},
+      {"defaults", "conv_trace_inert", Cmp::kEq, 1},
+  });
 }
 
 }  // namespace

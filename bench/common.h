@@ -2,16 +2,22 @@
 // application (seeded inputs and the software reference around the
 // runtime's description of the job, runtime/drivers.h, plus the
 // exactness check), one run on a fresh system with its end-of-run
-// audit, the seeded fault-plan grid, the list of every report field,
-// the single-run point runner, the vcopd fleet runner and the two trace
-// artifacts. Every bench keeps its own sizes, gates, tables and JSON.
+// audit, the seeded fault-plan grid, the single-run point runner, the
+// vcopd fleet runner, the two trace artifacts and the one runner of the
+// JSON benches (Bench): a bench declares its rows, the values each row
+// reports by dotted name and its gates, and Bench does the rest.
 #pragma once
 
-#include <bit>
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/adpcm.h"
@@ -20,6 +26,8 @@
 #include "apps/sw_model.h"
 #include "apps/workloads.h"
 #include "base/fault.h"
+#include "base/field.h"
+#include "base/latency_histogram.h"
 #include "base/status.h"
 #include "base/table.h"
 #include "cp/registry.h"
@@ -29,6 +37,7 @@
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
 #include "runtime/report.h"
+#include "sim/fleet.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
@@ -42,7 +51,6 @@ inline constexpr u64 kWorkloadSeed = 20040216;  // DATE'04 week, Paris
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void Reset() { start_ = std::chrono::steady_clock::now(); }
   double ElapsedMs() const {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start_)
@@ -53,32 +61,35 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-struct WallMeasurement {
-  double warmup_ms = 0.0;  // first run: cold allocator, cold caches
-  double best_ms = 0.0;    // fastest of the post-warm-up repeats
-  int repeats = 0;
-};
-
-/// Times fn() once as warm-up and then `repeats` more times, keeping
-/// the fastest. The warm-up run is reported separately, never mixed
-/// into best_ms (with repeats == 0, best_ms falls back to the warm-up
-/// time so callers always get a usable number).
-template <typename Fn>
-WallMeasurement MeasureWall(int repeats, Fn&& fn) {
-  WallMeasurement m;
-  m.repeats = repeats;
-  WallTimer timer;
-  fn();
-  m.warmup_ms = timer.ElapsedMs();
-  m.best_ms = m.warmup_ms;
-  for (int i = 0; i < repeats; ++i) {
-    timer.Reset();
-    fn();
-    const double ms = timer.ElapsedMs();
-    if (i == 0 || ms < m.best_ms) m.best_ms = ms;
+/// The count in environment variable `name` if it is at least `min`,
+/// else `fallback`.
+inline u32 EnvCount(const char* name, u32 fallback, u32 min) {
+  if (const char* env = std::getenv(name)) {
+    const long n = std::atol(env);
+    if (n >= static_cast<long>(min)) return static_cast<u32>(n);
   }
-  return m;
+  return fallback;
 }
+
+/// FNV-1a over 64-bit words and bytes: the benches' digests of what a
+/// run computed.
+class Digest {
+ public:
+  void Mix(u64 v) {
+    for (int i = 0; i < 8; ++i) MixByte(static_cast<u8>(v >> (8 * i)));
+  }
+  void MixBytes(std::span<const u8> bytes) {
+    for (u8 b : bytes) MixByte(b);
+  }
+  u64 value() const { return h_; }
+
+ private:
+  void MixByte(u8 b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  u64 h_ = 1469598103934665603ull;
+};
 
 /// "8 KB" / "512 B" labels for size columns.
 inline std::string SizeLabel(usize bytes) {
@@ -253,6 +264,7 @@ struct FreshRun {
   os::VimServiceStats service;
   Picoseconds sim_now = 0;  // simulated time at the end of the run
   u64 events = 0;           // events dispatched, the audit's included
+  u64 imu_accesses = 0;     // by the loaded design's IMU, failed runs too
 };
 
 /// Runs `job` through runtime::RunJob on a fresh system built from
@@ -275,6 +287,9 @@ inline FreshRun RunFresh(
     run.report = result.value().report;
   }
   run.service = sys.kernel().vim().service_stats();
+  if (const hw::Imu* imu = sys.kernel().imu()) {
+    run.imu_accesses = imu->stats().accesses;
+  }
   sim::Simulator& sim = sys.kernel().simulator();
   run.sim_now = sim.now();
   if (inspect) inspect(sys, run);
@@ -285,23 +300,18 @@ inline FreshRun RunFresh(
 
 // ----- the seeded fault-plan grid -----
 
-/// The grid's streaming workload for `seed`: adpcm, IDEA, vecadd or
-/// conv2d by seed % 4.
-inline App GridApp(u64 seed) {
-  constexpr App kApps[] = {App::kAdpcm, App::kIdea, App::kVecAdd, App::kConv};
-  return kApps[seed % 4];
-}
-
 /// Runs the grid's workload for `seed` on a fresh system built from
 /// `config`, under `plan` (none installed when null), and audits the
-/// end of the run (RunFresh). The streaming workloads fit the 16 KB
-/// dual-port RAM: adpcm 2 KB, IDEA 1 KB, vecadd 512 words, a 48x24
-/// conv2d image. With `gather`, the run is instead a 6144-word gather,
-/// whose 24 KB objects evict, write back mid-run and re-load pages.
+/// end of the run (RunFresh). The streaming workload is adpcm, IDEA,
+/// vecadd or conv2d by seed % 4, each fitting the 16 KB dual-port RAM:
+/// adpcm 2 KB, IDEA 1 KB, vecadd 512 words, a 48x24 conv2d image. With
+/// `gather`, the run is instead a 6144-word gather, whose 24 KB objects
+/// evict, write back mid-run and re-load pages.
 inline FreshRun RunGrid(u64 seed, const os::KernelConfig& config,
                         FaultPlan* plan, bool gather = false) {
   constexpr u32 kGridWidth = 48;
-  const App app = gather ? App::kGather : GridApp(seed);
+  constexpr App kApps[] = {App::kAdpcm, App::kIdea, App::kVecAdd, App::kConv};
+  const App app = gather ? App::kGather : kApps[seed % 4];
   u32 bytes = 0;
   switch (app) {
     case App::kAdpcm: bytes = 2048; break;
@@ -313,77 +323,14 @@ inline FreshRun RunGrid(u64 seed, const os::KernelConfig& config,
   return RunFresh(config, MakeJob(app, bytes, seed, kGridWidth), plan);
 }
 
-// ----- every report field -----
-
-/// One ExecutionReport field by dotted name. A double enters as its bit
-/// pattern, so equal values mean bit-identical fields.
-struct ReportField {
-  const char* name;
-  u64 value;
-};
-
-/// Every ExecutionReport field, in declaration order; a sim::Summary
-/// enters as its count, sum, min and max. The whole-report checks (the
-/// engine differential, the empty-plan check, bench_fastforward's
-/// digest) all read this one list.
-inline std::vector<ReportField> ReportFields(const os::ExecutionReport& r) {
-  // The 41 fields below are 8 bytes each: a field added to the report
-  // fails this until it joins the list.
-  static_assert(sizeof(os::ExecutionReport) == 41 * sizeof(u64));
-  const os::VimAccounting& v = r.vim;
-  const sim::Summary& fs = v.fault_service_us;
-  auto bits = [](double d) { return std::bit_cast<u64>(d); };
-  return {
-      {"total", r.total},
-      {"t_hw", r.t_hw},
-      {"t_dp", r.t_dp},
-      {"t_imu", r.t_imu},
-      {"t_invoke", r.t_invoke},
-      {"vim.t_dp", v.t_dp},
-      {"vim.t_imu", v.t_imu},
-      {"vim.t_wakeup", v.t_wakeup},
-      {"vim.faults", v.faults},
-      {"vim.tlb_refills", v.tlb_refills},
-      {"vim.evictions", v.evictions},
-      {"vim.writebacks", v.writebacks},
-      {"vim.loads", v.loads},
-      {"vim.kernel_copy_loads", v.kernel_copy_loads},
-      {"vim.prefetched_pages", v.prefetched_pages},
-      {"vim.cleaned_pages", v.cleaned_pages},
-      {"vim.bytes_loaded", v.bytes_loaded},
-      {"vim.bytes_written_back", v.bytes_written_back},
-      {"vim.t_dp_overlapped", v.t_dp_overlapped},
-      {"vim.t_dp_wait", v.t_dp_wait},
-      {"vim.dirty_in_pages_dropped", v.dirty_in_pages_dropped},
-      {"vim.preemptions", v.preemptions},
-      {"vim.fault_recoveries", v.fault_recoveries},
-      {"vim.iommu_faults", v.iommu_faults},
-      {"vim.prefetch_useful", v.prefetch_useful},
-      {"vim.fault_service_us.count", fs.count()},
-      {"vim.fault_service_us.sum", bits(fs.sum())},
-      {"vim.fault_service_us.min", bits(fs.min())},
-      {"vim.fault_service_us.max", bits(fs.max())},
-      {"imu.accesses", r.imu.accesses},
-      {"imu.reads", r.imu.reads},
-      {"imu.writes", r.imu.writes},
-      {"imu.faults", r.imu.faults},
-      {"imu.fault_stall_time", r.imu.fault_stall_time},
-      {"imu.access_latency_time", r.imu.access_latency_time},
-      {"tlb.lookups", r.tlb.lookups},
-      {"tlb.hits", r.tlb.hits},
-      {"tlb.misses", r.tlb.misses},
-      {"tlb.parity_errors", r.tlb.parity_errors},
-      {"tlb.installs", r.tlb.installs},
-      {"cp_cycles", r.cp_cycles},
-  };
-}
+// ----- whole-report checks -----
 
 /// The fields in which `got` differs from `want`, one "name: got vs
 /// want" line each; empty when the two reports are bit-identical.
 inline std::string ReportMismatch(const os::ExecutionReport& got,
                                   const os::ExecutionReport& want) {
-  const std::vector<ReportField> a = ReportFields(got);
-  const std::vector<ReportField> b = ReportFields(want);
+  const std::vector<Field> a = os::FieldsOf(got);
+  const std::vector<Field> b = os::FieldsOf(want);
   std::string mismatch;
   for (usize i = 0; i < a.size(); ++i) {
     if (a[i].value == b[i].value) continue;
@@ -397,7 +344,6 @@ inline std::string ReportMismatch(const os::ExecutionReport& got,
 // ----- the single-run point runner -----
 
 struct Point {
-  usize input_bytes = 0;
   Picoseconds sw = 0;               // pure-software baseline (adpcm, IDEA)
   os::ExecutionReport vim;          // VIM-based coprocessor
   bool exact = false;               // output equals the reference
@@ -412,7 +358,6 @@ inline Point RunPoint(
     const std::function<void(runtime::FpgaSystem&, const FreshRun&)>&
         inspect = nullptr) {
   Point point;
-  point.input_bytes = job.input_bytes;
   apps::ArmTimingModel arm;
   arm.cpu_clock = config.costs.cpu_clock;
   if (job.app == App::kAdpcm) point.sw = arm.AdpcmDecodeTime(job.input_bytes);
@@ -492,6 +437,7 @@ struct FleetResult {
   std::vector<TenantRun> tenants;
   os::VcopdStats stats;
   os::VimServiceStats service;
+  hw::ConfigSlotStats slots;  // the fabric's, over the whole run
   /// The schedule's makespan and per-pid digest.
   Picoseconds makespan = 0;
   std::vector<os::TenantFairness> fairness;
@@ -581,6 +527,7 @@ inline FleetResult RunVcopdFleet(const std::vector<TenantSpec>& specs,
 
   result.stats = daemon.stats();
   result.service = sys.kernel().vim().service_stats();
+  result.slots = sys.kernel().fabric().slot_stats();
   const os::ScheduleReport report = daemon.BuildScheduleReport();
   result.makespan = report.makespan;
   result.fairness = report.per_pid();
@@ -629,6 +576,366 @@ inline std::string ConvChromeTrace(os::KernelConfig config) {
                                           apps::SharpenKernel(), 0);
   VCOP_CHECK_MSG(run.ok(), run.status().ToString());
   return sys.kernel().timeline().ToChromeTrace();
+}
+
+// ----- the JSON bench runner -----
+
+/// One value a row reports: a number printed with `decimals` digits
+/// after the point (0 for a count), a flag or a label.
+struct Value {
+  enum class Kind : u8 { kNumber, kFlag, kText };
+  Kind kind = Kind::kNumber;
+  double number = 0.0;  // a flag is 0 or 1
+  int decimals = 0;
+  std::string text{};  // a label
+
+  /// As the table prints it; the JSON quotes a label.
+  std::string ToString() const {
+    if (kind == Kind::kText) return text;
+    if (kind == Kind::kFlag) return number != 0.0 ? "true" : "false";
+    return StrFormat("%.*f", decimals, number);
+  }
+  std::string ToJson() const {
+    return kind == Kind::kText ? "\"" + text + "\"" : ToString();
+  }
+};
+
+using NamedValues = std::vector<std::pair<std::string, Value>>;
+
+/// The value `name` in `values`, or null.
+inline const Value* FindValue(const NamedValues& values,
+                              std::string_view name) {
+  for (const auto& [n, v] : values) {
+    if (n == name) return &v;
+  }
+  return nullptr;
+}
+
+/// A row's values by dotted name, in the order it reports them, and
+/// apart from them what it measured of the host (wall times), which no
+/// golden compares.
+class Values {
+ public:
+  /// Adds each of `names` from `table` (a FieldsOf table, next to its
+  /// struct in src/), as "<scope>.<name>" when `scope` is given. A name
+  /// "<stem>_us" reports the table's time "<stem>_ps" in microseconds.
+  /// A name the table lacks fails loudly.
+  Values& Add(const std::vector<Field>& table,
+              std::initializer_list<std::string_view> names,
+              const std::string& scope = "") {
+    auto find = [&table](std::string_view name) -> const Field* {
+      for (const Field& f : table) {
+        if (name == f.name) return &f;
+      }
+      return nullptr;
+    };
+    for (const std::string_view name : names) {
+      std::string full(name);
+      if (!scope.empty()) full = scope + "." + full;
+      if (const Field* f = find(name)) {
+        Count(std::move(full), f->value);
+        continue;
+      }
+      const Field* stem =
+          name.ends_with("_us")
+              ? find(std::string(name.substr(0, name.size() - 3)) + "_ps")
+              : nullptr;
+      VCOP_CHECK_MSG(stem != nullptr, "no field named " + std::string(name));
+      Us(std::move(full), stem->value);
+    }
+    return *this;
+  }
+  Values& Count(std::string name, u64 n) {
+    return Put(named, std::move(name),
+               {Value::Kind::kNumber, static_cast<double>(n)});
+  }
+  Values& Real(std::string name, double x, int decimals) {
+    return Put(named, std::move(name), {Value::Kind::kNumber, x, decimals});
+  }
+  Values& Us(std::string name, Picoseconds t) {
+    return Real(std::move(name), ToMicroseconds(t), 3);
+  }
+  Values& Flag(std::string name, bool b) {
+    return Put(named, std::move(name), {Value::Kind::kFlag, b ? 1.0 : 0.0});
+  }
+  Values& Text(std::string name, std::string text) {
+    return Put(named, std::move(name),
+               {Value::Kind::kText, 0.0, 0, std::move(text)});
+  }
+  /// A host measurement, written to the uncompared "host" block.
+  Values& Host(std::string name, double x, int decimals) {
+    return Put(host, std::move(name), {Value::Kind::kNumber, x, decimals});
+  }
+
+  NamedValues named;
+  NamedValues host;
+
+ private:
+  Values& Put(NamedValues& into, std::string name, Value value) {
+    VCOP_CHECK_MSG(FindValue(into, name) == nullptr, "twice: " + name);
+    into.emplace_back(std::move(name), std::move(value));
+    return *this;
+  }
+};
+
+/// A row: its label and the simulation that measures its values.
+struct Row {
+  std::string label;
+  std::function<void(Values&)> run;
+};
+
+/// How a gate compares a value with its bound.
+enum class Cmp : u8 { kLt, kLe, kEq, kGe, kGt };
+
+/// One gate: value `name` of row `row` (of every row that reports it,
+/// when `row` is empty) against the constant `bound`; or, when `of_name`
+/// is given, against `scale` x value `of_name` of row `of_row` (the
+/// gated row, when empty) + `bound`. A label compares only for equality,
+/// with another label.
+struct Gate {
+  std::string row;
+  std::string name;
+  Cmp cmp = Cmp::kEq;
+  double bound = 0.0;
+  std::string of_row{};
+  std::string of_name{};
+  double scale = 1.0;
+};
+
+/// The runner of the JSON benches. A bench runs its rows (Run), each
+/// reporting its values by dotted name, and declares its gates
+/// (Finish); Bench prints the rows as one table, checks the gates
+/// and writes BENCH_<name>.json in the one schema: "bench", "rows" (each
+/// row's label and values), "gates" (value, bound, pass), "gates_pass"
+/// and last "host" (wall times and thread counts), which no golden
+/// compares.
+class Bench {
+ public:
+  explicit Bench(std::string name) : name_(std::move(name)) {}
+
+  /// Runs `rows` side by side on the fleet (sim::FleetMap rules for
+  /// `threads`; 1 runs them one at a time, for rows that time their own
+  /// sweeps) and keeps their values, in order.
+  void Run(const std::vector<Row>& rows, u32 threads = 0) {
+    std::vector<Values> values = sim::FleetMap<Values>(
+        rows.size(),
+        [&rows](usize i) {
+          Values v;
+          rows[i].run(v);
+          return v;
+        },
+        threads);
+    for (usize i = 0; i < rows.size(); ++i) {
+      rows_.emplace_back(rows[i].label, std::move(values[i]));
+    }
+  }
+
+  /// Adds a row computed from the values of rows already run.
+  void Add(std::string label, Values values) {
+    rows_.emplace_back(std::move(label), std::move(values));
+  }
+
+  /// Value `name` of row `row`; fails loudly when there is none.
+  const Value& Get(std::string_view row, std::string_view name) const {
+    const Value* v = nullptr;
+    for (const auto& [label, values] : rows_) {
+      if (label == row) v = FindValue(values.named, name);
+    }
+    VCOP_CHECK_MSG(v != nullptr, "row " + std::string(row) +
+                                     " reports no value named " +
+                                     std::string(name));
+    return *v;
+  }
+
+  /// Prints the rows as one table, checks `gates`, writes
+  /// BENCH_<name>.json and returns the exit code: 1 if any gate fails.
+  int Finish(const std::vector<Gate>& gates) const {
+    PrintTable();
+    std::string gates_json;
+    bool all_pass = true;
+    for (const Gate& gate : gates) {
+      bool checked = false;
+      for (const auto& [label, values] : rows_) {
+        if (gate.row.empty() ? FindValue(values.named, gate.name) == nullptr
+                             : label != gate.row) {
+          continue;
+        }
+        checked = true;
+        const Value& value = Get(label, gate.name);
+        Value bound = value;
+        bound.number = gate.bound;
+        std::string rhs = bound.ToString();
+        if (!gate.of_name.empty()) {
+          const std::string& of_row = gate.of_row.empty() ? label : gate.of_row;
+          const Value& of = Get(of_row, gate.of_name);
+          bound.number = gate.scale * of.number + gate.bound;
+          bound.text = of.text;
+          rhs = (gate.scale != 1.0 ? StrFormat("%g x ", gate.scale) : "") +
+                "[" + of_row + "] " + gate.of_name;
+          if (gate.bound != 0.0) {
+            rhs += StrFormat(" %c %g", gate.bound < 0 ? '-' : '+',
+                             std::abs(gate.bound));
+          }
+        }
+        const bool pass = Compare(value, gate.cmp, bound);
+        all_pass &= pass;
+        const std::string what = "[" + label + "] " + gate.name + " " +
+                                 kCmpNames[static_cast<int>(gate.cmp)] + " " +
+                                 rhs;
+        std::printf("%s %s (value %s, bound %s)\n", pass ? "pass:" : "FAIL:",
+                    what.c_str(), value.ToString().c_str(),
+                    bound.ToString().c_str());
+        gates_json += StrFormat(
+            "%s\n    {\"gate\": \"%s\", \"value\": %s, \"bound\": %s, "
+            "\"pass\": %s}",
+            gates_json.empty() ? "" : ",", what.c_str(),
+            value.ToJson().c_str(), bound.ToJson().c_str(),
+            pass ? "true" : "false");
+      }
+      VCOP_CHECK_MSG(checked, "no row reports " + gate.name);
+    }
+
+    std::string json = "{\n  \"bench\": \"" + name_ + "\",\n  \"rows\": [";
+    std::string host_rows;
+    for (usize i = 0; i < rows_.size(); ++i) {
+      const auto& [label, values] = rows_[i];
+      json += RowJson(i == 0, label, values.named);
+      if (!values.host.empty()) {
+        host_rows += RowJson(host_rows.empty(), label, values.host);
+      }
+    }
+    json += "\n  ],\n  \"gates\": [" + gates_json + "\n  ],\n";
+    json += StrFormat("  \"gates_pass\": %s,\n", all_pass ? "true" : "false");
+    // What the host decides goes last, under "host": the bench_goldens
+    // test compares only what precedes it.
+    json += StrFormat(
+        "  \"host\": {\"wall_ms\": %.3f, \"fleet_threads\": %u, "
+        "\"hardware_concurrency\": %u",
+        timer_.ElapsedMs(), sim::FleetThreadCount(),
+        std::thread::hardware_concurrency());
+    if (!host_rows.empty()) json += ", \"rows\": [" + host_rows + "\n  ]";
+    json += "}\n}\n";
+
+    const std::string path = "BENCH_" + name_ + ".json";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    VCOP_CHECK_MSG(f != nullptr, "cannot open " + path + " for writing");
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+    std::printf("%s; wrote %s\n", all_pass ? "all gates pass" : "GATES FAIL",
+                path.c_str());
+    return all_pass ? 0 : 1;
+  }
+
+ private:
+  static constexpr const char* kCmpNames[] = {"<", "<=", "==", ">=", ">"};
+
+  static bool Compare(const Value& value, Cmp cmp, const Value& bound) {
+    if (value.kind == Value::Kind::kText) {
+      VCOP_CHECK_MSG(cmp == Cmp::kEq, "a label compares only for equality");
+      return value.text == bound.text;
+    }
+    const double a = value.number;
+    const double b = bound.number;
+    switch (cmp) {
+      case Cmp::kLt: return a < b;
+      case Cmp::kLe: return a <= b;
+      case Cmp::kEq: return a == b;
+      case Cmp::kGe: return a >= b;
+      case Cmp::kGt: return a > b;
+    }
+    return false;
+  }
+
+  static std::string RowJson(bool first, const std::string& label,
+                             const NamedValues& values) {
+    std::string json = StrFormat("%s\n    {\"row\": \"%s\", \"values\": {",
+                                 first ? "" : ",", label.c_str());
+    for (usize i = 0; i < values.size(); ++i) {
+      json += StrFormat("%s\n      \"%s\": %s", i == 0 ? "" : ",",
+                        values[i].first.c_str(),
+                        values[i].second.ToJson().c_str());
+    }
+    return json + "\n    }}";
+  }
+
+  /// One table: a line per value, the host's too, and a column per row.
+  void PrintTable() const {
+    std::vector<std::string> header = {"value"};
+    std::vector<NamedValues> columns;
+    std::vector<std::string> names;
+    for (const auto& [label, values] : rows_) {
+      header.push_back(label);
+      NamedValues& column = columns.emplace_back(values.named);
+      for (const auto& [name, value] : values.host) {
+        column.emplace_back("host." + name, value);
+      }
+      for (const auto& [name, value] : column) {
+        if (std::find(names.begin(), names.end(), name) == names.end()) {
+          names.push_back(name);
+        }
+      }
+    }
+    Table table(header);
+    table.set_title("BENCH_" + name_ + ".json");
+    for (const std::string& name : names) {
+      std::vector<std::string> line = {name};
+      for (const NamedValues& column : columns) {
+        const Value* v = FindValue(column, name);
+        line.push_back(v != nullptr ? v->ToString() : "");
+      }
+      table.AddRow(std::move(line));
+    }
+    table.Print();
+    std::printf("\n");
+  }
+
+  std::string name_;
+  WallTimer timer_;
+  std::vector<std::pair<std::string, Values>> rows_;
+};
+
+// ----- what a vcopd fleet reports -----
+
+/// Adds a fleet run's values to `v`: its makespan and throughput, the
+/// daemon's switches and configuration time, the designs the fabric's
+/// slots evicted, context saves, the Jain index over per-tenant fabric
+/// time and whether every job ran exact.
+inline void AddFleetValues(Values& v, const FleetResult& fleet) {
+  const os::VcopdStats& s = fleet.stats;
+  v.Us("makespan_us", fleet.makespan)
+      .Count("jobs", fleet.jobs())
+      .Real("jobs_per_sim_ms", fleet.throughput(), 3)
+      .Add(os::FieldsOf(s),
+           {"vcopd.preemptions", "vcopd.reconfigurations",
+            "vcopd.slot_activations", "vcopd.total_config_time_us",
+            "vcopd.total_activation_time_us"})
+      .Real("config_share",
+            fleet.makespan > 0
+                ? static_cast<double>(s.total_config_time +
+                                      s.total_activation_time) /
+                      static_cast<double>(fleet.makespan)
+                : 0.0,
+            4)
+      .Add(hw::FieldsOf(fleet.slots), {"fabric.evictions"})
+      .Add(os::FieldsOf(fleet.service),
+           {"vim.context_saves", "vim.pages_written_back_on_save"})
+      .Real("jain", fleet.jain(), 4)
+      .Flag("outputs_exact", fleet.outputs_exact);
+}
+
+/// Adds each tenant's values to `v`, as "tenant.<name>.<value>".
+inline void AddTenantValues(Values& v, const FleetResult& fleet) {
+  for (const TenantRun& t : fleet.tenants) {
+    const std::string p = "tenant." + t.spec.name + ".";
+    v.Text(p + "app", AppName(t.spec.app))
+        .Count(p + "weight", t.spec.weight)
+        .Count(p + "input_bytes", t.spec.input_bytes)
+        .Count(p + "jobs", t.completed)
+        .Count(p + "preemptions", t.preemptions)
+        .Us(p + "p50_turnaround_us", PercentileNearestRank(t.turnarounds, 0.5))
+        .Us(p + "p99_turnaround_us", PercentileNearestRank(t.turnarounds, 0.99))
+        .Flag(p + "outputs_exact", t.outputs_exact);
+  }
 }
 
 }  // namespace vcop::bench

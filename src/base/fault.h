@@ -20,6 +20,7 @@
 
 #include <array>
 
+#include "base/field.h"
 #include "base/rng.h"
 #include "base/types.h"
 
@@ -58,6 +59,12 @@ struct FaultSiteStats {
   u64 opportunities = 0;  // times the hardware asked
   u64 injected = 0;       // times the plan said "fire"
 };
+
+/// Every FaultSiteStats field by name.
+inline std::vector<Field> FieldsOf(const FaultSiteStats& s) {
+  static_assert(sizeof(FaultSiteStats) == 2 * sizeof(u64));
+  return {{"opportunities", s.opportunities}, {"injected", s.injected}};
+}
 
 class FaultPlan {
  public:

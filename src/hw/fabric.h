@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "base/fault.h"
+#include "base/field.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "base/units.h"
@@ -50,6 +51,18 @@ struct ConfigSlotStats {
   Picoseconds activation_time = 0;  // total slot-activation time
   Picoseconds configure_time = 0;   // total full-configuration time
 };
+
+/// Every ConfigSlotStats field by dotted name.
+inline std::vector<Field> FieldsOf(const ConfigSlotStats& s) {
+  static_assert(sizeof(ConfigSlotStats) == 5 * sizeof(u64));
+  return {
+      {"fabric.hits", s.hits},
+      {"fabric.misses", s.misses},
+      {"fabric.evictions", s.evictions},
+      {"fabric.activation_time_ps", s.activation_time},
+      {"fabric.configure_time_ps", s.configure_time},
+  };
+}
 
 /// Outcome of a configuration-cache probe (AcquireDesign).
 struct SlotAcquire {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "base/fault.h"
+#include "base/field.h"
 #include "base/units.h"
 #include "mem/user_memory.h"
 
@@ -45,6 +46,23 @@ struct IommuStats {
   u64 pages_pinned = 0;
   u64 pages_unpinned = 0;
 };
+
+/// Every IommuStats field by dotted name.
+inline std::vector<Field> FieldsOf(const IommuStats& s) {
+  static_assert(sizeof(IommuStats) == 10 * sizeof(u64));
+  return {
+      {"iommu.iotlb_hits", s.iotlb_hits},
+      {"iommu.iotlb_misses", s.iotlb_misses},
+      {"iommu.iotlb_evictions", s.iotlb_evictions},
+      {"iommu.walks", s.walks},
+      {"iommu.shootdowns", s.shootdowns},
+      {"iommu.entries_shot_down", s.entries_shot_down},
+      {"iommu.translation_faults", s.translation_faults},
+      {"iommu.iotlb_parity_drops", s.iotlb_parity_drops},
+      {"iommu.pages_pinned", s.pages_pinned},
+      {"iommu.pages_unpinned", s.pages_unpinned},
+  };
+}
 
 class Iommu {
  public:

@@ -24,12 +24,14 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "base/field.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "hw/fabric.h"
@@ -118,6 +120,62 @@ struct ExecutionReport {
   hw::TlbStats tlb;
   u64 cp_cycles = 0;  // rising edges consumed by the coprocessor core
 };
+
+/// Every ExecutionReport field, in declaration order; a sim::Summary
+/// enters as its count, sum, min and max. The whole-report checks (the
+/// engine differential, the empty-plan check, bench_fastforward's
+/// digest) all read this one list.
+inline std::vector<Field> FieldsOf(const ExecutionReport& r) {
+  // The 41 fields below are 8 bytes each: a field added to the report
+  // fails this until it joins the list.
+  static_assert(sizeof(ExecutionReport) == 41 * sizeof(u64));
+  const VimAccounting& v = r.vim;
+  const sim::Summary& fs = v.fault_service_us;
+  auto bits = [](double d) { return std::bit_cast<u64>(d); };
+  return {
+      {"total_ps", r.total},
+      {"t_hw_ps", r.t_hw},
+      {"t_dp_ps", r.t_dp},
+      {"t_imu_ps", r.t_imu},
+      {"t_invoke_ps", r.t_invoke},
+      {"vim.t_dp_ps", v.t_dp},
+      {"vim.t_imu_ps", v.t_imu},
+      {"vim.t_wakeup_ps", v.t_wakeup},
+      {"vim.faults", v.faults},
+      {"vim.tlb_refills", v.tlb_refills},
+      {"vim.evictions", v.evictions},
+      {"vim.writebacks", v.writebacks},
+      {"vim.loads", v.loads},
+      {"vim.kernel_copy_loads", v.kernel_copy_loads},
+      {"vim.prefetched_pages", v.prefetched_pages},
+      {"vim.cleaned_pages", v.cleaned_pages},
+      {"vim.bytes_loaded", v.bytes_loaded},
+      {"vim.bytes_written_back", v.bytes_written_back},
+      {"vim.t_dp_overlapped_ps", v.t_dp_overlapped},
+      {"vim.t_dp_wait_ps", v.t_dp_wait},
+      {"vim.dirty_in_pages_dropped", v.dirty_in_pages_dropped},
+      {"vim.preemptions", v.preemptions},
+      {"vim.fault_recoveries", v.fault_recoveries},
+      {"vim.iommu_faults", v.iommu_faults},
+      {"vim.prefetch_useful", v.prefetch_useful},
+      {"vim.fault_service_us.count", fs.count()},
+      {"vim.fault_service_us.sum", bits(fs.sum())},
+      {"vim.fault_service_us.min", bits(fs.min())},
+      {"vim.fault_service_us.max", bits(fs.max())},
+      {"imu.accesses", r.imu.accesses},
+      {"imu.reads", r.imu.reads},
+      {"imu.writes", r.imu.writes},
+      {"imu.faults", r.imu.faults},
+      {"imu.fault_stall_time_ps", r.imu.fault_stall_time},
+      {"imu.access_latency_time_ps", r.imu.access_latency_time},
+      {"tlb.lookups", r.tlb.lookups},
+      {"tlb.hits", r.tlb.hits},
+      {"tlb.misses", r.tlb.misses},
+      {"tlb.parity_errors", r.tlb.parity_errors},
+      {"tlb.installs", r.tlb.installs},
+      {"cp_cycles", r.cp_cycles},
+  };
+}
 
 /// A design instantiated on the platform (Kernel::Instantiate): the
 /// core its bit-stream creates, an IMU on the shared TLB, and the

@@ -45,6 +45,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/field.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "base/units.h"
@@ -110,6 +111,28 @@ struct VcopServiceStats {
   u64 completions_suppressed = 0;  // pushed while interrupts suppressed
   u64 repoll_ticks = 0;
 };
+
+/// Every VcopServiceStats field by dotted name.
+inline std::vector<Field> FieldsOf(const VcopServiceStats& s) {
+  static_assert(sizeof(VcopServiceStats) == 15 * sizeof(u64));
+  return {
+      {"svc.doorbell_kicks", s.doorbell_kicks},
+      {"svc.doorbells_coalesced", s.doorbells_coalesced},
+      {"svc.doorbells_ignored", s.doorbells_ignored},
+      {"svc.doorbells_lost", s.doorbells_lost},
+      {"svc.doorbells_recovered", s.doorbells_recovered},
+      {"svc.drains", s.drains},
+      {"svc.drained_jobs", s.drained_jobs},
+      {"svc.max_batch", s.max_batch},
+      {"svc.admission_deferrals", s.admission_deferrals},
+      {"svc.daemon_backpressure", s.daemon_backpressure},
+      {"svc.descriptors_rejected", s.descriptors_rejected},
+      {"svc.completions_pushed", s.completions_pushed},
+      {"svc.completions_notified", s.completions_notified},
+      {"svc.completions_suppressed", s.completions_suppressed},
+      {"svc.repoll_ticks", s.repoll_ticks},
+  };
+}
 
 class VcopService {
  public:

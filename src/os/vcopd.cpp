@@ -126,7 +126,8 @@ Vcopd::Vcopd(Kernel& kernel, VcopdConfig config)
     : kernel_(kernel),
       config_(config),
       asids_(std::max<u32>(
-          2, std::min<u32>(config.max_asids, 65536))) {
+          2, std::min<u32>(config.max_asids, 65536))),
+      slots_at_start_(kernel.fabric().slot_stats()) {
   kernel_.vim().set_space_resolver(
       [this](hw::Asid asid) { return FindSpace(asid); });
   // ASID generation rollover: when the allocator's cursor wraps past
@@ -451,6 +452,18 @@ Vcopd::Tenant* Vcopd::PickNext() {
   return pick;
 }
 
+VcopdStats Vcopd::stats() const {
+  const hw::ConfigSlotStats& now = kernel_.fabric().slot_stats();
+  VcopdStats stats = stats_;
+  stats.reconfigurations = now.misses - slots_at_start_.misses;
+  stats.slot_activations = now.hits - slots_at_start_.hits;
+  stats.total_config_time =
+      now.configure_time - slots_at_start_.configure_time;
+  stats.total_activation_time =
+      now.activation_time - slots_at_start_.activation_time;
+  return stats;
+}
+
 Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
   // Submit validated the price, but the library could have changed
   // since; a stale design fails the job, not the daemon. AcquireDesign
@@ -460,16 +473,12 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
   if (!acquired.ok()) return acquired.status();
   const hw::SlotAcquire& got = acquired.value();
   if (got.reconfigured) {
-    ++stats_.reconfigurations;
-    stats_.total_config_time += got.time;
     ++job.result.reconfigurations;
     job.result.config_time += got.time;
     kernel_.timeline().Record(TimelineKind::kVcopdConfigure,
                               kernel_.simulator().now(), got.time, {},
                               job.bitstream.name);
   } else if (got.activated) {
-    ++stats_.slot_activations;
-    stats_.total_activation_time += got.time;
     ++job.result.slot_activations;
     job.result.config_time += got.time;
     kernel_.timeline().Record(TimelineKind::kVcopdActivate,

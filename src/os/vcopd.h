@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "base/field.h"
 #include "base/packed_bytes.h"
 #include "base/status.h"
 #include "base/types.h"
@@ -228,6 +229,10 @@ struct VcopdStats {
   u64 failed = 0;
   u64 dispatches = 0;  // slices granted (initial dispatches + resumes)
   u64 preemptions = 0;
+  /// The fabric's configuration-cache counts (hw::ConfigSlotStats
+  /// misses, hits, configure_time and activation_time) since the daemon
+  /// was built, blocking FPGA_LOADs included: every configuration goes
+  /// through the fabric's cache.
   u64 reconfigurations = 0;
   /// Configuration-cache hits that switched a dormant resident slot in
   /// (always 0 with a single slot).
@@ -237,6 +242,24 @@ struct VcopdStats {
   Picoseconds total_config_time = 0;
   Picoseconds total_activation_time = 0;
 };
+
+/// Every VcopdStats field by dotted name.
+inline std::vector<Field> FieldsOf(const VcopdStats& s) {
+  static_assert(sizeof(VcopdStats) == 11 * sizeof(u64));
+  return {
+      {"vcopd.submitted", s.submitted},
+      {"vcopd.rejected", s.rejected},
+      {"vcopd.completed", s.completed},
+      {"vcopd.failed", s.failed},
+      {"vcopd.dispatches", s.dispatches},
+      {"vcopd.preemptions", s.preemptions},
+      {"vcopd.reconfigurations", s.reconfigurations},
+      {"vcopd.slot_activations", s.slot_activations},
+      {"vcopd.quarantined", s.quarantined},
+      {"vcopd.total_config_time_ps", s.total_config_time},
+      {"vcopd.total_activation_time_ps", s.total_activation_time},
+  };
+}
 
 class Vcopd {
  public:
@@ -313,7 +336,7 @@ class Vcopd {
 
   // ----- introspection -----
 
-  const VcopdStats& stats() const { return stats_; }
+  VcopdStats stats() const;
   const VcopdConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }
   AddressSpace* FindSpace(hw::Asid asid);
@@ -409,7 +432,10 @@ class Vcopd {
   Tenant* current_ = nullptr;  // fair-share round-robin position
   Picoseconds slice_started_at_ = 0;
 
+  /// The daemon's own counts; stats() adds the fabric's configuration
+  /// counts since `slots_at_start_`.
   VcopdStats stats_;
+  hw::ConfigSlotStats slots_at_start_;
 };
 
 }  // namespace vcop::os

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "base/fault.h"
+#include "base/field.h"
 #include "base/status.h"
 #include "base/types.h"
 #include "base/units.h"
@@ -131,6 +132,26 @@ struct VimServiceStats {
   /// TLB entries the hardware discarded on a failed parity check.
   u64 tlb_parity_drops = 0;
 };
+
+/// Every VimServiceStats field by dotted name.
+inline std::vector<Field> FieldsOf(const VimServiceStats& s) {
+  static_assert(sizeof(VimServiceStats) == 13 * sizeof(u64));
+  return {
+      {"vim.context_saves", s.context_saves},
+      {"vim.context_restores", s.context_restores},
+      {"vim.tlb_entries_restored", s.tlb_entries_restored},
+      {"vim.pages_written_back_on_save", s.pages_written_back_on_save},
+      {"vim.transfer_retries", s.transfer_retries},
+      {"vim.transfer_retry_failures", s.transfer_retry_failures},
+      {"vim.watchdog_wakeups", s.watchdog_wakeups},
+      {"vim.watchdog_recoveries", s.watchdog_recoveries},
+      {"vim.watchdog_hang_aborts", s.watchdog_hang_aborts},
+      {"vim.duplicate_irqs_ignored", s.duplicate_irqs_ignored},
+      {"vim.spurious_faults_ignored", s.spurious_faults_ignored},
+      {"vim.fault_budget_aborts", s.fault_budget_aborts},
+      {"vim.tlb_parity_drops", s.tlb_parity_drops},
+  };
+}
 
 class Vim {
  public:

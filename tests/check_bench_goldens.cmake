@@ -1,9 +1,10 @@
 # Runs each JSON bench in a scratch directory and compares the
 # BENCH_<name>.json it writes with the committed copy in GOLDEN_DIR. A
 # bench that exits non-zero fails its own gates and fails the check.
-# Every field before the file's trailing "host" key must match byte for
-# byte; what follows it (wall time, thread counts) depends on the
-# machine and is not compared.
+# Both files must have the one bench schema's top-level keys in order
+# ("bench", "rows", "gates", "gates_pass", "host"). Every field before
+# the trailing "host" key must match byte for byte; what follows it
+# (wall time, thread counts) depends on the machine and is not compared.
 #
 #   cmake -DBENCH_DIR=<dir of the bench binaries> -DBENCHES=<a,b,...>
 #         -DGOLDEN_DIR=<dir of the committed BENCH_*.json>
@@ -20,13 +21,21 @@ endforeach()
 
 include("${CMAKE_CURRENT_LIST_DIR}/golden_diff.cmake")
 
-# Reads `file` up to its "host" key (the whole file when it has none).
+# Reads `file` up to its "host" key. Sets `out` to "SCHEMA" when the
+# file lacks one of the schema's top-level keys (two-space indented) or
+# has them out of order.
 function(read_outside_host file out)
   file(READ "${file}" text)
-  string(FIND "${text}" "\"host\":" at)
-  if(NOT at EQUAL -1)
-    string(SUBSTRING "${text}" 0 ${at} text)
-  endif()
+  set(last -1)
+  foreach(key bench rows gates gates_pass host)
+    string(FIND "${text}" "\n  \"${key}\":" at)
+    if(at LESS_EQUAL last)
+      set(${out} "SCHEMA" PARENT_SCOPE)
+      return()
+    endif()
+    set(last ${at})
+  endforeach()
+  string(SUBSTRING "${text}" 0 ${last} text)
   set(${out} "${text}" PARENT_SCOPE)
 endfunction()
 
@@ -55,11 +64,16 @@ foreach(name IN LISTS benches)
     continue()
   endif()
   read_outside_host("${WORK_DIR}/${json}" got)
-  set(want "")
+  set(want "SCHEMA")
   if(EXISTS "${GOLDEN_DIR}/${json}")
     read_outside_host("${GOLDEN_DIR}/${json}" want)
   endif()
-  if(want STREQUAL got)
+  if(want STREQUAL "SCHEMA" OR got STREQUAL "SCHEMA")
+    message(STATUS "${name}: FAILED (the committed or the written ${json} "
+                   "lacks the top-level keys bench, rows, gates, gates_pass "
+                   "and host, in that order)")
+    math(EXPR mismatches "${mismatches} + 1")
+  elseif(want STREQUAL got)
     message(STATUS "${name}: OK")
   else()
     message(STATUS "${name}: FAILED (diff ${GOLDEN_DIR}/${json} ${WORK_DIR}/${json})")

@@ -1,7 +1,7 @@
 // Differential tests for the host-side engines: under sim::Engine::kFast
 // (edge batching, tick coalescing, the IMU translation cache and
 // fast-forward) the simulation must be bit-identical — outputs, every
-// ExecutionReport field (bench::ReportFields) and the final simulated
+// ExecutionReport field (os::FieldsOf) and the final simulated
 // timestamp — to the event-per-edge kReference engine, across every
 // workload and platform ablation.
 //
@@ -130,7 +130,7 @@ FreshRun RunPoint(u64 seed, Engine engine, MemMode mode = MemMode::kDefault) {
 }
 
 /// Outputs, the final simulated time and every report field
-/// (bench::ReportFields) must be equal.
+/// (os::FieldsOf) must be equal.
 void ExpectBitIdentical(const FreshRun& got, const FreshRun& ref, u64 seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   EXPECT_EQ(got.output, ref.output);

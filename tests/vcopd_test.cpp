@@ -360,15 +360,15 @@ TEST(VcopdTest, BackgroundWorkLeavesTheFabricWithItsTenant) {
 }
 
 /// The paging a lone tenant and FPGA_EXECUTE must agree on: every
-/// report field (bench::ReportFields) but the two a dispatch changes,
-/// `total` and `t_invoke`.
+/// report field (os::FieldsOf) but the two a dispatch changes, `total`
+/// and `t_invoke`.
 void ExpectSamePaging(const ExecutionReport& got,
                       const ExecutionReport& want) {
-  const std::vector<bench::ReportField> a = bench::ReportFields(got);
-  const std::vector<bench::ReportField> b = bench::ReportFields(want);
+  const std::vector<Field> a = FieldsOf(got);
+  const std::vector<Field> b = FieldsOf(want);
   for (usize i = 0; i < a.size(); ++i) {
     const std::string_view name = a[i].name;
-    if (name == "total" || name == "t_invoke") continue;
+    if (name == "total_ps" || name == "t_invoke_ps") continue;
     EXPECT_EQ(a[i].value, b[i].value) << name;
   }
 }
@@ -1009,6 +1009,16 @@ TEST(VcopdTest, BlockingLoadsAndJobsShareOneConfigurationRoute) {
   // vcopd left vecadd active: loading it again is free.
   ASSERT_TRUE(sys.Load(cp::VecAddBitstream()).ok());
   EXPECT_EQ(sys.kernel().last_load_time(), 0u);
+
+  // The daemon reports the fabric's one configuration count, the
+  // blocking load's configuration included.
+  const VcopdStats stats = daemon.stats();
+  const hw::ConfigSlotStats& slots = sys.kernel().fabric().slot_stats();
+  EXPECT_EQ(stats.reconfigurations, 3u);
+  EXPECT_EQ(stats.reconfigurations, slots.misses);
+  EXPECT_EQ(stats.total_config_time, slots.configure_time);
+  EXPECT_EQ(stats.slot_activations, slots.hits);
+  EXPECT_EQ(stats.total_activation_time, slots.activation_time);
 }
 
 // ----- FIFO policy: run to completion, batched by bit-stream -----
