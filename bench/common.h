@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -204,11 +205,8 @@ struct StagedJob {
   /// Zeroes the output object, so the next run must write every byte.
   void ClearOutput() { out.Fill(std::vector<u8>(out.size())); }
   /// Queues one run of the job on its tenant.
-  Result<os::Ticket> Submit(
-      os::Vcopd& daemon,
-      std::function<void(const os::JobResult&)> on_complete = nullptr) const {
-    return daemon.Submit(tenant, job.bitstream, job.params,
-                         std::move(on_complete));
+  Result<os::Ticket> Submit(os::Vcopd& daemon) const {
+    return daemon.Submit(tenant, job.bitstream, job.params);
   }
 };
 
@@ -505,19 +503,25 @@ inline FleetResult RunVcopdFleet(const std::vector<TenantSpec>& specs,
     result.tenants.emplace_back().spec = spec;
     remaining += spec.jobs;
   }
+  for (usize i = 0; i < specs.size(); ++i) {
+    TenantRun* run = &result.tenants[i];
+    StagedJob* job = &staged[i];
+    VCOP_CHECK(daemon
+                   .SetCompletionListener(
+                       job->tenant,
+                       [run, job](const os::JobResult& r, std::optional<u64>) {
+                         run->turnarounds.push_back(r.turnaround());
+                         run->preemptions += r.preemptions;
+                         ++run->completed;
+                         run->outputs_exact &= r.status.ok() && job->Exact();
+                         job->ClearOutput();
+                       })
+                   .ok());
+  }
   for (u32 round = 0; remaining > 0; ++round) {
     for (usize i = 0; i < specs.size(); ++i) {
       if (round >= specs[i].jobs) continue;
-      TenantRun* run = &result.tenants[i];
-      StagedJob* job = &staged[i];
-      const Status submitted =
-          job->Submit(daemon, [run, job](const os::JobResult& r) {
-               run->turnarounds.push_back(r.turnaround());
-               run->preemptions += r.preemptions;
-               ++run->completed;
-               run->outputs_exact &= r.status.ok() && job->Exact();
-               job->ClearOutput();
-             }).status();
+      const Status submitted = staged[i].Submit(daemon).status();
       VCOP_CHECK_MSG(submitted.ok(), submitted.ToString());
       --remaining;
     }

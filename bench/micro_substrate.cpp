@@ -1,12 +1,13 @@
 // E10 — google-benchmark microbenchmarks of the substrate itself:
 // host-side throughput of the event kernel, the CAM TLB, the dual-port
-// RAM model and a full simulated execution. These track the cost of
-// *running* the simulator (useful when sweeping large design spaces),
-// not modelled time.
+// RAM model, the ADPCM reference decoder and a full simulated execution.
+// These track the cost of *running* the simulator (useful when sweeping
+// large design spaces), not modelled time.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 
+#include "apps/adpcm.h"
 #include "apps/workloads.h"
 #include "base/rng.h"
 #include "hw/tlb.h"
@@ -86,6 +87,22 @@ void BM_DualPortRamWord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DualPortRamWord);
+
+/// The bit-exact reference every adpcm job's output is checked against;
+/// items are output samples, so ns/sample is 1e9 / items_per_second.
+void BM_AdpcmDecode(benchmark::State& state) {
+  const usize bytes = static_cast<usize>(state.range(0));
+  const std::vector<u8> input = apps::MakeAdpcmStream(bytes, 1);
+  std::vector<i16> output(2 * bytes);
+  for (auto _ : state) {
+    apps::AdpcmState decoder;
+    apps::AdpcmDecode(input, output, decoder);
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * bytes);
+}
+BENCHMARK(BM_AdpcmDecode)->Arg(512)->Arg(8192);
 
 void BM_FullAdpcmExecution(benchmark::State& state) {
   const usize bytes = static_cast<usize>(state.range(0));

@@ -60,18 +60,19 @@ constexpr AdpcmStepTable BuildStepTable() {
 constexpr AdpcmStepTable kStepTable = BuildStepTable();
 
 /// The index after both codes of an input byte (low nibble first), per
-/// (index, byte): AdpcmDecode advances the index once per byte, so the
-/// serial chain through the index is one lookup per two samples.
+/// (byte, index): AdpcmDecode advances the index once per byte. The byte
+/// picks the row off the serial chain, so the chain through the index is
+/// one load per two samples, `row[index]`, with no arithmetic on it.
 struct AdpcmByteIndexTable {
-  u8 next[kAdpcmMaxIndex + 1][256];
+  u8 next[256][kAdpcmMaxIndex + 1];
 };
 
 constexpr AdpcmByteIndexTable BuildByteIndexTable() {
   AdpcmByteIndexTable t{};
-  for (usize index = 0; index <= kAdpcmMaxIndex; ++index) {
-    for (usize byte = 0; byte < 256; ++byte) {
+  for (usize byte = 0; byte < 256; ++byte) {
+    for (usize index = 0; index <= kAdpcmMaxIndex; ++index) {
       const u8 mid = kStepTable.next[index][byte & 0x0F];
-      t.next[index][byte] = kStepTable.next[mid][byte >> 4];
+      t.next[byte][index] = kStepTable.next[mid][byte >> 4];
     }
   }
   return t;
@@ -145,7 +146,9 @@ void AdpcmDecode(std::span<const u8> in, std::span<i16> out,
   // samples of a byte take their differences from kStepTable, as
   // AdpcmDecodeSample does, but the index crosses the whole byte in one
   // lookup: the high code's index (`mid`) branches off the serial chain
-  // instead of lengthening it.
+  // instead of lengthening it. The two differences are added unclamped;
+  // while both sums fit i16 the clamps would not change them, and the
+  // rare byte that saturates is redone clamp by clamp.
   i32 valprev = state.valprev;
   u8 index = state.index;
   for (usize i = 0; i < in.size(); ++i) {
@@ -153,11 +156,20 @@ void AdpcmDecode(std::span<const u8> in, std::span<i16> out,
     const u8 lo = byte & 0x0F;
     const u8 hi = byte >> 4;
     const u8 mid = kStepTable.next[index][lo];
-    valprev = ClampSample(valprev + kStepTable.diff[index][lo]);
-    out[2 * i] = static_cast<i16>(valprev);
-    valprev = ClampSample(valprev + kStepTable.diff[mid][hi]);
-    out[2 * i + 1] = static_cast<i16>(valprev);
-    index = kByteIndexTable.next[index][byte];
+    const i32 diff_lo = kStepTable.diff[index][lo];
+    const i32 diff_hi = kStepTable.diff[mid][hi];
+    i32 first = valprev + diff_lo;
+    i32 second = first + diff_hi;
+    // Offset by 32768, an i16 sample is a u32 below 65536.
+    if (((static_cast<u32>(first + 32768) |
+          static_cast<u32>(second + 32768)) >> 16) != 0) {
+      first = ClampSample(valprev + diff_lo);
+      second = ClampSample(first + diff_hi);
+    }
+    out[2 * i] = static_cast<i16>(first);
+    out[2 * i + 1] = static_cast<i16>(second);
+    valprev = second;
+    index = kByteIndexTable.next[byte][index];
   }
   state.valprev = static_cast<i16>(valprev);
   state.index = index;

@@ -79,10 +79,18 @@ std::string StrFormat(const char* fmt, ...) {
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  // Formatted once into the stack buffer when it fits; a longer result
+  // is formatted again, straight into a string of its length.
+  char buffer[256];
+  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
-  std::string out(n > 0 ? static_cast<usize>(n) : 0, '\0');
-  if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
+  const usize size = n > 0 ? static_cast<usize>(n) : 0;
+  if (size < sizeof(buffer)) {
+    va_end(args_copy);
+    return std::string(buffer, size);
+  }
+  std::string out(size, '\0');
+  std::vsnprintf(out.data(), size + 1, fmt, args_copy);
   va_end(args_copy);
   return out;
 }

@@ -50,6 +50,15 @@ Picoseconds TokenBucket::NextTokenAt(Picoseconds now) {
 
 // ----- VcopService -----
 
+VcopService::~VcopService() {
+  for (const std::unique_ptr<Port>& port : ports_) {
+    // NotFound only for a tenant unregistered since: it runs no more jobs.
+    if (port != nullptr) {
+      (void)daemon_.SetCompletionListener(port->tenant, nullptr);
+    }
+  }
+}
+
 u32 VcopService::RegisterDesign(const hw::Bitstream& bitstream) {
   for (usize i = 0; i < designs_.size(); ++i) {
     if (designs_[i].name == bitstream.name) return static_cast<u32>(i);
@@ -65,27 +74,24 @@ Status VcopService::AttachTenant(TenantId tenant,
     return FailedPreconditionError(
         StrFormat("tenant %u is already attached", tenant));
   }
+  // The daemon validates the id before the index is sized for it.
+  VCOP_RETURN_IF_ERROR(daemon_.SetCompletionListener(
+      tenant, [this, tenant](const JobResult& result,
+                             std::optional<u64> cookie) {
+        OnJobComplete(*FindPort(tenant), result, cookie);
+      }));
+  if (ports_.size() < tenant) ports_.resize(tenant);
   const Picoseconds now = daemon_.kernel().simulator().now();
-  auto port = std::make_unique<Port>(
+  ports_[tenant - 1] = std::make_unique<Port>(
       tenant, config().ring_entries,
       admit_rate.value_or(config().admit_rate),
       admit_burst.value_or(config().admit_burst), now);
-  ports_.push_back(std::move(port));
   return Status::Ok();
 }
 
-VcopService::Port* VcopService::FindPort(TenantId tenant) {
-  for (const std::unique_ptr<Port>& port : ports_) {
-    if (port->tenant == tenant) return port.get();
-  }
-  return nullptr;
-}
-
-const VcopService::Port* VcopService::FindPort(TenantId tenant) const {
-  for (const std::unique_ptr<Port>& port : ports_) {
-    if (port->tenant == tenant) return port.get();
-  }
-  return nullptr;
+VcopService::Port* VcopService::FindPort(TenantId tenant) const {
+  if (tenant == 0 || tenant > ports_.size()) return nullptr;
+  return ports_[tenant - 1].get();
 }
 
 Status VcopService::Publish(TenantId tenant,
@@ -179,17 +185,12 @@ void VcopService::DrainPort(Port& port) {
       RejectHead(port, repoint.code(), now);
       continue;
     }
-    Port* pp = &port;
-    const u64 cookie = head.cookie;
     const Result<Ticket> ticket =
         table_busy ? Result<Ticket>(repoint)
-                   : daemon_.Submit(
-                         port.tenant, designs_[head.design],
-                         std::span<const u32>(head.params.data(),
-                                              head.nparams),
-                         [this, pp, cookie](const JobResult& result) {
-                           OnJobComplete(*pp, cookie, result);
-                         });
+                   : daemon_.Submit(port.tenant, designs_[head.design],
+                                    std::span<const u32>(head.params.data(),
+                                                         head.nparams),
+                                    head.cookie);
     if (ticket.ok()) {
       port.sq.Consume();
       ++batch;
@@ -199,8 +200,8 @@ void VcopService::DrainPort(Port& port) {
         ticket.status().code() == ErrorCode::kResourceExhausted) {
       // The daemon's tenant queue (or its object table) is the next
       // backpressure stage: the descriptor stays in the ring and is
-      // re-drained when one of this tenant's jobs completes
-      // (OnJobComplete) or the next kick lands.
+      // re-drained when one of this tenant's jobs, ringed or direct,
+      // completes (OnJobComplete) or the next kick lands.
       ++stats_.daemon_backpressure;
       port.bucket.Refund();  // the job was not admitted after all
       break;
@@ -246,18 +247,21 @@ void VcopService::PushCompletion(Port& port,
   }
 }
 
-void VcopService::OnJobComplete(Port& port, u64 cookie,
-                                const JobResult& result) {
-  CompletionDescriptor completion;
-  completion.cookie = cookie;
-  completion.code = static_cast<u32>(result.status.code());
-  completion.preemptions = result.preemptions;
-  completion.submitted_at = result.submitted_at;
-  completion.started_at = result.started_at;
-  completion.finished_at = result.finished_at;
-  PushCompletion(port, completion);
-  // Flow control: a completion frees a daemon-queue slot, so anything
-  // parked in the submission ring gets another drain.
+void VcopService::OnJobComplete(Port& port, const JobResult& result,
+                                std::optional<u64> cookie) {
+  if (cookie.has_value()) {
+    CompletionDescriptor completion;
+    completion.cookie = *cookie;
+    completion.code = static_cast<u32>(result.status.code());
+    completion.preemptions = result.preemptions;
+    completion.submitted_at = result.submitted_at;
+    completion.started_at = result.started_at;
+    completion.finished_at = result.finished_at;
+    PushCompletion(port, completion);
+  }
+  // Flow control: the finished job frees a daemon-queue slot and the
+  // tenant's object table, so anything parked in the submission ring
+  // gets another drain.
   if (!port.sq.empty() && !port.drain_scheduled) ScheduleDrain(port, 0);
 }
 
@@ -310,7 +314,7 @@ void VcopService::RepollTick() {
   repoll_armed_ = false;
   ++stats_.repoll_ticks;
   for (const std::unique_ptr<Port>& port : ports_) {
-    if (!port->sq.empty() && !port->drain_scheduled &&
+    if (port != nullptr && !port->sq.empty() && !port->drain_scheduled &&
         !daemon_.TenantQuarantined(port->tenant)) {
       // Descriptors sat a whole period without a drain: their doorbell
       // was lost. Drain them now.
@@ -325,6 +329,7 @@ void VcopService::RepollTick() {
 
 bool VcopService::AnyTransportWork() const {
   for (const std::unique_ptr<Port>& port : ports_) {
+    if (port == nullptr) continue;
     if (port->drain_scheduled) return true;
     // A quarantined tenant's stranded descriptors will never be
     // drained; counting them would keep the watchdog armed forever.

@@ -16,8 +16,8 @@
 //   service ─drain────▶ token bucket           (empty → drain pauses until
 //                                               the next token accrues)
 //           ─Submit───▶ vcopd tenant queue     (full → descriptor stays in
-//                                               the ring; re-drained when a
-//                                               completion frees a slot)
+//                                               the ring; re-drained when
+//                                               any job of the tenant ends)
 //           ─DRR──────▶ the fabric             (design-affine fair share)
 //   service ─complete─▶ completion ring  ──▶  notify, unless suppressed
 //
@@ -140,6 +140,9 @@ class VcopService {
   /// admission defaults come from the daemon's platform file
   /// (KernelConfig::service).
   explicit VcopService(Vcopd& daemon) : daemon_(daemon) {}
+  /// Removes the attached tenants' completion listeners: the daemon
+  /// may outlive its service.
+  ~VcopService();
 
   VcopService(const VcopService&) = delete;
   VcopService& operator=(const VcopService&) = delete;
@@ -152,9 +155,10 @@ class VcopService {
 
   // ----- tenant attach -----
 
-  /// Builds the tenant's ring pair and token bucket. Rate/burst
-  /// override the service defaults when given. The tenant must already
-  /// be registered with the daemon.
+  /// Builds the tenant's ring pair and token bucket, and installs its
+  /// completion listener with the daemon. Rate/burst override the
+  /// service defaults when given. A tenant the daemon does not know
+  /// fails with NotFound before anything is built for it.
   Status AttachTenant(TenantId tenant,
                       std::optional<u64> admit_rate = {},
                       std::optional<u32> admit_burst = {});
@@ -224,8 +228,8 @@ class VcopService {
         : tenant(id), sq(entries), cq(entries), bucket(rate, burst, now) {}
   };
 
-  Port* FindPort(TenantId tenant);
-  const Port* FindPort(TenantId tenant) const;
+  /// The tenant's port, found by its id; nullptr when not attached.
+  Port* FindPort(TenantId tenant) const;
 
   void ScheduleDrain(Port& port, Picoseconds delay);
   void DrainPort(Port& port);
@@ -233,13 +237,21 @@ class VcopService {
   /// at `now` with error `code`.
   void RejectHead(Port& port, ErrorCode code, Picoseconds now);
   void PushCompletion(Port& port, const CompletionDescriptor& completion);
-  void OnJobComplete(Port& port, u64 cookie, const JobResult& result);
+  /// The tenant's completion listener: pushes a ring job's completion,
+  /// then drains the ring again when descriptors wait in it with no
+  /// drain scheduled, as a head that backed off does. Every finished job
+  /// of the tenant, ringed or submitted directly, frees a queue slot and
+  /// the object table, so none can leave a descriptor stranded.
+  void OnJobComplete(Port& port, const JobResult& result,
+                     std::optional<u64> cookie);
   void ArmRepoll();
   void RepollTick();
   bool AnyTransportWork() const;
 
   Vcopd& daemon_;
   std::vector<hw::Bitstream> designs_;
+  /// Indexed by tenant id - 1 (the daemon numbers tenants from 1);
+  /// null where a tenant is not attached.
   std::vector<std::unique_ptr<Port>> ports_;
   bool repoll_armed_ = false;
   VcopServiceStats stats_;

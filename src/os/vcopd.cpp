@@ -215,10 +215,10 @@ Status Vcopd::RepointObjects(TenantId tenant,
   return kernel_.RepointObjects(*t->space, refs);
 }
 
-Result<Ticket> Vcopd::Submit(
-    TenantId tenant, const hw::Bitstream& bitstream,
-    std::span<const u32> params,
-    std::function<void(const JobResult&)> on_complete) {
+Result<Ticket> Vcopd::Submit(TenantId tenant,
+                             const hw::Bitstream& bitstream,
+                             std::span<const u32> params,
+                             std::optional<u64> cookie) {
   Tenant* t = FindTenant(tenant);
   if (t == nullptr) {
     return NotFoundError(StrFormat("unknown tenant %u", tenant));
@@ -254,10 +254,20 @@ Result<Ticket> Vcopd::Submit(
   result.submitted_at = kernel_.simulator().now();
   job->bitstream = bitstream;
   job->params.assign(params.begin(), params.end());
-  job->on_complete = std::move(on_complete);
+  job->cookie = cookie;
   t->queue.push_back(std::move(job));
   ++stats_.submitted;
   return result.ticket;
+}
+
+Status Vcopd::SetCompletionListener(TenantId tenant,
+                                    CompletionListener listener) {
+  Tenant* t = FindTenant(tenant);
+  if (t == nullptr) {
+    return NotFoundError(StrFormat("unknown tenant %u", tenant));
+  }
+  t->listener = std::move(listener);
+  return Status::Ok();
 }
 
 std::optional<JobResult> Vcopd::Poll(Ticket ticket) const {
@@ -609,7 +619,7 @@ void Vcopd::FinishJob(Tenant& tenant, Status status) {
                                           : TimelineKind::kVcopdFailed,
                             r.finished_at, 0, {tenant.space->pid()},
                             job->bitstream.name);
-  if (job->on_complete) job->on_complete(r);
+  if (tenant.listener) tenant.listener(r, job->cookie);
   history_.Keep(r);
 }
 

@@ -8,8 +8,8 @@
 //   * Each tenant registers and receives its own AddressSpace (private
 //     Process, object table, ASID). FPGA_EXECUTE becomes asynchronous:
 //     Submit() validates, enqueues and returns a ticket immediately;
-//     completions are observed by Poll()/Wait() or delivered through a
-//     callback on the simulated timeline.
+//     completions are observed by Poll()/Wait() or delivered to the
+//     tenant's one completion listener on the simulated timeline.
 //   * Submission queues are bounded (admission control): a full queue
 //     rejects with ResourceExhausted instead of growing without bound.
 //   * The shared interface TLB is ASID-tagged (hw/tlb.h), so a tenant
@@ -300,13 +300,22 @@ class Vcopd {
   // ----- asynchronous execution -----
 
   /// Validates and enqueues a job; returns its ticket without running
-  /// anything. `on_complete` (optional) fires on the simulated timeline
-  /// at the job's completion instant, with the live result, before
-  /// Wait/Poll observe it.
-  Result<Ticket> Submit(
-      TenantId tenant, const hw::Bitstream& bitstream,
-      std::span<const u32> params,
-      std::function<void(const JobResult&)> on_complete = nullptr);
+  /// anything. `cookie` travels with the job to the tenant's completion
+  /// listener: the ring path passes its descriptor's, a direct caller
+  /// none.
+  Result<Ticket> Submit(TenantId tenant, const hw::Bitstream& bitstream,
+                        std::span<const u32> params,
+                        std::optional<u64> cookie = std::nullopt);
+
+  /// Called for every finished job of one tenant, direct or ringed, on
+  /// the simulated timeline at the job's completion instant, with the
+  /// live result and the job's cookie, before Wait/Poll observe it.
+  using CompletionListener =
+      std::function<void(const JobResult&, std::optional<u64> cookie)>;
+
+  /// Installs the tenant's one completion listener, replacing any
+  /// earlier one (nullptr removes it). NotFound for an unknown tenant.
+  Status SetCompletionListener(TenantId tenant, CompletionListener listener);
 
   /// Non-blocking completion check: the result once the job finished,
   /// decoded from the history, for the daemon's lifetime; nothing while
@@ -347,12 +356,12 @@ class Vcopd {
 
  private:
   /// A submitted job until it finishes. FinishJob packs its result into
-  /// history_ once on_complete has run, and frees the job.
+  /// history_ once the tenant's listener has run, and frees the job.
   struct Job {
     JobResult result;
     hw::Bitstream bitstream;
     std::vector<u32> params;
-    std::function<void(const JobResult&)> on_complete;
+    std::optional<u64> cookie;  // handed to the tenant's listener
 
     // The job's design, from Kernel::Instantiate at first dispatch. A
     // preempted job keeps it; FinishJob retires it to the kernel's pool.
@@ -381,6 +390,7 @@ class Vcopd {
     /// was the strict ring-order choice; at the skip budget the bypass
     /// is disallowed (no-starvation bound). Reset when picked.
     u32 affinity_skips = 0;
+    CompletionListener listener;
   };
 
   Tenant* FindTenant(TenantId id);
@@ -414,8 +424,8 @@ class Vcopd {
   /// hang or non-convergence abort.
   void Quarantine(Tenant& tenant);
   /// Ends the tenant's in-flight job with `status`: settles its result,
-  /// retires its design, runs on_complete, packs the result into the
-  /// history and frees the job.
+  /// retires its design, calls the tenant's listener, packs the result
+  /// into the history and frees the job.
   void FinishJob(Tenant& tenant, Status status);
 
   Kernel& kernel_;

@@ -177,22 +177,35 @@ TEST(AdpcmTest, TransitionMatchesMediaBenchShiftArithmetic) {
 }
 
 TEST(AdpcmTest, DecodeEqualsTheSampleStepLoop) {
-  // AdpcmDecode keeps the predictor in locals and advances the index
-  // once per byte; it must leave the same samples and the same final
-  // state as stepping sample by sample, low nibble first. From every
-  // start index: each byte value alone (every (index, byte) pair of the
-  // per-byte step), then a stream that holds all 256 byte values ahead
-  // of a synthetic one.
-  auto expect_step_loop = [](std::span<const u8> in, AdpcmState start) {
+  // AdpcmDecode keeps the predictor in locals, advances the index once
+  // per byte and clamps only a byte whose unclamped samples leave i16;
+  // it must leave the same samples and the same final state as stepping
+  // sample by sample, low nibble first. From every start index and from
+  // a start predictor in the middle, on both rails and at -1: each byte
+  // value alone (every (index, byte) pair of the per-byte step), then a
+  // stream that holds all 256 byte values ahead of a synthetic one and a
+  // seeded random one. Random bytes drive the index high, where steps
+  // saturate: some bytes put the first sample on a rail and bring the
+  // second back, others put only the second there.
+  u64 first_only_on_rail = 0;
+  u64 second_only_on_rail = 0;
+  auto on_rail = [](i16 sample) { return sample == 32767 || sample == -32768; };
+  auto expect_step_loop = [&](std::span<const u8> in, AdpcmState start) {
     std::vector<i16> out(2 * in.size());
     AdpcmState state = start;
     AdpcmDecode(in, out, state);
     AdpcmState step = start;
     for (usize i = 0; i < in.size(); ++i) {
       ASSERT_EQ(out[2 * i], AdpcmDecodeSample(in[i] & 0x0F, step))
-          << "byte " << i << ", start index " << int{start.index};
+          << "byte " << i << ", start " << start.valprev << " index "
+          << int{start.index};
       ASSERT_EQ(out[2 * i + 1], AdpcmDecodeSample(in[i] >> 4, step))
-          << "byte " << i << ", start index " << int{start.index};
+          << "byte " << i << ", start " << start.valprev << " index "
+          << int{start.index};
+      const bool first = on_rail(out[2 * i]);
+      const bool second = on_rail(out[2 * i + 1]);
+      first_only_on_rail += first && !second;
+      second_only_on_rail += second && !first;
     }
     EXPECT_EQ(state.valprev, step.valprev);
     EXPECT_EQ(state.index, step.index);
@@ -201,13 +214,19 @@ TEST(AdpcmTest, DecodeEqualsTheSampleStepLoop) {
   for (usize b = 0; b < stream.size(); ++b) stream[b] = static_cast<u8>(b);
   const std::vector<u8> synthetic = MakeAdpcmStream(4096, 21);
   stream.insert(stream.end(), synthetic.begin(), synthetic.end());
-  for (u8 index = 0; index <= kAdpcmMaxIndex; ++index) {
-    for (usize b = 0; b < 256; ++b) {
-      expect_step_loop(std::span<const u8>(&stream[b], 1),
-                       AdpcmState{-1234, index});
+  const std::vector<u8> random = MakeRandomBytes(4096, 43);
+  stream.insert(stream.end(), random.begin(), random.end());
+  for (const i16 valprev : {i16{-1234}, i16{-32768}, i16{-1}, i16{32767}}) {
+    for (u8 index = 0; index <= kAdpcmMaxIndex; ++index) {
+      for (usize b = 0; b < 256; ++b) {
+        expect_step_loop(std::span<const u8>(&stream[b], 1),
+                         AdpcmState{valprev, index});
+      }
+      expect_step_loop(stream, AdpcmState{valprev, index});
     }
-    expect_step_loop(stream, AdpcmState{-1234, index});
   }
+  EXPECT_GT(first_only_on_rail, 0u);
+  EXPECT_GT(second_only_on_rail, 0u);
 }
 
 }  // namespace

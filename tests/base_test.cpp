@@ -283,5 +283,16 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%s", ""), "");
 }
 
+TEST(StrFormatTest, ResultsAroundTheStackBufferAreWhole) {
+  // A result that fits the 256-byte stack buffer is formatted once; a
+  // longer one is formatted again into its string. Both come out whole.
+  for (const usize length : {usize{254}, usize{255}, usize{256}, usize{257},
+                             usize{1000}}) {
+    const std::string text(length, 'a');
+    const std::string out = StrFormat("<%s>", text.c_str());
+    EXPECT_EQ(out, "<" + text + ">") << "length " << length;
+  }
+}
+
 }  // namespace
 }  // namespace vcop

@@ -6,10 +6,13 @@
 // open the next chunk. A page manager chooses a victim without
 // allocating, and a thrashing gather's faults allocate almost nothing.
 // A finished vcopd job keeps a packed record, and reading a schedule
-// report decodes it without allocating. The replacement applies to the
-// whole program, so these tests have a binary of their own.
+// report decodes it without allocating. A ring job allocates only its
+// two ring nodes beyond what a direct job does, and attaching an unknown
+// tenant keeps nothing. The replacement applies to the whole program,
+// so these tests have a binary of their own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 
@@ -23,6 +26,7 @@
 #include "os/page_manager.h"
 #include "os/policy.h"
 #include "os/ring.h"
+#include "os/service.h"
 #include "os/timeline.h"
 #include "os/vcopd.h"
 #include "runtime/fpga_api.h"
@@ -315,6 +319,82 @@ TEST(HistoryAllocationTest, ReadingAReportAllocatesNothing) {
   }
   EXPECT_EQ(busy, 0u);
   EXPECT_EQ(made, 0u);
+}
+
+/// The fewest allocations `run` makes over 32 calls: a call that also
+/// grows the history, the ticket index or the timeline by a chunk
+/// counts more, and the fewest leaves those out.
+template <typename Run>
+u64 FewestAllocations(Run run) {
+  u64 fewest = ~u64{0};
+  for (int i = 0; i < 32; ++i) {
+    AllocationScope scope;
+    run();
+    fewest = std::min(fewest, scope.allocations_made());
+  }
+  return fewest;
+}
+
+/// A 256-byte vecadd job through the ring (publish, kick, drive, reap)
+/// allocates what the same job submitted straight to the daemon does,
+/// plus one node in each ring: its descriptor and its completion. The
+/// job carries the descriptor's cookie to its tenant's one completion
+/// listener. A callback per job that captured the service, the port and
+/// the cookie (24 bytes, past std::function's 16-byte inline buffer)
+/// allocated once more.
+TEST(ServiceAllocationTest, ARingJobAllocatesOnlyItsTwoRingNodesMore) {
+  runtime::FpgaSystem sys(KernelConfig{});
+  Vcopd daemon(sys.kernel());
+  VcopService service(daemon);
+  const bench::StagedJob job = bench::StageTenant(
+      sys, daemon, "small", bench::MakeJob(bench::App::kVecAdd, 256, 1));
+  ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
+  RingDescriptor descriptor;
+  descriptor.design = service.RegisterDesign(job.job.bitstream);
+  descriptor.nparams = static_cast<u32>(job.job.params.size());
+  std::ranges::copy(job.job.params, descriptor.params.begin());
+
+  const u64 direct = FewestAllocations([&] {
+    VCOP_CHECK(daemon.Wait(job.Submit(daemon).value()).value().status.ok());
+  });
+  const u64 ringed = FewestAllocations([&] {
+    ++descriptor.cookie;
+    VCOP_CHECK(service.Publish(job.tenant, descriptor).ok());
+    VCOP_CHECK(service.Kick(job.tenant).ok());
+    VCOP_CHECK(service.RunUntilQuiescent().ok());
+    VCOP_CHECK(service.Reap(job.tenant).value().code == 0);
+  });
+  EXPECT_TRUE(job.Exact());
+  EXPECT_GT(direct, 0u);
+  EXPECT_EQ(ringed, direct + 2);
+  RecordProperty("direct_job_allocations", static_cast<int>(direct));
+  RecordProperty("ring_job_allocations", static_cast<int>(ringed));
+}
+
+/// Attaching a tenant the daemon does not know fails with NotFound and
+/// keeps nothing: no port, and no port index sized to the id, however
+/// large. The one allocation it may make is the error's message.
+TEST(ServiceAllocationTest, AttachingAnUnknownTenantKeepsNothing) {
+  runtime::FpgaSystem sys(KernelConfig{});
+  Vcopd daemon(sys.kernel());
+  VcopService service(daemon);
+  ASSERT_TRUE(daemon.RegisterTenant("known").ok());
+  for (const TenantId unknown :
+       {TenantId{0}, TenantId{2}, TenantId{1'000'000}, ~TenantId{0}}) {
+    SCOPED_TRACE(unknown);
+    ErrorCode code = ErrorCode::kOk;
+    u64 made = 0;
+    i64 live = 0;
+    {
+      AllocationScope scope;
+      code = service.AttachTenant(unknown).code();
+      made = scope.allocations_made();
+      live = scope.bytes_live();
+    }
+    EXPECT_EQ(code, ErrorCode::kNotFound);
+    EXPECT_LE(made, 1u);
+    EXPECT_EQ(live, 0);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // fuzz, and VcopdClient end to end.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "base/fault.h"
@@ -275,11 +276,36 @@ TEST(VcopServiceTest, ApiContractOnUnattachedAndDoubleAttach) {
   EXPECT_EQ(service.Reap(tenant).status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(service.submission_stats(tenant), nullptr);
 
+  // Only a tenant the daemon knows gets a port.
+  for (const TenantId unknown : {TenantId{0}, tenant + 1, ~TenantId{0}}) {
+    EXPECT_EQ(service.AttachTenant(unknown).code(), ErrorCode::kNotFound)
+        << "tenant " << unknown;
+    EXPECT_EQ(service.submission_stats(unknown), nullptr);
+  }
+
   ASSERT_TRUE(service.AttachTenant(tenant).ok());
   EXPECT_EQ(service.AttachTenant(tenant).code(),
             ErrorCode::kFailedPrecondition);
   EXPECT_EQ(service.Reap(tenant).status().code(),
             ErrorCode::kFailedPrecondition);  // attached, nothing pending
+}
+
+/// The daemon may outlive its service: the service takes back each
+/// attached tenant's completion listener as it goes, so the tenant's
+/// later direct jobs end with no listener left to call into it.
+TEST(VcopServiceTest, TheDaemonOutlivesItsService) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel());
+  const StagedJob job =
+      StageTenant(sys, daemon, "direct", MakeJob(App::kVecAdd, 256, 11));
+  {
+    VcopService service(daemon);
+    ASSERT_TRUE(service.AttachTenant(job.tenant).ok());
+  }
+  const Result<JobResult> done = daemon.Wait(job.Submit(daemon).value());
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_TRUE(done.value().status.ok());
+  EXPECT_TRUE(job.Exact());
 }
 
 TEST(VcopServiceTest, FullSubmissionRingBackpressuresAtTheEdge) {
@@ -509,29 +535,36 @@ TEST(VcopServiceTest, BadRefLeavesTheValidRefsBeforeItUnapplied) {
   ExpectRefsRejected({0, 9}, ErrorCode::kNotFound);
 }
 
+/// Publishes a 1 KB vecadd descriptor (`cookie`) whose refs point every
+/// object of `staged`'s job (seed `seed`) at a buffer of its own,
+/// filled with the job's inputs; staged.out is its output buffer.
+void PublishOnOwnBuffers(RingTenant& t, u64 cookie, u64 seed,
+                         StagedJob& staged) {
+  staged.job = MakeJob(App::kVecAdd, 1024, seed);
+  RingDescriptor d;
+  d.cookie = cookie;
+  d.design = t.service.RegisterDesign(cp::VecAddBitstream());
+  d.nparams = 1;
+  d.params[0] = 256;
+  for (const runtime::JobObject& o : staged.job.objects) {
+    runtime::HostBuffer<u8> buffer =
+        t.sys.Allocate<u8>(static_cast<u32>(o.bytes.size())).value();
+    buffer.Fill(o.bytes);
+    d.object_refs[d.nrefs++] = u64{o.id} << 32 | buffer.addr();
+    if (o.id == staged.job.output) staged.out = buffer;
+  }
+  ASSERT_TRUE(t.service.Publish(t.job.tenant, d).ok());
+}
+
 /// One kick drains two vecadd descriptors whose refs name different
 /// buffers. The second descriptor's refs wait in the ring until the
 /// first job is done with the tenant's one object table, so each job
 /// runs on its own buffers and completions keep cookie order.
 TEST(VcopServiceTest, EachDescriptorsRefsApplyToItsOwnJob) {
   RingTenant t(1024, 9);
-  const u32 design = t.service.RegisterDesign(cp::VecAddBitstream());
   std::vector<StagedJob> staged(2);
   for (u32 i = 0; i < 2; ++i) {
-    staged[i].job = MakeJob(App::kVecAdd, 1024, 21 + i);
-    RingDescriptor d;
-    d.cookie = i + 1;
-    d.design = design;
-    d.nparams = 1;
-    d.params[0] = 256;
-    for (const runtime::JobObject& o : staged[i].job.objects) {
-      runtime::HostBuffer<u8> buffer =
-          t.sys.Allocate<u8>(static_cast<u32>(o.bytes.size())).value();
-      buffer.Fill(o.bytes);
-      d.object_refs[d.nrefs++] = u64{o.id} << 32 | buffer.addr();
-      if (o.id == staged[i].job.output) staged[i].out = buffer;
-    }
-    ASSERT_TRUE(t.service.Publish(t.job.tenant, d).ok());
+    PublishOnOwnBuffers(t, i + 1, 21 + i, staged[i]);
   }
   ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());
   ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
@@ -542,6 +575,35 @@ TEST(VcopServiceTest, EachDescriptorsRefsApplyToItsOwnJob) {
     EXPECT_TRUE(staged[i].Exact()) << "descriptor " << i + 1;
   }
   EXPECT_GE(t.service.stats().daemon_backpressure, 1u);
+}
+
+/// A descriptor with refs backs off behind a job its tenant submitted
+/// straight to the daemon, which holds the tenant's object table. The
+/// direct job's end reaches the tenant's completion listener too, and
+/// that re-drains the ring: the descriptor runs on its own buffers and
+/// completes. Re-drained only by a ring job's completion or by the next
+/// kick, it stranded with no completion.
+TEST(VcopServiceTest, ADescriptorBehindADirectJobRunsWhenThatJobEnds) {
+  RingTenant t(1024, 10);
+  const Ticket direct = t.job.Submit(t.daemon).value();
+  StagedJob ringed;
+  PublishOnOwnBuffers(t, /*cookie=*/1, /*seed=*/31, ringed);
+  ASSERT_TRUE(t.service.Kick(t.job.tenant).ok());
+  ASSERT_TRUE(t.service.RunUntilQuiescent().ok());
+
+  const std::optional<JobResult> direct_done = t.daemon.Poll(direct);
+  ASSERT_TRUE(direct_done.has_value());
+  EXPECT_TRUE(direct_done->status.ok());
+  EXPECT_TRUE(t.job.Exact());
+  EXPECT_EQ(t.service.stats().daemon_backpressure, 1u);
+  const Result<CompletionDescriptor> done = t.service.Reap(t.job.tenant);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(done.value().cookie, 1u);
+  EXPECT_EQ(done.value().code, static_cast<u32>(ErrorCode::kOk));
+  EXPECT_GE(done.value().started_at, direct_done->finished_at);
+  EXPECT_TRUE(ringed.Exact());
+  EXPECT_FALSE(t.service.HasCompletions(t.job.tenant));  // none for `direct`
+  EXPECT_EQ(t.daemon.stats().completed, 2u);
 }
 
 // ----- ring-descriptor fuzz -----

@@ -102,18 +102,26 @@ TEST(VcopdTest, CompletionCallbackFiresAtCompletionInstant) {
 
   Picoseconds callback_at = 0;
   bool exact_at_completion = false;
-  const Ticket ticket = job.Submit(daemon, [&](const JobResult& r) {
-                             callback_at = r.finished_at;
-                             // The payload must already be in user memory
-                             // when the completion event fires.
-                             exact_at_completion = job.Exact();
-                           }).value();
+  std::optional<u64> cookie = 7;
+  ASSERT_TRUE(daemon
+                  .SetCompletionListener(
+                      job.tenant,
+                      [&](const JobResult& r, std::optional<u64> c) {
+                        callback_at = r.finished_at;
+                        cookie = c;
+                        // The payload must already be in user memory
+                        // when the completion event fires.
+                        exact_at_completion = job.Exact();
+                      })
+                  .ok());
+  const Ticket ticket = job.Submit(daemon).value();
   ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
   const std::optional<JobResult> result = daemon.Poll(ticket);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(callback_at, result->finished_at);
   EXPECT_TRUE(exact_at_completion);
+  EXPECT_FALSE(cookie.has_value());  // a direct Submit carries none
 }
 
 TEST(VcopdTest, BoundedQueueRejectsWithBackpressure) {
@@ -720,7 +728,8 @@ void ExpectSameResult(const JobResult& got, const JobResult& want) {
 /// A finished job keeps only its packed result. Two tenants x 500 jobs
 /// that preempt each other, and one job of a third tenant that fails
 /// with a message: Poll, Wait and the schedule report decode for every
-/// ticket the result on_complete saw, field by field, and the first
+/// ticket the result its tenant's completion listener saw, field by
+/// field, and the first
 /// job's result reads the same after those 1001 submissions as before.
 TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
   FpgaSystem sys(TestConfig());
@@ -734,21 +743,28 @@ TEST(VcopdTest, FinishedJobsKeepTheResultOnCompleteSaw) {
       StageTenant(sys, daemon, "vecadd", MakeJob(App::kVecAdd, 256, 2));
   const TenantId unmapped = daemon.RegisterTenant("unmapped").value();
   std::map<Ticket, JobResult> seen;
-  auto record = [&seen](const JobResult& r) { seen.emplace(r.ticket, r); };
+  for (const TenantId tenant : {adpcm.tenant, vecadd.tenant, unmapped}) {
+    ASSERT_TRUE(daemon
+                    .SetCompletionListener(
+                        tenant,
+                        [&seen](const JobResult& r, std::optional<u64>) {
+                          seen.emplace(r.ticket, r);
+                        })
+                    .ok());
+  }
 
-  std::vector<Ticket> tickets = {adpcm.Submit(daemon, record).value()};
+  std::vector<Ticket> tickets = {adpcm.Submit(daemon).value()};
   ASSERT_TRUE(daemon.Wait(tickets[0]).ok());
   const std::optional<JobResult> early = daemon.Poll(tickets[0]);
   ASSERT_TRUE(early.has_value());
 
   Ticket broken = 0;
   for (int i = 0; i < 500; ++i) {
-    tickets.push_back(adpcm.Submit(daemon, record).value());
-    tickets.push_back(vecadd.Submit(daemon, record).value());
+    tickets.push_back(adpcm.Submit(daemon).value());
+    tickets.push_back(vecadd.Submit(daemon).value());
     if (i == 250) {
       const u32 params[] = {8u};
-      broken = daemon.Submit(unmapped, cp::VecAddBitstream(), params, record)
-                   .value();
+      broken = daemon.Submit(unmapped, cp::VecAddBitstream(), params).value();
       tickets.push_back(broken);
     }
   }
@@ -1395,17 +1411,23 @@ TEST(VcopdReconfigTest, SkipBudgetBoundsBypassesOfNonResidentTenant) {
     u32 adpcm_done = 0;
     u32 adpcm_before_vecadd = 0;
     for (const StagedJob* job : {&a0, &a1, &a2}) {
-      for (u32 i = 0; i < 6; ++i) {
-        ASSERT_TRUE(
-            job->Submit(daemon, [&](const JobResult&) { ++adpcm_done; }).ok());
-      }
+      ASSERT_TRUE(daemon
+                      .SetCompletionListener(
+                          job->tenant,
+                          [&](const JobResult&, std::optional<u64>) {
+                            ++adpcm_done;
+                          })
+                      .ok());
+      for (u32 i = 0; i < 6; ++i) ASSERT_TRUE(job->Submit(daemon).ok());
     }
-    ASSERT_TRUE(vecadd
-                    .Submit(daemon,
-                            [&](const JobResult&) {
-                              adpcm_before_vecadd = adpcm_done;
-                            })
+    ASSERT_TRUE(daemon
+                    .SetCompletionListener(vecadd.tenant,
+                                           [&](const JobResult&,
+                                               std::optional<u64>) {
+                                             adpcm_before_vecadd = adpcm_done;
+                                           })
                     .ok());
+    ASSERT_TRUE(vecadd.Submit(daemon).ok());
     ASSERT_TRUE(daemon.RunUntilIdle().ok());
 
     EXPECT_EQ(adpcm_before_vecadd, 1 + 3 * budget) << "budget " << budget;
